@@ -4,9 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use anomex_core::{
-    prefilter, AnomalyExtractor, Engine, ExtractRequest, ExtractionConfig, PrefilterMode,
-};
+use anomex_core::{prefilter, Engine, ExtractRequest, ExtractionConfig, PrefilterMode};
 use anomex_detector::{DetectorConfig, MetaData};
 use anomex_mining::MinerKind;
 use anomex_netflow::FlowFeature;
@@ -59,26 +57,26 @@ fn bench_online_interval(c: &mut Criterion) {
     group.bench_function("quiet", |b| {
         b.iter_batched(
             || {
-                let mut p = AnomalyExtractor::try_new(config.clone()).unwrap();
+                let mut p = Engine::sequential(config.clone()).unwrap();
                 for iv in &training {
-                    p.process_interval(&iv.flows);
+                    p.process(&iv.flows);
                 }
                 p
             },
-            |mut p| black_box(p.process_interval(black_box(&quiet.flows))),
+            |mut p| black_box(p.process(black_box(&quiet.flows))),
             criterion::BatchSize::LargeInput,
         )
     });
     group.bench_function("anomalous", |b| {
         b.iter_batched(
             || {
-                let mut p = AnomalyExtractor::try_new(config.clone()).unwrap();
+                let mut p = Engine::sequential(config.clone()).unwrap();
                 for iv in &training {
-                    p.process_interval(&iv.flows);
+                    p.process(&iv.flows);
                 }
                 p
             },
-            |mut p| black_box(p.process_interval(black_box(&anomalous.flows))),
+            |mut p| black_box(p.process(black_box(&anomalous.flows))),
             criterion::BatchSize::LargeInput,
         )
     });

@@ -1,9 +1,9 @@
 //! Criterion benches for the sharded parallel extraction engine: the
 //! Table-2 workload end to end (sharded pre-filter → zero-copy
-//! transactions → parallel support counting) at 1/2/4/8 shards, plus the
-//! sharded detector-bank observation. The 1-shard rows double as the
-//! sequential baseline — the engine runs inline without spawning threads
-//! there — so the group directly reads off the sharding speedup.
+//! transactions → parallel support counting) at 1/2/4/8 shards, per
+//! miner. The 1-shard rows double as the sequential baseline — the
+//! engine runs inline without spawning threads there — so the group
+//! directly reads off the sharding speedup.
 //!
 //! The sharded output is bit-identical to sequential for every shard
 //! count (the engine's determinism guarantee); these benches measure the
@@ -13,8 +13,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::num::NonZeroUsize;
 
-use anomex_core::{observe_sharded, Engine, ExtractRequest};
-use anomex_detector::{DetectorBank, DetectorConfig, MetaData};
+use anomex_core::{Engine, ExtractRequest};
+use anomex_detector::MetaData;
 use anomex_mining::MinerKind;
 use anomex_netflow::FlowFeature;
 use anomex_traffic::table2_workload;
@@ -80,24 +80,5 @@ fn bench_sharded_miners(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_sharded_observation(c: &mut Criterion) {
-    let w = table2_workload(2009, 0.2);
-    let mut group = c.benchmark_group("sharded_observe_table2");
-    group.sample_size(10);
-    for shards in SHARD_COUNTS {
-        group.bench_with_input(BenchmarkId::new("bank", shards), &shards, |b, &shards| {
-            let shards = NonZeroUsize::new(shards).unwrap();
-            let mut bank = DetectorBank::new(&DetectorConfig::default());
-            b.iter(|| black_box(observe_sharded(&mut bank, black_box(&w.flows), shards)))
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_sharded_extraction,
-    bench_sharded_miners,
-    bench_sharded_observation
-);
+criterion_group!(benches, bench_sharded_extraction, bench_sharded_miners);
 criterion_main!(benches);

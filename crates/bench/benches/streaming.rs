@@ -1,6 +1,6 @@
 //! Criterion benches for the streaming extraction engine: the Table-2
 //! workload tiled across consecutive Δ-intervals, run (a) as batch
-//! interval slices through the pool-backed [`ShardedExtractor`] and
+//! interval slices through the pool-backed [`Engine`] and
 //! (b) as a flow-by-flow replay through [`StreamingExtractor`], whose
 //! double buffer overlaps interval assembly with extraction.
 //!
@@ -14,7 +14,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::num::NonZeroUsize;
 
-use anomex_core::{ExtractionConfig, ShardedExtractor, StreamingExtractor};
+use anomex_core::{Engine, ExtractionConfig, StreamingExtractor};
 use anomex_detector::DetectorConfig;
 use anomex_netflow::FlowRecord;
 use anomex_traffic::table2_workload;
@@ -63,14 +63,10 @@ fn bench_streaming_vs_batch(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("batch", shards), &shards, |b, &shards| {
             let shards = NonZeroUsize::new(shards).unwrap();
             b.iter(|| {
-                let mut engine = ShardedExtractor::try_new(config(min_support), shards).unwrap();
+                let mut engine = Engine::new(config(min_support), shards).unwrap();
                 let mut alarms = 0u32;
                 for interval in &intervals {
-                    if engine
-                        .process_interval(black_box(interval))
-                        .extraction
-                        .is_some()
-                    {
+                    if engine.process(black_box(interval)).extraction.is_some() {
                         alarms += 1;
                     }
                 }

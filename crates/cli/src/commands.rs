@@ -6,10 +6,10 @@ use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 
 use anomex_core::{
-    latency_percentile, merge_source_rules, prefilter_indices_sharded, render_report,
-    render_rule_merge, Engine, ExtractRequest, Extraction, ExtractionConfig, MultiSourceExtractor,
-    MultiStreamEvent, MultiStreamSummary, PrefilterMode, ReconfigRequest, ShardedExtractor,
-    StreamEvent, StreamingExtractor, TransactionMode,
+    latency_percentile, merge_source_rules, prefilter_indices, render_report, render_rule_merge,
+    Engine, ExtractRequest, Extraction, ExtractionConfig, MultiSourceExtractor, MultiStreamEvent,
+    MultiStreamSummary, PrefilterMode, ReconfigRequest, StreamEvent, StreamingExtractor,
+    TransactionMode,
 };
 use anomex_detector::{DetectorConfig, MetaData};
 use anomex_mining::{mine_top_k, MinerKind, RuleConfig, RARE_SUPPORT_GUARD};
@@ -339,8 +339,14 @@ fn parse_config(args: &Args) -> Result<ExtractionConfig, String> {
             ));
         }
     }
+    let interval_ms = interval_min.checked_mul(MINUTE_MS).ok_or_else(|| {
+        format!(
+            "--interval-min {interval_min} is too large (at most {} minutes)",
+            u64::MAX / MINUTE_MS
+        )
+    })?;
     let config = ExtractionConfig {
-        interval_ms: interval_min * MINUTE_MS,
+        interval_ms,
         detector: DetectorConfig {
             training_intervals: training,
             ..DetectorConfig::default()
@@ -409,7 +415,7 @@ fn run_extract_multi(
     config: &ExtractionConfig,
     threads: NonZeroUsize,
 ) -> Result<(Vec<String>, usize), String> {
-    let mut pipeline = ShardedExtractor::try_new(config.clone(), threads).map_err(String::from)?;
+    let mut pipeline = Engine::new(config.clone(), threads).map_err(String::from)?;
     let interval_ms = config.interval_ms;
     let mut origins = Vec::with_capacity(traces.len());
     for (trace, path) in traces.iter_mut().zip(paths) {
@@ -430,7 +436,7 @@ fn run_extract_multi(
                 merged.extend_from_slice(iv.flows);
             }
         }
-        if let Some(extraction) = pipeline.process_interval(&merged).extraction {
+        if let Some(extraction) = pipeline.process(&merged).extraction {
             let source_flows: Vec<usize> = lanes
                 .iter()
                 .map(|lane| lane.get(i).map_or(0, |iv| iv.flows.len()))
@@ -473,7 +479,7 @@ pub fn extract(args: &Args) -> Result<(), String> {
     let input = args.require("in")?;
     // Validate before touching the trace: a bad configuration should
     // fail instantly, not after decoding a multi-hundred-MB file.
-    let mut pipeline = ShardedExtractor::try_new(config.clone(), threads).map_err(String::from)?;
+    let mut pipeline = Engine::new(config.clone(), threads).map_err(String::from)?;
 
     let mut trace = FlowTrace::from_flows(load_flows(input)?);
     // Align windows to the interval grid containing the first flow.
@@ -482,7 +488,7 @@ pub fn extract(args: &Args) -> Result<(), String> {
     let intervals = trace.intervals(origin, config.interval_ms);
     let total = intervals.len();
     for iv in &intervals {
-        let outcome = pipeline.process_interval(iv.flows);
+        let outcome = pipeline.process(iv.flows);
         if let Some(extraction) = outcome.extraction {
             alarms += 1;
             println!("{}", render_report(&extraction));
@@ -952,11 +958,19 @@ pub fn analyze(args: &Args) -> Result<(), String> {
     let miner = parse_miner(args)?;
     let threads = parse_threads(args)?;
     let (prefilter, tx_mode) = parse_modes(args);
+    // The same validation (and error text) `extract`/`stream` apply,
+    // before touching the trace.
+    ExtractionConfig {
+        min_support: support,
+        ..ExtractionConfig::default()
+    }
+    .validate()
+    .map_err(String::from)?;
     let flows = load_flows(input)?;
 
     if args.flag("top") {
         let k = args.get_or("k", 10usize).map_err(|e| e.to_string())?;
-        let indices = prefilter_indices_sharded(&flows, &metadata, prefilter, threads);
+        let indices = prefilter_indices(&flows, &metadata, prefilter);
         let transactions = tx_mode.transactions_at(&flows, &indices);
         let start = (indices.len() as u64 / 10).max(1);
         let top = mine_top_k(&transactions, miner, k, start);
@@ -1080,6 +1094,25 @@ mod tests {
             .expect("at the guard threshold no override is needed");
         parse(&["x", "--rules", "--support", "50"])
             .expect("non-rare rules are unaffected by the guard");
+    }
+
+    #[test]
+    fn oversized_interval_is_an_error_not_a_wrapped_grid() {
+        let parse = |argv: &[&str]| {
+            parse_config(&Args::parse(argv.iter().map(ToString::to_string)).unwrap())
+        };
+        // 307445734561825861 × 60 000 wraps u64 to a small, wrong grid.
+        let err = parse(&["x", "--interval-min", "307445734561825861"]).unwrap_err();
+        assert!(err.contains("--interval-min"), "{err}");
+        let err = parse(&["x", "--interval-min", &u64::MAX.to_string()]).unwrap_err();
+        assert!(err.contains("too large"), "{err}");
+        let max = u64::MAX / MINUTE_MS;
+        assert_eq!(
+            parse(&["x", "--interval-min", &max.to_string()])
+                .unwrap()
+                .interval_ms,
+            max * MINUTE_MS
+        );
     }
 
     #[test]
@@ -1235,10 +1268,10 @@ mod tests {
         let origin = trace.start_ms().unwrap();
         let origin = origin - origin % config.interval_ms;
 
-        let mut batch = ShardedExtractor::try_new(config.clone(), NonZeroUsize::MIN).unwrap();
+        let mut batch = Engine::sequential(config.clone()).unwrap();
         let mut batch_reports = Vec::new();
         for iv in &trace.intervals(origin, config.interval_ms) {
-            if let Some(ex) = batch.process_interval(iv.flows).extraction {
+            if let Some(ex) = batch.process(iv.flows).extraction {
                 batch_reports.push(render_report(&ex));
             }
         }
@@ -1480,6 +1513,25 @@ mod tests {
                 .any(|s| s.to_string().contains("dstPort=7000")),
             "flood recovered from the file"
         );
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// `analyze` validates like `extract`/`stream`: a zero support is a
+    /// CLI error with the `ConfigError` text, not a miner panic.
+    #[test]
+    fn analyze_rejects_zero_support_without_panicking() {
+        let dir = std::env::temp_dir().join("anomex-cli-test-support0");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("trace.nfv5");
+        let path_s = path.to_str().unwrap().to_string();
+        let argv = |v: &[&str]| Args::parse(v.iter().map(ToString::to_string)).unwrap();
+        generate(&argv(&["generate", "--out", &path_s, "--intervals", "1"])).unwrap();
+
+        let base = ["analyze", "--in", &path_s, "--metadata", "dstPort=80"];
+        let err = analyze(&argv(&[&base[..], &["--support", "0"]].concat())).unwrap_err();
+        assert_eq!(err, "minimum support must be at least 1");
+        analyze(&argv(&[&base[..], &["--support", "1000000"]].concat()))
+            .expect("a valid support still analyzes");
         std::fs::remove_file(&path).ok();
     }
 }

@@ -24,8 +24,8 @@ use crate::prefilter::PrefilterMode;
 
 /// An invalid [`ExtractionConfig`]: which constraint was violated, in
 /// human-readable form. Returned by [`ExtractionConfig::validate`] and
-/// [`AnomalyExtractor::try_new`](crate::AnomalyExtractor::try_new) so
-/// library users get a `Result` instead of a panic path.
+/// [`Engine::new`](crate::Engine::new) so library users get a `Result`
+/// instead of a panic path.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfigError(String);
 

@@ -1,21 +1,13 @@
-//! The unified engine API: one front door for every way the pipeline
-//! runs.
-//!
-//! Earlier revisions of this crate grew one entry point per capability —
-//! `extract_with_metadata`, `extract_with_mode`, `extract_with_rules`,
-//! `extract_sharded`, `extract_sharded_with_rules` for offline work, and
-//! `process_interval` / `process_shared` / `process_columns` for the
-//! online engine. [`Engine`] collapses them:
+//! The extraction engine: the one type the whole pipeline runs through.
 //!
 //! - **Offline:** build an [`ExtractRequest`] (flows + meta-data + every
 //!   knob, each defaulting to the paper's setting) and call
-//!   [`Engine::extract`]. One request type replaces five positional
-//!   signatures.
-//! - **Online:** construct with [`Engine::new`] (`Result`-first; no
-//!   panicking path) and feed intervals through [`Engine::process`],
-//!   which accepts any interval representation via [`IntervalInput`] —
-//!   a record slice, an `Arc`-shared record vector, or an `Arc`-shared
-//!   columnar store.
+//!   [`Engine::extract`].
+//! - **Online:** construct with [`Engine::new`] (or
+//!   [`Engine::sequential`]) and feed intervals through
+//!   [`Engine::process`], which accepts either interval representation
+//!   via [`IntervalInput`] — a record slice or an `Arc`-shared columnar
+//!   store.
 //! - **Durability:** [`Engine::snapshot`] serializes the complete
 //!   mutable state (configuration + detector bank) into a checkpoint
 //!   payload and [`Engine::restore`] rebuilds an engine that scores
@@ -24,34 +16,79 @@
 //!   [`ReconfigRequest`] — validated as a whole, applied atomically,
 //!   rejected without side effects.
 //!
-//! The old free functions and panicking constructors remain as thin
-//! deprecated shims so downstream code migrates at its own pace.
+//! # Sharding
+//!
+//! Every per-interval structure the pipeline builds is a sum over flows:
+//! detector histograms (integer bin counts), pre-filter verdicts
+//! (per-flow predicates), and miner support counts. An engine with more
+//! than one shard exploits that by splitting each interval into balanced
+//! contiguous index ranges ([`anomex_netflow::shard`]) and fanning the
+//! work across a persistent [`crossbeam::WorkerPool`]:
+//!
+//! ```text
+//!            interval flows  ────────┬──────────┬──────────┐
+//!                                 shard 0    shard 1    shard K
+//!  detect:                       partial₀   partial₁   partialₖ     (pool jobs)
+//!                                    └──── merge in order ────┘
+//!                                   DetectorBank::observe_partial    (scored once)
+//!  pre-filter:                    indices₀   indices₁   indicesₖ     (pool jobs)
+//!                                    └─ concat in shard order ─┘
+//!  mine:                      transactions built from index slices;
+//!                             support counting over chunks, merged;  (pool jobs)
+//!                             recursive search as fork/join tasks    (run_tree)
+//! ```
+//!
+//! **Determinism is the load-bearing design constraint**: every merge is
+//! either an exact integer sum (histogram bins, support counts), a set
+//! union (bin value maps), or an in-order concatenation (pre-filter
+//! indices, Eclat tid-lists). All are independent of thread scheduling,
+//! so the output is **bit-identical** for every shard count and all
+//! three miners — asserted by the cross-shard determinism property
+//! suite. At one shard there is no pool and no thread: every stage runs
+//! inline ([`Exec::Inline`]), so the sequential pipeline *is* the
+//! sharded pipeline at K = 1 and there is exactly one implementation to
+//! keep correct.
+//!
+//! The pool's threads are spawned once (at construction, or for the
+//! duration of one [`Engine::extract`] call) and serve every pass —
+//! shard scatter-gather and the miners' tree tasks share one set of
+//! workers, so nothing oversubscribes the machine. Pool jobs are
+//! `'static`, so per-interval state is shared by `Arc`: the interval's
+//! columnar store, the detector's immutable hash specification
+//! ([`BankHasher`]), and the alarm meta-data.
+//!
+//! **Columnar storage.** The engine holds each interval as a
+//! [`FlowColumns`] struct-of-arrays store: every hot pass — histogram
+//! partials, pre-filter verdicts, transaction gathering — walks only the
+//! contiguous column(s) it reads, and the shards are *index ranges* over
+//! the columns. Record-slice input transposes once per interval into a
+//! recycled columnar scratch buffer.
 
 use std::num::NonZeroUsize;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use anomex_detector::{DetectorBank, MetaData};
+use anomex_detector::{BankHasher, BankObservation, DetectorBank, MetaData};
+use anomex_mining::par::{map_ranges_arc, Exec};
 use anomex_mining::{MinerKind, RuleConfig};
+use anomex_netflow::shard::default_shards;
 use anomex_netflow::snapshot::{RestoreError, SnapshotReader, SnapshotWriter};
 use anomex_netflow::{FlowColumns, FlowRecord};
+pub use crossbeam::PoolStats;
+use crossbeam::WorkerPool;
 
 use crate::config::{ConfigError, ExtractionConfig};
-use crate::pipeline::{Extraction, IntervalOutcome, TransactionMode};
-use crate::prefilter::PrefilterMode;
-use crate::sharded::{extract_sharded_impl, PoolStats, ShardedExtractor};
+use crate::pipeline::{mine_at_indices, Extraction, IntervalOutcome, TransactionMode};
+use crate::prefilter::{prefilter_indices_columns_range_with, PrefilterMode, PrefilterScratch};
 
 /// One interval's flows, in whichever representation the caller already
 /// holds. [`Engine::process`] accepts `impl Into<IntervalInput>`, so
-/// plain slices, `Arc`-shared vectors, and columnar stores all feed the
-/// same entry point — the engine picks the zero-copy path when the
-/// representation allows it.
+/// record slices (plain, `Vec`- or `Arc<Vec>`-owned) and columnar stores
+/// all feed the same entry point.
 #[derive(Debug)]
 pub enum IntervalInput<'a> {
     /// A borrowed record slice (transposed once into the engine's
     /// recycled columnar scratch).
     Records(&'a [FlowRecord]),
-    /// An `Arc`-owned record vector — the streaming engine's currency.
-    Shared(&'a Arc<Vec<FlowRecord>>),
     /// An `Arc`-owned columnar store — the transpose-free path.
     Columns(&'a Arc<FlowColumns>),
 }
@@ -70,7 +107,7 @@ impl<'a> From<&'a Vec<FlowRecord>> for IntervalInput<'a> {
 
 impl<'a> From<&'a Arc<Vec<FlowRecord>>> for IntervalInput<'a> {
     fn from(flows: &'a Arc<Vec<FlowRecord>>) -> Self {
-        IntervalInput::Shared(flows)
+        IntervalInput::Records(flows)
     }
 }
 
@@ -212,30 +249,145 @@ impl ReconfigRequest {
     }
 }
 
-/// The unified anomaly-extraction engine: the sharded online pipeline
-/// plus checkpointing and live reconfiguration, behind one API.
+/// A pool of recycled [`PrefilterScratch`] buffers shared with `'static`
+/// worker-pool closures: each shard pops one (or starts fresh), filters
+/// with it, and pushes it back for the next interval's shards.
+type ScratchPool = Arc<Mutex<Vec<PrefilterScratch>>>;
+
+/// Lock a scratch pool, shrugging off poisoning: scratch contents never
+/// affect outputs (buffers are re-zeroed on use), so a panicked worker
+/// cannot leave the pool in a state worth dying over.
+fn lock_scratch(pool: &ScratchPool) -> std::sync::MutexGuard<'_, Vec<PrefilterScratch>> {
+    pool.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// The worker pool for a shard count: `None` at one shard (inline).
+fn spawn_pool(shards: NonZeroUsize) -> Option<WorkerPool> {
+    (shards.get() > 1).then(|| WorkerPool::new(shards))
+}
+
+/// [`spawn_pool`] for a long-lived engine: the pool's real per-task
+/// dispatch cost is measured once at startup, so every interval's fork
+/// decisions use the machine's own overhead instead of the recorded
+/// constant.
+fn spawn_calibrated_pool(shards: NonZeroUsize) -> Option<WorkerPool> {
+    let pool = spawn_pool(shards);
+    if let Some(pool) = &pool {
+        let _ = pool.calibrate_dispatch_overhead();
+    }
+    pool
+}
+
+/// The execution context an optional pool stands for.
+fn exec_of(pool: &Option<WorkerPool>) -> Exec<'_> {
+    pool.as_ref().map_or(Exec::Inline, Exec::Pool)
+}
+
+/// Observe one columnar interval in the given execution context: workers
+/// build [`BankHasher`] partials over *index ranges* of the store (each
+/// feature's histogram fed by a single-column scan), the partials merge
+/// in range order, and the bank scores the result once — bit-identical
+/// KL values to a sequential record-based
+/// [`DetectorBank::observe`], for every context.
+fn observe_columns(
+    bank: &mut DetectorBank,
+    hasher: &Arc<BankHasher>,
+    cols: &Arc<FlowColumns>,
+    exec: Exec<'_>,
+) -> BankObservation {
+    let hasher = Arc::clone(hasher);
+    let partials = map_ranges_arc(exec, cols, cols.len(), move |cols, range| {
+        hasher.partial_columns(cols, range)
+    });
+    match partials.into_iter().reduce(|mut acc, p| {
+        acc.merge(p);
+        acc
+    }) {
+        Some(merged) => bank.observe_partial(merged),
+        // Empty interval: nothing to shard, observe it directly.
+        None => bank.observe(&[]),
+    }
+}
+
+/// Pre-filter an `Arc`-shared columnar interval into suspicious indices
+/// in the given execution context, concatenating per-range indices in
+/// range order — identical to
+/// [`prefilter_indices`](crate::prefilter_indices) over the equivalent
+/// record slice, for every context.
+fn prefilter_columns(
+    cols: &Arc<FlowColumns>,
+    metadata: &Arc<MetaData>,
+    mode: PrefilterMode,
+    exec: Exec<'_>,
+    scratch: &ScratchPool,
+) -> Vec<usize> {
+    let metadata = Arc::clone(metadata);
+    let scratch = Arc::clone(scratch);
+    map_ranges_arc(exec, cols, cols.len(), move |cols, range| {
+        let mut s = lock_scratch(&scratch).pop().unwrap_or_default();
+        let out = prefilter_indices_columns_range_with(cols, range, &metadata, mode, &mut s);
+        lock_scratch(&scratch).push(s);
+        out
+    })
+    .into_iter()
+    .flatten()
+    .collect()
+}
+
+/// The anomaly-extraction engine: detector bank → voted meta-data →
+/// pre-filter → item-set mining (paper Fig. 3), online and offline,
+/// plus checkpointing and live reconfiguration.
 ///
-/// See the [module docs](self) for the entry-point map. `Engine` is a
-/// thin facade over [`ShardedExtractor`] — same state, same
-/// bit-identical determinism guarantees — that exposes the
-/// `Result`-first constructors, the representation-agnostic
-/// [`process`](Self::process), and the durability surface.
+/// Each interval is split into `shards` contiguous flow shards;
+/// detection, pre-filtering, and mining fan out over a **persistent
+/// worker pool** (spawned once at construction, fed jobs every
+/// interval) and merge deterministically, so for any fixed input the
+/// outcome stream is bit-identical regardless of shard count. See the
+/// [module docs](self) for the execution model.
 #[derive(Debug)]
 pub struct Engine {
-    inner: ShardedExtractor,
+    config: ExtractionConfig,
+    shards: NonZeroUsize,
+    bank: DetectorBank,
+    /// Immutable histogramming spec shared with pool workers each
+    /// interval; the mutable scoring state stays in `bank`.
+    hasher: Arc<BankHasher>,
+    /// The long-lived worker pool; `None` at one shard (inline).
+    pool: Option<WorkerPool>,
+    /// Recycled columnar store backing the per-interval `Arc`: record
+    /// input transposes into these columns, and after the interval's
+    /// jobs finish the `Arc` is unique again and the allocations are
+    /// reclaimed — one column-build pass per interval, no per-interval
+    /// allocation churn.
+    scratch: FlowColumns,
+    /// Recycled pre-filter hit buffers, one per in-flight shard —
+    /// popped/pushed by the `'static` pool closures each alarmed
+    /// interval, so steady-state pre-filtering allocates nothing.
+    prefilter_scratch: ScratchPool,
 }
 
 impl Engine {
     /// Build the engine, rejecting an invalid configuration with an
     /// error. With more than one shard this spawns the persistent worker
-    /// pool.
+    /// pool — `shards` long-lived threads that serve every subsequent
+    /// interval.
     ///
     /// # Errors
     ///
     /// Returns the first violated configuration constraint.
     pub fn new(config: ExtractionConfig, shards: NonZeroUsize) -> Result<Self, ConfigError> {
+        config.validate()?;
+        let bank = DetectorBank::new(&config.detector);
+        let hasher = Arc::new(bank.hasher());
         Ok(Engine {
-            inner: ShardedExtractor::try_new(config, shards)?,
+            config,
+            shards,
+            bank,
+            hasher,
+            pool: spawn_calibrated_pool(shards),
+            scratch: FlowColumns::new(),
+            prefilter_scratch: ScratchPool::default(),
         })
     }
 
@@ -248,133 +400,231 @@ impl Engine {
         Self::new(config, NonZeroUsize::MIN)
     }
 
-    /// Build with one shard per available hardware thread.
+    /// Build with one shard per available hardware thread — the "as
+    /// fast as the hardware allows" default.
     ///
     /// # Errors
     ///
     /// Returns the first violated configuration constraint.
     pub fn with_available_parallelism(config: ExtractionConfig) -> Result<Self, ConfigError> {
-        Ok(Engine {
-            inner: ShardedExtractor::with_available_parallelism(config)?,
-        })
+        Self::new(config, default_shards())
     }
 
     /// One-shot offline extraction: pre-filter the request's flows with
     /// its meta-data and mine maximal frequent item-sets, honouring every
-    /// knob on the request. Replaces the former `extract_with_metadata` /
-    /// `extract_with_mode` / `extract_with_rules` / `extract_sharded` /
-    /// `extract_sharded_with_rules` free functions; output is
-    /// bit-identical to all of them for matching parameters.
+    /// knob on the request. With more than one shard a [`WorkerPool`] is
+    /// spawned for the duration of the call and drives pre-filtering,
+    /// support counting and the miner's recursive search; output is
+    /// bit-identical for every shard count.
     ///
     /// # Panics
     ///
     /// Panics if `min_support` is zero or a pool worker panics.
     #[must_use]
     pub fn extract(req: &ExtractRequest<'_>) -> Extraction {
-        extract_sharded_impl(
-            req.interval,
-            req.flows,
-            req.metadata,
+        let pool = spawn_pool(req.shards);
+        let exec = exec_of(&pool);
+        // One conversion into the columnar store up front; every pass
+        // below (pre-filter, transaction gather) walks contiguous
+        // columns. Pool jobs are `'static`, hence the `Arc`s.
+        let cols = Arc::new(FlowColumns::from_flows(req.flows));
+        let metadata = Arc::new(req.metadata.clone());
+        let indices = prefilter_columns(
+            &cols,
+            &metadata,
             req.prefilter,
+            exec,
+            &ScratchPool::default(),
+        );
+        mine_at_indices(
+            req.interval,
+            &cols,
+            &indices,
+            &metadata,
             req.transactions,
             req.miner,
             req.min_support,
             req.rules,
-            req.shards,
+            exec,
         )
     }
 
     /// The pipeline configuration.
     #[must_use]
     pub fn config(&self) -> &ExtractionConfig {
-        self.inner.config()
+        &self.config
     }
 
     /// The underlying detector bank (KL series, memory accounting, …).
     #[must_use]
     pub fn bank(&self) -> &DetectorBank {
-        self.inner.bank()
+        &self.bank
     }
 
     /// Whether all detectors have finished training.
     #[must_use]
     pub fn is_trained(&self) -> bool {
-        self.inner.is_trained()
+        self.bank.is_trained()
     }
 
     /// The number of shards each interval is split into.
     #[must_use]
     pub fn shards(&self) -> NonZeroUsize {
-        self.inner.shards()
+        self.shards
     }
 
-    /// Scheduler counters from the persistent worker pool.
+    /// Scheduler counters from the persistent worker pool — tree tasks
+    /// dispatched, successful steals, the tree-queue depth high-water
+    /// mark, and the calibrated dispatch overhead. All zeros at one
+    /// shard (the pipeline runs inline; there is no pool).
     #[must_use]
     pub fn pool_stats(&self) -> PoolStats {
-        self.inner.pool_stats()
+        self.pool
+            .as_ref()
+            .map(WorkerPool::stats)
+            .unwrap_or_default()
     }
 
     /// Feed one interval through detection and, on alarm, extraction —
     /// accepting the interval in whichever representation the caller
-    /// holds (see [`IntervalInput`]). Replaces the former
-    /// `process_interval` / `process_shared` / `process_columns` trio;
-    /// bit-identical to each of them on the same flows.
+    /// holds (see [`IntervalInput`]); bit-identical across
+    /// representations of the same flows. Records transpose once into
+    /// the engine's recycled columnar scratch store; a columnar interval
+    /// (e.g. built straight from datagrams via
+    /// [`decode_into_columns`](anomex_netflow::v5::decode_into_columns))
+    /// skips the transpose.
     ///
     /// # Panics
     ///
     /// Panics if a worker thread panics.
     pub fn process<'a>(&mut self, input: impl Into<IntervalInput<'a>>) -> IntervalOutcome {
-        self.inner.process(input)
+        match input.into() {
+            IntervalInput::Records(flows) => {
+                let mut cols = std::mem::take(&mut self.scratch);
+                cols.clear();
+                for flow in flows {
+                    cols.push(flow);
+                }
+                let shared = Arc::new(cols);
+                let outcome = self.process_columns(&shared);
+                if let Ok(cols) = Arc::try_unwrap(shared) {
+                    self.scratch = cols;
+                }
+                outcome
+            }
+            IntervalInput::Columns(cols) => self.process_columns(cols),
+        }
     }
 
-    /// Apply a validated parameter change at this interval boundary. On
-    /// error nothing changes.
+    fn process_columns(&mut self, cols: &Arc<FlowColumns>) -> IntervalOutcome {
+        let exec = exec_of(&self.pool);
+        let observation = observe_columns(&mut self.bank, &self.hasher, cols, exec);
+        let extraction = if observation.alarm && !observation.metadata.is_empty() {
+            let metadata = Arc::new(observation.metadata.clone());
+            let indices = prefilter_columns(
+                cols,
+                &metadata,
+                self.config.prefilter,
+                exec,
+                &self.prefilter_scratch,
+            );
+            Some(mine_at_indices(
+                observation.interval,
+                cols,
+                &indices,
+                &metadata,
+                self.config.transactions,
+                self.config.miner,
+                self.config.min_support,
+                self.config.rules.as_ref(),
+                exec,
+            ))
+        } else {
+            None
+        };
+        IntervalOutcome {
+            observation,
+            extraction,
+        }
+    }
+
+    /// Apply a validated parameter change at this interval boundary: the
+    /// requested overrides are merged into a candidate configuration,
+    /// the candidate is validated as a whole, and only then does
+    /// anything land — a rejected request leaves the engine untouched. A
+    /// new α propagates into already-fitted thresholds (σ̂ estimates are
+    /// kept); a new shard count rebuilds the persistent worker pool and
+    /// recalibrates its dispatch overhead.
     ///
     /// # Errors
     ///
     /// Returns the first constraint the requested configuration would
     /// violate.
     pub fn reconfigure(&mut self, req: &ReconfigRequest) -> Result<(), ConfigError> {
-        self.inner.apply_reconfig(req)
+        let mut candidate = self.config.clone();
+        if let Some(s) = req.min_support {
+            candidate.min_support = s;
+        }
+        if let Some(alpha) = req.alpha {
+            candidate.detector.alpha = alpha;
+        }
+        if let Some(rules) = &req.rules {
+            candidate.rules = *rules;
+        }
+        candidate.validate()?;
+        self.config = candidate;
+        if let Some(alpha) = req.alpha {
+            self.bank.set_alpha(alpha);
+        }
+        if let Some(shards) = req.shards {
+            if shards != self.shards {
+                self.shards = shards;
+                self.pool = spawn_calibrated_pool(shards);
+            }
+        }
+        Ok(())
     }
 
-    /// Serialize the engine's complete mutable state — configuration and
-    /// detector bank — into a checkpoint payload.
-    /// [`restore`](Self::restore) rebuilds an engine that scores every
-    /// subsequent interval bit-identically to this one.
+    /// Serialize the engine's complete mutable state into a checkpoint
+    /// payload: the full configuration (so a restore is self-contained)
+    /// followed by the shard count and the detector bank's temporal
+    /// state. Structural state — hashers, bins, clone wiring — is *not*
+    /// serialized; it is rebuilt deterministically from the
+    /// configuration's seeds. [`restore`](Self::restore) rebuilds an
+    /// engine that scores every subsequent interval bit-identically to
+    /// this one.
     #[must_use]
     pub fn snapshot(&self) -> Vec<u8> {
         let mut w = SnapshotWriter::new();
-        self.inner.encode_snapshot(&mut w);
+        self.config.encode_snapshot(&mut w);
+        w.usize(self.shards.get());
+        self.bank.encode_snapshot(&mut w);
         w.into_bytes()
     }
 
     /// Rebuild an engine from a [`snapshot`](Self::snapshot) payload.
-    /// `shards` overrides the saved shard count (output is unaffected —
-    /// determinism is shard-invariant); `None` restores the saved count.
+    /// `shards` overrides the saved shard count (the output stream is
+    /// shard-invariant, so a checkpoint taken at 8 shards restores
+    /// correctly onto a 2-core box); `None` keeps the saved count.
     ///
     /// # Errors
     ///
-    /// Any [`RestoreError`] from a truncated, corrupt, or
-    /// constraint-violating payload.
+    /// Any [`RestoreError`] from a truncated or corrupt payload, or one
+    /// whose configuration fails validation.
     pub fn restore(payload: &[u8], shards: Option<NonZeroUsize>) -> Result<Self, RestoreError> {
         let mut r = SnapshotReader::new(payload);
-        let inner = ShardedExtractor::decode_snapshot(&mut r, shards)?;
+        let config = ExtractionConfig::decode_snapshot(&mut r)?;
+        let saved_shards = r.usize()?;
+        let shards = match shards {
+            Some(s) => s,
+            None => NonZeroUsize::new(saved_shards)
+                .ok_or_else(|| RestoreError::Corrupt("zero shard count".into()))?,
+        };
+        let mut engine = Self::new(config, shards)
+            .map_err(|e| RestoreError::Corrupt(format!("invalid restored engine: {e}")))?;
+        engine.bank.restore_snapshot(&mut r)?;
         r.finish()?;
-        Ok(Engine { inner })
-    }
-
-    /// Consume the facade, yielding the inner sharded extractor (for
-    /// callers wiring the engine into a custom pipeline thread).
-    #[must_use]
-    pub fn into_inner(self) -> ShardedExtractor {
-        self.inner
-    }
-}
-
-impl From<ShardedExtractor> for Engine {
-    fn from(inner: ShardedExtractor) -> Self {
-        Engine { inner }
+        Ok(engine)
     }
 }
 
@@ -402,31 +652,103 @@ mod tests {
     }
 
     #[test]
-    fn extract_matches_the_deprecated_free_functions() {
+    fn offline_sharded_extraction_matches_sequential() {
         let w = table2_workload(7, 0.05);
         let mut md = MetaData::new();
         md.insert(FlowFeature::DstPort, 7000);
         md.insert(FlowFeature::DstPort, 80);
-        #[allow(deprecated)]
-        let old = crate::pipeline::extract_with_metadata(
-            0,
-            &w.flows,
-            &md,
-            PrefilterMode::Union,
-            MinerKind::Apriori,
-            w.min_support,
-        );
-        let new = Engine::extract(&ExtractRequest::new(&w.flows, &md, w.min_support));
-        assert_eq!(new.itemsets, old.itemsets);
-        assert_eq!(new.suspicious_flows, old.suspicious_flows);
-        assert_eq!(new.cost_reduction.to_bits(), old.cost_reduction.to_bits());
-        // And the sharded path through the same request type.
-        let sharded = Engine::extract(
+        let reference = Engine::extract(&ExtractRequest::new(&w.flows, &md, w.min_support));
+        for shards in 1..=6 {
+            let sharded = Engine::extract(
+                &ExtractRequest::new(&w.flows, &md, w.min_support).shards(nz(shards)),
+            );
+            assert_eq!(sharded.itemsets, reference.itemsets, "shards={shards}");
+            assert_eq!(sharded.levels, reference.levels, "shards={shards}");
+            assert_eq!(sharded.suspicious_flows, reference.suspicious_flows);
+            assert_eq!(
+                sharded.cost_reduction.to_bits(),
+                reference.cost_reduction.to_bits()
+            );
+        }
+        let eclat = Engine::extract(
             &ExtractRequest::new(&w.flows, &md, w.min_support)
                 .miner(MinerKind::Eclat)
                 .shards(nz(3)),
         );
-        assert_eq!(sharded.itemsets, old.itemsets, "miners and shards agree");
+        assert_eq!(
+            eclat.itemsets, reference.itemsets,
+            "miners and shards agree"
+        );
+    }
+
+    #[test]
+    fn sharded_prefilter_preserves_index_order() {
+        let w = table2_workload(3, 0.02);
+        let mut md = MetaData::new();
+        md.insert(FlowFeature::DstPort, 7000);
+        let reference = crate::prefilter_indices(&w.flows, &md, PrefilterMode::Union);
+        let cols = Arc::new(FlowColumns::from_flows(&w.flows));
+        let md = Arc::new(md);
+        for shards in 1..=5 {
+            let pool = spawn_pool(nz(shards));
+            assert_eq!(
+                prefilter_columns(
+                    &cols,
+                    &md,
+                    PrefilterMode::Union,
+                    exec_of(&pool),
+                    &ScratchPool::default()
+                ),
+                reference,
+                "shards={shards}"
+            );
+        }
+    }
+
+    #[test]
+    fn online_sharded_pipeline_matches_sequential_bit_for_bit() {
+        let scenario = Scenario::small(11);
+        let mut sequential = Engine::sequential(test_config(800)).unwrap();
+        let mut sharded = Engine::new(test_config(800), nz(4)).unwrap();
+        for i in 0..scenario.interval_count().min(24) {
+            let interval = scenario.generate(i);
+            let a = sequential.process(&interval.flows);
+            let b = sharded.process(&interval.flows);
+            assert_eq!(a.observation.alarm, b.observation.alarm, "interval {i}");
+            assert_eq!(a.observation.metadata, b.observation.metadata);
+            for (x, y) in a.observation.features.iter().zip(&b.observation.features) {
+                for (cx, cy) in x.clones.iter().zip(&y.clones) {
+                    assert_eq!(cx.kl.map(f64::to_bits), cy.kl.map(f64::to_bits));
+                }
+            }
+            match (&a.extraction, &b.extraction) {
+                (None, None) => {}
+                (Some(x), Some(y)) => {
+                    assert_eq!(x.itemsets, y.itemsets, "interval {i}");
+                    assert_eq!(x.levels, y.levels);
+                    assert_eq!(x.suspicious_flows, y.suspicious_flows);
+                    assert_eq!(x.cost_reduction.to_bits(), y.cost_reduction.to_bits());
+                }
+                _ => panic!("extraction presence diverged at interval {i}"),
+            }
+        }
+    }
+
+    #[test]
+    fn available_parallelism_constructor_works() {
+        let e = Engine::with_available_parallelism(test_config(500)).unwrap();
+        assert!(e.shards().get() >= 1);
+        assert!(!e.is_trained());
+    }
+
+    #[test]
+    fn invalid_config_is_an_error_not_a_panic() {
+        let mut c = test_config(100);
+        c.min_support = 0;
+        let err = Engine::new(c.clone(), nz(4)).unwrap_err();
+        assert!(err.to_string().contains("support"), "{err}");
+        assert!(Engine::sequential(c).is_err());
+        assert!(Engine::sequential(test_config(100)).is_ok());
     }
 
     #[test]

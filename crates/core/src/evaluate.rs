@@ -20,7 +20,8 @@ use serde::{Deserialize, Serialize};
 use crate::classify::classify_itemset;
 use crate::config::ExtractionConfig;
 use crate::cost::average_cost_reduction;
-use crate::pipeline::{AnomalyExtractor, Extraction};
+use crate::engine::Engine;
+use crate::pipeline::Extraction;
 use crate::prefilter::prefilter_indices;
 
 /// An extracted item-set judged against ground truth.
@@ -172,7 +173,7 @@ pub struct Table4Row {
 /// Panics if the configuration is invalid.
 #[must_use]
 pub fn run_scenario(scenario: &Scenario, config: &ExtractionConfig) -> ScenarioRun {
-    let mut pipeline = AnomalyExtractor::try_new(config.clone())
+    let mut pipeline = Engine::sequential(config.clone())
         .unwrap_or_else(|e| panic!("invalid extraction configuration: {e}"));
     let n_clones = config.detector.clones;
     let mut clone_scores: Vec<Vec<f64>> = vec![Vec::new(); n_clones];
@@ -181,7 +182,7 @@ pub fn run_scenario(scenario: &Scenario, config: &ExtractionConfig) -> ScenarioR
 
     for i in 0..scenario.interval_count() {
         let labeled = scenario.generate(i);
-        let outcome = pipeline.process_interval(&labeled.flows);
+        let outcome = pipeline.process(&labeled.flows);
 
         // Per-clone normalized scores for ROC analysis.
         for (c, scores) in clone_scores.iter_mut().enumerate() {

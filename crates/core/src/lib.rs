@@ -18,18 +18,15 @@
 //!    ([`anomex_mining`]).
 //!
 //! Entry points:
-//! - [`Engine`] — the unified API: offline extraction via
+//! - [`Engine`] — the one engine type: offline extraction via
 //!   [`Engine::extract`] with an [`ExtractRequest`] (every knob in one
-//!   builder), online operation via [`Engine::process`] over any
-//!   [`IntervalInput`] representation, plus checkpointing
-//!   ([`Engine::snapshot`] / [`Engine::restore`]) and live
-//!   reconfiguration ([`Engine::reconfigure`] with a
-//!   [`ReconfigRequest`]);
-//! - [`AnomalyExtractor`] — the online pipeline (feed intervals, get
-//!   [`Extraction`]s);
-//! - [`ShardedExtractor`] — the same pipeline fanned out over a
-//!   persistent worker pool per interval shard, with output
-//!   bit-identical to the sequential path for every shard count;
+//!   builder), online operation via [`Engine::process`] over either
+//!   [`IntervalInput`] representation (feed intervals, get
+//!   [`Extraction`]s) — inline at one shard, fanned out over a
+//!   persistent worker pool above that, with output bit-identical for
+//!   every shard count — plus checkpointing ([`Engine::snapshot`] /
+//!   [`Engine::restore`]) and live reconfiguration
+//!   ([`Engine::reconfigure`] with a [`ReconfigRequest`]);
 //! - [`StreamingExtractor`] — the continuous engine: feed flows, get a
 //!   [`StreamEvent`] per closed Δ-interval, with interval `t+1`
 //!   assembling while interval `t` extracts (double buffering), plus
@@ -49,11 +46,6 @@
 //!   sources: rules generated from the mined supports, filtered by
 //!   confidence/lift, and ranked by a meta-detection z-score pass (see
 //!   [`anomex_mining::rules`]).
-//!
-//! The former per-capability free functions (`extract_with_metadata`,
-//! `extract_with_mode`, `extract_with_rules`, `extract_sharded`,
-//! `extract_sharded_with_rules`) remain as deprecated shims over
-//! [`Engine::extract`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -67,13 +59,12 @@ pub mod models;
 pub mod pipeline;
 pub mod prefilter;
 pub mod report;
-pub mod sharded;
 pub mod streaming;
 
 pub use classify::classify_itemset;
 pub use config::{ConfigError, ExtractionConfig};
 pub use cost::{average_cost_reduction, cost_reduction};
-pub use engine::{Engine, ExtractRequest, IntervalInput, ReconfigRequest};
+pub use engine::{Engine, ExtractRequest, IntervalInput, PoolStats, ReconfigRequest};
 pub use evaluate::{
     evaluate_itemsets, run_scenario, EvaluatedItemSet, IntervalRecord, ScenarioRun,
     SupportSweepPoint, Table4Row,
@@ -82,19 +73,12 @@ pub use models::{
     beta_hit_lower, beta_miss_upper, binomial_coefficient, binomial_tail,
     expected_normal_survivors, gamma_normal_survives,
 };
-#[allow(deprecated)]
-pub use pipeline::{extract_with_metadata, extract_with_mode, extract_with_rules};
-pub use pipeline::{
-    merge_source_rules, AnomalyExtractor, Extraction, IntervalOutcome, TransactionMode,
-};
+pub use pipeline::{merge_source_rules, Extraction, IntervalOutcome, TransactionMode};
 pub use prefilter::{
     prefilter, prefilter_indices, prefilter_indices_columns, prefilter_indices_columns_range,
     prefilter_indices_columns_range_with, PrefilterMode, PrefilterScratch,
 };
 pub use report::{render_csv, render_report, render_rule_merge};
-#[allow(deprecated)]
-pub use sharded::{extract_sharded, extract_sharded_with_rules};
-pub use sharded::{observe_sharded, prefilter_indices_sharded, PoolStats, ShardedExtractor};
 pub use streaming::{
     latency_percentile, MultiSourceExtractor, MultiStreamEvent, MultiStreamSummary, StreamEvent,
     StreamSummary, StreamingExtractor,

@@ -2,14 +2,13 @@
 //!
 //! Detector bank → alarm meta-data (union over features) → pre-filter →
 //! frequent item-set mining → maximal item-sets as the anomaly summary.
-//! [`AnomalyExtractor`] runs the whole loop online, interval by interval;
-//! [`extract_with_metadata`] is the offline entry point when the meta-data
-//! comes from elsewhere (another detector type from Table I, or an
-//! administrator's manual hints).
+//! [`Engine`] runs the whole loop online, interval by interval
+//! ([`Engine::process`]); [`Engine::extract`] is the offline entry point
+//! when the meta-data comes from elsewhere (another detector type from
+//! Table I, or an administrator's manual hints). This module holds the
+//! value types both produce and the mining tail both share.
 
-use std::num::NonZeroUsize;
-
-use anomex_detector::{BankObservation, DetectorBank, MetaData};
+use anomex_detector::{BankObservation, MetaData};
 use anomex_mining::apriori::{apriori_exec, AprioriConfig};
 use anomex_mining::par::Exec;
 use anomex_mining::{
@@ -18,10 +17,9 @@ use anomex_mining::{
 use anomex_netflow::{FlowColumns, FlowRecord};
 use serde::{Deserialize, Serialize};
 
-use crate::config::{ConfigError, ExtractionConfig};
+use crate::config::ExtractionConfig;
 use crate::cost::cost_reduction;
-use crate::prefilter::PrefilterMode;
-use crate::sharded::ShardedExtractor;
+use crate::engine::{Engine, ExtractRequest};
 
 /// How flows are mapped to mining transactions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -103,115 +101,15 @@ pub struct Extraction {
     pub rules: Option<RuleSet>,
 }
 
-/// Offline extraction: pre-filter `flows` with the given meta-data and
-/// mine maximal frequent item-sets (canonical width-7 transactions).
-///
-/// # Panics
-///
-/// Panics if `min_support` is zero.
-#[doc(hidden)]
-#[deprecated(note = "use Engine::extract with an ExtractRequest")]
-#[must_use]
-pub fn extract_with_metadata(
-    interval: u64,
-    flows: &[FlowRecord],
-    metadata: &MetaData,
-    mode: PrefilterMode,
-    miner: MinerKind,
-    min_support: u64,
-) -> Extraction {
-    crate::sharded::extract_sharded_impl(
-        interval,
-        flows,
-        metadata,
-        mode,
-        TransactionMode::Canonical,
-        miner,
-        min_support,
-        None,
-        NonZeroUsize::MIN,
-    )
-}
-
-/// Offline extraction with an explicit [`TransactionMode`] (canonical or
-/// prefix-extended transactions).
-///
-/// # Panics
-///
-/// Panics if `min_support` is zero.
-#[doc(hidden)]
-#[deprecated(note = "use Engine::extract with an ExtractRequest (set .transactions(...))")]
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn extract_with_mode(
-    interval: u64,
-    flows: &[FlowRecord],
-    metadata: &MetaData,
-    mode: PrefilterMode,
-    tx_mode: TransactionMode,
-    miner: MinerKind,
-    min_support: u64,
-) -> Extraction {
-    crate::sharded::extract_sharded_impl(
-        interval,
-        flows,
-        metadata,
-        mode,
-        tx_mode,
-        miner,
-        min_support,
-        None,
-        NonZeroUsize::MIN,
-    )
-}
-
-/// Offline extraction with the association-rule layer enabled: the
-/// item-set report of [`extract_with_mode`] plus the generated,
-/// filtered, z-score-ranked rules in [`Extraction::rules`].
-///
-/// # Panics
-///
-/// Panics if `min_support` is zero.
-#[doc(hidden)]
-#[deprecated(note = "use Engine::extract with an ExtractRequest (set .rules(...))")]
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn extract_with_rules(
-    interval: u64,
-    flows: &[FlowRecord],
-    metadata: &MetaData,
-    mode: PrefilterMode,
-    tx_mode: TransactionMode,
-    miner: MinerKind,
-    min_support: u64,
-    rules: &RuleConfig,
-) -> Extraction {
-    crate::sharded::extract_sharded_impl(
-        interval,
-        flows,
-        metadata,
-        mode,
-        tx_mode,
-        miner,
-        min_support,
-        Some(rules),
-        NonZeroUsize::MIN,
-    )
-}
-
 /// The shared mining tail of every extraction path: gather transactions
 /// for the pre-filtered `indices` from a [`FlowColumns`] store (one
 /// feature column at a time, zero-copy — straight from index slice to
 /// transactions), mine maximal item-sets in the given execution context
-/// (inline, scoped threads, or the engine's persistent worker pool),
-/// optionally layer the association rules on top
-/// ([`MineTask::run_with_rules`] — one mining pass serves both outputs),
-/// and assemble the [`Extraction`]. Bit-identical to mining the
-/// equivalent `FlowRecord` slice, by construction — the gathered
-/// transaction sets are equal and everything downstream consumes only
-/// transactions.
+/// (inline, or the engine's persistent worker pool), optionally layer
+/// the association rules on top ([`MineTask::run_with_rules`] — one
+/// mining pass serves both outputs), and assemble the [`Extraction`].
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn mine_at_indices_columns(
+pub(crate) fn mine_at_indices(
     interval: u64,
     cols: &FlowColumns,
     indices: &[usize],
@@ -223,61 +121,31 @@ pub(crate) fn mine_at_indices_columns(
     exec: Exec<'_>,
 ) -> Extraction {
     let transactions = tx_mode.transactions_at_columns(cols, indices);
-    mine_transactions(
-        interval,
-        cols.len(),
-        &transactions,
-        indices.len(),
-        metadata,
-        miner,
-        min_support,
-        rule_config,
-        exec,
-    )
-}
-
-/// The storage-agnostic mining tail shared by the record and columnar
-/// extraction paths: mine maximal item-sets over the pre-built
-/// transactions, optionally layer the association rules, and assemble
-/// the [`Extraction`].
-#[allow(clippy::too_many_arguments)]
-fn mine_transactions(
-    interval: u64,
-    total_flows: usize,
-    transactions: &TransactionSet,
-    suspicious_flows: usize,
-    metadata: &MetaData,
-    miner: MinerKind,
-    min_support: u64,
-    rule_config: Option<&RuleConfig>,
-    exec: Exec<'_>,
-) -> Extraction {
     let (itemsets, levels, rules) = match rule_config {
         Some(rc) => {
-            let out = MineTask::maximal(miner, transactions, min_support).run_with_rules(rc, exec);
+            let out = MineTask::maximal(miner, &transactions, min_support).run_with_rules(rc, exec);
             (out.itemsets, out.levels, Some(out.rules))
         }
         None => match miner {
             MinerKind::Apriori => {
-                let out = apriori_exec(transactions, &AprioriConfig::maximal(min_support), exec);
+                let out = apriori_exec(&transactions, &AprioriConfig::maximal(min_support), exec);
                 (out.itemsets, out.levels, None)
             }
             other => (
-                other.mine_maximal_exec(transactions, min_support, exec),
+                other.mine_maximal_exec(&transactions, min_support, exec),
                 Vec::new(),
                 None,
             ),
         },
     };
-    let cost = cost_reduction(total_flows as u64, itemsets.len());
     Extraction {
         interval,
         metadata: metadata.clone(),
-        total_flows,
-        suspicious_flows,
+        total_flows: cols.len(),
+        suspicious_flows: indices.len(),
+        cost_reduction: cost_reduction(cols.len() as u64, itemsets.len()),
         itemsets,
         levels,
-        cost_reduction: cost,
         rules,
     }
 }
@@ -317,17 +185,15 @@ pub fn merge_source_rules(
         if segment.is_empty() || total == 0 {
             continue;
         }
-        let support = (config.min_support * len as u64 / total).max(1);
-        let extraction = crate::sharded::extract_sharded_impl(
-            0,
-            segment,
-            metadata,
-            config.prefilter,
-            config.transactions,
-            config.miner,
-            support,
-            Some(rule_config),
-            NonZeroUsize::MIN,
+        // u128: `min_support × len` overflows u64 for large supports.
+        let weighted = u128::from(config.min_support) * len as u128 / u128::from(total);
+        let support = u64::try_from(weighted).unwrap_or(u64::MAX).max(1);
+        let extraction = Engine::extract(
+            &ExtractRequest::new(segment, metadata, support)
+                .prefilter(config.prefilter)
+                .transactions(config.transactions)
+                .miner(config.miner)
+                .rules(rule_config),
         );
         if let Some(rules) = extraction.rules {
             per_source.push(rules);
@@ -346,81 +212,9 @@ pub struct IntervalOutcome {
     pub extraction: Option<Extraction>,
 }
 
-/// The online anomaly-extraction pipeline.
-#[derive(Debug)]
-pub struct AnomalyExtractor {
-    inner: ShardedExtractor,
-}
-
-impl AnomalyExtractor {
-    /// Build the pipeline from a configuration, rejecting invalid
-    /// parameters with an error instead of a panic — the entry point for
-    /// library users who propagate configuration problems.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first violated constraint (see
-    /// [`ExtractionConfig::validate`]).
-    pub fn try_new(config: ExtractionConfig) -> Result<Self, ConfigError> {
-        // One shard ⇒ the engine runs every stage inline, with no worker
-        // threads — the sequential pipeline is the sharded pipeline at
-        // K = 1, so there is exactly one implementation to keep correct.
-        let inner = ShardedExtractor::try_new(config, NonZeroUsize::MIN)?;
-        Ok(AnomalyExtractor { inner })
-    }
-
-    /// Build the pipeline from a configuration.
-    ///
-    /// A thin wrapper over [`try_new`](Self::try_new) for callers who
-    /// treat a bad configuration as a programming error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid.
-    #[deprecated(note = "use try_new and handle the ConfigError")]
-    #[must_use]
-    pub fn new(config: ExtractionConfig) -> Self {
-        Self::try_new(config).unwrap_or_else(|e| panic!("invalid extraction configuration: {e}"))
-    }
-
-    /// The pipeline configuration.
-    #[must_use]
-    pub fn config(&self) -> &ExtractionConfig {
-        self.inner.config()
-    }
-
-    /// The underlying detector bank (KL series, memory accounting, …).
-    #[must_use]
-    pub fn bank(&self) -> &DetectorBank {
-        self.inner.bank()
-    }
-
-    /// Whether all detectors have finished training.
-    #[must_use]
-    pub fn is_trained(&self) -> bool {
-        self.inner.is_trained()
-    }
-
-    /// Feed one interval's flows through detection and, on alarm,
-    /// extraction.
-    pub fn process_interval(&mut self, flows: &[FlowRecord]) -> IntervalOutcome {
-        self.inner.process_interval(flows)
-    }
-
-    /// Representation-agnostic interval entry point — see
-    /// [`IntervalInput`](crate::IntervalInput).
-    pub fn process<'a>(
-        &mut self,
-        input: impl Into<crate::engine::IntervalInput<'a>>,
-    ) -> IntervalOutcome {
-        self.inner.process(input)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, ExtractRequest};
     use anomex_detector::DetectorConfig;
     use anomex_netflow::{FlowFeature, Protocol};
     use anomex_traffic::Scenario;
@@ -502,11 +296,11 @@ mod tests {
     #[test]
     fn online_pipeline_extracts_planted_flood() {
         let scenario = Scenario::small(11);
-        let mut pipeline = AnomalyExtractor::try_new(test_config(800)).unwrap();
+        let mut pipeline = Engine::sequential(test_config(800)).unwrap();
         let mut extractions = Vec::new();
         for i in 0..scenario.interval_count() {
             let interval = scenario.generate(i);
-            let outcome = pipeline.process_interval(&interval.flows);
+            let outcome = pipeline.process(&interval.flows);
             if let Some(ex) = outcome.extraction {
                 extractions.push(ex);
             }
@@ -531,11 +325,11 @@ mod tests {
     #[test]
     fn quiet_intervals_produce_almost_no_extractions() {
         let scenario = Scenario::small(11);
-        let mut pipeline = AnomalyExtractor::try_new(test_config(800)).unwrap();
+        let mut pipeline = Engine::sequential(test_config(800)).unwrap();
         let mut alarms_in_quiet = 0;
         for i in 0..18 {
             let interval = scenario.generate(i);
-            let outcome = pipeline.process_interval(&interval.flows);
+            let outcome = pipeline.process(&interval.flows);
             if outcome.extraction.is_some() {
                 alarms_in_quiet += 1;
             }
@@ -550,20 +344,30 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "invalid extraction configuration")]
-    fn invalid_config_panics() {
-        let mut c = test_config(100);
-        c.min_support = 0;
-        #[allow(deprecated)]
-        let _ = AnomalyExtractor::new(c);
-    }
-
-    #[test]
-    fn try_new_reports_the_violation_without_panicking() {
-        let mut c = test_config(100);
-        c.min_support = 0;
-        let err = AnomalyExtractor::try_new(c).unwrap_err();
-        assert!(err.to_string().contains("support"), "{err}");
-        assert!(AnomalyExtractor::try_new(test_config(100)).is_ok());
+    fn weighted_source_floor_survives_a_huge_support() {
+        // `min_support × segment length` overflows u64; the floor must be
+        // computed wide, stay huge, and mine nothing — not wrap to a tiny
+        // floor (explosive mining) or panic in debug builds.
+        let flows: Vec<FlowRecord> = (0..40u32)
+            .map(|i| {
+                FlowRecord::new(
+                    u64::from(i),
+                    Ipv4Addr::new(10, 0, 0, 1),
+                    Ipv4Addr::new(10, 0, 0, 2),
+                    1000,
+                    80,
+                    Protocol::Tcp,
+                )
+            })
+            .collect();
+        let mut md = MetaData::new();
+        md.insert(FlowFeature::DstPort, 80);
+        let config = ExtractionConfig {
+            min_support: u64::MAX,
+            rules: Some(RuleConfig::default()),
+            ..test_config(1)
+        };
+        let merged = merge_source_rules(&flows, &[25, 15], &md, &config).expect("rule layer on");
+        assert!(merged.is_empty(), "{} rules at s = u64::MAX", merged.len());
     }
 }

@@ -10,7 +10,7 @@
 //! ```text
 //!  caller thread                     │  pipeline thread (spawned once)
 //!  ─────────────                     │  ──────────────────────────────
-//!  push(flow) ──► IntervalAssembler  │   ShardedExtractor (persistent
+//!  push(flow) ──► IntervalAssembler  │   Engine (persistent
 //!                   assembles t+1    │   worker pool): detect → prefilter
 //!                        │           │   → mine interval t
 //!                        ▼           │            │
@@ -33,7 +33,7 @@
 //! then runs through exactly the same pipeline thread.
 //!
 //! The detector bank lives inside the pipeline thread's
-//! [`ShardedExtractor`] for the whole life of the stream, so baseline
+//! [`Engine`] for the whole life of the stream, so baseline
 //! state — reference histograms, KL series, fitted σ̂ thresholds —
 //! carries forward from interval to interval instead of being re-derived
 //! per call; an extractor that has finished training stays trained for
@@ -64,9 +64,8 @@ use anomex_netflow::{
 use crossbeam::channel::{bounded, Receiver, Sender};
 
 use crate::config::{ConfigError, ExtractionConfig};
-use crate::engine::ReconfigRequest;
+use crate::engine::{Engine, PoolStats, ReconfigRequest};
 use crate::pipeline::IntervalOutcome;
-use crate::sharded::{PoolStats, ShardedExtractor};
 
 /// One closed interval's worth of streaming output: what the pipeline
 /// saw, what it extracted, and how long extraction took.
@@ -193,10 +192,10 @@ enum Command {
 }
 
 fn pipeline_loop(
-    mut engine: ShardedExtractor,
+    mut engine: Engine,
     work_rx: &Receiver<Command>,
     events_tx: &Sender<StreamEvent>,
-) -> ShardedExtractor {
+) -> Engine {
     while let Ok(command) = work_rx.recv() {
         match command {
             Command::Work(work) => {
@@ -208,7 +207,7 @@ fn pipeline_loop(
                     dropped_flows,
                 } = work;
                 let started = Instant::now();
-                let outcome = engine.process_shared(&flows);
+                let outcome = engine.process(&flows);
                 let process_micros = started.elapsed().as_micros() as u64;
                 let event = StreamEvent {
                     index,
@@ -224,14 +223,12 @@ fn pipeline_loop(
                 }
             }
             Command::Snapshot(reply) => {
-                let mut w = SnapshotWriter::new();
-                engine.encode_snapshot(&mut w);
-                if reply.send(w.into_bytes()).is_err() {
+                if reply.send(engine.snapshot()).is_err() {
                     break; // requester gone: the stream was abandoned
                 }
             }
             Command::Reconfig(request, reply) => {
-                let verdict = engine.apply_reconfig(&request);
+                let verdict = engine.reconfigure(&request);
                 if reply.send(verdict).is_err() {
                     break; // requester gone: the stream was abandoned
                 }
@@ -252,7 +249,7 @@ struct PipelineHandle {
     events_rx: Receiver<StreamEvent>,
     /// The pipeline thread; returns its engine so `finish` can read
     /// final detector state.
-    worker: Option<JoinHandle<ShardedExtractor>>,
+    worker: Option<JoinHandle<Engine>>,
     intervals: u64,
     alarms: u64,
     extractions: u64,
@@ -271,7 +268,7 @@ impl PipelineHandle {
     const EVENT_BUFFER: usize = 64;
 
     /// Spawn the pipeline thread around an already-validated engine.
-    fn spawn(engine: ShardedExtractor) -> Result<Self, ConfigError> {
+    fn spawn(engine: Engine) -> Result<Self, ConfigError> {
         let (work_tx, work_rx) = bounded::<Command>(Self::WORK_BUFFER);
         let (events_tx, events_rx) = bounded::<StreamEvent>(Self::EVENT_BUFFER);
         let worker = std::thread::Builder::new()
@@ -404,7 +401,7 @@ impl PipelineHandle {
     /// # Panics
     ///
     /// Re-raises a panic from the pipeline thread.
-    fn finish(&mut self) -> (Vec<StreamEvent>, ShardedExtractor) {
+    fn finish(&mut self) -> (Vec<StreamEvent>, Engine) {
         drop(self.work_tx.take());
         let mut events = Vec::new();
         while let Ok(event) = self.events_rx.recv() {
@@ -486,7 +483,7 @@ impl StreamingExtractor {
         origin_ms: u64,
     ) -> Result<Self, ConfigError> {
         let interval_ms = config.interval_ms;
-        let engine = ShardedExtractor::try_new(config, shards)?;
+        let engine = Engine::new(config, shards)?;
         // `validate` already rejected a zero interval; map defensively
         // rather than panic so the error path stays a `Result`.
         let assembler =
@@ -552,9 +549,7 @@ impl StreamingExtractor {
         }
         let engine_bytes = r.bytes()?;
         r.finish()?;
-        let mut er = SnapshotReader::new(engine_bytes);
-        let engine = ShardedExtractor::decode_snapshot(&mut er, shards)?;
-        er.finish()?;
+        let engine = Engine::restore(engine_bytes, shards)?;
         if engine.config().interval_ms != assembler.interval_ms() {
             return Err(RestoreError::Corrupt(format!(
                 "assembler interval {} ms disagrees with engine interval {} ms",
@@ -745,7 +740,7 @@ impl MultiSourceExtractor {
             interval_ms: config.interval_ms,
             max_lag_intervals,
         };
-        let engine = ShardedExtractor::try_new(config, shards)?;
+        let engine = Engine::new(config, shards)?;
         let assembler = MergeAssembler::try_new(merge_config, sources).map_err(ConfigError::new)?;
         Ok(MultiSourceExtractor {
             assembler,
@@ -807,9 +802,7 @@ impl MultiSourceExtractor {
         }
         let engine_bytes = r.bytes()?;
         r.finish()?;
-        let mut er = SnapshotReader::new(engine_bytes);
-        let engine = ShardedExtractor::decode_snapshot(&mut er, shards)?;
-        er.finish()?;
+        let engine = Engine::restore(engine_bytes, shards)?;
         if engine.config().interval_ms != assembler.config().interval_ms {
             return Err(RestoreError::Corrupt(format!(
                 "grid interval {} ms disagrees with engine interval {} ms",
@@ -977,7 +970,6 @@ impl MultiSourceExtractor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::AnomalyExtractor;
     use anomex_detector::DetectorConfig;
     use anomex_netflow::Protocol;
     use anomex_traffic::Scenario;
@@ -1014,14 +1006,14 @@ mod tests {
     fn streaming_matches_batch_bit_for_bit() {
         let scenario = Scenario::small(11);
         let intervals = scenario.interval_count().min(23);
-        let mut batch = AnomalyExtractor::try_new(test_config(scenario.interval_ms())).unwrap();
+        let mut batch = Engine::sequential(test_config(scenario.interval_ms())).unwrap();
         let mut stream =
             StreamingExtractor::try_new(test_config(scenario.interval_ms()), nz(2), 0).unwrap();
         let mut events = Vec::new();
         let mut batch_outcomes = Vec::new();
         for i in 0..intervals {
             let interval = scenario.generate(i);
-            batch_outcomes.push(batch.process_interval(&interval.flows));
+            batch_outcomes.push(batch.process(&interval.flows));
             for flow in interval.flows {
                 events.extend(stream.push(flow));
             }

@@ -132,15 +132,14 @@ pub(crate) fn count_single_items(set: &TransactionSet, exec: Exec<'_>) -> HashMa
     total
 }
 
-/// Run Apriori with every phase parallelized in the given execution
-/// context — scoped threads for one-shot batch counting, or a
-/// persistent [`crossbeam::WorkerPool`] when the streaming engine calls
-/// every interval.
+/// Run Apriori in the given execution context: inline, or with every
+/// phase parallelized on the engine's persistent
+/// [`crossbeam::WorkerPool`].
 ///
-/// Two phases fan out per level: support counting runs over transaction
+/// Under [`Exec::Pool`] two phases fan out per level: support counting runs over transaction
 /// chunks (each worker counts candidate hits in its own index-aligned
-/// vector; the vectors are summed — exact integer adds), and under
-/// [`Exec::Pool`] the level-k **join+prune** itself is partitioned over
+/// vector; the vectors are summed — exact integer adds), and the
+/// level-k **join+prune** itself is partitioned over
 /// blocks of candidate prefix groups and submitted as tree tasks on the
 /// same pool ([`run_tree_exec`]), with the per-block candidate lists
 /// concatenated in block order. Both merges are independent of thread
@@ -351,7 +350,7 @@ fn generate_candidates_exec(current: &mut Vec<(Vec<Item>, u64)>, exec: Exec<'_>)
                     WorkKind::JoinSets,
                 )
         }
-        Exec::Threads(_) => false,
+        Exec::Inline => false,
     };
     if !fan_out {
         let mut out = Vec::new();
@@ -576,8 +575,8 @@ mod tests {
         ] {
             let reference = apriori(&set, &config);
             for threads in 2..=8 {
-                let exec = Exec::Threads(NonZeroUsize::new(threads).unwrap());
-                let par = apriori_exec(&set, &config, exec);
+                let pool = crossbeam::WorkerPool::new(NonZeroUsize::new(threads).unwrap());
+                let par = apriori_exec(&set, &config, Exec::Pool(&pool));
                 assert_eq!(par.itemsets, reference.itemsets, "threads={threads}");
                 for (a, b) in par.itemsets.iter().zip(&reference.itemsets) {
                     assert_eq!(a.support, b.support, "threads={threads} {a}");

@@ -263,11 +263,8 @@ mod tests {
         }
         let reference = eclat(&set, 300);
         for threads in 2..=8 {
-            let par = eclat_exec(
-                &set,
-                300,
-                Exec::Threads(NonZeroUsize::new(threads).unwrap()),
-            );
+            let pool = crossbeam::WorkerPool::new(NonZeroUsize::new(threads).unwrap());
+            let par = eclat_exec(&set, 300, Exec::Pool(&pool));
             assert_eq!(par, reference, "threads={threads}");
             for (a, b) in par.iter().zip(&reference) {
                 assert_eq!(a.support, b.support, "threads={threads} {a}");

@@ -358,11 +358,8 @@ mod tests {
         }
         let reference = fpgrowth(&set, 250);
         for threads in 2..=8 {
-            let par = fpgrowth_exec(
-                &set,
-                250,
-                Exec::Threads(NonZeroUsize::new(threads).unwrap()),
-            );
+            let pool = crossbeam::WorkerPool::new(NonZeroUsize::new(threads).unwrap());
+            let par = fpgrowth_exec(&set, 250, Exec::Pool(&pool));
             assert_eq!(par, reference, "threads={threads}");
             for (a, b) in par.iter().zip(&reference) {
                 assert_eq!(a.support, b.support, "threads={threads} {a}");

@@ -27,7 +27,7 @@
 //!   ([`map_chunks_arc`]) plus fork/join task trees
 //!   ([`par::run_tree_exec`]) for the recursive search phases. Every
 //!   miner's `*_exec` output is bit-identical to the sequential one for
-//!   every execution context and thread count;
+//!   every execution context and pool width;
 //! - [`rules`] — the *second* step of association-rule mining: rules
 //!   `X ⇒ Y` with confidence/lift/leverage/conviction derived from the
 //!   counted supports (never rescanning transactions), a rare-itemset
@@ -63,12 +63,10 @@ pub use item::Item;
 pub use itemset::{canonicalize, ItemSet};
 pub use maximal::{filter_maximal, filter_maximal_general};
 pub use miner::MinerKind;
-pub use par::{
-    map_chunks, map_chunks_arc, Exec, ForkPolicy, WorkKind, DEFAULT_DISPATCH_OVERHEAD_NS,
-};
+pub use par::{map_chunks_arc, Exec, ForkPolicy, WorkKind, DEFAULT_DISPATCH_OVERHEAD_NS};
 pub use rules::{
     generate_rules, merge_rule_sets, Rule, RuleConfig, RuleSet, ScoredRule, RARE_SUPPORT_GUARD,
 };
-pub use task::{apriori_par, eclat_par, fpgrowth_par, MineTask, RuleMineOutput};
+pub use task::{MineTask, RuleMineOutput};
 pub use topk::{mine_top_k, TopK};
 pub use transaction::{Transaction, TransactionError, TransactionSet, CANONICAL_WIDTH, MAX_WIDTH};

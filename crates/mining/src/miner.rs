@@ -1,7 +1,6 @@
 //! Unified miner interface: the three algorithms are interchangeable.
 
 use std::fmt;
-use std::num::NonZeroUsize;
 
 use serde::{Deserialize, Serialize};
 
@@ -38,7 +37,7 @@ impl MinerKind {
     /// Panics if `min_support` is zero.
     #[must_use]
     pub fn mine_all(self, set: &TransactionSet, min_support: u64) -> Vec<ItemSet> {
-        self.mine_all_par(set, min_support, NonZeroUsize::MIN)
+        self.mine_all_exec(set, min_support, Exec::inline())
     }
 
     /// Mine only **maximal** frequent item-sets — the paper's modified
@@ -49,42 +48,7 @@ impl MinerKind {
     /// Panics if `min_support` is zero.
     #[must_use]
     pub fn mine_maximal(self, set: &TransactionSet, min_support: u64) -> Vec<ItemSet> {
-        self.mine_maximal_par(set, min_support, NonZeroUsize::MIN)
-    }
-
-    /// [`mine_all`](Self::mine_all) on up to `threads` scoped worker
-    /// threads — a compatibility shim for
-    /// [`mine_all_exec`](Self::mine_all_exec) with [`Exec::Threads`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `min_support` is zero.
-    #[must_use]
-    pub fn mine_all_par(
-        self,
-        set: &TransactionSet,
-        min_support: u64,
-        threads: NonZeroUsize,
-    ) -> Vec<ItemSet> {
-        self.mine_all_exec(set, min_support, Exec::Threads(threads))
-    }
-
-    /// [`mine_maximal`](Self::mine_maximal) on up to `threads` scoped
-    /// worker threads — a compatibility shim for
-    /// [`mine_maximal_exec`](Self::mine_maximal_exec) with
-    /// [`Exec::Threads`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `min_support` is zero.
-    #[must_use]
-    pub fn mine_maximal_par(
-        self,
-        set: &TransactionSet,
-        min_support: u64,
-        threads: NonZeroUsize,
-    ) -> Vec<ItemSet> {
-        self.mine_maximal_exec(set, min_support, Exec::Threads(threads))
+        self.mine_maximal_exec(set, min_support, Exec::inline())
     }
 
     /// [`mine_all`](Self::mine_all) parallelized in the given execution
@@ -178,8 +142,9 @@ mod tests {
     }
 
     #[test]
-    fn pool_execution_is_bit_identical_to_scoped_threads() {
+    fn pool_execution_is_bit_identical_to_inline() {
         use crossbeam::WorkerPool;
+        use std::num::NonZeroUsize;
         // Large enough that the parallel passes actually split chunks.
         let mut set = TransactionSet::new();
         for i in 0..6000u64 {

@@ -2,72 +2,29 @@
 //!
 //! Every support-counting pass in this crate — Apriori's level-1 and
 //! level-k counts, FP-growth's first scan, Eclat's tid-list construction
-//! — is a sum over transactions, so it can run as: split the transaction
-//! slice into balanced contiguous chunks
-//! ([`anomex_netflow::shard::chunk_ranges`]), map each chunk on its own
-//! worker thread, and reduce the per-chunk results **in chunk order** on
-//! the calling thread. Integer-count reductions are order-independent and
-//! exact, and ordered reductions (tid-list concatenation) see chunks in
-//! slice order, so the parallel passes are bit-identical to the
-//! sequential ones for every thread count — the engine's load-bearing
-//! determinism guarantee.
+//! — is a sum over transactions, so it can run as: split the input into
+//! balanced contiguous index ranges
+//! ([`anomex_netflow::shard::chunk_ranges`]), map each range as a job on
+//! the engine's worker pool, and reduce the per-range results **in range
+//! order** on the calling thread. Integer-count reductions are
+//! order-independent and exact, and ordered reductions (tid-list
+//! concatenation) see ranges in input order, so the parallel passes are
+//! bit-identical to the inline ones for every pool width — the engine's
+//! load-bearing determinism guarantee.
 
 use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::sync::Arc;
 
-use anomex_netflow::shard::{chunk_ranges, chunks_of};
+use anomex_netflow::shard::chunk_ranges;
 use crossbeam::WorkerPool;
 
 pub use crossbeam::{TreeJob, TreeScope};
 
 /// Minimum number of items per worker before a parallel pass is worth its
-/// thread spawns: below this, counting a chunk is faster than starting a
-/// thread for it, so the pass runs inline.
+/// job dispatches: below this, counting a chunk is faster than handing it
+/// to another thread, so the pass runs inline.
 pub const MIN_ITEMS_PER_THREAD: usize = 1024;
-
-/// Map balanced contiguous chunks of `items` in parallel, returning the
-/// per-chunk results **in chunk order**.
-///
-/// The mapper receives each chunk's starting index in `items` plus the
-/// chunk itself, so chunk-relative positions can be rebased to global
-/// ones (Eclat's transaction ids). Runs inline — no threads — when
-/// `threads` is 1 or the input is too small to amortize spawning; the
-/// result is identical either way, only the wall-clock differs.
-///
-/// # Panics
-///
-/// Propagates a panic from the mapper (on the calling thread).
-pub fn map_chunks<T, R, F>(items: &[T], threads: NonZeroUsize, map: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &[T]) -> R + Sync,
-{
-    if items.is_empty() {
-        return Vec::new();
-    }
-    if threads.get() == 1 || items.len() < 2 * MIN_ITEMS_PER_THREAD {
-        return vec![map(0, items)];
-    }
-    let workers = threads.get().min(items.len() / MIN_ITEMS_PER_THREAD).max(2);
-    let chunks = chunks_of(items, NonZeroUsize::new(workers).expect("workers >= 2"));
-    let map = &map;
-    crossbeam::scope(|s| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|(start, chunk)| s.spawn(move |_| map(start, chunk)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(r) => r,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    })
-    .expect("scoped worker threads failed to join")
-}
 
 /// Where a deterministic parallel pass runs its chunks.
 ///
@@ -75,16 +32,14 @@ where
 /// the engine is an exact integer sum, a set union, or an in-order
 /// concatenation — and differ only in execution cost:
 ///
-/// - [`Exec::Threads`] spawns scoped threads per pass (and runs inline at
-///   one thread) — right for one-shot batch calls;
+/// - [`Exec::Inline`] runs everything on the calling thread;
 /// - [`Exec::Pool`] submits the chunks as jobs to a persistent
-///   [`WorkerPool`] — right for the streaming hot loop, where paying a
-///   thread spawn per pass per interval would dominate small intervals.
+///   [`WorkerPool`], whose threads are spawned once and serve every pass
+///   of every interval.
 #[derive(Debug, Clone, Copy)]
 pub enum Exec<'p> {
-    /// Scoped worker threads spawned for the duration of the pass
-    /// (inline when 1).
-    Threads(NonZeroUsize),
+    /// Everything on the calling thread.
+    Inline,
     /// Jobs on a long-lived worker pool.
     Pool(&'p WorkerPool),
 }
@@ -93,28 +48,27 @@ impl Exec<'_> {
     /// Run everything inline on the calling thread.
     #[must_use]
     pub fn inline() -> Exec<'static> {
-        Exec::Threads(NonZeroUsize::MIN)
+        Exec::Inline
     }
 
     /// The parallelism this context offers.
     #[must_use]
     pub fn width(&self) -> usize {
         match self {
-            Exec::Threads(n) => n.get(),
+            Exec::Inline => 1,
             Exec::Pool(pool) => pool.threads(),
         }
     }
 }
 
-/// [`map_chunks`] over shared (`Arc`-owned) items: the execution-context
-/// flavor used by every pass of the extraction engine.
+/// Map balanced contiguous chunks of shared (`Arc`-owned) `items` in the
+/// given execution context, returning the per-chunk results **in chunk
+/// order**.
 ///
-/// The mapper must be `'static` because under [`Exec::Pool`] each chunk
-/// becomes an owned job on threads that outlive the call — capture
-/// `Arc` handles, not references. Per-chunk results are returned **in
-/// chunk order** for every context, and small inputs run inline exactly
-/// as in [`map_chunks`], so the output is bit-identical across all
-/// execution contexts and thread counts.
+/// The mapper receives each chunk's starting index in `items` plus the
+/// chunk itself, so chunk-relative positions can be rebased to global
+/// ones (Eclat's transaction ids). A slice-shaped view of
+/// [`map_ranges_arc`], which owns the splitting rule.
 ///
 /// # Panics
 ///
@@ -125,47 +79,28 @@ where
     R: Send + 'static,
     F: Fn(usize, &[T]) -> R + Send + Sync + 'static,
 {
-    if items.is_empty() {
-        return Vec::new();
-    }
-    let width = exec.width();
-    if width == 1 || items.len() < 2 * MIN_ITEMS_PER_THREAD {
-        return vec![map(0, items)];
-    }
-    let workers = width.min(items.len() / MIN_ITEMS_PER_THREAD).max(2);
-    let workers = NonZeroUsize::new(workers).expect("workers >= 2");
-    match exec {
-        Exec::Threads(_) => map_chunks(items, workers, map),
-        Exec::Pool(pool) => {
-            let map = Arc::new(map);
-            let jobs: Vec<Box<dyn FnOnce() -> R + Send>> = chunk_ranges(items.len(), workers)
-                .into_iter()
-                .map(|range| {
-                    let items = Arc::clone(items);
-                    let map = Arc::clone(&map);
-                    Box::new(move || map(range.start, &items[range])) as Box<_>
-                })
-                .collect();
-            pool.run_ordered(jobs)
-        }
-    }
+    map_ranges_arc(exec, items, items.len(), move |items, range| {
+        map(range.start, &items[range])
+    })
 }
 
-/// [`map_chunks_arc`] for data that is not a slice: map balanced
-/// contiguous **index ranges** of a shared container in parallel,
-/// returning the per-range results **in range order**.
+/// Map balanced contiguous **index ranges** of a shared container in the
+/// given execution context, returning the per-range results **in range
+/// order** — the one place the engine decides whether and how a flat
+/// pass splits.
 ///
 /// This is how columnar stores
 /// ([`anomex_netflow::FlowColumns`](anomex_netflow::columns::FlowColumns))
-/// ride the engine's parallel passes: the container is shared behind an
-/// `Arc`, each worker receives `(&container, range)` and walks only the
-/// columns it needs over its rows. The ranges are exactly
-/// [`chunk_ranges`]`(len, workers)` — the same single source of truth
-/// that splits record slices — so columnar and record passes shard an
-/// interval at identical boundaries. Worker-count and inline rules are
-/// those of [`map_chunks_arc`]: inline when the context width is 1 or
-/// `len < 2 ×` [`MIN_ITEMS_PER_THREAD`], else
-/// `width.min(len / MIN_ITEMS_PER_THREAD).max(2)` workers.
+/// and transaction vectors alike ride the engine's parallel passes: the
+/// container is shared behind an `Arc`, each worker receives
+/// `(&container, range)` and walks only what it needs over its rows.
+/// The pass runs inline as the single range `0..len` when the context
+/// width is 1 or `len < 2 ×` [`MIN_ITEMS_PER_THREAD`]; otherwise the
+/// ranges are [`chunk_ranges`]`(len, workers)` with
+/// `workers = width.min(len / MIN_ITEMS_PER_THREAD).max(2)`, each
+/// submitted as one pool job. The mapper must be `'static` because pool
+/// jobs are owned by threads that outlive the call — capture `Arc`
+/// handles, not references.
 ///
 /// # Panics
 ///
@@ -179,45 +114,22 @@ where
     if len == 0 {
         return Vec::new();
     }
-    let width = exec.width();
-    if width == 1 || len < 2 * MIN_ITEMS_PER_THREAD {
-        return vec![map(data, 0..len)];
-    }
-    let workers = width.min(len / MIN_ITEMS_PER_THREAD).max(2);
+    let pool = match exec {
+        Exec::Pool(pool) if pool.threads() > 1 && len >= 2 * MIN_ITEMS_PER_THREAD => pool,
+        _ => return vec![map(data, 0..len)],
+    };
+    let workers = pool.threads().min(len / MIN_ITEMS_PER_THREAD).max(2);
     let workers = NonZeroUsize::new(workers).expect("workers >= 2");
-    let ranges = chunk_ranges(len, workers);
-    match exec {
-        Exec::Threads(_) => {
-            let map = &map;
-            let data = &**data;
-            crossbeam::scope(|s| {
-                let handles: Vec<_> = ranges
-                    .into_iter()
-                    .map(|range| s.spawn(move |_| map(data, range)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| match h.join() {
-                        Ok(r) => r,
-                        Err(payload) => std::panic::resume_unwind(payload),
-                    })
-                    .collect()
-            })
-            .expect("scoped worker threads failed to join")
-        }
-        Exec::Pool(pool) => {
-            let map = Arc::new(map);
-            let jobs: Vec<Box<dyn FnOnce() -> R + Send>> = ranges
-                .into_iter()
-                .map(|range| {
-                    let data = Arc::clone(data);
-                    let map = Arc::clone(&map);
-                    Box::new(move || map(&data, range)) as Box<_>
-                })
-                .collect();
-            pool.run_ordered(jobs)
-        }
-    }
+    let map = Arc::new(map);
+    let jobs: Vec<Box<dyn FnOnce() -> R + Send>> = chunk_ranges(len, workers)
+        .into_iter()
+        .map(|range| {
+            let data = Arc::clone(data);
+            let map = Arc::clone(&map);
+            Box::new(move || map(&data, range)) as Box<_>
+        })
+        .collect();
+    pool.run_ordered(jobs)
 }
 
 /// Run a fork/join tree of mining tasks in the given execution context,
@@ -321,7 +233,7 @@ impl ForkPolicy {
 
     /// The policy for an execution context: a pool's own calibrated
     /// dispatch overhead when it has one, the recorded constant
-    /// otherwise (uncalibrated pools, scoped threads, inline).
+    /// otherwise (uncalibrated pools, inline).
     #[must_use]
     pub fn for_exec(exec: &Exec<'_>) -> Self {
         match exec {
@@ -335,7 +247,7 @@ impl ForkPolicy {
                     ForkPolicy::default()
                 }
             }
-            Exec::Threads(_) => ForkPolicy::default(),
+            Exec::Inline => ForkPolicy::default(),
         }
     }
 
@@ -404,10 +316,36 @@ mod tests {
     }
 
     #[test]
-    fn chunk_results_arrive_in_order() {
-        let data: Vec<u64> = (0..10_000).collect();
+    fn arc_chunk_sums_match_sequential_for_every_context() {
+        let data: Arc<Vec<u64>> = Arc::new((0..50_000).map(|i| i % 97).collect());
+        let expected: u64 = data.iter().sum();
+        let pools: Vec<WorkerPool> = (1..=8).map(|n| WorkerPool::new(nz(n))).collect();
+        let execs = std::iter::once(Exec::inline()).chain(pools.iter().map(Exec::Pool));
+        for exec in execs {
+            let total: u64 = map_chunks_arc(exec, &data, |_, chunk| chunk.iter().sum::<u64>())
+                .into_iter()
+                .sum();
+            assert_eq!(total, expected, "{exec:?}");
+        }
+    }
+
+    #[test]
+    fn empty_input_yields_no_parts() {
+        let data: Arc<Vec<u64>> = Arc::new(Vec::new());
+        let pool = WorkerPool::new(nz(4));
+        for exec in [Exec::inline(), Exec::Pool(&pool)] {
+            assert!(map_chunks_arc(exec, &data, |_, _| 0u64).is_empty());
+        }
+    }
+
+    #[test]
+    fn arc_chunks_arrive_in_order_on_the_pool() {
+        let data: Arc<Vec<u64>> = Arc::new((0..10_000).collect());
         for threads in [1usize, 2, 3, 8] {
-            let parts = map_chunks(&data, nz(threads), |start, chunk| (start, chunk.len()));
+            let pool = WorkerPool::new(nz(threads));
+            let parts = map_chunks_arc(Exec::Pool(&pool), &data, |start, chunk| {
+                (start, chunk.len())
+            });
             let mut next = 0;
             for (start, len) in parts {
                 assert_eq!(start, next, "threads={threads}");
@@ -415,65 +353,6 @@ mod tests {
             }
             assert_eq!(next, data.len());
         }
-    }
-
-    #[test]
-    fn parallel_sum_matches_sequential() {
-        let data: Vec<u64> = (0..50_000).map(|i| i % 97).collect();
-        let expected: u64 = data.iter().sum();
-        for threads in 1..=8 {
-            let total: u64 = map_chunks(&data, nz(threads), |_, chunk| chunk.iter().sum::<u64>())
-                .into_iter()
-                .sum();
-            assert_eq!(total, expected, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn small_inputs_run_inline_as_one_chunk() {
-        let data: Vec<u64> = (0..100).collect();
-        let parts = map_chunks(&data, nz(8), |start, chunk| (start, chunk.len()));
-        assert_eq!(parts, vec![(0, 100)]);
-    }
-
-    #[test]
-    fn empty_input_yields_no_parts() {
-        let parts = map_chunks(&[] as &[u64], nz(4), |_, _| 0u64);
-        assert!(parts.is_empty());
-    }
-
-    #[test]
-    fn arc_chunks_match_scoped_chunks_for_every_context() {
-        let data: Arc<Vec<u64>> = Arc::new((0..30_000).map(|i| i % 89).collect());
-        let reference: Vec<u64> = map_chunks(&data, nz(4), |_, chunk| chunk.iter().sum::<u64>());
-        let reference_total: u64 = reference.into_iter().sum();
-        let pool = WorkerPool::new(nz(4));
-        for exec in [
-            Exec::inline(),
-            Exec::Threads(nz(4)),
-            Exec::Threads(nz(7)),
-            Exec::Pool(&pool),
-        ] {
-            let total: u64 = map_chunks_arc(exec, &data, |_, chunk| chunk.iter().sum::<u64>())
-                .into_iter()
-                .sum();
-            assert_eq!(total, reference_total, "{exec:?}");
-        }
-    }
-
-    #[test]
-    fn arc_chunks_arrive_in_order_on_the_pool() {
-        let data: Arc<Vec<u64>> = Arc::new((0..10_000).collect());
-        let pool = WorkerPool::new(nz(3));
-        let parts = map_chunks_arc(Exec::Pool(&pool), &data, |start, chunk| {
-            (start, chunk.len())
-        });
-        let mut next = 0;
-        for (start, len) in parts {
-            assert_eq!(start, next);
-            next = start + len;
-        }
-        assert_eq!(next, data.len());
     }
 
     #[test]
@@ -490,14 +369,15 @@ mod tests {
     #[test]
     fn range_walks_split_exactly_at_chunk_range_boundaries() {
         // The dedup-chunking contract: a columnar range walk and a record
-        // chunk walk of the same length shard at identical boundaries,
-        // because both delegate to `chunk_ranges`.
+        // chunk walk of the same length shard at identical `chunk_ranges`
+        // boundaries (the chunk walk is a slice view of the range walk).
         let len = 10_000usize;
         let data: Arc<Vec<u64>> = Arc::new((0..len as u64).collect());
-        let pool = WorkerPool::new(nz(3));
-        for exec in [Exec::Threads(nz(3)), Exec::Pool(&pool)] {
+        for threads in [2usize, 3, 16] {
+            let pool = WorkerPool::new(nz(threads));
+            let exec = Exec::Pool(&pool);
             let seen: Vec<Range<usize>> = map_ranges_arc(exec, &data, len, |_, range| range);
-            let workers = exec.width().min(len / MIN_ITEMS_PER_THREAD).max(2);
+            let workers = threads.min(len / MIN_ITEMS_PER_THREAD).max(2);
             let expected = chunk_ranges(len, nz(workers));
             assert_eq!(seen, expected, "{exec:?}");
             let chunks = map_chunks_arc(exec, &data, |start, chunk| start..start + chunk.len());
@@ -509,13 +389,8 @@ mod tests {
     fn range_walk_sums_match_chunk_sums_for_every_context() {
         let data: Arc<Vec<u64>> = Arc::new((0..30_000).map(|i| i % 89).collect());
         let expected: u64 = data.iter().sum();
-        let pool = WorkerPool::new(nz(4));
-        for exec in [
-            Exec::inline(),
-            Exec::Threads(nz(4)),
-            Exec::Threads(nz(7)),
-            Exec::Pool(&pool),
-        ] {
+        let (pool, wide) = (WorkerPool::new(nz(4)), WorkerPool::new(nz(7)));
+        for exec in [Exec::inline(), Exec::Pool(&pool), Exec::Pool(&wide)] {
             let total: u64 = map_ranges_arc(exec, &data, data.len(), |d, range| {
                 d[range].iter().sum::<u64>()
             })
@@ -585,7 +460,7 @@ mod tests {
             measured
         );
         assert_eq!(
-            ForkPolicy::for_exec(&Exec::Threads(nz(4))).overhead_ns(),
+            ForkPolicy::for_exec(&Exec::inline()).overhead_ns(),
             DEFAULT_DISPATCH_OVERHEAD_NS
         );
     }

@@ -36,7 +36,7 @@
 //! Generation fans out over the frequent-set blocks through
 //! [`run_tree_exec`], honoring the same merge-by-spawn-path contract as
 //! the miners: output is **bit-identical** across
-//! [`Exec::inline`]/[`Exec::Threads`]/[`Exec::Pool`].
+//! [`Exec::inline`]/[`Exec::Pool`].
 
 use std::collections::BTreeMap;
 use std::fmt;

@@ -2,22 +2,12 @@
 //!
 //! Every extraction path in the engine ends in the same shape of call:
 //! *mine this transaction set at this support with this algorithm, all
-//! or maximal-only, in this execution context*. Before this module each
-//! algorithm carried its own `*_par` / `*_exec` wrapper pair and
-//! [`MinerKind`] duplicated the whole matrix again; `MineTask` folds the
+//! or maximal-only, in this execution context*. `MineTask` folds the
 //! what (algorithm, mode, support, input) into one value whose
 //! [`run`](MineTask::run) takes the where ([`Exec`]) — so there is
 //! exactly one dispatch point from task description to algorithm, and
-//! the engine's callers (pipeline, sharded extractor, streaming engine,
-//! CLI) all describe work the same way.
-//!
-//! The historical `*_par` free functions survive as documented
-//! compatibility shims at the bottom of this module — one place, thin
-//! delegations to the `*_exec` entry points — so existing callers keep
-//! compiling while the `*_exec` functions remain the single parallel
-//! entry point per algorithm.
-
-use std::num::NonZeroUsize;
+//! the engine's callers (pipeline, engine, streaming, CLI) all describe
+//! work the same way.
 
 use crate::apriori::{apriori_exec, AprioriConfig, AprioriOutput, LevelStats};
 use crate::eclat::eclat_exec;
@@ -34,7 +24,7 @@ use crate::transaction::{Transaction, TransactionSet};
 /// frequent item-sets. Execute with [`run`](MineTask::run) in any
 /// [`Exec`] context — the output is **bit-identical** across contexts
 /// for every task, which is what makes the engine free to move mining
-/// between inline, scoped-thread, and pool execution per call site.
+/// between inline and pool execution per call site.
 #[derive(Debug, Clone, Copy)]
 pub struct MineTask<'a> {
     set: &'a TransactionSet,
@@ -210,53 +200,6 @@ pub struct RuleMineOutput {
     pub rules: RuleSet,
 }
 
-// --- Compatibility shims -------------------------------------------------
-//
-// The pre-`MineTask` parallel entry points, kept in this one place as
-// thin delegations so the `*_exec` functions are the single parallel
-// entry point per algorithm. Prefer `*_exec` (or `MineTask::run`) in new
-// code; these exist for source compatibility with earlier callers.
-
-/// Run Apriori with support counting parallelized over transaction
-/// chunks on up to `threads` scoped worker threads — a compatibility
-/// shim for [`apriori_exec`] with [`Exec::Threads`].
-///
-/// # Panics
-///
-/// Panics if `config.min_support` is zero.
-#[must_use]
-pub fn apriori_par(
-    set: &TransactionSet,
-    config: &AprioriConfig,
-    threads: NonZeroUsize,
-) -> AprioriOutput {
-    apriori_exec(set, config, Exec::Threads(threads))
-}
-
-/// FP-growth with the support-counting scan parallelized over
-/// transaction chunks on up to `threads` scoped worker threads — a
-/// compatibility shim for [`fpgrowth_exec`] with [`Exec::Threads`].
-///
-/// # Panics
-///
-/// Panics if `min_support` is zero.
-#[must_use]
-pub fn fpgrowth_par(set: &TransactionSet, min_support: u64, threads: NonZeroUsize) -> Vec<ItemSet> {
-    fpgrowth_exec(set, min_support, Exec::Threads(threads))
-}
-
-/// Eclat with tid-list construction parallelized over transaction
-/// chunks on up to `threads` scoped worker threads — a compatibility
-/// shim for [`eclat_exec`] with [`Exec::Threads`].
-///
-/// # Panics
-///
-/// Panics if `min_support` is zero.
-#[must_use]
-pub fn eclat_par(set: &TransactionSet, min_support: u64, threads: NonZeroUsize) -> Vec<ItemSet> {
-    eclat_exec(set, min_support, Exec::Threads(threads))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -295,21 +238,6 @@ mod tests {
         let out = MineTask::maximal(MinerKind::Apriori, &set, 3).run_apriori(Exec::inline());
         assert!(!out.levels.is_empty());
         assert!(out.passes >= 1);
-    }
-
-    #[test]
-    fn shims_delegate_to_exec() {
-        let set = sample();
-        let threads = NonZeroUsize::new(3).unwrap();
-        assert_eq!(
-            apriori_par(&set, &AprioriConfig::all_frequent(3), threads).itemsets,
-            MineTask::all(MinerKind::Apriori, &set, 3).run(Exec::inline()),
-        );
-        assert_eq!(
-            fpgrowth_par(&set, 3, threads),
-            crate::fpgrowth::fpgrowth(&set, 3)
-        );
-        assert_eq!(eclat_par(&set, 3, threads), crate::eclat::eclat(&set, 3));
     }
 
     #[test]

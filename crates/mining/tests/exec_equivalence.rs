@@ -1,7 +1,8 @@
 //! Execution-context equivalence at low support: the engine's
 //! load-bearing guarantee that `mine_all_exec` / `mine_maximal_exec`
-//! are **bit-identical** across [`Exec::inline`], [`Exec::Threads`],
-//! and [`Exec::Pool`] for every miner — at supports low enough to force
+//! are **bit-identical** across [`Exec::inline`] and [`Exec::Pool`] (at
+//! one worker and at several) for every miner — at supports low enough
+//! to force
 //! multi-level candidate generation and deep conditional recursion,
 //! which is exactly the regime the task-parallel search phases
 //! (join+prune blocks, conditional trees, prefix branches) kick in.
@@ -40,8 +41,8 @@ fn nz(n: usize) -> NonZeroUsize {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// Every miner, both output modes, across all three execution
-    /// contexts: identical item-sets AND identical supports. Support
+    /// Every miner, both output modes, across every execution
+    /// context: identical item-sets AND identical supports. Support
     /// 1–3 over a 4-value alphabet forces multi-level Apriori passes
     /// and non-trivial conditional trees on almost every case.
     #[test]
@@ -51,11 +52,12 @@ proptest! {
         pool_width in 2usize..5,
     ) {
         let pool = WorkerPool::new(nz(pool_width));
+        let single = WorkerPool::new(nz(1));
         for kind in MinerKind::ALL {
             let all_ref = kind.mine_all_exec(&set, min_support, Exec::inline());
             let max_ref = kind.mine_maximal_exec(&set, min_support, Exec::inline());
             for (label, exec) in [
-                ("threads", Exec::Threads(nz(3))),
+                ("one-worker pool", Exec::Pool(&single)),
                 ("pool", Exec::Pool(&pool)),
             ] {
                 let all = kind.mine_all_exec(&set, min_support, exec);
@@ -74,8 +76,8 @@ proptest! {
 
     /// The rule layer inherits the guarantee: `run_with_rules` — the
     /// all-frequent mining pass, the rule fan-out over base item-sets,
-    /// and the z-score ranking — is bit-identical across all three
-    /// execution contexts for every miner, rare mode included. Floats
+    /// and the z-score ranking — is bit-identical across every
+    /// execution context for every miner, rare mode included. Floats
     /// are compared by bit pattern.
     #[test]
     fn rule_generation_is_bit_identical_across_contexts(
@@ -85,13 +87,14 @@ proptest! {
         rare_bit in 0u8..2,
     ) {
         let pool = WorkerPool::new(nz(pool_width));
+        let single = WorkerPool::new(nz(1));
         // Permissive filters so plenty of rules survive to be compared.
         let rc = RuleConfig { min_confidence: 0.2, min_lift: 0.0, rare: rare_bit == 1 };
         for kind in MinerKind::ALL {
             let task = MineTask::maximal(kind, &set, min_support);
             let reference = task.run_with_rules(&rc, Exec::inline());
             for (label, exec) in [
-                ("threads", Exec::Threads(nz(3))),
+                ("one-worker pool", Exec::Pool(&single)),
                 ("pool", Exec::Pool(&pool)),
             ] {
                 let got = task.run_with_rules(&rc, exec);

@@ -6,7 +6,7 @@
 //! processed independently, and the partial results merged in chunk order
 //! with bit-identical totals. This module is the single source of truth
 //! for *how* a batch is split, so the detector, the miners, and the
-//! sharded extractor all agree on shard boundaries.
+//! engine all agree on shard boundaries.
 //!
 //! Chunks are contiguous index ranges covering `0..len` exactly once, in
 //! order, with sizes differing by at most one (the first `len % shards`

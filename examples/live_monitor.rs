@@ -65,19 +65,17 @@ fn collector_thread(
         min_support: 800,
         ..ExtractionConfig::default()
     };
-    let mut pipeline = AnomalyExtractor::try_new(config).unwrap();
+    let mut pipeline = Engine::sequential(config).unwrap();
     let mut assembler = IntervalAssembler::new(0, interval_ms);
 
-    let process = |flows: Vec<FlowRecord>,
-                   pipeline: &mut AnomalyExtractor,
-                   stats: &Mutex<Stats>|
-     -> Option<String> {
-        let outcome = pipeline.process_interval(&flows);
-        if outcome.observation.alarm {
-            stats.lock().alarms += 1;
-        }
-        outcome.extraction.map(|e| render_report(&e))
-    };
+    let process =
+        |flows: Vec<FlowRecord>, pipeline: &mut Engine, stats: &Mutex<Stats>| -> Option<String> {
+            let outcome = pipeline.process(&flows);
+            if outcome.observation.alarm {
+                stats.lock().alarms += 1;
+            }
+            outcome.extraction.map(|e| render_report(&e))
+        };
 
     let mut collector = V5Collector::new();
     for datagram in rx {

@@ -27,12 +27,12 @@ fn main() {
         ..ExtractionConfig::default()
     };
 
-    let mut pipeline = AnomalyExtractor::try_new(config).unwrap();
+    let mut pipeline = Engine::sequential(config).unwrap();
 
     println!("processing {} intervals...\n", scenario.interval_count());
     for i in 0..scenario.interval_count() {
         let interval = scenario.generate(i);
-        let outcome = pipeline.process_interval(&interval.flows);
+        let outcome = pipeline.process(&interval.flows);
         if let Some(extraction) = outcome.extraction {
             println!("{}", render_report(&extraction));
             // Ground truth check (only possible on synthetic data):

@@ -30,11 +30,11 @@
 //! config.detector.training_intervals = 10;
 //! config.min_support = 800;
 //!
-//! let mut pipeline = AnomalyExtractor::try_new(config).unwrap();
+//! let mut pipeline = Engine::sequential(config).unwrap();
 //! let mut found = false;
 //! for i in 0..scenario.interval_count() {
 //!     let interval = scenario.generate(i);
-//!     if let Some(extraction) = pipeline.process_interval(&interval.flows).extraction {
+//!     if let Some(extraction) = pipeline.process(&interval.flows).extraction {
 //!         // A handful of item-sets summarize the anomalous flows.
 //!         found |= extraction
 //!             .itemsets
@@ -57,13 +57,11 @@ pub use anomex_traffic as traffic;
 /// The commonly-used types in one import.
 pub mod prelude {
     pub use anomex_core::{
-        classify_itemset, render_report, run_scenario, AnomalyExtractor, Engine, ExtractRequest,
-        Extraction, ExtractionConfig, IntervalInput, MultiSourceExtractor, MultiStreamEvent,
-        MultiStreamSummary, PrefilterMode, ReconfigRequest, ShardedExtractor, StreamEvent,
-        StreamSummary, StreamingExtractor,
+        classify_itemset, render_report, run_scenario, Engine, ExtractRequest, Extraction,
+        ExtractionConfig, IntervalInput, MultiSourceExtractor, MultiStreamEvent,
+        MultiStreamSummary, PrefilterMode, ReconfigRequest, StreamEvent, StreamSummary,
+        StreamingExtractor,
     };
-    #[allow(deprecated)]
-    pub use anomex_core::{extract_sharded, extract_with_metadata};
     pub use anomex_detector::{DetectorBank, DetectorConfig, MetaData, RocCurve};
     pub use anomex_mining::{ItemSet, MinerKind, Transaction, TransactionSet};
     pub use anomex_netflow::{

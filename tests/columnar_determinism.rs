@@ -4,7 +4,7 @@
 //! Two families of properties assert it:
 //!
 //! 1. **Pipeline equivalence** — the columnar engines (a sharded
-//!    `Engine::extract` offline, `ShardedExtractor::process_columns`
+//!    `Engine::extract` offline, `Engine::process` over `FlowColumns`
 //!    online, and the streaming extractor that rides them) produce
 //!    exactly what the record-based sequential pipeline produces, for
 //!    every miner, shard count, execution context (inline vs pooled),
@@ -15,8 +15,8 @@
 //!    the failing datagram leaving the column store untouched.
 
 use anomex::core::{
-    prefilter_indices, prefilter_indices_columns, AnomalyExtractor, Engine, ExtractRequest,
-    Extraction, ExtractionConfig, ShardedExtractor, TransactionMode,
+    prefilter_indices, prefilter_indices_columns, Engine, ExtractRequest, Extraction,
+    ExtractionConfig, TransactionMode,
 };
 use anomex::netflow::v5::{self, V5Exporter, V5_HEADER_LEN, V5_RECORD_LEN};
 use anomex::netflow::FlowColumns;
@@ -170,7 +170,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
     /// Online: feeding [`FlowColumns`] straight into the sharded engine
-    /// (`process_columns`) and streaming flow-by-flow through the
+    /// (`Engine::process`) and streaming flow-by-flow through the
     /// [`StreamingExtractor`] (which rides the same columnar engine)
     /// both produce the record-based sequential pipeline's outcomes —
     /// alarms, meta-data, KL bits, and extractions — for every miner
@@ -193,16 +193,16 @@ proptest! {
             ..ExtractionConfig::default()
         };
         let intervals = scenario.interval_count().min(22);
-        let mut records = AnomalyExtractor::try_new(config.clone()).unwrap();
-        let mut columnar = ShardedExtractor::try_new(config.clone(), nz(shards)).unwrap();
+        let mut records = Engine::sequential(config.clone()).unwrap();
+        let mut columnar = Engine::new(config.clone(), nz(shards)).unwrap();
         let mut stream = StreamingExtractor::try_new(config, nz(shards), 0).unwrap();
 
         let mut events = Vec::new();
         for i in 0..intervals {
             let interval = scenario.generate(i);
-            let reference = records.process_interval(&interval.flows);
+            let reference = records.process(&interval.flows);
             let cols = Arc::new(FlowColumns::from_flows(&interval.flows));
-            let outcome = columnar.process_columns(&cols);
+            let outcome = columnar.process(&cols);
             assert_outcomes_identical(
                 &outcome,
                 &reference,
@@ -220,7 +220,7 @@ proptest! {
         // Re-run the record reference for the streamed comparison (the
         // first pass's extractor has advanced past these intervals).
         let scenario = Scenario::small(seed);
-        let mut records = AnomalyExtractor::try_new(ExtractionConfig {
+        let mut records = Engine::sequential(ExtractionConfig {
             interval_ms: scenario.interval_ms(),
             detector: DetectorConfig {
                 training_intervals: 10,
@@ -232,7 +232,7 @@ proptest! {
         })
         .unwrap();
         for (i, event) in events.iter().enumerate() {
-            let reference = records.process_interval(&scenario.generate(i as u64).flows);
+            let reference = records.process(&scenario.generate(i as u64).flows);
             assert_outcomes_identical(
                 &event.outcome,
                 &reference,

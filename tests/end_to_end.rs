@@ -49,11 +49,11 @@ fn pipeline_config() -> ExtractionConfig {
 /// Drive the scenario through the pipeline; return the extraction at the
 /// event interval (test fails loudly if there is none).
 fn extract_event(scenario: &Scenario) -> Extraction {
-    let mut pipeline = AnomalyExtractor::try_new(pipeline_config()).unwrap();
+    let mut pipeline = Engine::sequential(pipeline_config()).unwrap();
     let mut hit = None;
     for i in 0..scenario.interval_count() {
         let interval = scenario.generate(i);
-        let outcome = pipeline.process_interval(&interval.flows);
+        let outcome = pipeline.process(&interval.flows);
         if i == 24 {
             assert!(
                 outcome.observation.alarm,
@@ -117,10 +117,10 @@ fn flood_rules_rank_the_attack_first_in_batch_and_stream() {
     };
 
     // Batch path.
-    let mut pipeline = AnomalyExtractor::try_new(config.clone()).unwrap();
+    let mut pipeline = Engine::sequential(config.clone()).unwrap();
     let mut batch_ex = None;
     for i in 0..scenario.interval_count() {
-        let outcome = pipeline.process_interval(&scenario.generate(i).flows);
+        let outcome = pipeline.process(&scenario.generate(i).flows);
         if i == 24 {
             batch_ex = outcome.extraction;
         }

@@ -12,7 +12,7 @@
 
 use anomex::core::{
     prefilter_indices, prefilter_indices_columns_range, prefilter_indices_columns_range_with,
-    AnomalyExtractor, ExtractionConfig, PrefilterMode, PrefilterScratch, ShardedExtractor,
+    Engine, ExtractionConfig, PrefilterMode, PrefilterScratch,
 };
 use anomex::detector::kernels::{
     self, active_backend, bin_batch_with, member_batch_with, mix_batch_with, KernelBackend,
@@ -218,15 +218,14 @@ fn end_to_end_extraction_bit_identity() {
         min_support: 800,
         ..ExtractionConfig::default()
     };
-    let mut sequential = AnomalyExtractor::try_new(config.clone()).expect("valid config");
-    let mut sharded =
-        ShardedExtractor::try_new(config, NonZeroUsize::new(4).expect("nonzero")).expect("valid");
+    let mut sequential = Engine::sequential(config.clone()).expect("valid config");
+    let mut sharded = Engine::new(config, NonZeroUsize::new(4).expect("nonzero")).expect("valid");
     let backend = kernels::active_backend();
     let mut alarms = 0usize;
     for i in 0..scenario.interval_count().min(24) {
         let interval = scenario.generate(i);
-        let seq = sequential.process_interval(&interval.flows);
-        let par = sharded.process_interval(&interval.flows);
+        let seq = sequential.process(&interval.flows);
+        let par = sharded.process(&interval.flows);
         assert_eq!(
             seq.observation.alarm, par.observation.alarm,
             "interval {i} ({backend:?})"

@@ -9,9 +9,7 @@
 //! window, fed in order through the same pool-backed engine the batch
 //! path uses.
 
-use anomex::core::{
-    AnomalyExtractor, Extraction, ExtractionConfig, IntervalOutcome, MultiSourceExtractor,
-};
+use anomex::core::{Engine, Extraction, ExtractionConfig, IntervalOutcome, MultiSourceExtractor};
 use anomex::prelude::*;
 use anomex::traffic::{LinkConfig, MultiSourceScenario};
 use proptest::prelude::*;
@@ -123,7 +121,7 @@ proptest! {
         // concatenation (source order), silent source contributing
         // nothing from its cutoff on.
         let config = config_for(scenario.interval_ms(), miner);
-        let mut batch = AnomalyExtractor::try_new(config.clone()).unwrap();
+        let mut batch = Engine::sequential(config.clone()).unwrap();
         let mut reference = Vec::new();
         for i in 0..intervals {
             let mut merged = Vec::new();
@@ -133,7 +131,7 @@ proptest! {
                 }
                 merged.extend(scenario.generate(s, i).flows);
             }
-            reference.push(batch.process_interval(&merged));
+            reference.push(batch.process(&merged));
         }
 
         // Streamed fan-in: deliver whole per-source intervals in a

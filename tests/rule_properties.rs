@@ -138,7 +138,7 @@ proptest! {
 
     /// Bit-identity across execution contexts and pool widths, straight
     /// from the facade: the rule population (keys, supports, metrics,
-    /// scores) of inline, scoped-threads and worker-pool runs is the
+    /// scores) of inline, one-worker-pool and worker-pool runs is the
     /// same to the bit.
     #[test]
     fn rule_output_is_bit_identical_across_exec_contexts(
@@ -151,8 +151,9 @@ proptest! {
         let task = MineTask::maximal(MinerKind::ALL[miner_idx], &set, min_support);
         let reference = task.run_with_rules(&rc, Exec::inline());
         let pool = WorkerPool::new(nz(pool_width));
+        let single = WorkerPool::new(nz(1));
         for (label, exec) in [
-            ("threads", Exec::Threads(nz(3))),
+            ("one-worker pool", Exec::Pool(&single)),
             ("pool", Exec::Pool(&pool)),
         ] {
             let got = task.run_with_rules(&rc, exec);

@@ -7,11 +7,11 @@
 //! properties assert it across random scenario seeds, scales, supports,
 //! and transaction modes.
 
-use anomex::core::{prefilter_indices, Engine, ExtractRequest, ShardedExtractor, TransactionMode};
-use anomex::core::{AnomalyExtractor, ExtractionConfig, PrefilterMode};
+use anomex::core::{prefilter_indices, prefilter_indices_columns_range, TransactionMode};
 use anomex::mining::RuleConfig;
+use anomex::netflow::shard::chunk_ranges;
+use anomex::netflow::FlowColumns;
 use anomex::prelude::*;
-use anomex_core::prefilter_indices_sharded;
 use proptest::prelude::*;
 use std::num::NonZeroUsize;
 
@@ -145,7 +145,11 @@ proptest! {
     }
 
     /// The sharded pre-filter yields the exact index sequence of the
-    /// sequential one, for both union and intersection semantics.
+    /// sequential one, for both union and intersection semantics: the
+    /// per-shard columnar range filters the engine's pool jobs run,
+    /// concatenated in shard order, equal the record reference — and the
+    /// engine itself, at that shard count, mines exactly that many
+    /// suspicious flows.
     #[test]
     fn prefilter_is_shard_invariant(
         seed in 0u64..10_000,
@@ -162,8 +166,19 @@ proptest! {
         md.insert(FlowFeature::DstPort, 7000);
         md.insert(FlowFeature::Packets, 2);
         let sequential = prefilter_indices(&w.flows, &md, mode);
-        let sharded = prefilter_indices_sharded(&w.flows, &md, mode, nz(shards));
-        prop_assert_eq!(sequential, sharded);
+        let cols = FlowColumns::from_flows(&w.flows);
+        let sharded: Vec<usize> = chunk_ranges(cols.len(), nz(shards))
+            .into_iter()
+            .flat_map(|range| prefilter_indices_columns_range(&cols, range, &md, mode))
+            .collect();
+        prop_assert_eq!(&sequential, &sharded);
+        // Support no item reaches: the engine run costs one counting pass.
+        let extraction = Engine::extract(
+            &ExtractRequest::new(&w.flows, &md, u64::MAX)
+                .prefilter(mode)
+                .shards(nz(shards)),
+        );
+        prop_assert_eq!(extraction.suspicious_flows, sequential.len());
     }
 }
 
@@ -172,10 +187,10 @@ proptest! {
     // so fewer, heavier cases.
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// Online: a [`ShardedExtractor`] fed a full scenario produces the
+    /// Online: a sharded [`Engine`] fed a full scenario produces the
     /// same alarm stream, the same meta-data, bit-identical KL series,
-    /// and identical extractions as the sequential [`AnomalyExtractor`],
-    /// for every shard count and miner.
+    /// and identical extractions as [`Engine::sequential`], for every
+    /// shard count and miner.
     #[test]
     fn online_pipeline_is_shard_invariant(
         seed in 0u64..1_000,
@@ -196,12 +211,12 @@ proptest! {
             rules: Some(RuleConfig::default()),
             ..ExtractionConfig::default()
         };
-        let mut sequential = AnomalyExtractor::try_new(config.clone()).unwrap();
-        let mut sharded = ShardedExtractor::try_new(config, nz(shards)).unwrap();
+        let mut sequential = Engine::sequential(config.clone()).unwrap();
+        let mut sharded = Engine::new(config, nz(shards)).unwrap();
         for i in 0..scenario.interval_count().min(23) {
             let interval = scenario.generate(i);
-            let a = sequential.process_interval(&interval.flows);
-            let b = sharded.process_interval(&interval.flows);
+            let a = sequential.process(&interval.flows);
+            let b = sharded.process(&interval.flows);
             prop_assert_eq!(a.observation.alarm, b.observation.alarm, "interval {}", i);
             prop_assert_eq!(&a.observation.metadata, &b.observation.metadata);
             for (x, y) in a.observation.features.iter().zip(&b.observation.features) {

@@ -22,12 +22,12 @@ fn quickstart_extracts_planted_flood() {
         ..ExtractionConfig::default()
     };
 
-    let mut pipeline = AnomalyExtractor::try_new(config).unwrap();
+    let mut pipeline = Engine::sequential(config).unwrap();
     let mut found = false;
     let mut extractions = 0usize;
     for i in 0..scenario.interval_count() {
         let interval = scenario.generate(i);
-        if let Some(extraction) = pipeline.process_interval(&interval.flows).extraction {
+        if let Some(extraction) = pipeline.process(&interval.flows).extraction {
             extractions += 1;
             found |= extraction
                 .itemsets

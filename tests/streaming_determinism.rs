@@ -10,7 +10,7 @@
 //! flow, against the sequential reference.
 
 use anomex::core::streaming::StreamingExtractor;
-use anomex::core::{AnomalyExtractor, Extraction, ExtractionConfig, ShardedExtractor};
+use anomex::core::{Engine, Extraction, ExtractionConfig};
 use anomex::prelude::*;
 use anomex_core::IntervalOutcome;
 use proptest::prelude::*;
@@ -95,7 +95,7 @@ proptest! {
         let miner = MinerKind::ALL[miner_idx];
         let intervals = scenario.interval_count().min(22);
 
-        let mut batch = AnomalyExtractor::try_new(config_for(&scenario, miner)).unwrap();
+        let mut batch = Engine::sequential(config_for(&scenario, miner)).unwrap();
         let mut stream =
             StreamingExtractor::try_new(config_for(&scenario, miner), nz(shards), 0).unwrap();
 
@@ -103,7 +103,7 @@ proptest! {
         let mut batch_outcomes = Vec::new();
         for i in 0..intervals {
             let interval = scenario.generate(i);
-            batch_outcomes.push(batch.process_interval(&interval.flows));
+            batch_outcomes.push(batch.process(&interval.flows));
             for flow in interval.flows {
                 events.extend(stream.push(flow));
             }
@@ -182,9 +182,8 @@ fn abandoned_streams_and_extractors_shut_down_cleanly() {
         drop(stream);
 
         let mut sharded =
-            ShardedExtractor::try_new(config_for(&scenario, MinerKind::Apriori), nz(shards))
-                .unwrap();
-        let _ = sharded.process_interval(&scenario.generate(0).flows);
+            Engine::new(config_for(&scenario, MinerKind::Apriori), nz(shards)).unwrap();
+        let _ = sharded.process(&scenario.generate(0).flows);
         drop(sharded); // joins the persistent pool
     }
 }

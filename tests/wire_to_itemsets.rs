@@ -27,14 +27,14 @@ fn config(interval_ms: u64) -> ExtractionConfig {
 #[test]
 fn v5_round_trip_preserves_extractions() {
     let scenario = scenario();
-    let mut direct = AnomalyExtractor::try_new(config(scenario.interval_ms())).unwrap();
-    let mut via_wire = AnomalyExtractor::try_new(config(scenario.interval_ms())).unwrap();
+    let mut direct = Engine::sequential(config(scenario.interval_ms())).unwrap();
+    let mut via_wire = Engine::sequential(config(scenario.interval_ms())).unwrap();
 
     for i in 0..scenario.interval_count() {
         let interval = scenario.generate(i);
 
         // Direct path.
-        let direct_outcome = direct.process_interval(&interval.flows);
+        let direct_outcome = direct.process(&interval.flows);
 
         // Wire path: encode into datagrams, decode, process.
         let mut exporter = V5Exporter::new();
@@ -44,7 +44,7 @@ fn v5_round_trip_preserves_extractions() {
         }
         let decoded = collector.into_flows();
         assert_eq!(decoded, interval.flows, "interval {i} round trip");
-        let wire_outcome = via_wire.process_interval(&decoded);
+        let wire_outcome = via_wire.process(&decoded);
 
         assert_eq!(
             direct_outcome.observation.alarm, wire_outcome.observation.alarm,
@@ -73,31 +73,31 @@ fn streaming_assembly_equals_batch() {
     let interval_ms = scenario.interval_ms();
 
     // Batch run.
-    let mut batch = AnomalyExtractor::try_new(config(interval_ms)).unwrap();
+    let mut batch = Engine::sequential(config(interval_ms)).unwrap();
     let mut batch_extractions = Vec::new();
     for i in 0..scenario.interval_count() {
         let interval = scenario.generate(i);
-        if let Some(e) = batch.process_interval(&interval.flows).extraction {
+        if let Some(e) = batch.process(&interval.flows).extraction {
             batch_extractions.push((i, e.itemsets));
         }
     }
 
     // Streaming run: all flows through an IntervalAssembler.
-    let mut stream = AnomalyExtractor::try_new(config(interval_ms)).unwrap();
+    let mut stream = Engine::sequential(config(interval_ms)).unwrap();
     let mut assembler = IntervalAssembler::new(0, interval_ms);
     let mut stream_extractions = Vec::new();
     for i in 0..scenario.interval_count() {
         let interval = scenario.generate(i);
         for flow in interval.flows {
             for closed in assembler.push(flow) {
-                if let Some(e) = stream.process_interval(&closed.flows).extraction {
+                if let Some(e) = stream.process(&closed.flows).extraction {
                     stream_extractions.push((closed.index, e.itemsets));
                 }
             }
         }
     }
     if let Some(closed) = assembler.flush() {
-        if let Some(e) = stream.process_interval(&closed.flows).extraction {
+        if let Some(e) = stream.process(&closed.flows).extraction {
             stream_extractions.push((closed.index, e.itemsets));
         }
     }
