@@ -1,8 +1,7 @@
 //! Criterion benches for the vectorized columnar kernels: batched
 //! SplitMix64 binning vs the per-value scalar `BinHasher` loop, and
 //! branch-free small-set membership vs the `BTreeSet` probe, over the
-//! Table II workload's columns at the fixed 0.05 scale — the same
-//! workload `overhead_report` summarizes into `BENCH_kernels.json`.
+//! Table II workload's columns at the fixed 0.05 scale.
 //!
 //! Both kernel backends produce bit-identical output to the scalar
 //! reference (proptest-pinned by `tests/kernel_equivalence.rs`); these

@@ -1,9 +1,9 @@
 //! # anomex-bench — experiment harness
 //!
 //! One binary per table/figure of the paper (run with
-//! `cargo run --release -p anomex-bench --bin <name>`), plus criterion
-//! timing benches (`cargo bench -p anomex-bench`). See DESIGN.md §4 for
-//! the experiment index and EXPERIMENTS.md for recorded results.
+//! `cargo run --release -p anomex-bench --bin <name>`; the README's
+//! "Reproduce the paper" table is the index), plus two criterion A/B
+//! benches, `kernels` and `mining_lowsupport` (`cargo bench -p anomex-bench`).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -22,64 +22,6 @@ pub fn arg_scale(default: f64) -> f64 {
         s.parse()
             .unwrap_or_else(|_| panic!("expected a numeric scale, got {s:?}"))
     })
-}
-
-/// Parsed `overhead_report` command line: an optional scale (positional
-/// or `--scale S`) plus the `--write-baseline PATH` re-record flag.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReportArgs {
-    /// Workload volume scale (first positional argument or `--scale S`).
-    pub scale: f64,
-    /// When set, write a freshly measured `ci/bench-baseline.json`-shaped
-    /// file to this path so the perf gates track the environment that
-    /// actually measured them.
-    pub write_baseline: Option<String>,
-}
-
-/// The usage line every `overhead_report` argument error points at.
-const REPORT_USAGE: &str = "usage: overhead_report [scale] [--scale S] [--write-baseline PATH]";
-
-/// Parse `[scale] [--scale S] [--write-baseline PATH]` in any order
-/// from the process arguments. The scale can be given positionally or
-/// via `--scale`; the last occurrence wins.
-///
-/// # Panics
-///
-/// Panics (with the usage line) on a non-numeric scale, a missing flag
-/// value, or an unknown flag.
-#[must_use]
-pub fn report_args(default_scale: f64) -> ReportArgs {
-    parse_report_args(default_scale, std::env::args().skip(1))
-}
-
-fn parse_report_args(default_scale: f64, args: impl Iterator<Item = String>) -> ReportArgs {
-    let mut parsed = ReportArgs {
-        scale: default_scale,
-        write_baseline: None,
-    };
-    let parse_scale = |s: &str| -> f64 {
-        s.parse()
-            .unwrap_or_else(|_| panic!("expected a numeric scale, got {s:?}\n{REPORT_USAGE}"))
-    };
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        if arg == "--write-baseline" {
-            let path = args
-                .next()
-                .unwrap_or_else(|| panic!("--write-baseline needs a PATH\n{REPORT_USAGE}"));
-            parsed.write_baseline = Some(path);
-        } else if arg == "--scale" {
-            let s = args
-                .next()
-                .unwrap_or_else(|| panic!("--scale needs a value\n{REPORT_USAGE}"));
-            parsed.scale = parse_scale(&s);
-        } else if let Some(rest) = arg.strip_prefix("--") {
-            panic!("unknown flag --{rest}\n{REPORT_USAGE}");
-        } else {
-            parsed.scale = parse_scale(&arg);
-        }
-    }
-    parsed
 }
 
 /// The evaluation pipeline configuration used by all scenario-driven
@@ -149,50 +91,5 @@ mod tests {
     #[test]
     fn eval_config_is_valid() {
         assert!(eval_config(60_000, 10, 500).validate().is_ok());
-    }
-
-    #[test]
-    fn report_args_parse_scale_and_baseline_in_any_order() {
-        let parse =
-            |args: &[&str]| super::parse_report_args(1.0, args.iter().map(ToString::to_string));
-        assert_eq!(parse(&[]).scale, 1.0);
-        assert_eq!(parse(&["0.5"]).scale, 0.5);
-        let a = parse(&["0.5", "--write-baseline", "ci/bench-baseline.json"]);
-        assert_eq!(a.scale, 0.5);
-        assert_eq!(a.write_baseline.as_deref(), Some("ci/bench-baseline.json"));
-        let a = parse(&["--write-baseline", "out.json", "0.25"]);
-        assert_eq!(a.scale, 0.25);
-        assert_eq!(a.write_baseline.as_deref(), Some("out.json"));
-    }
-
-    #[test]
-    fn report_args_accept_scale_flag() {
-        let parse =
-            |args: &[&str]| super::parse_report_args(1.0, args.iter().map(ToString::to_string));
-        assert_eq!(parse(&["--scale", "0.05"]).scale, 0.05);
-        let a = parse(&["--scale", "0.1", "--write-baseline", "out.json"]);
-        assert_eq!(a.scale, 0.1);
-        assert_eq!(a.write_baseline.as_deref(), Some("out.json"));
-        // Positional and flag forms mix; the last occurrence wins.
-        assert_eq!(parse(&["0.5", "--scale", "0.2"]).scale, 0.2);
-    }
-
-    #[test]
-    #[should_panic(expected = "--write-baseline needs a PATH")]
-    fn report_args_reject_missing_baseline_path() {
-        let _ = super::parse_report_args(1.0, ["--write-baseline".to_string()].into_iter());
-    }
-
-    #[test]
-    #[should_panic(expected = "usage: overhead_report")]
-    fn report_args_print_usage_on_unknown_flag() {
-        let _ = super::parse_report_args(1.0, ["--frobnicate".to_string()].into_iter());
-    }
-
-    #[test]
-    #[should_panic(expected = "usage: overhead_report")]
-    fn report_args_print_usage_on_bad_scale_value() {
-        let _ =
-            super::parse_report_args(1.0, ["--scale".to_string(), "fast".to_string()].into_iter());
     }
 }

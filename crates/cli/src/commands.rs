@@ -19,6 +19,7 @@ use anomex_netflow::v9::{decode_mixed_stream, TraceItem};
 use anomex_netflow::{
     default_shards, FeatureValue, FlowRecord, FlowTrace, SourceId, SourceSpec, MINUTE_MS,
 };
+use anomex_traffic::table2::paper_counts;
 use anomex_traffic::{table2_workload, MultiSourceScenario, Scenario};
 
 use crate::args::Args;
@@ -28,9 +29,10 @@ pub const USAGE: &str = "\
 anomex — anomaly extraction in backbone networks (Brauckhoff et al., IMC'09/ToN'12)
 
 USAGE:
-  anomex generate --out FILE [--seed N] [--scale X] [--scenario small|two-weeks]
+  anomex generate --out FILE [--seed N] [--scenario small|two-weeks] [--scale X]
                   [--intervals N] [--sources N]
       Synthesize a workload and write it as concatenated NetFlow v5 datagrams.
+      --scale X (two-weeks only, default 0.25) multiplies the flow volume.
       With --sources N > 1, synthesize an N-link multi-exporter workload
       (anomalies on link 0, tapering rates and clock skews on the rest)
       and write one trace file per link: pass --out once per source.
@@ -110,10 +112,16 @@ pub fn generate(args: &Args) -> Result<(), String> {
     }
     let out = args.require("out")?;
     let seed = args.get_or("seed", 42u64).map_err(|e| e.to_string())?;
-    let scale = args.get_or("scale", 0.25f64).map_err(|e| e.to_string())?;
     let scenario = match args.get("scenario").unwrap_or("small") {
+        "small" if args.get("scale").is_some() => {
+            return Err("--scenario small does not take --scale (its volume is fixed)".into());
+        }
         "small" => Scenario::small(seed),
-        "two-weeks" => Scenario::two_weeks(seed, scale),
+        "two-weeks" => {
+            let unit = Scenario::two_weeks(seed, 1.0);
+            let unit_flows = unit.config().background.flows_per_interval;
+            Scenario::two_weeks(seed, parse_scale(args, 0.25, unit_flows)?)
+        }
         other => return Err(format!("unknown scenario {other:?} (small|two-weeks)")),
     };
     let intervals = args
@@ -139,16 +147,48 @@ pub fn generate(args: &Args) -> Result<(), String> {
         bytes.len(),
         out
     );
-    println!(
-        "ground truth: {} events in intervals {:?}",
-        scenario.events().len(),
-        scenario
-            .anomalous_intervals()
-            .iter()
-            .take(16)
-            .collect::<Vec<_>>()
-    );
+    let (events, anomalous) = written_ground_truth(&scenario, intervals);
+    println!("ground truth: {events} events in intervals {anomalous:?}");
     Ok(())
+}
+
+/// The ground truth of the first `written` intervals: how many events
+/// start inside them, and (up to 16 of) the anomalous intervals.
+fn written_ground_truth(scenario: &Scenario, written: u64) -> (usize, Vec<u64>) {
+    let events = scenario
+        .events()
+        .iter()
+        .filter(|e| e.start_interval < written)
+        .count();
+    let anomalous = scenario
+        .anomalous_intervals()
+        .into_iter()
+        .filter(|&i| i < written)
+        .take(16)
+        .collect();
+    (events, anomalous)
+}
+
+/// Parse `--scale` for a workload of `unit_flows` flows per interval at
+/// scale 1.0. The generators assert a positive scale and allocate the
+/// scaled interval up front, so a non-finite or non-positive scale, or
+/// one whose interval cannot exist as a `Vec<FlowRecord>`, is an error
+/// here instead of a panic there.
+fn parse_scale(args: &Args, default: f64, unit_flows: u64) -> Result<f64, String> {
+    let scale = args.get_or("scale", default).map_err(|e| e.to_string())?;
+    if !(scale.is_finite() && scale > 0.0) {
+        return Err(format!(
+            "--scale must be a positive finite number (got {scale})"
+        ));
+    }
+    // Twice the mean volume covers the diurnal peak and the jitter.
+    let max_flows = isize::MAX as usize / std::mem::size_of::<FlowRecord>();
+    if 2.0 * unit_flows as f64 * scale > max_flows as f64 {
+        return Err(format!(
+            "--scale {scale} is too large: {unit_flows} x {scale} flows per interval do not fit in memory"
+        ));
+    }
+    Ok(scale)
 }
 
 /// `anomex generate --sources N`: synthesize an N-link multi-exporter
@@ -205,16 +245,8 @@ fn generate_multi(args: &Args, sources: usize) -> Result<(), String> {
             }
         );
     }
-    let carrier = &scenario.link_scenario(0);
-    println!(
-        "ground truth: {} events on anomaly-carrying links, intervals {:?}",
-        carrier.events().len(),
-        carrier
-            .anomalous_intervals()
-            .iter()
-            .take(16)
-            .collect::<Vec<_>>()
-    );
+    let (events, anomalous) = written_ground_truth(scenario.link_scenario(0), intervals);
+    println!("ground truth: {events} events on anomaly-carrying links, intervals {anomalous:?}");
     Ok(())
 }
 
@@ -966,10 +998,13 @@ pub fn analyze(args: &Args) -> Result<(), String> {
     }
     .validate()
     .map_err(String::from)?;
+    let k = args.get_or("k", 10usize).map_err(|e| e.to_string())?;
+    if k == 0 {
+        return Err("--k must be at least 1".into());
+    }
     let flows = load_flows(input)?;
 
     if args.flag("top") {
-        let k = args.get_or("k", 10usize).map_err(|e| e.to_string())?;
         let indices = prefilter_indices(&flows, &metadata, prefilter);
         let transactions = tx_mode.transactions_at(&flows, &indices);
         let start = (indices.len() as u64 / 10).max(1);
@@ -1000,8 +1035,9 @@ pub fn analyze(args: &Args) -> Result<(), String> {
 
 /// `anomex table2`.
 pub fn table2(args: &Args) -> Result<(), String> {
-    let scale = args.get_or("scale", 1.0f64).map_err(|e| e.to_string())?;
-    let w = table2_workload(2009, scale);
+    let unit_flows =
+        paper_counts::FLOODING + paper_counts::WEB + paper_counts::BACKSCATTER + paper_counts::SMTP;
+    let w = table2_workload(2009, parse_scale(args, 1.0, unit_flows)?);
     let mut metadata = MetaData::new();
     for port in [u64::from(w.flood_port), 80, 9022, 25] {
         metadata.insert(anomex_netflow::FlowFeature::DstPort, port);
@@ -1532,6 +1568,50 @@ mod tests {
         assert_eq!(err, "minimum support must be at least 1");
         analyze(&argv(&[&base[..], &["--support", "1000000"]].concat()))
             .expect("a valid support still analyzes");
+
+        // `--k 0` used to die in the top-k miner ("k must be at least 1").
+        let err = analyze(&argv(&[&base[..], &["--top", "--k", "0"]].concat())).unwrap_err();
+        assert_eq!(err, "--k must be at least 1");
+        analyze(&argv(&[&base[..], &["--top", "--k", "3"]].concat())).expect("a valid k mines");
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A scale the generators would assert on (or overflow a `Vec` with)
+    /// is a CLI error, and `--scenario small` rejects the flag it ignores.
+    #[test]
+    fn bad_scales_are_errors_not_generator_panics() {
+        let argv = |v: &[&str]| Args::parse(v.iter().map(ToString::to_string)).unwrap();
+        let out = std::env::temp_dir().join("anomex-cli-test-scale.nfv5");
+        let out_s = out.to_str().unwrap();
+        let two_weeks = ["generate", "--out", out_s, "--scenario", "two-weeks"];
+        for bad in ["0", "-1", "nan", "inf", "1e300"] {
+            let err = generate(&argv(&[&two_weeks[..], &["--scale", bad]].concat())).unwrap_err();
+            assert!(err.contains("--scale"), "generate --scale {bad}: {err}");
+            let err = table2(&argv(&["table2", "--scale", bad])).unwrap_err();
+            assert!(err.contains("--scale"), "table2 --scale {bad}: {err}");
+        }
+        generate(&argv(
+            &[&two_weeks[..], &["--scale", "0.01", "--intervals", "1"]].concat(),
+        ))
+        .expect("a valid scale still generates");
+        let err = generate(&argv(&["generate", "--out", out_s, "--scale", "0.5"])).unwrap_err();
+        assert!(err.contains("does not take --scale"), "{err}");
+        std::fs::remove_file(&out).ok();
+    }
+
+    /// `generate --intervals N` reports the ground truth of the N
+    /// intervals it wrote, not of the whole scenario (events at 20/28/34).
+    #[test]
+    fn ground_truth_covers_only_written_intervals() {
+        let small = Scenario::small(42);
+        assert_eq!(written_ground_truth(&small, 0), (0, vec![]));
+        assert_eq!(written_ground_truth(&small, 10), (0, vec![]));
+        assert_eq!(written_ground_truth(&small, 21), (1, vec![20]));
+        assert_eq!(
+            written_ground_truth(&small, small.interval_count()),
+            (3, vec![20, 28, 34])
+        );
+        let multi = MultiSourceScenario::uniform(42, 2);
+        assert_eq!(written_ground_truth(multi.link_scenario(0), 20).0, 0);
     }
 }

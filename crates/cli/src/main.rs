@@ -1,7 +1,7 @@
 //! `anomex` — command-line anomaly extraction.
 //!
 //! ```text
-//! anomex generate --out trace.nfv5 [--seed 42] [--scale 0.25] [--scenario small|two-weeks]
+//! anomex generate --out trace.nfv5 [--seed 42] [--scenario small|two-weeks] [--scale 0.25]
 //! anomex extract  --in trace.nfv5 [--interval-min 15] [--training 48] [--support 50]
 //!                 [--miner apriori|fpgrowth|eclat] [--prefixes] [--intersection]
 //! anomex stream   --in trace.nfv5|- [--interval-min 15] [--training 48] [--support 50]

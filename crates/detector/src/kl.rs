@@ -13,7 +13,7 @@
 //! histograms before normalizing. This preserves the two properties the
 //! detector relies on — identical histograms give exactly 0, and
 //! distribution *changes* (not volume changes) drive the distance — while
-//! keeping D finite for disjoint supports. See DESIGN.md §5.
+//! keeping D finite for disjoint supports.
 
 /// KL distance in bits between two histograms of equal bin count, with
 /// add-one smoothing. `p` is the current interval, `q` the reference.

@@ -5,8 +5,7 @@
 //! (Brauckhoff et al., IMC 2009 / IEEE ToN 2012).
 //!
 //! The paper evaluates on two weeks of proprietary SWITCH/AS559 NetFlow;
-//! this crate synthesizes the closest open equivalent (see DESIGN.md §2 for
-//! the substitution argument):
+//! this crate synthesizes the closest open equivalent:
 //!
 //! - [`background`] — Zipf-popular endpoints/services, Pareto flow sizes,
 //!   diurnal cycle, configurable heavy hitters (the paper's proxies
