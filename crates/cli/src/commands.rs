@@ -17,7 +17,8 @@ use anomex_netflow::snapshot::{read_checkpoint, write_checkpoint, SnapshotReader
 use anomex_netflow::v5::V5Exporter;
 use anomex_netflow::v9::{decode_mixed_stream, TraceItem};
 use anomex_netflow::{
-    default_shards, FeatureValue, FlowRecord, FlowTrace, SourceId, SourceSpec, MINUTE_MS,
+    default_shards, FeatureValue, FlowRecord, FlowTrace, SourceId, SourceSpec, MAX_SHARDS,
+    MINUTE_MS,
 };
 use anomex_traffic::table2::paper_counts;
 use anomex_traffic::{table2_workload, MultiSourceScenario, Scenario};
@@ -44,11 +45,11 @@ USAGE:
                  [--force-rare]
       Run the full detection + extraction pipeline over a trace file and
       print a Table II-style report per alarmed interval. --threads N
-      runs one worker pool of N threads (0 = one per hardware thread)
-      that drives every phase: interval shards, support counting, and
-      the miners' recursive search (candidate generation, conditional
-      trees) as fork/join tasks on the same pool; the output is
-      bit-identical for every thread count. With several --in files,
+      (at most 1024; 0 = one per hardware thread) runs one worker pool
+      of N threads that serves the flat passes — the detector's
+      interval shards and the miners' support counting; the searches
+      run on the calling thread; the output is bit-identical for every
+      thread count. With several --in files,
       each trace is sliced on its own interval grid and the per-interval
       flows are concatenated in file order — the batch reference for
       multi-source streaming. --rules (or any rule option) layers
@@ -302,10 +303,14 @@ fn parse_miner(args: &Args) -> Result<MinerKind, String> {
     }
 }
 
-/// Parse `--threads N`: the shard/worker count, where `0` means one per
-/// available hardware thread. Defaults to 1 (sequential).
+/// Parse `--threads N`: the shard/worker count (at most [`MAX_SHARDS`]),
+/// where `0` means one per available hardware thread. Defaults to 1
+/// (sequential).
 fn parse_threads(args: &Args) -> Result<NonZeroUsize, String> {
     let n = args.get_or("threads", 1usize).map_err(|e| e.to_string())?;
+    if n > MAX_SHARDS.get() {
+        return Err(format!("--threads must be at most {MAX_SHARDS}, got {n}"));
+    }
     Ok(NonZeroUsize::new(n).unwrap_or_else(default_shards))
 }
 
@@ -1087,6 +1092,15 @@ mod tests {
         assert!(parse_threads(&a).unwrap().get() >= 1, "0 means auto");
         let a = Args::parse(["x", "--threads", "no"].iter().map(ToString::to_string)).unwrap();
         assert!(parse_threads(&a).is_err());
+        let parse = |n: usize| {
+            let n = n.to_string();
+            parse_threads(
+                &Args::parse(["x", "--threads", &n].iter().map(ToString::to_string)).unwrap(),
+            )
+        };
+        assert_eq!(parse(MAX_SHARDS.get()).unwrap(), MAX_SHARDS);
+        let err = parse(MAX_SHARDS.get() + 1).unwrap_err();
+        assert!(err.contains("--threads") && err.contains("1024"), "{err}");
     }
 
     #[test]
@@ -1574,6 +1588,36 @@ mod tests {
         assert_eq!(err, "--k must be at least 1");
         analyze(&argv(&[&base[..], &["--top", "--k", "3"]].concat())).expect("a valid k mines");
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A thread count the OS cannot serve used to abort the process
+    /// inside thread spawning (SIGABRT at `--threads 16384`); it is a CLI
+    /// error on every command that takes the flag, and a reconfig file
+    /// asking for it is rejected with the engine unchanged.
+    #[test]
+    fn oversized_thread_counts_are_errors_not_aborts() {
+        let dir = std::env::temp_dir().join("anomex-cli-test-threads");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("trace.nfv5");
+        let path_s = path.to_str().unwrap().to_string();
+        let argv = |v: &[&str]| Args::parse(v.iter().map(ToString::to_string)).unwrap();
+        generate(&argv(&["generate", "--out", &path_s, "--intervals", "1"])).unwrap();
+
+        let many = ["--in", &path_s, "--threads", "100000"];
+        let err = extract(&argv(&[&["extract"][..], &many[..]].concat())).unwrap_err();
+        assert!(err.contains("--threads"), "extract: {err}");
+        let err = stream(&argv(&[&["stream"][..], &many[..]].concat())).unwrap_err();
+        assert!(err.contains("--threads"), "stream: {err}");
+        let analyze_args = [&["analyze", "--metadata", "dstPort=80"][..], &many[..]].concat();
+        let err = analyze(&argv(&analyze_args)).unwrap_err();
+        assert!(err.contains("--threads"), "analyze: {err}");
+        std::fs::remove_file(&path).ok();
+
+        let req = parse_reconfig("shards=100000").expect("syntactically fine");
+        let mut engine = Engine::new(ExtractionConfig::default(), NonZeroUsize::MIN).unwrap();
+        let err = engine.reconfigure(&req).unwrap_err();
+        assert!(err.to_string().contains("shard count"), "{err}");
+        assert_eq!(engine.shards().get(), 1, "rejected request changed nothing");
     }
 
     /// A scale the generators would assert on (or overflow a `Vec` with)

@@ -18,12 +18,12 @@
 //!
 //! # Sharding
 //!
-//! Every per-interval structure the pipeline builds is a sum over flows:
-//! detector histograms (integer bin counts), pre-filter verdicts
-//! (per-flow predicates), and miner support counts. An engine with more
-//! than one shard exploits that by splitting each interval into balanced
-//! contiguous index ranges ([`anomex_netflow::shard`]) and fanning the
-//! work across a persistent [`crossbeam::WorkerPool`]:
+//! The two expensive per-interval structures are sums over flows:
+//! detector histograms (integer bin counts) and miner support counts. An
+//! engine with more than one shard exploits that by splitting each
+//! interval into balanced contiguous index ranges
+//! ([`anomex_netflow::shard`]) and fanning those passes across a
+//! persistent [`crossbeam::WorkerPool`]:
 //!
 //! ```text
 //!            interval flows  ────────┬──────────┬──────────┐
@@ -31,17 +31,21 @@
 //!  detect:                       partial₀   partial₁   partialₖ     (pool jobs)
 //!                                    └──── merge in order ────┘
 //!                                   DetectorBank::observe_partial    (scored once)
-//!  pre-filter:                    indices₀   indices₁   indicesₖ     (pool jobs)
-//!                                    └─ concat in shard order ─┘
+//!  pre-filter:                one column scan per meta-data feature  (inline)
 //!  mine:                      transactions built from index slices;
 //!                             support counting over chunks, merged;  (pool jobs)
-//!                             recursive search as fork/join tasks    (run_tree)
+//!                             join / tree / lattice search           (inline)
 //! ```
+//!
+//! The pre-filter is under 1 % of every benchmark workload
+//! (`core.prefilter.ns_per_flow`, `share.prefilter_gather`) — less than
+//! the pool dispatches a sharded pass would cost — so it runs on the
+//! calling thread at every shard count.
 //!
 //! **Determinism is the load-bearing design constraint**: every merge is
 //! either an exact integer sum (histogram bins, support counts), a set
-//! union (bin value maps), or an in-order concatenation (pre-filter
-//! indices, Eclat tid-lists). All are independent of thread scheduling,
+//! union (bin value maps), or an in-order concatenation (Eclat
+//! tid-lists, rule blocks). All are independent of thread scheduling,
 //! so the output is **bit-identical** for every shard count and all
 //! three miners — asserted by the cross-shard determinism property
 //! suite. At one shard there is no pool and no thread: every stage runs
@@ -50,35 +54,37 @@
 //! keep correct.
 //!
 //! The pool's threads are spawned once (at construction, or for the
-//! duration of one [`Engine::extract`] call) and serve every pass —
-//! shard scatter-gather and the miners' tree tasks share one set of
-//! workers, so nothing oversubscribes the machine. Pool jobs are
-//! `'static`, so per-interval state is shared by `Arc`: the interval's
-//! columnar store, the detector's immutable hash specification
-//! ([`BankHasher`]), and the alarm meta-data.
+//! duration of one [`Engine::extract`] call) and serve every pass — the
+//! detector's shard scatter-gather and the miners' counting passes share
+//! one set of workers, so nothing oversubscribes the machine. Pool jobs
+//! are `'static`, so per-interval state is shared by `Arc`: the
+//! interval's columnar store and the detector's immutable hash
+//! specification ([`BankHasher`]).
 //!
 //! **Columnar storage.** The engine holds each interval as a
 //! [`FlowColumns`] struct-of-arrays store: every hot pass — histogram
 //! partials, pre-filter verdicts, transaction gathering — walks only the
-//! contiguous column(s) it reads, and the shards are *index ranges* over
-//! the columns. Record-slice input transposes once per interval into a
-//! recycled columnar scratch buffer.
+//! contiguous column(s) it reads, and the detector's shards are *index
+//! ranges* over the columns. Record-slice input transposes once per
+//! interval into a recycled columnar scratch buffer.
 
 use std::num::NonZeroUsize;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use anomex_detector::{BankHasher, BankObservation, DetectorBank, MetaData};
 use anomex_mining::par::{map_ranges_arc, Exec};
 use anomex_mining::{MinerKind, RuleConfig};
-use anomex_netflow::shard::default_shards;
+use anomex_netflow::shard::{default_shards, MAX_SHARDS};
 use anomex_netflow::snapshot::{RestoreError, SnapshotReader, SnapshotWriter};
 use anomex_netflow::{FlowColumns, FlowRecord};
-pub use crossbeam::PoolStats;
 use crossbeam::WorkerPool;
 
 use crate::config::{ConfigError, ExtractionConfig};
 use crate::pipeline::{mine_at_indices, Extraction, IntervalOutcome, TransactionMode};
-use crate::prefilter::{prefilter_indices_columns_range_with, PrefilterMode, PrefilterScratch};
+use crate::prefilter::{
+    prefilter_indices_columns, prefilter_indices_columns_range_with, PrefilterMode,
+    PrefilterScratch,
+};
 
 /// One interval's flows, in whichever representation the caller already
 /// holds. [`Engine::process`] accepts `impl Into<IntervalInput>`, so
@@ -202,10 +208,12 @@ impl<'a> ExtractRequest<'a> {
     }
 
     /// Fan the extraction out over `shards` pool workers (default: 1 =
-    /// inline; output is bit-identical for every count).
+    /// inline; output is bit-identical for every count). Counts above
+    /// [`MAX_SHARDS`] are clamped to it — [`Engine::extract`] has no
+    /// error channel, and the output does not depend on the count.
     #[must_use]
     pub fn shards(mut self, shards: NonZeroUsize) -> Self {
-        self.shards = shards;
+        self.shards = shards.min(MAX_SHARDS);
         self
     }
 }
@@ -232,9 +240,9 @@ pub struct ReconfigRequest {
     /// Replace the association-rule layer: `Some(Some(config))` installs
     /// or retunes it, `Some(None)` removes it, `None` leaves it alone.
     pub rules: Option<Option<RuleConfig>>,
-    /// New shard count: the persistent worker pool is rebuilt (and its
-    /// dispatch overhead recalibrated) at the boundary. Output is
-    /// unaffected — the pipeline is bit-identical for every shard count.
+    /// New shard count (at most [`MAX_SHARDS`]): the persistent worker
+    /// pool is rebuilt at the boundary. Output is unaffected — the
+    /// pipeline is bit-identical for every shard count.
     pub shards: Option<NonZeroUsize>,
 }
 
@@ -249,34 +257,19 @@ impl ReconfigRequest {
     }
 }
 
-/// A pool of recycled [`PrefilterScratch`] buffers shared with `'static`
-/// worker-pool closures: each shard pops one (or starts fresh), filters
-/// with it, and pushes it back for the next interval's shards.
-type ScratchPool = Arc<Mutex<Vec<PrefilterScratch>>>;
-
-/// Lock a scratch pool, shrugging off poisoning: scratch contents never
-/// affect outputs (buffers are re-zeroed on use), so a panicked worker
-/// cannot leave the pool in a state worth dying over.
-fn lock_scratch(pool: &ScratchPool) -> std::sync::MutexGuard<'_, Vec<PrefilterScratch>> {
-    pool.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 /// The worker pool for a shard count: `None` at one shard (inline).
 fn spawn_pool(shards: NonZeroUsize) -> Option<WorkerPool> {
     (shards.get() > 1).then(|| WorkerPool::new(shards))
 }
 
-/// [`spawn_pool`] for a long-lived engine: the pool's real per-task
-/// dispatch cost is measured once at startup, so every interval's fork
-/// decisions use the machine's own overhead instead of the recorded
-/// constant.
-fn spawn_calibrated_pool(shards: NonZeroUsize) -> Option<WorkerPool> {
-    let pool = spawn_pool(shards);
-    if let Some(pool) = &pool {
-        let _ = pool.calibrate_dispatch_overhead();
+/// Reject a shard count the engine will not spawn threads for.
+fn check_shards(shards: NonZeroUsize) -> Result<(), ConfigError> {
+    if shards > MAX_SHARDS {
+        return Err(ConfigError::new(format!(
+            "shard count {shards} exceeds the maximum of {MAX_SHARDS}"
+        )));
     }
-    pool
+    Ok(())
 }
 
 /// The execution context an optional pool stands for.
@@ -310,40 +303,15 @@ fn observe_columns(
     }
 }
 
-/// Pre-filter an `Arc`-shared columnar interval into suspicious indices
-/// in the given execution context, concatenating per-range indices in
-/// range order — identical to
-/// [`prefilter_indices`](crate::prefilter_indices) over the equivalent
-/// record slice, for every context.
-fn prefilter_columns(
-    cols: &Arc<FlowColumns>,
-    metadata: &Arc<MetaData>,
-    mode: PrefilterMode,
-    exec: Exec<'_>,
-    scratch: &ScratchPool,
-) -> Vec<usize> {
-    let metadata = Arc::clone(metadata);
-    let scratch = Arc::clone(scratch);
-    map_ranges_arc(exec, cols, cols.len(), move |cols, range| {
-        let mut s = lock_scratch(&scratch).pop().unwrap_or_default();
-        let out = prefilter_indices_columns_range_with(cols, range, &metadata, mode, &mut s);
-        lock_scratch(&scratch).push(s);
-        out
-    })
-    .into_iter()
-    .flatten()
-    .collect()
-}
-
 /// The anomaly-extraction engine: detector bank → voted meta-data →
 /// pre-filter → item-set mining (paper Fig. 3), online and offline,
 /// plus checkpointing and live reconfiguration.
 ///
 /// Each interval is split into `shards` contiguous flow shards;
-/// detection, pre-filtering, and mining fan out over a **persistent
-/// worker pool** (spawned once at construction, fed jobs every
-/// interval) and merge deterministically, so for any fixed input the
-/// outcome stream is bit-identical regardless of shard count. See the
+/// detection and the miners' counting passes fan out over a
+/// **persistent worker pool** (spawned once at construction, fed jobs
+/// every interval) and merge deterministically, so for any fixed input
+/// the outcome stream is bit-identical regardless of shard count. See the
 /// [module docs](self) for the execution model.
 #[derive(Debug)]
 pub struct Engine {
@@ -361,10 +329,9 @@ pub struct Engine {
     /// reclaimed — one column-build pass per interval, no per-interval
     /// allocation churn.
     scratch: FlowColumns,
-    /// Recycled pre-filter hit buffers, one per in-flight shard —
-    /// popped/pushed by the `'static` pool closures each alarmed
-    /// interval, so steady-state pre-filtering allocates nothing.
-    prefilter_scratch: ScratchPool,
+    /// Recycled pre-filter hit buffer, so steady-state pre-filtering
+    /// does not re-allocate one byte per flow each alarmed interval.
+    prefilter_scratch: PrefilterScratch,
 }
 
 impl Engine {
@@ -375,9 +342,11 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Returns the first violated configuration constraint.
+    /// Returns the first violated configuration constraint, or a shard
+    /// count above [`MAX_SHARDS`].
     pub fn new(config: ExtractionConfig, shards: NonZeroUsize) -> Result<Self, ConfigError> {
         config.validate()?;
+        check_shards(shards)?;
         let bank = DetectorBank::new(&config.detector);
         let hasher = Arc::new(bank.hasher());
         Ok(Engine {
@@ -385,9 +354,9 @@ impl Engine {
             shards,
             bank,
             hasher,
-            pool: spawn_calibrated_pool(shards),
+            pool: spawn_pool(shards),
             scratch: FlowColumns::new(),
-            prefilter_scratch: ScratchPool::default(),
+            prefilter_scratch: PrefilterScratch::default(),
         })
     }
 
@@ -413,9 +382,9 @@ impl Engine {
     /// One-shot offline extraction: pre-filter the request's flows with
     /// its meta-data and mine maximal frequent item-sets, honouring every
     /// knob on the request. With more than one shard a [`WorkerPool`] is
-    /// spawned for the duration of the call and drives pre-filtering,
-    /// support counting and the miner's recursive search; output is
-    /// bit-identical for every shard count.
+    /// spawned for the duration of the call and drives the miner's
+    /// support counting (and the rule fan-out); output is bit-identical
+    /// for every shard count.
     ///
     /// # Panics
     ///
@@ -423,29 +392,21 @@ impl Engine {
     #[must_use]
     pub fn extract(req: &ExtractRequest<'_>) -> Extraction {
         let pool = spawn_pool(req.shards);
-        let exec = exec_of(&pool);
         // One conversion into the columnar store up front; every pass
         // below (pre-filter, transaction gather) walks contiguous
-        // columns. Pool jobs are `'static`, hence the `Arc`s.
-        let cols = Arc::new(FlowColumns::from_flows(req.flows));
-        let metadata = Arc::new(req.metadata.clone());
-        let indices = prefilter_columns(
-            &cols,
-            &metadata,
-            req.prefilter,
-            exec,
-            &ScratchPool::default(),
-        );
+        // columns.
+        let cols = FlowColumns::from_flows(req.flows);
+        let indices = prefilter_indices_columns(&cols, req.metadata, req.prefilter);
         mine_at_indices(
             req.interval,
             &cols,
             &indices,
-            &metadata,
+            req.metadata,
             req.transactions,
             req.miner,
             req.min_support,
             req.rules,
-            exec,
+            exec_of(&pool),
         )
     }
 
@@ -471,18 +432,6 @@ impl Engine {
     #[must_use]
     pub fn shards(&self) -> NonZeroUsize {
         self.shards
-    }
-
-    /// Scheduler counters from the persistent worker pool — tree tasks
-    /// dispatched, successful steals, the tree-queue depth high-water
-    /// mark, and the calibrated dispatch overhead. All zeros at one
-    /// shard (the pipeline runs inline; there is no pool).
-    #[must_use]
-    pub fn pool_stats(&self) -> PoolStats {
-        self.pool
-            .as_ref()
-            .map(WorkerPool::stats)
-            .unwrap_or_default()
     }
 
     /// Feed one interval through detection and, on alarm, extraction —
@@ -520,19 +469,18 @@ impl Engine {
         let exec = exec_of(&self.pool);
         let observation = observe_columns(&mut self.bank, &self.hasher, cols, exec);
         let extraction = if observation.alarm && !observation.metadata.is_empty() {
-            let metadata = Arc::new(observation.metadata.clone());
-            let indices = prefilter_columns(
+            let indices = prefilter_indices_columns_range_with(
                 cols,
-                &metadata,
+                0..cols.len(),
+                &observation.metadata,
                 self.config.prefilter,
-                exec,
-                &self.prefilter_scratch,
+                &mut self.prefilter_scratch,
             );
             Some(mine_at_indices(
                 observation.interval,
                 cols,
                 &indices,
-                &metadata,
+                &observation.metadata,
                 self.config.transactions,
                 self.config.miner,
                 self.config.min_support,
@@ -553,13 +501,12 @@ impl Engine {
     /// the candidate is validated as a whole, and only then does
     /// anything land — a rejected request leaves the engine untouched. A
     /// new α propagates into already-fitted thresholds (σ̂ estimates are
-    /// kept); a new shard count rebuilds the persistent worker pool and
-    /// recalibrates its dispatch overhead.
+    /// kept); a new shard count rebuilds the persistent worker pool.
     ///
     /// # Errors
     ///
     /// Returns the first constraint the requested configuration would
-    /// violate.
+    /// violate, or a shard count above [`MAX_SHARDS`].
     pub fn reconfigure(&mut self, req: &ReconfigRequest) -> Result<(), ConfigError> {
         let mut candidate = self.config.clone();
         if let Some(s) = req.min_support {
@@ -572,6 +519,9 @@ impl Engine {
             candidate.rules = *rules;
         }
         candidate.validate()?;
+        if let Some(shards) = req.shards {
+            check_shards(shards)?;
+        }
         self.config = candidate;
         if let Some(alpha) = req.alpha {
             self.bank.set_alpha(alpha);
@@ -579,7 +529,7 @@ impl Engine {
         if let Some(shards) = req.shards {
             if shards != self.shards {
                 self.shards = shards;
-                self.pool = spawn_calibrated_pool(shards);
+                self.pool = spawn_pool(shards);
             }
         }
         Ok(())
@@ -609,8 +559,9 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Any [`RestoreError`] from a truncated or corrupt payload, or one
-    /// whose configuration fails validation.
+    /// Any [`RestoreError`] from a truncated or corrupt payload, one
+    /// whose configuration fails validation, or a shard count above
+    /// [`MAX_SHARDS`].
     pub fn restore(payload: &[u8], shards: Option<NonZeroUsize>) -> Result<Self, RestoreError> {
         let mut r = SnapshotReader::new(payload);
         let config = ExtractionConfig::decode_snapshot(&mut r)?;
@@ -682,30 +633,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_prefilter_preserves_index_order() {
-        let w = table2_workload(3, 0.02);
-        let mut md = MetaData::new();
-        md.insert(FlowFeature::DstPort, 7000);
-        let reference = crate::prefilter_indices(&w.flows, &md, PrefilterMode::Union);
-        let cols = Arc::new(FlowColumns::from_flows(&w.flows));
-        let md = Arc::new(md);
-        for shards in 1..=5 {
-            let pool = spawn_pool(nz(shards));
-            assert_eq!(
-                prefilter_columns(
-                    &cols,
-                    &md,
-                    PrefilterMode::Union,
-                    exec_of(&pool),
-                    &ScratchPool::default()
-                ),
-                reference,
-                "shards={shards}"
-            );
-        }
-    }
-
-    #[test]
     fn online_sharded_pipeline_matches_sequential_bit_for_bit() {
         let scenario = Scenario::small(11);
         let mut sequential = Engine::sequential(test_config(800)).unwrap();
@@ -749,6 +676,17 @@ mod tests {
         assert!(err.to_string().contains("support"), "{err}");
         assert!(Engine::sequential(c).is_err());
         assert!(Engine::sequential(test_config(100)).is_ok());
+        // A shard count the OS may not be able to serve is rejected
+        // before any thread is spawned.
+        let err = Engine::new(test_config(100), nz(MAX_SHARDS.get() + 1)).unwrap_err();
+        assert!(err.to_string().contains("shard count"), "{err}");
+    }
+
+    #[test]
+    fn offline_shard_counts_above_the_bound_are_clamped() {
+        let md = MetaData::new();
+        let req = ExtractRequest::new(&[], &md, 1).shards(nz(usize::MAX));
+        assert_eq!(req.shards, MAX_SHARDS);
     }
 
     #[test]
@@ -806,6 +744,7 @@ mod tests {
         let mut live = Engine::sequential(test_config(500)).unwrap();
         let _ = live.process([].as_slice());
         let mut payload = live.snapshot();
+        assert!(Engine::restore(&payload, Some(nz(MAX_SHARDS.get() + 1))).is_err());
         payload.truncate(payload.len() / 2);
         assert!(Engine::restore(&payload, None).is_err());
     }
@@ -822,6 +761,15 @@ mod tests {
         assert!(engine.reconfigure(&bad).is_err());
         assert_eq!(engine.config().min_support, 800);
         assert_eq!(engine.config().detector.alpha.to_bits(), 3.0f64.to_bits());
+        // Oversized shard count: rejected before the valid fields land.
+        let bad = ReconfigRequest {
+            min_support: Some(400),
+            shards: Some(nz(MAX_SHARDS.get() + 1)),
+            ..ReconfigRequest::default()
+        };
+        assert!(engine.reconfigure(&bad).is_err());
+        assert_eq!(engine.config().min_support, 800);
+        assert_eq!(engine.shards().get(), 1);
         // Valid request: everything lands, including a pool rebuild.
         let good = ReconfigRequest {
             min_support: Some(400),

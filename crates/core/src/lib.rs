@@ -64,7 +64,7 @@ pub mod streaming;
 pub use classify::classify_itemset;
 pub use config::{ConfigError, ExtractionConfig};
 pub use cost::{average_cost_reduction, cost_reduction};
-pub use engine::{Engine, ExtractRequest, IntervalInput, PoolStats, ReconfigRequest};
+pub use engine::{Engine, ExtractRequest, IntervalInput, ReconfigRequest};
 pub use evaluate::{
     evaluate_itemsets, run_scenario, EvaluatedItemSet, IntervalRecord, ScenarioRun,
     SupportSweepPoint, Table4Row,

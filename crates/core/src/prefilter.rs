@@ -84,10 +84,9 @@ pub fn prefilter_indices_columns(
     prefilter_indices_columns_range(cols, 0..cols.len(), metadata, mode)
 }
 
-/// [`prefilter_indices_columns`] restricted to `range` — the shard-local
-/// unit of the sharded engine's columnar pre-filter pass. Returned
-/// indices are *global* (into `cols`), ascending, so concatenating the
-/// results of consecutive ranges reproduces the full-interval answer.
+/// [`prefilter_indices_columns`] restricted to `range`. Returned indices
+/// are *global* (into `cols`), ascending, so concatenating the results
+/// of consecutive ranges reproduces the full-interval answer.
 ///
 /// # Panics
 ///
@@ -109,18 +108,18 @@ pub fn prefilter_indices_columns_range(
 }
 
 /// Reusable working memory for the columnar pre-filter — the per-row hit
-/// counters. The sharded engine keeps a pool of these and threads one
-/// through every shard's [`prefilter_indices_columns_range_with`] call,
-/// so steady-state intervals stop re-allocating `range.len()` bytes per
-/// shard. Contents never leak between calls (the buffer is re-zeroed on
-/// entry), so recycling cannot change any output.
+/// counters. The engine keeps one and threads it through every alarmed
+/// interval's [`prefilter_indices_columns_range_with`] call, so
+/// steady-state intervals stop re-allocating `range.len()` bytes.
+/// Contents never leak between calls (the buffer is re-zeroed on entry),
+/// so recycling cannot change any output.
 #[derive(Debug, Default)]
 pub struct PrefilterScratch {
     hits: Vec<u8>,
 }
 
 /// [`prefilter_indices_columns_range`] with caller-provided scratch —
-/// the allocation-recycling form the sharded engine uses.
+/// the allocation-recycling form the engine uses.
 ///
 /// Per-feature membership runs branch-free where it can: meta-data value
 /// sets of at most [`SmallValueSet::MAX`] members (the common case —

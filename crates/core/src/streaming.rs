@@ -64,7 +64,7 @@ use anomex_netflow::{
 use crossbeam::channel::{bounded, Receiver, Sender};
 
 use crate::config::{ConfigError, ExtractionConfig};
-use crate::engine::{Engine, PoolStats, ReconfigRequest};
+use crate::engine::{Engine, ReconfigRequest};
 use crate::pipeline::IntervalOutcome;
 
 /// One closed interval's worth of streaming output: what the pipeline
@@ -115,10 +115,6 @@ pub struct StreamSummary {
     pub pre_origin_flows: u64,
     /// Whether every detector had finished training by end of stream.
     pub trained: bool,
-    /// Scheduler counters from the engine's worker pool (tree tasks,
-    /// steals, queue-depth high-water, calibrated dispatch overhead);
-    /// all zeros at one shard, where the pipeline runs inline.
-    pub pool: PoolStats,
     /// Live reconfiguration requests applied at interval boundaries over
     /// the stream's lifetime (the audit trail survives checkpoints).
     pub reconfigs_applied: u64,
@@ -634,7 +630,6 @@ impl StreamingExtractor {
             late_flows: self.assembler.late_flows(),
             pre_origin_flows: self.assembler.pre_origin_flows(),
             trained: engine.is_trained(),
-            pool: engine.pool_stats(),
             reconfigs_applied: self.pipe.reconfigs_applied,
             reconfigs_rejected: self.pipe.reconfigs_rejected,
         };
@@ -685,10 +680,6 @@ pub struct MultiStreamSummary {
     pub dropped_flows: u64,
     /// Whether every detector had finished training by end of stream.
     pub trained: bool,
-    /// Scheduler counters from the engine's worker pool (tree tasks,
-    /// steals, queue-depth high-water, calibrated dispatch overhead);
-    /// all zeros at one shard, where the pipeline runs inline.
-    pub pool: PoolStats,
     /// Per-source ingestion and drop accounting, in registration order.
     pub sources: Vec<SourceStats>,
     /// Live reconfiguration requests applied at interval boundaries.
@@ -907,7 +898,6 @@ impl MultiSourceExtractor {
             total_flows: self.total_flows,
             dropped_flows: self.assembler.dropped_flows(),
             trained: engine.is_trained(),
-            pool: engine.pool_stats(),
             sources: self.assembler.source_stats(),
             reconfigs_applied: self.pipe.reconfigs_applied,
             reconfigs_rejected: self.pipe.reconfigs_rejected,

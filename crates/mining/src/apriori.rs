@@ -12,20 +12,16 @@
 //! allocation-free (≤ 126 subsets per transaction per level).
 
 use std::collections::{HashMap, HashSet};
-use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::sync::Arc;
 
-use anomex_netflow::shard::chunk_ranges;
 use serde::{Deserialize, Serialize};
 
 use crate::combinations::for_each_combination;
 use crate::item::Item;
 use crate::itemset::ItemSet;
 use crate::maximal::filter_maximal;
-use crate::par::{
-    map_chunks_arc, run_tree_exec, sum_count_vecs, Exec, ForkPolicy, TreeJob, TreeScope, WorkKind,
-};
+use crate::par::{map_chunks_arc, sum_count_vecs, Exec};
 use crate::transaction::{Transaction, TransactionSet, MAX_WIDTH};
 
 /// Padding value for fixed-size candidate keys. Never a valid item
@@ -132,19 +128,16 @@ pub(crate) fn count_single_items(set: &TransactionSet, exec: Exec<'_>) -> HashMa
     total
 }
 
-/// Run Apriori in the given execution context: inline, or with every
-/// phase parallelized on the engine's persistent
+/// Run Apriori in the given execution context: inline, or with the
+/// support-counting passes on the engine's persistent
 /// [`crossbeam::WorkerPool`].
 ///
-/// Under [`Exec::Pool`] two phases fan out per level: support counting runs over transaction
-/// chunks (each worker counts candidate hits in its own index-aligned
-/// vector; the vectors are summed — exact integer adds), and the
-/// level-k **join+prune** itself is partitioned over
-/// blocks of candidate prefix groups and submitted as tree tasks on the
-/// same pool ([`run_tree_exec`]), with the per-block candidate lists
-/// concatenated in block order. Both merges are independent of thread
-/// scheduling, so the output is **bit-identical** to [`apriori`] for
-/// every execution context; only the wall-clock changes.
+/// Under [`Exec::Pool`] every level's support counting runs over
+/// transaction chunks (each worker counts candidate hits in its own
+/// index-aligned vector; the vectors are summed — exact integer adds,
+/// independent of thread scheduling), so the output is **bit-identical**
+/// to [`apriori`] for every execution context; only the wall-clock
+/// changes. The level-k join+prune runs on the calling thread.
 ///
 /// # Panics
 ///
@@ -179,7 +172,7 @@ pub fn apriori_exec(set: &TransactionSet, config: &AprioriConfig, exec: Exec<'_>
     // --- Passes k = 2..=7 ---
     while !current.is_empty() && passes < MAX_WIDTH {
         let k = passes + 1;
-        let candidates = generate_candidates_exec(&mut current, exec);
+        let candidates = generate_candidates(&current);
         let n_candidates = candidates.len() as u64;
         if candidates.is_empty() {
             // Record the empty round (the paper's audit trail includes the
@@ -271,8 +264,7 @@ pub fn apriori_exec(set: &TransactionSet, config: &AprioriConfig, exec: Exec<'_>
 
 /// Boundaries of the (k-2)-prefix groups of a sorted frequent level:
 /// each returned range is one maximal run sharing a join prefix. The
-/// join only ever pairs item-sets within one group, so groups are the
-/// natural partition unit of the parallel join.
+/// join only ever pairs item-sets within one group.
 fn prefix_groups(frequent: &[(Vec<Item>, u64)]) -> Vec<Range<usize>> {
     let mut groups = Vec::new();
     let mut group_start = 0;
@@ -325,72 +317,16 @@ fn join_group(
 /// Candidate generation: join L(k-1) with itself on the (k-2)-prefix,
 /// then prune candidates with an infrequent (k-1)-subset (downward
 /// closure).
-///
-/// Under [`Exec::Pool`], when the [`ForkPolicy`] cost model judges the
-/// level worth a queue operation per block (estimated join work vs the
-/// pool's measured dispatch overhead, coarsened by live queue depth),
-/// the prefix groups are partitioned into balanced contiguous blocks and
-/// each block joins as one tree task on the pool; per-block candidate
-/// lists concatenate in block order, reproducing the sequential join
-/// order exactly. (The frequent level is lent to the tasks through an
-/// `Arc` and handed back afterwards, which is why the parameter is
-/// `&mut`.) In every other context the join runs inline — same output,
-/// by construction.
-fn generate_candidates_exec(current: &mut Vec<(Vec<Item>, u64)>, exec: Exec<'_>) -> Vec<Vec<Item>> {
+fn generate_candidates(current: &[(Vec<Item>, u64)]) -> Vec<Vec<Item>> {
     let prev: HashSet<CandKey> = current.iter().map(|(items, _)| key_of(items)).collect();
-    let groups = prefix_groups(current);
-    let width = exec.width();
-    let fan_out = match exec {
-        Exec::Pool(pool) => {
-            groups.len() >= 2
-                && ForkPolicy::for_exec(&exec).should_fork_at(
-                    width,
-                    pool.local_queue_depth(),
-                    current.len(),
-                    WorkKind::JoinSets,
-                )
-        }
-        Exec::Inline => false,
-    };
-    if !fan_out {
-        let mut out = Vec::new();
-        for group in groups {
-            join_group(current, group, &prev, &mut out);
-        }
-        return out;
+    let mut out = Vec::new();
+    for group in prefix_groups(current) {
+        join_group(current, group, &prev, &mut out);
     }
-    let frequent = Arc::new(std::mem::take(current));
-    let prev = Arc::new(prev);
-    let groups = Arc::new(groups);
-    let blocks = chunk_ranges(
-        groups.len(),
-        NonZeroUsize::new(width.min(groups.len())).expect("width > 1, groups >= 2"),
-    );
-    let roots: Vec<TreeJob<Vec<Vec<Item>>>> = blocks
-        .into_iter()
-        .map(|block| {
-            let frequent = Arc::clone(&frequent);
-            let prev = Arc::clone(&prev);
-            let groups = Arc::clone(&groups);
-            Box::new(move |_: &TreeScope<'_, Vec<Vec<Item>>>| {
-                let mut out = Vec::new();
-                for group in &groups[block] {
-                    join_group(&frequent, group.clone(), &prev, &mut out);
-                }
-                out
-            }) as TreeJob<Vec<Vec<Item>>>
-        })
-        .collect();
-    let parts = run_tree_exec(exec, roots);
-    // All tasks have dropped their handles; reclaim the level without a
-    // copy (the clone fallback is unreachable in practice).
-    *current = Arc::try_unwrap(frequent).unwrap_or_else(|arc| (*arc).clone());
-    parts.into_iter().flatten().collect()
+    out
 }
 
 /// Downward-closure prune: every (k-1)-subset of `cand` must be frequent.
-/// Subsets are looked up by their fixed-size [`CandKey`], so the set is
-/// `Copy`-keyed and shares across tree tasks without self-references.
 fn subsets_all_frequent(cand: &[Item], prev: &HashSet<CandKey>) -> bool {
     let mut sub = Vec::with_capacity(cand.len() - 1);
     for skip in 0..cand.len() {
@@ -532,33 +468,6 @@ mod tests {
     }
 
     #[test]
-    fn pool_join_splits_into_tree_tasks_and_stays_identical() {
-        use crossbeam::WorkerPool;
-        // Many distinct frequent 1-sets across three features ⇒ the
-        // level-2 join carries far more work than the fork cost model's
-        // dispatch-overhead cut-off.
-        let mut set = TransactionSet::new();
-        for i in 0..4000u64 {
-            set.push(tx(&[
-                (FlowFeature::DstPort, i % 40),
-                (FlowFeature::SrcPort, i % 30),
-                (FlowFeature::Packets, i % 20),
-            ]));
-        }
-        let config = AprioriConfig::all_frequent(2);
-        let reference = apriori(&set, &config);
-        let pool = WorkerPool::new(NonZeroUsize::new(4).unwrap());
-        let pooled = apriori_exec(&set, &config, Exec::Pool(&pool));
-        assert_eq!(pooled.itemsets, reference.itemsets);
-        assert_eq!(pooled.levels, reference.levels);
-        assert!(
-            pool.tree_tasks() > 1,
-            "join+prune must have fanned out as pool tasks (got {})",
-            pool.tree_tasks()
-        );
-    }
-
-    #[test]
     fn parallel_counting_is_identical_for_every_thread_count() {
         // Big enough to actually split into chunks (see par::MIN_ITEMS_PER_THREAD).
         let mut set = TransactionSet::new();
@@ -575,7 +484,8 @@ mod tests {
         ] {
             let reference = apriori(&set, &config);
             for threads in 2..=8 {
-                let pool = crossbeam::WorkerPool::new(NonZeroUsize::new(threads).unwrap());
+                let pool =
+                    crossbeam::WorkerPool::new(std::num::NonZeroUsize::new(threads).unwrap());
                 let par = apriori_exec(&set, &config, Exec::Pool(&pool));
                 assert_eq!(par.itemsets, reference.itemsets, "threads={threads}");
                 for (a, b) in par.itemsets.iter().zip(&reference.itemsets) {

@@ -7,11 +7,10 @@
 //! mining; we include it as the third interchangeable miner.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use crate::item::Item;
 use crate::itemset::ItemSet;
-use crate::par::{map_chunks_arc, run_tree_exec, Exec, ForkPolicy, TreeJob, TreeScope, WorkKind};
+use crate::par::{map_chunks_arc, Exec};
 use crate::transaction::{Transaction, TransactionSet};
 
 /// Mine all frequent item-sets with Eclat.
@@ -55,18 +54,13 @@ fn tidlists(set: &TransactionSet, exec: Exec<'_>) -> HashMap<Item, Vec<u32>> {
     merged
 }
 
-/// Eclat parallelized in the given execution context.
+/// Eclat with tid-list construction in the given execution context.
 ///
 /// Tid-list construction runs over transaction chunks, the per-chunk
 /// lists concatenating in chunk order into exactly the sequential
-/// tid-lists. The lattice search is task-parallel under [`Exec::Pool`]:
-/// **every prefix branch whose tid-list carries enough intersection work
-/// to amortize a task dispatch (the [`ForkPolicy`] cost model, coarsened
-/// by live queue depth) forks as an independent tree task** — at level 1
-/// and at every depth below ([`run_tree_exec`]); shorter branches mine
-/// inline in the task that reached them. Supports are tid-list lengths
-/// either way, so the canonically sorted output is **bit-identical** to
-/// [`eclat`] for every context and thread count.
+/// tid-lists. The lattice search runs on the calling thread; supports
+/// are tid-list lengths, so the canonically sorted output is
+/// **bit-identical** to [`eclat`] for every context and thread count.
 ///
 /// # Panics
 ///
@@ -82,87 +76,38 @@ pub fn eclat_exec(set: &TransactionSet, min_support: u64, exec: Exec<'_>) -> Vec
         .collect();
     roots.sort_unstable_by_key(|&(item, _)| item);
 
-    // Depth-first extension: prefix ∪ {roots[i]} can only be extended by
-    // roots[j] with j > i, keeping item-sets sorted and visited once.
-    // One root job walks the level-1 branches, forking exactly those
-    // whose tid-list clears the cost model — the same work-vs-overhead
-    // gate every deeper level uses, so short branches never pay a queue
-    // operation.
-    let policy = ForkPolicy::for_exec(&exec);
-    let roots = Arc::new(roots);
-    let root: TreeJob<Vec<ItemSet>> = {
-        let roots = Arc::clone(&roots);
-        Box::new(move |scope: &TreeScope<'_, Vec<ItemSet>>| {
-            let mut out = Vec::new();
-            for i in 0..roots.len() {
-                if policy.should_fork(scope, roots[i].1.len(), WorkKind::TidEntries) {
-                    let roots = Arc::clone(&roots);
-                    scope.fork(move |scope: &TreeScope<'_, Vec<ItemSet>>| {
-                        let mut sub = Vec::new();
-                        mine_branch(&roots, i, Vec::new(), min_support, policy, scope, &mut sub);
-                        sub
-                    });
-                } else {
-                    mine_branch(&roots, i, Vec::new(), min_support, policy, scope, &mut out);
-                }
-            }
-            out
-        })
-    };
-    let mut out: Vec<ItemSet> = run_tree_exec(exec, vec![root])
-        .into_iter()
-        .flatten()
-        .collect();
+    let mut out = Vec::new();
+    mine_siblings(&roots, &mut Vec::new(), min_support, &mut out);
     out.sort_unstable();
     out
 }
 
-/// Mine the branch `prefix ∪ {siblings[i]}`: emit it, intersect its
-/// tid-list with every later sibling, and descend into the surviving
-/// extensions — forking an extension as a tree task when the cost model
-/// judges its tid-list worth a dispatch, recursing inline otherwise.
-/// Forking only moves work; the emitted sets are identical either way.
-fn mine_branch(
-    siblings: &Arc<Vec<(Item, Vec<u32>)>>,
-    i: usize,
-    prefix: Vec<Item>,
+/// Depth-first extension over one sibling list: `prefix ∪ {siblings[i]}`
+/// can only be extended by `siblings[j]` with `j > i`, keeping item-sets
+/// sorted and visited once. Emits each branch, intersects its tid-list
+/// with every later sibling, and descends into the surviving extensions.
+fn mine_siblings(
+    siblings: &[(Item, Vec<u32>)],
+    prefix: &mut Vec<Item>,
     min_support: u64,
-    policy: ForkPolicy,
-    scope: &TreeScope<'_, Vec<ItemSet>>,
     out: &mut Vec<ItemSet>,
 ) {
-    let (item, tids) = &siblings[i];
-    let mut prefix = prefix;
-    prefix.push(*item);
-    out.push(ItemSet::new(prefix.clone(), tids.len() as u64));
+    for (i, (item, tids)) in siblings.iter().enumerate() {
+        prefix.push(*item);
+        out.push(ItemSet::new(prefix.clone(), tids.len() as u64));
 
-    // Conditional siblings: intersect with every later sibling.
-    let mut next: Vec<(Item, Vec<u32>)> = Vec::new();
-    for (other, other_tids) in &siblings[i + 1..] {
-        if other.feature() == item.feature() {
-            continue; // same-feature items never co-occur
+        let mut next: Vec<(Item, Vec<u32>)> = Vec::new();
+        for (other, other_tids) in &siblings[i + 1..] {
+            if other.feature() == item.feature() {
+                continue; // same-feature items never co-occur
+            }
+            let inter = intersect(tids, other_tids);
+            if inter.len() as u64 >= min_support {
+                next.push((*other, inter));
+            }
         }
-        let inter = intersect(tids, other_tids);
-        if inter.len() as u64 >= min_support {
-            next.push((*other, inter));
-        }
-    }
-    if next.is_empty() {
-        return;
-    }
-    let next = Arc::new(next);
-    for j in 0..next.len() {
-        if policy.should_fork(scope, next[j].1.len(), WorkKind::TidEntries) {
-            let next = Arc::clone(&next);
-            let prefix = prefix.clone();
-            scope.fork(move |scope: &TreeScope<'_, Vec<ItemSet>>| {
-                let mut sub = Vec::new();
-                mine_branch(&next, j, prefix, min_support, policy, scope, &mut sub);
-                sub
-            });
-        } else {
-            mine_branch(&next, j, prefix.clone(), min_support, policy, scope, out);
-        }
+        mine_siblings(&next, prefix, min_support, out);
+        prefix.pop();
     }
 }
 
@@ -270,30 +215,5 @@ mod tests {
                 assert_eq!(a.support, b.support, "threads={threads} {a}");
             }
         }
-    }
-
-    #[test]
-    fn pool_branches_fork_as_tree_tasks() {
-        use crossbeam::WorkerPool;
-        use std::num::NonZeroUsize;
-        // Long tid-lists at support 2 ⇒ branch extensions cross the
-        // fork threshold.
-        let mut set = TransactionSet::new();
-        for i in 0..4000u64 {
-            set.push(tx(&[
-                (FlowFeature::DstPort, 80 + i % 2),
-                (FlowFeature::Proto, 6),
-                (FlowFeature::Packets, i % 3),
-            ]));
-        }
-        let reference = eclat(&set, 2);
-        let pool = WorkerPool::new(NonZeroUsize::new(4).unwrap());
-        let pooled = eclat_exec(&set, 2, Exec::Pool(&pool));
-        assert_eq!(pooled, reference);
-        assert!(
-            pool.tree_tasks() > 1,
-            "branch mining must have dispatched pool tasks (got {})",
-            pool.tree_tasks()
-        );
     }
 }

@@ -10,12 +10,11 @@
 //! no unsafe.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use crate::apriori::count_single_items;
 use crate::item::Item;
 use crate::itemset::ItemSet;
-use crate::par::{run_tree_exec, Exec, ForkPolicy, TreeJob, TreeScope, WorkKind};
+use crate::par::Exec;
 use crate::transaction::TransactionSet;
 
 /// One FP-tree node.
@@ -118,21 +117,15 @@ pub fn fpgrowth(set: &TransactionSet, min_support: u64) -> Vec<ItemSet> {
     fpgrowth_exec(set, min_support, Exec::inline())
 }
 
-/// FP-growth parallelized in the given execution context.
+/// FP-growth with its first scan in the given execution context.
 ///
 /// The first (support-counting) scan runs over transaction chunks and
 /// merges by exact integer sums, so the ranking — and therefore the
-/// global tree — is identical for every context. The search itself is
-/// task-parallel under [`Exec::Pool`]: whenever the enclosing tree's
-/// arena carries enough node-walk work to amortize a task dispatch (the
-/// [`ForkPolicy`] cost model, coarsened by live queue depth — the global
-/// tree for level 1, the conditional pattern base below), **each of its
-/// conditional trees mines as an independent forked task**
-/// ([`run_tree_exec`]); smaller trees mine inline in the task that
-/// found them. Every task returns its item-sets; the merged
-/// output is canonically sorted, and each item-set's support is an exact
-/// sum over node links, so the result is **bit-identical** to
-/// [`fpgrowth`] for every context and thread count.
+/// global tree — is identical for every context. Tree construction and
+/// the conditional-tree search run on the calling thread; each item-set's
+/// support is an exact sum over node links and the output is canonically
+/// sorted, so the result is **bit-identical** to [`fpgrowth`] for every
+/// context and thread count.
 ///
 /// # Panics
 ///
@@ -164,42 +157,8 @@ pub fn fpgrowth_exec(set: &TransactionSet, min_support: u64, exec: Exec<'_>) -> 
         }
     }
 
-    // Search: one root job walks the frequent level-1 items; when the
-    // global tree is worth splitting, each item's conditional tree
-    // mines as an independent forked task (which forks its own large
-    // sub-trees in turn) — the same work-vs-overhead gate every deeper
-    // level uses, so a tiny tree never pays queue operations.
-    let ctx = MineCtx {
-        min_support,
-        policy: ForkPolicy::for_exec(&exec),
-    };
-    let tree = Arc::new(tree);
-    let root: TreeJob<Vec<ItemSet>> = Box::new(move |scope: &TreeScope<'_, Vec<ItemSet>>| {
-        let mut out = Vec::new();
-        let fork = ctx
-            .policy
-            .should_fork(scope, tree.arena.len(), WorkKind::TreeNodes);
-        for (item, support) in item_supports(&tree) {
-            if support < min_support {
-                continue;
-            }
-            if fork {
-                let tree = Arc::clone(&tree);
-                scope.fork(move |scope: &TreeScope<'_, Vec<ItemSet>>| {
-                    let mut sub = Vec::new();
-                    mine_item(&tree, item, support, Vec::new(), ctx, scope, &mut sub);
-                    sub
-                });
-            } else {
-                mine_item(&tree, item, support, Vec::new(), ctx, scope, &mut out);
-            }
-        }
-        out
-    });
-    let mut out: Vec<ItemSet> = run_tree_exec(exec, vec![root])
-        .into_iter()
-        .flatten()
-        .collect();
+    let mut out = Vec::new();
+    mine_tree(&tree, &mut Vec::new(), min_support, &mut out);
     out.sort_unstable();
     out
 }
@@ -230,56 +189,21 @@ fn conditional_tree(tree: &FpTree, item: Item) -> FpTree {
     cond
 }
 
-/// The parameters that stay fixed across the whole conditional-tree
-/// recursion: the support floor and the fork cost model.
-#[derive(Clone, Copy)]
-struct MineCtx {
-    min_support: u64,
-    policy: ForkPolicy,
-}
-
-/// Mine `suffix ∪ {item}` and everything below it: emit the item-set,
-/// build the conditional tree, and descend into its frequent items —
-/// forking each descent as a tree task when the cost model judges the
-/// conditional pattern base worth a dispatch, recursing inline
-/// otherwise. The emitted set is identical either way; forking only
-/// moves work.
-fn mine_item(
-    tree: &FpTree,
-    item: Item,
-    support: u64,
-    suffix: Vec<Item>,
-    ctx: MineCtx,
-    scope: &TreeScope<'_, Vec<ItemSet>>,
-    out: &mut Vec<ItemSet>,
-) {
-    let mut items = suffix;
-    items.push(item);
-    out.push(ItemSet::new(items.clone(), support));
-
-    let cond = conditional_tree(tree, item);
-    if cond.header.is_empty() {
-        return;
-    }
-    let fork = ctx
-        .policy
-        .should_fork(scope, cond.arena.len(), WorkKind::TreeNodes);
-    let cond = Arc::new(cond);
-    for (citem, csupport) in item_supports(&cond) {
-        if csupport < ctx.min_support {
+/// Mine every frequent item of `tree` as an extension of `suffix`: emit
+/// `suffix ∪ {item}`, build the item's conditional tree, and descend
+/// into it.
+fn mine_tree(tree: &FpTree, suffix: &mut Vec<Item>, min_support: u64, out: &mut Vec<ItemSet>) {
+    for (item, support) in item_supports(tree) {
+        if support < min_support {
             continue;
         }
-        if fork {
-            let cond = Arc::clone(&cond);
-            let items = items.clone();
-            scope.fork(move |scope: &TreeScope<'_, Vec<ItemSet>>| {
-                let mut sub = Vec::new();
-                mine_item(&cond, citem, csupport, items, ctx, scope, &mut sub);
-                sub
-            });
-        } else {
-            mine_item(&cond, citem, csupport, items.clone(), ctx, scope, out);
+        suffix.push(item);
+        out.push(ItemSet::new(suffix.clone(), support));
+        let cond = conditional_tree(tree, item);
+        if !cond.header.is_empty() {
+            mine_tree(&cond, suffix, min_support, out);
         }
+        suffix.pop();
     }
 }
 
@@ -365,36 +289,6 @@ mod tests {
                 assert_eq!(a.support, b.support, "threads={threads} {a}");
             }
         }
-    }
-
-    #[test]
-    fn pool_conditional_mining_runs_as_tree_tasks() {
-        use crossbeam::WorkerPool;
-        use std::num::NonZeroUsize;
-        // Wide co-occurrence structure at support 2 ⇒ deep conditional
-        // trees with large pattern bases.
-        let mut set = TransactionSet::new();
-        for i in 0..3000u64 {
-            set.push(tx(&[
-                (FlowFeature::SrcIp, i % 11),
-                (FlowFeature::DstIp, i % 7),
-                (FlowFeature::DstPort, i % 5),
-                (FlowFeature::Proto, i % 2),
-                (FlowFeature::Packets, i % 3),
-            ]));
-        }
-        let reference = fpgrowth(&set, 2);
-        let pool = WorkerPool::new(NonZeroUsize::new(4).unwrap());
-        let pooled = fpgrowth_exec(&set, 2, Exec::Pool(&pool));
-        assert_eq!(pooled, reference);
-        for (a, b) in pooled.iter().zip(&reference) {
-            assert_eq!(a.support, b.support, "{a}");
-        }
-        assert!(
-            pool.tree_tasks() > 1,
-            "conditional mining must have dispatched pool tasks (got {})",
-            pool.tree_tasks()
-        );
     }
 
     #[test]

@@ -23,9 +23,11 @@
 //!   (report-size-driven mining; lossless closed-set compression);
 //! - [`MineTask`] — one mining invocation (algorithm, mode, support,
 //!   input) as a value, executable in any [`par::Exec`] context;
-//! - [`par`] — deterministic parallelism: chunked counting passes
-//!   ([`map_chunks_arc`]) plus fork/join task trees
-//!   ([`par::run_tree_exec`]) for the recursive search phases. Every
+//! - [`par`] — deterministic parallelism: the flat counting passes
+//!   (single-item counts, Apriori's level-k count, Eclat's tid-lists)
+//!   and the rule fan-out run as ordered chunk maps
+//!   ([`map_chunks_arc`], [`par::map_ranges_arc`]) on the engine's
+//!   worker pool; the miners' searches run on the calling thread. Every
 //!   miner's `*_exec` output is bit-identical to the sequential one for
 //!   every execution context and pool width;
 //! - [`rules`] — the *second* step of association-rule mining: rules
@@ -63,7 +65,7 @@ pub use item::Item;
 pub use itemset::{canonicalize, ItemSet};
 pub use maximal::{filter_maximal, filter_maximal_general};
 pub use miner::MinerKind;
-pub use par::{map_chunks_arc, Exec, ForkPolicy, WorkKind, DEFAULT_DISPATCH_OVERHEAD_NS};
+pub use par::{map_chunks_arc, Exec};
 pub use rules::{
     generate_rules, merge_rule_sets, Rule, RuleConfig, RuleSet, ScoredRule, RARE_SUPPORT_GUARD,
 };

@@ -19,8 +19,6 @@ use std::sync::Arc;
 use anomex_netflow::shard::chunk_ranges;
 use crossbeam::WorkerPool;
 
-pub use crossbeam::{TreeJob, TreeScope};
-
 /// Minimum number of items per worker before a parallel pass is worth its
 /// job dispatches: below this, counting a chunk is faster than handing it
 /// to another thread, so the pass runs inline.
@@ -130,163 +128,6 @@ where
         })
         .collect();
     pool.run_ordered(jobs)
-}
-
-/// Run a fork/join tree of mining tasks in the given execution context,
-/// returning every task's result **in spawn order** (pre-order over the
-/// task tree).
-///
-/// Under [`Exec::Pool`] with more than one worker the tree runs as pool
-/// tasks ([`WorkerPool::run_tree`]): jobs fork children onto the shared
-/// deque, forks never block, and results merge by spawn path — so the
-/// recursive search phases (Apriori's level-k join+prune blocks,
-/// FP-growth's conditional trees, Eclat's prefix branches) share the
-/// engine's one pool with the flat counting passes, without
-/// oversubscription. In every other context the tree executes
-/// sequentially on the calling thread ([`crossbeam::run_tree_inline`])
-/// with the same result contract, so the output is **bit-identical**
-/// across all contexts; only the wall-clock differs. Jobs read
-/// [`TreeScope::width`] to decide whether forking is worth a queue
-/// operation (1 under sequential execution — don't fork).
-///
-/// # Panics
-///
-/// Propagates a panic from a tree job on the calling thread; pool
-/// workers survive it.
-#[must_use]
-pub fn run_tree_exec<R: Send + 'static>(exec: Exec<'_>, roots: Vec<TreeJob<R>>) -> Vec<R> {
-    match exec {
-        Exec::Pool(pool) if pool.threads() > 1 => pool.run_tree(roots),
-        _ => crossbeam::run_tree_inline(roots),
-    }
-}
-
-/// Per-task dispatch overhead assumed when a pool has not measured its
-/// own ([`WorkerPool::calibrate_dispatch_overhead`]): a queue push, a
-/// wakeup, and the tree bookkeeping, as recorded on the development
-/// container. Chosen so that on an idle executor the fork cut-offs
-/// reproduce the fixed PR 5 thresholds (64 join sets, 64
-/// conditional-tree nodes, 1024 tids) that the determinism suites were
-/// tuned against.
-pub const DEFAULT_DISPATCH_OVERHEAD_NS: u64 = 20_000;
-
-/// What a prospective fork would spend its time on — the unit-cost table
-/// of the fork cost model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WorkKind {
-    /// Apriori level-k candidate join: units are frequent sets in the
-    /// current level (each joined against its prefix group and pruned).
-    JoinSets,
-    /// FP-growth conditional mining: units are arena nodes of the
-    /// (conditional) tree to walk.
-    TreeNodes,
-    /// Eclat lattice branch: units are transaction ids in the branch's
-    /// tid-list (each intersected per extension).
-    TidEntries,
-}
-
-impl WorkKind {
-    /// Estimated nanoseconds of mining work per unit. Calibrated against
-    /// the PR 5 thresholds: ~overhead/64 for set- and node-walk work,
-    /// ~overhead/1024 for tid intersections.
-    #[must_use]
-    pub const fn unit_ns(self) -> u64 {
-        match self {
-            WorkKind::JoinSets | WorkKind::TreeNodes => 313,
-            WorkKind::TidEntries => 20,
-        }
-    }
-}
-
-/// The shared fork cost model: fork only when the estimated work of the
-/// subtask is worth at least K× the per-task dispatch overhead, with K
-/// doubling for every task already sitting in the forking worker's own
-/// deque (capped at 2⁶) — a saturated pool stops fine-graining, an idle
-/// one forks eagerly.
-///
-/// The **decision** is adaptive (it reads live queue depth), but the
-/// **result** is not: `run_tree` merges by spawn path, Apriori sorts
-/// each level after counting, and FP-growth/Eclat sort their flattened
-/// output — so any fork granularity yields bit-identical mining output.
-/// That invariance is what makes a live-load-adaptive policy safe under
-/// the exec-equivalence suites.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ForkPolicy {
-    overhead_ns: u64,
-}
-
-impl Default for ForkPolicy {
-    /// The recorded-constant policy ([`DEFAULT_DISPATCH_OVERHEAD_NS`]).
-    fn default() -> Self {
-        ForkPolicy {
-            overhead_ns: DEFAULT_DISPATCH_OVERHEAD_NS,
-        }
-    }
-}
-
-impl ForkPolicy {
-    /// A policy with an explicit per-task overhead (nanoseconds).
-    #[must_use]
-    pub const fn with_overhead_ns(overhead_ns: u64) -> Self {
-        ForkPolicy { overhead_ns }
-    }
-
-    /// The policy for an execution context: a pool's own calibrated
-    /// dispatch overhead when it has one, the recorded constant
-    /// otherwise (uncalibrated pools, inline).
-    #[must_use]
-    pub fn for_exec(exec: &Exec<'_>) -> Self {
-        match exec {
-            Exec::Pool(pool) => {
-                let measured = pool.dispatch_overhead_ns();
-                if measured > 0 {
-                    ForkPolicy {
-                        overhead_ns: measured,
-                    }
-                } else {
-                    ForkPolicy::default()
-                }
-            }
-            Exec::Inline => ForkPolicy::default(),
-        }
-    }
-
-    /// The per-task dispatch overhead this policy amortizes against.
-    #[must_use]
-    pub const fn overhead_ns(&self) -> u64 {
-        self.overhead_ns
-    }
-
-    /// The core decision at an explicit width and live queue depth:
-    /// `units × unit_ns ≥ overhead × 2^min(depth, 6)`, and never fork at
-    /// width 1.
-    #[must_use]
-    pub fn should_fork_at(
-        &self,
-        width: usize,
-        queue_depth: usize,
-        units: usize,
-        kind: WorkKind,
-    ) -> bool {
-        if width <= 1 {
-            return false;
-        }
-        let work = (units as u64).saturating_mul(kind.unit_ns());
-        let k = 1u64 << queue_depth.min(6);
-        work >= self.overhead_ns.saturating_mul(k)
-    }
-
-    /// The decision from inside a tree task, reading width and live
-    /// local-deque depth from its scope.
-    #[must_use]
-    pub fn should_fork<R: Send + 'static>(
-        &self,
-        scope: &TreeScope<'_, R>,
-        units: usize,
-        kind: WorkKind,
-    ) -> bool {
-        scope.width() > 1 && self.should_fork_at(scope.width(), scope.queue_depth(), units, kind)
-    }
 }
 
 /// Sum per-chunk `u64` count vectors element-wise into the first one —
@@ -415,53 +256,5 @@ mod tests {
         let parts = vec![vec![1u64, 2, 3], vec![10, 20, 30], vec![100, 200, 300]];
         assert_eq!(sum_count_vecs(parts), vec![111, 222, 333]);
         assert!(sum_count_vecs(Vec::new()).is_empty());
-    }
-
-    #[test]
-    fn default_policy_reproduces_the_recorded_thresholds_when_idle() {
-        let policy = ForkPolicy::default();
-        // The PR 5 fixed cut-offs, on an idle (depth-0) multi-worker
-        // executor: 64 sets / 64 nodes / ~1024 tids.
-        assert!(policy.should_fork_at(4, 0, 64, WorkKind::JoinSets));
-        assert!(!policy.should_fork_at(4, 0, 63, WorkKind::JoinSets));
-        assert!(policy.should_fork_at(4, 0, 64, WorkKind::TreeNodes));
-        assert!(policy.should_fork_at(4, 0, 1024, WorkKind::TidEntries));
-        assert!(!policy.should_fork_at(4, 0, 512, WorkKind::TidEntries));
-    }
-
-    #[test]
-    fn policy_never_forks_at_width_one() {
-        let policy = ForkPolicy::default();
-        assert!(!policy.should_fork_at(1, 0, usize::MAX, WorkKind::JoinSets));
-    }
-
-    #[test]
-    fn queue_depth_doubles_the_required_work() {
-        let policy = ForkPolicy::default();
-        assert!(policy.should_fork_at(4, 0, 64, WorkKind::JoinSets));
-        assert!(!policy.should_fork_at(4, 1, 64, WorkKind::JoinSets));
-        assert!(policy.should_fork_at(4, 1, 128, WorkKind::JoinSets));
-        // The exponent saturates at 2^6, so huge depths still fork huge
-        // work instead of overflowing the comparison.
-        assert!(policy.should_fork_at(4, 10_000, 1 << 20, WorkKind::JoinSets));
-    }
-
-    #[test]
-    fn for_exec_prefers_the_pools_calibrated_overhead() {
-        let pool = WorkerPool::new(nz(2));
-        assert_eq!(
-            ForkPolicy::for_exec(&Exec::Pool(&pool)).overhead_ns(),
-            DEFAULT_DISPATCH_OVERHEAD_NS,
-            "uncalibrated pool falls back to the recorded constant"
-        );
-        let measured = pool.calibrate_dispatch_overhead();
-        assert_eq!(
-            ForkPolicy::for_exec(&Exec::Pool(&pool)).overhead_ns(),
-            measured
-        );
-        assert_eq!(
-            ForkPolicy::for_exec(&Exec::inline()).overhead_ns(),
-            DEFAULT_DISPATCH_OVERHEAD_NS
-        );
     }
 }

@@ -33,10 +33,9 @@
 //! [`RuleConfig::level_floor`] — so long, specific attack signatures
 //! survive an absolute min-support floor that would hide them.
 //!
-//! Generation fans out over the frequent-set blocks through
-//! [`run_tree_exec`], honoring the same merge-by-spawn-path contract as
-//! the miners: output is **bit-identical** across
-//! [`Exec::inline`]/[`Exec::Pool`].
+//! Generation is one [`map_ranges_arc`] pass over the seed item-sets,
+//! its per-range outputs concatenated in range order: output is
+//! **bit-identical** across [`Exec::inline`]/[`Exec::Pool`].
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -47,7 +46,7 @@ use serde::{Deserialize, Serialize};
 use crate::combinations::for_each_combination;
 use crate::item::Item;
 use crate::itemset::ItemSet;
-use crate::par::{run_tree_exec, Exec, TreeJob};
+use crate::par::{map_ranges_arc, Exec};
 
 /// Default minimum confidence for emitted rules.
 pub const DEFAULT_MIN_CONFIDENCE: f64 = 0.6;
@@ -61,10 +60,6 @@ pub const DEFAULT_MIN_LIFT: f64 = 1.0;
 /// were this value, keeping the meta-detection arithmetic finite while
 /// still ranking perfect implications as extreme.
 pub const CONVICTION_SCORE_CAP: f64 = 100.0;
-
-/// Smallest number of base item-sets a fork/join generation task is
-/// worth; below this the spawn bookkeeping outweighs the enumeration.
-const MIN_BASES_PER_RULE_TASK: usize = 32;
 
 /// Smallest `min_support` at which rare mode's halving floor is safe on
 /// large intervals; below it
@@ -386,7 +381,7 @@ pub fn score_rules(rules: Vec<Rule>, transactions: u64) -> Vec<ScoredRule> {
 }
 
 /// Enumerate the rules of one block of base item-sets — the sequential
-/// kernel both the inline path and every fork/join task run.
+/// kernel every range of the generation pass runs.
 fn rules_for_block(
     bases: &[ItemSet],
     supports: &BTreeMap<Vec<Item>, u64>,
@@ -442,10 +437,10 @@ fn rules_for_block(
 ///
 /// Rules are seeded from every item-set of length ≥ 2 whose support
 /// meets [`RuleConfig::level_floor`] for its length (the absolute floor
-/// normally; the halving per-level floor in rare mode). Generation fans
-/// out over contiguous blocks of those seeds through [`run_tree_exec`];
-/// the per-block outputs are concatenated in spawn order, so the result
-/// is bit-identical in every [`Exec`] context.
+/// normally; the halving per-level floor in rare mode). Generation is
+/// one [`map_ranges_arc`] pass over those seeds; the per-range outputs
+/// are concatenated in range order, so the result is bit-identical in
+/// every [`Exec`] context.
 ///
 /// # Panics
 ///
@@ -543,48 +538,17 @@ pub fn generate_rules(
         .filter(|s| s.len() >= 2 && s.support >= config.level_floor(min_support, s.len()))
         .cloned()
         .collect();
-    if bases.is_empty() {
-        return RuleSet {
-            rules: Vec::new(),
-            transactions,
-        };
-    }
-    let rules = if bases.len() < 2 * MIN_BASES_PER_RULE_TASK {
+    let seeds = bases.len();
+    let shared = Arc::new((bases, supports));
+    let config = *config;
+    let rules = map_ranges_arc(exec, &shared, seeds, move |(bases, supports), range| {
         let mut out = Vec::new();
-        rules_for_block(&bases, &supports, transactions, config, &mut out);
+        rules_for_block(&bases[range], supports, transactions, &config, &mut out);
         out
-    } else {
-        // Fork one task per contiguous block of seeds; run_tree_exec
-        // returns per-task outputs in spawn order, so the concatenation
-        // equals the sequential enumeration bit for bit.
-        let block = bases
-            .len()
-            .div_ceil(exec.width().max(1) * 4)
-            .max(MIN_BASES_PER_RULE_TASK);
-        let bases = Arc::new(bases);
-        let supports = Arc::new(supports);
-        let config = *config;
-        let mut roots: Vec<TreeJob<Vec<Rule>>> = Vec::new();
-        let mut start = 0;
-        while start < bases.len() {
-            let end = (start + block).min(bases.len());
-            let bases = Arc::clone(&bases);
-            let supports = Arc::clone(&supports);
-            roots.push(Box::new(move |_scope| {
-                let mut out = Vec::new();
-                rules_for_block(
-                    &bases[start..end],
-                    &supports,
-                    transactions,
-                    &config,
-                    &mut out,
-                );
-                out
-            }));
-            start = end;
-        }
-        run_tree_exec(exec, roots).into_iter().flatten().collect()
-    };
+    })
+    .into_iter()
+    .flatten()
+    .collect();
     RuleSet {
         rules: score_rules(rules, transactions),
         transactions,

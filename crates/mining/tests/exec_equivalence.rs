@@ -2,17 +2,22 @@
 //! load-bearing guarantee that `mine_all_exec` / `mine_maximal_exec`
 //! are **bit-identical** across [`Exec::inline`] and [`Exec::Pool`] (at
 //! one worker and at several) for every miner — at supports low enough
-//! to force
-//! multi-level candidate generation and deep conditional recursion,
-//! which is exactly the regime the task-parallel search phases
-//! (join+prune blocks, conditional trees, prefix branches) kick in.
+//! to force multi-level candidate generation and deep conditional
+//! recursion.
 //!
-//! Also covers pool-panic containment: a tree task that panics must
+//! Only the flat counting passes run on the pool, and
+//! [`map_ranges_arc`](anomex_mining::par::map_ranges_arc) keeps any pass
+//! under `2 ×` [`MIN_ITEMS_PER_THREAD`] items on the calling thread, so
+//! every generated set is [`tiled`] past that floor — otherwise the pool
+//! rows would compare the inline path with itself.
+//!
+//! Also covers pool-panic containment: a pool job that panics must
 //! surface on the caller without poisoning the pool for later mining.
 
 use std::num::NonZeroUsize;
+use std::sync::Arc;
 
-use anomex_mining::par::{run_tree_exec, Exec, TreeJob, TreeScope};
+use anomex_mining::par::{map_chunks_arc, Exec, MIN_ITEMS_PER_THREAD};
 use anomex_mining::{Item, MineTask, MinerKind, RuleConfig, Transaction, TransactionSet};
 use anomex_netflow::FlowFeature;
 use crossbeam::WorkerPool;
@@ -34,12 +39,30 @@ fn arb_set(max: usize) -> impl Strategy<Value = TransactionSet> {
     proptest::collection::vec(arb_transaction(), 1..max).prop_map(TransactionSet::from_transactions)
 }
 
+/// Repeat `set` whole until the counting passes split on a pool, scaling
+/// `min_support` by the same factor: every item-set's support scales
+/// with it, so the frequent structure is that of the generated set.
+fn tiled(set: &TransactionSet, min_support: u64) -> (TransactionSet, u64) {
+    let copies = (2 * MIN_ITEMS_PER_THREAD).div_ceil(set.len());
+    let transactions = set.transactions().repeat(copies);
+    (
+        TransactionSet::from_transactions(transactions),
+        min_support * copies as u64,
+    )
+}
+
 fn nz(n: usize) -> NonZeroUsize {
     NonZeroUsize::new(n).unwrap()
 }
 
+/// Upper bound on the generated (pre-tiling) set size, and the number of
+/// cases per property: every case mines ≥ 2 048 transactions some thirty
+/// times, so both are sized for a debug run of a few seconds.
+const BASE: usize = 120;
+const CASES: u32 = 16;
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(40))]
+    #![proptest_config(ProptestConfig::with_cases(CASES))]
 
     /// Every miner, both output modes, across every execution
     /// context: identical item-sets AND identical supports. Support
@@ -47,10 +70,11 @@ proptest! {
     /// and non-trivial conditional trees on almost every case.
     #[test]
     fn all_contexts_are_bit_identical_at_low_support(
-        set in arb_set(120),
+        set in arb_set(BASE),
         min_support in 1u64..4,
         pool_width in 2usize..5,
     ) {
+        let (set, min_support) = tiled(&set, min_support);
         let pool = WorkerPool::new(nz(pool_width));
         let single = WorkerPool::new(nz(1));
         for kind in MinerKind::ALL {
@@ -81,11 +105,12 @@ proptest! {
     /// are compared by bit pattern.
     #[test]
     fn rule_generation_is_bit_identical_across_contexts(
-        set in arb_set(120),
+        set in arb_set(BASE),
         min_support in 1u64..4,
         pool_width in 2usize..5,
         rare_bit in 0u8..2,
     ) {
+        let (set, min_support) = tiled(&set, min_support);
         let pool = WorkerPool::new(nz(pool_width));
         let single = WorkerPool::new(nz(1));
         // Permissive filters so plenty of rules survive to be compared.
@@ -120,9 +145,10 @@ proptest! {
     }
 
     /// The same pool instance stays bit-identical across repeated mining
-    /// rounds (no cross-round state leaks through the task machinery).
+    /// rounds (no cross-round state leaks through the pool).
     #[test]
-    fn pool_reuse_across_rounds_is_stable(set in arb_set(60), min_support in 1u64..3) {
+    fn pool_reuse_across_rounds_is_stable(set in arb_set(BASE), min_support in 1u64..3) {
+        let (set, min_support) = tiled(&set, min_support);
         let pool = WorkerPool::new(nz(3));
         for kind in MinerKind::ALL {
             let reference = kind.mine_all_exec(&set, min_support, Exec::inline());
@@ -134,12 +160,12 @@ proptest! {
     }
 }
 
-/// Low support over a large, structured set must drive Apriori through
-/// several candidate-generation levels, with the join running as more
-/// than one pool task — the acceptance gate that candidate generation
-/// demonstrably executes on the pool.
+/// Low support over a large, structured set drives Apriori through
+/// several candidate-generation levels, each followed by a counting pass
+/// that splits four ways on the pool — levels, passes and item-sets must
+/// match the inline run exactly.
 #[test]
-fn low_support_forces_multi_level_pool_candidate_generation() {
+fn low_support_multi_level_apriori_is_identical_on_the_pool() {
     let mut set = TransactionSet::new();
     for i in 0..5000u64 {
         let t = Transaction::from_items(&[
@@ -163,11 +189,6 @@ fn low_support_forces_multi_level_pool_candidate_generation() {
         "support 2 must force multi-level candidate generation (got {} passes)",
         out.passes
     );
-    assert!(
-        pool.tree_tasks() > 1,
-        "the level-k join must have dispatched >1 pool task (got {})",
-        pool.tree_tasks()
-    );
     let reference = anomex_mining::apriori_exec(
         &set,
         &anomex_mining::AprioriConfig::all_frequent(2),
@@ -178,159 +199,29 @@ fn low_support_forces_multi_level_pool_candidate_generation() {
     assert_eq!(out.passes, reference.passes);
 }
 
-/// Fork one tree task from a busy root and spin until a peer runs it:
-/// the owner never pops its deque while spinning, so the child can only
-/// execute via a steal. Returns once the child has run (10 s deadline).
-fn force_one_steal(pool: &WorkerPool) {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
-
-    let ran = Arc::new(AtomicBool::new(false));
-    let observed = Arc::clone(&ran);
-    let roots: Vec<TreeJob<u32>> = vec![Box::new(move |scope: &TreeScope<'_, u32>| {
-        let ran = Arc::clone(&observed);
-        scope.fork(move |_: &TreeScope<'_, u32>| {
-            ran.store(true, Ordering::SeqCst);
-            0
-        });
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while !observed.load(Ordering::SeqCst) {
-            assert!(Instant::now() < deadline, "no peer stole the forked task");
-            std::thread::yield_now();
-        }
-        1
-    })];
-    let out = run_tree_exec(Exec::Pool(pool), roots);
-    assert_eq!(out.into_iter().sum::<u32>(), 1);
-}
-
-/// Forced work-stealing leaves mining bit-identical: a structured set at
-/// low support floods the scheduler with tiny tree tasks across 1, 2, 4,
-/// and 8 workers, with at least one guaranteed steal per multi-worker
-/// pool — and every miner's output matches the inline reference exactly.
-#[test]
-fn forced_steals_leave_mining_bit_identical() {
-    let mut set = TransactionSet::new();
-    for i in 0..3000u64 {
-        let t = Transaction::from_items(&[
-            Item::new(FlowFeature::SrcIp, i % 11),
-            Item::new(FlowFeature::DstIp, i % 7),
-            Item::new(FlowFeature::DstPort, i % 5),
-            Item::new(FlowFeature::Proto, i % 2),
-            Item::new(FlowFeature::Packets, i % 3),
-        ])
-        .unwrap();
-        set.push(t);
-    }
-    for kind in MinerKind::ALL {
-        let reference = kind.mine_all_exec(&set, 2, Exec::inline());
-        for workers in [1usize, 2, 4, 8] {
-            let pool = WorkerPool::new(nz(workers));
-            if workers >= 2 {
-                force_one_steal(&pool);
-                assert!(
-                    pool.steals() > 0,
-                    "{workers}-worker pool recorded no steal (got {})",
-                    pool.steals()
-                );
-            }
-            let got = kind.mine_all_exec(&set, 2, Exec::Pool(&pool));
-            assert_eq!(got, reference, "{kind} diverged at {workers} workers");
-            for (a, b) in got.iter().zip(&reference) {
-                assert_eq!(a.support, b.support, "{kind} support at {workers} workers");
-            }
-            // A solo pool never forks (width 1 fails the cost model),
-            // so task dispatch is only asserted with real parallelism.
-            if workers >= 2 {
-                assert!(
-                    pool.tree_tasks() > 1,
-                    "{kind} at {workers} workers never dispatched tree tasks"
-                );
-            }
-        }
-    }
-}
-
-/// A task that panics *after being stolen* surfaces on the caller and
-/// leaves the pool mining correctly — panic containment must hold on
-/// the steal path, not just for locally popped tasks.
-#[test]
-fn panic_in_a_stolen_task_is_contained() {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
-
-    let pool = WorkerPool::new(nz(2));
-    let ran = Arc::new(AtomicBool::new(false));
-    let observed = Arc::clone(&ran);
-    let roots: Vec<TreeJob<u32>> = vec![Box::new(move |scope: &TreeScope<'_, u32>| {
-        let ran = Arc::clone(&observed);
-        scope.fork(move |_: &TreeScope<'_, u32>| -> u32 {
-            ran.store(true, Ordering::SeqCst);
-            panic!("panic on the steal path");
-        });
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while !observed.load(Ordering::SeqCst) {
-            assert!(Instant::now() < deadline, "no peer stole the forked task");
-            std::thread::yield_now();
-        }
-        3
-    })];
-    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_tree_exec(Exec::Pool(&pool), roots)
-    }))
-    .expect_err("the stolen task's panic must reach the caller");
-    let message = err.downcast_ref::<&str>().copied().unwrap_or("non-str");
-    assert!(message.contains("panic on the steal path"), "{message}");
-    assert!(
-        pool.steals() > 0,
-        "the panicking task must have been stolen (got {} steals)",
-        pool.steals()
-    );
-
-    // Both workers survive: the same pool still mines bit-identically.
-    let mut set = TransactionSet::new();
-    for i in 0..60u64 {
-        let t = Transaction::from_items(&[
-            Item::new(FlowFeature::DstPort, 80 + i % 2),
-            Item::new(FlowFeature::Packets, i % 3),
-        ])
-        .unwrap();
-        set.push(t);
-    }
-    for kind in MinerKind::ALL {
-        assert_eq!(
-            kind.mine_all_exec(&set, 5, Exec::Pool(&pool)),
-            kind.mine_all_exec(&set, 5, Exec::inline()),
-            "{kind} after a panic under stealing"
-        );
-    }
-}
-
-/// A panicking tree task propagates to the caller, and the pool survives
+/// A panicking pool job propagates to the caller, and the pool survives
 /// to mine correctly afterwards — the containment contract of the shared
 /// worker pool.
 #[test]
 fn pool_panic_is_contained_and_mining_continues() {
     let pool = WorkerPool::new(nz(2));
-    let roots: Vec<TreeJob<u32>> = vec![
-        Box::new(|_: &TreeScope<'_, u32>| 1),
-        Box::new(|scope: &TreeScope<'_, u32>| {
-            scope.fork(|_: &TreeScope<'_, u32>| panic!("poisoned mining task"));
-            2
-        }),
-    ];
+    let items: Arc<Vec<u32>> = Arc::new(vec![0; 2 * MIN_ITEMS_PER_THREAD]);
     let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_tree_exec(Exec::Pool(&pool), roots)
+        // Two chunks, two pool jobs; the second one panics.
+        map_chunks_arc(Exec::Pool(&pool), &items, |start, _| {
+            assert_eq!(start, 0, "poisoned counting job");
+        })
     }))
-    .expect_err("the tree panic must reach the caller");
-    let message = err.downcast_ref::<&str>().copied().unwrap_or("non-str");
-    assert!(message.contains("poisoned mining task"), "{message}");
+    .expect_err("the job's panic must reach the caller");
+    let message = err
+        .downcast_ref::<String>()
+        .map_or("non-string", String::as_str);
+    assert!(message.contains("poisoned counting job"), "{message}");
 
-    // The same pool still mines, bit-identically.
+    // The same pool still mines, bit-identically, with its counting
+    // passes split across both workers.
     let mut set = TransactionSet::new();
-    for i in 0..50u64 {
+    for i in 0..2 * MIN_ITEMS_PER_THREAD as u64 {
         let t = Transaction::from_items(&[
             Item::new(FlowFeature::DstPort, 80 + i % 2),
             Item::new(FlowFeature::Packets, i % 3),
@@ -340,8 +231,8 @@ fn pool_panic_is_contained_and_mining_continues() {
     }
     for kind in MinerKind::ALL {
         assert_eq!(
-            kind.mine_maximal_exec(&set, 5, Exec::Pool(&pool)),
-            kind.mine_maximal_exec(&set, 5, Exec::inline()),
+            kind.mine_maximal_exec(&set, 200, Exec::Pool(&pool)),
+            kind.mine_maximal_exec(&set, 200, Exec::inline()),
             "{kind} after a contained panic"
         );
     }

@@ -50,11 +50,25 @@ pub fn chunks_of<T>(items: &[T], shards: NonZeroUsize) -> Vec<(usize, &[T])> {
         .collect()
 }
 
+/// The largest shard count the engine accepts. Every shard is an OS
+/// thread, and a count the OS cannot serve aborts the process inside
+/// thread spawning instead of failing cleanly, so every entry point
+/// (CLI `--threads`, engine construction, reconfiguration, restore)
+/// rejects anything above this bound — far beyond any machine's useful
+/// parallelism, far below where thread creation starts to fail.
+pub const MAX_SHARDS: NonZeroUsize = match NonZeroUsize::new(1024) {
+    Some(n) => n,
+    None => unreachable!(),
+};
+
 /// The number of shards to use by default: the machine's available
-/// parallelism, or 1 when it cannot be determined.
+/// parallelism (at most [`MAX_SHARDS`]), or 1 when it cannot be
+/// determined.
 #[must_use]
 pub fn default_shards() -> NonZeroUsize {
-    std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN)
+    std::thread::available_parallelism()
+        .unwrap_or(NonZeroUsize::MIN)
+        .min(MAX_SHARDS)
 }
 
 #[cfg(test)]
@@ -110,7 +124,7 @@ mod tests {
     }
 
     #[test]
-    fn default_shards_is_positive() {
-        assert!(default_shards().get() >= 1);
+    fn default_shards_is_positive_and_bounded() {
+        assert!(default_shards() <= MAX_SHARDS);
     }
 }

@@ -3,7 +3,8 @@
 # proptest suite: generate a two-source NetFlow v5 workload, fan both
 # traces into `anomex stream` (the watermark merge engine), run the same
 # traces through batch `anomex extract` (per-interval concatenation in
-# file order), and require the two report streams to be byte-identical.
+# file order), and require the two report streams to be byte-identical;
+# then require `extract` to print the same reports at 1 and 2 threads.
 #
 # Usage: scripts/e2e_stream.sh [path-to-anomex-binary]
 # Builds the release binary when no path is given.
@@ -80,3 +81,31 @@ fi
 
 rule_sections=$(grep -c '^association rules' "$workdir/stream-rules.reports")
 echo "e2e-stream: OK — rule reports ($rule_sections section(s)) bit-identical across stream fan-in and batch extract"
+
+# Third pass: thread-count invariance at the binary. Both sides above
+# run at --threads 2, so this runs `extract` over the same two links at
+# 1 and at 2 threads for each miner (the rule layer on for one of them)
+# and requires identical reports. Link 0 alone carries 3.9–7.1 k flows
+# per interval and 4 513 suspicious flows in the alarmed one, so the
+# detector's sharding and the miners' flat counting both clear the
+# 2 048-item splitting floor at 2 threads.
+for miner in apriori fpgrowth eclat; do
+    rules=""
+    [[ "$miner" == fpgrowth ]] && rules="--rules"
+    for threads in 1 2; do
+        # shellcheck disable=SC2086 # $rules is one flag or nothing
+        "$bin" extract --in "$workdir/link0.nfv5" --in "$workdir/link1.nfv5" \
+            --interval-min 1 --training 10 --support 800 \
+            --miner "$miner" --threads "$threads" $rules > "$workdir/threads$threads.out"
+        filter "$workdir/threads$threads.out" > "$workdir/threads$threads.reports"
+    done
+    if ! grep -q '^Anomaly extraction report' "$workdir/threads1.reports"; then
+        echo "e2e-stream: --miner $miner produced no reports — the thread pass is vacuous" >&2
+        exit 1
+    fi
+    if ! diff -u "$workdir/threads1.reports" "$workdir/threads2.reports"; then
+        echo "e2e-stream: --miner $miner $rules reports differ between --threads 1 and --threads 2" >&2
+        exit 1
+    fi
+done
+echo "e2e-stream: OK — extract reports bit-identical at --threads 1 and --threads 2 for apriori, fpgrowth (--rules) and eclat"

@@ -144,12 +144,11 @@ proptest! {
         );
     }
 
-    /// The sharded pre-filter yields the exact index sequence of the
-    /// sequential one, for both union and intersection semantics: the
-    /// per-shard columnar range filters the engine's pool jobs run,
-    /// concatenated in shard order, equal the record reference — and the
-    /// engine itself, at that shard count, mines exactly that many
-    /// suspicious flows.
+    /// The pre-filter yields the exact index sequence of the record
+    /// reference however the interval is cut, for both union and
+    /// intersection semantics: per-range columnar filters concatenated in
+    /// range order equal it — and the engine itself, at that shard count,
+    /// mines exactly that many suspicious flows.
     #[test]
     fn prefilter_is_shard_invariant(
         seed in 0u64..10_000,
