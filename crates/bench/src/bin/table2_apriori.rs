@@ -9,8 +9,9 @@
 //! ```
 
 use anomex_bench::arg_scale;
-use anomex_core::{render_report, Engine, ExtractRequest};
+use anomex_core::{render_report_with_levels, Engine, ExtractRequest};
 use anomex_detector::MetaData;
+use anomex_mining::MinerKind;
 use anomex_netflow::FlowFeature;
 use anomex_traffic::table2_workload;
 use std::time::Instant;
@@ -30,11 +31,15 @@ fn main() {
         metadata.insert(FlowFeature::DstPort, port);
     }
 
+    // Apriori on purpose (the default miner is FP-growth): the paper's
+    // narrative is its per-round audit trail.
     let t0 = Instant::now();
-    let extraction = Engine::extract(&ExtractRequest::new(&w.flows, &metadata, w.min_support));
+    let extraction = Engine::extract(
+        &ExtractRequest::new(&w.flows, &metadata, w.min_support).miner(MinerKind::Apriori),
+    );
     let elapsed = t0.elapsed();
 
-    println!("{}", render_report(&extraction));
+    println!("{}", render_report_with_levels(&extraction));
 
     let port7000 = extraction
         .itemsets

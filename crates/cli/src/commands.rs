@@ -6,10 +6,10 @@ use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 
 use anomex_core::{
-    latency_percentile, merge_source_rules, prefilter_indices, render_report, render_rule_merge,
-    Engine, ExtractRequest, Extraction, ExtractionConfig, MultiSourceExtractor, MultiStreamEvent,
-    MultiStreamSummary, PrefilterMode, ReconfigRequest, StreamEvent, StreamingExtractor,
-    TransactionMode,
+    latency_percentile, merge_source_rules, prefilter_indices, render_report,
+    render_report_with_levels, render_rule_merge, Engine, ExtractRequest, Extraction,
+    ExtractionConfig, MultiSourceExtractor, MultiStreamEvent, MultiStreamSummary, PrefilterMode,
+    ReconfigRequest, StreamEvent, StreamingExtractor, TransactionMode,
 };
 use anomex_detector::{DetectorConfig, MetaData};
 use anomex_mining::{mine_top_k, MinerKind, RuleConfig, RARE_SUPPORT_GUARD};
@@ -44,7 +44,10 @@ USAGE:
                  [--rules] [--min-confidence C] [--min-lift L] [--rare]
                  [--force-rare]
       Run the full detection + extraction pipeline over a trace file and
-      print a Table II-style report per alarmed interval. --threads N
+      print a Table II-style report per alarmed interval. --miner picks
+      the frequent item-set algorithm (default fpgrowth; apriori is the
+      paper's, eclat the vertical one) — the reports are byte-identical
+      for all three, only the run time differs. --threads N
       (at most 1024; 0 = one per hardware thread) runs one worker pool
       of N threads that serves the flat passes — the detector's
       interval shards and the miners' support counting; the searches
@@ -95,13 +98,15 @@ USAGE:
       the StreamSummary audit counters.
 
   anomex analyze --in FILE --metadata \"dstPort=7000,#packets=12\" [--support N]
-                 [--top] [--k N] [--threads N] [--prefixes] [--intersection]
+                 [--miner apriori|fpgrowth|eclat] [--top] [--k N] [--threads N]
+                 [--prefixes] [--intersection]
       Offline extraction with explicit meta-data (the §II-B workflow).
       With --top, mine the k most frequent item-sets instead of using a
       fixed support.
 
   anomex table2 [--scale X]
-      Reproduce the paper's Table II example.
+      Reproduce the paper's Table II example (mined with apriori, whose
+      per-round audit trail the report includes).
 
   anomex help";
 
@@ -294,12 +299,14 @@ fn load_flows(path: &str) -> Result<Vec<FlowRecord>, String> {
     load_trace_data(path).map(|(flows, _)| flows)
 }
 
+/// Parse `--miner`; without it, the library's [`MinerKind::default`].
 fn parse_miner(args: &Args) -> Result<MinerKind, String> {
-    match args.get("miner").unwrap_or("apriori") {
-        "apriori" => Ok(MinerKind::Apriori),
-        "fpgrowth" | "fp-growth" => Ok(MinerKind::FpGrowth),
-        "eclat" => Ok(MinerKind::Eclat),
-        other => Err(format!("unknown miner {other:?} (apriori|fpgrowth|eclat)")),
+    match args.get("miner") {
+        None => Ok(MinerKind::default()),
+        Some("apriori") => Ok(MinerKind::Apriori),
+        Some("fpgrowth" | "fp-growth") => Ok(MinerKind::FpGrowth),
+        Some("eclat") => Ok(MinerKind::Eclat),
+        Some(other) => Err(format!("unknown miner {other:?} (apriori|fpgrowth|eclat)")),
     }
 }
 
@@ -1047,8 +1054,11 @@ pub fn table2(args: &Args) -> Result<(), String> {
     for port in [u64::from(w.flood_port), 80, 9022, 25] {
         metadata.insert(anomex_netflow::FlowFeature::DstPort, port);
     }
-    let extraction = Engine::extract(&ExtractRequest::new(&w.flows, &metadata, w.min_support));
-    println!("{}", render_report(&extraction));
+    // Apriori on purpose: Table II narrates its level audit trail.
+    let extraction = Engine::extract(
+        &ExtractRequest::new(&w.flows, &metadata, w.min_support).miner(MinerKind::Apriori),
+    );
+    println!("{}", render_report_with_levels(&extraction));
     Ok(())
 }
 
@@ -1076,10 +1086,43 @@ mod tests {
     fn miner_parsing() {
         let a = Args::parse(["x", "--miner", "eclat"].iter().map(ToString::to_string)).unwrap();
         assert_eq!(parse_miner(&a).unwrap(), MinerKind::Eclat);
-        let a = Args::parse(["x"].iter().map(ToString::to_string)).unwrap();
+        let a = Args::parse(["x", "--miner", "apriori"].iter().map(ToString::to_string)).unwrap();
         assert_eq!(parse_miner(&a).unwrap(), MinerKind::Apriori);
+        let a = Args::parse(["x"].iter().map(ToString::to_string)).unwrap();
+        assert_eq!(parse_miner(&a).unwrap(), MinerKind::FpGrowth);
         let a = Args::parse(["x", "--miner", "zzz"].iter().map(ToString::to_string)).unwrap();
         assert!(parse_miner(&a).is_err());
+    }
+
+    /// One default, read everywhere: the library enum, the configuration,
+    /// the offline request and the CLI all mine with FP-growth unless told
+    /// otherwise — so no default path records Apriori's level audit.
+    #[test]
+    fn default_miner_is_fpgrowth_everywhere() {
+        assert_eq!(MinerKind::default(), MinerKind::FpGrowth);
+        assert_eq!(ExtractionConfig::default().miner, MinerKind::FpGrowth);
+        let no_flag = Args::parse(["x"].iter().map(ToString::to_string)).unwrap();
+        assert_eq!(parse_miner(&no_flag).unwrap(), MinerKind::FpGrowth);
+        assert_eq!(parse_config(&no_flag).unwrap().miner, MinerKind::FpGrowth);
+
+        let w = table2_workload(2009, 0.01);
+        let mut md = MetaData::new();
+        md.insert(FlowFeature::DstPort, u64::from(w.flood_port));
+        let ex = Engine::extract(&ExtractRequest::new(&w.flows, &md, w.min_support));
+        assert!(!ex.itemsets.is_empty(), "the flood is extracted");
+        assert!(
+            ex.levels.is_empty(),
+            "default path ran Apriori: {:?}",
+            ex.levels
+        );
+        let apriori = Engine::extract(
+            &ExtractRequest::new(&w.flows, &md, w.min_support).miner(MinerKind::Apriori),
+        );
+        assert!(
+            !apriori.levels.is_empty(),
+            "Apriori still records its rounds"
+        );
+        assert_eq!(render_report(&apriori), render_report(&ex));
     }
 
     #[test]

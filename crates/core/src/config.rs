@@ -78,14 +78,16 @@ pub struct ExtractionConfig {
 
 impl Default for ExtractionConfig {
     /// The paper's evaluation configuration: Δ = 15 min, k = 1024,
-    /// n = l = 3, α = 3, union pre-filter, Apriori with s = 10 000.
+    /// n = l = 3, α = 3, union pre-filter, s = 10 000 — mined with the
+    /// default [`MinerKind`] (FP-growth; same item-sets as the paper's
+    /// Apriori).
     fn default() -> Self {
         ExtractionConfig {
             interval_ms: 15 * MINUTE_MS,
             detector: DetectorConfig::default(),
             prefilter: PrefilterMode::Union,
             min_support: 10_000,
-            miner: MinerKind::Apriori,
+            miner: MinerKind::default(),
             transactions: TransactionMode::Canonical,
             rules: None,
         }
@@ -229,7 +231,7 @@ mod tests {
         assert_eq!(c.interval_ms, 900_000);
         assert_eq!(c.min_support, 10_000);
         assert_eq!(c.prefilter, PrefilterMode::Union);
-        assert_eq!(c.miner, MinerKind::Apriori);
+        assert_eq!(c.miner, MinerKind::FpGrowth);
         assert!(c.validate().is_ok());
     }
 

@@ -126,7 +126,8 @@ impl<'a> From<&'a Arc<FlowColumns>> for IntervalInput<'a> {
 /// A complete offline extraction request: the flows, the meta-data that
 /// drives pre-filtering, and every pipeline knob — built fluently, with
 /// each knob defaulting to the paper's setting (union pre-filter,
-/// canonical transactions, Apriori, no rule layer, one shard).
+/// canonical transactions, no rule layer, one shard) and the default
+/// miner (FP-growth).
 ///
 /// ```
 /// use anomex_core::{Engine, ExtractRequest};
@@ -164,7 +165,7 @@ impl<'a> ExtractRequest<'a> {
             metadata,
             prefilter: PrefilterMode::Union,
             transactions: TransactionMode::Canonical,
-            miner: MinerKind::Apriori,
+            miner: MinerKind::default(),
             min_support,
             rules: None,
             shards: NonZeroUsize::MIN,
@@ -192,8 +193,9 @@ impl<'a> ExtractRequest<'a> {
         self
     }
 
-    /// Mining algorithm (default: Apriori; all miners are
-    /// bit-identical).
+    /// Mining algorithm (default: [`MinerKind::default`], FP-growth; all
+    /// miners return bit-identical item-sets, and only
+    /// [`MinerKind::Apriori`] fills [`Extraction::levels`]).
     #[must_use]
     pub fn miner(mut self, miner: MinerKind) -> Self {
         self.miner = miner;

@@ -41,7 +41,8 @@
 //! - [`evaluate`] — the full §III evaluation harness over labeled
 //!   scenarios;
 //! - [`models`] — the analytic voting models, eqs. (1)–(3);
-//! - [`report`] — Table II-style rendering;
+//! - [`report`] — Table II-style rendering (the same report for every
+//!   miner; Apriori's level audit trail via [`render_level_stats`]);
 //! - [`merge_source_rules`] — the association-rule layer merged across
 //!   sources: rules generated from the mined supports, filtered by
 //!   confidence/lift, and ranked by a meta-detection z-score pass (see
@@ -78,7 +79,9 @@ pub use prefilter::{
     prefilter, prefilter_indices, prefilter_indices_columns, prefilter_indices_columns_range,
     prefilter_indices_columns_range_with, PrefilterMode, PrefilterScratch,
 };
-pub use report::{render_csv, render_report, render_rule_merge};
+pub use report::{
+    render_csv, render_level_stats, render_report, render_report_with_levels, render_rule_merge,
+};
 pub use streaming::{
     latency_percentile, MultiSourceExtractor, MultiStreamEvent, MultiStreamSummary, StreamEvent,
     StreamSummary, StreamingExtractor,

@@ -92,7 +92,11 @@ pub struct Extraction {
     pub suspicious_flows: usize,
     /// The extracted maximal frequent item-sets, canonically ordered.
     pub itemsets: Vec<ItemSet>,
-    /// Apriori per-level audit trail (empty for other miners).
+    /// Apriori per-level audit trail: filled only when the extraction
+    /// ran [`MinerKind::Apriori`] (the Table II path), empty for the
+    /// default FP-growth and for Eclat. [`render_report`](crate::render_report)
+    /// never prints it; [`render_level_stats`](crate::render_level_stats)
+    /// does.
     pub levels: Vec<LevelStats>,
     /// Classification-cost reduction `R = F / I` for this interval.
     pub cost_reduction: f64,
@@ -262,7 +266,7 @@ mod tests {
         }
         let mut md = MetaData::new();
         md.insert(FlowFeature::DstPort, 7000);
-        let ex = Engine::extract(&ExtractRequest::new(&flows, &md, 400));
+        let ex = Engine::extract(&ExtractRequest::new(&flows, &md, 400).miner(MinerKind::Apriori));
         assert_eq!(ex.total_flows, 1000);
         assert_eq!(ex.suspicious_flows, 500);
         assert!(!ex.itemsets.is_empty());
@@ -281,7 +285,9 @@ mod tests {
         let mut md = MetaData::new();
         md.insert(FlowFeature::DstPort, 7000);
         md.insert(FlowFeature::DstPort, 80);
-        let a = Engine::extract(&ExtractRequest::new(&w.flows, &md, w.min_support));
+        let a = Engine::extract(
+            &ExtractRequest::new(&w.flows, &md, w.min_support).miner(MinerKind::Apriori),
+        );
         let f = Engine::extract(
             &ExtractRequest::new(&w.flows, &md, w.min_support).miner(MinerKind::FpGrowth),
         );

@@ -2,7 +2,7 @@
 
 use std::fmt::Write as _;
 
-use anomex_mining::RuleSet;
+use anomex_mining::{LevelStats, RuleSet};
 use anomex_traffic::AnomalyClass;
 
 use crate::classify::classify_itemset;
@@ -12,10 +12,51 @@ use crate::pipeline::Extraction;
 const RULE_REPORT_LIMIT: usize = 20;
 
 /// Render an extraction as a Table II-style text report: one row per
-/// maximal item-set (largest support first), the Apriori per-level audit
-/// trail, and the classification-cost summary.
+/// maximal item-set (largest support first), the rule section when the
+/// rule layer is on, and the classification-cost summary.
+///
+/// The report is a function of the extraction's *answer* only, so it is
+/// byte-identical for every [`MinerKind`](anomex_mining::MinerKind): the
+/// Apriori level audit trail ([`Extraction::levels`]) is rendered
+/// separately by [`render_level_stats`].
 #[must_use]
 pub fn render_report(extraction: &Extraction) -> String {
+    render(extraction, "")
+}
+
+/// [`render_report`] with the Apriori level audit trail
+/// ([`render_level_stats`]) between the item-set table and the cost line —
+/// the layout of the paper's Table II narrative, for `anomex table2` and
+/// the `table2_apriori` reproduction, which mine with
+/// [`MinerKind::Apriori`](anomex_mining::MinerKind::Apriori) on purpose.
+#[must_use]
+pub fn render_report_with_levels(extraction: &Extraction) -> String {
+    render(extraction, &render_level_stats(&extraction.levels))
+}
+
+/// Render Apriori's per-level audit trail (§II-B: "in the first
+/// iteration, a total of 60 frequent 1-item-sets were found…"): one line
+/// per round with its candidates, frequent item-sets and the ones kept as
+/// maximal. Empty when there are no levels (every miner but Apriori).
+#[must_use]
+pub fn render_level_stats(levels: &[LevelStats]) -> String {
+    let mut out = String::new();
+    if levels.is_empty() {
+        return out;
+    }
+    let _ = writeln!(out, "apriori rounds:");
+    for lv in levels {
+        let _ = writeln!(
+            out,
+            "  round {}: {} candidates, {} frequent, {} kept as maximal",
+            lv.level, lv.candidates, lv.frequent, lv.maximal
+        );
+    }
+    out
+}
+
+/// The report body, with `audit` inserted after the item-set table.
+fn render(extraction: &Extraction, audit: &str) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -53,16 +94,7 @@ pub fn render_report(extraction: &Extraction) -> String {
         );
     }
 
-    if !extraction.levels.is_empty() {
-        let _ = writeln!(out, "apriori rounds:");
-        for lv in &extraction.levels {
-            let _ = writeln!(
-                out,
-                "  round {}: {} candidates, {} frequent, {} kept as maximal",
-                lv.level, lv.candidates, lv.frequent, lv.maximal
-            );
-        }
-    }
+    out.push_str(audit);
     if let Some(rules) = &extraction.rules {
         render_rule_section(&mut out, rules);
     }
@@ -223,8 +255,28 @@ mod tests {
         assert!(r.contains("350862 flows"));
         assert!(r.contains("dstPort=7000"));
         assert!(r.contains("Flooding"), "class hint column present:\n{r}");
-        assert!(r.contains("round 1: 0 candidates, 60 frequent"));
         assert!(r.contains("cost reduction: 175431"));
+    }
+
+    #[test]
+    fn level_stats_render_apart_from_the_report() {
+        let e = extraction();
+        let levels = render_level_stats(&e.levels);
+        assert_eq!(
+            levels,
+            "apriori rounds:\n  round 1: 0 candidates, 60 frequent, 2 kept as maximal\n"
+        );
+        assert!(render_level_stats(&[]).is_empty());
+        let r = render_report(&e);
+        assert!(!r.contains("apriori rounds"), "miner-independent:\n{r}");
+        let mut no_levels = e.clone();
+        no_levels.levels.clear();
+        assert_eq!(r, render_report(&no_levels));
+        // The Table II layout puts the trail between the table and the
+        // cost line.
+        let audited = render_report_with_levels(&e);
+        let cost = r.find("classification cost").unwrap();
+        assert_eq!(audited, format!("{}{levels}{}", &r[..cost], &r[cost..]));
     }
 
     #[test]

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use crate::combinations::for_each_combination;
-use crate::item::Item;
+use crate::item::{Item, ItemMap};
 use crate::itemset::ItemSet;
 use crate::maximal::filter_maximal;
 use crate::par::{map_chunks_arc, sum_count_vecs, Exec};
@@ -109,9 +109,9 @@ pub fn apriori(set: &TransactionSet, config: &AprioriConfig) -> AprioriOutput {
 /// summation (exact, order-independent — bit-identical to a sequential
 /// count for every context and thread count).
 #[must_use]
-pub(crate) fn count_single_items(set: &TransactionSet, exec: Exec<'_>) -> HashMap<Item, u64> {
+pub(crate) fn count_single_items(set: &TransactionSet, exec: Exec<'_>) -> ItemMap<u64> {
     let parts = map_chunks_arc(exec, set.shared(), |_, chunk: &[Transaction]| {
-        let mut counts: HashMap<Item, u64> = HashMap::new();
+        let mut counts = ItemMap::default();
         for t in chunk {
             for &item in t.items() {
                 *counts.entry(item).or_insert(0) += 1;
@@ -119,7 +119,8 @@ pub(crate) fn count_single_items(set: &TransactionSet, exec: Exec<'_>) -> HashMa
         }
         counts
     });
-    let mut total: HashMap<Item, u64> = HashMap::new();
+    let mut parts = parts.into_iter();
+    let mut total = parts.next().unwrap_or_default();
     for part in parts {
         for (item, c) in part {
             *total.entry(item).or_insert(0) += c;

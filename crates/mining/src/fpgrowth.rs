@@ -1,106 +1,193 @@
-//! FP-growth: frequent-pattern mining without candidate generation.
+//! FP-growth: frequent-pattern mining without candidate generation — the
+//! production miner.
 //!
 //! The paper notes (§III-E) that "progressive implementations that use
 //! FP-trees … have been shown to outperform standard hash tree
 //! implementations" of Apriori. This module provides that faster miner with
 //! the exact same output contract as [`crate::apriori`], so the two are
-//! interchangeable in the pipeline and comparable in the ablation bench.
+//! interchangeable in the pipeline and comparable in the benchmark.
 //!
-//! The tree is arena-allocated (`Vec<Node>` + indices) — no `Rc`/`RefCell`,
-//! no unsafe.
-
-use std::collections::HashMap;
+//! The tree works on **dense ranks**, not items: after the first count,
+//! every frequent item gets its position in the descending-frequency order
+//! (ties broken by item encoding), each transaction is re-encoded into one
+//! reused rank buffer, and the header table and node links are `Vec`s
+//! indexed by rank. Conditional trees keep the global ranks (every prefix
+//! of rank `r` only holds ranks below `r`), drop the ranks that are
+//! infrequent in their conditional base before inserting, and are rebuilt
+//! into one recycled arena per recursion depth. Ranks turn back into
+//! [`Item`]s only when an item-set is emitted. The arena is `Vec<Node>` +
+//! `u32` indices — no `Rc`/`RefCell`, no unsafe.
 
 use crate::apriori::count_single_items;
-use crate::item::Item;
+use crate::item::{Item, ItemMap};
 use crate::itemset::ItemSet;
 use crate::par::Exec;
-use crate::transaction::TransactionSet;
+use crate::transaction::{TransactionSet, MAX_WIDTH};
 
-/// One FP-tree node.
-#[derive(Debug, Clone)]
+/// "No node": the end of a child, sibling or node-link chain.
+const NONE: u32 = u32::MAX;
+/// The root's arena index (its `rank` is never read).
+const ROOT: u32 = 0;
+
+/// One FP-tree node. Children form a singly linked sibling list (fan-out
+/// is bounded by the number of frequent items, tens in practice) and all
+/// nodes of one rank form that rank's node-link chain.
+#[derive(Debug, Clone, Copy)]
 struct Node {
-    item: Item,
+    rank: u32,
+    parent: u32,
+    first_child: u32,
+    next_sibling: u32,
+    /// The next node carrying the same rank.
+    next_link: u32,
     count: u64,
-    parent: usize,
-    /// Child lookup. Transactions are short (≤ 7 items), so a sorted small
-    /// vec would also work; a HashMap keeps insertion O(1) for wide fans.
-    children: HashMap<Item, usize>,
 }
 
-/// An FP-tree over (item, count) weighted transactions.
+impl Node {
+    fn new(rank: u32, parent: u32, next_sibling: u32, next_link: u32) -> Self {
+        Node {
+            rank,
+            parent,
+            first_child: NONE,
+            next_sibling,
+            next_link,
+            count: 0,
+        }
+    }
+}
+
+/// An FP-tree over ranks `0..support.len()`, reusable across rebuilds.
+#[derive(Debug, Default)]
 struct FpTree {
-    arena: Vec<Node>,
-    /// item → indices of all nodes carrying that item (the "node links").
-    header: HashMap<Item, Vec<usize>>,
-}
-
-const ROOT: usize = 0;
-/// Sentinel item stored in the root node (never matched: the root's entry
-/// is excluded from the header table).
-fn root_item() -> Item {
-    Item::new(anomex_netflow::FlowFeature::SrcIp, 0)
+    nodes: Vec<Node>,
+    /// rank → first node of its node-link chain.
+    heads: Vec<u32>,
+    /// rank → support within this tree (the sum of its node counts),
+    /// filled before the paths are inserted.
+    support: Vec<u64>,
 }
 
 impl FpTree {
-    fn new() -> Self {
-        FpTree {
-            arena: vec![Node {
-                item: root_item(),
-                count: 0,
-                parent: ROOT,
-                children: HashMap::new(),
-            }],
-            header: HashMap::new(),
-        }
+    /// Empty the tree for ranks `0..ranks`, keeping the allocations.
+    fn reset(&mut self, ranks: usize) {
+        self.nodes.clear();
+        self.nodes.push(Node::new(0, ROOT, NONE, NONE));
+        self.heads.clear();
+        self.heads.resize(ranks, NONE);
+        self.support.clear();
+        self.support.resize(ranks, 0);
     }
 
-    /// Insert one (already rank-ordered) item path with a count.
-    fn insert(&mut self, path: &[Item], count: u64) {
+    /// Whether no path was inserted since the last reset.
+    fn is_empty(&self) -> bool {
+        self.nodes.len() <= 1
+    }
+
+    /// Insert one path of ascending ranks with a count.
+    fn insert(&mut self, path: &[u32], count: u64) {
         let mut at = ROOT;
-        for &item in path {
-            if let Some(&child) = self.arena[at].children.get(&item) {
-                self.arena[child].count += count;
-                at = child;
-            } else {
-                let idx = self.arena.len();
-                self.arena.push(Node {
-                    item,
-                    count,
-                    parent: at,
-                    children: HashMap::new(),
-                });
-                self.arena[at].children.insert(item, idx);
-                self.header.entry(item).or_default().push(idx);
-                at = idx;
+        for &rank in path {
+            let mut child = self.nodes[at as usize].first_child;
+            while child != NONE && self.nodes[child as usize].rank != rank {
+                child = self.nodes[child as usize].next_sibling;
             }
+            if child == NONE {
+                child = self.nodes.len() as u32;
+                let sibling = self.nodes[at as usize].first_child;
+                let link = self.heads[rank as usize];
+                self.nodes.push(Node::new(rank, at, sibling, link));
+                self.nodes[at as usize].first_child = child;
+                self.heads[rank as usize] = child;
+            }
+            self.nodes[child as usize].count += count;
+            at = child;
         }
     }
 
-    /// Walk from a node to the root, collecting the prefix path
-    /// (excluding the node itself), bottom-up.
-    fn prefix_path(&self, mut at: usize) -> Vec<Item> {
-        let mut path = Vec::new();
-        at = self.arena[at].parent;
-        while at != ROOT {
-            path.push(self.arena[at].item);
-            at = self.arena[at].parent;
+    /// Rebuild `self` as the conditional tree of `rank` in `tree`: the
+    /// prefix paths of `rank`'s nodes, each weighted by its node's count,
+    /// restricted to the ranks that reach `min_support` within them.
+    /// `path` is a reused scratch buffer.
+    fn build_conditional(
+        &mut self,
+        tree: &FpTree,
+        rank: u32,
+        min_support: u64,
+        path: &mut Vec<u32>,
+    ) {
+        self.reset(rank as usize);
+        // Pass 1: each prefix rank's support in the conditional base.
+        let mut node = tree.heads[rank as usize];
+        while node != NONE {
+            let n = &tree.nodes[node as usize];
+            let mut at = n.parent;
+            while at != ROOT {
+                let p = &tree.nodes[at as usize];
+                self.support[p.rank as usize] += n.count;
+                at = p.parent;
+            }
+            node = n.next_link;
         }
-        path.reverse();
-        path
+        // Pass 2: insert the frequent part of every prefix path.
+        let mut node = tree.heads[rank as usize];
+        while node != NONE {
+            let n = &tree.nodes[node as usize];
+            path.clear();
+            let mut at = n.parent;
+            while at != ROOT {
+                let p = &tree.nodes[at as usize];
+                if self.support[p.rank as usize] >= min_support {
+                    path.push(p.rank);
+                }
+                at = p.parent;
+            }
+            if !path.is_empty() {
+                path.reverse();
+                self.insert(path, n.count);
+            }
+            node = n.next_link;
+        }
     }
 }
 
-/// Rank items of one transaction by global frequency (descending), keeping
-/// only frequent ones. Deterministic: ties break on the item encoding.
-fn ranked_items(items: &[Item], rank: &HashMap<Item, usize>) -> Vec<Item> {
-    let mut v: Vec<Item> = items
-        .iter()
-        .copied()
-        .filter(|i| rank.contains_key(i))
-        .collect();
-    v.sort_unstable_by_key(|i| rank[i]);
-    v
+/// The recursive search's state: rank → item for emitting, the current
+/// suffix (as ranks), a reused prefix-path buffer and the output.
+struct Search<'a> {
+    items: &'a [Item],
+    min_support: u64,
+    suffix: Vec<u32>,
+    path: Vec<u32>,
+    out: Vec<ItemSet>,
+}
+
+impl Search<'_> {
+    /// Mine `trees[0]`: for every frequent rank, emit `suffix ∪ {rank}`,
+    /// rebuild `trees[1]` as its conditional tree and descend into it.
+    fn mine(&mut self, trees: &mut [FpTree]) {
+        let Some((tree, deeper)) = trees.split_first_mut() else {
+            return;
+        };
+        for rank in (0..tree.support.len()).rev() {
+            let support = tree.support[rank];
+            if support < self.min_support {
+                continue;
+            }
+            self.suffix.push(rank as u32);
+            let items = self
+                .suffix
+                .iter()
+                .map(|&r| self.items[r as usize])
+                .collect();
+            self.out.push(ItemSet::new(items, support));
+            if let Some(cond) = deeper.first_mut() {
+                cond.build_conditional(tree, rank as u32, self.min_support, &mut self.path);
+                if !cond.is_empty() {
+                    self.mine(deeper);
+                }
+            }
+            self.suffix.pop();
+        }
+    }
 }
 
 /// Mine all frequent item-sets with FP-growth.
@@ -129,82 +216,64 @@ pub fn fpgrowth(set: &TransactionSet, min_support: u64) -> Vec<ItemSet> {
 ///
 /// # Panics
 ///
-/// Panics if `min_support` is zero.
+/// Panics if `min_support` is zero, or if the set holds so many
+/// transactions (≈ 477 million) that the tree's `u32` node indices could
+/// overflow.
 #[must_use]
 pub fn fpgrowth_exec(set: &TransactionSet, min_support: u64, exec: Exec<'_>) -> Vec<ItemSet> {
     assert!(min_support >= 1, "minimum support must be at least 1");
+    // Every tree holds at most one node per transaction item plus the
+    // root (a conditional tree fewer than its parent), and there are no
+    // more ranks than nodes — so every `as u32` below is lossless.
+    assert!(
+        set.len().saturating_mul(MAX_WIDTH) < NONE as usize,
+        "FP-growth indexes nodes as u32: {} transactions are too many",
+        set.len()
+    );
 
-    // Pass 1: global item counts (parallel over chunks, merged by sum).
-    let counts = count_single_items(set, exec);
-    let mut frequent: Vec<(Item, u64)> = counts
+    // Pass 1: global item counts (parallel over chunks, merged by sum),
+    // ranked by descending frequency, ties by encoding for determinism.
+    let mut frequent: Vec<(Item, u64)> = count_single_items(set, exec)
         .into_iter()
         .filter(|&(_, c)| c >= min_support)
         .collect();
-    // Rank: descending frequency, ties by encoding for determinism.
     frequent.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    let rank: HashMap<Item, usize> = frequent
+    let rank: ItemMap<u32> = frequent
         .iter()
         .enumerate()
-        .map(|(r, &(i, _))| (i, r))
+        .map(|(r, &(item, _))| (item, r as u32))
         .collect();
 
-    // Pass 2: build the tree.
-    let mut tree = FpTree::new();
+    // Pass 2: re-encode each transaction into ranks and build the tree.
+    // A conditional tree per suffix length: at most MAX_WIDTH items.
+    let mut trees: Vec<FpTree> = (0..=MAX_WIDTH).map(|_| FpTree::default()).collect();
+    let global = &mut trees[0];
+    global.reset(frequent.len());
+    for (slot, &(_, count)) in global.support.iter_mut().zip(&frequent) {
+        *slot = count;
+    }
+    let mut path: Vec<u32> = Vec::with_capacity(MAX_WIDTH);
     for t in set.transactions() {
-        let path = ranked_items(t.items(), &rank);
+        path.clear();
+        path.extend(t.items().iter().filter_map(|item| rank.get(item).copied()));
         if !path.is_empty() {
-            tree.insert(&path, 1);
+            path.sort_unstable();
+            global.insert(&path, 1);
         }
     }
 
-    let mut out = Vec::new();
-    mine_tree(&tree, &mut Vec::new(), min_support, &mut out);
+    let items: Vec<Item> = frequent.iter().map(|&(item, _)| item).collect();
+    let mut search = Search {
+        items: &items,
+        min_support,
+        suffix: Vec::with_capacity(MAX_WIDTH),
+        path,
+        out: Vec::new(),
+    };
+    search.mine(&mut trees);
+    let mut out = search.out;
     out.sort_unstable();
     out
-}
-
-/// Item supports within one (conditional) tree, in deterministic
-/// (item-sorted) processing order. Each support is an exact sum over
-/// the item's node links.
-fn item_supports(tree: &FpTree) -> Vec<(Item, u64)> {
-    let mut supports: Vec<(Item, u64)> = tree
-        .header
-        .iter()
-        .map(|(&item, nodes)| (item, nodes.iter().map(|&n| tree.arena[n].count).sum()))
-        .collect();
-    supports.sort_unstable_by_key(|&(item, _)| item);
-    supports
-}
-
-/// The conditional tree of `item`: its prefix paths, reweighted by the
-/// item's node counts.
-fn conditional_tree(tree: &FpTree, item: Item) -> FpTree {
-    let mut cond = FpTree::new();
-    for &node in &tree.header[&item] {
-        let path = tree.prefix_path(node);
-        if !path.is_empty() {
-            cond.insert(&path, tree.arena[node].count);
-        }
-    }
-    cond
-}
-
-/// Mine every frequent item of `tree` as an extension of `suffix`: emit
-/// `suffix ∪ {item}`, build the item's conditional tree, and descend
-/// into it.
-fn mine_tree(tree: &FpTree, suffix: &mut Vec<Item>, min_support: u64, out: &mut Vec<ItemSet>) {
-    for (item, support) in item_supports(tree) {
-        if support < min_support {
-            continue;
-        }
-        suffix.push(item);
-        out.push(ItemSet::new(suffix.clone(), support));
-        let cond = conditional_tree(tree, item);
-        if !cond.header.is_empty() {
-            mine_tree(&cond, suffix, min_support, out);
-        }
-        suffix.pop();
-    }
 }
 
 #[cfg(test)]
@@ -305,5 +374,30 @@ mod tests {
         let out = fpgrowth(&set, 3);
         assert_eq!(out.len(), 7);
         assert!(out.iter().all(|s| s.support == 3));
+    }
+
+    #[test]
+    fn conditional_trees_drop_locally_infrequent_ranks() {
+        // proto=6 is globally frequent but co-occurs with dstPort=80 only
+        // once, so dstPort=80's conditional tree must not carry it — and
+        // {dstPort=80, proto=6} must not be reported at support 2.
+        let mut set = TransactionSet::new();
+        for _ in 0..3 {
+            set.push(tx(&[(FlowFeature::DstPort, 80), (FlowFeature::Packets, 1)]));
+            set.push(tx(&[(FlowFeature::Proto, 6), (FlowFeature::Packets, 1)]));
+        }
+        set.push(tx(&[(FlowFeature::DstPort, 80), (FlowFeature::Proto, 6)]));
+        let out = fpgrowth(&set, 2);
+        let rendered: Vec<String> = out.iter().map(ToString::to_string).collect();
+        assert_eq!(
+            rendered,
+            [
+                "{dstPort=80} x4",
+                "{protocol=6} x4",
+                "{#packets=1} x6",
+                "{dstPort=80, #packets=1} x3",
+                "{protocol=6, #packets=1} x3",
+            ]
+        );
     }
 }

@@ -9,7 +9,9 @@
 //! 32 bits wide, so the 56-bit value field is never exceeded for real flows;
 //! the constructor enforces the bound for synthetic items too.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasher, Hasher, RandomState};
 
 use anomex_netflow::{FeatureValue, FlowFeature};
 use serde::{Deserialize, Serialize};
@@ -18,6 +20,61 @@ use serde::{Deserialize, Serialize};
 const VALUE_BITS: u32 = 56;
 /// Mask for the value part.
 const VALUE_MASK: u64 = (1 << VALUE_BITS) - 1;
+
+/// A multiplicative hasher for [`Item`] keys. The miners' counting maps
+/// hash every item of every transaction, where SipHash costs more than
+/// the counting: this is one rotate-xor-multiply per `u64` word, finished
+/// with a rotation that brings the best-mixed high product bits down to
+/// where the table indexes. Items come from observed traffic, so the odd
+/// multiplier is drawn per map from the standard library's random keys
+/// ([`ItemHashBuilder`]): colliding items cannot be chosen without it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ItemHasher {
+    hash: u64,
+    key: u64,
+}
+
+impl Hasher for ItemHasher {
+    fn finish(&self) -> u64 {
+        self.hash.rotate_left(26)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ n).wrapping_mul(self.key);
+    }
+}
+
+/// Builds the [`ItemHasher`]s of one map, sharing one random odd
+/// multiplier.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ItemHashBuilder(u64);
+
+impl Default for ItemHashBuilder {
+    fn default() -> Self {
+        ItemHashBuilder(RandomState::new().hash_one(0u64) | 1)
+    }
+}
+
+impl BuildHasher for ItemHashBuilder {
+    type Hasher = ItemHasher;
+
+    fn build_hasher(&self) -> ItemHasher {
+        ItemHasher {
+            hash: 0,
+            key: self.0,
+        }
+    }
+}
+
+/// A `HashMap` keyed by [`Item`] through [`ItemHasher`]. Its iteration
+/// order varies between maps; every caller sorts what it reads out.
+pub(crate) type ItemMap<V> = HashMap<Item, V, ItemHashBuilder>;
 
 /// A single market-basket item: one feature carrying one value.
 ///

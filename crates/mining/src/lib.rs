@@ -13,12 +13,15 @@
 //!
 //! - [`Item`], [`Transaction`], [`TransactionSet`] — the transaction model
 //!   with the no-duplicate-feature invariant;
+//! - [`fpgrowth`](fpgrowth::fpgrowth) — FP-growth over a dense-rank
+//!   FP-tree, the faster miner the paper cites (§III-E) and the default;
 //! - [`apriori`](apriori::apriori) — the paper's modified Apriori with
-//!   per-level statistics ([`LevelStats`]) matching the §II-B audit trail;
-//! - [`fpgrowth`](fpgrowth::fpgrowth) and [`eclat`](eclat::eclat) — the
-//!   faster miners the paper cites, with identical output contracts;
+//!   per-level statistics ([`LevelStats`]) matching the §II-B audit trail,
+//!   kept as the reference;
+//! - [`eclat`](eclat::eclat) — vertical tid-list mining; all three share
+//!   one output contract;
 //! - [`filter_maximal`] — maximal-item-set filtering;
-//! - [`MinerKind`] — runtime-selectable miner;
+//! - [`MinerKind`] — runtime-selectable miner (default FP-growth);
 //! - [`mine_top_k`] and [`mine_closed`] — the paper's §V extensions
 //!   (report-size-driven mining; lossless closed-set compression);
 //! - [`MineTask`] — one mining invocation (algorithm, mode, support,

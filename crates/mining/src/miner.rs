@@ -13,13 +13,16 @@ use crate::transaction::TransactionSet;
 ///
 /// All three produce identical item-sets and supports; they differ only in
 /// time and memory. The paper used Apriori (§II-B) and cites FP-tree and
-/// vertical methods as the faster alternatives (§III-E).
+/// vertical methods as the faster alternatives (§III-E); FP-growth is the
+/// default — the one definition every extraction path reads — and Apriori
+/// stays the reference that carries the Table II level audit trail.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum MinerKind {
-    /// Level-wise Apriori (the paper's algorithm).
-    #[default]
+    /// Level-wise Apriori (the paper's algorithm; the only miner that
+    /// records [`LevelStats`](crate::LevelStats)).
     Apriori,
-    /// FP-growth (pattern-growth, no candidate generation).
+    /// FP-growth (pattern-growth, no candidate generation) — the default.
+    #[default]
     FpGrowth,
     /// Eclat (vertical tid-list intersection).
     Eclat,
@@ -51,11 +54,11 @@ impl MinerKind {
         self.mine_maximal_exec(set, min_support, Exec::inline())
     }
 
-    /// [`mine_all`](Self::mine_all) parallelized in the given execution
-    /// context ([`Exec::Pool`] runs counting passes *and* the recursive
-    /// search as tasks on the engine's persistent pool). Output is
-    /// bit-identical to the single-threaded call for every miner and
-    /// context. Dispatches through [`MineTask`].
+    /// [`mine_all`](Self::mine_all) in the given execution context
+    /// ([`Exec::Pool`] runs the flat counting passes as chunk jobs on the
+    /// engine's persistent pool; the search runs on the calling thread).
+    /// Output is bit-identical to the single-threaded call for every
+    /// miner and context. Dispatches through [`MineTask`].
     ///
     /// # Panics
     ///
@@ -70,8 +73,8 @@ impl MinerKind {
         MineTask::all(self, set, min_support).run(exec)
     }
 
-    /// [`mine_maximal`](Self::mine_maximal) parallelized in the given
-    /// execution context. Output is bit-identical to the
+    /// [`mine_maximal`](Self::mine_maximal) in the given execution
+    /// context. Output is bit-identical to the
     /// single-threaded call for every miner and context. Dispatches
     /// through [`MineTask`].
     ///

@@ -1,10 +1,12 @@
 //! Property-based tests: the three miners are interchangeable, and the
 //! mining output satisfies the textbook invariants.
 
+use std::net::Ipv4Addr;
+
 use anomex_mining::{
     filter_maximal, filter_maximal_general, Item, MinerKind, Transaction, TransactionSet,
 };
-use anomex_netflow::FlowFeature;
+use anomex_netflow::{FlowFeature, FlowRecord, Protocol};
 use proptest::prelude::*;
 
 /// A random transaction: 1–7 items, at most one per feature, values from a
@@ -23,13 +25,89 @@ fn arb_set(max: usize) -> impl Strategy<Value = TransactionSet> {
     proptest::collection::vec(arb_transaction(), 0..max).prop_map(TransactionSet::from_transactions)
 }
 
+/// A flow over small address/port alphabets, so the width-9 prefix
+/// transactions repeat and their /16 items correlate with the addresses.
+fn arb_flow() -> impl Strategy<Value = FlowRecord> {
+    (0u32..3, 0u32..3, 0u32..3, 0u16..3, 1u32..3).prop_map(|(src, dst, host, port, packets)| {
+        FlowRecord::new(
+            0,
+            Ipv4Addr::from(0x0a00_0000 + (src << 16) + host),
+            Ipv4Addr::from(0xc0a8_0000 + (dst << 16) + host),
+            1024 + port,
+            80 + port % 2,
+            Protocol::Tcp,
+        )
+        .with_volume(packets, packets * 40)
+    })
+}
+
+/// Every item of the `t`-th transaction re-valued to `t` and each
+/// transaction repeated `rep` times: all items tie at count `rep` across
+/// features (ranks differ only by encoding), and at `rep = 1` every item
+/// is infrequent for any support above 1.
+fn tied(set: &TransactionSet, rep: usize) -> TransactionSet {
+    let mut out = Vec::new();
+    for (t, tx) in set.transactions().iter().enumerate() {
+        let items: Vec<Item> = tx
+            .items()
+            .iter()
+            .map(|i| Item::new(i.feature(), t as u64))
+            .collect();
+        let tx = Transaction::from_items(&items).unwrap();
+        out.extend(std::iter::repeat(tx).take(rep));
+    }
+    TransactionSet::from_transactions(out)
+}
+
+/// Prefixes (in item order) of the first transaction, one per input
+/// transaction: item order is frequency order, so the FP-tree is one path.
+fn single_path(set: &TransactionSet) -> TransactionSet {
+    let Some(full) = set.transactions().first() else {
+        return TransactionSet::new();
+    };
+    let prefixes = set.transactions().iter().map(|tx| {
+        let len = tx.width().min(full.width());
+        Transaction::from_items(&full.items()[..len]).unwrap()
+    });
+    TransactionSet::from_transactions(prefixes.collect())
+}
+
+/// The whole set repeated `rep` times, so every transaction has duplicates.
+fn duplicated(set: &TransactionSet, rep: usize) -> TransactionSet {
+    let all = set.transactions();
+    TransactionSet::from_transactions(all.iter().cycle().take(all.len() * rep).copied().collect())
+}
+
+/// Plain random sets plus the shapes a dense-rank FP-tree re-encoding can
+/// get wrong: frequency ties across features, single-path trees, every
+/// item infrequent, duplicate transactions and width-9 prefix
+/// transactions.
+fn arb_edge_set(max: usize) -> impl Strategy<Value = TransactionSet> {
+    (
+        0usize..6,
+        arb_set(max),
+        2usize..5,
+        proptest::collection::vec(arb_flow(), 0..max),
+    )
+        .prop_map(|(shape, set, rep, flows)| match shape {
+            0 => set,
+            1 => tied(&set, rep),
+            2 => single_path(&set),
+            3 => duplicated(&set, rep),
+            4 => TransactionSet::from_flows_extended(&flows),
+            _ => tied(&set, 1),
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Apriori, FP-growth, and Eclat produce identical item-sets *and*
-    /// identical supports on arbitrary inputs.
+    /// identical supports on arbitrary inputs — edge shapes included, and
+    /// nothing at all once the support exceeds the set size.
     #[test]
-    fn miners_agree(set in arb_set(60), min_support in 1u64..8) {
+    fn miners_agree(set in arb_edge_set(60), min_support in 1u64..8, above in any::<bool>()) {
+        let min_support = if above { set.len() as u64 + min_support } else { min_support };
         let a = MinerKind::Apriori.mine_all(&set, min_support);
         let f = MinerKind::FpGrowth.mine_all(&set, min_support);
         let e = MinerKind::Eclat.mine_all(&set, min_support);
@@ -41,12 +119,15 @@ proptest! {
         for (x, y) in f.iter().zip(&e) {
             prop_assert_eq!(x.support, y.support);
         }
+        if above {
+            prop_assert!(f.is_empty(), "support {} > {} transactions", min_support, set.len());
+        }
     }
 
     /// Every reported support equals the reference (brute-force) support,
     /// and every reported item-set meets the threshold.
     #[test]
-    fn supports_are_exact(set in arb_set(40), min_support in 1u64..6) {
+    fn supports_are_exact(set in arb_edge_set(40), min_support in 1u64..6) {
         for s in MinerKind::FpGrowth.mine_all(&set, min_support) {
             prop_assert!(s.support >= min_support);
             prop_assert_eq!(s.support, set.support_of(s.items()));

@@ -16,7 +16,8 @@ fn main() {
 
     // The paper's pipeline configuration (Table III), adapted to the
     // workload's 1-minute intervals and ~4k-flow volume: k = 1024 bins,
-    // n = l = 3 clones, α = 3, union pre-filter, maximal Apriori.
+    // n = l = 3 clones, α = 3, union pre-filter, maximal frequent
+    // item-sets (FP-growth, the default miner).
     let config = ExtractionConfig {
         interval_ms: scenario.interval_ms(),
         detector: DetectorConfig {

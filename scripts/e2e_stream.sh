@@ -4,7 +4,8 @@
 # traces into `anomex stream` (the watermark merge engine), run the same
 # traces through batch `anomex extract` (per-interval concatenation in
 # file order), and require the two report streams to be byte-identical;
-# then require `extract` to print the same reports at 1 and 2 threads.
+# then require `extract` to print the same reports at 1 and 2 threads and
+# for every --miner.
 #
 # Usage: scripts/e2e_stream.sh [path-to-anomex-binary]
 # Builds the release binary when no path is given.
@@ -109,3 +110,29 @@ for miner in apriori fpgrowth eclat; do
     fi
 done
 echo "e2e-stream: OK — extract reports bit-identical at --threads 1 and --threads 2 for apriori, fpgrowth (--rules) and eclat"
+
+# Fourth pass: miner independence at the binary. The report is a function
+# of the mined answer only, so `extract` must print the same reports for
+# every --miner (fpgrowth is the default; apriori's level audit trail is
+# not part of the report). The filter already drops the `processed` line
+# that names the miner.
+for rules in "" --rules; do
+    for miner in apriori fpgrowth eclat; do
+        # shellcheck disable=SC2086 # $rules is one flag or nothing
+        "$bin" extract --in "$workdir/link0.nfv5" --in "$workdir/link1.nfv5" \
+            --interval-min 1 --training 10 --support 800 \
+            --miner "$miner" --threads 1 $rules > "$workdir/miner-$miner.out"
+        filter "$workdir/miner-$miner.out" > "$workdir/miner-$miner.reports"
+    done
+    if ! grep -q '^Anomaly extraction report' "$workdir/miner-fpgrowth.reports"; then
+        echo "e2e-stream: no reports ${rules:-without rules} — the miner pass is vacuous" >&2
+        exit 1
+    fi
+    for miner in apriori eclat; do
+        if ! diff -u "$workdir/miner-fpgrowth.reports" "$workdir/miner-$miner.reports"; then
+            echo "e2e-stream: --miner $miner ${rules:+$rules }reports differ from the default fpgrowth ones" >&2
+            exit 1
+        fi
+    done
+done
+echo "e2e-stream: OK — extract reports bit-identical for apriori, fpgrowth and eclat, with and without --rules"

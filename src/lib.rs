@@ -11,7 +11,7 @@
 //! |-------|----------|
 //! | [`netflow`] | flow records, the seven traffic features, NetFlow v5 codec, traces & interval streaming |
 //! | [`detector`] | KL-distance histogram detectors, histogram cloning, iterative bin identification, l-of-n voting, ROC analysis |
-//! | [`mining`] | width-7 flow transactions, modified Apriori (maximal item-sets), FP-growth, Eclat |
+//! | [`mining`] | width-7 flow transactions, FP-growth (the default miner), the paper's modified Apriori (maximal item-sets, Table II audit trail), Eclat |
 //! | [`traffic`] | synthetic backbone workloads with per-flow ground truth (the SWITCH-trace stand-in) |
 //! | [`core`] | the extraction pipeline: union pre-filter + maximal frequent item-set summaries, analytic voting models, evaluation harness |
 //!
@@ -24,7 +24,8 @@
 //! let scenario = Scenario::small(7);
 //!
 //! // The paper's pipeline: 5 histogram detectors (k = 1024 bins,
-//! // n = l = 3 clones), union pre-filter, maximal Apriori.
+//! // n = l = 3 clones), union pre-filter, maximal frequent item-sets
+//! // (mined with FP-growth, the default miner).
 //! let mut config = ExtractionConfig::default();
 //! config.interval_ms = scenario.interval_ms();
 //! config.detector.training_intervals = 10;
