@@ -1,19 +1,21 @@
 //! The `anomex` subcommands.
 
 use std::fs;
-use std::io::Read as _;
+use std::io::{Read as _, Write};
 use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 
 use anomex_core::{
     latency_percentile, merge_source_rules, prefilter_indices, render_report,
     render_report_with_levels, render_rule_merge, Engine, ExtractRequest, Extraction,
-    ExtractionConfig, MultiSourceExtractor, MultiStreamEvent, MultiStreamSummary, PrefilterMode,
-    ReconfigRequest, StreamEvent, StreamingExtractor, TransactionMode,
+    ExtractionConfig, MultiSourceExtractor, MultiStreamEvent, PrefilterMode, ReconfigRequest,
+    TransactionMode,
 };
 use anomex_detector::{DetectorConfig, MetaData};
 use anomex_mining::{mine_top_k, MinerKind, RuleConfig, RARE_SUPPORT_GUARD};
-use anomex_netflow::snapshot::{read_checkpoint, write_checkpoint, SnapshotReader, SnapshotWriter};
+use anomex_netflow::snapshot::{
+    read_checkpoint, write_checkpoint, RestoreError, SnapshotReader, SnapshotWriter,
+};
 use anomex_netflow::v5::V5Exporter;
 use anomex_netflow::v9::{decode_mixed_stream, TraceItem};
 use anomex_netflow::{
@@ -77,25 +79,26 @@ USAGE:
       Δ-minute intervals while the previous interval runs detection and
       extraction on a persistent worker pool. Prints a report per
       alarmed interval as it closes, then per-interval latency
-      percentiles and drop counters. Output is bit-identical to
-      `anomex extract` over the same trace (rule options included).
-      With several --in files, the traces are fanned in as one exporter
-      each onto a shared interval grid (watermark merge; --max-lag N
-      bounds how many intervals the fastest source may run ahead, 0 =
-      unbounded) — bit-identical to `anomex extract` with the same
-      --in list, per-source rule merge sections included.
-      Durable operation (single --in): --checkpoint-dir DIR atomically
-      snapshots the full online state (detector baselines, assembler
-      watermarks, drop and audit counters) to DIR/stream.ckpt every N
-      closed intervals (--checkpoint-every, default 1); --resume
-      restores from it — configuration included — skips the already
-      consumed flows, and continues the event stream bit-identically;
-      --stop-after N exits cleanly after N intervals with a final
-      checkpoint (the kill-and-resume e2e cut point). A `reconfig` file
-      in DIR (`min-support=N`, `alpha=X`, `shards=N`, `rules=on|off`,
-      one per line) is consumed at the next interval boundary and
-      applied atomically without dropping flows; the verdict lands in
-      the StreamSummary audit counters.
+      percentiles and drop counters. Each --in file is one exporter on
+      a shared interval grid (watermark merge; one --in is a fan-in of
+      one), replayed in collector arrival order with its v9/IPFIX
+      heartbeats; --max-lag N bounds how many intervals the fastest
+      source may run ahead (0 = unbounded). Output is bit-identical to
+      `anomex extract` with the same --in list (rule options and
+      per-source rule merge sections included).
+      Durable operation, for any number of --in files: --checkpoint-dir
+      DIR atomically snapshots the full online state (detector
+      baselines, the interval grid with every source's watermark and
+      in-progress window, drop and audit counters) to DIR/stream.ckpt
+      every N closed intervals (--checkpoint-every, default 1); --resume
+      restores from it — configuration included — skips the flows
+      already consumed (give the same --in list), and continues the
+      event stream bit-identically; --stop-after N exits cleanly after N
+      intervals with a final checkpoint (the kill-and-resume e2e cut
+      point). A `reconfig` file in DIR (`min-support=N`, `alpha=X`,
+      `shards=N`, `rules=on|off`, one per line) is consumed at the next
+      interval boundary and applied atomically without dropping flows;
+      the verdict is counted in the `reconfigurations:` trailer line.
 
   anomex analyze --in FILE --metadata \"dstPort=7000,#packets=12\" [--support N]
                  [--miner apriori|fpgrowth|eclat] [--top] [--k N] [--threads N]
@@ -407,31 +410,60 @@ fn parse_config(args: &Args) -> Result<ExtractionConfig, String> {
     Ok(config)
 }
 
-/// Align a trace's interval grid to the window containing its first
-/// flow — the per-file origin rule shared by the multi-input batch and
-/// streaming paths (and the single-input ones), so every mode agrees on
-/// the grid.
-fn inferred_origin(trace: &mut FlowTrace, interval_ms: u64, path: &str) -> Result<u64, String> {
-    let first = trace
-        .start_ms()
-        .ok_or_else(|| format!("{path}: trace is empty"))?;
-    Ok(first - first % interval_ms)
+/// One `--in` trace as `extract` and `stream` consume it: its flows in
+/// time order, its v9/IPFIX heartbeat clocks (absolute source-local
+/// ms), and its grid origin — the start of the window holding its first
+/// flow, the one per-file rule every mode shares.
+struct Lane {
+    flows: Vec<FlowRecord>,
+    heartbeats: Vec<u64>,
+    origin: u64,
 }
 
-/// Load every `--in` trace in file order.
-fn load_traces(inputs: &[String]) -> Result<Vec<FlowTrace>, String> {
+/// Load every `--in` trace in file order (at least one): source `i` is
+/// the `i`-th file.
+fn load_lanes(args: &Args, interval_ms: u64) -> Result<Vec<Lane>, String> {
+    let inputs = args.get_all("in");
+    if inputs.is_empty() {
+        args.require("in")?;
+    }
     inputs
         .iter()
-        .map(|p| Ok(FlowTrace::from_flows(load_flows(p)?)))
+        .map(|path| {
+            let (mut flows, heartbeats) = load_trace_data(path)?;
+            flows.sort_by_key(|f| f.start_ms);
+            let first = flows
+                .first()
+                .ok_or_else(|| format!("{path}: trace is empty"))?;
+            let origin = first.start_ms - first.start_ms % interval_ms;
+            Ok(Lane {
+                flows,
+                heartbeats,
+                origin,
+            })
+        })
         .collect()
 }
 
-/// Render one alarmed merged interval: the Table II-style report plus —
-/// when the rule layer is on and at least two sources fed the interval —
-/// the per-source rule merge section (each source's segment re-mined at
-/// its weighted support floor, merged and re-scored). The one definition
-/// both the batch multi-extract and the streaming fan-in print, so the
-/// e2e byte-diff can hold.
+/// The run settings every trailer line ends with.
+fn settings(config: &ExtractionConfig, threads: NonZeroUsize) -> String {
+    format!(
+        "s = {}, Δ = {} min, miner = {}, threads = {threads}",
+        config.min_support,
+        config.interval_ms / MINUTE_MS,
+        config.miner
+    )
+}
+
+fn write_error(e: std::io::Error) -> String {
+    format!("cannot write output: {e}")
+}
+
+/// Render one alarmed interval: the Table II-style report plus — when
+/// the rule layer is on and at least two sources fed the interval — the
+/// per-source rule merge section (each source's segment re-mined at its
+/// weighted support floor, merged and re-scored). The one definition
+/// `extract` and `stream` both print, so the e2e byte-diff can hold.
 fn render_multi_report(
     extraction: &Extraction,
     flows: &[FlowRecord],
@@ -448,193 +480,149 @@ fn render_multi_report(
     out
 }
 
-/// Batch multi-source extraction: slice each trace on its own inferred
-/// grid and run the per-interval concatenation (file order) through one
-/// pipeline. Returns the rendered report per alarmed interval plus the
-/// merged interval count — the batch reference the streaming fan-in is
-/// bit-identical to.
-fn run_extract_multi(
-    traces: &mut [FlowTrace],
-    paths: &[String],
-    config: &ExtractionConfig,
-    threads: NonZeroUsize,
-) -> Result<(Vec<String>, usize), String> {
-    let mut pipeline = Engine::new(config.clone(), threads).map_err(String::from)?;
-    let interval_ms = config.interval_ms;
-    let mut origins = Vec::with_capacity(traces.len());
-    for (trace, path) in traces.iter_mut().zip(paths) {
-        origins.push(inferred_origin(trace, interval_ms, path)?);
-    }
-    let lanes: Vec<_> = traces
-        .iter_mut()
-        .zip(&origins)
-        .map(|(trace, &origin)| trace.intervals(origin, interval_ms))
-        .collect();
-    let total = lanes.iter().map(Vec::len).max().unwrap_or(0);
-    let mut reports = Vec::new();
-    let mut merged: Vec<FlowRecord> = Vec::new();
-    for i in 0..total {
-        merged.clear();
-        for lane in &lanes {
-            if let Some(iv) = lane.get(i) {
-                merged.extend_from_slice(iv.flows);
-            }
-        }
-        if let Some(extraction) = pipeline.process(&merged).extraction {
-            let source_flows: Vec<usize> = lanes
-                .iter()
-                .map(|lane| lane.get(i).map_or(0, |iv| iv.flows.len()))
-                .collect();
-            reports.push(render_multi_report(
-                &extraction,
-                &merged,
-                &source_flows,
-                config,
-            ));
-        }
-    }
-    Ok((reports, total))
-}
-
 /// `anomex extract`.
 pub fn extract(args: &Args) -> Result<(), String> {
-    let inputs = args.get_all("in").to_vec();
+    extract_to(args, &mut std::io::stdout().lock())
+}
+
+/// The one `extract` body, for any number of `--in` traces: slice each
+/// trace on its own inferred grid and run the per-interval
+/// concatenation (file order) through one engine, printing a report
+/// per alarmed interval — the batch reference `stream` is bit-identical
+/// to.
+fn extract_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
     let config = parse_config(args)?;
     let threads = parse_threads(args)?;
-    let support = config.min_support;
-    let interval_min = config.interval_ms / MINUTE_MS;
-    let miner = config.miner;
-
-    if inputs.len() > 1 {
-        let mut traces = load_traces(&inputs)?;
-        let (reports, total) = run_extract_multi(&mut traces, &inputs, &config, threads)?;
-        let alarms = reports.len();
-        for report in reports {
-            println!("{report}");
-        }
-        println!(
-            "processed {total} merged intervals from {} sources, {alarms} alarmed \
-             (s = {support}, Δ = {interval_min} min, miner = {miner}, threads = {threads})",
-            inputs.len()
-        );
-        return Ok(());
-    }
-
-    let input = args.require("in")?;
-    // Validate before touching the trace: a bad configuration should
+    // Validate before touching the traces: a bad configuration should
     // fail instantly, not after decoding a multi-hundred-MB file.
-    let mut pipeline = Engine::new(config.clone(), threads).map_err(String::from)?;
-
-    let mut trace = FlowTrace::from_flows(load_flows(input)?);
-    // Align windows to the interval grid containing the first flow.
-    let origin = inferred_origin(&mut trace, config.interval_ms, input)?;
-    let mut alarms = 0u32;
-    let intervals = trace.intervals(origin, config.interval_ms);
-    let total = intervals.len();
-    for iv in &intervals {
-        let outcome = pipeline.process(iv.flows);
-        if let Some(extraction) = outcome.extraction {
-            alarms += 1;
-            println!("{}", render_report(&extraction));
-        }
-    }
-    println!("processed {total} intervals, {alarms} alarmed (s = {support}, Δ = {interval_min} min, miner = {miner}, threads = {threads})");
-    Ok(())
-}
-
-/// Render one streaming event: a verbose per-interval line and, on
-/// alarm, the full Table II-style report.
-fn print_stream_event(event: &StreamEvent, verbose: bool) {
-    print_stream_line(event, verbose);
-    if let Some(extraction) = &event.outcome.extraction {
-        println!("{}", render_report(extraction));
-    }
-}
-
-/// The `--verbose` per-interval status line, shared by the single- and
-/// multi-source streaming printers.
-fn print_stream_line(event: &StreamEvent, verbose: bool) {
-    if verbose {
-        println!(
-            "interval {:>4}  [{} ms, {} ms)  {:>8} flows  {:>8} µs  {}",
-            event.index,
-            event.begin_ms,
-            event.end_ms,
-            event.flows,
-            event.process_micros,
-            if event.alarmed() { "ALARM" } else { "ok" }
-        );
-    }
-}
-
-/// Streaming multi-source fan-in: each trace becomes one exporter on a
-/// shared interval grid, replayed in collector arrival order (k-way
-/// merge on grid-relative time, ties to the lowest source id; a
-/// source's flows before its same-millisecond heartbeats). Returns
-/// every merged event plus the end-of-stream summary — bit-identical to
-/// [`run_extract_multi`] over the same traces, asserted by the CLI test
-/// suite and the `e2e-stream` CI job. `heartbeats` carries each lane's
-/// v9/IPFIX punctuation clocks (absolute source-local ms): an
-/// idle-but-live exporter's heartbeats advance its watermark, releasing
-/// merged intervals the grid would otherwise hold until `max_lag`.
-fn run_stream_multi(
-    traces: Vec<FlowTrace>,
-    heartbeats: &[Vec<u64>],
-    origins: &[u64],
-    config: ExtractionConfig,
-    threads: NonZeroUsize,
-    max_lag: Option<u64>,
-) -> Result<(Vec<MultiStreamEvent>, MultiStreamSummary), String> {
-    let specs: Vec<SourceSpec> = origins
-        .iter()
-        .enumerate()
-        .map(|(i, &origin)| SourceSpec::new(i as u32, origin))
+    let mut engine = Engine::new(config.clone(), threads).map_err(String::from)?;
+    let mut traces: Vec<(FlowTrace, u64)> = load_lanes(args, config.interval_ms)?
+        .into_iter()
+        .map(|lane| (FlowTrace::from_flows(lane.flows), lane.origin))
         .collect();
-    let mut engine =
-        MultiSourceExtractor::try_new(config, threads, &specs, max_lag).map_err(String::from)?;
-    let lanes: Vec<Vec<FlowRecord>> = traces.into_iter().map(FlowTrace::into_flows).collect();
-    let mut cursors = vec![0usize; lanes.len()];
-    let mut hb_cursors = vec![0usize; lanes.len()];
-    let mut events = Vec::new();
-    loop {
-        // Pick the earliest pending item on grid-relative time. Flows
-        // are scanned first and replaced only on strictly smaller keys,
-        // so a flow beats a heartbeat at the same instant and lower
-        // source ids win ties — the collector arrival order the batch
-        // reference concatenates in.
-        let mut next: Option<(u64, usize, bool)> = None;
-        for (s, lane) in lanes.iter().enumerate() {
-            if let Some(flow) = lane.get(cursors[s]) {
-                let key = flow.start_ms.saturating_sub(origins[s]);
-                if next.map_or(true, |(k, _, _)| key < k) {
-                    next = Some((key, s, false));
-                }
-            }
+    let grids: Vec<_> = traces
+        .iter_mut()
+        .map(|(trace, origin)| trace.intervals(*origin, config.interval_ms))
+        .collect();
+    let total = grids.iter().map(Vec::len).max().unwrap_or(0);
+    let mut alarms = 0usize;
+    let mut merged: Vec<FlowRecord> = Vec::new();
+    let mut source_flows = vec![0; grids.len()];
+    for i in 0..total {
+        merged.clear();
+        for (grid, weight) in grids.iter().zip(&mut source_flows) {
+            let flows = grid.get(i).map_or(&[][..], |iv| iv.flows);
+            merged.extend_from_slice(flows);
+            *weight = flows.len();
         }
-        for (s, lane) in heartbeats.iter().enumerate() {
-            if let Some(&hb_ms) = lane.get(hb_cursors[s]) {
-                let key = hb_ms.saturating_sub(origins[s]);
-                if next.map_or(true, |(k, _, _)| key < k) {
-                    next = Some((key, s, true));
-                }
-            }
-        }
-        let Some((_, s, is_heartbeat)) = next else {
-            break;
-        };
-        if is_heartbeat {
-            let hb_ms = heartbeats[s][hb_cursors[s]];
-            hb_cursors[s] += 1;
-            events.extend(engine.heartbeat(SourceId(s as u32), hb_ms));
-        } else {
-            let flow = lanes[s][cursors[s]];
-            cursors[s] += 1;
-            events.extend(engine.push(SourceId(s as u32), flow));
+        if let Some(extraction) = engine.process(&merged).extraction {
+            alarms += 1;
+            let report = render_multi_report(&extraction, &merged, &source_flows, &config);
+            writeln!(out, "{report}").map_err(write_error)?;
         }
     }
-    let (tail, summary) = engine.finish();
-    events.extend(tail);
-    Ok((events, summary))
+    let intervals = match grids.len() {
+        1 => format!("{total} intervals"),
+        n => format!("{total} merged intervals from {n} sources"),
+    };
+    writeln!(
+        out,
+        "processed {intervals}, {alarms} alarmed ({})",
+        settings(&config, threads)
+    )
+    .map_err(write_error)
+}
+
+/// What the replay hands the engine next.
+enum Arrival {
+    Flow(FlowRecord),
+    Heartbeat(u64),
+}
+
+/// Collector arrival order over every lane: a k-way merge on
+/// grid-relative time, a source's flows before its same-millisecond
+/// heartbeats, ties to the lowest source id — the order the batch
+/// reference concatenates in. It is deterministic, so a resume can skip
+/// exactly what a checkpointed run consumed.
+struct Replay<'a> {
+    lanes: &'a [Lane],
+    /// Per lane: the next flow, the next heartbeat.
+    cursors: Vec<[usize; 2]>,
+}
+
+impl<'a> Replay<'a> {
+    fn new(lanes: &'a [Lane]) -> Self {
+        let cursors = vec![[0, 0]; lanes.len()];
+        Replay { lanes, cursors }
+    }
+}
+
+impl Iterator for Replay<'_> {
+    type Item = (SourceId, Arrival);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (_, beat, s) = (self.lanes.iter().zip(&self.cursors).enumerate())
+            .flat_map(|(s, (lane, &[flow, beat]))| {
+                let key = |ms: u64| ms.saturating_sub(lane.origin);
+                let flow = lane.flows.get(flow).map(|f| (key(f.start_ms), false, s));
+                flow.into_iter()
+                    .chain(lane.heartbeats.get(beat).map(|&ms| (key(ms), true, s)))
+            })
+            .min()?;
+        let cursor = &mut self.cursors[s][usize::from(beat)];
+        *cursor += 1;
+        let (lane, at) = (&self.lanes[s], *cursor - 1);
+        let arrival = if beat {
+            Arrival::Heartbeat(lane.heartbeats[at])
+        } else {
+            Arrival::Flow(lane.flows[at])
+        };
+        Some((SourceId(s as u32), arrival))
+    }
+}
+
+/// Prints each streamed interval as it arrives — the `--verbose` line,
+/// then the report on alarm — and drops it, keeping only the latency
+/// the trailer needs.
+struct StreamPrinter<'w, W: Write> {
+    out: &'w mut W,
+    verbose: bool,
+    /// Added to grid time in the `--verbose` window: one exporter's own
+    /// clock origin, or 0 for a fan-in (grid time).
+    clock_ms: u64,
+    /// The configuration the printed intervals ran under; the
+    /// per-source rule merge re-mines with it.
+    config: ExtractionConfig,
+    latencies: Vec<u64>,
+}
+
+impl<W: Write> StreamPrinter<'_, W> {
+    /// Print the events; returns how many intervals they closed.
+    fn print(&mut self, events: Vec<MultiStreamEvent>) -> Result<u64, String> {
+        let mut text = String::new();
+        for e in &events {
+            let event = &e.event;
+            self.latencies.push(event.process_micros);
+            if self.verbose {
+                text += &format!(
+                    "interval {:>4}  [{} ms, {} ms)  {:>8} flows  {:>8} µs  {}\n",
+                    event.index,
+                    self.clock_ms + event.begin_ms,
+                    self.clock_ms + event.end_ms,
+                    event.flows,
+                    event.process_micros,
+                    if event.alarmed() { "ALARM" } else { "ok" }
+                );
+            }
+            if let Some(extraction) = &event.outcome.extraction {
+                text +=
+                    &render_multi_report(extraction, &e.flow_data, &e.source_flows, &self.config);
+                text.push('\n');
+            }
+        }
+        self.out.write_all(text.as_bytes()).map_err(write_error)?;
+        Ok(events.len() as u64)
+    }
 }
 
 /// Durable-operation options for `anomex stream`: periodic checkpoints
@@ -740,7 +728,7 @@ fn parse_reconfig(text: &str) -> Result<ReconfigRequest, String> {
 /// at the current interval boundary, delete the file, and report the
 /// verdict on stderr (stdout stays byte-comparable across runs).
 /// Returns the interval events that drained around the boundary.
-fn consume_reconfig_file(dir: &Path, engine: &mut StreamingExtractor) -> Vec<StreamEvent> {
+fn consume_reconfig_file(dir: &Path, engine: &mut MultiSourceExtractor) -> Vec<MultiStreamEvent> {
     let path = dir.join("reconfig");
     let Ok(text) = fs::read_to_string(&path) else {
         return Vec::new();
@@ -771,210 +759,202 @@ fn consume_reconfig_file(dir: &Path, engine: &mut StreamingExtractor) -> Vec<Str
 /// state, and atomically replace the checkpoint file with
 /// `{flows consumed, engine payload}`. Returns the drained events.
 fn take_checkpoint(
-    engine: &mut StreamingExtractor,
-    pushed: u64,
-    path: &Path,
-) -> Result<Vec<StreamEvent>, String> {
+    engine: &mut MultiSourceExtractor,
+    consumed: u64,
+    d: &Durability,
+) -> Result<Vec<MultiStreamEvent>, String> {
     let (events, payload) = engine.checkpoint();
     let mut w = SnapshotWriter::new();
-    w.u64(pushed);
+    w.u64(consumed);
     w.bytes(&payload);
-    write_checkpoint(path, &w.into_bytes())
+    let path = d.checkpoint_path();
+    write_checkpoint(&path, &w.into_bytes())
         .map_err(|e| format!("cannot write checkpoint {}: {e}", path.display()))?;
     Ok(events)
 }
 
-/// Restore a `stream` session from a checkpoint file: returns the
-/// restored engine plus the number of input flows already consumed, so
-/// the caller can skip them on replay.
+/// Restore a `stream` session from a checkpoint file written over
+/// `sources` traces: returns the restored engine plus how many flows of
+/// the replay were already consumed, so the caller can skip them. A
+/// version-1 file (the single-source engine's) resumes as a one-lane
+/// grid; its flow count is the same replay position for one input.
 fn restore_from_checkpoint(
     path: &Path,
     threads: Option<NonZeroUsize>,
-) -> Result<(StreamingExtractor, u64), String> {
-    let at = |e: anomex_netflow::snapshot::RestoreError| {
-        format!("cannot resume from {}: {e}", path.display())
-    };
-    let payload = read_checkpoint(path).map_err(at)?;
+    sources: usize,
+) -> Result<(MultiSourceExtractor, u64), String> {
+    let at = |e: RestoreError| format!("cannot resume from {}: {e}", path.display());
+    let (version, payload) = read_checkpoint(path).map_err(at)?;
     let mut r = SnapshotReader::new(&payload);
-    let pushed = r.u64().map_err(at)?;
+    let consumed = r.u64().map_err(at)?;
     let engine_bytes = r.bytes().map_err(at)?;
     r.finish().map_err(at)?;
-    let engine = StreamingExtractor::restore(engine_bytes, threads).map_err(at)?;
-    Ok((engine, pushed))
+    let engine = if version == 1 {
+        MultiSourceExtractor::restore_v1(engine_bytes, threads)
+    } else {
+        MultiSourceExtractor::restore(engine_bytes, threads)
+    }
+    .map_err(at)?;
+    let saved = engine.assembler().sources().len();
+    if saved != sources {
+        return Err(format!(
+            "cannot resume from {}: it holds {saved} source(s) but {sources} --in trace(s) \
+             were given (resume with the --in list that wrote it)",
+            path.display()
+        ));
+    }
+    Ok((engine, consumed))
 }
 
 /// `anomex stream`.
 pub fn stream(args: &Args) -> Result<(), String> {
-    let inputs = args.get_all("in").to_vec();
+    stream_to(args, &mut std::io::stdout().lock())
+}
+
+/// The one `stream` body, for any number of `--in` traces: each trace
+/// is one exporter on a shared interval grid, replayed in collector
+/// arrival order (heartbeats included), printed interval by interval
+/// as the engine closes them — bit-identical to [`extract_to`] over the
+/// same traces — with optional checkpoints, resume, `--stop-after` and
+/// boundary reconfiguration.
+fn stream_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
     let config = parse_config(args)?;
     let threads = parse_threads(args)?;
     let verbose = args.flag("verbose");
     let durability = parse_durability(args)?;
-    if durability.is_some() && inputs.len() > 1 {
-        return Err("--checkpoint-dir currently supports a single --in trace".into());
-    }
-    let support = config.min_support;
-    let interval_min = config.interval_ms / MINUTE_MS;
-    let miner = config.miner;
-
-    if inputs.len() > 1 {
-        let max_lag_raw = args.get_or("max-lag", 0u64).map_err(|e| e.to_string())?;
-        let max_lag = (max_lag_raw > 0).then_some(max_lag_raw);
-        let mut traces = Vec::with_capacity(inputs.len());
-        let mut heartbeats = Vec::with_capacity(inputs.len());
-        for path in &inputs {
-            let (flows, hbs) = load_trace_data(path)?;
-            traces.push(FlowTrace::from_flows(flows));
-            heartbeats.push(hbs);
-        }
-        let mut origins = Vec::with_capacity(traces.len());
-        for (trace, path) in traces.iter_mut().zip(&inputs) {
-            origins.push(inferred_origin(trace, config.interval_ms, path)?);
-        }
-        let (events, summary) = run_stream_multi(
-            traces,
-            &heartbeats,
-            &origins,
-            config.clone(),
-            threads,
-            max_lag,
-        )?;
-        let mut latencies: Vec<u64> = Vec::new();
-        for event in &events {
-            latencies.push(event.event.process_micros);
-            print_stream_line(&event.event, verbose);
-            if let Some(extraction) = &event.event.outcome.extraction {
-                println!(
-                    "{}",
-                    render_multi_report(extraction, &event.flow_data, &event.source_flows, &config)
-                );
-            }
-        }
-        let p50 = latency_percentile(&mut latencies, 50.0);
-        let p95 = latency_percentile(&mut latencies, 95.0);
-        println!(
-            "fan-in: streamed {} flows from {} sources into {} merged intervals: \
-             {} alarmed, {} extracted (s = {support}, Δ = {interval_min} min, \
-             miner = {miner}, threads = {threads})",
-            summary.total_flows,
-            inputs.len(),
-            summary.intervals,
-            summary.alarms,
-            summary.extractions
-        );
-        for (stats, path) in summary.sources.iter().zip(&inputs) {
-            println!(
-                "source {} ({path}): {} flows, {} late, {} pre-origin, {} stale",
-                stats.id, stats.flows, stats.late_flows, stats.pre_origin_flows, stats.stale_flows
-            );
-        }
-        println!(
-            "per-interval latency: p50 = {p50} µs, p95 = {p95} µs; dropped flows: {} total",
-            summary.dropped_flows
-        );
-        return Ok(());
-    }
-
-    let input = args.require("in")?;
-
-    // Replay in trace order (sorted by start time) so the event stream
-    // is bit-identical to what `anomex extract` prints for this trace.
-    let mut trace = FlowTrace::from_flows(load_flows(input)?);
-    let origin = inferred_origin(&mut trace, config.interval_ms, input)?;
+    let max_lag = match args.get_or("max-lag", 0u64).map_err(|e| e.to_string())? {
+        0 => None,
+        n => Some(n),
+    };
+    let settings = settings(&config, threads);
+    let lanes = load_lanes(args, config.interval_ms)?;
 
     // Resume restores the full online state — configuration included —
     // from the checkpoint; otherwise start cold from the CLI options.
     // `--threads` explicitly given overrides the checkpointed shard
     // count (the output is shard-invariant, so this is always safe).
-    let threads_override = args.get("threads").is_some().then_some(threads);
     let resume_from = durability
         .as_ref()
         .filter(|d| d.resume)
         .map(Durability::checkpoint_path)
         .filter(|p| p.exists());
-    let (mut engine, mut pushed) = match &resume_from {
-        Some(path) => {
-            let (engine, pushed) = restore_from_checkpoint(path, threads_override)?;
-            eprintln!(
-                "resumed from {} ({pushed} flows already consumed)",
-                path.display()
-            );
-            (engine, pushed)
-        }
-        None => (
-            StreamingExtractor::try_new(config, threads, origin).map_err(String::from)?,
-            0,
-        ),
+    let (mut engine, mut consumed) = if let Some(path) = &resume_from {
+        let threads_override = args.get("threads").is_some().then_some(threads);
+        let resumed = restore_from_checkpoint(path, threads_override, lanes.len())?;
+        eprintln!(
+            "resumed from {} ({} flows already consumed)",
+            path.display(),
+            resumed.1
+        );
+        resumed
+    } else {
+        let specs: Vec<_> = (0u32..)
+            .zip(&lanes)
+            .map(|(i, l)| SourceSpec::new(i, l.origin))
+            .collect();
+        let engine = MultiSourceExtractor::try_new(config, threads, &specs, max_lag);
+        (engine.map_err(String::from)?, 0)
     };
 
-    let mut latencies: Vec<u64> = Vec::new();
-    let drain = |events: Vec<StreamEvent>, latencies: &mut Vec<u64>| -> u64 {
-        let closed = events.len() as u64;
-        for event in events {
-            latencies.push(event.process_micros);
-            print_stream_event(&event, verbose);
-        }
-        closed
+    let clock_ms = match engine.assembler().sources().as_slice() {
+        [one] => one.origin_ms,
+        _ => 0,
     };
+    let mut printer = StreamPrinter {
+        out,
+        verbose,
+        clock_ms,
+        config: engine.config().clone(),
+        latencies: Vec::new(),
+    };
+    let mut skip = consumed;
     let mut closed_this_run = 0u64;
     let mut since_checkpoint = 0u64;
-    let mut stopped = false;
-    for flow in trace.into_flows().into_iter().skip(pushed as usize) {
-        pushed += 1;
-        let boundary = {
-            let events = engine.push(flow);
-            let closed = drain(events, &mut latencies);
-            closed_this_run += closed;
-            since_checkpoint += closed;
-            closed > 0
-        };
-        let Some(d) = &durability else { continue };
-        if boundary && d.stop_after.is_some_and(|n| closed_this_run >= n) {
-            let tail = take_checkpoint(&mut engine, pushed, &d.checkpoint_path())?;
-            drain(tail, &mut latencies);
-            stopped = true;
-            break;
+    for (source, arrival) in Replay::new(&lanes) {
+        // A resumed run skips what the checkpointed one fed: the first
+        // `consumed` flows, and the heartbeats among them (replaying
+        // one would be a no-op anyway).
+        if skip > 0 {
+            skip -= u64::from(matches!(arrival, Arrival::Flow(_)));
+            continue;
         }
-        if boundary && since_checkpoint >= d.every {
+        let events = match arrival {
+            Arrival::Flow(flow) => {
+                consumed += 1;
+                engine.push(source, flow)
+            }
+            Arrival::Heartbeat(ms) => engine.heartbeat(source, ms),
+        };
+        let closed = printer.print(events)?;
+        closed_this_run += closed;
+        since_checkpoint += closed;
+        let Some(d) = durability.as_ref().filter(|_| closed > 0) else {
+            continue;
+        };
+        if d.stop_after.is_some_and(|n| closed_this_run >= n) {
+            printer.print(take_checkpoint(&mut engine, consumed, d)?)?;
+            eprintln!(
+                "stopped after {closed_this_run} interval(s); checkpoint at {}",
+                d.checkpoint_path().display()
+            );
+            return Ok(());
+        }
+        if since_checkpoint >= d.every {
             since_checkpoint = 0;
             // Reconfig requests are consumed at interval boundaries and
             // land in the checkpoint that follows, so a resume replays
-            // the stream under the reconfigured engine.
-            let events = consume_reconfig_file(&d.dir, &mut engine);
-            closed_this_run += drain(events, &mut latencies);
-            let tail = take_checkpoint(&mut engine, pushed, &d.checkpoint_path())?;
-            closed_this_run += drain(tail, &mut latencies);
+            // the stream under the reconfigured engine. The intervals
+            // drained around the boundary ran under the old config.
+            closed_this_run += printer.print(consume_reconfig_file(&d.dir, &mut engine))?;
+            printer.config = engine.config().clone();
+            closed_this_run += printer.print(take_checkpoint(&mut engine, consumed, d)?)?;
         }
     }
-    if stopped {
-        let d = durability.as_ref().expect("stop implies durability");
-        eprintln!(
-            "stopped after {closed_this_run} interval(s); checkpoint at {}",
-            d.checkpoint_path().display()
-        );
-        return Ok(());
-    }
     let (tail, summary) = engine.finish();
-    drain(tail, &mut latencies);
+    printer.print(tail)?;
 
-    let p50 = latency_percentile(&mut latencies, 50.0);
-    let p95 = latency_percentile(&mut latencies, 95.0);
-    println!(
-        "streamed {} flows into {} intervals: {} alarmed, {} extracted \
-         (s = {support}, Δ = {interval_min} min, miner = {miner}, threads = {threads})",
-        summary.total_flows, summary.intervals, summary.alarms, summary.extractions
-    );
-    println!(
-        "per-interval latency: p50 = {p50} µs, p95 = {p95} µs; dropped flows: {} late, {} pre-origin",
-        summary.late_flows, summary.pre_origin_flows
-    );
+    let p50 = latency_percentile(&mut printer.latencies, 50.0);
+    let p95 = latency_percentile(&mut printer.latencies, 95.0);
+    let latency = format!("per-interval latency: p50 = {p50} µs, p95 = {p95} µs; dropped flows:");
+    let mut trailer = if let [one] = summary.sources.as_slice() {
+        format!(
+            "streamed {} flows into {} intervals: {} alarmed, {} extracted ({settings})\n\
+             {latency} {} late, {} pre-origin\n",
+            summary.total_flows,
+            summary.intervals,
+            summary.alarms,
+            summary.extractions,
+            one.late_flows,
+            one.pre_origin_flows
+        )
+    } else {
+        let mut text = format!(
+            "fan-in: streamed {} flows from {} sources into {} merged intervals: \
+             {} alarmed, {} extracted ({settings})\n",
+            summary.total_flows,
+            summary.sources.len(),
+            summary.intervals,
+            summary.alarms,
+            summary.extractions
+        );
+        for (stats, path) in summary.sources.iter().zip(args.get_all("in")) {
+            text += &format!(
+                "source {} ({path}): {} flows, {} late, {} pre-origin, {} stale\n",
+                stats.id, stats.flows, stats.late_flows, stats.pre_origin_flows, stats.stale_flows
+            );
+        }
+        text + &format!("{latency} {} total\n", summary.dropped_flows)
+    };
     if summary.reconfigs_applied + summary.reconfigs_rejected > 0 {
-        println!(
-            "reconfigurations: {} applied, {} rejected",
+        trailer += &format!(
+            "reconfigurations: {} applied, {} rejected\n",
             summary.reconfigs_applied, summary.reconfigs_rejected
         );
     }
-    Ok(())
+    printer
+        .out
+        .write_all(trailer.as_bytes())
+        .map_err(write_error)
 }
 
 /// Parse a comma-separated `feature=value` list into meta-data.
@@ -1067,6 +1047,73 @@ mod tests {
     use super::*;
     use anomex_netflow::FlowFeature;
 
+    /// Parse a whitespace-separated command line.
+    fn argv(line: &str) -> Args {
+        Args::parse(line.split_whitespace().map(ToString::to_string)).unwrap()
+    }
+
+    /// What a subcommand body prints for a command line.
+    fn run(body: impl Fn(&Args, &mut Vec<u8>) -> Result<(), String>, line: &str) -> String {
+        let mut out = Vec::new();
+        body(&argv(line), &mut out).unwrap();
+        String::from_utf8(out).unwrap()
+    }
+
+    /// A fresh scratch directory for one test.
+    fn scratch_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(name);
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// Write one NetFlow v5 trace file per source into `dir` from its
+    /// per-interval flows; returns one `--in FILE` per source.
+    fn write_traces(
+        dir: &Path,
+        sources: usize,
+        intervals: u64,
+        flows: impl Fn(usize, u64) -> Vec<FlowRecord>,
+    ) -> Vec<String> {
+        (0..sources)
+            .map(|s| {
+                let mut exporter = V5Exporter::new();
+                let mut bytes = Vec::new();
+                for i in 0..intervals {
+                    for dgram in exporter.export(&flows(s, i)) {
+                        bytes.extend_from_slice(&dgram);
+                    }
+                }
+                let path = dir.join(format!("link{s}.nfv5"));
+                std::fs::write(&path, &bytes).unwrap();
+                format!("--in {}", path.display())
+            })
+            .collect()
+    }
+
+    /// The per-interval output without each run's own trailer lines —
+    /// the filter `scripts/e2e_*.sh` apply.
+    fn reports(text: &str) -> String {
+        let trailer = [
+            "fan-in:",
+            "source src",
+            "per-interval",
+            "streamed ",
+            "processed ",
+        ];
+        text.lines()
+            .filter(|l| !trailer.iter().any(|t| l.starts_with(t)))
+            .map(|l| format!("{l}\n"))
+            .collect()
+    }
+
+    /// The trailer line starting with `prefix`.
+    fn line<'a>(text: &'a str, prefix: &str) -> &'a str {
+        text.lines()
+            .find(|l| l.starts_with(prefix))
+            .unwrap_or_else(|| panic!("no {prefix:?} line in {text}"))
+    }
+
     #[test]
     fn metadata_parsing_accepts_mixed_features() {
         let md = parse_metadata("dstPort=7000, srcIP=10.0.0.1 ,#packets=12").unwrap();
@@ -1084,14 +1131,16 @@ mod tests {
 
     #[test]
     fn miner_parsing() {
-        let a = Args::parse(["x", "--miner", "eclat"].iter().map(ToString::to_string)).unwrap();
-        assert_eq!(parse_miner(&a).unwrap(), MinerKind::Eclat);
-        let a = Args::parse(["x", "--miner", "apriori"].iter().map(ToString::to_string)).unwrap();
-        assert_eq!(parse_miner(&a).unwrap(), MinerKind::Apriori);
-        let a = Args::parse(["x"].iter().map(ToString::to_string)).unwrap();
-        assert_eq!(parse_miner(&a).unwrap(), MinerKind::FpGrowth);
-        let a = Args::parse(["x", "--miner", "zzz"].iter().map(ToString::to_string)).unwrap();
-        assert!(parse_miner(&a).is_err());
+        assert_eq!(
+            parse_miner(&argv("x --miner eclat")).unwrap(),
+            MinerKind::Eclat
+        );
+        assert_eq!(
+            parse_miner(&argv("x --miner apriori")).unwrap(),
+            MinerKind::Apriori
+        );
+        assert_eq!(parse_miner(&argv("x")).unwrap(), MinerKind::FpGrowth);
+        assert!(parse_miner(&argv("x --miner zzz")).is_err());
     }
 
     /// One default, read everywhere: the library enum, the configuration,
@@ -1101,7 +1150,7 @@ mod tests {
     fn default_miner_is_fpgrowth_everywhere() {
         assert_eq!(MinerKind::default(), MinerKind::FpGrowth);
         assert_eq!(ExtractionConfig::default().miner, MinerKind::FpGrowth);
-        let no_flag = Args::parse(["x"].iter().map(ToString::to_string)).unwrap();
+        let no_flag = argv("x");
         assert_eq!(parse_miner(&no_flag).unwrap(), MinerKind::FpGrowth);
         assert_eq!(parse_config(&no_flag).unwrap().miner, MinerKind::FpGrowth);
 
@@ -1127,85 +1176,56 @@ mod tests {
 
     #[test]
     fn threads_parsing() {
-        let a = Args::parse(["x", "--threads", "4"].iter().map(ToString::to_string)).unwrap();
-        assert_eq!(parse_threads(&a).unwrap().get(), 4);
-        let a = Args::parse(["x"].iter().map(ToString::to_string)).unwrap();
-        assert_eq!(parse_threads(&a).unwrap().get(), 1, "sequential by default");
-        let a = Args::parse(["x", "--threads", "0"].iter().map(ToString::to_string)).unwrap();
-        assert!(parse_threads(&a).unwrap().get() >= 1, "0 means auto");
-        let a = Args::parse(["x", "--threads", "no"].iter().map(ToString::to_string)).unwrap();
-        assert!(parse_threads(&a).is_err());
-        let parse = |n: usize| {
-            let n = n.to_string();
-            parse_threads(
-                &Args::parse(["x", "--threads", &n].iter().map(ToString::to_string)).unwrap(),
-            )
-        };
-        assert_eq!(parse(MAX_SHARDS.get()).unwrap(), MAX_SHARDS);
-        let err = parse(MAX_SHARDS.get() + 1).unwrap_err();
+        let parse = |line: &str| parse_threads(&argv(line));
+        assert_eq!(parse("x --threads 4").unwrap().get(), 4);
+        assert_eq!(parse("x").unwrap().get(), 1, "sequential by default");
+        assert!(parse("x --threads 0").unwrap().get() >= 1, "0 means auto");
+        assert!(parse("x --threads no").is_err());
+        let max = MAX_SHARDS.get();
+        assert_eq!(parse(&format!("x --threads {max}")).unwrap(), MAX_SHARDS);
+        let err = parse(&format!("x --threads {}", max + 1)).unwrap_err();
         assert!(err.contains("--threads") && err.contains("1024"), "{err}");
     }
 
     #[test]
     fn rule_options_parse_and_imply_the_layer() {
-        let a = Args::parse(["x"].iter().map(ToString::to_string)).unwrap();
-        assert_eq!(parse_rules(&a).unwrap(), None, "off by default");
-        let a = Args::parse(["x", "--rules"].iter().map(ToString::to_string)).unwrap();
-        assert_eq!(parse_rules(&a).unwrap(), Some(RuleConfig::default()));
-        let a = Args::parse(
-            ["x", "--min-confidence", "0.9", "--rare"]
-                .iter()
-                .map(ToString::to_string),
-        )
-        .unwrap();
-        let rc = parse_rules(&a).unwrap().expect("options imply --rules");
+        let parse = |line: &str| parse_rules(&argv(line));
+        assert_eq!(parse("x").unwrap(), None, "off by default");
+        assert_eq!(parse("x --rules").unwrap(), Some(RuleConfig::default()));
+        let rc = parse("x --min-confidence 0.9 --rare").unwrap();
+        let rc = rc.expect("options imply --rules");
         assert_eq!(rc.min_confidence, 0.9);
         assert!(rc.rare);
-        let a = Args::parse(
-            ["x", "--rules", "--min-lift", "zzz"]
-                .iter()
-                .map(ToString::to_string),
-        )
-        .unwrap();
-        assert!(parse_rules(&a).is_err(), "bad value reported");
+        assert!(
+            parse("x --rules --min-lift zzz").is_err(),
+            "bad value reported"
+        );
     }
 
     #[test]
     fn rare_below_the_guard_needs_force_rare() {
-        let parse = |argv: &[&str]| {
-            parse_config(&Args::parse(argv.iter().map(ToString::to_string)).unwrap())
-        };
-        let err = parse(&["x", "--rare", "--support", "50"]).unwrap_err();
+        let parse = |line: &str| parse_config(&argv(line));
+        let err = parse("x --rare --support 50").unwrap_err();
         assert!(
             err.contains("--force-rare"),
             "error names the escape hatch: {err}"
         );
         assert!(err.contains("128"), "error names the floor: {err}");
-        parse(&["x", "--rare", "--support", "50", "--force-rare"])
-            .expect("--force-rare overrides the guard");
-        parse(&["x", "--rare", "--support", "128"])
-            .expect("at the guard threshold no override is needed");
-        parse(&["x", "--rules", "--support", "50"])
-            .expect("non-rare rules are unaffected by the guard");
+        parse("x --rare --support 50 --force-rare").expect("--force-rare overrides the guard");
+        parse("x --rare --support 128").expect("at the guard threshold no override is needed");
+        parse("x --rules --support 50").expect("non-rare rules are unaffected by the guard");
     }
 
     #[test]
     fn oversized_interval_is_an_error_not_a_wrapped_grid() {
-        let parse = |argv: &[&str]| {
-            parse_config(&Args::parse(argv.iter().map(ToString::to_string)).unwrap())
-        };
+        let parse = |minutes: u64| parse_config(&argv(&format!("x --interval-min {minutes}")));
         // 307445734561825861 × 60 000 wraps u64 to a small, wrong grid.
-        let err = parse(&["x", "--interval-min", "307445734561825861"]).unwrap_err();
+        let err = parse(307_445_734_561_825_861).unwrap_err();
         assert!(err.contains("--interval-min"), "{err}");
-        let err = parse(&["x", "--interval-min", &u64::MAX.to_string()]).unwrap_err();
+        let err = parse(u64::MAX).unwrap_err();
         assert!(err.contains("too large"), "{err}");
         let max = u64::MAX / MINUTE_MS;
-        assert_eq!(
-            parse(&["x", "--interval-min", &max.to_string()])
-                .unwrap()
-                .interval_ms,
-            max * MINUTE_MS
-        );
+        assert_eq!(parse(max).unwrap().interval_ms, max * MINUTE_MS);
     }
 
     #[test]
@@ -1230,37 +1250,22 @@ mod tests {
 
     #[test]
     fn durability_options_require_the_dir() {
-        let parse = |argv: &[&str]| {
-            parse_durability(&Args::parse(argv.iter().map(ToString::to_string)).unwrap())
-        };
-        assert_eq!(parse(&["stream"]).unwrap().map(|_| ()), None);
-        assert!(parse(&["stream", "--resume"]).is_err());
-        assert!(parse(&["stream", "--checkpoint-every", "5"]).is_err());
-        assert!(parse(&["stream", "--stop-after", "3"]).is_err());
+        let parse = |line: &str| parse_durability(&argv(line));
+        assert_eq!(parse("stream").unwrap().map(|_| ()), None);
+        assert!(parse("stream --resume").is_err());
+        assert!(parse("stream --checkpoint-every 5").is_err());
+        assert!(parse("stream --stop-after 3").is_err());
         let dir = std::env::temp_dir().join("anomex-cli-durability-test");
-        let dir_s = dir.to_str().unwrap();
-        let d = parse(&[
-            "stream",
-            "--checkpoint-dir",
-            dir_s,
-            "--checkpoint-every",
-            "5",
-        ])
-        .unwrap()
-        .unwrap();
+        let with_dir = format!("stream --checkpoint-dir {}", dir.display());
+        let d = parse(&format!("{with_dir} --checkpoint-every 5"))
+            .unwrap()
+            .unwrap();
         assert_eq!(d.every, 5);
         assert!(!d.resume);
         assert_eq!(d.stop_after, None);
         assert_eq!(d.checkpoint_path(), dir.join("stream.ckpt"));
         assert!(
-            parse(&[
-                "stream",
-                "--checkpoint-dir",
-                dir_s,
-                "--checkpoint-every",
-                "0"
-            ])
-            .is_err(),
+            parse(&format!("{with_dir} --checkpoint-every 0")).is_err(),
             "zero interval cadence is rejected"
         );
         std::fs::remove_dir_all(&dir).ok();
@@ -1268,20 +1273,28 @@ mod tests {
 
     /// The checkpoint file round-trips through the CLI framing (consumed
     /// flow count + engine payload) and the restored engine continues
-    /// the stream; a truncated file fails with a diagnostic, not a panic.
+    /// the stream; a truncated file or a different source count fails
+    /// with a diagnostic, not a panic.
     #[test]
     fn checkpoint_file_round_trips_and_rejects_corruption() {
         use anomex_netflow::Protocol;
-        let dir = std::env::temp_dir().join("anomex-cli-checkpoint-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("stream.ckpt");
+        let dir = scratch_dir("anomex-cli-checkpoint-test");
+        let d = Durability {
+            dir: dir.clone(),
+            every: 1,
+            resume: false,
+            stop_after: None,
+        };
+        let path = d.checkpoint_path();
 
         let config = ExtractionConfig {
             interval_ms: 1_000,
             min_support: 10,
             ..ExtractionConfig::default()
         };
-        let mut engine = StreamingExtractor::try_new(config, NonZeroUsize::MIN, 0).unwrap();
+        let one = [SourceSpec::new(0u32, 0)];
+        let mut engine =
+            MultiSourceExtractor::try_new(config, NonZeroUsize::MIN, &one, None).unwrap();
         let flow = |ms| {
             FlowRecord::new(
                 ms,
@@ -1292,19 +1305,22 @@ mod tests {
                 Protocol::Udp,
             )
         };
-        let _ = engine.push(flow(100));
-        let _ = engine.push(flow(1_200));
-        let _ = take_checkpoint(&mut engine, 2, &path).unwrap();
+        let _ = engine.push(SourceId(0), flow(100));
+        let _ = engine.push(SourceId(0), flow(1_200));
+        let _ = take_checkpoint(&mut engine, 2, &d).unwrap();
 
-        let (mut resumed, pushed) = restore_from_checkpoint(&path, None).unwrap();
-        assert_eq!(pushed, 2);
-        let _ = resumed.push(flow(2_500));
+        let (mut resumed, consumed) = restore_from_checkpoint(&path, None, 1).unwrap();
+        assert_eq!(consumed, 2);
+        let _ = resumed.push(SourceId(0), flow(2_500));
         let (_, summary) = resumed.finish();
         assert_eq!(summary.total_flows, 3, "resumed run continues the count");
 
+        let err = restore_from_checkpoint(&path, None, 2).unwrap_err();
+        assert!(err.contains("1 source(s) but 2 --in"), "{err}");
+
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
-        let err = restore_from_checkpoint(&path, None).unwrap_err();
+        let err = restore_from_checkpoint(&path, None, 1).unwrap_err();
         assert!(
             err.contains("cannot resume"),
             "diagnostic names the file: {err}"
@@ -1325,68 +1341,25 @@ mod tests {
         assert_eq!(t, TransactionMode::WithPrefixes);
     }
 
-    /// The streaming replay must reproduce exactly the per-interval
-    /// outcomes the batch `extract` path computes over the same trace.
+    /// The one `stream` body replaying one trace file must print exactly
+    /// the reports the one `extract` body prints over the same file.
     #[test]
     fn stream_replay_matches_batch_extract() {
-        use anomex_traffic::Scenario;
+        let dir = scratch_dir("anomex-cli-replay-test");
         let scenario = Scenario::small(23);
-        let config = ExtractionConfig {
-            interval_ms: scenario.interval_ms(),
-            detector: DetectorConfig {
-                training_intervals: 10,
-                ..DetectorConfig::default()
-            },
-            min_support: 800,
-            // Rules on: the rendered reports then carry the ranked-rule
-            // section, so this also pins rule determinism batch vs stream.
-            rules: Some(RuleConfig::default()),
-            ..ExtractionConfig::default()
-        };
-        // Round-trip the flows through the wire format, as `stream` does.
-        let mut exporter = V5Exporter::new();
-        let mut bytes = Vec::new();
-        for i in 0..scenario.interval_count().min(23) {
-            for dgram in exporter.export(&scenario.generate(i).flows) {
-                bytes.extend_from_slice(&dgram);
-            }
-        }
-        let decoded: Vec<FlowRecord> = anomex_netflow::v5::decode_stream(&bytes)
-            .unwrap()
-            .into_iter()
-            .flat_map(|d| d.flows)
-            .collect();
-
-        let mut trace = FlowTrace::from_flows(decoded);
-        let origin = trace.start_ms().unwrap();
-        let origin = origin - origin % config.interval_ms;
-
-        let mut batch = Engine::sequential(config.clone()).unwrap();
-        let mut batch_reports = Vec::new();
-        for iv in &trace.intervals(origin, config.interval_ms) {
-            if let Some(ex) = batch.process(iv.flows).extraction {
-                batch_reports.push(render_report(&ex));
-            }
-        }
-
-        let threads = NonZeroUsize::new(2).unwrap();
-        let mut engine = StreamingExtractor::try_new(config, threads, origin).unwrap();
-        let mut stream_reports = Vec::new();
-        let mut events = Vec::new();
-        for flow in trace.into_flows() {
-            events.extend(engine.push(flow));
-        }
-        let (tail, summary) = engine.finish();
-        events.extend(tail);
-        for event in &events {
-            if let Some(ex) = &event.outcome.extraction {
-                stream_reports.push(render_report(ex));
-            }
-        }
-        assert!(!batch_reports.is_empty(), "the scenario must alarm");
-        assert_eq!(stream_reports, batch_reports, "replay diverged");
-        assert_eq!(summary.extractions as usize, batch_reports.len());
-        assert_eq!(summary.late_flows + summary.pre_origin_flows, 0);
+        let ins = write_traces(&dir, 1, 23, |_, i| scenario.generate(i).flows).join(" ");
+        // Rules on: the rendered reports then carry the ranked-rule
+        // section, so this also pins rule determinism batch vs stream.
+        let opts = format!("{ins} --interval-min 1 --training 10 --support 800 --rules");
+        let batch = run(extract_to, &format!("extract {opts}"));
+        let streamed = run(stream_to, &format!("stream {opts} --threads 2"));
+        assert!(batch.contains("Anomaly extraction report"), "it alarms");
+        assert_eq!(reports(&streamed), reports(&batch), "replay diverged");
+        assert!(line(&batch, "processed ").starts_with("processed 23 intervals, "));
+        assert!(line(&streamed, "streamed ").contains(" into 23 intervals: "));
+        assert!(line(&streamed, "per-interval latency:")
+            .ends_with("dropped flows: 0 late, 0 pre-origin"));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// The multi-source streaming fan-in must reproduce exactly the
@@ -1395,88 +1368,152 @@ mod tests {
     /// files with skewed per-source clocks.
     #[test]
     fn stream_fan_in_matches_multi_input_extract() {
-        use anomex_traffic::MultiSourceScenario;
-        let dir = std::env::temp_dir().join("anomex-cli-multisource-test");
-        std::fs::create_dir_all(&dir).unwrap();
-
+        let dir = scratch_dir("anomex-cli-multisource-test");
         let scenario = MultiSourceScenario::uniform(13, 2);
         let intervals = scenario.interval_count().min(22);
-        let mut paths = Vec::new();
-        for s in 0..2 {
-            let mut exporter = V5Exporter::new();
-            let mut bytes = Vec::new();
-            for i in 0..intervals {
-                for dgram in exporter.export(&scenario.generate(s, i).flows) {
-                    bytes.extend_from_slice(&dgram);
-                }
-            }
-            let path = dir.join(format!("link{s}.nfv5"));
-            std::fs::write(&path, &bytes).unwrap();
-            paths.push(path.to_str().unwrap().to_string());
-        }
-
-        let config = ExtractionConfig {
-            interval_ms: scenario.interval_ms(),
-            detector: DetectorConfig {
-                training_intervals: 10,
-                ..DetectorConfig::default()
-            },
-            min_support: 800,
-            // Rules on: the reports then include both the ranked-rule
-            // section and the per-source rule merge section, so the
-            // fan-in equality below covers the whole rule layer.
-            rules: Some(RuleConfig::default()),
-            ..ExtractionConfig::default()
-        };
-        let threads = NonZeroUsize::new(2).unwrap();
-
-        let mut traces = load_traces(&paths).unwrap();
-        let (batch_reports, total) =
-            run_extract_multi(&mut traces, &paths, &config, NonZeroUsize::MIN).unwrap();
-        assert!(!batch_reports.is_empty(), "the flood must alarm");
+        let ins = write_traces(&dir, 2, intervals, |s, i| scenario.generate(s, i).flows);
+        // Rules on: the reports then include both the ranked-rule
+        // section and the per-source rule merge section, so the fan-in
+        // equality below covers the whole rule layer.
+        let opts = format!(
+            "{} --interval-min 1 --training 10 --support 800 --rules",
+            ins.join(" ")
+        );
+        let batch = run(extract_to, &format!("extract {opts}"));
+        let streamed = run(stream_to, &format!("stream {opts} --threads 2"));
         assert!(
-            batch_reports
-                .iter()
-                .any(|r| r.contains("Per-source rule merge — 2 source(s)")),
+            batch.contains("Per-source rule merge — 2 source(s)"),
             "multi-source reports carry the merge section"
         );
+        assert_eq!(reports(&streamed), reports(&batch), "fan-in diverged");
         // The skewed link spills past its inferred (floored) origin into
         // one extra trailing window, so the merged grid may exceed the
-        // generator's interval count by one.
-        assert!(total as u64 >= intervals, "{total} < {intervals}");
+        // generator's interval count by one — and both grids agree.
+        let processed = line(&batch, "processed ");
+        let total: u64 = processed.split(' ').nth(1).unwrap().parse().unwrap();
+        assert!(total >= intervals, "{total} < {intervals}");
+        assert!(line(&streamed, "fan-in:").contains(&format!(" into {total} merged intervals")));
+        assert!(line(&streamed, "per-interval").ends_with("dropped flows: 0 total"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
 
-        let mut traces = load_traces(&paths).unwrap();
-        let mut origins = Vec::new();
-        for (trace, path) in traces.iter_mut().zip(&paths) {
-            origins.push(inferred_origin(trace, config.interval_ms, path).unwrap());
+    /// Two exporters, killed after 12 intervals with `--stop-after` and
+    /// resumed with `--resume`: the two halves print exactly what one
+    /// uninterrupted fan-in prints, per-source rule merge included, and
+    /// the resumed trailer counts the whole stream.
+    #[test]
+    fn two_source_kill_and_resume_matches_an_uninterrupted_run() {
+        let dir = scratch_dir("anomex-cli-fanin-resume-test");
+        let scenario = MultiSourceScenario::uniform(11, 2);
+        let ins = write_traces(&dir, 2, 25, |s, i| scenario.generate(s, i).flows).join(" ");
+        let opts = "--interval-min 1 --training 10 --support 800 --rules --threads 2";
+        let opts = format!("stream {ins} {opts}");
+        let durable = format!("{opts} --checkpoint-dir {}", dir.display());
+        let full = run(stream_to, &opts);
+        let part1 = run(stream_to, &format!("{durable} --stop-after 12"));
+        let part2 = run(stream_to, &format!("{durable} --resume"));
+        assert!(
+            reports(&part2).contains("Per-source rule merge — 2 source(s)"),
+            "the resumed half extracts the flood"
+        );
+        assert_eq!(reports(&format!("{part1}{part2}")), reports(&full));
+        assert!(
+            !part1.contains("fan-in:"),
+            "a stopped run prints no trailer"
+        );
+        for prefix in ["fan-in:", "source src0 ", "source src1 "] {
+            assert_eq!(line(&part2, prefix), line(&full, prefix));
         }
-        let no_heartbeats = vec![Vec::new(); origins.len()];
-        let (events, summary) = run_stream_multi(
-            traces,
-            &no_heartbeats,
-            &origins,
-            config.clone(),
-            threads,
-            None,
-        )
-        .unwrap();
-        let stream_reports: Vec<String> = events
-            .iter()
-            .filter_map(|e| {
-                e.event
-                    .outcome
-                    .extraction
-                    .as_ref()
-                    .map(|ex| render_multi_report(ex, &e.flow_data, &e.source_flows, &config))
-            })
-            .collect();
-        assert_eq!(stream_reports, batch_reports, "fan-in diverged from batch");
-        assert_eq!(summary.intervals as usize, total, "grids agree");
-        assert_eq!(summary.dropped_flows, 0);
-        assert_eq!(summary.sources.len(), 2);
-        for path in &paths {
-            std::fs::remove_file(path).ok();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A checkpoint file in the parent's layout — header version 1, the
+    /// single-source engine's payload (`IntervalAssembler` snapshot,
+    /// flow count, five stream counters, `Engine::snapshot`) inside the
+    /// CLI framing — resumes on the one stream body with reports
+    /// identical to an uninterrupted run.
+    #[test]
+    fn version_one_checkpoint_file_resumes_identically() {
+        use anomex_netflow::snapshot::{fnv1a64, CHECKPOINT_MAGIC};
+        use anomex_netflow::IntervalAssembler;
+        let dir = scratch_dir("anomex-cli-v1-resume-test");
+        let scenario = Scenario::small(11);
+        let ins = write_traces(&dir, 1, 25, |_, i| scenario.generate(i).flows).join(" ");
+        let opts = format!("stream {ins} --interval-min 1 --training 10 --support 800");
+        let full = run(stream_to, &opts);
+
+        // The single-source engine, stopped after the push that closed
+        // its 12th interval (what `--stop-after 12` did).
+        let config = parse_config(&argv(&opts)).unwrap();
+        let lane = load_lanes(&argv(&opts), config.interval_ms)
+            .unwrap()
+            .remove(0);
+        let mut assembler = IntervalAssembler::new(lane.origin, config.interval_ms);
+        let mut engine = Engine::sequential(config).unwrap();
+        let mut counters = [0u64; 5];
+        let mut part1 = String::new();
+        let mut consumed = 0u64;
+        for flow in &lane.flows {
+            consumed += 1;
+            for closed in assembler.push(*flow) {
+                let outcome = engine.process(&closed.flows);
+                counters[0] += 1;
+                counters[1] += u64::from(outcome.observation.alarm);
+                counters[2] += u64::from(outcome.extraction.is_some());
+                if let Some(extraction) = outcome.extraction {
+                    part1 += &format!("{}\n", render_report(&extraction));
+                }
+            }
+            if counters[0] >= 12 {
+                break;
+            }
         }
+        let mut w = SnapshotWriter::new();
+        assembler.encode_snapshot(&mut w);
+        for value in [consumed].into_iter().chain(counters) {
+            w.u64(value);
+        }
+        w.bytes(&engine.snapshot());
+        let mut framing = SnapshotWriter::new();
+        framing.u64(consumed);
+        framing.bytes(&w.into_bytes());
+        let payload = framing.into_bytes();
+        let mut file = CHECKPOINT_MAGIC.to_vec();
+        file.extend_from_slice(&1u32.to_le_bytes());
+        file.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        file.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+        file.extend_from_slice(&payload);
+        std::fs::write(dir.join("stream.ckpt"), file).unwrap();
+
+        let part2 = run(
+            stream_to,
+            &format!("{opts} --checkpoint-dir {} --resume", dir.display()),
+        );
+        assert!(
+            reports(&part2).contains("Anomaly extraction report"),
+            "the resumed half extracts the flood"
+        );
+        assert_eq!(reports(&format!("{part1}{part2}")), reports(&full));
+        assert_eq!(line(&part2, "streamed "), line(&full, "streamed "));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Resuming a two-source checkpoint with one `--in` is an error, not
+    /// a grid whose second watermark never moves.
+    #[test]
+    fn resume_with_a_different_source_count_is_an_error() {
+        let dir = scratch_dir("anomex-cli-resume-count-test");
+        let scenario = MultiSourceScenario::uniform(5, 2);
+        let ins = write_traces(&dir, 2, 4, |s, i| scenario.generate(s, i).flows);
+        let durable = format!("--interval-min 1 --checkpoint-dir {}", dir.display());
+        run(
+            stream_to,
+            &format!("stream {} {durable} --stop-after 1", ins.join(" ")),
+        );
+        let one = argv(&format!("stream {} {durable} --resume", ins[0]));
+        let err = stream_to(&one, &mut Vec::new()).unwrap_err();
+        assert!(err.contains("2 source(s) but 1 --in"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// A trace file interleaving v5 datagrams with v9/IPFIX
@@ -1487,9 +1524,7 @@ mod tests {
     #[test]
     fn punctuated_trace_heartbeats_flow_into_the_grid() {
         use anomex_netflow::v9::{encode_ipfix_options_template, encode_v9_options_template};
-        use anomex_traffic::MultiSourceScenario;
-        let dir = std::env::temp_dir().join("anomex-cli-punctuation-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir("anomex-cli-punctuation-test");
 
         let scenario = MultiSourceScenario::uniform(17, 2);
         let intervals = scenario.interval_count().min(16);
@@ -1517,14 +1552,6 @@ mod tests {
             paths.push(path.to_str().unwrap().to_string());
         }
 
-        let mut traces = Vec::new();
-        let mut heartbeats = Vec::new();
-        for path in &paths {
-            let (flows, hbs) = load_trace_data(path).unwrap();
-            assert_eq!(hbs.len() as u64, intervals, "one keepalive per interval");
-            traces.push(FlowTrace::from_flows(flows));
-            heartbeats.push(hbs);
-        }
         let config = ExtractionConfig {
             interval_ms: scenario.interval_ms(),
             detector: DetectorConfig {
@@ -1534,66 +1561,68 @@ mod tests {
             min_support: 800,
             ..ExtractionConfig::default()
         };
-        let mut origins = Vec::new();
-        for (trace, path) in traces.iter_mut().zip(&paths) {
-            origins.push(inferred_origin(trace, config.interval_ms, path).unwrap());
+        let args = argv(&format!("stream --in {} --in {}", paths[0], paths[1]));
+        let lanes = load_lanes(&args, config.interval_ms).unwrap();
+        for lane in &lanes {
+            assert_eq!(
+                lane.heartbeats.len() as u64,
+                intervals,
+                "one keepalive per interval"
+            );
         }
-        let threads = NonZeroUsize::MIN;
-        let silent = vec![Vec::new(); origins.len()];
-        let (plain_events, plain_summary) = run_stream_multi(
-            traces.clone(),
-            &silent,
-            &origins,
-            config.clone(),
-            threads,
-            None,
-        )
-        .unwrap();
-        let (events, summary) =
-            run_stream_multi(traces, &heartbeats, &origins, config, threads, None).unwrap();
+        let silent: Vec<Lane> = lanes
+            .iter()
+            .map(|lane| Lane {
+                flows: lane.flows.clone(),
+                heartbeats: Vec::new(),
+                origin: lane.origin,
+            })
+            .collect();
+        let replay = |lanes: &[Lane]| {
+            let specs: Vec<SourceSpec> = lanes
+                .iter()
+                .enumerate()
+                .map(|(i, lane)| SourceSpec::new(i as u32, lane.origin))
+                .collect();
+            let mut engine =
+                MultiSourceExtractor::try_new(config.clone(), NonZeroUsize::MIN, &specs, None)
+                    .unwrap();
+            let mut events = Vec::new();
+            for (source, arrival) in Replay::new(lanes) {
+                events.extend(match arrival {
+                    Arrival::Flow(flow) => engine.push(source, flow),
+                    Arrival::Heartbeat(ms) => engine.heartbeat(source, ms),
+                });
+            }
+            let (tail, summary) = engine.finish();
+            events.extend(tail);
+            let outcomes: Vec<String> = events
+                .iter()
+                .map(|e| format!("{:?}", e.event.outcome))
+                .collect();
+            (outcomes, summary)
+        };
+        let (plain_outcomes, plain_summary) = replay(&silent);
+        let (outcomes, summary) = replay(&lanes);
         assert_eq!(summary.total_flows, plain_summary.total_flows);
         assert_eq!(summary.intervals, plain_summary.intervals);
         assert_eq!(summary.dropped_flows, 0, "heartbeats drop nothing");
-        let outcomes: Vec<String> = events
-            .iter()
-            .map(|e| format!("{:?}", e.event.outcome))
-            .collect();
-        let plain_outcomes: Vec<String> = plain_events
-            .iter()
-            .map(|e| format!("{:?}", e.event.outcome))
-            .collect();
         assert_eq!(outcomes, plain_outcomes, "punctuation changed the output");
-        for path in &paths {
-            std::fs::remove_file(path).ok();
-        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// End-to-end through temp files: generate a small trace, reload it,
     /// analyze with explicit meta-data.
     #[test]
     fn generate_then_analyze_round_trip() {
-        let dir = std::env::temp_dir().join("anomex-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("trace.nfv5");
-        let path_s = path.to_str().unwrap().to_string();
-
-        let args = Args::parse(
-            [
-                "generate",
-                "--out",
-                &path_s,
-                "--seed",
-                "7",
-                "--intervals",
-                "25",
-            ]
-            .iter()
-            .map(ToString::to_string),
-        )
+        let dir = scratch_dir("anomex-cli-test");
+        let path = dir.join("trace.nfv5").display().to_string();
+        generate(&argv(&format!(
+            "generate --out {path} --seed 7 --intervals 25"
+        )))
         .unwrap();
-        generate(&args).unwrap();
 
-        let flows = load_flows(&path_s).unwrap();
+        let flows = load_flows(&path).unwrap();
         assert!(flows.len() > 50_000, "25 intervals of the small scenario");
 
         // The small scenario's flood at interval 20 is on port 7000.
@@ -1606,31 +1635,31 @@ mod tests {
                 .any(|s| s.to_string().contains("dstPort=7000")),
             "flood recovered from the file"
         );
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// `analyze` validates like `extract`/`stream`: a zero support is a
     /// CLI error with the `ConfigError` text, not a miner panic.
     #[test]
     fn analyze_rejects_zero_support_without_panicking() {
-        let dir = std::env::temp_dir().join("anomex-cli-test-support0");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("trace.nfv5");
-        let path_s = path.to_str().unwrap().to_string();
-        let argv = |v: &[&str]| Args::parse(v.iter().map(ToString::to_string)).unwrap();
-        generate(&argv(&["generate", "--out", &path_s, "--intervals", "1"])).unwrap();
+        let dir = scratch_dir("anomex-cli-test-support0");
+        let path = dir.join("trace.nfv5").display().to_string();
+        generate(&argv(&format!("generate --out {path} --intervals 1"))).unwrap();
 
-        let base = ["analyze", "--in", &path_s, "--metadata", "dstPort=80"];
-        let err = analyze(&argv(&[&base[..], &["--support", "0"]].concat())).unwrap_err();
+        let analyze_with = |opts: &str| {
+            analyze(&argv(&format!(
+                "analyze --in {path} --metadata dstPort=80 {opts}"
+            )))
+        };
+        let err = analyze_with("--support 0").unwrap_err();
         assert_eq!(err, "minimum support must be at least 1");
-        analyze(&argv(&[&base[..], &["--support", "1000000"]].concat()))
-            .expect("a valid support still analyzes");
+        analyze_with("--support 1000000").expect("a valid support still analyzes");
 
         // `--k 0` used to die in the top-k miner ("k must be at least 1").
-        let err = analyze(&argv(&[&base[..], &["--top", "--k", "0"]].concat())).unwrap_err();
+        let err = analyze_with("--top --k 0").unwrap_err();
         assert_eq!(err, "--k must be at least 1");
-        analyze(&argv(&[&base[..], &["--top", "--k", "3"]].concat())).expect("a valid k mines");
-        std::fs::remove_file(&path).ok();
+        analyze_with("--top --k 3").expect("a valid k mines");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// A thread count the OS cannot serve used to abort the process
@@ -1639,22 +1668,18 @@ mod tests {
     /// asking for it is rejected with the engine unchanged.
     #[test]
     fn oversized_thread_counts_are_errors_not_aborts() {
-        let dir = std::env::temp_dir().join("anomex-cli-test-threads");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("trace.nfv5");
-        let path_s = path.to_str().unwrap().to_string();
-        let argv = |v: &[&str]| Args::parse(v.iter().map(ToString::to_string)).unwrap();
-        generate(&argv(&["generate", "--out", &path_s, "--intervals", "1"])).unwrap();
+        let dir = scratch_dir("anomex-cli-test-threads");
+        let path = dir.join("trace.nfv5").display().to_string();
+        generate(&argv(&format!("generate --out {path} --intervals 1"))).unwrap();
 
-        let many = ["--in", &path_s, "--threads", "100000"];
-        let err = extract(&argv(&[&["extract"][..], &many[..]].concat())).unwrap_err();
+        let many = format!("--in {path} --threads 100000");
+        let err = extract(&argv(&format!("extract {many}"))).unwrap_err();
         assert!(err.contains("--threads"), "extract: {err}");
-        let err = stream(&argv(&[&["stream"][..], &many[..]].concat())).unwrap_err();
+        let err = stream(&argv(&format!("stream {many}"))).unwrap_err();
         assert!(err.contains("--threads"), "stream: {err}");
-        let analyze_args = [&["analyze", "--metadata", "dstPort=80"][..], &many[..]].concat();
-        let err = analyze(&argv(&analyze_args)).unwrap_err();
+        let err = analyze(&argv(&format!("analyze --metadata dstPort=80 {many}"))).unwrap_err();
         assert!(err.contains("--threads"), "analyze: {err}");
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
 
         let req = parse_reconfig("shards=100000").expect("syntactically fine");
         let mut engine = Engine::new(ExtractionConfig::default(), NonZeroUsize::MIN).unwrap();
@@ -1667,21 +1692,18 @@ mod tests {
     /// is a CLI error, and `--scenario small` rejects the flag it ignores.
     #[test]
     fn bad_scales_are_errors_not_generator_panics() {
-        let argv = |v: &[&str]| Args::parse(v.iter().map(ToString::to_string)).unwrap();
         let out = std::env::temp_dir().join("anomex-cli-test-scale.nfv5");
-        let out_s = out.to_str().unwrap();
-        let two_weeks = ["generate", "--out", out_s, "--scenario", "two-weeks"];
+        let out_s = out.display();
+        let two_weeks = format!("generate --out {out_s} --scenario two-weeks");
         for bad in ["0", "-1", "nan", "inf", "1e300"] {
-            let err = generate(&argv(&[&two_weeks[..], &["--scale", bad]].concat())).unwrap_err();
+            let err = generate(&argv(&format!("{two_weeks} --scale {bad}"))).unwrap_err();
             assert!(err.contains("--scale"), "generate --scale {bad}: {err}");
-            let err = table2(&argv(&["table2", "--scale", bad])).unwrap_err();
+            let err = table2(&argv(&format!("table2 --scale {bad}"))).unwrap_err();
             assert!(err.contains("--scale"), "table2 --scale {bad}: {err}");
         }
-        generate(&argv(
-            &[&two_weeks[..], &["--scale", "0.01", "--intervals", "1"]].concat(),
-        ))
-        .expect("a valid scale still generates");
-        let err = generate(&argv(&["generate", "--out", out_s, "--scale", "0.5"])).unwrap_err();
+        generate(&argv(&format!("{two_weeks} --scale 0.01 --intervals 1")))
+            .expect("a valid scale still generates");
+        let err = generate(&argv(&format!("generate --out {out_s} --scale 0.5"))).unwrap_err();
         assert!(err.contains("does not take --scale"), "{err}");
         std::fs::remove_file(&out).ok();
     }

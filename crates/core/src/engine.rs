@@ -226,7 +226,7 @@ impl<'a> ExtractRequest<'a> {
 /// applied, so a rejected request has no effect at all.
 ///
 /// In streaming operation
-/// ([`StreamingExtractor::reconfigure`](crate::StreamingExtractor::reconfigure))
+/// ([`MultiSourceExtractor::reconfigure`](crate::MultiSourceExtractor::reconfigure))
 /// the request travels through the pipeline's work channel and lands
 /// **between intervals**: every interval submitted before the request is
 /// processed under the old parameters, everything after under the new —

@@ -27,17 +27,17 @@
 //!   every shard count — plus checkpointing ([`Engine::snapshot`] /
 //!   [`Engine::restore`]) and live reconfiguration
 //!   ([`Engine::reconfigure`] with a [`ReconfigRequest`]);
-//! - [`StreamingExtractor`] — the continuous engine: feed flows, get a
-//!   [`StreamEvent`] per closed Δ-interval, with interval `t+1`
-//!   assembling while interval `t` extracts (double buffering), plus
-//!   durable operation ([`StreamingExtractor::checkpoint`] /
-//!   [`StreamingExtractor::restore`] resume the stream bit-identically
-//!   after a crash) and boundary-aligned live reconfiguration;
-//! - [`MultiSourceExtractor`] — the same continuous engine fed by N
-//!   exporters at once: per-source assemblers with independent clock
+//! - [`MultiSourceExtractor`] — the one continuous engine: N ≥ 1
+//!   exporters push flows, per-source assemblers with independent clock
 //!   origins merge onto one watermark-closed interval grid (the paper's
-//!   multi-router SWITCH setting), bit-identical to extracting the
-//!   per-interval concatenation of all sources' flows;
+//!   multi-router SWITCH setting), and a [`MultiStreamEvent`] comes back
+//!   per closed Δ-interval, with interval `t+1` assembling while
+//!   interval `t` extracts (double buffering) — bit-identical to
+//!   extracting the per-interval concatenation of all sources' flows.
+//!   Durable operation ([`MultiSourceExtractor::checkpoint`] /
+//!   [`MultiSourceExtractor::restore`] resume the stream bit-identically
+//!   after a crash) and boundary-aligned live reconfiguration come with
+//!   it. [`StreamingExtractor`] is its one-source shorthand;
 //! - [`evaluate`] — the full §III evaluation harness over labeled
 //!   scenarios;
 //! - [`models`] — the analytic voting models, eqs. (1)–(3);
@@ -84,5 +84,5 @@ pub use report::{
 };
 pub use streaming::{
     latency_percentile, MultiSourceExtractor, MultiStreamEvent, MultiStreamSummary, StreamEvent,
-    StreamSummary, StreamingExtractor,
+    StreamingExtractor,
 };

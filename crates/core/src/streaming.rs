@@ -1,36 +1,36 @@
 //! The streaming extraction engine: continuous, pipelined online
-//! operation — from one exporter or from many.
+//! operation over one exporter or many.
 //!
-//! The paper's deployment is online — NetFlow collectors export flows
-//! continuously and the extractor must keep up with each Δ-minute
-//! interval in real time. [`StreamingExtractor`] implements that by
-//! wrapping the two halves the crate already has into one double-buffered
-//! pipeline:
+//! The paper's deployment is online — the NetFlow exporters of several
+//! border routers feed one analysis that must keep up with each
+//! Δ-minute interval in real time. [`MultiSourceExtractor`] is that
+//! engine: one [`anomex_netflow::IntervalAssembler`] per exporter (each
+//! with its own clock origin) feeds a shared [`MergeAssembler`] grid
+//! that closes an interval only when every live source has advanced
+//! past it (watermark semantics, with a configurable lateness bound and
+//! per-source drop accounting), and each merged interval runs through a
+//! double-buffered pipeline thread:
 //!
 //! ```text
 //!  caller thread                     │  pipeline thread (spawned once)
 //!  ─────────────                     │  ──────────────────────────────
-//!  push(flow) ──► IntervalAssembler  │   Engine (persistent
-//!                   assembles t+1    │   worker pool): detect → prefilter
-//!                        │           │   → mine interval t
+//!  push(source, flow)                │   Engine (persistent
+//!    ──► MergeAssembler lanes        │   worker pool): detect → prefilter
+//!        assemble t+1                │   → mine interval t
+//!                        │           │            │
 //!                        ▼           │            │
 //!                 bounded(1) channel ─────────────┘
 //!                 (the double buffer: one interval in flight,
 //!                  one queued; assembly of t+1 overlaps
 //!                  extraction of t)
 //!                        ▲           │
-//!  push()/finish() ◄─────┴─ StreamEvent per closed interval
-//!                            (outcome + timing + drop counters)
+//!  push()/finish() ◄─────┴─ MultiStreamEvent per closed interval
+//!                            (outcome + timing + per-source weights)
 //! ```
 //!
-//! [`MultiSourceExtractor`] generalizes the ingestion side to the
-//! paper's multi-link SWITCH setting — **N border routers feeding one
-//! analysis pipeline**. One [`anomex_netflow::IntervalAssembler`] per
-//! exporter (each with its own clock origin) feeds a shared
-//! [`MergeAssembler`] grid that closes an interval only when every live
-//! source has advanced past it (watermark semantics, with a configurable
-//! lateness bound and per-source drop accounting); each merged interval
-//! then runs through exactly the same pipeline thread.
+//! One exporter is a fan-in of one: a one-lane grid closes exactly the
+//! windows a plain assembler would. [`StreamingExtractor`] is only a
+//! shorthand for that case.
 //!
 //! The detector bank lives inside the pipeline thread's
 //! [`Engine`] for the whole life of the stream, so baseline
@@ -39,16 +39,15 @@
 //! per call; an extractor that has finished training stays trained for
 //! every subsequent interval of the stream.
 //!
-//! **Determinism:** the assembler emits exactly the intervals batch
-//! slicing would produce (empty windows included, so the KL time series
-//! stays aligned), and the pipeline thread feeds them, in order, through
-//! the same pool-backed engine the batch path uses — so the streaming
-//! event stream is **bit-identical** to batch extraction over the same
-//! flows, for every shard count and miner. In multi-source operation the
-//! same holds against batch extraction of the *concatenation* of all
-//! sources' flows per interval (in source registration order), no matter
-//! how the sources' pushes interleave. The streaming and multi-source
-//! determinism property suites assert both.
+//! **Determinism:** the grid emits exactly the intervals batch slicing
+//! would produce (empty windows included, so the KL time series stays
+//! aligned), each the concatenation of every source's window in source
+//! registration order, and the pipeline thread feeds them, in order,
+//! through the same pool-backed engine the batch path uses — so the
+//! event stream is **bit-identical** to batch extraction of the
+//! per-interval concatenation, for every shard count and miner, no
+//! matter how the sources' pushes interleave. The streaming and
+//! multi-source determinism property suites assert both.
 
 use std::collections::BTreeMap;
 use std::num::NonZeroUsize;
@@ -58,8 +57,8 @@ use std::time::Instant;
 
 use anomex_netflow::snapshot::{RestoreError, SnapshotReader, SnapshotWriter};
 use anomex_netflow::{
-    ClosedInterval, FlowRecord, IntervalAssembler, MergeAssembler, MergeConfig, MergedInterval,
-    SourceId, SourceSpec, SourceStats, SourcedFlow,
+    FlowRecord, IntervalAssembler, MergeAssembler, MergeConfig, MergedInterval, SourceId,
+    SourceSpec, SourceStats,
 };
 use crossbeam::channel::{bounded, Receiver, Sender};
 
@@ -71,16 +70,17 @@ use crate::pipeline::IntervalOutcome;
 /// saw, what it extracted, and how long extraction took.
 #[derive(Debug, Clone)]
 pub struct StreamEvent {
-    /// Zero-based interval index since the stream origin.
+    /// Zero-based interval index on the grid.
     pub index: u64,
-    /// Inclusive window start, ms.
+    /// Inclusive window start in grid time (`index * Δ`; add a source's
+    /// origin for its own clock), ms.
     pub begin_ms: u64,
-    /// Exclusive window end, ms.
+    /// Exclusive window end in grid time, ms.
     pub end_ms: u64,
     /// Flows assembled into this interval.
     pub flows: usize,
-    /// Cumulative assembler drops (late + pre-origin flows) at the
-    /// moment this interval closed.
+    /// Cumulative drops across all sources (late, pre-origin and stale
+    /// flows) at the moment this interval closed.
     pub dropped_flows: u64,
     /// Wall-clock the pipeline spent on this interval (detection,
     /// pre-filtering, mining), in microseconds.
@@ -97,32 +97,6 @@ impl StreamEvent {
     }
 }
 
-/// End-of-stream accounting returned by [`StreamingExtractor::finish`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StreamSummary {
-    /// Intervals closed (and processed) over the stream's lifetime.
-    pub intervals: u64,
-    /// Intervals on which the detector bank alarmed.
-    pub alarms: u64,
-    /// Intervals that produced an extraction (alarm + non-empty
-    /// meta-data).
-    pub extractions: u64,
-    /// Flows fed to the stream.
-    pub total_flows: u64,
-    /// Flows dropped because they arrived after their window closed.
-    pub late_flows: u64,
-    /// Flows dropped because they were dated before the stream origin.
-    pub pre_origin_flows: u64,
-    /// Whether every detector had finished training by end of stream.
-    pub trained: bool,
-    /// Live reconfiguration requests applied at interval boundaries over
-    /// the stream's lifetime (the audit trail survives checkpoints).
-    pub reconfigs_applied: u64,
-    /// Reconfiguration requests rejected by validation — the engine kept
-    /// its previous parameters.
-    pub reconfigs_rejected: u64,
-}
-
 /// The `p`-th percentile (nearest rank) of a latency sample, sorting the
 /// slice in place; zero for an empty sample. The one definition shared
 /// by the CLI's end-of-stream summary and the benchmark emitters, so
@@ -137,11 +111,11 @@ pub fn latency_percentile(latencies: &mut [u64], p: f64) -> u64 {
     latencies[rank.clamp(1, latencies.len()) - 1]
 }
 
-/// A closed interval plus the assembler's cumulative drop count at the
-/// moment it closed — what the caller thread hands the pipeline thread.
-/// The flows travel behind an [`Arc`] so a submitter can keep a handle
-/// to the interval's data (the multi-source engine re-mines it per
-/// source for the rule-merge layer) without copying the `Vec`.
+/// A closed interval plus the grid's cumulative drop count at the moment
+/// it closed — what the caller thread hands the pipeline thread. The
+/// flows travel behind an [`Arc`] so the caller keeps a handle to the
+/// interval's data (for re-mining it per source in the rule-merge
+/// layer) without copying the `Vec`.
 #[derive(Debug)]
 struct Work {
     index: u64,
@@ -149,25 +123,6 @@ struct Work {
     end_ms: u64,
     flows: Arc<Vec<FlowRecord>>,
     dropped_flows: u64,
-}
-
-impl Work {
-    /// Wrap a freshly closed interval, Arc-ing its flows.
-    fn from_closed(interval: ClosedInterval, dropped_flows: u64) -> Self {
-        let ClosedInterval {
-            index,
-            begin_ms,
-            end_ms,
-            flows,
-        } = interval;
-        Work {
-            index,
-            begin_ms,
-            end_ms,
-            flows: Arc::new(flows),
-            dropped_flows,
-        }
-    }
 }
 
 /// What travels down the pipeline thread's command channel. Snapshot and
@@ -183,8 +138,11 @@ enum Command {
     /// Serialize the engine's state and reply with the payload.
     Snapshot(Sender<Vec<u8>>),
     /// Apply a parameter change at this interval boundary; reply with
-    /// the validation verdict.
-    Reconfig(Box<ReconfigRequest>, Sender<Result<(), ConfigError>>),
+    /// the resulting configuration or the validation error.
+    Reconfig(
+        Box<ReconfigRequest>,
+        Sender<Result<ExtractionConfig, ConfigError>>,
+    ),
 }
 
 fn pipeline_loop(
@@ -195,23 +153,15 @@ fn pipeline_loop(
     while let Ok(command) = work_rx.recv() {
         match command {
             Command::Work(work) => {
-                let Work {
-                    index,
-                    begin_ms,
-                    end_ms,
-                    flows,
-                    dropped_flows,
-                } = work;
                 let started = Instant::now();
-                let outcome = engine.process(&flows);
-                let process_micros = started.elapsed().as_micros() as u64;
+                let outcome = engine.process(&work.flows);
                 let event = StreamEvent {
-                    index,
-                    begin_ms,
-                    end_ms,
-                    flows: flows.len(),
-                    dropped_flows,
-                    process_micros,
+                    index: work.index,
+                    begin_ms: work.begin_ms,
+                    end_ms: work.end_ms,
+                    flows: work.flows.len(),
+                    dropped_flows: work.dropped_flows,
+                    process_micros: started.elapsed().as_micros() as u64,
                     outcome,
                 };
                 if events_tx.send(event).is_err() {
@@ -224,7 +174,9 @@ fn pipeline_loop(
                 }
             }
             Command::Reconfig(request, reply) => {
-                let verdict = engine.reconfigure(&request);
+                let verdict = engine
+                    .reconfigure(&request)
+                    .map(|()| engine.config().clone());
                 if reply.send(verdict).is_err() {
                     break; // requester gone: the stream was abandoned
                 }
@@ -234,10 +186,8 @@ fn pipeline_loop(
     engine
 }
 
-/// The shared back half of every streaming engine: the pipeline thread,
-/// its work/event channels, and the running interval counters. Both
-/// [`StreamingExtractor`] (one exporter) and [`MultiSourceExtractor`]
-/// (N exporters) assemble intervals their own way and hand them here.
+/// The back half of the streaming engine: the pipeline thread, its
+/// work/event channels, and the running interval counters.
 #[derive(Debug)]
 struct PipelineHandle {
     /// `Some` until `finish`/drop closes the stream.
@@ -263,24 +213,39 @@ impl PipelineHandle {
     /// `push`, so this only needs slack for bursts of empty intervals.
     const EVENT_BUFFER: usize = 64;
 
-    /// Spawn the pipeline thread around an already-validated engine.
-    fn spawn(engine: Engine) -> Result<Self, ConfigError> {
+    /// Spawn the pipeline thread around an already-validated engine,
+    /// starting the stream counters at `counters` (intervals, alarms,
+    /// extractions, reconfigs applied, reconfigs rejected — the order a
+    /// checkpoint stores them in; zeros for a fresh stream).
+    fn spawn(engine: Engine, counters: [u64; 5]) -> Result<Self, ConfigError> {
         let (work_tx, work_rx) = bounded::<Command>(Self::WORK_BUFFER);
         let (events_tx, events_rx) = bounded::<StreamEvent>(Self::EVENT_BUFFER);
         let worker = std::thread::Builder::new()
             .name("anomex-stream-pipeline".into())
             .spawn(move || pipeline_loop(engine, &work_rx, &events_tx))
             .map_err(|e| ConfigError::new(format!("cannot spawn pipeline thread: {e}")))?;
+        let [intervals, alarms, extractions, reconfigs_applied, reconfigs_rejected] = counters;
         Ok(PipelineHandle {
             work_tx: Some(work_tx),
             events_rx,
             worker: Some(worker),
-            intervals: 0,
-            alarms: 0,
-            extractions: 0,
-            reconfigs_applied: 0,
-            reconfigs_rejected: 0,
+            intervals,
+            alarms,
+            extractions,
+            reconfigs_applied,
+            reconfigs_rejected,
         })
+    }
+
+    /// The stream counters, in [`spawn`](Self::spawn)'s order.
+    fn counters(&self) -> [u64; 5] {
+        [
+            self.intervals,
+            self.alarms,
+            self.extractions,
+            self.reconfigs_applied,
+            self.reconfigs_rejected,
+        ]
     }
 
     /// Queue one assembled interval for extraction, first draining every
@@ -292,93 +257,44 @@ impl PipelineHandle {
     /// Re-raises a panic from the pipeline thread.
     fn submit(&mut self, work: Work, into: &mut Vec<StreamEvent>) {
         self.drain_ready(into);
+        self.send(Command::Work(work));
+    }
+
+    /// Send a command that replies (a snapshot or a reconfiguration) and
+    /// wait for the reply. The command rides the FIFO channel, so every
+    /// previously submitted interval is fully processed — and its event
+    /// already in the event channel — before it executes; the trailing
+    /// drain therefore leaves the counters exactly consistent with the
+    /// reply.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panic from the pipeline thread.
+    fn request<T>(
+        &mut self,
+        command: impl FnOnce(Sender<T>) -> Command,
+        into: &mut Vec<StreamEvent>,
+    ) -> T {
+        self.drain_ready(into);
+        let (reply_tx, reply_rx) = bounded(1);
+        self.send(command(reply_tx));
+        let Ok(reply) = reply_rx.recv() else {
+            self.join_and_propagate();
+        };
+        self.drain_ready(into);
+        reply
+    }
+
+    fn send(&mut self, command: Command) {
         let sent = self
             .work_tx
             .as_ref()
             .expect("stream already finished")
-            .send(Command::Work(work));
+            .send(command);
         if sent.is_err() {
             // The pipeline thread is gone mid-stream: it panicked.
             self.join_and_propagate();
         }
-    }
-
-    /// Ask the pipeline thread for an engine snapshot. The request rides
-    /// the FIFO command channel, so every previously submitted interval
-    /// is fully processed — and its event already in the event channel —
-    /// before the snapshot is taken; the trailing drain therefore leaves
-    /// the counters exactly consistent with the serialized engine state.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises a panic from the pipeline thread.
-    fn snapshot(&mut self, into: &mut Vec<StreamEvent>) -> Vec<u8> {
-        self.drain_ready(into);
-        let (reply_tx, reply_rx) = bounded(1);
-        let sent = self
-            .work_tx
-            .as_ref()
-            .expect("stream already finished")
-            .send(Command::Snapshot(reply_tx));
-        if sent.is_err() {
-            self.join_and_propagate();
-        }
-        let Ok(payload) = reply_rx.recv() else {
-            self.join_and_propagate();
-        };
-        self.drain_ready(into);
-        payload
-    }
-
-    /// Forward a reconfiguration request to the pipeline thread and wait
-    /// for its verdict, updating the audit counters.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises a panic from the pipeline thread.
-    fn reconfigure(
-        &mut self,
-        request: ReconfigRequest,
-        into: &mut Vec<StreamEvent>,
-    ) -> Result<(), ConfigError> {
-        self.drain_ready(into);
-        let (reply_tx, reply_rx) = bounded(1);
-        let sent = self
-            .work_tx
-            .as_ref()
-            .expect("stream already finished")
-            .send(Command::Reconfig(Box::new(request), reply_tx));
-        if sent.is_err() {
-            self.join_and_propagate();
-        }
-        let Ok(verdict) = reply_rx.recv() else {
-            self.join_and_propagate();
-        };
-        match &verdict {
-            Ok(()) => self.reconfigs_applied += 1,
-            Err(_) => self.reconfigs_rejected += 1,
-        }
-        self.drain_ready(into);
-        verdict
-    }
-
-    /// Serialize the stream counters into a checkpoint payload.
-    fn encode_counters(&self, w: &mut SnapshotWriter) {
-        w.u64(self.intervals);
-        w.u64(self.alarms);
-        w.u64(self.extractions);
-        w.u64(self.reconfigs_applied);
-        w.u64(self.reconfigs_rejected);
-    }
-
-    /// Restore the stream counters serialized by
-    /// [`encode_counters`](Self::encode_counters).
-    fn restore_counters(&mut self, counters: [u64; 5]) {
-        self.intervals = counters[0];
-        self.alarms = counters[1];
-        self.extractions = counters[2];
-        self.reconfigs_applied = counters[3];
-        self.reconfigs_rejected = counters[4];
     }
 
     /// Non-blockingly collect every event the pipeline thread has
@@ -451,195 +367,9 @@ impl Drop for PipelineHandle {
     }
 }
 
-/// The continuous streaming pipeline: feed flows, receive a
-/// [`StreamEvent`] per closed Δ-interval.
-///
-/// See the [module docs](self) for the execution model. Constructed once
-/// per stream; [`push`](Self::push) flows in rough arrival order and
-/// [`finish`](Self::finish) at end of stream (or drop the extractor to
-/// abandon it — the pipeline thread is joined either way).
-#[derive(Debug)]
-pub struct StreamingExtractor {
-    assembler: IntervalAssembler,
-    pipe: PipelineHandle,
-    total_flows: u64,
-}
-
-impl StreamingExtractor {
-    /// Build a streaming pipeline with windows
-    /// `[origin_ms + i*Δ, origin_ms + (i+1)*Δ)` and `shards` persistent
-    /// pool workers (1 = inline), spawning the pipeline thread.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first violated configuration constraint.
-    pub fn try_new(
-        config: ExtractionConfig,
-        shards: NonZeroUsize,
-        origin_ms: u64,
-    ) -> Result<Self, ConfigError> {
-        let interval_ms = config.interval_ms;
-        let engine = Engine::new(config, shards)?;
-        // `validate` already rejected a zero interval; map defensively
-        // rather than panic so the error path stays a `Result`.
-        let assembler =
-            IntervalAssembler::try_new(origin_ms, interval_ms).map_err(ConfigError::new)?;
-        Ok(StreamingExtractor {
-            assembler,
-            pipe: PipelineHandle::spawn(engine)?,
-            total_flows: 0,
-        })
-    }
-
-    /// The streaming interval assembler (drop counters, window
-    /// geometry).
-    #[must_use]
-    pub fn assembler(&self) -> &IntervalAssembler {
-        &self.assembler
-    }
-
-    /// Serialize the stream's complete state into a checkpoint payload:
-    /// the assembler (including the in-progress window's flows and drop
-    /// counters), the stream counters, and the engine's configuration
-    /// and detector bank. Returns any events that became ready while the
-    /// pipeline drained, plus the payload — frame it with
-    /// [`anomex_netflow::snapshot::write_checkpoint`] to persist it
-    /// atomically.
-    ///
-    /// The snapshot request rides the pipeline's FIFO work channel, so
-    /// it lands between intervals: the payload reflects every interval
-    /// submitted before the call, and nothing after.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises a panic from the pipeline thread.
-    pub fn checkpoint(&mut self) -> (Vec<StreamEvent>, Vec<u8>) {
-        let mut events = Vec::new();
-        let engine = self.pipe.snapshot(&mut events);
-        let mut w = SnapshotWriter::new();
-        self.assembler.encode_snapshot(&mut w);
-        w.u64(self.total_flows);
-        self.pipe.encode_counters(&mut w);
-        w.bytes(&engine);
-        (events, w.into_bytes())
-    }
-
-    /// Rebuild a streaming pipeline from a [`checkpoint`](Self::checkpoint)
-    /// payload, resuming the stream bit-identically: the restored
-    /// assembler continues the same window grid (partial window
-    /// included) and the restored engine scores every subsequent
-    /// interval exactly as the checkpointed one would have. `shards`
-    /// overrides the saved shard count (`None` keeps it).
-    ///
-    /// # Errors
-    ///
-    /// Any [`RestoreError`] from a truncated, corrupt, or inconsistent
-    /// payload.
-    pub fn restore(payload: &[u8], shards: Option<NonZeroUsize>) -> Result<Self, RestoreError> {
-        let mut r = SnapshotReader::new(payload);
-        let assembler = IntervalAssembler::decode_snapshot(&mut r)?;
-        let total_flows = r.u64()?;
-        let mut counters = [0u64; 5];
-        for c in &mut counters {
-            *c = r.u64()?;
-        }
-        let engine_bytes = r.bytes()?;
-        r.finish()?;
-        let engine = Engine::restore(engine_bytes, shards)?;
-        if engine.config().interval_ms != assembler.interval_ms() {
-            return Err(RestoreError::Corrupt(format!(
-                "assembler interval {} ms disagrees with engine interval {} ms",
-                assembler.interval_ms(),
-                engine.config().interval_ms
-            )));
-        }
-        let mut pipe = PipelineHandle::spawn(engine)
-            .map_err(|e| RestoreError::Corrupt(format!("cannot respawn pipeline: {e}")))?;
-        pipe.restore_counters(counters);
-        Ok(StreamingExtractor {
-            assembler,
-            pipe,
-            total_flows,
-        })
-    }
-
-    /// Apply a live parameter change at the next interval boundary (see
-    /// [`ReconfigRequest`]): intervals already submitted run under the
-    /// old parameters, everything after under the new — no flows are
-    /// dropped either way. Returns any events that became ready, plus
-    /// the validation verdict; a rejected request leaves the engine
-    /// untouched. Both outcomes are tallied in the
-    /// [`StreamSummary`] audit counters.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises a panic from the pipeline thread.
-    pub fn reconfigure(
-        &mut self,
-        request: ReconfigRequest,
-    ) -> (Vec<StreamEvent>, Result<(), ConfigError>) {
-        let mut events = Vec::new();
-        let verdict = self.pipe.reconfigure(request, &mut events);
-        (events, verdict)
-    }
-
-    /// Feed one flow. Returns every [`StreamEvent`] that became ready —
-    /// usually empty, one event when the flow closed an interval, and
-    /// several after a gap in the stream (empty windows are processed
-    /// too, keeping the KL series aligned).
-    ///
-    /// # Panics
-    ///
-    /// Re-raises a panic from the pipeline thread (a worker-pool job or
-    /// detector panicking on a poisoned interval).
-    pub fn push(&mut self, flow: FlowRecord) -> Vec<StreamEvent> {
-        self.total_flows += 1;
-        let closed = self.assembler.push(flow);
-        let mut events = Vec::new();
-        for interval in closed {
-            let dropped = self.assembler.dropped_flows();
-            self.pipe
-                .submit(Work::from_closed(interval, dropped), &mut events);
-        }
-        self.pipe.drain_ready(&mut events);
-        events
-    }
-
-    /// Close the stream: flush the in-progress interval, wait for the
-    /// pipeline thread to drain, and return the remaining events plus
-    /// the end-of-stream summary.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises a panic from the pipeline thread.
-    #[must_use]
-    pub fn finish(mut self) -> (Vec<StreamEvent>, StreamSummary) {
-        let mut events = Vec::new();
-        if let Some(interval) = self.assembler.flush() {
-            let dropped = self.assembler.dropped_flows();
-            self.pipe
-                .submit(Work::from_closed(interval, dropped), &mut events);
-        }
-        let (tail, engine) = self.pipe.finish();
-        events.extend(tail);
-        let summary = StreamSummary {
-            intervals: self.pipe.intervals,
-            alarms: self.pipe.alarms,
-            extractions: self.pipe.extractions,
-            total_flows: self.total_flows,
-            late_flows: self.assembler.late_flows(),
-            pre_origin_flows: self.assembler.pre_origin_flows(),
-            trained: engine.is_trained(),
-            reconfigs_applied: self.pipe.reconfigs_applied,
-            reconfigs_rejected: self.pipe.reconfigs_rejected,
-        };
-        (events, summary)
-    }
-}
-
-/// One merged interval's worth of multi-source streaming output: the
-/// ordinary [`StreamEvent`] plus the per-source flow weights of the
-/// union that produced it.
+/// One closed grid interval's worth of streaming output: the
+/// [`StreamEvent`] plus the per-source flow weights of the union that
+/// produced it (one weight for a single exporter).
 #[derive(Debug, Clone)]
 pub struct MultiStreamEvent {
     /// The pipeline outcome for the merged interval (grid-time window).
@@ -667,11 +397,12 @@ impl MultiStreamEvent {
 /// End-of-stream accounting returned by [`MultiSourceExtractor::finish`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MultiStreamSummary {
-    /// Merged grid intervals closed (and processed).
+    /// Grid intervals closed (and processed).
     pub intervals: u64,
     /// Intervals on which the detector bank alarmed.
     pub alarms: u64,
-    /// Intervals that produced an extraction.
+    /// Intervals that produced an extraction (alarm + non-empty
+    /// meta-data).
     pub extractions: u64,
     /// Flows fed to the stream across all sources.
     pub total_flows: u64,
@@ -682,13 +413,15 @@ pub struct MultiStreamSummary {
     pub trained: bool,
     /// Per-source ingestion and drop accounting, in registration order.
     pub sources: Vec<SourceStats>,
-    /// Live reconfiguration requests applied at interval boundaries.
+    /// Live reconfiguration requests applied at interval boundaries over
+    /// the stream's lifetime (the audit trail survives checkpoints).
     pub reconfigs_applied: u64,
-    /// Reconfiguration requests rejected by validation.
+    /// Reconfiguration requests rejected by validation — the engine kept
+    /// its previous parameters.
     pub reconfigs_rejected: u64,
 }
 
-/// The multi-source streaming pipeline: N exporters fanned in onto one
+/// The streaming pipeline: N exporters (one or more) fanned in onto one
 /// interval grid, extracted by one engine.
 ///
 /// Feed flows tagged with their [`SourceId`] in per-source arrival
@@ -696,14 +429,18 @@ pub struct MultiStreamSummary {
 /// [`MultiStreamEvent`] per closed grid interval. The grid closes an
 /// interval when every live source has advanced past it — see
 /// [`MergeAssembler`] for the watermark and lateness-bound semantics —
-/// and each merged interval runs through the same double-buffered
-/// pipeline thread as [`StreamingExtractor`], so the outcome stream is
+/// and each merged interval runs through the double-buffered pipeline
+/// thread (see the [module docs](self)), so the outcome stream is
 /// bit-identical to batch extraction of the per-interval concatenation
-/// of all sources' flows.
+/// of all sources' flows. [`finish`](Self::finish) at end of stream, or
+/// drop the extractor to abandon it — the pipeline thread is joined
+/// either way.
 #[derive(Debug)]
 pub struct MultiSourceExtractor {
     assembler: MergeAssembler,
     pipe: PipelineHandle,
+    /// The configuration every interval submitted from now on runs under.
+    config: ExtractionConfig,
     /// Per-source weights and shared flow data of intervals submitted to
     /// the pipeline thread but not yet returned, keyed by grid index.
     pending_weights: BTreeMap<u64, (Vec<usize>, Arc<Vec<FlowRecord>>)>,
@@ -711,11 +448,12 @@ pub struct MultiSourceExtractor {
 }
 
 impl MultiSourceExtractor {
-    /// Build a multi-source pipeline over the given exporters with
-    /// `shards` persistent pool workers (1 = inline), spawning the
-    /// pipeline thread. `max_lag_intervals` bounds how far the fastest
-    /// source may run ahead before the grid force-closes laggards
-    /// (`None` = pure watermark, wait forever).
+    /// Build a streaming pipeline over the given exporters with `shards`
+    /// persistent pool workers (1 = inline), spawning the pipeline
+    /// thread. Source `s` has windows `[origin_s + i*Δ, origin_s +
+    /// (i+1)*Δ)`. `max_lag_intervals` bounds how far the fastest source
+    /// may run ahead before the grid force-closes laggards (`None` =
+    /// pure watermark, wait forever).
     ///
     /// # Errors
     ///
@@ -731,28 +469,44 @@ impl MultiSourceExtractor {
             interval_ms: config.interval_ms,
             max_lag_intervals,
         };
-        let engine = Engine::new(config, shards)?;
+        let engine = Engine::new(config.clone(), shards)?;
         let assembler = MergeAssembler::try_new(merge_config, sources).map_err(ConfigError::new)?;
         Ok(MultiSourceExtractor {
             assembler,
-            pipe: PipelineHandle::spawn(engine)?,
+            pipe: PipelineHandle::spawn(engine, [0; 5])?,
+            config,
             pending_weights: BTreeMap::new(),
             total_flows: 0,
         })
     }
 
-    /// The merge assembler (per-source drop counters, grid state).
+    /// The merge assembler (registered sources, per-source drop
+    /// counters, grid state).
     #[must_use]
     pub fn assembler(&self) -> &MergeAssembler {
         &self.assembler
     }
 
-    /// Serialize the multi-source stream's complete state — the merge
-    /// grid (every lane's assembler, pending windows, watermarks, and
-    /// per-source drop counters), the stream counters, and the engine —
-    /// into a checkpoint payload. Returns events that became ready while
-    /// the pipeline drained, plus the payload. The pipeline is fully
-    /// drained by the snapshot request's FIFO position, so no in-flight
+    /// The configuration every interval submitted from now on runs
+    /// under: the constructor's, the checkpoint's after a restore, and
+    /// updated by every applied [`reconfigure`](Self::reconfigure).
+    #[must_use]
+    pub fn config(&self) -> &ExtractionConfig {
+        &self.config
+    }
+
+    /// Serialize the stream's complete state — the merge grid (every
+    /// lane's assembler with its in-progress window, pending windows,
+    /// watermarks, and per-source drop counters), the stream counters,
+    /// and the engine's configuration and detector bank — into a
+    /// checkpoint payload. Returns events that became ready while the
+    /// pipeline drained, plus the payload; frame it with
+    /// [`anomex_netflow::snapshot::write_checkpoint`] to persist it
+    /// atomically.
+    ///
+    /// The snapshot request rides the pipeline's FIFO work channel, so
+    /// it lands between intervals: the payload reflects every interval
+    /// submitted before the call, and nothing after — no in-flight
     /// interval state needs to travel.
     ///
     /// # Panics
@@ -760,7 +514,7 @@ impl MultiSourceExtractor {
     /// Re-raises a panic from the pipeline thread.
     pub fn checkpoint(&mut self) -> (Vec<MultiStreamEvent>, Vec<u8>) {
         let mut events = Vec::new();
-        let engine = self.pipe.snapshot(&mut events);
+        let engine = self.pipe.request(Command::Snapshot, &mut events);
         let events = self.tag(events);
         debug_assert!(
             self.pending_weights.is_empty(),
@@ -769,15 +523,19 @@ impl MultiSourceExtractor {
         let mut w = SnapshotWriter::new();
         self.assembler.encode_snapshot(&mut w);
         w.u64(self.total_flows);
-        self.pipe.encode_counters(&mut w);
+        for counter in self.pipe.counters() {
+            w.u64(counter);
+        }
         w.bytes(&engine);
         (events, w.into_bytes())
     }
 
-    /// Rebuild a multi-source pipeline from a
-    /// [`checkpoint`](Self::checkpoint) payload, resuming the merged
-    /// stream bit-identically. `shards` overrides the saved shard count
-    /// (`None` keeps it).
+    /// Rebuild a stream from a [`checkpoint`](Self::checkpoint) payload
+    /// (checkpoint format version 2), resuming it bit-identically: the
+    /// restored grid continues every lane's window (partial windows
+    /// included) and the restored engine scores every subsequent
+    /// interval exactly as the checkpointed one would have. `shards`
+    /// overrides the saved shard count (`None` keeps it).
     ///
     /// # Errors
     ///
@@ -787,10 +545,35 @@ impl MultiSourceExtractor {
         let mut r = SnapshotReader::new(payload);
         let assembler = MergeAssembler::decode_snapshot(&mut r)?;
         let total_flows = r.u64()?;
-        let mut counters = [0u64; 5];
-        for c in &mut counters {
-            *c = r.u64()?;
-        }
+        Self::resume(assembler, total_flows, r, shards)
+    }
+
+    /// Rebuild a stream from a checkpoint format version 1 payload — the
+    /// single-source engine's layout, which held one interval assembler
+    /// where version 2 holds the merge grid — as a one-lane grid
+    /// (source `0`) that resumes exactly where the single-source stream
+    /// stood.
+    ///
+    /// # Errors
+    ///
+    /// As [`restore`](Self::restore).
+    pub fn restore_v1(payload: &[u8], shards: Option<NonZeroUsize>) -> Result<Self, RestoreError> {
+        let mut r = SnapshotReader::new(payload);
+        let lane = IntervalAssembler::decode_snapshot(&mut r)?;
+        let total_flows = r.u64()?;
+        let assembler = MergeAssembler::from_single(lane, total_flows);
+        Self::resume(assembler, total_flows, r, shards)
+    }
+
+    /// The rest of a payload after the grid and flow count, in both
+    /// versions: the stream counters, then the engine.
+    fn resume(
+        assembler: MergeAssembler,
+        total_flows: u64,
+        mut r: SnapshotReader<'_>,
+        shards: Option<NonZeroUsize>,
+    ) -> Result<Self, RestoreError> {
+        let counters = [r.u64()?, r.u64()?, r.u64()?, r.u64()?, r.u64()?];
         let engine_bytes = r.bytes()?;
         r.finish()?;
         let engine = Engine::restore(engine_bytes, shards)?;
@@ -801,21 +584,25 @@ impl MultiSourceExtractor {
                 engine.config().interval_ms
             )));
         }
-        let mut pipe = PipelineHandle::spawn(engine)
+        let config = engine.config().clone();
+        let pipe = PipelineHandle::spawn(engine, counters)
             .map_err(|e| RestoreError::Corrupt(format!("cannot respawn pipeline: {e}")))?;
-        pipe.restore_counters(counters);
         Ok(MultiSourceExtractor {
             assembler,
             pipe,
+            config,
             pending_weights: BTreeMap::new(),
             total_flows,
         })
     }
 
-    /// Apply a live parameter change at the next merged-interval
-    /// boundary — the multi-source counterpart of
-    /// [`StreamingExtractor::reconfigure`]. Outcomes are tallied in the
-    /// [`MultiStreamSummary`] audit counters.
+    /// Apply a live parameter change at the next interval boundary (see
+    /// [`ReconfigRequest`]): intervals already submitted run under the
+    /// old parameters, everything after under the new — no flows are
+    /// dropped either way. Returns any events that became ready (all of
+    /// them ran under the old parameters), plus the validation verdict;
+    /// a rejected request leaves the engine untouched. Both outcomes are
+    /// tallied in the [`MultiStreamSummary`] audit counters.
     ///
     /// # Panics
     ///
@@ -825,30 +612,35 @@ impl MultiSourceExtractor {
         request: ReconfigRequest,
     ) -> (Vec<MultiStreamEvent>, Result<(), ConfigError>) {
         let mut events = Vec::new();
-        let verdict = self.pipe.reconfigure(request, &mut events);
+        let command = |reply| Command::Reconfig(Box::new(request), reply);
+        let verdict = match self.pipe.request(command, &mut events) {
+            Ok(config) => {
+                self.config = config;
+                self.pipe.reconfigs_applied += 1;
+                Ok(())
+            }
+            Err(e) => {
+                self.pipe.reconfigs_rejected += 1;
+                Err(e)
+            }
+        };
         (self.tag(events), verdict)
     }
 
-    /// Feed one flow from `source`. Returns every merged interval the
-    /// watermark released, extracted.
+    /// Feed one flow from `source`. Returns every interval that became
+    /// ready, extracted — usually none; one or more when the flow closed
+    /// windows (empty windows after a gap are processed too, keeping the
+    /// KL series aligned).
     ///
     /// # Panics
     ///
     /// Panics when `source` is unknown or already finished; re-raises a
-    /// panic from the pipeline thread.
+    /// panic from the pipeline thread (a worker-pool job or detector
+    /// panicking on a poisoned interval).
     pub fn push(&mut self, source: SourceId, flow: FlowRecord) -> Vec<MultiStreamEvent> {
         self.total_flows += 1;
         let merged = self.assembler.push(source, flow);
         self.submit_merged(merged)
-    }
-
-    /// Tag-based variant of [`push`](Self::push).
-    ///
-    /// # Panics
-    ///
-    /// As [`push`](Self::push).
-    pub fn push_sourced(&mut self, flow: SourcedFlow) -> Vec<MultiStreamEvent> {
-        self.push(flow.source, flow.flow)
     }
 
     /// Event-time heartbeat from `source`: advance its watermark to
@@ -910,27 +702,17 @@ impl MultiSourceExtractor {
     fn submit_merged(&mut self, merged: Vec<MergedInterval>) -> Vec<MultiStreamEvent> {
         let mut events = Vec::new();
         for interval in merged {
-            let MergedInterval {
-                index,
-                begin_ms,
-                end_ms,
+            let flows = Arc::new(interval.flows);
+            let weights = (interval.source_flows, Arc::clone(&flows));
+            self.pending_weights.insert(interval.index, weights);
+            let work = Work {
+                index: interval.index,
+                begin_ms: interval.begin_ms,
+                end_ms: interval.end_ms,
                 flows,
-                source_flows,
-            } = interval;
-            let flows = Arc::new(flows);
-            self.pending_weights
-                .insert(index, (source_flows, Arc::clone(&flows)));
-            let dropped = self.assembler.dropped_flows();
-            self.pipe.submit(
-                Work {
-                    index,
-                    begin_ms,
-                    end_ms,
-                    flows,
-                    dropped_flows: dropped,
-                },
-                &mut events,
-            );
+                dropped_flows: self.assembler.dropped_flows(),
+            };
+            self.pipe.submit(work, &mut events);
         }
         self.pipe.drain_ready(&mut events);
         self.tag(events)
@@ -957,6 +739,53 @@ impl MultiSourceExtractor {
     }
 }
 
+/// One-source shorthand: a [`MultiSourceExtractor`] over a single
+/// exporter (source `0`, no lateness bound) that speaks plain
+/// [`StreamEvent`]s. Its checkpoint payload is the one-lane grid's, so
+/// [`MultiSourceExtractor::restore`] resumes it. Every method re-raises
+/// a panic from the pipeline thread.
+#[derive(Debug)]
+pub struct StreamingExtractor(MultiSourceExtractor);
+
+impl StreamingExtractor {
+    /// A one-exporter stream with windows `[origin_ms + i*Δ, origin_ms +
+    /// (i+1)*Δ)` and `shards` persistent pool workers (1 = inline).
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violated configuration constraint.
+    pub fn try_new(
+        config: ExtractionConfig,
+        shards: NonZeroUsize,
+        origin_ms: u64,
+    ) -> Result<Self, ConfigError> {
+        let source = [SourceSpec::new(0u32, origin_ms)];
+        MultiSourceExtractor::try_new(config, shards, &source, None).map(StreamingExtractor)
+    }
+
+    /// [`MultiSourceExtractor::push`] for the one source.
+    pub fn push(&mut self, flow: FlowRecord) -> Vec<StreamEvent> {
+        plain(self.0.push(SourceId(0), flow))
+    }
+
+    /// [`MultiSourceExtractor::checkpoint`].
+    pub fn checkpoint(&mut self) -> (Vec<StreamEvent>, Vec<u8>) {
+        let (events, payload) = self.0.checkpoint();
+        (plain(events), payload)
+    }
+
+    /// [`MultiSourceExtractor::finish`].
+    #[must_use]
+    pub fn finish(self) -> (Vec<StreamEvent>, MultiStreamSummary) {
+        let (events, summary) = self.0.finish();
+        (plain(events), summary)
+    }
+}
+
+fn plain(events: Vec<MultiStreamEvent>) -> Vec<StreamEvent> {
+    events.into_iter().map(|e| e.event).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -964,6 +793,8 @@ mod tests {
     use anomex_netflow::Protocol;
     use anomex_traffic::Scenario;
     use std::net::Ipv4Addr;
+
+    const SRC: SourceId = SourceId(0);
 
     fn nz(n: usize) -> NonZeroUsize {
         NonZeroUsize::new(n).unwrap()
@@ -981,6 +812,17 @@ mod tests {
         }
     }
 
+    /// One exporter with clock origin `origin_ms`: a fan-in of one.
+    fn one_lane(config: ExtractionConfig, shards: usize, origin_ms: u64) -> MultiSourceExtractor {
+        MultiSourceExtractor::try_new(
+            config,
+            nz(shards),
+            &[SourceSpec::new(0u32, origin_ms)],
+            None,
+        )
+        .unwrap()
+    }
+
     fn flow_at(ms: u64) -> FlowRecord {
         FlowRecord::new(
             ms,
@@ -992,47 +834,60 @@ mod tests {
         )
     }
 
+    /// Assert two outcomes match: alarm, meta-data, the KL series to the
+    /// bit, and the extraction.
+    fn assert_same_outcome(a: &IntervalOutcome, b: &IntervalOutcome) {
+        assert_eq!(a.observation.alarm, b.observation.alarm);
+        assert_eq!(a.observation.metadata, b.observation.metadata);
+        for (x, y) in a.observation.features.iter().zip(&b.observation.features) {
+            for (cx, cy) in x.clones.iter().zip(&y.clones) {
+                assert_eq!(cx.kl.map(f64::to_bits), cy.kl.map(f64::to_bits));
+            }
+        }
+        match (&a.extraction, &b.extraction) {
+            (None, None) => {}
+            (Some(x), Some(y)) => {
+                assert_eq!(x.itemsets, y.itemsets);
+                assert_eq!(x.levels, y.levels);
+                assert_eq!(x.suspicious_flows, y.suspicious_flows);
+                assert_eq!(x.cost_reduction.to_bits(), y.cost_reduction.to_bits());
+            }
+            _ => panic!("extraction presence diverged"),
+        }
+    }
+
+    /// Assert two events match: index, window, flow count, outcome.
+    fn assert_same_event(a: &StreamEvent, b: &StreamEvent) {
+        assert_eq!(a.index, b.index);
+        assert_eq!((a.begin_ms, a.end_ms), (b.begin_ms, b.end_ms));
+        assert_eq!(a.flows, b.flows);
+        assert_same_outcome(&a.outcome, &b.outcome);
+    }
+
     #[test]
     fn streaming_matches_batch_bit_for_bit() {
         let scenario = Scenario::small(11);
         let intervals = scenario.interval_count().min(23);
         let mut batch = Engine::sequential(test_config(scenario.interval_ms())).unwrap();
-        let mut stream =
-            StreamingExtractor::try_new(test_config(scenario.interval_ms()), nz(2), 0).unwrap();
+        let mut stream = one_lane(test_config(scenario.interval_ms()), 2, 0);
         let mut events = Vec::new();
         let mut batch_outcomes = Vec::new();
         for i in 0..intervals {
             let interval = scenario.generate(i);
             batch_outcomes.push(batch.process(&interval.flows));
             for flow in interval.flows {
-                events.extend(stream.push(flow));
+                events.extend(stream.push(SRC, flow));
             }
         }
         let (tail, summary) = stream.finish();
         events.extend(tail);
         assert_eq!(events.len() as u64, intervals);
         assert_eq!(summary.intervals, intervals);
-        assert_eq!(summary.late_flows + summary.pre_origin_flows, 0);
-        for (i, (event, b)) in events.iter().zip(&batch_outcomes).enumerate() {
-            assert_eq!(event.index, i as u64);
-            let a = &event.outcome;
-            assert_eq!(a.observation.alarm, b.observation.alarm, "interval {i}");
-            assert_eq!(a.observation.metadata, b.observation.metadata);
-            for (x, y) in a.observation.features.iter().zip(&b.observation.features) {
-                for (cx, cy) in x.clones.iter().zip(&y.clones) {
-                    assert_eq!(cx.kl.map(f64::to_bits), cy.kl.map(f64::to_bits));
-                }
-            }
-            match (&a.extraction, &b.extraction) {
-                (None, None) => {}
-                (Some(x), Some(y)) => {
-                    assert_eq!(x.itemsets, y.itemsets, "interval {i}");
-                    assert_eq!(x.levels, y.levels);
-                    assert_eq!(x.suspicious_flows, y.suspicious_flows);
-                    assert_eq!(x.cost_reduction.to_bits(), y.cost_reduction.to_bits());
-                }
-                _ => panic!("extraction presence diverged at interval {i}"),
-            }
+        assert_eq!(summary.dropped_flows, 0);
+        for (i, (event, batch)) in events.iter().zip(&batch_outcomes).enumerate() {
+            assert_eq!(event.event.index, i as u64);
+            assert_eq!(event.source_flows, vec![event.event.flows]);
+            assert_same_outcome(&event.event.outcome, batch);
         }
     }
 
@@ -1047,48 +902,53 @@ mod tests {
 
     #[test]
     fn empty_stream_finishes_cleanly() {
-        let stream = StreamingExtractor::try_new(test_config(60_000), nz(1), 0).unwrap();
+        let stream = one_lane(test_config(60_000), 1, 0);
         let (events, summary) = stream.finish();
         assert!(events.is_empty());
         assert_eq!(summary.intervals, 0);
         assert_eq!(summary.total_flows, 0);
+        assert_eq!(summary.sources.len(), 1);
         assert!(!summary.trained);
     }
 
     #[test]
     fn gaps_emit_empty_intervals_in_order() {
-        let mut stream = StreamingExtractor::try_new(test_config(1_000), nz(1), 0).unwrap();
-        let mut events = stream.push(flow_at(100));
-        events.extend(stream.push(flow_at(4_500))); // skips windows 1–3
+        let mut stream = one_lane(test_config(1_000), 1, 500);
+        let mut events = stream.push(SRC, flow_at(600));
+        events.extend(stream.push(SRC, flow_at(5_000))); // skips windows 1–3
         let (tail, summary) = stream.finish();
         events.extend(tail);
-        let indices: Vec<u64> = events.iter().map(|e| e.index).collect();
+        let indices: Vec<u64> = events.iter().map(|e| e.event.index).collect();
         assert_eq!(indices, vec![0, 1, 2, 3, 4]);
-        assert_eq!(events[0].flows, 1);
-        assert!(events[1..4].iter().all(|e| e.flows == 0));
+        assert_eq!(events[0].event.flows, 1);
+        assert!(events[1..4].iter().all(|e| e.event.flows == 0));
+        assert!(events[1..4].iter().all(|e| e.source_flows == vec![0]));
+        assert_eq!(
+            (events[2].event.begin_ms, events[2].event.end_ms),
+            (2_000, 3_000),
+            "grid time: origin-relative"
+        );
         assert_eq!(summary.intervals, 5);
     }
 
     #[test]
     fn dropped_flows_surface_in_events_and_summary() {
-        let mut stream = StreamingExtractor::try_new(test_config(1_000), nz(1), 10_000).unwrap();
-        assert!(stream.push(flow_at(5)).is_empty(), "pre-origin, dropped");
-        stream.push(flow_at(10_100));
-        stream.push(flow_at(11_500)); // closes window 0
-        stream.push(flow_at(10_200)); // late: window 0 already closed
+        let mut stream = one_lane(test_config(1_000), 1, 10_000);
+        assert!(
+            stream.push(SRC, flow_at(5)).is_empty(),
+            "pre-origin, dropped"
+        );
+        stream.push(SRC, flow_at(10_100));
+        stream.push(SRC, flow_at(11_500)); // closes window 0
+        stream.push(SRC, flow_at(10_200)); // late: window 0 already closed
         let (events, summary) = stream.finish();
-        assert_eq!(summary.pre_origin_flows, 1);
-        assert_eq!(summary.late_flows, 1);
+        assert_eq!(summary.sources[0].pre_origin_flows, 1);
+        assert_eq!(summary.sources[0].late_flows, 1);
+        assert_eq!(summary.sources[0].stale_flows, 0);
+        assert_eq!(summary.dropped_flows, 2);
         assert_eq!(summary.total_flows, 4);
         let last = events.last().expect("final interval flushed");
-        assert_eq!(last.dropped_flows, 2, "cumulative drops at close");
-    }
-
-    #[test]
-    fn invalid_config_is_an_error() {
-        let mut config = test_config(60_000);
-        config.min_support = 0;
-        assert!(StreamingExtractor::try_new(config, nz(2), 0).is_err());
+        assert_eq!(last.event.dropped_flows, 2, "cumulative drops at close");
     }
 
     #[test]
@@ -1098,82 +958,69 @@ mod tests {
         let cut = 13; // inside the detecting phase, past training
         let config = || test_config(scenario.interval_ms());
         // Uninterrupted reference run.
-        let mut reference = StreamingExtractor::try_new(config(), nz(2), 0).unwrap();
+        let mut reference = one_lane(config(), 2, 0);
         let mut ref_events = Vec::new();
         // Interrupted run: checkpoint mid-stream, drop the extractor
         // (the "kill"), restore, and continue.
-        let mut first_half = StreamingExtractor::try_new(config(), nz(2), 0).unwrap();
+        let mut first_half = one_lane(config(), 2, 0);
         let mut resumed_events = Vec::new();
         for i in 0..intervals {
             for flow in scenario.generate(i).flows {
-                ref_events.extend(reference.push(flow));
+                ref_events.extend(reference.push(SRC, flow));
                 if i < cut {
-                    resumed_events.extend(first_half.push(flow));
+                    resumed_events.extend(first_half.push(SRC, flow));
                 }
             }
         }
         let (tail, payload) = first_half.checkpoint();
         resumed_events.extend(tail);
         drop(first_half); // simulated crash after the checkpoint landed
-        let mut resumed = StreamingExtractor::restore(&payload, Some(nz(1))).unwrap();
+        let mut resumed = MultiSourceExtractor::restore(&payload, Some(nz(1))).unwrap();
         for i in cut..intervals {
             for flow in scenario.generate(i).flows {
-                resumed_events.extend(resumed.push(flow));
+                resumed_events.extend(resumed.push(SRC, flow));
             }
         }
         let (tail, ref_summary) = reference.finish();
         ref_events.extend(tail);
         let (tail, resumed_summary) = resumed.finish();
         resumed_events.extend(tail);
-        assert_eq!(ref_summary.intervals, resumed_summary.intervals);
-        assert_eq!(ref_summary.alarms, resumed_summary.alarms);
-        assert_eq!(ref_summary.extractions, resumed_summary.extractions);
-        assert_eq!(ref_summary.total_flows, resumed_summary.total_flows);
+        assert_eq!(ref_summary, resumed_summary);
         assert_eq!(ref_events.len(), resumed_events.len());
         for (a, b) in ref_events.iter().zip(&resumed_events) {
-            assert_eq!(a.index, b.index);
-            assert_eq!(a.flows, b.flows);
-            assert_eq!(a.alarmed(), b.alarmed(), "interval {}", a.index);
-            assert_eq!(
-                a.outcome.observation.metadata,
-                b.outcome.observation.metadata
-            );
-            for (x, y) in a
-                .outcome
-                .observation
-                .features
-                .iter()
-                .zip(&b.outcome.observation.features)
-            {
-                for (cx, cy) in x.clones.iter().zip(&y.clones) {
-                    assert_eq!(cx.kl.map(f64::to_bits), cy.kl.map(f64::to_bits));
-                }
-            }
+            assert_eq!(a.source_flows, b.source_flows);
+            assert_same_event(&a.event, &b.event);
         }
     }
 
     #[test]
     fn restore_rejects_corrupt_payloads() {
-        let mut stream = StreamingExtractor::try_new(test_config(1_000), nz(1), 0).unwrap();
-        let _ = stream.push(flow_at(100));
+        let mut stream = one_lane(test_config(1_000), 1, 0);
+        let _ = stream.push(SRC, flow_at(100));
         let (_, payload) = stream.checkpoint();
-        assert!(StreamingExtractor::restore(&payload, None).is_ok());
-        assert!(StreamingExtractor::restore(&payload[..payload.len() / 2], None).is_err());
-        assert!(StreamingExtractor::restore(&[], None).is_err());
+        assert!(MultiSourceExtractor::restore(&payload, None).is_ok());
+        assert!(MultiSourceExtractor::restore(&payload[..payload.len() / 2], None).is_err());
+        assert!(MultiSourceExtractor::restore(&[], None).is_err());
+        assert!(MultiSourceExtractor::restore_v1(&[], None).is_err());
         let mut evil = payload.clone();
-        evil[0] ^= 0xff; // assembler origin garbled
+        evil[0] ^= 0xff; // grid interval garbled
         assert!(
-            StreamingExtractor::restore(&evil, None).is_err()
-                || StreamingExtractor::restore(&evil, None).is_ok(),
+            MultiSourceExtractor::restore(&evil, None).is_err()
+                || MultiSourceExtractor::restore(&evil, None).is_ok(),
             "must not panic either way"
+        );
+        assert!(
+            MultiSourceExtractor::restore_v1(&payload, None).is_err()
+                || MultiSourceExtractor::restore_v1(&payload, None).is_ok(),
+            "a foreign layout must not panic either"
         );
     }
 
     #[test]
     fn reconfigure_applies_at_a_boundary_without_dropping_flows() {
-        let mut stream = StreamingExtractor::try_new(test_config(1_000), nz(1), 0).unwrap();
-        let mut events = stream.push(flow_at(100));
-        events.extend(stream.push(flow_at(1_200))); // closes window 0
+        let mut stream = one_lane(test_config(1_000), 1, 0);
+        let mut events = stream.push(SRC, flow_at(100));
+        events.extend(stream.push(SRC, flow_at(1_200))); // closes window 0
         let (more, verdict) = stream.reconfigure(ReconfigRequest {
             min_support: Some(42),
             alpha: Some(4.0),
@@ -1181,6 +1028,7 @@ mod tests {
         });
         events.extend(more);
         verdict.unwrap();
+        assert_eq!(stream.config().min_support, 42, "config tracks the engine");
         // A rejected request is audited but changes nothing.
         let (more, verdict) = stream.reconfigure(ReconfigRequest {
             min_support: Some(0),
@@ -1188,85 +1036,70 @@ mod tests {
         });
         events.extend(more);
         assert!(verdict.is_err());
-        events.extend(stream.push(flow_at(2_500)));
+        assert_eq!(stream.config().min_support, 42);
+        events.extend(stream.push(SRC, flow_at(2_500)));
         let (tail, summary) = stream.finish();
         events.extend(tail);
         assert_eq!(summary.reconfigs_applied, 1);
         assert_eq!(summary.reconfigs_rejected, 1);
         assert_eq!(summary.total_flows, 3);
-        assert_eq!(summary.late_flows + summary.pre_origin_flows, 0);
+        assert_eq!(summary.dropped_flows, 0);
         assert_eq!(summary.intervals, 3, "every window processed");
         assert_eq!(events.len(), 3);
     }
 
     #[test]
     fn reconfig_audit_trail_survives_a_checkpoint() {
-        let mut stream = StreamingExtractor::try_new(test_config(1_000), nz(1), 0).unwrap();
-        let _ = stream.push(flow_at(100));
+        let mut stream = one_lane(test_config(1_000), 1, 0);
+        let _ = stream.push(SRC, flow_at(100));
         let (_, verdict) = stream.reconfigure(ReconfigRequest {
             min_support: Some(77),
             ..ReconfigRequest::default()
         });
         verdict.unwrap();
         let (_, payload) = stream.checkpoint();
-        let resumed = StreamingExtractor::restore(&payload, None).unwrap();
+        let resumed = MultiSourceExtractor::restore(&payload, None).unwrap();
+        assert_eq!(resumed.config().min_support, 77, "restored config");
         let (_, summary) = resumed.finish();
         assert_eq!(summary.reconfigs_applied, 1);
         assert_eq!(summary.total_flows, 1);
     }
 
+    /// The shorthand is the one-lane engine: same events, same summary,
+    /// and its checkpoint resumes as a one-lane grid.
     #[test]
-    fn abandoning_a_stream_joins_the_pipeline_thread() {
-        let mut stream = StreamingExtractor::try_new(test_config(1_000), nz(2), 0).unwrap();
-        for i in 0..50 {
-            let _ = stream.push(flow_at(i * 100));
+    fn shorthand_is_a_one_lane_engine() {
+        let scenario = Scenario::small(5);
+        let intervals = scenario.interval_count().min(22);
+        let mut short =
+            StreamingExtractor::try_new(test_config(scenario.interval_ms()), nz(2), 0).unwrap();
+        let mut lane = one_lane(test_config(scenario.interval_ms()), 2, 0);
+        let (mut short_events, mut lane_events) = (Vec::new(), Vec::new());
+        for i in 0..intervals {
+            for flow in scenario.generate(i).flows {
+                short_events.extend(short.push(flow));
+                lane_events.extend(lane.push(SRC, flow));
+            }
         }
-        drop(stream); // must not hang or leak the pipeline thread
+        let (tail, payload) = short.checkpoint();
+        short_events.extend(tail);
+        let (tail, short_summary) = short.finish();
+        short_events.extend(tail);
+        let (tail, lane_summary) = lane.finish();
+        lane_events.extend(tail);
+        assert_eq!(short_summary, lane_summary);
+        assert_eq!(short_events.len(), lane_events.len());
+        for (a, b) in short_events.iter().zip(&lane_events) {
+            assert_same_event(a, &b.event);
+        }
+        let (_, resumed) = MultiSourceExtractor::restore(&payload, None)
+            .unwrap()
+            .finish();
+        assert_eq!(resumed, lane_summary);
     }
 
     fn two_specs() -> Vec<SourceSpec> {
         vec![SourceSpec::new(0u32, 0), SourceSpec::new(1u32, 0)]
-    }
-
-    #[test]
-    fn multi_source_single_lane_matches_single_source_engine() {
-        let scenario = Scenario::small(5);
-        let intervals = scenario.interval_count().min(22);
-        let specs = [SourceSpec::new(0u32, 0)];
-        let mut single =
-            StreamingExtractor::try_new(test_config(scenario.interval_ms()), nz(2), 0).unwrap();
-        let mut multi =
-            MultiSourceExtractor::try_new(test_config(scenario.interval_ms()), nz(2), &specs, None)
-                .unwrap();
-        let mut single_events = Vec::new();
-        let mut multi_events = Vec::new();
-        for i in 0..intervals {
-            for flow in scenario.generate(i).flows {
-                single_events.extend(single.push(flow));
-                multi_events.extend(multi.push(SourceId(0), flow));
-            }
-        }
-        let (tail, s_sum) = single.finish();
-        single_events.extend(tail);
-        let (tail, m_sum) = multi.finish();
-        multi_events.extend(tail);
-        assert_eq!(single_events.len(), multi_events.len());
-        assert_eq!(s_sum.intervals, m_sum.intervals);
-        assert_eq!(s_sum.alarms, m_sum.alarms);
-        assert_eq!(s_sum.extractions, m_sum.extractions);
-        for (a, b) in single_events.iter().zip(&multi_events) {
-            assert_eq!(a.index, b.event.index);
-            assert_eq!(a.flows, b.event.flows);
-            assert_eq!(b.source_flows, vec![a.flows]);
-            assert_eq!(
-                a.outcome.observation.alarm,
-                b.event.outcome.observation.alarm
-            );
-            assert_eq!(
-                a.outcome.observation.metadata,
-                b.event.outcome.observation.metadata
-            );
-        }
     }
 
     #[test]
@@ -1338,16 +1171,23 @@ mod tests {
         );
         let mut config = test_config(1_000);
         config.min_support = 0;
-        assert!(MultiSourceExtractor::try_new(config, nz(1), &two_specs(), None).is_err());
+        let one = [SourceSpec::new(0u32, 0)];
+        for sources in [&one[..], &two_specs()] {
+            assert!(MultiSourceExtractor::try_new(config.clone(), nz(1), sources, None).is_err());
+        }
+        assert!(StreamingExtractor::try_new(config, nz(2), 0).is_err());
     }
 
     #[test]
-    fn abandoning_a_multi_source_stream_joins_the_pipeline_thread() {
-        let mut multi =
-            MultiSourceExtractor::try_new(test_config(1_000), nz(2), &two_specs(), None).unwrap();
-        for i in 0u32..40 {
-            let _ = multi.push(SourceId(i % 2), flow_at(u64::from(i) * 100));
+    fn abandoning_a_stream_joins_the_pipeline_thread() {
+        for specs in [vec![SourceSpec::new(0u32, 0)], two_specs()] {
+            let mut stream =
+                MultiSourceExtractor::try_new(test_config(1_000), nz(2), &specs, None).unwrap();
+            for i in 0u32..40 {
+                let source = SourceId(i % specs.len() as u32);
+                let _ = stream.push(source, flow_at(u64::from(i) * 100));
+            }
+            drop(stream); // must not hang or leak the pipeline thread
         }
-        drop(multi); // must not hang or leak the pipeline thread
     }
 }

@@ -19,8 +19,8 @@
 //!   intervals;
 //! - [`IntervalAssembler`] — streaming interval assembly for online
 //!   operation;
-//! - [`SourceId`] / [`SourceSpec`] / [`SourcedFlow`] — exporter identity
-//!   and per-exporter clock origins for multi-router ingestion;
+//! - [`SourceId`] / [`SourceSpec`] — exporter identity and per-exporter
+//!   clock origins for multi-router ingestion;
 //! - [`MergeAssembler`] — N exporters fanned in onto one shared interval
 //!   grid with watermark close semantics and per-source drop accounting;
 //! - [`shard`] — deterministic balanced chunking of flow batches, the
@@ -62,6 +62,6 @@ pub use snapshot::{
     read_checkpoint, write_checkpoint, RestoreError, SnapshotReader, SnapshotWriter,
     CHECKPOINT_VERSION,
 };
-pub use source::{SourceId, SourceSpec, SourcedFlow};
+pub use source::{SourceId, SourceSpec};
 pub use stream::{ClosedInterval, IntervalAssembler, StreamConfigError};
 pub use trace::{FlowTrace, Interval, MINUTE_MS};

@@ -66,13 +66,6 @@ impl MergeConfig {
             max_lag_intervals: None,
         }
     }
-
-    /// Set the lateness bound.
-    #[must_use]
-    pub fn with_max_lag(mut self, intervals: u64) -> Self {
-        self.max_lag_intervals = Some(intervals);
-        self
-    }
 }
 
 /// One closed interval of the shared grid: the union of every source's
@@ -127,10 +120,6 @@ struct SourceLane {
     /// Windows this source has closed but the grid has not: grid index →
     /// the source's flows for that window.
     pending: BTreeMap<u64, Vec<FlowRecord>>,
-    /// Every grid index `< closed_below` has been closed by this source
-    /// (the inner assembler emits windows contiguously from 0, empties
-    /// included, so this is a single frontier).
-    closed_below: u64,
     /// Whether the source declared end-of-stream; finished sources no
     /// longer hold the watermark.
     finished: bool,
@@ -143,7 +132,6 @@ impl SourceLane {
     /// grid, or drop it as stale when the grid already force-closed that
     /// slot.
     fn accept(&mut self, index: u64, flows: Vec<FlowRecord>, grid_next: u64) {
-        self.closed_below = self.closed_below.max(index + 1);
         if index < grid_next {
             self.stale_flows += flows.len() as u64;
         } else if !flows.is_empty() {
@@ -190,7 +178,6 @@ impl MergeAssembler {
                 spec: *spec,
                 assembler: IntervalAssembler::try_new(spec.origin_ms, config.interval_ms)?,
                 pending: BTreeMap::new(),
-                closed_below: 0,
                 finished: false,
                 flows: 0,
                 stale_flows: 0,
@@ -236,20 +223,16 @@ impl MergeAssembler {
         let lane = self.lane_mut(source);
         assert!(!lane.finished, "source {source} already finished");
         lane.flows += 1;
-        for closed in lane.assembler.push(flow) {
+        let closed = lane.assembler.push(flow);
+        if closed.is_empty() {
+            // The watermark and the lateness frontier only move when a
+            // lane closes a window, so there is nothing to advance.
+            return Vec::new();
+        }
+        for closed in closed {
             lane.accept(closed.index, closed.flows, grid_next);
         }
         self.advance()
-    }
-
-    /// Tag-based variant of [`push`](Self::push) for callers holding
-    /// [`crate::SourcedFlow`]s.
-    ///
-    /// # Panics
-    ///
-    /// As [`push`](Self::push).
-    pub fn push_sourced(&mut self, flow: crate::source::SourcedFlow) -> Vec<MergedInterval> {
-        self.push(flow.source, flow.flow)
     }
 
     /// Event-time heartbeat from `source`: advance its watermark to
@@ -364,7 +347,7 @@ impl MergeAssembler {
                 w.u64(index);
                 w.flows(flows);
             }
-            w.u64(lane.closed_below);
+            w.u64(lane.assembler.closed_below());
             w.bool(lane.finished);
             w.u64(lane.flows);
             w.u64(lane.stale_flows);
@@ -400,11 +383,11 @@ impl MergeAssembler {
                 let index = r.u64()?;
                 pending.insert(index, r.flows()?);
             }
+            let _closed_below = r.u64()?; // derived from the assembler
             lanes.push(SourceLane {
                 spec,
                 assembler,
                 pending,
-                closed_below: r.u64()?,
                 finished: r.bool()?,
                 flows: r.u64()?,
                 stale_flows: r.u64()?,
@@ -420,9 +403,36 @@ impl MergeAssembler {
         })
     }
 
+    /// A one-lane grid (source `0`, the assembler's origin, no lateness
+    /// bound) that continues a single-source `assembler` exactly where
+    /// it stood, `flows` counting what that source was fed. Every window
+    /// the assembler closed went straight downstream, so the grid has
+    /// merged them all and holds nothing pending. This is how a
+    /// version-1 checkpoint, written by the single-source engine,
+    /// resumes on the merge grid.
+    #[must_use]
+    pub fn from_single(assembler: IntervalAssembler, flows: u64) -> Self {
+        MergeAssembler {
+            config: MergeConfig::new(assembler.interval_ms()),
+            grid_next: assembler.closed_below(),
+            lanes: vec![SourceLane {
+                spec: SourceSpec::new(0u32, assembler.origin_ms()),
+                assembler,
+                pending: BTreeMap::new(),
+                finished: false,
+                flows,
+                stale_flows: 0,
+            }],
+        }
+    }
+
     /// The furthest close frontier any source has reached.
     fn frontier(&self) -> u64 {
-        self.lanes.iter().map(|l| l.closed_below).max().unwrap_or(0)
+        self.lanes
+            .iter()
+            .map(|l| l.assembler.closed_below())
+            .max()
+            .unwrap_or(0)
     }
 
     /// Close every grid interval the watermark (and lateness bound)
@@ -434,7 +444,7 @@ impl MergeAssembler {
             .lanes
             .iter()
             .filter(|l| !l.finished)
-            .map(|l| l.closed_below)
+            .map(|l| l.assembler.closed_below())
             .min()
             .unwrap_or_else(|| self.frontier());
         // Lateness bound: never let the grid trail the leader by more
@@ -457,7 +467,13 @@ impl MergeAssembler {
                 match lane.pending.remove(&index) {
                     Some(mut segment) => {
                         source_flows.push(segment.len());
-                        flows.append(&mut segment);
+                        // Move the first segment in rather than copy it:
+                        // with one source it is the whole interval.
+                        if flows.is_empty() {
+                            flows = segment;
+                        } else {
+                            flows.append(&mut segment);
+                        }
                     }
                     None => source_flows.push(0),
                 }
@@ -737,33 +753,5 @@ mod tests {
         let buf = w.into_bytes();
         let mut r = SnapshotReader::new(&buf);
         assert!(MergeAssembler::decode_snapshot(&mut r).is_err());
-    }
-
-    #[test]
-    fn single_source_merge_matches_plain_assembly() {
-        let starts = [10u64, 999, 1000, 1001, 2500, 2600, 7000];
-        let mut plain = IntervalAssembler::new(0, 1000);
-        let mut reference: Vec<(u64, usize)> = Vec::new();
-        for &s in &starts {
-            for c in plain.push(flow_at(s)) {
-                reference.push((c.index, c.flows.len()));
-            }
-        }
-        if let Some(c) = plain.flush() {
-            reference.push((c.index, c.flows.len()));
-        }
-
-        let mut m =
-            MergeAssembler::try_new(MergeConfig::new(1000), &[SourceSpec::new(0u32, 0)]).unwrap();
-        let mut merged: Vec<(u64, usize)> = Vec::new();
-        for &s in &starts {
-            for c in m.push(SourceId(0), flow_at(s)) {
-                merged.push((c.index, c.flows.len()));
-            }
-        }
-        for c in m.flush() {
-            merged.push((c.index, c.flows.len()));
-        }
-        assert_eq!(merged, reference);
     }
 }

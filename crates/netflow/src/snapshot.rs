@@ -25,8 +25,12 @@ use crate::flow::{FlowRecord, Protocol, TcpFlags};
 /// Magic bytes opening every checkpoint file.
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"ANOMEXCK";
 
-/// Current checkpoint format version. Bump on any layout change.
-pub const CHECKPOINT_VERSION: u32 = 1;
+/// Current checkpoint format version. Bump on any layout change, and
+/// keep reading the older versions [`read_checkpoint`] still returns.
+///
+/// Version 2 payloads hold the multi-source merge grid; version 1 (still
+/// readable) held the single-source engine's one interval assembler.
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// Why a checkpoint could not be restored.
 ///
@@ -63,7 +67,7 @@ impl fmt::Display for RestoreError {
             RestoreError::UnsupportedVersion { found } => {
                 write!(
                     f,
-                    "unsupported checkpoint version {found} (expected {CHECKPOINT_VERSION})"
+                    "unsupported checkpoint version {found} (this build reads 1 to {CHECKPOINT_VERSION})"
                 )
             }
             RestoreError::ChecksumMismatch => write!(f, "checkpoint checksum mismatch"),
@@ -344,14 +348,16 @@ pub fn frame_checkpoint(payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Verify a framed checkpoint and return its payload.
+/// Verify a framed checkpoint and return its format version (1 up to
+/// [`CHECKPOINT_VERSION`]) and payload — the version says which layout
+/// the payload decoder must read.
 ///
 /// # Errors
 ///
 /// [`RestoreError::BadMagic`], [`RestoreError::UnsupportedVersion`],
 /// [`RestoreError::Truncated`] (short header or payload), or
 /// [`RestoreError::ChecksumMismatch`].
-pub fn unframe_checkpoint(bytes: &[u8]) -> Result<&[u8], RestoreError> {
+pub fn unframe_checkpoint(bytes: &[u8]) -> Result<(u32, &[u8]), RestoreError> {
     if bytes.len() < 8 {
         return Err(RestoreError::Truncated);
     }
@@ -362,7 +368,7 @@ pub fn unframe_checkpoint(bytes: &[u8]) -> Result<&[u8], RestoreError> {
         return Err(RestoreError::Truncated);
     }
     let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    if version != CHECKPOINT_VERSION {
+    if !(1..=CHECKPOINT_VERSION).contains(&version) {
         return Err(RestoreError::UnsupportedVersion { found: version });
     }
     let len = u64::from_le_bytes(bytes[12..20].try_into().unwrap());
@@ -375,7 +381,7 @@ pub fn unframe_checkpoint(bytes: &[u8]) -> Result<&[u8], RestoreError> {
     if fnv1a64(payload) != checksum {
         return Err(RestoreError::ChecksumMismatch);
     }
-    Ok(payload)
+    Ok((version, payload))
 }
 
 /// Atomically write a framed checkpoint to `path`: the bytes land in a
@@ -396,15 +402,16 @@ pub fn write_checkpoint(path: &Path, payload: &[u8]) -> Result<(), RestoreError>
     Ok(())
 }
 
-/// Read and verify a checkpoint file, returning its payload.
+/// Read and verify a checkpoint file, returning its format version and
+/// payload.
 ///
 /// # Errors
 ///
 /// All of [`unframe_checkpoint`]'s errors, plus [`RestoreError::Io`] when
 /// the file cannot be read.
-pub fn read_checkpoint(path: &Path) -> Result<Vec<u8>, RestoreError> {
+pub fn read_checkpoint(path: &Path) -> Result<(u32, Vec<u8>), RestoreError> {
     let bytes = fs::read(path)?;
-    unframe_checkpoint(&bytes).map(<[u8]>::to_vec)
+    unframe_checkpoint(&bytes).map(|(version, payload)| (version, payload.to_vec()))
 }
 
 #[cfg(test)]
@@ -500,7 +507,22 @@ mod tests {
     fn frame_and_unframe_round_trip() {
         let payload = b"detector state goes here";
         let framed = frame_checkpoint(payload);
-        assert_eq!(unframe_checkpoint(&framed).unwrap(), payload);
+        assert_eq!(
+            unframe_checkpoint(&framed).unwrap(),
+            (CHECKPOINT_VERSION, &payload[..])
+        );
+    }
+
+    #[test]
+    fn unframe_still_reads_version_one() {
+        let mut framed = frame_checkpoint(b"single-source state");
+        framed[8..12].copy_from_slice(&1u32.to_le_bytes());
+        assert_eq!(unframe_checkpoint(&framed).unwrap().0, 1);
+        framed[8..12].copy_from_slice(&0u32.to_le_bytes());
+        assert!(matches!(
+            unframe_checkpoint(&framed),
+            Err(RestoreError::UnsupportedVersion { found: 0 })
+        ));
     }
 
     #[test]
@@ -554,10 +576,10 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("state.ckpt");
         write_checkpoint(&path, b"first").unwrap();
-        assert_eq!(read_checkpoint(&path).unwrap(), b"first");
+        assert_eq!(read_checkpoint(&path).unwrap().1, b"first");
         // Overwrite goes through the same temp+rename path.
         write_checkpoint(&path, b"second").unwrap();
-        assert_eq!(read_checkpoint(&path).unwrap(), b"second");
+        assert_eq!(read_checkpoint(&path).unwrap().1, b"second");
         // No temp file lingers.
         assert!(!dir.join("state.ckpt.tmp").exists());
         fs::remove_dir_all(&dir).unwrap();

@@ -10,15 +10,11 @@
 //!   collector socket, trace file);
 //! - [`SourceSpec`] — the exporter's grid binding: its id plus the
 //!   origin of its local clock, so exporters whose clocks disagree by a
-//!   fixed skew still land on the same interval index;
-//! - [`SourcedFlow`] — a flow record tagged with its exporter, the unit
-//!   the multi-source merge layer ([`crate::merge`]) consumes.
+//!   fixed skew still land on the same interval index.
 
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
-
-use crate::flow::FlowRecord;
 
 /// Identity of one flow exporter (a border router, collector socket, or
 /// replayed trace file). Ids are dense small integers assigned by the
@@ -66,52 +62,14 @@ impl SourceSpec {
     }
 }
 
-/// A flow record tagged with the exporter that emitted it — the unit of
-/// ingestion in multi-source operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct SourcedFlow {
-    /// The exporter this flow came from.
-    pub source: SourceId,
-    /// The flow record, timestamped in the exporter's local clock.
-    pub flow: FlowRecord,
-}
-
-impl SourcedFlow {
-    /// Tag `flow` as coming from `source`.
-    #[must_use]
-    pub fn new(source: impl Into<SourceId>, flow: FlowRecord) -> Self {
-        SourcedFlow {
-            source: source.into(),
-            flow,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flow::Protocol;
-    use std::net::Ipv4Addr;
 
     #[test]
     fn source_id_displays_compactly() {
         assert_eq!(SourceId(3).to_string(), "src3");
         assert_eq!(SourceId::from(7u32), SourceId(7));
-    }
-
-    #[test]
-    fn sourced_flow_carries_both_halves() {
-        let f = FlowRecord::new(
-            10,
-            Ipv4Addr::new(10, 0, 0, 1),
-            Ipv4Addr::new(10, 0, 0, 2),
-            1,
-            2,
-            Protocol::Udp,
-        );
-        let sf = SourcedFlow::new(2u32, f);
-        assert_eq!(sf.source, SourceId(2));
-        assert_eq!(sf.flow, f);
     }
 
     #[test]

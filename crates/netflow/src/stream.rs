@@ -198,6 +198,20 @@ impl IntervalAssembler {
         self.interval_ms
     }
 
+    /// The stream origin: window 0 starts here, ms.
+    pub(crate) fn origin_ms(&self) -> u64 {
+        self.origin_ms
+    }
+
+    /// Every window below this index has been emitted.
+    pub(crate) fn closed_below(&self) -> u64 {
+        if self.started {
+            self.current_index
+        } else {
+            0
+        }
+    }
+
     /// Flows dropped because they arrived after their window closed.
     #[must_use]
     pub fn late_flows(&self) -> u64 {
@@ -208,14 +222,6 @@ impl IntervalAssembler {
     #[must_use]
     pub fn pre_origin_flows(&self) -> u64 {
         self.pre_origin_flows
-    }
-
-    /// Every flow the assembler has dropped, for any reason — late plus
-    /// pre-origin. A healthy collector keeps this near zero; a growing
-    /// count means the origin is wrong or the exporter reorders heavily.
-    #[must_use]
-    pub fn dropped_flows(&self) -> u64 {
-        self.late_flows + self.pre_origin_flows
     }
 
     /// Serialize the assembler's complete mutable state — origin, window
@@ -333,7 +339,6 @@ mod tests {
         assert!(closed.is_empty());
         assert_eq!(asm.late_flows(), 1);
         assert_eq!(asm.pre_origin_flows(), 0);
-        assert_eq!(asm.dropped_flows(), 1);
         assert_eq!(asm.flush().unwrap().flows.len(), 1);
     }
 
@@ -343,7 +348,6 @@ mod tests {
         assert!(asm.push(flow_at(500)).is_empty());
         assert_eq!(asm.pre_origin_flows(), 1);
         assert_eq!(asm.late_flows(), 0, "pre-origin is not export lateness");
-        assert_eq!(asm.dropped_flows(), 1);
         assert!(asm.flush().is_none(), "never started");
     }
 
@@ -373,7 +377,7 @@ mod tests {
         let closed = asm.advance_to(3500);
         let shapes: Vec<(u64, usize)> = closed.iter().map(|c| (c.index, c.flows.len())).collect();
         assert_eq!(shapes, vec![(0, 1), (1, 0), (2, 0)]);
-        assert_eq!(asm.dropped_flows(), 0, "heartbeats drop nothing");
+        assert_eq!(asm.late_flows(), 0, "heartbeats drop nothing");
         // The in-progress window (3) is untouched and still accepts flows.
         asm.push(flow_at(3600));
         assert_eq!(asm.flush().unwrap().flows.len(), 1);

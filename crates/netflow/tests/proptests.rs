@@ -2,8 +2,12 @@
 
 use std::net::Ipv4Addr;
 
+use anomex_netflow::snapshot::{SnapshotReader, SnapshotWriter};
 use anomex_netflow::v5::{decode_datagram, encode_datagram, V5Collector, V5Exporter};
-use anomex_netflow::{FlowFeature, FlowRecord, FlowTrace, IntervalAssembler, Protocol, TcpFlags};
+use anomex_netflow::{
+    ClosedInterval, FlowFeature, FlowRecord, FlowTrace, IntervalAssembler, MergeAssembler,
+    MergeConfig, MergedInterval, Protocol, SourceId, SourceSpec, TcpFlags,
+};
 use proptest::prelude::*;
 
 fn arb_flow() -> impl Strategy<Value = FlowRecord> {
@@ -35,7 +39,89 @@ fn arb_flow() -> impl Strategy<Value = FlowRecord> {
         )
 }
 
+/// The windows a plain assembler closed, as a one-lane grid must close
+/// them: on grid time (origin-relative), weighted by their own flows.
+fn as_grid(closed: impl IntoIterator<Item = ClosedInterval>, origin: u64) -> Vec<MergedInterval> {
+    let grid = |c: ClosedInterval| MergedInterval {
+        index: c.index,
+        begin_ms: c.begin_ms - origin,
+        end_ms: c.end_ms - origin,
+        source_flows: vec![c.flows.len()],
+        flows: c.flows,
+    };
+    closed.into_iter().map(grid).collect()
+}
+
+/// An independent copy of an assembler, through its snapshot codec.
+fn copy_of(assembler: &IntervalAssembler) -> IntervalAssembler {
+    let mut w = SnapshotWriter::new();
+    assembler.encode_snapshot(&mut w);
+    let bytes = w.into_bytes();
+    IntervalAssembler::decode_snapshot(&mut SnapshotReader::new(&bytes)).unwrap()
+}
+
 proptest! {
+    /// A one-lane merge grid is the plain interval assembler. For any
+    /// arrival sequence — a clock that mostly runs forward, jumps ahead
+    /// across empty windows, steps back into closed windows (late) or
+    /// before the origin (pre-origin), with heartbeats mixed in — both
+    /// emit the same windows at the same arrivals (index, bounds, flows,
+    /// empties included) and count the same late and pre-origin drops.
+    /// A grid rebuilt from the plain assembler at an arbitrary cut
+    /// ([`MergeAssembler::from_single`], the version-1 checkpoint
+    /// reader) continues exactly like the grid that ran all along.
+    #[test]
+    fn one_lane_merge_is_the_plain_assembler(
+        steps in proptest::collection::vec((0u8..8, 0u64..3_000, 0u8..5), 0..250),
+        origin in 0u64..2_000,
+        interval_ms in 200u64..2_000,
+        cut_pct in 0usize..=100,
+    ) {
+        let (src, ip) = (SourceId(0), Ipv4Addr::LOCALHOST);
+        let mut plain = IntervalAssembler::new(origin, interval_ms);
+        let lane = [SourceSpec::new(0u32, origin)];
+        let mut merged = MergeAssembler::try_new(MergeConfig::new(interval_ms), &lane).unwrap();
+        let cut = steps.len() * cut_pct / 100;
+        let mut resumed: Option<MergeAssembler> = None;
+        let (mut now, mut flows) = (0u64, 0u64);
+        for (i, &(kind, delta, back)) in steps.iter().enumerate() {
+            if i == cut {
+                resumed = Some(MergeAssembler::from_single(copy_of(&plain), flows));
+            }
+            now = if back == 0 { now.saturating_sub(delta) } else { now + delta };
+            let (expected, got, again) = if kind == 0 {
+                (
+                    plain.advance_to(now),
+                    merged.heartbeat(src, now),
+                    resumed.as_mut().map(|r| r.heartbeat(src, now)),
+                )
+            } else {
+                flows += 1;
+                let flow = FlowRecord::new(now, ip, ip, i as u16, 2, Protocol::Udp);
+                (
+                    plain.push(flow),
+                    merged.push(src, flow),
+                    resumed.as_mut().map(|r| r.push(src, flow)),
+                )
+            };
+            if let Some(again) = again {
+                prop_assert_eq!(&again, &got);
+            }
+            prop_assert_eq!(got, as_grid(expected, origin));
+        }
+        let mut resumed =
+            resumed.unwrap_or_else(|| MergeAssembler::from_single(copy_of(&plain), flows));
+        let tail = merged.flush();
+        prop_assert_eq!(&resumed.flush(), &tail);
+        prop_assert_eq!(tail, as_grid(plain.flush(), origin));
+        let stats = merged.source_stats()[0];
+        prop_assert_eq!(stats.flows, flows);
+        prop_assert_eq!(stats.late_flows, plain.late_flows());
+        prop_assert_eq!(stats.pre_origin_flows, plain.pre_origin_flows());
+        prop_assert_eq!(stats.stale_flows, 0);
+        prop_assert_eq!(resumed.source_stats(), merged.source_stats());
+    }
+
     /// Encoding then decoding a datagram preserves every modeled field.
     /// Note: v5 timestamps are u32 ms, so we constrain start times above.
     #[test]

@@ -7,10 +7,11 @@
 //! ```
 //!
 //! The exporter thread serializes a synthetic workload into real NetFlow
-//! v5 datagrams (30 records each). The collector thread decodes them,
-//! reassembles 1-minute measurement intervals on the fly, and runs the
-//! detection + extraction pipeline. Extraction reports stream back to the
-//! main thread as they happen. Everything is plain threads and
+//! v5 datagrams (30 records each). The collector thread decodes them and
+//! pushes every flow into the streaming engine, which reassembles
+//! 1-minute measurement intervals on the fly and runs the detection +
+//! extraction pipeline on its own thread. Extraction reports stream back
+//! to the main thread as they happen. Everything is plain threads and
 //! crossbeam channels — the pipeline is CPU-bound, so no async runtime is
 //! involved.
 //!
@@ -21,41 +22,34 @@
 use std::thread;
 
 use anomex::core::render_report;
-use anomex::netflow::v5::{V5Collector, V5Exporter};
+use anomex::netflow::v5::{decode_datagram, V5Exporter};
 use anomex::prelude::*;
 use crossbeam::channel::{bounded, Receiver, Sender};
-use parking_lot::Mutex;
 
-/// Pipeline statistics shared across threads.
-#[derive(Debug, Default)]
-struct Stats {
-    datagrams: u64,
-    flows: u64,
-    alarms: u64,
-}
-
-fn exporter_thread(scenario: Scenario, tx: Sender<bytes::Bytes>, stats: &Mutex<Stats>) {
+/// Export the workload as NetFlow v5 datagrams; returns how many it sent.
+fn exporter_thread(scenario: Scenario, tx: Sender<bytes::Bytes>) -> u64 {
     let mut exporter = V5Exporter::new();
+    let mut datagrams = 0;
     for i in 0..scenario.interval_count() {
         let interval = scenario.generate(i);
         for datagram in exporter.export(&interval.flows) {
-            {
-                let mut s = stats.lock();
-                s.datagrams += 1;
-            }
             if tx.send(datagram).is_err() {
-                return; // collector hung up
+                return datagrams; // collector hung up
             }
+            datagrams += 1;
         }
     }
+    datagrams
 }
 
+/// Decode datagrams into the streaming engine (one exporter) and send
+/// every extraction report on as its interval closes; returns the
+/// end-of-stream summary.
 fn collector_thread(
     rx: Receiver<bytes::Bytes>,
     reports: Sender<String>,
     interval_ms: u64,
-    stats: &Mutex<Stats>,
-) {
+) -> MultiStreamSummary {
     let config = ExtractionConfig {
         interval_ms,
         detector: DetectorConfig {
@@ -65,74 +59,56 @@ fn collector_thread(
         min_support: 800,
         ..ExtractionConfig::default()
     };
-    let mut pipeline = Engine::sequential(config).unwrap();
-    let mut assembler = IntervalAssembler::new(0, interval_ms);
-
-    let process =
-        |flows: Vec<FlowRecord>, pipeline: &mut Engine, stats: &Mutex<Stats>| -> Option<String> {
-            let outcome = pipeline.process(&flows);
-            if outcome.observation.alarm {
-                stats.lock().alarms += 1;
+    let exporter = SourceId(0);
+    let mut engine = MultiSourceExtractor::try_new(
+        config,
+        std::num::NonZeroUsize::MIN,
+        &[SourceSpec::new(exporter, 0)],
+        None,
+    )
+    .unwrap();
+    let send = |events: Vec<MultiStreamEvent>| {
+        for event in events {
+            if let Some(extraction) = &event.event.outcome.extraction {
+                // The main thread only stops listening at end of stream.
+                let _ = reports.send(render_report(extraction));
             }
-            outcome.extraction.map(|e| render_report(&e))
-        };
+        }
+    };
 
-    let mut collector = V5Collector::new();
     for datagram in rx {
-        collector
-            .ingest(&datagram)
-            .expect("exporter sends well-formed datagrams");
-        let flows = std::mem::take(&mut collector).into_flows();
-        collector = V5Collector::new();
-        stats.lock().flows += flows.len() as u64;
-        for flow in flows {
-            for closed in assembler.push(flow) {
-                if let Some(report) = process(closed.flows, &mut pipeline, stats) {
-                    if reports.send(report).is_err() {
-                        return;
-                    }
-                }
-            }
+        let decoded = decode_datagram(&datagram).expect("exporter sends well-formed datagrams");
+        for flow in decoded.flows {
+            send(engine.push(exporter, flow));
         }
     }
     // End of stream: flush the last interval.
-    if let Some(closed) = assembler.flush() {
-        if let Some(report) = process(closed.flows, &mut pipeline, stats) {
-            let _ = reports.send(report);
-        }
-    }
+    let (tail, summary) = engine.finish();
+    send(tail);
+    summary
 }
 
 fn main() {
     let scenario = Scenario::small(7);
     let interval_ms = scenario.interval_ms();
-    let stats = Box::leak(Box::new(Mutex::new(Stats::default())));
 
     // Bounded channels give natural backpressure: the exporter cannot run
     // unboundedly ahead of the collector.
     let (dgram_tx, dgram_rx) = bounded::<bytes::Bytes>(1024);
     let (report_tx, report_rx) = bounded::<String>(16);
 
-    let exporter = thread::spawn({
-        let stats = &*stats;
-        move || exporter_thread(scenario, dgram_tx, stats)
-    });
-    let collector = thread::spawn({
-        let stats = &*stats;
-        move || collector_thread(dgram_rx, report_tx, interval_ms, stats)
-    });
+    let exporter = thread::spawn(move || exporter_thread(scenario, dgram_tx));
+    let collector = thread::spawn(move || collector_thread(dgram_rx, report_tx, interval_ms));
 
     // Reports stream in while the pipeline is still running.
     for report in report_rx {
         println!("{report}");
     }
 
-    exporter.join().expect("exporter thread panicked");
-    collector.join().expect("collector thread panicked");
-
-    let s = stats.lock();
+    let datagrams = exporter.join().expect("exporter thread panicked");
+    let summary = collector.join().expect("collector thread panicked");
     println!(
-        "stream complete: {} NetFlow v5 datagrams, {} flows, {} interval alarms",
-        s.datagrams, s.flows, s.alarms
+        "stream complete: {datagrams} NetFlow v5 datagrams, {} flows, {} interval alarms",
+        summary.total_flows, summary.alarms
     );
 }

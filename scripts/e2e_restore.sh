@@ -6,6 +6,7 @@
 # resume from the checkpoint with `--resume`, and require the
 # concatenated interrupted output to be byte-identical to the
 # uninterrupted run — the kill-and-resume contract, at the binary level.
+# Then the same for a two-source fan-in.
 #
 # Usage: scripts/e2e_restore.sh [path-to-anomex-binary]
 # Builds the release binary when no path is given.
@@ -83,3 +84,33 @@ if ! diff -u "$workdir/full.reports" "$workdir/cold.reports"; then
     exit 1
 fi
 echo "e2e-restore: OK — --resume with an empty checkpoint dir is a clean cold start"
+
+# Two-source leg: the same kill-and-resume over a fan-in of two links
+# (link 1 skewed and slower), rules on so the per-source rule merge is
+# re-mined from the restored configuration.
+"$bin" generate --sources 2 --out "$workdir/fan0.nfv5" --out "$workdir/fan1.nfv5" \
+    --seed 11 --intervals 25
+fan=(--in "$workdir/fan0.nfv5" --in "$workdir/fan1.nfv5" "${opts[@]}" --rules)
+"$bin" stream "${fan[@]}" > "$workdir/fan-full.out"
+"$bin" stream "${fan[@]}" --checkpoint-dir "$workdir/fan-ckpt" --checkpoint-every 1 \
+    --stop-after 12 > "$workdir/fan-part1.out"
+"$bin" stream "${fan[@]}" --checkpoint-dir "$workdir/fan-ckpt" --resume \
+    > "$workdir/fan-part2.out"
+filter "$workdir/fan-full.out" > "$workdir/fan-full.reports"
+cat "$workdir/fan-part1.out" "$workdir/fan-part2.out" > "$workdir/fan-resumed.out"
+filter "$workdir/fan-resumed.out" > "$workdir/fan-resumed.reports"
+
+if ! grep -q '^Per-source rule merge' "$workdir/fan-part2.out"; then
+    echo "e2e-restore: the resumed fan-in extracted nothing — the two-source leg is vacuous" >&2
+    exit 1
+fi
+if ! diff -u "$workdir/fan-full.reports" "$workdir/fan-resumed.reports"; then
+    echo "e2e-restore: two-source kill-and-resume diverged from the uninterrupted fan-in" >&2
+    exit 1
+fi
+if ! diff -u <(grep '^fan-in:' "$workdir/fan-full.out") <(grep '^fan-in:' "$workdir/fan-part2.out"); then
+    echo "e2e-restore: the resumed fan-in's totals differ from the uninterrupted run's" >&2
+    exit 1
+fi
+reports=$(grep -c '^Anomaly extraction report' "$workdir/fan-resumed.reports")
+echo "e2e-restore: OK — two-source kill-and-resume byte-identical to the uninterrupted fan-in ($reports extraction report(s))"

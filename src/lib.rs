@@ -60,14 +60,13 @@ pub mod prelude {
     pub use anomex_core::{
         classify_itemset, render_report, run_scenario, Engine, ExtractRequest, Extraction,
         ExtractionConfig, IntervalInput, MultiSourceExtractor, MultiStreamEvent,
-        MultiStreamSummary, PrefilterMode, ReconfigRequest, StreamEvent, StreamSummary,
-        StreamingExtractor,
+        MultiStreamSummary, PrefilterMode, ReconfigRequest, StreamEvent, StreamingExtractor,
     };
     pub use anomex_detector::{DetectorBank, DetectorConfig, MetaData, RocCurve};
     pub use anomex_mining::{ItemSet, MinerKind, Transaction, TransactionSet};
     pub use anomex_netflow::{
         FlowFeature, FlowRecord, FlowTrace, IntervalAssembler, MergeAssembler, MergeConfig,
-        Protocol, SourceId, SourceSpec, SourcedFlow, TcpFlags,
+        Protocol, SourceId, SourceSpec, TcpFlags,
     };
     pub use anomex_traffic::{table2_workload, AnomalyClass, EventSpec, Scenario};
 }

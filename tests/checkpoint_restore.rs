@@ -12,7 +12,7 @@
 //! panic, and live reconfiguration drops no flows.
 
 use anomex::netflow::snapshot::{
-    read_checkpoint, write_checkpoint, RestoreError, CHECKPOINT_MAGIC,
+    read_checkpoint, write_checkpoint, RestoreError, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
 };
 use anomex::prelude::*;
 use proptest::prelude::*;
@@ -34,6 +34,11 @@ fn config_for(scenario: &Scenario, miner: MinerKind) -> ExtractionConfig {
         miner,
         ..ExtractionConfig::default()
     }
+}
+
+/// One exporter at origin 0: a fan-in of one.
+fn one_lane(config: ExtractionConfig, shards: usize) -> MultiSourceExtractor {
+    MultiSourceExtractor::try_new(config, nz(shards), &[SourceSpec::new(0u32, 0)], None).unwrap()
 }
 
 /// Assert two stream events are the same to the bit (indices, flow
@@ -100,42 +105,36 @@ proptest! {
             .collect();
         let cut = (flows.len() as u64 * cut_pct / 100) as usize;
 
-        let mut reference =
-            StreamingExtractor::try_new(config_for(&scenario, miner), nz(shards), 0).unwrap();
+        let src = SourceId(0);
+        let mut reference = one_lane(config_for(&scenario, miner), shards);
         let mut ref_events = Vec::new();
-        let mut interrupted =
-            StreamingExtractor::try_new(config_for(&scenario, miner), nz(shards), 0).unwrap();
+        let mut interrupted = one_lane(config_for(&scenario, miner), shards);
         let mut resumed_events = Vec::new();
         for (i, flow) in flows.iter().enumerate() {
-            ref_events.extend(reference.push(*flow));
+            ref_events.extend(reference.push(src, *flow));
             if i < cut {
-                resumed_events.extend(interrupted.push(*flow));
+                resumed_events.extend(interrupted.push(src, *flow));
             }
         }
         let (tail, payload) = interrupted.checkpoint();
         resumed_events.extend(tail);
         drop(interrupted); // the crash: only the payload survives
         let mut resumed =
-            StreamingExtractor::restore(&payload, Some(nz(resume_shards))).unwrap();
+            MultiSourceExtractor::restore(&payload, Some(nz(resume_shards))).unwrap();
         for flow in &flows[cut..] {
-            resumed_events.extend(resumed.push(*flow));
+            resumed_events.extend(resumed.push(src, *flow));
         }
         let (tail, ref_summary) = reference.finish();
         ref_events.extend(tail);
         let (tail, resumed_summary) = resumed.finish();
         resumed_events.extend(tail);
 
-        prop_assert_eq!(ref_summary.intervals, resumed_summary.intervals);
-        prop_assert_eq!(ref_summary.alarms, resumed_summary.alarms);
-        prop_assert_eq!(ref_summary.extractions, resumed_summary.extractions);
-        prop_assert_eq!(ref_summary.total_flows, resumed_summary.total_flows);
-        prop_assert_eq!(ref_summary.late_flows, resumed_summary.late_flows);
-        prop_assert_eq!(ref_summary.trained, resumed_summary.trained);
+        prop_assert_eq!(ref_summary, resumed_summary);
         prop_assert_eq!(ref_events.len(), resumed_events.len());
         for (a, b) in ref_events.iter().zip(&resumed_events) {
             assert_events_identical(
-                a,
-                b,
+                &a.event,
+                &b.event,
                 &format!("seed={seed} miner={miner} cut={cut} shards={shards}->{resume_shards}"),
             );
         }
@@ -232,9 +231,13 @@ fn checkpoint_files_reject_corruption_with_typed_errors() {
     // Round trip through the atomic file layer.
     let good = path("good.ckpt");
     write_checkpoint(&good, &payload).unwrap();
-    let bytes = read_checkpoint(&good).unwrap();
+    let (version, bytes) = read_checkpoint(&good).unwrap();
+    assert_eq!(version, CHECKPOINT_VERSION);
     assert_eq!(bytes, payload);
-    assert!(StreamingExtractor::restore(&bytes, None).is_ok());
+    assert!(
+        MultiSourceExtractor::restore(&bytes, None).is_ok(),
+        "the one-source shorthand checkpoints the one-lane grid"
+    );
 
     let raw = std::fs::read(&good).unwrap();
 
@@ -288,27 +291,27 @@ fn checkpoint_files_reject_corruption_with_typed_errors() {
     let garbage: Vec<u8> = (0..payload.len()).map(|i| (i * 31) as u8).collect();
     let framed = path("garbage.ckpt");
     write_checkpoint(&framed, &garbage).unwrap();
-    let garbage = read_checkpoint(&framed).unwrap();
-    assert!(StreamingExtractor::restore(&garbage, None).is_err());
+    let (_, garbage) = read_checkpoint(&framed).unwrap();
+    assert!(MultiSourceExtractor::restore(&garbage, None).is_err());
+    assert!(MultiSourceExtractor::restore_v1(&garbage, None).is_err());
 
     std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Live reconfiguration through the facade: applied at an interval
 /// boundary, audited in the summary, and — the acceptance criterion —
-/// dropping zero flows (`late_flows + pre_origin_flows == 0` while
-/// every pushed flow lands in a processed interval).
+/// dropping zero flows (`dropped_flows == 0` while every pushed flow
+/// lands in a processed interval).
 #[test]
 fn reconfiguration_is_audited_and_drops_nothing() {
     let scenario = Scenario::small(29);
     let intervals = scenario.interval_count().min(16);
-    let mut stream =
-        StreamingExtractor::try_new(config_for(&scenario, MinerKind::Eclat), nz(2), 0).unwrap();
+    let mut stream = one_lane(config_for(&scenario, MinerKind::Eclat), 2);
     let mut events = Vec::new();
     let mut pushed = 0u64;
     for i in 0..intervals {
         for flow in scenario.generate(i).flows {
-            events.extend(stream.push(flow));
+            events.extend(stream.push(SourceId(0), flow));
             pushed += 1;
         }
         if i == intervals / 2 {
@@ -335,12 +338,11 @@ fn reconfiguration_is_audited_and_drops_nothing() {
     assert_eq!(summary.reconfigs_rejected, 1);
     assert_eq!(summary.total_flows, pushed);
     assert_eq!(
-        summary.late_flows + summary.pre_origin_flows,
-        0,
+        summary.dropped_flows, 0,
         "reconfiguration must drop no flows"
     );
     assert_eq!(
-        events.iter().map(|e| e.flows as u64).sum::<u64>(),
+        events.iter().map(|e| e.event.flows as u64).sum::<u64>(),
         pushed,
         "every pushed flow lands in a processed interval"
     );

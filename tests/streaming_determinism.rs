@@ -113,7 +113,7 @@ proptest! {
 
         prop_assert_eq!(events.len() as u64, intervals, "one event per interval");
         prop_assert_eq!(summary.intervals, intervals);
-        prop_assert_eq!(summary.late_flows + summary.pre_origin_flows, 0);
+        prop_assert_eq!(summary.dropped_flows, 0);
         for (i, (event, reference)) in events.iter().zip(&batch_outcomes).enumerate() {
             prop_assert_eq!(event.index, i as u64);
             assert_outcomes_identical(
