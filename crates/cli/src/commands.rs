@@ -113,13 +113,23 @@ USAGE:
 
   anomex help";
 
+/// `anomex help`: print [`USAGE`].
+pub fn help_to(out: &mut impl Write) -> Result<(), String> {
+    writeln!(out, "{USAGE}").map_err(write_error)
+}
+
 /// `anomex generate`.
 pub fn generate(args: &Args) -> Result<(), String> {
+    generate_to(args, &mut std::io::stdout().lock())
+}
+
+/// The `generate` body, printing its summary to `out`.
+fn generate_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
     let sources = args.get_or("sources", 1usize).map_err(|e| e.to_string())?;
     if sources > 1 {
-        return generate_multi(args, sources);
+        return generate_multi(args, sources, out);
     }
-    let out = args.require("out")?;
+    let path = args.require("out")?;
     let seed = args.get_or("seed", 42u64).map_err(|e| e.to_string())?;
     let scenario = match args.get("scenario").unwrap_or("small") {
         "small" if args.get("scale").is_some() => {
@@ -148,17 +158,18 @@ pub fn generate(args: &Args) -> Result<(), String> {
             bytes.extend_from_slice(&dgram);
         }
     }
-    fs::write(out, &bytes).map_err(|e| format!("cannot write {out}: {e}"))?;
-    println!(
-        "wrote {} intervals, {} flows, {} bytes of NetFlow v5 to {}",
+    fs::write(path, &bytes).map_err(|e| format!("cannot write {path}: {e}"))?;
+    let (events, anomalous) = written_ground_truth(&scenario, intervals);
+    writeln!(
+        out,
+        "wrote {} intervals, {} flows, {} bytes of NetFlow v5 to {}\n\
+         ground truth: {events} events in intervals {anomalous:?}",
         intervals,
         flow_count,
         bytes.len(),
-        out
-    );
-    let (events, anomalous) = written_ground_truth(&scenario, intervals);
-    println!("ground truth: {events} events in intervals {anomalous:?}");
-    Ok(())
+        path
+    )
+    .map_err(write_error)
 }
 
 /// The ground truth of the first `written` intervals: how many events
@@ -202,7 +213,7 @@ fn parse_scale(args: &Args, default: f64, unit_flows: u64) -> Result<f64, String
 
 /// `anomex generate --sources N`: synthesize an N-link multi-exporter
 /// workload and write one NetFlow v5 trace file per link.
-fn generate_multi(args: &Args, sources: usize) -> Result<(), String> {
+fn generate_multi(args: &Args, sources: usize, out: &mut impl Write) -> Result<(), String> {
     let outs = args.get_all("out");
     if outs.len() != sources {
         return Err(format!(
@@ -225,7 +236,7 @@ fn generate_multi(args: &Args, sources: usize) -> Result<(), String> {
         .map_err(|e| e.to_string())?
         .min(scenario.interval_count());
 
-    for (s, out) in outs.iter().enumerate() {
+    for (s, path) in outs.iter().enumerate() {
         let link = scenario.links()[s];
         let mut exporter = V5Exporter::new();
         let mut bytes: Vec<u8> = Vec::new();
@@ -237,14 +248,15 @@ fn generate_multi(args: &Args, sources: usize) -> Result<(), String> {
                 bytes.extend_from_slice(&dgram);
             }
         }
-        fs::write(out, &bytes).map_err(|e| format!("cannot write {out}: {e}"))?;
-        println!(
+        fs::write(path, &bytes).map_err(|e| format!("cannot write {path}: {e}"))?;
+        writeln!(
+            out,
             "wrote source {s}: {} intervals, {} flows, {} bytes of NetFlow v5 to {} \
              (rate {:.2}, skew {} ms{})",
             intervals,
             flow_count,
             bytes.len(),
-            out,
+            path,
             link.rate,
             link.skew_ms,
             if link.carries_anomalies {
@@ -252,11 +264,15 @@ fn generate_multi(args: &Args, sources: usize) -> Result<(), String> {
             } else {
                 ""
             }
-        );
+        )
+        .map_err(write_error)?;
     }
     let (events, anomalous) = written_ground_truth(scenario.link_scenario(0), intervals);
-    println!("ground truth: {events} events on anomaly-carrying links, intervals {anomalous:?}");
-    Ok(())
+    writeln!(
+        out,
+        "ground truth: {events} events on anomaly-carrying links, intervals {anomalous:?}"
+    )
+    .map_err(write_error)
 }
 
 /// Load a capture file (or stdin when `path` is `-`): NetFlow v5 flow
@@ -667,6 +683,9 @@ fn parse_durability(args: &Args) -> Result<Option<Durability>, String> {
         None => None,
         Some(_) => Some(args.get_or("stop-after", 0u64).map_err(|e| e.to_string())?),
     };
+    if stop_after == Some(0) {
+        return Err("--stop-after must be at least 1".into());
+    }
     fs::create_dir_all(dir).map_err(|e| format!("cannot create --checkpoint-dir {dir}: {e}"))?;
     Ok(Some(Durability {
         dir: PathBuf::from(dir),
@@ -976,6 +995,11 @@ pub fn parse_metadata(spec: &str) -> Result<MetaData, String> {
 
 /// `anomex analyze`.
 pub fn analyze(args: &Args) -> Result<(), String> {
+    analyze_to(args, &mut std::io::stdout().lock())
+}
+
+/// The `analyze` body, printing the item-sets (or the report) to `out`.
+fn analyze_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
     let input = args.require("in")?;
     let metadata = parse_metadata(args.require("metadata")?)?;
     let support = args.get_or("support", 50u64).map_err(|e| e.to_string())?;
@@ -1001,17 +1025,17 @@ pub fn analyze(args: &Args) -> Result<(), String> {
         let transactions = tx_mode.transactions_at(&flows, &indices);
         let start = (indices.len() as u64 / 10).max(1);
         let top = mine_top_k(&transactions, miner, k, start);
-        println!(
-            "top {} item-sets of {} suspicious flows (effective support {}, {} rounds):",
+        let mut text = format!(
+            "top {} item-sets of {} suspicious flows (effective support {}, {} rounds):\n",
             top.itemsets.len(),
             indices.len(),
             top.effective_support,
             top.rounds
         );
         for (i, set) in top.itemsets.iter().enumerate() {
-            println!("{:>3}. {set}", i + 1);
+            text += &format!("{:>3}. {set}\n", i + 1);
         }
-        return Ok(());
+        return out.write_all(text.as_bytes()).map_err(write_error);
     }
 
     let extraction = Engine::extract(
@@ -1021,12 +1045,16 @@ pub fn analyze(args: &Args) -> Result<(), String> {
             .miner(miner)
             .shards(threads),
     );
-    println!("{}", render_report(&extraction));
-    Ok(())
+    writeln!(out, "{}", render_report(&extraction)).map_err(write_error)
 }
 
 /// `anomex table2`.
 pub fn table2(args: &Args) -> Result<(), String> {
+    table2_to(args, &mut std::io::stdout().lock())
+}
+
+/// The `table2` body, printing the report to `out`.
+fn table2_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
     let unit_flows =
         paper_counts::FLOODING + paper_counts::WEB + paper_counts::BACKSCATTER + paper_counts::SMTP;
     let w = table2_workload(2009, parse_scale(args, 1.0, unit_flows)?);
@@ -1038,8 +1066,7 @@ pub fn table2(args: &Args) -> Result<(), String> {
     let extraction = Engine::extract(
         &ExtractRequest::new(&w.flows, &metadata, w.min_support).miner(MinerKind::Apriori),
     );
-    println!("{}", render_report_with_levels(&extraction));
-    Ok(())
+    writeln!(out, "{}", render_report_with_levels(&extraction)).map_err(write_error)
 }
 
 #[cfg(test)]
@@ -1127,6 +1154,10 @@ mod tests {
         assert!(parse_metadata("dstPort=").is_err());
         assert!(parse_metadata("").is_err());
         assert!(parse_metadata("nope=1").is_err());
+        assert!(
+            parse_metadata("dstPort=99999").is_err(),
+            "no port is that wide"
+        );
     }
 
     #[test]
@@ -1268,6 +1299,12 @@ mod tests {
             parse(&format!("{with_dir} --checkpoint-every 0")).is_err(),
             "zero interval cadence is rejected"
         );
+        let err = parse(&format!("{with_dir} --stop-after 0")).err().unwrap();
+        assert!(err.contains("--stop-after"), "{err}");
+        let d = parse(&format!("{with_dir} --stop-after 1"))
+            .unwrap()
+            .unwrap();
+        assert_eq!(d.stop_after, Some(1));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1617,10 +1654,10 @@ mod tests {
     fn generate_then_analyze_round_trip() {
         let dir = scratch_dir("anomex-cli-test");
         let path = dir.join("trace.nfv5").display().to_string();
-        generate(&argv(&format!(
-            "generate --out {path} --seed 7 --intervals 25"
-        )))
-        .unwrap();
+        run(
+            generate_to,
+            &format!("generate --out {path} --seed 7 --intervals 25"),
+        );
 
         let flows = load_flows(&path).unwrap();
         assert!(flows.len() > 50_000, "25 intervals of the small scenario");
@@ -1644,12 +1681,11 @@ mod tests {
     fn analyze_rejects_zero_support_without_panicking() {
         let dir = scratch_dir("anomex-cli-test-support0");
         let path = dir.join("trace.nfv5").display().to_string();
-        generate(&argv(&format!("generate --out {path} --intervals 1"))).unwrap();
+        run(generate_to, &format!("generate --out {path} --intervals 1"));
 
         let analyze_with = |opts: &str| {
-            analyze(&argv(&format!(
-                "analyze --in {path} --metadata dstPort=80 {opts}"
-            )))
+            let line = format!("analyze --in {path} --metadata dstPort=80 {opts}");
+            analyze_to(&argv(&line), &mut Vec::new())
         };
         let err = analyze_with("--support 0").unwrap_err();
         assert_eq!(err, "minimum support must be at least 1");
@@ -1670,7 +1706,7 @@ mod tests {
     fn oversized_thread_counts_are_errors_not_aborts() {
         let dir = scratch_dir("anomex-cli-test-threads");
         let path = dir.join("trace.nfv5").display().to_string();
-        generate(&argv(&format!("generate --out {path} --intervals 1"))).unwrap();
+        run(generate_to, &format!("generate --out {path} --intervals 1"));
 
         let many = format!("--in {path} --threads 100000");
         let err = extract(&argv(&format!("extract {many}"))).unwrap_err();
@@ -1701,11 +1737,70 @@ mod tests {
             let err = table2(&argv(&format!("table2 --scale {bad}"))).unwrap_err();
             assert!(err.contains("--scale"), "table2 --scale {bad}: {err}");
         }
-        generate(&argv(&format!("{two_weeks} --scale 0.01 --intervals 1")))
-            .expect("a valid scale still generates");
+        run(
+            generate_to,
+            &format!("{two_weeks} --scale 0.01 --intervals 1"),
+        );
         let err = generate(&argv(&format!("generate --out {out_s} --scale 0.5"))).unwrap_err();
         assert!(err.contains("does not take --scale"), "{err}");
         std::fs::remove_file(&out).ok();
+    }
+
+    /// At `--scale 0.00001` the Table II components floor at one flow
+    /// each; the workload used to wrap its web remainder to ~2⁶⁴ flows
+    /// and abort on the allocation.
+    #[test]
+    fn table2_at_a_tiny_scale_runs() {
+        let report = run(table2_to, "table2 --scale 0.00001");
+        assert!(report.contains("apriori rounds:"), "{report}");
+    }
+
+    /// An output sink that refuses every write, like stdout piped into
+    /// an exited `head`.
+    struct ClosedPipe;
+
+    impl Write for ClosedPipe {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(std::io::ErrorKind::BrokenPipe.into())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Every command reports a closed output as an error (exit 1), never
+    /// as the panic of a `println!`.
+    #[test]
+    fn closed_output_is_an_error_not_a_panic() {
+        let dir = scratch_dir("anomex-cli-closed-pipe-test");
+        let path = dir.join("trace.nfv5").display().to_string();
+        let closed = |result: Result<(), String>| {
+            let err = result.unwrap_err();
+            assert!(err.starts_with("cannot write output: "), "{err}");
+        };
+        let generate = format!("generate --out {path} --intervals 1");
+        closed(generate_to(&argv(&generate), &mut ClosedPipe));
+        let two = dir.join("b.nfv5").display().to_string();
+        let multi = format!("generate --sources 2 --out {path} --out {two} --intervals 1");
+        closed(generate_to(&argv(&multi), &mut ClosedPipe));
+        let analyze = format!("analyze --in {path} --metadata dstPort=80");
+        closed(analyze_to(&argv(&analyze), &mut ClosedPipe));
+        closed(analyze_to(
+            &argv(&format!("{analyze} --top")),
+            &mut ClosedPipe,
+        ));
+        closed(table2_to(&argv("table2 --scale 0.01"), &mut ClosedPipe));
+        closed(extract_to(
+            &argv(&format!("extract --in {path}")),
+            &mut ClosedPipe,
+        ));
+        closed(stream_to(
+            &argv(&format!("stream --in {path}")),
+            &mut ClosedPipe,
+        ));
+        closed(help_to(&mut ClosedPipe));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// `generate --intervals N` reports the ground truth of the N

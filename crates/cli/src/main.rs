@@ -39,10 +39,7 @@ fn main() -> ExitCode {
         "stream" => commands::stream(&parsed),
         "analyze" => commands::analyze(&parsed),
         "table2" => commands::table2(&parsed),
-        "help" | "--help" | "-h" => {
-            println!("{}", commands::USAGE);
-            Ok(())
-        }
+        "help" | "--help" | "-h" => commands::help_to(&mut std::io::stdout().lock()),
         other => Err(format!("unknown command {other:?}\n{}", commands::USAGE)),
     };
     match result {

@@ -8,12 +8,17 @@
 //! download flows), whose intersection is *empty* while their union covers
 //! the event. DoWitcher-style intersection filtering is provided as the
 //! comparison baseline.
+//!
+//! The record functions ([`prefilter`], [`prefilter_indices`]) are the
+//! reference; the engine runs the columnar form
+//! ([`prefilter_indices_columns_range_with`]), which scans one
+//! [`FlowColumns`] column per meta-data feature through
+//! [`FlowColumns::for_each_raw`] and selects the same indices.
 
 use std::ops::Range;
 
-use anomex_detector::kernels::{self, SmallValueSet};
 use anomex_detector::MetaData;
-use anomex_netflow::{FlowColumns, FlowRecord, LANES};
+use anomex_netflow::{FlowColumns, FlowRecord};
 use serde::{Deserialize, Serialize};
 
 /// Which matching semantics the pre-filter applies.
@@ -121,13 +126,12 @@ pub struct PrefilterScratch {
 /// [`prefilter_indices_columns_range`] with caller-provided scratch —
 /// the allocation-recycling form the engine uses.
 ///
-/// Per-feature membership runs branch-free where it can: meta-data value
-/// sets of at most [`SmallValueSet::MAX`] members (the common case —
-/// voted value sets are small) are probed as fixed arrays with a
-/// byte-lane add per [`LANES`]-wide chunk through the kernel layer;
-/// larger sets fall back to the ordinary `BTreeSet` lookup. Both paths
-/// count the same hits, so output is identical to the scalar reference
-/// regardless of set size or backend.
+/// Each participating feature is one
+/// [`for_each_raw`](FlowColumns::for_each_raw) scan of its column that
+/// adds a 0/1 hit per row. Meta-data value sets of at most 16 members
+/// (the common case — voted value sets are small) are probed
+/// branch-free as a fixed array; larger sets keep the ordinary
+/// `BTreeSet` lookup. Both count the same hits.
 ///
 /// # Panics
 ///
@@ -164,28 +168,17 @@ pub fn prefilter_indices_columns_range_with(
     let hits = &mut scratch.hits;
     hits.clear();
     hits.resize(range.len(), 0);
-    let backend = kernels::active_backend();
     for &(feature, values) in &features {
-        if let Some(set) = SmallValueSet::new(values.iter().copied()) {
-            // Branch-free fast path: probe the fixed array per lane and
-            // add the 0/1 outcome into the row's hit counter.
-            let chunks = cols.raw_chunks(feature, range.clone());
-            let mut lanes = [0u64; LANES];
-            for (c, slot) in hits.chunks_exact_mut(LANES).enumerate() {
-                chunks.load(c, &mut lanes);
-                let slot: &mut [u8; LANES] = slot.try_into().expect("exact chunk");
-                kernels::member_chunk(backend, &set, &lanes, slot);
-            }
-            let tail_start = range.len() - chunks.tail().len();
-            for (h, &value) in hits[tail_start..].iter_mut().zip(chunks.tail()) {
-                *h += u8::from(set.contains(value));
-            }
-        } else {
-            let mut row = 0;
-            cols.for_each_raw(feature, range.clone(), |value| {
+        let mut row = 0;
+        match SmallValueSet::new(values.iter().copied()) {
+            Some(set) => cols.for_each_raw(feature, range.clone(), |value| {
+                hits[row] += u8::from(set.contains(value));
+                row += 1;
+            }),
+            None => cols.for_each_raw(feature, range.clone(), |value| {
                 hits[row] += u8::from(values.contains(&value));
                 row += 1;
-            });
+            }),
         }
     }
     let needed = match mode {
@@ -203,6 +196,42 @@ pub fn prefilter_indices_columns_range_with(
             .map(|(i, _)| range.start + i),
     );
     out
+}
+
+/// A meta-data value set of at most [`SmallValueSet::MAX`] members,
+/// stored as a fixed array padded by repeating the first member
+/// (duplicates cannot change membership), so a probe compares every
+/// slot without branching.
+#[derive(Debug)]
+struct SmallValueSet {
+    padded: [u64; SmallValueSet::MAX],
+}
+
+impl SmallValueSet {
+    /// Largest membership the fixed probe array covers.
+    const MAX: usize = 16;
+
+    /// `None` when the set is empty or holds more than
+    /// [`MAX`](Self::MAX) values (callers keep the `BTreeSet`).
+    fn new(values: impl IntoIterator<Item = u64>) -> Option<Self> {
+        let mut padded = [0u64; Self::MAX];
+        let mut members = 0;
+        for v in values {
+            *padded.get_mut(members)? = v;
+            members += 1;
+        }
+        let first = *padded[..members].first()?;
+        padded[members..].fill(first);
+        Some(SmallValueSet { padded })
+    }
+
+    fn contains(&self, value: u64) -> bool {
+        let mut hit = 0u8;
+        for &slot in &self.padded {
+            hit |= u8::from(slot == value);
+        }
+        hit != 0
+    }
 }
 
 #[cfg(test)]
@@ -319,6 +348,25 @@ mod tests {
                     mode,
                 ));
                 assert_eq!(parts, whole, "{mode:?} split {split}");
+            }
+        }
+    }
+
+    /// `SmallValueSet` refuses exactly the sets the pre-filter must keep
+    /// on the `BTreeSet` path — empty and more than 16 members — and an
+    /// accepted set holds its members and nothing else, padding
+    /// included.
+    #[test]
+    fn small_value_set_capacity_contract() {
+        for n in 0..40u64 {
+            let members: Vec<u64> = (0..n).map(|i| u64::MAX - 7 * i).collect();
+            match SmallValueSet::new(members.iter().copied()) {
+                Some(set) => {
+                    assert!((1..=SmallValueSet::MAX as u64).contains(&n), "{n} members");
+                    assert!(members.iter().all(|&v| set.contains(v)), "{n} members");
+                    assert!(!set.contains(0) && !set.contains(u64::MAX - 1));
+                }
+                None => assert!(n == 0 || n > SmallValueSet::MAX as u64, "{n} members"),
             }
         }
     }

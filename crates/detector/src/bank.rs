@@ -197,31 +197,17 @@ impl BankPartial {
 /// over flow shards for every interval of a stream — while the bank's
 /// mutable state (reference histograms, σ̂ thresholds, the interval
 /// counter) stays exclusively with the owner, which scores the merged
-/// partial via [`DetectorBank::observe_partial`]. The partials are
-/// bit-identical to [`DetectorBank::partial`]'s by construction.
+/// partial via [`DetectorBank::observe_partial`].
 #[derive(Debug, Clone)]
 pub struct BankHasher {
     features: Vec<crate::detector::FeatureHasher>,
 }
 
 impl BankHasher {
-    /// Build every detector's partial histograms over one flow shard —
-    /// exactly what [`DetectorBank::partial`] builds, without borrowing
-    /// the bank.
-    #[must_use]
-    pub fn partial(&self, flows: &[FlowRecord]) -> BankPartial {
-        BankPartial {
-            features: self.features.iter().map(|h| h.partial(flows)).collect(),
-        }
-    }
-
     /// Build every detector's partial histograms from a columnar store
-    /// over the row `range` — the struct-of-arrays counterpart of
-    /// [`partial`](Self::partial): each feature scans only its own
-    /// contiguous column
-    /// ([`FeatureHasher::partial_columns`](crate::FeatureHasher::partial_columns)),
-    /// and the partials are bit-identical to the record path's by
-    /// construction.
+    /// over the row `range`, without borrowing the bank: each feature
+    /// scans only its own contiguous column
+    /// ([`FeatureHasher::partial_columns`](crate::FeatureHasher::partial_columns)).
     ///
     /// # Panics
     ///
@@ -278,21 +264,12 @@ impl DetectorBank {
         }
     }
 
-    /// Build every detector's partial histograms over one flow shard
-    /// without advancing any state. Takes `&self`, so worker threads can
-    /// histogram disjoint shards concurrently; the partials then
-    /// [`merge`](BankPartial::merge) and a single
-    /// [`observe_partial`](Self::observe_partial) call scores the result.
-    #[must_use]
-    pub fn partial(&self, flows: &[FlowRecord]) -> BankPartial {
-        BankPartial {
-            features: self.detectors.iter().map(|d| d.partial(flows)).collect(),
-        }
-    }
-
     /// Snapshot the immutable histogramming half of the bank — what
     /// worker threads need to build partials for every interval of a
-    /// stream without borrowing (or locking) the bank itself.
+    /// stream without borrowing (or locking) the bank itself. Partials
+    /// over disjoint row ranges [`merge`](BankPartial::merge) and a
+    /// single [`observe_partial`](Self::observe_partial) call scores the
+    /// result.
     #[must_use]
     pub fn hasher(&self) -> BankHasher {
         BankHasher {
@@ -304,9 +281,11 @@ impl DetectorBank {
         }
     }
 
-    /// Observe one interval's flows with every detector.
+    /// Observe one interval's flows with every detector: transpose them
+    /// once and score [`BankHasher::partial_columns`] over all rows.
     pub fn observe(&mut self, flows: &[FlowRecord]) -> BankObservation {
-        let partial = self.partial(flows);
+        let cols = FlowColumns::from_flows(flows);
+        let partial = self.hasher().partial_columns(&cols, 0..cols.len());
         self.observe_partial(partial)
     }
 
@@ -552,19 +531,23 @@ mod tests {
     fn sharded_observation_is_bit_identical_to_sequential() {
         let mut sequential = DetectorBank::new(&config());
         let mut sharded = DetectorBank::new(&config());
+        let hasher = sharded.hasher();
         for i in 0..16 {
             let flows = if i == 14 { ddos(i) } else { background(i) };
             let a = sequential.observe(&flows);
-            // Four uneven shards, merged in order.
+            // Four uneven row ranges through the detached hasher, merged
+            // in order.
+            let cols = FlowColumns::from_flows(&flows);
             let quarter = flows.len() / 4;
-            let mut partial = sharded.partial(&flows[..quarter]);
-            partial.merge(sharded.partial(&flows[quarter..2 * quarter]));
-            partial.merge(sharded.partial(&flows[2 * quarter..3 * quarter + 1]));
-            partial.merge(sharded.partial(&flows[3 * quarter + 1..]));
+            let mut partial = hasher.partial_columns(&cols, 0..quarter);
+            partial.merge(hasher.partial_columns(&cols, quarter..2 * quarter));
+            partial.merge(hasher.partial_columns(&cols, 2 * quarter..3 * quarter + 1));
+            partial.merge(hasher.partial_columns(&cols, 3 * quarter + 1..flows.len()));
             let b = sharded.observe_partial(partial);
             assert_eq!(a.alarm, b.alarm, "interval {i}");
             assert_eq!(a.metadata, b.metadata, "interval {i}");
             for (x, y) in a.features.iter().zip(&b.features) {
+                assert_eq!(&x.voted_values, &y.voted_values);
                 for (cx, cy) in x.clones.iter().zip(&y.clones) {
                     assert_eq!(
                         cx.kl.map(f64::to_bits),
@@ -572,72 +555,6 @@ mod tests {
                         "interval {i} feature {:?}",
                         x.feature
                     );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn hasher_snapshot_builds_bit_identical_partials() {
-        let mut via_bank = DetectorBank::new(&config());
-        let mut via_hasher = DetectorBank::new(&config());
-        let hasher = via_hasher.hasher();
-        for i in 0..16 {
-            let flows = if i == 14 { ddos(i) } else { background(i) };
-            // Same uneven three-way sharding on both sides; one side
-            // builds partials through the bank, the other through the
-            // detached hasher snapshot.
-            let third = flows.len() / 3;
-            let a = {
-                let mut p = via_bank.partial(&flows[..third]);
-                p.merge(via_bank.partial(&flows[third..2 * third]));
-                p.merge(via_bank.partial(&flows[2 * third..]));
-                via_bank.observe_partial(p)
-            };
-            let b = {
-                let mut p = hasher.partial(&flows[..third]);
-                p.merge(hasher.partial(&flows[third..2 * third]));
-                p.merge(hasher.partial(&flows[2 * third..]));
-                via_hasher.observe_partial(p)
-            };
-            assert_eq!(a.alarm, b.alarm, "interval {i}");
-            assert_eq!(a.metadata, b.metadata, "interval {i}");
-            for (x, y) in a.features.iter().zip(&b.features) {
-                assert_eq!(&x.voted_values, &y.voted_values);
-                for (cx, cy) in x.clones.iter().zip(&y.clones) {
-                    assert_eq!(cx.kl.map(f64::to_bits), cy.kl.map(f64::to_bits));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn columnar_partials_are_bit_identical_to_record_partials() {
-        let mut via_records = DetectorBank::new(&config());
-        let mut via_columns = DetectorBank::new(&config());
-        let hasher = via_columns.hasher();
-        for i in 0..16 {
-            let flows = if i == 14 { ddos(i) } else { background(i) };
-            let cols = FlowColumns::from_flows(&flows);
-            let third = flows.len() / 3;
-            let a = {
-                let mut p = via_records.partial(&flows[..third]);
-                p.merge(via_records.partial(&flows[third..2 * third]));
-                p.merge(via_records.partial(&flows[2 * third..]));
-                via_records.observe_partial(p)
-            };
-            let b = {
-                let mut p = hasher.partial_columns(&cols, 0..third);
-                p.merge(hasher.partial_columns(&cols, third..2 * third));
-                p.merge(hasher.partial_columns(&cols, 2 * third..flows.len()));
-                via_columns.observe_partial(p)
-            };
-            assert_eq!(a.alarm, b.alarm, "interval {i}");
-            assert_eq!(a.metadata, b.metadata, "interval {i}");
-            for (x, y) in a.features.iter().zip(&b.features) {
-                assert_eq!(&x.voted_values, &y.voted_values);
-                for (cx, cy) in x.clones.iter().zip(&y.clones) {
-                    assert_eq!(cx.kl.map(f64::to_bits), cy.kl.map(f64::to_bits));
                 }
             }
         }

@@ -127,25 +127,16 @@ impl HistogramClone {
         self.threshold.as_ref()
     }
 
-    /// Build this clone's histogram over a batch of flows *without*
-    /// advancing the state machine — the per-shard "partial" of the
-    /// build-partials → merge → score decomposition. Partials built over
-    /// disjoint flow shards [`merge`](FeatureHistogram::merge) into
-    /// exactly the histogram a single pass would produce, so sharded
-    /// observation is bit-identical to sequential by construction.
-    #[must_use]
-    pub fn build_histogram(&self, flows: &[FlowRecord]) -> FeatureHistogram {
-        FeatureHistogram::build(self.feature, self.hasher, self.bins, flows)
-    }
-
-    /// Observe one interval's flows and advance the state machine.
+    /// Observe one interval's flows and advance the state machine: build
+    /// the histogram with [`FeatureHistogram::build`], then
+    /// [`observe_histogram`](Self::observe_histogram).
     pub fn observe(&mut self, flows: &[FlowRecord]) -> CloneObservation {
-        let current = self.build_histogram(flows);
+        let current = FeatureHistogram::build(self.feature, self.hasher, self.bins, flows);
         self.observe_histogram(current)
     }
 
     /// Score a pre-built interval histogram and advance the state machine
-    /// — the "score" half of [`build_histogram`](Self::build_histogram).
+    /// — the "score" half of an observation.
     ///
     /// # Panics
     ///
@@ -449,31 +440,6 @@ mod tests {
     }
 
     #[test]
-    fn merged_shard_partials_score_bit_identically() {
-        // Two clones fed the same traffic, one via observe(), one via
-        // per-shard partials merged then scored: every KL must match to
-        // the bit.
-        let mut whole = trained_clone();
-        let mut sharded = trained_clone();
-        for i in 12..18 {
-            let flows = if i == 14 { flooded(i) } else { background(i) };
-            let a = whole.observe(&flows);
-            let third = flows.len() / 3;
-            let mut partial = sharded.build_histogram(&flows[..third]);
-            partial.merge(sharded.build_histogram(&flows[third..2 * third]));
-            partial.merge(sharded.build_histogram(&flows[2 * third..]));
-            let b = sharded.observe_histogram(partial);
-            assert_eq!(
-                a.kl.map(f64::to_bits),
-                b.kl.map(f64::to_bits),
-                "interval {i}"
-            );
-            assert_eq!(a.alarm, b.alarm, "interval {i}");
-            assert_eq!(a.values, b.values, "interval {i}");
-        }
-    }
-
-    #[test]
     fn snapshot_round_trip_scores_bit_identically() {
         for cut in [1usize, 5, 12, 13] {
             // Run `cut` intervals, snapshot, restore into a fresh clone,
@@ -534,8 +500,8 @@ mod tests {
     #[should_panic(expected = "different clone")]
     fn foreign_histogram_panics() {
         let mut clone = HistogramClone::new(FlowFeature::DstPort, BinHasher::new(7), 64, 3.0, 5);
-        let other = HistogramClone::new(FlowFeature::DstPort, BinHasher::new(8), 64, 3.0, 5);
-        let h = other.build_histogram(&background(0));
+        let h =
+            FeatureHistogram::build(FlowFeature::DstPort, BinHasher::new(8), 64, &background(0));
         let _ = clone.observe_histogram(h);
     }
 

@@ -1,4 +1,11 @@
 //! Per-feature detector: `n` histogram clones plus l-of-n voting.
+//!
+//! [`FeatureHasher::partial_columns`] is the crate's one histogram
+//! builder: a single-column scan that counts an interval (or one shard
+//! of it) into every clone's [`FeatureHistogram`]. Record-slice callers
+//! ([`FeatureDetector::observe`], [`crate::DetectorBank::observe`],
+//! [`HistogramClone::observe`], [`FeatureHistogram::build`]) transpose to
+//! [`FlowColumns`] once and go through it.
 
 use std::collections::BTreeSet;
 use std::ops::Range;
@@ -8,6 +15,7 @@ use anomex_netflow::{FlowColumns, FlowFeature, FlowRecord};
 
 use crate::clone::{CloneObservation, ClonePhase, HistogramClone};
 use crate::hash::{derive_hashers, BinHasher};
+use crate::histogram::FeatureHistogram;
 use crate::vote::vote;
 
 /// What one feature detector (all clones + voting) saw in one interval.
@@ -27,16 +35,22 @@ pub struct FeatureObservation {
 
 /// Per-clone partial histograms of one feature detector over one flow
 /// shard — the mergeable unit of the build-partials → merge → score
-/// decomposition. Built by [`FeatureDetector::partial`] (a `&self`
+/// decomposition. Built by [`FeatureHasher::partial_columns`] (a `&self`
 /// method, so shards can run on worker threads), merged with
 /// [`merge`](FeaturePartial::merge), and scored by
 /// [`FeatureDetector::observe_partial`].
 #[derive(Debug, Clone)]
 pub struct FeaturePartial {
-    histograms: Vec<crate::histogram::FeatureHistogram>,
+    pub(crate) histograms: Vec<FeatureHistogram>,
 }
 
 impl FeaturePartial {
+    /// The per-clone histograms, in clone order.
+    #[must_use]
+    pub fn histograms(&self) -> &[FeatureHistogram] {
+        &self.histograms
+    }
+
     /// Merge (and consume) another shard's partial into this one —
     /// per-clone histogram merges: exact integer count sums,
     /// order-independent.
@@ -64,9 +78,7 @@ impl FeaturePartial {
 /// Snapshotting this once and sharing it behind an `Arc` lets persistent
 /// worker-pool threads build [`FeaturePartial`]s concurrently while the
 /// mutable detector state (reference histograms, thresholds, training)
-/// stays exclusively with the owner for the scoring step. By
-/// construction, [`partial`](FeatureHasher::partial) is bit-identical to
-/// [`FeatureDetector::partial`].
+/// stays exclusively with the owner for the scoring step.
 #[derive(Debug, Clone)]
 pub struct FeatureHasher {
     feature: FlowFeature,
@@ -75,77 +87,52 @@ pub struct FeatureHasher {
 }
 
 impl FeatureHasher {
+    pub(crate) fn new(feature: FlowFeature, hashers: Vec<BinHasher>, bins: u32) -> Self {
+        FeatureHasher {
+            feature,
+            hashers,
+            bins,
+        }
+    }
+
     /// The monitored feature.
     #[must_use]
     pub fn feature(&self) -> FlowFeature {
         self.feature
     }
 
-    /// Build all clones' histograms over one flow shard — exactly what
-    /// [`FeatureDetector::partial`] builds, without needing the detector.
-    #[must_use]
-    pub fn partial(&self, flows: &[FlowRecord]) -> FeaturePartial {
-        FeaturePartial {
-            histograms: self
-                .hashers
-                .iter()
-                .map(|&h| {
-                    crate::histogram::FeatureHistogram::build(self.feature, h, self.bins, flows)
-                })
-                .collect(),
-        }
-    }
-
     /// Build all clones' histograms from a columnar store over the row
-    /// `range` — the struct-of-arrays hot path, touching only the
-    /// feature's single column. The scan walks the column in fixed
-    /// [`LANES`](crate::kernels::LANES)-wide chunks; each loaded chunk
-    /// feeds **every** clone through the batched bin kernel
-    /// ([`crate::kernels::bin_chunk`], seed-major inner loop) before the
-    /// next chunk is read, so one column pass serves all clones. A final
+    /// `range` — the one function that counts flows into
+    /// [`FeatureHistogram`]s; every record-slice entry point transposes
+    /// once and calls it. One scan of the feature's single column
+    /// collects the keys, one `bin_of` loop per clone counts them, and a
     /// sort + dedup of the keys lets the bin→values reverse map pay its
-    /// insert once per **distinct** value instead of once per flow
-    /// (repeats are set-semantics no-ops, so the result is bit-identical
-    /// to [`partial`](Self::partial) over the reassembled records — the
-    /// kernels match `BinHasher` bit-for-bit and integer count sums are
-    /// order-independent).
+    /// insert once per **distinct** value instead of once per flow.
+    /// Counts are integer sums and the reverse map is a set union, so
+    /// partials over split ranges [`merge`](FeaturePartial::merge) into
+    /// exactly the partial of the whole range.
     ///
     /// # Panics
     ///
     /// Panics if `range` is out of bounds for `cols`.
     #[must_use]
     pub fn partial_columns(&self, cols: &FlowColumns, range: Range<usize>) -> FeaturePartial {
-        use crate::kernels::{self, LANES};
-
-        let mut histograms: Vec<crate::histogram::FeatureHistogram> = self
+        let mut keys = Vec::with_capacity(range.len());
+        cols.for_each_raw(self.feature, range, |key| keys.push(key));
+        let mut histograms: Vec<FeatureHistogram> = self
             .hashers
             .iter()
-            .map(|&h| crate::histogram::FeatureHistogram::new(self.feature, h, self.bins))
+            .map(|&h| {
+                let mut histogram = FeatureHistogram::new(self.feature, h, self.bins);
+                histogram.count_values(&keys);
+                histogram
+            })
             .collect();
-        let chunks = cols.raw_chunks(self.feature, range);
-        let backend = kernels::active_backend();
-        let mut keys: Vec<u64> = Vec::with_capacity(chunks.len());
-        let mut lanes = [0u64; LANES];
-        let mut bins_out = [0u32; LANES];
-        for c in 0..chunks.full_chunks() {
-            chunks.load(c, &mut lanes);
-            keys.extend_from_slice(&lanes);
-            for (h, hasher) in histograms.iter_mut().zip(&self.hashers) {
-                kernels::bin_chunk(backend, hasher.seed(), self.bins, &lanes, &mut bins_out);
-                h.add_bins(&bins_out);
-            }
-        }
-        for &value in chunks.tail() {
-            keys.push(value);
-            for h in &mut histograms {
-                h.add_value_count(value);
-            }
-        }
         keys.sort_unstable();
         keys.dedup();
         for h in &mut histograms {
-            for &value in &keys {
-                h.note_value(value);
+            for &key in &keys {
+                h.note_value(key);
             }
         }
         FeaturePartial { histograms }
@@ -237,30 +224,19 @@ impl FeatureDetector {
     /// partials without borrowing the detector itself.
     #[must_use]
     pub fn hasher_spec(&self) -> FeatureHasher {
-        FeatureHasher {
-            feature: self.feature,
-            hashers: self.clones.iter().map(HistogramClone::hasher).collect(),
-            bins: self.clones.first().map_or(0, HistogramClone::bins),
-        }
+        FeatureHasher::new(
+            self.feature,
+            self.clones.iter().map(HistogramClone::hasher).collect(),
+            self.clones.first().map_or(0, HistogramClone::bins),
+        )
     }
 
-    /// Build all clones' histograms over one flow shard without touching
-    /// detector state. Partials over disjoint shards merge into exactly
-    /// what one pass over the whole interval builds.
-    #[must_use]
-    pub fn partial(&self, flows: &[FlowRecord]) -> FeaturePartial {
-        FeaturePartial {
-            histograms: self
-                .clones
-                .iter()
-                .map(|c| c.build_histogram(flows))
-                .collect(),
-        }
-    }
-
-    /// Observe one interval.
+    /// Observe one interval: transpose the flows once, build every
+    /// clone's histogram with [`FeatureHasher::partial_columns`], and
+    /// score it with [`observe_partial`](Self::observe_partial).
     pub fn observe(&mut self, flows: &[FlowRecord]) -> FeatureObservation {
-        let partial = self.partial(flows);
+        let cols = FlowColumns::from_flows(flows);
+        let partial = self.hasher_spec().partial_columns(&cols, 0..cols.len());
         self.observe_partial(partial)
     }
 

@@ -31,9 +31,6 @@ impl BinHasher {
 
     /// Mix a value to a uniform 64-bit output (SplitMix64 finalizer over
     /// the seed-offset input).
-    ///
-    /// This is the scalar reference the batched kernels in
-    /// [`crate::kernels`] are bit-identical to.
     #[must_use]
     #[inline]
     pub fn mix(&self, value: u64) -> u64 {
@@ -46,9 +43,6 @@ impl BinHasher {
     }
 
     /// Map a feature value to a bin in `0..bins`.
-    ///
-    /// The batched form is [`crate::kernels::bin_batch`], which matches
-    /// this bit-for-bit on every input.
     ///
     /// # Panics
     ///

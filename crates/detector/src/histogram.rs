@@ -11,8 +11,9 @@
 use std::collections::{BTreeSet, HashMap};
 
 use anomex_netflow::snapshot::{RestoreError, SnapshotReader, SnapshotWriter};
-use anomex_netflow::{FlowFeature, FlowRecord};
+use anomex_netflow::{FlowColumns, FlowFeature, FlowRecord};
 
+use crate::detector::FeatureHasher;
 use crate::hash::BinHasher;
 
 /// One interval's histogram for one feature under one hash function.
@@ -44,14 +45,19 @@ impl FeatureHistogram {
         }
     }
 
-    /// Build a histogram over one interval's flows.
+    /// Build a histogram over one interval's flows: transpose them once
+    /// and run the one column scan,
+    /// [`FeatureHasher::partial_columns`], for this single clone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bins` is zero.
     #[must_use]
     pub fn build(feature: FlowFeature, hasher: BinHasher, bins: u32, flows: &[FlowRecord]) -> Self {
-        let mut h = Self::new(feature, hasher, bins);
-        for flow in flows {
-            h.add(flow);
-        }
-        h
+        let cols = FlowColumns::from_flows(flows);
+        let mut partial =
+            FeatureHasher::new(feature, vec![hasher], bins).partial_columns(&cols, 0..cols.len());
+        partial.histograms.pop().expect("one hasher, one histogram")
     }
 
     /// Merge another partial histogram into this one: per-bin counts add
@@ -89,55 +95,21 @@ impl FeatureHistogram {
         }
     }
 
-    /// Count one flow.
-    pub fn add(&mut self, flow: &FlowRecord) {
-        self.add_value(self.feature.value_of(flow).raw);
-    }
-
-    /// Count one pre-extracted feature value (the uniform `u64` key of
-    /// [`FlowFeature::value_of`]) — the columnar hot path, where a
-    /// single-column scan extracts the keys and feeds every clone's
-    /// histogram without touching the other nine columns. Bit-identical
-    /// to [`add`](Self::add) by construction: `add` delegates here.
-    pub fn add_value(&mut self, value: u64) {
-        let bin = self.hasher.bin_of(value, self.counts.len() as u32);
-        self.counts[bin as usize] += 1;
-        self.total += 1;
-        self.values.entry(bin).or_default().insert(value);
-    }
-
-    /// Count one value into the bin counts **without** recording it in
-    /// the bin→values reverse map — the tight half of the columnar scan.
-    ///
-    /// Callers must register every distinct value via
-    /// [`note_value`](Self::note_value) for the histogram to stay
-    /// equivalent to [`add_value`](Self::add_value); splitting the two
-    /// lets a column pass pay the map insert once per *distinct* value
-    /// instead of once per flow.
-    pub(crate) fn add_value_count(&mut self, value: u64) {
-        let bin = self.hasher.bin_of(value, self.counts.len() as u32);
-        self.counts[bin as usize] += 1;
-        self.total += 1;
-    }
-
-    /// Count a chunk of pre-hashed bins — the kernel half of the
-    /// columnar scan, fed by [`crate::kernels::bin_chunk`]. Equivalent
-    /// to [`add_value_count`](Self::add_value_count) per bin (integer
-    /// adds, so order and chunking cannot change the result); the same
-    /// [`note_value`](Self::note_value) obligation applies.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any bin is out of range for this histogram.
-    pub(crate) fn add_bins(&mut self, bins: &[u32]) {
-        for &bin in bins {
-            self.counts[bin as usize] += 1;
+    /// Count every key (the uniform `u64` keys of
+    /// [`FlowFeature::value_of`]) into its bin **without** recording it
+    /// in the bin→values reverse map — the per-clone loop of
+    /// [`FeatureHasher::partial_columns`], which then registers each
+    /// *distinct* key once through [`note_value`](Self::note_value).
+    pub(crate) fn count_values(&mut self, keys: &[u64]) {
+        let bins = self.bins();
+        for &key in keys {
+            self.counts[self.hasher.bin_of(key, bins) as usize] += 1;
         }
-        self.total += bins.len() as u64;
+        self.total += keys.len() as u64;
     }
 
     /// Record `value` in the bin→values reverse map without counting it
-    /// — the companion of [`add_value_count`](Self::add_value_count).
+    /// — the companion of [`count_values`](Self::count_values).
     pub(crate) fn note_value(&mut self, value: u64) {
         let bin = self.hasher.bin_of(value, self.counts.len() as u32);
         self.values.entry(bin).or_default().insert(value);
@@ -370,33 +342,6 @@ mod tests {
             &(0..10u16).map(flow_to_port).collect::<Vec<_>>(),
         );
         assert!(big.memory_bytes() > small.memory_bytes());
-    }
-
-    #[test]
-    fn merged_partials_equal_a_single_pass() {
-        let flows: Vec<_> = (0..997u16).map(flow_to_port).collect();
-        let whole = FeatureHistogram::build(FlowFeature::DstPort, BinHasher::new(5), 64, &flows);
-        for split in [1usize, 250, 500, 996] {
-            let (a, b) = flows.split_at(split);
-            let mut merged =
-                FeatureHistogram::build(FlowFeature::DstPort, BinHasher::new(5), 64, a);
-            merged.merge(FeatureHistogram::build(
-                FlowFeature::DstPort,
-                BinHasher::new(5),
-                64,
-                b,
-            ));
-            assert_eq!(merged.counts(), whole.counts(), "split at {split}");
-            assert_eq!(merged.total(), whole.total());
-            assert_eq!(merged.distinct_values(), whole.distinct_values());
-            for bin in 0..64 {
-                assert_eq!(
-                    merged.values_in_bin(bin).collect::<Vec<_>>(),
-                    whole.values_in_bin(bin).collect::<Vec<_>>(),
-                    "bin {bin} split {split}"
-                );
-            }
-        }
     }
 
     #[test]

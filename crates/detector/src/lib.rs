@@ -9,10 +9,9 @@
 //! - [`threshold`] — MAD-robust σ̂ estimation and the one-sided
 //!   `α·σ̂` alarm test on the first difference of the KL series;
 //! - [`hash`] / [`histogram`] — histogram *cloning*: per-clone seeded hash
-//!   binning with bin→value reverse maps;
-//! - [`kernels`] — batched, lane-oriented kernels for the columnar hot
-//!   loops (SplitMix64 binning, small-set membership) with runtime
-//!   scalar/AVX2 dispatch, bit-identical to the scalar reference;
+//!   binning with bin→value reverse maps. Flows enter histograms through
+//!   one column scan, [`FeatureHasher::partial_columns`]; the record-slice
+//!   entry points transpose once and call it;
 //! - [`binid`] — the iterative anomalous-bin identification that simulates
 //!   flow removal until the alarm clears (Fig. 5);
 //! - [`mod@vote`] — l-of-n voting across clones;
@@ -27,10 +26,7 @@
 //! frequent item-set mining.
 
 #![warn(missing_docs)]
-// `deny` rather than `forbid`: the one sanctioned exception is the AVX2
-// kernel layer in [`kernels`], which scopes an `allow(unsafe_code)` to
-// its runtime-dispatched `std::arch` surface (documented there).
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod bank;
 pub mod binid;
@@ -39,7 +35,6 @@ pub mod detector;
 pub mod entropy;
 pub mod hash;
 pub mod histogram;
-pub mod kernels;
 pub mod kl;
 pub mod metadata;
 pub mod roc;
@@ -53,9 +48,28 @@ pub use detector::{FeatureDetector, FeatureHasher, FeatureObservation, FeaturePa
 pub use entropy::{shannon_entropy, EntropyDetector, EntropyObservation};
 pub use hash::{derive_hashers, BinHasher};
 pub use histogram::FeatureHistogram;
-pub use kernels::{active_backend, KernelBackend, SmallValueSet};
 pub use kl::{kl_distance, kl_divergence_raw};
 pub use metadata::MetaData;
 pub use roc::{RocCurve, RocPoint};
 pub use threshold::{median, robust_sigma, FirstDiffThreshold, MAD_TO_SIGMA, SIGMA_FLOOR};
 pub use vote::vote;
+
+/// The histogram pass's implementation, as reported by
+/// [`active_backend`]. Only [`Scalar`](Self::Scalar) exists now.
+///
+/// Kept solely because the benchmark's `detector.avx2_active` metric
+/// reads it; it goes when a benchmark-only change retires that metric.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KernelBackend {
+    /// The one portable column scan.
+    Scalar,
+    /// Never returned: the vectorized backend was removed.
+    Avx2,
+}
+
+/// Always [`KernelBackend::Scalar`] — see [`KernelBackend`] for why this
+/// still exists.
+#[must_use]
+pub fn active_backend() -> KernelBackend {
+    KernelBackend::Scalar
+}

@@ -1,11 +1,74 @@
 //! Property-based tests for the detection substrate.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
+use std::net::Ipv4Addr;
 
 use anomex_detector::{
-    identify_anomalous_bins, kl_distance, robust_sigma, vote, BinHasher, RocCurve, SIGMA_FLOOR,
+    identify_anomalous_bins, kl_distance, robust_sigma, vote, BinHasher, FeatureDetector, RocCurve,
+    SIGMA_FLOOR,
 };
+use anomex_netflow::{FlowColumns, FlowFeature, FlowRecord, Protocol};
 use proptest::prelude::*;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `FeatureHasher::partial_columns` — the one histogram builder —
+    /// over arbitrary flows, split into two row ranges and merged,
+    /// equals a naive per-flow oracle (`BinHasher::bin_of` counts plus a
+    /// `BTreeMap` of bin → values) for every feature and every clone:
+    /// counts, total, and the values of every bin.
+    #[test]
+    fn partial_columns_matches_a_per_flow_oracle(
+        rows in proptest::collection::vec((0u32..40, 0u16..64, 1u32..8), 0..200),
+        feature_idx in 0usize..9,
+        seed in any::<u64>(),
+        bins in 1u32..64,
+        clones in 1usize..4,
+        split in 0usize..201,
+    ) {
+        let flows: Vec<FlowRecord> = rows
+            .iter()
+            .map(|&(ip, port, packets)| {
+                let ip = ip.wrapping_mul(0x9E37_79B9);
+                FlowRecord::new(
+                    0,
+                    Ipv4Addr::from(ip),
+                    Ipv4Addr::from(ip.rotate_left(7)),
+                    port,
+                    port ^ 0x1f,
+                    Protocol::from_number(port as u8 % 3),
+                )
+                .with_volume(packets, packets * 40)
+            })
+            .collect();
+        let feature = FlowFeature::EXTENDED[feature_idx];
+        let detector = FeatureDetector::new(feature, bins, clones, 1, 3.0, 2, seed);
+        let hasher = detector.hasher_spec();
+        let cols = FlowColumns::from_flows(&flows);
+        let split = split.min(flows.len());
+        let mut partial = hasher.partial_columns(&cols, 0..split);
+        partial.merge(hasher.partial_columns(&cols, split..flows.len()));
+        prop_assert_eq!(partial.histograms().len(), clones);
+        for (histogram, clone) in partial.histograms().iter().zip(detector.clones()) {
+            let mut counts = vec![0u64; bins as usize];
+            let mut values: BTreeMap<u32, BTreeSet<u64>> = BTreeMap::new();
+            for flow in &flows {
+                let value = feature.value_of(flow).raw;
+                let bin = clone.hasher().bin_of(value, bins);
+                counts[bin as usize] += 1;
+                values.entry(bin).or_default().insert(value);
+            }
+            prop_assert_eq!(histogram.counts(), &counts[..]);
+            prop_assert_eq!(histogram.total(), flows.len() as u64);
+            for bin in 0..bins {
+                let got: Vec<u64> = histogram.values_in_bin(bin).collect();
+                let want: Vec<u64> = values.get(&bin).into_iter().flatten().copied().collect();
+                prop_assert_eq!(got, want, "{} bin {}", feature, bin);
+            }
+        }
+    }
+}
 
 proptest! {
     /// KL(p, p) = 0 for any histogram.

@@ -16,7 +16,7 @@
 //! infrequent in their conditional base before inserting, and are rebuilt
 //! into one recycled arena per recursion depth. Ranks turn back into
 //! [`Item`]s only when an item-set is emitted. The arena is `Vec<Node>` +
-//! `u32` indices — no `Rc`/`RefCell`, no unsafe.
+//! `u32` indices — no `Rc`/`RefCell`, no raw pointers.
 
 use crate::apriori::count_single_items;
 use crate::item::{Item, ItemMap};

@@ -6,7 +6,7 @@
 //! such scan strides over all ten fields and wastes cache bandwidth on
 //! the eight it ignores. [`FlowColumns`] stores the same flows as ten
 //! contiguous columns so a per-feature scan reads exactly the bytes it
-//! needs, in order — the layout SIMD-friendly feature loops want.
+//! needs, in order.
 //!
 //! The columnar store is a drop-in sibling of `Vec<FlowRecord>`:
 //!
@@ -15,10 +15,12 @@
 //!   straight into columns with no intermediate `FlowRecord`;
 //! - [`FlowColumns::get`] / [`FlowColumns::iter`] reassemble records on
 //!   demand (the compatibility shim for record-oriented consumers);
-//! - [`FlowColumns::for_each_raw`] is the hot-path accessor: it matches
-//!   the feature **once**, then runs a tight loop over the single column,
-//!   yielding exactly the `u64` keys [`FlowFeature::value_of`] would
-//!   produce — bit-identical by construction.
+//! - [`FlowColumns::for_each_raw`] is the one hot-path accessor (the
+//!   detector's histogram build and the pre-filter both scan through
+//!   it): it matches the feature **once**, then runs a tight loop over
+//!   the single column, yielding exactly the `u64` keys
+//!   [`FlowFeature::value_of`] would produce — bit-identical by
+//!   construction.
 //!
 //! Parallel walks over a column store reuse [`crate::shard::chunk_ranges`]
 //! over row-index ranges, so sharded, streaming, and multi-source
@@ -29,111 +31,6 @@ use std::ops::Range;
 
 use crate::feature::FlowFeature;
 use crate::flow::{FlowRecord, Protocol, TcpFlags};
-
-/// Number of `u64` lanes in one kernel chunk — the fixed width the
-/// batched hashing and membership kernels consume, and the chunk size
-/// [`RawChunks`] yields. Eight lanes fill two 256-bit vector registers,
-/// which is what both the autovectorized scalar loops and the explicit
-/// AVX2 kernels want.
-pub const LANES: usize = 8;
-
-/// One column's storage, matched out of [`FlowColumns`] exactly once so
-/// chunk loads run a tight widening copy with no per-value dispatch.
-#[derive(Debug, Clone, Copy)]
-enum ColSlice<'a> {
-    U8(&'a [u8]),
-    U16(&'a [u16]),
-    U32(&'a [u32]),
-    /// An IPv4 column read as its high 16 bits (`v >> 16`) — the
-    /// /16-network features.
-    Net16(&'a [u32]),
-}
-
-impl ColSlice<'_> {
-    fn len(&self) -> usize {
-        match *self {
-            ColSlice::U8(s) => s.len(),
-            ColSlice::U16(s) => s.len(),
-            ColSlice::U32(s) | ColSlice::Net16(s) => s.len(),
-        }
-    }
-
-    /// Widen values `[at, at + LANES)` into `lanes`.
-    #[inline]
-    fn widen(&self, at: usize, lanes: &mut [u64; LANES]) {
-        match *self {
-            ColSlice::U8(s) => widen_into(&s[at..at + LANES], lanes),
-            ColSlice::U16(s) => widen_into(&s[at..at + LANES], lanes),
-            ColSlice::U32(s) => widen_into(&s[at..at + LANES], lanes),
-            ColSlice::Net16(s) => {
-                for (dst, &v) in lanes.iter_mut().zip(&s[at..at + LANES]) {
-                    *dst = u64::from(v >> 16);
-                }
-            }
-        }
-    }
-}
-
-#[inline]
-fn widen_into<T: Copy + Into<u64>>(src: &[T], lanes: &mut [u64; LANES]) {
-    for (dst, &v) in lanes.iter_mut().zip(src) {
-        *dst = v.into();
-    }
-}
-
-/// A single feature column over a row range, exposed as fixed-width
-/// `[u64; LANES]` chunks plus a scalar tail — the lane-shaped view the
-/// batched kernels read instead of the per-value
-/// [`FlowColumns::for_each_raw`] closure.
-///
-/// The sequence `chunk 0 lanes, chunk 1 lanes, …, tail()` is exactly the
-/// key sequence `for_each_raw` would yield over the same range, widened
-/// identically for every column width (u8/u16/u32/u64 and the `>> 16`
-/// network prefixes).
-#[derive(Debug, Clone, Copy)]
-pub struct RawChunks<'a> {
-    col: ColSlice<'a>,
-    /// The trailing `len % LANES` keys, widened eagerly at construction
-    /// (at most `LANES - 1` values).
-    tail: [u64; LANES],
-    tail_len: usize,
-}
-
-impl RawChunks<'_> {
-    /// Total number of rows covered (full chunks plus tail).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.col.len()
-    }
-
-    /// Whether the range covers no rows.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.col.len() == 0
-    }
-
-    /// Number of full `LANES`-wide chunks.
-    #[must_use]
-    pub fn full_chunks(&self) -> usize {
-        self.col.len() / LANES
-    }
-
-    /// Widen chunk `chunk` (rows `chunk * LANES ..`) into `lanes`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk >= self.full_chunks()`.
-    #[inline]
-    pub fn load(&self, chunk: usize, lanes: &mut [u64; LANES]) {
-        self.col.widen(chunk * LANES, lanes);
-    }
-
-    /// The trailing `len() % LANES` keys after the last full chunk.
-    #[must_use]
-    pub fn tail(&self) -> &[u64] {
-        &self.tail[..self.tail_len]
-    }
-}
 
 /// A batch of flows stored column-major: one contiguous `Vec` per field.
 ///
@@ -329,49 +226,6 @@ impl FlowColumns {
         }
     }
 
-    /// `feature`'s uniform `u64` keys over `range` as a lane-chunked
-    /// view: [`RawChunks::full_chunks`] fixed-width `[u64; LANES]`
-    /// chunks loaded via [`RawChunks::load`], then a scalar
-    /// [`RawChunks::tail`]. The concatenated sequence is bit-identical
-    /// to [`for_each_raw`](Self::for_each_raw) over the same range —
-    /// this is the accessor the batched kernels consume.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `range` is out of bounds.
-    #[must_use]
-    pub fn raw_chunks(&self, feature: FlowFeature, range: Range<usize>) -> RawChunks<'_> {
-        let col = match feature {
-            FlowFeature::SrcIp => ColSlice::U32(&self.src_ip[range]),
-            FlowFeature::DstIp => ColSlice::U32(&self.dst_ip[range]),
-            FlowFeature::SrcPort => ColSlice::U16(&self.src_port[range]),
-            FlowFeature::DstPort => ColSlice::U16(&self.dst_port[range]),
-            FlowFeature::Proto => ColSlice::U8(&self.proto[range]),
-            FlowFeature::Packets => ColSlice::U32(&self.packets[range]),
-            FlowFeature::Bytes => ColSlice::U32(&self.bytes[range]),
-            FlowFeature::SrcNet16 => ColSlice::Net16(&self.src_ip[range]),
-            FlowFeature::DstNet16 => ColSlice::Net16(&self.dst_ip[range]),
-        };
-        let mut tail = [0u64; LANES];
-        let tail_len = col.len() % LANES;
-        let tail_start = col.len() - tail_len;
-        match col {
-            ColSlice::U8(s) => widen_into(&s[tail_start..], &mut tail),
-            ColSlice::U16(s) => widen_into(&s[tail_start..], &mut tail),
-            ColSlice::U32(s) => widen_into(&s[tail_start..], &mut tail),
-            ColSlice::Net16(s) => {
-                for (dst, &v) in tail.iter_mut().zip(&s[tail_start..]) {
-                    *dst = u64::from(v >> 16);
-                }
-            }
-        }
-        RawChunks {
-            col,
-            tail,
-            tail_len,
-        }
-    }
-
     /// Heap bytes held by the column allocations.
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
@@ -486,51 +340,6 @@ mod tests {
         cols.extend_from(&a);
         cols.extend_from(&b);
         assert_eq!(cols.to_flows(), flows);
-    }
-
-    #[test]
-    fn raw_chunks_pin_against_for_each_raw_for_every_feature() {
-        let flows = sample_flows();
-        let cols = FlowColumns::from_flows(&flows);
-        // Range lengths covering: empty, shorter than one chunk, exactly
-        // chunk-aligned, and a len % LANES != 0 tail.
-        let ranges = [
-            0..0,
-            3..3,
-            10..13,
-            0..LANES,
-            0..2 * LANES,
-            5..5 + LANES,
-            7..100,
-            0..97,
-        ];
-        for feature in FlowFeature::EXTENDED {
-            for range in &ranges {
-                let mut expected = Vec::new();
-                cols.for_each_raw(feature, range.clone(), |v| expected.push(v));
-                let chunks = cols.raw_chunks(feature, range.clone());
-                assert_eq!(chunks.len(), range.len(), "{feature} {range:?}");
-                assert_eq!(chunks.is_empty(), range.is_empty());
-                let mut got = Vec::new();
-                let mut lanes = [0u64; LANES];
-                for c in 0..chunks.full_chunks() {
-                    chunks.load(c, &mut lanes);
-                    got.extend_from_slice(&lanes);
-                }
-                got.extend_from_slice(chunks.tail());
-                assert_eq!(got, expected, "{feature} {range:?}");
-                assert_eq!(chunks.tail().len(), range.len() % LANES);
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn raw_chunks_load_past_full_chunks_panics() {
-        let cols = FlowColumns::from_flows(&sample_flows());
-        let chunks = cols.raw_chunks(FlowFeature::DstPort, 0..10);
-        let mut lanes = [0u64; LANES];
-        chunks.load(1, &mut lanes); // only one full chunk in 10 rows
     }
 
     #[test]

@@ -254,7 +254,15 @@ impl std::str::FromStr for FeatureValue {
                 let ip: Ipv4Addr = base.parse().map_err(|_| bad())?;
                 u64::from(u32::from(ip) >> 16)
             }
-            _ => value.parse::<u64>().map_err(|_| bad())?,
+            // Parse at the field's own width, so a value no flow can
+            // carry (dstPort=99999) is an error, not a silent non-match.
+            FlowFeature::SrcPort | FlowFeature::DstPort => {
+                u64::from(value.parse::<u16>().map_err(|_| bad())?)
+            }
+            FlowFeature::Proto => u64::from(value.parse::<u8>().map_err(|_| bad())?),
+            FlowFeature::Packets | FlowFeature::Bytes => {
+                u64::from(value.parse::<u32>().map_err(|_| bad())?)
+            }
         };
         Ok(FeatureValue::new(feature, raw))
     }
@@ -389,6 +397,18 @@ mod tests {
             "dstPort=abc".parse::<FeatureValue>().unwrap_err(),
             ParseFeatureValueError::BadValue(_)
         ));
+        // Values wider than the feature's field.
+        for wide in ["dstPort=65536", "protocol=256", "#packets=4294967296"] {
+            assert!(
+                matches!(
+                    wide.parse::<FeatureValue>().unwrap_err(),
+                    ParseFeatureValueError::BadValue(_)
+                ),
+                "{wide}"
+            );
+        }
+        let widest: FeatureValue = "#bytes=4294967295".parse().unwrap();
+        assert_eq!(widest.raw, u64::from(u32::MAX));
     }
 
     #[test]

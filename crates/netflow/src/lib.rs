@@ -52,7 +52,7 @@ pub mod trace;
 pub mod v5;
 pub mod v9;
 
-pub use columns::{FlowColumns, RawChunks, LANES};
+pub use columns::FlowColumns;
 pub use error::{DecodeError, EncodeError};
 pub use feature::{FeatureValue, FlowFeature, ParseFeatureValueError};
 pub use flow::{FlowRecord, Protocol, TcpFlags};

@@ -104,7 +104,9 @@ pub fn table2_workload(seed: u64, scale: f64) -> Table2Workload {
             flows.push(web_flow(*proxy, &mut rng, window_ms, true));
         }
     }
-    let diffuse_web = s(paper_counts::WEB) - proxy_volumes.iter().sum::<u64>();
+    // Saturating: at tiny scales the `max(1)` floors of the parts can
+    // exceed the floored total.
+    let diffuse_web = s(paper_counts::WEB).saturating_sub(proxy_volumes.iter().sum::<u64>());
     for _ in 0..diffuse_web {
         let client = Ipv4Addr::from(0x0a00_0000 | (rng.random::<u32>() & 0x001F_FFFF));
         flows.push(web_flow(client, &mut rng, window_ms, false));
@@ -120,7 +122,7 @@ pub fn table2_workload(seed: u64, scale: f64) -> Table2Workload {
     ));
 
     // --- Port 25: mail toward two MX hosts. ---
-    let mx_volumes = [s(13_000), s(paper_counts::SMTP) - s(13_000)];
+    let mx_volumes = [s(13_000), s(paper_counts::SMTP).saturating_sub(s(13_000))];
     for (server, volume) in mail_servers.iter().zip(mx_volumes) {
         for _ in 0..volume {
             flows.push(smtp_flow(*server, &mut rng, window_ms));
@@ -238,6 +240,19 @@ mod tests {
         for src in &w.flood_sources {
             let n = w.flows.iter().filter(|f| f.src_ip == *src).count() as u64;
             assert!(n >= w.min_support, "flood source {src} has only {n} flows");
+        }
+    }
+
+    /// At tiny scales every component floors at one flow; the web and
+    /// mail remainders saturate at zero instead of wrapping to ~2⁶⁴
+    /// flows.
+    #[test]
+    fn tiny_scales_build_a_handful_of_flows() {
+        for scale in [1e-7, 1e-6, 1e-5, 2e-5] {
+            let w = table2_workload(1, scale);
+            let n = w.flows.len();
+            assert!((4..=20).contains(&n), "scale {scale}: {n} flows");
+            assert_eq!(w.min_support, 1, "scale {scale}");
         }
     }
 

@@ -15,8 +15,9 @@
 //!    the failing datagram leaving the column store untouched.
 
 use anomex::core::{
-    prefilter_indices, prefilter_indices_columns, Engine, ExtractRequest, Extraction,
-    ExtractionConfig, TransactionMode,
+    prefilter_indices, prefilter_indices_columns, prefilter_indices_columns_range,
+    prefilter_indices_columns_range_with, Engine, ExtractRequest, Extraction, ExtractionConfig,
+    PrefilterScratch, TransactionMode,
 };
 use anomex::netflow::v5::{self, V5Exporter, V5_HEADER_LEN, V5_RECORD_LEN};
 use anomex::netflow::FlowColumns;
@@ -162,6 +163,63 @@ proptest! {
             prop_assert_eq!(cols.get(i), w.flows[i]);
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The columnar pre-filter ≡ the record pre-filter on arbitrary
+    /// flows, meta-data (value sets of up to and beyond the 16 members
+    /// probed as a fixed array, one or two features), ranges, and both
+    /// modes — and the scratch-reuse form returns the same thing again
+    /// on a dirty scratch.
+    #[test]
+    fn columnar_prefilter_matches_record_reference(
+        flows_seed in proptest::collection::vec((0u16..32, 1u32..20), 0..120),
+        ports in proptest::collection::btree_set(0u64..32, 0..24),
+        packets in proptest::collection::btree_set(1u64..20, 0..4),
+        split in 0usize..121,
+        union in any::<bool>(),
+    ) {
+        let flows: Vec<_> = flows_seed
+            .iter()
+            .map(|&(port, pkts)| sample_flow(port, pkts))
+            .collect();
+        let mut md = MetaData::new();
+        for &p in &ports {
+            md.insert(FlowFeature::DstPort, p);
+        }
+        for &p in &packets {
+            md.insert(FlowFeature::Packets, p);
+        }
+        let mode = if union { PrefilterMode::Union } else { PrefilterMode::Intersection };
+        let cols = FlowColumns::from_flows(&flows);
+        let reference = prefilter_indices(&flows, &md, mode);
+        let whole = prefilter_indices_columns_range(&cols, 0..flows.len(), &md, mode);
+        prop_assert_eq!(&whole, &reference);
+        // Split ranges concatenate to the whole (shard contract) and a
+        // recycled dirty scratch changes nothing.
+        let split = split.min(flows.len());
+        let mut scratch = PrefilterScratch::default();
+        let mut parts =
+            prefilter_indices_columns_range_with(&cols, 0..split, &md, mode, &mut scratch);
+        parts.extend(prefilter_indices_columns_range_with(
+            &cols, split..flows.len(), &md, mode, &mut scratch,
+        ));
+        prop_assert_eq!(&parts, &reference);
+    }
+}
+
+fn sample_flow(dst_port: u16, packets: u32) -> FlowRecord {
+    FlowRecord::new(
+        0,
+        std::net::Ipv4Addr::new(10, 0, (dst_port >> 8) as u8, dst_port as u8),
+        std::net::Ipv4Addr::new(10, 1, 0, 1),
+        4000,
+        dst_port,
+        Protocol::Tcp,
+    )
+    .with_volume(packets, packets * 40)
 }
 
 proptest! {
