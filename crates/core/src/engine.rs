@@ -43,8 +43,8 @@
 //! calling thread at every shard count.
 //!
 //! **Determinism is the load-bearing design constraint**: every merge is
-//! either an exact integer sum (histogram bins, support counts), a set
-//! union (bin value maps), or an in-order concatenation (Eclat
+//! either an exact integer sum (histogram bins, support counts) or an
+//! in-order concatenation (the histogram shards' raw keys, Eclat
 //! tid-lists, rule blocks). All are independent of thread scheduling,
 //! so the output is **bit-identical** for every shard count and all
 //! three miners — asserted by the cross-shard determinism property
@@ -749,6 +749,54 @@ mod tests {
         assert!(Engine::restore(&payload, Some(nz(MAX_SHARDS.get() + 1))).is_err());
         payload.truncate(payload.len() / 2);
         assert!(Engine::restore(&payload, None).is_err());
+    }
+
+    /// An engine payload whose detector configuration is `detector`,
+    /// written by hand because no engine can be built from it: the
+    /// configuration, one shard, and the state of a three-clone bank
+    /// that has seen no interval.
+    fn hostile_payload(detector: DetectorConfig) -> Vec<u8> {
+        let config = ExtractionConfig {
+            detector,
+            ..test_config(500)
+        };
+        let mut w = SnapshotWriter::new();
+        config.encode_snapshot(&mut w);
+        w.usize(1);
+        w.u64(0);
+        w.usize(config.detector.features.len());
+        for _ in &config.detector.features {
+            w.usize(3);
+            for _ in 0..3 {
+                w.usize(0);
+                w.bool(false);
+                w.bool(false);
+                w.bool(false);
+            }
+        }
+        w.into_bytes()
+    }
+
+    #[test]
+    fn restore_rejects_detector_sizes_it_cannot_allocate() {
+        let huge_clones = DetectorConfig {
+            clones: 1 << 40,
+            ..test_config(500).detector
+        };
+        let huge_bins = DetectorConfig {
+            bins: u32::MAX,
+            ..test_config(500).detector
+        };
+        for detector in [huge_clones, huge_bins] {
+            let payload = hostile_payload(detector);
+            assert!(
+                matches!(
+                    Engine::restore(&payload, None),
+                    Err(RestoreError::Corrupt(_))
+                ),
+                "a hostile detector size must be a typed error"
+            );
+        }
     }
 
     #[test]

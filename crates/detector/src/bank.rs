@@ -15,6 +15,12 @@ use serde::{Deserialize, Serialize};
 use crate::detector::{FeatureDetector, FeatureObservation, FeaturePartial};
 use crate::metadata::MetaData;
 
+/// Largest bin count `k` a [`DetectorConfig`] accepts (paper: 512–2048).
+pub const MAX_BINS: u32 = 1 << 16;
+
+/// Largest clone count `n` a [`DetectorConfig`] accepts (paper: n ≤ 25).
+pub const MAX_CLONES: usize = 64;
+
 /// Configuration of a detector bank — the paper's Table III parameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DetectorConfig {
@@ -58,11 +64,14 @@ impl DetectorConfig {
     /// Returns a human-readable description of the first violated
     /// constraint.
     pub fn validate(&self) -> Result<(), String> {
-        if self.bins == 0 {
-            return Err("bins must be positive".into());
+        if !(1..=MAX_BINS).contains(&self.bins) {
+            return Err(format!("bins {} must be within 1..={MAX_BINS}", self.bins));
         }
-        if self.clones == 0 {
-            return Err("need at least one clone".into());
+        if !(1..=MAX_CLONES).contains(&self.clones) {
+            return Err(format!(
+                "clones {} must be within 1..={MAX_CLONES}",
+                self.clones
+            ));
         }
         if !(1..=self.clones).contains(&self.votes) {
             return Err(format!(
@@ -170,8 +179,9 @@ pub struct BankPartial {
 
 impl BankPartial {
     /// Merge another shard's partial into this one. Merging is
-    /// order-independent (integer count sums and value-set unions), so
-    /// any merge tree over the shards yields the same result.
+    /// order-independent (integer count sums; keys appended, which
+    /// resolve to value sets), so any merge tree over the shards yields
+    /// the same result.
     ///
     /// # Panics
     ///
@@ -471,6 +481,13 @@ mod tests {
         c = config();
         c.bins = 0;
         assert!(c.validate().is_err());
+        c.bins = MAX_BINS + 1;
+        assert!(c.validate().is_err());
+        c.bins = MAX_BINS;
+        c.clones = MAX_CLONES;
+        assert!(c.validate().is_ok());
+        c.clones = MAX_CLONES + 1;
+        assert!(c.validate().is_err());
         c = config();
         c.features.clear();
         assert!(c.validate().is_err());
@@ -523,8 +540,8 @@ mod tests {
     fn memory_footprint_reported() {
         let mut bank = DetectorBank::new(&config());
         bank.observe(&background(0));
-        // 5 features × 3 clones × 1024 bins × 8 bytes = 122 880 minimum.
-        assert!(bank.memory_bytes() >= 5 * 3 * 1024 * 8);
+        // 5 features × 3 clones × 1024 bins × 8 bytes of counts.
+        assert_eq!(bank.memory_bytes(), 5 * 3 * 1024 * 8);
     }
 
     #[test]

@@ -127,27 +127,38 @@ impl HistogramClone {
         self.threshold.as_ref()
     }
 
-    /// Observe one interval's flows and advance the state machine: build
-    /// the histogram with [`FeatureHistogram::build`], then
-    /// [`observe_histogram`](Self::observe_histogram).
+    /// Observe one interval's flows and advance the state machine: one
+    /// column scan, then [`observe_histogram`](Self::observe_histogram).
     pub fn observe(&mut self, flows: &[FlowRecord]) -> CloneObservation {
-        let current = FeatureHistogram::build(self.feature, self.hasher, self.bins, flows);
-        self.observe_histogram(current)
+        let (current, keys) = FeatureHistogram::scan(self.feature, self.hasher, self.bins, flows);
+        self.observe_histogram(current, &keys)
     }
 
     /// Score a pre-built interval histogram and advance the state machine
-    /// — the "score" half of an observation.
+    /// — the "score" half of an observation. `keys` are the raw keys
+    /// `current` was counted from ([`crate::FeaturePartial::keys`]), read
+    /// only on alarm to resolve the anomalous bins to values.
     ///
     /// # Panics
     ///
     /// Panics if `current` was built by a different clone (feature,
-    /// hasher, or bin count mismatch).
-    pub fn observe_histogram(&mut self, current: FeatureHistogram) -> CloneObservation {
+    /// hasher, or bin count mismatch) or `keys` does not hold one key
+    /// per counted flow.
+    pub fn observe_histogram(
+        &mut self,
+        current: FeatureHistogram,
+        keys: &[u64],
+    ) -> CloneObservation {
         assert!(
             current.feature() == self.feature
                 && current.hasher() == self.hasher
                 && current.bins() == self.bins,
             "histogram was built by a different clone"
+        );
+        assert_eq!(
+            keys.len() as u64,
+            current.total(),
+            "keys of another interval"
         );
         let kl = self
             .prev_histogram
@@ -187,7 +198,7 @@ impl HistogramClone {
                             + threshold.value();
                         let id =
                             identify_anomalous_bins(current.counts(), prev.counts(), target_kl);
-                        values = current.values_in_bins(&id.bins);
+                        values = current.resolve(keys, &id.bins);
                         bin_identification = Some(id);
                     }
                 }
@@ -500,9 +511,9 @@ mod tests {
     #[should_panic(expected = "different clone")]
     fn foreign_histogram_panics() {
         let mut clone = HistogramClone::new(FlowFeature::DstPort, BinHasher::new(7), 64, 3.0, 5);
-        let h =
-            FeatureHistogram::build(FlowFeature::DstPort, BinHasher::new(8), 64, &background(0));
-        let _ = clone.observe_histogram(h);
+        let (h, keys) =
+            FeatureHistogram::scan(FlowFeature::DstPort, BinHasher::new(8), 64, &background(0));
+        let _ = clone.observe_histogram(h, &keys);
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //!
 //! [`FeatureHasher::partial_columns`] is the crate's one histogram
 //! builder: a single-column scan that counts an interval (or one shard
-//! of it) into every clone's [`FeatureHistogram`]. Record-slice callers
-//! ([`FeatureDetector::observe`], [`crate::DetectorBank::observe`],
-//! [`HistogramClone::observe`], [`FeatureHistogram::build`]) transpose to
-//! [`FlowColumns`] once and go through it.
+//! of it) into every clone's [`FeatureHistogram`] and keeps its raw keys.
+//! Record-slice callers ([`FeatureDetector::observe`],
+//! [`crate::DetectorBank::observe`], [`HistogramClone::observe`],
+//! [`FeatureHistogram::build`]) transpose to [`FlowColumns`] once and go
+//! through it.
 
 use std::collections::BTreeSet;
 use std::ops::Range;
@@ -42,6 +43,7 @@ pub struct FeatureObservation {
 #[derive(Debug, Clone)]
 pub struct FeaturePartial {
     pub(crate) histograms: Vec<FeatureHistogram>,
+    pub(crate) keys: Vec<u64>,
 }
 
 impl FeaturePartial {
@@ -51,9 +53,16 @@ impl FeaturePartial {
         &self.histograms
     }
 
+    /// The raw feature keys, one per flow in row order — what
+    /// [`FeatureHistogram::resolve`] maps anomalous bins back to values.
+    #[must_use]
+    pub fn keys(&self) -> &[u64] {
+        &self.keys
+    }
+
     /// Merge (and consume) another shard's partial into this one —
-    /// per-clone histogram merges: exact integer count sums,
-    /// order-independent.
+    /// per-clone histogram merges (exact integer count sums) and the
+    /// other shard's keys appended.
     ///
     /// # Panics
     ///
@@ -68,6 +77,7 @@ impl FeaturePartial {
         for (mine, theirs) in self.histograms.iter_mut().zip(other.histograms) {
             mine.merge(theirs);
         }
+        self.keys.extend(other.keys);
     }
 }
 
@@ -105,10 +115,8 @@ impl FeatureHasher {
     /// `range` — the one function that counts flows into
     /// [`FeatureHistogram`]s; every record-slice entry point transposes
     /// once and calls it. One scan of the feature's single column
-    /// collects the keys, one `bin_of` loop per clone counts them, and a
-    /// sort + dedup of the keys lets the bin→values reverse map pay its
-    /// insert once per **distinct** value instead of once per flow.
-    /// Counts are integer sums and the reverse map is a set union, so
+    /// collects the keys (kept for [`FeatureHistogram::resolve`]), and
+    /// one `bin_of` loop per clone counts them. Counts are integer sums, so
     /// partials over split ranges [`merge`](FeaturePartial::merge) into
     /// exactly the partial of the whole range.
     ///
@@ -119,7 +127,7 @@ impl FeatureHasher {
     pub fn partial_columns(&self, cols: &FlowColumns, range: Range<usize>) -> FeaturePartial {
         let mut keys = Vec::with_capacity(range.len());
         cols.for_each_raw(self.feature, range, |key| keys.push(key));
-        let mut histograms: Vec<FeatureHistogram> = self
+        let histograms = self
             .hashers
             .iter()
             .map(|&h| {
@@ -128,14 +136,7 @@ impl FeatureHasher {
                 histogram
             })
             .collect();
-        keys.sort_unstable();
-        keys.dedup();
-        for h in &mut histograms {
-            for &key in &keys {
-                h.note_value(key);
-            }
-        }
-        FeaturePartial { histograms }
+        FeaturePartial { histograms, keys }
     }
 }
 
@@ -253,11 +254,12 @@ impl FeatureDetector {
             self.clones.len(),
             "partial was built by a different detector"
         );
+        let FeaturePartial { histograms, keys } = partial;
         let observations: Vec<CloneObservation> = self
             .clones
             .iter_mut()
-            .zip(partial.histograms)
-            .map(|(c, h)| c.observe_histogram(h))
+            .zip(histograms)
+            .map(|(c, h)| c.observe_histogram(h, &keys))
             .collect();
         let alarmed_clones = observations.iter().filter(|o| o.alarm).count();
         let alarm = alarmed_clones >= self.votes;

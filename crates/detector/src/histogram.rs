@@ -1,14 +1,14 @@
-//! Hashed feature histograms with bin→value reverse maps.
+//! Hashed feature histograms: per-bin flow counts, and the resolver that
+//! maps anomalous bins back to feature values.
 //!
 //! A histogram counts flows per bin for one traffic feature, binning values
-//! with a clone-specific hash function. Because a bin aggregates many
-//! feature values (e.g., 64 ports per bin with 1024 bins over the port
-//! space), the histogram also records *which* values were observed in each
-//! bin during the interval — the paper's "map of bins and corresponding
-//! feature values" (§II-D) needed to turn anomalous bins back into
-//! candidate feature values.
+//! with a clone-specific hash function. A bin aggregates many feature
+//! values, so the paper's "map of bins and corresponding feature values"
+//! (§II-D) is needed only for the bins of a clone that alarmed — a few
+//! intervals in a hundred: [`FeatureHistogram::resolve`] rebuilds it then
+//! from the interval's raw keys, which the column scan collects anyway.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 use anomex_netflow::snapshot::{RestoreError, SnapshotReader, SnapshotWriter};
 use anomex_netflow::{FlowColumns, FlowFeature, FlowRecord};
@@ -22,8 +22,6 @@ pub struct FeatureHistogram {
     feature: FlowFeature,
     hasher: BinHasher,
     counts: Vec<u64>,
-    /// bin → set of feature values observed in that bin this interval.
-    values: HashMap<u32, BTreeSet<u64>>,
     total: u64,
 }
 
@@ -40,7 +38,6 @@ impl FeatureHistogram {
             feature,
             hasher,
             counts: vec![0; bins as usize],
-            values: HashMap::new(),
             total: 0,
         }
     }
@@ -54,19 +51,28 @@ impl FeatureHistogram {
     /// Panics if `bins` is zero.
     #[must_use]
     pub fn build(feature: FlowFeature, hasher: BinHasher, bins: u32, flows: &[FlowRecord]) -> Self {
+        Self::scan(feature, hasher, bins, flows).0
+    }
+
+    /// [`build`](Self::build), also returning the interval's raw keys in
+    /// flow order — what [`resolve`](Self::resolve) reads.
+    pub(crate) fn scan(
+        feature: FlowFeature,
+        hasher: BinHasher,
+        bins: u32,
+        flows: &[FlowRecord],
+    ) -> (Self, Vec<u64>) {
         let cols = FlowColumns::from_flows(flows);
         let mut partial =
             FeatureHasher::new(feature, vec![hasher], bins).partial_columns(&cols, 0..cols.len());
-        partial.histograms.pop().expect("one hasher, one histogram")
+        let histogram = partial.histograms.pop().expect("one hasher, one histogram");
+        (histogram, partial.keys)
     }
 
-    /// Merge another partial histogram into this one: per-bin counts add
-    /// and per-bin value sets union, so merging shard partials yields
-    /// exactly the histogram a single pass over the concatenated shards
-    /// would have built (counts are integers — no rounding, no order
-    /// dependence). Consumes `other` so bins observed in only one shard
-    /// move their value set instead of copying it — the merge is the
-    /// sequential fraction of a sharded observation, so it stays cheap.
+    /// Merge another partial histogram into this one: per-bin counts add,
+    /// so merging shard partials yields exactly the histogram a single
+    /// pass over the concatenated shards would have built (counts are
+    /// integers — no rounding, no order dependence).
     ///
     /// # Panics
     ///
@@ -83,36 +89,17 @@ impl FeatureHistogram {
             *mine += theirs;
         }
         self.total += other.total;
-        for (bin, values) in other.values {
-            match self.values.entry(bin) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    e.get_mut().extend(values);
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(values);
-                }
-            }
-        }
     }
 
     /// Count every key (the uniform `u64` keys of
-    /// [`FlowFeature::value_of`]) into its bin **without** recording it
-    /// in the bin→values reverse map — the per-clone loop of
-    /// [`FeatureHasher::partial_columns`], which then registers each
-    /// *distinct* key once through [`note_value`](Self::note_value).
+    /// [`FlowFeature::value_of`]) into its bin — the per-clone loop of
+    /// [`FeatureHasher::partial_columns`].
     pub(crate) fn count_values(&mut self, keys: &[u64]) {
         let bins = self.bins();
         for &key in keys {
             self.counts[self.hasher.bin_of(key, bins) as usize] += 1;
         }
         self.total += keys.len() as u64;
-    }
-
-    /// Record `value` in the bin→values reverse map without counting it
-    /// — the companion of [`count_values`](Self::count_values).
-    pub(crate) fn note_value(&mut self, value: u64) {
-        let bin = self.hasher.bin_of(value, self.counts.len() as u32);
-        self.values.entry(bin).or_default().insert(value);
     }
 
     /// The monitored feature.
@@ -145,34 +132,33 @@ impl FeatureHistogram {
         self.total
     }
 
-    /// Feature values observed in a bin this interval (empty if none).
-    pub fn values_in_bin(&self, bin: u32) -> impl Iterator<Item = u64> + '_ {
-        self.values.get(&bin).into_iter().flatten().copied()
-    }
-
-    /// Number of distinct feature values observed this interval.
+    /// The distinct feature values among `keys` that this histogram's
+    /// hash function places in any of `bins` — an alarmed clone's
+    /// candidate values once its anomalous bins are identified. `keys`
+    /// are the raw keys the histogram was counted from
+    /// ([`FeaturePartial::keys`](crate::FeaturePartial::keys)); one
+    /// `bin_of` pass over them against a bitmap of the requested bins.
+    /// Bins outside `0..bins()` hold no values.
     #[must_use]
-    pub fn distinct_values(&self) -> usize {
-        self.values.values().map(BTreeSet::len).sum()
-    }
-
-    /// Collect all values observed across a set of bins — the clone's
-    /// candidate feature values once anomalous bins are identified.
-    #[must_use]
-    pub fn values_in_bins(&self, bins: &[u32]) -> BTreeSet<u64> {
-        let mut out = BTreeSet::new();
+    pub fn resolve(&self, keys: &[u64], bins: &[u32]) -> BTreeSet<u64> {
+        let mut marked = vec![false; self.counts.len()];
         for &bin in bins {
-            out.extend(self.values_in_bin(bin));
+            if let Some(mark) = marked.get_mut(bin as usize) {
+                *mark = true;
+            }
         }
-        out
+        let k = self.bins();
+        keys.iter()
+            .copied()
+            .filter(|&key| marked[self.hasher.bin_of(key, k) as usize])
+            .collect()
     }
 
-    /// Serialize the histogram's contents — per-bin counts, total, and
-    /// the bin→values reverse map (non-empty bins only, in ascending bin
-    /// order so the encoding is deterministic despite the `HashMap`).
-    /// The identifying triple (feature, hasher, bins) is *not* written:
-    /// the restore side rebuilds it from the owning clone's
-    /// configuration and passes it to
+    /// Serialize the histogram's contents — per-bin counts, total, and an
+    /// empty bin→values section (where older checkpoints kept that map,
+    /// so the layout is unchanged). The identifying triple (feature,
+    /// hasher, bins) is *not* written: the restore side rebuilds it from
+    /// the owning clone's configuration and passes it to
     /// [`decode_snapshot`](Self::decode_snapshot).
     pub fn encode_snapshot(&self, w: &mut SnapshotWriter) {
         w.usize(self.counts.len());
@@ -180,22 +166,14 @@ impl FeatureHistogram {
             w.u64(c);
         }
         w.u64(self.total);
-        let mut bins: Vec<u32> = self.values.keys().copied().collect();
-        bins.sort_unstable();
-        w.usize(bins.len());
-        for bin in bins {
-            w.u32(bin);
-            let set = &self.values[&bin];
-            w.usize(set.len());
-            for &v in set {
-                w.u64(v);
-            }
-        }
+        w.usize(0);
     }
 
     /// Rebuild a histogram from a snapshot written by
     /// [`encode_snapshot`](Self::encode_snapshot), under the given
-    /// identity (which the snapshot deliberately does not carry).
+    /// identity (which the snapshot deliberately does not carry). An
+    /// older checkpoint's bin→values map is validated and discarded:
+    /// scoring never reads a previous interval's values.
     ///
     /// # Errors
     ///
@@ -220,7 +198,6 @@ impl FeatureHistogram {
         }
         let total = r.u64()?;
         let occupied = r.seq_len(4)?;
-        let mut values = HashMap::with_capacity(occupied);
         for _ in 0..occupied {
             let bin = r.u32()?;
             if bin >= bins {
@@ -228,33 +205,23 @@ impl FeatureHistogram {
                     "bin {bin} out of range for {bins}-bin histogram"
                 )));
             }
-            let n = r.seq_len(8)?;
-            let mut set = BTreeSet::new();
-            for _ in 0..n {
-                set.insert(r.u64()?);
+            for _ in 0..r.seq_len(8)? {
+                r.u64()?;
             }
-            values.insert(bin, set);
         }
         Ok(FeatureHistogram {
             feature,
             hasher,
             counts,
-            values,
             total,
         })
     }
 
-    /// Approximate heap footprint in bytes (counts + value maps), used to
-    /// reproduce the paper's §III-E memory numbers.
+    /// Heap footprint in bytes (the counts), used to reproduce the
+    /// paper's §III-E memory numbers.
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
-        let counts = self.counts.len() * std::mem::size_of::<u64>();
-        let values: usize = self
-            .values
-            .values()
-            .map(|set| set.len() * std::mem::size_of::<u64>() + std::mem::size_of::<u32>())
-            .sum();
-        counts + values
+        self.counts.len() * std::mem::size_of::<u64>()
     }
 }
 
@@ -281,67 +248,59 @@ mod tests {
         let h = FeatureHistogram::build(FlowFeature::DstPort, BinHasher::new(1), 64, &flows);
         assert_eq!(h.total(), 500);
         assert_eq!(h.counts().iter().sum::<u64>(), 500);
-        assert_eq!(h.distinct_values(), 500);
     }
 
     #[test]
     fn repeated_value_lands_in_same_bin() {
         let flows: Vec<_> = (0..100).map(|_| flow_to_port(7000)).collect();
-        let h = FeatureHistogram::build(FlowFeature::DstPort, BinHasher::new(1), 64, &flows);
+        let (h, keys) = FeatureHistogram::scan(FlowFeature::DstPort, BinHasher::new(1), 64, &flows);
         let nonzero: Vec<_> = h.counts().iter().filter(|&&c| c > 0).collect();
         assert_eq!(nonzero, vec![&100u64]);
-        assert_eq!(h.distinct_values(), 1);
+        let bin = BinHasher::new(1).bin_of(7000, 64);
+        assert_eq!(h.resolve(&keys, &[bin]), BTreeSet::from([7000]));
     }
 
     #[test]
     fn reverse_map_finds_the_value() {
         let flows = vec![flow_to_port(7000)];
-        let h = FeatureHistogram::build(FlowFeature::DstPort, BinHasher::new(9), 1024, &flows);
+        let (h, keys) =
+            FeatureHistogram::scan(FlowFeature::DstPort, BinHasher::new(9), 1024, &flows);
         let bin = BinHasher::new(9).bin_of(7000, 1024);
-        let vals: Vec<u64> = h.values_in_bin(bin).collect();
-        assert_eq!(vals, vec![7000]);
-        // Other bins are empty.
+        assert_eq!(h.resolve(&keys, &[bin]), BTreeSet::from([7000]));
+        // Other bins are empty, and bins past the end hold nothing.
         let other = (bin + 1) % 1024;
-        assert_eq!(h.values_in_bin(other).count(), 0);
+        assert!(h.resolve(&keys, &[other]).is_empty());
+        assert!(h.resolve(&keys, &[1024, u32::MAX]).is_empty());
     }
 
     #[test]
     fn values_in_bins_unions() {
         let flows = vec![flow_to_port(80), flow_to_port(7000), flow_to_port(25)];
         let hasher = BinHasher::new(3);
-        let h = FeatureHistogram::build(FlowFeature::DstPort, hasher, 1024, &flows);
+        let (h, keys) = FeatureHistogram::scan(FlowFeature::DstPort, hasher, 1024, &flows);
         let bins: Vec<u32> = [80u64, 7000, 25]
             .iter()
             .map(|&v| hasher.bin_of(v, 1024))
             .collect();
-        let vals = h.values_in_bins(&bins);
-        assert!(vals.contains(&80) && vals.contains(&7000) && vals.contains(&25));
+        assert_eq!(h.resolve(&keys, &bins), BTreeSet::from([25, 80, 7000]));
     }
 
     #[test]
     fn collisions_share_a_bin() {
-        // With 1 bin everything collides; the reverse map keeps them apart.
+        // With 1 bin everything collides; the resolver keeps them apart.
         let flows = vec![flow_to_port(1), flow_to_port(2)];
-        let h = FeatureHistogram::build(FlowFeature::DstPort, BinHasher::new(1), 1, &flows);
+        let (h, keys) = FeatureHistogram::scan(FlowFeature::DstPort, BinHasher::new(1), 1, &flows);
         assert_eq!(h.counts(), &[2]);
-        assert_eq!(h.values_in_bin(0).count(), 2);
+        assert_eq!(h.resolve(&keys, &[0]), BTreeSet::from([1, 2]));
     }
 
     #[test]
     fn memory_accounting_is_positive_and_scales() {
-        let small = FeatureHistogram::build(
-            FlowFeature::DstPort,
-            BinHasher::new(1),
-            64,
-            &(0..10u16).map(flow_to_port).collect::<Vec<_>>(),
-        );
-        let big = FeatureHistogram::build(
-            FlowFeature::DstPort,
-            BinHasher::new(1),
-            1024,
-            &(0..10u16).map(flow_to_port).collect::<Vec<_>>(),
-        );
-        assert!(big.memory_bytes() > small.memory_bytes());
+        let flows: Vec<_> = (0..10u16).map(flow_to_port).collect();
+        let small = FeatureHistogram::build(FlowFeature::DstPort, BinHasher::new(1), 64, &flows);
+        let big = FeatureHistogram::build(FlowFeature::DstPort, BinHasher::new(1), 1024, &flows);
+        assert_eq!(small.memory_bytes(), 64 * 8);
+        assert_eq!(big.memory_bytes(), 1024 * 8);
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //! - [`threshold`] — MAD-robust σ̂ estimation and the one-sided
 //!   `α·σ̂` alarm test on the first difference of the KL series;
 //! - [`hash`] / [`histogram`] — histogram *cloning*: per-clone seeded hash
-//!   binning with bin→value reverse maps. Flows enter histograms through
-//!   one column scan, [`FeatureHasher::partial_columns`]; the record-slice
-//!   entry points transpose once and call it;
+//!   binning into counts-only histograms. Flows enter histograms through
+//!   one column scan, [`FeatureHasher::partial_columns`], whose raw keys
+//!   an alarmed clone resolves its anomalous bins from
+//!   ([`FeatureHistogram::resolve`]);
 //! - [`binid`] — the iterative anomalous-bin identification that simulates
 //!   flow removal until the alarm clears (Fig. 5);
 //! - [`mod@vote`] — l-of-n voting across clones;
@@ -41,7 +42,9 @@ pub mod roc;
 pub mod threshold;
 pub mod vote;
 
-pub use bank::{BankHasher, BankObservation, BankPartial, DetectorBank, DetectorConfig};
+pub use bank::{
+    BankHasher, BankObservation, BankPartial, DetectorBank, DetectorConfig, MAX_BINS, MAX_CLONES,
+};
 pub use binid::{identify_anomalous_bins, BinIdentification};
 pub use clone::{CloneObservation, ClonePhase, HistogramClone};
 pub use detector::{FeatureDetector, FeatureHasher, FeatureObservation, FeaturePartial};

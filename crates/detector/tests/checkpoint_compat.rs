@@ -1,0 +1,146 @@
+//! Checkpoints written while histograms carried their bin→values map
+//! keep the same layout: new ones write that section empty, and older
+//! ones restore with the map validated and discarded — the restored
+//! clone scores bit-identically to the one that was saved.
+
+use std::collections::{BTreeMap, BTreeSet};
+use std::net::Ipv4Addr;
+
+use anomex_detector::{BinHasher, FeatureHistogram, HistogramClone};
+use anomex_netflow::snapshot::{RestoreError, SnapshotReader, SnapshotWriter};
+use anomex_netflow::{FlowFeature, FlowRecord, Protocol};
+
+/// Steady background: 200 flows to ports 1..=200 (one each).
+fn background(interval: u64) -> Vec<FlowRecord> {
+    (1..=200u16)
+        .map(|p| {
+            FlowRecord::new(
+                interval * 60_000 + u64::from(p),
+                Ipv4Addr::new(10, 0, 0, 1),
+                Ipv4Addr::new(10, 0, 0, 2),
+                4000,
+                p,
+                Protocol::Tcp,
+            )
+        })
+        .collect()
+}
+
+/// Background plus a 2000-flow flood on port 7000.
+fn flooded(interval: u64) -> Vec<FlowRecord> {
+    let mut flows = background(interval);
+    for i in 0..2000u64 {
+        flows.push(FlowRecord::new(
+            interval * 60_000 + i,
+            Ipv4Addr::new(192, 168, 0, 7),
+            Ipv4Addr::new(10, 0, 0, 99),
+            (1024 + (i % 40_000)) as u16,
+            7000,
+            Protocol::Tcp,
+        ));
+    }
+    flows
+}
+
+fn new_clone() -> HistogramClone {
+    HistogramClone::new(FlowFeature::DstPort, BinHasher::new(7), 1024, 3.0, 10)
+}
+
+/// A trained clone's state in the older layout, written field by field:
+/// no training differences, the fitted threshold, the previous
+/// interval's histogram followed by its bin→values map (`values`:
+/// ascending bins, sorted values), and the previous KL.
+fn older_record(
+    clone: &HistogramClone,
+    prev_flows: &[FlowRecord],
+    prev_kl: f64,
+    values: &BTreeMap<u32, BTreeSet<u64>>,
+) -> Vec<u8> {
+    let threshold = clone.threshold().expect("training is over");
+    let prev = FeatureHistogram::build(clone.feature(), clone.hasher(), clone.bins(), prev_flows);
+    let mut w = SnapshotWriter::new();
+    w.usize(0);
+    w.bool(true);
+    w.f64(threshold.alpha);
+    w.f64(threshold.sigma());
+    w.bool(true);
+    w.usize(prev.counts().len());
+    for &c in prev.counts() {
+        w.u64(c);
+    }
+    w.u64(prev.total());
+    w.usize(values.len());
+    for (&bin, set) in values {
+        w.u32(bin);
+        w.usize(set.len());
+        for &v in set {
+            w.u64(v);
+        }
+    }
+    w.bool(true);
+    w.f64(prev_kl);
+    w.into_bytes()
+}
+
+fn restore(record: &[u8]) -> Result<HistogramClone, RestoreError> {
+    let mut clone = new_clone();
+    let mut r = SnapshotReader::new(record);
+    clone.restore_snapshot(&mut r)?;
+    r.finish()?;
+    Ok(clone)
+}
+
+#[test]
+fn older_value_maps_restore_and_score_bit_identically() {
+    for cut in [12u64, 13] {
+        let mut live = new_clone();
+        let mut prev_kl = None;
+        for i in 0..cut {
+            prev_kl = live.observe(&background(i)).kl;
+        }
+        let prev_kl = prev_kl.expect("two intervals seen");
+        let prev_flows = background(cut - 1);
+
+        // With no value entries, the hand-written record is byte for byte
+        // what the clone writes today.
+        let mut w = SnapshotWriter::new();
+        live.encode_snapshot(&mut w);
+        let empty = BTreeMap::new();
+        assert_eq!(
+            older_record(&live, &prev_flows, prev_kl, &empty),
+            w.into_bytes()
+        );
+
+        let mut values: BTreeMap<u32, BTreeSet<u64>> = BTreeMap::new();
+        for flow in &prev_flows {
+            let v = FlowFeature::DstPort.value_of(flow).raw;
+            values
+                .entry(live.hasher().bin_of(v, live.bins()))
+                .or_default()
+                .insert(v);
+        }
+        let mut restored = restore(&older_record(&live, &prev_flows, prev_kl, &values))
+            .expect("a value map decodes");
+        for i in cut..16 {
+            let flows = if i == 14 { flooded(i) } else { background(i) };
+            let a = live.observe(&flows);
+            let b = restored.observe(&flows);
+            assert_eq!(a.kl.map(f64::to_bits), b.kl.map(f64::to_bits), "cut {cut}");
+            assert_eq!(
+                a.first_diff.map(f64::to_bits),
+                b.first_diff.map(f64::to_bits),
+                "cut {cut} interval {i}"
+            );
+            assert_eq!(a.alarm, i == 14, "cut {cut} interval {i}");
+            assert_eq!(a.alarm, b.alarm, "cut {cut} interval {i}");
+            assert_eq!(a.values, b.values, "cut {cut} interval {i}");
+        }
+
+        // A bin the clone does not have is still corrupt.
+        values.insert(1024, BTreeSet::from([7000]));
+        assert!(matches!(
+            restore(&older_record(&live, &prev_flows, prev_kl, &values)),
+            Err(RestoreError::Corrupt(_))
+        ));
+    }
+}

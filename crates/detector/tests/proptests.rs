@@ -17,7 +17,8 @@ proptest! {
     /// over arbitrary flows, split into two row ranges and merged,
     /// equals a naive per-flow oracle (`BinHasher::bin_of` counts plus a
     /// `BTreeMap` of bin → values) for every feature and every clone:
-    /// counts, total, and the values of every bin.
+    /// counts, total, and — through `FeatureHistogram::resolve` over the
+    /// merged keys — the values of an arbitrary subset of bins per clone.
     #[test]
     fn partial_columns_matches_a_per_flow_oracle(
         rows in proptest::collection::vec((0u32..40, 0u16..64, 1u32..8), 0..200),
@@ -26,6 +27,7 @@ proptest! {
         bins in 1u32..64,
         clones in 1usize..4,
         split in 0usize..201,
+        subsets in proptest::collection::vec(proptest::collection::vec(0u32..64, 0..8), 3),
     ) {
         let flows: Vec<FlowRecord> = rows
             .iter()
@@ -50,7 +52,10 @@ proptest! {
         let mut partial = hasher.partial_columns(&cols, 0..split);
         partial.merge(hasher.partial_columns(&cols, split..flows.len()));
         prop_assert_eq!(partial.histograms().len(), clones);
-        for (histogram, clone) in partial.histograms().iter().zip(detector.clones()) {
+        prop_assert_eq!(partial.keys().len(), flows.len());
+        for ((histogram, clone), subset) in
+            partial.histograms().iter().zip(detector.clones()).zip(&subsets)
+        {
             let mut counts = vec![0u64; bins as usize];
             let mut values: BTreeMap<u32, BTreeSet<u64>> = BTreeMap::new();
             for flow in &flows {
@@ -61,11 +66,23 @@ proptest! {
             }
             prop_assert_eq!(histogram.counts(), &counts[..]);
             prop_assert_eq!(histogram.total(), flows.len() as u64);
-            for bin in 0..bins {
-                let got: Vec<u64> = histogram.values_in_bin(bin).collect();
-                let want: Vec<u64> = values.get(&bin).into_iter().flatten().copied().collect();
-                prop_assert_eq!(got, want, "{} bin {}", feature, bin);
-            }
+            // Bins drawn past `bins` hold nothing, like empty bins.
+            let want: BTreeSet<u64> = subset
+                .iter()
+                .filter_map(|bin| values.get(bin))
+                .flatten()
+                .copied()
+                .collect();
+            prop_assert_eq!(
+                histogram.resolve(partial.keys(), subset),
+                want,
+                "{} bins {:?}",
+                feature,
+                subset
+            );
+            let all: Vec<u32> = (0..bins).collect();
+            let every: BTreeSet<u64> = values.values().flatten().copied().collect();
+            prop_assert_eq!(histogram.resolve(partial.keys(), &all), every);
         }
     }
 }

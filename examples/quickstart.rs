@@ -47,7 +47,7 @@ fn main() {
     }
 
     println!(
-        "detector memory footprint: {:.1} kB (paper §III-E reports 472 kB for 5×3×1024 bins)",
+        "detector memory footprint: {:.1} kB of bin counts (paper §III-E reports 472 kB for 5×3×1024 bins)",
         pipeline.bank().memory_bytes() as f64 / 1024.0
     );
 }
