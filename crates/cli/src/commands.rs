@@ -1,7 +1,7 @@
 //! The `anomex` subcommands.
 
-use std::fs;
-use std::io::{Read as _, Write};
+use std::fs::{self, File};
+use std::io::{Read, Write};
 use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 
@@ -17,10 +17,10 @@ use anomex_netflow::snapshot::{
     read_checkpoint, write_checkpoint, RestoreError, SnapshotReader, SnapshotWriter,
 };
 use anomex_netflow::v5::V5Exporter;
-use anomex_netflow::v9::{decode_mixed_stream, TraceItem};
+use anomex_netflow::v9::{TraceItem, TraceReader};
 use anomex_netflow::{
-    default_shards, FeatureValue, FlowRecord, FlowTrace, SourceId, SourceSpec, MAX_SHARDS,
-    MINUTE_MS,
+    default_shards, FeatureValue, FlowRecord, FlowTrace, ReadError, SourceId, SourceSpec,
+    MAX_SHARDS, MINUTE_MS,
 };
 use anomex_traffic::table2::paper_counts;
 use anomex_traffic::{table2_workload, MultiSourceScenario, Scenario};
@@ -281,32 +281,25 @@ fn generate_multi(args: &Args, sources: usize, out: &mut impl Write) -> Result<(
 /// clocks in milliseconds — the heartbeats that let an idle-but-live
 /// exporter release the multi-source watermark grid.
 ///
-/// Files are memory-mapped rather than read into a heap buffer, so the
-/// decoder walks the kernel page cache directly and multi-GB traces
-/// never need a second in-memory copy of the raw bytes; when mapping is
-/// unavailable (non-unix platforms, special files) the mapping layer
-/// falls back to an ordinary heap read transparently.
+/// A file and a pipe take the same path: the [`TraceReader`] frames one
+/// packet at a time from a small refilled buffer, and each datagram's
+/// flows are appended as it is decoded, so the returned flows are the
+/// only copy of the trace ever held in memory.
 fn load_trace_data(path: &str) -> Result<(Vec<FlowRecord>, Vec<u64>), String> {
-    let stdin_buf;
-    let mapping;
-    let bytes: &[u8] = if path == "-" {
-        let mut buf = Vec::new();
-        std::io::stdin()
-            .read_to_end(&mut buf)
-            .map_err(|e| format!("cannot read stdin: {e}"))?;
-        stdin_buf = buf;
-        &stdin_buf
+    let name = if path == "-" { "stdin" } else { path };
+    let source: Box<dyn Read> = if path == "-" {
+        Box::new(std::io::stdin().lock())
     } else {
-        mapping = memmap2::Mmap::open(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        &mapping
+        Box::new(File::open(path).map_err(|e| format!("cannot read {name}: {e}"))?)
     };
-    let items = decode_mixed_stream(bytes).map_err(|e| format!("{path}: {e}"))?;
     let mut flows = Vec::new();
     let mut heartbeats = Vec::new();
-    for item in items {
+    for item in TraceReader::new(source) {
         match item {
-            TraceItem::Flows(dgram) => flows.extend(dgram.flows),
-            TraceItem::Heartbeat(p) => heartbeats.push(p.export_ms),
+            Ok(TraceItem::Flows(dgram)) => flows.extend(dgram.flows),
+            Ok(TraceItem::Heartbeat(p)) => heartbeats.push(p.export_ms),
+            Err(ReadError::Io(e)) => return Err(format!("cannot read {name}: {e}")),
+            Err(ReadError::Decode(e)) => return Err(format!("{path}: {e}")),
         }
     }
     Ok((flows, heartbeats))

@@ -17,6 +17,8 @@
 //! router would export — so `generate` output is also a fixture for any
 //! other NetFlow tool.
 
+#![forbid(unsafe_code)]
+
 mod args;
 mod commands;
 

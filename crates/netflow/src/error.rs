@@ -1,19 +1,27 @@
 //! Error types for the flow substrate.
 
-use std::fmt;
+use std::{fmt, io};
 
 /// Errors produced while decoding NetFlow wire data.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DecodeError {
-    /// The buffer is shorter than the fixed NetFlow v5 header.
+    /// The buffer is shorter than the fixed header of its packet's format.
     TruncatedHeader {
+        /// The packet's version word (5, 9 or 10); `None` when even the
+        /// two-byte version word is cut short.
+        version: Option<u16>,
         /// Bytes available.
         have: usize,
         /// Bytes required.
         need: usize,
     },
-    /// The version field is not 5.
-    BadVersion(u16),
+    /// The version word is not one the decoder accepts.
+    BadVersion {
+        /// The version word found.
+        found: u16,
+        /// The version words the decoder accepts.
+        expected: &'static [u16],
+    },
     /// The header's record count does not match the bytes that follow.
     TruncatedRecords {
         /// Records promised by the header.
@@ -46,10 +54,26 @@ pub enum DecodeError {
 impl fmt::Display for DecodeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            DecodeError::TruncatedHeader { have, need } => {
-                write!(f, "truncated NetFlow v5 header: have {have} bytes, need {need}")
+            DecodeError::TruncatedHeader { version, have, need } => {
+                let format = match version {
+                    Some(10) => "IPFIX".to_string(),
+                    Some(v) => format!("NetFlow v{v}"),
+                    None => "NetFlow packet".to_string(),
+                };
+                write!(f, "truncated {format} header: have {have} bytes, need {need}")
             }
-            DecodeError::BadVersion(v) => write!(f, "unsupported NetFlow version {v} (expected 5)"),
+            DecodeError::BadVersion { found, expected } => {
+                write!(f, "unsupported NetFlow version {found} (expected ")?;
+                for (i, v) in expected.iter().enumerate() {
+                    let sep = match i {
+                        0 => "",
+                        _ if i + 1 == expected.len() => " or ",
+                        _ => ", ",
+                    };
+                    write!(f, "{sep}{v}")?;
+                }
+                write!(f, ")")
+            }
             DecodeError::TruncatedRecords { declared, have, need } => write!(
                 f,
                 "truncated NetFlow v5 records: header declares {declared} records ({need} bytes) but only {have} bytes follow"
@@ -70,6 +94,34 @@ impl fmt::Display for DecodeError {
 }
 
 impl std::error::Error for DecodeError {}
+
+/// Errors produced while reading a capture from an [`io::Read`]
+/// ([`crate::v9::TraceReader`]).
+#[derive(Debug)]
+pub enum ReadError {
+    /// The source failed to deliver bytes.
+    Io(io::Error),
+    /// The bytes delivered do not decode.
+    Decode(DecodeError),
+}
+
+impl fmt::Display for ReadError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ReadError::Io(e) => e.fmt(f),
+            ReadError::Decode(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for ReadError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            ReadError::Io(e) => Some(e),
+            ReadError::Decode(e) => Some(e),
+        }
+    }
+}
 
 /// Errors produced while encoding NetFlow wire data.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -99,10 +151,20 @@ mod tests {
 
     #[test]
     fn decode_error_messages_are_informative() {
-        let e = DecodeError::TruncatedHeader { have: 3, need: 24 };
-        assert!(e.to_string().contains("have 3"));
-        let e = DecodeError::BadVersion(9);
-        assert!(e.to_string().contains('9'));
+        let e = DecodeError::TruncatedHeader {
+            version: Some(5),
+            have: 3,
+            need: 24,
+        };
+        assert_eq!(
+            e.to_string(),
+            "truncated NetFlow v5 header: have 3 bytes, need 24"
+        );
+        let e = DecodeError::BadVersion {
+            found: 9,
+            expected: &[5],
+        };
+        assert_eq!(e.to_string(), "unsupported NetFlow version 9 (expected 5)");
         let e = DecodeError::TruncatedRecords {
             declared: 2,
             have: 10,
@@ -122,7 +184,11 @@ mod tests {
     #[test]
     fn errors_implement_std_error() {
         fn assert_err<E: std::error::Error>(_: &E) {}
-        assert_err(&DecodeError::BadVersion(1));
+        assert_err(&DecodeError::BadVersion {
+            found: 1,
+            expected: &[5],
+        });
+        assert_err(&ReadError::Decode(DecodeError::TooManyRecords(31)));
         assert_err(&EncodeError::TooManyRecords(99));
     }
 }

@@ -14,7 +14,9 @@
 //! - [`v5`] — a complete NetFlow v5 wire codec (header + 48-byte records,
 //!   big-endian) with a sequence-tracking exporter and collector;
 //! - [`v9`] — v9/IPFIX template-only punctuation packets decoded as
-//!   exporter heartbeats for the multi-source watermark grid;
+//!   exporter heartbeats for the multi-source watermark grid, and the
+//!   capture reader ([`v9::TraceReader`]) that frames mixed captures
+//!   packet by packet from any `Read`;
 //! - [`FlowTrace`] / [`Interval`] — batch traces sliced into measurement
 //!   intervals;
 //! - [`IntervalAssembler`] — streaming interval assembly for online
@@ -53,7 +55,7 @@ pub mod v5;
 pub mod v9;
 
 pub use columns::FlowColumns;
-pub use error::{DecodeError, EncodeError};
+pub use error::{DecodeError, EncodeError, ReadError};
 pub use feature::{FeatureValue, FlowFeature, ParseFeatureValueError};
 pub use flow::{FlowRecord, Protocol, TcpFlags};
 pub use merge::{MergeAssembler, MergeConfig, MergedInterval, SourceStats};

@@ -120,13 +120,17 @@ pub fn encode_datagram(
 pub fn decode_datagram(mut data: &[u8]) -> Result<V5Datagram, DecodeError> {
     if data.len() < V5_HEADER_LEN {
         return Err(DecodeError::TruncatedHeader {
+            version: Some(5),
             have: data.len(),
             need: V5_HEADER_LEN,
         });
     }
     let version = data.get_u16();
     if version != 5 {
-        return Err(DecodeError::BadVersion(version));
+        return Err(DecodeError::BadVersion {
+            found: version,
+            expected: &[5],
+        });
     }
     let count = data.get_u16();
     if usize::from(count) > V5_MAX_RECORDS {
@@ -200,13 +204,17 @@ pub fn decode_into_columns(
 ) -> Result<V5Header, DecodeError> {
     if data.len() < V5_HEADER_LEN {
         return Err(DecodeError::TruncatedHeader {
+            version: Some(5),
             have: data.len(),
             need: V5_HEADER_LEN,
         });
     }
     let version = data.get_u16();
     if version != 5 {
-        return Err(DecodeError::BadVersion(version));
+        return Err(DecodeError::BadVersion {
+            found: version,
+            expected: &[5],
+        });
     }
     let count = data.get_u16();
     if usize::from(count) > V5_MAX_RECORDS {
@@ -251,8 +259,8 @@ pub fn decode_into_columns(
 /// Decode a concatenated stream of v5 datagrams straight into a
 /// [`FlowColumns`] store, returning the per-datagram headers.
 ///
-/// The columnar counterpart of [`decode_stream`]: each datagram is
-/// self-framing, and the first error is returned as-is. Datagrams
+/// Each datagram's header declares its record count, so the stream is
+/// self-framing; the first error is returned as-is. Datagrams
 /// decoded before the error remain appended to `out` (the failing
 /// datagram itself leaves `out` untouched, per
 /// [`decode_into_columns`]).
@@ -272,25 +280,6 @@ pub fn decode_stream_into_columns(
         headers.push(header);
     }
     Ok(headers)
-}
-
-/// Decode a concatenated stream of v5 datagrams (e.g. a capture file):
-/// each datagram's header declares its record count, so the stream is
-/// self-framing.
-///
-/// # Errors
-///
-/// Returns the first [`DecodeError`] encountered; datagrams before the
-/// error are not returned (use [`V5Collector`] for tolerant ingestion).
-pub fn decode_stream(mut data: &[u8]) -> Result<Vec<V5Datagram>, DecodeError> {
-    let mut out = Vec::new();
-    while !data.is_empty() {
-        let dgram = decode_datagram(data)?;
-        let consumed = V5_HEADER_LEN + usize::from(dgram.header.count) * V5_RECORD_LEN;
-        data = &data[consumed..];
-        out.push(dgram);
-    }
-    Ok(out)
 }
 
 /// Stateful exporter: packs an arbitrary flow stream into maximal v5
@@ -389,6 +378,8 @@ impl V5Collector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::ReadError;
+    use crate::v9::{TraceItem, TraceReader};
 
     fn sample_flow(i: u32) -> FlowRecord {
         FlowRecord::new(
@@ -429,7 +420,14 @@ mod tests {
     #[test]
     fn decode_rejects_short_header() {
         let err = decode_datagram(&[0u8; 10]).unwrap_err();
-        assert_eq!(err, DecodeError::TruncatedHeader { have: 10, need: 24 });
+        assert_eq!(
+            err,
+            DecodeError::TruncatedHeader {
+                version: Some(5),
+                have: 10,
+                need: 24
+            }
+        );
     }
 
     #[test]
@@ -439,7 +437,10 @@ mod tests {
         bytes[1] = 9; // version low byte
         assert_eq!(
             decode_datagram(&bytes).unwrap_err(),
-            DecodeError::BadVersion(9)
+            DecodeError::BadVersion {
+                found: 9,
+                expected: &[5]
+            }
         );
     }
 
@@ -518,6 +519,17 @@ mod tests {
         assert_eq!(collector.flows().len(), before);
     }
 
+    /// The datagrams the capture reader frames from `file`, or its first
+    /// error.
+    fn read_stream(file: &[u8]) -> Result<Vec<V5Datagram>, ReadError> {
+        TraceReader::new(file)
+            .map(|item| match item? {
+                TraceItem::Flows(dgram) => Ok(dgram),
+                TraceItem::Heartbeat(p) => panic!("a v5 stream framed a heartbeat: {p:?}"),
+            })
+            .collect()
+    }
+
     #[test]
     fn stream_decode_reassembles_concatenated_datagrams() {
         let flows: Vec<_> = (0..75).map(sample_flow).collect();
@@ -526,7 +538,7 @@ mod tests {
         for d in exporter.export(&flows) {
             file.extend_from_slice(&d);
         }
-        let dgrams = decode_stream(&file).unwrap();
+        let dgrams = read_stream(&file).unwrap();
         assert_eq!(dgrams.len(), 3);
         let decoded: Vec<FlowRecord> = dgrams.into_iter().flat_map(|d| d.flows).collect();
         assert_eq!(decoded, flows);
@@ -537,12 +549,18 @@ mod tests {
         let flows = vec![sample_flow(0)];
         let mut file = encode_datagram(&flows, 0, 0).unwrap().to_vec();
         file.extend_from_slice(&[1, 2, 3]);
-        assert!(decode_stream(&file).is_err());
+        assert!(matches!(
+            read_stream(&file),
+            Err(ReadError::Decode(DecodeError::BadVersion {
+                found: 0x0102,
+                ..
+            }))
+        ));
     }
 
     #[test]
     fn stream_decode_empty_input() {
-        assert_eq!(decode_stream(&[]).unwrap().len(), 0);
+        assert_eq!(read_stream(&[]).unwrap().len(), 0);
     }
 
     #[test]
@@ -598,7 +616,10 @@ mod tests {
         wrong_version[1] = 9;
         assert_eq!(
             decode_into_columns(&wrong_version, &mut cols).unwrap_err(),
-            DecodeError::BadVersion(9)
+            DecodeError::BadVersion {
+                found: 9,
+                expected: &[5]
+            }
         );
         let mut over_count = good.to_vec();
         over_count[2] = 0;

@@ -17,13 +17,16 @@
 //! [`DecodeError::UnsupportedFlowset`] — decoding them would need
 //! per-exporter template state, and the flow path here is v5.
 //!
-//! [`decode_mixed_stream`] ingests a capture file interleaving v5
-//! datagrams with v9/IPFIX punctuation, dispatching on each packet's
-//! leading version word.
+//! [`TraceReader`] reads a capture interleaving v5 datagrams with
+//! v9/IPFIX punctuation from any [`Read`], packet by packet, dispatching
+//! on each packet's leading version word; [`decode_mixed_stream`] is the
+//! same reader over a byte slice.
+
+use std::io::{self, Read};
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-use crate::error::DecodeError;
+use crate::error::{DecodeError, ReadError};
 use crate::v5::{decode_datagram, V5Datagram, V5_HEADER_LEN, V5_RECORD_LEN};
 
 /// The NetFlow v9 version word.
@@ -34,6 +37,12 @@ pub const IPFIX_VERSION: u16 = 10;
 pub const V9_HEADER_LEN: usize = 20;
 /// Size of the fixed IPFIX message header in bytes.
 pub const IPFIX_HEADER_LEN: usize = 16;
+/// The version words [`decode_punctuation`] accepts.
+const PUNCTUATION_VERSIONS: &[u16] = &[V9_VERSION, IPFIX_VERSION];
+/// The version words a capture may carry: v5 flows and v9/IPFIX punctuation.
+const CAPTURE_VERSIONS: &[u16] = &[5, V9_VERSION, IPFIX_VERSION];
+/// The size of a [`TraceReader`]'s buffer: the most one read asks for.
+const READ_CHUNK: usize = 64 * 1024;
 
 /// A decoded template-only v9/IPFIX packet — exporter punctuation.
 ///
@@ -68,6 +77,7 @@ pub struct Punctuation {
 pub fn decode_punctuation(data: &[u8]) -> Result<(Punctuation, usize), DecodeError> {
     if data.len() < 2 {
         return Err(DecodeError::TruncatedHeader {
+            version: None,
             have: data.len(),
             need: V9_HEADER_LEN.min(IPFIX_HEADER_LEN),
         });
@@ -75,7 +85,10 @@ pub fn decode_punctuation(data: &[u8]) -> Result<(Punctuation, usize), DecodeErr
     match u16::from_be_bytes([data[0], data[1]]) {
         V9_VERSION => decode_v9(data),
         IPFIX_VERSION => decode_ipfix(data),
-        other => Err(DecodeError::BadVersion(other)),
+        found => Err(DecodeError::BadVersion {
+            found,
+            expected: PUNCTUATION_VERSIONS,
+        }),
     }
 }
 
@@ -85,6 +98,7 @@ fn decode_v9(mut data: &[u8]) -> Result<(Punctuation, usize), DecodeError> {
     let total = data.len();
     if total < V9_HEADER_LEN {
         return Err(DecodeError::TruncatedHeader {
+            version: Some(V9_VERSION),
             have: total,
             need: V9_HEADER_LEN,
         });
@@ -124,6 +138,7 @@ fn decode_v9(mut data: &[u8]) -> Result<(Punctuation, usize), DecodeError> {
 fn decode_ipfix(packet: &[u8]) -> Result<(Punctuation, usize), DecodeError> {
     if packet.len() < IPFIX_HEADER_LEN {
         return Err(DecodeError::TruncatedHeader {
+            version: Some(IPFIX_VERSION),
             have: packet.len(),
             need: IPFIX_HEADER_LEN,
         });
@@ -289,38 +304,154 @@ pub enum TraceItem {
     Heartbeat(Punctuation),
 }
 
-/// Decode a capture file of concatenated packets, dispatching each on
-/// its leading version word: 5 → flow datagram, 9/10 → punctuation.
+/// Reads a capture — concatenated v5 datagrams and v9/IPFIX punctuation
+/// packets — from any [`Read`], one packet per item, in file order.
+///
+/// The reader holds one 64 KiB buffer that it refills, so a capture of
+/// any length is read in constant memory. Each packet is framed by
+/// [`decode_datagram`] or [`decode_punctuation`] on the bytes read so
+/// far: before end of input a truncation error means "read more"; at end
+/// of input it is the capture's error. So the items and the error are
+/// exactly those of one pass over the whole capture, whatever sizes the
+/// source's reads return. A packet longer than the buffer doubles it.
+/// Only a v9 packet can be (its header counts records, not bytes), or a
+/// malformed packet whose framing never closes — flowsets that never meet
+/// the v9 record count, an IPFIX length below its own header — which is
+/// buffered to end of input and fails there with that error.
+///
+/// After the first error the iterator is finished.
+pub struct TraceReader<R> {
+    source: R,
+    /// `buf[start..end]` holds the bytes read but not yet framed.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+    /// The source reported end of input.
+    eof: bool,
+    /// An error was yielded.
+    failed: bool,
+}
+
+impl<R: Read> TraceReader<R> {
+    /// A reader over `source`.
+    pub fn new(source: R) -> Self {
+        TraceReader {
+            source,
+            buf: vec![0; READ_CHUNK],
+            start: 0,
+            end: 0,
+            eof: false,
+            failed: false,
+        }
+    }
+
+    /// Append what one read of the source returns. A full buffer first
+    /// moves its unframed bytes to the front, and doubles when one packet
+    /// fills it.
+    fn refill(&mut self) -> io::Result<()> {
+        if self.end == self.buf.len() {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+            if self.end == self.buf.len() {
+                self.buf.resize(2 * self.buf.len(), 0);
+            }
+        }
+        let n = loop {
+            match self.source.read(&mut self.buf[self.end..]) {
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                read => break read?,
+            }
+        };
+        self.end += n;
+        self.eof = n == 0;
+        Ok(())
+    }
+}
+
+impl<R: Read> Iterator for TraceReader<R> {
+    type Item = Result<TraceItem, ReadError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        while !self.failed {
+            let pending = &self.buf[self.start..self.end];
+            if !pending.is_empty() {
+                match decode_packet(pending) {
+                    Ok((item, consumed)) => {
+                        self.start += consumed;
+                        return Some(Ok(item));
+                    }
+                    Err(e) if self.eof || !is_truncation(&e) => {
+                        self.failed = true;
+                        return Some(Err(ReadError::Decode(e)));
+                    }
+                    Err(_) => {}
+                }
+            } else if self.eof {
+                return None;
+            }
+            if let Err(e) = self.refill() {
+                self.failed = true;
+                return Some(Err(ReadError::Io(e)));
+            }
+        }
+        None
+    }
+}
+
+/// Whether `e` could be cured by more bytes.
+fn is_truncation(e: &DecodeError) -> bool {
+    matches!(
+        e,
+        DecodeError::TruncatedHeader { .. }
+            | DecodeError::TruncatedRecords { .. }
+            | DecodeError::TruncatedPacket { .. }
+    )
+}
+
+/// Decode the packet at the front of `data`, dispatching on its version
+/// word: 5 → flow datagram, 9/10 → punctuation. Returns the packet and
+/// its length in bytes.
+fn decode_packet(data: &[u8]) -> Result<(TraceItem, usize), DecodeError> {
+    if data.len() < 2 {
+        return Err(DecodeError::TruncatedHeader {
+            version: None,
+            have: data.len(),
+            need: 2,
+        });
+    }
+    match u16::from_be_bytes([data[0], data[1]]) {
+        5 => {
+            let dgram = decode_datagram(data)?;
+            let consumed = V5_HEADER_LEN + usize::from(dgram.header.count) * V5_RECORD_LEN;
+            Ok((TraceItem::Flows(dgram), consumed))
+        }
+        V9_VERSION | IPFIX_VERSION => {
+            let (punct, consumed) = decode_punctuation(data)?;
+            Ok((TraceItem::Heartbeat(punct), consumed))
+        }
+        found => Err(DecodeError::BadVersion {
+            found,
+            expected: CAPTURE_VERSIONS,
+        }),
+    }
+}
+
+/// Decode a whole capture held in memory: [`TraceReader`] over `data`.
 ///
 /// # Errors
 ///
 /// Returns the first [`DecodeError`]: any other version word, a data
 /// flowset inside a v9/IPFIX packet, or a truncated packet.
-pub fn decode_mixed_stream(mut data: &[u8]) -> Result<Vec<TraceItem>, DecodeError> {
-    let mut out = Vec::new();
-    while !data.is_empty() {
-        if data.len() < 2 {
-            return Err(DecodeError::TruncatedHeader {
-                have: data.len(),
-                need: 2,
-            });
-        }
-        match u16::from_be_bytes([data[0], data[1]]) {
-            5 => {
-                let dgram = decode_datagram(data)?;
-                let consumed = V5_HEADER_LEN + usize::from(dgram.header.count) * V5_RECORD_LEN;
-                data = &data[consumed..];
-                out.push(TraceItem::Flows(dgram));
-            }
-            V9_VERSION | IPFIX_VERSION => {
-                let (punct, consumed) = decode_punctuation(data)?;
-                data = &data[consumed..];
-                out.push(TraceItem::Heartbeat(punct));
-            }
-            other => return Err(DecodeError::BadVersion(other)),
-        }
-    }
-    Ok(out)
+pub fn decode_mixed_stream(data: &[u8]) -> Result<Vec<TraceItem>, DecodeError> {
+    TraceReader::new(data)
+        .map(|item| {
+            item.map_err(|e| match e {
+                ReadError::Decode(e) => e,
+                ReadError::Io(e) => unreachable!("reading a byte slice cannot fail: {e}"),
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -397,7 +528,32 @@ mod tests {
     fn unknown_versions_are_rejected() {
         assert_eq!(
             decode_punctuation(&[0, 7, 0, 0]).unwrap_err(),
-            DecodeError::BadVersion(7)
+            DecodeError::BadVersion {
+                found: 7,
+                expected: &[9, 10]
+            }
+        );
+    }
+
+    #[test]
+    fn decode_errors_name_the_format_they_decode() {
+        let ipfix = encode_ipfix_options_template(1, 0, 0);
+        assert_eq!(
+            decode_mixed_stream(&ipfix[..10]).unwrap_err().to_string(),
+            "truncated IPFIX header: have 10 bytes, need 16"
+        );
+        let v9 = encode_v9_options_template(1, 0, 0);
+        assert_eq!(
+            decode_mixed_stream(&v9[..6]).unwrap_err().to_string(),
+            "truncated NetFlow v9 header: have 6 bytes, need 20"
+        );
+        assert_eq!(
+            decode_mixed_stream(&[0, 7, 0, 0]).unwrap_err().to_string(),
+            "unsupported NetFlow version 7 (expected 5, 9 or 10)"
+        );
+        assert_eq!(
+            decode_mixed_stream(&[0]).unwrap_err().to_string(),
+            "truncated NetFlow packet header: have 1 bytes, need 2"
         );
     }
 
@@ -434,6 +590,39 @@ mod tests {
     #[test]
     fn mixed_stream_rejects_garbage() {
         assert!(decode_mixed_stream(&[1, 2, 3, 4]).is_err());
+    }
+
+    #[test]
+    fn a_packet_longer_than_the_buffer_is_framed_whole() {
+        // One v9 record behind 20 000 empty template flowsets: 80 kB, more
+        // than one refill buffer, then a v5 datagram.
+        let keepalive = encode_v9_options_template(7, 0, 0);
+        let mut file = keepalive[..V9_HEADER_LEN].to_vec();
+        for _ in 0..20_000 {
+            file.extend_from_slice(&[0, 0, 0, 4]);
+        }
+        file.extend_from_slice(&keepalive[V9_HEADER_LEN..]);
+        file.extend_from_slice(&encode_datagram(&[], 0, 0).unwrap());
+
+        let items = decode_mixed_stream(&file).unwrap();
+        assert_eq!(items.len(), 2);
+        assert!(matches!(&items[0], TraceItem::Heartbeat(p) if p.export_ms == 7_000));
+        assert!(matches!(&items[1], TraceItem::Flows(d) if d.flows.is_empty()));
+    }
+
+    #[test]
+    fn io_errors_end_the_capture() {
+        struct Failing;
+        impl Read for Failing {
+            fn read(&mut self, _: &mut [u8]) -> io::Result<usize> {
+                Err(io::Error::other("disk on fire"))
+            }
+        }
+        let mut reader = TraceReader::new(Failing);
+        assert!(
+            matches!(reader.next(), Some(Err(ReadError::Io(e))) if e.to_string() == "disk on fire")
+        );
+        assert!(reader.next().is_none());
     }
 
     #[test]

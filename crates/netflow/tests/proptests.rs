@@ -1,12 +1,18 @@
 //! Property-based tests for the flow substrate.
 
+use std::io::{self, Read};
 use std::net::Ipv4Addr;
 
 use anomex_netflow::snapshot::{SnapshotReader, SnapshotWriter};
 use anomex_netflow::v5::{decode_datagram, encode_datagram, V5Collector, V5Exporter};
+use anomex_netflow::v9::{
+    decode_mixed_stream, encode_ipfix_options_template, encode_v9_options_template, Punctuation,
+    TraceItem, TraceReader, IPFIX_VERSION, V9_VERSION,
+};
 use anomex_netflow::{
-    ClosedInterval, FlowFeature, FlowRecord, FlowTrace, IntervalAssembler, MergeAssembler,
-    MergeConfig, MergedInterval, Protocol, SourceId, SourceSpec, TcpFlags,
+    ClosedInterval, DecodeError, FlowFeature, FlowRecord, FlowTrace, IntervalAssembler,
+    MergeAssembler, MergeConfig, MergedInterval, Protocol, ReadError, SourceId, SourceSpec,
+    TcpFlags,
 };
 use proptest::prelude::*;
 
@@ -60,7 +66,133 @@ fn copy_of(assembler: &IntervalAssembler) -> IntervalAssembler {
     IntervalAssembler::decode_snapshot(&mut SnapshotReader::new(&bytes)).unwrap()
 }
 
+/// A mixed capture of `packets` — `(kind, flows, salt)`: kind 0 exports
+/// `flows` flows as v5 datagrams, 1 a v9 keepalive, 2 an IPFIX one — and
+/// the items it holds, each packet decoded on its own.
+fn capture(packets: &[(u8, usize, u32)]) -> (Vec<u8>, Vec<TraceItem>) {
+    let mut exporter = V5Exporter::new();
+    let (mut bytes, mut items) = (Vec::new(), Vec::new());
+    for (i, &(kind, flows, salt)) in packets.iter().enumerate() {
+        let sequence = i as u32;
+        let heartbeat = |version| {
+            TraceItem::Heartbeat(Punctuation {
+                version,
+                export_ms: u64::from(salt) * 1000,
+                sequence,
+                domain: salt,
+            })
+        };
+        match kind {
+            0 => {
+                let flows: Vec<FlowRecord> = (0..flows as u32)
+                    .map(|j| {
+                        let ip = Ipv4Addr::from(salt ^ j);
+                        FlowRecord::new(u64::from(j), ip, ip, j as u16, 80, Protocol::Tcp)
+                    })
+                    .collect();
+                for datagram in exporter.export(&flows) {
+                    bytes.extend_from_slice(&datagram);
+                    items.push(TraceItem::Flows(decode_datagram(&datagram).unwrap()));
+                }
+            }
+            1 => {
+                bytes.extend_from_slice(&encode_v9_options_template(salt, sequence, salt));
+                items.push(heartbeat(V9_VERSION));
+            }
+            _ => {
+                bytes.extend_from_slice(&encode_ipfix_options_template(salt, sequence, salt));
+                items.push(heartbeat(IPFIX_VERSION));
+            }
+        }
+    }
+    (bytes, items)
+}
+
+/// A source that hands out `data` a few bytes per read — read `i` returns
+/// at most `sizes[i % sizes.len()]` — failing every other read with
+/// `Interrupted` when `interrupt` is set.
+struct Trickle<'a> {
+    data: &'a [u8],
+    sizes: Vec<usize>,
+    interrupt: bool,
+    reads: usize,
+}
+
+impl Read for Trickle<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.reads += 1;
+        if self.interrupt && self.reads % 2 == 0 {
+            return Err(io::ErrorKind::Interrupted.into());
+        }
+        let n = self.sizes[self.reads % self.sizes.len()]
+            .min(buf.len())
+            .min(self.data.len());
+        buf[..n].copy_from_slice(&self.data[..n]);
+        self.data = &self.data[n..];
+        Ok(n)
+    }
+}
+
+/// Everything a reader yields: its items, then its one error if any.
+fn drain(reader: TraceReader<impl Read>) -> (Vec<TraceItem>, Option<DecodeError>) {
+    let (mut items, mut error) = (Vec::new(), None);
+    for item in reader {
+        assert!(error.is_none(), "the reader yielded past its error");
+        match item {
+            Ok(item) => items.push(item),
+            Err(ReadError::Decode(e)) => error = Some(e),
+            Err(ReadError::Io(e)) => panic!("a source that never fails failed: {e}"),
+        }
+    }
+    (items, error)
+}
+
 proptest! {
+    /// The capture reader frames a capture the same whatever sizes its
+    /// source's reads return: over mixed v5/v9/IPFIX captures (often
+    /// longer than the reader's 64 KiB buffer), intact,
+    /// cut at any offset or with one byte flipped, a source that returns
+    /// 1..=k bytes per read (and is interrupted) yields exactly the items
+    /// of one read of the whole capture, then the same first error —
+    /// which is `decode_mixed_stream`'s answer. An intact capture yields
+    /// its packets, each as decoded on its own.
+    #[test]
+    fn the_capture_reader_is_the_slice_decoder_at_any_read_size(
+        packets in proptest::collection::vec((0u8..3, 0usize..=600, any::<u32>()), 0..24),
+        (mutation, offset, flip) in (0u8..3, any::<usize>(), 1u8..=255),
+        (k, sizes, interrupt) in (
+            1usize..=64,
+            proptest::collection::vec(any::<usize>(), 1..8),
+            any::<bool>(),
+        ),
+    ) {
+        let (mut bytes, packets) = capture(&packets);
+        match mutation {
+            0 => {}
+            1 => bytes.truncate(offset % (bytes.len() + 1)),
+            _ if bytes.is_empty() => {}
+            _ => {
+                let at = offset % bytes.len();
+                bytes[at] ^= flip;
+            }
+        }
+        let whole = drain(TraceReader::new(&bytes[..]));
+        let trickle = Trickle {
+            data: &bytes,
+            sizes: sizes.iter().map(|s| 1 + s % k).collect(),
+            interrupt,
+            reads: 0,
+        };
+        prop_assert_eq!(&drain(TraceReader::new(trickle)), &whole);
+        match decode_mixed_stream(&bytes) {
+            Ok(items) => prop_assert_eq!((items, None), whole),
+            Err(e) => prop_assert_eq!(Some(e), whole.1),
+        }
+        if mutation == 0 {
+            prop_assert_eq!(whole, (packets, None));
+        }
+    }
+
     /// A one-lane merge grid is the plain interval assembler. For any
     /// arrival sequence — a clock that mostly runs forward, jumps ahead
     /// across empty windows, steps back into closed windows (late) or

@@ -5,7 +5,8 @@
 # traces through batch `anomex extract` (per-interval concatenation in
 # file order), and require the two report streams to be byte-identical;
 # then require `extract` to print the same reports at 1 and 2 threads and
-# for every --miner.
+# for every --miner; finally require a capture read from stdin to behave
+# exactly like the same capture read from its file, cut or whole.
 #
 # Usage: scripts/e2e_stream.sh [path-to-anomex-binary]
 # Builds the release binary when no path is given.
@@ -136,3 +137,41 @@ for rules in "" --rules; do
     done
 done
 echo "e2e-stream: OK — extract reports bit-identical for apriori, fpgrowth and eclat, with and without --rules"
+
+# Fifth pass: one ingest path for files and pipes. A capture piped in
+# with `--in -` must stream to the same reports as the file itself, and a
+# capture cut mid-datagram must make `extract` exit 1 with the same error
+# through a file and through stdin (the path prefix aside).
+single=(--interval-min 1 --training 10 --support 800)
+"$bin" stream --in "$workdir/link0.nfv5" "${single[@]}" > "$workdir/file.out"
+"$bin" stream --in - "${single[@]}" < "$workdir/link0.nfv5" > "$workdir/stdin.out"
+filter "$workdir/file.out" > "$workdir/file.reports"
+filter "$workdir/stdin.out" > "$workdir/stdin.reports"
+if ! grep -q '^Anomaly extraction report' "$workdir/file.reports"; then
+    echo "e2e-stream: link 0 alone produced no reports — the stdin pass is vacuous" >&2
+    exit 1
+fi
+if ! diff -u "$workdir/file.reports" "$workdir/stdin.reports"; then
+    echo "e2e-stream: stream --in - diverged from stream --in FILE" >&2
+    exit 1
+fi
+
+head -c 1000000 "$workdir/link0.nfv5" > "$workdir/cut.nfv5"
+status=0
+"$bin" extract --in "$workdir/cut.nfv5" "${single[@]}" > /dev/null 2> "$workdir/cut-file.err" || status=$?
+[[ $status == 1 ]] || { echo "e2e-stream: a cut capture exited $status through a file, not 1" >&2; exit 1; }
+status=0
+"$bin" extract --in - "${single[@]}" < "$workdir/cut.nfv5" > /dev/null 2> "$workdir/cut-stdin.err" || status=$?
+[[ $status == 1 ]] || { echo "e2e-stream: a cut capture exited $status through stdin, not 1" >&2; exit 1; }
+sed "s|^error: $workdir/cut.nfv5: |error: |" "$workdir/cut-file.err" > "$workdir/cut-file.msg"
+sed 's|^error: -: |error: |' "$workdir/cut-stdin.err" > "$workdir/cut-stdin.msg"
+if ! grep -q '^error: truncated NetFlow v5 records' "$workdir/cut-file.msg"; then
+    echo "e2e-stream: a cut capture did not report truncated records:" >&2
+    cat "$workdir/cut-file.err" >&2
+    exit 1
+fi
+if ! diff -u "$workdir/cut-file.msg" "$workdir/cut-stdin.msg"; then
+    echo "e2e-stream: a cut capture fails differently through a file and through stdin" >&2
+    exit 1
+fi
+echo "e2e-stream: OK — stream --in - matches --in FILE, and a cut capture fails alike through both ($(cat "$workdir/cut-file.msg"))"
