@@ -2,8 +2,8 @@
 //!
 //! One binary per table/figure of the paper (run with
 //! `cargo run --release -p anomex-bench --bin <name>`; the README's
-//! "Reproduce the paper" table is the index), plus one criterion A/B
-//! bench, `mining_lowsupport` (`cargo bench -p anomex-bench`).
+//! "Reproduce the paper" table is the index), plus one A/B timing bin,
+//! `mining_lowsupport`, that prints sequential vs pool mining rows.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

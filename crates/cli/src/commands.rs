@@ -82,10 +82,11 @@ USAGE:
       percentiles and drop counters. Each --in file is one exporter on
       a shared interval grid (watermark merge; one --in is a fan-in of
       one), replayed in collector arrival order with its v9/IPFIX
-      heartbeats; --max-lag N bounds how many intervals the fastest
-      source may run ahead (0 = unbounded). Output is bit-identical to
-      `anomex extract` with the same --in list (rule options and
-      per-source rule merge sections included).
+      heartbeats (minus those dated past every file's last flow);
+      --max-lag N bounds how many intervals the fastest source may run
+      ahead (0 = unbounded). Output is bit-identical to `anomex
+      extract` with the same --in list (rule options and per-source
+      rule merge sections included).
       Durable operation, for any number of --in files: --checkpoint-dir
       DIR atomically snapshots the full online state (detector
       baselines, the interval grid with every source's watermark and
@@ -436,7 +437,7 @@ fn load_lanes(args: &Args, interval_ms: u64) -> Result<Vec<Lane>, String> {
     if inputs.is_empty() {
         args.require("in")?;
     }
-    inputs
+    let mut lanes = inputs
         .iter()
         .map(|path| {
             let (mut flows, heartbeats) = load_trace_data(path)?;
@@ -451,7 +452,21 @@ fn load_lanes(args: &Args, interval_ms: u64) -> Result<Vec<Lane>, String> {
                 origin,
             })
         })
-        .collect()
+        .collect::<Result<Vec<_>, String>>()?;
+    // A heartbeat dated past the merged grid's last flow would open
+    // windows `extract` never sees (and, far enough ahead, exhaust
+    // memory doing so). Every earlier one stays: it is how an idle but
+    // live exporter releases its windows while the other lanes run on.
+    let end = (lanes.iter())
+        .map(|lane| lane.flows.last().map_or(0, |f| f.start_ms - lane.origin))
+        .max()
+        .unwrap_or(0);
+    for lane in &mut lanes {
+        let origin = lane.origin;
+        lane.heartbeats
+            .retain(|&ms| ms.saturating_sub(origin) <= end);
+    }
+    Ok(lanes)
 }
 
 /// The run settings every trailer line ends with.
@@ -807,12 +822,26 @@ fn restore_from_checkpoint(
         MultiSourceExtractor::restore(engine_bytes, threads)
     }
     .map_err(at)?;
-    let saved = engine.assembler().sources().len();
-    if saved != sources {
+    let saved = engine.assembler().sources();
+    if saved.len() != sources {
         return Err(format!(
-            "cannot resume from {}: it holds {saved} source(s) but {sources} --in trace(s) \
+            "cannot resume from {}: it holds {} source(s) but {sources} --in trace(s) \
              were given (resume with the --in list that wrote it)",
-            path.display()
+            path.display(),
+            saved.len()
+        ));
+    }
+    // The replay feeds source `i` from the `i`-th --in trace, so the
+    // checkpoint must hold exactly the ids `0..sources`, in that order.
+    if let Some((i, spec)) = (0u32..)
+        .zip(&saved)
+        .find(|(i, spec)| spec.id != SourceId(*i))
+    {
+        return Err(format!(
+            "cannot resume from {}: lane {i} holds source {} where {} was expected",
+            path.display(),
+            spec.id,
+            SourceId(i)
         ));
     }
     Ok((engine, consumed))
@@ -1543,6 +1572,130 @@ mod tests {
         let one = argv(&format!("stream {} {durable} --resume", ins[0]));
         let err = stream_to(&one, &mut Vec::new()).unwrap_err();
         assert!(err.contains("2 source(s) but 1 --in"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The replay feeds source `i` from the `i`-th `--in`, so a
+    /// checkpoint whose lanes are not exactly sources `0..k` — ids the
+    /// replay never feeds, or two lanes sharing an id — is an error, not
+    /// a panic on the first flow for the missing source.
+    #[test]
+    fn resume_rejects_checkpoints_whose_ids_are_not_the_inputs() {
+        let dir = scratch_dir("anomex-cli-resume-ids-test");
+        let scenario = MultiSourceScenario::uniform(5, 2);
+        let ins = write_traces(&dir, 2, 4, |s, i| scenario.generate(s, i).flows).join(" ");
+        let args = argv(&format!(
+            "stream {ins} --interval-min 1 --checkpoint-dir {} --resume",
+            dir.display()
+        ));
+        let config = parse_config(&args).unwrap();
+        let lanes = load_lanes(&args, config.interval_ms).unwrap();
+        // A distinctive id, so the test can find it in the payload and
+        // rewrite it to 0 — a duplicate `try_new` would have refused.
+        const MARK: u32 = 0x5EC0_1D1D;
+        for (ids, duplicate) in [([0, 5], false), ([0, MARK], true)] {
+            let specs: Vec<_> = (ids.iter().zip(&lanes))
+                .map(|(&id, lane)| SourceSpec::new(id, lane.origin))
+                .collect();
+            let mut engine =
+                MultiSourceExtractor::try_new(config.clone(), NonZeroUsize::MIN, &specs, None)
+                    .unwrap();
+            let (_, mut payload) = engine.checkpoint();
+            if duplicate {
+                let at = (payload.windows(4))
+                    .position(|w| w == MARK.to_le_bytes())
+                    .unwrap();
+                payload[at..at + 4].copy_from_slice(&0u32.to_le_bytes());
+            }
+            let mut w = SnapshotWriter::new();
+            w.u64(0);
+            w.bytes(&payload);
+            write_checkpoint(&dir.join("stream.ckpt"), &w.into_bytes()).unwrap();
+            let err = stream_to(&args, &mut Vec::new()).unwrap_err();
+            assert!(err.starts_with("cannot resume from"), "{ids:?}: {err}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A heartbeat dated after the last flow opens no windows:
+    /// `stream` closes exactly the intervals `extract` processes, and a
+    /// far-future one (`u32::MAX` seconds) finishes at once instead of
+    /// opening a window for every interval up to it.
+    #[test]
+    fn trailing_heartbeats_open_no_windows() {
+        use anomex_netflow::v9::encode_v9_options_template;
+        use anomex_netflow::Protocol;
+        let dir = scratch_dir("anomex-cli-trailing-heartbeat-test");
+        let path = dir.join("link.nf");
+        let flow = |ms| {
+            FlowRecord::new(
+                ms,
+                std::net::Ipv4Addr::new(10, 0, 0, 1),
+                std::net::Ipv4Addr::new(10, 0, 0, 2),
+                1,
+                2,
+                Protocol::Udp,
+            )
+        };
+        for secs in [600, u32::MAX] {
+            let mut bytes = V5Exporter::new()
+                .export(&[flow(1_000), flow(2_000)])
+                .concat();
+            bytes.extend_from_slice(&encode_v9_options_template(secs, 0, 0));
+            std::fs::write(&path, &bytes).unwrap();
+            let opts = format!("--in {} --interval-min 1", path.display());
+            let batch = run(extract_to, &format!("extract {opts}"));
+            let streamed = run(stream_to, &format!("stream {opts}"));
+            assert!(line(&batch, "processed ").starts_with("processed 1 intervals, "));
+            assert!(
+                line(&streamed, "streamed ").starts_with("streamed 2 flows into 1 intervals: "),
+                "heartbeat at {secs} s: {streamed}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// In a fan-in, an exporter whose flows stop early keeps sending
+    /// keepalives, and those still close its windows while the other
+    /// link runs on: the merged grid drops nothing and matches `extract`
+    /// with or without `--max-lag`. Only the one dated past every lane's
+    /// last flow (`u32::MAX` seconds) is ignored.
+    #[test]
+    fn idle_lane_keepalives_release_its_windows_in_a_fan_in() {
+        use anomex_netflow::v9::encode_v9_options_template;
+        let dir = scratch_dir("anomex-cli-idle-lane-test");
+        let scenario = MultiSourceScenario::uniform(19, 2);
+        let intervals = scenario.interval_count().min(22);
+        // Link 1 exports flows for its first six intervals, then one
+        // mid-interval keepalive per interval, then a far-future one.
+        let mut exporter = V5Exporter::new();
+        let mut bytes = Vec::new();
+        for i in 0..intervals {
+            let iv = scenario.generate(1, i);
+            if i < 6 {
+                bytes.extend(exporter.export(&iv.flows).concat());
+            } else {
+                let secs = ((iv.begin_ms + iv.end_ms) / 2000) as u32;
+                bytes.extend(encode_v9_options_template(secs, i as u32, 1));
+            }
+        }
+        bytes.extend(encode_v9_options_template(u32::MAX, intervals as u32, 1));
+        let idle = dir.join("idle.nf");
+        std::fs::write(&idle, &bytes).unwrap();
+        let busy = write_traces(&dir, 1, intervals, |_, i| scenario.generate(0, i).flows);
+        let ins = format!("{} --in {}", busy[0], idle.display());
+        let opts = format!("{ins} --interval-min 1 --training 10 --support 800");
+        let batch = run(extract_to, &format!("extract {opts}"));
+        // "processed N merged intervals from 2 sources, A alarmed (…)"
+        let words: Vec<&str> = line(&batch, "processed ").split(' ').collect();
+        let expected = format!(" into {} merged intervals: {} alarmed", words[1], words[7]);
+        for lag in ["", "--max-lag 3"] {
+            let streamed = run(stream_to, &format!("stream {opts} {lag}"));
+            assert_eq!(reports(&streamed), reports(&batch), "{lag}");
+            assert!(line(&streamed, "fan-in:").contains(&expected), "{lag}");
+            let drops = line(&streamed, "per-interval");
+            assert!(drops.ends_with("dropped flows: 0 total"), "{lag}: {drops}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

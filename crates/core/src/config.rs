@@ -17,7 +17,6 @@ use anomex_detector::DetectorConfig;
 use anomex_mining::{MinerKind, RuleConfig};
 use anomex_netflow::snapshot::{RestoreError, SnapshotReader, SnapshotWriter};
 use anomex_netflow::MINUTE_MS;
-use serde::{Deserialize, Serialize};
 
 use crate::pipeline::TransactionMode;
 use crate::prefilter::PrefilterMode;
@@ -52,7 +51,7 @@ impl From<ConfigError> for String {
 }
 
 /// Complete configuration of the anomaly-extraction pipeline.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExtractionConfig {
     /// Measurement interval length Δ in milliseconds.
     pub interval_ms: u64,
@@ -72,7 +71,6 @@ pub struct ExtractionConfig {
     /// generate, filter and rank rules per extraction (metric filters
     /// plus the rare-itemset mode), `None` (the default) for the paper's
     /// item-set-only output.
-    #[serde(default)]
     pub rules: Option<RuleConfig>,
 }
 

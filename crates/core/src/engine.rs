@@ -23,7 +23,7 @@
 //! engine with more than one shard exploits that by splitting each
 //! interval into balanced contiguous index ranges
 //! ([`anomex_netflow::shard`]) and fanning those passes across a
-//! persistent [`crossbeam::WorkerPool`]:
+//! persistent [`WorkerPool`]:
 //!
 //! ```text
 //!            interval flows  ────────┬──────────┬──────────┐
@@ -72,12 +72,11 @@ use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 use anomex_detector::{BankHasher, BankObservation, DetectorBank, MetaData};
-use anomex_mining::par::{map_ranges_arc, Exec};
+use anomex_mining::par::{map_ranges_arc, Exec, WorkerPool};
 use anomex_mining::{MinerKind, RuleConfig};
 use anomex_netflow::shard::{default_shards, MAX_SHARDS};
 use anomex_netflow::snapshot::{RestoreError, SnapshotReader, SnapshotWriter};
 use anomex_netflow::{FlowColumns, FlowRecord};
-use crossbeam::WorkerPool;
 
 use crate::config::{ConfigError, ExtractionConfig};
 use crate::pipeline::{mine_at_indices, Extraction, IntervalOutcome, TransactionMode};

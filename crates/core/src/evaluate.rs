@@ -15,7 +15,6 @@ use std::collections::BTreeMap;
 use anomex_mining::{ItemSet, MinerKind, Transaction, TransactionSet};
 use anomex_netflow::FlowRecord;
 use anomex_traffic::{AnomalyClass, EventId, Scenario};
-use serde::{Deserialize, Serialize};
 
 use crate::classify::classify_itemset;
 use crate::config::ExtractionConfig;
@@ -135,7 +134,7 @@ pub struct ScenarioRun {
 }
 
 /// One point of the Fig. 9 support sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SupportSweepPoint {
     /// The minimum support.
     pub min_support: u64,
@@ -151,7 +150,7 @@ pub struct SupportSweepPoint {
 }
 
 /// One row of the Table IV summary.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table4Row {
     /// The anomaly class.
     pub class: String,

@@ -15,14 +15,13 @@ use anomex_mining::{
     merge_rule_sets, ItemSet, LevelStats, MineTask, MinerKind, RuleConfig, RuleSet, TransactionSet,
 };
 use anomex_netflow::{FlowColumns, FlowRecord};
-use serde::{Deserialize, Serialize};
 
 use crate::config::ExtractionConfig;
 use crate::cost::cost_reduction;
 use crate::engine::{Engine, ExtractRequest};
 
 /// How flows are mapped to mining transactions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransactionMode {
     /// The paper's canonical width-7 transactions (§II-B).
     #[default]

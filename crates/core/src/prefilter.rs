@@ -19,10 +19,9 @@ use std::ops::Range;
 
 use anomex_detector::MetaData;
 use anomex_netflow::{FlowColumns, FlowRecord};
-use serde::{Deserialize, Serialize};
 
 /// Which matching semantics the pre-filter applies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PrefilterMode {
     /// Keep flows matching *any* meta-data value (the paper's choice).
     #[default]

@@ -19,7 +19,7 @@
 //!        assemble t+1                │   → mine interval t
 //!                        │           │            │
 //!                        ▼           │            │
-//!                 bounded(1) channel ─────────────┘
+//!            sync_channel(1) ─────────────────────┘
 //!                 (the double buffer: one interval in flight,
 //!                  one queued; assembly of t+1 overlaps
 //!                  extraction of t)
@@ -51,6 +51,7 @@
 
 use std::collections::BTreeMap;
 use std::num::NonZeroUsize;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -60,7 +61,6 @@ use anomex_netflow::{
     FlowRecord, IntervalAssembler, MergeAssembler, MergeConfig, MergedInterval, SourceId,
     SourceSpec, SourceStats,
 };
-use crossbeam::channel::{bounded, Receiver, Sender};
 
 use crate::config::{ConfigError, ExtractionConfig};
 use crate::engine::{Engine, ReconfigRequest};
@@ -136,19 +136,19 @@ enum Command {
     /// Extract one closed interval.
     Work(Work),
     /// Serialize the engine's state and reply with the payload.
-    Snapshot(Sender<Vec<u8>>),
+    Snapshot(SyncSender<Vec<u8>>),
     /// Apply a parameter change at this interval boundary; reply with
     /// the resulting configuration or the validation error.
     Reconfig(
         Box<ReconfigRequest>,
-        Sender<Result<ExtractionConfig, ConfigError>>,
+        SyncSender<Result<ExtractionConfig, ConfigError>>,
     ),
 }
 
 fn pipeline_loop(
     mut engine: Engine,
     work_rx: &Receiver<Command>,
-    events_tx: &Sender<StreamEvent>,
+    events_tx: &SyncSender<StreamEvent>,
 ) -> Engine {
     while let Ok(command) = work_rx.recv() {
         match command {
@@ -191,7 +191,7 @@ fn pipeline_loop(
 #[derive(Debug)]
 struct PipelineHandle {
     /// `Some` until `finish`/drop closes the stream.
-    work_tx: Option<Sender<Command>>,
+    work_tx: Option<SyncSender<Command>>,
     events_rx: Receiver<StreamEvent>,
     /// The pipeline thread; returns its engine so `finish` can read
     /// final detector state.
@@ -218,8 +218,8 @@ impl PipelineHandle {
     /// extractions, reconfigs applied, reconfigs rejected — the order a
     /// checkpoint stores them in; zeros for a fresh stream).
     fn spawn(engine: Engine, counters: [u64; 5]) -> Result<Self, ConfigError> {
-        let (work_tx, work_rx) = bounded::<Command>(Self::WORK_BUFFER);
-        let (events_tx, events_rx) = bounded::<StreamEvent>(Self::EVENT_BUFFER);
+        let (work_tx, work_rx) = sync_channel::<Command>(Self::WORK_BUFFER);
+        let (events_tx, events_rx) = sync_channel::<StreamEvent>(Self::EVENT_BUFFER);
         let worker = std::thread::Builder::new()
             .name("anomex-stream-pipeline".into())
             .spawn(move || pipeline_loop(engine, &work_rx, &events_tx))
@@ -272,11 +272,11 @@ impl PipelineHandle {
     /// Re-raises a panic from the pipeline thread.
     fn request<T>(
         &mut self,
-        command: impl FnOnce(Sender<T>) -> Command,
+        command: impl FnOnce(SyncSender<T>) -> Command,
         into: &mut Vec<StreamEvent>,
     ) -> T {
         self.drain_ready(into);
-        let (reply_tx, reply_rx) = bounded(1);
+        let (reply_tx, reply_rx) = sync_channel(1);
         self.send(command(reply_tx));
         let Ok(reply) = reply_rx.recv() else {
             self.join_and_propagate();

@@ -10,7 +10,6 @@ use std::ops::Range;
 
 use anomex_netflow::snapshot::{RestoreError, SnapshotReader, SnapshotWriter};
 use anomex_netflow::{FlowColumns, FlowFeature, FlowRecord};
-use serde::{Deserialize, Serialize};
 
 use crate::detector::{FeatureDetector, FeatureObservation, FeaturePartial};
 use crate::metadata::MetaData;
@@ -22,7 +21,7 @@ pub const MAX_BINS: u32 = 1 << 16;
 pub const MAX_CLONES: usize = 64;
 
 /// Configuration of a detector bank — the paper's Table III parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DetectorConfig {
     /// Histogram bins `k` per clone (paper: 1024; range 512–2048).
     pub bins: u32,

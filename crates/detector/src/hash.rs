@@ -7,10 +7,8 @@
 //! portable across platforms and runs, and passes avalanche tests — the
 //! properties random projections in sketches need.
 
-use serde::{Deserialize, Serialize};
-
 /// A seeded 64-bit mixing function mapping feature values to histogram bins.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BinHasher {
     seed: u64,
 }

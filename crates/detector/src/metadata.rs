@@ -13,10 +13,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use anomex_netflow::{FeatureValue, FlowFeature, FlowRecord};
-use serde::{Deserialize, Serialize};
 
 /// Suspicious feature values, grouped by feature.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetaData {
     values: BTreeMap<FlowFeature, BTreeSet<u64>>,
 }

@@ -8,10 +8,8 @@
 //! *scores* (e.g., the normalized KL first difference, `d/σ̂`) and boolean
 //! ground-truth labels.
 
-use serde::{Deserialize, Serialize};
-
 /// One point of a ROC curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RocPoint {
     /// The threshold generating this point.
     pub threshold: f64,
@@ -22,7 +20,7 @@ pub struct RocPoint {
 }
 
 /// A ROC curve: points ordered by descending threshold (ascending FPR).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RocCurve {
     /// The curve's points.
     pub points: Vec<RocPoint>,

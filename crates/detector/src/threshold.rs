@@ -7,8 +7,6 @@
 //! first difference exceeds `α·σ̂` — one-sided, because positive spikes
 //! mean *additional* similar flows while negative spikes mark anomaly end.
 
-use serde::{Deserialize, Serialize};
-
 /// Scale factor turning a MAD into a consistent σ estimate for normal data.
 pub const MAD_TO_SIGMA: f64 = 1.4826;
 
@@ -48,7 +46,7 @@ pub fn robust_sigma(sample: &[f64]) -> f64 {
 }
 
 /// One-sided alarm threshold trained on first-difference samples.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FirstDiffThreshold {
     /// Threshold multiplier α (the paper uses 3).
     pub alpha: f64,

@@ -15,8 +15,6 @@ use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::combinations::for_each_combination;
 use crate::item::{Item, ItemMap};
 use crate::itemset::ItemSet;
@@ -40,7 +38,7 @@ fn key_of(items: &[Item]) -> CandKey {
 }
 
 /// Apriori configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct AprioriConfig {
     /// Minimum support threshold `s` (absolute number of transactions).
     pub min_support: u64,
@@ -69,7 +67,7 @@ impl AprioriConfig {
 }
 
 /// Counters for one Apriori level (one `k`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LevelStats {
     /// The level `k` (item-set size).
     pub level: usize,
@@ -131,7 +129,7 @@ pub(crate) fn count_single_items(set: &TransactionSet, exec: Exec<'_>) -> ItemMa
 
 /// Run Apriori in the given execution context: inline, or with the
 /// support-counting passes on the engine's persistent
-/// [`crossbeam::WorkerPool`].
+/// [`WorkerPool`](crate::par::WorkerPool).
 ///
 /// Under [`Exec::Pool`] every level's support counting runs over
 /// transaction chunks (each worker counts candidate hits in its own
@@ -486,7 +484,7 @@ mod tests {
             let reference = apriori(&set, &config);
             for threads in 2..=8 {
                 let pool =
-                    crossbeam::WorkerPool::new(std::num::NonZeroUsize::new(threads).unwrap());
+                    crate::par::WorkerPool::new(std::num::NonZeroUsize::new(threads).unwrap());
                 let par = apriori_exec(&set, &config, Exec::Pool(&pool));
                 assert_eq!(par.itemsets, reference.itemsets, "threads={threads}");
                 for (a, b) in par.itemsets.iter().zip(&reference.itemsets) {

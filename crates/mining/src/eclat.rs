@@ -208,7 +208,7 @@ mod tests {
         }
         let reference = eclat(&set, 300);
         for threads in 2..=8 {
-            let pool = crossbeam::WorkerPool::new(NonZeroUsize::new(threads).unwrap());
+            let pool = crate::par::WorkerPool::new(NonZeroUsize::new(threads).unwrap());
             let par = eclat_exec(&set, 300, Exec::Pool(&pool));
             assert_eq!(par, reference, "threads={threads}");
             for (a, b) in par.iter().zip(&reference) {

@@ -351,7 +351,7 @@ mod tests {
         }
         let reference = fpgrowth(&set, 250);
         for threads in 2..=8 {
-            let pool = crossbeam::WorkerPool::new(NonZeroUsize::new(threads).unwrap());
+            let pool = crate::par::WorkerPool::new(NonZeroUsize::new(threads).unwrap());
             let par = fpgrowth_exec(&set, 250, Exec::Pool(&pool));
             assert_eq!(par, reference, "threads={threads}");
             for (a, b) in par.iter().zip(&reference) {

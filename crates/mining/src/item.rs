@@ -14,7 +14,6 @@ use std::fmt;
 use std::hash::{BuildHasher, Hasher, RandomState};
 
 use anomex_netflow::{FeatureValue, FlowFeature};
-use serde::{Deserialize, Serialize};
 
 /// Bits reserved for the value part of an item.
 const VALUE_BITS: u32 = 56;
@@ -80,7 +79,7 @@ pub(crate) type ItemMap<V> = HashMap<Item, V, ItemHashBuilder>;
 ///
 /// `Item` is `Copy`, 8 bytes, and totally ordered (feature-major), which the
 /// mining algorithms rely on for candidate generation and tid-list keys.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Item(u64);
 
 impl Item {

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::itemset::ItemSet;
 use crate::par::Exec;
 use crate::task::MineTask;
@@ -16,7 +14,7 @@ use crate::transaction::TransactionSet;
 /// vertical methods as the faster alternatives (§III-E); FP-growth is the
 /// default — the one definition every extraction path reads — and Apriori
 /// stays the reference that carries the Table II level audit trail.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MinerKind {
     /// Level-wise Apriori (the paper's algorithm; the only miner that
     /// records [`LevelStats`](crate::LevelStats)).
@@ -146,7 +144,7 @@ mod tests {
 
     #[test]
     fn pool_execution_is_bit_identical_to_inline() {
-        use crossbeam::WorkerPool;
+        use crate::par::WorkerPool;
         use std::num::NonZeroUsize;
         // Large enough that the parallel passes actually split chunks.
         let mut set = TransactionSet::new();

@@ -11,13 +11,19 @@
 //! concatenation) see ranges in input order, so the parallel passes are
 //! bit-identical to the inline ones for every pool width — the engine's
 //! load-bearing determinism guarantee.
+//!
+//! The pool itself is [`WorkerPool`]: threads spawned once, one shared
+//! FIFO queue, and a single operation — run a batch of jobs and return
+//! their results in submission order ([`WorkerPool::run_ordered`]).
 
+use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::ops::Range;
-use std::sync::Arc;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::thread::JoinHandle;
 
 use anomex_netflow::shard::chunk_ranges;
-use crossbeam::WorkerPool;
 
 /// Minimum number of items per worker before a parallel pass is worth its
 /// job dispatches: below this, counting a chunk is faster than handing it
@@ -55,6 +61,167 @@ impl Exec<'_> {
         match self {
             Exec::Inline => 1,
             Exec::Pool(pool) => pool.threads(),
+        }
+    }
+}
+
+/// A unit of work: an owned closure, so jobs can outlive the caller's
+/// stack frame and run on threads spawned long before it existed.
+type Job = Box<dyn FnOnce() + Send + 'static>;
+
+/// The run queue every worker of one pool pops from.
+#[derive(Default)]
+struct Queue {
+    jobs: VecDeque<Job>,
+    /// Set by `Drop`; workers exit once it is set *and* `jobs` is
+    /// empty.
+    closed: bool,
+}
+
+#[derive(Default)]
+struct Shared {
+    queue: Mutex<Queue>,
+    ready: Condvar,
+}
+
+fn worker_loop(shared: &Shared) {
+    let mut queue = shared.queue.lock().expect("pool mutex poisoned");
+    loop {
+        if let Some(job) = queue.jobs.pop_front() {
+            drop(queue);
+            // Contain panics so one bad job cannot take the worker
+            // down; run_ordered re-throws on the caller. Jobs run
+            // outside the lock, so they cannot poison it.
+            let _ = catch_unwind(AssertUnwindSafe(job));
+            queue = shared.queue.lock().expect("pool mutex poisoned");
+        } else if queue.closed {
+            return;
+        } else {
+            queue = shared.ready.wait(queue).expect("pool mutex poisoned");
+        }
+    }
+}
+
+/// A long-lived pool of worker threads popping jobs from one shared
+/// FIFO queue.
+///
+/// Workers are spawned once at construction and live until the pool
+/// is dropped, so running a batch of jobs costs queue pushes instead
+/// of thread spawns — the difference that matters when the same pool
+/// serves every measurement interval of a stream.
+///
+/// A job that panics is contained: the panic is caught, the worker
+/// survives, and the payload is re-thrown on the thread that called
+/// [`run_ordered`](WorkerPool::run_ordered). Dropping the pool lets
+/// queued jobs drain and joins every worker.
+///
+/// Jobs must not call `run_ordered` on the pool they run on: with
+/// every worker blocked waiting, no one is left to run the nested
+/// batch.
+pub struct WorkerPool {
+    shared: Arc<Shared>,
+    workers: Vec<JoinHandle<()>>,
+}
+
+impl std::fmt::Debug for WorkerPool {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("WorkerPool")
+            .field("threads", &self.workers.len())
+            .finish_non_exhaustive()
+    }
+}
+
+impl WorkerPool {
+    /// Spawn a pool of `threads` persistent workers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the operating system refuses to spawn a thread.
+    #[must_use]
+    pub fn new(threads: NonZeroUsize) -> Self {
+        let shared = Arc::new(Shared::default());
+        let workers = (0..threads.get())
+            .map(|i| {
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("anomex-pool-{i}"))
+                    .spawn(move || worker_loop(&shared))
+                    .expect("failed to spawn pool worker")
+            })
+            .collect();
+        WorkerPool { shared, workers }
+    }
+
+    /// Number of worker threads.
+    #[must_use]
+    pub fn threads(&self) -> usize {
+        self.workers.len()
+    }
+
+    /// Run a batch of jobs on the pool and return their results **in
+    /// submission order** — the scatter/gather primitive behind every
+    /// deterministic parallel pass. Blocks until the whole batch
+    /// finishes.
+    ///
+    /// # Panics
+    ///
+    /// Re-throws the panic of the earliest-submitted job that
+    /// panicked (after the batch has drained, so the pool stays
+    /// consistent).
+    #[must_use]
+    pub fn run_ordered<R: Send + 'static>(
+        &self,
+        jobs: Vec<Box<dyn FnOnce() -> R + Send + 'static>>,
+    ) -> Vec<R> {
+        let n = jobs.len();
+        if n == 0 {
+            return Vec::new();
+        }
+        let (tx, rx) = mpsc::channel::<(usize, std::thread::Result<R>)>();
+        {
+            let mut queue = self.shared.queue.lock().expect("pool mutex poisoned");
+            for (i, job) in jobs.into_iter().enumerate() {
+                let tx = tx.clone();
+                queue.jobs.push_back(Box::new(move || {
+                    let result = catch_unwind(AssertUnwindSafe(job));
+                    // The receiver outlives the batch; ignore a send
+                    // failure anyway so a worker never panics here.
+                    let _ = tx.send((i, result));
+                }));
+            }
+        }
+        self.shared.ready.notify_all();
+        drop(tx);
+        let mut slots: Vec<Option<std::thread::Result<R>>> = Vec::new();
+        slots.resize_with(n, || None);
+        for _ in 0..n {
+            let (i, result) = rx.recv().expect("pool worker vanished mid-batch");
+            slots[i] = Some(result);
+        }
+        // Propagate the earliest panic deterministically.
+        let mut out = Vec::with_capacity(n);
+        for slot in slots {
+            match slot.expect("every batch slot was filled") {
+                Ok(r) => out.push(r),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+        out
+    }
+}
+
+impl Drop for WorkerPool {
+    /// Close the queue (jobs already queued still drain) and join
+    /// every worker.
+    fn drop(&mut self) {
+        if let Ok(mut queue) = self.shared.queue.lock() {
+            queue.closed = true;
+        }
+        self.shared.ready.notify_all();
+        for handle in self.workers.drain(..) {
+            // Workers contain job panics; surface nothing and keep
+            // joining the rest.
+            let _ = handle.join();
         }
     }
 }
@@ -151,6 +318,7 @@ pub fn sum_count_vecs(parts: Vec<Vec<u64>>) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn nz(n: usize) -> NonZeroUsize {
         NonZeroUsize::new(n).unwrap()
@@ -256,5 +424,89 @@ mod tests {
         let parts = vec![vec![1u64, 2, 3], vec![10, 20, 30], vec![100, 200, 300]];
         assert_eq!(sum_count_vecs(parts), vec![111, 222, 333]);
         assert!(sum_count_vecs(Vec::new()).is_empty());
+    }
+
+    #[test]
+    fn batch_results_arrive_in_submission_order() {
+        let pool = WorkerPool::new(nz(4));
+        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..64usize)
+            .map(|i| Box::new(move || i * 2) as Box<dyn FnOnce() -> usize + Send>)
+            .collect();
+        let out = pool.run_ordered(jobs);
+        assert_eq!(out, (0..64usize).map(|i| i * 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn pool_is_reusable_across_batches() {
+        let pool = WorkerPool::new(nz(2));
+        for round in 0..10u64 {
+            let jobs: Vec<Box<dyn FnOnce() -> u64 + Send>> = (0..8)
+                .map(|i| Box::new(move || round * 100 + i) as Box<dyn FnOnce() -> u64 + Send>)
+                .collect();
+            let out = pool.run_ordered(jobs);
+            assert_eq!(out, (0..8).map(|i| round * 100 + i).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn empty_batch_returns_immediately() {
+        let pool = WorkerPool::new(nz(1));
+        let out: Vec<u32> = pool.run_ordered(Vec::new());
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn drop_drains_the_queue_and_joins_workers() {
+        let counter = Arc::new(AtomicUsize::new(0));
+        let pool = WorkerPool::new(nz(3));
+        // Queue behind the pool's back, as a batch whose caller went
+        // away would leave them: dropping must still run all 32.
+        {
+            let mut queue = pool.shared.queue.lock().unwrap();
+            for _ in 0..32 {
+                let counter = Arc::clone(&counter);
+                queue.jobs.push_back(Box::new(move || {
+                    counter.fetch_add(1, Ordering::SeqCst);
+                }));
+            }
+        }
+        let shared = Arc::downgrade(&pool.shared);
+        drop(pool);
+        assert_eq!(counter.load(Ordering::SeqCst), 32);
+        assert_eq!(shared.strong_count(), 0, "every worker exited");
+    }
+
+    #[test]
+    fn panicking_job_propagates_but_pool_survives() {
+        let pool = WorkerPool::new(nz(2));
+        let jobs: Vec<Box<dyn FnOnce() -> u32 + Send>> = vec![
+            Box::new(|| 1),
+            Box::new(|| panic!("job exploded")),
+            Box::new(|| 3),
+        ];
+        let err = catch_unwind(AssertUnwindSafe(|| pool.run_ordered(jobs)))
+            .expect_err("panic must propagate to the caller");
+        let message = err
+            .downcast_ref::<&str>()
+            .copied()
+            .unwrap_or("non-str payload");
+        assert!(message.contains("job exploded"), "{message}");
+        // The workers survived the panic: the pool still runs batches.
+        let out = pool.run_ordered(vec![Box::new(|| 7u32) as Box<dyn FnOnce() -> u32 + Send>]);
+        assert_eq!(out, vec![7]);
+    }
+
+    #[test]
+    fn single_thread_pool_runs_jobs_in_submission_order() {
+        let pool = WorkerPool::new(nz(1));
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let jobs: Vec<Box<dyn FnOnce() + Send>> = (0..16)
+            .map(|i| {
+                let log = Arc::clone(&log);
+                Box::new(move || log.lock().unwrap().push(i)) as Box<dyn FnOnce() + Send>
+            })
+            .collect();
+        let _: Vec<()> = pool.run_ordered(jobs);
+        assert_eq!(*log.lock().unwrap(), (0..16).collect::<Vec<_>>());
     }
 }

@@ -41,8 +41,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::combinations::for_each_combination;
 use crate::item::Item;
 use crate::itemset::ItemSet;
@@ -70,7 +68,7 @@ pub const RARE_SUPPORT_GUARD: u64 = 128;
 
 /// Configuration of the rule layer: metric filters plus the rare-itemset
 /// mode.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RuleConfig {
     /// Keep only rules with confidence ≥ this (in `[0, 1]`).
     pub min_confidence: f64,
@@ -155,7 +153,7 @@ impl RuleConfig {
 
 /// One association rule `X ⇒ Y` with its metrics, all derived from the
 /// item-set supports counted during mining.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Rule {
     antecedent: Vec<Item>,
     consequent: Vec<Item>,
@@ -267,7 +265,7 @@ impl fmt::Display for Rule {
 
 /// A rule plus its meta-detection anomaly score (mean positive z-score
 /// of the metric vector against the rule population it was ranked in).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScoredRule {
     /// The rule.
     pub rule: Rule,
@@ -281,7 +279,7 @@ pub struct ScoredRule {
 
 /// The ranked rule population of one interval (or one merged
 /// multi-source interval): rules sorted by anomaly score, descending.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RuleSet {
     /// Rules ranked most-anomalous first (score descending, canonical
     /// antecedent/consequent order on ties).

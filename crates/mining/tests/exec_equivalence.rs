@@ -17,10 +17,9 @@
 use std::num::NonZeroUsize;
 use std::sync::Arc;
 
-use anomex_mining::par::{map_chunks_arc, Exec, MIN_ITEMS_PER_THREAD};
+use anomex_mining::par::{map_chunks_arc, Exec, WorkerPool, MIN_ITEMS_PER_THREAD};
 use anomex_mining::{Item, MineTask, MinerKind, RuleConfig, Transaction, TransactionSet};
 use anomex_netflow::FlowFeature;
-use crossbeam::WorkerPool;
 use proptest::prelude::*;
 
 /// A random transaction: 1–7 items, at most one per feature, values from

@@ -16,8 +16,6 @@
 use std::fmt;
 use std::net::Ipv4Addr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::flow::FlowRecord;
 
 /// One of the per-flow traffic features.
@@ -26,7 +24,7 @@ use crate::flow::FlowRecord;
 /// `*Net16` prefix features are the paper's §III-D extension ("anomalies
 /// that affect certain network ranges … can be captured by using IP
 /// address prefixes as additional dimensions for item-set mining").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum FlowFeature {
     /// Source IPv4 address.
     SrcIp,
@@ -155,7 +153,7 @@ impl fmt::Display for FlowFeature {
 /// The `raw` key is the uniform `u64` encoding; [`FeatureValue::render`]
 /// produces the human-readable form (dotted quad for IPs, plain number for
 /// the rest).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FeatureValue {
     /// The feature this value belongs to.
     pub feature: FlowFeature,

@@ -9,14 +9,12 @@
 use std::fmt;
 use std::net::Ipv4Addr;
 
-use serde::{Deserialize, Serialize};
-
 /// IP protocol carried by a flow.
 ///
 /// Only the protocols that matter for backbone anomaly analysis get named
 /// variants; everything else is carried verbatim in [`Protocol::Other`] so a
 /// round trip through the NetFlow codec is lossless.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Protocol {
     /// ICMP (protocol number 1).
     Icmp,
@@ -71,7 +69,7 @@ impl From<u8> for Protocol {
 
 /// TCP control-flag bits accumulated over a flow, NetFlow-style
 /// (`tcp_flags` field: the OR of the flags of all packets in the flow).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct TcpFlags(pub u8);
 
 impl TcpFlags {
@@ -113,7 +111,7 @@ impl TcpFlags {
 /// traces: since the start of the scenario; for decoded NetFlow v5: `sysuptime`
 /// milliseconds). The pipeline only ever uses differences and interval
 /// bucketing, so the epoch does not matter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FlowRecord {
     /// Flow start time, ms.
     pub start_ms: u64,

@@ -361,7 +361,7 @@ impl MergeAssembler {
     ///
     /// [`RestoreError::Truncated`] on a short payload and
     /// [`RestoreError::Corrupt`] on an impossible configuration (zero Δ,
-    /// no lanes).
+    /// no lanes, two lanes sharing a source id).
     pub fn decode_snapshot(r: &mut SnapshotReader<'_>) -> Result<Self, RestoreError> {
         let interval_ms = r.u64()?;
         if interval_ms == 0 {
@@ -376,6 +376,12 @@ impl MergeAssembler {
         let mut lanes = Vec::with_capacity(lane_count);
         for _ in 0..lane_count {
             let spec = SourceSpec::new(r.u32()?, r.u64()?);
+            if lanes.iter().any(|l: &SourceLane| l.spec.id == spec.id) {
+                return Err(RestoreError::Corrupt(format!(
+                    "duplicate source id {}",
+                    spec.id
+                )));
+            }
             let assembler = IntervalAssembler::decode_snapshot(r)?;
             let pending_count = r.seq_len(8)?;
             let mut pending = BTreeMap::new();
@@ -753,5 +759,22 @@ mod tests {
         let buf = w.into_bytes();
         let mut r = SnapshotReader::new(&buf);
         assert!(MergeAssembler::decode_snapshot(&mut r).is_err());
+    }
+
+    #[test]
+    fn snapshot_rejects_lanes_sharing_a_source_id() {
+        // `try_new` refuses duplicate ids, so a snapshot holding them is
+        // corrupt; restoring it would leave a lane no id can reach.
+        let mut m = two_sources(None);
+        m.push(SourceId(1), flow_at(50));
+        m.lanes[1].spec.id = SourceId(0);
+        let mut w = SnapshotWriter::new();
+        m.encode_snapshot(&mut w);
+        let buf = w.into_bytes();
+        let mut r = SnapshotReader::new(&buf);
+        assert!(matches!(
+            MergeAssembler::decode_snapshot(&mut r),
+            Err(RestoreError::Corrupt(what)) if what == "duplicate source id src0"
+        ));
     }
 }

@@ -14,14 +14,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identity of one flow exporter (a border router, collector socket, or
 /// replayed trace file). Ids are dense small integers assigned by the
 /// operator; the merge layer keys its per-source state on them.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct SourceId(pub u32);
 
 impl fmt::Display for SourceId {
@@ -43,7 +39,7 @@ impl From<u32> for SourceId {
 /// `(t - origin_ms) / Δ`. Exporters need not agree on wall clock — a
 /// router whose clock runs 250 ms ahead simply declares an origin 250 ms
 /// larger, and its flows land on the same grid as everyone else's.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SourceSpec {
     /// The exporter's identity.
     pub id: SourceId,

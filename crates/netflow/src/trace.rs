@@ -6,15 +6,13 @@
 //! time, which is how per-interval flow-count histograms are defined in the
 //! paper (a flow belongs to the interval in which it starts).
 
-use serde::{Deserialize, Serialize};
-
 use crate::flow::FlowRecord;
 
 /// Milliseconds in one minute, for interval arithmetic.
 pub const MINUTE_MS: u64 = 60_000;
 
 /// An owned, time-ordered collection of flow records.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FlowTrace {
     flows: Vec<FlowRecord>,
     sorted: bool,

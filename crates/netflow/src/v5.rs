@@ -11,7 +11,6 @@
 //! ignored on decode, which is also what most collectors do for
 //! single-router deployments.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::net::Ipv4Addr;
 
 use crate::columns::FlowColumns;
@@ -58,6 +57,26 @@ pub struct V5Datagram {
     pub flows: Vec<FlowRecord>,
 }
 
+/// The big-endian `u16` at byte `at` of `b`.
+pub(crate) fn be_u16(b: &[u8], at: usize) -> u16 {
+    u16::from_be_bytes([b[at], b[at + 1]])
+}
+
+/// The big-endian `u32` at byte `at` of `b`.
+pub(crate) fn be_u32(b: &[u8], at: usize) -> u32 {
+    u32::from_be_bytes([b[at], b[at + 1], b[at + 2], b[at + 3]])
+}
+
+/// Append `v` to `buf`, big-endian.
+pub(crate) fn put_u16(buf: &mut Vec<u8>, v: u16) {
+    buf.extend_from_slice(&v.to_be_bytes());
+}
+
+/// Append `v` to `buf`, big-endian.
+pub(crate) fn put_u32(buf: &mut Vec<u8>, v: u32) {
+    buf.extend_from_slice(&v.to_be_bytes());
+}
+
 /// Encode up to 30 flows into a single v5 datagram.
 ///
 /// `flow_sequence` is the cumulative flow counter maintained by the caller
@@ -70,45 +89,106 @@ pub fn encode_datagram(
     flows: &[FlowRecord],
     flow_sequence: u32,
     sys_uptime_ms: u32,
-) -> Result<Bytes, EncodeError> {
+) -> Result<Vec<u8>, EncodeError> {
     if flows.len() > V5_MAX_RECORDS {
         return Err(EncodeError::TooManyRecords(flows.len()));
     }
-    let mut buf = BytesMut::with_capacity(V5_HEADER_LEN + flows.len() * V5_RECORD_LEN);
+    let mut buf = Vec::with_capacity(V5_HEADER_LEN + flows.len() * V5_RECORD_LEN);
     // -- header --
-    buf.put_u16(5); // version
-    buf.put_u16(flows.len() as u16);
-    buf.put_u32(sys_uptime_ms);
-    buf.put_u32(0); // unix_secs: synthetic traces have no wall clock
-    buf.put_u32(0); // unix_nsecs
-    buf.put_u32(flow_sequence);
-    buf.put_u8(0); // engine_type
-    buf.put_u8(0); // engine_id
-    buf.put_u16(0); // sampling: non-sampled
-                    // -- records --
+    put_u16(&mut buf, 5); // version
+    put_u16(&mut buf, flows.len() as u16);
+    put_u32(&mut buf, sys_uptime_ms);
+    put_u32(&mut buf, 0); // unix_secs: synthetic traces have no wall clock
+    put_u32(&mut buf, 0); // unix_nsecs
+    put_u32(&mut buf, flow_sequence);
+    buf.push(0); // engine_type
+    buf.push(0); // engine_id
+    put_u16(&mut buf, 0); // sampling: non-sampled
+
+    // -- records --
     for flow in flows {
-        buf.put_u32(u32::from(flow.src_ip));
-        buf.put_u32(u32::from(flow.dst_ip));
-        buf.put_u32(0); // nexthop
-        buf.put_u16(0); // input ifindex
-        buf.put_u16(0); // output ifindex
-        buf.put_u32(flow.packets);
-        buf.put_u32(flow.bytes);
-        buf.put_u32(flow.start_ms as u32); // first (sysuptime ms)
-        buf.put_u32(flow.end_ms as u32); // last
-        buf.put_u16(flow.src_port);
-        buf.put_u16(flow.dst_port);
-        buf.put_u8(0); // pad1
-        buf.put_u8(flow.tcp_flags.0);
-        buf.put_u8(flow.proto.number());
-        buf.put_u8(0); // tos
-        buf.put_u16(0); // src_as
-        buf.put_u16(0); // dst_as
-        buf.put_u8(0); // src_mask
-        buf.put_u8(0); // dst_mask
-        buf.put_u16(0); // pad2
+        put_u32(&mut buf, u32::from(flow.src_ip));
+        put_u32(&mut buf, u32::from(flow.dst_ip));
+        put_u32(&mut buf, 0); // nexthop
+        put_u16(&mut buf, 0); // input ifindex
+        put_u16(&mut buf, 0); // output ifindex
+        put_u32(&mut buf, flow.packets);
+        put_u32(&mut buf, flow.bytes);
+        put_u32(&mut buf, flow.start_ms as u32); // first (sysuptime ms)
+        put_u32(&mut buf, flow.end_ms as u32); // last
+        put_u16(&mut buf, flow.src_port);
+        put_u16(&mut buf, flow.dst_port);
+        buf.push(0); // pad1
+        buf.push(flow.tcp_flags.0);
+        buf.push(flow.proto.number());
+        buf.push(0); // tos
+        put_u16(&mut buf, 0); // src_as
+        put_u16(&mut buf, 0); // dst_as
+        buf.push(0); // src_mask
+        buf.push(0); // dst_mask
+        put_u16(&mut buf, 0); // pad2
     }
-    Ok(buf.freeze())
+    Ok(buf)
+}
+
+/// Validate a v5 datagram's header and record length, returning the
+/// header and exactly `count` records of record bytes.
+fn split_datagram(data: &[u8]) -> Result<(V5Header, &[u8]), DecodeError> {
+    if data.len() < V5_HEADER_LEN {
+        return Err(DecodeError::TruncatedHeader {
+            version: Some(5),
+            have: data.len(),
+            need: V5_HEADER_LEN,
+        });
+    }
+    let version = be_u16(data, 0);
+    if version != 5 {
+        return Err(DecodeError::BadVersion {
+            found: version,
+            expected: &[5],
+        });
+    }
+    let count = be_u16(data, 2);
+    if usize::from(count) > V5_MAX_RECORDS {
+        return Err(DecodeError::TooManyRecords(count));
+    }
+    let header = V5Header {
+        count,
+        sys_uptime_ms: be_u32(data, 4),
+        unix_secs: be_u32(data, 8),
+        unix_nsecs: be_u32(data, 12),
+        flow_sequence: be_u32(data, 16),
+        engine_type: data[20],
+        engine_id: data[21],
+        sampling: be_u16(data, 22),
+    };
+    let records = &data[V5_HEADER_LEN..];
+    let need = usize::from(count) * V5_RECORD_LEN;
+    if records.len() < need {
+        return Err(DecodeError::TruncatedRecords {
+            declared: count,
+            have: records.len(),
+            need,
+        });
+    }
+    Ok((header, &records[..need]))
+}
+
+/// Decode one 48-byte v5 flow record. Next-hop, interface indices, ToS,
+/// AS numbers, masks and padding are skipped.
+fn decode_record(rec: &[u8]) -> FlowRecord {
+    FlowRecord {
+        start_ms: u64::from(be_u32(rec, 24)), // first
+        end_ms: u64::from(be_u32(rec, 28)),   // last
+        src_ip: Ipv4Addr::from(be_u32(rec, 0)),
+        dst_ip: Ipv4Addr::from(be_u32(rec, 4)),
+        src_port: be_u16(rec, 32),
+        dst_port: be_u16(rec, 34),
+        proto: Protocol::from_number(rec[38]),
+        packets: be_u32(rec, 16),
+        bytes: be_u32(rec, 20),
+        tcp_flags: TcpFlags(rec[37]),
+    }
 }
 
 /// Decode one v5 datagram from a byte buffer.
@@ -117,76 +197,17 @@ pub fn encode_datagram(
 ///
 /// Returns a [`DecodeError`] on short input, a non-v5 version field, a
 /// record count above 30, or fewer record bytes than the header declares.
-pub fn decode_datagram(mut data: &[u8]) -> Result<V5Datagram, DecodeError> {
-    if data.len() < V5_HEADER_LEN {
-        return Err(DecodeError::TruncatedHeader {
-            version: Some(5),
-            have: data.len(),
-            need: V5_HEADER_LEN,
-        });
-    }
-    let version = data.get_u16();
-    if version != 5 {
-        return Err(DecodeError::BadVersion {
-            found: version,
-            expected: &[5],
-        });
-    }
-    let count = data.get_u16();
-    if usize::from(count) > V5_MAX_RECORDS {
-        return Err(DecodeError::TooManyRecords(count));
-    }
-    let header = V5Header {
-        count,
-        sys_uptime_ms: data.get_u32(),
-        unix_secs: data.get_u32(),
-        unix_nsecs: data.get_u32(),
-        flow_sequence: data.get_u32(),
-        engine_type: data.get_u8(),
-        engine_id: data.get_u8(),
-        sampling: data.get_u16(),
-    };
-    let need = usize::from(count) * V5_RECORD_LEN;
-    if data.remaining() < need {
-        return Err(DecodeError::TruncatedRecords {
-            declared: count,
-            have: data.remaining(),
-            need,
-        });
-    }
-    let mut flows = Vec::with_capacity(usize::from(count));
-    for _ in 0..count {
-        let src_ip = Ipv4Addr::from(data.get_u32());
-        let dst_ip = Ipv4Addr::from(data.get_u32());
-        data.advance(4 + 2 + 2); // nexthop, input, output
-        let packets = data.get_u32();
-        let bytes = data.get_u32();
-        let first = data.get_u32();
-        let last = data.get_u32();
-        let src_port = data.get_u16();
-        let dst_port = data.get_u16();
-        data.advance(1); // pad1
-        let tcp_flags = TcpFlags(data.get_u8());
-        let proto = Protocol::from_number(data.get_u8());
-        data.advance(1 + 2 + 2 + 1 + 1 + 2); // tos, ASes, masks, pad2
-        flows.push(FlowRecord {
-            start_ms: u64::from(first),
-            end_ms: u64::from(last),
-            src_ip,
-            dst_ip,
-            src_port,
-            dst_port,
-            proto,
-            packets,
-            bytes,
-            tcp_flags,
-        });
-    }
+pub fn decode_datagram(data: &[u8]) -> Result<V5Datagram, DecodeError> {
+    let (header, records) = split_datagram(data)?;
+    let flows = records
+        .chunks_exact(V5_RECORD_LEN)
+        .map(decode_record)
+        .collect();
     Ok(V5Datagram { header, flows })
 }
 
-/// Decode one v5 datagram straight into a [`FlowColumns`] store — the
-/// columnar fast path with no intermediate `FlowRecord` materialization.
+/// Decode one v5 datagram straight into a [`FlowColumns`] store, with
+/// no intermediate `Vec<FlowRecord>`.
 ///
 /// Appends the datagram's `count` flows as rows of `out` and returns the
 /// decoded header. The header and the record-byte length are validated
@@ -198,60 +219,10 @@ pub fn decode_datagram(mut data: &[u8]) -> Result<V5Datagram, DecodeError> {
 ///
 /// Returns a [`DecodeError`] on short input, a non-v5 version field, a
 /// record count above 30, or fewer record bytes than the header declares.
-pub fn decode_into_columns(
-    mut data: &[u8],
-    out: &mut FlowColumns,
-) -> Result<V5Header, DecodeError> {
-    if data.len() < V5_HEADER_LEN {
-        return Err(DecodeError::TruncatedHeader {
-            version: Some(5),
-            have: data.len(),
-            need: V5_HEADER_LEN,
-        });
-    }
-    let version = data.get_u16();
-    if version != 5 {
-        return Err(DecodeError::BadVersion {
-            found: version,
-            expected: &[5],
-        });
-    }
-    let count = data.get_u16();
-    if usize::from(count) > V5_MAX_RECORDS {
-        return Err(DecodeError::TooManyRecords(count));
-    }
-    let header = V5Header {
-        count,
-        sys_uptime_ms: data.get_u32(),
-        unix_secs: data.get_u32(),
-        unix_nsecs: data.get_u32(),
-        flow_sequence: data.get_u32(),
-        engine_type: data.get_u8(),
-        engine_id: data.get_u8(),
-        sampling: data.get_u16(),
-    };
-    let need = usize::from(count) * V5_RECORD_LEN;
-    if data.remaining() < need {
-        return Err(DecodeError::TruncatedRecords {
-            declared: count,
-            have: data.remaining(),
-            need,
-        });
-    }
-    for _ in 0..count {
-        out.src_ip.push(data.get_u32());
-        out.dst_ip.push(data.get_u32());
-        data.advance(4 + 2 + 2); // nexthop, input, output
-        out.packets.push(data.get_u32());
-        out.bytes.push(data.get_u32());
-        out.start_ms.push(u64::from(data.get_u32())); // first
-        out.end_ms.push(u64::from(data.get_u32())); // last
-        out.src_port.push(data.get_u16());
-        out.dst_port.push(data.get_u16());
-        data.advance(1); // pad1
-        out.tcp_flags.push(data.get_u8());
-        out.proto.push(data.get_u8());
-        data.advance(1 + 2 + 2 + 1 + 1 + 2); // tos, ASes, masks, pad2
+pub fn decode_into_columns(data: &[u8], out: &mut FlowColumns) -> Result<V5Header, DecodeError> {
+    let (header, records) = split_datagram(data)?;
+    for rec in records.chunks_exact(V5_RECORD_LEN) {
+        out.push(&decode_record(rec));
     }
     Ok(header)
 }
@@ -305,7 +276,7 @@ impl V5Exporter {
     /// Export `flows` as a series of datagrams of at most 30 records each.
     ///
     /// Never fails: chunking guarantees the per-datagram record limit.
-    pub fn export(&mut self, flows: &[FlowRecord]) -> Vec<Bytes> {
+    pub fn export(&mut self, flows: &[FlowRecord]) -> Vec<Vec<u8>> {
         let mut out = Vec::with_capacity(flows.len().div_ceil(V5_MAX_RECORDS));
         for chunk in flows.chunks(V5_MAX_RECORDS) {
             let uptime = chunk.last().map_or(0, |f| f.end_ms as u32);
@@ -408,6 +379,102 @@ mod tests {
         assert_eq!(dgram.flows, flows);
     }
 
+    /// One v5 datagram written out by hand from the wire layout, every
+    /// modelled field distinct, and the flow it carries.
+    #[rustfmt::skip]
+    const GOLDEN: [u8; V5_HEADER_LEN + V5_RECORD_LEN] = [
+        0x00, 0x05,             // version
+        0x00, 0x01,             // count
+        0x05, 0x06, 0x07, 0x08, // sys_uptime_ms
+        0x00, 0x00, 0x00, 0x00, // unix_secs
+        0x00, 0x00, 0x00, 0x00, // unix_nsecs
+        0x01, 0x02, 0x03, 0x04, // flow_sequence
+        0x00, 0x00,             // engine_type, engine_id
+        0x00, 0x00,             // sampling
+        0x0a, 0x0b, 0x0c, 0x0d, // srcaddr
+        0x0e, 0x0f, 0x10, 0x11, // dstaddr
+        0x00, 0x00, 0x00, 0x00, // nexthop
+        0x00, 0x00, 0x00, 0x00, // input, output ifindex
+        0x12, 0x13, 0x14, 0x15, // dPkts
+        0x16, 0x17, 0x18, 0x19, // dOctets
+        0x1a, 0x1b, 0x1c, 0x1d, // first
+        0x1e, 0x1f, 0x20, 0x21, // last
+        0x22, 0x23,             // srcport
+        0x24, 0x25,             // dstport
+        0x00, 0x26, 0x27, 0x00, // pad1, tcp_flags, prot, tos
+        0x00, 0x00, 0x00, 0x00, // src_as, dst_as
+        0x00, 0x00, 0x00, 0x00, // src_mask, dst_mask, pad2
+    ];
+
+    fn golden_flow() -> FlowRecord {
+        FlowRecord::new(
+            0x1a1b_1c1d,
+            Ipv4Addr::new(10, 11, 12, 13),
+            Ipv4Addr::new(14, 15, 16, 17),
+            0x2223,
+            0x2425,
+            Protocol::from_number(0x27),
+        )
+        .with_volume(0x1213_1415, 0x1617_1819)
+        .with_end(0x1e1f_2021)
+        .with_flags(TcpFlags(0x26))
+    }
+
+    #[test]
+    fn golden_datagram_pins_the_wire_layout() {
+        let flow = golden_flow();
+        let bytes = encode_datagram(&[flow], 0x0102_0304, 0x0506_0708).unwrap();
+        assert_eq!(bytes, GOLDEN);
+
+        let header = V5Header {
+            count: 1,
+            sys_uptime_ms: 0x0506_0708,
+            flow_sequence: 0x0102_0304,
+            ..V5Header::default()
+        };
+        let dgram = decode_datagram(&GOLDEN).unwrap();
+        assert_eq!(
+            dgram,
+            V5Datagram {
+                header,
+                flows: vec![flow]
+            }
+        );
+        let mut cols = FlowColumns::new();
+        assert_eq!(decode_into_columns(&GOLDEN, &mut cols).unwrap(), header);
+        assert_eq!(cols.to_flows(), vec![flow]);
+
+        // The header fields the encoder leaves zero decode from their own
+        // offsets, and the record bytes the decoder skips stay skipped.
+        let mut wild = GOLDEN;
+        wild[8..24].copy_from_slice(&[
+            0x31, 0x32, 0x33, 0x34, 0x35, 0x36, 0x37, 0x38, // secs, nsecs
+            0x01, 0x02, 0x03, 0x04, 0x39, 0x3a, 0x3b, 0x3c, // seq, engine, sampling
+        ]);
+        for skipped in [8..16, 36..37, 39..48] {
+            wild[V5_HEADER_LEN..][skipped].fill(0xff);
+        }
+        let header = V5Header {
+            unix_secs: 0x3132_3334,
+            unix_nsecs: 0x3536_3738,
+            engine_type: 0x39,
+            engine_id: 0x3a,
+            sampling: 0x3b3c,
+            ..header
+        };
+        let dgram = decode_datagram(&wild).unwrap();
+        assert_eq!(
+            dgram,
+            V5Datagram {
+                header,
+                flows: vec![flow]
+            }
+        );
+        let mut cols = FlowColumns::new();
+        assert_eq!(decode_into_columns(&wild, &mut cols).unwrap(), header);
+        assert_eq!(cols.to_flows(), vec![flow]);
+    }
+
     #[test]
     fn rejects_more_than_30_records() {
         let flows: Vec<_> = (0..31).map(sample_flow).collect();
@@ -433,7 +500,7 @@ mod tests {
     #[test]
     fn decode_rejects_bad_version() {
         let flows = vec![sample_flow(0)];
-        let mut bytes = encode_datagram(&flows, 0, 0).unwrap().to_vec();
+        let mut bytes = encode_datagram(&flows, 0, 0).unwrap();
         bytes[1] = 9; // version low byte
         assert_eq!(
             decode_datagram(&bytes).unwrap_err(),
@@ -458,7 +525,7 @@ mod tests {
     #[test]
     fn decode_rejects_count_over_30() {
         let flows = vec![sample_flow(0)];
-        let mut bytes = encode_datagram(&flows, 0, 0).unwrap().to_vec();
+        let mut bytes = encode_datagram(&flows, 0, 0).unwrap();
         bytes[2] = 0;
         bytes[3] = 31; // count
         assert_eq!(
@@ -547,7 +614,7 @@ mod tests {
     #[test]
     fn stream_decode_rejects_trailing_garbage() {
         let flows = vec![sample_flow(0)];
-        let mut file = encode_datagram(&flows, 0, 0).unwrap().to_vec();
+        let mut file = encode_datagram(&flows, 0, 0).unwrap();
         file.extend_from_slice(&[1, 2, 3]);
         assert!(matches!(
             read_stream(&file),
@@ -612,7 +679,7 @@ mod tests {
             assert_eq!(decode_into_columns(bad, &mut cols).unwrap_err(), record_err);
             assert_eq!(cols, before, "columns unchanged on error");
         }
-        let mut wrong_version = good.to_vec();
+        let mut wrong_version = good.clone();
         wrong_version[1] = 9;
         assert_eq!(
             decode_into_columns(&wrong_version, &mut cols).unwrap_err(),
@@ -621,7 +688,7 @@ mod tests {
                 expected: &[5]
             }
         );
-        let mut over_count = good.to_vec();
+        let mut over_count = good.clone();
         over_count[2] = 0;
         over_count[3] = 31;
         assert_eq!(

@@ -24,10 +24,10 @@
 
 use std::io::{self, Read};
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
 use crate::error::{DecodeError, ReadError};
-use crate::v5::{decode_datagram, V5Datagram, V5_HEADER_LEN, V5_RECORD_LEN};
+use crate::v5::{
+    be_u16, be_u32, decode_datagram, put_u16, put_u32, V5Datagram, V5_HEADER_LEN, V5_RECORD_LEN,
+};
 
 /// The NetFlow v9 version word.
 pub const V9_VERSION: u16 = 9;
@@ -82,7 +82,7 @@ pub fn decode_punctuation(data: &[u8]) -> Result<(Punctuation, usize), DecodeErr
             need: V9_HEADER_LEN.min(IPFIX_HEADER_LEN),
         });
     }
-    match u16::from_be_bytes([data[0], data[1]]) {
+    match be_u16(data, 0) {
         V9_VERSION => decode_v9(data),
         IPFIX_VERSION => decode_ipfix(data),
         found => Err(DecodeError::BadVersion {
@@ -94,22 +94,21 @@ pub fn decode_punctuation(data: &[u8]) -> Result<(Punctuation, usize), DecodeErr
 
 /// v9: the header counts records, not bytes, so framing walks the
 /// flowsets — each one length-prefixed — until the record count is met.
-fn decode_v9(mut data: &[u8]) -> Result<(Punctuation, usize), DecodeError> {
-    let total = data.len();
-    if total < V9_HEADER_LEN {
+fn decode_v9(packet: &[u8]) -> Result<(Punctuation, usize), DecodeError> {
+    if packet.len() < V9_HEADER_LEN {
         return Err(DecodeError::TruncatedHeader {
             version: Some(V9_VERSION),
-            have: total,
+            have: packet.len(),
             need: V9_HEADER_LEN,
         });
     }
-    let _version = data.get_u16();
-    let count = data.get_u16();
-    let _sys_uptime_ms = data.get_u32();
-    let unix_secs = data.get_u32();
-    let sequence = data.get_u32();
-    let domain = data.get_u32();
+    // version, count, sys_uptime_ms, unix_secs, sequence, source id
+    let count = be_u16(packet, 2);
+    let unix_secs = be_u32(packet, 8);
+    let sequence = be_u32(packet, 12);
+    let domain = be_u32(packet, 16);
 
+    let mut data = &packet[V9_HEADER_LEN..];
     let mut records_seen: usize = 0;
     while records_seen < usize::from(count) {
         let (id, body) = read_set_header(&mut data, V9_VERSION)?;
@@ -130,7 +129,7 @@ fn decode_v9(mut data: &[u8]) -> Result<(Punctuation, usize), DecodeError> {
         sequence,
         domain,
     };
-    Ok((punct, total - data.len()))
+    Ok((punct, packet.len() - data.len()))
 }
 
 /// IPFIX: the header carries the total message length, so framing is
@@ -143,12 +142,11 @@ fn decode_ipfix(packet: &[u8]) -> Result<(Punctuation, usize), DecodeError> {
             need: IPFIX_HEADER_LEN,
         });
     }
-    let mut data = packet;
-    let _version = data.get_u16();
-    let length = usize::from(data.get_u16());
-    let export_secs = data.get_u32();
-    let sequence = data.get_u32();
-    let domain = data.get_u32();
+    // version, length, export time, sequence, observation domain
+    let length = usize::from(be_u16(packet, 2));
+    let export_secs = be_u32(packet, 4);
+    let sequence = be_u32(packet, 8);
+    let domain = be_u32(packet, 12);
     if length < IPFIX_HEADER_LEN || packet.len() < length {
         return Err(DecodeError::TruncatedPacket {
             have: packet.len(),
@@ -183,20 +181,21 @@ fn read_set_header<'a>(data: &mut &'a [u8], version: u16) -> Result<(u16, &'a [u
             need: 4,
         });
     }
-    let id = data.get_u16();
-    let length = usize::from(data.get_u16());
+    let id = be_u16(data, 0);
+    let length = usize::from(be_u16(data, 2));
     if length < 4 {
         // A set shorter than its own header cannot frame anything.
         return Err(DecodeError::UnsupportedFlowset { version, id });
     }
     let body_len = length - 4;
-    if data.len() < body_len {
+    let after_header = &data[4..];
+    if after_header.len() < body_len {
         return Err(DecodeError::TruncatedPacket {
-            have: data.len(),
+            have: after_header.len(),
             need: body_len,
         });
     }
-    let (body, rest) = data.split_at(body_len);
+    let (body, rest) = after_header.split_at(body_len);
     *data = rest;
     Ok((id, body))
 }
@@ -208,11 +207,11 @@ fn read_set_header<'a>(data: &mut &'a [u8], version: u16) -> Result<(u16, &'a [u
 fn count_template_records(mut body: &[u8]) -> usize {
     let mut n = 0;
     while body.len() >= 4 {
-        let template_id = u16::from_be_bytes([body[0], body[1]]);
+        let template_id = be_u16(body, 0);
         if template_id == 0 {
             break; // padding
         }
-        let field_count = usize::from(u16::from_be_bytes([body[2], body[3]]));
+        let field_count = usize::from(be_u16(body, 2));
         let record = 4 + field_count * 4;
         if body.len() < record {
             break;
@@ -229,12 +228,12 @@ fn count_template_records(mut body: &[u8]) -> usize {
 fn count_options_records(mut body: &[u8]) -> usize {
     let mut n = 0;
     while body.len() >= 6 {
-        let template_id = u16::from_be_bytes([body[0], body[1]]);
+        let template_id = be_u16(body, 0);
         if template_id == 0 {
             break; // padding
         }
-        let scope_len = usize::from(u16::from_be_bytes([body[2], body[3]]));
-        let option_len = usize::from(u16::from_be_bytes([body[4], body[5]]));
+        let scope_len = usize::from(be_u16(body, 2));
+        let option_len = usize::from(be_u16(body, 4));
         let record = 6 + scope_len + option_len;
         if body.len() < record {
             break;
@@ -249,49 +248,49 @@ fn count_options_records(mut body: &[u8]) -> usize {
 /// option `samplingInterval`), padded to a 4-byte boundary — the packet
 /// an idle Cisco-style exporter sends to prove it is alive.
 #[must_use]
-pub fn encode_v9_options_template(export_secs: u32, sequence: u32, source_id: u32) -> Bytes {
-    let mut buf = BytesMut::with_capacity(V9_HEADER_LEN + 20);
-    buf.put_u16(V9_VERSION);
-    buf.put_u16(1); // one record (the options template)
-    buf.put_u32(0); // sys_uptime_ms
-    buf.put_u32(export_secs);
-    buf.put_u32(sequence);
-    buf.put_u32(source_id);
+pub fn encode_v9_options_template(export_secs: u32, sequence: u32, source_id: u32) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(V9_HEADER_LEN + 20);
+    put_u16(&mut buf, V9_VERSION);
+    put_u16(&mut buf, 1); // one record (the options template)
+    put_u32(&mut buf, 0); // sys_uptime_ms
+    put_u32(&mut buf, export_secs);
+    put_u32(&mut buf, sequence);
+    put_u32(&mut buf, source_id);
     // Options-template flowset: id 1, record = id 256, 4-byte scope
     // (System) + 4-byte option (samplingInterval), 2 bytes padding.
-    buf.put_u16(1); // flowset id: options template
-    buf.put_u16(20); // flowset length incl. header + padding
-    buf.put_u16(256); // options template id
-    buf.put_u16(4); // scope length (bytes)
-    buf.put_u16(4); // option length (bytes)
-    buf.put_u16(1); // scope field: System
-    buf.put_u16(4); // scope field length
-    buf.put_u16(34); // option field: samplingInterval
-    buf.put_u16(4); // option field length
-    buf.put_u16(0); // padding to 4-byte boundary
-    buf.freeze()
+    put_u16(&mut buf, 1); // flowset id: options template
+    put_u16(&mut buf, 20); // flowset length incl. header + padding
+    put_u16(&mut buf, 256); // options template id
+    put_u16(&mut buf, 4); // scope length (bytes)
+    put_u16(&mut buf, 4); // option length (bytes)
+    put_u16(&mut buf, 1); // scope field: System
+    put_u16(&mut buf, 4); // scope field length
+    put_u16(&mut buf, 34); // option field: samplingInterval
+    put_u16(&mut buf, 4); // option field length
+    put_u16(&mut buf, 0); // padding to 4-byte boundary
+    buf
 }
 
 /// Encode an IPFIX keepalive: one options-template set, the v10
 /// counterpart of [`encode_v9_options_template`].
 #[must_use]
-pub fn encode_ipfix_options_template(export_secs: u32, sequence: u32, domain: u32) -> Bytes {
-    let mut buf = BytesMut::with_capacity(IPFIX_HEADER_LEN + 14);
-    buf.put_u16(IPFIX_VERSION);
-    buf.put_u16((IPFIX_HEADER_LEN + 14) as u16); // total message length
-    buf.put_u32(export_secs);
-    buf.put_u32(sequence);
-    buf.put_u32(domain);
+pub fn encode_ipfix_options_template(export_secs: u32, sequence: u32, domain: u32) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(IPFIX_HEADER_LEN + 14);
+    put_u16(&mut buf, IPFIX_VERSION);
+    put_u16(&mut buf, (IPFIX_HEADER_LEN + 14) as u16); // total message length
+    put_u32(&mut buf, export_secs);
+    put_u32(&mut buf, sequence);
+    put_u32(&mut buf, domain);
     // Options-template set: id 3; record = id 256, 2 fields of which 1
     // is scope; scope System then option samplingInterval.
-    buf.put_u16(3); // set id: options template
-    buf.put_u16(14); // set length incl. header
-    buf.put_u16(256); // template id
-    buf.put_u16(2); // total field count
-    buf.put_u16(1); // scope field count
-    buf.put_u16(1); // scope field: System
-    buf.put_u16(4); // scope field length
-    buf.freeze()
+    put_u16(&mut buf, 3); // set id: options template
+    put_u16(&mut buf, 14); // set length incl. header
+    put_u16(&mut buf, 256); // template id
+    put_u16(&mut buf, 2); // total field count
+    put_u16(&mut buf, 1); // scope field count
+    put_u16(&mut buf, 1); // scope field: System
+    put_u16(&mut buf, 4); // scope field length
+    buf
 }
 
 /// One packet of a mixed capture: v5 flow datagrams interleaved with
@@ -420,7 +419,7 @@ fn decode_packet(data: &[u8]) -> Result<(TraceItem, usize), DecodeError> {
             need: 2,
         });
     }
-    match u16::from_be_bytes([data[0], data[1]]) {
+    match be_u16(data, 0) {
         5 => {
             let dgram = decode_datagram(data)?;
             let consumed = V5_HEADER_LEN + usize::from(dgram.header.count) * V5_RECORD_LEN;
@@ -486,9 +485,81 @@ mod tests {
         assert_eq!(p.export_ms, 55_000);
     }
 
+    /// The punctuation the golden keepalives below carry.
+    const GOLDEN_CLOCK: (u32, u32, u32) = (0x0102_0304, 0x0506_0708, 0x090a_0b0c);
+
+    fn golden_punctuation(version: u16) -> Punctuation {
+        Punctuation {
+            version,
+            export_ms: u64::from(GOLDEN_CLOCK.0) * 1000,
+            sequence: GOLDEN_CLOCK.1,
+            domain: GOLDEN_CLOCK.2,
+        }
+    }
+
+    #[test]
+    fn golden_v9_keepalive_pins_the_wire_layout() {
+        #[rustfmt::skip]
+        let golden: [u8; 40] = [
+            0x00, 0x09,             // version
+            0x00, 0x01,             // count: one record
+            0x00, 0x00, 0x00, 0x00, // sys_uptime_ms
+            0x01, 0x02, 0x03, 0x04, // unix_secs
+            0x05, 0x06, 0x07, 0x08, // sequence
+            0x09, 0x0a, 0x0b, 0x0c, // source id
+            0x00, 0x01,             // flowset id: options template
+            0x00, 0x14,             // flowset length
+            0x01, 0x00,             // template id 256
+            0x00, 0x04,             // scope length (bytes)
+            0x00, 0x04,             // option length (bytes)
+            0x00, 0x01,             // scope field: System
+            0x00, 0x04,             //   length
+            0x00, 0x22,             // option field: samplingInterval
+            0x00, 0x04,             //   length
+            0x00, 0x00,             // padding
+        ];
+        let (secs, sequence, source_id) = GOLDEN_CLOCK;
+        assert_eq!(
+            encode_v9_options_template(secs, sequence, source_id),
+            golden
+        );
+        assert_eq!(
+            decode_punctuation(&golden).unwrap(),
+            (golden_punctuation(V9_VERSION), golden.len())
+        );
+    }
+
+    #[test]
+    fn golden_ipfix_keepalive_pins_the_wire_layout() {
+        #[rustfmt::skip]
+        let golden: [u8; 30] = [
+            0x00, 0x0a,             // version
+            0x00, 0x1e,             // message length
+            0x01, 0x02, 0x03, 0x04, // export time
+            0x05, 0x06, 0x07, 0x08, // sequence
+            0x09, 0x0a, 0x0b, 0x0c, // observation domain
+            0x00, 0x03,             // set id: options template
+            0x00, 0x0e,             // set length
+            0x01, 0x00,             // template id 256
+            0x00, 0x02,             // field count
+            0x00, 0x01,             // scope field count
+            0x00, 0x01,             // scope field: System
+            0x00, 0x04,             //   length
+        ];
+        let (secs, sequence, domain) = GOLDEN_CLOCK;
+        assert_eq!(
+            encode_ipfix_options_template(secs, sequence, domain),
+            golden
+        );
+        assert_eq!(
+            decode_punctuation(&golden).unwrap(),
+            (golden_punctuation(IPFIX_VERSION), golden.len())
+        );
+    }
+
     #[test]
     fn v9_data_flowsets_are_rejected() {
-        let mut bytes = encode_v9_options_template(1, 0, 0).to_vec();
+        let mut bytes = encode_v9_options_template(1, 0, 0);
         bytes[20] = 1; // flowset id 1 → 257: a data flowset
         bytes[21] = 1;
         assert_eq!(
@@ -502,7 +573,7 @@ mod tests {
 
     #[test]
     fn ipfix_data_sets_are_rejected() {
-        let mut bytes = encode_ipfix_options_template(1, 0, 0).to_vec();
+        let mut bytes = encode_ipfix_options_template(1, 0, 0);
         bytes[16] = 1; // set id 3 → 259: a data set
         bytes[17] = 3;
         assert_eq!(
@@ -628,24 +699,24 @@ mod tests {
     #[test]
     fn template_record_counting_handles_multiple_and_padding() {
         // Two plain templates in one flowset, then 2 bytes of padding.
-        let mut buf = BytesMut::new();
-        buf.put_u16(V9_VERSION);
-        buf.put_u16(2); // two records
-        buf.put_u32(0);
-        buf.put_u32(9); // unix_secs
-        buf.put_u32(0);
-        buf.put_u32(0);
-        buf.put_u16(0); // flowset id 0: templates
-        buf.put_u16(4 + 12 + 12 + 2); // flowset length
+        let mut buf = Vec::new();
+        put_u16(&mut buf, V9_VERSION);
+        put_u16(&mut buf, 2); // two records
+        put_u32(&mut buf, 0);
+        put_u32(&mut buf, 9); // unix_secs
+        put_u32(&mut buf, 0);
+        put_u32(&mut buf, 0);
+        put_u16(&mut buf, 0); // flowset id 0: templates
+        put_u16(&mut buf, 4 + 12 + 12 + 2); // flowset length
         for template_id in [256u16, 257] {
-            buf.put_u16(template_id);
-            buf.put_u16(2); // field count
-            buf.put_u16(8); // IN_BYTES
-            buf.put_u16(4);
-            buf.put_u16(12); // IPV4_DST_ADDR
-            buf.put_u16(4);
+            put_u16(&mut buf, template_id);
+            put_u16(&mut buf, 2); // field count
+            put_u16(&mut buf, 8); // IN_BYTES
+            put_u16(&mut buf, 4);
+            put_u16(&mut buf, 12); // IPV4_DST_ADDR
+            put_u16(&mut buf, 4);
         }
-        buf.put_u16(0); // padding
+        put_u16(&mut buf, 0); // padding
         let (p, consumed) = decode_punctuation(&buf).unwrap();
         assert_eq!(consumed, buf.len());
         assert_eq!(p.export_ms, 9000);

@@ -10,10 +10,9 @@ use std::fmt;
 use std::net::Ipv4Addr;
 
 use anomex_netflow::{FeatureValue, FlowFeature};
-use serde::{Deserialize, Serialize};
 
 /// The seven anomaly classes of the paper's ground truth (Table IV).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum AnomalyClass {
     /// High-volume flows from a *small* number of sources to one victim.
     Flooding,
@@ -62,7 +61,7 @@ impl fmt::Display for AnomalyClass {
 }
 
 /// Identifier of one injected event within a scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EventId(pub u32);
 
 impl fmt::Display for EventId {
@@ -72,7 +71,7 @@ impl fmt::Display for EventId {
 }
 
 /// Class-specific event parameters.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EventParams {
     /// Few sources flooding one victim host/port.
     Flooding {
@@ -159,7 +158,7 @@ impl EventParams {
 }
 
 /// One injected anomaly event.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EventSpec {
     /// Scenario-unique identifier.
     pub id: EventId,

@@ -12,7 +12,6 @@ use std::net::Ipv4Addr;
 use anomex_netflow::{FlowRecord, Protocol, TcpFlags};
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::dist::{BoundedPareto, Zipf};
 
@@ -39,7 +38,7 @@ const TAIL_WEIGHT: f64 = 21.0;
 
 /// A host that originates a disproportionate share of traffic to one
 /// service port (HTTP proxy, cache, mail relay, …).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HeavyHitter {
     /// The heavy-hitting local host.
     pub host: Ipv4Addr,
@@ -50,7 +49,7 @@ pub struct HeavyHitter {
 }
 
 /// Background traffic model configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BackgroundConfig {
     /// Mean flows per measurement interval (before diurnal/noise factors).
     pub flows_per_interval: u64,

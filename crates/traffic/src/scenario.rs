@@ -17,7 +17,6 @@ use std::net::Ipv4Addr;
 use anomex_netflow::FlowRecord;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::anomaly::{EventId, EventParams, EventSpec};
 use crate::background::{BackgroundConfig, BackgroundModel};
@@ -32,7 +31,7 @@ pub const INTERVALS_PER_DAY: u64 = 96;
 pub const TWO_WEEKS_INTERVALS: u64 = 14 * INTERVALS_PER_DAY;
 
 /// Scenario configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScenarioConfig {
     /// Master seed; every interval derives its own RNG from it.
     pub seed: u64,

@@ -12,22 +12,22 @@
 //! 1-minute measurement intervals on the fly and runs the detection +
 //! extraction pipeline on its own thread. Extraction reports stream back
 //! to the main thread as they happen. Everything is plain threads and
-//! crossbeam channels — the pipeline is CPU-bound, so no async runtime is
-//! involved.
+//! bounded `std::sync::mpsc` channels — the pipeline is CPU-bound, so no
+//! async runtime is involved.
 //!
 //! ```sh
 //! cargo run --release --example live_monitor
 //! ```
 
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::thread;
 
 use anomex::core::render_report;
 use anomex::netflow::v5::{decode_datagram, V5Exporter};
 use anomex::prelude::*;
-use crossbeam::channel::{bounded, Receiver, Sender};
 
 /// Export the workload as NetFlow v5 datagrams; returns how many it sent.
-fn exporter_thread(scenario: Scenario, tx: Sender<bytes::Bytes>) -> u64 {
+fn exporter_thread(scenario: Scenario, tx: SyncSender<Vec<u8>>) -> u64 {
     let mut exporter = V5Exporter::new();
     let mut datagrams = 0;
     for i in 0..scenario.interval_count() {
@@ -46,8 +46,8 @@ fn exporter_thread(scenario: Scenario, tx: Sender<bytes::Bytes>) -> u64 {
 /// every extraction report on as its interval closes; returns the
 /// end-of-stream summary.
 fn collector_thread(
-    rx: Receiver<bytes::Bytes>,
-    reports: Sender<String>,
+    rx: Receiver<Vec<u8>>,
+    reports: SyncSender<String>,
     interval_ms: u64,
 ) -> MultiStreamSummary {
     let config = ExtractionConfig {
@@ -94,8 +94,8 @@ fn main() {
 
     // Bounded channels give natural backpressure: the exporter cannot run
     // unboundedly ahead of the collector.
-    let (dgram_tx, dgram_rx) = bounded::<bytes::Bytes>(1024);
-    let (report_tx, report_rx) = bounded::<String>(16);
+    let (dgram_tx, dgram_rx) = sync_channel::<Vec<u8>>(1024);
+    let (report_tx, report_rx) = sync_channel::<String>(16);
 
     let exporter = thread::spawn(move || exporter_thread(scenario, dgram_tx));
     let collector = thread::spawn(move || collector_thread(dgram_rx, report_tx, interval_ms));

@@ -299,7 +299,7 @@ fn checkpoint_files_reject_corruption_with_typed_errors() {
 }
 
 /// Live reconfiguration through the facade: applied at an interval
-/// boundary, audited in the summary, and — the acceptance criterion —
+/// boundary, audited in the summary, and — the acceptance requirement —
 /// dropping zero flows (`dropped_flows == 0` while every pushed flow
 /// lands in a processed interval).
 #[test]

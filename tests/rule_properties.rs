@@ -9,11 +9,10 @@
 
 use std::num::NonZeroUsize;
 
-use anomex::mining::par::Exec;
+use anomex::mining::par::{Exec, WorkerPool};
 use anomex::mining::rules::CONVICTION_SCORE_CAP;
 use anomex::mining::{Item, MineTask, MinerKind, RuleConfig, Transaction, TransactionSet};
 use anomex_netflow::FlowFeature;
-use crossbeam::WorkerPool;
 use proptest::prelude::*;
 
 /// A random transaction: 1–7 items, at most one per feature, values from
