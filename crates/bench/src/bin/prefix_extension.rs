@@ -15,9 +15,8 @@
 use std::net::Ipv4Addr;
 use std::time::Instant;
 
-use anomex_core::{Engine, ExtractRequest, TransactionMode};
+use anomex_core::{Engine, ExtractionConfig, TransactionMode};
 use anomex_detector::MetaData;
-use anomex_mining::MinerKind;
 use anomex_netflow::{FlowFeature, FlowRecord, Protocol};
 use anomex_traffic::inject::dscan;
 use rand::rngs::StdRng;
@@ -59,16 +58,18 @@ fn main() {
         flows.len()
     );
 
-    for (label, mode) in [
+    for (label, transactions) in [
         ("canonical width-7", TransactionMode::Canonical),
         ("prefix-extended width-9", TransactionMode::WithPrefixes),
     ] {
+        let config = ExtractionConfig {
+            min_support: 2000,
+            transactions,
+            ..ExtractionConfig::default()
+        };
+        let engine = Engine::sequential(config).expect("valid configuration");
         let t0 = Instant::now();
-        let ex = Engine::extract(
-            &ExtractRequest::new(&flows, &md, 2000)
-                .transactions(mode)
-                .miner(MinerKind::FpGrowth),
-        );
+        let ex = engine.extract(&flows, &md);
         println!("-- {label} ({:?}) --", t0.elapsed());
         for set in ex.itemsets.iter().rev() {
             println!("  {set}");

@@ -9,7 +9,7 @@
 //! ```
 
 use anomex_bench::arg_scale;
-use anomex_core::{render_report_with_levels, Engine, ExtractRequest};
+use anomex_core::{render_report_with_levels, Engine, ExtractionConfig};
 use anomex_detector::MetaData;
 use anomex_mining::MinerKind;
 use anomex_netflow::FlowFeature;
@@ -33,10 +33,14 @@ fn main() {
 
     // Apriori on purpose (the default miner is FP-growth): the paper's
     // narrative is its per-round audit trail.
+    let config = ExtractionConfig {
+        min_support: w.min_support,
+        miner: MinerKind::Apriori,
+        ..ExtractionConfig::default()
+    };
+    let engine = Engine::sequential(config).expect("valid configuration");
     let t0 = Instant::now();
-    let extraction = Engine::extract(
-        &ExtractRequest::new(&w.flows, &metadata, w.min_support).miner(MinerKind::Apriori),
-    );
+    let extraction = engine.extract(&w.flows, &metadata);
     let elapsed = t0.elapsed();
 
     println!("{}", render_report_with_levels(&extraction));

@@ -6,10 +6,9 @@ use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 
 use anomex_core::{
-    latency_percentile, merge_source_rules, prefilter_indices, render_report,
-    render_report_with_levels, render_rule_merge, Engine, ExtractRequest, Extraction,
-    ExtractionConfig, MultiSourceExtractor, MultiStreamEvent, PrefilterMode, ReconfigRequest,
-    TransactionMode,
+    latency_percentile, merge_source_rules, prefilter_indices_columns, render_report,
+    render_report_with_levels, render_rule_merge, Engine, Extraction, ExtractionConfig,
+    MultiSourceExtractor, MultiStreamEvent, PrefilterMode, ReconfigRequest, TransactionMode,
 };
 use anomex_detector::{DetectorConfig, MetaData};
 use anomex_mining::{mine_top_k, MinerKind, RuleConfig, RARE_SUPPORT_GUARD};
@@ -19,8 +18,8 @@ use anomex_netflow::snapshot::{
 use anomex_netflow::v5::V5Exporter;
 use anomex_netflow::v9::{TraceItem, TraceReader};
 use anomex_netflow::{
-    default_shards, FeatureValue, FlowRecord, FlowTrace, ReadError, SourceId, SourceSpec,
-    MAX_SHARDS, MINUTE_MS,
+    default_shards, FeatureValue, FlowColumns, FlowRecord, FlowTrace, ReadError, SourceId,
+    SourceSpec, MAX_SHARDS, MINUTE_MS,
 };
 use anomex_traffic::table2::paper_counts;
 use anomex_traffic::{table2_workload, MultiSourceScenario, Scenario};
@@ -104,15 +103,26 @@ USAGE:
   anomex analyze --in FILE --metadata \"dstPort=7000,#packets=12\" [--support N]
                  [--miner apriori|fpgrowth|eclat] [--top] [--k N] [--threads N]
                  [--prefixes] [--intersection]
-      Offline extraction with explicit meta-data (the §II-B workflow).
-      With --top, mine the k most frequent item-sets instead of using a
-      fixed support.
+                 [--rules] [--min-confidence C] [--min-lift L] [--rare]
+                 [--force-rare]
+      Offline extraction with explicit meta-data (the §II-B workflow),
+      configured by the same options as extract (the rule options add
+      the ranked association rules to the report, and --rare has the
+      same guard). With --top, mine the k most frequent item-sets
+      instead of using a fixed support.
 
   anomex table2 [--scale X]
       Reproduce the paper's Table II example (mined with apriori, whose
       per-round audit trail the report includes).
 
   anomex help";
+
+/// Write one line to stderr. A closed stderr loses the line and nothing
+/// else: `eprintln!` would panic, turning an error exit (or a clean one
+/// after a checkpoint note) into exit 101.
+pub fn note(line: impl std::fmt::Display) {
+    writeln!(std::io::stderr(), "{line}").ok();
+}
 
 /// `anomex help`: print [`USAGE`].
 pub fn help_to(out: &mut impl Write) -> Result<(), String> {
@@ -334,20 +344,6 @@ fn parse_threads(args: &Args) -> Result<NonZeroUsize, String> {
     Ok(NonZeroUsize::new(n).unwrap_or_else(default_shards))
 }
 
-fn parse_modes(args: &Args) -> (PrefilterMode, TransactionMode) {
-    let prefilter = if args.flag("intersection") {
-        PrefilterMode::Intersection
-    } else {
-        PrefilterMode::Union
-    };
-    let tx = if args.flag("prefixes") {
-        TransactionMode::WithPrefixes
-    } else {
-        TransactionMode::Canonical
-    };
-    (prefilter, tx)
-}
-
 /// Parse the association-rule options: `--rules` switches the layer on
 /// with defaults, and giving any of `--min-confidence`, `--min-lift` or
 /// `--rare` implies it.
@@ -371,10 +367,27 @@ fn parse_rules(args: &Args) -> Result<Option<RuleConfig>, String> {
     }))
 }
 
+/// The `--rare` guard, checked wherever a configuration enters a run —
+/// the command line, a resumed checkpoint, a reconfig request: rare mode
+/// below [`RARE_SUPPORT_GUARD`] drives the per-level floor toward 1 and
+/// runs only with `--force-rare`.
+fn check_rare_guard(config: &ExtractionConfig, force_rare: bool) -> Result<(), String> {
+    let support = config.min_support;
+    match config.rules {
+        Some(rc) if rc.rare_floor_explosive(support) && !force_rare => Err(format!(
+            "--rare at support {support} drives the per-level support floor \
+             toward 1, which can explode the mining pass on large intervals \
+             (tens of GB of candidate item-sets); use a support of at least \
+             {RARE_SUPPORT_GUARD} or pass --force-rare to override"
+        )),
+        _ => Ok(()),
+    }
+}
+
 /// Parse the shared pipeline options (`--interval-min`, `--training`,
-/// `--support`, `--miner`, `--prefixes`, `--intersection`) into a
-/// configuration — one definition for `extract` and `stream`, so the
-/// batch and streaming paths can never drift apart.
+/// `--support`, `--miner`, `--prefixes`, `--intersection` and the rule
+/// options) into a configuration — one definition for `extract`,
+/// `stream` and `analyze`, so the paths can never drift apart.
 fn parse_config(args: &Args) -> Result<ExtractionConfig, String> {
     let interval_min = args
         .get_or("interval-min", 15u64)
@@ -384,18 +397,7 @@ fn parse_config(args: &Args) -> Result<ExtractionConfig, String> {
         .map_err(|e| e.to_string())?;
     let support = args.get_or("support", 50u64).map_err(|e| e.to_string())?;
     let miner = parse_miner(args)?;
-    let (prefilter, transactions) = parse_modes(args);
     let rules = parse_rules(args)?;
-    if let Some(rc) = &rules {
-        if rc.rare_floor_explosive(support) && !args.flag("force-rare") {
-            return Err(format!(
-                "--rare with --support {support} drives the per-level support floor \
-                 toward 1, which can explode the mining pass on large intervals \
-                 (tens of GB of candidate item-sets); raise --support to at least \
-                 {RARE_SUPPORT_GUARD} or pass --force-rare to override"
-            ));
-        }
-    }
     let interval_ms = interval_min.checked_mul(MINUTE_MS).ok_or_else(|| {
         format!(
             "--interval-min {interval_min} is too large (at most {} minutes)",
@@ -410,12 +412,21 @@ fn parse_config(args: &Args) -> Result<ExtractionConfig, String> {
         },
         min_support: support,
         miner,
-        prefilter,
-        transactions,
+        prefilter: if args.flag("intersection") {
+            PrefilterMode::Intersection
+        } else {
+            PrefilterMode::Union
+        },
+        transactions: if args.flag("prefixes") {
+            TransactionMode::WithPrefixes
+        } else {
+            TransactionMode::Canonical
+        },
         rules,
     };
     // Validate here, before any path touches a trace (the multi-input
     // modes infer per-file origins with `% interval_ms` up front).
+    check_rare_guard(&config, args.flag("force-rare"))?;
     config.validate().map_err(String::from)?;
     Ok(config)
 }
@@ -753,9 +764,15 @@ fn parse_reconfig(text: &str) -> Result<ReconfigRequest, String> {
 
 /// Consume `<dir>/reconfig` when present: parse it, apply the request
 /// at the current interval boundary, delete the file, and report the
-/// verdict on stderr (stdout stays byte-comparable across runs).
-/// Returns the interval events that drained around the boundary.
-fn consume_reconfig_file(dir: &Path, engine: &mut MultiSourceExtractor) -> Vec<MultiStreamEvent> {
+/// verdict on stderr (stdout stays byte-comparable across runs). A
+/// request whose configuration fails the `--rare` guard is rejected
+/// with the engine untouched. Returns the interval events that drained
+/// around the boundary.
+fn consume_reconfig_file(
+    dir: &Path,
+    engine: &mut MultiSourceExtractor,
+    force_rare: bool,
+) -> Vec<MultiStreamEvent> {
     let path = dir.join("reconfig");
     let Ok(text) = fs::read_to_string(&path) else {
         return Vec::new();
@@ -763,20 +780,30 @@ fn consume_reconfig_file(dir: &Path, engine: &mut MultiSourceExtractor) -> Vec<M
     fs::remove_file(&path).ok();
     match parse_reconfig(&text) {
         Ok(req) if !req.is_empty() => {
+            if let Err(e) = check_rare_guard(&req.apply(engine.config()), force_rare) {
+                note(format_args!("reconfig rejected: {e}"));
+                return Vec::new();
+            }
             let describe = format!("{req:?}");
             let (events, verdict) = engine.reconfigure(req);
             match verdict {
-                Ok(()) => eprintln!("reconfig applied: {describe}"),
-                Err(e) => eprintln!("reconfig rejected: {e}"),
+                Ok(()) => note(format_args!("reconfig applied: {describe}")),
+                Err(e) => note(format_args!("reconfig rejected: {e}")),
             }
             events
         }
         Ok(_) => {
-            eprintln!("reconfig file {} was empty; ignored", path.display());
+            note(format_args!(
+                "reconfig file {} was empty; ignored",
+                path.display()
+            ));
             Vec::new()
         }
         Err(e) => {
-            eprintln!("reconfig file {} invalid: {e}; ignored", path.display());
+            note(format_args!(
+                "reconfig file {} invalid: {e}; ignored",
+                path.display()
+            ));
             Vec::new()
         }
     }
@@ -804,11 +831,13 @@ fn take_checkpoint(
 /// `sources` traces: returns the restored engine plus how many flows of
 /// the replay were already consumed, so the caller can skip them. A
 /// version-1 file (the single-source engine's) resumes as a one-lane
-/// grid; its flow count is the same replay position for one input.
+/// grid; its flow count is the same replay position for one input. The
+/// restored configuration must pass the `--rare` guard.
 fn restore_from_checkpoint(
     path: &Path,
     threads: Option<NonZeroUsize>,
     sources: usize,
+    force_rare: bool,
 ) -> Result<(MultiSourceExtractor, u64), String> {
     let at = |e: RestoreError| format!("cannot resume from {}: {e}", path.display());
     let (version, payload) = read_checkpoint(path).map_err(at)?;
@@ -844,6 +873,8 @@ fn restore_from_checkpoint(
             SourceId(i)
         ));
     }
+    check_rare_guard(engine.config(), force_rare)
+        .map_err(|e| format!("cannot resume from {}: {e}", path.display()))?;
     Ok((engine, consumed))
 }
 
@@ -861,6 +892,7 @@ pub fn stream(args: &Args) -> Result<(), String> {
 fn stream_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
     let config = parse_config(args)?;
     let threads = parse_threads(args)?;
+    let force_rare = args.flag("force-rare");
     let verbose = args.flag("verbose");
     let durability = parse_durability(args)?;
     let max_lag = match args.get_or("max-lag", 0u64).map_err(|e| e.to_string())? {
@@ -881,12 +913,12 @@ fn stream_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
         .filter(|p| p.exists());
     let (mut engine, mut consumed) = if let Some(path) = &resume_from {
         let threads_override = args.get("threads").is_some().then_some(threads);
-        let resumed = restore_from_checkpoint(path, threads_override, lanes.len())?;
-        eprintln!(
+        let resumed = restore_from_checkpoint(path, threads_override, lanes.len(), force_rare)?;
+        note(format_args!(
             "resumed from {} ({} flows already consumed)",
             path.display(),
             resumed.1
-        );
+        ));
         resumed
     } else {
         let specs: Vec<_> = (0u32..)
@@ -934,10 +966,10 @@ fn stream_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
         };
         if d.stop_after.is_some_and(|n| closed_this_run >= n) {
             printer.print(take_checkpoint(&mut engine, consumed, d)?)?;
-            eprintln!(
+            note(format_args!(
                 "stopped after {closed_this_run} interval(s); checkpoint at {}",
                 d.checkpoint_path().display()
-            );
+            ));
             return Ok(());
         }
         if since_checkpoint >= d.every {
@@ -946,7 +978,8 @@ fn stream_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
             // land in the checkpoint that follows, so a resume replays
             // the stream under the reconfigured engine. The intervals
             // drained around the boundary ran under the old config.
-            closed_this_run += printer.print(consume_reconfig_file(&d.dir, &mut engine))?;
+            let drained = consume_reconfig_file(&d.dir, &mut engine, force_rare);
+            closed_this_run += printer.print(drained)?;
             printer.config = engine.config().clone();
             closed_this_run += printer.print(take_checkpoint(&mut engine, consumed, d)?)?;
         }
@@ -1024,18 +1057,11 @@ pub fn analyze(args: &Args) -> Result<(), String> {
 fn analyze_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
     let input = args.require("in")?;
     let metadata = parse_metadata(args.require("metadata")?)?;
-    let support = args.get_or("support", 50u64).map_err(|e| e.to_string())?;
-    let miner = parse_miner(args)?;
+    // The configuration — validation, error text and `--rare` guard
+    // included — `extract` and `stream` run under, before touching the
+    // trace.
+    let config = parse_config(args)?;
     let threads = parse_threads(args)?;
-    let (prefilter, tx_mode) = parse_modes(args);
-    // The same validation (and error text) `extract`/`stream` apply,
-    // before touching the trace.
-    ExtractionConfig {
-        min_support: support,
-        ..ExtractionConfig::default()
-    }
-    .validate()
-    .map_err(String::from)?;
     let k = args.get_or("k", 10usize).map_err(|e| e.to_string())?;
     if k == 0 {
         return Err("--k must be at least 1".into());
@@ -1043,10 +1069,11 @@ fn analyze_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
     let flows = load_flows(input)?;
 
     if args.flag("top") {
-        let indices = prefilter_indices(&flows, &metadata, prefilter);
-        let transactions = tx_mode.transactions_at(&flows, &indices);
+        let cols = FlowColumns::from_flows(&flows);
+        let indices = prefilter_indices_columns(&cols, &metadata, config.prefilter);
+        let transactions = config.transactions.transactions_at_columns(&cols, &indices);
         let start = (indices.len() as u64 / 10).max(1);
-        let top = mine_top_k(&transactions, miner, k, start);
+        let top = mine_top_k(&transactions, config.miner, k, start);
         let mut text = format!(
             "top {} item-sets of {} suspicious flows (effective support {}, {} rounds):\n",
             top.itemsets.len(),
@@ -1060,13 +1087,8 @@ fn analyze_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
         return out.write_all(text.as_bytes()).map_err(write_error);
     }
 
-    let extraction = Engine::extract(
-        &ExtractRequest::new(&flows, &metadata, support)
-            .prefilter(prefilter)
-            .transactions(tx_mode)
-            .miner(miner)
-            .shards(threads),
-    );
+    let engine = Engine::new(config, threads).map_err(String::from)?;
+    let extraction = engine.extract(&flows, &metadata);
     writeln!(out, "{}", render_report(&extraction)).map_err(write_error)
 }
 
@@ -1085,9 +1107,14 @@ fn table2_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
         metadata.insert(anomex_netflow::FlowFeature::DstPort, port);
     }
     // Apriori on purpose: Table II narrates its level audit trail.
-    let extraction = Engine::extract(
-        &ExtractRequest::new(&w.flows, &metadata, w.min_support).miner(MinerKind::Apriori),
-    );
+    let config = ExtractionConfig {
+        min_support: w.min_support,
+        miner: MinerKind::Apriori,
+        ..ExtractionConfig::default()
+    };
+    let extraction = Engine::sequential(config)
+        .map_err(String::from)?
+        .extract(&w.flows, &metadata);
     writeln!(out, "{}", render_report_with_levels(&extraction)).map_err(write_error)
 }
 
@@ -1196,9 +1223,9 @@ mod tests {
         assert!(parse_miner(&argv("x --miner zzz")).is_err());
     }
 
-    /// One default, read everywhere: the library enum, the configuration,
-    /// the offline request and the CLI all mine with FP-growth unless told
-    /// otherwise — so no default path records Apriori's level audit.
+    /// One default, read everywhere: the library enum, the configuration
+    /// and the CLI all mine with FP-growth unless told otherwise — so no
+    /// default path records Apriori's level audit.
     #[test]
     fn default_miner_is_fpgrowth_everywhere() {
         assert_eq!(MinerKind::default(), MinerKind::FpGrowth);
@@ -1210,16 +1237,22 @@ mod tests {
         let w = table2_workload(2009, 0.01);
         let mut md = MetaData::new();
         md.insert(FlowFeature::DstPort, u64::from(w.flood_port));
-        let ex = Engine::extract(&ExtractRequest::new(&w.flows, &md, w.min_support));
+        let extract = |miner| {
+            let config = ExtractionConfig {
+                min_support: w.min_support,
+                miner,
+                ..ExtractionConfig::default()
+            };
+            Engine::sequential(config).unwrap().extract(&w.flows, &md)
+        };
+        let ex = extract(MinerKind::default());
         assert!(!ex.itemsets.is_empty(), "the flood is extracted");
         assert!(
             ex.levels.is_empty(),
             "default path ran Apriori: {:?}",
             ex.levels
         );
-        let apriori = Engine::extract(
-            &ExtractRequest::new(&w.flows, &md, w.min_support).miner(MinerKind::Apriori),
-        );
+        let apriori = extract(MinerKind::Apriori);
         assert!(
             !apriori.levels.is_empty(),
             "Apriori still records its rounds"
@@ -1368,18 +1401,18 @@ mod tests {
         let _ = engine.push(SourceId(0), flow(1_200));
         let _ = take_checkpoint(&mut engine, 2, &d).unwrap();
 
-        let (mut resumed, consumed) = restore_from_checkpoint(&path, None, 1).unwrap();
+        let (mut resumed, consumed) = restore_from_checkpoint(&path, None, 1, false).unwrap();
         assert_eq!(consumed, 2);
         let _ = resumed.push(SourceId(0), flow(2_500));
         let (_, summary) = resumed.finish();
         assert_eq!(summary.total_flows, 3, "resumed run continues the count");
 
-        let err = restore_from_checkpoint(&path, None, 2).unwrap_err();
+        let err = restore_from_checkpoint(&path, None, 2, false).unwrap_err();
         assert!(err.contains("1 source(s) but 2 --in"), "{err}");
 
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
-        let err = restore_from_checkpoint(&path, None, 1).unwrap_err();
+        let err = restore_from_checkpoint(&path, None, 1, false).unwrap_err();
         assert!(
             err.contains("cannot resume"),
             "diagnostic names the file: {err}"
@@ -1389,15 +1422,9 @@ mod tests {
 
     #[test]
     fn mode_flags() {
-        let a = Args::parse(
-            ["x", "--prefixes", "--intersection"]
-                .iter()
-                .map(ToString::to_string),
-        )
-        .unwrap();
-        let (p, t) = parse_modes(&a);
-        assert_eq!(p, PrefilterMode::Intersection);
-        assert_eq!(t, TransactionMode::WithPrefixes);
+        let config = parse_config(&argv("x --prefixes --intersection")).unwrap();
+        assert_eq!(config.prefilter, PrefilterMode::Intersection);
+        assert_eq!(config.transactions, TransactionMode::WithPrefixes);
     }
 
     /// The one `stream` body replaying one trace file must print exactly
@@ -1809,14 +1836,97 @@ mod tests {
         assert!(flows.len() > 50_000, "25 intervals of the small scenario");
 
         // The small scenario's flood at interval 20 is on port 7000.
-        let md = parse_metadata("dstPort=7000").unwrap();
-        let ex =
-            Engine::extract(&ExtractRequest::new(&flows, &md, 1000).miner(MinerKind::FpGrowth));
+        let report = run(
+            analyze_to,
+            &format!("analyze --in {path} --metadata dstPort=7000 --support 1000"),
+        );
         assert!(
-            ex.itemsets
-                .iter()
-                .any(|s| s.to_string().contains("dstPort=7000")),
-            "flood recovered from the file"
+            report.contains("dstPort=7000,"),
+            "flood recovered from the file:\n{report}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `analyze` runs under the configuration `extract` parses: the rule
+    /// options add the ranked association rules to its report without
+    /// changing its item-sets, and `--rare` meets the same guard.
+    #[test]
+    fn analyze_takes_the_rule_options() {
+        let dir = scratch_dir("anomex-cli-analyze-rules-test");
+        let path = dir.join("trace.nfv5").display().to_string();
+        run(generate_to, &format!("generate --out {path} --seed 7"));
+        let analyze =
+            format!("analyze --in {path} --metadata dstPort=7000,#packets=12 --support 400");
+        let plain = run(analyze_to, &analyze);
+        assert!(!plain.contains("association rules"), "{plain}");
+        let ruled = run(analyze_to, &format!("{analyze} --rules"));
+        assert!(
+            ruled.contains("association rules ("),
+            "the rule section is printed:\n{ruled}"
+        );
+        for line in plain.lines() {
+            assert!(ruled.contains(line), "rules changed {line:?}");
+        }
+        let err = analyze_to(
+            &argv(&format!("{analyze} --rare --support 2")),
+            &mut Vec::new(),
+        );
+        assert!(err.unwrap_err().contains("--force-rare"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A reconfig file cannot lower the support of a `--rare` stream
+    /// below the guard without `--force-rare`: the request is rejected
+    /// and the checkpoint keeps the old support; with `--force-rare` it
+    /// lands.
+    #[test]
+    fn reconfig_meets_the_rare_guard() {
+        let dir = scratch_dir("anomex-cli-reconfig-rare-test");
+        let scenario = Scenario::small(7);
+        let ins = write_traces(&dir, 1, 6, |_, i| scenario.generate(i).flows).join(" ");
+        let stream = format!(
+            "stream {ins} --interval-min 1 --training 10 --rules --rare --support 200 \
+             --checkpoint-dir {} --stop-after 3",
+            dir.display()
+        );
+        for (force, support) in [("", 200), (" --force-rare", 2)] {
+            std::fs::write(dir.join("reconfig"), "min-support=2\n").unwrap();
+            run(stream_to, &format!("{stream}{force}"));
+            assert!(!dir.join("reconfig").exists(), "the request was consumed");
+            let path = dir.join("stream.ckpt");
+            let (engine, _) = restore_from_checkpoint(&path, None, 1, true).unwrap();
+            assert_eq!(engine.config().min_support, support, "{force:?}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A checkpoint whose configuration mines `--rare` below the guard
+    /// resumes only with `--force-rare`, whatever the resuming command
+    /// line says about the support.
+    #[test]
+    fn resume_meets_the_rare_guard() {
+        let dir = scratch_dir("anomex-cli-resume-rare-test");
+        let scenario = Scenario::small(7);
+        // Fewer intervals than the training window: nothing is ever mined.
+        let ins = write_traces(&dir, 1, 4, |_, i| scenario.generate(i).flows).join(" ");
+        let opts = format!(
+            "stream {ins} --interval-min 1 --training 10 --rules --rare --checkpoint-dir {}",
+            dir.display()
+        );
+        run(
+            stream_to,
+            &format!("{opts} --support 2 --force-rare --stop-after 1"),
+        );
+        let resume = format!("{opts} --support 200 --resume");
+        let err = stream_to(&argv(&resume), &mut Vec::new()).unwrap_err();
+        assert!(
+            err.starts_with("cannot resume from") && err.contains("--force-rare"),
+            "{err}"
+        );
+        let resumed = run(stream_to, &format!("{resume} --force-rare"));
+        assert!(
+            line(&resumed, "streamed ").contains(" into 4 intervals: "),
+            "{resumed}"
         );
         std::fs::remove_dir_all(&dir).ok();
     }

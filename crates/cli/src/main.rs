@@ -1,17 +1,6 @@
-//! `anomex` — command-line anomaly extraction.
-//!
-//! ```text
-//! anomex generate --out trace.nfv5 [--seed 42] [--scenario small|two-weeks] [--scale 0.25]
-//! anomex extract  --in trace.nfv5 [--interval-min 15] [--training 48] [--support 50]
-//!                 [--miner apriori|fpgrowth|eclat] [--prefixes] [--intersection]
-//! anomex stream   --in trace.nfv5|- [--interval-min 15] [--training 48] [--support 50]
-//!                 [--miner apriori|fpgrowth|eclat] [--threads N] [--verbose]
-//!                 [--checkpoint-dir DIR] [--checkpoint-every N] [--resume] [--stop-after N]
-//! anomex analyze  --in trace.nfv5 --metadata "dstPort=7000,#packets=12" [--support 50]
-//!                 [--top N] [--prefixes] [--intersection]
-//! anomex table2   [--scale 1.0]
-//! anomex help
-//! ```
+//! `anomex` — command-line anomaly extraction: `generate`, `extract`,
+//! `stream`, `analyze` and `table2`. `anomex help` prints every command
+//! and option (the `USAGE` text in `commands.rs`).
 //!
 //! Traces are concatenated NetFlow v5 datagrams — the same bytes a 2007
 //! router would export — so `generate` output is also a fixture for any
@@ -30,8 +19,8 @@ fn main() -> ExitCode {
     let parsed = match Args::parse(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!("{}", commands::USAGE);
+            commands::note(format_args!("error: {e}"));
+            commands::note(commands::USAGE);
             return ExitCode::FAILURE;
         }
     };
@@ -47,7 +36,7 @@ fn main() -> ExitCode {
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("error: {e}");
+            commands::note(format_args!("error: {e}"));
             ExitCode::FAILURE
         }
     }

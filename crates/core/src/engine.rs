@@ -1,13 +1,17 @@
 //! The extraction engine: the one type the whole pipeline runs through.
 //!
-//! - **Offline:** build an [`ExtractRequest`] (flows + meta-data + every
-//!   knob, each defaulting to the paper's setting) and call
-//!   [`Engine::extract`].
-//! - **Online:** construct with [`Engine::new`] (or
-//!   [`Engine::sequential`]) and feed intervals through
-//!   [`Engine::process`], which accepts either interval representation
-//!   via [`IntervalInput`] — a record slice or an `Arc`-shared columnar
-//!   store.
+//! Construct it with [`Engine::new`] (or [`Engine::sequential`]) from
+//! one [`ExtractionConfig`] — the paper's Table III parameters plus the
+//! miner, pre-filter, transaction and rule-layer choices — and run it
+//! either way:
+//!
+//! - **Online:** feed intervals through [`Engine::process`], which
+//!   accepts either interval representation via [`IntervalInput`] — a
+//!   record slice or an `Arc`-shared columnar store.
+//! - **Offline:** [`Engine::extract`] mines one batch of flows under
+//!   meta-data from elsewhere (another detector, an operator's hints) —
+//!   the same tail, under the same configuration, that an alarmed
+//!   interval runs online.
 //! - **Durability:** [`Engine::snapshot`] serializes the complete
 //!   mutable state (configuration + detector bank) into a checkpoint
 //!   payload and [`Engine::restore`] rebuilds an engine that scores
@@ -53,13 +57,12 @@
 //! sharded pipeline at K = 1 and there is exactly one implementation to
 //! keep correct.
 //!
-//! The pool's threads are spawned once (at construction, or for the
-//! duration of one [`Engine::extract`] call) and serve every pass — the
-//! detector's shard scatter-gather and the miners' counting passes share
-//! one set of workers, so nothing oversubscribes the machine. Pool jobs
-//! are `'static`, so per-interval state is shared by `Arc`: the
-//! interval's columnar store and the detector's immutable hash
-//! specification ([`BankHasher`]).
+//! The pool's threads are spawned once, at construction, and serve every
+//! pass, online and offline — the detector's shard scatter-gather and the
+//! miners' counting passes share one set of workers, so nothing
+//! oversubscribes the machine. Pool jobs are `'static`, so per-interval
+//! state is shared by `Arc`: the interval's columnar store and the
+//! detector's immutable hash specification ([`BankHasher`]).
 //!
 //! **Columnar storage.** The engine holds each interval as a
 //! [`FlowColumns`] struct-of-arrays store: every hot pass — histogram
@@ -73,17 +76,14 @@ use std::sync::Arc;
 
 use anomex_detector::{BankHasher, BankObservation, DetectorBank, MetaData};
 use anomex_mining::par::{map_ranges_arc, Exec, WorkerPool};
-use anomex_mining::{MinerKind, RuleConfig};
+use anomex_mining::RuleConfig;
 use anomex_netflow::shard::{default_shards, MAX_SHARDS};
 use anomex_netflow::snapshot::{RestoreError, SnapshotReader, SnapshotWriter};
 use anomex_netflow::{FlowColumns, FlowRecord};
 
 use crate::config::{ConfigError, ExtractionConfig};
-use crate::pipeline::{mine_at_indices, Extraction, IntervalOutcome, TransactionMode};
-use crate::prefilter::{
-    prefilter_indices_columns, prefilter_indices_columns_range_with, PrefilterMode,
-    PrefilterScratch,
-};
+use crate::pipeline::{extract_flows, mine_at_indices, Extraction, IntervalOutcome};
+use crate::prefilter::{prefilter_indices_columns_range_with, PrefilterScratch};
 
 /// One interval's flows, in whichever representation the caller already
 /// holds. [`Engine::process`] accepts `impl Into<IntervalInput>`, so
@@ -122,103 +122,6 @@ impl<'a> From<&'a Arc<FlowColumns>> for IntervalInput<'a> {
     }
 }
 
-/// A complete offline extraction request: the flows, the meta-data that
-/// drives pre-filtering, and every pipeline knob — built fluently, with
-/// each knob defaulting to the paper's setting (union pre-filter,
-/// canonical transactions, no rule layer, one shard) and the default
-/// miner (FP-growth).
-///
-/// ```
-/// use anomex_core::{Engine, ExtractRequest};
-/// use anomex_detector::MetaData;
-/// use anomex_netflow::FlowFeature;
-///
-/// let mut md = MetaData::new();
-/// md.insert(FlowFeature::DstPort, 7000);
-/// let flows = Vec::new();
-/// let extraction = Engine::extract(&ExtractRequest::new(&flows, &md, 500));
-/// assert_eq!(extraction.total_flows, 0);
-/// ```
-#[derive(Debug, Clone)]
-pub struct ExtractRequest<'a> {
-    interval: u64,
-    flows: &'a [FlowRecord],
-    metadata: &'a MetaData,
-    prefilter: PrefilterMode,
-    transactions: TransactionMode,
-    miner: MinerKind,
-    min_support: u64,
-    rules: Option<&'a RuleConfig>,
-    shards: NonZeroUsize,
-}
-
-impl<'a> ExtractRequest<'a> {
-    /// A request over `flows` with the given pre-filter `metadata` and
-    /// absolute minimum support, everything else at the paper's
-    /// defaults.
-    #[must_use]
-    pub fn new(flows: &'a [FlowRecord], metadata: &'a MetaData, min_support: u64) -> Self {
-        ExtractRequest {
-            interval: 0,
-            flows,
-            metadata,
-            prefilter: PrefilterMode::Union,
-            transactions: TransactionMode::Canonical,
-            miner: MinerKind::default(),
-            min_support,
-            rules: None,
-            shards: NonZeroUsize::MIN,
-        }
-    }
-
-    /// Tag the extraction with an interval index (default 0).
-    #[must_use]
-    pub fn interval(mut self, interval: u64) -> Self {
-        self.interval = interval;
-        self
-    }
-
-    /// Pre-filter semantics (default: union, per the paper).
-    #[must_use]
-    pub fn prefilter(mut self, mode: PrefilterMode) -> Self {
-        self.prefilter = mode;
-        self
-    }
-
-    /// Transaction shape (default: canonical width-7).
-    #[must_use]
-    pub fn transactions(mut self, mode: TransactionMode) -> Self {
-        self.transactions = mode;
-        self
-    }
-
-    /// Mining algorithm (default: [`MinerKind::default`], FP-growth; all
-    /// miners return bit-identical item-sets, and only
-    /// [`MinerKind::Apriori`] fills [`Extraction::levels`]).
-    #[must_use]
-    pub fn miner(mut self, miner: MinerKind) -> Self {
-        self.miner = miner;
-        self
-    }
-
-    /// Enable the association-rule layer (default: item-sets only).
-    #[must_use]
-    pub fn rules(mut self, rules: &'a RuleConfig) -> Self {
-        self.rules = Some(rules);
-        self
-    }
-
-    /// Fan the extraction out over `shards` pool workers (default: 1 =
-    /// inline; output is bit-identical for every count). Counts above
-    /// [`MAX_SHARDS`] are clamped to it — [`Engine::extract`] has no
-    /// error channel, and the output does not depend on the count.
-    #[must_use]
-    pub fn shards(mut self, shards: NonZeroUsize) -> Self {
-        self.shards = shards.min(MAX_SHARDS);
-        self
-    }
-}
-
 /// A request to change pipeline parameters on a live engine. Every field
 /// is optional — `None` leaves the current setting untouched — and the
 /// resulting configuration is validated as a whole before anything is
@@ -248,6 +151,24 @@ pub struct ReconfigRequest {
 }
 
 impl ReconfigRequest {
+    /// The configuration this request turns `config` into, not yet
+    /// validated: what [`Engine::reconfigure`] validates and applies.
+    /// (The shard count is not part of the configuration.)
+    #[must_use]
+    pub fn apply(&self, config: &ExtractionConfig) -> ExtractionConfig {
+        let mut candidate = config.clone();
+        if let Some(s) = self.min_support {
+            candidate.min_support = s;
+        }
+        if let Some(alpha) = self.alpha {
+            candidate.detector.alpha = alpha;
+        }
+        if let Some(rules) = self.rules {
+            candidate.rules = rules;
+        }
+        candidate
+    }
+
     /// Whether the request changes anything at all.
     #[must_use]
     pub fn is_empty(&self) -> bool {
@@ -380,35 +301,34 @@ impl Engine {
         Self::new(config, default_shards())
     }
 
-    /// One-shot offline extraction: pre-filter the request's flows with
-    /// its meta-data and mine maximal frequent item-sets, honouring every
-    /// knob on the request. With more than one shard a [`WorkerPool`] is
-    /// spawned for the duration of the call and drives the miner's
-    /// support counting (and the rule fan-out); output is bit-identical
-    /// for every shard count.
+    /// Offline extraction (§II-B with meta-data from elsewhere):
+    /// pre-filter `flows` with `metadata` and mine the survivors under
+    /// the engine's configuration — miner, support, pre-filter,
+    /// transaction shape and rule layer — on its persistent pool. It is
+    /// the tail an alarmed interval runs in [`process`](Self::process):
+    /// given that interval's flows and voted meta-data it returns the
+    /// same extraction, tagged interval 0. Output is bit-identical for
+    /// every shard count, and the detector bank is not touched.
+    ///
+    /// ```
+    /// use anomex_core::{Engine, ExtractionConfig};
+    /// use anomex_detector::MetaData;
+    /// use anomex_netflow::FlowFeature;
+    ///
+    /// let config = ExtractionConfig { min_support: 500, ..ExtractionConfig::default() };
+    /// let engine = Engine::sequential(config).unwrap();
+    /// let mut md = MetaData::new();
+    /// md.insert(FlowFeature::DstPort, 7000);
+    /// let extraction = engine.extract(&[], &md);
+    /// assert_eq!(extraction.total_flows, 0);
+    /// ```
     ///
     /// # Panics
     ///
-    /// Panics if `min_support` is zero or a pool worker panics.
+    /// Panics if a pool worker panics.
     #[must_use]
-    pub fn extract(req: &ExtractRequest<'_>) -> Extraction {
-        let pool = spawn_pool(req.shards);
-        // One conversion into the columnar store up front; every pass
-        // below (pre-filter, transaction gather) walks contiguous
-        // columns.
-        let cols = FlowColumns::from_flows(req.flows);
-        let indices = prefilter_indices_columns(&cols, req.metadata, req.prefilter);
-        mine_at_indices(
-            req.interval,
-            &cols,
-            &indices,
-            req.metadata,
-            req.transactions,
-            req.miner,
-            req.min_support,
-            req.rules,
-            exec_of(&pool),
-        )
+    pub fn extract(&self, flows: &[FlowRecord], metadata: &MetaData) -> Extraction {
+        extract_flows(flows, metadata, &self.config, exec_of(&self.pool))
     }
 
     /// The pipeline configuration.
@@ -482,10 +402,7 @@ impl Engine {
                 cols,
                 &indices,
                 &observation.metadata,
-                self.config.transactions,
-                self.config.miner,
-                self.config.min_support,
-                self.config.rules.as_ref(),
+                &self.config,
                 exec,
             ))
         } else {
@@ -509,16 +426,7 @@ impl Engine {
     /// Returns the first constraint the requested configuration would
     /// violate, or a shard count above [`MAX_SHARDS`].
     pub fn reconfigure(&mut self, req: &ReconfigRequest) -> Result<(), ConfigError> {
-        let mut candidate = self.config.clone();
-        if let Some(s) = req.min_support {
-            candidate.min_support = s;
-        }
-        if let Some(alpha) = req.alpha {
-            candidate.detector.alpha = alpha;
-        }
-        if let Some(rules) = &req.rules {
-            candidate.rules = *rules;
-        }
+        let candidate = req.apply(&self.config);
         candidate.validate()?;
         if let Some(shards) = req.shards {
             check_shards(shards)?;
@@ -584,8 +492,8 @@ impl Engine {
 mod tests {
     use super::*;
     use anomex_detector::DetectorConfig;
-    use anomex_netflow::FlowFeature;
-    use anomex_traffic::{table2_workload, Scenario};
+    use anomex_mining::MinerKind;
+    use anomex_traffic::Scenario;
 
     fn nz(n: usize) -> NonZeroUsize {
         NonZeroUsize::new(n).unwrap()
@@ -601,36 +509,6 @@ mod tests {
             min_support,
             ..ExtractionConfig::default()
         }
-    }
-
-    #[test]
-    fn offline_sharded_extraction_matches_sequential() {
-        let w = table2_workload(7, 0.05);
-        let mut md = MetaData::new();
-        md.insert(FlowFeature::DstPort, 7000);
-        md.insert(FlowFeature::DstPort, 80);
-        let reference = Engine::extract(&ExtractRequest::new(&w.flows, &md, w.min_support));
-        for shards in 1..=6 {
-            let sharded = Engine::extract(
-                &ExtractRequest::new(&w.flows, &md, w.min_support).shards(nz(shards)),
-            );
-            assert_eq!(sharded.itemsets, reference.itemsets, "shards={shards}");
-            assert_eq!(sharded.levels, reference.levels, "shards={shards}");
-            assert_eq!(sharded.suspicious_flows, reference.suspicious_flows);
-            assert_eq!(
-                sharded.cost_reduction.to_bits(),
-                reference.cost_reduction.to_bits()
-            );
-        }
-        let eclat = Engine::extract(
-            &ExtractRequest::new(&w.flows, &md, w.min_support)
-                .miner(MinerKind::Eclat)
-                .shards(nz(3)),
-        );
-        assert_eq!(
-            eclat.itemsets, reference.itemsets,
-            "miners and shards agree"
-        );
     }
 
     #[test]
@@ -662,6 +540,53 @@ mod tests {
         }
     }
 
+    /// The offline method is the online tail: on every alarmed interval
+    /// of a scenario with a planted flood, a second engine under the same
+    /// configuration, given the interval's flows and voted meta-data,
+    /// extracts exactly what the online engine did — for Apriori and
+    /// FP-growth, rules on and off, at 1 and 3 shards.
+    #[test]
+    fn offline_extract_is_the_online_tail() {
+        let scenario = Scenario::small(11);
+        let intervals: Vec<_> = (0..scenario.interval_count().min(24))
+            .map(|i| scenario.generate(i).flows)
+            .collect();
+        for miner in [MinerKind::Apriori, MinerKind::FpGrowth] {
+            for rules in [None, Some(RuleConfig::default())] {
+                for shards in [1, 3] {
+                    let config = ExtractionConfig {
+                        miner,
+                        rules,
+                        ..test_config(800)
+                    };
+                    let mut online = Engine::new(config.clone(), nz(shards)).unwrap();
+                    let offline = Engine::new(config, nz(shards)).unwrap();
+                    let mut alarmed = 0;
+                    for flows in &intervals {
+                        let outcome = online.process(flows);
+                        let Some(live) = outcome.extraction else {
+                            continue;
+                        };
+                        alarmed += 1;
+                        let mut ex = offline.extract(flows, &outcome.observation.metadata);
+                        ex.interval = live.interval;
+                        // `Debug` shows every field — item-sets with their
+                        // supports, levels, rules — and every float as the
+                        // shortest string that round-trips, so equal text
+                        // is equal bits.
+                        assert_eq!(
+                            format!("{ex:?}"),
+                            format!("{live:?}"),
+                            "{miner}, rules {}, {shards} shards",
+                            rules.is_some()
+                        );
+                    }
+                    assert!(alarmed > 0, "the planted flood alarms");
+                }
+            }
+        }
+    }
+
     #[test]
     fn available_parallelism_constructor_works() {
         let e = Engine::with_available_parallelism(test_config(500)).unwrap();
@@ -681,13 +606,6 @@ mod tests {
         // before any thread is spawned.
         let err = Engine::new(test_config(100), nz(MAX_SHARDS.get() + 1)).unwrap_err();
         assert!(err.to_string().contains("shard count"), "{err}");
-    }
-
-    #[test]
-    fn offline_shard_counts_above_the_bound_are_clamped() {
-        let md = MetaData::new();
-        let req = ExtractRequest::new(&[], &md, 1).shards(nz(usize::MAX));
-        assert_eq!(req.shards, MAX_SHARDS);
     }
 
     #[test]

@@ -18,13 +18,14 @@
 //!    ([`anomex_mining`]).
 //!
 //! Entry points:
-//! - [`Engine`] — the one engine type: offline extraction via
-//!   [`Engine::extract`] with an [`ExtractRequest`] (every knob in one
-//!   builder), online operation via [`Engine::process`] over either
-//!   [`IntervalInput`] representation (feed intervals, get
-//!   [`Extraction`]s) — inline at one shard, fanned out over a
-//!   persistent worker pool above that, with output bit-identical for
-//!   every shard count — plus checkpointing ([`Engine::snapshot`] /
+//! - [`Engine`] — the one engine type, built from one
+//!   [`ExtractionConfig`]: online operation via [`Engine::process`] over
+//!   either [`IntervalInput`] representation (feed intervals, get
+//!   [`Extraction`]s), offline extraction under meta-data from elsewhere
+//!   via [`Engine::extract`] (the same tail, under the same
+//!   configuration) — inline at one shard, fanned out over a persistent
+//!   worker pool above that, with output bit-identical for every shard
+//!   count — plus checkpointing ([`Engine::snapshot`] /
 //!   [`Engine::restore`]) and live reconfiguration
 //!   ([`Engine::reconfigure`] with a [`ReconfigRequest`]);
 //! - [`MultiSourceExtractor`] — the one continuous engine: N ≥ 1
@@ -65,7 +66,7 @@ pub mod streaming;
 pub use classify::classify_itemset;
 pub use config::{ConfigError, ExtractionConfig};
 pub use cost::{average_cost_reduction, cost_reduction};
-pub use engine::{Engine, ExtractRequest, IntervalInput, ReconfigRequest};
+pub use engine::{Engine, IntervalInput, ReconfigRequest};
 pub use evaluate::{
     evaluate_itemsets, run_scenario, EvaluatedItemSet, IntervalRecord, ScenarioRun,
     SupportSweepPoint, Table4Row,

@@ -2,23 +2,22 @@
 //!
 //! Detector bank → alarm meta-data (union over features) → pre-filter →
 //! frequent item-set mining → maximal item-sets as the anomaly summary.
-//! [`Engine`] runs the whole loop online, interval by interval
-//! ([`Engine::process`]); [`Engine::extract`] is the offline entry point
+//! [`Engine`](crate::Engine) runs the whole loop online, interval by
+//! interval ([`Engine::process`](crate::Engine::process));
+//! [`Engine::extract`](crate::Engine::extract) is the offline entry point
 //! when the meta-data comes from elsewhere (another detector type from
-//! Table I, or an administrator's manual hints). This module holds the
-//! value types both produce and the mining tail both share.
+//! Table I, or an administrator's manual hints). Both run under the
+//! engine's one [`ExtractionConfig`]. This module holds the value types
+//! both produce and the mining tail both share.
 
 use anomex_detector::{BankObservation, MetaData};
-use anomex_mining::apriori::{apriori_exec, AprioriConfig};
 use anomex_mining::par::Exec;
-use anomex_mining::{
-    merge_rule_sets, ItemSet, LevelStats, MineTask, MinerKind, RuleConfig, RuleSet, TransactionSet,
-};
+use anomex_mining::{merge_rule_sets, ItemSet, LevelStats, RuleSet, TransactionSet};
 use anomex_netflow::{FlowColumns, FlowRecord};
 
 use crate::config::ExtractionConfig;
 use crate::cost::cost_reduction;
-use crate::engine::{Engine, ExtractRequest};
+use crate::prefilter::prefilter_indices_columns;
 
 /// How flows are mapped to mining transactions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -33,35 +32,10 @@ pub enum TransactionMode {
 }
 
 impl TransactionMode {
-    /// Build the transaction set for a batch of flows under this mode.
-    #[must_use]
-    pub fn transactions(self, flows: &[FlowRecord]) -> TransactionSet {
-        match self {
-            TransactionMode::Canonical => TransactionSet::from_flows(flows),
-            TransactionMode::WithPrefixes => TransactionSet::from_flows_extended(flows),
-        }
-    }
-
-    /// Build the transaction set for the flows selected by `indices` —
-    /// the zero-copy path from a pre-filter index slice straight to
-    /// mining input, with no intermediate `Vec<FlowRecord>`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an index is out of bounds for `flows`.
-    #[must_use]
-    pub fn transactions_at(self, flows: &[FlowRecord], indices: &[usize]) -> TransactionSet {
-        match self {
-            TransactionMode::Canonical => TransactionSet::from_flows_at(flows, indices),
-            TransactionMode::WithPrefixes => TransactionSet::from_flows_extended_at(flows, indices),
-        }
-    }
-
     /// Build the transaction set for the columnar rows selected by
-    /// `indices` — the struct-of-arrays counterpart of
-    /// [`transactions_at`](Self::transactions_at), gathering one feature
-    /// column at a time. Bit-identical to converting the rows to
-    /// [`FlowRecord`]s first.
+    /// `indices` — the zero-copy path from a pre-filter index slice
+    /// straight to mining input, gathering one feature column at a time.
+    /// Bit-identical to converting the rows to [`FlowRecord`]s first.
     ///
     /// # Panics
     ///
@@ -92,10 +66,10 @@ pub struct Extraction {
     /// The extracted maximal frequent item-sets, canonically ordered.
     pub itemsets: Vec<ItemSet>,
     /// Apriori per-level audit trail: filled only when the extraction
-    /// ran [`MinerKind::Apriori`] (the Table II path), empty for the
-    /// default FP-growth and for Eclat. [`render_report`](crate::render_report)
-    /// never prints it; [`render_level_stats`](crate::render_level_stats)
-    /// does.
+    /// ran [`MinerKind::Apriori`](anomex_mining::MinerKind::Apriori)
+    /// (the Table II path), empty for the default FP-growth and for
+    /// Eclat. [`render_report`](crate::render_report) never prints it;
+    /// [`render_level_stats`](crate::render_level_stats) does.
     pub levels: Vec<LevelStats>,
     /// Classification-cost reduction `R = F / I` for this interval.
     pub cost_reduction: f64,
@@ -107,40 +81,26 @@ pub struct Extraction {
 /// The shared mining tail of every extraction path: gather transactions
 /// for the pre-filtered `indices` from a [`FlowColumns`] store (one
 /// feature column at a time, zero-copy — straight from index slice to
-/// transactions), mine maximal item-sets in the given execution context
-/// (inline, or the engine's persistent worker pool), optionally layer
-/// the association rules on top ([`MineTask::run_with_rules`] — one
-/// mining pass serves both outputs), and assemble the [`Extraction`].
-#[allow(clippy::too_many_arguments)]
+/// transactions), mine them under `config` in the given execution
+/// context (inline, or the engine's persistent worker pool) — one
+/// [`MinerKind::mine`](anomex_mining::MinerKind::mine) pass serves the
+/// item-sets and, when the rule layer is on, the rules — and assemble
+/// the [`Extraction`].
 pub(crate) fn mine_at_indices(
     interval: u64,
     cols: &FlowColumns,
     indices: &[usize],
     metadata: &MetaData,
-    tx_mode: TransactionMode,
-    miner: MinerKind,
-    min_support: u64,
-    rule_config: Option<&RuleConfig>,
+    config: &ExtractionConfig,
     exec: Exec<'_>,
 ) -> Extraction {
-    let transactions = tx_mode.transactions_at_columns(cols, indices);
-    let (itemsets, levels, rules) = match rule_config {
-        Some(rc) => {
-            let out = MineTask::maximal(miner, &transactions, min_support).run_with_rules(rc, exec);
-            (out.itemsets, out.levels, Some(out.rules))
-        }
-        None => match miner {
-            MinerKind::Apriori => {
-                let out = apriori_exec(&transactions, &AprioriConfig::maximal(min_support), exec);
-                (out.itemsets, out.levels, None)
-            }
-            other => (
-                other.mine_maximal_exec(&transactions, min_support, exec),
-                Vec::new(),
-                None,
-            ),
-        },
-    };
+    let transactions = config.transactions.transactions_at_columns(cols, indices);
+    let (itemsets, levels, rules) = config.miner.mine(
+        &transactions,
+        config.min_support,
+        config.rules.as_ref(),
+        exec,
+    );
     Extraction {
         interval,
         metadata: metadata.clone(),
@@ -151,6 +111,21 @@ pub(crate) fn mine_at_indices(
         levels,
         rules,
     }
+}
+
+/// The offline tail [`Engine::extract`](crate::Engine::extract) and
+/// [`merge_source_rules`] share: transpose `flows` once into a columnar
+/// store, pre-filter it with `metadata`, and mine the survivors under
+/// `config`. The extraction is tagged interval 0.
+pub(crate) fn extract_flows(
+    flows: &[FlowRecord],
+    metadata: &MetaData,
+    config: &ExtractionConfig,
+    exec: Exec<'_>,
+) -> Extraction {
+    let cols = FlowColumns::from_flows(flows);
+    let indices = prefilter_indices_columns(&cols, metadata, config.prefilter);
+    mine_at_indices(0, &cols, &indices, metadata, config, exec)
 }
 
 /// Per-source rule extraction and merge — the weighted-support answer to
@@ -175,8 +150,7 @@ pub fn merge_source_rules(
     metadata: &MetaData,
     config: &ExtractionConfig,
 ) -> Option<RuleSet> {
-    let rule_config = config.rules.as_ref()?;
-    if source_flows.iter().sum::<usize>() != flows.len() {
+    if config.rules.is_none() || source_flows.iter().sum::<usize>() != flows.len() {
         return None;
     }
     let total = flows.len() as u64;
@@ -191,13 +165,11 @@ pub fn merge_source_rules(
         // u128: `min_support × len` overflows u64 for large supports.
         let weighted = u128::from(config.min_support) * len as u128 / u128::from(total);
         let support = u64::try_from(weighted).unwrap_or(u64::MAX).max(1);
-        let extraction = Engine::extract(
-            &ExtractRequest::new(segment, metadata, support)
-                .prefilter(config.prefilter)
-                .transactions(config.transactions)
-                .miner(config.miner)
-                .rules(rule_config),
-        );
+        let segment_config = ExtractionConfig {
+            min_support: support,
+            ..config.clone()
+        };
+        let extraction = extract_flows(segment, metadata, &segment_config, Exec::Inline);
         if let Some(rules) = extraction.rules {
             per_source.push(rules);
         }
@@ -218,7 +190,9 @@ pub struct IntervalOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Engine;
     use anomex_detector::DetectorConfig;
+    use anomex_mining::{MinerKind, RuleConfig};
     use anomex_netflow::{FlowFeature, Protocol};
     use anomex_traffic::Scenario;
     use std::net::Ipv4Addr;
@@ -233,6 +207,16 @@ mod tests {
             min_support,
             ..ExtractionConfig::default()
         }
+    }
+
+    /// A sequential engine for offline extraction at `min_support` with
+    /// `miner`.
+    fn offline(min_support: u64, miner: MinerKind) -> Engine {
+        Engine::sequential(ExtractionConfig {
+            miner,
+            ..test_config(min_support)
+        })
+        .unwrap()
     }
 
     #[test]
@@ -265,7 +249,7 @@ mod tests {
         }
         let mut md = MetaData::new();
         md.insert(FlowFeature::DstPort, 7000);
-        let ex = Engine::extract(&ExtractRequest::new(&flows, &md, 400).miner(MinerKind::Apriori));
+        let ex = offline(400, MinerKind::Apriori).extract(&flows, &md);
         assert_eq!(ex.total_flows, 1000);
         assert_eq!(ex.suspicious_flows, 500);
         assert!(!ex.itemsets.is_empty());
@@ -284,15 +268,9 @@ mod tests {
         let mut md = MetaData::new();
         md.insert(FlowFeature::DstPort, 7000);
         md.insert(FlowFeature::DstPort, 80);
-        let a = Engine::extract(
-            &ExtractRequest::new(&w.flows, &md, w.min_support).miner(MinerKind::Apriori),
-        );
-        let f = Engine::extract(
-            &ExtractRequest::new(&w.flows, &md, w.min_support).miner(MinerKind::FpGrowth),
-        );
-        let e = Engine::extract(
-            &ExtractRequest::new(&w.flows, &md, w.min_support).miner(MinerKind::Eclat),
-        );
+        let a = offline(w.min_support, MinerKind::Apriori).extract(&w.flows, &md);
+        let f = offline(w.min_support, MinerKind::FpGrowth).extract(&w.flows, &md);
+        let e = offline(w.min_support, MinerKind::Eclat).extract(&w.flows, &md);
         assert_eq!(a.itemsets, f.itemsets);
         assert_eq!(f.itemsets, e.itemsets);
         assert_eq!(a.suspicious_flows, f.suspicious_flows);

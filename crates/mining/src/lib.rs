@@ -22,10 +22,11 @@
 //!   one output contract;
 //! - [`filter_maximal`] — maximal-item-set filtering;
 //! - [`MinerKind`] — runtime-selectable miner (default FP-growth);
+//!   [`MinerKind::mine`] is the one dispatch an extraction runs through
+//!   (maximal item-sets, Apriori's audit trail, optional rules), in any
+//!   [`par::Exec`] context;
 //! - [`mine_top_k`] and [`mine_closed`] — the paper's §V extensions
 //!   (report-size-driven mining; lossless closed-set compression);
-//! - [`MineTask`] — one mining invocation (algorithm, mode, support,
-//!   input) as a value, executable in any [`par::Exec`] context;
 //! - [`par`] — deterministic parallelism: the flat counting passes
 //!   (single-item counts, Apriori's level-k count, Eclat's tid-lists)
 //!   and the rule fan-out run as ordered chunk maps
@@ -56,7 +57,6 @@ pub mod maximal;
 pub mod miner;
 pub mod par;
 pub mod rules;
-pub mod task;
 pub mod topk;
 pub mod transaction;
 
@@ -72,6 +72,5 @@ pub use par::{map_chunks_arc, Exec};
 pub use rules::{
     generate_rules, merge_rule_sets, Rule, RuleConfig, RuleSet, ScoredRule, RARE_SUPPORT_GUARD,
 };
-pub use task::{MineTask, RuleMineOutput};
 pub use topk::{mine_top_k, TopK};
 pub use transaction::{Transaction, TransactionError, TransactionSet, CANONICAL_WIDTH, MAX_WIDTH};

@@ -1,11 +1,16 @@
-//! Unified miner interface: the three algorithms are interchangeable.
+//! Unified miner interface: the three algorithms are interchangeable, and
+//! [`MinerKind::mine`] is the one dispatch every extraction runs through.
 
 use std::fmt;
 
+use crate::apriori::{apriori_exec, AprioriConfig, LevelStats};
+use crate::eclat::eclat_exec;
+use crate::fpgrowth::fpgrowth_exec;
 use crate::itemset::ItemSet;
+use crate::maximal::filter_maximal;
 use crate::par::Exec;
-use crate::task::MineTask;
-use crate::transaction::TransactionSet;
+use crate::rules::{generate_rules, RuleConfig, RuleSet};
+use crate::transaction::{Transaction, TransactionSet};
 
 /// Which frequent item-set algorithm to run.
 ///
@@ -17,7 +22,7 @@ use crate::transaction::TransactionSet;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MinerKind {
     /// Level-wise Apriori (the paper's algorithm; the only miner that
-    /// records [`LevelStats`](crate::LevelStats)).
+    /// records [`LevelStats`]).
     Apriori,
     /// FP-growth (pattern-growth, no candidate generation) — the default.
     #[default]
@@ -56,7 +61,7 @@ impl MinerKind {
     /// ([`Exec::Pool`] runs the flat counting passes as chunk jobs on the
     /// engine's persistent pool; the search runs on the calling thread).
     /// Output is bit-identical to the single-threaded call for every
-    /// miner and context. Dispatches through [`MineTask`].
+    /// miner and context.
     ///
     /// # Panics
     ///
@@ -68,13 +73,17 @@ impl MinerKind {
         min_support: u64,
         exec: Exec<'_>,
     ) -> Vec<ItemSet> {
-        MineTask::all(self, set, min_support).run(exec)
+        match self {
+            MinerKind::Apriori => {
+                apriori_exec(set, &AprioriConfig::all_frequent(min_support), exec).itemsets
+            }
+            MinerKind::FpGrowth => fpgrowth_exec(set, min_support, exec),
+            MinerKind::Eclat => eclat_exec(set, min_support, exec),
+        }
     }
 
     /// [`mine_maximal`](Self::mine_maximal) in the given execution
-    /// context. Output is bit-identical to the
-    /// single-threaded call for every miner and context. Dispatches
-    /// through [`MineTask`].
+    /// context: the item-sets of [`mine`](Self::mine) without rules.
     ///
     /// # Panics
     ///
@@ -86,7 +95,64 @@ impl MinerKind {
         min_support: u64,
         exec: Exec<'_>,
     ) -> Vec<ItemSet> {
-        MineTask::maximal(self, set, min_support).run(exec)
+        self.mine(set, min_support, None, exec).0
+    }
+
+    /// One extraction's mining pass: the maximal frequent item-sets at
+    /// `min_support` (canonically ordered), Apriori's per-level audit
+    /// trail (empty for the other miners), and — iff `rules` is given —
+    /// the ranked association rules.
+    ///
+    /// All frequent item-sets are mined once, at
+    /// [`RuleConfig::mining_floor`] with rules (`min_support` outside
+    /// rare mode) and at `min_support` without. The maximal sets at
+    /// `min_support` follow from that one run by downward closure, so
+    /// enabling rules never changes the item-set report, and the rules
+    /// are generated, filtered and ranked from the counted supports by
+    /// [`generate_rules`]. Output is bit-identical in every execution
+    /// context.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `min_support` is zero.
+    #[must_use]
+    pub fn mine(
+        self,
+        set: &TransactionSet,
+        min_support: u64,
+        rules: Option<&RuleConfig>,
+        exec: Exec<'_>,
+    ) -> (Vec<ItemSet>, Vec<LevelStats>, Option<RuleSet>) {
+        let floor = match rules {
+            None => min_support,
+            Some(rc) => {
+                let width = (set.transactions().iter())
+                    .map(Transaction::width)
+                    .max()
+                    .unwrap_or(0);
+                if width == 0 {
+                    return (Vec::new(), Vec::new(), Some(RuleSet::empty()));
+                }
+                rc.mining_floor(min_support, width)
+            }
+        };
+        let (mut frequent, mut levels) = match self {
+            MinerKind::Apriori => {
+                let out = apriori_exec(set, &AprioriConfig::all_frequent(floor), exec);
+                (out.itemsets, out.levels)
+            }
+            _ => (self.mine_all_exec(set, floor, exec), Vec::new()),
+        };
+        let ranked =
+            rules.map(|rc| generate_rules(&frequent, set.len() as u64, min_support, rc, exec));
+        frequent.retain(|s| s.support >= min_support);
+        let itemsets = filter_maximal(frequent);
+        for s in &itemsets {
+            if let Some(stats) = levels.get_mut(s.len() - 1) {
+                stats.maximal += 1;
+            }
+        }
+        (itemsets, levels, ranked)
     }
 }
 
@@ -104,7 +170,6 @@ impl fmt::Display for MinerKind {
 mod tests {
     use super::*;
     use crate::item::Item;
-    use crate::transaction::Transaction;
     use anomex_netflow::FlowFeature;
 
     fn sample() -> TransactionSet {
@@ -171,6 +236,55 @@ mod tests {
                 "{kind} all-frequent"
             );
         }
+    }
+
+    #[test]
+    fn apriori_audit_trail_comes_back_from_mine() {
+        let set = sample();
+        let (itemsets, levels, rules) = MinerKind::Apriori.mine(&set, 3, None, Exec::inline());
+        let reference = crate::apriori::apriori(&set, &AprioriConfig::maximal(3));
+        assert_eq!(itemsets, reference.itemsets);
+        assert_eq!(levels, reference.levels);
+        assert!(rules.is_none());
+        assert!(MinerKind::FpGrowth
+            .mine(&set, 3, None, Exec::inline())
+            .1
+            .is_empty());
+    }
+
+    #[test]
+    fn rules_leave_the_maximal_report_and_audit_trail_unchanged() {
+        let set = sample();
+        let loose = RuleConfig {
+            min_confidence: 0.0,
+            min_lift: 0.0,
+            rare: false,
+        };
+        for kind in MinerKind::ALL {
+            let (plain, plain_levels, _) = kind.mine(&set, 3, None, Exec::inline());
+            let (itemsets, levels, rules) = kind.mine(&set, 3, Some(&loose), Exec::inline());
+            assert_eq!(itemsets, plain, "{kind}: rules changed the item-set report");
+            assert_eq!(
+                levels, plain_levels,
+                "{kind}: rules changed the audit trail"
+            );
+            let rules = rules.expect("rules requested");
+            assert!(!rules.is_empty(), "{kind}");
+            assert_eq!(rules.transactions, set.len() as u64);
+        }
+    }
+
+    #[test]
+    fn rules_over_an_empty_set_are_empty() {
+        let (itemsets, levels, rules) = MinerKind::Apriori.mine(
+            &TransactionSet::new(),
+            1,
+            Some(&RuleConfig::default()),
+            Exec::inline(),
+        );
+        assert!(itemsets.is_empty());
+        assert!(levels.is_empty());
+        assert!(rules.expect("rules requested").is_empty());
     }
 
     #[test]

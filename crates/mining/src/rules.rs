@@ -451,7 +451,7 @@ fn rules_for_block(
 ///
 /// ```
 /// use anomex_mining::rules::{generate_rules, RuleConfig};
-/// use anomex_mining::{Exec, Item, MineTask, MinerKind, Transaction, TransactionSet};
+/// use anomex_mining::{Exec, Item, MinerKind, Transaction, TransactionSet};
 /// use anomex_netflow::FlowFeature;
 ///
 /// let mut set = TransactionSet::new();
@@ -465,7 +465,7 @@ fn rules_for_block(
 ///         .unwrap(),
 ///     );
 /// }
-/// let frequent = MineTask::all(MinerKind::Apriori, &set, 1).run(Exec::inline());
+/// let frequent = MinerKind::Apriori.mine_all(&set, 1);
 /// let config = RuleConfig { min_confidence: 0.5, min_lift: 0.0, rare: false };
 /// let ranked = generate_rules(&frequent, set.len() as u64, 1, &config, Exec::inline());
 /// let rule = ranked
@@ -602,7 +602,6 @@ pub fn merge_rule_sets(sets: &[RuleSet]) -> RuleSet {
 mod tests {
     use super::*;
     use crate::miner::MinerKind;
-    use crate::task::MineTask;
     use crate::transaction::{Transaction, TransactionSet};
     use anomex_netflow::FlowFeature;
 
@@ -629,7 +628,7 @@ mod tests {
     }
 
     fn all_frequent(set: &TransactionSet, support: u64) -> Vec<ItemSet> {
-        MineTask::all(MinerKind::Apriori, set, support).run(Exec::inline())
+        MinerKind::Apriori.mine_all(set, support)
     }
 
     fn loose() -> RuleConfig {

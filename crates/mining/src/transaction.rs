@@ -187,47 +187,11 @@ impl TransactionSet {
         }
     }
 
-    /// Build canonical transactions for the flows selected by `indices` —
-    /// the zero-copy pre-filter path: the pre-filter yields index slices
-    /// into the interval and transactions are built straight from them,
-    /// with no intermediate `Vec<FlowRecord>` materialization.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an index is out of bounds for `flows`.
-    #[must_use]
-    pub fn from_flows_at(flows: &[FlowRecord], indices: &[usize]) -> Self {
-        TransactionSet {
-            transactions: Arc::new(
-                indices
-                    .iter()
-                    .map(|&i| Transaction::from_flow(&flows[i]))
-                    .collect(),
-            ),
-        }
-    }
-
-    /// [`from_flows_at`](Self::from_flows_at) for width-9 extended
-    /// transactions (with /16 prefix dimensions).
-    ///
-    /// # Panics
-    ///
-    /// Panics if an index is out of bounds for `flows`.
-    #[must_use]
-    pub fn from_flows_extended_at(flows: &[FlowRecord], indices: &[usize]) -> Self {
-        TransactionSet {
-            transactions: Arc::new(
-                indices
-                    .iter()
-                    .map(|&i| Transaction::from_flow_extended(&flows[i]))
-                    .collect(),
-            ),
-        }
-    }
-
     /// Build canonical transactions for the rows of a columnar store
-    /// selected by `indices` — the struct-of-arrays counterpart of
-    /// [`from_flows_at`](Self::from_flows_at). Items are gathered
+    /// selected by `indices` — the zero-copy pre-filter path: the
+    /// pre-filter yields index slices into the interval and transactions
+    /// are built straight from them, with no intermediate
+    /// `Vec<FlowRecord>`. Items are gathered
     /// **column-wise**: slot `k` of every transaction is filled from
     /// feature `k`'s single column before moving to the next feature, so
     /// the pass reads one contiguous column at a time instead of striding
@@ -433,32 +397,6 @@ mod tests {
     }
 
     #[test]
-    fn indexed_construction_matches_filtered_copy() {
-        let flows: Vec<FlowRecord> = (0..50u16)
-            .map(|p| {
-                FlowRecord::new(
-                    u64::from(p),
-                    Ipv4Addr::new(10, 0, 0, 1),
-                    Ipv4Addr::new(10, 0, 0, 2),
-                    4000,
-                    p,
-                    Protocol::Tcp,
-                )
-            })
-            .collect();
-        let indices: Vec<usize> = (0..50).filter(|i| i % 3 == 0).collect();
-        let copied: Vec<FlowRecord> = indices.iter().map(|&i| flows[i]).collect();
-        assert_eq!(
-            TransactionSet::from_flows_at(&flows, &indices).transactions(),
-            TransactionSet::from_flows(&copied).transactions()
-        );
-        assert_eq!(
-            TransactionSet::from_flows_extended_at(&flows, &indices).transactions(),
-            TransactionSet::from_flows_extended(&copied).transactions()
-        );
-    }
-
-    #[test]
     fn columnar_gather_matches_record_construction() {
         let flows: Vec<FlowRecord> = (0..60u32)
             .map(|i| {
@@ -475,13 +413,14 @@ mod tests {
             .collect();
         let cols = FlowColumns::from_flows(&flows);
         let indices: Vec<usize> = (0..60).filter(|i| i % 4 != 1).collect();
+        let selected: Vec<FlowRecord> = indices.iter().map(|&i| flows[i]).collect();
         assert_eq!(
             TransactionSet::from_columns_at(&cols, &indices).transactions(),
-            TransactionSet::from_flows_at(&flows, &indices).transactions()
+            TransactionSet::from_flows(&selected).transactions()
         );
         assert_eq!(
             TransactionSet::from_columns_extended_at(&cols, &indices).transactions(),
-            TransactionSet::from_flows_extended_at(&flows, &indices).transactions()
+            TransactionSet::from_flows_extended(&selected).transactions()
         );
         assert!(TransactionSet::from_columns_at(&cols, &[]).is_empty());
     }

@@ -18,7 +18,7 @@ use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 use anomex_mining::par::{map_chunks_arc, Exec, WorkerPool, MIN_ITEMS_PER_THREAD};
-use anomex_mining::{Item, MineTask, MinerKind, RuleConfig, Transaction, TransactionSet};
+use anomex_mining::{Item, MinerKind, RuleConfig, Transaction, TransactionSet};
 use anomex_netflow::FlowFeature;
 use proptest::prelude::*;
 
@@ -97,7 +97,7 @@ proptest! {
         }
     }
 
-    /// The rule layer inherits the guarantee: `run_with_rules` — the
+    /// The rule layer inherits the guarantee: `mine` with rules — the
     /// all-frequent mining pass, the rule fan-out over base item-sets,
     /// and the z-score ranking — is bit-identical across every
     /// execution context for every miner, rare mode included. Floats
@@ -115,18 +115,20 @@ proptest! {
         // Permissive filters so plenty of rules survive to be compared.
         let rc = RuleConfig { min_confidence: 0.2, min_lift: 0.0, rare: rare_bit == 1 };
         for kind in MinerKind::ALL {
-            let task = MineTask::maximal(kind, &set, min_support);
-            let reference = task.run_with_rules(&rc, Exec::inline());
+            let (ref_itemsets, ref_levels, ref_rules) =
+                kind.mine(&set, min_support, Some(&rc), Exec::inline());
+            let ref_rules = ref_rules.expect("rules requested");
             for (label, exec) in [
                 ("one-worker pool", Exec::Pool(&single)),
                 ("pool", Exec::Pool(&pool)),
             ] {
-                let got = task.run_with_rules(&rc, exec);
-                prop_assert_eq!(&got.itemsets, &reference.itemsets, "{} {} itemsets", kind, label);
-                prop_assert_eq!(&got.levels, &reference.levels, "{} {} levels", kind, label);
-                prop_assert_eq!(got.rules.transactions, reference.rules.transactions);
-                prop_assert_eq!(got.rules.len(), reference.rules.len(), "{} {} rule count", kind, label);
-                for (a, b) in got.rules.rules.iter().zip(&reference.rules.rules) {
+                let (itemsets, levels, rules) = kind.mine(&set, min_support, Some(&rc), exec);
+                let rules = rules.expect("rules requested");
+                prop_assert_eq!(&itemsets, &ref_itemsets, "{} {} itemsets", kind, label);
+                prop_assert_eq!(&levels, &ref_levels, "{} {} levels", kind, label);
+                prop_assert_eq!(rules.transactions, ref_rules.transactions);
+                prop_assert_eq!(rules.len(), ref_rules.len(), "{} {} rule count", kind, label);
+                for (a, b) in rules.rules.iter().zip(&ref_rules.rules) {
                     prop_assert_eq!(a.rule.antecedent(), b.rule.antecedent(), "{} {}", kind, label);
                     prop_assert_eq!(a.rule.consequent(), b.rule.consequent(), "{} {}", kind, label);
                     prop_assert_eq!(a.rule.support, b.rule.support);

@@ -12,7 +12,7 @@
 //! cargo run --release --example custom_detector
 //! ```
 
-use anomex::core::{render_report, Engine, ExtractRequest};
+use anomex::core::render_report;
 use anomex::detector::EntropyDetector;
 use anomex::prelude::*;
 
@@ -23,6 +23,13 @@ fn main() {
     // raise entropy; floods concentrate them and drop it — the detector
     // thresholds |ΔH| two-sided).
     let mut detector = EntropyDetector::new(FlowFeature::DstPort, 3.0, 10);
+    // The rest of the pipeline, configured as usual: its offline entry
+    // point mines whatever meta-data it is handed.
+    let config = ExtractionConfig {
+        min_support: 800,
+        ..ExtractionConfig::default()
+    };
+    let engine = Engine::sequential(config).expect("valid configuration");
 
     println!(
         "entropy-driven extraction over {} intervals\n",
@@ -49,11 +56,8 @@ fn main() {
         // rest of the pipeline is unchanged.
         let mut metadata = MetaData::new();
         metadata.insert_all(FlowFeature::DstPort, obs.values.iter().copied());
-        let extraction = Engine::extract(
-            &ExtractRequest::new(&interval.flows, &metadata, 800)
-                .interval(i)
-                .miner(MinerKind::FpGrowth),
-        );
+        let mut extraction = engine.extract(&interval.flows, &metadata);
+        extraction.interval = i;
         println!("{}", render_report(&extraction));
         let truth: Vec<String> = scenario
             .events_in(i)

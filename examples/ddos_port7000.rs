@@ -8,7 +8,7 @@
 //! cargo run --release --example ddos_port7000 -- 0.1     # 10% scale
 //! ```
 
-use anomex::core::{render_report, Engine, ExtractRequest};
+use anomex::core::render_report;
 use anomex::prelude::*;
 
 fn main() {
@@ -34,7 +34,12 @@ fn main() {
         metadata.insert(FlowFeature::DstPort, u64::from(port));
     }
 
-    let extraction = Engine::extract(&ExtractRequest::new(&w.flows, &metadata, w.min_support));
+    let config = ExtractionConfig {
+        min_support: w.min_support,
+        ..ExtractionConfig::default()
+    };
+    let engine = Engine::sequential(config).expect("valid configuration");
+    let extraction = engine.extract(&w.flows, &metadata);
     println!("{}", render_report(&extraction));
 
     // The paper's headline observations about Table II:

@@ -14,7 +14,7 @@
 
 use std::net::Ipv4Addr;
 
-use anomex::core::{render_report, Engine, ExtractRequest, PrefilterMode};
+use anomex::core::{render_report, PrefilterMode};
 use anomex::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -99,10 +99,15 @@ fn main() {
 
     println!("trace: {} flows; meta-data:\n{metadata}\n", flows.len());
 
-    for mode in [PrefilterMode::Intersection, PrefilterMode::Union] {
-        let extraction =
-            Engine::extract(&ExtractRequest::new(&flows, &metadata, 1000).prefilter(mode));
-        println!("=== {mode:?} pre-filter ===");
+    for prefilter in [PrefilterMode::Intersection, PrefilterMode::Union] {
+        let config = ExtractionConfig {
+            min_support: 1000,
+            prefilter,
+            ..ExtractionConfig::default()
+        };
+        let engine = Engine::sequential(config).expect("valid configuration");
+        let extraction = engine.extract(&flows, &metadata);
+        println!("=== {prefilter:?} pre-filter ===");
         println!(
             "suspicious flows: {} / {}",
             extraction.suspicious_flows, extraction.total_flows

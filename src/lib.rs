@@ -58,9 +58,9 @@ pub use anomex_traffic as traffic;
 /// The commonly-used types in one import.
 pub mod prelude {
     pub use anomex_core::{
-        classify_itemset, render_report, run_scenario, Engine, ExtractRequest, Extraction,
-        ExtractionConfig, IntervalInput, MultiSourceExtractor, MultiStreamEvent,
-        MultiStreamSummary, PrefilterMode, ReconfigRequest, StreamEvent, StreamingExtractor,
+        classify_itemset, render_report, run_scenario, Engine, Extraction, ExtractionConfig,
+        IntervalInput, MultiSourceExtractor, MultiStreamEvent, MultiStreamSummary, PrefilterMode,
+        ReconfigRequest, StreamEvent, StreamingExtractor,
     };
     pub use anomex_detector::{DetectorBank, DetectorConfig, MetaData, RocCurve};
     pub use anomex_mining::{ItemSet, MinerKind, Transaction, TransactionSet};

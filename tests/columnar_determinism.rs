@@ -3,9 +3,9 @@
 //! is consumed — the load-bearing constraint of the columnar refactor.
 //! Two families of properties assert it:
 //!
-//! 1. **Pipeline equivalence** — the columnar engines (a sharded
-//!    `Engine::extract` offline, `Engine::process` over `FlowColumns`
-//!    online, and the streaming extractor that rides them) produce
+//! 1. **Pipeline equivalence** — the columnar engines (`Engine::extract`
+//!    offline, `Engine::process` over `FlowColumns` online, and the
+//!    streaming extractor that rides them) produce
 //!    exactly what the record-based sequential pipeline produces, for
 //!    every miner, shard count, execution context (inline vs pooled),
 //!    and transaction mode.
@@ -15,10 +15,11 @@
 //!    the failing datagram leaving the column store untouched.
 
 use anomex::core::{
-    prefilter_indices, prefilter_indices_columns, prefilter_indices_columns_range,
-    prefilter_indices_columns_range_with, Engine, ExtractRequest, Extraction, ExtractionConfig,
-    PrefilterScratch, TransactionMode,
+    cost_reduction, prefilter, prefilter_indices, prefilter_indices_columns,
+    prefilter_indices_columns_range, prefilter_indices_columns_range_with, Engine, Extraction,
+    ExtractionConfig, PrefilterScratch, TransactionMode,
 };
+use anomex::mining::Exec;
 use anomex::netflow::v5::{self, V5Exporter, V5_HEADER_LEN, V5_RECORD_LEN};
 use anomex::netflow::FlowColumns;
 use anomex::prelude::*;
@@ -86,11 +87,11 @@ fn assert_outcomes_identical(a: &IntervalOutcome, b: &IntervalOutcome, context: 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Offline: the columnar engine (a sharded `Engine::extract` converts
-    /// to `FlowColumns` and walks columns end to end) extracts exactly
-    /// what the record-based sequential pipeline does, for every miner,
-    /// shard count (1 shard = inline execution, more = the worker pool),
-    /// and transaction mode.
+    /// Offline: the columnar engine (`Engine::extract` converts to
+    /// `FlowColumns` and walks columns end to end) extracts exactly what
+    /// pre-filtering the records, building their transactions and mining
+    /// them does, for every miner, shard count (1 shard = inline
+    /// execution, more = the worker pool), and transaction mode.
     #[test]
     fn columnar_extraction_matches_record_pipeline(
         seed in 0u64..10_000,
@@ -109,11 +110,29 @@ proptest! {
         };
         let support = (w.min_support / support_div).max(1);
         let md = table2_metadata();
-        let request = ExtractRequest::new(&w.flows, &md, support)
-            .transactions(tx_mode)
-            .miner(miner);
-        let records = Engine::extract(&request);
-        let columnar = Engine::extract(&request.shards(nz(shards)));
+        let suspicious = prefilter(&w.flows, &md, PrefilterMode::Union);
+        let transactions = match tx_mode {
+            TransactionMode::Canonical => TransactionSet::from_flows(&suspicious),
+            TransactionMode::WithPrefixes => TransactionSet::from_flows_extended(&suspicious),
+        };
+        let (itemsets, levels, rules) = miner.mine(&transactions, support, None, Exec::inline());
+        let records = Extraction {
+            interval: 0,
+            metadata: md.clone(),
+            total_flows: w.flows.len(),
+            suspicious_flows: suspicious.len(),
+            cost_reduction: cost_reduction(w.flows.len() as u64, itemsets.len()),
+            itemsets,
+            levels,
+            rules,
+        };
+        let config = ExtractionConfig {
+            min_support: support,
+            miner,
+            transactions: tx_mode,
+            ..ExtractionConfig::default()
+        };
+        let columnar = Engine::new(config, nz(shards)).unwrap().extract(&w.flows, &md);
         assert_extractions_identical(
             &records,
             &columnar,

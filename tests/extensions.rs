@@ -2,7 +2,6 @@
 //! mining, closed item-sets, and the entropy detector driving the same
 //! extraction pipeline.
 
-use anomex::core::{Engine, ExtractRequest};
 use anomex::detector::EntropyDetector;
 use anomex::mining::{filter_closed, mine_top_k};
 use anomex::prelude::*;
@@ -97,9 +96,13 @@ fn entropy_detector_drives_extraction() {
 
     let mut metadata = MetaData::new();
     metadata.insert_all(FlowFeature::DstPort, obs.values.iter().copied());
-    let extraction = Engine::extract(
-        &ExtractRequest::new(&w.flows, &metadata, w.min_support).miner(MinerKind::FpGrowth),
-    );
+    let config = ExtractionConfig {
+        min_support: w.min_support,
+        ..ExtractionConfig::default()
+    };
+    let extraction = Engine::sequential(config)
+        .unwrap()
+        .extract(&w.flows, &metadata);
     let joined = extraction
         .itemsets
         .iter()

@@ -10,7 +10,6 @@
 
 use std::num::NonZeroUsize;
 
-use anomex::core::{Engine, ExtractRequest};
 use anomex::mining::LevelStats;
 use anomex::prelude::*;
 use anomex::traffic::table2_workload;
@@ -41,11 +40,14 @@ fn table2_level_stats_and_itemsets_are_pinned() {
     let mut reference: Option<Vec<ItemSet>> = None;
     for shards in [1usize, 4] {
         for miner in MinerKind::ALL {
-            let ex = Engine::extract(
-                &ExtractRequest::new(&w.flows, &md, w.min_support)
-                    .miner(miner)
-                    .shards(NonZeroUsize::new(shards).unwrap()),
-            );
+            let config = ExtractionConfig {
+                min_support: w.min_support,
+                miner,
+                ..ExtractionConfig::default()
+            };
+            let ex = Engine::new(config, NonZeroUsize::new(shards).unwrap())
+                .unwrap()
+                .extract(&w.flows, &md);
             let ctx = format!("{miner}, {shards} shard(s)");
             assert_eq!(ex.total_flows, TOTAL_FLOWS, "{ctx}");
             assert_eq!(

@@ -5,7 +5,7 @@
 
 use std::net::Ipv4Addr;
 
-use anomex::core::{Engine, ExtractRequest, TransactionMode};
+use anomex::core::TransactionMode;
 use anomex::prelude::*;
 use anomex::traffic::inject::dscan;
 use rand::rngs::StdRng;
@@ -48,11 +48,23 @@ fn metadata() -> MetaData {
     md
 }
 
+/// Offline extraction at support 500 with `miner` over `transactions`.
+fn extract(flows: &[FlowRecord], transactions: TransactionMode, miner: MinerKind) -> Extraction {
+    let config = ExtractionConfig {
+        min_support: 500,
+        miner,
+        transactions,
+        ..ExtractionConfig::default()
+    };
+    Engine::sequential(config)
+        .unwrap()
+        .extract(flows, &metadata())
+}
+
 #[test]
 fn canonical_mining_cannot_pin_the_subnet() {
     let flows = workload();
-    let ex =
-        Engine::extract(&ExtractRequest::new(&flows, &metadata(), 500).miner(MinerKind::FpGrowth));
+    let ex = extract(&flows, TransactionMode::Canonical, MinerKind::FpGrowth);
     let joined = ex
         .itemsets
         .iter()
@@ -75,11 +87,7 @@ fn canonical_mining_cannot_pin_the_subnet() {
 #[test]
 fn prefix_mining_pins_the_scanned_range() {
     let flows = workload();
-    let ex = Engine::extract(
-        &ExtractRequest::new(&flows, &metadata(), 500)
-            .transactions(TransactionMode::WithPrefixes)
-            .miner(MinerKind::FpGrowth),
-    );
+    let ex = extract(&flows, TransactionMode::WithPrefixes, MinerKind::FpGrowth);
     let joined = ex
         .itemsets
         .iter()
@@ -106,14 +114,7 @@ fn prefix_mining_pins_the_scanned_range() {
 #[test]
 fn miners_agree_in_prefix_mode() {
     let flows = workload();
-    let md = metadata();
-    let prefix_request = |miner: MinerKind| {
-        Engine::extract(
-            &ExtractRequest::new(&flows, &md, 500)
-                .transactions(TransactionMode::WithPrefixes)
-                .miner(miner),
-        )
-    };
+    let prefix_request = |miner| extract(&flows, TransactionMode::WithPrefixes, miner);
     let a = prefix_request(MinerKind::Apriori);
     let f = prefix_request(MinerKind::FpGrowth);
     let e = prefix_request(MinerKind::Eclat);

@@ -1,7 +1,7 @@
 //! Cross-crate property tests: invariants that span the flow substrate,
 //! the detector, and the miner.
 
-use anomex::core::{Engine, ExtractRequest, PrefilterMode};
+use anomex::core::PrefilterMode;
 use anomex::prelude::*;
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
@@ -45,6 +45,16 @@ fn arb_metadata() -> impl Strategy<Value = MetaData> {
         })
 }
 
+/// Offline extraction at `min_support` with `miner`.
+fn extract(flows: &[FlowRecord], md: &MetaData, min_support: u64, miner: MinerKind) -> Extraction {
+    let config = ExtractionConfig {
+        min_support,
+        miner,
+        ..ExtractionConfig::default()
+    };
+    Engine::sequential(config).unwrap().extract(flows, md)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -57,7 +67,7 @@ proptest! {
         md in arb_metadata(),
         support in 5u64..40,
     ) {
-        let ex = Engine::extract(&ExtractRequest::new(&flows, &md, support));
+        let ex = extract(&flows, &md, support, MinerKind::default());
         let suspicious = anomex::core::prefilter(&flows, &md, PrefilterMode::Union);
         prop_assert_eq!(ex.suspicious_flows, suspicious.len());
         let tx = TransactionSet::from_flows(&suspicious);
@@ -75,9 +85,9 @@ proptest! {
         md in arb_metadata(),
         support in 3u64..30,
     ) {
-        let a = Engine::extract(&ExtractRequest::new(&flows, &md, support).miner(MinerKind::Apriori));
-        let f = Engine::extract(&ExtractRequest::new(&flows, &md, support).miner(MinerKind::FpGrowth));
-        let e = Engine::extract(&ExtractRequest::new(&flows, &md, support).miner(MinerKind::Eclat));
+        let a = extract(&flows, &md, support, MinerKind::Apriori);
+        let f = extract(&flows, &md, support, MinerKind::FpGrowth);
+        let e = extract(&flows, &md, support, MinerKind::Eclat);
         prop_assert_eq!(&a.itemsets, &f.itemsets);
         prop_assert_eq!(&f.itemsets, &e.itemsets);
     }
@@ -108,8 +118,8 @@ proptest! {
         s_lo in 3u64..15,
     ) {
         let s_hi = s_lo * 2;
-        let lo = Engine::extract(&ExtractRequest::new(&flows, &md, s_lo).miner(MinerKind::Eclat));
-        let hi = Engine::extract(&ExtractRequest::new(&flows, &md, s_hi).miner(MinerKind::Eclat));
+        let lo = extract(&flows, &md, s_lo, MinerKind::Eclat);
+        let hi = extract(&flows, &md, s_hi, MinerKind::Eclat);
         let suspicious = anomex::core::prefilter(&flows, &md, PrefilterMode::Union);
         let tx = TransactionSet::from_flows(&suspicious);
         for set in &hi.itemsets {

@@ -1,5 +1,5 @@
 //! Property suite for the association-rule layer: every rule a
-//! [`MineTask::run_with_rules`] run emits must satisfy the metric
+//! [`MinerKind::mine`] run with rules emits must satisfy the metric
 //! definitions *exactly* (recomputed from brute-force support counts
 //! over the transactions, compared by bit pattern), stay in its valid
 //! range, honor the configured filters, and come out bit-identical in
@@ -11,7 +11,7 @@ use std::num::NonZeroUsize;
 
 use anomex::mining::par::{Exec, WorkerPool};
 use anomex::mining::rules::CONVICTION_SCORE_CAP;
-use anomex::mining::{Item, MineTask, MinerKind, RuleConfig, Transaction, TransactionSet};
+use anomex::mining::{Item, MinerKind, RuleConfig, RuleSet, Transaction, TransactionSet};
 use anomex_netflow::FlowFeature;
 use proptest::prelude::*;
 
@@ -35,6 +35,18 @@ fn nz(n: usize) -> NonZeroUsize {
     NonZeroUsize::new(n).unwrap()
 }
 
+/// The ranked rules of one mining pass with the rule layer on.
+fn rules_of(
+    miner: MinerKind,
+    set: &TransactionSet,
+    min_support: u64,
+    rc: &RuleConfig,
+    exec: Exec<'_>,
+) -> RuleSet {
+    let (_, _, rules) = miner.mine(set, min_support, Some(rc), exec);
+    rules.expect("rules requested")
+}
+
 /// The rule key used for cross-run set comparisons.
 fn key(rule: &anomex::mining::Rule) -> (Vec<Item>, Vec<Item>) {
     (rule.antecedent().to_vec(), rule.consequent().to_vec())
@@ -53,11 +65,10 @@ proptest! {
         miner_idx in 0usize..3,
     ) {
         let rc = RuleConfig { min_confidence: 0.2, min_lift: 0.0, rare: false };
-        let out = MineTask::maximal(MinerKind::ALL[miner_idx], &set, min_support)
-            .run_with_rules(&rc, Exec::inline());
+        let rules = rules_of(MinerKind::ALL[miner_idx], &set, min_support, &rc, Exec::inline());
         let n = set.len() as u64;
-        prop_assert_eq!(out.rules.transactions, n);
-        for scored in &out.rules.rules {
+        prop_assert_eq!(rules.transactions, n);
+        for scored in &rules.rules {
             let r = &scored.rule;
             let union: Vec<Item> = {
                 let mut u = r.antecedent().to_vec();
@@ -102,10 +113,9 @@ proptest! {
         miner_idx in 0usize..3,
     ) {
         let rc = RuleConfig { min_confidence, min_lift, rare: false };
-        let out = MineTask::maximal(MinerKind::ALL[miner_idx], &set, min_support)
-            .run_with_rules(&rc, Exec::inline());
+        let rules = rules_of(MinerKind::ALL[miner_idx], &set, min_support, &rc, Exec::inline());
         let n = set.len() as u64;
-        for scored in &out.rules.rules {
+        for scored in &rules.rules {
             let r = &scored.rule;
             prop_assert!(!r.antecedent().is_empty() && !r.consequent().is_empty());
             prop_assert!(r.antecedent().windows(2).all(|w| w[0] < w[1]), "sorted antecedent");
@@ -127,7 +137,7 @@ proptest! {
             prop_assert!(r.lift >= min_lift, "min-lift filter on {}", r);
             prop_assert!(scored.score.is_finite() && scored.score >= 0.0);
         }
-        for pair in out.rules.rules.windows(2) {
+        for pair in rules.rules.windows(2) {
             prop_assert!(
                 pair[0].score.total_cmp(&pair[1].score).is_ge(),
                 "ranking must be descending by score"
@@ -147,17 +157,17 @@ proptest! {
         miner_idx in 0usize..3,
     ) {
         let rc = RuleConfig { min_confidence: 0.2, min_lift: 0.0, rare: false };
-        let task = MineTask::maximal(MinerKind::ALL[miner_idx], &set, min_support);
-        let reference = task.run_with_rules(&rc, Exec::inline());
+        let miner = MinerKind::ALL[miner_idx];
+        let reference = rules_of(miner, &set, min_support, &rc, Exec::inline());
         let pool = WorkerPool::new(nz(pool_width));
         let single = WorkerPool::new(nz(1));
         for (label, exec) in [
             ("one-worker pool", Exec::Pool(&single)),
             ("pool", Exec::Pool(&pool)),
         ] {
-            let got = task.run_with_rules(&rc, exec);
-            prop_assert_eq!(got.rules.len(), reference.rules.len(), "{} count", label);
-            for (a, b) in got.rules.rules.iter().zip(&reference.rules.rules) {
+            let got = rules_of(miner, &set, min_support, &rc, exec);
+            prop_assert_eq!(got.len(), reference.len(), "{} count", label);
+            for (a, b) in got.rules.iter().zip(&reference.rules) {
                 prop_assert_eq!(key(&a.rule), key(&b.rule), "{} order", label);
                 prop_assert_eq!(a.rule.support, b.rule.support);
                 prop_assert_eq!(a.score.to_bits(), b.score.to_bits(), "{} score", label);
@@ -182,13 +192,12 @@ proptest! {
     ) {
         let normal = RuleConfig { min_confidence: 0.2, min_lift: 0.0, rare: false };
         let rare = RuleConfig { rare: true, ..normal };
-        let task = MineTask::maximal(MinerKind::ALL[miner_idx], &set, min_support);
-        let base = task.run_with_rules(&normal, Exec::inline());
-        let widened = task.run_with_rules(&rare, Exec::inline());
-        prop_assert!(widened.rules.len() >= base.rules.len());
-        for scored in &base.rules.rules {
+        let miner = MinerKind::ALL[miner_idx];
+        let base = rules_of(miner, &set, min_support, &normal, Exec::inline());
+        let widened = rules_of(miner, &set, min_support, &rare, Exec::inline());
+        prop_assert!(widened.len() >= base.len());
+        for scored in &base.rules {
             let found = widened
-                .rules
                 .rules
                 .iter()
                 .find(|w| key(&w.rule) == key(&scored.rule))

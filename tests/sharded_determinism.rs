@@ -89,11 +89,14 @@ proptest! {
         for port in [7000u64, 80, 9022, 25] {
             md.insert(FlowFeature::DstPort, port);
         }
-        let request = ExtractRequest::new(&w.flows, &md, support)
-            .transactions(tx_mode)
-            .miner(miner);
-        let sequential = Engine::extract(&request);
-        let sharded = Engine::extract(&request.shards(nz(shards)));
+        let config = ExtractionConfig {
+            min_support: support,
+            miner,
+            transactions: tx_mode,
+            ..ExtractionConfig::default()
+        };
+        let sequential = Engine::sequential(config.clone()).unwrap().extract(&w.flows, &md);
+        let sharded = Engine::new(config, nz(shards)).unwrap().extract(&w.flows, &md);
         assert_extractions_identical(
             &sequential,
             &sharded,
@@ -131,11 +134,14 @@ proptest! {
         for port in [7000u64, 80, 9022, 25] {
             md.insert(FlowFeature::DstPort, port);
         }
-        let request = ExtractRequest::new(&w.flows, &md, support)
-            .miner(miner)
-            .rules(&rc);
-        let sequential = Engine::extract(&request);
-        let sharded = Engine::extract(&request.shards(nz(shards)));
+        let config = ExtractionConfig {
+            min_support: support,
+            miner,
+            rules: Some(rc),
+            ..ExtractionConfig::default()
+        };
+        let sequential = Engine::sequential(config.clone()).unwrap().extract(&w.flows, &md);
+        let sharded = Engine::new(config, nz(shards)).unwrap().extract(&w.flows, &md);
         prop_assert!(sequential.rules.is_some(), "the rule layer must be on");
         assert_extractions_identical(
             &sequential,
@@ -172,11 +178,12 @@ proptest! {
             .collect();
         prop_assert_eq!(&sequential, &sharded);
         // Support no item reaches: the engine run costs one counting pass.
-        let extraction = Engine::extract(
-            &ExtractRequest::new(&w.flows, &md, u64::MAX)
-                .prefilter(mode)
-                .shards(nz(shards)),
-        );
+        let config = ExtractionConfig {
+            min_support: u64::MAX,
+            prefilter: mode,
+            ..ExtractionConfig::default()
+        };
+        let extraction = Engine::new(config, nz(shards)).unwrap().extract(&w.flows, &md);
         prop_assert_eq!(extraction.suspicious_flows, sequential.len());
     }
 }

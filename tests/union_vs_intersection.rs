@@ -4,7 +4,7 @@
 
 use std::net::Ipv4Addr;
 
-use anomex::core::{Engine, ExtractRequest, PrefilterMode};
+use anomex::core::PrefilterMode;
 use anomex::prelude::*;
 
 /// A Sasser-like multi-stage footprint: scan (port 445, 1 packet),
@@ -75,13 +75,21 @@ fn multistage_metadata() -> MetaData {
     md
 }
 
+/// Offline extraction at support 400 under `prefilter`.
+fn extract(flows: &[FlowRecord], md: &MetaData, prefilter: PrefilterMode) -> Extraction {
+    let config = ExtractionConfig {
+        min_support: 400,
+        prefilter,
+        ..ExtractionConfig::default()
+    };
+    Engine::sequential(config).unwrap().extract(flows, md)
+}
+
 #[test]
 fn intersection_misses_multistage_anomalies() {
     let flows = multistage_trace();
     let md = multistage_metadata();
-    let ex = Engine::extract(
-        &ExtractRequest::new(&flows, &md, 400).prefilter(PrefilterMode::Intersection),
-    );
+    let ex = extract(&flows, &md, PrefilterMode::Intersection);
     assert_eq!(
         ex.suspicious_flows, 0,
         "no flow carries all three stage markers"
@@ -93,7 +101,7 @@ fn intersection_misses_multistage_anomalies() {
 fn union_extracts_every_stage() {
     let flows = multistage_trace();
     let md = multistage_metadata();
-    let ex = Engine::extract(&ExtractRequest::new(&flows, &md, 400));
+    let ex = extract(&flows, &md, PrefilterMode::Union);
     // 3600 worm flows, plus the benign web flows that happen to have
     // 12 packets (8000 / 20 = 400) — flow-size meta-data inevitably drags
     // in some normal traffic, which is what mining then sorts out.
@@ -133,12 +141,8 @@ fn single_feature_metadata_modes_agree() {
     let flows = multistage_trace();
     let mut md = MetaData::new();
     md.insert(FlowFeature::DstPort, 445);
-    let u = Engine::extract(&ExtractRequest::new(&flows, &md, 400).miner(MinerKind::FpGrowth));
-    let i = Engine::extract(
-        &ExtractRequest::new(&flows, &md, 400)
-            .prefilter(PrefilterMode::Intersection)
-            .miner(MinerKind::FpGrowth),
-    );
+    let u = extract(&flows, &md, PrefilterMode::Union);
+    let i = extract(&flows, &md, PrefilterMode::Intersection);
     assert_eq!(u.suspicious_flows, i.suspicious_flows);
     assert_eq!(u.itemsets, i.itemsets);
 }

@@ -130,9 +130,11 @@ fn datagram_loss_is_detected_and_survivable() {
     // The surviving 90% still mine fine.
     let mut md = MetaData::new();
     md.insert(FlowFeature::DstPort, 7000);
-    let ex = anomex::core::Engine::extract(
-        &anomex::core::ExtractRequest::new(&flows, &md, 500).interval(20),
-    );
+    let config = ExtractionConfig {
+        min_support: 500,
+        ..config(scenario.interval_ms())
+    };
+    let ex = Engine::sequential(config).unwrap().extract(&flows, &md);
     assert!(
         ex.itemsets
             .iter()
