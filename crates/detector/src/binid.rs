@@ -7,6 +7,25 @@
 //! from the reference histogram, set its count equal to the reference
 //! count, and recompute the KL distance — until the "cleaned" histogram no
 //! longer generates an alert.
+//!
+//! A round costs O(log k), not a KL pass over the k bins:
+//!
+//! - **Removal order.** An untouched bin's deviation |wᵢ − rᵢ| never
+//!   changes, so the bins that differ from the reference are ranked once
+//!   (a max-heap on `(|wᵢ − rᵢ|, bin)`) and one is popped per round. Ties
+//!   pop the highest bin first, as a scan for the last maximum would.
+//! - **KL per round.** With add-one smoothing, P = W + k and Q = R + k (W
+//!   and R the current and reference totals), the distance is
+//!   KL = S/P + log₂(Q/P) with S = Σ (wᵢ+1)·log₂((wᵢ+1)/(rᵢ+1)). Resetting
+//!   a bin to its reference count zeroes its term of S and moves W by
+//!   rᵢ − wᵢ, so a round updates two running values and takes one log₂.
+//! - **Exact decisions.** The running value differs from a direct
+//!   [`kl_distance`] only by rounding. A round whose value lies within
+//!   that rounding bound of the target is re-decided with [`kl_distance`]
+//!   on the cleaned histogram, so the stopping round, the bins and
+//!   convergence are those of the direct recomputation on every input.
+
+use std::collections::BinaryHeap;
 
 use crate::kl::kl_distance;
 
@@ -32,6 +51,10 @@ pub struct BinIdentification {
 /// condition is on the *first difference* of the KL series, so the target
 /// is `previous_kl + threshold`).
 ///
+/// `kl_trajectory[0]` is `kl_distance(current, reference)` bit for bit;
+/// later entries come from the running sum (see the module docs) and agree
+/// with a direct [`kl_distance`] to within rounding.
+///
 /// # Panics
 ///
 /// Panics if the histograms have different lengths or are empty.
@@ -46,19 +69,15 @@ pub fn identify_anomalous_bins(
         reference.len(),
         "histograms must have the same bin count"
     );
-    let mut work: Vec<u64> = current.to_vec();
     let mut bins = Vec::new();
-    let mut kl_trajectory = vec![kl_distance(&work, reference)];
+    let mut kl_trajectory = vec![kl_distance(current, reference)];
+    // Built on the first round: a histogram already at or below the
+    // target needs only the one KL pass above.
+    let mut running: Option<RunningKl<'_>> = None;
 
     while *kl_trajectory.last().expect("non-empty") > target_kl {
-        // Find the not-yet-cleaned bin with the largest absolute deviation.
-        let candidate = work
-            .iter()
-            .zip(reference)
-            .enumerate()
-            .filter(|(_, (&w, &r))| w != r)
-            .max_by_key(|(_, (&w, &r))| w.abs_diff(r));
-        let Some((bin, _)) = candidate else {
+        let running = running.get_or_insert_with(|| RunningKl::new(current, reference));
+        let Some((bin, mut kl, bound)) = running.remove_next() else {
             // Fully aligned with the reference yet still above target:
             // the target is unreachable (e.g., negative). Report
             // non-convergence instead of looping.
@@ -68,15 +87,108 @@ pub fn identify_anomalous_bins(
                 converged: false,
             };
         };
-        work[bin] = reference[bin];
-        bins.push(bin as u32);
-        kl_trajectory.push(kl_distance(&work, reference));
+        bins.push(bin);
+        if (kl - target_kl).abs() <= bound {
+            kl = kl_distance(&cleaned(current, reference, &bins), reference);
+        }
+        kl_trajectory.push(kl);
     }
     BinIdentification {
         bins,
         kl_trajectory,
         converged: true,
     }
+}
+
+/// The cleaned histogram's KL distance as running values: the bins that
+/// still differ from the reference, ranked, and S, W and Q of the closed
+/// form in the module docs.
+struct RunningKl<'a> {
+    current: &'a [u64],
+    reference: &'a [u64],
+    /// `(|w − r|, bin)` of every bin not yet reset; ties pop the higher
+    /// bin.
+    ranking: BinaryHeap<(u64, u32)>,
+    /// S = Σ (wᵢ+1)·log₂((wᵢ+1)/(rᵢ+1)) over the bins not yet reset.
+    sum: f64,
+    /// Σ (|termᵢ| + wᵢ + 1) over the bins that differed at the start:
+    /// what the rounding error of S and of a direct KL scales with.
+    scale: f64,
+    /// W, the cleaned histogram's total.
+    w_total: u64,
+    /// Q = R + k.
+    q: f64,
+    k: f64,
+    removed: usize,
+}
+
+impl<'a> RunningKl<'a> {
+    /// One pass over the bins.
+    fn new(current: &'a [u64], reference: &'a [u64]) -> Self {
+        let (mut w_total, mut r_total) = (0u64, 0u64);
+        let (mut sum, mut scale) = (0.0f64, 0.0f64);
+        let mut ranking = Vec::new();
+        for (bin, (&w, &r)) in current.iter().zip(reference).enumerate() {
+            w_total += w;
+            r_total += r;
+            if w != r {
+                let term = smoothed_term(w, r);
+                sum += term;
+                scale += term.abs() + (w as f64 + 1.0);
+                ranking.push((w.abs_diff(r), bin as u32));
+            }
+        }
+        let k = current.len() as f64;
+        RunningKl {
+            current,
+            reference,
+            ranking: BinaryHeap::from(ranking),
+            sum,
+            scale,
+            w_total,
+            q: r_total as f64 + k,
+            k,
+            removed: 0,
+        }
+    }
+
+    /// Reset the most-deviating remaining bin to its reference count:
+    /// that bin, the KL distance after it, and the bound on how far that
+    /// value and a direct [`kl_distance`] can lie apart. `None` when no
+    /// bin differs any more.
+    fn remove_next(&mut self) -> Option<(u32, f64, f64)> {
+        let (_, bin) = self.ranking.pop()?;
+        let (w, r) = (self.current[bin as usize], self.reference[bin as usize]);
+        self.sum -= smoothed_term(w, r);
+        self.w_total = self.w_total - w + r;
+        self.removed += 1;
+
+        let p = self.w_total as f64 + self.k;
+        let log_ratio = (self.q / p).log2();
+        let kl = (self.sum / p + log_ratio).max(0.0);
+        // Worst-case rounding of S (k terms summed, one subtraction per
+        // round) plus that of a direct `kl_distance` (k terms summed),
+        // each within a few ε of the absolute terms.
+        let bound = f64::EPSILON
+            * (2.0 * self.k + self.removed as f64 + 16.0)
+            * (self.scale / p + log_ratio.abs() + 1.0);
+        Some((bin, kl, bound))
+    }
+}
+
+/// One bin's term of S: (w+1)·log₂((w+1)/(r+1)).
+fn smoothed_term(w: u64, r: u64) -> f64 {
+    let w1 = w as f64 + 1.0;
+    w1 * (w1 / (r as f64 + 1.0)).log2()
+}
+
+/// `current` with each removed bin reset to its reference count.
+fn cleaned(current: &[u64], reference: &[u64], bins: &[u32]) -> Vec<u64> {
+    let mut work = current.to_vec();
+    for &bin in bins {
+        work[bin as usize] = reference[bin as usize];
+    }
+    work
 }
 
 #[cfg(test)]
@@ -105,6 +217,20 @@ mod tests {
         let id = identify_anomalous_bins(&current, &reference, 0.0001);
         assert!(id.converged);
         assert_eq!(&id.bins[..2], &[2, 6]);
+    }
+
+    #[test]
+    fn equal_deviations_remove_the_higher_bin_first() {
+        // Bins 1 and 3 deviate by 500 each, one up and one down; the
+        // ranking breaks the tie towards the higher index.
+        let reference = vec![1000u64; 6];
+        let mut current = reference.clone();
+        current[1] += 500;
+        current[3] -= 500;
+        let id = identify_anomalous_bins(&current, &reference, 1e-12);
+        assert!(id.converged);
+        assert_eq!(id.bins, vec![3, 1]);
+        assert!(*id.kl_trajectory.last().unwrap() <= 1e-12);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use crate::binid::{identify_anomalous_bins, BinIdentification};
 use crate::hash::BinHasher;
 use crate::histogram::FeatureHistogram;
 use crate::kl::kl_distance;
-use crate::threshold::FirstDiffThreshold;
+use crate::threshold::{FirstDiffThreshold, SIGMA_FLOOR};
 
 /// What one clone saw in one interval.
 #[derive(Debug, Clone)]
@@ -273,16 +273,25 @@ impl HistogramClone {
     ///
     /// [`RestoreError::Truncated`] on a short payload and
     /// [`RestoreError::Corrupt`] when the embedded histogram disagrees
-    /// with this clone's bin count.
+    /// with this clone's bin count, or when a float holds a value the
+    /// detector never computes: a non-finite training difference or
+    /// previous KL, a threshold α that is not finite and positive, or a
+    /// σ̂ that is not finite or lies below [`SIGMA_FLOOR`].
     pub fn restore_snapshot(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), RestoreError> {
         let n = r.seq_len(8)?;
         let mut training_diffs = Vec::with_capacity(n);
         for _ in 0..n {
-            training_diffs.push(r.f64()?);
+            training_diffs.push(finite(r.f64()?, "training difference")?);
         }
         let threshold = if r.bool()? {
             let alpha = r.f64()?;
             let sigma = r.f64()?;
+            if !(alpha.is_finite() && alpha > 0.0) {
+                return Err(RestoreError::Corrupt(format!("threshold alpha {alpha}")));
+            }
+            if !(sigma.is_finite() && sigma >= SIGMA_FLOOR) {
+                return Err(RestoreError::Corrupt(format!("threshold sigma {sigma}")));
+            }
             Some(FirstDiffThreshold::from_parts(alpha, sigma))
         } else {
             None
@@ -297,7 +306,11 @@ impl HistogramClone {
         } else {
             None
         };
-        let prev_kl = if r.bool()? { Some(r.f64()?) } else { None };
+        let prev_kl = if r.bool()? {
+            Some(finite(r.f64()?, "previous KL")?)
+        } else {
+            None
+        };
         self.training_diffs = training_diffs;
         self.threshold = threshold;
         self.prev_histogram = prev_histogram;
@@ -312,6 +325,15 @@ impl HistogramClone {
         self.prev_histogram
             .as_ref()
             .map_or(0, FeatureHistogram::memory_bytes)
+    }
+}
+
+/// `value`, or [`RestoreError::Corrupt`] naming `what` if it is not finite.
+fn finite(value: f64, what: &str) -> Result<f64, RestoreError> {
+    if value.is_finite() {
+        Ok(value)
+    } else {
+        Err(RestoreError::Corrupt(format!("{what} {value}")))
     }
 }
 

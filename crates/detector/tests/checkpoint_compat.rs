@@ -1,12 +1,13 @@
 //! Checkpoints written while histograms carried their bin→values map
 //! keep the same layout: new ones write that section empty, and older
 //! ones restore with the map validated and discarded — the restored
-//! clone scores bit-identically to the one that was saved.
+//! clone scores bit-identically to the one that was saved. Float fields
+//! holding values the detector never computes are corrupt.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
-use anomex_detector::{BinHasher, FeatureHistogram, HistogramClone};
+use anomex_detector::{BinHasher, FeatureHistogram, HistogramClone, SIGMA_FLOOR};
 use anomex_netflow::snapshot::{RestoreError, SnapshotReader, SnapshotWriter};
 use anomex_netflow::{FlowFeature, FlowRecord, Protocol};
 
@@ -88,6 +89,82 @@ fn restore(record: &[u8]) -> Result<HistogramClone, RestoreError> {
     clone.restore_snapshot(&mut r)?;
     r.finish()?;
     Ok(clone)
+}
+
+/// A clone record with no previous histogram: `diffs` as the collected
+/// training differences, then the threshold's `(α, σ̂)` and the previous
+/// KL, each if present.
+fn state_record(diffs: &[f64], threshold: Option<(f64, f64)>, prev_kl: Option<f64>) -> Vec<u8> {
+    let mut w = SnapshotWriter::new();
+    w.usize(diffs.len());
+    for &d in diffs {
+        w.f64(d);
+    }
+    match threshold {
+        Some((alpha, sigma)) => {
+            w.bool(true);
+            w.f64(alpha);
+            w.f64(sigma);
+        }
+        None => w.bool(false),
+    }
+    w.bool(false);
+    match prev_kl {
+        Some(kl) => {
+            w.bool(true);
+            w.f64(kl);
+        }
+        None => w.bool(false),
+    }
+    w.into_bytes()
+}
+
+#[test]
+fn values_the_detector_never_computes_are_corrupt() {
+    // A NaN training difference restored, then panicked the clone's
+    // threshold fit once training ended; the checksum around a
+    // checkpoint is no authentication, so a crafted file reached it.
+    let mut clone = HistogramClone::new(FlowFeature::DstPort, BinHasher::new(7), 64, 3.0, 3);
+    let record = state_record(&[f64::NAN], None, None);
+    let mut r = SnapshotReader::new(&record);
+    assert!(matches!(
+        clone.restore_snapshot(&mut r),
+        Err(RestoreError::Corrupt(_))
+    ));
+    for i in 0..6 {
+        clone.observe(&background(i));
+    }
+
+    let hostile = [
+        state_record(&[0.1, f64::INFINITY], None, None),
+        state_record(&[], None, Some(f64::NAN)),
+        state_record(&[], None, Some(f64::NEG_INFINITY)),
+        state_record(&[], Some((f64::NAN, 1e-3)), None),
+        state_record(&[], Some((0.0, 1e-3)), None),
+        state_record(&[], Some((-3.0, 1e-3)), None),
+        state_record(&[], Some((f64::INFINITY, 1e-3)), None),
+        state_record(&[], Some((3.0, f64::NAN)), None),
+        state_record(&[], Some((3.0, f64::INFINITY)), None),
+        state_record(&[], Some((3.0, 0.0)), None),
+        state_record(&[], Some((3.0, SIGMA_FLOOR / 2.0)), None),
+    ];
+    for (i, record) in hostile.iter().enumerate() {
+        assert!(
+            matches!(restore(record), Err(RestoreError::Corrupt(_))),
+            "record {i}"
+        );
+    }
+
+    // The edges the detector does produce still restore and score.
+    let mut clone = restore(&state_record(
+        &[-0.5, 0.0],
+        Some((3.0, SIGMA_FLOOR)),
+        Some(0.0),
+    ))
+    .expect("a floored σ̂ and a zero KL are real states");
+    for i in 0..4 {
+        clone.observe(&background(i));
+    }
 }
 
 #[test]
