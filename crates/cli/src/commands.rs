@@ -37,7 +37,8 @@ USAGE:
       --scale X (two-weeks only, default 0.25) multiplies the flow volume.
       With --sources N > 1, synthesize an N-link multi-exporter workload
       (anomalies on link 0, tapering rates and clock skews on the rest)
-      and write one trace file per link: pass --out once per source.
+      and write one trace file per link. --sources is at least 1
+      (default 1), and --out is given exactly once per source.
 
   anomex extract --in FILE [--in FILE ...] [--interval-min N] [--training N]
                  [--support N] [--miner apriori|fpgrowth|eclat] [--threads N]
@@ -109,7 +110,8 @@ USAGE:
       configured by the same options as extract (the rule options add
       the ranked association rules to the report, and --rare has the
       same guard). With --top, mine the k most frequent item-sets
-      instead of using a fixed support.
+      instead of using a fixed support; --top does not take the rule
+      options.
 
   anomex table2 [--scale X]
       Reproduce the paper's Table II example (mined with apriori, whose
@@ -137,10 +139,20 @@ pub fn generate(args: &Args) -> Result<(), String> {
 /// The `generate` body, printing its summary to `out`.
 fn generate_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
     let sources = args.get_or("sources", 1usize).map_err(|e| e.to_string())?;
-    if sources > 1 {
-        return generate_multi(args, sources, out);
+    if sources == 0 {
+        return Err("--sources must be at least 1".into());
     }
     let path = args.require("out")?;
+    let outs = args.get_all("out");
+    if outs.len() != sources {
+        return Err(format!(
+            "--sources {sources} needs exactly {sources} --out files (got {})",
+            outs.len()
+        ));
+    }
+    if sources > 1 {
+        return generate_multi(args, outs, out);
+    }
     let seed = args.get_or("seed", 42u64).map_err(|e| e.to_string())?;
     let scenario = match args.get("scenario").unwrap_or("small") {
         "small" if args.get("scale").is_some() => {
@@ -223,15 +235,9 @@ fn parse_scale(args: &Args, default: f64, unit_flows: u64) -> Result<f64, String
 }
 
 /// `anomex generate --sources N`: synthesize an N-link multi-exporter
-/// workload and write one NetFlow v5 trace file per link.
-fn generate_multi(args: &Args, sources: usize, out: &mut impl Write) -> Result<(), String> {
-    let outs = args.get_all("out");
-    if outs.len() != sources {
-        return Err(format!(
-            "--sources {sources} needs exactly {sources} --out files (got {})",
-            outs.len()
-        ));
-    }
+/// workload and write one NetFlow v5 trace file per link, `outs[s]` for
+/// link `s`.
+fn generate_multi(args: &Args, outs: &[String], out: &mut impl Write) -> Result<(), String> {
     if args.get("scenario").unwrap_or("small") != "small" {
         return Err("multi-source generation supports --scenario small only".into());
     }
@@ -241,7 +247,7 @@ fn generate_multi(args: &Args, sources: usize, out: &mut impl Write) -> Result<(
         );
     }
     let seed = args.get_or("seed", 42u64).map_err(|e| e.to_string())?;
-    let scenario = MultiSourceScenario::uniform(seed, sources);
+    let scenario = MultiSourceScenario::uniform(seed, outs.len());
     let intervals = args
         .get_or("intervals", scenario.interval_count())
         .map_err(|e| e.to_string())?
@@ -531,12 +537,12 @@ fn extract_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
     // Validate before touching the traces: a bad configuration should
     // fail instantly, not after decoding a multi-hundred-MB file.
     let mut engine = Engine::new(config.clone(), threads).map_err(String::from)?;
-    let mut traces: Vec<(FlowTrace, u64)> = load_lanes(args, config.interval_ms)?
+    let traces: Vec<(FlowTrace, u64)> = load_lanes(args, config.interval_ms)?
         .into_iter()
         .map(|lane| (FlowTrace::from_flows(lane.flows), lane.origin))
         .collect();
     let grids: Vec<_> = traces
-        .iter_mut()
+        .iter()
         .map(|(trace, origin)| trace.intervals(*origin, config.interval_ms))
         .collect();
     let total = grids.iter().map(Vec::len).max().unwrap_or(0);
@@ -1057,6 +1063,10 @@ pub fn analyze(args: &Args) -> Result<(), String> {
 fn analyze_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
     let input = args.require("in")?;
     let metadata = parse_metadata(args.require("metadata")?)?;
+    // Top-k mining has no rule layer: refuse the options it would drop.
+    if args.flag("top") && parse_rules(args)?.is_some() {
+        return Err("--top does not take rule options".into());
+    }
     // The configuration — validation, error text and `--rare` guard
     // included — `extract` and `stream` run under, before touching the
     // trace.
@@ -1951,6 +1961,52 @@ mod tests {
         let err = analyze_with("--top --k 0").unwrap_err();
         assert_eq!(err, "--k must be at least 1");
         analyze_with("--top --k 3").expect("a valid k mines");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Top-k mining has no rule layer, so `--top` refuses every rule
+    /// option instead of printing the table without the rules asked for.
+    #[test]
+    fn analyze_top_refuses_the_rule_options() {
+        let dir = scratch_dir("anomex-cli-test-top-rules");
+        let path = dir.join("trace.nfv5").display().to_string();
+        run(generate_to, &format!("generate --out {path} --intervals 1"));
+        let top = format!("analyze --in {path} --metadata dstPort=80 --top --k 3");
+        for rule_option in [
+            "--rules",
+            "--min-confidence 0.9",
+            "--min-lift 1.5",
+            "--rare",
+        ] {
+            let err = analyze_to(&argv(&format!("{top} {rule_option}")), &mut Vec::new());
+            assert_eq!(
+                err.unwrap_err(),
+                "--top does not take rule options",
+                "{rule_option}"
+            );
+        }
+        run(analyze_to, &top);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `generate` writes exactly one trace per source: `--sources` is at
+    /// least 1 and the `--out` count must equal it, for one source too.
+    #[test]
+    fn generate_needs_one_out_file_per_source() {
+        let dir = scratch_dir("anomex-cli-test-generate-outs");
+        let [a, b] = ["a.nfv5", "b.nfv5"].map(|f| dir.join(f).display().to_string());
+        let generate = |line: &str| generate_to(&argv(line), &mut Vec::new());
+        let err = generate(&format!("generate --sources 1 --out {a} --out {b}")).unwrap_err();
+        assert_eq!(err, "--sources 1 needs exactly 1 --out files (got 2)");
+        let err = generate(&format!("generate --out {a} --out {b} --intervals 1")).unwrap_err();
+        assert_eq!(err, "--sources 1 needs exactly 1 --out files (got 2)");
+        let err = generate(&format!("generate --sources 0 --out {a}")).unwrap_err();
+        assert_eq!(err, "--sources must be at least 1");
+        let err = generate(&format!("generate --sources 2 --out {a}")).unwrap_err();
+        assert_eq!(err, "--sources 2 needs exactly 2 --out files (got 1)");
+        assert!(!Path::new(&a).exists() && !Path::new(&b).exists());
+        generate(&format!("generate --sources 1 --out {a} --intervals 1")).unwrap();
+        assert!(Path::new(&a).exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -204,19 +204,6 @@ impl ExtractionConfig {
             .map_err(|e| RestoreError::Corrupt(format!("invalid restored configuration: {e}")))?;
         Ok(config)
     }
-
-    /// Scale the minimum support relative to an expected interval volume —
-    /// the paper's guidance that "a suitable s is typically in the range
-    /// between 1% and 10% of the total number of input flows" (§II-E).
-    #[must_use]
-    pub fn with_relative_support(mut self, interval_flows: u64, fraction: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&fraction),
-            "fraction must be within [0, 1]"
-        );
-        self.min_support = ((interval_flows as f64 * fraction) as u64).max(1);
-        self
-    }
 }
 
 #[cfg(test)]
@@ -250,21 +237,6 @@ mod tests {
             ..RuleConfig::default()
         });
         assert!(c.validate().is_err(), "rule filters are validated too");
-    }
-
-    #[test]
-    fn relative_support_rule_of_thumb() {
-        // 1% of one million flows → s = 10 000, the paper's setting.
-        let c = ExtractionConfig::default().with_relative_support(1_000_000, 0.01);
-        assert_eq!(c.min_support, 10_000);
-        let c = ExtractionConfig::default().with_relative_support(50, 0.01);
-        assert_eq!(c.min_support, 1, "floored at 1");
-    }
-
-    #[test]
-    #[should_panic(expected = "fraction must be within")]
-    fn bad_fraction_panics() {
-        let _ = ExtractionConfig::default().with_relative_support(100, 2.0);
     }
 
     #[test]

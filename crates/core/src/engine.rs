@@ -83,7 +83,7 @@ use anomex_netflow::{FlowColumns, FlowRecord};
 
 use crate::config::{ConfigError, ExtractionConfig};
 use crate::pipeline::{extract_flows, mine_at_indices, Extraction, IntervalOutcome};
-use crate::prefilter::{prefilter_indices_columns_range_with, PrefilterScratch};
+use crate::prefilter::{prefilter_indices_columns_with, PrefilterScratch};
 
 /// One interval's flows, in whichever representation the caller already
 /// holds. [`Engine::process`] accepts `impl Into<IntervalInput>`, so
@@ -390,9 +390,8 @@ impl Engine {
         let exec = exec_of(&self.pool);
         let observation = observe_columns(&mut self.bank, &self.hasher, cols, exec);
         let extraction = if observation.alarm && !observation.metadata.is_empty() {
-            let indices = prefilter_indices_columns_range_with(
+            let indices = prefilter_indices_columns_with(
                 cols,
-                0..cols.len(),
                 &observation.metadata,
                 self.config.prefilter,
                 &mut self.prefilter_scratch,

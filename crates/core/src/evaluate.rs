@@ -1,7 +1,9 @@
 //! Scenario evaluation harness — reproduces the paper's §III analyses.
 //!
-//! Runs a labeled [`Scenario`] through the pipeline and scores the results
-//! with the exact per-flow ground truth the synthetic workload provides:
+//! Runs a labeled [`Scenario`] through the engine and scores what it
+//! mined — the suspicious transactions the engine itself gathered, under
+//! the configuration's pre-filter and transaction mode — with the exact
+//! per-flow ground truth the synthetic workload provides:
 //!
 //! - interval-level detection (Fig. 6 ROC inputs: per-clone scores +
 //!   truth);
@@ -11,9 +13,10 @@
 //! - per-class detection and extraction summary (Table IV).
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
-use anomex_mining::{ItemSet, MinerKind, Transaction, TransactionSet};
-use anomex_netflow::FlowRecord;
+use anomex_mining::{ItemSet, MinerKind, TransactionSet};
+use anomex_netflow::FlowColumns;
 use anomex_traffic::{AnomalyClass, EventId, Scenario};
 
 use crate::classify::classify_itemset;
@@ -21,7 +24,7 @@ use crate::config::ExtractionConfig;
 use crate::cost::average_cost_reduction;
 use crate::engine::Engine;
 use crate::pipeline::Extraction;
-use crate::prefilter::prefilter_indices;
+use crate::prefilter::prefilter_indices_columns;
 
 /// An extracted item-set judged against ground truth.
 #[derive(Debug, Clone)]
@@ -40,25 +43,33 @@ pub struct EvaluatedItemSet {
     pub class_hint: Option<AnomalyClass>,
 }
 
-/// Judge item-sets against labeled suspicious flows. An item-set is a true
-/// positive when the majority of the flows it matches are event flows —
-/// the automated equivalent of the paper's manual "matched the identified
+/// Judge item-sets against labeled suspicious transactions (`labels[i]`
+/// is transaction `i`'s flow label). An item-set is a true positive when
+/// the majority of the transactions it matches are event flows — the
+/// automated equivalent of the paper's manual "matched the identified
 /// events" judgement.
+///
+/// # Panics
+///
+/// Panics if `transactions` and `labels` differ in length.
 #[must_use]
 pub fn evaluate_itemsets(
     itemsets: &[ItemSet],
-    flows: &[FlowRecord],
+    transactions: &TransactionSet,
     labels: &[Option<EventId>],
 ) -> Vec<EvaluatedItemSet> {
-    assert_eq!(flows.len(), labels.len(), "flows and labels must align");
-    let transactions: Vec<Transaction> = flows.iter().map(Transaction::from_flow).collect();
+    assert_eq!(
+        transactions.len(),
+        labels.len(),
+        "transactions and labels must align"
+    );
     itemsets
         .iter()
         .map(|set| {
             let mut matching = 0u64;
             let mut per_event: BTreeMap<EventId, u64> = BTreeMap::new();
             let mut labeled = 0u64;
-            for (t, label) in transactions.iter().zip(labels) {
+            for (t, label) in transactions.transactions().iter().zip(labels) {
                 if t.contains_all(set.items()) {
                     matching += 1;
                     if let Some(id) = label {
@@ -100,10 +111,10 @@ pub struct IntervalRecord {
     pub extraction: Option<Extraction>,
     /// Judged item-sets of that extraction.
     pub evaluated: Vec<EvaluatedItemSet>,
-    /// The labeled suspicious flows (stored only when alarmed, for
-    /// support sweeps).
-    pub suspicious: Vec<FlowRecord>,
-    /// Labels parallel to `suspicious`.
+    /// The suspicious transactions the extraction mined (stored only
+    /// when alarmed, for support sweeps).
+    pub suspicious: TransactionSet,
+    /// Flow labels parallel to `suspicious`.
     pub suspicious_labels: Vec<Option<EventId>>,
 }
 
@@ -164,8 +175,11 @@ pub struct Table4Row {
     pub extracted: usize,
 }
 
-/// Run a scenario through the pipeline and record everything needed for
-/// the paper's evaluation figures.
+/// Run a scenario through the engine and record everything needed for
+/// the paper's evaluation figures. Each interval is transposed once and
+/// fed to [`Engine::process`]; on an extraction, the suspicious rows are
+/// selected and gathered by the calls the engine makes, so the judged
+/// transactions are exactly the mined ones.
 ///
 /// # Panics
 ///
@@ -181,7 +195,8 @@ pub fn run_scenario(scenario: &Scenario, config: &ExtractionConfig) -> ScenarioR
 
     for i in 0..scenario.interval_count() {
         let labeled = scenario.generate(i);
-        let outcome = pipeline.process(&labeled.flows);
+        let cols = Arc::new(FlowColumns::from_flows(&labeled.flows));
+        let outcome = pipeline.process(&cols);
 
         // Per-clone normalized scores for ROC analysis.
         for (c, scores) in clone_scores.iter_mut().enumerate() {
@@ -200,13 +215,13 @@ pub fn run_scenario(scenario: &Scenario, config: &ExtractionConfig) -> ScenarioR
 
         let (suspicious, suspicious_labels, evaluated) = match &outcome.extraction {
             Some(ex) => {
-                let idx = prefilter_indices(&labeled.flows, &ex.metadata, config.prefilter);
-                let s: Vec<FlowRecord> = idx.iter().map(|&j| labeled.flows[j]).collect();
+                let idx = prefilter_indices_columns(&cols, &ex.metadata, config.prefilter);
+                let s = config.transactions.transactions_at_columns(&cols, &idx);
                 let l: Vec<Option<EventId>> = idx.iter().map(|&j| labeled.labels[j]).collect();
                 let ev = evaluate_itemsets(&ex.itemsets, &s, &l);
                 (s, l, ev)
             }
-            None => (Vec::new(), Vec::new(), Vec::new()),
+            None => (TransactionSet::new(), Vec::new(), Vec::new()),
         };
 
         records.push(IntervalRecord {
@@ -255,8 +270,8 @@ impl ScenarioRun {
             .collect()
     }
 
-    /// Fig. 9: re-mine every alarmed anomalous interval at each support
-    /// and count FP item-sets.
+    /// Fig. 9: re-mine every alarmed anomalous interval's suspicious
+    /// transactions at each support and count FP item-sets.
     #[must_use]
     pub fn fp_sweep(&self, supports: &[u64], miner: MinerKind) -> Vec<SupportSweepPoint> {
         supports
@@ -266,8 +281,7 @@ impl ScenarioRun {
                 let mut zero_fp = 0usize;
                 let mut extracted = 0usize;
                 for r in self.alarmed_anomalous() {
-                    let transactions = TransactionSet::from_flows(&r.suspicious);
-                    let itemsets = miner.mine_maximal(&transactions, s);
+                    let itemsets = miner.mine_maximal(&r.suspicious, s);
                     let judged = evaluate_itemsets(&itemsets, &r.suspicious, &r.suspicious_labels);
                     let fps = judged.iter().filter(|e| !e.is_tp).count();
                     if fps == 0 {
@@ -300,8 +314,7 @@ impl ScenarioRun {
                     .alarmed_anomalous()
                     .iter()
                     .map(|r| {
-                        let transactions = TransactionSet::from_flows(&r.suspicious);
-                        let itemsets = miner.mine_maximal(&transactions, s);
+                        let itemsets = miner.mine_maximal(&r.suspicious, s);
                         (r.total_flows as u64, itemsets.len())
                     })
                     .collect();
@@ -366,10 +379,18 @@ impl ScenarioRun {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::TransactionMode;
     use anomex_detector::DetectorConfig;
     use anomex_mining::Item;
-    use anomex_netflow::{FlowFeature, Protocol};
+    use anomex_netflow::{FlowFeature, FlowRecord, Protocol};
     use std::net::Ipv4Addr;
+
+    /// The canonical transactions of every flow, gathered as the engine
+    /// gathers them.
+    fn mined(flows: &[FlowRecord]) -> TransactionSet {
+        let all: Vec<usize> = (0..flows.len()).collect();
+        TransactionMode::Canonical.transactions_at_columns(&FlowColumns::from_flows(flows), &all)
+    }
 
     fn scan_flow(i: u32) -> FlowRecord {
         FlowRecord::new(
@@ -413,7 +434,7 @@ mod tests {
             100,
         );
         let web_set = ItemSet::new(vec![Item::new(FlowFeature::DstPort, 80)], 40);
-        let judged = evaluate_itemsets(&[scan_set, web_set], &flows, &labels);
+        let judged = evaluate_itemsets(&[scan_set, web_set], &mined(&flows), &labels);
         assert!(judged[0].is_tp);
         assert_eq!(judged[0].dominant_event, Some(EventId(1)));
         assert_eq!(judged[0].matching_flows, 100);
@@ -435,7 +456,7 @@ mod tests {
             ],
             10,
         );
-        let judged = evaluate_itemsets(&[set], &flows, &labels);
+        let judged = evaluate_itemsets(&[set], &mined(&flows), &labels);
         assert_eq!(judged[0].class_hint, Some(AnomalyClass::Scanning));
     }
 
@@ -503,7 +524,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "must align")]
     fn label_mismatch_panics() {
-        let flows = vec![scan_flow(0)];
-        let _ = evaluate_itemsets(&[], &flows, &[]);
+        let _ = evaluate_itemsets(&[], &mined(&[scan_flow(0)]), &[]);
     }
 }

@@ -77,12 +77,9 @@ pub use models::{
 };
 pub use pipeline::{merge_source_rules, Extraction, IntervalOutcome, TransactionMode};
 pub use prefilter::{
-    prefilter, prefilter_indices, prefilter_indices_columns, prefilter_indices_columns_range,
-    prefilter_indices_columns_range_with, PrefilterMode, PrefilterScratch,
+    prefilter_indices_columns, prefilter_indices_columns_with, PrefilterMode, PrefilterScratch,
 };
-pub use report::{
-    render_csv, render_level_stats, render_report, render_report_with_levels, render_rule_merge,
-};
+pub use report::{render_level_stats, render_report, render_report_with_levels, render_rule_merge};
 pub use streaming::{
     latency_percentile, MultiSourceExtractor, MultiStreamEvent, MultiStreamSummary, StreamEvent,
     StreamingExtractor,

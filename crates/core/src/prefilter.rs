@@ -9,13 +9,10 @@
 //! the event. DoWitcher-style intersection filtering is provided as the
 //! comparison baseline.
 //!
-//! The record functions ([`prefilter`], [`prefilter_indices`]) are the
-//! reference; the engine runs the columnar form
-//! ([`prefilter_indices_columns_range_with`]), which scans one
-//! [`FlowColumns`] column per meta-data feature through
-//! [`FlowColumns::for_each_raw`] and selects the same indices.
-
-use std::ops::Range;
+//! The engine pre-filters a columnar interval with
+//! [`prefilter_indices_columns_with`], which scans one [`FlowColumns`]
+//! column per meta-data feature through [`FlowColumns::for_each_raw`];
+//! [`PrefilterMode::matches`] is the per-flow definition it implements.
 
 use anomex_detector::MetaData;
 use anomex_netflow::{FlowColumns, FlowRecord};
@@ -42,88 +39,33 @@ impl PrefilterMode {
     }
 }
 
-/// Filter flows by meta-data, returning the suspicious subset.
-#[must_use]
-pub fn prefilter(
-    flows: &[FlowRecord],
-    metadata: &MetaData,
-    mode: PrefilterMode,
-) -> Vec<FlowRecord> {
-    flows
-        .iter()
-        .filter(|f| mode.matches(metadata, f))
-        .copied()
-        .collect()
-}
-
-/// Filter flows by meta-data, returning the *indices* of suspicious flows
-/// (used by the evaluation harness to join with ground-truth labels).
-#[must_use]
-pub fn prefilter_indices(
-    flows: &[FlowRecord],
-    metadata: &MetaData,
-    mode: PrefilterMode,
-) -> Vec<usize> {
-    flows
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| mode.matches(metadata, f))
-        .map(|(i, _)| i)
-        .collect()
-}
-
-/// Filter a columnar interval by meta-data, returning the indices of
-/// suspicious flows — the struct-of-arrays counterpart of
-/// [`prefilter_indices`], evaluated one *column* at a time instead of
-/// one flow at a time: each meta-data feature scans only its own
-/// contiguous column, so the other nine columns never enter the cache.
-/// Identical output to running [`prefilter_indices`] over
-/// `cols.to_flows()`.
+/// Filter a columnar interval by meta-data, returning the ascending
+/// indices of the suspicious flows — the rows that
+/// [`PrefilterMode::matches`] keeps, evaluated one *column* at a time
+/// instead of one flow at a time: each meta-data feature scans only its
+/// own contiguous column, so the other columns never enter the cache.
 #[must_use]
 pub fn prefilter_indices_columns(
     cols: &FlowColumns,
     metadata: &MetaData,
     mode: PrefilterMode,
 ) -> Vec<usize> {
-    prefilter_indices_columns_range(cols, 0..cols.len(), metadata, mode)
-}
-
-/// [`prefilter_indices_columns`] restricted to `range`. Returned indices
-/// are *global* (into `cols`), ascending, so concatenating the results
-/// of consecutive ranges reproduces the full-interval answer.
-///
-/// # Panics
-///
-/// Panics if `range` is out of bounds for `cols`.
-#[must_use]
-pub fn prefilter_indices_columns_range(
-    cols: &FlowColumns,
-    range: Range<usize>,
-    metadata: &MetaData,
-    mode: PrefilterMode,
-) -> Vec<usize> {
-    prefilter_indices_columns_range_with(
-        cols,
-        range,
-        metadata,
-        mode,
-        &mut PrefilterScratch::default(),
-    )
+    prefilter_indices_columns_with(cols, metadata, mode, &mut PrefilterScratch::default())
 }
 
 /// Reusable working memory for the columnar pre-filter — the per-row hit
 /// counters. The engine keeps one and threads it through every alarmed
-/// interval's [`prefilter_indices_columns_range_with`] call, so
-/// steady-state intervals stop re-allocating `range.len()` bytes.
-/// Contents never leak between calls (the buffer is re-zeroed on entry),
-/// so recycling cannot change any output.
+/// interval's [`prefilter_indices_columns_with`] call, so steady-state
+/// intervals stop re-allocating one byte per flow. Contents never leak
+/// between calls (the buffer is re-zeroed on entry), so recycling cannot
+/// change any output.
 #[derive(Debug, Default)]
 pub struct PrefilterScratch {
     hits: Vec<u8>,
 }
 
-/// [`prefilter_indices_columns_range`] with caller-provided scratch —
-/// the allocation-recycling form the engine uses.
+/// [`prefilter_indices_columns`] with caller-provided scratch — the
+/// allocation-recycling form the engine uses.
 ///
 /// Each participating feature is one
 /// [`for_each_raw`](FlowColumns::for_each_raw) scan of its column that
@@ -131,14 +73,9 @@ pub struct PrefilterScratch {
 /// (the common case — voted value sets are small) are probed
 /// branch-free as a fixed array; larger sets keep the ordinary
 /// `BTreeSet` lookup. Both count the same hits.
-///
-/// # Panics
-///
-/// Panics if `range` is out of bounds for `cols`.
 #[must_use]
-pub fn prefilter_indices_columns_range_with(
+pub fn prefilter_indices_columns_with(
     cols: &FlowColumns,
-    range: Range<usize>,
     metadata: &MetaData,
     mode: PrefilterMode,
     scratch: &mut PrefilterScratch,
@@ -164,17 +101,18 @@ pub fn prefilter_indices_columns_range_with(
     // counting per-row feature hits; a row passes under Union with ≥1
     // hit and under Intersection with a hit in every feature (≤ 9
     // features, so a u8 cannot overflow).
+    let rows = 0..cols.len();
     let hits = &mut scratch.hits;
     hits.clear();
-    hits.resize(range.len(), 0);
+    hits.resize(rows.len(), 0);
     for &(feature, values) in &features {
         let mut row = 0;
         match SmallValueSet::new(values.iter().copied()) {
-            Some(set) => cols.for_each_raw(feature, range.clone(), |value| {
+            Some(set) => cols.for_each_raw(feature, rows.clone(), |value| {
                 hits[row] += u8::from(set.contains(value));
                 row += 1;
             }),
-            None => cols.for_each_raw(feature, range.clone(), |value| {
+            None => cols.for_each_raw(feature, rows.clone(), |value| {
                 hits[row] += u8::from(values.contains(&value));
                 row += 1;
             }),
@@ -192,7 +130,7 @@ pub fn prefilter_indices_columns_range_with(
         hits.iter()
             .enumerate()
             .filter(|&(_, &h)| h >= needed)
-            .map(|(i, _)| range.start + i),
+            .map(|(i, _)| i),
     );
     out
 }
@@ -261,6 +199,12 @@ mod tests {
         md
     }
 
+    /// The pre-filter's verdict on a record slice, through the columnar
+    /// scan the engine runs.
+    fn select(flows: &[FlowRecord], md: &MetaData, mode: PrefilterMode) -> Vec<usize> {
+        prefilter_indices_columns(&FlowColumns::from_flows(flows), md, mode)
+    }
+
     #[test]
     fn union_catches_flow_disjoint_stages() {
         let md = sasser_metadata();
@@ -269,9 +213,12 @@ mod tests {
             flow(445, 12),
             flow(80, 3), /* unrelated */
         ];
-        let union = prefilter(&flows, &md, PrefilterMode::Union);
-        assert_eq!(union.len(), 2, "both stages kept");
-        let inter = prefilter(&flows, &md, PrefilterMode::Intersection);
+        assert_eq!(
+            select(&flows, &md, PrefilterMode::Union),
+            vec![0, 1],
+            "both stages kept"
+        );
+        let inter = select(&flows, &md, PrefilterMode::Intersection);
         assert!(inter.is_empty(), "intersection misses the anomaly entirely");
     }
 
@@ -280,8 +227,7 @@ mod tests {
         let md = sasser_metadata();
         let both = flow(9996, 12); // matches port AND packet count
         let flows = vec![both, flow(9996, 1)];
-        let inter = prefilter(&flows, &md, PrefilterMode::Intersection);
-        assert_eq!(inter, vec![both]);
+        assert_eq!(select(&flows, &md, PrefilterMode::Intersection), vec![0]);
     }
 
     #[test]
@@ -290,8 +236,8 @@ mod tests {
         let flows: Vec<FlowRecord> = (0..100)
             .map(|i| flow(9990 + (i % 10) as u16, (i % 15) as u32 + 1))
             .collect();
-        let union = prefilter_indices(&flows, &md, PrefilterMode::Union);
-        let inter = prefilter_indices(&flows, &md, PrefilterMode::Intersection);
+        let union = select(&flows, &md, PrefilterMode::Union);
+        let inter = select(&flows, &md, PrefilterMode::Intersection);
         for idx in &inter {
             assert!(union.contains(idx));
         }
@@ -300,53 +246,38 @@ mod tests {
     #[test]
     fn empty_metadata_filters_everything_out() {
         let md = MetaData::new();
-        let flows = vec![flow(80, 1)];
-        assert!(prefilter(&flows, &md, PrefilterMode::Union).is_empty());
-        assert!(prefilter(&flows, &md, PrefilterMode::Intersection).is_empty());
+        let flows = vec![flow(80, 1), flow(9996, 12)];
+        assert!(select(&flows, &md, PrefilterMode::Union).is_empty());
+        assert!(select(&flows, &md, PrefilterMode::Intersection).is_empty());
     }
 
     #[test]
     fn indices_align_with_flows() {
         let md = sasser_metadata();
         let flows = vec![flow(80, 1), flow(9996, 2), flow(443, 12)];
-        let idx = prefilter_indices(&flows, &md, PrefilterMode::Union);
-        assert_eq!(idx, vec![1, 2]);
+        assert_eq!(select(&flows, &md, PrefilterMode::Union), vec![1, 2]);
     }
 
+    /// The column scan keeps exactly the flows the per-flow definition
+    /// keeps, and one scratch recycled across intervals of different
+    /// sizes changes nothing.
     #[test]
-    fn columnar_prefilter_matches_record_prefilter() {
+    fn columnar_prefilter_matches_the_per_flow_definition() {
         let md = sasser_metadata();
         let flows: Vec<FlowRecord> = (0..3000)
             .map(|i| flow(9990 + (i % 10) as u16, (i % 15) as u32 + 1))
             .collect();
-        let cols = FlowColumns::from_flows(&flows);
+        let mut scratch = PrefilterScratch::default();
         for mode in [PrefilterMode::Union, PrefilterMode::Intersection] {
-            assert_eq!(
-                prefilter_indices_columns(&cols, &md, mode),
-                prefilter_indices(&flows, &md, mode),
-                "{mode:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn columnar_prefilter_ranges_concatenate_to_the_whole() {
-        let md = sasser_metadata();
-        let flows: Vec<FlowRecord> = (0..997)
-            .map(|i| flow(9990 + (i % 12) as u16, (i % 20) as u32 + 1))
-            .collect();
-        let cols = FlowColumns::from_flows(&flows);
-        for mode in [PrefilterMode::Union, PrefilterMode::Intersection] {
-            let whole = prefilter_indices_columns(&cols, &md, mode);
-            for split in [0usize, 1, 400, 996, 997] {
-                let mut parts = prefilter_indices_columns_range(&cols, 0..split, &md, mode);
-                parts.extend(prefilter_indices_columns_range(
-                    &cols,
-                    split..997,
-                    &md,
-                    mode,
-                ));
-                assert_eq!(parts, whole, "{mode:?} split {split}");
+            for len in [3000, 997, 0, 1, 3000] {
+                let cols = FlowColumns::from_flows(&flows[..len]);
+                let reference: Vec<usize> =
+                    (0..len).filter(|&i| mode.matches(&md, &flows[i])).collect();
+                assert_eq!(
+                    prefilter_indices_columns_with(&cols, &md, mode, &mut scratch),
+                    reference,
+                    "{mode:?}, {len} flows"
+                );
             }
         }
     }
@@ -368,13 +299,5 @@ mod tests {
                 None => assert!(n == 0 || n > SmallValueSet::MAX as u64, "{n} members"),
             }
         }
-    }
-
-    #[test]
-    fn columnar_prefilter_rejects_everything_on_empty_metadata() {
-        let md = MetaData::new();
-        let cols = FlowColumns::from_flows(&[flow(80, 1), flow(9996, 12)]);
-        assert!(prefilter_indices_columns(&cols, &md, PrefilterMode::Union).is_empty());
-        assert!(prefilter_indices_columns(&cols, &md, PrefilterMode::Intersection).is_empty());
     }
 }

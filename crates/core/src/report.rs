@@ -167,23 +167,6 @@ pub fn render_rule_merge(rules: &RuleSet, sources: usize) -> String {
     out
 }
 
-/// Render the extraction's item-sets as CSV (`support,items`), for piping
-/// into plotting tools.
-#[must_use]
-pub fn render_csv(extraction: &Extraction) -> String {
-    let mut out = String::from("support,itemset\n");
-    for set in &extraction.itemsets {
-        let items = set
-            .items()
-            .iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join(" ");
-        let _ = writeln!(out, "{},\"{items}\"", set.support);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -316,14 +299,5 @@ mod tests {
         let r = render_rule_merge(&ruleset(), 2);
         assert!(r.starts_with("Per-source rule merge — 2 source(s)"));
         assert!(r.contains("ranked by anomaly score"));
-    }
-
-    #[test]
-    fn csv_is_parseable() {
-        let csv = render_csv(&extraction());
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "support,itemset");
-        assert_eq!(lines.len(), 3);
-        assert!(lines[1].starts_with("17822,") || lines[2].starts_with("17822,"));
     }
 }

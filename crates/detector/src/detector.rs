@@ -194,12 +194,6 @@ impl FeatureDetector {
         self.feature
     }
 
-    /// Number of clones `n`.
-    #[must_use]
-    pub fn clone_count(&self) -> usize {
-        self.clones.len()
-    }
-
     /// The vote quorum `l`.
     #[must_use]
     pub fn votes(&self) -> usize {

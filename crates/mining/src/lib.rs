@@ -25,8 +25,8 @@
 //!   [`MinerKind::mine`] is the one dispatch an extraction runs through
 //!   (maximal item-sets, Apriori's audit trail, optional rules), in any
 //!   [`par::Exec`] context;
-//! - [`mine_top_k`] and [`mine_closed`] — the paper's §V extensions
-//!   (report-size-driven mining; lossless closed-set compression);
+//! - [`mine_top_k`] — the paper's §V report-size-driven extension: the
+//!   k most frequent item-sets without choosing a support;
 //! - [`par`] — deterministic parallelism: the flat counting passes
 //!   (single-item counts, Apriori's level-k count, Eclat's tid-lists)
 //!   and the rule fan-out run as ordered chunk maps
@@ -47,7 +47,6 @@
 #![forbid(unsafe_code)]
 
 pub mod apriori;
-pub mod closed;
 pub mod combinations;
 pub mod eclat;
 pub mod fpgrowth;
@@ -61,7 +60,6 @@ pub mod topk;
 pub mod transaction;
 
 pub use apriori::{apriori_exec, AprioriConfig, AprioriOutput, LevelStats};
-pub use closed::{filter_closed, mine_closed};
 pub use eclat::eclat_exec;
 pub use fpgrowth::fpgrowth_exec;
 pub use item::Item;

@@ -184,22 +184,6 @@ impl FlowRecord {
         self.tcp_flags = flags;
         self
     }
-
-    /// Flow duration in milliseconds.
-    #[must_use]
-    pub fn duration_ms(&self) -> u64 {
-        self.end_ms - self.start_ms
-    }
-
-    /// Mean packet size in bytes (0 if the flow somehow has no packets).
-    #[must_use]
-    pub fn mean_packet_size(&self) -> f64 {
-        if self.packets == 0 {
-            0.0
-        } else {
-            f64::from(self.bytes) / f64::from(self.packets)
-        }
-    }
 }
 
 impl fmt::Display for FlowRecord {
@@ -269,10 +253,9 @@ mod tests {
         .with_volume(10, 4000)
         .with_end(1500)
         .with_flags(TcpFlags::syn_only());
-        assert_eq!(f.duration_ms(), 500);
+        assert_eq!(f.end_ms, 1500);
         assert_eq!(f.packets, 10);
         assert_eq!(f.bytes, 4000);
-        assert!((f.mean_packet_size() - 400.0).abs() < f64::EPSILON);
         assert!(f.tcp_flags.contains(TcpFlags::SYN));
     }
 
@@ -281,14 +264,7 @@ mod tests {
         let f = FlowRecord::new(0, ip("1.1.1.1"), ip("2.2.2.2"), 1, 2, Protocol::Udp);
         assert_eq!(f.packets, 1);
         assert_eq!(f.bytes, 40);
-        assert_eq!(f.duration_ms(), 0);
-    }
-
-    #[test]
-    fn mean_packet_size_zero_packets() {
-        let mut f = FlowRecord::new(0, ip("1.1.1.1"), ip("2.2.2.2"), 1, 2, Protocol::Udp);
-        f.packets = 0;
-        assert_eq!(f.mean_packet_size(), 0.0);
+        assert_eq!(f.end_ms, f.start_ms);
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub use error::{DecodeError, EncodeError, ReadError};
 pub use feature::{FeatureValue, FlowFeature, ParseFeatureValueError};
 pub use flow::{FlowRecord, Protocol, TcpFlags};
 pub use merge::{MergeAssembler, MergeConfig, MergedInterval, SourceStats};
-pub use shard::{chunk_ranges, chunks_of, default_shards, MAX_SHARDS};
+pub use shard::{chunk_ranges, default_shards, MAX_SHARDS};
 pub use snapshot::{
     read_checkpoint, write_checkpoint, RestoreError, SnapshotReader, SnapshotWriter,
     CHECKPOINT_VERSION,

@@ -40,16 +40,6 @@ pub fn chunk_ranges(len: usize, shards: NonZeroUsize) -> Vec<Range<usize>> {
     out
 }
 
-/// Split a slice into the balanced contiguous chunks of [`chunk_ranges`],
-/// paired with each chunk's starting index in the original slice.
-#[must_use]
-pub fn chunks_of<T>(items: &[T], shards: NonZeroUsize) -> Vec<(usize, &[T])> {
-    chunk_ranges(items.len(), shards)
-        .into_iter()
-        .map(|r| (r.start, &items[r]))
-        .collect()
-}
-
 /// The largest shard count the engine accepts. Every shard is an OS
 /// thread, and a count the OS cannot serve aborts the process inside
 /// thread spawning instead of failing cleanly, so every entry point
@@ -109,18 +99,6 @@ mod tests {
     fn fewer_chunks_than_shards_for_tiny_inputs() {
         assert_eq!(chunk_ranges(2, nz(8)).len(), 2);
         assert!(chunk_ranges(0, nz(8)).is_empty());
-    }
-
-    #[test]
-    fn chunks_of_reassembles_the_slice() {
-        let data: Vec<u32> = (0..17).collect();
-        let chunks = chunks_of(&data, nz(5));
-        let mut rebuilt = Vec::new();
-        for (start, chunk) in chunks {
-            assert_eq!(rebuilt.len(), start);
-            rebuilt.extend_from_slice(chunk);
-        }
-        assert_eq!(rebuilt, data);
     }
 
     #[test]

@@ -446,7 +446,7 @@ mod tests {
         let starts = [10u64, 999, 1000, 1001, 2500, 2600, 7000];
         let flows: Vec<_> = starts.iter().map(|&s| flow_at(s)).collect();
 
-        let mut trace = FlowTrace::from_flows(flows.clone());
+        let trace = FlowTrace::from_flows(flows.clone());
         let batch: Vec<(u64, usize)> = trace
             .intervals(0, 1000)
             .iter()

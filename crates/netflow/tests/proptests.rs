@@ -289,7 +289,7 @@ proptest! {
         interval_ms in 1u64..100_000,
     ) {
         let n = flows.len();
-        let mut trace = FlowTrace::from_flows(flows);
+        let trace = FlowTrace::from_flows(flows);
         let ivs = trace.intervals(0, interval_ms);
         let total: usize = ivs.iter().map(|iv| iv.flows.len()).sum();
         prop_assert_eq!(total, n);
@@ -312,7 +312,7 @@ proptest! {
         let mut sorted = flows;
         sorted.sort_by_key(|f| f.start_ms);
 
-        let mut trace = FlowTrace::from_flows(sorted.clone());
+        let trace = FlowTrace::from_flows(sorted.clone());
         let batch: Vec<usize> = trace.intervals(0, interval_ms).iter().map(|iv| iv.flows.len()).collect();
 
         let mut asm = IntervalAssembler::new(0, interval_ms);

@@ -44,15 +44,6 @@ impl LabeledInterval {
         self.labels.iter().filter(|l| l.is_some()).count()
     }
 
-    /// The distinct events present in this interval.
-    #[must_use]
-    pub fn events_present(&self) -> Vec<EventId> {
-        let mut ids: Vec<EventId> = self.labels.iter().flatten().copied().collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids
-    }
-
     /// Iterate (flow, label) pairs.
     pub fn iter(&self) -> impl Iterator<Item = (&FlowRecord, Option<EventId>)> + '_ {
         self.flows.iter().zip(self.labels.iter().copied())
@@ -100,7 +91,6 @@ mod tests {
         assert_eq!(iv.event_flow_count(EventId(1)), 2);
         assert_eq!(iv.event_flow_count(EventId(2)), 1);
         assert_eq!(iv.event_flow_count(EventId(9)), 0);
-        assert_eq!(iv.events_present(), vec![EventId(1), EventId(2)]);
     }
 
     #[test]
@@ -114,7 +104,6 @@ mod tests {
         };
         assert!(!iv.is_anomalous());
         assert_eq!(iv.anomalous_flow_count(), 0);
-        assert!(iv.events_present().is_empty());
     }
 
     #[test]

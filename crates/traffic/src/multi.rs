@@ -118,12 +118,6 @@ impl MultiSourceScenario {
         &self.links
     }
 
-    /// Number of links (sources).
-    #[must_use]
-    pub fn source_count(&self) -> usize {
-        self.links.len()
-    }
-
     /// The merge-layer bindings: source `i` with origin equal to its
     /// clock skew, so every link lands on the same grid.
     #[must_use]
@@ -188,7 +182,7 @@ mod tests {
     #[test]
     fn uniform_preset_shapes_links() {
         let ms = MultiSourceScenario::uniform(7, 3);
-        assert_eq!(ms.source_count(), 3);
+        assert_eq!(ms.links().len(), 3);
         assert!(ms.links()[0].carries_anomalies);
         assert!(!ms.links()[1].carries_anomalies);
         assert!(ms.links()[1].rate < ms.links()[0].rate);

@@ -15,8 +15,7 @@
 //!    the failing datagram leaving the column store untouched.
 
 use anomex::core::{
-    cost_reduction, prefilter, prefilter_indices, prefilter_indices_columns,
-    prefilter_indices_columns_range, prefilter_indices_columns_range_with, Engine, Extraction,
+    cost_reduction, prefilter_indices_columns, prefilter_indices_columns_with, Engine, Extraction,
     ExtractionConfig, PrefilterScratch, TransactionMode,
 };
 use anomex::mining::Exec;
@@ -38,6 +37,14 @@ fn table2_metadata() -> MetaData {
         md.insert(FlowFeature::DstPort, port);
     }
     md
+}
+
+/// The per-flow pre-filter reference: the indices of the flows `mode`
+/// keeps under `md`, one record at a time.
+fn reference_indices(flows: &[FlowRecord], md: &MetaData, mode: PrefilterMode) -> Vec<usize> {
+    (0..flows.len())
+        .filter(|&i| mode.matches(md, &flows[i]))
+        .collect()
 }
 
 /// Assert two extractions are the same to the bit.
@@ -110,7 +117,10 @@ proptest! {
         };
         let support = (w.min_support / support_div).max(1);
         let md = table2_metadata();
-        let suspicious = prefilter(&w.flows, &md, PrefilterMode::Union);
+        let suspicious: Vec<FlowRecord> = reference_indices(&w.flows, &md, PrefilterMode::Union)
+            .into_iter()
+            .map(|i| w.flows[i])
+            .collect();
         let transactions = match tx_mode {
             TransactionMode::Canonical => TransactionSet::from_flows(&suspicious),
             TransactionMode::WithPrefixes => TransactionSet::from_flows_extended(&suspicious),
@@ -141,7 +151,7 @@ proptest! {
     }
 
     /// The columnar pre-filter selects exactly the index sequence of the
-    /// record pre-filter, for both union and intersection semantics.
+    /// per-flow reference, for both union and intersection semantics.
     #[test]
     fn columnar_prefilter_matches_record_prefilter(
         seed in 0u64..10_000,
@@ -159,7 +169,7 @@ proptest! {
         md.insert(FlowFeature::Packets, 2);
         let cols = FlowColumns::from_flows(&w.flows);
         prop_assert_eq!(
-            prefilter_indices(&w.flows, &md, mode),
+            reference_indices(&w.flows, &md, mode),
             prefilter_indices_columns(&cols, &md, mode)
         );
     }
@@ -187,11 +197,11 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The columnar pre-filter ≡ the record pre-filter on arbitrary
+    /// The columnar pre-filter ≡ the per-flow reference on arbitrary
     /// flows, meta-data (value sets of up to and beyond the 16 members
-    /// probed as a fixed array, one or two features), ranges, and both
-    /// modes — and the scratch-reuse form returns the same thing again
-    /// on a dirty scratch.
+    /// probed as a fixed array, one or two features), and both modes —
+    /// and one scratch reused across intervals of different lengths
+    /// changes nothing.
     #[test]
     fn columnar_prefilter_matches_record_reference(
         flows_seed in proptest::collection::vec((0u16..32, 1u32..20), 0..120),
@@ -213,19 +223,20 @@ proptest! {
         }
         let mode = if union { PrefilterMode::Union } else { PrefilterMode::Intersection };
         let cols = FlowColumns::from_flows(&flows);
-        let reference = prefilter_indices(&flows, &md, mode);
-        let whole = prefilter_indices_columns_range(&cols, 0..flows.len(), &md, mode);
-        prop_assert_eq!(&whole, &reference);
-        // Split ranges concatenate to the whole (shard contract) and a
-        // recycled dirty scratch changes nothing.
+        let reference = reference_indices(&flows, &md, mode);
+        prop_assert_eq!(&prefilter_indices_columns(&cols, &md, mode), &reference);
+        // One scratch serves a longer, a shorter and the first interval
+        // again: whatever an earlier call left in it changes nothing.
         let split = split.min(flows.len());
+        let head = FlowColumns::from_flows(&flows[..split]);
+        let head_reference = reference_indices(&flows[..split], &md, mode);
         let mut scratch = PrefilterScratch::default();
-        let mut parts =
-            prefilter_indices_columns_range_with(&cols, 0..split, &md, mode, &mut scratch);
-        parts.extend(prefilter_indices_columns_range_with(
-            &cols, split..flows.len(), &md, mode, &mut scratch,
-        ));
-        prop_assert_eq!(&parts, &reference);
+        for (cols, reference) in [(&cols, &reference), (&head, &head_reference), (&cols, &reference)] {
+            prop_assert_eq!(
+                &prefilter_indices_columns_with(cols, &md, mode, &mut scratch),
+                reference
+            );
+        }
     }
 }
 

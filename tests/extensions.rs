@@ -1,9 +1,9 @@
 //! Integration tests for the paper's §V / Table I extensions: top-k
-//! mining, closed item-sets, and the entropy detector driving the same
-//! extraction pipeline.
+//! mining, and the entropy detector driving the same extraction
+//! pipeline.
 
 use anomex::detector::EntropyDetector;
-use anomex::mining::{filter_closed, mine_top_k};
+use anomex::mining::mine_top_k;
 use anomex::prelude::*;
 use anomex::traffic::table2_workload;
 
@@ -37,31 +37,6 @@ fn topk_matches_fixed_support_leaders() {
         joined.contains("dstPort=7000") || joined.contains("dstPort=80"),
         "{joined}"
     );
-}
-
-/// Closed item-sets are a lossless superset of maximal ones on real
-/// pipeline output.
-#[test]
-fn closed_supersets_maximal_on_table2() {
-    let w = table2_workload(2009, 0.05);
-    let transactions = TransactionSet::from_flows(&w.flows);
-    let all = MinerKind::Eclat.mine_all(&transactions, w.min_support);
-    let closed = filter_closed(all.clone());
-    let maximal = MinerKind::Eclat.mine_maximal(&transactions, w.min_support);
-
-    for m in &maximal {
-        assert!(closed.contains(m), "maximal {m} must be closed");
-    }
-    // Lossless: every frequent set's support is recoverable from closed.
-    for s in &all {
-        let recovered = closed
-            .iter()
-            .filter(|c| s.is_subset_of(c))
-            .map(|c| c.support)
-            .max()
-            .expect("closed superset exists");
-        assert_eq!(recovered, s.support, "support of {s} lost");
-    }
 }
 
 /// The entropy detector (Table I family) catches the Table II flood via
@@ -119,17 +94,14 @@ fn entropy_detector_drives_extraction() {
     );
 }
 
-/// Top-k, closed, and maximal agree on supports for the sets they share.
+/// Top-k and maximal agree on supports for the sets they share.
 #[test]
 fn extension_modes_are_mutually_consistent() {
     let w = table2_workload(3, 0.02);
     let tx = TransactionSet::from_flows(&w.flows);
     let maximal = MinerKind::FpGrowth.mine_maximal(&tx, w.min_support);
-    let closed = filter_closed(MinerKind::FpGrowth.mine_all(&tx, w.min_support));
     let top = mine_top_k(&tx, MinerKind::FpGrowth, maximal.len(), w.min_support);
     for m in &maximal {
-        let in_closed = closed.iter().find(|c| c == &m).expect("maximal ⊆ closed");
-        assert_eq!(in_closed.support, m.support);
         if let Some(in_top) = top.itemsets.iter().find(|t| t == &m) {
             assert_eq!(in_top.support, m.support);
         }

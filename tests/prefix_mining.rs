@@ -184,3 +184,46 @@ fn prefix_detector_feature_works_in_the_bank() {
         .values_for(FlowFeature::DstNet16)
         .is_some_and(|v| v.contains(&prefix_value)));
 }
+
+/// In prefix mode the evaluation harness judges the width-9 transactions
+/// the engine mined, so an item-set carrying a `srcNet16` / `dstNet16`
+/// item matches the event flows it summarizes: every alarmed anomalous
+/// interval of the small scenario extracts its event, and the Fig. 9
+/// sweep at the run's own support reproduces the run's own judgement.
+#[test]
+fn prefix_mode_evaluation_judges_what_was_mined() {
+    let scenario = Scenario::small(23);
+    let config = ExtractionConfig {
+        interval_ms: 60_000,
+        detector: DetectorConfig {
+            training_intervals: 10,
+            ..DetectorConfig::default()
+        },
+        min_support: 700,
+        transactions: TransactionMode::WithPrefixes,
+        ..ExtractionConfig::default()
+    };
+    let run = run_scenario(&scenario, &config);
+    let alarmed = run.alarmed_anomalous();
+    assert_eq!(alarmed.len(), 3, "the three planted events alarm");
+    for r in &alarmed {
+        assert!(
+            r.tp_itemsets() > 0,
+            "interval {} extracted nothing true: {:?}",
+            r.interval,
+            r.evaluated
+                .iter()
+                .map(|e| e.itemset.to_string())
+                .collect::<Vec<_>>()
+        );
+        assert!(
+            r.suspicious.transactions().iter().all(|t| t.width() == 9),
+            "interval {} judged other transactions than it mined",
+            r.interval
+        );
+    }
+    let [sweep] = run.fp_sweep(&[700], config.miner).try_into().unwrap();
+    let fps: Vec<usize> = alarmed.iter().map(|r| r.fp_itemsets()).collect();
+    assert_eq!(sweep.fp_per_interval, fps);
+    assert_eq!(sweep.extracted_fraction.to_bits(), 1.0f64.to_bits());
+}

@@ -1,7 +1,8 @@
 //! Cross-crate property tests: invariants that span the flow substrate,
 //! the detector, and the miner.
 
-use anomex::core::PrefilterMode;
+use anomex::core::{prefilter_indices_columns, PrefilterMode};
+use anomex::netflow::FlowColumns;
 use anomex::prelude::*;
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
@@ -45,6 +46,15 @@ fn arb_metadata() -> impl Strategy<Value = MetaData> {
         })
 }
 
+/// The flows the union pre-filter keeps, in order.
+fn suspicious(flows: &[FlowRecord], md: &MetaData) -> Vec<FlowRecord> {
+    flows
+        .iter()
+        .filter(|f| PrefilterMode::Union.matches(md, f))
+        .copied()
+        .collect()
+}
+
 /// Offline extraction at `min_support` with `miner`.
 fn extract(flows: &[FlowRecord], md: &MetaData, min_support: u64, miner: MinerKind) -> Extraction {
     let config = ExtractionConfig {
@@ -68,7 +78,7 @@ proptest! {
         support in 5u64..40,
     ) {
         let ex = extract(&flows, &md, support, MinerKind::default());
-        let suspicious = anomex::core::prefilter(&flows, &md, PrefilterMode::Union);
+        let suspicious = suspicious(&flows, &md);
         prop_assert_eq!(ex.suspicious_flows, suspicious.len());
         let tx = TransactionSet::from_flows(&suspicious);
         for set in &ex.itemsets {
@@ -99,7 +109,8 @@ proptest! {
         flows in proptest::collection::vec(arb_flow(), 1..300),
         md in arb_metadata(),
     ) {
-        let idx = anomex::core::prefilter_indices(&flows, &md, PrefilterMode::Union);
+        let cols = FlowColumns::from_flows(&flows);
+        let idx = prefilter_indices_columns(&cols, &md, PrefilterMode::Union);
         for (i, flow) in flows.iter().enumerate() {
             let kept = idx.contains(&i);
             prop_assert_eq!(kept, md.matches_any(flow));
@@ -120,8 +131,7 @@ proptest! {
         let s_hi = s_lo * 2;
         let lo = extract(&flows, &md, s_lo, MinerKind::Eclat);
         let hi = extract(&flows, &md, s_hi, MinerKind::Eclat);
-        let suspicious = anomex::core::prefilter(&flows, &md, PrefilterMode::Union);
-        let tx = TransactionSet::from_flows(&suspicious);
+        let tx = TransactionSet::from_flows(&suspicious(&flows, &md));
         for set in &hi.itemsets {
             prop_assert!(tx.support_of(set.items()) >= s_lo);
             prop_assert!(

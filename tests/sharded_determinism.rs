@@ -7,9 +7,8 @@
 //! properties assert it across random scenario seeds, scales, supports,
 //! and transaction modes.
 
-use anomex::core::{prefilter_indices, prefilter_indices_columns_range, TransactionMode};
+use anomex::core::{prefilter_indices_columns, TransactionMode};
 use anomex::mining::RuleConfig;
-use anomex::netflow::shard::chunk_ranges;
 use anomex::netflow::FlowColumns;
 use anomex::prelude::*;
 use proptest::prelude::*;
@@ -150,11 +149,10 @@ proptest! {
         );
     }
 
-    /// The pre-filter yields the exact index sequence of the record
-    /// reference however the interval is cut, for both union and
-    /// intersection semantics: per-range columnar filters concatenated in
-    /// range order equal it — and the engine itself, at that shard count,
-    /// mines exactly that many suspicious flows.
+    /// The pre-filter yields the exact index sequence of the per-flow
+    /// reference, for both union and intersection semantics — and the
+    /// engine itself, at any shard count, mines exactly that many
+    /// suspicious flows.
     #[test]
     fn prefilter_is_shard_invariant(
         seed in 0u64..10_000,
@@ -170,13 +168,11 @@ proptest! {
         let mut md = MetaData::new();
         md.insert(FlowFeature::DstPort, 7000);
         md.insert(FlowFeature::Packets, 2);
-        let sequential = prefilter_indices(&w.flows, &md, mode);
-        let cols = FlowColumns::from_flows(&w.flows);
-        let sharded: Vec<usize> = chunk_ranges(cols.len(), nz(shards))
-            .into_iter()
-            .flat_map(|range| prefilter_indices_columns_range(&cols, range, &md, mode))
+        let sequential: Vec<usize> = (0..w.flows.len())
+            .filter(|&i| mode.matches(&md, &w.flows[i]))
             .collect();
-        prop_assert_eq!(&sequential, &sharded);
+        let cols = FlowColumns::from_flows(&w.flows);
+        prop_assert_eq!(&sequential, &prefilter_indices_columns(&cols, &md, mode));
         // Support no item reaches: the engine run costs one counting pass.
         let config = ExtractionConfig {
             min_support: u64::MAX,

@@ -4,7 +4,8 @@
 
 use std::net::Ipv4Addr;
 
-use anomex::core::PrefilterMode;
+use anomex::core::{prefilter_indices_columns, PrefilterMode};
+use anomex::netflow::FlowColumns;
 use anomex::prelude::*;
 
 /// A Sasser-like multi-stage footprint: scan (port 445, 1 packet),
@@ -126,8 +127,9 @@ fn union_extracts_every_stage() {
 fn union_prefilter_is_superset_of_intersection() {
     let flows = multistage_trace();
     let md = multistage_metadata();
-    let union = anomex::core::prefilter_indices(&flows, &md, PrefilterMode::Union);
-    let inter = anomex::core::prefilter_indices(&flows, &md, PrefilterMode::Intersection);
+    let cols = FlowColumns::from_flows(&flows);
+    let union = prefilter_indices_columns(&cols, &md, PrefilterMode::Union);
+    let inter = prefilter_indices_columns(&cols, &md, PrefilterMode::Intersection);
     for i in &inter {
         assert!(union.contains(i));
     }
