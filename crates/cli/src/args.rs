@@ -1,6 +1,6 @@
 //! Minimal dependency-free argument parsing for the `anomex` CLI.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Parsed command line: subcommand + `--key value` options. An option
 /// may repeat (`--in a.bin --in b.bin`); [`get`](Args::get) reads the
@@ -10,7 +10,7 @@ use std::collections::HashMap;
 pub struct Args {
     /// The subcommand (first positional argument).
     pub command: String,
-    options: HashMap<String, Vec<String>>,
+    options: BTreeMap<String, Vec<String>>,
     flags: Vec<String>,
 }
 
@@ -75,7 +75,7 @@ impl Args {
         if command.starts_with("--") {
             return Err(ArgsError::NoCommand);
         }
-        let mut options = HashMap::new();
+        let mut options = BTreeMap::new();
         let mut flags = Vec::new();
         while let Some(arg) = iter.next() {
             let Some(key) = arg.strip_prefix("--") else {
@@ -138,6 +138,12 @@ impl Args {
     #[must_use]
     pub fn flag(&self, key: &str) -> bool {
         self.flags.iter().any(|f| f == key)
+    }
+
+    /// Every key given: the flags in command-line order, then the
+    /// options by name.
+    pub fn keys(&self) -> impl Iterator<Item = &str> {
+        (self.flags.iter().chain(self.options.keys())).map(String::as_str)
     }
 }
 

@@ -1,5 +1,6 @@
 //! The `anomex` subcommands.
 
+use std::collections::VecDeque;
 use std::fs::{self, File};
 use std::io::{Read, Write};
 use std::num::NonZeroUsize;
@@ -15,11 +16,11 @@ use anomex_mining::{mine_top_k, MinerKind, RuleConfig, RARE_SUPPORT_GUARD};
 use anomex_netflow::snapshot::{
     read_checkpoint, write_checkpoint, RestoreError, SnapshotReader, SnapshotWriter,
 };
-use anomex_netflow::v5::V5Exporter;
+use anomex_netflow::v5::{V5Exporter, V5_MAX_RECORDS};
 use anomex_netflow::v9::{TraceItem, TraceReader};
 use anomex_netflow::{
-    default_shards, FeatureValue, FlowColumns, FlowRecord, FlowTrace, ReadError, SourceId,
-    SourceSpec, MAX_SHARDS, MINUTE_MS,
+    default_shards, FeatureValue, FlowColumns, FlowRecord, ReadError, SourceId, SourceSpec,
+    MAX_SHARDS, MINUTE_MS,
 };
 use anomex_traffic::table2::paper_counts;
 use anomex_traffic::{table2_workload, MultiSourceScenario, Scenario};
@@ -53,16 +54,22 @@ USAGE:
       (at most 1024; 0 = one per hardware thread) runs one worker pool
       of N threads that serves the flat passes — the detector's
       interval shards and the miners' support counting; the searches
-      run on the calling thread; the output is bit-identical for every
-      thread count. With several --in files,
-      each trace is sliced on its own interval grid and the per-interval
-      flows are concatenated in file order — the batch reference for
-      multi-source streaming. --rules (or any rule option) layers
-      association rules X => Y on the mined item-sets, filtered by
-      confidence >= C (default 0.6) and lift >= L (default 1.0) and
-      ranked by a z-score meta-detection pass over the interval's rule
-      population; --rare lowers the support floor per itemset level to
-      keep low-support attacks minable. --rare with --support below 128
+      run on the pipeline thread that extracts one interval while the
+      next is read; the output is bit-identical for every thread count.
+      extract is `anomex stream` without the stream-only options: each
+      capture is read whole and replayed in file order, and with several
+      --in files each is one exporter on a shared interval grid (its own
+      clock starts at the window of its first flow) and an interval's
+      flows are concatenated in file order. Captures must be in
+      flow-start order, as `anomex generate` writes them: a flow whose
+      interval has already closed (as in a router export ordered by flow
+      expiry) is dropped, and a `dropped flows:` line after the summary
+      counts it. --rules (or any rule option) layers association rules
+      X => Y on the mined item-sets, filtered by confidence >= C
+      (default 0.6) and lift >= L (default 1.0) and ranked by a z-score
+      meta-detection pass over the interval's rule population; --rare
+      lowers the support floor per itemset level to keep low-support
+      attacks minable. --rare with --support below 128
       is rejected (the lowered floor can explode the mining pass on
       large intervals); pass --force-rare to run it anyway. With
       several --in files the rules are additionally re-mined per source
@@ -82,11 +89,13 @@ USAGE:
       percentiles and drop counters. Each --in file is one exporter on
       a shared interval grid (watermark merge; one --in is a fan-in of
       one), replayed in collector arrival order with its v9/IPFIX
-      heartbeats (minus those dated past every file's last flow);
+      heartbeats (each takes effect when a later flow arrives on any
+      --in; those after the last flow are ignored); --in - may be given
+      once; as in extract, a flow out of start order is a late drop;
       --max-lag N bounds how many intervals the fastest source may run
-      ahead (0 = unbounded). Output is bit-identical to `anomex
-      extract` with the same --in list (rule options and per-source
-      rule merge sections included).
+      ahead (0 = unbounded). The reports are those `anomex extract`
+      prints for the same --in list: the two commands run one replay
+      and differ only in their options and closing summary.
       Durable operation, for any number of --in files: --checkpoint-dir
       DIR atomically snapshots the full online state (detector
       baselines, the interval grid with every source's watermark and
@@ -126,14 +135,42 @@ pub fn note(line: impl std::fmt::Display) {
     writeln!(std::io::stderr(), "{line}").ok();
 }
 
-/// `anomex help`: print [`USAGE`].
-pub fn help_to(out: &mut impl Write) -> Result<(), String> {
-    writeln!(out, "{USAGE}").map_err(write_error)
+/// Run the command `args` names. A command takes exactly the options
+/// its [`USAGE`] block lists, and any other is an error, never silently
+/// ignored.
+pub fn run(args: &Args) -> Result<(), String> {
+    type Body = fn(&Args, &mut std::io::StdoutLock<'static>) -> Result<(), String>;
+    let command = args.command.as_str();
+    let body: Body = match command {
+        "generate" => generate_to,
+        "extract" | "stream" => replay_to,
+        "analyze" => analyze_to,
+        "table2" => table2_to,
+        "help" | "-h" => |_, out| help_to(out),
+        other => return Err(format!("unknown command {other:?}\n{USAGE}")),
+    };
+    if let Some(key) = args.keys().find(|key| !takes(command, key)) {
+        return Err(format!(
+            "{command} does not take --{key} (see `anomex help`)"
+        ));
+    }
+    body(args, &mut std::io::stdout().lock())
 }
 
-/// `anomex generate`.
-pub fn generate(args: &Args) -> Result<(), String> {
-    generate_to(args, &mut std::io::stdout().lock())
+/// Whether `command` takes `--key`: whether its [`USAGE`] block lists
+/// it.
+fn takes(command: &str, key: &str) -> bool {
+    (USAGE.split("\n  anomex "))
+        .find(|block| block.split_whitespace().next() == Some(command))
+        .is_some_and(|block| {
+            (block.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')))
+                .any(|word| word.strip_prefix("--") == Some(key))
+        })
+}
+
+/// `anomex help`: print [`USAGE`].
+fn help_to(out: &mut impl Write) -> Result<(), String> {
+    writeln!(out, "{USAGE}").map_err(write_error)
 }
 
 /// The `generate` body, printing its summary to `out`.
@@ -141,6 +178,10 @@ fn generate_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
     let sources = args.get_or("sources", 1usize).map_err(|e| e.to_string())?;
     if sources == 0 {
         return Err("--sources must be at least 1".into());
+    }
+    // Every consumer refuses an empty trace, so none is written.
+    if args.get_or("intervals", 1u64).map_err(|e| e.to_string())? == 0 {
+        return Err("--intervals must be at least 1".into());
     }
     let path = args.require("out")?;
     let outs = args.get_all("out");
@@ -292,40 +333,39 @@ fn generate_multi(args: &Args, outs: &[String], out: &mut impl Write) -> Result<
     .map_err(write_error)
 }
 
-/// Load a capture file (or stdin when `path` is `-`): NetFlow v5 flow
+/// Read a capture file, or stdin when `path` is `-`: NetFlow v5 flow
 /// datagrams optionally interleaved with v9/IPFIX template-only
-/// punctuation packets. Returns the flows plus the punctuation export
-/// clocks in milliseconds — the heartbeats that let an idle-but-live
-/// exporter release the multi-source watermark grid.
-///
-/// A file and a pipe take the same path: the [`TraceReader`] frames one
-/// packet at a time from a small refilled buffer, and each datagram's
-/// flows are appended as it is decoded, so the returned flows are the
-/// only copy of the trace ever held in memory.
-fn load_trace_data(path: &str) -> Result<(Vec<FlowRecord>, Vec<u64>), String> {
+/// punctuation packets, framed one packet at a time by a
+/// [`TraceReader`] from a small refilled buffer — a file and a pipe take
+/// the same path.
+fn read_capture(
+    path: &str,
+) -> Result<impl Iterator<Item = Result<TraceItem, String>> + '_, String> {
     let name = if path == "-" { "stdin" } else { path };
     let source: Box<dyn Read> = if path == "-" {
         Box::new(std::io::stdin().lock())
     } else {
         Box::new(File::open(path).map_err(|e| format!("cannot read {name}: {e}"))?)
     };
-    let mut flows = Vec::new();
-    let mut heartbeats = Vec::new();
-    for item in TraceReader::new(source) {
-        match item {
-            Ok(TraceItem::Flows(dgram)) => flows.extend(dgram.flows),
-            Ok(TraceItem::Heartbeat(p)) => heartbeats.push(p.export_ms),
-            Err(ReadError::Io(e)) => return Err(format!("cannot read {name}: {e}")),
-            Err(ReadError::Decode(e)) => return Err(format!("{path}: {e}")),
-        }
-    }
-    Ok((flows, heartbeats))
+    Ok(TraceReader::new(source).map(move |item| {
+        item.map_err(|e| match e {
+            ReadError::Io(e) => format!("cannot read {name}: {e}"),
+            ReadError::Decode(e) => format!("{path}: {e}"),
+        })
+    }))
 }
 
-/// Load all flows from a trace file, ignoring any v9/IPFIX punctuation
-/// (batch modes have no watermark to release).
+/// Load all flows from a capture, ignoring any v9/IPFIX punctuation
+/// (`analyze` extracts from one flow set and has no watermark to
+/// release).
 fn load_flows(path: &str) -> Result<Vec<FlowRecord>, String> {
-    load_trace_data(path).map(|(flows, _)| flows)
+    let mut flows = Vec::new();
+    for item in read_capture(path)? {
+        if let TraceItem::Flows(dgram) = item? {
+            flows.extend(dgram.flows);
+        }
+    }
+    Ok(flows)
 }
 
 /// Parse `--miner`; without it, the library's [`MinerKind::default`].
@@ -437,63 +477,133 @@ fn parse_config(args: &Args) -> Result<ExtractionConfig, String> {
     Ok(config)
 }
 
-/// One `--in` trace as `extract` and `stream` consume it: its flows in
-/// time order, its v9/IPFIX heartbeat clocks (absolute source-local
-/// ms), and its grid origin — the start of the window holding its first
-/// flow, the one per-file rule every mode shares.
+/// What a capture hands the engine next: a flow, or an exporter
+/// heartbeat (a v9/IPFIX export clock, absolute source-local ms).
+enum Arrival {
+    Flow(FlowRecord),
+    Heartbeat(u64),
+}
+
+/// Arrivals per block of a [`Lane`] (160 KiB). A lane frees each block
+/// once replayed, so a capture's memory goes back while the intervals it
+/// feeds are built.
+const BLOCK: usize = 4096;
+
+/// One `--in` capture, read whole, with its grid origin: the start of
+/// the window holding its first flow.
 struct Lane {
-    flows: Vec<FlowRecord>,
-    heartbeats: Vec<u64>,
+    /// Not yet replayed, in file order, in blocks of at most [`BLOCK`].
+    blocks: VecDeque<std::vec::IntoIter<Arrival>>,
     origin: u64,
 }
 
-/// Load every `--in` trace in file order (at least one): source `i` is
-/// the `i`-th file.
-fn load_lanes(args: &Args, interval_ms: u64) -> Result<Vec<Lane>, String> {
-    let inputs = args.get_all("in");
-    if inputs.is_empty() {
-        args.require("in")?;
+impl Lane {
+    /// Read `path` whole; its first flow fixes the origin.
+    fn open(path: &str, interval_ms: u64) -> Result<Self, String> {
+        let mut blocks = VecDeque::new();
+        let mut block = Vec::with_capacity(BLOCK);
+        let mut first = None;
+        for item in read_capture(path)? {
+            let item = item?;
+            // A new block when this one has no room for a full datagram.
+            if block.len() + V5_MAX_RECORDS > BLOCK {
+                let full = std::mem::replace(&mut block, Vec::with_capacity(BLOCK));
+                blocks.push_back(full.into_iter());
+            }
+            match item {
+                TraceItem::Flows(dgram) => {
+                    first = first.or(dgram.flows.first().map(|flow| flow.start_ms));
+                    block.extend(dgram.flows.into_iter().map(Arrival::Flow));
+                }
+                TraceItem::Heartbeat(p) => block.push(Arrival::Heartbeat(p.export_ms)),
+            }
+        }
+        blocks.push_back(block.into_iter());
+        let first = first.ok_or_else(|| format!("{path}: trace is empty"))?;
+        let origin = first - first % interval_ms;
+        Ok(Lane { blocks, origin })
     }
-    let mut lanes = inputs
-        .iter()
-        .map(|path| {
-            let (mut flows, heartbeats) = load_trace_data(path)?;
-            flows.sort_by_key(|f| f.start_ms);
-            let first = flows
-                .first()
-                .ok_or_else(|| format!("{path}: trace is empty"))?;
-            let origin = first.start_ms - first.start_ms % interval_ms;
-            Ok(Lane {
-                flows,
-                heartbeats,
-                origin,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    // A heartbeat dated past the merged grid's last flow would open
-    // windows `extract` never sees (and, far enough ahead, exhaust
-    // memory doing so). Every earlier one stays: it is how an idle but
-    // live exporter releases its windows while the other lanes run on.
-    let end = (lanes.iter())
-        .map(|lane| lane.flows.last().map_or(0, |f| f.start_ms - lane.origin))
-        .max()
-        .unwrap_or(0);
-    for lane in &mut lanes {
-        let origin = lane.origin;
-        lane.heartbeats
-            .retain(|&ms| ms.saturating_sub(origin) <= end);
+
+    /// The replay's merge key for the next arrival of this lane, source
+    /// `s`: grid-relative time, flows before heartbeats, then the
+    /// source; `None` when nothing is pending.
+    fn key(&self, s: usize) -> Option<(u64, bool, usize)> {
+        let (ms, beat) = match self.blocks.front()?.as_slice().first()? {
+            Arrival::Flow(flow) => (flow.start_ms, false),
+            Arrival::Heartbeat(ms) => (*ms, true),
+        };
+        Some((ms.saturating_sub(self.origin), beat, s))
     }
-    Ok(lanes)
+
+    /// Take the next arrival, freeing its block if it was the last.
+    fn pop(&mut self) -> Option<Arrival> {
+        let block = self.blocks.front_mut()?;
+        let next = block.next();
+        if block.len() == 0 {
+            self.blocks.pop_front();
+        }
+        next
+    }
 }
 
-/// The run settings every trailer line ends with.
-fn settings(config: &ExtractionConfig, threads: NonZeroUsize) -> String {
-    format!(
-        "s = {}, Δ = {} min, miner = {}, threads = {threads}",
-        config.min_support,
-        config.interval_ms / MINUTE_MS,
-        config.miner
-    )
+/// Collector arrival order over every lane: a k-way merge of the lane
+/// heads on grid-relative time, each lane in file order, flows before
+/// same-millisecond heartbeats, ties to the lowest source id. It is
+/// deterministic, so a resume can skip exactly what a checkpointed run
+/// consumed. A heartbeat is held until a later flow arrives on any
+/// lane; those still held at the end are dropped, so none opens a
+/// window past the last flow (one far in the future would open a
+/// window for every interval up to it). An unsorted capture is
+/// replayed as it comes: the grid counts its late flows as drops.
+struct Replay {
+    lanes: Vec<Lane>,
+    /// Heartbeats taken from the lane heads, waiting for a later flow,
+    /// in merge order: grid time, source, export clock.
+    held: VecDeque<(u64, SourceId, u64)>,
+}
+
+impl Replay {
+    /// Open every `--in` capture in command-line order (at least one):
+    /// source `i` is the `i`-th file. Stdin can feed one lane only.
+    fn open(args: &Args, interval_ms: u64) -> Result<Self, String> {
+        let inputs = args.get_all("in");
+        if inputs.is_empty() {
+            args.require("in")?;
+        }
+        if inputs.iter().filter(|path| *path == "-").count() > 1 {
+            return Err("--in - is given more than once, but there is only one stdin".into());
+        }
+        let lanes = (inputs.iter())
+            .map(|path| Lane::open(path, interval_ms))
+            .collect::<Result<_, _>>()?;
+        Ok(Replay {
+            lanes,
+            held: VecDeque::new(),
+        })
+    }
+}
+
+impl Iterator for Replay {
+    type Item = (SourceId, Arrival);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            let (at, beat, s) = (self.lanes.iter().enumerate())
+                .filter_map(|(s, lane)| lane.key(s))
+                .min()?;
+            // The next flow waits for every held heartbeat dated before it.
+            let due = self.held.front().is_some_and(|&(held_at, ..)| held_at < at);
+            if due && !beat {
+                let (_, source, ms) = self.held.pop_front()?;
+                return Some((source, Arrival::Heartbeat(ms)));
+            }
+            let source = SourceId(s as u32);
+            match self.lanes[s].pop()? {
+                Arrival::Heartbeat(ms) => self.held.push_back((at, source, ms)),
+                flow => return Some((source, flow)),
+            }
+        }
+    }
 }
 
 fn write_error(e: std::io::Error) -> String {
@@ -503,8 +613,7 @@ fn write_error(e: std::io::Error) -> String {
 /// Render one alarmed interval: the Table II-style report plus — when
 /// the rule layer is on and at least two sources fed the interval — the
 /// per-source rule merge section (each source's segment re-mined at its
-/// weighted support floor, merged and re-scored). The one definition
-/// `extract` and `stream` both print, so the e2e byte-diff can hold.
+/// weighted support floor, merged and re-scored).
 fn render_multi_report(
     extraction: &Extraction,
     flows: &[FlowRecord],
@@ -519,107 +628,6 @@ fn render_multi_report(
         }
     }
     out
-}
-
-/// `anomex extract`.
-pub fn extract(args: &Args) -> Result<(), String> {
-    extract_to(args, &mut std::io::stdout().lock())
-}
-
-/// The one `extract` body, for any number of `--in` traces: slice each
-/// trace on its own inferred grid and run the per-interval
-/// concatenation (file order) through one engine, printing a report
-/// per alarmed interval — the batch reference `stream` is bit-identical
-/// to.
-fn extract_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
-    let config = parse_config(args)?;
-    let threads = parse_threads(args)?;
-    // Validate before touching the traces: a bad configuration should
-    // fail instantly, not after decoding a multi-hundred-MB file.
-    let mut engine = Engine::new(config.clone(), threads).map_err(String::from)?;
-    let traces: Vec<(FlowTrace, u64)> = load_lanes(args, config.interval_ms)?
-        .into_iter()
-        .map(|lane| (FlowTrace::from_flows(lane.flows), lane.origin))
-        .collect();
-    let grids: Vec<_> = traces
-        .iter()
-        .map(|(trace, origin)| trace.intervals(*origin, config.interval_ms))
-        .collect();
-    let total = grids.iter().map(Vec::len).max().unwrap_or(0);
-    let mut alarms = 0usize;
-    let mut merged: Vec<FlowRecord> = Vec::new();
-    let mut source_flows = vec![0; grids.len()];
-    for i in 0..total {
-        merged.clear();
-        for (grid, weight) in grids.iter().zip(&mut source_flows) {
-            let flows = grid.get(i).map_or(&[][..], |iv| iv.flows);
-            merged.extend_from_slice(flows);
-            *weight = flows.len();
-        }
-        if let Some(extraction) = engine.process(&merged).extraction {
-            alarms += 1;
-            let report = render_multi_report(&extraction, &merged, &source_flows, &config);
-            writeln!(out, "{report}").map_err(write_error)?;
-        }
-    }
-    let intervals = match grids.len() {
-        1 => format!("{total} intervals"),
-        n => format!("{total} merged intervals from {n} sources"),
-    };
-    writeln!(
-        out,
-        "processed {intervals}, {alarms} alarmed ({})",
-        settings(&config, threads)
-    )
-    .map_err(write_error)
-}
-
-/// What the replay hands the engine next.
-enum Arrival {
-    Flow(FlowRecord),
-    Heartbeat(u64),
-}
-
-/// Collector arrival order over every lane: a k-way merge on
-/// grid-relative time, a source's flows before its same-millisecond
-/// heartbeats, ties to the lowest source id — the order the batch
-/// reference concatenates in. It is deterministic, so a resume can skip
-/// exactly what a checkpointed run consumed.
-struct Replay<'a> {
-    lanes: &'a [Lane],
-    /// Per lane: the next flow, the next heartbeat.
-    cursors: Vec<[usize; 2]>,
-}
-
-impl<'a> Replay<'a> {
-    fn new(lanes: &'a [Lane]) -> Self {
-        let cursors = vec![[0, 0]; lanes.len()];
-        Replay { lanes, cursors }
-    }
-}
-
-impl Iterator for Replay<'_> {
-    type Item = (SourceId, Arrival);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let (_, beat, s) = (self.lanes.iter().zip(&self.cursors).enumerate())
-            .flat_map(|(s, (lane, &[flow, beat]))| {
-                let key = |ms: u64| ms.saturating_sub(lane.origin);
-                let flow = lane.flows.get(flow).map(|f| (key(f.start_ms), false, s));
-                flow.into_iter()
-                    .chain(lane.heartbeats.get(beat).map(|&ms| (key(ms), true, s)))
-            })
-            .min()?;
-        let cursor = &mut self.cursors[s][usize::from(beat)];
-        *cursor += 1;
-        let (lane, at) = (&self.lanes[s], *cursor - 1);
-        let arrival = if beat {
-            Arrival::Heartbeat(lane.heartbeats[at])
-        } else {
-            Arrival::Flow(lane.flows[at])
-        };
-        Some((SourceId(s as u32), arrival))
-    }
 }
 
 /// Prints each streamed interval as it arrives — the `--verbose` line,
@@ -884,18 +892,15 @@ fn restore_from_checkpoint(
     Ok((engine, consumed))
 }
 
-/// `anomex stream`.
-pub fn stream(args: &Args) -> Result<(), String> {
-    stream_to(args, &mut std::io::stdout().lock())
-}
-
-/// The one `stream` body, for any number of `--in` traces: each trace
-/// is one exporter on a shared interval grid, replayed in collector
-/// arrival order (heartbeats included), printed interval by interval
-/// as the engine closes them — bit-identical to [`extract_to`] over the
-/// same traces — with optional checkpoints, resume, `--stop-after` and
-/// boundary reconfiguration.
-fn stream_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
+/// The one body of `extract` and `stream`, for any number of `--in`
+/// captures: each is one exporter on a shared interval grid, read
+/// whole and replayed in collector arrival order (heartbeats included)
+/// into one [`MultiSourceExtractor`], whose pipeline thread
+/// extracts an interval while the next is read. Each interval is
+/// printed as the engine closes it, with optional checkpoints, resume,
+/// `--stop-after` and boundary reconfiguration (options only `stream`
+/// takes). The two commands differ only in the summary that ends it.
+fn replay_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
     let config = parse_config(args)?;
     let threads = parse_threads(args)?;
     let force_rare = args.flag("force-rare");
@@ -905,8 +910,14 @@ fn stream_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
         0 => None,
         n => Some(n),
     };
-    let settings = settings(&config, threads);
-    let lanes = load_lanes(args, config.interval_ms)?;
+    // The run settings every summary line ends with.
+    let settings = format!(
+        "s = {}, Δ = {} min, miner = {}, threads = {threads}",
+        config.min_support,
+        config.interval_ms / MINUTE_MS,
+        config.miner
+    );
+    let replay = Replay::open(args, config.interval_ms)?;
 
     // Resume restores the full online state — configuration included —
     // from the checkpoint; otherwise start cold from the CLI options.
@@ -919,7 +930,8 @@ fn stream_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
         .filter(|p| p.exists());
     let (mut engine, mut consumed) = if let Some(path) = &resume_from {
         let threads_override = args.get("threads").is_some().then_some(threads);
-        let resumed = restore_from_checkpoint(path, threads_override, lanes.len(), force_rare)?;
+        let sources = replay.lanes.len();
+        let resumed = restore_from_checkpoint(path, threads_override, sources, force_rare)?;
         note(format_args!(
             "resumed from {} ({} flows already consumed)",
             path.display(),
@@ -928,7 +940,7 @@ fn stream_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
         resumed
     } else {
         let specs: Vec<_> = (0u32..)
-            .zip(&lanes)
+            .zip(&replay.lanes)
             .map(|(i, l)| SourceSpec::new(i, l.origin))
             .collect();
         let engine = MultiSourceExtractor::try_new(config, threads, &specs, max_lag);
@@ -949,7 +961,7 @@ fn stream_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
     let mut skip = consumed;
     let mut closed_this_run = 0u64;
     let mut since_checkpoint = 0u64;
-    for (source, arrival) in Replay::new(&lanes) {
+    for (source, arrival) in replay {
         // A resumed run skips what the checkpointed one fed: the first
         // `consumed` flows, and the heartbeats among them (replaying
         // one would be a no-op anyway).
@@ -996,7 +1008,24 @@ fn stream_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
     let p50 = latency_percentile(&mut printer.latencies, 50.0);
     let p95 = latency_percentile(&mut printer.latencies, 95.0);
     let latency = format!("per-interval latency: p50 = {p50} µs, p95 = {p95} µs; dropped flows:");
-    let mut trailer = if let [one] = summary.sources.as_slice() {
+    let mut trailer = if args.command == "extract" {
+        // An interval counts as alarmed here when it produced an
+        // extraction; the drops of an unsorted capture follow, if any.
+        let intervals = match summary.sources.len() {
+            1 => format!("{} intervals", summary.intervals),
+            n => format!("{} merged intervals from {n} sources", summary.intervals),
+        };
+        let mut text = format!(
+            "processed {intervals}, {} alarmed ({settings})\n",
+            summary.extractions
+        );
+        let late: u64 = summary.sources.iter().map(|s| s.late_flows).sum();
+        let pre_origin: u64 = summary.sources.iter().map(|s| s.pre_origin_flows).sum();
+        if late + pre_origin > 0 {
+            text += &format!("dropped flows: {late} late, {pre_origin} pre-origin\n");
+        }
+        text
+    } else if let [one] = summary.sources.as_slice() {
         format!(
             "streamed {} flows into {} intervals: {} alarmed, {} extracted ({settings})\n\
              {latency} {} late, {} pre-origin\n",
@@ -1054,11 +1083,6 @@ pub fn parse_metadata(spec: &str) -> Result<MetaData, String> {
     Ok(md)
 }
 
-/// `anomex analyze`.
-pub fn analyze(args: &Args) -> Result<(), String> {
-    analyze_to(args, &mut std::io::stdout().lock())
-}
-
 /// The `analyze` body, printing the item-sets (or the report) to `out`.
 fn analyze_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
     let input = args.require("in")?;
@@ -1100,11 +1124,6 @@ fn analyze_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
     let engine = Engine::new(config, threads).map_err(String::from)?;
     let extraction = engine.extract(&flows, &metadata);
     writeln!(out, "{}", render_report(&extraction)).map_err(write_error)
-}
-
-/// `anomex table2`.
-pub fn table2(args: &Args) -> Result<(), String> {
-    table2_to(args, &mut std::io::stdout().lock())
 }
 
 /// The `table2` body, printing the report to `out`.
@@ -1186,10 +1205,66 @@ mod tests {
             "per-interval",
             "streamed ",
             "processed ",
+            "dropped flows:",
         ];
         text.lines()
             .filter(|l| !trailer.iter().any(|t| l.starts_with(t)))
             .map(|l| format!("{l}\n"))
+            .collect()
+    }
+
+    /// The batch reference `extract` must match: each `--in` capture
+    /// read whole, sorted and sliced on its own grid (`FlowTrace`), and
+    /// the per-interval concatenation in file order run through one
+    /// `Engine` on the calling thread. Returns the reports (what
+    /// [`reports`] keeps of `extract`'s output) and the interval count.
+    fn batch_reference(line: &str) -> (String, usize) {
+        use anomex_netflow::FlowTrace;
+        let args = argv(line);
+        let config = parse_config(&args).unwrap();
+        let mut engine = Engine::new(config.clone(), parse_threads(&args).unwrap()).unwrap();
+        let traces: Vec<FlowTrace> = (args.get_all("in").iter())
+            .map(|path| FlowTrace::from_flows(load_flows(path).unwrap()))
+            .collect();
+        let grids: Vec<_> = (traces.iter())
+            .map(|trace| {
+                let first = trace.start_ms().unwrap();
+                trace.intervals(first - first % config.interval_ms, config.interval_ms)
+            })
+            .collect();
+        let total = grids.iter().map(Vec::len).max().unwrap();
+        let mut text = String::new();
+        let mut merged: Vec<FlowRecord> = Vec::new();
+        let mut source_flows = vec![0; grids.len()];
+        for i in 0..total {
+            merged.clear();
+            for (grid, weight) in grids.iter().zip(&mut source_flows) {
+                let flows = grid.get(i).map_or(&[][..], |iv| iv.flows);
+                merged.extend_from_slice(flows);
+                *weight = flows.len();
+            }
+            if let Some(extraction) = engine.process(&merged).extraction {
+                text += &render_multi_report(&extraction, &merged, &source_flows, &config);
+                text.push('\n');
+            }
+        }
+        (reports(&text), total)
+    }
+
+    /// The output with each `… µs` reading (the `--verbose` column, the
+    /// latency percentiles) replaced by `X`, the one part that varies
+    /// run to run.
+    fn mask_micros(text: &str) -> String {
+        text.lines()
+            .map(|l| {
+                let mut words: Vec<&str> = l.split_whitespace().collect();
+                for i in 1..words.len() {
+                    if words[i].starts_with("µs") {
+                        words[i - 1] = "X";
+                    }
+                }
+                words.join(" ") + "\n"
+            })
             .collect()
     }
 
@@ -1437,31 +1512,38 @@ mod tests {
         assert_eq!(config.transactions, TransactionMode::WithPrefixes);
     }
 
-    /// The one `stream` body replaying one trace file must print exactly
-    /// the reports the one `extract` body prints over the same file.
+    /// The replay of one trace file must print exactly the reports of
+    /// the batch reference over the same file, through `extract` and
+    /// through `stream`.
     #[test]
     fn stream_replay_matches_batch_extract() {
         let dir = scratch_dir("anomex-cli-replay-test");
         let scenario = Scenario::small(23);
-        let ins = write_traces(&dir, 1, 23, |_, i| scenario.generate(i).flows).join(" ");
+        let ins = write_traces(&dir, 1, 40, |_, i| scenario.generate(i).flows).join(" ");
         // Rules on: the rendered reports then carry the ranked-rule
         // section, so this also pins rule determinism batch vs stream.
-        let opts = format!("{ins} --interval-min 1 --training 10 --support 800 --rules");
-        let batch = run(extract_to, &format!("extract {opts}"));
-        let streamed = run(stream_to, &format!("stream {opts} --threads 2"));
+        let opts = format!("{ins} --interval-min 1 --training 4 --support 800 --rules");
+        let (batch, total) = batch_reference(&format!("extract {opts}"));
+        let extracted = run(replay_to, &format!("extract {opts}"));
+        let streamed = run(replay_to, &format!("stream {opts} --threads 2"));
         assert!(batch.contains("Anomaly extraction report"), "it alarms");
-        assert_eq!(reports(&streamed), reports(&batch), "replay diverged");
-        assert!(line(&batch, "processed ").starts_with("processed 23 intervals, "));
-        assert!(line(&streamed, "streamed ").contains(" into 23 intervals: "));
+        assert_eq!(total, 40);
+        assert_eq!(reports(&extracted), batch, "extract diverged");
+        assert_eq!(reports(&streamed), batch, "stream diverged");
+        // One alarm has no meta-data to extract with, and `extract`
+        // counts the intervals that produced a report.
+        let streamed_line = line(&streamed, "streamed ");
+        assert!(streamed_line.contains(" into 40 intervals: 4 alarmed, 3 extracted "));
+        assert_eq!(batch.matches("Anomaly extraction report").count(), 3);
+        assert!(line(&extracted, "processed ").starts_with("processed 40 intervals, 3 alarmed ("));
         assert!(line(&streamed, "per-interval latency:")
             .ends_with("dropped flows: 0 late, 0 pre-origin"));
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// The multi-source streaming fan-in must reproduce exactly the
-    /// batch multi-input extraction over the same trace files — the
-    /// in-process twin of CI's `e2e-stream` job, through real NetFlow v5
-    /// files with skewed per-source clocks.
+    /// The multi-source fan-in must reproduce exactly the batch
+    /// reference's per-interval concatenation over the same trace files,
+    /// through real NetFlow v5 files with skewed per-source clocks.
     #[test]
     fn stream_fan_in_matches_multi_input_extract() {
         let dir = scratch_dir("anomex-cli-multisource-test");
@@ -1475,19 +1557,22 @@ mod tests {
             "{} --interval-min 1 --training 10 --support 800 --rules",
             ins.join(" ")
         );
-        let batch = run(extract_to, &format!("extract {opts}"));
-        let streamed = run(stream_to, &format!("stream {opts} --threads 2"));
+        let (batch, total) = batch_reference(&format!("extract {opts}"));
+        let extracted = run(replay_to, &format!("extract {opts}"));
+        let streamed = run(replay_to, &format!("stream {opts} --threads 2"));
         assert!(
             batch.contains("Per-source rule merge — 2 source(s)"),
             "multi-source reports carry the merge section"
         );
-        assert_eq!(reports(&streamed), reports(&batch), "fan-in diverged");
+        assert_eq!(reports(&extracted), batch, "extract fan-in diverged");
+        assert_eq!(reports(&streamed), batch, "stream fan-in diverged");
         // The skewed link spills past its inferred (floored) origin into
         // one extra trailing window, so the merged grid may exceed the
         // generator's interval count by one — and both grids agree.
-        let processed = line(&batch, "processed ");
-        let total: u64 = processed.split(' ').nth(1).unwrap().parse().unwrap();
-        assert!(total >= intervals, "{total} < {intervals}");
+        assert!(total as u64 >= intervals, "{total} < {intervals}");
+        assert!(line(&extracted, "processed ").starts_with(&format!(
+            "processed {total} merged intervals from 2 sources, "
+        )));
         assert!(line(&streamed, "fan-in:").contains(&format!(" into {total} merged intervals")));
         assert!(line(&streamed, "per-interval").ends_with("dropped flows: 0 total"));
         std::fs::remove_dir_all(&dir).ok();
@@ -1505,9 +1590,9 @@ mod tests {
         let opts = "--interval-min 1 --training 10 --support 800 --rules --threads 2";
         let opts = format!("stream {ins} {opts}");
         let durable = format!("{opts} --checkpoint-dir {}", dir.display());
-        let full = run(stream_to, &opts);
-        let part1 = run(stream_to, &format!("{durable} --stop-after 12"));
-        let part2 = run(stream_to, &format!("{durable} --resume"));
+        let full = run(replay_to, &opts);
+        let part1 = run(replay_to, &format!("{durable} --stop-after 12"));
+        let part2 = run(replay_to, &format!("{durable} --resume"));
         assert!(
             reports(&part2).contains("Per-source rule merge — 2 source(s)"),
             "the resumed half extracts the flood"
@@ -1536,20 +1621,20 @@ mod tests {
         let scenario = Scenario::small(11);
         let ins = write_traces(&dir, 1, 25, |_, i| scenario.generate(i).flows).join(" ");
         let opts = format!("stream {ins} --interval-min 1 --training 10 --support 800");
-        let full = run(stream_to, &opts);
+        let full = run(replay_to, &opts);
 
         // The single-source engine, stopped after the push that closed
         // its 12th interval (what `--stop-after 12` did).
         let config = parse_config(&argv(&opts)).unwrap();
-        let lane = load_lanes(&argv(&opts), config.interval_ms)
-            .unwrap()
-            .remove(0);
-        let mut assembler = IntervalAssembler::new(lane.origin, config.interval_ms);
+        let flows = load_flows(argv(&opts).require("in").unwrap()).unwrap();
+        let first = flows[0].start_ms;
+        let origin = first - first % config.interval_ms;
+        let mut assembler = IntervalAssembler::new(origin, config.interval_ms);
         let mut engine = Engine::sequential(config).unwrap();
         let mut counters = [0u64; 5];
         let mut part1 = String::new();
         let mut consumed = 0u64;
-        for flow in &lane.flows {
+        for flow in &flows {
             consumed += 1;
             for closed in assembler.push(*flow) {
                 let outcome = engine.process(&closed.flows);
@@ -1582,7 +1667,7 @@ mod tests {
         std::fs::write(dir.join("stream.ckpt"), file).unwrap();
 
         let part2 = run(
-            stream_to,
+            replay_to,
             &format!("{opts} --checkpoint-dir {} --resume", dir.display()),
         );
         assert!(
@@ -1603,11 +1688,11 @@ mod tests {
         let ins = write_traces(&dir, 2, 4, |s, i| scenario.generate(s, i).flows);
         let durable = format!("--interval-min 1 --checkpoint-dir {}", dir.display());
         run(
-            stream_to,
+            replay_to,
             &format!("stream {} {durable} --stop-after 1", ins.join(" ")),
         );
         let one = argv(&format!("stream {} {durable} --resume", ins[0]));
-        let err = stream_to(&one, &mut Vec::new()).unwrap_err();
+        let err = replay_to(&one, &mut Vec::new()).unwrap_err();
         assert!(err.contains("2 source(s) but 1 --in"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1626,7 +1711,7 @@ mod tests {
             dir.display()
         ));
         let config = parse_config(&args).unwrap();
-        let lanes = load_lanes(&args, config.interval_ms).unwrap();
+        let lanes = Replay::open(&args, config.interval_ms).unwrap().lanes;
         // A distinctive id, so the test can find it in the payload and
         // rewrite it to 0 — a duplicate `try_new` would have refused.
         const MARK: u32 = 0x5EC0_1D1D;
@@ -1648,16 +1733,19 @@ mod tests {
             w.u64(0);
             w.bytes(&payload);
             write_checkpoint(&dir.join("stream.ckpt"), &w.into_bytes()).unwrap();
-            let err = stream_to(&args, &mut Vec::new()).unwrap_err();
+            let err = replay_to(&args, &mut Vec::new()).unwrap_err();
             assert!(err.starts_with("cannot resume from"), "{ids:?}: {err}");
         }
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A heartbeat dated after the last flow opens no windows:
-    /// `stream` closes exactly the intervals `extract` processes, and a
-    /// far-future one (`u32::MAX` seconds) finishes at once instead of
-    /// opening a window for every interval up to it.
+    /// Heartbeats at a lane's edges open no windows. One ahead of the
+    /// first flow changes nothing: the grid starts at the window of that
+    /// flow, even when the first datagram straddles a window boundary.
+    /// One after the last flow is never released by a later flow, so the
+    /// replay closes the flows' two intervals, and a far-future one
+    /// (`u32::MAX` seconds) finishes at once instead of opening a window
+    /// for every interval up to it.
     #[test]
     fn trailing_heartbeats_open_no_windows() {
         use anomex_netflow::v9::encode_v9_options_template;
@@ -1675,28 +1763,34 @@ mod tests {
             )
         };
         for secs in [600, u32::MAX] {
-            let mut bytes = V5Exporter::new()
-                .export(&[flow(1_000), flow(2_000)])
-                .concat();
-            bytes.extend_from_slice(&encode_v9_options_template(secs, 0, 0));
+            let mut bytes = encode_v9_options_template(30, 0, 0);
+            bytes.extend(
+                V5Exporter::new()
+                    .export(&[flow(119_000), flow(121_000)])
+                    .concat(),
+            );
+            bytes.extend_from_slice(&encode_v9_options_template(secs, 1, 0));
             std::fs::write(&path, &bytes).unwrap();
             let opts = format!("--in {} --interval-min 1", path.display());
-            let batch = run(extract_to, &format!("extract {opts}"));
-            let streamed = run(stream_to, &format!("stream {opts}"));
-            assert!(line(&batch, "processed ").starts_with("processed 1 intervals, "));
+            let batch = run(replay_to, &format!("extract {opts}"));
+            let streamed = run(replay_to, &format!("stream {opts}"));
+            assert!(line(&batch, "processed ").starts_with("processed 2 intervals, "));
+            assert!(!batch.contains("dropped flows:"), "{batch}");
             assert!(
-                line(&streamed, "streamed ").starts_with("streamed 2 flows into 1 intervals: "),
+                line(&streamed, "streamed ").starts_with("streamed 2 flows into 2 intervals: "),
                 "heartbeat at {secs} s: {streamed}"
             );
+            let verbose = run(replay_to, &format!("stream {opts} --verbose"));
+            assert!(line(&verbose, "interval ").contains("[60000 ms, 120000 ms)"));
         }
         std::fs::remove_dir_all(&dir).ok();
     }
 
     /// In a fan-in, an exporter whose flows stop early keeps sending
     /// keepalives, and those still close its windows while the other
-    /// link runs on: the merged grid drops nothing and matches `extract`
-    /// with or without `--max-lag`. Only the one dated past every lane's
-    /// last flow (`u32::MAX` seconds) is ignored.
+    /// link runs on: the merged grid drops nothing and matches the batch
+    /// reference with or without `--max-lag`. Only the one dated past
+    /// every lane's last flow (`u32::MAX` seconds) is ignored.
     #[test]
     fn idle_lane_keepalives_release_its_windows_in_a_fan_in() {
         use anomex_netflow::v9::encode_v9_options_template;
@@ -1722,13 +1816,12 @@ mod tests {
         let busy = write_traces(&dir, 1, intervals, |_, i| scenario.generate(0, i).flows);
         let ins = format!("{} --in {}", busy[0], idle.display());
         let opts = format!("{ins} --interval-min 1 --training 10 --support 800");
-        let batch = run(extract_to, &format!("extract {opts}"));
-        // "processed N merged intervals from 2 sources, A alarmed (…)"
-        let words: Vec<&str> = line(&batch, "processed ").split(' ').collect();
-        let expected = format!(" into {} merged intervals: {} alarmed", words[1], words[7]);
+        let (batch, total) = batch_reference(&format!("extract {opts}"));
+        assert!(batch.contains("Anomaly extraction report"), "it alarms");
+        let expected = format!(" into {total} merged intervals: ");
         for lag in ["", "--max-lag 3"] {
-            let streamed = run(stream_to, &format!("stream {opts} {lag}"));
-            assert_eq!(reports(&streamed), reports(&batch), "{lag}");
+            let streamed = run(replay_to, &format!("stream {opts} {lag}"));
+            assert_eq!(reports(&streamed), batch, "{lag}");
             assert!(line(&streamed, "fan-in:").contains(&expected), "{lag}");
             let drops = line(&streamed, "per-interval");
             assert!(drops.ends_with("dropped flows: 0 total"), "{lag}: {drops}");
@@ -1736,99 +1829,144 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A trace file interleaving v5 datagrams with v9/IPFIX
-    /// options-template punctuation loads into flows plus heartbeat
-    /// clocks, and replaying the heartbeats through the fan-in leaves
-    /// the outcome stream bit-identical (heartbeats advance watermarks;
-    /// they never carry flows).
+    /// Capture files interleaving v5 datagrams with v9/IPFIX
+    /// options-template keepalives replay to exactly what the same files
+    /// without them replay to, interval line by interval line:
+    /// heartbeats advance watermarks, they never carry or drop flows.
     #[test]
     fn punctuated_trace_heartbeats_flow_into_the_grid() {
-        use anomex_netflow::v9::{encode_ipfix_options_template, encode_v9_options_template};
+        use anomex_netflow::v9::{
+            decode_mixed_stream, encode_ipfix_options_template, encode_v9_options_template,
+        };
         let dir = scratch_dir("anomex-cli-punctuation-test");
-
         let scenario = MultiSourceScenario::uniform(17, 2);
         let intervals = scenario.interval_count().min(16);
-        let mut paths = Vec::new();
-        for s in 0..2 {
-            let mut exporter = V5Exporter::new();
-            let mut bytes = Vec::new();
-            for i in 0..intervals {
-                let flows = scenario.generate(s, i).flows;
-                let end_secs = flows.last().map_or(0, |f| (f.start_ms / 1000) as u32);
-                for dgram in exporter.export(&flows) {
-                    bytes.extend_from_slice(&dgram);
+        let paths = [0, 1].map(|s| dir.join(format!("link{s}.nf")).display().to_string());
+        let opts = format!(
+            "stream --in {} --in {} --interval-min 1 --training 8 --support 800 --verbose",
+            paths[0], paths[1]
+        );
+        let mut outputs = Vec::new();
+        for punctuated in [true, false] {
+            for (s, path) in paths.iter().enumerate() {
+                let mut exporter = V5Exporter::new();
+                let mut bytes = Vec::new();
+                for i in 0..intervals {
+                    let flows = scenario.generate(s, i).flows;
+                    let end_secs = flows.last().map_or(0, |f| (f.start_ms / 1000) as u32);
+                    bytes.extend(exporter.export(&flows).concat());
+                    // An options-template keepalive after each interval's
+                    // flows, v9 on source 0 and IPFIX on source 1.
+                    if punctuated {
+                        bytes.extend(if s == 0 {
+                            encode_v9_options_template(end_secs, i as u32, s as u32)
+                        } else {
+                            encode_ipfix_options_template(end_secs, i as u32, s as u32)
+                        });
+                    }
                 }
-                // An options-template keepalive after each interval's
-                // flows, v9 on source 0 and IPFIX on source 1.
-                let punct = if s == 0 {
-                    encode_v9_options_template(end_secs, i as u32, s as u32)
-                } else {
-                    encode_ipfix_options_template(end_secs, i as u32, s as u32)
-                };
-                bytes.extend_from_slice(&punct);
+                let beats = (decode_mixed_stream(&bytes).unwrap().iter())
+                    .filter(|item| matches!(item, TraceItem::Heartbeat(_)))
+                    .count() as u64;
+                assert_eq!(beats, if punctuated { intervals } else { 0 });
+                std::fs::write(path, &bytes).unwrap();
             }
-            let path = dir.join(format!("link{s}.nf"));
-            std::fs::write(&path, &bytes).unwrap();
-            paths.push(path.to_str().unwrap().to_string());
+            outputs.push(mask_micros(&run(replay_to, &opts)));
         }
+        let [punctuated, plain] = [&outputs[0], &outputs[1]];
+        assert!(line(punctuated, "interval ").contains(" flows "));
+        assert!(line(punctuated, "per-interval").ends_with("dropped flows: 0 total"));
+        assert_eq!(punctuated, plain, "punctuation changed the output");
+        std::fs::remove_dir_all(&dir).ok();
+    }
 
-        let config = ExtractionConfig {
-            interval_ms: scenario.interval_ms(),
-            detector: DetectorConfig {
-                training_intervals: 8,
-                ..DetectorConfig::default()
-            },
-            min_support: 800,
-            ..ExtractionConfig::default()
-        };
-        let args = argv(&format!("stream --in {} --in {}", paths[0], paths[1]));
-        let lanes = load_lanes(&args, config.interval_ms).unwrap();
-        for lane in &lanes {
+    /// An unsorted capture — two windows' datagrams swapped in file
+    /// order — replays as it arrives: the flows whose window had already
+    /// closed are late drops (pre-origin ones when the swap moves the
+    /// first window behind the second), `extract` and `stream` drop the
+    /// same flows, and `extract` counts them in its summary.
+    #[test]
+    fn swapped_windows_are_dropped_alike_and_reported() {
+        let dir = scratch_dir("anomex-cli-swapped-windows-test");
+        let scenario = Scenario::small(5);
+        let windows: Vec<Vec<FlowRecord>> = (0..8).map(|i| scenario.generate(i).flows).collect();
+        let path = dir.join("swapped.nfv5");
+        for (swap, late, pre_origin) in [(4, windows[4].len(), 0), (0, 0, windows[0].len())] {
+            let mut order: Vec<usize> = (0..windows.len()).collect();
+            order.swap(swap, swap + 1);
+            let mut exporter = V5Exporter::new();
+            let bytes: Vec<u8> = (order.iter())
+                .flat_map(|&i| exporter.export(&windows[i]).concat())
+                .collect();
+            std::fs::write(&path, bytes).unwrap();
+            let opts = format!(
+                "--in {} --interval-min 1 --training 4 --support 800",
+                path.display()
+            );
+            let extracted = run(replay_to, &format!("extract {opts}"));
+            let streamed = run(replay_to, &format!("stream {opts}"));
+            let dropped = format!("dropped flows: {late} late, {pre_origin} pre-origin");
+            assert_eq!(line(&extracted, "dropped flows:"), dropped, "swap {swap}");
+            assert!(
+                line(&streamed, "per-interval").ends_with(&dropped),
+                "swap {swap}"
+            );
+            assert_eq!(reports(&extracted), reports(&streamed), "swap {swap}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Each command takes exactly the options its `USAGE` block lists
+    /// (`takes` reads the block): a listed one passes, any other is
+    /// refused — naming the option and the command — before the command
+    /// touches a file.
+    #[test]
+    fn commands_take_exactly_the_options_their_usage_lists() {
+        for (command, key) in [
+            ("generate", "intervals"),
+            ("extract", "force-rare"),
+            ("stream", "stop-after"),
+            ("analyze", "metadata"),
+            ("table2", "scale"),
+        ] {
+            assert!(takes(command, key), "{command} --{key}");
+        }
+        for (line, key) in [
+            (
+                "extract --in T --interval-min 1 --training 10 --suport 10",
+                "suport",
+            ),
+            ("extract --in T --checkpoint-dir D", "checkpoint-dir"),
+            ("extract --in T --max-lag 3", "max-lag"),
+            ("extract --in T --verbose", "verbose"),
+            (
+                "analyze --in T --metadata dstPort=80 --training 5",
+                "training",
+            ),
+            ("generate --out T --support 5", "support"),
+            ("table2 --seed 3", "seed"),
+        ] {
+            let err = super::run(&argv(line)).unwrap_err();
+            let command = line.split(' ').next().unwrap();
             assert_eq!(
-                lane.heartbeats.len() as u64,
-                intervals,
-                "one keepalive per interval"
+                err,
+                format!("{command} does not take --{key} (see `anomex help`)")
             );
         }
-        let silent: Vec<Lane> = lanes
-            .iter()
-            .map(|lane| Lane {
-                flows: lane.flows.clone(),
-                heartbeats: Vec::new(),
-                origin: lane.origin,
-            })
-            .collect();
-        let replay = |lanes: &[Lane]| {
-            let specs: Vec<SourceSpec> = lanes
-                .iter()
-                .enumerate()
-                .map(|(i, lane)| SourceSpec::new(i as u32, lane.origin))
-                .collect();
-            let mut engine =
-                MultiSourceExtractor::try_new(config.clone(), NonZeroUsize::MIN, &specs, None)
-                    .unwrap();
-            let mut events = Vec::new();
-            for (source, arrival) in Replay::new(lanes) {
-                events.extend(match arrival {
-                    Arrival::Flow(flow) => engine.push(source, flow),
-                    Arrival::Heartbeat(ms) => engine.heartbeat(source, ms),
-                });
-            }
-            let (tail, summary) = engine.finish();
-            events.extend(tail);
-            let outcomes: Vec<String> = events
-                .iter()
-                .map(|e| format!("{:?}", e.event.outcome))
-                .collect();
-            (outcomes, summary)
-        };
-        let (plain_outcomes, plain_summary) = replay(&silent);
-        let (outcomes, summary) = replay(&lanes);
-        assert_eq!(summary.total_flows, plain_summary.total_flows);
-        assert_eq!(summary.intervals, plain_summary.intervals);
-        assert_eq!(summary.dropped_flows, 0, "heartbeats drop nothing");
-        assert_eq!(outcomes, plain_outcomes, "punctuation changed the output");
-        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Two lanes cannot share one stdin: `--in -` twice is refused up
+    /// front instead of splitting the capture between them.
+    #[test]
+    fn stdin_feeds_one_lane_only() {
+        for command in ["extract", "stream"] {
+            let args = argv(&format!("{command} --in - --in - --interval-min 1"));
+            let err = replay_to(&args, &mut Vec::new()).unwrap_err();
+            assert_eq!(
+                err,
+                "--in - is given more than once, but there is only one stdin"
+            );
+        }
     }
 
     /// End-to-end through temp files: generate a small trace, reload it,
@@ -1901,7 +2039,7 @@ mod tests {
         );
         for (force, support) in [("", 200), (" --force-rare", 2)] {
             std::fs::write(dir.join("reconfig"), "min-support=2\n").unwrap();
-            run(stream_to, &format!("{stream}{force}"));
+            run(replay_to, &format!("{stream}{force}"));
             assert!(!dir.join("reconfig").exists(), "the request was consumed");
             let path = dir.join("stream.ckpt");
             let (engine, _) = restore_from_checkpoint(&path, None, 1, true).unwrap();
@@ -1924,16 +2062,16 @@ mod tests {
             dir.display()
         );
         run(
-            stream_to,
+            replay_to,
             &format!("{opts} --support 2 --force-rare --stop-after 1"),
         );
         let resume = format!("{opts} --support 200 --resume");
-        let err = stream_to(&argv(&resume), &mut Vec::new()).unwrap_err();
+        let err = replay_to(&argv(&resume), &mut Vec::new()).unwrap_err();
         assert!(
             err.starts_with("cannot resume from") && err.contains("--force-rare"),
             "{err}"
         );
-        let resumed = run(stream_to, &format!("{resume} --force-rare"));
+        let resumed = run(replay_to, &format!("{resume} --force-rare"));
         assert!(
             line(&resumed, "streamed ").contains(" into 4 intervals: "),
             "{resumed}"
@@ -1990,7 +2128,8 @@ mod tests {
     }
 
     /// `generate` writes exactly one trace per source: `--sources` is at
-    /// least 1 and the `--out` count must equal it, for one source too.
+    /// least 1 and the `--out` count must equal it, for one source too,
+    /// and `--intervals` is at least 1.
     #[test]
     fn generate_needs_one_out_file_per_source() {
         let dir = scratch_dir("anomex-cli-test-generate-outs");
@@ -2004,6 +2143,15 @@ mod tests {
         assert_eq!(err, "--sources must be at least 1");
         let err = generate(&format!("generate --sources 2 --out {a}")).unwrap_err();
         assert_eq!(err, "--sources 2 needs exactly 2 --out files (got 1)");
+        // No intervals would be an empty trace, which every consumer
+        // refuses.
+        let err = generate(&format!("generate --out {a} --intervals 0")).unwrap_err();
+        assert_eq!(err, "--intervals must be at least 1");
+        let two = format!("generate --sources 2 --out {a} --out {b} --intervals 0");
+        assert_eq!(
+            generate(&two).unwrap_err(),
+            "--intervals must be at least 1"
+        );
         assert!(!Path::new(&a).exists() && !Path::new(&b).exists());
         generate(&format!("generate --sources 1 --out {a} --intervals 1")).unwrap();
         assert!(Path::new(&a).exists());
@@ -2021,11 +2169,11 @@ mod tests {
         run(generate_to, &format!("generate --out {path} --intervals 1"));
 
         let many = format!("--in {path} --threads 100000");
-        let err = extract(&argv(&format!("extract {many}"))).unwrap_err();
+        let err = super::run(&argv(&format!("extract {many}"))).unwrap_err();
         assert!(err.contains("--threads"), "extract: {err}");
-        let err = stream(&argv(&format!("stream {many}"))).unwrap_err();
+        let err = super::run(&argv(&format!("stream {many}"))).unwrap_err();
         assert!(err.contains("--threads"), "stream: {err}");
-        let err = analyze(&argv(&format!("analyze --metadata dstPort=80 {many}"))).unwrap_err();
+        let err = super::run(&argv(&format!("analyze --metadata dstPort=80 {many}"))).unwrap_err();
         assert!(err.contains("--threads"), "analyze: {err}");
         std::fs::remove_dir_all(&dir).ok();
 
@@ -2044,16 +2192,16 @@ mod tests {
         let out_s = out.display();
         let two_weeks = format!("generate --out {out_s} --scenario two-weeks");
         for bad in ["0", "-1", "nan", "inf", "1e300"] {
-            let err = generate(&argv(&format!("{two_weeks} --scale {bad}"))).unwrap_err();
+            let err = super::run(&argv(&format!("{two_weeks} --scale {bad}"))).unwrap_err();
             assert!(err.contains("--scale"), "generate --scale {bad}: {err}");
-            let err = table2(&argv(&format!("table2 --scale {bad}"))).unwrap_err();
+            let err = super::run(&argv(&format!("table2 --scale {bad}"))).unwrap_err();
             assert!(err.contains("--scale"), "table2 --scale {bad}: {err}");
         }
         run(
             generate_to,
             &format!("{two_weeks} --scale 0.01 --intervals 1"),
         );
-        let err = generate(&argv(&format!("generate --out {out_s} --scale 0.5"))).unwrap_err();
+        let err = super::run(&argv(&format!("generate --out {out_s} --scale 0.5"))).unwrap_err();
         assert!(err.contains("does not take --scale"), "{err}");
         std::fs::remove_file(&out).ok();
     }
@@ -2103,11 +2251,11 @@ mod tests {
             &mut ClosedPipe,
         ));
         closed(table2_to(&argv("table2 --scale 0.01"), &mut ClosedPipe));
-        closed(extract_to(
+        closed(replay_to(
             &argv(&format!("extract --in {path}")),
             &mut ClosedPipe,
         ));
-        closed(stream_to(
+        closed(replay_to(
             &argv(&format!("stream --in {path}")),
             &mut ClosedPipe,
         ));

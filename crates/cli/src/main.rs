@@ -24,16 +24,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let result = match parsed.command.as_str() {
-        "generate" => commands::generate(&parsed),
-        "extract" => commands::extract(&parsed),
-        "stream" => commands::stream(&parsed),
-        "analyze" => commands::analyze(&parsed),
-        "table2" => commands::table2(&parsed),
-        "help" | "--help" | "-h" => commands::help_to(&mut std::io::stdout().lock()),
-        other => Err(format!("unknown command {other:?}\n{}", commands::USAGE)),
-    };
-    match result {
+    match commands::run(&parsed) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             commands::note(format_args!("error: {e}"));

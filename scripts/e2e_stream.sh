@@ -1,11 +1,16 @@
 #!/usr/bin/env bash
-# End-to-end determinism smoke for the full streaming path, outside the
-# proptest suite: generate a two-source NetFlow v5 workload, fan both
-# traces into `anomex stream` (the watermark merge engine), run the same
-# traces through batch `anomex extract` (per-interval concatenation in
-# file order), and require the two report streams to be byte-identical;
-# then require `extract` to print the same reports at 1 and 2 threads and
-# for every --miner; finally require a capture read from stdin to behave
+# End-to-end determinism smoke for the binary, outside the proptest
+# suite. `anomex extract` and `anomex stream` run one replay into the
+# watermark merge engine and differ only in the options they take and
+# their closing summary, so the first two passes fan a two-source NetFlow
+# v5 workload into both commands and require byte-identical reports,
+# without and with the rule layer: the stream-only path (`stream`'s
+# options, its summary) changes no report. The independent batch oracle
+# — each trace read whole and sliced on its own grid, the per-interval
+# concatenation run through one engine — is
+# tests/multi_source_determinism.rs (and the CLI's unit tests). Then
+# require `extract` to print the same reports at 1 and 2 threads and for
+# every --miner; finally require a capture read from stdin to behave
 # exactly like the same capture read from its file, cut or whole.
 #
 # Usage: scripts/e2e_stream.sh [path-to-anomex-binary]
@@ -36,10 +41,10 @@ opts=(--interval-min 1 --training 10 --support 800 --threads 2)
     > "$workdir/extract.out"
 
 # Keep only the extraction reports: drop each command's own trailer
-# lines (stream: fan-in/source/latency; extract: processed count) —
-# everything else must match byte for byte.
+# lines (stream: fan-in/source/latency; extract: processed count and
+# drops) — everything else must match byte for byte.
 filter() {
-    grep -vE '^(fan-in:|source src[0-9]+ \(|per-interval latency:|streamed |processed )' "$1"
+    grep -vE '^(fan-in:|source src[0-9]+ \(|per-interval latency:|streamed |processed |dropped flows:)' "$1"
 }
 filter "$workdir/stream.out" > "$workdir/stream.reports"
 filter "$workdir/extract.out" > "$workdir/extract.reports"
@@ -50,16 +55,16 @@ if ! grep -q '^Anomaly extraction report' "$workdir/stream.reports"; then
 fi
 
 if ! diff -u "$workdir/extract.reports" "$workdir/stream.reports"; then
-    echo "e2e-stream: streaming fan-in diverged from batch extraction" >&2
+    echo "e2e-stream: the stream fan-in's reports differ from extract's over the same --in list" >&2
     exit 1
 fi
 
 reports=$(grep -c '^Anomaly extraction report' "$workdir/stream.reports")
-echo "e2e-stream: OK — $reports extraction report(s) bit-identical across stream fan-in and batch extract"
+echo "e2e-stream: OK — $reports extraction report(s) bit-identical from stream and extract over one two-source fan-in"
 
 # Second pass with the association-rule layer on: the ranked rule
 # section and the per-source rule merge must also match byte for byte
-# between the streaming fan-in and the batch path.
+# between the two commands.
 "$bin" stream --in "$workdir/link0.nfv5" --in "$workdir/link1.nfv5" "${opts[@]}" --rules \
     > "$workdir/stream-rules.out"
 "$bin" extract --in "$workdir/link0.nfv5" --in "$workdir/link1.nfv5" "${opts[@]}" --rules \
@@ -77,12 +82,12 @@ if ! grep -q '^Per-source rule merge' "$workdir/stream-rules.reports"; then
 fi
 
 if ! diff -u "$workdir/extract-rules.reports" "$workdir/stream-rules.reports"; then
-    echo "e2e-stream: streaming rule reports diverged from batch extraction" >&2
+    echo "e2e-stream: the stream fan-in's rule reports differ from extract's" >&2
     exit 1
 fi
 
 rule_sections=$(grep -c '^association rules' "$workdir/stream-rules.reports")
-echo "e2e-stream: OK — rule reports ($rule_sections section(s)) bit-identical across stream fan-in and batch extract"
+echo "e2e-stream: OK — rule reports ($rule_sections section(s)) bit-identical from stream and extract over one two-source fan-in"
 
 # Third pass: thread-count invariance at the binary. Both sides above
 # run at --threads 2, so this runs `extract` over the same two links at
@@ -139,9 +144,10 @@ done
 echo "e2e-stream: OK — extract reports bit-identical for apriori, fpgrowth and eclat, with and without --rules"
 
 # Fifth pass: one ingest path for files and pipes. A capture piped in
-# with `--in -` must stream to the same reports as the file itself, and a
-# capture cut mid-datagram must make `extract` exit 1 with the same error
-# through a file and through stdin (the path prefix aside).
+# with `--in -` must stream to the same reports as the file itself and
+# make `extract` print the same output, summary included, and a capture
+# cut mid-datagram must make `extract` exit 1 with the same error through
+# a file and through stdin (the path prefix aside).
 single=(--interval-min 1 --training 10 --support 800)
 "$bin" stream --in "$workdir/link0.nfv5" "${single[@]}" > "$workdir/file.out"
 "$bin" stream --in - "${single[@]}" < "$workdir/link0.nfv5" > "$workdir/stdin.out"
@@ -153,6 +159,12 @@ if ! grep -q '^Anomaly extraction report' "$workdir/file.reports"; then
 fi
 if ! diff -u "$workdir/file.reports" "$workdir/stdin.reports"; then
     echo "e2e-stream: stream --in - diverged from stream --in FILE" >&2
+    exit 1
+fi
+"$bin" extract --in "$workdir/link0.nfv5" "${single[@]}" > "$workdir/file-extract.out"
+"$bin" extract --in - "${single[@]}" < "$workdir/link0.nfv5" > "$workdir/stdin-extract.out"
+if ! diff -u "$workdir/file-extract.out" "$workdir/stdin-extract.out"; then
+    echo "e2e-stream: extract --in - diverged from extract --in FILE" >&2
     exit 1
 fi
 
@@ -174,4 +186,4 @@ if ! diff -u "$workdir/cut-file.msg" "$workdir/cut-stdin.msg"; then
     echo "e2e-stream: a cut capture fails differently through a file and through stdin" >&2
     exit 1
 fi
-echo "e2e-stream: OK — stream --in - matches --in FILE, and a cut capture fails alike through both ($(cat "$workdir/cut-file.msg"))"
+echo "e2e-stream: OK — stream and extract --in - match --in FILE, and a cut capture fails alike through both ($(cat "$workdir/cut-file.msg"))"

@@ -4,12 +4,15 @@
 //! holds its refill buffer and one packet, never the capture.
 //!
 //! A test binary of its own, with one test, because the counting
-//! allocator sees every thread of the process.
+//! allocator is process-wide. It counts only the test's own thread:
+//! the harness's main thread allocates while it waits for the test,
+//! and those bytes used to land in one measurement or the other.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::io::{self, Read};
 use std::net::Ipv4Addr;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicIsize, Ordering};
 
 use anomex::netflow::v5::V5Exporter;
 use anomex::netflow::v9::{
@@ -17,20 +20,35 @@ use anomex::netflow::v9::{
 };
 use anomex::netflow::{FlowRecord, Protocol};
 
-/// The system allocator plus a live-bytes gauge and its high-water mark.
+/// The system allocator plus a live-bytes gauge and its high-water mark,
+/// both moved only by threads that set [`COUNTED`].
 struct Counting;
 
 // Statistics only: nothing is published through them, so `Relaxed`.
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
+static LIVE: AtomicIsize = AtomicIsize::new(0);
+static PEAK: AtomicIsize = AtomicIsize::new(0);
+
+thread_local! {
+    /// Whether this thread's allocations move the gauges. Set by the
+    /// test thread before it allocates anything it later frees.
+    static COUNTED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn counted() -> bool {
+    COUNTED.try_with(Cell::get).unwrap_or(false)
+}
 
 fn grow(bytes: usize) {
-    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
-    PEAK.fetch_max(live, Ordering::Relaxed);
+    if counted() {
+        let live = LIVE.fetch_add(bytes as isize, Ordering::Relaxed) + bytes as isize;
+        PEAK.fetch_max(live, Ordering::Relaxed);
+    }
 }
 
 fn shrink(bytes: usize) {
-    LIVE.fetch_sub(bytes, Ordering::Relaxed);
+    if counted() {
+        LIVE.fetch_sub(bytes as isize, Ordering::Relaxed);
+    }
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
@@ -124,11 +142,12 @@ fn peak_while_reading(repeats: usize) -> usize {
         }
     }
     assert_eq!(datagrams, repeats);
-    PEAK.load(Ordering::Relaxed) - before
+    (PEAK.load(Ordering::Relaxed) - before) as usize
 }
 
 #[test]
 fn reading_a_capture_peaks_the_same_at_1k_and_64k_datagrams() {
+    COUNTED.with(|counted| counted.set(true));
     let small = peak_while_reading(1_000);
     let large = peak_while_reading(64_000);
     assert_eq!(small, large, "peak live heap at 1 k vs 64 k datagrams");
