@@ -69,8 +69,25 @@ pub fn identify_anomalous_bins(
         reference.len(),
         "histograms must have the same bin count"
     );
+    identify_from(
+        current,
+        reference,
+        kl_distance(current, reference),
+        target_kl,
+    )
+}
+
+/// [`identify_anomalous_bins`] starting from `kl`, the caller's own
+/// `kl_distance(current, reference)` — an alarmed clone computed it a
+/// moment earlier for its alarm test — which becomes `kl_trajectory[0]`.
+pub(crate) fn identify_from(
+    current: &[u64],
+    reference: &[u64],
+    kl: f64,
+    target_kl: f64,
+) -> BinIdentification {
     let mut bins = Vec::new();
-    let mut kl_trajectory = vec![kl_distance(current, reference)];
+    let mut kl_trajectory = vec![kl];
     // Built on the first round: a histogram already at or below the
     // target needs only the one KL pass above.
     let mut running: Option<RunningKl<'_>> = None;

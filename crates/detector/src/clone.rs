@@ -13,9 +13,9 @@ use std::collections::BTreeSet;
 use anomex_netflow::snapshot::{RestoreError, SnapshotReader, SnapshotWriter};
 use anomex_netflow::{FlowFeature, FlowRecord};
 
-use crate::binid::{identify_anomalous_bins, BinIdentification};
+use crate::binid::{identify_from, BinIdentification};
 use crate::hash::BinHasher;
-use crate::histogram::FeatureHistogram;
+use crate::histogram::{resolve_clones, FeatureHistogram};
 use crate::kl::kl_distance;
 use crate::threshold::{FirstDiffThreshold, SIGMA_FLOOR};
 
@@ -149,17 +149,27 @@ impl HistogramClone {
         current: FeatureHistogram,
         keys: &[u64],
     ) -> CloneObservation {
+        let mut observation = self.score(current, keys.len());
+        if let Some(id) = &observation.bin_identification {
+            let mut sets = resolve_clones(keys, self.bins, &[(self.hasher, &id.bins)]);
+            observation.values = sets.pop().expect("one clone, one set");
+        }
+        observation
+    }
+
+    /// [`observe_histogram`](Self::observe_histogram) short of resolving
+    /// values: an alarm carries its bin identification and empty
+    /// `values`, which the caller resolves — in one pass for all of a
+    /// feature's alarmed clones. `flows` is the number of keys `current` was
+    /// counted from.
+    pub(crate) fn score(&mut self, current: FeatureHistogram, flows: usize) -> CloneObservation {
         assert!(
             current.feature() == self.feature
                 && current.hasher() == self.hasher
                 && current.bins() == self.bins,
             "histogram was built by a different clone"
         );
-        assert_eq!(
-            keys.len() as u64,
-            current.total(),
-            "keys of another interval"
-        );
+        assert_eq!(flows as u64, current.total(), "keys of another interval");
         let kl = self
             .prev_histogram
             .as_ref()
@@ -170,7 +180,6 @@ impl HistogramClone {
         };
 
         let mut alarm = false;
-        let mut values = BTreeSet::new();
         let mut bin_identification = None;
 
         if let Some(diff) = first_diff {
@@ -196,10 +205,12 @@ impl HistogramClone {
                             .prev_kl
                             .expect("first_diff exists ⇒ previous KL exists")
                             + threshold.value();
-                        let id =
-                            identify_anomalous_bins(current.counts(), prev.counts(), target_kl);
-                        values = current.resolve(keys, &id.bins);
-                        bin_identification = Some(id);
+                        bin_identification = Some(identify_from(
+                            current.counts(),
+                            prev.counts(),
+                            kl.expect("first_diff exists ⇒ KL exists"),
+                            target_kl,
+                        ));
                     }
                 }
             }
@@ -212,7 +223,7 @@ impl HistogramClone {
             kl,
             first_diff,
             alarm,
-            values,
+            values: BTreeSet::new(),
             bin_identification,
         }
     }

@@ -16,8 +16,8 @@ use anomex_netflow::{FlowColumns, FlowFeature, FlowRecord};
 
 use crate::clone::{CloneObservation, ClonePhase, HistogramClone};
 use crate::hash::{derive_hashers, BinHasher};
-use crate::histogram::FeatureHistogram;
-use crate::vote::vote;
+use crate::histogram::{resolve_clones, FeatureHistogram};
+use crate::vote::tally;
 
 /// What one feature detector (all clones + voting) saw in one interval.
 #[derive(Debug, Clone)]
@@ -249,17 +249,26 @@ impl FeatureDetector {
             "partial was built by a different detector"
         );
         let FeaturePartial { histograms, keys } = partial;
-        let observations: Vec<CloneObservation> = self
+        let mut observations: Vec<CloneObservation> = self
             .clones
             .iter_mut()
             .zip(histograms)
-            .map(|(c, h)| c.observe_histogram(h, &keys))
+            .map(|(c, h)| c.score(h, keys.len()))
             .collect();
         let alarmed_clones = observations.iter().filter(|o| o.alarm).count();
+        if alarmed_clones > 0 {
+            // One pass over the keys resolves every alarmed clone.
+            let claims: Vec<(BinHasher, &[u32])> = (self.clones.iter().zip(&observations))
+                .filter_map(|(c, o)| Some((c.hasher(), &o.bin_identification.as_ref()?.bins[..])))
+                .collect();
+            let sets = resolve_clones(&keys, self.clones[0].bins(), &claims);
+            for (observation, values) in observations.iter_mut().filter(|o| o.alarm).zip(sets) {
+                observation.values = values;
+            }
+        }
         let alarm = alarmed_clones >= self.votes;
         let voted_values = if alarm {
-            let sets: Vec<BTreeSet<u64>> = observations.iter().map(|o| o.values.clone()).collect();
-            vote(&sets, self.votes)
+            tally(observations.iter().map(|o| &o.values), self.votes)
         } else {
             BTreeSet::new()
         };

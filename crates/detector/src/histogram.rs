@@ -7,6 +7,8 @@
 //! (§II-D) is needed only for the bins of a clone that alarmed — a few
 //! intervals in a hundred: [`FeatureHistogram::resolve`] rebuilds it then
 //! from the interval's raw keys, which the column scan collects anyway.
+//! A detector resolves all alarmed clones of a feature in one pass over
+//! its keys.
 
 use std::collections::BTreeSet;
 
@@ -137,21 +139,13 @@ impl FeatureHistogram {
     /// candidate values once its anomalous bins are identified. `keys`
     /// are the raw keys the histogram was counted from
     /// ([`FeaturePartial::keys`](crate::FeaturePartial::keys)); one
-    /// `bin_of` pass over them against a bitmap of the requested bins.
+    /// `bin_of` pass over them against a bitmap of the requested bins
+    /// keeps the matching keys, which are sorted and deduplicated once.
     /// Bins outside `0..bins()` hold no values.
     #[must_use]
     pub fn resolve(&self, keys: &[u64], bins: &[u32]) -> BTreeSet<u64> {
-        let mut marked = vec![false; self.counts.len()];
-        for &bin in bins {
-            if let Some(mark) = marked.get_mut(bin as usize) {
-                *mark = true;
-            }
-        }
-        let k = self.bins();
-        keys.iter()
-            .copied()
-            .filter(|&key| marked[self.hasher.bin_of(key, k) as usize])
-            .collect()
+        let mut sets = resolve_clones(keys, self.bins(), &[(self.hasher, bins)]);
+        sets.pop().expect("one clone, one set")
     }
 
     /// Serialize the histogram's contents — per-bin counts, total, and an
@@ -225,6 +219,76 @@ impl FeatureHistogram {
     }
 }
 
+/// Slots of [`resolve_clones`]' table of recently claimed keys.
+const RECENT_SLOTS: usize = 64;
+
+/// [`FeatureHistogram::resolve`] for several clones of one feature at
+/// once — each alarmed clone's hash function with its anomalous bins, all
+/// over `k` bins — returning each clone's values, in clone order.
+///
+/// One pass over `keys` bins each key with every clone, into a mask of
+/// the clones whose anomalous bins claim it, and keeps the claimed keys.
+/// A small direct-mapped table of recently claimed keys skips repeats —
+/// a flood's value recurs in thousands of flows — so the kept keys are
+/// nearly distinct when they are sorted and deduplicated; the table only
+/// saves work, as a repeat it misses is kept again and dropped by the
+/// deduplication. Each clone's
+/// set is then read off the masks in key order. Work is one `bin_of` per
+/// key and clone and one sort of a few claimed keys: no set insert per
+/// flow, and a feature's keys are read once however many clones alarmed.
+pub(crate) fn resolve_clones(
+    keys: &[u64],
+    k: u32,
+    clones: &[(BinHasher, &[u32])],
+) -> Vec<BTreeSet<u64>> {
+    let mut sets = Vec::with_capacity(clones.len());
+    // One mask bit per clone.
+    for group in clones.chunks(u64::BITS as usize) {
+        let marked: Vec<Vec<bool>> = group
+            .iter()
+            .map(|&(_, bins)| {
+                let mut marked = vec![false; k as usize];
+                for &bin in bins {
+                    if let Some(mark) = marked.get_mut(bin as usize) {
+                        *mark = true;
+                    }
+                }
+                marked
+            })
+            .collect();
+        let mut claimed: Vec<(u64, u64)> = Vec::new();
+        let mut recent = [None; RECENT_SLOTS];
+        for &key in keys {
+            // Fibonacci hashing: the product's top bits pick the slot.
+            let slot = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                >> (u64::BITS - RECENT_SLOTS.trailing_zeros())) as usize;
+            if recent[slot] == Some(key) {
+                continue;
+            }
+            let mut mask = 0u64;
+            for (bit, (&(hasher, _), marked)) in group.iter().zip(&marked).enumerate() {
+                if marked[hasher.bin_of(key, k) as usize] {
+                    mask |= 1 << bit;
+                }
+            }
+            if mask != 0 {
+                claimed.push((key, mask));
+                recent[slot] = Some(key);
+            }
+        }
+        claimed.sort_unstable_by_key(|&(key, _)| key);
+        claimed.dedup_by_key(|&mut (key, _)| key);
+        sets.extend((0..group.len()).map(|bit| {
+            claimed
+                .iter()
+                .filter(|&&(_, mask)| mask >> bit & 1 == 1)
+                .map(|&(key, _)| key)
+                .collect::<BTreeSet<u64>>()
+        }));
+    }
+    sets
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,6 +356,32 @@ mod tests {
         let (h, keys) = FeatureHistogram::scan(FlowFeature::DstPort, BinHasher::new(1), 1, &flows);
         assert_eq!(h.counts(), &[2]);
         assert_eq!(h.resolve(&keys, &[0]), BTreeSet::from([1, 2]));
+    }
+
+    #[test]
+    fn resolve_clones_matches_a_per_clone_scan() {
+        // 70 clones (two mask groups), extreme keys, and repeats
+        // interleaved so the recent-key table both hits and evicts.
+        let mut keys: Vec<u64> = vec![u64::MAX, 0, u64::MAX, 1 << 63];
+        keys.extend((0..3000u64).map(|i| if i % 3 == 0 { 7000 } else { i % 97 * 1_000_003 }));
+        let hashers: Vec<BinHasher> = (0..70).map(BinHasher::new).collect();
+        let bins: Vec<Vec<u32>> = (0..70u32).map(|c| vec![c % 16, (c * 7) % 16, 99]).collect();
+        let clones: Vec<(BinHasher, &[u32])> = hashers
+            .iter()
+            .zip(&bins)
+            .map(|(&h, b)| (h, &b[..]))
+            .collect();
+        let sets = resolve_clones(&keys, 16, &clones);
+        assert_eq!(sets.len(), 70);
+        for ((hasher, bins), set) in clones.iter().zip(&sets) {
+            let want: BTreeSet<u64> = keys
+                .iter()
+                .copied()
+                .filter(|&key| bins.contains(&hasher.bin_of(key, 16)))
+                .collect();
+            assert_eq!(set, &want);
+        }
+        assert!(sets.iter().any(|set| set.contains(&u64::MAX)));
     }
 
     #[test]

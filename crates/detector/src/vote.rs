@@ -8,7 +8,7 @@
 //! (large `l`) against false positives (small `l`) — quantified by the
 //! analytic models in `anomex-core::models`.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Keep the values proposed by at least `votes` of the given clone sets.
 ///
@@ -26,16 +26,22 @@ pub fn vote(clone_sets: &[BTreeSet<u64>], votes: usize) -> BTreeSet<u64> {
         votes,
         clone_sets.len()
     );
-    let mut tally: BTreeMap<u64, usize> = BTreeMap::new();
-    for set in clone_sets {
-        for &value in set {
-            *tally.entry(value).or_insert(0) += 1;
-        }
-    }
-    tally
-        .into_iter()
-        .filter(|&(_, n)| n >= votes)
-        .map(|(v, _)| v)
+    tally(clone_sets, votes)
+}
+
+/// [`vote`] without the quorum checks: the sets' values concatenated and
+/// sorted, keeping each value whose run is at least `votes` long (a set
+/// holds a value at most once, so a run's length is its vote count).
+pub(crate) fn tally<'a>(
+    clone_sets: impl IntoIterator<Item = &'a BTreeSet<u64>>,
+    votes: usize,
+) -> BTreeSet<u64> {
+    let mut proposed: Vec<u64> = clone_sets.into_iter().flatten().copied().collect();
+    proposed.sort_unstable();
+    proposed
+        .chunk_by(|a, b| a == b)
+        .filter(|run| run.len() >= votes)
+        .map(|run| run[0])
         .collect()
 }
 

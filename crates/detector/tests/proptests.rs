@@ -4,11 +4,66 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
 use anomex_detector::{
-    identify_anomalous_bins, kl_distance, robust_sigma, vote, BinHasher, FeatureDetector, RocCurve,
-    SIGMA_FLOOR,
+    identify_anomalous_bins, kl_distance, robust_sigma, vote, BinHasher, FeatureDetector,
+    FeatureObservation, FeaturePartial, RocCurve, SIGMA_FLOOR,
 };
 use anomex_netflow::{FlowColumns, FlowFeature, FlowRecord, Protocol};
+use anomex_traffic::Scenario;
 use proptest::prelude::*;
+
+/// Score `partial` with `detector` and check the scoring contracts of
+/// every clone that alarmed: its bin identification starts from its own
+/// KL bit for bit, its values are [`FeatureHistogram::resolve`] of its
+/// bins over the interval's keys (the detector resolves them once per
+/// feature), and the voted values are [`vote`] of the clone sets.
+/// Returns the observation.
+fn observe_checked(detector: &mut FeatureDetector, partial: FeaturePartial) -> FeatureObservation {
+    let observation = detector.observe_partial(partial.clone());
+    let mut alarmed = 0;
+    for (clone, histogram) in observation.clones.iter().zip(partial.histograms()) {
+        let Some(id) = &clone.bin_identification else {
+            assert!(!clone.alarm && clone.values.is_empty());
+            continue;
+        };
+        alarmed += 1;
+        let kl = clone.kl.expect("an alarm has a KL");
+        assert_eq!(id.kl_trajectory[0].to_bits(), kl.to_bits());
+        assert_eq!(clone.values, histogram.resolve(partial.keys(), &id.bins));
+    }
+    assert_eq!(observation.alarmed_clones, alarmed);
+    if observation.alarm {
+        let sets: Vec<BTreeSet<u64>> = observation
+            .clones
+            .iter()
+            .map(|c| c.values.clone())
+            .collect();
+        assert_eq!(observation.voted_values, vote(&sets, detector.votes()));
+    }
+    observation
+}
+
+/// Run every detection feature's detector (three clones, quorum `votes`)
+/// over `Scenario::small(seed)` through [`observe_checked`]; returns the
+/// numbers of clones that alarmed together in one feature and interval.
+fn check_small_scenario(seed: u64, votes: usize) -> BTreeSet<usize> {
+    let scenario = Scenario::small(seed);
+    let mut detectors: Vec<FeatureDetector> = FlowFeature::DETECTION_FEATURES
+        .iter()
+        .map(|&feature| FeatureDetector::new(feature, 1024, 3, votes, 3.0, 10, seed))
+        .collect();
+    let mut alarmed = BTreeSet::new();
+    for interval in 0..scenario.interval_count() {
+        let cols = FlowColumns::from_flows(&scenario.generate(interval).flows);
+        for detector in &mut detectors {
+            let partial = detector.hasher_spec().partial_columns(&cols, 0..cols.len());
+            let observation = observe_checked(detector, partial);
+            if observation.alarmed_clones > 0 {
+                alarmed.insert(observation.alarmed_clones);
+            }
+        }
+    }
+    alarmed
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -83,6 +138,96 @@ proptest! {
             let all: Vec<u32> = (0..bins).collect();
             let every: BTreeSet<u64> = values.values().flatten().copied().collect();
             prop_assert_eq!(histogram.resolve(partial.keys(), &all), every);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// On `Scenario::small` streams, every alarmed clone's
+    /// `kl_trajectory[0]` is bit-equal to its `kl`, and the values the
+    /// detector resolves once per feature are each clone's own
+    /// `FeatureHistogram::resolve`.
+    #[test]
+    fn alarmed_clones_reuse_their_kl_and_share_one_resolve(
+        seed in any::<u64>(),
+        votes in 1usize..=3,
+    ) {
+        let alarmed = check_small_scenario(seed, votes);
+        prop_assert!(!alarmed.is_empty(), "the planted events raised no clone alarm");
+    }
+}
+
+/// The shared resolve covers every number of alarmed clones: over a few
+/// small scenarios, features alarm with one, two and all three clones.
+#[test]
+fn shared_resolve_is_checked_for_one_to_all_alarmed_clones() {
+    let mut seen = BTreeSet::new();
+    for seed in 1..=4 {
+        seen.extend(check_small_scenario(seed, 1));
+    }
+    assert_eq!(seen, BTreeSet::from([1, 2, 3]));
+}
+
+/// A trained detector meeting an interval whose keys are all one value,
+/// or no keys at all: whatever clones alarm resolve exactly what
+/// `FeatureHistogram::resolve` does (one value, or nothing).
+#[test]
+fn shared_resolve_handles_duplicate_and_empty_keys() {
+    let background = |interval: u16| -> FlowColumns {
+        let flows: Vec<FlowRecord> = (0..400u16)
+            .map(|i| {
+                FlowRecord::new(
+                    u64::from(i),
+                    Ipv4Addr::new(10, 0, (i % 7) as u8, (i % 13) as u8),
+                    Ipv4Addr::new(10, 1, 0, 2),
+                    4000 + i % 50,
+                    1 + (i * 7 + interval) % 300,
+                    Protocol::Tcp,
+                )
+            })
+            .collect();
+        FlowColumns::from_flows(&flows)
+    };
+    let one_value: Vec<FlowRecord> = (0..2000u64)
+        .map(|i| {
+            FlowRecord::new(
+                i,
+                Ipv4Addr::new(10, 0, 0, 1),
+                Ipv4Addr::new(10, 1, 0, 2),
+                4000,
+                7000,
+                Protocol::Tcp,
+            )
+        })
+        .collect();
+    for (name, last) in [
+        ("all-duplicate keys", FlowColumns::from_flows(&one_value)),
+        ("no keys", FlowColumns::new()),
+    ] {
+        for clones in 1..=4 {
+            let mut detector =
+                FeatureDetector::new(FlowFeature::DstPort, 256, clones, 1, 3.0, 6, 5);
+            for interval in 0..10 {
+                let cols = background(interval);
+                let partial = detector.hasher_spec().partial_columns(&cols, 0..cols.len());
+                observe_checked(&mut detector, partial);
+            }
+            let partial = detector.hasher_spec().partial_columns(&last, 0..last.len());
+            let observation = observe_checked(&mut detector, partial);
+            assert_eq!(
+                observation.alarmed_clones, clones,
+                "{name}, {clones} clones"
+            );
+            let want = if last.is_empty() {
+                BTreeSet::new()
+            } else {
+                BTreeSet::from([7000])
+            };
+            for clone in &observation.clones {
+                assert!(clone.values.is_subset(&want), "{name}: {:?}", clone.values);
+            }
         }
     }
 }

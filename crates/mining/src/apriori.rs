@@ -16,7 +16,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use crate::combinations::for_each_combination;
-use crate::item::{Item, ItemMap};
+use crate::item::{Item, ItemHashBuilder, ItemMap};
 use crate::itemset::ItemSet;
 use crate::maximal::filter_maximal;
 use crate::par::{map_chunks_arc, sum_count_vecs, Exec};
@@ -102,17 +102,69 @@ pub fn apriori(set: &TransactionSet, config: &AprioriConfig) -> AprioriOutput {
     apriori_exec(set, config, Exec::inline())
 }
 
-/// Pass 1 of every miner: global single-item occurrence counts, computed
-/// over transaction chunks in the given execution context and merged by
-/// summation (exact, order-independent — bit-identical to a sequential
-/// count for every context and thread count).
+/// Buckets of the counting filter in front of the exact count in
+/// [`count_single_items`].
+const FILTER_BUCKETS: usize = 1 << 12;
+
+/// Pass 1 of Apriori and FP-growth: the items occurring in at least
+/// `min_support` transactions, with their counts, in item order.
+///
+/// Two passes over transaction chunks in the given execution context,
+/// each merged by exact integer sums, so the result is bit-identical for
+/// every context and thread count:
+///
+/// 1. a counting filter: every item adds one to its bucket among
+///    [`FILTER_BUCKETS`], hashed with a randomly keyed
+///    [`ItemHasher`](crate::item::ItemHasher);
+/// 2. an exact count of only the items whose bucket sum reaches
+///    `min_support`.
+///
+/// A bucket's sum is never below the count of any item in it, so no
+/// frequent item is skipped; the filter only spares the exact count the
+/// many items that cannot be frequent. Crafted items can at worst fill
+/// buckets so that nothing is skipped: without the key they cannot be
+/// aimed at one bucket, and no count depends on the hash.
 #[must_use]
-pub(crate) fn count_single_items(set: &TransactionSet, exec: Exec<'_>) -> ItemMap<u64> {
-    let parts = map_chunks_arc(exec, set.shared(), |_, chunk: &[Transaction]| {
-        let mut counts = ItemMap::default();
+pub(crate) fn count_single_items(
+    set: &TransactionSet,
+    min_support: u64,
+    exec: Exec<'_>,
+) -> Vec<(Item, u64)> {
+    count_filtered(set, min_support, exec, ItemHashBuilder::default())
+}
+
+/// [`count_single_items`] with the filter's hashing given.
+fn count_filtered(
+    set: &TransactionSet,
+    min_support: u64,
+    exec: Exec<'_>,
+    hashing: ItemHashBuilder,
+) -> Vec<(Item, u64)> {
+    let sums = sum_count_vecs(map_chunks_arc(exec, set.shared(), move |_, chunk| {
+        let mut sums = vec![0u64; FILTER_BUCKETS];
         for t in chunk {
             for &item in t.items() {
-                *counts.entry(item).or_insert(0) += 1;
+                sums[hashing.bucket(item, FILTER_BUCKETS)] += 1;
+            }
+        }
+        sums
+    }));
+    let candidates: u64 = sums.iter().filter(|&&sum| sum >= min_support).sum();
+    if candidates == 0 {
+        return Vec::new();
+    }
+    // Room for the frequent items and the few others sharing their
+    // buckets up front, so the map does not rehash as the set's
+    // distinct items grow.
+    let capacity = usize::try_from(candidates).map_or(FILTER_BUCKETS, |c| c.min(FILTER_BUCKETS));
+    let sums = Arc::new(sums);
+    let parts = map_chunks_arc(exec, set.shared(), move |_, chunk: &[Transaction]| {
+        let mut counts = ItemMap::with_capacity_and_hasher(capacity, hashing);
+        for t in chunk {
+            for &item in t.items() {
+                if sums[hashing.bucket(item, FILTER_BUCKETS)] >= min_support {
+                    *counts.entry(item).or_insert(0u64) += 1;
+                }
             }
         }
         counts
@@ -124,7 +176,12 @@ pub(crate) fn count_single_items(set: &TransactionSet, exec: Exec<'_>) -> ItemMa
             *total.entry(item).or_insert(0) += c;
         }
     }
-    total
+    let mut frequent: Vec<(Item, u64)> = total
+        .into_iter()
+        .filter(|&(_, c)| c >= min_support)
+        .collect();
+    frequent.sort_unstable();
+    frequent
 }
 
 /// Run Apriori in the given execution context: inline, or with the
@@ -153,13 +210,10 @@ pub fn apriori_exec(set: &TransactionSet, config: &AprioriConfig, exec: Exec<'_>
     let mut levels: Vec<LevelStats> = Vec::new();
 
     // --- Pass 1: count single items. ---
-    let counts = count_single_items(set, exec);
-    let mut current: Vec<(Vec<Item>, u64)> = counts
+    let mut current: Vec<(Vec<Item>, u64)> = count_single_items(set, min_support, exec)
         .into_iter()
-        .filter(|&(_, c)| c >= min_support)
         .map(|(item, c)| (vec![item], c))
         .collect();
-    current.sort_unstable_by(|a, b| a.0.cmp(&b.0));
     levels.push(LevelStats {
         level: 1,
         candidates: 0, // level 1 has no candidate-generation step
@@ -498,6 +552,55 @@ mod tests {
                         (b.level, b.candidates, b.frequent, b.maximal),
                         "threads={threads}"
                     );
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(8))]
+
+        /// The counting filter never changes a count: on sets with more
+        /// distinct items than buckets, at support 1, 2, the largest
+        /// bucket sum (only the fullest bucket passes the filter) and
+        /// `u64::MAX`, the items returned and their counts are a brute-force
+        /// count's, inline and on a 3-thread pool.
+        #[test]
+        fn counting_filter_is_exact(values in proptest::collection::vec(0u64..12_000, 8_000..8_500)) {
+            let set = TransactionSet::from_transactions(
+                values
+                    .iter()
+                    .map(|&v| {
+                        tx(&[
+                            (FlowFeature::SrcIp, v),
+                            (FlowFeature::DstPort, v % 7),
+                            (FlowFeature::Proto, 6 + (v % 2) * 11),
+                        ])
+                    })
+                    .collect(),
+            );
+            let mut exact: std::collections::BTreeMap<Item, u64> = Default::default();
+            for t in set.transactions() {
+                for &item in t.items() {
+                    *exact.entry(item).or_default() += 1;
+                }
+            }
+            assert!(exact.len() > FILTER_BUCKETS, "{} distinct items", exact.len());
+            let hashing = ItemHashBuilder::default();
+            let mut sums = vec![0u64; FILTER_BUCKETS];
+            for (&item, &count) in &exact {
+                sums[hashing.bucket(item, FILTER_BUCKETS)] += count;
+            }
+            let largest = *sums.iter().max().unwrap();
+            let pool = crate::par::WorkerPool::new(std::num::NonZeroUsize::new(3).unwrap());
+            for support in [1, 2, largest, u64::MAX] {
+                let want: Vec<(Item, u64)> = exact
+                    .iter()
+                    .filter(|&(_, &count)| count >= support)
+                    .map(|(&item, &count)| (item, count))
+                    .collect();
+                for exec in [Exec::Inline, Exec::Pool(&pool)] {
+                    assert_eq!(count_filtered(&set, support, exec, hashing), want, "support {support}");
                 }
             }
         }

@@ -233,10 +233,7 @@ pub fn fpgrowth_exec(set: &TransactionSet, min_support: u64, exec: Exec<'_>) -> 
 
     // Pass 1: global item counts (parallel over chunks, merged by sum),
     // ranked by descending frequency, ties by encoding for determinism.
-    let mut frequent: Vec<(Item, u64)> = count_single_items(set, exec)
-        .into_iter()
-        .filter(|&(_, c)| c >= min_support)
-        .collect();
+    let mut frequent = count_single_items(set, min_support, exec);
     frequent.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
     let rank: ItemMap<u32> = frequent
         .iter()

@@ -33,9 +33,12 @@ pub(crate) struct ItemHasher {
     key: u64,
 }
 
+/// The rotation [`ItemHasher::finish`] applies to the keyed product.
+const FINISH_ROTATION: u32 = 26;
+
 impl Hasher for ItemHasher {
     fn finish(&self) -> u64 {
-        self.hash.rotate_left(26)
+        self.hash.rotate_left(FINISH_ROTATION)
     }
 
     fn write(&mut self, bytes: &[u8]) {
@@ -57,6 +60,17 @@ pub(crate) struct ItemHashBuilder(u64);
 impl Default for ItemHashBuilder {
     fn default() -> Self {
         ItemHashBuilder(RandomState::new().hash_one(0u64) | 1)
+    }
+}
+
+impl ItemHashBuilder {
+    /// `item`'s bucket among `buckets` (a power of two): the top bits of
+    /// the keyed product [`ItemHasher`] computes, where every bit of the
+    /// item has mixed in.
+    pub(crate) fn bucket(&self, item: Item, buckets: usize) -> usize {
+        debug_assert!(buckets.is_power_of_two() && buckets > 1);
+        let product = self.hash_one(item).rotate_right(FINISH_ROTATION);
+        (product >> (u64::BITS - buckets.trailing_zeros())) as usize
     }
 }
 

@@ -1,8 +1,11 @@
 //! Property-based tests: the three miners are interchangeable, and the
 //! mining output satisfies the textbook invariants.
 
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
+use std::num::NonZeroUsize;
 
+use anomex_mining::par::{Exec, WorkerPool};
 use anomex_mining::{
     filter_maximal, filter_maximal_general, Item, MinerKind, Transaction, TransactionSet,
 };
@@ -206,6 +209,77 @@ proptest! {
         let hi = MinerKind::Eclat.mine_all(&set, s_hi);
         for s in &hi {
             prop_assert!(lo.contains(s), "{} found at high support but not low", s);
+        }
+    }
+}
+
+/// Every item-set of `set` with its support, by enumerating each
+/// transaction's subsets.
+fn brute_force_supports(set: &TransactionSet) -> BTreeMap<Vec<Item>, u64> {
+    let mut supports = BTreeMap::new();
+    for t in set.transactions() {
+        let items = t.items();
+        for mask in 1u32..(1 << items.len()) {
+            let subset: Vec<Item> = (0..items.len())
+                .filter(|&i| mask & (1 << i) != 0)
+                .map(|i| items[i])
+                .collect();
+            *supports.entry(subset).or_insert(0) += 1;
+        }
+    }
+    supports
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2))]
+
+    /// The miners' first pass puts a counting filter of 4 096 hashed
+    /// buckets in front of its exact count. On sets with more distinct
+    /// items than buckets, so buckets collide, all three miners still
+    /// report exactly the brute-force item-sets and supports — at support
+    /// 1, 2, the largest item count and `u64::MAX`, inline and on a
+    /// 3-thread pool.
+    #[test]
+    fn counting_filter_loses_no_itemset(values in proptest::collection::vec(0u32..9_000, 7_000..7_500)) {
+        let transactions = values
+            .iter()
+            .map(|&v| {
+                let items = [
+                    Item::new(FlowFeature::SrcIp, u64::from(v)),
+                    Item::new(FlowFeature::DstPort, u64::from(v % 7)),
+                    Item::new(FlowFeature::Proto, if v % 3 == 0 { 17 } else { 6 }),
+                ];
+                Transaction::from_items(&items).unwrap()
+            })
+            .collect();
+        let set = TransactionSet::from_transactions(transactions);
+        let supports = brute_force_supports(&set);
+        let distinct = supports.keys().filter(|items| items.len() == 1).count();
+        prop_assert!(distinct > 4_096, "only {} distinct items", distinct);
+        let largest_item = supports
+            .iter()
+            .filter(|(items, _)| items.len() == 1)
+            .map(|(_, &count)| count)
+            .max()
+            .unwrap();
+        let pool = WorkerPool::new(NonZeroUsize::new(3).unwrap());
+        for min_support in [1, 2, largest_item, u64::MAX] {
+            let want: Vec<(Vec<Item>, u64)> = supports
+                .iter()
+                .filter(|&(_, &count)| count >= min_support)
+                .map(|(items, &count)| (items.clone(), count))
+                .collect();
+            for kind in MinerKind::ALL {
+                for (label, exec) in [("inline", Exec::inline()), ("pool", Exec::Pool(&pool))] {
+                    let mut got: Vec<(Vec<Item>, u64)> = kind
+                        .mine_all_exec(&set, min_support, exec)
+                        .into_iter()
+                        .map(|s| (s.items().to_vec(), s.support))
+                        .collect();
+                    got.sort_unstable();
+                    prop_assert!(got == want, "{} {} at support {}", kind, label, min_support);
+                }
+            }
         }
     }
 }
