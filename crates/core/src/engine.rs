@@ -372,9 +372,7 @@ impl Engine {
             IntervalInput::Records(flows) => {
                 let mut cols = std::mem::take(&mut self.scratch);
                 cols.clear();
-                for flow in flows {
-                    cols.push(flow);
-                }
+                cols.extend_from_flows(flows);
                 let shared = Arc::new(cols);
                 let outcome = self.process_columns(&shared);
                 if let Ok(cols) = Arc::try_unwrap(shared) {

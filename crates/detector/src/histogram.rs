@@ -18,6 +18,12 @@ use anomex_netflow::{FlowColumns, FlowFeature, FlowRecord};
 use crate::detector::FeatureHasher;
 use crate::hash::BinHasher;
 
+/// Largest total a restored histogram may record. A histogram counts
+/// one interval's flows, all held in memory, so no total the detector
+/// computes comes near it; bin identification adds a reference
+/// histogram's counts to the next interval's, which this leaves room for.
+const MAX_RESTORED_TOTAL: u64 = u64::MAX / 2;
+
 /// One interval's histogram for one feature under one hash function.
 #[derive(Debug, Clone)]
 pub struct FeatureHistogram {
@@ -173,7 +179,9 @@ impl FeatureHistogram {
     ///
     /// [`RestoreError::Truncated`] on a short payload and
     /// [`RestoreError::Corrupt`] when the recorded bin count disagrees
-    /// with `bins` or a bin index is out of range.
+    /// with `bins`, the counts do not add up to the recorded total (or
+    /// overflow), the total is above `u64::MAX / 2`, or a bin index is
+    /// out of range.
     pub fn decode_snapshot(
         feature: FlowFeature,
         hasher: BinHasher,
@@ -191,6 +199,14 @@ impl FeatureHistogram {
             counts.push(r.u64()?);
         }
         let total = r.u64()?;
+        let sum = counts.iter().try_fold(0u64, |sum, &c| sum.checked_add(c));
+        if sum != Some(total) || total > MAX_RESTORED_TOTAL {
+            let sum = sum.map_or_else(|| "more than u64::MAX".to_string(), |s| s.to_string());
+            return Err(RestoreError::Corrupt(format!(
+                "histogram counts add up to {sum}, recorded total {total} \
+                 (at most {MAX_RESTORED_TOTAL})"
+            )));
+        }
         let occupied = r.seq_len(4)?;
         for _ in 0..occupied {
             let bin = r.u32()?;

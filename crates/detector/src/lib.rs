@@ -51,7 +51,7 @@ pub use detector::{FeatureDetector, FeatureHasher, FeatureObservation, FeaturePa
 pub use entropy::{shannon_entropy, EntropyDetector, EntropyObservation};
 pub use hash::{derive_hashers, BinHasher};
 pub use histogram::FeatureHistogram;
-pub use kl::{kl_distance, kl_divergence_raw};
+pub use kl::kl_distance;
 pub use metadata::MetaData;
 pub use roc::{RocCurve, RocPoint};
 pub use threshold::{median, robust_sigma, FirstDiffThreshold, MAD_TO_SIGMA, SIGMA_FLOOR};

@@ -2,7 +2,8 @@
 //! keep the same layout: new ones write that section empty, and older
 //! ones restore with the map validated and discarded — the restored
 //! clone scores bit-identically to the one that was saved. Float fields
-//! holding values the detector never computes are corrupt.
+//! holding values the detector never computes are corrupt, and so are
+//! histogram counts that do not add up to their recorded total.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
@@ -164,6 +165,64 @@ fn values_the_detector_never_computes_are_corrupt() {
     .expect("a floored σ̂ and a zero KL are real states");
     for i in 0..4 {
         clone.observe(&background(i));
+    }
+}
+
+/// A trained clone's record whose previous histogram holds `counts`
+/// (1 024 bins, zeros after the given ones) with the recorded `total`,
+/// and a previous KL of zero.
+fn histogram_record(counts: &[u64], total: u64) -> Vec<u8> {
+    let mut w = SnapshotWriter::new();
+    w.usize(0);
+    w.bool(true);
+    w.f64(3.0);
+    w.f64(1e-3);
+    w.bool(true);
+    w.usize(1024);
+    for bin in 0..1024 {
+        w.u64(counts.get(bin).copied().unwrap_or(0));
+    }
+    w.u64(total);
+    w.usize(0);
+    w.bool(true);
+    w.f64(0.0);
+    w.into_bytes()
+}
+
+#[test]
+fn histogram_counts_must_add_up_to_their_total() {
+    // Counts whose sum overflows restored, then overflowed the KL's sum
+    // on the next interval: a panic in a debug build, a KL of zero in a
+    // release build. Counts that disagree with their total are as
+    // foreign to the detector.
+    let hostile = [
+        histogram_record(&[u64::MAX, 5], 3),
+        histogram_record(&[u64::MAX, 1], 0),
+        histogram_record(&[5], 3),
+        histogram_record(&[5, 1], 7),
+        histogram_record(&[], 1),
+        // Adds up, yet no interval's flows come near it; bin
+        // identification would overflow adding it to the next one's.
+        histogram_record(&[u64::MAX], u64::MAX),
+    ];
+    for (i, record) in hostile.iter().enumerate() {
+        assert!(
+            matches!(restore(record), Err(RestoreError::Corrupt(_))),
+            "record {i}"
+        );
+    }
+
+    // Counts far above any table of small counts restore and score,
+    // through bin identification when the flood alarms.
+    for counts in [&[1u64 << 40, 3][..], &[0, 0, 1 << 20, 63, 64, 65]] {
+        let total = counts.iter().sum();
+        let mut clone = restore(&histogram_record(counts, total)).expect("counts add up");
+        let first = clone.observe(&background(0));
+        assert!(first.kl.is_some_and(|kl| kl.is_finite() && kl > 0.0));
+        for i in 1..4 {
+            let flows = if i == 2 { flooded(i) } else { background(i) };
+            assert!(clone.observe(&flows).kl.is_some_and(f64::is_finite));
+        }
     }
 }
 

@@ -81,11 +81,26 @@ impl FlowColumns {
     /// Convert a record batch to columns.
     #[must_use]
     pub fn from_flows(flows: &[FlowRecord]) -> Self {
-        let mut cols = FlowColumns::with_capacity(flows.len());
-        for flow in flows {
-            cols.push(flow);
-        }
+        let mut cols = FlowColumns::new();
+        cols.extend_from_flows(flows);
         cols
+    }
+
+    /// Append `flows` as new rows, filling one column at a time — a
+    /// batch's transpose; [`push`](Self::push) appends a single flow.
+    pub fn extend_from_flows(&mut self, flows: &[FlowRecord]) {
+        self.start_ms.extend(flows.iter().map(|f| f.start_ms));
+        self.end_ms.extend(flows.iter().map(|f| f.end_ms));
+        self.src_ip
+            .extend(flows.iter().map(|f| u32::from(f.src_ip)));
+        self.dst_ip
+            .extend(flows.iter().map(|f| u32::from(f.dst_ip)));
+        self.src_port.extend(flows.iter().map(|f| f.src_port));
+        self.dst_port.extend(flows.iter().map(|f| f.dst_port));
+        self.proto.extend(flows.iter().map(|f| f.proto.number()));
+        self.packets.extend(flows.iter().map(|f| f.packets));
+        self.bytes.extend(flows.iter().map(|f| f.bytes));
+        self.tcp_flags.extend(flows.iter().map(|f| f.tcp_flags.0));
     }
 
     /// Append one flow as a new row across every column.
