@@ -67,7 +67,7 @@ fn main() {
             transactions,
             ..ExtractionConfig::default()
         };
-        let engine = Engine::sequential(config).expect("valid configuration");
+        let engine = Engine::new(config).expect("valid configuration");
         let t0 = Instant::now();
         let ex = engine.extract(&flows, &md);
         println!("-- {label} ({:?}) --", t0.elapsed());

@@ -38,7 +38,7 @@ fn main() {
         miner: MinerKind::Apriori,
         ..ExtractionConfig::default()
     };
-    let engine = Engine::sequential(config).expect("valid configuration");
+    let engine = Engine::new(config).expect("valid configuration");
     let t0 = Instant::now();
     let extraction = engine.extract(&w.flows, &metadata);
     let elapsed = t0.elapsed();

@@ -2,8 +2,9 @@
 //!
 //! One binary per table/figure of the paper (run with
 //! `cargo run --release -p anomex-bench --bin <name>`; the README's
-//! "Reproduce the paper" table is the index), plus one A/B timing bin,
-//! `mining_lowsupport`, that prints sequential vs pool mining rows.
+//! "Reproduce the paper" table is the index), plus one timing bin,
+//! `mining_lowsupport`, that prints each miner's run time as the
+//! support falls.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

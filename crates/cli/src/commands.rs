@@ -19,8 +19,7 @@ use anomex_netflow::snapshot::{
 use anomex_netflow::v5::{V5Exporter, V5_MAX_RECORDS};
 use anomex_netflow::v9::{TraceItem, TraceReader};
 use anomex_netflow::{
-    default_shards, FeatureValue, FlowColumns, FlowRecord, ReadError, SourceId, SourceSpec,
-    MAX_SHARDS, MINUTE_MS,
+    FeatureValue, FlowColumns, FlowRecord, ReadError, SourceId, SourceSpec, MINUTE_MS,
 };
 use anomex_traffic::table2::paper_counts;
 use anomex_traffic::{table2_workload, MultiSourceScenario, Scenario};
@@ -50,12 +49,9 @@ USAGE:
       print a Table II-style report per alarmed interval. --miner picks
       the frequent item-set algorithm (default fpgrowth; apriori is the
       paper's, eclat the vertical one) — the reports are byte-identical
-      for all three, only the run time differs. --threads N
-      (at most 1024; 0 = one per hardware thread) runs one worker pool
-      of N threads that serves the flat passes — the detector's
-      interval shards and the miners' support counting; the searches
-      run on the pipeline thread that extracts one interval while the
-      next is read; the output is bit-identical for every thread count.
+      for all three, only the run time differs. --threads N is accepted
+      for compatibility and selects nothing: each interval runs on one
+      engine thread, which extracts one interval while the next is read.
       extract is `anomex stream` without the stream-only options: each
       capture is read whole and replayed in file order, and with several
       --in files each is one exporter on a shared interval grid (its own
@@ -84,7 +80,8 @@ USAGE:
       Replay a trace (or NetFlow v5 datagrams on stdin with --in -)
       through the continuous streaming engine: flows are assembled into
       Δ-minute intervals while the previous interval runs detection and
-      extraction on a persistent worker pool. Prints a report per
+      extraction on one engine thread (--threads N is accepted for
+      compatibility, as in extract). Prints a report per
       alarmed interval as it closes, then per-interval latency
       percentiles and drop counters. Each --in file is one exporter on
       a shared interval grid (watermark merge; one --in is a fan-in of
@@ -106,12 +103,13 @@ USAGE:
       event stream bit-identically; --stop-after N exits cleanly after N
       intervals with a final checkpoint (the kill-and-resume e2e cut
       point). A `reconfig` file in DIR (`min-support=N`, `alpha=X`,
-      `shards=N`, `rules=on|off`, one per line) is consumed at the next
-      interval boundary and applied atomically without dropping flows;
-      the verdict is counted in the `reconfigurations:` trailer line.
+      `rules=on|off`, one per line) is consumed at the next interval
+      boundary and applied atomically without dropping flows, or refused
+      whole; the verdict is counted in the `reconfigurations:` trailer
+      line.
 
   anomex analyze --in FILE --metadata \"dstPort=7000,#packets=12\" [--support N]
-                 [--miner apriori|fpgrowth|eclat] [--top] [--k N] [--threads N]
+                 [--miner apriori|fpgrowth|eclat] [--top] [--k N]
                  [--prefixes] [--intersection]
                  [--rules] [--min-confidence C] [--min-lift L] [--rare]
                  [--force-rare]
@@ -255,9 +253,10 @@ fn written_ground_truth(scenario: &Scenario, written: u64) -> (usize, Vec<u64>) 
 
 /// Parse `--scale` for a workload of `unit_flows` flows per interval at
 /// scale 1.0. The generators assert a positive scale and allocate the
-/// scaled interval up front, so a non-finite or non-positive scale, or
-/// one whose interval cannot exist as a `Vec<FlowRecord>`, is an error
-/// here instead of a panic there.
+/// scaled interval up front, and a failed allocation aborts the process,
+/// so a non-finite or non-positive scale, or one whose interval the
+/// allocator refuses to reserve, is an error here instead of a panic or
+/// an abort there.
 fn parse_scale(args: &Args, default: f64, unit_flows: u64) -> Result<f64, String> {
     let scale = args.get_or("scale", default).map_err(|e| e.to_string())?;
     if !(scale.is_finite() && scale > 0.0) {
@@ -265,9 +264,11 @@ fn parse_scale(args: &Args, default: f64, unit_flows: u64) -> Result<f64, String
             "--scale must be a positive finite number (got {scale})"
         ));
     }
-    // Twice the mean volume covers the diurnal peak and the jitter.
-    let max_flows = isize::MAX as usize / std::mem::size_of::<FlowRecord>();
-    if 2.0 * unit_flows as f64 * scale > max_flows as f64 {
+    // Twice the mean volume covers the diurnal peak and the jitter. The
+    // reservation is freed unused (`as` saturates a huge count, which
+    // the reservation refuses as a capacity overflow).
+    let flows = (2.0 * unit_flows as f64 * scale) as usize;
+    if Vec::<FlowRecord>::new().try_reserve_exact(flows).is_err() {
         return Err(format!(
             "--scale {scale} is too large: {unit_flows} x {scale} flows per interval do not fit in memory"
         ));
@@ -379,15 +380,19 @@ fn parse_miner(args: &Args) -> Result<MinerKind, String> {
     }
 }
 
-/// Parse `--threads N`: the shard/worker count (at most [`MAX_SHARDS`]),
-/// where `0` means one per available hardware thread. Defaults to 1
-/// (sequential).
-fn parse_threads(args: &Args) -> Result<NonZeroUsize, String> {
+/// Parse `--threads N` (default 1), which selects nothing: every
+/// interval runs on one engine thread. `extract` and `stream` keep
+/// taking it, and echo it in their closing summary, so command lines
+/// and reports written for older builds still work; any value but 1
+/// gets a note saying it is ignored.
+fn parse_threads(args: &Args) -> Result<usize, String> {
     let n = args.get_or("threads", 1usize).map_err(|e| e.to_string())?;
-    if n > MAX_SHARDS.get() {
-        return Err(format!("--threads must be at most {MAX_SHARDS}, got {n}"));
+    if n != 1 {
+        note(format_args!(
+            "--threads {n} is accepted for compatibility: each interval runs on one engine thread"
+        ));
     }
-    Ok(NonZeroUsize::new(n).unwrap_or_else(default_shards))
+    Ok(n)
 }
 
 /// Parse the association-rule options: `--rules` switches the layer on
@@ -729,7 +734,7 @@ fn parse_durability(args: &Args) -> Result<Option<Durability>, String> {
 }
 
 /// Parse the reconfig control file: one `key = value` per line, `#`
-/// comments. Keys: `min-support`, `alpha`, `shards`, `rules=on|off`.
+/// comments. Keys: `min-support`, `alpha`, `rules=on|off`.
 fn parse_reconfig(text: &str) -> Result<ReconfigRequest, String> {
     let mut req = ReconfigRequest::default();
     for line in text.lines() {
@@ -756,13 +761,6 @@ fn parse_reconfig(text: &str) -> Result<ReconfigRequest, String> {
                         .map_err(|_| format!("alpha: expected a number, got {value:?}"))?,
                 );
             }
-            "shards" | "threads" => {
-                let n: usize = value
-                    .parse()
-                    .map_err(|_| format!("shards: expected an integer, got {value:?}"))?;
-                req.shards =
-                    Some(NonZeroUsize::new(n).ok_or_else(|| "shards must be >= 1".to_string())?);
-            }
             "rules" => {
                 req.rules = Some(match value {
                     "on" => Some(RuleConfig::default()),
@@ -778,10 +776,11 @@ fn parse_reconfig(text: &str) -> Result<ReconfigRequest, String> {
 
 /// Consume `<dir>/reconfig` when present: parse it, apply the request
 /// at the current interval boundary, delete the file, and report the
-/// verdict on stderr (stdout stays byte-comparable across runs). A
-/// request whose configuration fails the `--rare` guard is rejected
-/// with the engine untouched. Returns the interval events that drained
-/// around the boundary.
+/// verdict on stderr (stdout stays byte-comparable across runs). A file
+/// that does not parse, or whose configuration fails the `--rare`
+/// guard, is refused with the engine untouched; every refusal and
+/// every applied request is counted in the stream's audit counters.
+/// Returns the interval events that drained around the boundary.
 fn consume_reconfig_file(
     dir: &Path,
     engine: &mut MultiSourceExtractor,
@@ -795,6 +794,7 @@ fn consume_reconfig_file(
     match parse_reconfig(&text) {
         Ok(req) if !req.is_empty() => {
             if let Err(e) = check_rare_guard(&req.apply(engine.config()), force_rare) {
+                engine.count_refused_reconfig();
                 note(format_args!("reconfig rejected: {e}"));
                 return Vec::new();
             }
@@ -814,8 +814,9 @@ fn consume_reconfig_file(
             Vec::new()
         }
         Err(e) => {
+            engine.count_refused_reconfig();
             note(format_args!(
-                "reconfig file {} invalid: {e}; ignored",
+                "reconfig file {} invalid: {e}; rejected",
                 path.display()
             ));
             Vec::new()
@@ -849,7 +850,6 @@ fn take_checkpoint(
 /// restored configuration must pass the `--rare` guard.
 fn restore_from_checkpoint(
     path: &Path,
-    threads: Option<NonZeroUsize>,
     sources: usize,
     force_rare: bool,
 ) -> Result<(MultiSourceExtractor, u64), String> {
@@ -860,9 +860,9 @@ fn restore_from_checkpoint(
     let engine_bytes = r.bytes().map_err(at)?;
     r.finish().map_err(at)?;
     let engine = if version == 1 {
-        MultiSourceExtractor::restore_v1(engine_bytes, threads)
+        MultiSourceExtractor::restore_v1(engine_bytes)
     } else {
-        MultiSourceExtractor::restore(engine_bytes, threads)
+        MultiSourceExtractor::restore(engine_bytes)
     }
     .map_err(at)?;
     let saved = engine.assembler().sources();
@@ -921,17 +921,14 @@ fn replay_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
 
     // Resume restores the full online state — configuration included —
     // from the checkpoint; otherwise start cold from the CLI options.
-    // `--threads` explicitly given overrides the checkpointed shard
-    // count (the output is shard-invariant, so this is always safe).
     let resume_from = durability
         .as_ref()
         .filter(|d| d.resume)
         .map(Durability::checkpoint_path)
         .filter(|p| p.exists());
     let (mut engine, mut consumed) = if let Some(path) = &resume_from {
-        let threads_override = args.get("threads").is_some().then_some(threads);
         let sources = replay.lanes.len();
-        let resumed = restore_from_checkpoint(path, threads_override, sources, force_rare)?;
+        let resumed = restore_from_checkpoint(path, sources, force_rare)?;
         note(format_args!(
             "resumed from {} ({} flows already consumed)",
             path.display(),
@@ -943,7 +940,7 @@ fn replay_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
             .zip(&replay.lanes)
             .map(|(i, l)| SourceSpec::new(i, l.origin))
             .collect();
-        let engine = MultiSourceExtractor::try_new(config, threads, &specs, max_lag);
+        let engine = MultiSourceExtractor::try_new(config, NonZeroUsize::MIN, &specs, max_lag);
         (engine.map_err(String::from)?, 0)
     };
 
@@ -1095,7 +1092,6 @@ fn analyze_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
     // included — `extract` and `stream` run under, before touching the
     // trace.
     let config = parse_config(args)?;
-    let threads = parse_threads(args)?;
     let k = args.get_or("k", 10usize).map_err(|e| e.to_string())?;
     if k == 0 {
         return Err("--k must be at least 1".into());
@@ -1121,7 +1117,7 @@ fn analyze_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
         return out.write_all(text.as_bytes()).map_err(write_error);
     }
 
-    let engine = Engine::new(config, threads).map_err(String::from)?;
+    let engine = Engine::new(config).map_err(String::from)?;
     let extraction = engine.extract(&flows, &metadata);
     writeln!(out, "{}", render_report(&extraction)).map_err(write_error)
 }
@@ -1141,7 +1137,7 @@ fn table2_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
         miner: MinerKind::Apriori,
         ..ExtractionConfig::default()
     };
-    let extraction = Engine::sequential(config)
+    let extraction = Engine::new(config)
         .map_err(String::from)?
         .extract(&w.flows, &metadata);
     writeln!(out, "{}", render_report_with_levels(&extraction)).map_err(write_error)
@@ -1222,7 +1218,7 @@ mod tests {
         use anomex_netflow::FlowTrace;
         let args = argv(line);
         let config = parse_config(&args).unwrap();
-        let mut engine = Engine::new(config.clone(), parse_threads(&args).unwrap()).unwrap();
+        let mut engine = Engine::new(config.clone()).unwrap();
         let traces: Vec<FlowTrace> = (args.get_all("in").iter())
             .map(|path| FlowTrace::from_flows(load_flows(path).unwrap()))
             .collect();
@@ -1328,7 +1324,7 @@ mod tests {
                 miner,
                 ..ExtractionConfig::default()
             };
-            Engine::sequential(config).unwrap().extract(&w.flows, &md)
+            Engine::new(config).unwrap().extract(&w.flows, &md)
         };
         let ex = extract(MinerKind::default());
         assert!(!ex.itemsets.is_empty(), "the flood is extracted");
@@ -1343,19 +1339,6 @@ mod tests {
             "Apriori still records its rounds"
         );
         assert_eq!(render_report(&apriori), render_report(&ex));
-    }
-
-    #[test]
-    fn threads_parsing() {
-        let parse = |line: &str| parse_threads(&argv(line));
-        assert_eq!(parse("x --threads 4").unwrap().get(), 4);
-        assert_eq!(parse("x").unwrap().get(), 1, "sequential by default");
-        assert!(parse("x --threads 0").unwrap().get() >= 1, "0 means auto");
-        assert!(parse("x --threads no").is_err());
-        let max = MAX_SHARDS.get();
-        assert_eq!(parse(&format!("x --threads {max}")).unwrap(), MAX_SHARDS);
-        let err = parse(&format!("x --threads {}", max + 1)).unwrap_err();
-        assert!(err.contains("--threads") && err.contains("1024"), "{err}");
     }
 
     #[test]
@@ -1401,22 +1384,22 @@ mod tests {
 
     #[test]
     fn reconfig_file_parsing() {
-        let req = parse_reconfig(
-            "# boundary reconfig\nmin-support = 400\nalpha=4.5\nshards = 2\nrules = on\n",
-        )
-        .unwrap();
+        let req = parse_reconfig("# boundary reconfig\nmin-support = 400\nalpha=4.5\nrules = on\n")
+            .unwrap();
         assert_eq!(req.min_support, Some(400));
         assert_eq!(req.alpha, Some(4.5));
-        assert_eq!(req.shards.map(NonZeroUsize::get), Some(2));
         assert_eq!(req.rules, Some(Some(RuleConfig::default())));
         let req = parse_reconfig("rules=off").unwrap();
         assert_eq!(req.rules, Some(None));
         assert!(parse_reconfig("").unwrap().is_empty());
         assert!(parse_reconfig("min-support").is_err(), "no value");
         assert!(parse_reconfig("min-support=lots").is_err());
-        assert!(parse_reconfig("shards=0").is_err());
         assert!(parse_reconfig("rules=maybe").is_err());
         assert!(parse_reconfig("frobnicate=1").is_err());
+        for key in ["shards", "threads"] {
+            let err = parse_reconfig(&format!("{key}=2")).unwrap_err();
+            assert_eq!(err, format!("unknown reconfig key {key:?}"));
+        }
     }
 
     #[test]
@@ -1486,18 +1469,18 @@ mod tests {
         let _ = engine.push(SourceId(0), flow(1_200));
         let _ = take_checkpoint(&mut engine, 2, &d).unwrap();
 
-        let (mut resumed, consumed) = restore_from_checkpoint(&path, None, 1, false).unwrap();
+        let (mut resumed, consumed) = restore_from_checkpoint(&path, 1, false).unwrap();
         assert_eq!(consumed, 2);
         let _ = resumed.push(SourceId(0), flow(2_500));
         let (_, summary) = resumed.finish();
         assert_eq!(summary.total_flows, 3, "resumed run continues the count");
 
-        let err = restore_from_checkpoint(&path, None, 2, false).unwrap_err();
+        let err = restore_from_checkpoint(&path, 2, false).unwrap_err();
         assert!(err.contains("1 source(s) but 2 --in"), "{err}");
 
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
-        let err = restore_from_checkpoint(&path, None, 1, false).unwrap_err();
+        let err = restore_from_checkpoint(&path, 1, false).unwrap_err();
         assert!(
             err.contains("cannot resume"),
             "diagnostic names the file: {err}"
@@ -1525,7 +1508,7 @@ mod tests {
         let opts = format!("{ins} --interval-min 1 --training 4 --support 800 --rules");
         let (batch, total) = batch_reference(&format!("extract {opts}"));
         let extracted = run(replay_to, &format!("extract {opts}"));
-        let streamed = run(replay_to, &format!("stream {opts} --threads 2"));
+        let streamed = run(replay_to, &format!("stream {opts}"));
         assert!(batch.contains("Anomaly extraction report"), "it alarms");
         assert_eq!(total, 40);
         assert_eq!(reports(&extracted), batch, "extract diverged");
@@ -1559,7 +1542,7 @@ mod tests {
         );
         let (batch, total) = batch_reference(&format!("extract {opts}"));
         let extracted = run(replay_to, &format!("extract {opts}"));
-        let streamed = run(replay_to, &format!("stream {opts} --threads 2"));
+        let streamed = run(replay_to, &format!("stream {opts}"));
         assert!(
             batch.contains("Per-source rule merge — 2 source(s)"),
             "multi-source reports carry the merge section"
@@ -1587,7 +1570,7 @@ mod tests {
         let dir = scratch_dir("anomex-cli-fanin-resume-test");
         let scenario = MultiSourceScenario::uniform(11, 2);
         let ins = write_traces(&dir, 2, 25, |s, i| scenario.generate(s, i).flows).join(" ");
-        let opts = "--interval-min 1 --training 10 --support 800 --rules --threads 2";
+        let opts = "--interval-min 1 --training 10 --support 800 --rules";
         let opts = format!("stream {ins} {opts}");
         let durable = format!("{opts} --checkpoint-dir {}", dir.display());
         let full = run(replay_to, &opts);
@@ -1630,7 +1613,7 @@ mod tests {
         let first = flows[0].start_ms;
         let origin = first - first % config.interval_ms;
         let mut assembler = IntervalAssembler::new(origin, config.interval_ms);
-        let mut engine = Engine::sequential(config).unwrap();
+        let mut engine = Engine::new(config).unwrap();
         let mut counters = [0u64; 5];
         let mut part1 = String::new();
         let mut consumed = 0u64;
@@ -2042,8 +2025,38 @@ mod tests {
             run(replay_to, &format!("{stream}{force}"));
             assert!(!dir.join("reconfig").exists(), "the request was consumed");
             let path = dir.join("stream.ckpt");
-            let (engine, _) = restore_from_checkpoint(&path, None, 1, true).unwrap();
+            let (engine, _) = restore_from_checkpoint(&path, 1, true).unwrap();
             assert_eq!(engine.config().min_support, support, "{force:?}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A reconfig file naming `shards` (or `threads`) is refused whole —
+    /// its valid line does not land either — and the refusal is counted
+    /// in the `reconfigurations:` trailer.
+    #[test]
+    fn reconfig_naming_shards_is_refused_and_counted() {
+        let dir = scratch_dir("anomex-cli-reconfig-shards-test");
+        let scenario = Scenario::small(7);
+        let ins = write_traces(&dir, 1, 6, |_, i| scenario.generate(i).flows).join(" ");
+        let stream = format!(
+            "stream {ins} --interval-min 1 --training 10 --support 200 --checkpoint-dir {}",
+            dir.display()
+        );
+        for key in ["shards", "threads"] {
+            std::fs::write(
+                dir.join("reconfig"),
+                format!("min-support=300\n{key} = 2\n"),
+            )
+            .unwrap();
+            let out = run(replay_to, &stream);
+            assert!(!dir.join("reconfig").exists(), "the file was consumed");
+            assert_eq!(
+                line(&out, "reconfigurations:"),
+                "reconfigurations: 0 applied, 1 rejected"
+            );
+            let (engine, _) = restore_from_checkpoint(&dir.join("stream.ckpt"), 1, false).unwrap();
+            assert_eq!(engine.config().min_support, 200, "{key}");
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -2158,32 +2171,6 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A thread count the OS cannot serve used to abort the process
-    /// inside thread spawning (SIGABRT at `--threads 16384`); it is a CLI
-    /// error on every command that takes the flag, and a reconfig file
-    /// asking for it is rejected with the engine unchanged.
-    #[test]
-    fn oversized_thread_counts_are_errors_not_aborts() {
-        let dir = scratch_dir("anomex-cli-test-threads");
-        let path = dir.join("trace.nfv5").display().to_string();
-        run(generate_to, &format!("generate --out {path} --intervals 1"));
-
-        let many = format!("--in {path} --threads 100000");
-        let err = super::run(&argv(&format!("extract {many}"))).unwrap_err();
-        assert!(err.contains("--threads"), "extract: {err}");
-        let err = super::run(&argv(&format!("stream {many}"))).unwrap_err();
-        assert!(err.contains("--threads"), "stream: {err}");
-        let err = super::run(&argv(&format!("analyze --metadata dstPort=80 {many}"))).unwrap_err();
-        assert!(err.contains("--threads"), "analyze: {err}");
-        std::fs::remove_dir_all(&dir).ok();
-
-        let req = parse_reconfig("shards=100000").expect("syntactically fine");
-        let mut engine = Engine::new(ExtractionConfig::default(), NonZeroUsize::MIN).unwrap();
-        let err = engine.reconfigure(&req).unwrap_err();
-        assert!(err.to_string().contains("shard count"), "{err}");
-        assert_eq!(engine.shards().get(), 1, "rejected request changed nothing");
-    }
-
     /// A scale the generators would assert on (or overflow a `Vec` with)
     /// is a CLI error, and `--scenario small` rejects the flag it ignores.
     #[test]
@@ -2204,6 +2191,29 @@ mod tests {
         let err = super::run(&argv(&format!("generate --out {out_s} --scale 0.5"))).unwrap_err();
         assert!(err.contains("does not take --scale"), "{err}");
         std::fs::remove_file(&out).ok();
+    }
+
+    /// A scale whose interval the allocator cannot reserve is a CLI
+    /// error naming `--scale`, not an abort on the generator's
+    /// allocation.
+    #[test]
+    fn table2_scale_beyond_memory_is_an_error_not_an_abort() {
+        let err = super::run(&argv("table2 --scale 1e9")).unwrap_err();
+        assert!(err.contains("--scale 1000000000 is too large"), "{err}");
+    }
+
+    /// As for `table2`: `generate` refuses a two-weeks scale beyond
+    /// memory before it allocates or writes anything.
+    #[test]
+    fn generate_scale_beyond_memory_is_an_error_not_an_abort() {
+        let out = std::env::temp_dir().join("anomex-cli-test-huge-scale.nfv5");
+        let line = format!(
+            "generate --out {} --scenario two-weeks --scale 1e9 --intervals 1",
+            out.display()
+        );
+        let err = super::run(&argv(&line)).unwrap_err();
+        assert!(err.contains("--scale 1000000000 is too large"), "{err}");
+        assert!(!out.exists(), "nothing written");
     }
 
     /// At `--scale 0.00001` the Table II components floor at one flow

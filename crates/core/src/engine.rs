@@ -1,13 +1,13 @@
 //! The extraction engine: the one type the whole pipeline runs through.
 //!
-//! Construct it with [`Engine::new`] (or [`Engine::sequential`]) from
+//! Construct it with [`Engine::new`] from
 //! one [`ExtractionConfig`] — the paper's Table III parameters plus the
 //! miner, pre-filter, transaction and rule-layer choices — and run it
 //! either way:
 //!
 //! - **Online:** feed intervals through [`Engine::process`], which
 //!   accepts either interval representation via [`IntervalInput`] — a
-//!   record slice or an `Arc`-shared columnar store.
+//!   record slice or a columnar store.
 //! - **Offline:** [`Engine::extract`] mines one batch of flows under
 //!   meta-data from elsewhere (another detector, an operator's hints) —
 //!   the same tail, under the same configuration, that an alarmed
@@ -20,64 +20,34 @@
 //!   [`ReconfigRequest`] — validated as a whole, applied atomically,
 //!   rejected without side effects.
 //!
-//! # Sharding
+//! # Execution
 //!
-//! The two expensive per-interval structures are sums over flows:
-//! detector histograms (integer bin counts) and miner support counts. An
-//! engine with more than one shard exploits that by splitting each
-//! interval into balanced contiguous index ranges
-//! ([`anomex_netflow::shard`]) and fanning those passes across a
-//! persistent [`WorkerPool`]:
+//! Every interval runs on the engine's one thread, in the paper's order:
 //!
 //! ```text
-//!            interval flows  ────────┬──────────┬──────────┐
-//!                                 shard 0    shard 1    shard K
-//!  detect:                       partial₀   partial₁   partialₖ     (pool jobs)
-//!                                    └──── merge in order ────┘
-//!                                   DetectorBank::observe_partial    (scored once)
-//!  pre-filter:                one column scan per meta-data feature  (inline)
-//!  mine:                      transactions built from index slices;
-//!                             support counting over chunks, merged;  (pool jobs)
-//!                             join / tree / lattice search           (inline)
+//!  detect:      one column scan per feature → every clone's histogram
+//!               (BankHasher::partial_columns), scored once
+//!               (DetectorBank::observe_partial)
+//!  pre-filter:  one column scan per meta-data feature
+//!  mine:        transactions built from the index slice; one counting
+//!               pass and the join / tree / lattice search
 //! ```
 //!
-//! The pre-filter is under 1 % of every benchmark workload
-//! (`core.prefilter.ns_per_flow`, `share.prefilter_gather`) — less than
-//! the pool dispatches a sharded pass would cost — so it runs on the
-//! calling thread at every shard count.
-//!
-//! **Determinism is the load-bearing design constraint**: every merge is
-//! either an exact integer sum (histogram bins, support counts) or an
-//! in-order concatenation (the histogram shards' raw keys, Eclat
-//! tid-lists, rule blocks). All are independent of thread scheduling,
-//! so the output is **bit-identical** for every shard count and all
-//! three miners — asserted by the cross-shard determinism property
-//! suite. At one shard there is no pool and no thread: every stage runs
-//! inline ([`Exec::Inline`]), so the sequential pipeline *is* the
-//! sharded pipeline at K = 1 and there is exactly one implementation to
-//! keep correct.
-//!
-//! The pool's threads are spawned once, at construction, and serve every
-//! pass, online and offline — the detector's shard scatter-gather and the
-//! miners' counting passes share one set of workers, so nothing
-//! oversubscribes the machine. Pool jobs are `'static`, so per-interval
-//! state is shared by `Arc`: the interval's columnar store and the
-//! detector's immutable hash specification ([`BankHasher`]).
+//! The streaming front-end
+//! ([`MultiSourceExtractor`](crate::MultiSourceExtractor)) runs the
+//! engine on its own pipeline thread, so assembling interval t+1
+//! overlaps the engine's work on interval t.
 //!
 //! **Columnar storage.** The engine holds each interval as a
-//! [`FlowColumns`] struct-of-arrays store: every hot pass — histogram
-//! partials, pre-filter verdicts, transaction gathering — walks only the
-//! contiguous column(s) it reads, and the detector's shards are *index
-//! ranges* over the columns. Record-slice input transposes once per
+//! [`FlowColumns`] struct-of-arrays store: every hot pass — histograms,
+//! pre-filter verdicts, transaction gathering — walks only the
+//! contiguous column(s) it reads. Record-slice input transposes once per
 //! interval into a recycled columnar scratch buffer.
 
-use std::num::NonZeroUsize;
 use std::sync::Arc;
 
-use anomex_detector::{BankHasher, BankObservation, DetectorBank, MetaData};
-use anomex_mining::par::{map_ranges_arc, Exec, WorkerPool};
+use anomex_detector::{BankHasher, DetectorBank, MetaData};
 use anomex_mining::RuleConfig;
-use anomex_netflow::shard::{default_shards, MAX_SHARDS};
 use anomex_netflow::snapshot::{RestoreError, SnapshotReader, SnapshotWriter};
 use anomex_netflow::{FlowColumns, FlowRecord};
 
@@ -94,8 +64,8 @@ pub enum IntervalInput<'a> {
     /// A borrowed record slice (transposed once into the engine's
     /// recycled columnar scratch).
     Records(&'a [FlowRecord]),
-    /// An `Arc`-owned columnar store — the transpose-free path.
-    Columns(&'a Arc<FlowColumns>),
+    /// A columnar store — the transpose-free path.
+    Columns(&'a FlowColumns),
 }
 
 impl<'a> From<&'a [FlowRecord]> for IntervalInput<'a> {
@@ -116,8 +86,8 @@ impl<'a> From<&'a Arc<Vec<FlowRecord>>> for IntervalInput<'a> {
     }
 }
 
-impl<'a> From<&'a Arc<FlowColumns>> for IntervalInput<'a> {
-    fn from(cols: &'a Arc<FlowColumns>) -> Self {
+impl<'a> From<&'a FlowColumns> for IntervalInput<'a> {
+    fn from(cols: &'a FlowColumns) -> Self {
         IntervalInput::Columns(cols)
     }
 }
@@ -144,16 +114,11 @@ pub struct ReconfigRequest {
     /// Replace the association-rule layer: `Some(Some(config))` installs
     /// or retunes it, `Some(None)` removes it, `None` leaves it alone.
     pub rules: Option<Option<RuleConfig>>,
-    /// New shard count (at most [`MAX_SHARDS`]): the persistent worker
-    /// pool is rebuilt at the boundary. Output is unaffected — the
-    /// pipeline is bit-identical for every shard count.
-    pub shards: Option<NonZeroUsize>,
 }
 
 impl ReconfigRequest {
     /// The configuration this request turns `config` into, not yet
     /// validated: what [`Engine::reconfigure`] validates and applies.
-    /// (The shard count is not part of the configuration.)
     #[must_use]
     pub fn apply(&self, config: &ExtractionConfig) -> ExtractionConfig {
         let mut candidate = config.clone();
@@ -172,84 +137,23 @@ impl ReconfigRequest {
     /// Whether the request changes anything at all.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.min_support.is_none()
-            && self.alpha.is_none()
-            && self.rules.is_none()
-            && self.shards.is_none()
-    }
-}
-
-/// The worker pool for a shard count: `None` at one shard (inline).
-fn spawn_pool(shards: NonZeroUsize) -> Option<WorkerPool> {
-    (shards.get() > 1).then(|| WorkerPool::new(shards))
-}
-
-/// Reject a shard count the engine will not spawn threads for.
-fn check_shards(shards: NonZeroUsize) -> Result<(), ConfigError> {
-    if shards > MAX_SHARDS {
-        return Err(ConfigError::new(format!(
-            "shard count {shards} exceeds the maximum of {MAX_SHARDS}"
-        )));
-    }
-    Ok(())
-}
-
-/// The execution context an optional pool stands for.
-fn exec_of(pool: &Option<WorkerPool>) -> Exec<'_> {
-    pool.as_ref().map_or(Exec::Inline, Exec::Pool)
-}
-
-/// Observe one columnar interval in the given execution context: workers
-/// build [`BankHasher`] partials over *index ranges* of the store (each
-/// feature's histogram fed by a single-column scan), the partials merge
-/// in range order, and the bank scores the result once — bit-identical
-/// KL values to a sequential record-based
-/// [`DetectorBank::observe`], for every context.
-fn observe_columns(
-    bank: &mut DetectorBank,
-    hasher: &Arc<BankHasher>,
-    cols: &Arc<FlowColumns>,
-    exec: Exec<'_>,
-) -> BankObservation {
-    let hasher = Arc::clone(hasher);
-    let partials = map_ranges_arc(exec, cols, cols.len(), move |cols, range| {
-        hasher.partial_columns(cols, range)
-    });
-    match partials.into_iter().reduce(|mut acc, p| {
-        acc.merge(p);
-        acc
-    }) {
-        Some(merged) => bank.observe_partial(merged),
-        // Empty interval: nothing to shard, observe it directly.
-        None => bank.observe(&[]),
+        self.min_support.is_none() && self.alpha.is_none() && self.rules.is_none()
     }
 }
 
 /// The anomaly-extraction engine: detector bank → voted meta-data →
 /// pre-filter → item-set mining (paper Fig. 3), online and offline,
-/// plus checkpointing and live reconfiguration.
-///
-/// Each interval is split into `shards` contiguous flow shards;
-/// detection and the miners' counting passes fan out over a
-/// **persistent worker pool** (spawned once at construction, fed jobs
-/// every interval) and merge deterministically, so for any fixed input
-/// the outcome stream is bit-identical regardless of shard count. See the
-/// [module docs](self) for the execution model.
+/// plus checkpointing and live reconfiguration. Every interval runs on
+/// the calling thread; see the [module docs](self).
 #[derive(Debug)]
 pub struct Engine {
     config: ExtractionConfig,
-    shards: NonZeroUsize,
     bank: DetectorBank,
-    /// Immutable histogramming spec shared with pool workers each
-    /// interval; the mutable scoring state stays in `bank`.
-    hasher: Arc<BankHasher>,
-    /// The long-lived worker pool; `None` at one shard (inline).
-    pool: Option<WorkerPool>,
-    /// Recycled columnar store backing the per-interval `Arc`: record
-    /// input transposes into these columns, and after the interval's
-    /// jobs finish the `Arc` is unique again and the allocations are
-    /// reclaimed — one column-build pass per interval, no per-interval
-    /// allocation churn.
+    /// The bank's immutable histogramming spec, built once; the mutable
+    /// scoring state stays in `bank`.
+    hasher: BankHasher,
+    /// Recycled columnar store record input transposes into — one
+    /// column-build pass per interval, no per-interval allocation churn.
     scratch: FlowColumns,
     /// Recycled pre-filter hit buffer, so steady-state pre-filtering
     /// does not re-allocate one byte per flow each alarmed interval.
@@ -258,57 +162,41 @@ pub struct Engine {
 
 impl Engine {
     /// Build the engine, rejecting an invalid configuration with an
-    /// error. With more than one shard this spawns the persistent worker
-    /// pool — `shards` long-lived threads that serve every subsequent
-    /// interval.
+    /// error.
     ///
     /// # Errors
     ///
-    /// Returns the first violated configuration constraint, or a shard
-    /// count above [`MAX_SHARDS`].
-    pub fn new(config: ExtractionConfig, shards: NonZeroUsize) -> Result<Self, ConfigError> {
+    /// Returns the first violated configuration constraint.
+    pub fn new(config: ExtractionConfig) -> Result<Self, ConfigError> {
         config.validate()?;
-        check_shards(shards)?;
         let bank = DetectorBank::new(&config.detector);
-        let hasher = Arc::new(bank.hasher());
+        let hasher = bank.hasher();
         Ok(Engine {
             config,
-            shards,
             bank,
             hasher,
-            pool: spawn_pool(shards),
             scratch: FlowColumns::new(),
             prefilter_scratch: PrefilterScratch::default(),
         })
     }
 
-    /// Build a sequential (single-shard, inline) engine.
+    /// [`Engine::new`] under the name the frozen benchmark replica
+    /// imports. Stays for that replica until ROADMAP item 12(b).
     ///
     /// # Errors
     ///
     /// Returns the first violated configuration constraint.
     pub fn sequential(config: ExtractionConfig) -> Result<Self, ConfigError> {
-        Self::new(config, NonZeroUsize::MIN)
-    }
-
-    /// Build with one shard per available hardware thread — the "as
-    /// fast as the hardware allows" default.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first violated configuration constraint.
-    pub fn with_available_parallelism(config: ExtractionConfig) -> Result<Self, ConfigError> {
-        Self::new(config, default_shards())
+        Self::new(config)
     }
 
     /// Offline extraction (§II-B with meta-data from elsewhere):
     /// pre-filter `flows` with `metadata` and mine the survivors under
     /// the engine's configuration — miner, support, pre-filter,
-    /// transaction shape and rule layer — on its persistent pool. It is
-    /// the tail an alarmed interval runs in [`process`](Self::process):
-    /// given that interval's flows and voted meta-data it returns the
-    /// same extraction, tagged interval 0. Output is bit-identical for
-    /// every shard count, and the detector bank is not touched.
+    /// transaction shape and rule layer. It is the tail an alarmed
+    /// interval runs in [`process`](Self::process): given that
+    /// interval's flows and voted meta-data it returns the same
+    /// extraction, tagged interval 0. The detector bank is not touched.
     ///
     /// ```
     /// use anomex_core::{Engine, ExtractionConfig};
@@ -316,19 +204,15 @@ impl Engine {
     /// use anomex_netflow::FlowFeature;
     ///
     /// let config = ExtractionConfig { min_support: 500, ..ExtractionConfig::default() };
-    /// let engine = Engine::sequential(config).unwrap();
+    /// let engine = Engine::new(config).unwrap();
     /// let mut md = MetaData::new();
     /// md.insert(FlowFeature::DstPort, 7000);
     /// let extraction = engine.extract(&[], &md);
     /// assert_eq!(extraction.total_flows, 0);
     /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics if a pool worker panics.
     #[must_use]
     pub fn extract(&self, flows: &[FlowRecord], metadata: &MetaData) -> Extraction {
-        extract_flows(flows, metadata, &self.config, exec_of(&self.pool))
+        extract_flows(flows, metadata, &self.config)
     }
 
     /// The pipeline configuration.
@@ -349,12 +233,6 @@ impl Engine {
         self.bank.is_trained()
     }
 
-    /// The number of shards each interval is split into.
-    #[must_use]
-    pub fn shards(&self) -> NonZeroUsize {
-        self.shards
-    }
-
     /// Feed one interval through detection and, on alarm, extraction —
     /// accepting the interval in whichever representation the caller
     /// holds (see [`IntervalInput`]); bit-identical across
@@ -363,30 +241,23 @@ impl Engine {
     /// (e.g. built straight from datagrams via
     /// [`decode_into_columns`](anomex_netflow::v5::decode_into_columns))
     /// skips the transpose.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker thread panics.
     pub fn process<'a>(&mut self, input: impl Into<IntervalInput<'a>>) -> IntervalOutcome {
         match input.into() {
             IntervalInput::Records(flows) => {
                 let mut cols = std::mem::take(&mut self.scratch);
                 cols.clear();
                 cols.extend_from_flows(flows);
-                let shared = Arc::new(cols);
-                let outcome = self.process_columns(&shared);
-                if let Ok(cols) = Arc::try_unwrap(shared) {
-                    self.scratch = cols;
-                }
+                let outcome = self.process_columns(&cols);
+                self.scratch = cols;
                 outcome
             }
             IntervalInput::Columns(cols) => self.process_columns(cols),
         }
     }
 
-    fn process_columns(&mut self, cols: &Arc<FlowColumns>) -> IntervalOutcome {
-        let exec = exec_of(&self.pool);
-        let observation = observe_columns(&mut self.bank, &self.hasher, cols, exec);
+    fn process_columns(&mut self, cols: &FlowColumns) -> IntervalOutcome {
+        let partial = self.hasher.partial_columns(cols, 0..cols.len());
+        let observation = self.bank.observe_partial(partial);
         let extraction = if observation.alarm && !observation.metadata.is_empty() {
             let indices = prefilter_indices_columns_with(
                 cols,
@@ -400,7 +271,6 @@ impl Engine {
                 &indices,
                 &observation.metadata,
                 &self.config,
-                exec,
             ))
         } else {
             None
@@ -416,68 +286,55 @@ impl Engine {
     /// the candidate is validated as a whole, and only then does
     /// anything land — a rejected request leaves the engine untouched. A
     /// new α propagates into already-fitted thresholds (σ̂ estimates are
-    /// kept); a new shard count rebuilds the persistent worker pool.
+    /// kept).
     ///
     /// # Errors
     ///
     /// Returns the first constraint the requested configuration would
-    /// violate, or a shard count above [`MAX_SHARDS`].
+    /// violate.
     pub fn reconfigure(&mut self, req: &ReconfigRequest) -> Result<(), ConfigError> {
         let candidate = req.apply(&self.config);
         candidate.validate()?;
-        if let Some(shards) = req.shards {
-            check_shards(shards)?;
-        }
         self.config = candidate;
         if let Some(alpha) = req.alpha {
             self.bank.set_alpha(alpha);
-        }
-        if let Some(shards) = req.shards {
-            if shards != self.shards {
-                self.shards = shards;
-                self.pool = spawn_pool(shards);
-            }
         }
         Ok(())
     }
 
     /// Serialize the engine's complete mutable state into a checkpoint
     /// payload: the full configuration (so a restore is self-contained)
-    /// followed by the shard count and the detector bank's temporal
-    /// state. Structural state — hashers, bins, clone wiring — is *not*
-    /// serialized; it is rebuilt deterministically from the
-    /// configuration's seeds. [`restore`](Self::restore) rebuilds an
+    /// followed by a shard-count field, always 1, that older payloads
+    /// used, and the detector bank's temporal state. Structural state —
+    /// hashers, bins, clone wiring — is *not* serialized; it is rebuilt
+    /// deterministically from the configuration's seeds. [`restore`](Self::restore) rebuilds an
     /// engine that scores every subsequent interval bit-identically to
     /// this one.
     #[must_use]
     pub fn snapshot(&self) -> Vec<u8> {
         let mut w = SnapshotWriter::new();
         self.config.encode_snapshot(&mut w);
-        w.usize(self.shards.get());
+        w.usize(1);
         self.bank.encode_snapshot(&mut w);
         w.into_bytes()
     }
 
-    /// Rebuild an engine from a [`snapshot`](Self::snapshot) payload.
-    /// `shards` overrides the saved shard count (the output stream is
-    /// shard-invariant, so a checkpoint taken at 8 shards restores
-    /// correctly onto a 2-core box); `None` keeps the saved count.
+    /// Rebuild an engine from a [`snapshot`](Self::snapshot) payload. The
+    /// shard count an older engine recorded (any count: the output never
+    /// depended on it) is read and ignored.
     ///
     /// # Errors
     ///
-    /// Any [`RestoreError`] from a truncated or corrupt payload, one
-    /// whose configuration fails validation, or a shard count above
-    /// [`MAX_SHARDS`].
-    pub fn restore(payload: &[u8], shards: Option<NonZeroUsize>) -> Result<Self, RestoreError> {
+    /// Any [`RestoreError`] from a truncated or corrupt payload (a zero
+    /// shard count included), or one whose configuration fails
+    /// validation.
+    pub fn restore(payload: &[u8]) -> Result<Self, RestoreError> {
         let mut r = SnapshotReader::new(payload);
         let config = ExtractionConfig::decode_snapshot(&mut r)?;
-        let saved_shards = r.usize()?;
-        let shards = match shards {
-            Some(s) => s,
-            None => NonZeroUsize::new(saved_shards)
-                .ok_or_else(|| RestoreError::Corrupt("zero shard count".into()))?,
-        };
-        let mut engine = Self::new(config, shards)
+        if r.usize()? == 0 {
+            return Err(RestoreError::Corrupt("zero shard count".into()));
+        }
+        let mut engine = Self::new(config)
             .map_err(|e| RestoreError::Corrupt(format!("invalid restored engine: {e}")))?;
         engine.bank.restore_snapshot(&mut r)?;
         r.finish()?;
@@ -492,10 +349,6 @@ mod tests {
     use anomex_mining::MinerKind;
     use anomex_traffic::Scenario;
 
-    fn nz(n: usize) -> NonZeroUsize {
-        NonZeroUsize::new(n).unwrap()
-    }
-
     fn test_config(min_support: u64) -> ExtractionConfig {
         ExtractionConfig {
             interval_ms: 60_000,
@@ -508,40 +361,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn online_sharded_pipeline_matches_sequential_bit_for_bit() {
-        let scenario = Scenario::small(11);
-        let mut sequential = Engine::sequential(test_config(800)).unwrap();
-        let mut sharded = Engine::new(test_config(800), nz(4)).unwrap();
-        for i in 0..scenario.interval_count().min(24) {
-            let interval = scenario.generate(i);
-            let a = sequential.process(&interval.flows);
-            let b = sharded.process(&interval.flows);
-            assert_eq!(a.observation.alarm, b.observation.alarm, "interval {i}");
-            assert_eq!(a.observation.metadata, b.observation.metadata);
-            for (x, y) in a.observation.features.iter().zip(&b.observation.features) {
-                for (cx, cy) in x.clones.iter().zip(&y.clones) {
-                    assert_eq!(cx.kl.map(f64::to_bits), cy.kl.map(f64::to_bits));
-                }
-            }
-            match (&a.extraction, &b.extraction) {
-                (None, None) => {}
-                (Some(x), Some(y)) => {
-                    assert_eq!(x.itemsets, y.itemsets, "interval {i}");
-                    assert_eq!(x.levels, y.levels);
-                    assert_eq!(x.suspicious_flows, y.suspicious_flows);
-                    assert_eq!(x.cost_reduction.to_bits(), y.cost_reduction.to_bits());
-                }
-                _ => panic!("extraction presence diverged at interval {i}"),
-            }
-        }
-    }
-
     /// The offline method is the online tail: on every alarmed interval
     /// of a scenario with a planted flood, a second engine under the same
     /// configuration, given the interval's flows and voted meta-data,
     /// extracts exactly what the online engine did — for Apriori and
-    /// FP-growth, rules on and off, at 1 and 3 shards.
+    /// FP-growth, rules on and off.
     #[test]
     fn offline_extract_is_the_online_tail() {
         let scenario = Scenario::small(11);
@@ -550,67 +374,54 @@ mod tests {
             .collect();
         for miner in [MinerKind::Apriori, MinerKind::FpGrowth] {
             for rules in [None, Some(RuleConfig::default())] {
-                for shards in [1, 3] {
-                    let config = ExtractionConfig {
-                        miner,
-                        rules,
-                        ..test_config(800)
+                let config = ExtractionConfig {
+                    miner,
+                    rules,
+                    ..test_config(800)
+                };
+                let mut online = Engine::new(config.clone()).unwrap();
+                let offline = Engine::new(config).unwrap();
+                let mut alarmed = 0;
+                for flows in &intervals {
+                    let outcome = online.process(flows);
+                    let Some(live) = outcome.extraction else {
+                        continue;
                     };
-                    let mut online = Engine::new(config.clone(), nz(shards)).unwrap();
-                    let offline = Engine::new(config, nz(shards)).unwrap();
-                    let mut alarmed = 0;
-                    for flows in &intervals {
-                        let outcome = online.process(flows);
-                        let Some(live) = outcome.extraction else {
-                            continue;
-                        };
-                        alarmed += 1;
-                        let mut ex = offline.extract(flows, &outcome.observation.metadata);
-                        ex.interval = live.interval;
-                        // `Debug` shows every field — item-sets with their
-                        // supports, levels, rules — and every float as the
-                        // shortest string that round-trips, so equal text
-                        // is equal bits.
-                        assert_eq!(
-                            format!("{ex:?}"),
-                            format!("{live:?}"),
-                            "{miner}, rules {}, {shards} shards",
-                            rules.is_some()
-                        );
-                    }
-                    assert!(alarmed > 0, "the planted flood alarms");
+                    alarmed += 1;
+                    let mut ex = offline.extract(flows, &outcome.observation.metadata);
+                    ex.interval = live.interval;
+                    // `Debug` shows every field — item-sets with their
+                    // supports, levels, rules — and every float as the
+                    // shortest string that round-trips, so equal text is
+                    // equal bits.
+                    assert_eq!(
+                        format!("{ex:?}"),
+                        format!("{live:?}"),
+                        "{miner}, rules {}",
+                        rules.is_some()
+                    );
                 }
+                assert!(alarmed > 0, "the planted flood alarms");
             }
         }
-    }
-
-    #[test]
-    fn available_parallelism_constructor_works() {
-        let e = Engine::with_available_parallelism(test_config(500)).unwrap();
-        assert!(e.shards().get() >= 1);
-        assert!(!e.is_trained());
     }
 
     #[test]
     fn invalid_config_is_an_error_not_a_panic() {
         let mut c = test_config(100);
         c.min_support = 0;
-        let err = Engine::new(c.clone(), nz(4)).unwrap_err();
+        let err = Engine::new(c.clone()).unwrap_err();
         assert!(err.to_string().contains("support"), "{err}");
         assert!(Engine::sequential(c).is_err());
         assert!(Engine::sequential(test_config(100)).is_ok());
-        // A shard count the OS may not be able to serve is rejected
-        // before any thread is spawned.
-        let err = Engine::new(test_config(100), nz(MAX_SHARDS.get() + 1)).unwrap_err();
-        assert!(err.to_string().contains("shard count"), "{err}");
     }
 
     #[test]
     fn process_accepts_every_interval_representation() {
         let scenario = Scenario::small(11);
-        let mut by_slice = Engine::sequential(test_config(800)).unwrap();
-        let mut by_arc = Engine::sequential(test_config(800)).unwrap();
-        let mut by_columns = Engine::sequential(test_config(800)).unwrap();
+        let mut by_slice = Engine::new(test_config(800)).unwrap();
+        let mut by_arc = Engine::new(test_config(800)).unwrap();
+        let mut by_columns = Engine::new(test_config(800)).unwrap();
         for i in 0..scenario.interval_count().min(14) {
             let interval = scenario.generate(i);
             let a = by_slice.process(interval.flows.as_slice());
@@ -620,7 +431,6 @@ mod tests {
             for flow in &interval.flows {
                 cols.push(flow);
             }
-            let cols = Arc::new(cols);
             let c = by_columns.process(&cols);
             assert_eq!(a.observation.alarm, b.observation.alarm, "interval {i}");
             assert_eq!(b.observation.alarm, c.observation.alarm, "interval {i}");
@@ -632,12 +442,12 @@ mod tests {
     #[test]
     fn snapshot_restore_round_trips_bit_identically() {
         let scenario = Scenario::small(11);
-        let mut live = Engine::new(test_config(800), nz(2)).unwrap();
+        let mut live = Engine::new(test_config(800)).unwrap();
         for i in 0..13 {
             let _ = live.process(scenario.generate(i).flows.as_slice());
         }
         let payload = live.snapshot();
-        let mut restored = Engine::restore(&payload, Some(nz(1))).unwrap();
+        let mut restored = Engine::restore(&payload).unwrap();
         assert_eq!(restored.is_trained(), live.is_trained());
         assert_eq!(restored.config().min_support, live.config().min_support);
         for i in 13..scenario.interval_count().min(22) {
@@ -654,15 +464,51 @@ mod tests {
         }
     }
 
+    /// `engine`'s payload with `shards` in the shard-count field, as an
+    /// engine built with that many shards wrote it.
+    fn payload_at_shards(engine: &Engine, shards: usize) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        engine.config().encode_snapshot(&mut w);
+        w.usize(shards);
+        engine.bank().encode_snapshot(&mut w);
+        w.into_bytes()
+    }
+
     #[test]
     fn restore_rejects_garbage() {
-        assert!(Engine::restore(&[1, 2, 3], None).is_err());
-        let mut live = Engine::sequential(test_config(500)).unwrap();
+        assert!(Engine::restore(&[1, 2, 3]).is_err());
+        let mut live = Engine::new(test_config(500)).unwrap();
         let _ = live.process([].as_slice());
+        assert!(matches!(
+            Engine::restore(&payload_at_shards(&live, 0)),
+            Err(RestoreError::Corrupt(_))
+        ));
         let mut payload = live.snapshot();
-        assert!(Engine::restore(&payload, Some(nz(MAX_SHARDS.get() + 1))).is_err());
         payload.truncate(payload.len() / 2);
-        assert!(Engine::restore(&payload, None).is_err());
+        assert!(Engine::restore(&payload).is_err());
+    }
+
+    /// A payload an engine wrote at 2 shards restores, and scores every
+    /// later interval bit-identically to the 1-shard payload of the
+    /// same state — the one this engine writes.
+    #[test]
+    fn payload_recorded_at_two_shards_restores_like_one() {
+        let scenario = Scenario::small(11);
+        let mut live = Engine::new(test_config(800)).unwrap();
+        for i in 0..13 {
+            let _ = live.process(scenario.generate(i).flows.as_slice());
+        }
+        assert_eq!(payload_at_shards(&live, 1), live.snapshot());
+        let mut one = Engine::restore(&payload_at_shards(&live, 1)).unwrap();
+        let mut two = Engine::restore(&payload_at_shards(&live, 2)).unwrap();
+        let mut alarms = 0;
+        for i in 13..scenario.interval_count().min(24) {
+            let flows = scenario.generate(i).flows;
+            let (a, b) = (one.process(&flows), two.process(&flows));
+            alarms += usize::from(a.observation.alarm);
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "interval {i}");
+        }
+        assert!(alarms > 0, "the planted flood alarms");
     }
 
     /// An engine payload whose detector configuration is `detector`,
@@ -704,10 +550,7 @@ mod tests {
         for detector in [huge_clones, huge_bins] {
             let payload = hostile_payload(detector);
             assert!(
-                matches!(
-                    Engine::restore(&payload, None),
-                    Err(RestoreError::Corrupt(_))
-                ),
+                matches!(Engine::restore(&payload), Err(RestoreError::Corrupt(_))),
                 "a hostile detector size must be a typed error"
             );
         }
@@ -715,7 +558,7 @@ mod tests {
 
     #[test]
     fn reconfigure_is_atomic() {
-        let mut engine = Engine::sequential(test_config(800)).unwrap();
+        let mut engine = Engine::new(test_config(800)).unwrap();
         // Invalid support: rejected, nothing changes.
         let bad = ReconfigRequest {
             min_support: Some(0),
@@ -725,27 +568,16 @@ mod tests {
         assert!(engine.reconfigure(&bad).is_err());
         assert_eq!(engine.config().min_support, 800);
         assert_eq!(engine.config().detector.alpha.to_bits(), 3.0f64.to_bits());
-        // Oversized shard count: rejected before the valid fields land.
-        let bad = ReconfigRequest {
-            min_support: Some(400),
-            shards: Some(nz(MAX_SHARDS.get() + 1)),
-            ..ReconfigRequest::default()
-        };
-        assert!(engine.reconfigure(&bad).is_err());
-        assert_eq!(engine.config().min_support, 800);
-        assert_eq!(engine.shards().get(), 1);
-        // Valid request: everything lands, including a pool rebuild.
+        // Valid request: everything lands.
         let good = ReconfigRequest {
             min_support: Some(400),
             alpha: Some(4.5),
             rules: Some(Some(RuleConfig::default())),
-            shards: Some(nz(2)),
         };
         engine.reconfigure(&good).unwrap();
         assert_eq!(engine.config().min_support, 400);
         assert_eq!(engine.config().detector.alpha.to_bits(), 4.5f64.to_bits());
         assert!(engine.config().rules.is_some());
-        assert_eq!(engine.shards().get(), 2);
         // Clearing the rule layer via the nested option.
         let clear = ReconfigRequest {
             rules: Some(None),

@@ -13,7 +13,6 @@
 //! - per-class detection and extraction summary (Table IV).
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use anomex_mining::{ItemSet, MinerKind, TransactionSet};
 use anomex_netflow::FlowColumns;
@@ -186,7 +185,7 @@ pub struct Table4Row {
 /// Panics if the configuration is invalid.
 #[must_use]
 pub fn run_scenario(scenario: &Scenario, config: &ExtractionConfig) -> ScenarioRun {
-    let mut pipeline = Engine::sequential(config.clone())
+    let mut pipeline = Engine::new(config.clone())
         .unwrap_or_else(|e| panic!("invalid extraction configuration: {e}"));
     let n_clones = config.detector.clones;
     let mut clone_scores: Vec<Vec<f64>> = vec![Vec::new(); n_clones];
@@ -195,7 +194,7 @@ pub fn run_scenario(scenario: &Scenario, config: &ExtractionConfig) -> ScenarioR
 
     for i in 0..scenario.interval_count() {
         let labeled = scenario.generate(i);
-        let cols = Arc::new(FlowColumns::from_flows(&labeled.flows));
+        let cols = FlowColumns::from_flows(&labeled.flows);
         let outcome = pipeline.process(&cols);
 
         // Per-clone normalized scores for ROC analysis.

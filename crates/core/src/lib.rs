@@ -23,9 +23,8 @@
 //!   either [`IntervalInput`] representation (feed intervals, get
 //!   [`Extraction`]s), offline extraction under meta-data from elsewhere
 //!   via [`Engine::extract`] (the same tail, under the same
-//!   configuration) — inline at one shard, fanned out over a persistent
-//!   worker pool above that, with output bit-identical for every shard
-//!   count — plus checkpointing ([`Engine::snapshot`] /
+//!   configuration), each interval on the calling thread — plus
+//!   checkpointing ([`Engine::snapshot`] /
 //!   [`Engine::restore`]) and live reconfiguration
 //!   ([`Engine::reconfigure`] with a [`ReconfigRequest`]);
 //! - [`MultiSourceExtractor`] — the one continuous engine: N ≥ 1

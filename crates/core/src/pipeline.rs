@@ -11,7 +11,6 @@
 //! both produce and the mining tail both share.
 
 use anomex_detector::{BankObservation, MetaData};
-use anomex_mining::par::Exec;
 use anomex_mining::{merge_rule_sets, ItemSet, LevelStats, RuleSet, TransactionSet};
 use anomex_netflow::{FlowColumns, FlowRecord};
 
@@ -81,8 +80,7 @@ pub struct Extraction {
 /// The shared mining tail of every extraction path: gather transactions
 /// for the pre-filtered `indices` from a [`FlowColumns`] store (one
 /// feature column at a time, zero-copy — straight from index slice to
-/// transactions), mine them under `config` in the given execution
-/// context (inline, or the engine's persistent worker pool) — one
+/// transactions), mine them under `config` — one
 /// [`MinerKind::mine`](anomex_mining::MinerKind::mine) pass serves the
 /// item-sets and, when the rule layer is on, the rules — and assemble
 /// the [`Extraction`].
@@ -92,15 +90,12 @@ pub(crate) fn mine_at_indices(
     indices: &[usize],
     metadata: &MetaData,
     config: &ExtractionConfig,
-    exec: Exec<'_>,
 ) -> Extraction {
     let transactions = config.transactions.transactions_at_columns(cols, indices);
-    let (itemsets, levels, rules) = config.miner.mine(
-        &transactions,
-        config.min_support,
-        config.rules.as_ref(),
-        exec,
-    );
+    let (itemsets, levels, rules) =
+        config
+            .miner
+            .mine(&transactions, config.min_support, config.rules.as_ref());
     Extraction {
         interval,
         metadata: metadata.clone(),
@@ -121,11 +116,10 @@ pub(crate) fn extract_flows(
     flows: &[FlowRecord],
     metadata: &MetaData,
     config: &ExtractionConfig,
-    exec: Exec<'_>,
 ) -> Extraction {
     let cols = FlowColumns::from_flows(flows);
     let indices = prefilter_indices_columns(&cols, metadata, config.prefilter);
-    mine_at_indices(0, &cols, &indices, metadata, config, exec)
+    mine_at_indices(0, &cols, &indices, metadata, config)
 }
 
 /// Per-source rule extraction and merge — the weighted-support answer to
@@ -169,7 +163,7 @@ pub fn merge_source_rules(
             min_support: support,
             ..config.clone()
         };
-        let extraction = extract_flows(segment, metadata, &segment_config, Exec::Inline);
+        let extraction = extract_flows(segment, metadata, &segment_config);
         if let Some(rules) = extraction.rules {
             per_source.push(rules);
         }
@@ -212,7 +206,7 @@ mod tests {
     /// A sequential engine for offline extraction at `min_support` with
     /// `miner`.
     fn offline(min_support: u64, miner: MinerKind) -> Engine {
-        Engine::sequential(ExtractionConfig {
+        Engine::new(ExtractionConfig {
             miner,
             ..test_config(min_support)
         })
@@ -279,7 +273,7 @@ mod tests {
     #[test]
     fn online_pipeline_extracts_planted_flood() {
         let scenario = Scenario::small(11);
-        let mut pipeline = Engine::sequential(test_config(800)).unwrap();
+        let mut pipeline = Engine::new(test_config(800)).unwrap();
         let mut extractions = Vec::new();
         for i in 0..scenario.interval_count() {
             let interval = scenario.generate(i);
@@ -308,7 +302,7 @@ mod tests {
     #[test]
     fn quiet_intervals_produce_almost_no_extractions() {
         let scenario = Scenario::small(11);
-        let mut pipeline = Engine::sequential(test_config(800)).unwrap();
+        let mut pipeline = Engine::new(test_config(800)).unwrap();
         let mut alarms_in_quiet = 0;
         for i in 0..18 {
             let interval = scenario.generate(i);

@@ -14,9 +14,9 @@
 //! ```text
 //!  caller thread                     │  pipeline thread (spawned once)
 //!  ─────────────                     │  ──────────────────────────────
-//!  push(source, flow)                │   Engine (persistent
-//!    ──► MergeAssembler lanes        │   worker pool): detect → prefilter
-//!        assemble t+1                │   → mine interval t
+//!  push(source, flow)                │   Engine: detect → prefilter
+//!    ──► MergeAssembler lanes        │   → mine interval t
+//!        assemble t+1                │
 //!                        │           │            │
 //!                        ▼           │            │
 //!            sync_channel(1) ─────────────────────┘
@@ -43,10 +43,10 @@
 //! would produce (empty windows included, so the KL time series stays
 //! aligned), each the concatenation of every source's window in source
 //! registration order, and the pipeline thread feeds them, in order,
-//! through the same pool-backed engine the batch path uses — so the
-//! event stream is **bit-identical** to batch extraction of the
-//! per-interval concatenation, for every shard count and miner, no
-//! matter how the sources' pushes interleave. The streaming and
+//! through the same engine the batch path uses — so the event stream is
+//! **bit-identical** to batch extraction of the per-interval
+//! concatenation, for every miner, no matter how the sources' pushes
+//! interleave. The streaming and
 //! multi-source determinism property suites assert both.
 
 use std::num::NonZeroUsize;
@@ -457,12 +457,14 @@ pub struct MultiSourceExtractor {
 }
 
 impl MultiSourceExtractor {
-    /// Build a streaming pipeline over the given exporters with `shards`
-    /// persistent pool workers (1 = inline), spawning the pipeline
-    /// thread. Source `s` has windows `[origin_s + i*Δ, origin_s +
-    /// (i+1)*Δ)`. `max_lag_intervals` bounds how far the fastest source
-    /// may run ahead before the grid force-closes laggards (`None` =
-    /// pure watermark, wait forever).
+    /// Build a streaming pipeline over the given exporters, spawning the
+    /// pipeline thread. Source `s` has windows `[origin_s + i*Δ,
+    /// origin_s + (i+1)*Δ)`. `max_lag_intervals` bounds how far the
+    /// fastest source may run ahead before the grid force-closes
+    /// laggards (`None` = pure watermark, wait forever). `_shards` is
+    /// ignored — every interval runs on the pipeline thread — and stays,
+    /// with this call shape, for the frozen benchmark replica until
+    /// ROADMAP item 12(b).
     ///
     /// # Errors
     ///
@@ -470,7 +472,7 @@ impl MultiSourceExtractor {
     /// pipeline config, no sources, or duplicate source ids).
     pub fn try_new(
         config: ExtractionConfig,
-        shards: NonZeroUsize,
+        _shards: NonZeroUsize,
         sources: &[SourceSpec],
         max_lag_intervals: Option<u64>,
     ) -> Result<Self, ConfigError> {
@@ -478,7 +480,7 @@ impl MultiSourceExtractor {
             interval_ms: config.interval_ms,
             max_lag_intervals,
         };
-        let engine = Engine::new(config.clone(), shards)?;
+        let engine = Engine::new(config.clone())?;
         let assembler = MergeAssembler::try_new(merge_config, sources).map_err(ConfigError::new)?;
         Ok(MultiSourceExtractor {
             assembler,
@@ -537,18 +539,17 @@ impl MultiSourceExtractor {
     /// (checkpoint format version 2), resuming it bit-identically: the
     /// restored grid continues every lane's window (partial windows
     /// included) and the restored engine scores every subsequent
-    /// interval exactly as the checkpointed one would have. `shards`
-    /// overrides the saved shard count (`None` keeps it).
+    /// interval exactly as the checkpointed one would have.
     ///
     /// # Errors
     ///
     /// Any [`RestoreError`] from a truncated, corrupt, or inconsistent
     /// payload.
-    pub fn restore(payload: &[u8], shards: Option<NonZeroUsize>) -> Result<Self, RestoreError> {
+    pub fn restore(payload: &[u8]) -> Result<Self, RestoreError> {
         let mut r = SnapshotReader::new(payload);
         let assembler = MergeAssembler::decode_snapshot(&mut r)?;
         let total_flows = r.u64()?;
-        Self::resume(assembler, total_flows, r, shards)
+        Self::resume(assembler, total_flows, r)
     }
 
     /// Rebuild a stream from a checkpoint format version 1 payload — the
@@ -560,12 +561,12 @@ impl MultiSourceExtractor {
     /// # Errors
     ///
     /// As [`restore`](Self::restore).
-    pub fn restore_v1(payload: &[u8], shards: Option<NonZeroUsize>) -> Result<Self, RestoreError> {
+    pub fn restore_v1(payload: &[u8]) -> Result<Self, RestoreError> {
         let mut r = SnapshotReader::new(payload);
         let lane = IntervalAssembler::decode_snapshot(&mut r)?;
         let total_flows = r.u64()?;
         let assembler = MergeAssembler::from_single(lane, total_flows);
-        Self::resume(assembler, total_flows, r, shards)
+        Self::resume(assembler, total_flows, r)
     }
 
     /// The rest of a payload after the grid and flow count, in both
@@ -574,12 +575,11 @@ impl MultiSourceExtractor {
         assembler: MergeAssembler,
         total_flows: u64,
         mut r: SnapshotReader<'_>,
-        shards: Option<NonZeroUsize>,
     ) -> Result<Self, RestoreError> {
         let counters = [r.u64()?, r.u64()?, r.u64()?, r.u64()?, r.u64()?];
         let engine_bytes = r.bytes()?;
         r.finish()?;
-        let engine = Engine::restore(engine_bytes, shards)?;
+        let engine = Engine::restore(engine_bytes)?;
         if engine.config().interval_ms != assembler.config().interval_ms {
             return Err(RestoreError::Corrupt(format!(
                 "grid interval {} ms disagrees with engine interval {} ms",
@@ -629,6 +629,14 @@ impl MultiSourceExtractor {
         (events, verdict)
     }
 
+    /// Tally a reconfiguration refused before it reached
+    /// [`reconfigure`](Self::reconfigure) — a control file that does not
+    /// parse, or a request the caller's own policy rejects — in the
+    /// [`MultiStreamSummary`] audit counters, with the engine untouched.
+    pub fn count_refused_reconfig(&mut self) {
+        self.pipe.reconfigs_rejected += 1;
+    }
+
     /// Feed one flow from `source`. Returns every interval that became
     /// ready, extracted — usually none; one or more when the flow closed
     /// windows (empty windows after a gap are processed too, keeping the
@@ -637,8 +645,8 @@ impl MultiSourceExtractor {
     /// # Panics
     ///
     /// Panics when `source` is unknown or already finished; re-raises a
-    /// panic from the pipeline thread (a worker-pool job or detector
-    /// panicking on a poisoned interval).
+    /// panic from the pipeline thread (the engine panicking on a
+    /// poisoned interval).
     pub fn push(&mut self, source: SourceId, flow: FlowRecord) -> Vec<MultiStreamEvent> {
         self.total_flows += 1;
         let merged = self.assembler.push(source, flow);
@@ -727,7 +735,9 @@ pub struct StreamingExtractor(MultiSourceExtractor);
 
 impl StreamingExtractor {
     /// A one-exporter stream with windows `[origin_ms + i*Δ, origin_ms +
-    /// (i+1)*Δ)` and `shards` persistent pool workers (1 = inline).
+    /// (i+1)*Δ)`. `shards` is ignored, as in
+    /// [`MultiSourceExtractor::try_new`], and stays for the frozen
+    /// benchmark replica until ROADMAP item 12(b).
     ///
     /// # Errors
     ///
@@ -774,10 +784,6 @@ mod tests {
 
     const SRC: SourceId = SourceId(0);
 
-    fn nz(n: usize) -> NonZeroUsize {
-        NonZeroUsize::new(n).unwrap()
-    }
-
     fn test_config(interval_ms: u64) -> ExtractionConfig {
         ExtractionConfig {
             interval_ms,
@@ -790,15 +796,17 @@ mod tests {
         }
     }
 
+    /// A stream over `sources` without a lateness bound.
+    fn fan_in(
+        config: ExtractionConfig,
+        sources: &[SourceSpec],
+    ) -> Result<MultiSourceExtractor, ConfigError> {
+        MultiSourceExtractor::try_new(config, NonZeroUsize::MIN, sources, None)
+    }
+
     /// One exporter with clock origin `origin_ms`: a fan-in of one.
-    fn one_lane(config: ExtractionConfig, shards: usize, origin_ms: u64) -> MultiSourceExtractor {
-        MultiSourceExtractor::try_new(
-            config,
-            nz(shards),
-            &[SourceSpec::new(0u32, origin_ms)],
-            None,
-        )
-        .unwrap()
+    fn one_lane(config: ExtractionConfig, origin_ms: u64) -> MultiSourceExtractor {
+        fan_in(config, &[SourceSpec::new(0u32, origin_ms)]).unwrap()
     }
 
     fn flow_at(ms: u64) -> FlowRecord {
@@ -846,8 +854,8 @@ mod tests {
     fn streaming_matches_batch_bit_for_bit() {
         let scenario = Scenario::small(11);
         let intervals = scenario.interval_count().min(23);
-        let mut batch = Engine::sequential(test_config(scenario.interval_ms())).unwrap();
-        let mut stream = one_lane(test_config(scenario.interval_ms()), 2, 0);
+        let mut batch = Engine::new(test_config(scenario.interval_ms())).unwrap();
+        let mut stream = one_lane(test_config(scenario.interval_ms()), 0);
         let mut events = Vec::new();
         let mut batch_outcomes = Vec::new();
         for i in 0..intervals {
@@ -880,7 +888,7 @@ mod tests {
 
     #[test]
     fn empty_stream_finishes_cleanly() {
-        let stream = one_lane(test_config(60_000), 1, 0);
+        let stream = one_lane(test_config(60_000), 0);
         let (events, summary) = stream.finish();
         assert!(events.is_empty());
         assert_eq!(summary.intervals, 0);
@@ -891,7 +899,7 @@ mod tests {
 
     #[test]
     fn gaps_emit_empty_intervals_in_order() {
-        let mut stream = one_lane(test_config(1_000), 1, 500);
+        let mut stream = one_lane(test_config(1_000), 500);
         let mut events = stream.push(SRC, flow_at(600));
         events.extend(stream.push(SRC, flow_at(5_000))); // skips windows 1–3
         let (tail, summary) = stream.finish();
@@ -911,7 +919,7 @@ mod tests {
 
     #[test]
     fn dropped_flows_surface_in_events_and_summary() {
-        let mut stream = one_lane(test_config(1_000), 1, 10_000);
+        let mut stream = one_lane(test_config(1_000), 10_000);
         assert!(
             stream.push(SRC, flow_at(5)).is_empty(),
             "pre-origin, dropped"
@@ -936,11 +944,11 @@ mod tests {
         let cut = 13; // inside the detecting phase, past training
         let config = || test_config(scenario.interval_ms());
         // Uninterrupted reference run.
-        let mut reference = one_lane(config(), 2, 0);
+        let mut reference = one_lane(config(), 0);
         let mut ref_events = Vec::new();
         // Interrupted run: checkpoint mid-stream, drop the extractor
         // (the "kill"), restore, and continue.
-        let mut first_half = one_lane(config(), 2, 0);
+        let mut first_half = one_lane(config(), 0);
         let mut resumed_events = Vec::new();
         for i in 0..intervals {
             for flow in scenario.generate(i).flows {
@@ -953,7 +961,7 @@ mod tests {
         let (tail, payload) = first_half.checkpoint();
         resumed_events.extend(tail);
         drop(first_half); // simulated crash after the checkpoint landed
-        let mut resumed = MultiSourceExtractor::restore(&payload, Some(nz(1))).unwrap();
+        let mut resumed = MultiSourceExtractor::restore(&payload).unwrap();
         for i in cut..intervals {
             for flow in scenario.generate(i).flows {
                 resumed_events.extend(resumed.push(SRC, flow));
@@ -973,30 +981,30 @@ mod tests {
 
     #[test]
     fn restore_rejects_corrupt_payloads() {
-        let mut stream = one_lane(test_config(1_000), 1, 0);
+        let mut stream = one_lane(test_config(1_000), 0);
         let _ = stream.push(SRC, flow_at(100));
         let (_, payload) = stream.checkpoint();
-        assert!(MultiSourceExtractor::restore(&payload, None).is_ok());
-        assert!(MultiSourceExtractor::restore(&payload[..payload.len() / 2], None).is_err());
-        assert!(MultiSourceExtractor::restore(&[], None).is_err());
-        assert!(MultiSourceExtractor::restore_v1(&[], None).is_err());
+        assert!(MultiSourceExtractor::restore(&payload).is_ok());
+        assert!(MultiSourceExtractor::restore(&payload[..payload.len() / 2]).is_err());
+        assert!(MultiSourceExtractor::restore(&[]).is_err());
+        assert!(MultiSourceExtractor::restore_v1(&[]).is_err());
         let mut evil = payload.clone();
         evil[0] ^= 0xff; // grid interval garbled
         assert!(
-            MultiSourceExtractor::restore(&evil, None).is_err()
-                || MultiSourceExtractor::restore(&evil, None).is_ok(),
+            MultiSourceExtractor::restore(&evil).is_err()
+                || MultiSourceExtractor::restore(&evil).is_ok(),
             "must not panic either way"
         );
         assert!(
-            MultiSourceExtractor::restore_v1(&payload, None).is_err()
-                || MultiSourceExtractor::restore_v1(&payload, None).is_ok(),
+            MultiSourceExtractor::restore_v1(&payload).is_err()
+                || MultiSourceExtractor::restore_v1(&payload).is_ok(),
             "a foreign layout must not panic either"
         );
     }
 
     #[test]
     fn reconfigure_applies_at_a_boundary_without_dropping_flows() {
-        let mut stream = one_lane(test_config(1_000), 1, 0);
+        let mut stream = one_lane(test_config(1_000), 0);
         let mut events = stream.push(SRC, flow_at(100));
         events.extend(stream.push(SRC, flow_at(1_200))); // closes window 0
         let (more, verdict) = stream.reconfigure(ReconfigRequest {
@@ -1028,7 +1036,7 @@ mod tests {
 
     #[test]
     fn reconfig_audit_trail_survives_a_checkpoint() {
-        let mut stream = one_lane(test_config(1_000), 1, 0);
+        let mut stream = one_lane(test_config(1_000), 0);
         let _ = stream.push(SRC, flow_at(100));
         let (_, verdict) = stream.reconfigure(ReconfigRequest {
             min_support: Some(77),
@@ -1036,7 +1044,7 @@ mod tests {
         });
         verdict.unwrap();
         let (_, payload) = stream.checkpoint();
-        let resumed = MultiSourceExtractor::restore(&payload, None).unwrap();
+        let resumed = MultiSourceExtractor::restore(&payload).unwrap();
         assert_eq!(resumed.config().min_support, 77, "restored config");
         let (_, summary) = resumed.finish();
         assert_eq!(summary.reconfigs_applied, 1);
@@ -1050,8 +1058,9 @@ mod tests {
         let scenario = Scenario::small(5);
         let intervals = scenario.interval_count().min(22);
         let mut short =
-            StreamingExtractor::try_new(test_config(scenario.interval_ms()), nz(2), 0).unwrap();
-        let mut lane = one_lane(test_config(scenario.interval_ms()), 2, 0);
+            StreamingExtractor::try_new(test_config(scenario.interval_ms()), NonZeroUsize::MIN, 0)
+                .unwrap();
+        let mut lane = one_lane(test_config(scenario.interval_ms()), 0);
         let (mut short_events, mut lane_events) = (Vec::new(), Vec::new());
         for i in 0..intervals {
             for flow in scenario.generate(i).flows {
@@ -1070,9 +1079,7 @@ mod tests {
         for (a, b) in short_events.iter().zip(&lane_events) {
             assert_same_event(a, &b.event);
         }
-        let (_, resumed) = MultiSourceExtractor::restore(&payload, None)
-            .unwrap()
-            .finish();
+        let (_, resumed) = MultiSourceExtractor::restore(&payload).unwrap().finish();
         assert_eq!(resumed, lane_summary);
     }
 
@@ -1082,8 +1089,7 @@ mod tests {
 
     #[test]
     fn multi_source_event_carries_per_source_weights() {
-        let mut multi =
-            MultiSourceExtractor::try_new(test_config(1_000), nz(1), &two_specs(), None).unwrap();
+        let mut multi = fan_in(test_config(1_000), &two_specs()).unwrap();
         multi.push(SourceId(0), flow_at(100));
         multi.push(SourceId(0), flow_at(200));
         multi.push(SourceId(1), flow_at(300));
@@ -1100,8 +1106,7 @@ mod tests {
 
     #[test]
     fn multi_source_watermark_waits_then_finish_source_releases() {
-        let mut multi =
-            MultiSourceExtractor::try_new(test_config(1_000), nz(1), &two_specs(), None).unwrap();
+        let mut multi = fan_in(test_config(1_000), &two_specs()).unwrap();
         // Source 0 races ahead; nothing closes while source 1 is live
         // and silent.
         assert!(multi.push(SourceId(0), flow_at(100)).is_empty());
@@ -1118,8 +1123,7 @@ mod tests {
     fn idle_source_heartbeat_releases_intervals_without_max_lag() {
         // Pure watermark (no lateness bound): only punctuation from the
         // idle source can release the grid.
-        let mut multi =
-            MultiSourceExtractor::try_new(test_config(1_000), nz(1), &two_specs(), None).unwrap();
+        let mut multi = fan_in(test_config(1_000), &two_specs()).unwrap();
         assert!(multi.push(SourceId(0), flow_at(100)).is_empty());
         assert!(multi.push(SourceId(0), flow_at(2_500)).is_empty());
         // Source 1 is live but idle; its heartbeat at 2.1s closes
@@ -1138,29 +1142,22 @@ mod tests {
 
     #[test]
     fn multi_source_invalid_configs_are_errors() {
-        assert!(
-            MultiSourceExtractor::try_new(test_config(1_000), nz(1), &[], None).is_err(),
-            "no sources"
-        );
+        assert!(fan_in(test_config(1_000), &[]).is_err(), "no sources");
         let dup = [SourceSpec::new(0u32, 0), SourceSpec::new(0u32, 5)];
-        assert!(
-            MultiSourceExtractor::try_new(test_config(1_000), nz(1), &dup, None).is_err(),
-            "duplicate ids"
-        );
+        assert!(fan_in(test_config(1_000), &dup).is_err(), "duplicate ids");
         let mut config = test_config(1_000);
         config.min_support = 0;
         let one = [SourceSpec::new(0u32, 0)];
         for sources in [&one[..], &two_specs()] {
-            assert!(MultiSourceExtractor::try_new(config.clone(), nz(1), sources, None).is_err());
+            assert!(fan_in(config.clone(), sources).is_err());
         }
-        assert!(StreamingExtractor::try_new(config, nz(2), 0).is_err());
+        assert!(StreamingExtractor::try_new(config, NonZeroUsize::MIN, 0).is_err());
     }
 
     #[test]
     fn abandoning_a_stream_joins_the_pipeline_thread() {
         for specs in [vec![SourceSpec::new(0u32, 0)], two_specs()] {
-            let mut stream =
-                MultiSourceExtractor::try_new(test_config(1_000), nz(2), &specs, None).unwrap();
+            let mut stream = fan_in(test_config(1_000), &specs).unwrap();
             for i in 0u32..40 {
                 let source = SourceId(i % specs.len() as u32);
                 let _ = stream.push(source, flow_at(u64::from(i) * 100));

@@ -166,47 +166,21 @@ impl BankObservation {
     }
 }
 
-/// All detectors' partial histograms over one flow shard — what one
-/// worker thread produces from its chunk of an interval. Partials over
-/// disjoint shards [`merge`](BankPartial::merge) into exactly the state a
-/// sequential [`DetectorBank::observe`] would build, so the sharded and
-/// sequential paths score bit-identical KL values by construction.
+/// All detectors' histograms over one interval's rows, built by
+/// [`BankHasher::partial_columns`] and scored by
+/// [`DetectorBank::observe_partial`].
 #[derive(Debug, Clone)]
 pub struct BankPartial {
     features: Vec<FeaturePartial>,
 }
 
-impl BankPartial {
-    /// Merge another shard's partial into this one. Merging is
-    /// order-independent (integer count sums; keys appended, which
-    /// resolve to value sets), so any merge tree over the shards yields
-    /// the same result.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the partials come from banks with different
-    /// configurations.
-    pub fn merge(&mut self, other: BankPartial) {
-        assert_eq!(
-            self.features.len(),
-            other.features.len(),
-            "cannot merge partials of different banks"
-        );
-        for (mine, theirs) in self.features.iter_mut().zip(other.features) {
-            mine.merge(theirs);
-        }
-    }
-}
-
 /// The immutable histogramming half of a whole [`DetectorBank`]: one
 /// [`FeatureHasher`](crate::FeatureHasher) per configured feature.
 ///
-/// Snapshot it once ([`DetectorBank::hasher`]), share it behind an
-/// `Arc`, and persistent worker-pool threads can build [`BankPartial`]s
-/// over flow shards for every interval of a stream — while the bank's
-/// mutable state (reference histograms, σ̂ thresholds, the interval
-/// counter) stays exclusively with the owner, which scores the merged
-/// partial via [`DetectorBank::observe_partial`].
+/// Snapshot it once ([`DetectorBank::hasher`]) and it builds a
+/// [`BankPartial`] for every interval of a stream without borrowing the
+/// bank, whose mutable state (reference histograms, σ̂ thresholds, the
+/// interval counter) scores it via [`DetectorBank::observe_partial`].
 #[derive(Debug, Clone)]
 pub struct BankHasher {
     features: Vec<crate::detector::FeatureHasher>,
@@ -274,11 +248,8 @@ impl DetectorBank {
     }
 
     /// Snapshot the immutable histogramming half of the bank — what
-    /// worker threads need to build partials for every interval of a
-    /// stream without borrowing (or locking) the bank itself. Partials
-    /// over disjoint row ranges [`merge`](BankPartial::merge) and a
-    /// single [`observe_partial`](Self::observe_partial) call scores the
-    /// result.
+    /// builds every interval's [`BankPartial`] without borrowing the bank
+    /// itself; [`observe_partial`](Self::observe_partial) scores it.
     #[must_use]
     pub fn hasher(&self) -> BankHasher {
         BankHasher {
@@ -298,9 +269,9 @@ impl DetectorBank {
         self.observe_partial(partial)
     }
 
-    /// Score a (merged) partial and advance every detector — the
-    /// sequential tail of a sharded observation. Produces exactly what
-    /// [`observe`](Self::observe) over the concatenated shards would.
+    /// Score an interval's histograms and advance every detector.
+    /// Produces exactly what [`observe`](Self::observe) over the same
+    /// rows would.
     ///
     /// # Panics
     ///
@@ -541,39 +512,6 @@ mod tests {
         bank.observe(&background(0));
         // 5 features × 3 clones × 1024 bins × 8 bytes of counts.
         assert_eq!(bank.memory_bytes(), 5 * 3 * 1024 * 8);
-    }
-
-    #[test]
-    fn sharded_observation_is_bit_identical_to_sequential() {
-        let mut sequential = DetectorBank::new(&config());
-        let mut sharded = DetectorBank::new(&config());
-        let hasher = sharded.hasher();
-        for i in 0..16 {
-            let flows = if i == 14 { ddos(i) } else { background(i) };
-            let a = sequential.observe(&flows);
-            // Four uneven row ranges through the detached hasher, merged
-            // in order.
-            let cols = FlowColumns::from_flows(&flows);
-            let quarter = flows.len() / 4;
-            let mut partial = hasher.partial_columns(&cols, 0..quarter);
-            partial.merge(hasher.partial_columns(&cols, quarter..2 * quarter));
-            partial.merge(hasher.partial_columns(&cols, 2 * quarter..3 * quarter + 1));
-            partial.merge(hasher.partial_columns(&cols, 3 * quarter + 1..flows.len()));
-            let b = sharded.observe_partial(partial);
-            assert_eq!(a.alarm, b.alarm, "interval {i}");
-            assert_eq!(a.metadata, b.metadata, "interval {i}");
-            for (x, y) in a.features.iter().zip(&b.features) {
-                assert_eq!(&x.voted_values, &y.voted_values);
-                for (cx, cy) in x.clones.iter().zip(&y.clones) {
-                    assert_eq!(
-                        cx.kl.map(f64::to_bits),
-                        cy.kl.map(f64::to_bits),
-                        "interval {i} feature {:?}",
-                        x.feature
-                    );
-                }
-            }
-        }
     }
 
     #[test]

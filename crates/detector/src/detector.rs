@@ -1,8 +1,8 @@
 //! Per-feature detector: `n` histogram clones plus l-of-n voting.
 //!
 //! [`FeatureHasher::partial_columns`] is the crate's one histogram
-//! builder: a single-column scan that counts an interval (or one shard
-//! of it) into every clone's [`FeatureHistogram`] and keeps its raw keys.
+//! builder: a single-column scan that counts an interval into every
+//! clone's [`FeatureHistogram`] and keeps its raw keys.
 //! Record-slice callers ([`FeatureDetector::observe`],
 //! [`crate::DetectorBank::observe`], [`HistogramClone::observe`],
 //! [`FeatureHistogram::build`]) transpose to [`FlowColumns`] once and go
@@ -34,11 +34,9 @@ pub struct FeatureObservation {
     pub voted_values: BTreeSet<u64>,
 }
 
-/// Per-clone partial histograms of one feature detector over one flow
-/// shard — the mergeable unit of the build-partials → merge → score
-/// decomposition. Built by [`FeatureHasher::partial_columns`] (a `&self`
-/// method, so shards can run on worker threads), merged with
-/// [`merge`](FeaturePartial::merge), and scored by
+/// Per-clone histograms of one feature detector over one interval's
+/// rows, with the rows' raw keys: built by
+/// [`FeatureHasher::partial_columns`] and scored by
 /// [`FeatureDetector::observe_partial`].
 #[derive(Debug, Clone)]
 pub struct FeaturePartial {
@@ -59,36 +57,13 @@ impl FeaturePartial {
     pub fn keys(&self) -> &[u64] {
         &self.keys
     }
-
-    /// Merge (and consume) another shard's partial into this one —
-    /// per-clone histogram merges (exact integer count sums) and the
-    /// other shard's keys appended.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the partials come from detectors with different clone
-    /// configurations.
-    pub fn merge(&mut self, other: FeaturePartial) {
-        assert_eq!(
-            self.histograms.len(),
-            other.histograms.len(),
-            "cannot merge partials of different detectors"
-        );
-        for (mine, theirs) in self.histograms.iter_mut().zip(other.histograms) {
-            mine.merge(theirs);
-        }
-        self.keys.extend(other.keys);
-    }
 }
 
 /// The immutable histogramming half of a [`FeatureDetector`]: the
 /// feature, each clone's hash function, and the bin count — everything
-/// needed to build per-shard partial histograms, and nothing else.
-///
-/// Snapshotting this once and sharing it behind an `Arc` lets persistent
-/// worker-pool threads build [`FeaturePartial`]s concurrently while the
+/// needed to build an interval's histograms, and nothing else. The
 /// mutable detector state (reference histograms, thresholds, training)
-/// stays exclusively with the owner for the scoring step.
+/// stays with the detector for the scoring step.
 #[derive(Debug, Clone)]
 pub struct FeatureHasher {
     feature: FlowFeature,
@@ -116,9 +91,7 @@ impl FeatureHasher {
     /// [`FeatureHistogram`]s; every record-slice entry point transposes
     /// once and calls it. One scan of the feature's single column
     /// collects the keys (kept for [`FeatureHistogram::resolve`]), and
-    /// one `bin_of` loop per clone counts them. Counts are integer sums, so
-    /// partials over split ranges [`merge`](FeaturePartial::merge) into
-    /// exactly the partial of the whole range.
+    /// one `bin_of` loop per clone counts them.
     ///
     /// # Panics
     ///
@@ -215,8 +188,8 @@ impl FeatureDetector {
     }
 
     /// Snapshot the immutable histogramming half of this detector — the
-    /// hash functions and bin count worker threads need to build
-    /// partials without borrowing the detector itself.
+    /// hash functions and bin count that build an interval's histograms
+    /// without borrowing the detector itself.
     #[must_use]
     pub fn hasher_spec(&self) -> FeatureHasher {
         FeatureHasher::new(
@@ -235,8 +208,8 @@ impl FeatureDetector {
         self.observe_partial(partial)
     }
 
-    /// Score a merged partial and advance every clone's state machine —
-    /// the sequential tail of a sharded observation.
+    /// Score an interval's histograms and advance every clone's state
+    /// machine.
     ///
     /// # Panics
     ///

@@ -77,28 +77,6 @@ impl FeatureHistogram {
         (histogram, partial.keys)
     }
 
-    /// Merge another partial histogram into this one: per-bin counts add,
-    /// so merging shard partials yields exactly the histogram a single
-    /// pass over the concatenated shards would have built (counts are
-    /// integers — no rounding, no order dependence).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the histograms disagree on feature, hasher, or bin
-    /// count — partials are only mergeable within one clone.
-    pub fn merge(&mut self, other: FeatureHistogram) {
-        assert!(
-            self.feature == other.feature
-                && self.hasher == other.hasher
-                && self.counts.len() == other.counts.len(),
-            "cannot merge histograms of different clones"
-        );
-        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
-            *mine += theirs;
-        }
-        self.total += other.total;
-    }
-
     /// Count every key (the uniform `u64` keys of
     /// [`FlowFeature::value_of`]) into its bin — the per-clone loop of
     /// [`FeatureHasher::partial_columns`].
@@ -407,15 +385,6 @@ mod tests {
         let big = FeatureHistogram::build(FlowFeature::DstPort, BinHasher::new(1), 1024, &flows);
         assert_eq!(small.memory_bytes(), 64 * 8);
         assert_eq!(big.memory_bytes(), 1024 * 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "different clones")]
-    fn merging_across_clones_panics() {
-        let flows = vec![flow_to_port(80)];
-        let mut a = FeatureHistogram::build(FlowFeature::DstPort, BinHasher::new(1), 64, &flows);
-        let b = FeatureHistogram::build(FlowFeature::DstPort, BinHasher::new(2), 64, &flows);
-        a.merge(b);
     }
 
     #[test]

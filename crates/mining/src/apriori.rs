@@ -13,14 +13,13 @@
 
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
-use std::sync::Arc;
 
 use crate::combinations::for_each_combination;
 use crate::item::{Item, ItemHashBuilder, ItemMap};
 use crate::itemset::ItemSet;
 use crate::maximal::filter_maximal;
-use crate::par::{map_chunks_arc, sum_count_vecs, Exec};
-use crate::transaction::{Transaction, TransactionSet, MAX_WIDTH};
+use crate::miner::Exec;
+use crate::transaction::{TransactionSet, MAX_WIDTH};
 
 /// Padding value for fixed-size candidate keys. Never a valid item
 /// encoding (feature indices stop at 8, so valid encodings are < 9 << 56).
@@ -91,17 +90,6 @@ pub struct AprioriOutput {
     pub passes: usize,
 }
 
-/// Run Apriori over a transaction set, fully on the calling thread.
-///
-/// # Panics
-///
-/// Panics if `config.min_support` is zero — a zero threshold would make
-/// every subset of every transaction "frequent", which is never meaningful.
-#[must_use]
-pub fn apriori(set: &TransactionSet, config: &AprioriConfig) -> AprioriOutput {
-    apriori_exec(set, config, Exec::inline())
-}
-
 /// Buckets of the counting filter in front of the exact count in
 /// [`count_single_items`].
 const FILTER_BUCKETS: usize = 1 << 12;
@@ -109,9 +97,7 @@ const FILTER_BUCKETS: usize = 1 << 12;
 /// Pass 1 of Apriori and FP-growth: the items occurring in at least
 /// `min_support` transactions, with their counts, in item order.
 ///
-/// Two passes over transaction chunks in the given execution context,
-/// each merged by exact integer sums, so the result is bit-identical for
-/// every context and thread count:
+/// Two passes over the transactions:
 ///
 /// 1. a counting filter: every item adds one to its bucket among
 ///    [`FILTER_BUCKETS`], hashed with a randomly keyed
@@ -125,30 +111,22 @@ const FILTER_BUCKETS: usize = 1 << 12;
 /// buckets so that nothing is skipped: without the key they cannot be
 /// aimed at one bucket, and no count depends on the hash.
 #[must_use]
-pub(crate) fn count_single_items(
-    set: &TransactionSet,
-    min_support: u64,
-    exec: Exec<'_>,
-) -> Vec<(Item, u64)> {
-    count_filtered(set, min_support, exec, ItemHashBuilder::default())
+pub(crate) fn count_single_items(set: &TransactionSet, min_support: u64) -> Vec<(Item, u64)> {
+    count_filtered(set, min_support, ItemHashBuilder::default())
 }
 
 /// [`count_single_items`] with the filter's hashing given.
 fn count_filtered(
     set: &TransactionSet,
     min_support: u64,
-    exec: Exec<'_>,
     hashing: ItemHashBuilder,
 ) -> Vec<(Item, u64)> {
-    let sums = sum_count_vecs(map_chunks_arc(exec, set.shared(), move |_, chunk| {
-        let mut sums = vec![0u64; FILTER_BUCKETS];
-        for t in chunk {
-            for &item in t.items() {
-                sums[hashing.bucket(item, FILTER_BUCKETS)] += 1;
-            }
+    let mut sums = vec![0u64; FILTER_BUCKETS];
+    for t in set.transactions() {
+        for &item in t.items() {
+            sums[hashing.bucket(item, FILTER_BUCKETS)] += 1;
         }
-        sums
-    }));
+    }
     let candidates: u64 = sums.iter().filter(|&&sum| sum >= min_support).sum();
     if candidates == 0 {
         return Vec::new();
@@ -157,23 +135,12 @@ fn count_filtered(
     // buckets up front, so the map does not rehash as the set's
     // distinct items grow.
     let capacity = usize::try_from(candidates).map_or(FILTER_BUCKETS, |c| c.min(FILTER_BUCKETS));
-    let sums = Arc::new(sums);
-    let parts = map_chunks_arc(exec, set.shared(), move |_, chunk: &[Transaction]| {
-        let mut counts = ItemMap::with_capacity_and_hasher(capacity, hashing);
-        for t in chunk {
-            for &item in t.items() {
-                if sums[hashing.bucket(item, FILTER_BUCKETS)] >= min_support {
-                    *counts.entry(item).or_insert(0u64) += 1;
-                }
+    let mut total = ItemMap::with_capacity_and_hasher(capacity, hashing);
+    for t in set.transactions() {
+        for &item in t.items() {
+            if sums[hashing.bucket(item, FILTER_BUCKETS)] >= min_support {
+                *total.entry(item).or_insert(0u64) += 1;
             }
-        }
-        counts
-    });
-    let mut parts = parts.into_iter();
-    let mut total = parts.next().unwrap_or_default();
-    for part in parts {
-        for (item, c) in part {
-            *total.entry(item).or_insert(0) += c;
         }
     }
     let mut frequent: Vec<(Item, u64)> = total
@@ -184,22 +151,14 @@ fn count_filtered(
     frequent
 }
 
-/// Run Apriori in the given execution context: inline, or with the
-/// support-counting passes on the engine's persistent
-/// [`WorkerPool`](crate::par::WorkerPool).
-///
-/// Under [`Exec::Pool`] every level's support counting runs over
-/// transaction chunks (each worker counts candidate hits in its own
-/// index-aligned vector; the vectors are summed — exact integer adds,
-/// independent of thread scheduling), so the output is **bit-identical**
-/// to [`apriori`] for every execution context; only the wall-clock
-/// changes. The level-k join+prune runs on the calling thread.
+/// Run Apriori over a transaction set.
 ///
 /// # Panics
 ///
-/// Panics if `config.min_support` is zero.
+/// Panics if `config.min_support` is zero — a zero threshold would make
+/// every subset of every transaction "frequent", which is never meaningful.
 #[must_use]
-pub fn apriori_exec(set: &TransactionSet, config: &AprioriConfig, exec: Exec<'_>) -> AprioriOutput {
+pub fn apriori(set: &TransactionSet, config: &AprioriConfig) -> AprioriOutput {
     assert!(
         config.min_support >= 1,
         "minimum support must be at least 1"
@@ -210,7 +169,7 @@ pub fn apriori_exec(set: &TransactionSet, config: &AprioriConfig, exec: Exec<'_>
     let mut levels: Vec<LevelStats> = Vec::new();
 
     // --- Pass 1: count single items. ---
-    let mut current: Vec<(Vec<Item>, u64)> = count_single_items(set, min_support, exec)
+    let mut current: Vec<(Vec<Item>, u64)> = count_single_items(set, min_support)
         .into_iter()
         .map(|(item, c)| (vec![item], c))
         .collect();
@@ -240,40 +199,31 @@ pub fn apriori_exec(set: &TransactionSet, config: &AprioriConfig, exec: Exec<'_>
             break;
         }
 
-        // Support counting: enumerate each transaction's k-subsets.
-        // Workers count into index-aligned vectors against a shared
-        // read-only candidate index (Arc'd so pool jobs can own a
-        // handle); the vectors sum exactly.
-        let index: Arc<HashMap<CandKey, usize>> = Arc::new(
-            candidates
-                .iter()
-                .enumerate()
-                .map(|(i, items)| (key_of(items), i))
-                .collect(),
-        );
-        let n = candidates.len();
-        let parts = map_chunks_arc(exec, set.shared(), move |_, chunk: &[Transaction]| {
-            let mut counts = vec![0u64; n];
-            for t in chunk {
-                if t.width() < k {
-                    continue;
-                }
-                for_each_combination(t.items(), k, |combo| {
-                    if let Some(&i) = index.get(&key_of(combo)) {
-                        counts[i] += 1;
-                    }
-                });
+        // Support counting: enumerate each transaction's k-subsets and
+        // look each one up in the candidate index.
+        let index: HashMap<CandKey, usize> = candidates
+            .iter()
+            .enumerate()
+            .map(|(i, items)| (key_of(items), i))
+            .collect();
+        let mut support = vec![0u64; candidates.len()];
+        for t in set.transactions() {
+            if t.width() < k {
+                continue;
             }
-            counts
-        });
-        let support = sum_count_vecs(parts);
+            for_each_combination(t.items(), k, |combo| {
+                if let Some(&i) = index.get(&key_of(combo)) {
+                    support[i] += 1;
+                }
+            });
+        }
         passes += 1;
 
         let mut next: Vec<(Vec<Item>, u64)> = candidates
             .into_iter()
             .enumerate()
             .filter_map(|(i, items)| {
-                let c = support.get(i).copied().unwrap_or(0);
+                let c = support[i];
                 (c >= min_support).then_some((items, c))
             })
             .collect();
@@ -313,6 +263,18 @@ pub fn apriori_exec(set: &TransactionSet, config: &AprioriConfig, exec: Exec<'_>
         levels,
         passes,
     }
+}
+
+/// [`apriori`] under the name and call shape the frozen benchmark
+/// replica imports; the [`Exec`] argument selects nothing. Stays for
+/// that replica until ROADMAP item 12(b).
+///
+/// # Panics
+///
+/// Panics if `config.min_support` is zero.
+#[must_use]
+pub fn apriori_exec(set: &TransactionSet, config: &AprioriConfig, _exec: Exec) -> AprioriOutput {
+    apriori(set, config)
 }
 
 /// Boundaries of the (k-2)-prefix groups of a sorted frequent level:
@@ -520,43 +482,6 @@ mod tests {
         assert!(out.passes <= MAX_WIDTH);
     }
 
-    #[test]
-    fn parallel_counting_is_identical_for_every_thread_count() {
-        // Big enough to actually split into chunks (see par::MIN_ITEMS_PER_THREAD).
-        let mut set = TransactionSet::new();
-        for i in 0..6000u64 {
-            set.push(tx(&[
-                (FlowFeature::DstPort, 80 + i % 3),
-                (FlowFeature::Proto, 6 + (i % 2) * 11),
-                (FlowFeature::Packets, i % 5),
-            ]));
-        }
-        for config in [
-            AprioriConfig::all_frequent(500),
-            AprioriConfig::maximal(500),
-        ] {
-            let reference = apriori(&set, &config);
-            for threads in 2..=8 {
-                let pool =
-                    crate::par::WorkerPool::new(std::num::NonZeroUsize::new(threads).unwrap());
-                let par = apriori_exec(&set, &config, Exec::Pool(&pool));
-                assert_eq!(par.itemsets, reference.itemsets, "threads={threads}");
-                for (a, b) in par.itemsets.iter().zip(&reference.itemsets) {
-                    assert_eq!(a.support, b.support, "threads={threads} {a}");
-                }
-                assert_eq!(par.passes, reference.passes);
-                assert_eq!(par.levels.len(), reference.levels.len());
-                for (a, b) in par.levels.iter().zip(&reference.levels) {
-                    assert_eq!(
-                        (a.level, a.candidates, a.frequent, a.maximal),
-                        (b.level, b.candidates, b.frequent, b.maximal),
-                        "threads={threads}"
-                    );
-                }
-            }
-        }
-    }
-
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(8))]
 
@@ -564,7 +489,7 @@ mod tests {
         /// distinct items than buckets, at support 1, 2, the largest
         /// bucket sum (only the fullest bucket passes the filter) and
         /// `u64::MAX`, the items returned and their counts are a brute-force
-        /// count's, inline and on a 3-thread pool.
+        /// count's.
         #[test]
         fn counting_filter_is_exact(values in proptest::collection::vec(0u64..12_000, 8_000..8_500)) {
             let set = TransactionSet::from_transactions(
@@ -592,16 +517,13 @@ mod tests {
                 sums[hashing.bucket(item, FILTER_BUCKETS)] += count;
             }
             let largest = *sums.iter().max().unwrap();
-            let pool = crate::par::WorkerPool::new(std::num::NonZeroUsize::new(3).unwrap());
             for support in [1, 2, largest, u64::MAX] {
                 let want: Vec<(Item, u64)> = exact
                     .iter()
                     .filter(|&(_, &count)| count >= support)
                     .map(|(&item, &count)| (item, count))
                     .collect();
-                for exec in [Exec::Inline, Exec::Pool(&pool)] {
-                    assert_eq!(count_filtered(&set, support, exec, hashing), want, "support {support}");
-                }
+                assert_eq!(count_filtered(&set, support, hashing), want, "support {support}");
             }
         }
     }

@@ -10,8 +10,19 @@ use std::collections::HashMap;
 
 use crate::item::Item;
 use crate::itemset::ItemSet;
-use crate::par::{map_chunks_arc, Exec};
-use crate::transaction::{Transaction, TransactionSet};
+use crate::transaction::TransactionSet;
+
+/// Build the vertical representation: item → ascending list of the ids
+/// of the transactions containing it.
+fn tidlists(set: &TransactionSet) -> HashMap<Item, Vec<u32>> {
+    let mut lists: HashMap<Item, Vec<u32>> = HashMap::new();
+    for (tid, t) in set.transactions().iter().enumerate() {
+        for &item in t.items() {
+            lists.entry(item).or_default().push(tid as u32);
+        }
+    }
+    lists
+}
 
 /// Mine all frequent item-sets with Eclat.
 ///
@@ -23,53 +34,9 @@ use crate::transaction::{Transaction, TransactionSet};
 /// Panics if `min_support` is zero.
 #[must_use]
 pub fn eclat(set: &TransactionSet, min_support: u64) -> Vec<ItemSet> {
-    eclat_exec(set, min_support, Exec::inline())
-}
-
-/// Build the vertical representation: item → sorted list of the ids of
-/// the transactions containing it. Chunks of the transaction slice are
-/// scanned in the given execution context, each worker recording
-/// *global* transaction ids (chunk start + offset); concatenating the
-/// per-chunk lists in chunk order reproduces the sequential construction
-/// exactly.
-fn tidlists(set: &TransactionSet, exec: Exec<'_>) -> HashMap<Item, Vec<u32>> {
-    let parts = map_chunks_arc(exec, set.shared(), |start, chunk: &[Transaction]| {
-        let mut lists: HashMap<Item, Vec<u32>> = HashMap::new();
-        for (offset, t) in chunk.iter().enumerate() {
-            let tid = (start + offset) as u32;
-            for &item in t.items() {
-                lists.entry(item).or_default().push(tid);
-            }
-        }
-        lists
-    });
-    let mut merged: HashMap<Item, Vec<u32>> = HashMap::new();
-    // Chunk order + ascending tids within each chunk ⇒ merged lists are
-    // sorted without any post-hoc sort.
-    for part in parts {
-        for (item, mut tids) in part {
-            merged.entry(item).or_default().append(&mut tids);
-        }
-    }
-    merged
-}
-
-/// Eclat with tid-list construction in the given execution context.
-///
-/// Tid-list construction runs over transaction chunks, the per-chunk
-/// lists concatenating in chunk order into exactly the sequential
-/// tid-lists. The lattice search runs on the calling thread; supports
-/// are tid-list lengths, so the canonically sorted output is
-/// **bit-identical** to [`eclat`] for every context and thread count.
-///
-/// # Panics
-///
-/// Panics if `min_support` is zero.
-#[must_use]
-pub fn eclat_exec(set: &TransactionSet, min_support: u64, exec: Exec<'_>) -> Vec<ItemSet> {
     assert!(min_support >= 1, "minimum support must be at least 1");
 
-    let tidlists = tidlists(set, exec);
+    let tidlists = tidlists(set);
     let mut roots: Vec<(Item, Vec<u32>)> = tidlists
         .into_iter()
         .filter(|(_, tids)| tids.len() as u64 >= min_support)
@@ -193,27 +160,5 @@ mod tests {
     #[should_panic(expected = "minimum support must be at least 1")]
     fn zero_support_panics() {
         let _ = eclat(&TransactionSet::new(), 0);
-    }
-
-    #[test]
-    fn parallel_tidlists_are_identical_for_every_thread_count() {
-        use std::num::NonZeroUsize;
-        let mut set = TransactionSet::new();
-        for i in 0..5000u64 {
-            set.push(tx(&[
-                (FlowFeature::DstPort, 80 + i % 4),
-                (FlowFeature::Proto, 6),
-                (FlowFeature::Packets, i % 7),
-            ]));
-        }
-        let reference = eclat(&set, 300);
-        for threads in 2..=8 {
-            let pool = crate::par::WorkerPool::new(NonZeroUsize::new(threads).unwrap());
-            let par = eclat_exec(&set, 300, Exec::Pool(&pool));
-            assert_eq!(par, reference, "threads={threads}");
-            for (a, b) in par.iter().zip(&reference) {
-                assert_eq!(a.support, b.support, "threads={threads} {a}");
-            }
-        }
     }
 }

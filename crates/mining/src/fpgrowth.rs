@@ -21,7 +21,6 @@
 use crate::apriori::count_single_items;
 use crate::item::{Item, ItemMap};
 use crate::itemset::ItemSet;
-use crate::par::Exec;
 use crate::transaction::{TransactionSet, MAX_WIDTH};
 
 /// "No node": the end of a child, sibling or node-link chain.
@@ -198,29 +197,11 @@ impl Search<'_> {
 ///
 /// # Panics
 ///
-/// Panics if `min_support` is zero.
-#[must_use]
-pub fn fpgrowth(set: &TransactionSet, min_support: u64) -> Vec<ItemSet> {
-    fpgrowth_exec(set, min_support, Exec::inline())
-}
-
-/// FP-growth with its first scan in the given execution context.
-///
-/// The first (support-counting) scan runs over transaction chunks and
-/// merges by exact integer sums, so the ranking — and therefore the
-/// global tree — is identical for every context. Tree construction and
-/// the conditional-tree search run on the calling thread; each item-set's
-/// support is an exact sum over node links and the output is canonically
-/// sorted, so the result is **bit-identical** to [`fpgrowth`] for every
-/// context and thread count.
-///
-/// # Panics
-///
 /// Panics if `min_support` is zero, or if the set holds so many
 /// transactions (≈ 477 million) that the tree's `u32` node indices could
 /// overflow.
 #[must_use]
-pub fn fpgrowth_exec(set: &TransactionSet, min_support: u64, exec: Exec<'_>) -> Vec<ItemSet> {
+pub fn fpgrowth(set: &TransactionSet, min_support: u64) -> Vec<ItemSet> {
     assert!(min_support >= 1, "minimum support must be at least 1");
     // Every tree holds at most one node per transaction item plus the
     // root (a conditional tree fewer than its parent), and there are no
@@ -231,9 +212,9 @@ pub fn fpgrowth_exec(set: &TransactionSet, min_support: u64, exec: Exec<'_>) -> 
         set.len()
     );
 
-    // Pass 1: global item counts (parallel over chunks, merged by sum),
-    // ranked by descending frequency, ties by encoding for determinism.
-    let mut frequent = count_single_items(set, min_support, exec);
+    // Pass 1: global item counts, ranked by descending frequency, ties
+    // by encoding for determinism.
+    let mut frequent = count_single_items(set, min_support);
     frequent.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
     let rank: ItemMap<u32> = frequent
         .iter()
@@ -333,28 +314,6 @@ mod tests {
     #[should_panic(expected = "minimum support must be at least 1")]
     fn zero_support_panics() {
         let _ = fpgrowth(&TransactionSet::new(), 0);
-    }
-
-    #[test]
-    fn parallel_first_scan_is_identical_for_every_thread_count() {
-        use std::num::NonZeroUsize;
-        let mut set = TransactionSet::new();
-        for i in 0..4000u64 {
-            set.push(tx(&[
-                (FlowFeature::DstPort, 80 + i % 3),
-                (FlowFeature::Proto, 6 + (i % 2) * 11),
-                (FlowFeature::Packets, i % 4),
-            ]));
-        }
-        let reference = fpgrowth(&set, 250);
-        for threads in 2..=8 {
-            let pool = crate::par::WorkerPool::new(NonZeroUsize::new(threads).unwrap());
-            let par = fpgrowth_exec(&set, 250, Exec::Pool(&pool));
-            assert_eq!(par, reference, "threads={threads}");
-            for (a, b) in par.iter().zip(&reference) {
-                assert_eq!(a.support, b.support, "threads={threads} {a}");
-            }
-        }
     }
 
     #[test]

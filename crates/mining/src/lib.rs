@@ -23,17 +23,10 @@
 //! - [`filter_maximal`] — maximal-item-set filtering;
 //! - [`MinerKind`] — runtime-selectable miner (default FP-growth);
 //!   [`MinerKind::mine`] is the one dispatch an extraction runs through
-//!   (maximal item-sets, Apriori's audit trail, optional rules), in any
-//!   [`par::Exec`] context;
+//!   (maximal item-sets, Apriori's audit trail, optional rules). Every
+//!   pass runs on the calling thread;
 //! - [`mine_top_k`] — the paper's §V report-size-driven extension: the
 //!   k most frequent item-sets without choosing a support;
-//! - [`par`] — deterministic parallelism: the flat counting passes
-//!   (single-item counts, Apriori's level-k count, Eclat's tid-lists)
-//!   and the rule fan-out run as ordered chunk maps
-//!   ([`map_chunks_arc`], [`par::map_ranges_arc`]) on the engine's
-//!   worker pool; the miners' searches run on the calling thread. Every
-//!   miner's `*_exec` output is bit-identical to the sequential one for
-//!   every execution context and pool width;
 //! - [`rules`] — the *second* step of association-rule mining: rules
 //!   `X ⇒ Y` with confidence/lift/leverage/conviction derived from the
 //!   counted supports (never rescanning transactions), a rare-itemset
@@ -54,19 +47,15 @@ pub mod item;
 pub mod itemset;
 pub mod maximal;
 pub mod miner;
-pub mod par;
 pub mod rules;
 pub mod topk;
 pub mod transaction;
 
 pub use apriori::{apriori_exec, AprioriConfig, AprioriOutput, LevelStats};
-pub use eclat::eclat_exec;
-pub use fpgrowth::fpgrowth_exec;
 pub use item::Item;
 pub use itemset::{canonicalize, ItemSet};
 pub use maximal::{filter_maximal, filter_maximal_general};
-pub use miner::MinerKind;
-pub use par::{map_chunks_arc, Exec};
+pub use miner::{Exec, MinerKind};
 pub use rules::{
     generate_rules, merge_rule_sets, Rule, RuleConfig, RuleSet, ScoredRule, RARE_SUPPORT_GUARD,
 };

@@ -3,14 +3,29 @@
 
 use std::fmt;
 
-use crate::apriori::{apriori_exec, AprioriConfig, LevelStats};
-use crate::eclat::eclat_exec;
-use crate::fpgrowth::fpgrowth_exec;
+use crate::apriori::{apriori, AprioriConfig, LevelStats};
+use crate::eclat::eclat;
+use crate::fpgrowth::fpgrowth;
 use crate::itemset::ItemSet;
 use crate::maximal::filter_maximal;
-use crate::par::Exec;
 use crate::rules::{generate_rules, RuleConfig, RuleSet};
 use crate::transaction::{Transaction, TransactionSet};
+
+/// The execution-context argument of [`apriori_exec`](crate::apriori_exec),
+/// [`generate_rules`] and [`MinerKind::mine_maximal_exec`]: every pass
+/// runs on the calling thread, so it selects nothing. Stays, with those
+/// three call shapes, for the frozen benchmark replica until ROADMAP
+/// item 12(b).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Exec;
+
+impl Exec {
+    /// The one execution context: the calling thread.
+    #[must_use]
+    pub fn inline() -> Exec {
+        Exec
+    }
+}
 
 /// Which frequent item-set algorithm to run.
 ///
@@ -43,47 +58,28 @@ impl MinerKind {
     /// Panics if `min_support` is zero.
     #[must_use]
     pub fn mine_all(self, set: &TransactionSet, min_support: u64) -> Vec<ItemSet> {
-        self.mine_all_exec(set, min_support, Exec::inline())
+        match self {
+            MinerKind::Apriori => apriori(set, &AprioriConfig::all_frequent(min_support)).itemsets,
+            MinerKind::FpGrowth => fpgrowth(set, min_support),
+            MinerKind::Eclat => eclat(set, min_support),
+        }
     }
 
     /// Mine only **maximal** frequent item-sets — the paper's modified
-    /// output (§II-B).
+    /// output (§II-B): the item-sets of [`mine`](Self::mine) without
+    /// rules.
     ///
     /// # Panics
     ///
     /// Panics if `min_support` is zero.
     #[must_use]
     pub fn mine_maximal(self, set: &TransactionSet, min_support: u64) -> Vec<ItemSet> {
-        self.mine_maximal_exec(set, min_support, Exec::inline())
+        self.mine(set, min_support, None).0
     }
 
-    /// [`mine_all`](Self::mine_all) in the given execution context
-    /// ([`Exec::Pool`] runs the flat counting passes as chunk jobs on the
-    /// engine's persistent pool; the search runs on the calling thread).
-    /// Output is bit-identical to the single-threaded call for every
-    /// miner and context.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `min_support` is zero.
-    #[must_use]
-    pub fn mine_all_exec(
-        self,
-        set: &TransactionSet,
-        min_support: u64,
-        exec: Exec<'_>,
-    ) -> Vec<ItemSet> {
-        match self {
-            MinerKind::Apriori => {
-                apriori_exec(set, &AprioriConfig::all_frequent(min_support), exec).itemsets
-            }
-            MinerKind::FpGrowth => fpgrowth_exec(set, min_support, exec),
-            MinerKind::Eclat => eclat_exec(set, min_support, exec),
-        }
-    }
-
-    /// [`mine_maximal`](Self::mine_maximal) in the given execution
-    /// context: the item-sets of [`mine`](Self::mine) without rules.
+    /// [`mine_maximal`](Self::mine_maximal) under the call shape the
+    /// frozen benchmark replica imports; the [`Exec`] argument selects
+    /// nothing. Stays for that replica until ROADMAP item 12(b).
     ///
     /// # Panics
     ///
@@ -93,9 +89,9 @@ impl MinerKind {
         self,
         set: &TransactionSet,
         min_support: u64,
-        exec: Exec<'_>,
+        _exec: Exec,
     ) -> Vec<ItemSet> {
-        self.mine(set, min_support, None, exec).0
+        self.mine_maximal(set, min_support)
     }
 
     /// One extraction's mining pass: the maximal frequent item-sets at
@@ -109,8 +105,7 @@ impl MinerKind {
     /// `min_support` follow from that one run by downward closure, so
     /// enabling rules never changes the item-set report, and the rules
     /// are generated, filtered and ranked from the counted supports by
-    /// [`generate_rules`]. Output is bit-identical in every execution
-    /// context.
+    /// [`generate_rules`].
     ///
     /// # Panics
     ///
@@ -121,7 +116,6 @@ impl MinerKind {
         set: &TransactionSet,
         min_support: u64,
         rules: Option<&RuleConfig>,
-        exec: Exec<'_>,
     ) -> (Vec<ItemSet>, Vec<LevelStats>, Option<RuleSet>) {
         let floor = match rules {
             None => min_support,
@@ -138,13 +132,13 @@ impl MinerKind {
         };
         let (mut frequent, mut levels) = match self {
             MinerKind::Apriori => {
-                let out = apriori_exec(set, &AprioriConfig::all_frequent(floor), exec);
+                let out = apriori(set, &AprioriConfig::all_frequent(floor));
                 (out.itemsets, out.levels)
             }
-            _ => (self.mine_all_exec(set, floor, exec), Vec::new()),
+            _ => (self.mine_all(set, floor), Vec::new()),
         };
         let ranked =
-            rules.map(|rc| generate_rules(&frequent, set.len() as u64, min_support, rc, exec));
+            rules.map(|rc| generate_rules(&frequent, set.len() as u64, min_support, rc, Exec));
         frequent.retain(|s| s.support >= min_support);
         let itemsets = filter_maximal(frequent);
         for s in &itemsets {
@@ -208,48 +202,14 @@ mod tests {
     }
 
     #[test]
-    fn pool_execution_is_bit_identical_to_inline() {
-        use crate::par::WorkerPool;
-        use std::num::NonZeroUsize;
-        // Large enough that the parallel passes actually split chunks.
-        let mut set = TransactionSet::new();
-        for i in 0..6000u64 {
-            let t = Transaction::from_items(&[
-                Item::new(FlowFeature::DstPort, 80 + i % 3),
-                Item::new(FlowFeature::Proto, 6 + (i % 2) * 11),
-                Item::new(FlowFeature::Packets, i % 5),
-            ])
-            .unwrap();
-            set.push(t);
-        }
-        let pool = WorkerPool::new(NonZeroUsize::new(4).unwrap());
-        for kind in MinerKind::ALL {
-            let reference = kind.mine_maximal(&set, 400);
-            let pooled = kind.mine_maximal_exec(&set, 400, Exec::Pool(&pool));
-            assert_eq!(pooled, reference, "{kind}");
-            for (a, b) in pooled.iter().zip(&reference) {
-                assert_eq!(a.support, b.support, "{kind} {a}");
-            }
-            assert_eq!(
-                kind.mine_all_exec(&set, 400, Exec::Pool(&pool)),
-                kind.mine_all(&set, 400),
-                "{kind} all-frequent"
-            );
-        }
-    }
-
-    #[test]
     fn apriori_audit_trail_comes_back_from_mine() {
         let set = sample();
-        let (itemsets, levels, rules) = MinerKind::Apriori.mine(&set, 3, None, Exec::inline());
+        let (itemsets, levels, rules) = MinerKind::Apriori.mine(&set, 3, None);
         let reference = crate::apriori::apriori(&set, &AprioriConfig::maximal(3));
         assert_eq!(itemsets, reference.itemsets);
         assert_eq!(levels, reference.levels);
         assert!(rules.is_none());
-        assert!(MinerKind::FpGrowth
-            .mine(&set, 3, None, Exec::inline())
-            .1
-            .is_empty());
+        assert!(MinerKind::FpGrowth.mine(&set, 3, None).1.is_empty());
     }
 
     #[test]
@@ -261,8 +221,8 @@ mod tests {
             rare: false,
         };
         for kind in MinerKind::ALL {
-            let (plain, plain_levels, _) = kind.mine(&set, 3, None, Exec::inline());
-            let (itemsets, levels, rules) = kind.mine(&set, 3, Some(&loose), Exec::inline());
+            let (plain, plain_levels, _) = kind.mine(&set, 3, None);
+            let (itemsets, levels, rules) = kind.mine(&set, 3, Some(&loose));
             assert_eq!(itemsets, plain, "{kind}: rules changed the item-set report");
             assert_eq!(
                 levels, plain_levels,
@@ -276,12 +236,8 @@ mod tests {
 
     #[test]
     fn rules_over_an_empty_set_are_empty() {
-        let (itemsets, levels, rules) = MinerKind::Apriori.mine(
-            &TransactionSet::new(),
-            1,
-            Some(&RuleConfig::default()),
-            Exec::inline(),
-        );
+        let (itemsets, levels, rules) =
+            MinerKind::Apriori.mine(&TransactionSet::new(), 1, Some(&RuleConfig::default()));
         assert!(itemsets.is_empty());
         assert!(levels.is_empty());
         assert!(rules.expect("rules requested").is_empty());

@@ -32,19 +32,14 @@
 //! floor per level — halving it for every item beyond the first, see
 //! [`RuleConfig::level_floor`] — so long, specific attack signatures
 //! survive an absolute min-support floor that would hide them.
-//!
-//! Generation is one [`map_ranges_arc`] pass over the seed item-sets,
-//! its per-range outputs concatenated in range order: output is
-//! **bit-identical** across [`Exec::inline`]/[`Exec::Pool`].
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
 
 use crate::combinations::for_each_combination;
 use crate::item::Item;
 use crate::itemset::ItemSet;
-use crate::par::{map_ranges_arc, Exec};
+use crate::miner::Exec;
 
 /// Default minimum confidence for emitted rules.
 pub const DEFAULT_MIN_CONFIDENCE: f64 = 0.6;
@@ -378,9 +373,10 @@ pub fn score_rules(rules: Vec<Rule>, transactions: u64) -> Vec<ScoredRule> {
     scored
 }
 
-/// Enumerate the rules of one block of base item-sets — the sequential
-/// kernel every range of the generation pass runs.
-fn rules_for_block(
+/// Enumerate every rule `X ⇒ Y` that splits one of the base item-sets,
+/// with its metrics from the looked-up supports, appending those that
+/// pass the filters to `out`.
+fn enumerate_rules(
     bases: &[ItemSet],
     supports: &BTreeMap<Vec<Item>, u64>,
     transactions: u64,
@@ -435,10 +431,9 @@ fn rules_for_block(
 ///
 /// Rules are seeded from every item-set of length ≥ 2 whose support
 /// meets [`RuleConfig::level_floor`] for its length (the absolute floor
-/// normally; the halving per-level floor in rare mode). Generation is
-/// one [`map_ranges_arc`] pass over those seeds; the per-range outputs
-/// are concatenated in range order, so the result is bit-identical in
-/// every [`Exec`] context.
+/// normally; the halving per-level floor in rare mode). The [`Exec`]
+/// argument selects nothing: it stays, with this call shape, for the
+/// frozen benchmark replica until ROADMAP item 12(b).
 ///
 /// # Panics
 ///
@@ -519,7 +514,7 @@ pub fn generate_rules(
     transactions: u64,
     min_support: u64,
     config: &RuleConfig,
-    exec: Exec<'_>,
+    _exec: Exec,
 ) -> RuleSet {
     if transactions == 0 || frequent.is_empty() {
         return RuleSet {
@@ -536,17 +531,8 @@ pub fn generate_rules(
         .filter(|s| s.len() >= 2 && s.support >= config.level_floor(min_support, s.len()))
         .cloned()
         .collect();
-    let seeds = bases.len();
-    let shared = Arc::new((bases, supports));
-    let config = *config;
-    let rules = map_ranges_arc(exec, &shared, seeds, move |(bases, supports), range| {
-        let mut out = Vec::new();
-        rules_for_block(&bases[range], supports, transactions, &config, &mut out);
-        out
-    })
-    .into_iter()
-    .flatten()
-    .collect();
+    let mut rules = Vec::new();
+    enumerate_rules(&bases, &supports, transactions, config, &mut rules);
     RuleSet {
         rules: score_rules(rules, transactions),
         transactions,

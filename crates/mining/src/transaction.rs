@@ -6,7 +6,6 @@
 //! enforces this for hand-built transactions too.
 
 use std::fmt;
-use std::sync::Arc;
 
 use anomex_netflow::{FlowColumns, FlowFeature, FlowRecord};
 
@@ -152,15 +151,9 @@ impl Transaction {
 }
 
 /// The mining input: a bag of transactions.
-///
-/// The transactions are stored behind an [`Arc`] so parallel counting
-/// passes can hand `'static` jobs to a persistent worker pool without
-/// copying the set: each job clones the `Arc` and reads its chunk.
-/// Mutation (`push`) uses copy-on-write semantics — it is free while the
-/// set is unshared, which is the entire construction phase.
 #[derive(Debug, Clone, Default)]
 pub struct TransactionSet {
-    transactions: Arc<Vec<Transaction>>,
+    transactions: Vec<Transaction>,
 }
 
 impl TransactionSet {
@@ -174,7 +167,7 @@ impl TransactionSet {
     #[must_use]
     pub fn from_flows(flows: &[FlowRecord]) -> Self {
         TransactionSet {
-            transactions: Arc::new(flows.iter().map(Transaction::from_flow).collect()),
+            transactions: flows.iter().map(Transaction::from_flow).collect(),
         }
     }
 
@@ -183,7 +176,7 @@ impl TransactionSet {
     #[must_use]
     pub fn from_flows_extended(flows: &[FlowRecord]) -> Self {
         TransactionSet {
-            transactions: Arc::new(flows.iter().map(Transaction::from_flow_extended).collect()),
+            transactions: flows.iter().map(Transaction::from_flow_extended).collect(),
         }
     }
 
@@ -234,34 +227,23 @@ impl TransactionSet {
                 t.items[k] = Item::new(feat, cols.raw_at(feat, i));
             }
         }
-        TransactionSet {
-            transactions: Arc::new(transactions),
-        }
+        TransactionSet { transactions }
     }
 
     /// Build from explicit transactions.
     #[must_use]
     pub fn from_transactions(transactions: Vec<Transaction>) -> Self {
-        TransactionSet {
-            transactions: Arc::new(transactions),
-        }
+        TransactionSet { transactions }
     }
 
-    /// Add one transaction (copy-on-write when the set is shared).
+    /// Add one transaction.
     pub fn push(&mut self, t: Transaction) {
-        Arc::make_mut(&mut self.transactions).push(t);
+        self.transactions.push(t);
     }
 
     /// The transactions.
     #[must_use]
     pub fn transactions(&self) -> &[Transaction] {
-        &self.transactions
-    }
-
-    /// The shared handle to the transactions — what parallel counting
-    /// passes clone into `'static` worker-pool jobs.
-    #[must_use]
-    pub fn shared(&self) -> &Arc<Vec<Transaction>> {
         &self.transactions
     }
 

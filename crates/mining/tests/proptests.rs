@@ -3,9 +3,7 @@
 
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
-use std::num::NonZeroUsize;
 
-use anomex_mining::par::{Exec, WorkerPool};
 use anomex_mining::{
     filter_maximal, filter_maximal_general, Item, MinerKind, Transaction, TransactionSet,
 };
@@ -237,8 +235,7 @@ proptest! {
     /// buckets in front of its exact count. On sets with more distinct
     /// items than buckets, so buckets collide, all three miners still
     /// report exactly the brute-force item-sets and supports — at support
-    /// 1, 2, the largest item count and `u64::MAX`, inline and on a
-    /// 3-thread pool.
+    /// 1, 2, the largest item count and `u64::MAX`.
     #[test]
     fn counting_filter_loses_no_itemset(values in proptest::collection::vec(0u32..9_000, 7_000..7_500)) {
         let transactions = values
@@ -262,7 +259,6 @@ proptest! {
             .map(|(_, &count)| count)
             .max()
             .unwrap();
-        let pool = WorkerPool::new(NonZeroUsize::new(3).unwrap());
         for min_support in [1, 2, largest_item, u64::MAX] {
             let want: Vec<(Vec<Item>, u64)> = supports
                 .iter()
@@ -270,15 +266,13 @@ proptest! {
                 .map(|(items, &count)| (items.clone(), count))
                 .collect();
             for kind in MinerKind::ALL {
-                for (label, exec) in [("inline", Exec::inline()), ("pool", Exec::Pool(&pool))] {
-                    let mut got: Vec<(Vec<Item>, u64)> = kind
-                        .mine_all_exec(&set, min_support, exec)
-                        .into_iter()
-                        .map(|s| (s.items().to_vec(), s.support))
-                        .collect();
-                    got.sort_unstable();
-                    prop_assert!(got == want, "{} {} at support {}", kind, label, min_support);
-                }
+                let mut got: Vec<(Vec<Item>, u64)> = kind
+                    .mine_all(&set, min_support)
+                    .into_iter()
+                    .map(|s| (s.items().to_vec(), s.support))
+                    .collect();
+                got.sort_unstable();
+                prop_assert!(got == want, "{} at support {}", kind, min_support);
             }
         }
     }

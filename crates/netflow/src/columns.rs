@@ -21,10 +21,6 @@
 //!   the single column, yielding exactly the `u64` keys
 //!   [`FlowFeature::value_of`] would produce — bit-identical by
 //!   construction.
-//!
-//! Parallel walks over a column store reuse [`crate::shard::chunk_ranges`]
-//! over row-index ranges, so sharded, streaming, and multi-source
-//! execution all split the interval at identical boundaries.
 
 use std::net::Ipv4Addr;
 use std::ops::Range;

@@ -25,8 +25,6 @@
 //!   clock origins for multi-router ingestion;
 //! - [`MergeAssembler`] — N exporters fanned in onto one shared interval
 //!   grid with watermark close semantics and per-source drop accounting;
-//! - [`shard`] — deterministic balanced chunking of flow batches, the
-//!   partitioning contract of the sharded parallel extraction engine;
 //! - [`FlowColumns`] — struct-of-arrays storage of a flow batch (one
 //!   contiguous column per feature) for cache-friendly single-column
 //!   scans, with a v5 fast path ([`v5::decode_into_columns`]) that
@@ -46,7 +44,6 @@ pub mod error;
 pub mod feature;
 pub mod flow;
 pub mod merge;
-pub mod shard;
 pub mod snapshot;
 pub mod source;
 pub mod stream;
@@ -59,7 +56,6 @@ pub use error::{DecodeError, EncodeError, ReadError};
 pub use feature::{FeatureValue, FlowFeature, ParseFeatureValueError};
 pub use flow::{FlowRecord, Protocol, TcpFlags};
 pub use merge::{MergeAssembler, MergeConfig, MergedInterval, SourceStats};
-pub use shard::{chunk_ranges, default_shards, MAX_SHARDS};
 pub use snapshot::{
     read_checkpoint, write_checkpoint, RestoreError, SnapshotReader, SnapshotWriter,
     CHECKPOINT_VERSION,

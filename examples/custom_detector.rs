@@ -29,7 +29,7 @@ fn main() {
         min_support: 800,
         ..ExtractionConfig::default()
     };
-    let engine = Engine::sequential(config).expect("valid configuration");
+    let engine = Engine::new(config).expect("valid configuration");
 
     println!(
         "entropy-driven extraction over {} intervals\n",

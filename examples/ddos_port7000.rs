@@ -38,7 +38,7 @@ fn main() {
         min_support: w.min_support,
         ..ExtractionConfig::default()
     };
-    let engine = Engine::sequential(config).expect("valid configuration");
+    let engine = Engine::new(config).expect("valid configuration");
     let extraction = engine.extract(&w.flows, &metadata);
     println!("{}", render_report(&extraction));
 

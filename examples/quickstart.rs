@@ -28,7 +28,7 @@ fn main() {
         ..ExtractionConfig::default()
     };
 
-    let mut pipeline = Engine::sequential(config).unwrap();
+    let mut pipeline = Engine::new(config).unwrap();
 
     println!("processing {} intervals...\n", scenario.interval_count());
     for i in 0..scenario.interval_count() {

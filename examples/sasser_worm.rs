@@ -105,7 +105,7 @@ fn main() {
             prefilter,
             ..ExtractionConfig::default()
         };
-        let engine = Engine::sequential(config).expect("valid configuration");
+        let engine = Engine::new(config).expect("valid configuration");
         let extraction = engine.extract(&flows, &metadata);
         println!("=== {prefilter:?} pre-filter ===");
         println!(

@@ -28,7 +28,7 @@ trap 'rm -rf "$workdir"' EXIT
 # baselines alone.
 "$bin" generate --out "$workdir/link.nfv5" --seed 11 --intervals 25
 
-opts=(--interval-min 1 --training 10 --support 800 --threads 2)
+opts=(--interval-min 1 --training 10 --support 800)
 
 # Reference: the never-killed run.
 "$bin" stream --in "$workdir/link.nfv5" "${opts[@]}" > "$workdir/full.out"

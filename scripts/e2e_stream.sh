@@ -9,9 +9,9 @@
 # — each trace read whole and sliced on its own grid, the per-interval
 # concatenation run through one engine — is
 # tests/multi_source_determinism.rs (and the CLI's unit tests). Then
-# require `extract` to print the same reports at 1 and 2 threads and for
-# every --miner; finally require a capture read from stdin to behave
-# exactly like the same capture read from its file, cut or whole.
+# require `extract` to print the same reports for every --miner; finally
+# require a capture read from stdin to behave exactly like the same
+# capture read from its file, cut or whole.
 #
 # Usage: scripts/e2e_stream.sh [path-to-anomex-binary]
 # Builds the release binary when no path is given.
@@ -33,7 +33,7 @@ trap 'rm -rf "$workdir"' EXIT
 "$bin" generate --sources 2 --out "$workdir/link0.nfv5" --out "$workdir/link1.nfv5" \
     --seed 11 --intervals 25
 
-opts=(--interval-min 1 --training 10 --support 800 --threads 2)
+opts=(--interval-min 1 --training 10 --support 800)
 
 "$bin" stream --in "$workdir/link0.nfv5" --in "$workdir/link1.nfv5" "${opts[@]}" \
     > "$workdir/stream.out"
@@ -89,35 +89,7 @@ fi
 rule_sections=$(grep -c '^association rules' "$workdir/stream-rules.reports")
 echo "e2e-stream: OK — rule reports ($rule_sections section(s)) bit-identical from stream and extract over one two-source fan-in"
 
-# Third pass: thread-count invariance at the binary. Both sides above
-# run at --threads 2, so this runs `extract` over the same two links at
-# 1 and at 2 threads for each miner (the rule layer on for one of them)
-# and requires identical reports. Link 0 alone carries 3.9–7.1 k flows
-# per interval and 4 513 suspicious flows in the alarmed one, so the
-# detector's sharding and the miners' flat counting both clear the
-# 2 048-item splitting floor at 2 threads.
-for miner in apriori fpgrowth eclat; do
-    rules=""
-    [[ "$miner" == fpgrowth ]] && rules="--rules"
-    for threads in 1 2; do
-        # shellcheck disable=SC2086 # $rules is one flag or nothing
-        "$bin" extract --in "$workdir/link0.nfv5" --in "$workdir/link1.nfv5" \
-            --interval-min 1 --training 10 --support 800 \
-            --miner "$miner" --threads "$threads" $rules > "$workdir/threads$threads.out"
-        filter "$workdir/threads$threads.out" > "$workdir/threads$threads.reports"
-    done
-    if ! grep -q '^Anomaly extraction report' "$workdir/threads1.reports"; then
-        echo "e2e-stream: --miner $miner produced no reports — the thread pass is vacuous" >&2
-        exit 1
-    fi
-    if ! diff -u "$workdir/threads1.reports" "$workdir/threads2.reports"; then
-        echo "e2e-stream: --miner $miner $rules reports differ between --threads 1 and --threads 2" >&2
-        exit 1
-    fi
-done
-echo "e2e-stream: OK — extract reports bit-identical at --threads 1 and --threads 2 for apriori, fpgrowth (--rules) and eclat"
-
-# Fourth pass: miner independence at the binary. The report is a function
+# Third pass: miner independence at the binary. The report is a function
 # of the mined answer only, so `extract` must print the same reports for
 # every --miner (fpgrowth is the default; apriori's level audit trail is
 # not part of the report). The filter already drops the `processed` line
@@ -127,7 +99,7 @@ for rules in "" --rules; do
         # shellcheck disable=SC2086 # $rules is one flag or nothing
         "$bin" extract --in "$workdir/link0.nfv5" --in "$workdir/link1.nfv5" \
             --interval-min 1 --training 10 --support 800 \
-            --miner "$miner" --threads 1 $rules > "$workdir/miner-$miner.out"
+            --miner "$miner" $rules > "$workdir/miner-$miner.out"
         filter "$workdir/miner-$miner.out" > "$workdir/miner-$miner.reports"
     done
     if ! grep -q '^Anomaly extraction report' "$workdir/miner-fpgrowth.reports"; then
@@ -143,7 +115,7 @@ for rules in "" --rules; do
 done
 echo "e2e-stream: OK — extract reports bit-identical for apriori, fpgrowth and eclat, with and without --rules"
 
-# Fifth pass: one ingest path for files and pipes. A capture piped in
+# Fourth pass: one ingest path for files and pipes. A capture piped in
 # with `--in -` must stream to the same reports as the file itself and
 # make `extract` print the same output, summary included, and a capture
 # cut mid-datagram must make `extract` exit 1 with the same error through

@@ -31,7 +31,7 @@
 //! config.detector.training_intervals = 10;
 //! config.min_support = 800;
 //!
-//! let mut pipeline = Engine::sequential(config).unwrap();
+//! let mut pipeline = Engine::new(config).unwrap();
 //! let mut found = false;
 //! for i in 0..scenario.interval_count() {
 //!     let interval = scenario.generate(i);

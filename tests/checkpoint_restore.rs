@@ -5,8 +5,7 @@
 //! in-progress window, drop counters, stream counters), so a process
 //! that dies after a checkpoint and restores from it must emit exactly
 //! the events the never-killed process would have emitted, for every
-//! miner, shard count (restore may even change it — output is
-//! shard-invariant), and multi-source interleaving. Alongside the
+//! miner and multi-source interleaving. Alongside the
 //! resume property, the suite pins the robustness half of the contract:
 //! hostile checkpoint files fail with a typed [`RestoreError`], never a
 //! panic, and live reconfiguration drops no flows.
@@ -18,10 +17,6 @@ use anomex::prelude::*;
 use proptest::prelude::*;
 use std::num::NonZeroUsize;
 use std::path::PathBuf;
-
-fn nz(n: usize) -> NonZeroUsize {
-    NonZeroUsize::new(n).unwrap()
-}
 
 fn config_for(scenario: &Scenario, miner: MinerKind) -> ExtractionConfig {
     ExtractionConfig {
@@ -37,8 +32,9 @@ fn config_for(scenario: &Scenario, miner: MinerKind) -> ExtractionConfig {
 }
 
 /// One exporter at origin 0: a fan-in of one.
-fn one_lane(config: ExtractionConfig, shards: usize) -> MultiSourceExtractor {
-    MultiSourceExtractor::try_new(config, nz(shards), &[SourceSpec::new(0u32, 0)], None).unwrap()
+fn one_lane(config: ExtractionConfig) -> MultiSourceExtractor {
+    let source = [SourceSpec::new(0u32, 0)];
+    MultiSourceExtractor::try_new(config, NonZeroUsize::MIN, &source, None).unwrap()
 }
 
 /// Assert two stream events are the same to the bit (indices, flow
@@ -86,15 +82,12 @@ proptest! {
 
     /// Kill-and-resume: stream a scenario, checkpoint at an arbitrary
     /// flow position (mid-window included), drop the engine (the
-    /// simulated crash), restore — possibly onto a *different* shard
-    /// count — and continue. Events and summary must be bit-identical
-    /// to the uninterrupted run, for every miner.
+    /// simulated crash), restore, and continue. Events and summary must
+    /// be bit-identical to the uninterrupted run, for every miner.
     #[test]
     fn kill_and_resume_is_bit_identical(
         seed in 0u64..1_000,
         cut_pct in 20u64..80,
-        shards in 1usize..=4,
-        resume_shards in 1usize..=4,
         miner_idx in 0usize..3,
     ) {
         let scenario = Scenario::small(seed);
@@ -106,9 +99,9 @@ proptest! {
         let cut = (flows.len() as u64 * cut_pct / 100) as usize;
 
         let src = SourceId(0);
-        let mut reference = one_lane(config_for(&scenario, miner), shards);
+        let mut reference = one_lane(config_for(&scenario, miner));
         let mut ref_events = Vec::new();
-        let mut interrupted = one_lane(config_for(&scenario, miner), shards);
+        let mut interrupted = one_lane(config_for(&scenario, miner));
         let mut resumed_events = Vec::new();
         for (i, flow) in flows.iter().enumerate() {
             ref_events.extend(reference.push(src, *flow));
@@ -119,8 +112,7 @@ proptest! {
         let (tail, payload) = interrupted.checkpoint();
         resumed_events.extend(tail);
         drop(interrupted); // the crash: only the payload survives
-        let mut resumed =
-            MultiSourceExtractor::restore(&payload, Some(nz(resume_shards))).unwrap();
+        let mut resumed = MultiSourceExtractor::restore(&payload).unwrap();
         for flow in &flows[cut..] {
             resumed_events.extend(resumed.push(src, *flow));
         }
@@ -135,7 +127,7 @@ proptest! {
             assert_events_identical(
                 &a.event,
                 &b.event,
-                &format!("seed={seed} miner={miner} cut={cut} shards={shards}->{resume_shards}"),
+                &format!("seed={seed} miner={miner} cut={cut}"),
             );
         }
     }
@@ -172,9 +164,11 @@ fn multi_source_resume_survives_skewed_lanes() {
     }
     let cut = pushes.len() / 2;
 
-    let mut reference = MultiSourceExtractor::try_new(config(), nz(2), &specs, None).unwrap();
+    let mut reference =
+        MultiSourceExtractor::try_new(config(), NonZeroUsize::MIN, &specs, None).unwrap();
     let mut ref_events = Vec::new();
-    let mut interrupted = MultiSourceExtractor::try_new(config(), nz(2), &specs, None).unwrap();
+    let mut interrupted =
+        MultiSourceExtractor::try_new(config(), NonZeroUsize::MIN, &specs, None).unwrap();
     let mut resumed_events = Vec::new();
     for (i, (source, flow)) in pushes.iter().enumerate() {
         ref_events.extend(reference.push(*source, *flow));
@@ -185,7 +179,7 @@ fn multi_source_resume_survives_skewed_lanes() {
     let (tail, payload) = interrupted.checkpoint();
     resumed_events.extend(tail);
     drop(interrupted);
-    let mut resumed = MultiSourceExtractor::restore(&payload, Some(nz(1))).unwrap();
+    let mut resumed = MultiSourceExtractor::restore(&payload).unwrap();
     for (source, flow) in &pushes[cut..] {
         resumed_events.extend(resumed.push(*source, *flow));
     }
@@ -219,8 +213,8 @@ fn checkpoint_files_reject_corruption_with_typed_errors() {
     let path = |name: &str| -> PathBuf { dir.join(name) };
 
     let scenario = Scenario::small(3);
-    let mut stream =
-        StreamingExtractor::try_new(config_for(&scenario, MinerKind::Apriori), nz(1), 0).unwrap();
+    let config = config_for(&scenario, MinerKind::Apriori);
+    let mut stream = StreamingExtractor::try_new(config, NonZeroUsize::MIN, 0).unwrap();
     for i in 0..3 {
         for flow in scenario.generate(i).flows {
             let _ = stream.push(flow);
@@ -235,7 +229,7 @@ fn checkpoint_files_reject_corruption_with_typed_errors() {
     assert_eq!(version, CHECKPOINT_VERSION);
     assert_eq!(bytes, payload);
     assert!(
-        MultiSourceExtractor::restore(&bytes, None).is_ok(),
+        MultiSourceExtractor::restore(&bytes).is_ok(),
         "the one-source shorthand checkpoints the one-lane grid"
     );
 
@@ -292,8 +286,8 @@ fn checkpoint_files_reject_corruption_with_typed_errors() {
     let framed = path("garbage.ckpt");
     write_checkpoint(&framed, &garbage).unwrap();
     let (_, garbage) = read_checkpoint(&framed).unwrap();
-    assert!(MultiSourceExtractor::restore(&garbage, None).is_err());
-    assert!(MultiSourceExtractor::restore_v1(&garbage, None).is_err());
+    assert!(MultiSourceExtractor::restore(&garbage).is_err());
+    assert!(MultiSourceExtractor::restore_v1(&garbage).is_err());
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -306,7 +300,7 @@ fn checkpoint_files_reject_corruption_with_typed_errors() {
 fn reconfiguration_is_audited_and_drops_nothing() {
     let scenario = Scenario::small(29);
     let intervals = scenario.interval_count().min(16);
-    let mut stream = one_lane(config_for(&scenario, MinerKind::Eclat), 2);
+    let mut stream = one_lane(config_for(&scenario, MinerKind::Eclat));
     let mut events = Vec::new();
     let mut pushed = 0u64;
     for i in 0..intervals {

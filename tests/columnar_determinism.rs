@@ -6,9 +6,9 @@
 //! 1. **Pipeline equivalence** — the columnar engines (`Engine::extract`
 //!    offline, `Engine::process` over `FlowColumns` online, and the
 //!    streaming extractor that rides them) produce
-//!    exactly what the record-based sequential pipeline produces, for
-//!    every miner, shard count, execution context (inline vs pooled),
-//!    and transaction mode.
+//!    exactly what the record-based pipeline produces, for every miner,
+//!    transaction mode and pre-filter mode, with and without the rule
+//!    layer.
 //! 2. **Decoder equivalence** — `decode_into_columns` returns exactly
 //!    what decode-then-convert returns for arbitrary datagram bytes:
 //!    same header and rows on success, the same error otherwise, with
@@ -18,18 +18,13 @@ use anomex::core::{
     cost_reduction, prefilter_indices_columns, prefilter_indices_columns_with, Engine, Extraction,
     ExtractionConfig, PrefilterScratch, TransactionMode,
 };
-use anomex::mining::Exec;
+use anomex::mining::RuleConfig;
 use anomex::netflow::v5::{self, V5Exporter, V5_HEADER_LEN, V5_RECORD_LEN};
 use anomex::netflow::FlowColumns;
 use anomex::prelude::*;
 use anomex_core::IntervalOutcome;
 use proptest::prelude::*;
 use std::num::NonZeroUsize;
-use std::sync::Arc;
-
-fn nz(n: usize) -> NonZeroUsize {
-    NonZeroUsize::new(n).unwrap()
-}
 
 fn table2_metadata() -> MetaData {
     let mut md = MetaData::new();
@@ -62,6 +57,32 @@ fn assert_extractions_identical(a: &Extraction, b: &Extraction, context: &str) {
         "{context}: cost reduction diverged"
     );
     assert_eq!(a.metadata, b.metadata, "{context}");
+    match (&a.rules, &b.rules) {
+        (None, None) => {}
+        (Some(x), Some(y)) => {
+            assert_eq!(x.transactions, y.transactions, "{context}");
+            assert_eq!(x.len(), y.len(), "{context}: rule count diverged");
+            for (r, s) in x.rules.iter().zip(&y.rules) {
+                assert_eq!(r.rule.antecedent(), s.rule.antecedent(), "{context}");
+                assert_eq!(r.rule.consequent(), s.rule.consequent(), "{context}");
+                assert_eq!(r.rule.support, s.rule.support, "{context}");
+                assert_eq!(
+                    r.score.to_bits(),
+                    s.score.to_bits(),
+                    "{context}: rule score diverged on {}",
+                    r.rule
+                );
+                assert_eq!(r.rule.confidence.to_bits(), s.rule.confidence.to_bits());
+                assert_eq!(r.rule.lift.to_bits(), s.rule.lift.to_bits());
+                assert_eq!(r.rule.leverage.to_bits(), s.rule.leverage.to_bits());
+                assert_eq!(
+                    r.rule.conviction.map(f64::to_bits),
+                    s.rule.conviction.map(f64::to_bits)
+                );
+            }
+        }
+        _ => panic!("{context}: rule presence diverged"),
+    }
 }
 
 /// Assert one columnar outcome equals one record outcome, KL bits and all.
@@ -97,16 +118,16 @@ proptest! {
     /// Offline: the columnar engine (`Engine::extract` converts to
     /// `FlowColumns` and walks columns end to end) extracts exactly what
     /// pre-filtering the records, building their transactions and mining
-    /// them does, for every miner, shard count (1 shard = inline
-    /// execution, more = the worker pool), and transaction mode.
+    /// them does, for every miner and transaction mode, with and without
+    /// the rule layer (rules compared to the bit).
     #[test]
     fn columnar_extraction_matches_record_pipeline(
         seed in 0u64..10_000,
         scale_pct in 1u64..=4,
         support_div in 1u64..=4,
-        shards in 1usize..=8,
         miner_idx in 0usize..3,
         extended in proptest::sample::select(vec![false, true]),
+        with_rules in proptest::sample::select(vec![false, true]),
     ) {
         let w = table2_workload(seed, scale_pct as f64 * 0.01);
         let miner = MinerKind::ALL[miner_idx];
@@ -125,7 +146,9 @@ proptest! {
             TransactionMode::Canonical => TransactionSet::from_flows(&suspicious),
             TransactionMode::WithPrefixes => TransactionSet::from_flows_extended(&suspicious),
         };
-        let (itemsets, levels, rules) = miner.mine(&transactions, support, None, Exec::inline());
+        // Permissive filters so the rule populations compared are rich.
+        let rules = with_rules.then_some(RuleConfig { min_confidence: 0.3, min_lift: 0.0, rare: false });
+        let (itemsets, levels, mined_rules) = miner.mine(&transactions, support, rules.as_ref());
         let records = Extraction {
             interval: 0,
             metadata: md.clone(),
@@ -134,24 +157,27 @@ proptest! {
             cost_reduction: cost_reduction(w.flows.len() as u64, itemsets.len()),
             itemsets,
             levels,
-            rules,
+            rules: mined_rules,
         };
         let config = ExtractionConfig {
             min_support: support,
             miner,
             transactions: tx_mode,
+            rules,
             ..ExtractionConfig::default()
         };
-        let columnar = Engine::new(config, nz(shards)).unwrap().extract(&w.flows, &md);
+        let columnar = Engine::new(config).unwrap().extract(&w.flows, &md);
         assert_extractions_identical(
             &records,
             &columnar,
-            &format!("seed={seed} miner={miner} shards={shards} extended={extended}"),
+            &format!("seed={seed} miner={miner} extended={extended} rules={with_rules}"),
         );
     }
 
     /// The columnar pre-filter selects exactly the index sequence of the
-    /// per-flow reference, for both union and intersection semantics.
+    /// per-flow reference, for both union and intersection semantics —
+    /// and the engine, configured with that mode, mines exactly that
+    /// many suspicious flows.
     #[test]
     fn columnar_prefilter_matches_record_prefilter(
         seed in 0u64..10_000,
@@ -168,10 +194,16 @@ proptest! {
         md.insert(FlowFeature::DstPort, 7000);
         md.insert(FlowFeature::Packets, 2);
         let cols = FlowColumns::from_flows(&w.flows);
-        prop_assert_eq!(
-            reference_indices(&w.flows, &md, mode),
-            prefilter_indices_columns(&cols, &md, mode)
-        );
+        let reference = reference_indices(&w.flows, &md, mode);
+        prop_assert_eq!(&reference, &prefilter_indices_columns(&cols, &md, mode));
+        // Support no item reaches: the engine run costs one counting pass.
+        let config = ExtractionConfig {
+            min_support: u64::MAX,
+            prefilter: mode,
+            ..ExtractionConfig::default()
+        };
+        let extraction = Engine::new(config).unwrap().extract(&w.flows, &md);
+        prop_assert_eq!(extraction.suspicious_flows, reference.len());
     }
 
     /// The columnar store round-trips records losslessly: conversion to
@@ -257,16 +289,14 @@ proptest! {
     // so fewer, heavier cases.
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// Online: feeding [`FlowColumns`] straight into the sharded engine
+    /// Online: feeding [`FlowColumns`] straight into the engine
     /// (`Engine::process`) and streaming flow-by-flow through the
     /// [`StreamingExtractor`] (which rides the same columnar engine)
-    /// both produce the record-based sequential pipeline's outcomes —
-    /// alarms, meta-data, KL bits, and extractions — for every miner
-    /// and shard count.
+    /// both produce the record-input pipeline's outcomes — alarms,
+    /// meta-data, KL bits, and extractions — for every miner.
     #[test]
     fn columnar_online_and_streaming_match_record_pipeline(
         seed in 0u64..1_000,
-        shards in 1usize..=6,
         miner_idx in 0usize..3,
     ) {
         let scenario = Scenario::small(seed);
@@ -281,20 +311,20 @@ proptest! {
             ..ExtractionConfig::default()
         };
         let intervals = scenario.interval_count().min(22);
-        let mut records = Engine::sequential(config.clone()).unwrap();
-        let mut columnar = Engine::new(config.clone(), nz(shards)).unwrap();
-        let mut stream = StreamingExtractor::try_new(config, nz(shards), 0).unwrap();
+        let mut records = Engine::new(config.clone()).unwrap();
+        let mut columnar = Engine::new(config.clone()).unwrap();
+        let mut stream = StreamingExtractor::try_new(config, NonZeroUsize::MIN, 0).unwrap();
 
         let mut events = Vec::new();
         for i in 0..intervals {
             let interval = scenario.generate(i);
             let reference = records.process(&interval.flows);
-            let cols = Arc::new(FlowColumns::from_flows(&interval.flows));
+            let cols = FlowColumns::from_flows(&interval.flows);
             let outcome = columnar.process(&cols);
             assert_outcomes_identical(
                 &outcome,
                 &reference,
-                &format!("columns seed={seed} shards={shards} interval={i}"),
+                &format!("columns seed={seed} interval={i}"),
             );
             // The compat shim holds on the engine's own input, too.
             prop_assert_eq!(cols.to_flows(), interval.flows.clone());
@@ -308,7 +338,7 @@ proptest! {
         // Re-run the record reference for the streamed comparison (the
         // first pass's extractor has advanced past these intervals).
         let scenario = Scenario::small(seed);
-        let mut records = Engine::sequential(ExtractionConfig {
+        let mut records = Engine::new(ExtractionConfig {
             interval_ms: scenario.interval_ms(),
             detector: DetectorConfig {
                 training_intervals: 10,
@@ -324,7 +354,7 @@ proptest! {
             assert_outcomes_identical(
                 &event.outcome,
                 &reference,
-                &format!("stream seed={seed} shards={shards} interval={i}"),
+                &format!("stream seed={seed} interval={i}"),
             );
         }
     }

@@ -49,7 +49,7 @@ fn pipeline_config() -> ExtractionConfig {
 /// Drive the scenario through the pipeline; return the extraction at the
 /// event interval (test fails loudly if there is none).
 fn extract_event(scenario: &Scenario) -> Extraction {
-    let mut pipeline = Engine::sequential(pipeline_config()).unwrap();
+    let mut pipeline = Engine::new(pipeline_config()).unwrap();
     let mut hit = None;
     for i in 0..scenario.interval_count() {
         let interval = scenario.generate(i);
@@ -117,7 +117,7 @@ fn flood_rules_rank_the_attack_first_in_batch_and_stream() {
     };
 
     // Batch path.
-    let mut pipeline = Engine::sequential(config.clone()).unwrap();
+    let mut pipeline = Engine::new(config.clone()).unwrap();
     let mut batch_ex = None;
     for i in 0..scenario.interval_count() {
         let outcome = pipeline.process(&scenario.generate(i).flows);
@@ -142,7 +142,7 @@ fn flood_rules_rank_the_attack_first_in_batch_and_stream() {
     }
 
     // Streaming path: same config, same flows, byte-identical report.
-    let mut stream = StreamingExtractor::try_new(config, NonZeroUsize::new(2).unwrap(), 0).unwrap();
+    let mut stream = StreamingExtractor::try_new(config, NonZeroUsize::MIN, 0).unwrap();
     let mut stream_ex = None;
     let mut events = Vec::new();
     for i in 0..scenario.interval_count() {

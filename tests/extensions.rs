@@ -75,9 +75,7 @@ fn entropy_detector_drives_extraction() {
         min_support: w.min_support,
         ..ExtractionConfig::default()
     };
-    let extraction = Engine::sequential(config)
-        .unwrap()
-        .extract(&w.flows, &metadata);
+    let extraction = Engine::new(config).unwrap().extract(&w.flows, &metadata);
     let joined = extraction
         .itemsets
         .iter()

@@ -30,7 +30,7 @@ fn config_for(scenario: &Scenario, miner: MinerKind, rules: bool) -> ExtractionC
 /// on — the per-source rule merge of a two-source split of the interval
 /// (the first third of its flows as one source, the rest as the other).
 fn rendered(intervals: &[Vec<FlowRecord>], config: ExtractionConfig) -> Vec<String> {
-    let mut engine = Engine::sequential(config.clone()).unwrap();
+    let mut engine = Engine::new(config.clone()).unwrap();
     let mut out = Vec::new();
     for flows in intervals {
         let Some(extraction) = engine.process(flows).extraction else {

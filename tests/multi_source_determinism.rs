@@ -1,23 +1,18 @@
 //! Multi-source determinism suite: the N-exporter merge engine must be
-//! **bit-identical** to sequential batch extraction of the per-interval
-//! concatenation of all sources' flows — for every miner, pool-worker
-//! count, source count, clock skew, and cross-source interleaving, and
-//! even when a source goes silent mid-stream. The merge layer adds
-//! per-source assemblers and a watermark grid on top of the streaming
-//! stack, and none of it may perturb a single bit of output: a merged
-//! interval is exactly the source-ordered concatenation of each lane's
-//! window, fed in order through the same pool-backed engine the batch
-//! path uses.
+//! **bit-identical** to batch extraction of the per-interval
+//! concatenation of all sources' flows — for every miner, source count,
+//! clock skew, and cross-source interleaving, and even when a source
+//! goes silent mid-stream. The merge layer adds per-source assemblers
+//! and a watermark grid on top of the streaming stack, and none of it
+//! may perturb a single bit of output: a merged interval is exactly the
+//! source-ordered concatenation of each lane's window, fed in order
+//! through the same engine the batch path uses.
 
 use anomex::core::{Engine, Extraction, ExtractionConfig, IntervalOutcome, MultiSourceExtractor};
 use anomex::prelude::*;
 use anomex::traffic::{LinkConfig, MultiSourceScenario};
 use proptest::prelude::*;
 use std::num::NonZeroUsize;
-
-fn nz(n: usize) -> NonZeroUsize {
-    NonZeroUsize::new(n).unwrap()
-}
 
 fn config_for(interval_ms: u64, miner: MinerKind) -> ExtractionConfig {
     ExtractionConfig {
@@ -84,16 +79,14 @@ proptest! {
     // Full scenarios (training + detection) per case: few, heavy cases.
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// N-source merged extraction is bit-identical to sequential batch
+    /// N-source merged extraction is bit-identical to batch
     /// extraction of the per-interval concatenation of all sources'
     /// flows — for arbitrary source counts, per-source clock skews,
-    /// cross-source delivery orders (whole-interval rotation), pool
-    /// worker counts, and miners, including one source going silent
-    /// mid-stream.
+    /// cross-source delivery orders (whole-interval rotation), and
+    /// miners, including one source going silent mid-stream.
     #[test]
     fn multi_source_equals_batch_of_concatenated_flows(
         seed in 0u64..1_000,
-        shards in 1usize..=4,
         n_sources in 1usize..=3,
         miner_idx in 0usize..3,
         skew_step in 0u64..2_000,
@@ -117,11 +110,11 @@ proptest! {
         // the stream (and the watermark) alive.
         let silent = (n_sources > 1).then_some(n_sources - 1).zip(silence_at);
 
-        // Batch reference: one sequential engine over the per-interval
+        // Batch reference: one engine over the per-interval
         // concatenation (source order), silent source contributing
         // nothing from its cutoff on.
         let config = config_for(scenario.interval_ms(), miner);
-        let mut batch = Engine::sequential(config.clone()).unwrap();
+        let mut batch = Engine::new(config.clone()).unwrap();
         let mut reference = Vec::new();
         for i in 0..intervals {
             let mut merged = Vec::new();
@@ -139,7 +132,7 @@ proptest! {
         // each other differently case by case.
         let mut engine = MultiSourceExtractor::try_new(
             config,
-            nz(shards),
+            NonZeroUsize::MIN,
             &scenario.source_specs(),
             None,
         )
@@ -181,7 +174,7 @@ proptest! {
                 &event.event.outcome,
                 reference,
                 &format!(
-                    "seed={seed} miner={miner} shards={shards} sources={n_sources} \
+                    "seed={seed} miner={miner} sources={n_sources} \
                      skew={skew_step} silent={silent:?} interval={i}"
                 ),
             );
@@ -227,7 +220,7 @@ proptest! {
         let run = |order_seed: u64| -> Vec<(u64, usize, Vec<usize>, bool)> {
             let mut engine = MultiSourceExtractor::try_new(
                 config_for(interval_ms, MinerKind::Apriori),
-                nz(2),
+                NonZeroUsize::MIN,
                 &specs,
                 None,
             )

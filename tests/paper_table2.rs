@@ -5,10 +5,8 @@
 //! Workload: `table2_workload(2009, 0.05)` — the flood on port 7000 plus
 //! the artificially added popular ports 80, 9022 and 25 — with all four
 //! ports as meta-data. The pinned values were recorded before PR 14
-//! folded the online types into `Engine` and must stay identical at any
-//! shard count and (item-sets) across all three miners.
-
-use std::num::NonZeroUsize;
+//! folded the online types into `Engine` and must stay identical (the
+//! item-sets across all three miners).
 
 use anomex::mining::LevelStats;
 use anomex::prelude::*;
@@ -38,31 +36,26 @@ fn table2_level_stats_and_itemsets_are_pinned() {
         .collect();
 
     let mut reference: Option<Vec<ItemSet>> = None;
-    for shards in [1usize, 4] {
-        for miner in MinerKind::ALL {
-            let config = ExtractionConfig {
-                min_support: w.min_support,
-                miner,
-                ..ExtractionConfig::default()
-            };
-            let ex = Engine::new(config, NonZeroUsize::new(shards).unwrap())
-                .unwrap()
-                .extract(&w.flows, &md);
-            let ctx = format!("{miner}, {shards} shard(s)");
-            assert_eq!(ex.total_flows, TOTAL_FLOWS, "{ctx}");
-            assert_eq!(
-                ex.suspicious_flows, TOTAL_FLOWS,
-                "every port is meta-data ({ctx})"
-            );
-            assert_eq!(ex.itemsets.len(), MAXIMAL_ITEMSETS, "{ctx}");
-            if miner == MinerKind::Apriori {
-                assert_eq!(ex.levels, expected_levels, "{ctx}");
-            }
-            let reference = reference.get_or_insert_with(|| ex.itemsets.clone());
-            assert_eq!(&ex.itemsets, reference, "{ctx}");
-            for (a, b) in ex.itemsets.iter().zip(reference.iter()) {
-                assert_eq!(a.support, b.support, "{a} ({ctx})");
-            }
+    for miner in MinerKind::ALL {
+        let config = ExtractionConfig {
+            min_support: w.min_support,
+            miner,
+            ..ExtractionConfig::default()
+        };
+        let ex = Engine::new(config).unwrap().extract(&w.flows, &md);
+        assert_eq!(ex.total_flows, TOTAL_FLOWS, "{miner}");
+        assert_eq!(
+            ex.suspicious_flows, TOTAL_FLOWS,
+            "every port is meta-data ({miner})"
+        );
+        assert_eq!(ex.itemsets.len(), MAXIMAL_ITEMSETS, "{miner}");
+        if miner == MinerKind::Apriori {
+            assert_eq!(ex.levels, expected_levels, "{miner}");
+        }
+        let reference = reference.get_or_insert_with(|| ex.itemsets.clone());
+        assert_eq!(&ex.itemsets, reference, "{miner}");
+        for (a, b) in ex.itemsets.iter().zip(reference.iter()) {
+            assert_eq!(a.support, b.support, "{a} ({miner})");
         }
     }
 

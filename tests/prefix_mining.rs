@@ -56,9 +56,7 @@ fn extract(flows: &[FlowRecord], transactions: TransactionMode, miner: MinerKind
         transactions,
         ..ExtractionConfig::default()
     };
-    Engine::sequential(config)
-        .unwrap()
-        .extract(flows, &metadata())
+    Engine::new(config).unwrap().extract(flows, &metadata())
 }
 
 #[test]

@@ -62,7 +62,7 @@ fn extract(flows: &[FlowRecord], md: &MetaData, min_support: u64, miner: MinerKi
         miner,
         ..ExtractionConfig::default()
     };
-    Engine::sequential(config).unwrap().extract(flows, md)
+    Engine::new(config).unwrap().extract(flows, md)
 }
 
 proptest! {

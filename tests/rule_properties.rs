@@ -2,14 +2,9 @@
 //! [`MinerKind::mine`] run with rules emits must satisfy the metric
 //! definitions *exactly* (recomputed from brute-force support counts
 //! over the transactions, compared by bit pattern), stay in its valid
-//! range, honor the configured filters, and come out bit-identical in
-//! every execution context — the facade-level contract of the rule
-//! engine that `crates/mining/tests/exec_equivalence.rs` and
-//! `tests/sharded_determinism.rs` assert from their own angles.
+//! range, and honor the configured filters — the facade-level contract
+//! of the rule engine.
 
-use std::num::NonZeroUsize;
-
-use anomex::mining::par::{Exec, WorkerPool};
 use anomex::mining::rules::CONVICTION_SCORE_CAP;
 use anomex::mining::{Item, MinerKind, RuleConfig, RuleSet, Transaction, TransactionSet};
 use anomex_netflow::FlowFeature;
@@ -31,19 +26,9 @@ fn arb_set(max: usize) -> impl Strategy<Value = TransactionSet> {
     proptest::collection::vec(arb_transaction(), 1..max).prop_map(TransactionSet::from_transactions)
 }
 
-fn nz(n: usize) -> NonZeroUsize {
-    NonZeroUsize::new(n).unwrap()
-}
-
 /// The ranked rules of one mining pass with the rule layer on.
-fn rules_of(
-    miner: MinerKind,
-    set: &TransactionSet,
-    min_support: u64,
-    rc: &RuleConfig,
-    exec: Exec<'_>,
-) -> RuleSet {
-    let (_, _, rules) = miner.mine(set, min_support, Some(rc), exec);
+fn rules_of(miner: MinerKind, set: &TransactionSet, min_support: u64, rc: &RuleConfig) -> RuleSet {
+    let (_, _, rules) = miner.mine(set, min_support, Some(rc));
     rules.expect("rules requested")
 }
 
@@ -65,7 +50,7 @@ proptest! {
         miner_idx in 0usize..3,
     ) {
         let rc = RuleConfig { min_confidence: 0.2, min_lift: 0.0, rare: false };
-        let rules = rules_of(MinerKind::ALL[miner_idx], &set, min_support, &rc, Exec::inline());
+        let rules = rules_of(MinerKind::ALL[miner_idx], &set, min_support, &rc);
         let n = set.len() as u64;
         prop_assert_eq!(rules.transactions, n);
         for scored in &rules.rules {
@@ -113,7 +98,7 @@ proptest! {
         miner_idx in 0usize..3,
     ) {
         let rc = RuleConfig { min_confidence, min_lift, rare: false };
-        let rules = rules_of(MinerKind::ALL[miner_idx], &set, min_support, &rc, Exec::inline());
+        let rules = rules_of(MinerKind::ALL[miner_idx], &set, min_support, &rc);
         let n = set.len() as u64;
         for scored in &rules.rules {
             let r = &scored.rule;
@@ -145,43 +130,6 @@ proptest! {
         }
     }
 
-    /// Bit-identity across execution contexts and pool widths, straight
-    /// from the facade: the rule population (keys, supports, metrics,
-    /// scores) of inline, one-worker-pool and worker-pool runs is the
-    /// same to the bit.
-    #[test]
-    fn rule_output_is_bit_identical_across_exec_contexts(
-        set in arb_set(100),
-        min_support in 1u64..4,
-        pool_width in 2usize..5,
-        miner_idx in 0usize..3,
-    ) {
-        let rc = RuleConfig { min_confidence: 0.2, min_lift: 0.0, rare: false };
-        let miner = MinerKind::ALL[miner_idx];
-        let reference = rules_of(miner, &set, min_support, &rc, Exec::inline());
-        let pool = WorkerPool::new(nz(pool_width));
-        let single = WorkerPool::new(nz(1));
-        for (label, exec) in [
-            ("one-worker pool", Exec::Pool(&single)),
-            ("pool", Exec::Pool(&pool)),
-        ] {
-            let got = rules_of(miner, &set, min_support, &rc, exec);
-            prop_assert_eq!(got.len(), reference.len(), "{} count", label);
-            for (a, b) in got.rules.iter().zip(&reference.rules) {
-                prop_assert_eq!(key(&a.rule), key(&b.rule), "{} order", label);
-                prop_assert_eq!(a.rule.support, b.rule.support);
-                prop_assert_eq!(a.score.to_bits(), b.score.to_bits(), "{} score", label);
-                prop_assert_eq!(a.rule.confidence.to_bits(), b.rule.confidence.to_bits());
-                prop_assert_eq!(a.rule.lift.to_bits(), b.rule.lift.to_bits());
-                prop_assert_eq!(a.rule.leverage.to_bits(), b.rule.leverage.to_bits());
-                prop_assert_eq!(
-                    a.rule.conviction.map(f64::to_bits),
-                    b.rule.conviction.map(f64::to_bits)
-                );
-            }
-        }
-    }
-
     /// Rare mode only widens the search: every rule found in normal mode
     /// is also found (same supports) when the per-level floor is on.
     #[test]
@@ -193,8 +141,8 @@ proptest! {
         let normal = RuleConfig { min_confidence: 0.2, min_lift: 0.0, rare: false };
         let rare = RuleConfig { rare: true, ..normal };
         let miner = MinerKind::ALL[miner_idx];
-        let base = rules_of(miner, &set, min_support, &normal, Exec::inline());
-        let widened = rules_of(miner, &set, min_support, &rare, Exec::inline());
+        let base = rules_of(miner, &set, min_support, &normal);
+        let widened = rules_of(miner, &set, min_support, &rare);
         prop_assert!(widened.len() >= base.len());
         for scored in &base.rules {
             let found = widened

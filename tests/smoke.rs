@@ -22,7 +22,7 @@ fn quickstart_extracts_planted_flood() {
         ..ExtractionConfig::default()
     };
 
-    let mut pipeline = Engine::sequential(config).unwrap();
+    let mut pipeline = Engine::new(config).unwrap();
     let mut found = false;
     let mut extractions = 0usize;
     for i in 0..scenario.interval_count() {

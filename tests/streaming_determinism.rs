@@ -1,13 +1,12 @@
 //! Streaming determinism suite: the continuous streaming engine must be
 //! **bit-identical** to batch extraction over the same flows — for every
-//! miner, every pool-worker count, and arbitrary scenario seeds. The
-//! streaming path adds two layers on top of the sharded engine (the
-//! interval assembler and the double-buffered pipeline thread), and
-//! neither may perturb a single bit of output: the assembler emits
-//! exactly the windows batch slicing produces (empty windows included),
-//! and the pipeline thread feeds them in order through the same
-//! pool-backed engine. These properties assert the whole stack, flow by
-//! flow, against the sequential reference.
+//! miner and arbitrary scenario seeds. The streaming path adds two
+//! layers on top of the engine (the interval assembler and the
+//! double-buffered pipeline thread), and neither may perturb a single
+//! bit of output: the assembler emits exactly the windows batch slicing
+//! produces (empty windows included), and the pipeline thread feeds them
+//! in order through the same engine. These properties assert the whole
+//! stack, flow by flow, against the batch reference.
 
 use anomex::core::streaming::StreamingExtractor;
 use anomex::core::{Engine, Extraction, ExtractionConfig};
@@ -15,10 +14,6 @@ use anomex::prelude::*;
 use anomex_core::IntervalOutcome;
 use proptest::prelude::*;
 use std::num::NonZeroUsize;
-
-fn nz(n: usize) -> NonZeroUsize {
-    NonZeroUsize::new(n).unwrap()
-}
 
 fn config_for(scenario: &Scenario, miner: MinerKind) -> ExtractionConfig {
     ExtractionConfig {
@@ -83,21 +78,20 @@ proptest! {
 
     /// Flow-by-flow streaming through [`StreamingExtractor`] produces
     /// the same alarm stream, meta-data, bit-identical KL series, and
-    /// identical extractions as the sequential batch pipeline — for
-    /// every miner and pool-worker count.
+    /// identical extractions as the batch pipeline — for every miner.
     #[test]
-    fn streaming_equals_batch_for_every_miner_and_shard_count(
+    fn streaming_equals_batch_for_every_miner(
         seed in 0u64..1_000,
-        shards in 1usize..=6,
         miner_idx in 0usize..3,
     ) {
         let scenario = Scenario::small(seed);
         let miner = MinerKind::ALL[miner_idx];
         let intervals = scenario.interval_count().min(22);
 
-        let mut batch = Engine::sequential(config_for(&scenario, miner)).unwrap();
+        let mut batch = Engine::new(config_for(&scenario, miner)).unwrap();
         let mut stream =
-            StreamingExtractor::try_new(config_for(&scenario, miner), nz(shards), 0).unwrap();
+            StreamingExtractor::try_new(config_for(&scenario, miner), NonZeroUsize::MIN, 0)
+                .unwrap();
 
         let mut events = Vec::new();
         let mut batch_outcomes = Vec::new();
@@ -119,71 +113,30 @@ proptest! {
             assert_outcomes_identical(
                 &event.outcome,
                 reference,
-                &format!("seed={seed} miner={miner} shards={shards} interval={i}"),
+                &format!("seed={seed} miner={miner} interval={i}"),
             );
         }
     }
 
-    /// The streamed event sequence is itself shard-invariant: any two
-    /// pool-worker counts yield byte-for-byte the same reports.
-    #[test]
-    fn streamed_reports_are_shard_invariant(
-        seed in 0u64..1_000,
-        shards_a in 1usize..=4,
-        shards_b in 5usize..=8,
-    ) {
-        let scenario = Scenario::small(seed);
-        let intervals = scenario.interval_count().min(22);
-        let run = |shards: usize| -> Vec<String> {
-            let mut stream = StreamingExtractor::try_new(
-                config_for(&scenario, MinerKind::Apriori),
-                nz(shards),
-                0,
-            )
-            .unwrap();
-            let mut reports = Vec::new();
-            for i in 0..intervals {
-                for flow in scenario.generate(i).flows {
-                    for event in stream.push(flow) {
-                        if let Some(ex) = &event.outcome.extraction {
-                            reports.push(anomex::core::render_report(ex));
-                        }
-                    }
-                }
-            }
-            let (tail, _) = stream.finish();
-            for event in tail {
-                if let Some(ex) = &event.outcome.extraction {
-                    reports.push(anomex::core::render_report(ex));
-                }
-            }
-            reports
-        };
-        prop_assert_eq!(run(shards_a), run(shards_b));
-    }
 }
 
-/// Dropping a mid-stream engine (pool + pipeline thread active, work in
-/// flight) must join every thread without hanging or leaking — the
-/// facade-level shutdown-safety check for the whole worker-pool stack.
+/// Dropping a mid-stream extractor (pipeline thread active, work in
+/// flight) must join its thread without hanging or leaking — the
+/// facade-level shutdown-safety check of the streaming stack.
 #[test]
 fn abandoned_streams_and_extractors_shut_down_cleanly() {
     let scenario = Scenario::small(3);
-    for shards in [1usize, 2, 4] {
-        let mut stream =
-            StreamingExtractor::try_new(config_for(&scenario, MinerKind::Apriori), nz(shards), 0)
-                .unwrap();
-        // Enough flows to close a few intervals and keep work queued.
-        for i in 0..3 {
-            for flow in scenario.generate(i).flows {
-                let _ = stream.push(flow);
-            }
+    let mut stream = StreamingExtractor::try_new(
+        config_for(&scenario, MinerKind::Apriori),
+        NonZeroUsize::MIN,
+        0,
+    )
+    .unwrap();
+    // Enough flows to close a few intervals and keep work queued.
+    for i in 0..3 {
+        for flow in scenario.generate(i).flows {
+            let _ = stream.push(flow);
         }
-        drop(stream);
-
-        let mut sharded =
-            Engine::new(config_for(&scenario, MinerKind::Apriori), nz(shards)).unwrap();
-        let _ = sharded.process(&scenario.generate(0).flows);
-        drop(sharded); // joins the persistent pool
     }
+    drop(stream);
 }

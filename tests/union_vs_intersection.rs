@@ -83,7 +83,7 @@ fn extract(flows: &[FlowRecord], md: &MetaData, prefilter: PrefilterMode) -> Ext
         prefilter,
         ..ExtractionConfig::default()
     };
-    Engine::sequential(config).unwrap().extract(flows, md)
+    Engine::new(config).unwrap().extract(flows, md)
 }
 
 #[test]

@@ -27,8 +27,8 @@ fn config(interval_ms: u64) -> ExtractionConfig {
 #[test]
 fn v5_round_trip_preserves_extractions() {
     let scenario = scenario();
-    let mut direct = Engine::sequential(config(scenario.interval_ms())).unwrap();
-    let mut via_wire = Engine::sequential(config(scenario.interval_ms())).unwrap();
+    let mut direct = Engine::new(config(scenario.interval_ms())).unwrap();
+    let mut via_wire = Engine::new(config(scenario.interval_ms())).unwrap();
 
     for i in 0..scenario.interval_count() {
         let interval = scenario.generate(i);
@@ -73,7 +73,7 @@ fn streaming_assembly_equals_batch() {
     let interval_ms = scenario.interval_ms();
 
     // Batch run.
-    let mut batch = Engine::sequential(config(interval_ms)).unwrap();
+    let mut batch = Engine::new(config(interval_ms)).unwrap();
     let mut batch_extractions = Vec::new();
     for i in 0..scenario.interval_count() {
         let interval = scenario.generate(i);
@@ -83,7 +83,7 @@ fn streaming_assembly_equals_batch() {
     }
 
     // Streaming run: all flows through an IntervalAssembler.
-    let mut stream = Engine::sequential(config(interval_ms)).unwrap();
+    let mut stream = Engine::new(config(interval_ms)).unwrap();
     let mut assembler = IntervalAssembler::new(0, interval_ms);
     let mut stream_extractions = Vec::new();
     for i in 0..scenario.interval_count() {
@@ -134,7 +134,7 @@ fn datagram_loss_is_detected_and_survivable() {
         min_support: 500,
         ..config(scenario.interval_ms())
     };
-    let ex = Engine::sequential(config).unwrap().extract(&flows, &md);
+    let ex = Engine::new(config).unwrap().extract(&flows, &md);
     assert!(
         ex.itemsets
             .iter()
