@@ -14,7 +14,7 @@
 
 use anomex_bench::arg_scale;
 use anomex_detector::{DetectorBank, DetectorConfig};
-use anomex_netflow::{IntervalAssembler, MINUTE_MS};
+use anomex_netflow::{FlowColumns, IntervalAssembler, MINUTE_MS};
 use anomex_traffic::{Scenario, INTERVALS_PER_DAY};
 
 /// Run detection over the scenario re-intervaled at `delta_ms` with `k`
@@ -41,25 +41,25 @@ fn run(scenario: &Scenario, delta_ms: u64, bins: u32) -> (usize, usize, usize, u
 
     let skip_ms = INTERVALS_PER_DAY * 15 * MINUTE_MS; // training day
     let (mut tp, mut pos, mut fp, mut neg) = (0, 0, 0, 0);
-    let mut process =
-        |begin_ms: u64, flows: &[anomex_netflow::FlowRecord], bank: &mut DetectorBank| {
-            let obs = bank.observe(flows);
-            if begin_ms < skip_ms {
-                return;
+    let mut process = |begin_ms: u64, flows: &FlowColumns, bank: &mut DetectorBank| {
+        let partial = bank.hasher().partial_columns(flows, 0..flows.len());
+        let obs = bank.observe_partial(partial);
+        if begin_ms < skip_ms {
+            return;
+        }
+        match (is_anomalous(begin_ms), obs.alarm) {
+            (true, true) => {
+                tp += 1;
+                pos += 1;
             }
-            match (is_anomalous(begin_ms), obs.alarm) {
-                (true, true) => {
-                    tp += 1;
-                    pos += 1;
-                }
-                (true, false) => pos += 1,
-                (false, true) => {
-                    fp += 1;
-                    neg += 1;
-                }
-                (false, false) => neg += 1,
+            (true, false) => pos += 1,
+            (false, true) => {
+                fp += 1;
+                neg += 1;
             }
-        };
+            (false, false) => neg += 1,
+        }
+    };
 
     for i in 0..scenario.interval_count() {
         let labeled = scenario.generate(i);

@@ -38,7 +38,8 @@ USAGE:
       With --sources N > 1, synthesize an N-link multi-exporter workload
       (anomalies on link 0, tapering rates and clock skews on the rest)
       and write one trace file per link. --sources is at least 1
-      (default 1), and --out is given exactly once per source.
+      (default 1), and --out is given exactly once per source, each a
+      distinct file path (not -: generate does not write to stdout).
 
   anomex extract --in FILE [--in FILE ...] [--interval-min N] [--training N]
                  [--support N] [--miner apriori|fpgrowth|eclat] [--threads N]
@@ -187,6 +188,16 @@ fn generate_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
         return Err(format!(
             "--sources {sources} needs exactly {sources} --out files (got {})",
             outs.len()
+        ));
+    }
+    // Either would lose a link silently: `-` names a file, not stdout,
+    // and a repeated path keeps only the last link written to it.
+    if outs.iter().any(|p| p == "-") {
+        return Err("--out - would write a file named \"-\", not stdout; name a file".into());
+    }
+    if let Some(dup) = (1..outs.len()).find_map(|i| outs[..i].iter().find(|p| **p == outs[i])) {
+        return Err(format!(
+            "--out {dup} is given more than once; each source needs its own file"
         ));
     }
     if sources > 1 {
@@ -910,14 +921,7 @@ fn replay_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
         0 => None,
         n => Some(n),
     };
-    // The run settings every summary line ends with.
-    let settings = format!(
-        "s = {}, Δ = {} min, miner = {}, threads = {threads}",
-        config.min_support,
-        config.interval_ms / MINUTE_MS,
-        config.miner
-    );
-    let replay = Replay::open(args, config.interval_ms)?;
+    let mut replay = Replay::open(args, config.interval_ms)?;
 
     // Resume restores the full online state — configuration included —
     // from the checkpoint; otherwise start cold from the CLI options.
@@ -929,6 +933,12 @@ fn replay_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
     let (mut engine, mut consumed) = if let Some(path) = &resume_from {
         let sources = replay.lanes.len();
         let resumed = restore_from_checkpoint(path, sources, force_rare)?;
+        // The checkpointed run's origins, not the ones this run's Δ
+        // infers: they fix the replay order, and with it the flows the
+        // skip below passes over.
+        for (lane, spec) in replay.lanes.iter_mut().zip(resumed.0.assembler().sources()) {
+            lane.origin = spec.origin_ms;
+        }
         note(format_args!(
             "resumed from {} ({} flows already consumed)",
             path.display(),
@@ -943,6 +953,14 @@ fn replay_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
         let engine = MultiSourceExtractor::try_new(config, NonZeroUsize::MIN, &specs, max_lag);
         (engine.map_err(String::from)?, 0)
     };
+    // The run settings every summary line ends with, as the engine
+    // runs them (a resume runs the checkpoint's).
+    let settings = format!(
+        "s = {}, Δ = {} min, miner = {}, threads = {threads}",
+        engine.config().min_support,
+        engine.config().interval_ms / MINUTE_MS,
+        engine.config().miner
+    );
 
     let clock_ms = match engine.assembler().sources().as_slice() {
         [one] => one.origin_ms,
@@ -1591,6 +1609,47 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A resume restores the configuration from the checkpoint, so one
+    /// given only the `--in` list continues the fan-in exactly: the
+    /// lanes keep the checkpointed run's origins (the replay order, and
+    /// what the resume skips, follow from them) and the trailer names
+    /// the restored settings. Link 0 starts 10 ms before a minute
+    /// boundary, so the default Δ of 15 min would put both lanes on
+    /// origin 0 where the 1-minute run put link 1 on 60 000 ms.
+    #[test]
+    fn fan_in_resume_given_only_the_inputs_continues_the_run() {
+        let dir = scratch_dir("anomex-cli-fanin-bare-resume-test");
+        let scenario = Scenario::small(11);
+        let ins = write_traces(&dir, 2, 25, |s, i| {
+            let mut flows = scenario.generate(i + 1).flows;
+            if s == 0 {
+                for flow in &mut flows {
+                    flow.start_ms -= 10;
+                    flow.end_ms -= 10;
+                }
+            }
+            flows
+        })
+        .join(" ");
+        let durable = format!("stream {ins} --checkpoint-dir {}", dir.display());
+        let opts = "--interval-min 1 --training 10 --support 800";
+        let full = run(replay_to, &format!("stream {ins} {opts}"));
+        let part1 = run(replay_to, &format!("{durable} {opts} --stop-after 12"));
+        let part2 = run(replay_to, &format!("{durable} --resume"));
+        assert!(
+            reports(&part2).contains("Anomaly extraction report"),
+            "the resumed half extracts the flood"
+        );
+        assert_eq!(reports(&format!("{part1}{part2}")), reports(&full));
+        let trailer = line(&part2, "fan-in:");
+        assert_eq!(trailer, line(&full, "fan-in:"));
+        assert!(trailer.contains("(s = 800, Δ = 1 min, "), "{trailer}");
+        for prefix in ["source src0 ", "source src1 "] {
+            assert_eq!(line(&part2, prefix), line(&full, prefix));
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     /// A checkpoint file in the parent's layout — header version 1, the
     /// single-source engine's payload (`IntervalAssembler` snapshot,
     /// flow count, five stream counters, `Engine::snapshot`) inside the
@@ -2168,6 +2227,40 @@ mod tests {
         assert!(!Path::new(&a).exists() && !Path::new(&b).exists());
         generate(&format!("generate --sources 1 --out {a} --intervals 1")).unwrap();
         assert!(Path::new(&a).exists());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Two sources written to one path would leave only the last link
+    /// in it, so a repeated `--out` is refused before anything is
+    /// written.
+    #[test]
+    fn generate_refuses_a_repeated_out_file() {
+        let dir = scratch_dir("anomex-cli-test-generate-repeated-out");
+        let a = dir.join("x.nfv5").display().to_string();
+        let line = format!("generate --sources 2 --out {a} --out {a} --intervals 1");
+        let err = super::run(&argv(&line)).unwrap_err();
+        assert_eq!(
+            err,
+            format!("--out {a} is given more than once; each source needs its own file")
+        );
+        assert!(!Path::new(&a).exists(), "nothing is written");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `--in -` reads stdin, but `generate` writes files only, so
+    /// `--out -` is refused instead of writing a file named `-`.
+    #[test]
+    fn generate_refuses_out_dash() {
+        let dir = scratch_dir("anomex-cli-test-generate-out-dash");
+        let b = dir.join("b.nfv5").display().to_string();
+        for line in [
+            "generate --out - --intervals 1".to_string(),
+            format!("generate --sources 2 --out - --out {b} --intervals 1"),
+        ] {
+            let err = super::run(&argv(&line)).unwrap_err();
+            assert!(err.starts_with("--out - "), "{line}: {err}");
+        }
+        assert!(!Path::new("-").exists() && !Path::new(&b).exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 

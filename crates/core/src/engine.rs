@@ -41,10 +41,9 @@
 //! **Columnar storage.** The engine holds each interval as a
 //! [`FlowColumns`] struct-of-arrays store: every hot pass — histograms,
 //! pre-filter verdicts, transaction gathering — walks only the
-//! contiguous column(s) it reads. Record-slice input transposes once per
-//! interval into a recycled columnar scratch buffer.
-
-use std::sync::Arc;
+//! contiguous column(s) it reads. The streaming path assembles its
+//! windows as columns and hands them over as they are; a record slice
+//! is transposed into fresh columns on each call.
 
 use anomex_detector::{BankHasher, DetectorBank, MetaData};
 use anomex_mining::RuleConfig;
@@ -57,12 +56,11 @@ use crate::prefilter::{prefilter_indices_columns_with, PrefilterScratch};
 
 /// One interval's flows, in whichever representation the caller already
 /// holds. [`Engine::process`] accepts `impl Into<IntervalInput>`, so
-/// record slices (plain, `Vec`- or `Arc<Vec>`-owned) and columnar stores
-/// all feed the same entry point.
+/// record slices (plain or `Vec`-owned) and columnar stores all feed
+/// the same entry point.
 #[derive(Debug)]
 pub enum IntervalInput<'a> {
-    /// A borrowed record slice (transposed once into the engine's
-    /// recycled columnar scratch).
+    /// A borrowed record slice, transposed into columns on each call.
     Records(&'a [FlowRecord]),
     /// A columnar store — the transpose-free path.
     Columns(&'a FlowColumns),
@@ -76,12 +74,6 @@ impl<'a> From<&'a [FlowRecord]> for IntervalInput<'a> {
 
 impl<'a> From<&'a Vec<FlowRecord>> for IntervalInput<'a> {
     fn from(flows: &'a Vec<FlowRecord>) -> Self {
-        IntervalInput::Records(flows)
-    }
-}
-
-impl<'a> From<&'a Arc<Vec<FlowRecord>>> for IntervalInput<'a> {
-    fn from(flows: &'a Arc<Vec<FlowRecord>>) -> Self {
         IntervalInput::Records(flows)
     }
 }
@@ -152,9 +144,6 @@ pub struct Engine {
     /// The bank's immutable histogramming spec, built once; the mutable
     /// scoring state stays in `bank`.
     hasher: BankHasher,
-    /// Recycled columnar store record input transposes into — one
-    /// column-build pass per interval, no per-interval allocation churn.
-    scratch: FlowColumns,
     /// Recycled pre-filter hit buffer, so steady-state pre-filtering
     /// does not re-allocate one byte per flow each alarmed interval.
     prefilter_scratch: PrefilterScratch,
@@ -175,7 +164,6 @@ impl Engine {
             config,
             bank,
             hasher,
-            scratch: FlowColumns::new(),
             prefilter_scratch: PrefilterScratch::default(),
         })
     }
@@ -236,21 +224,14 @@ impl Engine {
     /// Feed one interval through detection and, on alarm, extraction —
     /// accepting the interval in whichever representation the caller
     /// holds (see [`IntervalInput`]); bit-identical across
-    /// representations of the same flows. Records transpose once into
-    /// the engine's recycled columnar scratch store; a columnar interval
-    /// (e.g. built straight from datagrams via
+    /// representations of the same flows. Records are transposed into
+    /// columns first; a columnar interval (an assembled window, or one
+    /// built straight from datagrams via
     /// [`decode_into_columns`](anomex_netflow::v5::decode_into_columns))
-    /// skips the transpose.
+    /// is scanned as it is.
     pub fn process<'a>(&mut self, input: impl Into<IntervalInput<'a>>) -> IntervalOutcome {
         match input.into() {
-            IntervalInput::Records(flows) => {
-                let mut cols = std::mem::take(&mut self.scratch);
-                cols.clear();
-                cols.extend_from_flows(flows);
-                let outcome = self.process_columns(&cols);
-                self.scratch = cols;
-                outcome
-            }
+            IntervalInput::Records(flows) => self.process_columns(&FlowColumns::from_flows(flows)),
             IntervalInput::Columns(cols) => self.process_columns(cols),
         }
     }
@@ -420,13 +401,12 @@ mod tests {
     fn process_accepts_every_interval_representation() {
         let scenario = Scenario::small(11);
         let mut by_slice = Engine::new(test_config(800)).unwrap();
-        let mut by_arc = Engine::new(test_config(800)).unwrap();
+        let mut by_vec = Engine::new(test_config(800)).unwrap();
         let mut by_columns = Engine::new(test_config(800)).unwrap();
         for i in 0..scenario.interval_count().min(14) {
             let interval = scenario.generate(i);
             let a = by_slice.process(interval.flows.as_slice());
-            let shared = Arc::new(interval.flows.clone());
-            let b = by_arc.process(&shared);
+            let b = by_vec.process(&interval.flows);
             let mut cols = FlowColumns::new();
             for flow in &interval.flows {
                 cols.push(flow);

@@ -32,6 +32,10 @@
 //! windows a plain assembler would. [`StreamingExtractor`] is only a
 //! shorthand for that case.
 //!
+//! Windows are assembled as [`FlowColumns`](anomex_netflow::FlowColumns)
+//! and the pipeline thread hands them to [`Engine::process`] as they
+//! are: no interval is transposed or copied as records on the way.
+//!
 //! The detector bank lives inside the pipeline thread's
 //! [`Engine`] for the whole life of the stream, so baseline
 //! state — reference histograms, KL series, fitted σ̂ thresholds —
@@ -110,23 +114,6 @@ pub fn latency_percentile(latencies: &mut [u64], p: f64) -> u64 {
     latencies[rank.clamp(1, latencies.len()) - 1]
 }
 
-/// A closed interval plus the grid's cumulative drop count at the moment
-/// it closed — what the caller thread hands the pipeline thread. The
-/// interval travels whole: the pipeline thread extracts it and moves its
-/// flows and per-source counts into the [`MultiStreamEvent`] it sends
-/// back.
-#[derive(Debug)]
-struct Work {
-    /// The interval, its flows moved out into `flow_data`.
-    interval: MergedInterval,
-    /// The interval's flows, moved on into the event. The `Arc` is built
-    /// on the caller's thread, which also drops the event: built on the
-    /// pipeline thread, it raised the stream's measured peak RSS by
-    /// ≈ 1 MiB (2 %) on a 136-interval replay.
-    flow_data: Arc<Vec<FlowRecord>>,
-    dropped_flows: u64,
-}
-
 /// What travels down the pipeline thread's command channel. Snapshot and
 /// reconfig requests share the channel with interval work, so they land
 /// **between intervals** by FIFO order: every interval submitted before
@@ -135,8 +122,13 @@ struct Work {
 /// change or a checkpoint.
 #[derive(Debug)]
 enum Command {
-    /// Extract one closed interval.
-    Work(Work),
+    /// Extract one closed interval, which closed with the grid's drops
+    /// at `dropped_flows`. The interval travels whole: its per-source
+    /// counts move on into the [`MultiStreamEvent`] sent back.
+    Work {
+        interval: Box<MergedInterval>,
+        dropped_flows: u64,
+    },
     /// Serialize the engine's state and reply with the payload.
     Snapshot(SyncSender<Vec<u8>>),
     /// Apply a parameter change at this interval boundary; reply with
@@ -154,20 +146,27 @@ fn pipeline_loop(
 ) -> Engine {
     while let Ok(command) = work_rx.recv() {
         match command {
-            Command::Work(Work {
+            Command::Work {
                 interval,
-                flow_data,
                 dropped_flows,
-            }) => {
+            } => {
                 let started = Instant::now();
-                let outcome = engine.process(&flow_data);
+                let outcome = engine.process(&interval.flows);
                 let process_micros = started.elapsed().as_micros() as u64;
+                // Records only where a per-source rule merge can be
+                // rendered: two or more sources and mined rules.
+                let has_rules = (outcome.extraction.as_ref()).is_some_and(|e| e.rules.is_some());
+                let flow_data = if has_rules && interval.source_flows.len() >= 2 {
+                    Arc::new(interval.flows.to_flows())
+                } else {
+                    Arc::default()
+                };
                 let event = MultiStreamEvent {
                     event: StreamEvent {
                         index: interval.index,
                         begin_ms: interval.begin_ms,
                         end_ms: interval.end_ms,
-                        flows: flow_data.len(),
+                        flows: interval.flows.len(),
                         dropped_flows,
                         process_micros,
                         outcome,
@@ -257,18 +256,6 @@ impl PipelineHandle {
             self.reconfigs_applied,
             self.reconfigs_rejected,
         ]
-    }
-
-    /// Queue one assembled interval for extraction, first draining every
-    /// event the pipeline thread has finished (so it can never stall on
-    /// a full event channel while we wait for the double buffer).
-    ///
-    /// # Panics
-    ///
-    /// Re-raises a panic from the pipeline thread.
-    fn submit(&mut self, work: Work, into: &mut Vec<MultiStreamEvent>) {
-        self.drain_ready(into);
-        self.send(Command::Work(work));
     }
 
     /// Send a command that replies (a snapshot or a reconfiguration) and
@@ -388,13 +375,14 @@ pub struct MultiStreamEvent {
     /// How many flows each registered source contributed, in source
     /// registration order.
     pub source_flows: Vec<usize>,
-    /// The merged interval's flows (per-source segments concatenated in
-    /// registration order, as `source_flows` partitions them) — the very
-    /// `Vec` the pipeline thread extracted, moved into the event, so
-    /// keeping the event keeps no copy.
-    /// Lets callers re-mine the interval per source, e.g. for the
-    /// weighted per-source rule merge
-    /// ([`merge_source_rules`](crate::merge_source_rules)).
+    /// The merged interval's flows as records (per-source segments
+    /// concatenated in registration order, as `source_flows` partitions
+    /// them), for the weighted per-source rule merge
+    /// ([`merge_source_rules`](crate::merge_source_rules)). Filled only
+    /// when that merge can be rendered — at least two sources and an
+    /// extraction with rules — and empty otherwise. It stays for the
+    /// frozen benchmark replica and the CLI's merge until ROADMAP items
+    /// 3 and 12(b).
     pub flow_data: Arc<Vec<FlowRecord>>,
 }
 
@@ -708,17 +696,17 @@ impl MultiSourceExtractor {
     }
 
     /// Submit freshly merged intervals to the pipeline thread and return
-    /// every event that came back.
+    /// every event that came back. Each submit first drains the finished
+    /// events, so the pipeline thread never stalls on a full event
+    /// channel while this thread waits for the double buffer.
     fn submit_merged(&mut self, merged: Vec<MergedInterval>) -> Vec<MultiStreamEvent> {
         let mut events = Vec::new();
-        for mut interval in merged {
-            let flow_data = Arc::new(std::mem::take(&mut interval.flows));
-            let work = Work {
-                interval,
-                flow_data,
+        for interval in merged {
+            self.pipe.drain_ready(&mut events);
+            self.pipe.send(Command::Work {
+                interval: Box::new(interval),
                 dropped_flows: self.assembler.dropped_flows(),
-            };
-            self.pipe.submit(work, &mut events);
+            });
         }
         self.pipe.drain_ready(&mut events);
         events
@@ -778,6 +766,7 @@ fn plain(events: Vec<MultiStreamEvent>) -> Vec<StreamEvent> {
 mod tests {
     use super::*;
     use anomex_detector::DetectorConfig;
+    use anomex_mining::RuleConfig;
     use anomex_netflow::Protocol;
     use anomex_traffic::Scenario;
     use std::net::Ipv4Addr;
@@ -1102,6 +1091,62 @@ mod tests {
         assert_eq!(summary.sources[0].flows, 2);
         assert_eq!(summary.sources[1].flows, 1);
         assert_eq!(summary.dropped_flows, 0);
+    }
+
+    /// `flow_data` carries records only where the per-source rule merge
+    /// can be rendered: on a two-source grid, an event with an
+    /// extraction and rules holds the sources' window records
+    /// concatenated in registration order; every other event — no
+    /// extraction, rules off, or a one-lane grid — holds none.
+    #[test]
+    fn flow_data_is_filled_only_for_a_renderable_rule_merge() {
+        let scenario = Scenario::small(11);
+        let intervals = scenario.interval_count().min(23);
+        // Flow j of each interval goes to source j % 2.
+        let windows: Vec<[Vec<FlowRecord>; 2]> = (0..intervals)
+            .map(|i| {
+                let flows = scenario.generate(i).flows;
+                let mut split = [Vec::new(), Vec::new()];
+                for (j, flow) in flows.into_iter().enumerate() {
+                    split[j % 2].push(flow);
+                }
+                split
+            })
+            .collect();
+        for rules in [Some(RuleConfig::default()), None] {
+            let config = ExtractionConfig {
+                rules,
+                ..test_config(scenario.interval_ms())
+            };
+            let mut multi = fan_in(config.clone(), &two_specs()).unwrap();
+            let mut lane = one_lane(config, 0);
+            let (mut events, mut lane_events) = (Vec::new(), Vec::new());
+            for split in &windows {
+                for j in 0..split[0].len() + split[1].len() {
+                    let flow = split[j % 2][j / 2];
+                    events.extend(multi.push(SourceId((j % 2) as u32), flow));
+                    lane_events.extend(lane.push(SRC, flow));
+                }
+            }
+            events.extend(multi.finish().0);
+            lane_events.extend(lane.finish().0);
+            assert_eq!(events.len(), windows.len());
+            let mut merges = 0;
+            for (e, split) in events.iter().zip(&windows) {
+                let extracted = e.event.outcome.extraction.is_some();
+                if extracted && rules.is_some() {
+                    merges += 1;
+                    assert_eq!(*e.flow_data, split.concat(), "interval {}", e.event.index);
+                } else {
+                    assert!(e.flow_data.is_empty(), "interval {}", e.event.index);
+                }
+            }
+            assert_eq!(merges > 0, rules.is_some(), "the planted flood extracts");
+            assert!(lane_events
+                .iter()
+                .any(|e| e.event.outcome.extraction.is_some()));
+            assert!(lane_events.iter().all(|e| e.flow_data.is_empty()));
+        }
     }
 
     #[test]

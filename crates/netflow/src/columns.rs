@@ -8,13 +8,17 @@
 //! contiguous columns so a per-feature scan reads exactly the bytes it
 //! needs, in order.
 //!
-//! The columnar store is a drop-in sibling of `Vec<FlowRecord>`:
+//! It is the one interval layout of the live path: the interval
+//! assemblers ([`crate::IntervalAssembler`], [`crate::MergeAssembler`])
+//! push each arriving flow into the open window's columns, and the
+//! engine scans the closed window as it is. Around that:
 //!
 //! - [`FlowColumns::from_flows`] converts a record batch;
 //! - [`crate::v5::decode_into_columns`] parses NetFlow v5 datagrams
 //!   straight into columns with no intermediate `FlowRecord`;
-//! - [`FlowColumns::get`] / [`FlowColumns::iter`] reassemble records on
-//!   demand (the compatibility shim for record-oriented consumers);
+//! - [`FlowColumns::get`] / [`FlowColumns::iter`] /
+//!   [`FlowColumns::to_flows`] reassemble records on demand (checkpoints
+//!   and the per-source rule merge still read rows as records);
 //! - [`FlowColumns::for_each_raw`] is the one hot-path accessor (the
 //!   detector's histogram build and the pre-filter both scan through
 //!   it): it matches the feature **once**, then runs a tight loop over
@@ -139,8 +143,7 @@ impl FlowColumns {
         self.start_ms.is_empty()
     }
 
-    /// Drop all rows, keeping every column's allocation for reuse (the
-    /// recycled-scratch pattern of the streaming engine).
+    /// Drop all rows, keeping every column's allocation for reuse.
     pub fn clear(&mut self) {
         self.start_ms.clear();
         self.end_ms.clear();

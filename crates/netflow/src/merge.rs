@@ -19,6 +19,10 @@
 //!                  (flows concatenated in source registration order)
 //! ```
 //!
+//! Every window travels as [`FlowColumns`]: a merged interval takes the
+//! first source's segment as it is and appends the others column by
+//! column, so no interval is copied as records on its way to the engine.
+//!
 //! **Determinism.** A merged interval's flows are the concatenation, in
 //! source registration order, of each source's window-`i` flows in that
 //! source's arrival order. Both orders are independent of how pushes
@@ -39,6 +43,7 @@
 
 use std::collections::BTreeMap;
 
+use crate::columns::FlowColumns;
 use crate::flow::FlowRecord;
 use crate::snapshot::{RestoreError, SnapshotReader, SnapshotWriter};
 use crate::source::{SourceId, SourceSpec};
@@ -80,7 +85,7 @@ pub struct MergedInterval {
     pub end_ms: u64,
     /// Every source's flows for this window, concatenated in source
     /// registration order (each source's segment in its arrival order).
-    pub flows: Vec<FlowRecord>,
+    pub flows: FlowColumns,
     /// How many flows each registered source contributed, in
     /// registration order — the per-source weights of the union.
     pub source_flows: Vec<usize>,
@@ -119,7 +124,7 @@ struct SourceLane {
     assembler: IntervalAssembler,
     /// Windows this source has closed but the grid has not: grid index →
     /// the source's flows for that window.
-    pending: BTreeMap<u64, Vec<FlowRecord>>,
+    pending: BTreeMap<u64, FlowColumns>,
     /// Whether the source declared end-of-stream; finished sources no
     /// longer hold the watermark.
     finished: bool,
@@ -131,7 +136,7 @@ impl SourceLane {
     /// Accept one window the inner assembler closed: stash it for the
     /// grid, or drop it as stale when the grid already force-closed that
     /// slot.
-    fn accept(&mut self, index: u64, flows: Vec<FlowRecord>, grid_next: u64) {
+    fn accept(&mut self, index: u64, flows: FlowColumns, grid_next: u64) {
         if index < grid_next {
             self.stale_flows += flows.len() as u64;
         } else if !flows.is_empty() {
@@ -345,7 +350,7 @@ impl MergeAssembler {
             w.usize(lane.pending.len());
             for (&index, flows) in &lane.pending {
                 w.u64(index);
-                w.flows(flows);
+                w.flows(&flows.to_flows());
             }
             w.u64(lane.assembler.closed_below());
             w.bool(lane.finished);
@@ -387,7 +392,7 @@ impl MergeAssembler {
             let mut pending = BTreeMap::new();
             for _ in 0..pending_count {
                 let index = r.u64()?;
-                pending.insert(index, r.flows()?);
+                pending.insert(index, r.flows()?.into_iter().collect());
             }
             let _closed_below = r.u64()?; // derived from the assembler
             lanes.push(SourceLane {
@@ -467,18 +472,18 @@ impl MergeAssembler {
         let mut merged = Vec::new();
         while self.grid_next < upto {
             let index = self.grid_next;
-            let mut flows = Vec::new();
+            let mut flows = FlowColumns::new();
             let mut source_flows = Vec::with_capacity(self.lanes.len());
             for lane in &mut self.lanes {
                 match lane.pending.remove(&index) {
-                    Some(mut segment) => {
+                    Some(segment) => {
                         source_flows.push(segment.len());
                         // Move the first segment in rather than copy it:
                         // with one source it is the whole interval.
                         if flows.is_empty() {
                             flows = segment;
                         } else {
-                            flows.append(&mut segment);
+                            flows.extend_from(&segment);
                         }
                     }
                     None => source_flows.push(0),
@@ -747,6 +752,71 @@ mod tests {
         b.extend(restored.flush());
         assert_eq!(a, b);
         assert_eq!(restored.source_stats(), m.source_stats());
+    }
+
+    /// The checkpoint layout is pinned for the grid too: every lane's
+    /// open window and pending windows are written row by row as
+    /// records. A two-lane payload built that way by hand restores into
+    /// columnar lanes, merges the record concatenations, and encodes
+    /// back to the same bytes.
+    #[test]
+    fn snapshot_writes_lane_windows_as_records() {
+        use crate::stream::tests::record;
+        let p1 = vec![record(1_100, 1), record(1_200, 2)];
+        let p2 = vec![record(2_500, 3)];
+        let a = vec![record(3_300, 4), record(3_100, 5)];
+        let q1 = vec![record(1_300, 6)];
+        let b = vec![record(2_400, 7), record(2_900, 8)];
+        // (id, origin, open index, open window, pending windows)
+        let lanes = [
+            (0u32, 0u64, 3u64, &a, vec![(1u64, &p1), (2, &p2)]),
+            (1, 250, 2, &b, vec![(1, &q1)]),
+        ];
+        let mut w = SnapshotWriter::new();
+        w.u64(1_000); // Δ
+        w.bool(true); // lateness bound…
+        w.u64(2); // …of two intervals
+        w.u64(1); // next grid index
+        w.usize(lanes.len());
+        for (id, origin, open_index, open, pending) in &lanes {
+            w.u32(*id);
+            w.u64(*origin);
+            // The lane's assembler: origin, Δ, open index, open window,
+            // late and pre-origin counts, started.
+            w.u64(*origin);
+            w.u64(1_000);
+            w.u64(*open_index);
+            w.flows(open);
+            w.u64(0);
+            w.u64(0);
+            w.bool(true);
+            w.usize(pending.len());
+            for (index, flows) in pending {
+                w.u64(*index);
+                w.flows(flows);
+            }
+            w.u64(*open_index); // closed below
+            w.bool(false); // finished
+            w.u64(9); // flows pushed
+            w.u64(0); // stale flows
+        }
+        let payload = w.into_bytes();
+        let mut r = SnapshotReader::new(&payload);
+        let mut restored = MergeAssembler::decode_snapshot(&mut r).unwrap();
+        r.finish().unwrap();
+        let mut again = SnapshotWriter::new();
+        restored.encode_snapshot(&mut again);
+        assert_eq!(again.into_bytes(), payload);
+
+        let merged: Vec<(u64, Vec<FlowRecord>, Vec<usize>)> = (restored.flush().into_iter())
+            .map(|iv| (iv.index, iv.flows.to_flows(), iv.source_flows))
+            .collect();
+        let expected = vec![
+            (1, [&p1[..], &q1].concat(), vec![2, 1]),
+            (2, [&p2[..], &b].concat(), vec![1, 2]),
+            (3, a.clone(), vec![2, 0]),
+        ];
+        assert_eq!(merged, expected);
     }
 
     #[test]

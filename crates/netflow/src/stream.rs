@@ -14,9 +14,14 @@
 //! ([`pre_origin_flows`](IntervalAssembler::pre_origin_flows)), so an
 //! operator can tell a mis-set origin (everything pre-origin) from
 //! ordinary export reordering (a trickle of late flows).
+//!
+//! Each flow is pushed straight into the open window's [`FlowColumns`],
+//! the layout the engine scans, so a closed interval needs no transpose.
+//! A new window reserves the rows of the one before it.
 
 use std::fmt;
 
+use crate::columns::FlowColumns;
 use crate::flow::FlowRecord;
 use crate::snapshot::{RestoreError, SnapshotReader, SnapshotWriter};
 
@@ -58,8 +63,9 @@ pub struct ClosedInterval {
     pub begin_ms: u64,
     /// Exclusive window end, ms.
     pub end_ms: u64,
-    /// Flows that started within the window, in arrival order.
-    pub flows: Vec<FlowRecord>,
+    /// Flows that started within the window, in arrival order, one
+    /// column per field.
+    pub flows: FlowColumns,
 }
 
 /// Streaming assembler turning a flow stream into closed intervals.
@@ -68,7 +74,7 @@ pub struct IntervalAssembler {
     origin_ms: u64,
     interval_ms: u64,
     current_index: u64,
-    current: Vec<FlowRecord>,
+    current: FlowColumns,
     late_flows: u64,
     pre_origin_flows: u64,
     started: bool,
@@ -89,7 +95,7 @@ impl IntervalAssembler {
             origin_ms,
             interval_ms,
             current_index: 0,
-            current: Vec::new(),
+            current: FlowColumns::new(),
             late_flows: 0,
             pre_origin_flows: 0,
             started: false,
@@ -135,9 +141,9 @@ impl IntervalAssembler {
             // interval indices always start at zero.
             let mut closed = Vec::new();
             for idx in 0..window {
-                closed.push(self.make_closed(idx, Vec::new()));
+                closed.push(self.make_closed(idx, FlowColumns::new()));
             }
-            self.current.push(flow);
+            self.current.push(&flow);
             return closed;
         }
         if window < self.current_index {
@@ -146,11 +152,9 @@ impl IntervalAssembler {
         }
         let mut closed = Vec::new();
         while window > self.current_index {
-            let flows = std::mem::take(&mut self.current);
-            closed.push(self.make_closed(self.current_index, flows));
-            self.current_index += 1;
+            closed.push(self.close_current());
         }
-        self.current.push(flow);
+        self.current.push(&flow);
         closed
     }
 
@@ -174,22 +178,14 @@ impl IntervalAssembler {
         }
         let mut closed = Vec::new();
         while self.current_index < window {
-            let flows = std::mem::take(&mut self.current);
-            closed.push(self.make_closed(self.current_index, flows));
-            self.current_index += 1;
+            closed.push(self.close_current());
         }
         closed
     }
 
     /// Close and emit the in-progress interval (end of stream).
     pub fn flush(&mut self) -> Option<ClosedInterval> {
-        if !self.started {
-            return None;
-        }
-        let flows = std::mem::take(&mut self.current);
-        let iv = self.make_closed(self.current_index, flows);
-        self.current_index += 1;
-        Some(iv)
+        self.started.then(|| self.close_current())
     }
 
     /// The window length Δ in milliseconds.
@@ -233,7 +229,7 @@ impl IntervalAssembler {
         w.u64(self.origin_ms);
         w.u64(self.interval_ms);
         w.u64(self.current_index);
-        w.flows(&self.current);
+        w.flows(&self.current.to_flows());
         w.u64(self.late_flows);
         w.u64(self.pre_origin_flows);
         w.bool(self.started);
@@ -254,7 +250,7 @@ impl IntervalAssembler {
             return Err(RestoreError::Corrupt("zero interval length".into()));
         }
         let current_index = r.u64()?;
-        let current = r.flows()?;
+        let current = r.flows()?.into_iter().collect();
         let late_flows = r.u64()?;
         let pre_origin_flows = r.u64()?;
         let started = r.bool()?;
@@ -269,7 +265,21 @@ impl IntervalAssembler {
         })
     }
 
-    fn make_closed(&self, index: u64, flows: Vec<FlowRecord>) -> ClosedInterval {
+    /// Emit the open window and open the next, which reserves the rows
+    /// this one held; an empty window hands its reservation on.
+    fn close_current(&mut self) -> ClosedInterval {
+        let rows = self.current.len();
+        let flows = if rows == 0 {
+            FlowColumns::new()
+        } else {
+            std::mem::replace(&mut self.current, FlowColumns::with_capacity(rows))
+        };
+        let closed = self.make_closed(self.current_index, flows);
+        self.current_index += 1;
+        closed
+    }
+
+    fn make_closed(&self, index: u64, flows: FlowColumns) -> ClosedInterval {
         let begin = self.origin_ms + index * self.interval_ms;
         ClosedInterval {
             index,
@@ -281,10 +291,27 @@ impl IntervalAssembler {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::flow::Protocol;
+    use crate::flow::{Protocol, TcpFlags};
     use std::net::Ipv4Addr;
+
+    /// A flow starting at `ms` whose every other field is set from `i`,
+    /// so a row that loses or swaps a field shows.
+    pub(crate) fn record(ms: u64, i: u8) -> FlowRecord {
+        let port = u16::from(i);
+        FlowRecord::new(
+            ms,
+            Ipv4Addr::new(10, i, 0, 1),
+            Ipv4Addr::new(192, 168, i, 2),
+            1024 + port,
+            80 + port,
+            Protocol::from_number(i),
+        )
+        .with_volume(u32::from(i) + 1, 40 * (u32::from(i) + 1))
+        .with_end(ms + u64::from(i))
+        .with_flags(TcpFlags(i))
+    }
 
     fn flow_at(ms: u64) -> FlowRecord {
         FlowRecord::new(
@@ -428,6 +455,39 @@ mod tests {
         assert_eq!(a_out, b_out);
         assert_eq!(asm.late_flows(), restored.late_flows());
         assert_eq!(asm.pre_origin_flows(), restored.pre_origin_flows());
+    }
+
+    /// The checkpoint layout is pinned: the open window is written row
+    /// by row as records ([`SnapshotWriter::flows`]). A payload built
+    /// that way by hand restores into the columnar window, continues
+    /// as the record window would, and encodes back to the same bytes.
+    #[test]
+    fn snapshot_writes_the_open_window_as_records() {
+        let open = vec![record(1_100, 1), record(1_900, 2), record(1_500, 3)];
+        let mut w = SnapshotWriter::new();
+        w.u64(0); // origin
+        w.u64(1_000); // Δ
+        w.u64(1); // open window index
+        w.flows(&open);
+        w.u64(2); // late flows
+        w.u64(1); // pre-origin flows
+        w.bool(true); // started
+        let payload = w.into_bytes();
+        let mut r = SnapshotReader::new(&payload);
+        let mut restored = IntervalAssembler::decode_snapshot(&mut r).unwrap();
+        r.finish().unwrap();
+        let mut again = SnapshotWriter::new();
+        restored.encode_snapshot(&mut again);
+        assert_eq!(again.into_bytes(), payload);
+
+        let mut closed = restored.push(record(3_200, 4));
+        closed.extend(restored.flush());
+        let windows: Vec<(u64, Vec<FlowRecord>)> = (closed.iter())
+            .map(|c| (c.index, c.flows.to_flows()))
+            .collect();
+        let expected = vec![(1, open), (2, vec![]), (3, vec![record(3_200, 4)])];
+        assert_eq!(windows, expected);
+        assert_eq!((restored.late_flows(), restored.pre_origin_flows()), (2, 1));
     }
 
     #[test]
