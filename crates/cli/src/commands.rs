@@ -17,7 +17,7 @@ use anomex_netflow::snapshot::{
     read_checkpoint, write_checkpoint, RestoreError, SnapshotReader, SnapshotWriter,
 };
 use anomex_netflow::v5::{V5Exporter, V5_MAX_RECORDS};
-use anomex_netflow::v9::{TraceItem, TraceReader};
+use anomex_netflow::v9::{Packet, TraceReader};
 use anomex_netflow::{
     FeatureValue, FlowColumns, FlowRecord, ReadError, SourceId, SourceSpec, MINUTE_MS,
 };
@@ -345,38 +345,48 @@ fn generate_multi(args: &Args, outs: &[String], out: &mut impl Write) -> Result<
     .map_err(write_error)
 }
 
-/// Read a capture file, or stdin when `path` is `-`: NetFlow v5 flow
+/// A capture file, or stdin when its path is `-`: NetFlow v5 flow
 /// datagrams optionally interleaved with v9/IPFIX template-only
 /// punctuation packets, framed one packet at a time by a
 /// [`TraceReader`] from a small refilled buffer — a file and a pipe take
 /// the same path.
-fn read_capture(
-    path: &str,
-) -> Result<impl Iterator<Item = Result<TraceItem, String>> + '_, String> {
-    let name = if path == "-" { "stdin" } else { path };
-    let source: Box<dyn Read> = if path == "-" {
-        Box::new(std::io::stdin().lock())
-    } else {
-        Box::new(File::open(path).map_err(|e| format!("cannot read {name}: {e}"))?)
-    };
-    Ok(TraceReader::new(source).map(move |item| {
-        item.map_err(|e| match e {
+struct Capture<'p> {
+    reader: TraceReader<Box<dyn Read>>,
+    path: &'p str,
+}
+
+impl<'p> Capture<'p> {
+    fn open(path: &'p str) -> Result<Self, String> {
+        let source: Box<dyn Read> = if path == "-" {
+            Box::new(std::io::stdin().lock())
+        } else {
+            Box::new(File::open(path).map_err(|e| format!("cannot read {path}: {e}"))?)
+        };
+        Ok(Capture {
+            reader: TraceReader::new(source),
+            path,
+        })
+    }
+
+    /// The next packet, a datagram's records appended to `flows`; `None`
+    /// at the end of the capture.
+    fn read_into(&mut self, flows: &mut Vec<FlowRecord>) -> Result<Option<Packet>, String> {
+        let path = self.path;
+        let name = if path == "-" { "stdin" } else { path };
+        (self.reader.read_into(flows).transpose()).map_err(|e| match e {
             ReadError::Io(e) => format!("cannot read {name}: {e}"),
             ReadError::Decode(e) => format!("{path}: {e}"),
         })
-    }))
+    }
 }
 
 /// Load all flows from a capture, ignoring any v9/IPFIX punctuation
 /// (`analyze` extracts from one flow set and has no watermark to
 /// release).
 fn load_flows(path: &str) -> Result<Vec<FlowRecord>, String> {
+    let mut capture = Capture::open(path)?;
     let mut flows = Vec::new();
-    for item in read_capture(path)? {
-        if let TraceItem::Flows(dgram) = item? {
-            flows.extend(dgram.flows);
-        }
-    }
+    while capture.read_into(&mut flows)?.is_some() {}
     Ok(flows)
 }
 
@@ -493,72 +503,117 @@ fn parse_config(args: &Args) -> Result<ExtractionConfig, String> {
     Ok(config)
 }
 
-/// What a capture hands the engine next: a flow, or an exporter
-/// heartbeat (a v9/IPFIX export clock, absolute source-local ms).
-enum Arrival {
-    Flow(FlowRecord),
+/// What the replay hands the engine next: a run of one lane's flows, or
+/// an exporter heartbeat (a v9/IPFIX export clock, absolute source-local
+/// ms).
+enum Arrival<'a> {
+    Run(&'a [FlowRecord]),
     Heartbeat(u64),
 }
 
-/// Arrivals per block of a [`Lane`] (160 KiB). A lane frees each block
-/// once replayed, so a capture's memory goes back while the intervals it
+/// Flows per block of a [`Lane`] (160 KiB). A lane frees each block once
+/// replayed, so a capture's memory goes back while the intervals it
 /// feeds are built.
 const BLOCK: usize = 4096;
+
+/// A stretch of one capture: its flows in file order, decoded straight
+/// into the block, and its heartbeats beside them, each with the number
+/// of the block's flows that came before it.
+struct Block {
+    flows: Vec<FlowRecord>,
+    beats: Vec<(usize, u64)>,
+}
 
 /// One `--in` capture, read whole, with its grid origin: the start of
 /// the window holding its first flow.
 struct Lane {
-    /// Not yet replayed, in file order, in blocks of at most [`BLOCK`].
-    blocks: VecDeque<std::vec::IntoIter<Arrival>>,
+    /// Not yet replayed, in file order; none is empty.
+    blocks: VecDeque<Block>,
+    /// How many flows, and heartbeats, of the front block are replayed.
+    flow: usize,
+    beat: usize,
     origin: u64,
 }
 
 impl Lane {
     /// Read `path` whole; its first flow fixes the origin.
     fn open(path: &str, interval_ms: u64) -> Result<Self, String> {
-        let mut blocks = VecDeque::new();
-        let mut block = Vec::with_capacity(BLOCK);
-        let mut first = None;
-        for item in read_capture(path)? {
-            let item = item?;
-            // A new block when this one has no room for a full datagram.
-            if block.len() + V5_MAX_RECORDS > BLOCK {
-                let full = std::mem::replace(&mut block, Vec::with_capacity(BLOCK));
-                blocks.push_back(full.into_iter());
-            }
-            match item {
-                TraceItem::Flows(dgram) => {
-                    first = first.or(dgram.flows.first().map(|flow| flow.start_ms));
-                    block.extend(dgram.flows.into_iter().map(Arrival::Flow));
-                }
-                TraceItem::Heartbeat(p) => block.push(Arrival::Heartbeat(p.export_ms)),
-            }
-        }
-        blocks.push_back(block.into_iter());
-        let first = first.ok_or_else(|| format!("{path}: trace is empty"))?;
-        let origin = first - first % interval_ms;
-        Ok(Lane { blocks, origin })
-    }
-
-    /// The replay's merge key for the next arrival of this lane, source
-    /// `s`: grid-relative time, flows before heartbeats, then the
-    /// source; `None` when nothing is pending.
-    fn key(&self, s: usize) -> Option<(u64, bool, usize)> {
-        let (ms, beat) = match self.blocks.front()?.as_slice().first()? {
-            Arrival::Flow(flow) => (flow.start_ms, false),
-            Arrival::Heartbeat(ms) => (*ms, true),
+        let mut capture = Capture::open(path)?;
+        let fresh = || Block {
+            flows: Vec::with_capacity(BLOCK),
+            beats: Vec::new(),
         };
-        Some((ms.saturating_sub(self.origin), beat, s))
+        let (mut blocks, mut block) = (VecDeque::new(), fresh());
+        loop {
+            // A new block when this one has no room for a full datagram.
+            if block.flows.len() + V5_MAX_RECORDS > BLOCK {
+                blocks.push_back(std::mem::replace(&mut block, fresh()));
+            }
+            match capture.read_into(&mut block.flows)? {
+                Some(Packet::Flows(_)) => {}
+                Some(Packet::Heartbeat(p)) => block.beats.push((block.flows.len(), p.export_ms)),
+                None => break,
+            }
+        }
+        if !(block.flows.is_empty() && block.beats.is_empty()) {
+            blocks.push_back(block);
+        }
+        let first = (blocks.iter().find_map(|b| b.flows.first()))
+            .ok_or_else(|| format!("{path}: trace is empty"))?
+            .start_ms;
+        let origin = first - first % interval_ms;
+        Ok(Lane {
+            blocks,
+            flow: 0,
+            beat: 0,
+            origin,
+        })
     }
 
-    /// Take the next arrival, freeing its block if it was the last.
-    fn pop(&mut self) -> Option<Arrival> {
-        let block = self.blocks.front_mut()?;
-        let next = block.next();
-        if block.len() == 0 {
+    /// The replay's merge key for a flow or heartbeat of this lane dated
+    /// `ms`: grid-relative time, flows before heartbeats, then the lane.
+    fn key(&self, ms: u64, beat: bool, s: usize) -> (u64, bool, usize) {
+        (ms.saturating_sub(self.origin), beat, s)
+    }
+
+    /// The merge key of this lane's next arrival, lane `s`; `None` when
+    /// nothing is pending.
+    fn head(&self, s: usize) -> Option<(u64, bool, usize)> {
+        let block = self.blocks.front()?;
+        Some(match block.beats.get(self.beat) {
+            Some(&(at, ms)) if at == self.flow => self.key(ms, true, s),
+            _ => self.key(block.flows[self.flow].start_ms, false, s),
+        })
+    }
+
+    /// The flows up to the lane's next heartbeat or block end.
+    fn flows(&self) -> &[FlowRecord] {
+        let block = &self.blocks[0];
+        let end = (block.beats.get(self.beat)).map_or(block.flows.len(), |&(at, _)| at);
+        &block.flows[self.flow..end]
+    }
+
+    /// Take the heartbeat at the head.
+    fn take_beat(&mut self) -> u64 {
+        let ms = self.blocks[0].beats[self.beat].1;
+        self.beat += 1;
+        self.settle();
+        ms
+    }
+
+    /// Mark the next `n` flows replayed.
+    fn consume(&mut self, n: usize) {
+        self.flow += n;
+        self.settle();
+    }
+
+    /// Free the front block once it is replayed.
+    fn settle(&mut self) {
+        let block = &self.blocks[0];
+        if self.flow == block.flows.len() && self.beat == block.beats.len() {
             self.blocks.pop_front();
+            (self.flow, self.beat) = (0, 0);
         }
-        next
     }
 }
 
@@ -571,6 +626,9 @@ impl Lane {
 /// window past the last flow (one far in the future would open a
 /// window for every interval up to it). An unsorted capture is
 /// replayed as it comes: the grid counts its late flows as drops.
+///
+/// The merge hands out runs: the longest stretch of one lane's flows
+/// that the merge taken one flow at a time would take in a row.
 struct Replay {
     lanes: Vec<Lane>,
     /// Heartbeats taken from the lane heads, waiting for a later flow,
@@ -597,15 +655,14 @@ impl Replay {
             held: VecDeque::new(),
         })
     }
-}
 
-impl Iterator for Replay {
-    type Item = (SourceId, Arrival);
-
-    fn next(&mut self) -> Option<Self::Item> {
+    /// The next arrival, or `None` at the end: a heartbeat, taken as it
+    /// is returned, or a run of never fewer than one flow, which stays
+    /// at its lane's head until [`consume`](Self::consume)d.
+    fn next(&mut self) -> Option<(SourceId, Arrival<'_>)> {
         loop {
             let (at, beat, s) = (self.lanes.iter().enumerate())
-                .filter_map(|(s, lane)| lane.key(s))
+                .filter_map(|(s, lane)| lane.head(s))
                 .min()?;
             // The next flow waits for every held heartbeat dated before it.
             let due = self.held.front().is_some_and(|&(held_at, ..)| held_at < at);
@@ -614,9 +671,46 @@ impl Iterator for Replay {
                 return Some((source, Arrival::Heartbeat(ms)));
             }
             let source = SourceId(s as u32);
-            match self.lanes[s].pop()? {
-                Arrival::Heartbeat(ms) => self.held.push_back((at, source, ms)),
-                flow => return Some((source, flow)),
+            if beat {
+                let ms = self.lanes[s].take_beat();
+                self.held.push_back((at, source, ms));
+                continue;
+            }
+            // Lane `s` keeps the lead while its flows stay below every
+            // other lane's head and no held heartbeat falls due.
+            let other = (self.lanes.iter().enumerate())
+                .filter_map(|(t, lane)| lane.head(t).filter(|_| t != s))
+                .min();
+            let held = self.held.front().map(|&(held_at, ..)| held_at);
+            let lane = &self.lanes[s];
+            let flows = lane.flows();
+            let run = (flows.iter())
+                .take_while(|flow| {
+                    let key = lane.key(flow.start_ms, false, s);
+                    other.map_or(true, |other| key < other) && held.map_or(true, |h| key.0 <= h)
+                })
+                .count();
+            return Some((source, Arrival::Run(&flows[..run])));
+        }
+    }
+
+    /// Mark the first `n` flows of `source`'s run replayed.
+    fn consume(&mut self, source: SourceId, n: usize) {
+        self.lanes[source.0 as usize].consume(n);
+    }
+
+    /// Pass over the first `flows` flows and the heartbeats among them —
+    /// what a checkpointed run consumed — so the replay continues with
+    /// the arrival after its last flow.
+    fn skip(&mut self, mut flows: u64) {
+        while flows > 0 {
+            let Some((source, arrival)) = self.next() else {
+                return;
+            };
+            if let Arrival::Run(run) = arrival {
+                let n = (run.len() as u64).min(flows);
+                self.consume(source, n as usize);
+                flows -= n;
             }
         }
     }
@@ -662,8 +756,8 @@ struct StreamPrinter<'w, W: Write> {
 }
 
 impl<W: Write> StreamPrinter<'_, W> {
-    /// Print the events; returns how many intervals they closed.
-    fn print(&mut self, events: Vec<MultiStreamEvent>) -> Result<u64, String> {
+    /// Print the events.
+    fn print(&mut self, events: Vec<MultiStreamEvent>) -> Result<(), String> {
         let mut text = String::new();
         for e in &events {
             let event = &e.event;
@@ -685,14 +779,17 @@ impl<W: Write> StreamPrinter<'_, W> {
                 text.push('\n');
             }
         }
-        self.out.write_all(text.as_bytes()).map_err(write_error)?;
-        Ok(events.len() as u64)
+        self.out.write_all(text.as_bytes()).map_err(write_error)
     }
 }
 
 /// Durable-operation options for `anomex stream`: periodic checkpoints
 /// into `--checkpoint-dir`, `--resume` from the latest one, and the
-/// deterministic `--stop-after` cut used by the kill-and-resume e2e.
+/// `--stop-after` cut used by the kill-and-resume e2e. Both count the
+/// intervals the grid has closed in this run — not the events printed so
+/// far, which trail them by however many the engine thread still holds —
+/// so each cut falls at the same arrival, and prints the same intervals,
+/// on every run.
 struct Durability {
     dir: PathBuf,
     every: u64,
@@ -973,48 +1070,44 @@ fn replay_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
         config: engine.config().clone(),
         latencies: Vec::new(),
     };
-    let mut skip = consumed;
-    let mut closed_this_run = 0u64;
-    let mut since_checkpoint = 0u64;
-    for (source, arrival) in replay {
-        // A resumed run skips what the checkpointed one fed: the first
-        // `consumed` flows, and the heartbeats among them (replaying
-        // one would be a no-op anyway).
-        if skip > 0 {
-            skip -= u64::from(matches!(arrival, Arrival::Flow(_)));
-            continue;
-        }
+    // A resumed run skips what the checkpointed one fed: the first
+    // `consumed` flows, and the heartbeats among them.
+    replay.skip(consumed);
+    let first = engine.assembler().closed_intervals();
+    let mut checkpointed = first;
+    while let Some((source, arrival)) = replay.next() {
         let events = match arrival {
-            Arrival::Flow(flow) => {
-                consumed += 1;
-                engine.push(source, flow)
+            Arrival::Run(flows) => {
+                let (n, events) = engine.push_run(source, flows);
+                replay.consume(source, n);
+                consumed += n as u64;
+                events
             }
             Arrival::Heartbeat(ms) => engine.heartbeat(source, ms),
         };
-        let closed = printer.print(events)?;
-        closed_this_run += closed;
-        since_checkpoint += closed;
-        let Some(d) = durability.as_ref().filter(|_| closed > 0) else {
+        printer.print(events)?;
+        let Some(d) = &durability else {
             continue;
         };
-        if d.stop_after.is_some_and(|n| closed_this_run >= n) {
+        let closed = engine.assembler().closed_intervals();
+        if d.stop_after.is_some_and(|n| closed - first >= n) {
             printer.print(take_checkpoint(&mut engine, consumed, d)?)?;
             note(format_args!(
-                "stopped after {closed_this_run} interval(s); checkpoint at {}",
+                "stopped after {} interval(s); checkpoint at {}",
+                closed - first,
                 d.checkpoint_path().display()
             ));
             return Ok(());
         }
-        if since_checkpoint >= d.every {
-            since_checkpoint = 0;
+        if closed - checkpointed >= d.every {
+            checkpointed = closed;
             // Reconfig requests are consumed at interval boundaries and
             // land in the checkpoint that follows, so a resume replays
             // the stream under the reconfigured engine. The intervals
             // drained around the boundary ran under the old config.
-            let drained = consume_reconfig_file(&d.dir, &mut engine, force_rare);
-            closed_this_run += printer.print(drained)?;
+            printer.print(consume_reconfig_file(&d.dir, &mut engine, force_rare))?;
             printer.config = engine.config().clone();
-            closed_this_run += printer.print(take_checkpoint(&mut engine, consumed, d)?)?;
+            printer.print(take_checkpoint(&mut engine, consumed, d)?)?;
         }
     }
     let (tail, summary) = engine.finish();
@@ -1739,6 +1832,201 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// One arrival of the per-flow replay: a flow or a heartbeat.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Single {
+        Flow(FlowRecord),
+        Beat(u64),
+    }
+
+    /// A replay order: which source handed out what.
+    type Order = Vec<(SourceId, Single)>;
+
+    /// The replay order taken one flow at a time — the k-way merge the
+    /// run replay must reproduce: the lane heads' minimum on (grid time,
+    /// flows before heartbeats, source), a heartbeat held until a later
+    /// flow, those held at the end dropped.
+    fn per_flow_merge(lanes: &[(u64, Vec<Single>)]) -> Order {
+        let mut heads: Vec<VecDeque<Single>> = lanes
+            .iter()
+            .map(|(_, items)| items.iter().copied().collect())
+            .collect();
+        let mut held: VecDeque<(u64, SourceId, u64)> = VecDeque::new();
+        let mut out = Vec::new();
+        loop {
+            let key = |s: usize, item: &Single| {
+                let (ms, beat) = match item {
+                    Single::Flow(flow) => (flow.start_ms, false),
+                    Single::Beat(ms) => (*ms, true),
+                };
+                (ms.saturating_sub(lanes[s].0), beat, s)
+            };
+            let Some((at, beat, s)) = (heads.iter().enumerate())
+                .filter_map(|(s, lane)| lane.front().map(|item| key(s, item)))
+                .min()
+            else {
+                return out;
+            };
+            if !beat && held.front().is_some_and(|&(held_at, ..)| held_at < at) {
+                let (_, source, ms) = held.pop_front().unwrap();
+                out.push((source, Single::Beat(ms)));
+                continue;
+            }
+            let source = SourceId(s as u32);
+            match heads[s].pop_front().unwrap() {
+                Single::Beat(ms) => held.push_back((at, source, ms)),
+                flow => out.push((source, flow)),
+            }
+        }
+    }
+
+    /// Everything `replay` hands out, one arrival per flow, consuming
+    /// `take(len)` flows of each run of `len`; with the run boundaries,
+    /// as flows replayed before each run.
+    fn flatten(
+        replay: &mut Replay,
+        mut take: impl FnMut(usize) -> usize,
+    ) -> (Order, Vec<(usize, usize)>) {
+        let (mut out, mut runs, mut flows) = (Vec::new(), Vec::new(), 0);
+        while let Some((source, arrival)) = replay.next() {
+            match arrival {
+                Arrival::Heartbeat(ms) => out.push((source, Single::Beat(ms))),
+                Arrival::Run(run) => {
+                    assert!(!run.is_empty(), "a run holds a flow");
+                    let n = take(run.len());
+                    out.extend(run[..n].iter().map(|&flow| (source, Single::Flow(flow))));
+                    runs.push((flows, run.len()));
+                    flows += n;
+                    replay.consume(source, n);
+                }
+            }
+        }
+        (out, runs)
+    }
+
+    /// The run replay hands out exactly the per-flow merge's order. Three
+    /// lanes on different origins, whose grid times tie across lanes (the
+    /// lowest source goes first), with a capture that steps back in time,
+    /// heartbeats first, last, several in a row and at a block boundary,
+    /// replay the same whether each run is taken whole or a few flows at
+    /// a time, over one, two or three lanes; and a resume's skip — one
+    /// ending in the middle of a run among them — leaves the same order
+    /// as dropping those flows (and the heartbeats before the last of
+    /// them) from the per-flow order.
+    #[test]
+    fn run_replay_is_the_per_flow_merge_order() {
+        use anomex_netflow::v9::encode_v9_options_template;
+        use anomex_netflow::Protocol;
+        use std::net::Ipv4Addr;
+
+        let dir = scratch_dir("anomex-cli-run-replay-test");
+        enum Item {
+            Flows(Vec<u64>),
+            Beat(u32),
+        }
+        let stride = |from: u64, step: u64, n: u64| (0..n).map(|i| from + step * i).collect();
+        let lanes: [Vec<Item>; 3] = [
+            vec![
+                Item::Beat(0),
+                Item::Flows(stride(10, 15, 1_980)),
+                Item::Beat(20),
+                Item::Beat(25),
+                Item::Beat(31),
+                // 136 full datagrams: the next packet opens a new block.
+                Item::Flows(stride(30_010, 15, 2_100)),
+                Item::Beat(62),
+                Item::Flows(stride(61_510, 15, 120)),
+                Item::Flows(vec![5_000, 5_000, 4_000]),
+                Item::Flows(stride(63_010, 15, 200)),
+            ],
+            vec![
+                Item::Flows(stride(60_010, 45, 900)),
+                Item::Beat(100),
+                Item::Flows(stride(100_510, 45, 600)),
+                Item::Beat(200),
+                Item::Beat(300),
+            ],
+            vec![
+                Item::Flows(stride(120_000, 7, 1_500)),
+                Item::Flows((0..1_500).rev().map(|k| 130_500 + 7 * k).collect()),
+                Item::Beat(121),
+            ],
+        ];
+        let mut paths = Vec::new();
+        let mut singles = Vec::new();
+        for (s, items) in lanes.iter().enumerate() {
+            let (mut exporter, mut bytes, mut lane) = (V5Exporter::new(), Vec::new(), Vec::new());
+            for (i, item) in items.iter().enumerate() {
+                match item {
+                    Item::Flows(starts) => {
+                        let flows: Vec<FlowRecord> = (starts.iter().enumerate())
+                            .map(|(j, &ms)| {
+                                let ip = Ipv4Addr::new(10, s as u8, i as u8, j as u8);
+                                FlowRecord::new(ms, ip, ip, j as u16, 80, Protocol::Tcp)
+                            })
+                            .collect();
+                        bytes.extend(exporter.export(&flows).concat());
+                        lane.extend(flows.into_iter().map(Single::Flow));
+                    }
+                    Item::Beat(secs) => {
+                        bytes.extend(encode_v9_options_template(*secs, i as u32, 0));
+                        lane.push(Single::Beat(u64::from(*secs) * 1000));
+                    }
+                }
+            }
+            let path = dir.join(format!("lane{s}.nf"));
+            std::fs::write(&path, &bytes).unwrap();
+            paths.push(format!("--in {}", path.display()));
+            singles.push(lane);
+        }
+        let interval_ms = MINUTE_MS;
+        for k in 1..=3 {
+            let args = argv(&format!("extract {}", paths[..k].join(" ")));
+            let open = || Replay::open(&args, interval_ms).unwrap();
+            let origins: Vec<u64> = open().lanes.iter().map(|lane| lane.origin).collect();
+            assert_eq!(origins, [0, 60_000, 120_000][..k]);
+            let lanes: Vec<(u64, Vec<Single>)> = origins.into_iter().zip(singles.clone()).collect();
+            let expected = per_flow_merge(&lanes);
+            let (whole, runs) = flatten(&mut open(), |len| len);
+            assert_eq!(whole, expected, "{k} lane(s), whole runs");
+            let mut calls = 0;
+            let bit_by_bit = flatten(&mut open(), |len| {
+                calls += 1;
+                len.min(1 + calls % 3)
+            });
+            assert_eq!(bit_by_bit.0, expected, "{k} lane(s), runs taken in bits");
+            let beats =
+                |lane: &[Single]| lane.iter().filter(|a| matches!(a, Single::Beat(_))).count();
+            let flows = lanes.iter().map(|(_, l)| l.len() - beats(l)).sum::<usize>();
+            let (mid, _) = *(runs.iter())
+                .find(|&&(_, len)| len >= 2)
+                .expect("a run of two flows or more");
+            for skip in [0, 1, mid + 1, flows / 2, flows - 1, flows, flows + 5] {
+                let mut replay = open();
+                replay.skip(skip as u64);
+                let mut left = skip;
+                let rest: Vec<_> = (expected.iter())
+                    .skip_while(|(_, a)| {
+                        let skipped = left > 0;
+                        left -= usize::from(skipped && matches!(a, Single::Flow(_)));
+                        skipped
+                    })
+                    .copied()
+                    .collect();
+                assert_eq!(
+                    flatten(&mut replay, |len| len).0,
+                    rest,
+                    "{k} lane(s), skip {skip}"
+                );
+            }
+            assert!(whole.len() > runs.len() * 2, "runs hold several flows");
+        }
+        let lane = Lane::open(&paths[0]["--in ".len()..], interval_ms).unwrap();
+        assert_eq!(lane.blocks.len(), 2);
+        assert_eq!(lane.blocks[1].beats[0], (0, 62_000), "first in its block");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     /// The replay feeds source `i` from the `i`-th `--in`, so a
     /// checkpoint whose lanes are not exactly sources `0..k` — ids the
     /// replay never feeds, or two lanes sharing an id — is an error, not
@@ -1879,6 +2167,7 @@ mod tests {
     fn punctuated_trace_heartbeats_flow_into_the_grid() {
         use anomex_netflow::v9::{
             decode_mixed_stream, encode_ipfix_options_template, encode_v9_options_template,
+            TraceItem,
         };
         let dir = scratch_dir("anomex-cli-punctuation-test");
         let scenario = MultiSourceScenario::uniform(17, 2);

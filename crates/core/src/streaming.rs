@@ -14,7 +14,7 @@
 //! ```text
 //!  caller thread                     │  pipeline thread (spawned once)
 //!  ─────────────                     │  ──────────────────────────────
-//!  push(source, flow)                │   Engine: detect → prefilter
+//!  push_run(source, flows)           │   Engine: detect → prefilter
 //!    ──► MergeAssembler lanes        │   → mine interval t
 //!        assemble t+1                │
 //!                        │           │            │
@@ -24,7 +24,7 @@
 //!                  one queued; assembly of t+1 overlaps
 //!                  extraction of t)
 //!                        ▲           │
-//!  push()/finish() ◄─────┴─ MultiStreamEvent per closed interval
+//!  push_run()/finish() ◄─┴─ MultiStreamEvent per closed interval
 //!                            (outcome + timing + per-source weights)
 //! ```
 //!
@@ -32,9 +32,14 @@
 //! windows a plain assembler would. [`StreamingExtractor`] is only a
 //! shorthand for that case.
 //!
-//! Windows are assembled as [`FlowColumns`](anomex_netflow::FlowColumns)
-//! and the pipeline thread hands them to [`Engine::process`] as they
-//! are: no interval is transposed or copied as records on the way.
+//! Flows arrive in runs of one source's records
+//! ([`MultiSourceExtractor::push_run`]); each run stops at the first flow
+//! that closes one of that source's windows, so events, drop counts and
+//! checkpoints are those of feeding the flows one at a time, while the
+//! caller pays per run, not per flow. Windows are assembled as
+//! [`FlowColumns`](anomex_netflow::FlowColumns) (one `extend` per column
+//! per run) and the pipeline thread hands them to [`Engine::process`] as
+//! they are: no interval is transposed or copied as records on the way.
 //!
 //! The detector bank lives inside the pipeline thread's
 //! [`Engine`] for the whole life of the stream, so baseline
@@ -625,20 +630,39 @@ impl MultiSourceExtractor {
         self.pipe.reconfigs_rejected += 1;
     }
 
-    /// Feed one flow from `source`. Returns every interval that became
-    /// ready, extracted — usually none; one or more when the flow closed
-    /// windows (empty windows after a gap are processed too, keeping the
-    /// KL series aligned).
+    /// Feed one flow from `source`: a [`push_run`](Self::push_run) of
+    /// one. Returns every interval that became ready, extracted.
+    ///
+    /// # Panics
+    ///
+    /// As [`push_run`](Self::push_run).
+    pub fn push(&mut self, source: SourceId, flow: FlowRecord) -> Vec<MultiStreamEvent> {
+        self.push_run(source, std::slice::from_ref(&flow)).1
+    }
+
+    /// Feed a run of flows from `source`, up to and including the first
+    /// flow that closes one of the source's windows
+    /// ([`MergeAssembler::push_run`]): every event, drop count and
+    /// checkpoint is the one [`push`](Self::push) on each of those flows
+    /// gives. Returns how many flows were consumed and every interval
+    /// that became ready, extracted — usually none; one or more when the
+    /// last flow closed windows (empty windows after a gap are processed
+    /// too, keeping the KL series aligned). A caller with flows left
+    /// passes them again.
     ///
     /// # Panics
     ///
     /// Panics when `source` is unknown or already finished; re-raises a
     /// panic from the pipeline thread (the engine panicking on a
     /// poisoned interval).
-    pub fn push(&mut self, source: SourceId, flow: FlowRecord) -> Vec<MultiStreamEvent> {
-        self.total_flows += 1;
-        let merged = self.assembler.push(source, flow);
-        self.submit_merged(merged)
+    pub fn push_run(
+        &mut self,
+        source: SourceId,
+        flows: &[FlowRecord],
+    ) -> (usize, Vec<MultiStreamEvent>) {
+        let (consumed, merged) = self.assembler.push_run(source, flows);
+        self.total_flows += consumed as u64;
+        (consumed, self.submit_merged(merged))
     }
 
     /// Event-time heartbeat from `source`: advance its watermark to
@@ -1147,6 +1171,68 @@ mod tests {
                 .any(|e| e.event.outcome.extraction.is_some()));
             assert!(lane_events.iter().all(|e| e.flow_data.is_empty()));
         }
+    }
+
+    /// Runs are the per-flow pushes they stand for. Two sources on
+    /// skewed origins, one with a pre-origin flow, a late flow and a gap
+    /// of three windows, fed whole per-interval runs (each passed again
+    /// from where the last call stopped), give the events of pushing
+    /// every flow on its own: indices, flow counts, per-source weights,
+    /// cumulative drops and outcomes — and the same summary.
+    #[test]
+    fn push_run_gives_the_events_of_per_flow_pushes() {
+        let scenario = Scenario::small(11);
+        let delta = scenario.interval_ms();
+        let specs = [SourceSpec::new(0u32, 0), SourceSpec::new(1u32, 500)];
+        let mut script: Vec<(SourceId, Vec<FlowRecord>)> = Vec::new();
+        for i in 0..scenario.interval_count().min(23) {
+            let flows = scenario.generate(i).flows;
+            let mut other: Vec<FlowRecord> = (flows.iter().step_by(5))
+                .map(|f| FlowRecord {
+                    start_ms: f.start_ms + 500,
+                    ..*f
+                })
+                .collect();
+            match i {
+                3 => other.insert(0, flow_at(100)), // before source 1's origin
+                6 => other.push(flow_at(2 * delta + 600)), // window 2 closed long ago
+                8..=10 => other.clear(),            // a gap of three windows
+                _ => {}
+            }
+            script.push((SourceId(0), flows));
+            script.push((SourceId(1), other));
+        }
+        let config = test_config(delta);
+        let mut by_flow = fan_in(config.clone(), &specs).unwrap();
+        let mut by_run = fan_in(config, &specs).unwrap();
+        let (mut flow_events, mut run_events) = (Vec::new(), Vec::new());
+        for (source, flows) in &script {
+            for &flow in flows {
+                flow_events.extend(by_flow.push(*source, flow));
+            }
+            let mut rest = &flows[..];
+            while !rest.is_empty() {
+                let (n, events) = by_run.push_run(*source, rest);
+                assert!(n > 0, "a run consumes at least one flow");
+                run_events.extend(events);
+                rest = &rest[n..];
+            }
+        }
+        let (tail, flow_summary) = by_flow.finish();
+        flow_events.extend(tail);
+        let (tail, run_summary) = by_run.finish();
+        run_events.extend(tail);
+        assert_eq!(run_summary, flow_summary);
+        assert_eq!(run_summary.dropped_flows, 2, "one pre-origin, one late");
+        assert!(run_summary.extractions > 0, "the planted flood extracts");
+        assert_eq!(run_events.len(), flow_events.len());
+        for (a, b) in run_events.iter().zip(&flow_events) {
+            assert_eq!(a.source_flows, b.source_flows);
+            assert_eq!(a.event.dropped_flows, b.event.dropped_flows);
+            assert_same_event(&a.event, &b.event);
+        }
+        let drops: Vec<u64> = run_events.iter().map(|e| e.event.dropped_flows).collect();
+        assert!(drops.contains(&1) && drops.contains(&2), "{drops:?}");
     }
 
     #[test]

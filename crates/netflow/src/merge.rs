@@ -22,6 +22,9 @@
 //! Every window travels as [`FlowColumns`]: a merged interval takes the
 //! first source's segment as it is and appends the others column by
 //! column, so no interval is copied as records on its way to the engine.
+//! A source's flows arrive in runs ([`MergeAssembler::push_run`]) that
+//! stop where the source closes a window, the only arrivals that can
+//! move the grid; [`MergeAssembler::push`] is a run of one.
 //!
 //! **Determinism.** A merged interval's flows are the concatenation, in
 //! source registration order, of each source's window-`i` flows in that
@@ -214,30 +217,48 @@ impl MergeAssembler {
             .unwrap_or_else(|| panic!("unknown source {source}: not registered with this merge"))
     }
 
-    /// Feed one flow from `source`; returns every grid interval that
-    /// became closeable (watermark advanced, or the lateness bound
-    /// force-closed laggards).
+    /// Feed one flow from `source`: a [`push_run`](Self::push_run) of
+    /// one. Returns every grid interval that became closeable.
+    ///
+    /// # Panics
+    ///
+    /// As [`push_run`](Self::push_run).
+    pub fn push(&mut self, source: SourceId, flow: FlowRecord) -> Vec<MergedInterval> {
+        self.push_run(source, std::slice::from_ref(&flow)).1
+    }
+
+    /// Feed a run of flows from `source`, through its lane's
+    /// [`IntervalAssembler::push_run`]: the run stops at the first flow
+    /// that closes one of the source's windows, which is the only flow
+    /// that can move the grid. Returns how many flows were consumed and
+    /// every grid interval that became closeable (watermark advanced, or
+    /// the lateness bound force-closed laggards); a caller with flows
+    /// left passes them again.
     ///
     /// # Panics
     ///
     /// Panics when `source` was not registered at construction, or when
     /// `source` already declared end-of-stream via
     /// [`finish_source`](Self::finish_source).
-    pub fn push(&mut self, source: SourceId, flow: FlowRecord) -> Vec<MergedInterval> {
+    pub fn push_run(
+        &mut self,
+        source: SourceId,
+        flows: &[FlowRecord],
+    ) -> (usize, Vec<MergedInterval>) {
         let grid_next = self.grid_next;
         let lane = self.lane_mut(source);
         assert!(!lane.finished, "source {source} already finished");
-        lane.flows += 1;
-        let closed = lane.assembler.push(flow);
+        let (consumed, closed) = lane.assembler.push_run(flows);
+        lane.flows += consumed as u64;
         if closed.is_empty() {
             // The watermark and the lateness frontier only move when a
             // lane closes a window, so there is nothing to advance.
-            return Vec::new();
+            return (consumed, Vec::new());
         }
         for closed in closed {
             lane.accept(closed.index, closed.flows, grid_next);
         }
-        self.advance()
+        (consumed, self.advance())
     }
 
     /// Event-time heartbeat from `source`: advance its watermark to
@@ -301,6 +322,13 @@ impl MergeAssembler {
         }
         let horizon = self.frontier();
         self.close_until(horizon)
+    }
+
+    /// How many grid intervals have closed since the stream began: the
+    /// grid's cursor, below which every index has been emitted.
+    #[must_use]
+    pub fn closed_intervals(&self) -> u64 {
+        self.grid_next
     }
 
     /// Per-source ingestion and drop accounting, in registration order.

@@ -15,9 +15,13 @@
 //! operator can tell a mis-set origin (everything pre-origin) from
 //! ordinary export reordering (a trickle of late flows).
 //!
-//! Each flow is pushed straight into the open window's [`FlowColumns`],
-//! the layout the engine scans, so a closed interval needs no transpose.
-//! A new window reserves the rows of the one before it.
+//! Flows land straight in the open window's [`FlowColumns`], the layout
+//! the engine scans, so a closed interval needs no transpose. A new
+//! window reserves the rows of the one before it.
+//! [`push_run`](IntervalAssembler::push_run) takes a run of records at
+//! once: the part of it inside the open window becomes one `extend` per
+//! column, and the run stops at the first flow that closes a window, so
+//! it is exactly [`push`](IntervalAssembler::push) on each of its flows.
 
 use std::fmt;
 
@@ -156,6 +160,40 @@ impl IntervalAssembler {
         }
         self.current.push(&flow);
         closed
+    }
+
+    /// Feed a run of flows: exactly [`push`](Self::push) on each flow in
+    /// turn, up to and including the first flow that closes a window.
+    /// Returns how many flows were consumed and the intervals that flow
+    /// closed; a caller with flows left passes them again. Each piece of
+    /// the run that falls in the open window is appended with one
+    /// [`FlowColumns::extend_from_flows`], its bounds computed once.
+    pub fn push_run(&mut self, flows: &[FlowRecord]) -> (usize, Vec<ClosedInterval>) {
+        let mut at = 0;
+        while at < flows.len() {
+            if self.started {
+                // Saturating: a window that starts past `u64::MAX` holds
+                // no flow, and one that ends past it leaves its last
+                // millisecond to `push`.
+                let begin = (self.current_index.saturating_mul(self.interval_ms))
+                    .saturating_add(self.origin_ms);
+                let open = begin..begin.saturating_add(self.interval_ms);
+                let inside = (flows[at..].iter())
+                    .take_while(|flow| open.contains(&flow.start_ms))
+                    .count();
+                self.current.extend_from_flows(&flows[at..at + inside]);
+                at += inside;
+                if at == flows.len() {
+                    break;
+                }
+            }
+            let closed = self.push(flows[at]);
+            at += 1;
+            if !closed.is_empty() {
+                return (at, closed);
+            }
+        }
+        (flows.len(), Vec::new())
     }
 
     /// Advance the assembler's clock to `now_ms` without a flow: every

@@ -198,12 +198,21 @@ fn decode_record(rec: &[u8]) -> FlowRecord {
 /// Returns a [`DecodeError`] on short input, a non-v5 version field, a
 /// record count above 30, or fewer record bytes than the header declares.
 pub fn decode_datagram(data: &[u8]) -> Result<V5Datagram, DecodeError> {
-    let (header, records) = split_datagram(data)?;
-    let flows = records
-        .chunks_exact(V5_RECORD_LEN)
-        .map(decode_record)
-        .collect();
+    let mut flows = Vec::new();
+    let header = decode_records_into(data, &mut flows)?;
     Ok(V5Datagram { header, flows })
+}
+
+/// Decode one v5 datagram, appending its `count` records to `out` and
+/// returning the header. Validation precedes the first append, so `out`
+/// is unchanged on error; the errors are [`decode_datagram`]'s.
+pub(crate) fn decode_records_into(
+    data: &[u8],
+    out: &mut Vec<FlowRecord>,
+) -> Result<V5Header, DecodeError> {
+    let (header, records) = split_datagram(data)?;
+    out.extend(records.chunks_exact(V5_RECORD_LEN).map(decode_record));
+    Ok(header)
 }
 
 /// Decode one v5 datagram straight into a [`FlowColumns`] store, with

@@ -19,14 +19,18 @@
 //!
 //! [`TraceReader`] reads a capture interleaving v5 datagrams with
 //! v9/IPFIX punctuation from any [`Read`], packet by packet, dispatching
-//! on each packet's leading version word; [`decode_mixed_stream`] is the
-//! same reader over a byte slice.
+//! on each packet's leading version word: as [`TraceItem`]s, or with
+//! [`TraceReader::read_into`] appending each datagram's records to a
+//! caller-owned `Vec` (no allocation per datagram).
+//! [`decode_mixed_stream`] is the same reader over a byte slice.
 
 use std::io::{self, Read};
 
 use crate::error::{DecodeError, ReadError};
+use crate::flow::FlowRecord;
 use crate::v5::{
-    be_u16, be_u32, decode_datagram, put_u16, put_u32, V5Datagram, V5_HEADER_LEN, V5_RECORD_LEN,
+    be_u16, be_u32, decode_records_into, put_u16, put_u32, V5Datagram, V5Header, V5_HEADER_LEN,
+    V5_RECORD_LEN,
 };
 
 /// The NetFlow v9 version word.
@@ -303,12 +307,22 @@ pub enum TraceItem {
     Heartbeat(Punctuation),
 }
 
+/// One packet read by [`TraceReader::read_into`], whose records are
+/// already in the caller's `Vec`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Packet {
+    /// A NetFlow v5 datagram: its `count` records were appended.
+    Flows(V5Header),
+    /// A template-only v9/IPFIX packet: an exporter heartbeat.
+    Heartbeat(Punctuation),
+}
+
 /// Reads a capture — concatenated v5 datagrams and v9/IPFIX punctuation
 /// packets — from any [`Read`], one packet per item, in file order.
 ///
 /// The reader holds one 64 KiB buffer that it refills, so a capture of
 /// any length is read in constant memory. Each packet is framed by
-/// [`decode_datagram`] or [`decode_punctuation`] on the bytes read so
+/// [`crate::v5::decode_datagram`] or [`decode_punctuation`] on the bytes read so
 /// far: before end of input a truncation error means "read more"; at end
 /// of input it is the capture's error. So the items and the error are
 /// exactly those of one pass over the whole capture, whatever sizes the
@@ -344,6 +358,38 @@ impl<R: Read> TraceReader<R> {
         }
     }
 
+    /// Read the next packet, appending a v5 datagram's records to
+    /// `flows`: the one framing loop, which [`Iterator::next`] runs with
+    /// a fresh `Vec` per datagram. A caller that reuses `flows` (or
+    /// reserves it) decodes a capture with no allocation per datagram.
+    /// `flows` is appended to only when a datagram is yielded; `None`
+    /// at end of input, and after the first error.
+    pub fn read_into(&mut self, flows: &mut Vec<FlowRecord>) -> Option<Result<Packet, ReadError>> {
+        while !self.failed {
+            let pending = &self.buf[self.start..self.end];
+            if !pending.is_empty() {
+                match decode_packet(pending, flows) {
+                    Ok((packet, consumed)) => {
+                        self.start += consumed;
+                        return Some(Ok(packet));
+                    }
+                    Err(e) if self.eof || !is_truncation(&e) => {
+                        self.failed = true;
+                        return Some(Err(ReadError::Decode(e)));
+                    }
+                    Err(_) => {}
+                }
+            } else if self.eof {
+                return None;
+            }
+            if let Err(e) = self.refill() {
+                self.failed = true;
+                return Some(Err(ReadError::Io(e)));
+            }
+        }
+        None
+    }
+
     /// Append what one read of the source returns. A full buffer first
     /// moves its unframed bytes to the front, and doubles when one packet
     /// fills it.
@@ -372,29 +418,12 @@ impl<R: Read> Iterator for TraceReader<R> {
     type Item = Result<TraceItem, ReadError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        while !self.failed {
-            let pending = &self.buf[self.start..self.end];
-            if !pending.is_empty() {
-                match decode_packet(pending) {
-                    Ok((item, consumed)) => {
-                        self.start += consumed;
-                        return Some(Ok(item));
-                    }
-                    Err(e) if self.eof || !is_truncation(&e) => {
-                        self.failed = true;
-                        return Some(Err(ReadError::Decode(e)));
-                    }
-                    Err(_) => {}
-                }
-            } else if self.eof {
-                return None;
-            }
-            if let Err(e) = self.refill() {
-                self.failed = true;
-                return Some(Err(ReadError::Io(e)));
-            }
-        }
-        None
+        let mut flows = Vec::new();
+        let packet = self.read_into(&mut flows)?;
+        Some(packet.map(|packet| match packet {
+            Packet::Flows(header) => TraceItem::Flows(V5Datagram { header, flows }),
+            Packet::Heartbeat(punct) => TraceItem::Heartbeat(punct),
+        }))
     }
 }
 
@@ -409,9 +438,10 @@ fn is_truncation(e: &DecodeError) -> bool {
 }
 
 /// Decode the packet at the front of `data`, dispatching on its version
-/// word: 5 → flow datagram, 9/10 → punctuation. Returns the packet and
-/// its length in bytes.
-fn decode_packet(data: &[u8]) -> Result<(TraceItem, usize), DecodeError> {
+/// word: 5 → flow datagram, whose records are appended to `flows`;
+/// 9/10 → punctuation. Returns the packet and its length in bytes, and
+/// leaves `flows` as it was on error.
+fn decode_packet(data: &[u8], flows: &mut Vec<FlowRecord>) -> Result<(Packet, usize), DecodeError> {
     if data.len() < 2 {
         return Err(DecodeError::TruncatedHeader {
             version: None,
@@ -421,13 +451,13 @@ fn decode_packet(data: &[u8]) -> Result<(TraceItem, usize), DecodeError> {
     }
     match be_u16(data, 0) {
         5 => {
-            let dgram = decode_datagram(data)?;
-            let consumed = V5_HEADER_LEN + usize::from(dgram.header.count) * V5_RECORD_LEN;
-            Ok((TraceItem::Flows(dgram), consumed))
+            let header = decode_records_into(data, flows)?;
+            let consumed = V5_HEADER_LEN + usize::from(header.count) * V5_RECORD_LEN;
+            Ok((Packet::Flows(header), consumed))
         }
         V9_VERSION | IPFIX_VERSION => {
             let (punct, consumed) = decode_punctuation(data)?;
-            Ok((TraceItem::Heartbeat(punct), consumed))
+            Ok((Packet::Heartbeat(punct), consumed))
         }
         found => Err(DecodeError::BadVersion {
             found,

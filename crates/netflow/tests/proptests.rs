@@ -4,10 +4,10 @@ use std::io::{self, Read};
 use std::net::Ipv4Addr;
 
 use anomex_netflow::snapshot::{SnapshotReader, SnapshotWriter};
-use anomex_netflow::v5::{decode_datagram, encode_datagram, V5Collector, V5Exporter};
+use anomex_netflow::v5::{decode_datagram, encode_datagram, V5Collector, V5Datagram, V5Exporter};
 use anomex_netflow::v9::{
-    decode_mixed_stream, encode_ipfix_options_template, encode_v9_options_template, Punctuation,
-    TraceItem, TraceReader, IPFIX_VERSION, V9_VERSION,
+    decode_mixed_stream, encode_ipfix_options_template, encode_v9_options_template, Packet,
+    Punctuation, TraceItem, TraceReader, IPFIX_VERSION, V9_VERSION,
 };
 use anomex_netflow::{
     ClosedInterval, DecodeError, FlowFeature, FlowRecord, FlowTrace, IntervalAssembler,
@@ -64,6 +64,13 @@ fn copy_of(assembler: &IntervalAssembler) -> IntervalAssembler {
     assembler.encode_snapshot(&mut w);
     let bytes = w.into_bytes();
     IntervalAssembler::decode_snapshot(&mut SnapshotReader::new(&bytes)).unwrap()
+}
+
+/// A snapshot payload: what `encode` writes.
+fn snapshot(encode: impl FnOnce(&mut SnapshotWriter)) -> Vec<u8> {
+    let mut w = SnapshotWriter::new();
+    encode(&mut w);
+    w.into_bytes()
 }
 
 /// A mixed capture of `packets` — `(kind, flows, salt)`: kind 0 exports
@@ -133,6 +140,32 @@ impl Read for Trickle<'_> {
     }
 }
 
+/// Everything a reader's append path yields: each datagram's records
+/// appended to one `Vec`, the packets, then its one error if any — in
+/// the iterator's terms, so the two paths compare directly.
+fn drain_into(mut reader: TraceReader<impl Read>) -> (Vec<TraceItem>, Option<DecodeError>) {
+    let (mut flows, mut items, mut error) = (Vec::new(), Vec::new(), None);
+    loop {
+        let before = flows.len();
+        let Some(packet) = reader.read_into(&mut flows) else {
+            break;
+        };
+        assert!(error.is_none(), "the reader yielded past its error");
+        match packet {
+            Ok(Packet::Flows(header)) => {
+                let flows = flows[before..].to_vec();
+                items.push(TraceItem::Flows(V5Datagram { header, flows }));
+                continue;
+            }
+            Ok(Packet::Heartbeat(punct)) => items.push(TraceItem::Heartbeat(punct)),
+            Err(ReadError::Decode(e)) => error = Some(e),
+            Err(ReadError::Io(e)) => panic!("a source that never fails failed: {e}"),
+        }
+        assert_eq!(flows.len(), before, "only a datagram appends flows");
+    }
+    (items, error)
+}
+
 /// Everything a reader yields: its items, then its one error if any.
 fn drain(reader: TraceReader<impl Read>) -> (Vec<TraceItem>, Option<DecodeError>) {
     let (mut items, mut error) = (Vec::new(), None);
@@ -154,8 +187,9 @@ proptest! {
     /// cut at any offset or with one byte flipped, a source that returns
     /// 1..=k bytes per read (and is interrupted) yields exactly the items
     /// of one read of the whole capture, then the same first error —
-    /// which is `decode_mixed_stream`'s answer. An intact capture yields
-    /// its packets, each as decoded on its own.
+    /// which is `decode_mixed_stream`'s answer — and so does its append
+    /// path, `read_into`. An intact capture yields its packets, each as
+    /// decoded on its own.
     #[test]
     fn the_capture_reader_is_the_slice_decoder_at_any_read_size(
         packets in proptest::collection::vec((0u8..3, 0usize..=600, any::<u32>()), 0..24),
@@ -184,6 +218,15 @@ proptest! {
             reads: 0,
         };
         prop_assert_eq!(&drain(TraceReader::new(trickle)), &whole);
+        // The append path, through the same trickle: a packet decoded
+        // again after a short read appends its records once.
+        let trickle = Trickle {
+            data: &bytes,
+            sizes: sizes.iter().map(|s| 1 + s % k).collect(),
+            interrupt,
+            reads: 0,
+        };
+        prop_assert_eq!(&drain_into(TraceReader::new(trickle)), &whole);
         match decode_mixed_stream(&bytes) {
             Ok(items) => prop_assert_eq!((items, None), whole),
             Err(e) => prop_assert_eq!(Some(e), whole.1),
@@ -252,6 +295,112 @@ proptest! {
         prop_assert_eq!(stats.pre_origin_flows, plain.pre_origin_flows());
         prop_assert_eq!(stats.stale_flows, 0);
         prop_assert_eq!(resumed.source_stats(), merged.source_stats());
+    }
+
+    /// A run is a per-flow fold cut at its first closing flow. Over one
+    /// to three sources with their own origins, each fed runs of flows on
+    /// a clock that mostly runs forward, jumps several windows ahead, or
+    /// steps back into closed windows (late) or before the origin
+    /// (pre-origin), with heartbeats and `finish_source` in between and
+    /// a lateness bound of none or 0..3 intervals: every
+    /// `IntervalAssembler::push_run` consumes exactly the flows up to and
+    /// including the first one whose `push` closes a window, and returns
+    /// what that push returned; every `MergeAssembler::push_run` stops at
+    /// the same flow and returns the grid intervals that `push` on each
+    /// of those flows returns. After every call, the `SourceStats` and
+    /// both snapshots' bytes equal the per-flow fold's.
+    #[test]
+    fn push_run_is_push_on_each_flow_up_to_the_first_close(
+        origins in proptest::collection::vec(0u64..3_000, 1..=3),
+        interval_ms in 200u64..2_000,
+        lag in 0u64..=3,
+        bounded in any::<bool>(),
+        steps in proptest::collection::vec(
+            (0u8..16, 0usize..3, proptest::collection::vec((0u64..4_000, 0u8..6), 0..24)),
+            0..40,
+        ),
+    ) {
+        let ip = Ipv4Addr::LOCALHOST;
+        let specs: Vec<SourceSpec> = (0u32..).zip(&origins).map(|(i, &o)| SourceSpec::new(i, o)).collect();
+        let config = MergeConfig {
+            interval_ms,
+            max_lag_intervals: bounded.then_some(lag),
+        };
+        let mut by_run = MergeAssembler::try_new(config, &specs).unwrap();
+        let mut by_flow = MergeAssembler::try_new(config, &specs).unwrap();
+        let lane = |&o: &u64| IntervalAssembler::new(o, interval_ms);
+        let mut runs: Vec<IntervalAssembler> = origins.iter().map(lane).collect();
+        let mut flows: Vec<IntervalAssembler> = origins.iter().map(lane).collect();
+        let mut clocks = vec![0u64; origins.len()];
+        let mut finished = vec![false; origins.len()];
+        for (i, (kind, source, deltas)) in steps.into_iter().enumerate() {
+            let s = source % origins.len();
+            let src = SourceId(s as u32);
+            if finished[s] {
+                continue;
+            }
+            match kind {
+                0 => {
+                    let now = clocks[s] + deltas.first().map_or(0, |d| d.0);
+                    prop_assert_eq!(by_run.heartbeat(src, now), by_flow.heartbeat(src, now));
+                    prop_assert_eq!(runs[s].advance_to(now), flows[s].advance_to(now));
+                }
+                1 => {
+                    finished[s] = true;
+                    prop_assert_eq!(by_run.finish_source(src), by_flow.finish_source(src));
+                    prop_assert_eq!(runs[s].flush(), flows[s].flush());
+                }
+                _ => {
+                    // Mostly small steps forward; jumps of several
+                    // windows, and steps back, now and then.
+                    let run: Vec<FlowRecord> = (deltas.iter().enumerate())
+                        .map(|(j, &(delta, how))| {
+                            clocks[s] = match how {
+                                0 => clocks[s].saturating_sub(delta),
+                                1 => clocks[s] + delta * 3,
+                                _ => clocks[s] + delta / 16,
+                            };
+                            FlowRecord::new(clocks[s], ip, ip, i as u16, j as u16, Protocol::Udp)
+                        })
+                        .collect();
+                    let mut rest = &run[..];
+                    while !rest.is_empty() {
+                        let (n, closed) = runs[s].push_run(rest);
+                        let (mut m, mut expected) = (0, Vec::new());
+                        for &flow in rest {
+                            m += 1;
+                            expected = flows[s].push(flow);
+                            if !expected.is_empty() {
+                                break;
+                            }
+                        }
+                        prop_assert_eq!((n, closed), (m, expected));
+                        prop_assert_eq!(
+                            snapshot(|w| runs[s].encode_snapshot(w)),
+                            snapshot(|w| flows[s].encode_snapshot(w))
+                        );
+                        let (k, merged) = by_run.push_run(src, rest);
+                        let expected: Vec<MergedInterval> =
+                            rest[..n].iter().flat_map(|&flow| by_flow.push(src, flow)).collect();
+                        prop_assert_eq!((k, merged), (n, expected));
+                        prop_assert_eq!(by_run.source_stats(), by_flow.source_stats());
+                        prop_assert_eq!(
+                            snapshot(|w| by_run.encode_snapshot(w)),
+                            snapshot(|w| by_flow.encode_snapshot(w))
+                        );
+                        rest = &rest[n..];
+                    }
+                }
+            }
+        }
+        prop_assert_eq!(by_run.flush(), by_flow.flush());
+        prop_assert_eq!(by_run.source_stats(), by_flow.source_stats());
+        for (s, (run, flow)) in runs.iter_mut().zip(&mut flows).enumerate() {
+            prop_assert_eq!((run.late_flows(), run.pre_origin_flows()), (flow.late_flows(), flow.pre_origin_flows()));
+            if !finished[s] {
+                prop_assert_eq!(run.flush(), flow.flush());
+            }
+        }
     }
 
     /// Encoding then decoding a datagram preserves every modeled field.
