@@ -140,6 +140,12 @@ impl Args {
         self.flags.iter().any(|f| f == key)
     }
 
+    /// How many times `--key` was given, as a flag or an option.
+    #[must_use]
+    pub fn count(&self, key: &str) -> usize {
+        self.flags.iter().filter(|f| *f == key).count() + self.get_all(key).len()
+    }
+
     /// Every key given: the flags in command-line order, then the
     /// options by name.
     pub fn keys(&self) -> impl Iterator<Item = &str> {

@@ -3,7 +3,6 @@
 use std::collections::VecDeque;
 use std::fs::{self, File};
 use std::io::{Read, Write};
-use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 
 use anomex_core::{
@@ -31,10 +30,11 @@ pub const USAGE: &str = "\
 anomex — anomaly extraction in backbone networks (Brauckhoff et al., IMC'09/ToN'12)
 
 USAGE:
-  anomex generate --out FILE [--seed N] [--scenario small|two-weeks] [--scale X]
-                  [--intervals N] [--sources N]
+  anomex generate --out FILE [--out FILE ...] [--seed N] [--intervals N]
+                  [--scenario small|two-weeks] [--scale X] [--sources N]
       Synthesize a workload and write it as concatenated NetFlow v5 datagrams.
-      --scale X (two-weeks only, default 0.25) multiplies the flow volume.
+      --scale X (two-weeks only, default 0.25) multiplies the flow volume;
+      intervals that hold no flow at all are an error, and no file is written.
       With --sources N > 1, synthesize an N-link multi-exporter workload
       (anomalies on link 0, tapering rates and clock skews on the rest)
       and write one trace file per link. --sources is at least 1
@@ -101,9 +101,14 @@ USAGE:
       every N closed intervals (--checkpoint-every, default 1); --resume
       restores from it — configuration included — skips the flows
       already consumed (give the same --in list), and continues the
-      event stream bit-identically; --stop-after N exits cleanly after N
-      intervals with a final checkpoint (the kill-and-resume e2e cut
-      point). A `reconfig` file in DIR (`min-support=N`, `alpha=X`,
+      event stream bit-identically. With --resume, an --interval-min,
+      --training, --miner, --max-lag, --prefixes or --intersection that
+      differs from the checkpoint's is refused (omit it, or give the
+      checkpoint's value), and --support and the rule options are not
+      read: the checkpoint's own, which a reconfig file may have
+      changed, run on. --stop-after N exits cleanly after N intervals
+      with a final checkpoint (the kill-and-resume e2e cut point). A
+      `reconfig` file in DIR (`min-support=N`, `alpha=X`,
       `rules=on|off`, one per line) is consumed at the next interval
       boundary and applied atomically without dropping flows, or refused
       whole; the verdict is counted in the `reconfigurations:` trailer
@@ -117,15 +122,17 @@ USAGE:
       Offline extraction with explicit meta-data (the §II-B workflow),
       configured by the same options as extract (the rule options add
       the ranked association rules to the report, and --rare has the
-      same guard). With --top, mine the k most frequent item-sets
-      instead of using a fixed support; --top does not take the rule
-      options.
+      same guard). With --top, mine the --k N (default 10) most frequent
+      item-sets instead of using a fixed support; --k needs --top, and
+      --top takes neither --support nor the rule options.
 
   anomex table2 [--scale X]
       Reproduce the paper's Table II example (mined with apriori, whose
       per-round audit trail the report includes).
 
-  anomex help";
+  anomex help
+
+Each option is given at most once, except where its block shows `...`.";
 
 /// Write one line to stderr. A closed stderr loses the line and nothing
 /// else: `eprintln!` would panic, turning an error exit (or a clean one
@@ -153,18 +160,35 @@ pub fn run(args: &Args) -> Result<(), String> {
             "{command} does not take --{key} (see `anomex help`)"
         ));
     }
+    if let Some(key) = (args.keys()).find(|key| args.count(key) > 1 && !repeats(command, key)) {
+        return Err(format!(
+            "--{key} is given more than once, but {command} takes it once (see `anomex help`)"
+        ));
+    }
     body(args, &mut std::io::stdout().lock())
+}
+
+/// The [`USAGE`] block of `command`.
+fn usage_block(command: &str) -> Option<&'static str> {
+    (USAGE.split("\n  anomex ")).find(|block| block.split_whitespace().next() == Some(command))
 }
 
 /// Whether `command` takes `--key`: whether its [`USAGE`] block lists
 /// it.
 fn takes(command: &str, key: &str) -> bool {
-    (USAGE.split("\n  anomex "))
-        .find(|block| block.split_whitespace().next() == Some(command))
-        .is_some_and(|block| {
-            (block.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')))
-                .any(|word| word.strip_prefix("--") == Some(key))
-        })
+    usage_block(command).is_some_and(|block| {
+        (block.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')))
+            .any(|word| word.strip_prefix("--") == Some(key))
+    })
+}
+
+/// Whether `command` takes `--key` more than once: whether its
+/// [`USAGE`] block shows `[--key VALUE ...]`.
+fn repeats(command: &str, key: &str) -> bool {
+    usage_block(command).is_some_and(|block| {
+        let words: Vec<&str> = block.split_whitespace().collect();
+        (words.windows(3)).any(|w| w[0].strip_prefix("[--") == Some(key) && w[2] == "...]")
+    })
 }
 
 /// `anomex help`: print [`USAGE`].
@@ -221,16 +245,7 @@ fn generate_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
         .map_err(|e| e.to_string())?
         .min(scenario.interval_count());
 
-    let mut exporter = V5Exporter::new();
-    let mut bytes: Vec<u8> = Vec::new();
-    let mut flow_count = 0u64;
-    for i in 0..intervals {
-        let interval = scenario.generate(i);
-        flow_count += interval.flows.len() as u64;
-        for dgram in exporter.export(&interval.flows) {
-            bytes.extend_from_slice(&dgram);
-        }
-    }
+    let (bytes, flow_count) = export_trace(intervals, |i| scenario.generate(i).flows)?;
     fs::write(path, &bytes).map_err(|e| format!("cannot write {path}: {e}"))?;
     let (events, anomalous) = written_ground_truth(&scenario, intervals);
     writeln!(
@@ -306,18 +321,16 @@ fn generate_multi(args: &Args, outs: &[String], out: &mut impl Write) -> Result<
         .map_err(|e| e.to_string())?
         .min(scenario.interval_count());
 
-    for (s, path) in outs.iter().enumerate() {
+    // Every link is synthesized before the first file is written, so a
+    // link without flows leaves no file behind.
+    let traces = (0..outs.len())
+        .map(|s| {
+            export_trace(intervals, |i| scenario.generate(s, i).flows)
+                .map_err(|e| format!("source {s}: {e}"))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    for (s, (path, (bytes, flow_count))) in outs.iter().zip(traces).enumerate() {
         let link = scenario.links()[s];
-        let mut exporter = V5Exporter::new();
-        let mut bytes: Vec<u8> = Vec::new();
-        let mut flow_count = 0u64;
-        for i in 0..intervals {
-            let interval = scenario.generate(s, i);
-            flow_count += interval.flows.len() as u64;
-            for dgram in exporter.export(&interval.flows) {
-                bytes.extend_from_slice(&dgram);
-            }
-        }
         fs::write(path, &bytes).map_err(|e| format!("cannot write {path}: {e}"))?;
         writeln!(
             out,
@@ -343,6 +356,31 @@ fn generate_multi(args: &Args, outs: &[String], out: &mut impl Write) -> Result<
         "ground truth: {events} events on anomaly-carrying links, intervals {anomalous:?}"
     )
     .map_err(write_error)
+}
+
+/// The first `intervals` intervals, `flows_of` each, as concatenated
+/// NetFlow v5 datagrams, with their flow count. Every consumer refuses
+/// an empty trace, so intervals without a flow are an error.
+fn export_trace(
+    intervals: u64,
+    flows_of: impl Fn(u64) -> Vec<FlowRecord>,
+) -> Result<(Vec<u8>, u64), String> {
+    let mut exporter = V5Exporter::new();
+    let (mut bytes, mut flow_count) = (Vec::new(), 0u64);
+    for i in 0..intervals {
+        let flows = flows_of(i);
+        flow_count += flows.len() as u64;
+        for dgram in exporter.export(&flows) {
+            bytes.extend_from_slice(&dgram);
+        }
+    }
+    if flow_count == 0 {
+        return Err(format!(
+            "the {intervals} synthesized interval(s) hold no flows, and every consumer \
+             refuses an empty trace; no file was written"
+        ));
+    }
+    Ok((bytes, flow_count))
 }
 
 /// A capture file, or stdin when its path is `-`: NetFlow v5 flow
@@ -825,10 +863,9 @@ fn parse_durability(args: &Args) -> Result<Option<Durability>, String> {
     if every == 0 {
         return Err("--checkpoint-every must be at least 1".into());
     }
-    let stop_after = match args.get("stop-after") {
-        None => None,
-        Some(_) => Some(args.get_or("stop-after", 0u64).map_err(|e| e.to_string())?),
-    };
+    let stop_after = (args.get("stop-after").is_some())
+        .then(|| args.get_or("stop-after", 0u64).map_err(|e| e.to_string()))
+        .transpose()?;
     if stop_after == Some(0) {
         return Err("--stop-after must be at least 1".into());
     }
@@ -1000,6 +1037,42 @@ fn restore_from_checkpoint(
     Ok((engine, consumed))
 }
 
+/// Refuse a `--resume` option that the checkpoint's settings, which the
+/// resume runs, would drop: a grid (`--interval-min`, `--max-lag`) or
+/// detector and miner setting that differs. `--support` and the rule
+/// options are not checked: a `reconfig` file may have changed them.
+fn check_resume_options(
+    args: &Args,
+    cli: &ExtractionConfig,
+    max_lag: Option<u64>,
+    engine: &MultiSourceExtractor,
+) -> Result<(), String> {
+    let keys = "interval-min training miner max-lag prefixes intersection".split(' ');
+    let settings = |c: &ExtractionConfig, lag: Option<u64>| {
+        let on = |set: bool| if set { "on" } else { "off" }.to_string();
+        [
+            (c.interval_ms / MINUTE_MS).to_string(),
+            c.detector.training_intervals.to_string(),
+            c.miner.to_string(),
+            lag.unwrap_or(0).to_string(),
+            on(c.transactions == TransactionMode::WithPrefixes),
+            on(c.prefilter == PrefilterMode::Intersection),
+        ]
+    };
+    let given = settings(cli, max_lag);
+    let kept = settings(
+        engine.config(),
+        engine.assembler().config().max_lag_intervals,
+    );
+    match (keys.zip(given.iter().zip(&kept))).find(|(key, (g, k))| args.count(key) > 0 && g != k) {
+        None => Ok(()),
+        Some((key, (given, kept))) => Err(format!(
+            "--{key} {given} disagrees with the checkpoint's {kept} (a resume runs the \
+             checkpoint's settings: omit the option or give the checkpoint's value)"
+        )),
+    }
+}
+
 /// The one body of `extract` and `stream`, for any number of `--in`
 /// captures: each is one exporter on a shared interval grid, read
 /// whole and replayed in collector arrival order (heartbeats included)
@@ -1030,6 +1103,8 @@ fn replay_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
     let (mut engine, mut consumed) = if let Some(path) = &resume_from {
         let sources = replay.lanes.len();
         let resumed = restore_from_checkpoint(path, sources, force_rare)?;
+        check_resume_options(args, &config, max_lag, &resumed.0)
+            .map_err(|e| format!("cannot resume from {}: {e}", path.display()))?;
         // The checkpointed run's origins, not the ones this run's Δ
         // infers: they fix the replay order, and with it the flows the
         // skip below passes over.
@@ -1047,7 +1122,7 @@ fn replay_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
             .zip(&replay.lanes)
             .map(|(i, l)| SourceSpec::new(i, l.origin))
             .collect();
-        let engine = MultiSourceExtractor::try_new(config, NonZeroUsize::MIN, &specs, max_lag);
+        let engine = MultiSourceExtractor::new(config, &specs, max_lag);
         (engine.map_err(String::from)?, 0)
     };
     // The run settings every summary line ends with, as the engine
@@ -1195,9 +1270,15 @@ pub fn parse_metadata(spec: &str) -> Result<MetaData, String> {
 fn analyze_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
     let input = args.require("in")?;
     let metadata = parse_metadata(args.require("metadata")?)?;
-    // Top-k mining has no rule layer: refuse the options it would drop.
+    // Refuse the options the chosen mode would drop.
     if args.flag("top") && parse_rules(args)?.is_some() {
         return Err("--top does not take rule options".into());
+    }
+    if args.flag("top") && args.get("support").is_some() {
+        return Err("--top finds its own support and does not take --support".into());
+    }
+    if !args.flag("top") && args.get("k").is_some() {
+        return Err("--k needs --top".into());
     }
     // The configuration — validation, error text and `--rare` guard
     // included — `extract` and `stream` run under, before touching the
@@ -1564,8 +1645,7 @@ mod tests {
             ..ExtractionConfig::default()
         };
         let one = [SourceSpec::new(0u32, 0)];
-        let mut engine =
-            MultiSourceExtractor::try_new(config, NonZeroUsize::MIN, &one, None).unwrap();
+        let mut engine = MultiSourceExtractor::new(config, &one, None).unwrap();
         let flow = |ms| {
             FlowRecord::new(
                 ms,
@@ -2043,15 +2123,13 @@ mod tests {
         let config = parse_config(&args).unwrap();
         let lanes = Replay::open(&args, config.interval_ms).unwrap().lanes;
         // A distinctive id, so the test can find it in the payload and
-        // rewrite it to 0 — a duplicate `try_new` would have refused.
+        // rewrite it to 0 — a duplicate `new` would have refused.
         const MARK: u32 = 0x5EC0_1D1D;
         for (ids, duplicate) in [([0, 5], false), ([0, MARK], true)] {
             let specs: Vec<_> = (ids.iter().zip(&lanes))
                 .map(|(&id, lane)| SourceSpec::new(id, lane.origin))
                 .collect();
-            let mut engine =
-                MultiSourceExtractor::try_new(config.clone(), NonZeroUsize::MIN, &specs, None)
-                    .unwrap();
+            let mut engine = MultiSourceExtractor::new(config.clone(), &specs, None).unwrap();
             let (_, mut payload) = engine.checkpoint();
             if duplicate {
                 let at = (payload.windows(4))

@@ -168,16 +168,6 @@ impl Engine {
         })
     }
 
-    /// [`Engine::new`] under the name the frozen benchmark replica
-    /// imports. Stays for that replica until ROADMAP item 12(b).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first violated configuration constraint.
-    pub fn sequential(config: ExtractionConfig) -> Result<Self, ConfigError> {
-        Self::new(config)
-    }
-
     /// Offline extraction (§II-B with meta-data from elsewhere):
     /// pre-filter `flows` with `metadata` and mine the survivors under
     /// the engine's configuration — miner, support, pre-filter,
@@ -225,10 +215,8 @@ impl Engine {
     /// accepting the interval in whichever representation the caller
     /// holds (see [`IntervalInput`]); bit-identical across
     /// representations of the same flows. Records are transposed into
-    /// columns first; a columnar interval (an assembled window, or one
-    /// built straight from datagrams via
-    /// [`decode_into_columns`](anomex_netflow::v5::decode_into_columns))
-    /// is scanned as it is.
+    /// columns first; a columnar interval (an assembled window) is
+    /// scanned as it is.
     pub fn process<'a>(&mut self, input: impl Into<IntervalInput<'a>>) -> IntervalOutcome {
         match input.into() {
             IntervalInput::Records(flows) => self.process_columns(&FlowColumns::from_flows(flows)),
@@ -391,10 +379,9 @@ mod tests {
     fn invalid_config_is_an_error_not_a_panic() {
         let mut c = test_config(100);
         c.min_support = 0;
-        let err = Engine::new(c.clone()).unwrap_err();
+        let err = Engine::new(c).unwrap_err();
         assert!(err.to_string().contains("support"), "{err}");
-        assert!(Engine::sequential(c).is_err());
-        assert!(Engine::sequential(test_config(100)).is_ok());
+        assert!(Engine::new(test_config(100)).is_ok());
     }
 
     #[test]

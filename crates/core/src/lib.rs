@@ -37,7 +37,7 @@
 //!   Durable operation ([`MultiSourceExtractor::checkpoint`] /
 //!   [`MultiSourceExtractor::restore`] resume the stream bit-identically
 //!   after a crash) and boundary-aligned live reconfiguration come with
-//!   it. [`StreamingExtractor`] is its one-source shorthand;
+//!   it;
 //! - [`evaluate`] — the full §III evaluation harness over labeled
 //!   scenarios;
 //! - [`models`] — the analytic voting models, eqs. (1)–(3);
@@ -56,6 +56,7 @@ pub mod config;
 pub mod cost;
 pub mod engine;
 pub mod evaluate;
+mod legacy;
 pub mod models;
 pub mod pipeline;
 pub mod prefilter;
@@ -70,6 +71,8 @@ pub use evaluate::{
     evaluate_itemsets, run_scenario, EvaluatedItemSet, IntervalRecord, ScenarioRun,
     SupportSweepPoint, Table4Row,
 };
+#[doc(hidden)]
+pub use legacy::*;
 pub use models::{
     beta_hit_lower, beta_miss_upper, binomial_coefficient, binomial_tail,
     expected_normal_survivors, gamma_normal_survives,
@@ -81,5 +84,4 @@ pub use prefilter::{
 pub use report::{render_level_stats, render_report, render_report_with_levels, render_rule_merge};
 pub use streaming::{
     latency_percentile, MultiSourceExtractor, MultiStreamEvent, MultiStreamSummary, StreamEvent,
-    StreamingExtractor,
 };

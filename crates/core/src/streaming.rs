@@ -29,8 +29,7 @@
 //! ```
 //!
 //! One exporter is a fan-in of one: a one-lane grid closes exactly the
-//! windows a plain assembler would. [`StreamingExtractor`] is only a
-//! shorthand for that case.
+//! windows a plain assembler would.
 //!
 //! Flows arrive in runs of one source's records
 //! ([`MultiSourceExtractor::push_run`]); each run stops at the first flow
@@ -58,7 +57,6 @@
 //! interleave. The streaming and
 //! multi-source determinism property suites assert both.
 
-use std::num::NonZeroUsize;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -72,6 +70,8 @@ use anomex_netflow::{
 
 use crate::config::{ConfigError, ExtractionConfig};
 use crate::engine::{Engine, ReconfigRequest};
+#[doc(hidden)]
+pub use crate::legacy::*;
 use crate::pipeline::IntervalOutcome;
 
 /// One closed interval's worth of streaming output: what the pipeline
@@ -454,18 +454,14 @@ impl MultiSourceExtractor {
     /// pipeline thread. Source `s` has windows `[origin_s + i*Δ,
     /// origin_s + (i+1)*Δ)`. `max_lag_intervals` bounds how far the
     /// fastest source may run ahead before the grid force-closes
-    /// laggards (`None` = pure watermark, wait forever). `_shards` is
-    /// ignored — every interval runs on the pipeline thread — and stays,
-    /// with this call shape, for the frozen benchmark replica until
-    /// ROADMAP item 12(b).
+    /// laggards (`None` = pure watermark, wait forever).
     ///
     /// # Errors
     ///
     /// Returns the first violated configuration constraint (invalid
     /// pipeline config, no sources, or duplicate source ids).
-    pub fn try_new(
+    pub fn new(
         config: ExtractionConfig,
-        _shards: NonZeroUsize,
         sources: &[SourceSpec],
         max_lag_intervals: Option<u64>,
     ) -> Result<Self, ConfigError> {
@@ -737,55 +733,6 @@ impl MultiSourceExtractor {
     }
 }
 
-/// One-source shorthand: a [`MultiSourceExtractor`] over a single
-/// exporter (source `0`, no lateness bound) that speaks plain
-/// [`StreamEvent`]s. Its checkpoint payload is the one-lane grid's, so
-/// [`MultiSourceExtractor::restore`] resumes it. Every method re-raises
-/// a panic from the pipeline thread.
-#[derive(Debug)]
-pub struct StreamingExtractor(MultiSourceExtractor);
-
-impl StreamingExtractor {
-    /// A one-exporter stream with windows `[origin_ms + i*Δ, origin_ms +
-    /// (i+1)*Δ)`. `shards` is ignored, as in
-    /// [`MultiSourceExtractor::try_new`], and stays for the frozen
-    /// benchmark replica until ROADMAP item 12(b).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first violated configuration constraint.
-    pub fn try_new(
-        config: ExtractionConfig,
-        shards: NonZeroUsize,
-        origin_ms: u64,
-    ) -> Result<Self, ConfigError> {
-        let source = [SourceSpec::new(0u32, origin_ms)];
-        MultiSourceExtractor::try_new(config, shards, &source, None).map(StreamingExtractor)
-    }
-
-    /// [`MultiSourceExtractor::push`] for the one source.
-    pub fn push(&mut self, flow: FlowRecord) -> Vec<StreamEvent> {
-        plain(self.0.push(SourceId(0), flow))
-    }
-
-    /// [`MultiSourceExtractor::checkpoint`].
-    pub fn checkpoint(&mut self) -> (Vec<StreamEvent>, Vec<u8>) {
-        let (events, payload) = self.0.checkpoint();
-        (plain(events), payload)
-    }
-
-    /// [`MultiSourceExtractor::finish`].
-    #[must_use]
-    pub fn finish(self) -> (Vec<StreamEvent>, MultiStreamSummary) {
-        let (events, summary) = self.0.finish();
-        (plain(events), summary)
-    }
-}
-
-fn plain(events: Vec<MultiStreamEvent>) -> Vec<StreamEvent> {
-    events.into_iter().map(|e| e.event).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -809,17 +756,9 @@ mod tests {
         }
     }
 
-    /// A stream over `sources` without a lateness bound.
-    fn fan_in(
-        config: ExtractionConfig,
-        sources: &[SourceSpec],
-    ) -> Result<MultiSourceExtractor, ConfigError> {
-        MultiSourceExtractor::try_new(config, NonZeroUsize::MIN, sources, None)
-    }
-
     /// One exporter with clock origin `origin_ms`: a fan-in of one.
     fn one_lane(config: ExtractionConfig, origin_ms: u64) -> MultiSourceExtractor {
-        fan_in(config, &[SourceSpec::new(0u32, origin_ms)]).unwrap()
+        MultiSourceExtractor::new(config, &[SourceSpec::new(0u32, origin_ms)], None).unwrap()
     }
 
     fn flow_at(ms: u64) -> FlowRecord {
@@ -1064,45 +1003,13 @@ mod tests {
         assert_eq!(summary.total_flows, 1);
     }
 
-    /// The shorthand is the one-lane engine: same events, same summary,
-    /// and its checkpoint resumes as a one-lane grid.
-    #[test]
-    fn shorthand_is_a_one_lane_engine() {
-        let scenario = Scenario::small(5);
-        let intervals = scenario.interval_count().min(22);
-        let mut short =
-            StreamingExtractor::try_new(test_config(scenario.interval_ms()), NonZeroUsize::MIN, 0)
-                .unwrap();
-        let mut lane = one_lane(test_config(scenario.interval_ms()), 0);
-        let (mut short_events, mut lane_events) = (Vec::new(), Vec::new());
-        for i in 0..intervals {
-            for flow in scenario.generate(i).flows {
-                short_events.extend(short.push(flow));
-                lane_events.extend(lane.push(SRC, flow));
-            }
-        }
-        let (tail, payload) = short.checkpoint();
-        short_events.extend(tail);
-        let (tail, short_summary) = short.finish();
-        short_events.extend(tail);
-        let (tail, lane_summary) = lane.finish();
-        lane_events.extend(tail);
-        assert_eq!(short_summary, lane_summary);
-        assert_eq!(short_events.len(), lane_events.len());
-        for (a, b) in short_events.iter().zip(&lane_events) {
-            assert_same_event(a, &b.event);
-        }
-        let (_, resumed) = MultiSourceExtractor::restore(&payload).unwrap().finish();
-        assert_eq!(resumed, lane_summary);
-    }
-
     fn two_specs() -> Vec<SourceSpec> {
         vec![SourceSpec::new(0u32, 0), SourceSpec::new(1u32, 0)]
     }
 
     #[test]
     fn multi_source_event_carries_per_source_weights() {
-        let mut multi = fan_in(test_config(1_000), &two_specs()).unwrap();
+        let mut multi = MultiSourceExtractor::new(test_config(1_000), &two_specs(), None).unwrap();
         multi.push(SourceId(0), flow_at(100));
         multi.push(SourceId(0), flow_at(200));
         multi.push(SourceId(1), flow_at(300));
@@ -1142,7 +1049,7 @@ mod tests {
                 rules,
                 ..test_config(scenario.interval_ms())
             };
-            let mut multi = fan_in(config.clone(), &two_specs()).unwrap();
+            let mut multi = MultiSourceExtractor::new(config.clone(), &two_specs(), None).unwrap();
             let mut lane = one_lane(config, 0);
             let (mut events, mut lane_events) = (Vec::new(), Vec::new());
             for split in &windows {
@@ -1203,8 +1110,8 @@ mod tests {
             script.push((SourceId(1), other));
         }
         let config = test_config(delta);
-        let mut by_flow = fan_in(config.clone(), &specs).unwrap();
-        let mut by_run = fan_in(config, &specs).unwrap();
+        let mut by_flow = MultiSourceExtractor::new(config.clone(), &specs, None).unwrap();
+        let mut by_run = MultiSourceExtractor::new(config, &specs, None).unwrap();
         let (mut flow_events, mut run_events) = (Vec::new(), Vec::new());
         for (source, flows) in &script {
             for &flow in flows {
@@ -1237,7 +1144,7 @@ mod tests {
 
     #[test]
     fn multi_source_watermark_waits_then_finish_source_releases() {
-        let mut multi = fan_in(test_config(1_000), &two_specs()).unwrap();
+        let mut multi = MultiSourceExtractor::new(test_config(1_000), &two_specs(), None).unwrap();
         // Source 0 races ahead; nothing closes while source 1 is live
         // and silent.
         assert!(multi.push(SourceId(0), flow_at(100)).is_empty());
@@ -1254,7 +1161,7 @@ mod tests {
     fn idle_source_heartbeat_releases_intervals_without_max_lag() {
         // Pure watermark (no lateness bound): only punctuation from the
         // idle source can release the grid.
-        let mut multi = fan_in(test_config(1_000), &two_specs()).unwrap();
+        let mut multi = MultiSourceExtractor::new(test_config(1_000), &two_specs(), None).unwrap();
         assert!(multi.push(SourceId(0), flow_at(100)).is_empty());
         assert!(multi.push(SourceId(0), flow_at(2_500)).is_empty());
         // Source 1 is live but idle; its heartbeat at 2.1s closes
@@ -1273,22 +1180,27 @@ mod tests {
 
     #[test]
     fn multi_source_invalid_configs_are_errors() {
-        assert!(fan_in(test_config(1_000), &[]).is_err(), "no sources");
+        assert!(
+            MultiSourceExtractor::new(test_config(1_000), &[], None).is_err(),
+            "no sources"
+        );
         let dup = [SourceSpec::new(0u32, 0), SourceSpec::new(0u32, 5)];
-        assert!(fan_in(test_config(1_000), &dup).is_err(), "duplicate ids");
+        assert!(
+            MultiSourceExtractor::new(test_config(1_000), &dup, None).is_err(),
+            "duplicate ids"
+        );
         let mut config = test_config(1_000);
         config.min_support = 0;
         let one = [SourceSpec::new(0u32, 0)];
         for sources in [&one[..], &two_specs()] {
-            assert!(fan_in(config.clone(), sources).is_err());
+            assert!(MultiSourceExtractor::new(config.clone(), sources, None).is_err());
         }
-        assert!(StreamingExtractor::try_new(config, NonZeroUsize::MIN, 0).is_err());
     }
 
     #[test]
     fn abandoning_a_stream_joins_the_pipeline_thread() {
         for specs in [vec![SourceSpec::new(0u32, 0)], two_specs()] {
-            let mut stream = fan_in(test_config(1_000), &specs).unwrap();
+            let mut stream = MultiSourceExtractor::new(test_config(1_000), &specs, None).unwrap();
             for i in 0u32..40 {
                 let source = SourceId(i % specs.len() as u32);
                 let _ = stream.push(source, flow_at(u64::from(i) * 100));

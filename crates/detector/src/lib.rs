@@ -37,6 +37,7 @@ pub mod entropy;
 pub mod hash;
 pub mod histogram;
 pub mod kl;
+mod legacy;
 pub mod metadata;
 pub mod roc;
 pub mod threshold;
@@ -52,27 +53,9 @@ pub use entropy::{shannon_entropy, EntropyDetector, EntropyObservation};
 pub use hash::{derive_hashers, BinHasher};
 pub use histogram::FeatureHistogram;
 pub use kl::kl_distance;
+#[doc(hidden)]
+pub use legacy::*;
 pub use metadata::MetaData;
 pub use roc::{RocCurve, RocPoint};
 pub use threshold::{median, robust_sigma, FirstDiffThreshold, MAD_TO_SIGMA, SIGMA_FLOOR};
 pub use vote::vote;
-
-/// The histogram pass's implementation, as reported by
-/// [`active_backend`]. Only [`Scalar`](Self::Scalar) exists now.
-///
-/// Kept solely because the benchmark's `detector.avx2_active` metric
-/// reads it; it goes when a benchmark-only change retires that metric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelBackend {
-    /// The one portable column scan.
-    Scalar,
-    /// Never returned: the vectorized backend was removed.
-    Avx2,
-}
-
-/// Always [`KernelBackend::Scalar`] — see [`KernelBackend`] for why this
-/// still exists.
-#[must_use]
-pub fn active_backend() -> KernelBackend {
-    KernelBackend::Scalar
-}

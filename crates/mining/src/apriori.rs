@@ -18,7 +18,6 @@ use crate::combinations::for_each_combination;
 use crate::item::{Item, ItemHashBuilder, ItemMap};
 use crate::itemset::ItemSet;
 use crate::maximal::filter_maximal;
-use crate::miner::Exec;
 use crate::transaction::{TransactionSet, MAX_WIDTH};
 
 /// Padding value for fixed-size candidate keys. Never a valid item
@@ -263,18 +262,6 @@ pub fn apriori(set: &TransactionSet, config: &AprioriConfig) -> AprioriOutput {
         levels,
         passes,
     }
-}
-
-/// [`apriori`] under the name and call shape the frozen benchmark
-/// replica imports; the [`Exec`] argument selects nothing. Stays for
-/// that replica until ROADMAP item 12(b).
-///
-/// # Panics
-///
-/// Panics if `config.min_support` is zero.
-#[must_use]
-pub fn apriori_exec(set: &TransactionSet, config: &AprioriConfig, _exec: Exec) -> AprioriOutput {
-    apriori(set, config)
 }
 
 /// Boundaries of the (k-2)-prefix groups of a sorted frequent level:

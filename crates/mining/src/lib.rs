@@ -45,19 +45,20 @@ pub mod eclat;
 pub mod fpgrowth;
 pub mod item;
 pub mod itemset;
+mod legacy;
 pub mod maximal;
 pub mod miner;
 pub mod rules;
 pub mod topk;
 pub mod transaction;
 
-pub use apriori::{apriori_exec, AprioriConfig, AprioriOutput, LevelStats};
+pub use apriori::{AprioriConfig, AprioriOutput, LevelStats};
 pub use item::Item;
 pub use itemset::{canonicalize, ItemSet};
+#[doc(hidden)]
+pub use legacy::*;
 pub use maximal::{filter_maximal, filter_maximal_general};
-pub use miner::{Exec, MinerKind};
-pub use rules::{
-    generate_rules, merge_rule_sets, Rule, RuleConfig, RuleSet, ScoredRule, RARE_SUPPORT_GUARD,
-};
+pub use miner::MinerKind;
+pub use rules::{merge_rule_sets, Rule, RuleConfig, RuleSet, ScoredRule, RARE_SUPPORT_GUARD};
 pub use topk::{mine_top_k, TopK};
 pub use transaction::{Transaction, TransactionError, TransactionSet, CANONICAL_WIDTH, MAX_WIDTH};

@@ -8,24 +8,8 @@ use crate::eclat::eclat;
 use crate::fpgrowth::fpgrowth;
 use crate::itemset::ItemSet;
 use crate::maximal::filter_maximal;
-use crate::rules::{generate_rules, RuleConfig, RuleSet};
+use crate::rules::{RuleConfig, RuleSet};
 use crate::transaction::{Transaction, TransactionSet};
-
-/// The execution-context argument of [`apriori_exec`](crate::apriori_exec),
-/// [`generate_rules`] and [`MinerKind::mine_maximal_exec`]: every pass
-/// runs on the calling thread, so it selects nothing. Stays, with those
-/// three call shapes, for the frozen benchmark replica until ROADMAP
-/// item 12(b).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Exec;
-
-impl Exec {
-    /// The one execution context: the calling thread.
-    #[must_use]
-    pub fn inline() -> Exec {
-        Exec
-    }
-}
 
 /// Which frequent item-set algorithm to run.
 ///
@@ -77,23 +61,6 @@ impl MinerKind {
         self.mine(set, min_support, None).0
     }
 
-    /// [`mine_maximal`](Self::mine_maximal) under the call shape the
-    /// frozen benchmark replica imports; the [`Exec`] argument selects
-    /// nothing. Stays for that replica until ROADMAP item 12(b).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `min_support` is zero.
-    #[must_use]
-    pub fn mine_maximal_exec(
-        self,
-        set: &TransactionSet,
-        min_support: u64,
-        _exec: Exec,
-    ) -> Vec<ItemSet> {
-        self.mine_maximal(set, min_support)
-    }
-
     /// One extraction's mining pass: the maximal frequent item-sets at
     /// `min_support` (canonically ordered), Apriori's per-level audit
     /// trail (empty for the other miners), and — iff `rules` is given —
@@ -105,7 +72,7 @@ impl MinerKind {
     /// `min_support` follow from that one run by downward closure, so
     /// enabling rules never changes the item-set report, and the rules
     /// are generated, filtered and ranked from the counted supports by
-    /// [`generate_rules`].
+    /// [`RuleSet::generate`].
     ///
     /// # Panics
     ///
@@ -138,7 +105,7 @@ impl MinerKind {
             _ => (self.mine_all(set, floor), Vec::new()),
         };
         let ranked =
-            rules.map(|rc| generate_rules(&frequent, set.len() as u64, min_support, rc, Exec));
+            rules.map(|rc| RuleSet::generate(&frequent, set.len() as u64, min_support, rc));
         frequent.retain(|s| s.support >= min_support);
         let itemsets = filter_maximal(frequent);
         for s in &itemsets {

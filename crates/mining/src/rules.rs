@@ -39,7 +39,6 @@ use std::fmt;
 use crate::combinations::for_each_combination;
 use crate::item::Item;
 use crate::itemset::ItemSet;
-use crate::miner::Exec;
 
 /// Default minimum confidence for emitted rules.
 pub const DEFAULT_MIN_CONFIDENCE: f64 = 0.6;
@@ -301,6 +300,122 @@ impl RuleSet {
     pub fn is_empty(&self) -> bool {
         self.rules.is_empty()
     }
+
+    /// Generate, filter, and rank association rules from the **all-frequent**
+    /// item-sets of one interval.
+    ///
+    /// `frequent` must be *downward closed*: for every item-set it contains,
+    /// it also contains every non-empty subset with its exact support — the
+    /// shape every miner's all-frequent output has. Supports are looked up
+    /// in that collection; the transactions are never rescanned.
+    /// `transactions` is `N`, the number of transactions mined.
+    ///
+    /// Rules are seeded from every item-set of length ≥ 2 whose support
+    /// meets [`RuleConfig::level_floor`] for its length (the absolute floor
+    /// normally; the halving per-level floor in rare mode).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `frequent` is not downward closed.
+    ///
+    /// # Examples
+    ///
+    /// Metrics follow from the supports — here `{dstPort=80} ⇒ {proto=6}`
+    /// holds in 3 of the 4 transactions that contain `dstPort=80`:
+    ///
+    /// ```
+    /// use anomex_mining::rules::{RuleConfig, RuleSet};
+    /// use anomex_mining::{Item, MinerKind, Transaction, TransactionSet};
+    /// use anomex_netflow::FlowFeature;
+    ///
+    /// let mut set = TransactionSet::new();
+    /// let item = |f, v| Item::new(f, v);
+    /// for proto in [6u64, 6, 6, 17, 6] {
+    ///     set.push(
+    ///         Transaction::from_items(&[
+    ///             item(FlowFeature::DstPort, if proto == 6 && set.len() == 4 { 443 } else { 80 }),
+    ///             item(FlowFeature::Proto, proto),
+    ///         ])
+    ///         .unwrap(),
+    ///     );
+    /// }
+    /// let frequent = MinerKind::Apriori.mine_all(&set, 1);
+    /// let config = RuleConfig { min_confidence: 0.5, min_lift: 0.0, rare: false };
+    /// let ranked = RuleSet::generate(&frequent, set.len() as u64, 1, &config);
+    /// let rule = ranked
+    ///     .rules
+    ///     .iter()
+    ///     .find(|s| s.rule.to_string().starts_with("{dstPort=80} => {protocol=6}"))
+    ///     .expect("rule emitted");
+    /// assert_eq!(rule.rule.confidence, 3.0 / 4.0);
+    /// ```
+    ///
+    /// Single-item item-sets seed no rules (a rule needs a non-empty
+    /// antecedent *and* consequent), and an empty interval yields an empty
+    /// population — both panic-free:
+    ///
+    /// ```
+    /// use anomex_mining::rules::{RuleConfig, RuleSet};
+    /// use anomex_mining::{Item, ItemSet};
+    /// use anomex_netflow::FlowFeature;
+    ///
+    /// let config = RuleConfig::default();
+    /// let singles = vec![ItemSet::new(vec![Item::new(FlowFeature::DstPort, 80)], 5)];
+    /// assert!(RuleSet::generate(&singles, 5, 1, &config).is_empty());
+    /// assert!(RuleSet::generate(&[], 0, 1, &config).is_empty());
+    /// ```
+    ///
+    /// A 100%-support antecedent with confidence 1 has **infinite
+    /// conviction**, encoded as `None`, and `min_confidence = 1.0` keeps
+    /// exactly the never-failing rules:
+    ///
+    /// ```
+    /// use anomex_mining::rules::{RuleConfig, RuleSet};
+    /// use anomex_mining::{Item, ItemSet};
+    /// use anomex_netflow::FlowFeature;
+    ///
+    /// let a = Item::new(FlowFeature::DstPort, 7000);
+    /// let b = Item::new(FlowFeature::Proto, 17);
+    /// // Both items in all 10 transactions: downward-closed by hand.
+    /// let frequent = vec![
+    ///     ItemSet::new(vec![a], 10),
+    ///     ItemSet::new(vec![b], 10),
+    ///     ItemSet::new(vec![a, b], 10),
+    /// ];
+    /// let config = RuleConfig { min_confidence: 1.0, min_lift: 0.0, rare: false };
+    /// let ranked = RuleSet::generate(&frequent, 10, 1, &config);
+    /// assert_eq!(ranked.len(), 2, "both directions are certain");
+    /// assert!(ranked.rules.iter().all(|s| s.rule.conviction.is_none()));
+    /// ```
+    #[must_use]
+    pub fn generate(
+        frequent: &[ItemSet],
+        transactions: u64,
+        min_support: u64,
+        config: &RuleConfig,
+    ) -> RuleSet {
+        if transactions == 0 || frequent.is_empty() {
+            return RuleSet {
+                rules: Vec::new(),
+                transactions,
+            };
+        }
+        let supports: BTreeMap<Vec<Item>, u64> = frequent
+            .iter()
+            .map(|s| (s.items().to_vec(), s.support))
+            .collect();
+        let bases: Vec<ItemSet> = frequent
+            .iter()
+            .filter(|s| s.len() >= 2 && s.support >= config.level_floor(min_support, s.len()))
+            .cloned()
+            .collect();
+        let mut rules = Vec::new();
+        enumerate_rules(&bases, &supports, transactions, config, &mut rules);
+        RuleSet {
+            rules: score_rules(rules, transactions),
+            transactions,
+        }
+    }
 }
 
 /// The metric vector a rule is z-scored on, in fixed dimension order.
@@ -420,125 +535,6 @@ fn enumerate_rules(
     }
 }
 
-/// Generate, filter, and rank association rules from the **all-frequent**
-/// item-sets of one interval.
-///
-/// `frequent` must be *downward closed*: for every item-set it contains,
-/// it also contains every non-empty subset with its exact support — the
-/// shape every miner's all-frequent output has. Supports are looked up
-/// in that collection; the transactions are never rescanned.
-/// `transactions` is `N`, the number of transactions mined.
-///
-/// Rules are seeded from every item-set of length ≥ 2 whose support
-/// meets [`RuleConfig::level_floor`] for its length (the absolute floor
-/// normally; the halving per-level floor in rare mode). The [`Exec`]
-/// argument selects nothing: it stays, with this call shape, for the
-/// frozen benchmark replica until ROADMAP item 12(b).
-///
-/// # Panics
-///
-/// Panics if `frequent` is not downward closed.
-///
-/// # Examples
-///
-/// Metrics follow from the supports — here `{dstPort=80} ⇒ {proto=6}`
-/// holds in 3 of the 4 transactions that contain `dstPort=80`:
-///
-/// ```
-/// use anomex_mining::rules::{generate_rules, RuleConfig};
-/// use anomex_mining::{Exec, Item, MinerKind, Transaction, TransactionSet};
-/// use anomex_netflow::FlowFeature;
-///
-/// let mut set = TransactionSet::new();
-/// let item = |f, v| Item::new(f, v);
-/// for proto in [6u64, 6, 6, 17, 6] {
-///     set.push(
-///         Transaction::from_items(&[
-///             item(FlowFeature::DstPort, if proto == 6 && set.len() == 4 { 443 } else { 80 }),
-///             item(FlowFeature::Proto, proto),
-///         ])
-///         .unwrap(),
-///     );
-/// }
-/// let frequent = MinerKind::Apriori.mine_all(&set, 1);
-/// let config = RuleConfig { min_confidence: 0.5, min_lift: 0.0, rare: false };
-/// let ranked = generate_rules(&frequent, set.len() as u64, 1, &config, Exec::inline());
-/// let rule = ranked
-///     .rules
-///     .iter()
-///     .find(|s| s.rule.to_string().starts_with("{dstPort=80} => {protocol=6}"))
-///     .expect("rule emitted");
-/// assert_eq!(rule.rule.confidence, 3.0 / 4.0);
-/// ```
-///
-/// Single-item item-sets seed no rules (a rule needs a non-empty
-/// antecedent *and* consequent), and an empty interval yields an empty
-/// population — both panic-free:
-///
-/// ```
-/// use anomex_mining::rules::{generate_rules, RuleConfig};
-/// use anomex_mining::{Exec, Item, ItemSet};
-/// use anomex_netflow::FlowFeature;
-///
-/// let config = RuleConfig::default();
-/// let singles = vec![ItemSet::new(vec![Item::new(FlowFeature::DstPort, 80)], 5)];
-/// assert!(generate_rules(&singles, 5, 1, &config, Exec::inline()).is_empty());
-/// assert!(generate_rules(&[], 0, 1, &config, Exec::inline()).is_empty());
-/// ```
-///
-/// A 100%-support antecedent with confidence 1 has **infinite
-/// conviction**, encoded as `None`, and `min_confidence = 1.0` keeps
-/// exactly the never-failing rules:
-///
-/// ```
-/// use anomex_mining::rules::{generate_rules, RuleConfig};
-/// use anomex_mining::{Exec, Item, ItemSet};
-/// use anomex_netflow::FlowFeature;
-///
-/// let a = Item::new(FlowFeature::DstPort, 7000);
-/// let b = Item::new(FlowFeature::Proto, 17);
-/// // Both items in all 10 transactions: downward-closed by hand.
-/// let frequent = vec![
-///     ItemSet::new(vec![a], 10),
-///     ItemSet::new(vec![b], 10),
-///     ItemSet::new(vec![a, b], 10),
-/// ];
-/// let config = RuleConfig { min_confidence: 1.0, min_lift: 0.0, rare: false };
-/// let ranked = generate_rules(&frequent, 10, 1, &config, Exec::inline());
-/// assert_eq!(ranked.len(), 2, "both directions are certain");
-/// assert!(ranked.rules.iter().all(|s| s.rule.conviction.is_none()));
-/// ```
-#[must_use]
-pub fn generate_rules(
-    frequent: &[ItemSet],
-    transactions: u64,
-    min_support: u64,
-    config: &RuleConfig,
-    _exec: Exec,
-) -> RuleSet {
-    if transactions == 0 || frequent.is_empty() {
-        return RuleSet {
-            rules: Vec::new(),
-            transactions,
-        };
-    }
-    let supports: BTreeMap<Vec<Item>, u64> = frequent
-        .iter()
-        .map(|s| (s.items().to_vec(), s.support))
-        .collect();
-    let bases: Vec<ItemSet> = frequent
-        .iter()
-        .filter(|s| s.len() >= 2 && s.support >= config.level_floor(min_support, s.len()))
-        .cloned()
-        .collect();
-    let mut rules = Vec::new();
-    enumerate_rules(&bases, &supports, transactions, config, &mut rules);
-    RuleSet {
-        rules: score_rules(rules, transactions),
-        transactions,
-    }
-}
-
 /// Merge per-source rule populations and **re-score at the rule layer**:
 /// rules are keyed by `(antecedent, consequent)`, their supports and
 /// transaction counts summed exactly, every metric recomputed from the
@@ -629,7 +625,7 @@ mod tests {
     fn metrics_match_definitions_exactly() {
         let set = flood_like_set();
         let frequent = all_frequent(&set, 1);
-        let ranked = generate_rules(&frequent, 10, 1, &loose(), Exec::inline());
+        let ranked = RuleSet::generate(&frequent, 10, 1, &loose());
         assert!(!ranked.is_empty());
         for scored in &ranked.rules {
             let r = &scored.rule;
@@ -656,7 +652,7 @@ mod tests {
     #[test]
     fn conviction_is_infinite_only_at_confidence_one() {
         let set = flood_like_set();
-        let ranked = generate_rules(&all_frequent(&set, 1), 10, 1, &loose(), Exec::inline());
+        let ranked = RuleSet::generate(&all_frequent(&set, 1), 10, 1, &loose());
         for scored in &ranked.rules {
             let r = &scored.rule;
             assert_eq!(r.conviction.is_none(), r.confidence == 1.0, "{r}");
@@ -688,13 +684,13 @@ mod tests {
             min_lift: 1.0,
             rare: false,
         };
-        let ranked = generate_rules(&frequent, 10, 1, &strict, Exec::inline());
+        let ranked = RuleSet::generate(&frequent, 10, 1, &strict);
         assert!(!ranked.is_empty());
         for scored in &ranked.rules {
             assert!(scored.rule.confidence >= 0.9);
             assert!(scored.rule.lift >= 1.0);
         }
-        let all = generate_rules(&frequent, 10, 1, &loose(), Exec::inline());
+        let all = RuleSet::generate(&frequent, 10, 1, &loose());
         assert!(ranked.len() < all.len(), "the filters must bite");
     }
 
@@ -706,7 +702,7 @@ mod tests {
             min_lift: 0.0,
             rare: false,
         };
-        let ranked = generate_rules(&all_frequent(&set, 1), 10, 1, &config, Exec::inline());
+        let ranked = RuleSet::generate(&all_frequent(&set, 1), 10, 1, &config);
         assert!(!ranked.is_empty());
         assert!(ranked.rules.iter().all(|s| s.rule.confidence == 1.0));
         assert!(ranked.rules.iter().all(|s| s.rule.conviction.is_none()));
@@ -718,9 +714,9 @@ mod tests {
             ItemSet::new(vec![item(FlowFeature::DstPort, 80)], 4),
             ItemSet::new(vec![item(FlowFeature::Proto, 6)], 4),
         ];
-        assert!(generate_rules(&singles, 4, 1, &loose(), Exec::inline()).is_empty());
-        assert!(generate_rules(&[], 0, 1, &loose(), Exec::inline()).is_empty());
-        assert!(generate_rules(&[], 7, 1, &loose(), Exec::inline()).is_empty());
+        assert!(RuleSet::generate(&singles, 4, 1, &loose()).is_empty());
+        assert!(RuleSet::generate(&[], 0, 1, &loose()).is_empty());
+        assert!(RuleSet::generate(&[], 7, 1, &loose()).is_empty());
     }
 
     #[test]
@@ -759,8 +755,8 @@ mod tests {
         // Floor 4: the {dstPort=80, proto=6} pair (support 2) only
         // survives in rare mode (level-2 floor = 2).
         let frequent = all_frequent(&set, 1);
-        let normal = generate_rules(&frequent, 10, 4, &loose(), Exec::inline());
-        let rare = generate_rules(
+        let normal = RuleSet::generate(&frequent, 10, 4, &loose());
+        let rare = RuleSet::generate(
             &frequent,
             10,
             4,
@@ -768,7 +764,6 @@ mod tests {
                 rare: true,
                 ..loose()
             },
-            Exec::inline(),
         );
         assert!(rare.len() > normal.len());
         let keys =
@@ -784,7 +779,7 @@ mod tests {
     #[test]
     fn ranking_is_score_descending_with_canonical_ties() {
         let set = flood_like_set();
-        let ranked = generate_rules(&all_frequent(&set, 1), 10, 1, &loose(), Exec::inline());
+        let ranked = RuleSet::generate(&all_frequent(&set, 1), 10, 1, &loose());
         for pair in ranked.rules.windows(2) {
             assert!(pair[0].score >= pair[1].score);
         }
@@ -834,7 +829,7 @@ mod tests {
     #[test]
     fn merge_sums_counts_and_recomputes_metrics() {
         let set = flood_like_set();
-        let one = generate_rules(&all_frequent(&set, 1), 10, 1, &loose(), Exec::inline());
+        let one = RuleSet::generate(&all_frequent(&set, 1), 10, 1, &loose());
         let doubled = merge_rule_sets(&[one.clone(), one.clone()]);
         assert_eq!(doubled.transactions, 20);
         assert_eq!(doubled.len(), one.len());

@@ -14,8 +14,6 @@
 //! engine scans the closed window as it is. Around that:
 //!
 //! - [`FlowColumns::from_flows`] converts a record batch;
-//! - [`crate::v5::decode_into_columns`] parses NetFlow v5 datagrams
-//!   straight into columns with no intermediate `FlowRecord`;
 //! - [`FlowColumns::get`] / [`FlowColumns::iter`] /
 //!   [`FlowColumns::to_flows`] reassemble records on demand (checkpoints
 //!   and the per-source rule merge still read rows as records);

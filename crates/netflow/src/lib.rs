@@ -27,8 +27,7 @@
 //!   grid with watermark close semantics and per-source drop accounting;
 //! - [`FlowColumns`] — struct-of-arrays storage of a flow batch (one
 //!   contiguous column per feature) for cache-friendly single-column
-//!   scans, with a v5 fast path ([`v5::decode_into_columns`]) that
-//!   parses datagrams straight into columns;
+//!   scans;
 //! - [`snapshot`] — the versioned, checksummed checkpoint codec that
 //!   durable operation is built on: atomic checkpoint files, bit-exact
 //!   state round trips, and typed [`RestoreError`]s on hostile input.
@@ -43,6 +42,7 @@ pub mod columns;
 pub mod error;
 pub mod feature;
 pub mod flow;
+mod legacy;
 pub mod merge;
 pub mod snapshot;
 pub mod source;

@@ -13,9 +13,10 @@
 
 use std::net::Ipv4Addr;
 
-use crate::columns::FlowColumns;
 use crate::error::{DecodeError, EncodeError};
 use crate::flow::{FlowRecord, Protocol, TcpFlags};
+#[doc(hidden)]
+pub use crate::legacy::*;
 
 /// Size of the fixed v5 header in bytes.
 pub const V5_HEADER_LEN: usize = 24;
@@ -133,7 +134,7 @@ pub fn encode_datagram(
 
 /// Validate a v5 datagram's header and record length, returning the
 /// header and exactly `count` records of record bytes.
-fn split_datagram(data: &[u8]) -> Result<(V5Header, &[u8]), DecodeError> {
+pub(crate) fn split_datagram(data: &[u8]) -> Result<(V5Header, &[u8]), DecodeError> {
     if data.len() < V5_HEADER_LEN {
         return Err(DecodeError::TruncatedHeader {
             version: Some(5),
@@ -176,7 +177,7 @@ fn split_datagram(data: &[u8]) -> Result<(V5Header, &[u8]), DecodeError> {
 
 /// Decode one 48-byte v5 flow record. Next-hop, interface indices, ToS,
 /// AS numbers, masks and padding are skipped.
-fn decode_record(rec: &[u8]) -> FlowRecord {
+pub(crate) fn decode_record(rec: &[u8]) -> FlowRecord {
     FlowRecord {
         start_ms: u64::from(be_u32(rec, 24)), // first
         end_ms: u64::from(be_u32(rec, 28)),   // last
@@ -213,53 +214,6 @@ pub(crate) fn decode_records_into(
     let (header, records) = split_datagram(data)?;
     out.extend(records.chunks_exact(V5_RECORD_LEN).map(decode_record));
     Ok(header)
-}
-
-/// Decode one v5 datagram straight into a [`FlowColumns`] store, with
-/// no intermediate `Vec<FlowRecord>`.
-///
-/// Appends the datagram's `count` flows as rows of `out` and returns the
-/// decoded header. The header and the record-byte length are validated
-/// **before** any column is touched, so `out` is unchanged on error
-/// (mirroring [`V5Collector::ingest`]), and the errors are exactly those
-/// of [`decode_datagram`] on the same input.
-///
-/// # Errors
-///
-/// Returns a [`DecodeError`] on short input, a non-v5 version field, a
-/// record count above 30, or fewer record bytes than the header declares.
-pub fn decode_into_columns(data: &[u8], out: &mut FlowColumns) -> Result<V5Header, DecodeError> {
-    let (header, records) = split_datagram(data)?;
-    for rec in records.chunks_exact(V5_RECORD_LEN) {
-        out.push(&decode_record(rec));
-    }
-    Ok(header)
-}
-
-/// Decode a concatenated stream of v5 datagrams straight into a
-/// [`FlowColumns`] store, returning the per-datagram headers.
-///
-/// Each datagram's header declares its record count, so the stream is
-/// self-framing; the first error is returned as-is. Datagrams
-/// decoded before the error remain appended to `out` (the failing
-/// datagram itself leaves `out` untouched, per
-/// [`decode_into_columns`]).
-///
-/// # Errors
-///
-/// Returns the first [`DecodeError`] encountered.
-pub fn decode_stream_into_columns(
-    mut data: &[u8],
-    out: &mut FlowColumns,
-) -> Result<Vec<V5Header>, DecodeError> {
-    let mut headers = Vec::new();
-    while !data.is_empty() {
-        let header = decode_into_columns(data, out)?;
-        let consumed = V5_HEADER_LEN + usize::from(header.count) * V5_RECORD_LEN;
-        data = &data[consumed..];
-        headers.push(header);
-    }
-    Ok(headers)
 }
 
 /// Stateful exporter: packs an arbitrary flow stream into maximal v5
@@ -449,9 +403,6 @@ mod tests {
                 flows: vec![flow]
             }
         );
-        let mut cols = FlowColumns::new();
-        assert_eq!(decode_into_columns(&GOLDEN, &mut cols).unwrap(), header);
-        assert_eq!(cols.to_flows(), vec![flow]);
 
         // The header fields the encoder leaves zero decode from their own
         // offsets, and the record bytes the decoder skips stay skipped.
@@ -479,9 +430,6 @@ mod tests {
                 flows: vec![flow]
             }
         );
-        let mut cols = FlowColumns::new();
-        assert_eq!(decode_into_columns(&wild, &mut cols).unwrap(), header);
-        assert_eq!(cols.to_flows(), vec![flow]);
     }
 
     #[test]
@@ -645,65 +593,5 @@ mod tests {
         let dgram = decode_datagram(&bytes).unwrap();
         assert_eq!(dgram.header.count, 0);
         assert!(dgram.flows.is_empty());
-    }
-
-    #[test]
-    fn columnar_decode_matches_decode_then_convert() {
-        let flows: Vec<_> = (0..7).map(sample_flow).collect();
-        let bytes = encode_datagram(&flows, 1234, 99_000).unwrap();
-        let dgram = decode_datagram(&bytes).unwrap();
-        let mut cols = FlowColumns::new();
-        let header = decode_into_columns(&bytes, &mut cols).unwrap();
-        assert_eq!(header, dgram.header);
-        assert_eq!(cols.to_flows(), dgram.flows);
-    }
-
-    #[test]
-    fn columnar_decode_appends_across_datagrams() {
-        let flows: Vec<_> = (0..75).map(sample_flow).collect();
-        let mut exporter = V5Exporter::new();
-        let mut file = Vec::new();
-        for d in exporter.export(&flows) {
-            file.extend_from_slice(&d);
-        }
-        let mut cols = FlowColumns::new();
-        let headers = decode_stream_into_columns(&file, &mut cols).unwrap();
-        assert_eq!(headers.len(), 3);
-        assert_eq!(headers[1].flow_sequence, 30);
-        assert_eq!(cols.to_flows(), flows);
-    }
-
-    #[test]
-    fn columnar_decode_errors_match_and_leave_columns_untouched() {
-        let flows = vec![sample_flow(0), sample_flow(1)];
-        let good = encode_datagram(&flows, 0, 0).unwrap();
-        let mut cols = FlowColumns::new();
-        decode_into_columns(&good, &mut cols).unwrap();
-        let before = cols.clone();
-        for bad in [
-            &good[..10],                            // truncated header
-            &good[..V5_HEADER_LEN + V5_RECORD_LEN], // truncated records
-        ] {
-            let record_err = decode_datagram(bad).unwrap_err();
-            assert_eq!(decode_into_columns(bad, &mut cols).unwrap_err(), record_err);
-            assert_eq!(cols, before, "columns unchanged on error");
-        }
-        let mut wrong_version = good.clone();
-        wrong_version[1] = 9;
-        assert_eq!(
-            decode_into_columns(&wrong_version, &mut cols).unwrap_err(),
-            DecodeError::BadVersion {
-                found: 9,
-                expected: &[5]
-            }
-        );
-        let mut over_count = good.clone();
-        over_count[2] = 0;
-        over_count[3] = 31;
-        assert_eq!(
-            decode_into_columns(&over_count, &mut cols).unwrap_err(),
-            DecodeError::TooManyRecords(31)
-        );
-        assert_eq!(cols, before);
     }
 }

@@ -60,13 +60,8 @@ fn collector_thread(
         ..ExtractionConfig::default()
     };
     let exporter = SourceId(0);
-    let mut engine = MultiSourceExtractor::try_new(
-        config,
-        std::num::NonZeroUsize::MIN,
-        &[SourceSpec::new(exporter, 0)],
-        None,
-    )
-    .unwrap();
+    let mut engine =
+        MultiSourceExtractor::new(config, &[SourceSpec::new(exporter, 0)], None).unwrap();
     let send = |events: Vec<MultiStreamEvent>| {
         for event in events {
             if let Some(extraction) = &event.event.outcome.extraction {

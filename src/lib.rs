@@ -60,7 +60,7 @@ pub mod prelude {
     pub use anomex_core::{
         classify_itemset, render_report, run_scenario, Engine, Extraction, ExtractionConfig,
         IntervalInput, MultiSourceExtractor, MultiStreamEvent, MultiStreamSummary, PrefilterMode,
-        ReconfigRequest, StreamEvent, StreamingExtractor,
+        ReconfigRequest, StreamEvent,
     };
     pub use anomex_detector::{DetectorBank, DetectorConfig, MetaData, RocCurve};
     pub use anomex_mining::{ItemSet, MinerKind, Transaction, TransactionSet};

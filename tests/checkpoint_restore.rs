@@ -15,7 +15,6 @@ use anomex::netflow::snapshot::{
 };
 use anomex::prelude::*;
 use proptest::prelude::*;
-use std::num::NonZeroUsize;
 use std::path::PathBuf;
 
 fn config_for(scenario: &Scenario, miner: MinerKind) -> ExtractionConfig {
@@ -34,7 +33,7 @@ fn config_for(scenario: &Scenario, miner: MinerKind) -> ExtractionConfig {
 /// One exporter at origin 0: a fan-in of one.
 fn one_lane(config: ExtractionConfig) -> MultiSourceExtractor {
     let source = [SourceSpec::new(0u32, 0)];
-    MultiSourceExtractor::try_new(config, NonZeroUsize::MIN, &source, None).unwrap()
+    MultiSourceExtractor::new(config, &source, None).unwrap()
 }
 
 /// Assert two stream events are the same to the bit (indices, flow
@@ -164,11 +163,9 @@ fn multi_source_resume_survives_skewed_lanes() {
     }
     let cut = pushes.len() / 2;
 
-    let mut reference =
-        MultiSourceExtractor::try_new(config(), NonZeroUsize::MIN, &specs, None).unwrap();
+    let mut reference = MultiSourceExtractor::new(config(), &specs, None).unwrap();
     let mut ref_events = Vec::new();
-    let mut interrupted =
-        MultiSourceExtractor::try_new(config(), NonZeroUsize::MIN, &specs, None).unwrap();
+    let mut interrupted = MultiSourceExtractor::new(config(), &specs, None).unwrap();
     let mut resumed_events = Vec::new();
     for (i, (source, flow)) in pushes.iter().enumerate() {
         ref_events.extend(reference.push(*source, *flow));
@@ -214,10 +211,10 @@ fn checkpoint_files_reject_corruption_with_typed_errors() {
 
     let scenario = Scenario::small(3);
     let config = config_for(&scenario, MinerKind::Apriori);
-    let mut stream = StreamingExtractor::try_new(config, NonZeroUsize::MIN, 0).unwrap();
+    let mut stream = one_lane(config);
     for i in 0..3 {
         for flow in scenario.generate(i).flows {
-            let _ = stream.push(flow);
+            let _ = stream.push(SourceId(0), flow);
         }
     }
     let (_, payload) = stream.checkpoint();
@@ -230,7 +227,7 @@ fn checkpoint_files_reject_corruption_with_typed_errors() {
     assert_eq!(bytes, payload);
     assert!(
         MultiSourceExtractor::restore(&bytes).is_ok(),
-        "the one-source shorthand checkpoints the one-lane grid"
+        "a one-lane checkpoint restores"
     );
 
     let raw = std::fs::read(&good).unwrap();

@@ -1,30 +1,21 @@
 //! Columnar determinism suite: the struct-of-arrays flow store must be
 //! **bit-identical** to the record (array-of-structs) path everywhere it
-//! is consumed — the load-bearing constraint of the columnar refactor.
-//! Two families of properties assert it:
-//!
-//! 1. **Pipeline equivalence** — the columnar engines (`Engine::extract`
-//!    offline, `Engine::process` over `FlowColumns` online, and the
-//!    streaming extractor that rides them) produce
-//!    exactly what the record-based pipeline produces, for every miner,
-//!    transaction mode and pre-filter mode, with and without the rule
-//!    layer.
-//! 2. **Decoder equivalence** — `decode_into_columns` returns exactly
-//!    what decode-then-convert returns for arbitrary datagram bytes:
-//!    same header and rows on success, the same error otherwise, with
-//!    the failing datagram leaving the column store untouched.
+//! is consumed — the load-bearing constraint of the columnar refactor:
+//! the columnar engines (`Engine::extract` offline, `Engine::process`
+//! over `FlowColumns` online, and the streaming extractor that rides
+//! them) produce exactly what the record-based pipeline produces, for
+//! every miner, transaction mode and pre-filter mode, with and without
+//! the rule layer.
 
 use anomex::core::{
     cost_reduction, prefilter_indices_columns, prefilter_indices_columns_with, Engine, Extraction,
     ExtractionConfig, PrefilterScratch, TransactionMode,
 };
 use anomex::mining::RuleConfig;
-use anomex::netflow::v5::{self, V5Exporter, V5_HEADER_LEN, V5_RECORD_LEN};
 use anomex::netflow::FlowColumns;
 use anomex::prelude::*;
 use anomex_core::IntervalOutcome;
 use proptest::prelude::*;
-use std::num::NonZeroUsize;
 
 fn table2_metadata() -> MetaData {
     let mut md = MetaData::new();
@@ -290,8 +281,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
     /// Online: feeding [`FlowColumns`] straight into the engine
-    /// (`Engine::process`) and streaming flow-by-flow through the
-    /// [`StreamingExtractor`] (which rides the same columnar engine)
+    /// (`Engine::process`) and streaming flow-by-flow through a one-lane
+    /// [`MultiSourceExtractor`] (which rides the same columnar engine)
     /// both produce the record-input pipeline's outcomes — alarms,
     /// meta-data, KL bits, and extractions — for every miner.
     #[test]
@@ -313,7 +304,8 @@ proptest! {
         let intervals = scenario.interval_count().min(22);
         let mut records = Engine::new(config.clone()).unwrap();
         let mut columnar = Engine::new(config.clone()).unwrap();
-        let mut stream = StreamingExtractor::try_new(config, NonZeroUsize::MIN, 0).unwrap();
+        let one = [SourceSpec::new(0u32, 0)];
+        let mut stream = MultiSourceExtractor::new(config, &one, None).unwrap();
 
         let mut events = Vec::new();
         for i in 0..intervals {
@@ -329,7 +321,7 @@ proptest! {
             // The compat shim holds on the engine's own input, too.
             prop_assert_eq!(cols.to_flows(), interval.flows.clone());
             for flow in interval.flows {
-                events.extend(stream.push(flow));
+                events.extend(stream.push(SourceId(0), flow));
             }
         }
         let (tail, _) = stream.finish();
@@ -349,107 +341,13 @@ proptest! {
             ..ExtractionConfig::default()
         })
         .unwrap();
-        for (i, event) in events.iter().enumerate() {
+        for (i, e) in events.iter().enumerate() {
             let reference = records.process(&scenario.generate(i as u64).flows);
             assert_outcomes_identical(
-                &event.outcome,
+                &e.event.outcome,
                 &reference,
                 &format!("stream seed={seed} interval={i}"),
             );
         }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// For arbitrary bytes — almost always invalid — the columnar
-    /// decoder returns exactly what the record decoder returns: the same
-    /// header and rows on success, the same error otherwise, and an
-    /// error leaves the column store untouched.
-    #[test]
-    fn decode_into_columns_matches_records_on_arbitrary_bytes(
-        raw in proptest::collection::vec(any::<u8>(), 0..256),
-    ) {
-        let record = v5::decode_datagram(&raw);
-        let mut cols = FlowColumns::new();
-        let columnar = v5::decode_into_columns(&raw, &mut cols);
-        match (record, columnar) {
-            (Ok(dgram), Ok(header)) => {
-                prop_assert_eq!(dgram.header, header);
-                prop_assert_eq!(&cols, &FlowColumns::from_flows(&dgram.flows));
-            }
-            (Err(a), Err(b)) => {
-                prop_assert_eq!(a, b);
-                prop_assert_eq!(cols.len(), 0, "a failed decode must not touch the store");
-            }
-            (a, b) => prop_assert!(false, "result shape diverged: {a:?} vs {b:?}"),
-        }
-    }
-
-    /// For exporter-produced streams — valid, truncated at an arbitrary
-    /// byte, or corrupted in the version/count fields — the columnar
-    /// stream decoder appends exactly the datagrams the record decoder
-    /// accepts before the first error, and returns the identical error.
-    #[test]
-    fn decode_stream_into_columns_matches_decode_then_convert(
-        seed in 0u64..10_000,
-        take in 0usize..75,
-        cut in 0usize..4096,
-        corruption in proptest::sample::select(vec![0u8, 1, 2, 3]),
-    ) {
-        let flows: Vec<FlowRecord> = table2_workload(seed, 0.01)
-            .flows
-            .into_iter()
-            .take(take)
-            .collect();
-        let mut exporter = V5Exporter::new();
-        let mut bytes = Vec::new();
-        let mut last_start = 0;
-        for dgram in exporter.export(&flows) {
-            last_start = bytes.len();
-            bytes.extend_from_slice(&dgram);
-        }
-        match corruption {
-            // Truncate anywhere: mid-header, mid-records, or a no-op cut.
-            1 if !bytes.is_empty() => bytes.truncate(cut % (bytes.len() + 1)),
-            // Corrupt the version field of the last datagram, so any
-            // earlier datagrams still decode as the accepted prefix.
-            2 if !bytes.is_empty() => bytes[last_start] = 0xff,
-            // Inflate the first datagram's record count past the limit.
-            3 if bytes.len() >= 4 => bytes[2] = 0xff,
-            _ => {}
-        }
-
-        // Record-path reference: datagram by datagram until the first error.
-        let mut ref_flows: Vec<FlowRecord> = Vec::new();
-        let mut ref_headers = Vec::new();
-        let mut rest: &[u8] = &bytes;
-        let ref_err = loop {
-            if rest.is_empty() {
-                break None;
-            }
-            match v5::decode_datagram(rest) {
-                Ok(dgram) => {
-                    let consumed =
-                        V5_HEADER_LEN + usize::from(dgram.header.count) * V5_RECORD_LEN;
-                    ref_headers.push(dgram.header);
-                    ref_flows.extend(dgram.flows);
-                    rest = &rest[consumed..];
-                }
-                Err(e) => break Some(e),
-            }
-        };
-
-        let mut cols = FlowColumns::new();
-        match v5::decode_stream_into_columns(&bytes, &mut cols) {
-            Ok(headers) => {
-                prop_assert_eq!(ref_err, None, "record path errored but columnar did not");
-                prop_assert_eq!(headers, ref_headers);
-            }
-            Err(e) => prop_assert_eq!(Some(e), ref_err),
-        }
-        // Success or failure, the store holds exactly the accepted prefix.
-        prop_assert_eq!(&cols, &FlowColumns::from_flows(&ref_flows));
     }
 }

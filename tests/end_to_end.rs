@@ -3,9 +3,8 @@
 //! extracted as item-sets that pin its root cause.
 
 use std::net::Ipv4Addr;
-use std::num::NonZeroUsize;
 
-use anomex::core::{render_report, StreamingExtractor};
+use anomex::core::render_report;
 use anomex::mining::RuleConfig;
 use anomex::prelude::*;
 use anomex::traffic::{BackgroundConfig, EventId, EventParams, ScenarioConfig};
@@ -142,19 +141,19 @@ fn flood_rules_rank_the_attack_first_in_batch_and_stream() {
     }
 
     // Streaming path: same config, same flows, byte-identical report.
-    let mut stream = StreamingExtractor::try_new(config, NonZeroUsize::MIN, 0).unwrap();
+    let mut stream = MultiSourceExtractor::new(config, &[SourceSpec::new(0u32, 0)], None).unwrap();
     let mut stream_ex = None;
     let mut events = Vec::new();
     for i in 0..scenario.interval_count() {
         for flow in scenario.generate(i).flows {
-            events.extend(stream.push(flow));
+            events.extend(stream.push(SourceId(0), flow));
         }
     }
     let (tail, _) = stream.finish();
     events.extend(tail);
-    for event in events {
-        if event.index == 24 {
-            stream_ex = event.outcome.extraction;
+    for e in events {
+        if e.event.index == 24 {
+            stream_ex = e.event.outcome.extraction;
         }
     }
     let stream_ex = stream_ex.expect("the streamed flood interval must extract");

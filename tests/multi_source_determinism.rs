@@ -12,7 +12,6 @@ use anomex::core::{Engine, Extraction, ExtractionConfig, IntervalOutcome, MultiS
 use anomex::prelude::*;
 use anomex::traffic::{LinkConfig, MultiSourceScenario};
 use proptest::prelude::*;
-use std::num::NonZeroUsize;
 
 fn config_for(interval_ms: u64, miner: MinerKind) -> ExtractionConfig {
     ExtractionConfig {
@@ -130,13 +129,8 @@ proptest! {
         // Streamed fan-in: deliver whole per-source intervals in a
         // rotated order that changes every interval, so sources race
         // each other differently case by case.
-        let mut engine = MultiSourceExtractor::try_new(
-            config,
-            NonZeroUsize::MIN,
-            &scenario.source_specs(),
-            None,
-        )
-        .unwrap();
+        let mut engine =
+            MultiSourceExtractor::new(config, &scenario.source_specs(), None).unwrap();
         let mut order_state = seed ^ 0xC0FF_EE00;
         let mut events = Vec::new();
         for i in 0..intervals {
@@ -218,13 +212,9 @@ proptest! {
         }
 
         let run = |order_seed: u64| -> Vec<(u64, usize, Vec<usize>, bool)> {
-            let mut engine = MultiSourceExtractor::try_new(
-                config_for(interval_ms, MinerKind::Apriori),
-                NonZeroUsize::MIN,
-                &specs,
-                None,
-            )
-            .unwrap();
+            let mut engine =
+                MultiSourceExtractor::new(config_for(interval_ms, MinerKind::Apriori), &specs, None)
+                    .unwrap();
             let mut cursors = [0usize; 2];
             let mut state = order_seed;
             let mut events = Vec::new();

@@ -8,12 +8,10 @@
 //! in order through the same engine. These properties assert the whole
 //! stack, flow by flow, against the batch reference.
 
-use anomex::core::streaming::StreamingExtractor;
 use anomex::core::{Engine, Extraction, ExtractionConfig};
 use anomex::prelude::*;
 use anomex_core::IntervalOutcome;
 use proptest::prelude::*;
-use std::num::NonZeroUsize;
 
 fn config_for(scenario: &Scenario, miner: MinerKind) -> ExtractionConfig {
     ExtractionConfig {
@@ -26,6 +24,11 @@ fn config_for(scenario: &Scenario, miner: MinerKind) -> ExtractionConfig {
         miner,
         ..ExtractionConfig::default()
     }
+}
+
+/// One exporter at origin 0: a fan-in of one.
+fn one_lane(config: ExtractionConfig) -> MultiSourceExtractor {
+    MultiSourceExtractor::new(config, &[SourceSpec::new(0u32, 0)], None).unwrap()
 }
 
 /// Assert two extractions are the same to the bit.
@@ -76,7 +79,7 @@ proptest! {
     // Full scenarios (training + detection) per case: few, heavy cases.
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// Flow-by-flow streaming through [`StreamingExtractor`] produces
+    /// Flow-by-flow streaming through a one-lane [`MultiSourceExtractor`] produces
     /// the same alarm stream, meta-data, bit-identical KL series, and
     /// identical extractions as the batch pipeline — for every miner.
     #[test]
@@ -89,9 +92,7 @@ proptest! {
         let intervals = scenario.interval_count().min(22);
 
         let mut batch = Engine::new(config_for(&scenario, miner)).unwrap();
-        let mut stream =
-            StreamingExtractor::try_new(config_for(&scenario, miner), NonZeroUsize::MIN, 0)
-                .unwrap();
+        let mut stream = one_lane(config_for(&scenario, miner));
 
         let mut events = Vec::new();
         let mut batch_outcomes = Vec::new();
@@ -99,7 +100,7 @@ proptest! {
             let interval = scenario.generate(i);
             batch_outcomes.push(batch.process(&interval.flows));
             for flow in interval.flows {
-                events.extend(stream.push(flow));
+                events.extend(stream.push(SourceId(0), flow));
             }
         }
         let (tail, summary) = stream.finish();
@@ -108,10 +109,10 @@ proptest! {
         prop_assert_eq!(events.len() as u64, intervals, "one event per interval");
         prop_assert_eq!(summary.intervals, intervals);
         prop_assert_eq!(summary.dropped_flows, 0);
-        for (i, (event, reference)) in events.iter().zip(&batch_outcomes).enumerate() {
-            prop_assert_eq!(event.index, i as u64);
+        for (i, (e, reference)) in events.iter().zip(&batch_outcomes).enumerate() {
+            prop_assert_eq!(e.event.index, i as u64);
             assert_outcomes_identical(
-                &event.outcome,
+                &e.event.outcome,
                 reference,
                 &format!("seed={seed} miner={miner} interval={i}"),
             );
@@ -126,16 +127,11 @@ proptest! {
 #[test]
 fn abandoned_streams_and_extractors_shut_down_cleanly() {
     let scenario = Scenario::small(3);
-    let mut stream = StreamingExtractor::try_new(
-        config_for(&scenario, MinerKind::Apriori),
-        NonZeroUsize::MIN,
-        0,
-    )
-    .unwrap();
+    let mut stream = one_lane(config_for(&scenario, MinerKind::Apriori));
     // Enough flows to close a few intervals and keep work queued.
     for i in 0..3 {
         for flow in scenario.generate(i).flows {
-            let _ = stream.push(flow);
+            let _ = stream.push(SourceId(0), flow);
         }
     }
     drop(stream);
