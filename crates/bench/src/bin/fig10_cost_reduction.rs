@@ -8,9 +8,8 @@
 //! ```
 
 use anomex_bench::{arg_scale, bar, eval_config, supports_for};
-use anomex_core::run_scenario;
 use anomex_mining::MinerKind;
-use anomex_traffic::{Scenario, FIFTEEN_MIN_MS, INTERVALS_PER_DAY};
+use anomex_traffic::{run_scenario, Scenario, FIFTEEN_MIN_MS, INTERVALS_PER_DAY};
 
 fn main() {
     let scale = arg_scale(0.25);

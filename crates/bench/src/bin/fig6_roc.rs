@@ -14,9 +14,8 @@
 //! ```
 
 use anomex_bench::{arg_scale, eval_config};
-use anomex_core::run_scenario;
 use anomex_detector::RocCurve;
-use anomex_traffic::{Scenario, FIFTEEN_MIN_MS, INTERVALS_PER_DAY};
+use anomex_traffic::{run_scenario, Scenario, FIFTEEN_MIN_MS, INTERVALS_PER_DAY};
 
 fn main() {
     let scale = arg_scale(0.25);

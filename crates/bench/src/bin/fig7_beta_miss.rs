@@ -7,7 +7,7 @@
 //! cargo run --release -p anomex-bench --bin fig7_beta_miss
 //! ```
 
-use anomex_core::beta_miss_upper;
+use anomex_bench::models::beta_miss_upper;
 
 fn main() {
     let p = 0.99;

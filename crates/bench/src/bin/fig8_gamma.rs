@@ -6,7 +6,7 @@
 //! cargo run --release -p anomex-bench --bin fig8_gamma
 //! ```
 
-use anomex_core::{expected_normal_survivors, gamma_normal_survives};
+use anomex_bench::models::{expected_normal_survivors, gamma_normal_survives};
 
 fn panel(b: u64, k: u64) {
     println!("-- panel: b = {b}, k = {k} --");

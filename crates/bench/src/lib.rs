@@ -4,13 +4,16 @@
 //! `cargo run --release -p anomex-bench --bin <name>`; the README's
 //! "Reproduce the paper" table is the index), plus one timing bin,
 //! `mining_lowsupport`, that prints each miner's run time as the
-//! support falls.
+//! support falls. [`models`] holds the analytic voting models behind
+//! Figs. 7 and 8.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 use anomex_core::ExtractionConfig;
 use anomex_detector::DetectorConfig;
+
+pub mod models;
 
 /// Parse the first CLI argument as a volume scale (default otherwise).
 ///

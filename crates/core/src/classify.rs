@@ -1,4 +1,4 @@
-//! Heuristic item-set classification.
+//! The anomaly classes and heuristic item-set classification.
 //!
 //! The paper classifies extracted anomalies manually, "combining hints
 //! extracted from visual inspection, like targeted ports or IP addresses,
@@ -7,9 +7,59 @@
 //! are pinned and to what — so evaluations can score classification
 //! automatically. It is a heuristic aid, not a claim of the paper.
 
+use std::fmt;
+
 use anomex_mining::ItemSet;
 use anomex_netflow::FlowFeature;
-use anomex_traffic::AnomalyClass;
+
+/// The seven anomaly classes of the paper's ground truth (Table IV).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum AnomalyClass {
+    /// High-volume flows from a *small* number of sources to one victim.
+    Flooding,
+    /// Responses to a spoofed attack elsewhere: many distinct source IPs
+    /// and random source ports toward a fixed destination port.
+    Backscatter,
+    /// A measurement host (the paper's PlanetLab node) generating bulk
+    /// probe traffic with fixed ports.
+    NetworkExperiment,
+    /// Distributed denial of service: *many* sources, one victim.
+    DDoS,
+    /// Horizontal scan: one source probing many destinations on one port.
+    Scanning,
+    /// Bulk mail toward SMTP servers (destination port 25).
+    Spam,
+    /// An event the analyst could not attribute.
+    Unknown,
+}
+
+impl AnomalyClass {
+    /// All classes, in Table IV order.
+    pub const ALL: [AnomalyClass; 7] = [
+        AnomalyClass::Flooding,
+        AnomalyClass::Backscatter,
+        AnomalyClass::NetworkExperiment,
+        AnomalyClass::DDoS,
+        AnomalyClass::Scanning,
+        AnomalyClass::Spam,
+        AnomalyClass::Unknown,
+    ];
+}
+
+impl fmt::Display for AnomalyClass {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let name = match self {
+            AnomalyClass::Flooding => "Flooding",
+            AnomalyClass::Backscatter => "Backscatter",
+            AnomalyClass::NetworkExperiment => "Network Experiment",
+            AnomalyClass::DDoS => "DDoS",
+            AnomalyClass::Scanning => "Scanning",
+            AnomalyClass::Spam => "Spam",
+            AnomalyClass::Unknown => "Unknown",
+        };
+        f.write_str(name)
+    }
+}
 
 /// Well-known mail port.
 const SMTP: u64 = 25;
@@ -135,6 +185,15 @@ mod tests {
     fn unknown_is_endpoint_pair_without_port() {
         let s = set(&[(FlowFeature::SrcIp, 1), (FlowFeature::DstIp, 2)]);
         assert_eq!(classify_itemset(&s), Some(AnomalyClass::Unknown));
+    }
+
+    #[test]
+    fn display_names() {
+        assert_eq!(
+            AnomalyClass::NetworkExperiment.to_string(),
+            "Network Experiment"
+        );
+        assert_eq!(AnomalyClass::ALL.len(), 7);
     }
 
     #[test]

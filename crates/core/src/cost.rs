@@ -15,21 +15,6 @@ pub fn cost_reduction(interval_flows: u64, itemsets: usize) -> f64 {
     interval_flows as f64 / (itemsets.max(1) as f64)
 }
 
-/// Average cost reduction across intervals: mean of per-interval `R`.
-///
-/// Returns 0 for an empty input.
-#[must_use]
-pub fn average_cost_reduction(per_interval: &[(u64, usize)]) -> f64 {
-    if per_interval.is_empty() {
-        return 0.0;
-    }
-    per_interval
-        .iter()
-        .map(|&(f, i)| cost_reduction(f, i))
-        .sum::<f64>()
-        / per_interval.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -52,14 +37,6 @@ mod tests {
     #[test]
     fn more_itemsets_less_reduction() {
         assert!(cost_reduction(10_000, 2) > cost_reduction(10_000, 10));
-    }
-
-    #[test]
-    fn average_over_intervals() {
-        let data = [(1000u64, 1usize), (2000, 2), (3000, 3)];
-        let avg = average_cost_reduction(&data);
-        assert!((avg - 1000.0).abs() < 1e-9);
-        assert_eq!(average_cost_reduction(&[]), 0.0);
     }
 
     /// Fig. 10's shape: the reduction grows with the minimum support

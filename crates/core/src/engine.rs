@@ -315,8 +315,6 @@ impl Engine {
 mod tests {
     use super::*;
     use anomex_detector::DetectorConfig;
-    use anomex_mining::MinerKind;
-    use anomex_traffic::Scenario;
 
     fn test_config(min_support: u64) -> ExtractionConfig {
         ExtractionConfig {
@@ -330,51 +328,6 @@ mod tests {
         }
     }
 
-    /// The offline method is the online tail: on every alarmed interval
-    /// of a scenario with a planted flood, a second engine under the same
-    /// configuration, given the interval's flows and voted meta-data,
-    /// extracts exactly what the online engine did — for Apriori and
-    /// FP-growth, rules on and off.
-    #[test]
-    fn offline_extract_is_the_online_tail() {
-        let scenario = Scenario::small(11);
-        let intervals: Vec<_> = (0..scenario.interval_count().min(24))
-            .map(|i| scenario.generate(i).flows)
-            .collect();
-        for miner in [MinerKind::Apriori, MinerKind::FpGrowth] {
-            for rules in [None, Some(RuleConfig::default())] {
-                let config = ExtractionConfig {
-                    miner,
-                    rules,
-                    ..test_config(800)
-                };
-                let mut online = Engine::new(config.clone()).unwrap();
-                let offline = Engine::new(config).unwrap();
-                let mut alarmed = 0;
-                for flows in &intervals {
-                    let outcome = online.process(flows);
-                    let Some(live) = outcome.extraction else {
-                        continue;
-                    };
-                    alarmed += 1;
-                    let mut ex = offline.extract(flows, &outcome.observation.metadata);
-                    ex.interval = live.interval;
-                    // `Debug` shows every field — item-sets with their
-                    // supports, levels, rules — and every float as the
-                    // shortest string that round-trips, so equal text is
-                    // equal bits.
-                    assert_eq!(
-                        format!("{ex:?}"),
-                        format!("{live:?}"),
-                        "{miner}, rules {}",
-                        rules.is_some()
-                    );
-                }
-                assert!(alarmed > 0, "the planted flood alarms");
-            }
-        }
-    }
-
     #[test]
     fn invalid_config_is_an_error_not_a_panic() {
         let mut c = test_config(100);
@@ -382,100 +335,6 @@ mod tests {
         let err = Engine::new(c).unwrap_err();
         assert!(err.to_string().contains("support"), "{err}");
         assert!(Engine::new(test_config(100)).is_ok());
-    }
-
-    #[test]
-    fn process_accepts_every_interval_representation() {
-        let scenario = Scenario::small(11);
-        let mut by_slice = Engine::new(test_config(800)).unwrap();
-        let mut by_vec = Engine::new(test_config(800)).unwrap();
-        let mut by_columns = Engine::new(test_config(800)).unwrap();
-        for i in 0..scenario.interval_count().min(14) {
-            let interval = scenario.generate(i);
-            let a = by_slice.process(interval.flows.as_slice());
-            let b = by_vec.process(&interval.flows);
-            let mut cols = FlowColumns::new();
-            for flow in &interval.flows {
-                cols.push(flow);
-            }
-            let c = by_columns.process(&cols);
-            assert_eq!(a.observation.alarm, b.observation.alarm, "interval {i}");
-            assert_eq!(b.observation.alarm, c.observation.alarm, "interval {i}");
-            assert_eq!(a.observation.metadata, b.observation.metadata);
-            assert_eq!(b.observation.metadata, c.observation.metadata);
-        }
-    }
-
-    #[test]
-    fn snapshot_restore_round_trips_bit_identically() {
-        let scenario = Scenario::small(11);
-        let mut live = Engine::new(test_config(800)).unwrap();
-        for i in 0..13 {
-            let _ = live.process(scenario.generate(i).flows.as_slice());
-        }
-        let payload = live.snapshot();
-        let mut restored = Engine::restore(&payload).unwrap();
-        assert_eq!(restored.is_trained(), live.is_trained());
-        assert_eq!(restored.config().min_support, live.config().min_support);
-        for i in 13..scenario.interval_count().min(22) {
-            let flows = scenario.generate(i).flows;
-            let a = live.process(flows.as_slice());
-            let b = restored.process(flows.as_slice());
-            assert_eq!(a.observation.alarm, b.observation.alarm, "interval {i}");
-            assert_eq!(a.observation.metadata, b.observation.metadata);
-            for (x, y) in a.observation.features.iter().zip(&b.observation.features) {
-                for (cx, cy) in x.clones.iter().zip(&y.clones) {
-                    assert_eq!(cx.kl.map(f64::to_bits), cy.kl.map(f64::to_bits));
-                }
-            }
-        }
-    }
-
-    /// `engine`'s payload with `shards` in the shard-count field, as an
-    /// engine built with that many shards wrote it.
-    fn payload_at_shards(engine: &Engine, shards: usize) -> Vec<u8> {
-        let mut w = SnapshotWriter::new();
-        engine.config().encode_snapshot(&mut w);
-        w.usize(shards);
-        engine.bank().encode_snapshot(&mut w);
-        w.into_bytes()
-    }
-
-    #[test]
-    fn restore_rejects_garbage() {
-        assert!(Engine::restore(&[1, 2, 3]).is_err());
-        let mut live = Engine::new(test_config(500)).unwrap();
-        let _ = live.process([].as_slice());
-        assert!(matches!(
-            Engine::restore(&payload_at_shards(&live, 0)),
-            Err(RestoreError::Corrupt(_))
-        ));
-        let mut payload = live.snapshot();
-        payload.truncate(payload.len() / 2);
-        assert!(Engine::restore(&payload).is_err());
-    }
-
-    /// A payload an engine wrote at 2 shards restores, and scores every
-    /// later interval bit-identically to the 1-shard payload of the
-    /// same state — the one this engine writes.
-    #[test]
-    fn payload_recorded_at_two_shards_restores_like_one() {
-        let scenario = Scenario::small(11);
-        let mut live = Engine::new(test_config(800)).unwrap();
-        for i in 0..13 {
-            let _ = live.process(scenario.generate(i).flows.as_slice());
-        }
-        assert_eq!(payload_at_shards(&live, 1), live.snapshot());
-        let mut one = Engine::restore(&payload_at_shards(&live, 1)).unwrap();
-        let mut two = Engine::restore(&payload_at_shards(&live, 2)).unwrap();
-        let mut alarms = 0;
-        for i in 13..scenario.interval_count().min(24) {
-            let flows = scenario.generate(i).flows;
-            let (a, b) = (one.process(&flows), two.process(&flows));
-            alarms += usize::from(a.observation.alarm);
-            assert_eq!(format!("{a:?}"), format!("{b:?}"), "interval {i}");
-        }
-        assert!(alarms > 0, "the planted flood alarms");
     }
 
     /// An engine payload whose detector configuration is `detector`,

@@ -38,9 +38,6 @@
 //!   [`MultiSourceExtractor::restore`] resume the stream bit-identically
 //!   after a crash) and boundary-aligned live reconfiguration come with
 //!   it;
-//! - [`evaluate`] — the full §III evaluation harness over labeled
-//!   scenarios;
-//! - [`models`] — the analytic voting models, eqs. (1)–(3);
 //! - [`report`] — Table II-style rendering (the same report for every
 //!   miner; Apriori's level audit trail via [`render_level_stats`]);
 //! - [`merge_source_rules`] — the association-rule layer merged across
@@ -55,28 +52,18 @@ pub mod classify;
 pub mod config;
 pub mod cost;
 pub mod engine;
-pub mod evaluate;
 mod legacy;
-pub mod models;
 pub mod pipeline;
 pub mod prefilter;
 pub mod report;
 pub mod streaming;
 
-pub use classify::classify_itemset;
+pub use classify::{classify_itemset, AnomalyClass};
 pub use config::{ConfigError, ExtractionConfig};
-pub use cost::{average_cost_reduction, cost_reduction};
+pub use cost::cost_reduction;
 pub use engine::{Engine, IntervalInput, ReconfigRequest};
-pub use evaluate::{
-    evaluate_itemsets, run_scenario, EvaluatedItemSet, IntervalRecord, ScenarioRun,
-    SupportSweepPoint, Table4Row,
-};
 #[doc(hidden)]
 pub use legacy::*;
-pub use models::{
-    beta_hit_lower, beta_miss_upper, binomial_coefficient, binomial_tail,
-    expected_normal_survivors, gamma_normal_survives,
-};
 pub use pipeline::{merge_source_rules, Extraction, IntervalOutcome, TransactionMode};
 pub use prefilter::{
     prefilter_indices_columns, prefilter_indices_columns_with, PrefilterMode, PrefilterScratch,

@@ -3,9 +3,8 @@
 use std::fmt::Write as _;
 
 use anomex_mining::{LevelStats, RuleSet};
-use anomex_traffic::AnomalyClass;
 
-use crate::classify::classify_itemset;
+use crate::classify::{classify_itemset, AnomalyClass};
 use crate::pipeline::Extraction;
 
 /// Rules shown per report section; the rest is summarized in one line.

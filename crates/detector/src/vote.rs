@@ -6,7 +6,7 @@
 //! clones' views, `l = n` the intersection used in the short (IMC'09)
 //! version of the paper. The generalized scheme trades false negatives
 //! (large `l`) against false positives (small `l`) — quantified by the
-//! analytic models in `anomex-core::models`.
+//! analytic models in `anomex_bench::models`.
 
 use std::collections::BTreeSet;
 

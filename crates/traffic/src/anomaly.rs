@@ -1,7 +1,8 @@
-//! Anomaly classes and event specifications (paper Table IV).
+//! Event specifications over the anomaly classes of paper Table IV.
 //!
 //! The paper's two-week SWITCH trace contained 36 events across seven
-//! manually-classified anomaly classes. Each [`EventSpec`] describes one
+//! manually-classified anomaly classes ([`AnomalyClass`], which the
+//! engine's classifier shares). Each [`EventSpec`] describes one
 //! synthetic event precisely enough to (a) inject its flows and (b) score
 //! extracted item-sets against it (the *signature values* an analyst would
 //! recognize as the root cause).
@@ -9,56 +10,8 @@
 use std::fmt;
 use std::net::Ipv4Addr;
 
+pub use anomex_core::AnomalyClass;
 use anomex_netflow::{FeatureValue, FlowFeature};
-
-/// The seven anomaly classes of the paper's ground truth (Table IV).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum AnomalyClass {
-    /// High-volume flows from a *small* number of sources to one victim.
-    Flooding,
-    /// Responses to a spoofed attack elsewhere: many distinct source IPs
-    /// and random source ports toward a fixed destination port.
-    Backscatter,
-    /// A measurement host (the paper's PlanetLab node) generating bulk
-    /// probe traffic with fixed ports.
-    NetworkExperiment,
-    /// Distributed denial of service: *many* sources, one victim.
-    DDoS,
-    /// Horizontal scan: one source probing many destinations on one port.
-    Scanning,
-    /// Bulk mail toward SMTP servers (destination port 25).
-    Spam,
-    /// An event the analyst could not attribute.
-    Unknown,
-}
-
-impl AnomalyClass {
-    /// All classes, in Table IV order.
-    pub const ALL: [AnomalyClass; 7] = [
-        AnomalyClass::Flooding,
-        AnomalyClass::Backscatter,
-        AnomalyClass::NetworkExperiment,
-        AnomalyClass::DDoS,
-        AnomalyClass::Scanning,
-        AnomalyClass::Spam,
-        AnomalyClass::Unknown,
-    ];
-}
-
-impl fmt::Display for AnomalyClass {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
-            AnomalyClass::Flooding => "Flooding",
-            AnomalyClass::Backscatter => "Backscatter",
-            AnomalyClass::NetworkExperiment => "Network Experiment",
-            AnomalyClass::DDoS => "DDoS",
-            AnomalyClass::Scanning => "Scanning",
-            AnomalyClass::Spam => "Spam",
-            AnomalyClass::Unknown => "Unknown",
-        };
-        f.write_str(name)
-    }
-}
 
 /// Identifier of one injected event within a scenario.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -345,11 +298,6 @@ mod tests {
 
     #[test]
     fn display_names() {
-        assert_eq!(
-            AnomalyClass::NetworkExperiment.to_string(),
-            "Network Experiment"
-        );
         assert_eq!(EventId(7).to_string(), "E07");
-        assert_eq!(AnomalyClass::ALL.len(), 7);
     }
 }

@@ -14,16 +14,14 @@
 
 use std::collections::BTreeMap;
 
+use anomex_core::{
+    classify_itemset, cost_reduction, prefilter_indices_columns, AnomalyClass, Engine, Extraction,
+    ExtractionConfig,
+};
 use anomex_mining::{ItemSet, MinerKind, TransactionSet};
 use anomex_netflow::FlowColumns;
-use anomex_traffic::{AnomalyClass, EventId, Scenario};
 
-use crate::classify::classify_itemset;
-use crate::config::ExtractionConfig;
-use crate::cost::average_cost_reduction;
-use crate::engine::Engine;
-use crate::pipeline::Extraction;
-use crate::prefilter::prefilter_indices_columns;
+use crate::{EventId, Scenario};
 
 /// An extracted item-set judged against ground truth.
 #[derive(Debug, Clone)]
@@ -375,11 +373,25 @@ impl ScenarioRun {
     }
 }
 
+/// Average cost reduction across intervals: mean of per-interval `R`
+/// ([`cost_reduction`]).
+///
+/// Returns 0 for an empty input.
+fn average_cost_reduction(per_interval: &[(u64, usize)]) -> f64 {
+    if per_interval.is_empty() {
+        return 0.0;
+    }
+    per_interval
+        .iter()
+        .map(|&(f, i)| cost_reduction(f, i))
+        .sum::<f64>()
+        / per_interval.len() as f64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::TransactionMode;
-    use anomex_detector::DetectorConfig;
+    use anomex_core::TransactionMode;
     use anomex_mining::Item;
     use anomex_netflow::{FlowFeature, FlowRecord, Protocol};
     use std::net::Ipv4Addr;
@@ -462,15 +474,12 @@ mod tests {
     #[test]
     fn small_scenario_end_to_end() {
         let scenario = Scenario::small(23);
-        let config = ExtractionConfig {
+        let mut config = ExtractionConfig {
             interval_ms: 60_000,
-            detector: DetectorConfig {
-                training_intervals: 10,
-                ..DetectorConfig::default()
-            },
             min_support: 700,
             ..ExtractionConfig::default()
         };
+        config.detector.training_intervals = 10;
         let run = run_scenario(&scenario, &config);
         assert_eq!(run.records.len(), 40);
         assert_eq!(run.truth.iter().filter(|&&t| t).count(), 3);
@@ -518,6 +527,14 @@ mod tests {
         // Clone scores align with intervals.
         assert_eq!(run.clone_scores.len(), config.detector.clones);
         assert!(run.clone_scores.iter().all(|s| s.len() == 40));
+    }
+
+    #[test]
+    fn average_over_intervals() {
+        let data = [(1000u64, 1usize), (2000, 2), (3000, 3)];
+        let avg = average_cost_reduction(&data);
+        assert!((avg - 1000.0).abs() < 1e-9);
+        assert_eq!(average_cost_reduction(&[]), 0.0);
     }
 
     #[test]

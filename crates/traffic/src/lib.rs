@@ -20,7 +20,10 @@
 //! - [`multi`] — multi-exporter scenarios: the same grid observed over
 //!   several links with per-link rate, clock skew, and anomaly exposure
 //!   (the paper's multi-router collection setting);
-//! - [`labeled`] — per-flow ground-truth labels, exact by construction.
+//! - [`labeled`] — per-flow ground-truth labels, exact by construction;
+//! - [`eval`] — the §III evaluation harness: [`run_scenario`] runs a
+//!   scenario through `anomex_core`'s engine and judges what it mined
+//!   against the labels (Figs. 6, 9, 10 and Table IV).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -28,6 +31,7 @@
 pub mod anomaly;
 pub mod background;
 pub mod dist;
+pub mod eval;
 pub mod inject;
 pub mod labeled;
 pub mod multi;
@@ -37,6 +41,10 @@ pub mod table2;
 pub use anomaly::{AnomalyClass, EventId, EventParams, EventSpec};
 pub use background::{BackgroundConfig, BackgroundModel, HeavyHitter};
 pub use dist::{BoundedPareto, Zipf};
+pub use eval::{
+    evaluate_itemsets, run_scenario, EvaluatedItemSet, IntervalRecord, ScenarioRun,
+    SupportSweepPoint, Table4Row,
+};
 pub use labeled::LabeledInterval;
 pub use multi::{LinkConfig, MultiSourceScenario};
 pub use scenario::{

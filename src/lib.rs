@@ -12,8 +12,8 @@
 //! | [`netflow`] | flow records, the seven traffic features, NetFlow v5 codec, traces & interval streaming |
 //! | [`detector`] | KL-distance histogram detectors, histogram cloning, iterative bin identification, l-of-n voting, ROC analysis |
 //! | [`mining`] | width-7 flow transactions, FP-growth (the default miner), the paper's modified Apriori (maximal item-sets, Table II audit trail), Eclat |
-//! | [`traffic`] | synthetic backbone workloads with per-flow ground truth (the SWITCH-trace stand-in) |
-//! | [`core`] | the extraction pipeline: union pre-filter + maximal frequent item-set summaries, analytic voting models, evaluation harness |
+//! | [`traffic`] | synthetic backbone workloads with per-flow ground truth (the SWITCH-trace stand-in), and the evaluation harness that scores extractions against it |
+//! | [`core`] | the extraction pipeline: union pre-filter + maximal frequent item-set summaries, streaming multi-source engine, checkpoints, reports |
 //!
 //! ## Quickstart
 //!
@@ -58,7 +58,7 @@ pub use anomex_traffic as traffic;
 /// The commonly-used types in one import.
 pub mod prelude {
     pub use anomex_core::{
-        classify_itemset, render_report, run_scenario, Engine, Extraction, ExtractionConfig,
+        classify_itemset, render_report, AnomalyClass, Engine, Extraction, ExtractionConfig,
         IntervalInput, MultiSourceExtractor, MultiStreamEvent, MultiStreamSummary, PrefilterMode,
         ReconfigRequest, StreamEvent,
     };
@@ -68,5 +68,5 @@ pub mod prelude {
         FlowFeature, FlowRecord, FlowTrace, IntervalAssembler, MergeAssembler, MergeConfig,
         Protocol, SourceId, SourceSpec, TcpFlags,
     };
-    pub use anomex_traffic::{table2_workload, AnomalyClass, EventSpec, Scenario};
+    pub use anomex_traffic::{run_scenario, table2_workload, EventSpec, Scenario};
 }
