@@ -42,8 +42,7 @@ fn run(scenario: &Scenario, delta_ms: u64, bins: u32) -> (usize, usize, usize, u
     let skip_ms = INTERVALS_PER_DAY * 15 * MINUTE_MS; // training day
     let (mut tp, mut pos, mut fp, mut neg) = (0, 0, 0, 0);
     let mut process = |begin_ms: u64, flows: &FlowColumns, bank: &mut DetectorBank| {
-        let partial = bank.hasher().partial_columns(flows, 0..flows.len());
-        let obs = bank.observe_partial(partial);
+        let obs = bank.observe_columns(flows);
         if begin_ms < skip_ms {
             return;
         }

@@ -25,9 +25,9 @@
 //! Every interval runs on the engine's one thread, in the paper's order:
 //!
 //! ```text
-//!  detect:      one column scan per feature → every clone's histogram
-//!               (BankHasher::partial_columns), scored once
-//!               (DetectorBank::observe_partial)
+//!  detect:      DetectorBank::observe_columns: per feature, each clone
+//!               counts the column into its recycled buffer and is
+//!               scored; alarmed clones resolve values from the column
 //!  pre-filter:  one column scan per meta-data feature
 //!  mine:        transactions built from the index slice; one counting
 //!               pass and the join / tree / lattice search
@@ -45,7 +45,7 @@
 //! windows as columns and hands them over as they are; a record slice
 //! is transposed into fresh columns on each call.
 
-use anomex_detector::{BankHasher, DetectorBank, MetaData};
+use anomex_detector::{DetectorBank, MetaData};
 use anomex_mining::RuleConfig;
 use anomex_netflow::snapshot::{RestoreError, SnapshotReader, SnapshotWriter};
 use anomex_netflow::{FlowColumns, FlowRecord};
@@ -141,9 +141,6 @@ impl ReconfigRequest {
 pub struct Engine {
     config: ExtractionConfig,
     bank: DetectorBank,
-    /// The bank's immutable histogramming spec, built once; the mutable
-    /// scoring state stays in `bank`.
-    hasher: BankHasher,
     /// Recycled pre-filter hit buffer, so steady-state pre-filtering
     /// does not re-allocate one byte per flow each alarmed interval.
     prefilter_scratch: PrefilterScratch,
@@ -159,11 +156,9 @@ impl Engine {
     pub fn new(config: ExtractionConfig) -> Result<Self, ConfigError> {
         config.validate()?;
         let bank = DetectorBank::new(&config.detector);
-        let hasher = bank.hasher();
         Ok(Engine {
             config,
             bank,
-            hasher,
             prefilter_scratch: PrefilterScratch::default(),
         })
     }
@@ -225,8 +220,7 @@ impl Engine {
     }
 
     fn process_columns(&mut self, cols: &FlowColumns) -> IntervalOutcome {
-        let partial = self.hasher.partial_columns(cols, 0..cols.len());
-        let observation = self.bank.observe_partial(partial);
+        let observation = self.bank.observe_columns(cols);
         let extraction = if observation.alarm && !observation.metadata.is_empty() {
             let indices = prefilter_indices_columns_with(
                 cols,

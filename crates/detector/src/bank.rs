@@ -6,12 +6,11 @@
 //! **union** into the pre-filter input (Fig. 3). [`DetectorBank`] is that
 //! assembly: feed it intervals, get alarms plus merged [`MetaData`].
 
-use std::ops::Range;
-
 use anomex_netflow::snapshot::{RestoreError, SnapshotReader, SnapshotWriter};
 use anomex_netflow::{FlowColumns, FlowFeature, FlowRecord};
 
-use crate::detector::{FeatureDetector, FeatureObservation, FeaturePartial};
+use crate::detector::{FeatureDetector, FeatureObservation};
+use crate::kl::KlMemo;
 use crate::metadata::MetaData;
 
 /// Largest bin count `k` a [`DetectorConfig`] accepts (paper: 512–2048).
@@ -166,52 +165,14 @@ impl BankObservation {
     }
 }
 
-/// All detectors' histograms over one interval's rows, built by
-/// [`BankHasher::partial_columns`] and scored by
-/// [`DetectorBank::observe_partial`].
-#[derive(Debug, Clone)]
-pub struct BankPartial {
-    features: Vec<FeaturePartial>,
-}
-
-/// The immutable histogramming half of a whole [`DetectorBank`]: one
-/// [`FeatureHasher`](crate::FeatureHasher) per configured feature.
-///
-/// Snapshot it once ([`DetectorBank::hasher`]) and it builds a
-/// [`BankPartial`] for every interval of a stream without borrowing the
-/// bank, whose mutable state (reference histograms, σ̂ thresholds, the
-/// interval counter) scores it via [`DetectorBank::observe_partial`].
-#[derive(Debug, Clone)]
-pub struct BankHasher {
-    features: Vec<crate::detector::FeatureHasher>,
-}
-
-impl BankHasher {
-    /// Build every detector's partial histograms from a columnar store
-    /// over the row `range`, without borrowing the bank: each feature
-    /// scans only its own contiguous column
-    /// ([`FeatureHasher::partial_columns`](crate::FeatureHasher::partial_columns)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `range` is out of bounds for `cols`.
-    #[must_use]
-    pub fn partial_columns(&self, cols: &FlowColumns, range: Range<usize>) -> BankPartial {
-        BankPartial {
-            features: self
-                .features
-                .iter()
-                .map(|h| h.partial_columns(cols, range.clone()))
-                .collect(),
-        }
-    }
-}
-
 /// `m` feature detectors operated in lockstep.
 #[derive(Debug)]
 pub struct DetectorBank {
     detectors: Vec<FeatureDetector>,
     interval: u64,
+    /// KL pair terms, reused by every clone of every feature: in one
+    /// interval they all score under the same normalizers.
+    kl: KlMemo,
 }
 
 impl DetectorBank {
@@ -244,50 +205,27 @@ impl DetectorBank {
         DetectorBank {
             detectors,
             interval: 0,
-        }
-    }
-
-    /// Snapshot the immutable histogramming half of the bank — what
-    /// builds every interval's [`BankPartial`] without borrowing the bank
-    /// itself; [`observe_partial`](Self::observe_partial) scores it.
-    #[must_use]
-    pub fn hasher(&self) -> BankHasher {
-        BankHasher {
-            features: self
-                .detectors
-                .iter()
-                .map(FeatureDetector::hasher_spec)
-                .collect(),
+            kl: KlMemo::new(),
         }
     }
 
     /// Observe one interval's flows with every detector: transpose them
-    /// once and score [`BankHasher::partial_columns`] over all rows.
+    /// once and run [`observe_columns`](Self::observe_columns).
     pub fn observe(&mut self, flows: &[FlowRecord]) -> BankObservation {
-        let cols = FlowColumns::from_flows(flows);
-        let partial = self.hasher().partial_columns(&cols, 0..cols.len());
-        self.observe_partial(partial)
+        self.observe_columns(&FlowColumns::from_flows(flows))
     }
 
-    /// Score an interval's histograms and advance every detector.
-    /// Produces exactly what [`observe`](Self::observe) over the same
-    /// rows would.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the partial was built by a bank with a different
-    /// configuration.
-    pub fn observe_partial(&mut self, partial: BankPartial) -> BankObservation {
-        assert_eq!(
-            partial.features.len(),
-            self.detectors.len(),
-            "partial was built by a different bank"
-        );
+    /// Observe one interval held as columns — the detect step: every
+    /// detector counts its feature's column into its clones, scores and
+    /// votes ([`FeatureDetector::observe_columns`]), and the alarmed
+    /// features' voted values are merged into the meta-data. Once past
+    /// the first interval and training, an unalarmed interval allocates
+    /// only what the returned observation owns.
+    pub fn observe_columns(&mut self, cols: &FlowColumns) -> BankObservation {
         let features: Vec<FeatureObservation> = self
             .detectors
             .iter_mut()
-            .zip(partial.features)
-            .map(|(d, p)| d.observe_partial(p))
+            .map(|d| d.observe_with(cols, &mut self.kl))
             .collect();
         let mut metadata = MetaData::new();
         for obs in &features {
@@ -373,9 +311,9 @@ impl DetectorBank {
         Ok(())
     }
 
-    /// Retained heap footprint of all histograms — reproduces the paper's
-    /// §III-E memory accounting (5 detectors × 3 clones × 1024 bins ≈
-    /// hundreds of kB).
+    /// Retained heap footprint of all reference histograms — reproduces
+    /// the paper's §III-E memory accounting (5 detectors × 3 clones ×
+    /// 1024 bins ≈ hundreds of kB).
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
         self.detectors

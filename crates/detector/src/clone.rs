@@ -11,12 +11,12 @@
 use std::collections::BTreeSet;
 
 use anomex_netflow::snapshot::{RestoreError, SnapshotReader, SnapshotWriter};
-use anomex_netflow::{FlowFeature, FlowRecord};
+use anomex_netflow::{FlowColumns, FlowFeature, FlowRecord};
 
 use crate::binid::{identify_from, BinIdentification};
 use crate::hash::BinHasher;
-use crate::histogram::{resolve_clones, FeatureHistogram};
-use crate::kl::kl_distance;
+use crate::histogram::{count_interval, resolve_clones, FeatureHistogram, Keys};
+use crate::kl::KlMemo;
 use crate::threshold::{FirstDiffThreshold, SIGMA_FLOOR};
 
 /// What one clone saw in one interval.
@@ -127,53 +127,58 @@ impl HistogramClone {
         self.threshold.as_ref()
     }
 
-    /// Observe one interval's flows and advance the state machine: one
-    /// column scan, then [`observe_histogram`](Self::observe_histogram).
-    pub fn observe(&mut self, flows: &[FlowRecord]) -> CloneObservation {
-        let (current, keys) = FeatureHistogram::scan(self.feature, self.hasher, self.bins, flows);
-        self.observe_histogram(current, &keys)
+    /// The reference histogram the next interval is scored against: the
+    /// last observed interval's counts (`None` before the first).
+    #[must_use]
+    pub fn reference(&self) -> Option<&FeatureHistogram> {
+        self.prev_histogram.as_ref()
     }
 
-    /// Score a pre-built interval histogram and advance the state machine
-    /// — the "score" half of an observation. `keys` are the raw keys
-    /// `current` was counted from ([`crate::FeaturePartial::keys`]), read
-    /// only on alarm to resolve the anomalous bins to values.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `current` was built by a different clone (feature,
-    /// hasher, or bin count mismatch) or `keys` does not hold one key
-    /// per counted flow.
-    pub fn observe_histogram(
-        &mut self,
-        current: FeatureHistogram,
-        keys: &[u64],
-    ) -> CloneObservation {
-        let mut observation = self.score(current, keys.len());
+    /// Observe one interval's flows and advance the state machine:
+    /// transpose them once, count the column, score the histogram and,
+    /// on alarm, resolve the anomalous bins from the column.
+    pub fn observe(&mut self, flows: &[FlowRecord]) -> CloneObservation {
+        let cols = FlowColumns::from_flows(flows);
+        let mut current = FeatureHistogram::new(self.feature, self.hasher, self.bins);
+        count_interval(&cols, std::slice::from_mut(&mut current));
+        let mut observation = self.score(&mut current, &mut KlMemo::new());
         if let Some(id) = &observation.bin_identification {
-            let mut sets = resolve_clones(keys, self.bins, &[(self.hasher, &id.bins)]);
+            let keys = Keys::Column(&cols, self.feature);
+            let mut sets = resolve_clones(&keys, self.bins, &[(self.hasher, &id.bins)]);
             observation.values = sets.pop().expect("one clone, one set");
         }
         observation
     }
 
-    /// [`observe_histogram`](Self::observe_histogram) short of resolving
-    /// values: an alarm carries its bin identification and empty
-    /// `values`, which the caller resolves — in one pass for all of a
-    /// feature's alarmed clones. `flows` is the number of keys `current` was
-    /// counted from.
-    pub(crate) fn score(&mut self, current: FeatureHistogram, flows: usize) -> CloneObservation {
+    /// Score the interval histogram `current` and advance the state
+    /// machine, short of resolving values: an alarm carries its bin
+    /// identification and empty `values`, which the caller resolves — in
+    /// one pass for all of a feature's alarmed clones. KL pair terms go
+    /// through `memo`.
+    ///
+    /// `current` then becomes the reference histogram, and the outgoing
+    /// reference is handed back in its place, as the buffer the next
+    /// interval counts into (on the first interval, a copy stays).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `current` was built by a different clone (feature,
+    /// hasher, or bin count mismatch).
+    pub(crate) fn score(
+        &mut self,
+        current: &mut FeatureHistogram,
+        memo: &mut KlMemo,
+    ) -> CloneObservation {
         assert!(
             current.feature() == self.feature
                 && current.hasher() == self.hasher
                 && current.bins() == self.bins,
             "histogram was built by a different clone"
         );
-        assert_eq!(flows as u64, current.total(), "keys of another interval");
         let kl = self
             .prev_histogram
             .as_ref()
-            .map(|prev| kl_distance(current.counts(), prev.counts()));
+            .map(|prev| memo.distance(current.counts(), prev.counts()));
         let first_diff = match (kl, self.prev_kl) {
             (Some(now), Some(before)) => Some(now - before),
             _ => None,
@@ -217,7 +222,10 @@ impl HistogramClone {
         }
 
         self.prev_kl = kl;
-        self.prev_histogram = Some(current);
+        match &mut self.prev_histogram {
+            Some(prev) => std::mem::swap(prev, current),
+            None => self.prev_histogram = Some(current.clone()),
+        }
 
         CloneObservation {
             kl,
@@ -541,12 +549,37 @@ mod tests {
     }
 
     #[test]
+    fn scoring_hands_back_the_outgoing_reference() {
+        let mut clone = HistogramClone::new(FlowFeature::DstPort, BinHasher::new(7), 64, 3.0, 5);
+        let build = |flows: &[FlowRecord]| {
+            FeatureHistogram::build(FlowFeature::DstPort, BinHasher::new(7), 64, flows)
+        };
+        let (first, second) = (build(&background(0)), build(&flooded(1)));
+        let mut memo = KlMemo::new();
+        let mut current = first.clone();
+        assert!(clone.score(&mut current, &mut memo).kl.is_none());
+        assert_eq!(
+            current.counts(),
+            first.counts(),
+            "the first interval keeps a copy"
+        );
+        current = second.clone();
+        let kl = clone.score(&mut current, &mut memo).kl;
+        assert_eq!(current.counts(), first.counts(), "the outgoing reference");
+        assert_eq!(
+            kl.map(f64::to_bits),
+            Some(crate::kl_distance(second.counts(), first.counts()).to_bits())
+        );
+        assert_eq!(clone.reference().unwrap().counts(), second.counts());
+    }
+
+    #[test]
     #[should_panic(expected = "different clone")]
     fn foreign_histogram_panics() {
         let mut clone = HistogramClone::new(FlowFeature::DstPort, BinHasher::new(7), 64, 3.0, 5);
-        let (h, keys) =
-            FeatureHistogram::scan(FlowFeature::DstPort, BinHasher::new(8), 64, &background(0));
-        let _ = clone.observe_histogram(h, &keys);
+        let mut h =
+            FeatureHistogram::build(FlowFeature::DstPort, BinHasher::new(8), 64, &background(0));
+        let _ = clone.score(&mut h, &mut KlMemo::new());
     }
 
     #[test]

@@ -1,22 +1,21 @@
 //! Per-feature detector: `n` histogram clones plus l-of-n voting.
 //!
-//! [`FeatureHasher::partial_columns`] is the crate's one histogram
-//! builder: a single-column scan that counts an interval into every
-//! clone's [`FeatureHistogram`] and keeps its raw keys.
-//! Record-slice callers ([`FeatureDetector::observe`],
-//! [`crate::DetectorBank::observe`], [`HistogramClone::observe`],
-//! [`FeatureHistogram::build`]) transpose to [`FlowColumns`] once and go
-//! through it.
+//! [`FeatureDetector::observe_columns`] is the detect step for one
+//! feature: it counts the interval's column into every clone's count
+//! buffer (`count_interval`), scores each clone against its reference
+//! histogram, resolves the alarmed clones' bins from the same column, and
+//! votes. The record-slice entry point ([`FeatureDetector::observe`])
+//! transposes once and calls it.
 
 use std::collections::BTreeSet;
-use std::ops::Range;
 
 use anomex_netflow::snapshot::{RestoreError, SnapshotReader, SnapshotWriter};
 use anomex_netflow::{FlowColumns, FlowFeature, FlowRecord};
 
 use crate::clone::{CloneObservation, ClonePhase, HistogramClone};
 use crate::hash::{derive_hashers, BinHasher};
-use crate::histogram::{resolve_clones, FeatureHistogram};
+use crate::histogram::{count_interval, resolve_clones, FeatureHistogram, Keys};
+use crate::kl::KlMemo;
 use crate::vote::tally;
 
 /// What one feature detector (all clones + voting) saw in one interval.
@@ -34,90 +33,14 @@ pub struct FeatureObservation {
     pub voted_values: BTreeSet<u64>,
 }
 
-/// Per-clone histograms of one feature detector over one interval's
-/// rows, with the rows' raw keys: built by
-/// [`FeatureHasher::partial_columns`] and scored by
-/// [`FeatureDetector::observe_partial`].
-#[derive(Debug, Clone)]
-pub struct FeaturePartial {
-    pub(crate) histograms: Vec<FeatureHistogram>,
-    pub(crate) keys: Vec<u64>,
-}
-
-impl FeaturePartial {
-    /// The per-clone histograms, in clone order.
-    #[must_use]
-    pub fn histograms(&self) -> &[FeatureHistogram] {
-        &self.histograms
-    }
-
-    /// The raw feature keys, one per flow in row order — what
-    /// [`FeatureHistogram::resolve`] maps anomalous bins back to values.
-    #[must_use]
-    pub fn keys(&self) -> &[u64] {
-        &self.keys
-    }
-}
-
-/// The immutable histogramming half of a [`FeatureDetector`]: the
-/// feature, each clone's hash function, and the bin count — everything
-/// needed to build an interval's histograms, and nothing else. The
-/// mutable detector state (reference histograms, thresholds, training)
-/// stays with the detector for the scoring step.
-#[derive(Debug, Clone)]
-pub struct FeatureHasher {
-    feature: FlowFeature,
-    hashers: Vec<BinHasher>,
-    bins: u32,
-}
-
-impl FeatureHasher {
-    pub(crate) fn new(feature: FlowFeature, hashers: Vec<BinHasher>, bins: u32) -> Self {
-        FeatureHasher {
-            feature,
-            hashers,
-            bins,
-        }
-    }
-
-    /// The monitored feature.
-    #[must_use]
-    pub fn feature(&self) -> FlowFeature {
-        self.feature
-    }
-
-    /// Build all clones' histograms from a columnar store over the row
-    /// `range` — the one function that counts flows into
-    /// [`FeatureHistogram`]s; every record-slice entry point transposes
-    /// once and calls it. One scan of the feature's single column
-    /// collects the keys (kept for [`FeatureHistogram::resolve`]), and
-    /// one `bin_of` loop per clone counts them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `range` is out of bounds for `cols`.
-    #[must_use]
-    pub fn partial_columns(&self, cols: &FlowColumns, range: Range<usize>) -> FeaturePartial {
-        let mut keys = Vec::with_capacity(range.len());
-        cols.for_each_raw(self.feature, range, |key| keys.push(key));
-        let histograms = self
-            .hashers
-            .iter()
-            .map(|&h| {
-                let mut histogram = FeatureHistogram::new(self.feature, h, self.bins);
-                histogram.count_values(&keys);
-                histogram
-            })
-            .collect();
-        FeaturePartial { histograms, keys }
-    }
-}
-
 /// A histogram-based detector for one traffic feature.
 #[derive(Debug)]
 pub struct FeatureDetector {
     feature: FlowFeature,
     clones: Vec<HistogramClone>,
+    /// Each clone's count buffer for the next interval — the reference
+    /// histogram that clone retired in the last one.
+    counts: Vec<FeatureHistogram>,
     votes: usize,
 }
 
@@ -151,12 +74,17 @@ impl FeatureDetector {
         let family_seed = BinHasher::new(seed).mix(feature.index() as u64);
         let hashers = derive_hashers(family_seed, clones);
         let clones = hashers
-            .into_iter()
-            .map(|h| HistogramClone::new(feature, h, bins, alpha, training_intervals))
+            .iter()
+            .map(|&h| HistogramClone::new(feature, h, bins, alpha, training_intervals))
+            .collect();
+        let counts = hashers
+            .iter()
+            .map(|&h| FeatureHistogram::new(feature, h, bins))
             .collect();
         FeatureDetector {
             feature,
             clones,
+            counts,
             votes,
         }
     }
@@ -187,53 +115,42 @@ impl FeatureDetector {
         &self.clones
     }
 
-    /// Snapshot the immutable histogramming half of this detector — the
-    /// hash functions and bin count that build an interval's histograms
-    /// without borrowing the detector itself.
-    #[must_use]
-    pub fn hasher_spec(&self) -> FeatureHasher {
-        FeatureHasher::new(
-            self.feature,
-            self.clones.iter().map(HistogramClone::hasher).collect(),
-            self.clones.first().map_or(0, HistogramClone::bins),
-        )
-    }
-
-    /// Observe one interval: transpose the flows once, build every
-    /// clone's histogram with [`FeatureHasher::partial_columns`], and
-    /// score it with [`observe_partial`](Self::observe_partial).
+    /// Observe one interval: transpose the flows once and run
+    /// [`observe_columns`](Self::observe_columns).
     pub fn observe(&mut self, flows: &[FlowRecord]) -> FeatureObservation {
-        let cols = FlowColumns::from_flows(flows);
-        let partial = self.hasher_spec().partial_columns(&cols, 0..cols.len());
-        self.observe_partial(partial)
+        self.observe_columns(&FlowColumns::from_flows(flows))
     }
 
-    /// Score an interval's histograms and advance every clone's state
-    /// machine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the partial was built by a detector with a different
-    /// clone configuration.
-    pub fn observe_partial(&mut self, partial: FeaturePartial) -> FeatureObservation {
-        assert_eq!(
-            partial.histograms.len(),
-            self.clones.len(),
-            "partial was built by a different detector"
-        );
-        let FeaturePartial { histograms, keys } = partial;
-        let mut observations: Vec<CloneObservation> = self
-            .clones
-            .iter_mut()
-            .zip(histograms)
-            .map(|(c, h)| c.score(h, keys.len()))
+    /// Observe one interval held as columns and advance every clone's
+    /// state machine: each clone counts the feature's column into its
+    /// count buffer and is scored against its reference histogram; the
+    /// alarmed clones' bins are resolved to values in one more pass over
+    /// the column, and the clones vote. A detector observed on its own
+    /// builds a fresh KL table per call; a [`DetectorBank`](crate::DetectorBank)
+    /// reuses one for all its detectors.
+    pub fn observe_columns(&mut self, cols: &FlowColumns) -> FeatureObservation {
+        self.observe_with(cols, &mut KlMemo::new())
+    }
+
+    /// [`observe_columns`](Self::observe_columns), remembering KL pair
+    /// terms in the caller's `kl`.
+    pub(crate) fn observe_with(
+        &mut self,
+        cols: &FlowColumns,
+        kl: &mut KlMemo,
+    ) -> FeatureObservation {
+        count_interval(cols, &mut self.counts);
+        let mut observations: Vec<CloneObservation> = (self.clones.iter_mut())
+            .zip(&mut self.counts)
+            .map(|(clone, counts)| clone.score(counts, kl))
             .collect();
         let alarmed_clones = observations.iter().filter(|o| o.alarm).count();
         if alarmed_clones > 0 {
-            // One pass over the keys resolves every alarmed clone.
+            // One pass over the column resolves every alarmed clone.
             let claims: Vec<(BinHasher, &[u32])> = (self.clones.iter().zip(&observations))
                 .filter_map(|(c, o)| Some((c.hasher(), &o.bin_identification.as_ref()?.bins[..])))
                 .collect();
+            let keys = Keys::Column(cols, self.feature);
             let sets = resolve_clones(&keys, self.clones[0].bins(), &claims);
             for (observation, values) in observations.iter_mut().filter(|o| o.alarm).zip(sets) {
                 observation.values = values;
@@ -294,7 +211,9 @@ impl FeatureDetector {
         Ok(())
     }
 
-    /// Retained heap footprint across clones (§III-E overhead report).
+    /// Retained heap footprint across clones (§III-E overhead report):
+    /// their reference histograms. The count buffers recycled from them
+    /// are scratch and not counted.
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
         self.clones.iter().map(HistogramClone::memory_bytes).sum()

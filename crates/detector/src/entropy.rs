@@ -11,17 +11,18 @@
 //! entropy by spraying values; DoS concentrates it), and propose the
 //! values whose probability shifted most as meta-data.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 use anomex_netflow::{FlowFeature, FlowRecord};
 
 use crate::threshold::{robust_sigma, SIGMA_FLOOR};
 
-/// Shannon entropy (bits) of a value-count map.
+/// Shannon entropy (bits) of a value-count map, summed in value order so
+/// that the same counts give the same bits.
 ///
 /// Returns 0 for an empty map (no flows ⇒ no uncertainty).
 #[must_use]
-pub fn shannon_entropy(counts: &HashMap<u64, u64>) -> f64 {
+pub fn shannon_entropy(counts: &BTreeMap<u64, u64>) -> f64 {
     let total: u64 = counts.values().sum();
     if total == 0 {
         return 0.0;
@@ -65,7 +66,7 @@ pub struct EntropyDetector {
     training_intervals: usize,
     training_diffs: Vec<f64>,
     sigma: Option<f64>,
-    prev_counts: Option<HashMap<u64, u64>>,
+    prev_counts: Option<BTreeMap<u64, u64>>,
     prev_entropy: Option<f64>,
     /// Maximum number of meta-data values proposed per alarm.
     max_values: usize,
@@ -116,7 +117,7 @@ impl EntropyDetector {
 
     /// Observe one interval.
     pub fn observe(&mut self, flows: &[FlowRecord]) -> EntropyObservation {
-        let mut counts: HashMap<u64, u64> = HashMap::new();
+        let mut counts: BTreeMap<u64, u64> = BTreeMap::new();
         for flow in flows {
             *counts.entry(self.feature.value_of(flow).raw).or_insert(0) += 1;
         }
@@ -157,21 +158,21 @@ impl EntropyDetector {
 
     /// The values whose probability shifted most against the previous
     /// interval, capped at `max_values`, covering ≥ 50 % of the total
-    /// shift.
-    fn top_movers(&self, counts: &HashMap<u64, u64>, total: u64) -> BTreeSet<u64> {
-        let empty = HashMap::new();
+    /// shift. Every value of either interval is weighed once; equal
+    /// shifts rank the smaller value first.
+    fn top_movers(&self, counts: &BTreeMap<u64, u64>, total: u64) -> BTreeSet<u64> {
+        let empty = BTreeMap::new();
         let prev = self.prev_counts.as_ref().unwrap_or(&empty);
         let prev_total: u64 = prev.values().sum();
         let p_now = |v: u64| counts.get(&v).copied().unwrap_or(0) as f64 / total.max(1) as f64;
         let p_before =
             |v: u64| prev.get(&v).copied().unwrap_or(0) as f64 / prev_total.max(1) as f64;
-        let mut shifts: Vec<(u64, f64)> = counts
-            .keys()
-            .chain(prev.keys())
-            .map(|&v| (v, (p_now(v) - p_before(v)).abs()))
+        let values: BTreeSet<u64> = counts.keys().chain(prev.keys()).copied().collect();
+        let mut shifts: Vec<(u64, f64)> = values
+            .into_iter()
+            .map(|v| (v, (p_now(v) - p_before(v)).abs()))
             .collect();
-        shifts.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("shifts are never NaN"));
-        shifts.dedup_by_key(|s| s.0);
+        shifts.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         let total_shift: f64 = shifts.iter().map(|&(_, s)| s).sum();
         let mut out = BTreeSet::new();
         let mut covered = 0.0;
@@ -216,17 +217,17 @@ mod tests {
 
     #[test]
     fn entropy_of_uniform_beats_concentrated() {
-        let mut uniform = HashMap::new();
+        let mut uniform = BTreeMap::new();
         for v in 0..16u64 {
             uniform.insert(v, 10);
         }
-        let mut concentrated = HashMap::new();
+        let mut concentrated = BTreeMap::new();
         concentrated.insert(1u64, 150);
         concentrated.insert(2, 10);
         assert!(shannon_entropy(&uniform) > shannon_entropy(&concentrated));
         // Uniform over 16 values = exactly 4 bits.
         assert!((shannon_entropy(&uniform) - 4.0).abs() < 1e-12);
-        assert_eq!(shannon_entropy(&HashMap::new()), 0.0);
+        assert_eq!(shannon_entropy(&BTreeMap::new()), 0.0);
     }
 
     fn trained() -> EntropyDetector {

@@ -1,21 +1,22 @@
-//! Hashed feature histograms: per-bin flow counts, and the resolver that
-//! maps anomalous bins back to feature values.
+//! Hashed feature histograms: per-bin flow counts, the one function that
+//! counts an interval's column into them, and the resolver that maps
+//! anomalous bins back to feature values.
 //!
 //! A histogram counts flows per bin for one traffic feature, binning values
-//! with a clone-specific hash function. A bin aggregates many feature
-//! values, so the paper's "map of bins and corresponding feature values"
-//! (§II-D) is needed only for the bins of a clone that alarmed — a few
-//! intervals in a hundred: [`FeatureHistogram::resolve`] rebuilds it then
-//! from the interval's raw keys, which the column scan collects anyway.
-//! A detector resolves all alarmed clones of a feature in one pass over
-//! its keys.
+//! with a clone-specific hash function. `count_interval` fills every clone
+//! of a feature straight from the interval's [`FlowColumns`]. A bin
+//! aggregates many feature values, so the paper's "map of bins and
+//! corresponding feature values" (§II-D) is needed only for the bins of a
+//! clone that alarmed — a few intervals in a hundred:
+//! [`FeatureHistogram::resolve`] rebuilds it then from the interval's
+//! keys. A detector resolves all alarmed clones of a feature in one pass
+//! over its column.
 
 use std::collections::BTreeSet;
 
 use anomex_netflow::snapshot::{RestoreError, SnapshotReader, SnapshotWriter};
 use anomex_netflow::{FlowColumns, FlowFeature, FlowRecord};
 
-use crate::detector::FeatureHasher;
 use crate::hash::BinHasher;
 
 /// Largest total a restored histogram may record. A histogram counts
@@ -51,41 +52,25 @@ impl FeatureHistogram {
     }
 
     /// Build a histogram over one interval's flows: transpose them once
-    /// and run the one column scan,
-    /// [`FeatureHasher::partial_columns`], for this single clone.
+    /// and count the column with `count_interval`, the one builder.
     ///
     /// # Panics
     ///
     /// Panics if `bins` is zero.
     #[must_use]
     pub fn build(feature: FlowFeature, hasher: BinHasher, bins: u32, flows: &[FlowRecord]) -> Self {
-        Self::scan(feature, hasher, bins, flows).0
+        let mut histogram = Self::new(feature, hasher, bins);
+        count_interval(
+            &FlowColumns::from_flows(flows),
+            std::slice::from_mut(&mut histogram),
+        );
+        histogram
     }
 
-    /// [`build`](Self::build), also returning the interval's raw keys in
-    /// flow order — what [`resolve`](Self::resolve) reads.
-    pub(crate) fn scan(
-        feature: FlowFeature,
-        hasher: BinHasher,
-        bins: u32,
-        flows: &[FlowRecord],
-    ) -> (Self, Vec<u64>) {
-        let cols = FlowColumns::from_flows(flows);
-        let mut partial =
-            FeatureHasher::new(feature, vec![hasher], bins).partial_columns(&cols, 0..cols.len());
-        let histogram = partial.histograms.pop().expect("one hasher, one histogram");
-        (histogram, partial.keys)
-    }
-
-    /// Count every key (the uniform `u64` keys of
-    /// [`FlowFeature::value_of`]) into its bin — the per-clone loop of
-    /// [`FeatureHasher::partial_columns`].
-    pub(crate) fn count_values(&mut self, keys: &[u64]) {
-        let bins = self.bins();
-        for &key in keys {
-            self.counts[self.hasher.bin_of(key, bins) as usize] += 1;
-        }
-        self.total += keys.len() as u64;
+    /// Add `count` flows of `value` to its bin, leaving the total.
+    fn add(&mut self, value: u64, count: u64) {
+        let bin = self.hasher.bin_of(value, self.bins());
+        self.counts[bin as usize] += count;
     }
 
     /// The monitored feature.
@@ -121,14 +106,14 @@ impl FeatureHistogram {
     /// The distinct feature values among `keys` that this histogram's
     /// hash function places in any of `bins` — an alarmed clone's
     /// candidate values once its anomalous bins are identified. `keys`
-    /// are the raw keys the histogram was counted from
-    /// ([`FeaturePartial::keys`](crate::FeaturePartial::keys)); one
-    /// `bin_of` pass over them against a bitmap of the requested bins
-    /// keeps the matching keys, which are sorted and deduplicated once.
-    /// Bins outside `0..bins()` hold no values.
+    /// are the raw keys the histogram was counted from, in row order
+    /// ([`FlowColumns::for_each_raw`]); one `bin_of` pass over them
+    /// against a bitmap of the requested bins keeps the matching keys,
+    /// which are sorted and deduplicated once. Bins outside `0..bins()`
+    /// hold no values.
     #[must_use]
     pub fn resolve(&self, keys: &[u64], bins: &[u32]) -> BTreeSet<u64> {
-        let mut sets = resolve_clones(keys, self.bins(), &[(self.hasher, bins)]);
+        let mut sets = resolve_clones(&Keys::Slice(keys), self.bins(), &[(self.hasher, bins)]);
         sets.pop().expect("one clone, one set")
     }
 
@@ -213,6 +198,69 @@ impl FeatureHistogram {
     }
 }
 
+/// `#packets` values below this are tallied in a table before binning;
+/// they are 99.8 % of the flows of each seed-1 benchmark capture.
+const PACKETS_TABLE: usize = 256;
+
+/// Count the interval `cols` into `histograms` — clones of one feature,
+/// each with its own hash function, all with one bin count — replacing
+/// what they held. The crate's one histogram builder.
+///
+/// Each clone runs one `bin_of` loop over the feature's column.
+/// `#packets` repeats a few small values in nearly every flow, so its
+/// column is read once instead: values below [`PACKETS_TABLE`] are
+/// tallied in a table and each tallied value is binned once per clone
+/// with its count; larger values are counted per flow. Either way a
+/// bin's count is the same integer, added in another order.
+pub(crate) fn count_interval(cols: &FlowColumns, histograms: &mut [FeatureHistogram]) {
+    let Some(feature) = histograms.first().map(FeatureHistogram::feature) else {
+        return;
+    };
+    for histogram in histograms.iter_mut() {
+        histogram.counts.fill(0);
+        histogram.total = cols.len() as u64;
+    }
+    if feature == FlowFeature::Packets {
+        let mut table = [0u64; PACKETS_TABLE];
+        cols.for_each_raw(feature, 0..cols.len(), |value| {
+            match table.get_mut(value as usize) {
+                Some(count) => *count += 1,
+                None => histograms.iter_mut().for_each(|h| h.add(value, 1)),
+            }
+        });
+        for (value, &count) in table.iter().enumerate().filter(|&(_, &c)| c > 0) {
+            histograms
+                .iter_mut()
+                .for_each(|h| h.add(value as u64, count));
+        }
+    } else {
+        for histogram in histograms.iter_mut() {
+            let (hasher, bins) = (histogram.hasher, histogram.bins());
+            let counts = &mut histogram.counts;
+            cols.for_each_raw(feature, 0..cols.len(), |key| {
+                counts[hasher.bin_of(key, bins) as usize] += 1;
+            });
+        }
+    }
+}
+
+/// A feature's keys, in row order, as [`resolve_clones`] reads them.
+pub(crate) enum Keys<'a> {
+    /// Keys already collected.
+    Slice(&'a [u64]),
+    /// One feature's column.
+    Column(&'a FlowColumns, FlowFeature),
+}
+
+impl Keys<'_> {
+    fn for_each(&self, mut f: impl FnMut(u64)) {
+        match self {
+            Keys::Slice(keys) => keys.iter().for_each(|&key| f(key)),
+            Keys::Column(cols, feature) => cols.for_each_raw(*feature, 0..cols.len(), f),
+        }
+    }
+}
+
 /// Slots of [`resolve_clones`]' table of recently claimed keys.
 const RECENT_SLOTS: usize = 64;
 
@@ -231,7 +279,7 @@ const RECENT_SLOTS: usize = 64;
 /// key and clone and one sort of a few claimed keys: no set insert per
 /// flow, and a feature's keys are read once however many clones alarmed.
 pub(crate) fn resolve_clones(
-    keys: &[u64],
+    keys: &Keys<'_>,
     k: u32,
     clones: &[(BinHasher, &[u32])],
 ) -> Vec<BTreeSet<u64>> {
@@ -252,12 +300,12 @@ pub(crate) fn resolve_clones(
             .collect();
         let mut claimed: Vec<(u64, u64)> = Vec::new();
         let mut recent = [None; RECENT_SLOTS];
-        for &key in keys {
+        keys.for_each(|key| {
             // Fibonacci hashing: the product's top bits pick the slot.
             let slot = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15)
                 >> (u64::BITS - RECENT_SLOTS.trailing_zeros())) as usize;
             if recent[slot] == Some(key) {
-                continue;
+                return;
             }
             let mut mask = 0u64;
             for (bit, (&(hasher, _), marked)) in group.iter().zip(&marked).enumerate() {
@@ -269,7 +317,7 @@ pub(crate) fn resolve_clones(
                 claimed.push((key, mask));
                 recent[slot] = Some(key);
             }
-        }
+        });
         claimed.sort_unstable_by_key(|&(key, _)| key);
         claimed.dedup_by_key(|&mut (key, _)| key);
         sets.extend((0..group.len()).map(|bit| {
@@ -300,6 +348,17 @@ mod tests {
         )
     }
 
+    /// [`FeatureHistogram::build`], with the raw keys `resolve` reads.
+    fn scan(
+        feature: FlowFeature,
+        hasher: BinHasher,
+        bins: u32,
+        flows: &[FlowRecord],
+    ) -> (FeatureHistogram, Vec<u64>) {
+        let keys = flows.iter().map(|f| feature.value_of(f).raw).collect();
+        (FeatureHistogram::build(feature, hasher, bins, flows), keys)
+    }
+
     #[test]
     fn counts_are_conserved() {
         let flows: Vec<_> = (0..500u16).map(flow_to_port).collect();
@@ -311,7 +370,7 @@ mod tests {
     #[test]
     fn repeated_value_lands_in_same_bin() {
         let flows: Vec<_> = (0..100).map(|_| flow_to_port(7000)).collect();
-        let (h, keys) = FeatureHistogram::scan(FlowFeature::DstPort, BinHasher::new(1), 64, &flows);
+        let (h, keys) = scan(FlowFeature::DstPort, BinHasher::new(1), 64, &flows);
         let nonzero: Vec<_> = h.counts().iter().filter(|&&c| c > 0).collect();
         assert_eq!(nonzero, vec![&100u64]);
         let bin = BinHasher::new(1).bin_of(7000, 64);
@@ -321,8 +380,7 @@ mod tests {
     #[test]
     fn reverse_map_finds_the_value() {
         let flows = vec![flow_to_port(7000)];
-        let (h, keys) =
-            FeatureHistogram::scan(FlowFeature::DstPort, BinHasher::new(9), 1024, &flows);
+        let (h, keys) = scan(FlowFeature::DstPort, BinHasher::new(9), 1024, &flows);
         let bin = BinHasher::new(9).bin_of(7000, 1024);
         assert_eq!(h.resolve(&keys, &[bin]), BTreeSet::from([7000]));
         // Other bins are empty, and bins past the end hold nothing.
@@ -335,7 +393,7 @@ mod tests {
     fn values_in_bins_unions() {
         let flows = vec![flow_to_port(80), flow_to_port(7000), flow_to_port(25)];
         let hasher = BinHasher::new(3);
-        let (h, keys) = FeatureHistogram::scan(FlowFeature::DstPort, hasher, 1024, &flows);
+        let (h, keys) = scan(FlowFeature::DstPort, hasher, 1024, &flows);
         let bins: Vec<u32> = [80u64, 7000, 25]
             .iter()
             .map(|&v| hasher.bin_of(v, 1024))
@@ -347,7 +405,7 @@ mod tests {
     fn collisions_share_a_bin() {
         // With 1 bin everything collides; the resolver keeps them apart.
         let flows = vec![flow_to_port(1), flow_to_port(2)];
-        let (h, keys) = FeatureHistogram::scan(FlowFeature::DstPort, BinHasher::new(1), 1, &flows);
+        let (h, keys) = scan(FlowFeature::DstPort, BinHasher::new(1), 1, &flows);
         assert_eq!(h.counts(), &[2]);
         assert_eq!(h.resolve(&keys, &[0]), BTreeSet::from([1, 2]));
     }
@@ -365,7 +423,7 @@ mod tests {
             .zip(&bins)
             .map(|(&h, b)| (h, &b[..]))
             .collect();
-        let sets = resolve_clones(&keys, 16, &clones);
+        let sets = resolve_clones(&Keys::Slice(&keys), 16, &clones);
         assert_eq!(sets.len(), 70);
         for ((hasher, bins), set) in clones.iter().zip(&sets) {
             let want: BTreeSet<u64> = keys
@@ -376,6 +434,30 @@ mod tests {
             assert_eq!(set, &want);
         }
         assert!(sets.iter().any(|set| set.contains(&u64::MAX)));
+    }
+
+    #[test]
+    fn packets_count_through_the_table_like_per_flow() {
+        // Values around the table's edge, repeats, and the largest count.
+        let packets = [0, 1, 1, 255, 256, 256, 7, u32::MAX, 1000, 255, 0];
+        let flows: Vec<FlowRecord> = packets
+            .iter()
+            .map(|&p| flow_to_port(80).with_volume(p, 40))
+            .collect();
+        let mut clones: Vec<FeatureHistogram> = (0..3)
+            .map(|seed| FeatureHistogram::new(FlowFeature::Packets, BinHasher::new(seed), 16))
+            .collect();
+        // A buffer holding an older interval's counts is replaced.
+        clones[1].counts[3] = 99;
+        count_interval(&FlowColumns::from_flows(&flows[1..]), &mut clones);
+        for clone in &clones {
+            let mut want = [0u64; 16];
+            for &p in &packets[1..] {
+                want[clone.hasher().bin_of(u64::from(p), 16) as usize] += 1;
+            }
+            assert_eq!(clone.counts(), &want[..]);
+            assert_eq!(clone.total(), packets.len() as u64 - 1);
+        }
     }
 
     #[test]

@@ -19,14 +19,23 @@
 //! Σpᵢ + k and Σqᵢ + k are fixed, so a bin's term is a function of its
 //! count pair `(pc, qc)` alone. A 1 024-bin histogram of an interval
 //! holds some 90–150 distinct pairs, nearly all of small counts, so
-//! [`kl_distance`] computes each pair's term once: a table on the stack,
-//! indexed by `(pc, qc)` for counts below 64, with an occupancy bitmap
-//! beside it. A bin with a count at or above the side takes its
-//! term directly. The result is the per-bin loop's bit for bit: a
-//! remembered term is the same expression on the same operands, and the
-//! terms are added one bin at a time in bin order, as that loop adds
-//! them. Nothing is kept across calls — the normalizers change every
-//! interval.
+//! each pair's term is computed once: a 64 × 64 table indexed by
+//! `(pc, qc)` for counts below 64, with an occupancy bitmap beside it.
+//! A bin with a count at or above the side takes its term directly. The
+//! result is the per-bin loop's bit for bit: a remembered term is the
+//! same expression on the same operands, and the terms are added one bin
+//! at a time in bin order, as that loop adds them.
+//!
+//! The table is a `KlMemo` its caller owns: the detector bank keeps one
+//! and reuses it for every clone, feature and interval, so a call does
+//! not zero 32 KiB of terms. A term depends on its pair and on the two
+//! normalizers only, and within one interval every clone of every
+//! feature scores the same number of flows against the same reference
+//! interval: the table keeps the normalizers its terms were computed
+//! under, and a call under others first clears the occupancy bitmap,
+//! which gates every read. A remembered term is therefore always the
+//! expression the per-bin loop would compute. [`kl_distance`] builds a
+//! fresh table per call.
 
 /// Counts below this, in both histograms, share one remembered term per
 /// `(current, reference)` pair; one bitmap word per current count.
@@ -41,38 +50,73 @@ const _: () = assert!(MEMO_SIDE <= u64::BITS as usize);
 /// Panics if the histograms have different lengths or are empty.
 #[must_use]
 pub fn kl_distance(p: &[u64], q: &[u64]) -> f64 {
-    assert_eq!(p.len(), q.len(), "histograms must have the same bin count");
-    assert!(!p.is_empty(), "histograms must have at least one bin");
-    let k = p.len() as f64;
-    let p_total: u64 = p.iter().sum();
-    let q_total: u64 = q.iter().sum();
-    let p_norm = p_total as f64 + k;
-    let q_norm = q_total as f64 + k;
-    let term = |pc: u64, qc: u64| {
-        let pi = (pc as f64 + 1.0) / p_norm;
-        let qi = (qc as f64 + 1.0) / q_norm;
-        pi * (pi / qi).log2()
-    };
-    // `terms[pc][qc]` holds its pair's term once bit `qc` of `seen[pc]`
-    // is set.
-    let mut terms = [[0.0f64; MEMO_SIDE]; MEMO_SIDE];
-    let mut seen = [0u64; MEMO_SIDE];
-    let mut d = 0.0;
-    for (&pc, &qc) in p.iter().zip(q) {
-        d += if pc < MEMO_SIDE as u64 && qc < MEMO_SIDE as u64 {
-            let (row, bit) = (pc as usize, 1u64 << qc);
-            if seen[row] & bit == 0 {
-                seen[row] |= bit;
-                terms[row][qc as usize] = term(pc, qc);
-            }
-            terms[row][qc as usize]
-        } else {
-            term(pc, qc)
-        };
+    KlMemo::new().distance(p, q)
+}
+
+/// The pair-term table of [`kl_distance`], kept by its owner across
+/// calls so that a call need not zero it (see the module docs).
+pub(crate) struct KlMemo {
+    /// `terms[pc][qc]`, valid once bit `qc` of `seen[pc]` is set.
+    terms: Box<[[f64; MEMO_SIDE]; MEMO_SIDE]>,
+    seen: [u64; MEMO_SIDE],
+    /// The bits of the normalizers Σp + k and Σq + k the valid terms
+    /// were computed under.
+    norms: (u64, u64),
+}
+
+impl KlMemo {
+    pub(crate) fn new() -> Self {
+        KlMemo {
+            terms: Box::new([[0.0; MEMO_SIDE]; MEMO_SIDE]),
+            seen: [0; MEMO_SIDE],
+            norms: (0, 0),
+        }
     }
-    // Clamp the tiny negative residue floating-point rounding can leave
-    // when p == q.
-    d.max(0.0)
+
+    /// [`kl_distance`] of `p` against `q`, remembering pair terms in
+    /// this table.
+    pub(crate) fn distance(&mut self, p: &[u64], q: &[u64]) -> f64 {
+        assert_eq!(p.len(), q.len(), "histograms must have the same bin count");
+        assert!(!p.is_empty(), "histograms must have at least one bin");
+        let k = p.len() as f64;
+        let p_total: u64 = p.iter().sum();
+        let q_total: u64 = q.iter().sum();
+        let p_norm = p_total as f64 + k;
+        let q_norm = q_total as f64 + k;
+        let term = |pc: u64, qc: u64| {
+            let pi = (pc as f64 + 1.0) / p_norm;
+            let qi = (qc as f64 + 1.0) / q_norm;
+            pi * (pi / qi).log2()
+        };
+        let norms = (p_norm.to_bits(), q_norm.to_bits());
+        if norms != self.norms {
+            self.seen = [0; MEMO_SIDE];
+            self.norms = norms;
+        }
+        let (terms, seen) = (&mut *self.terms, &mut self.seen);
+        let mut d = 0.0;
+        for (&pc, &qc) in p.iter().zip(q) {
+            d += if pc < MEMO_SIDE as u64 && qc < MEMO_SIDE as u64 {
+                let (row, bit) = (pc as usize, 1u64 << qc);
+                if seen[row] & bit == 0 {
+                    seen[row] |= bit;
+                    terms[row][qc as usize] = term(pc, qc);
+                }
+                terms[row][qc as usize]
+            } else {
+                term(pc, qc)
+            };
+        }
+        // Clamp the tiny negative residue floating-point rounding can leave
+        // when p == q.
+        d.max(0.0)
+    }
+}
+
+impl std::fmt::Debug for KlMemo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("KlMemo").finish_non_exhaustive()
+    }
 }
 
 #[cfg(test)]
@@ -138,6 +182,25 @@ mod tests {
             d < 1e-9,
             "uniform-empty vs uniform-busy has equal distributions: {d}"
         );
+    }
+
+    #[test]
+    fn a_reused_memo_scores_like_a_fresh_one() {
+        // Calls that share the first call's normalizers reuse its terms;
+        // a call under other normalizers meets the same pairs and must
+        // not read them.
+        let mut memo = KlMemo::new();
+        let calls = [
+            (vec![1u64, 2, 3, 4, 70], vec![4u64, 3, 2, 1, 0]),
+            (vec![2u64, 1, 3, 70, 4], vec![3u64, 4, 2, 0, 1]),
+            (vec![1u64, 2, 3, 4, 0], vec![4u64, 3, 2, 1, 900]),
+            (vec![4u64, 3, 2, 1, 70], vec![1u64, 2, 3, 4, 0]),
+            (vec![0u64; 5], vec![0u64; 5]),
+        ];
+        for (p, q) in &calls {
+            let fresh = KlMemo::new().distance(p, q);
+            assert_eq!(memo.distance(p, q).to_bits(), fresh.to_bits());
+        }
     }
 
     #[test]

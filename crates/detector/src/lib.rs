@@ -9,10 +9,10 @@
 //! - [`threshold`] — MAD-robust σ̂ estimation and the one-sided
 //!   `α·σ̂` alarm test on the first difference of the KL series;
 //! - [`hash`] / [`histogram`] — histogram *cloning*: per-clone seeded hash
-//!   binning into counts-only histograms. Flows enter histograms through
-//!   one column scan, [`FeatureHasher::partial_columns`], whose raw keys
-//!   an alarmed clone resolves its anomalous bins from
-//!   ([`FeatureHistogram::resolve`]);
+//!   binning into counts-only histograms. Flows enter histograms straight
+//!   from the interval's columns ([`DetectorBank::observe_columns`]), and
+//!   an alarmed clone resolves its anomalous bins to values from the same
+//!   column ([`FeatureHistogram::resolve`]);
 //! - [`binid`] — the iterative anomalous-bin identification that simulates
 //!   flow removal until the alarm clears (Fig. 5);
 //! - [`mod@vote`] — l-of-n voting across clones;
@@ -43,12 +43,10 @@ pub mod roc;
 pub mod threshold;
 pub mod vote;
 
-pub use bank::{
-    BankHasher, BankObservation, BankPartial, DetectorBank, DetectorConfig, MAX_BINS, MAX_CLONES,
-};
+pub use bank::{BankObservation, DetectorBank, DetectorConfig, MAX_BINS, MAX_CLONES};
 pub use binid::{identify_anomalous_bins, BinIdentification};
 pub use clone::{CloneObservation, ClonePhase, HistogramClone};
-pub use detector::{FeatureDetector, FeatureHasher, FeatureObservation, FeaturePartial};
+pub use detector::{FeatureDetector, FeatureObservation};
 pub use entropy::{shannon_entropy, EntropyDetector, EntropyObservation};
 pub use hash::{derive_hashers, BinHasher};
 pub use histogram::FeatureHistogram;

@@ -1,9 +1,8 @@
-//! Allocation guard for the detector's per-interval path: counting a
-//! quiet interval into every clone's histogram
-//! (`BankHasher::partial_columns`) and scoring it
-//! (`DetectorBank::observe_partial`) allocates a fixed number of times,
-//! whatever the interval's size — nothing per flow and nothing per
-//! distinct value.
+//! Allocation guard for the detector's per-interval path: once warm,
+//! observing an unalarmed interval (`DetectorBank::observe_columns`)
+//! allocates only what the returned observation owns — its feature list
+//! and each feature's clone list — whatever the interval's size: nothing
+//! per flow, per distinct value or per histogram.
 //!
 //! A test binary of its own, with one test, because the counting
 //! allocator sees every thread of the process.
@@ -53,10 +52,12 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// One interval of `flows` flows whose every feature takes many distinct
-/// values, shifted by `salt` so consecutive intervals differ.
+/// values, shifted by `salt` so consecutive intervals differ. Every
+/// 40th flow carries a `#packets` value above the detector's value table.
 fn interval(flows: u32, salt: u32) -> FlowColumns {
     let mut cols = FlowColumns::new();
     for i in 0..flows {
+        let packets = if i % 40 == 0 { 300 + i } else { 1 + i % 200 };
         let flow = FlowRecord::new(
             u64::from(i),
             Ipv4Addr::from(0x0a00_0000 + i.wrapping_mul(7) + salt),
@@ -65,32 +66,48 @@ fn interval(flows: u32, salt: u32) -> FlowColumns {
             (1 + i.wrapping_mul(31) % 65_000) as u16,
             Protocol::Tcp,
         )
-        .with_volume(1 + i % 200, 40 * (1 + i % 200));
+        .with_volume(packets, 40 * packets);
         cols.push(&flow);
     }
     cols
 }
 
-/// Allocations made while counting and scoring the fourth interval of a
-/// fresh bank, which is still training (so nothing alarms).
-fn allocations_per_quiet_interval(flows: u32) -> u64 {
-    let mut bank = DetectorBank::new(&DetectorConfig::default());
-    let hasher = bank.hasher();
-    let mut counted = 0;
-    for salt in 0..4 {
+/// Allocations made while observing each of three unalarmed intervals,
+/// after a fresh bank has observed six: the first fills the reference
+/// histograms, and the threshold is fitted on the third first
+/// difference. α is too large for any interval to alarm.
+fn allocations_per_quiet_interval(config: &DetectorConfig, flows: u32) -> Vec<u64> {
+    let mut bank = DetectorBank::new(config);
+    let mut counted = Vec::new();
+    for salt in 0..9 {
         let cols = interval(flows, salt);
         let before = ALLOCS.load(Ordering::Relaxed);
-        let partial = hasher.partial_columns(&cols, 0..cols.len());
-        let observation = bank.observe_partial(partial);
-        counted = ALLOCS.load(Ordering::Relaxed) - before;
-        assert!(!observation.alarm, "a training interval alarmed");
+        let observation = bank.observe_columns(&cols);
+        let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+        assert!(!observation.alarm, "interval {salt} alarmed");
+        if salt >= 6 {
+            counted.push(allocs);
+        }
     }
+    assert!(bank.is_trained());
     counted
 }
 
 #[test]
-fn a_quiet_interval_allocates_the_same_at_1k_and_64k_flows() {
-    let small = allocations_per_quiet_interval(1_000);
-    let large = allocations_per_quiet_interval(64_000);
-    assert_eq!(small, large, "allocations at 1 k vs 64 k flows");
+fn a_quiet_interval_allocates_only_its_observation_at_1k_and_64k_flows() {
+    let config = DetectorConfig {
+        training_intervals: 3,
+        alpha: 1e12,
+        ..DetectorConfig::default()
+    };
+    // The observation's feature list, and one clone list per feature.
+    let owned = 1 + config.features.len() as u64;
+    assert_eq!(owned, 6);
+    for flows in [1_000, 64_000] {
+        assert_eq!(
+            allocations_per_quiet_interval(&config, flows),
+            [owned; 3],
+            "allocations per interval at {flows} flows"
+        );
+    }
 }

@@ -5,22 +5,30 @@ use std::net::Ipv4Addr;
 
 use anomex_detector::{
     identify_anomalous_bins, kl_distance, robust_sigma, vote, BinHasher, FeatureDetector,
-    FeatureObservation, FeaturePartial, RocCurve, SIGMA_FLOOR,
+    FeatureHistogram, FeatureObservation, RocCurve, MAX_BINS, SIGMA_FLOOR,
 };
 use anomex_netflow::{FlowColumns, FlowFeature, FlowRecord, Protocol};
 use anomex_traffic::Scenario;
 use proptest::prelude::*;
 
-/// Score `partial` with `detector` and check the scoring contracts of
+/// The interval's keys of `feature`, in row order.
+fn column_keys(cols: &FlowColumns, feature: FlowFeature) -> Vec<u64> {
+    let mut keys = Vec::with_capacity(cols.len());
+    cols.for_each_raw(feature, 0..cols.len(), |key| keys.push(key));
+    keys
+}
+
+/// Observe `cols` with `detector` and check the scoring contracts of
 /// every clone that alarmed: its bin identification starts from its own
 /// KL bit for bit, its values are [`FeatureHistogram::resolve`] of its
-/// bins over the interval's keys (the detector resolves them once per
-/// feature), and the voted values are [`vote`] of the clone sets.
-/// Returns the observation.
-fn observe_checked(detector: &mut FeatureDetector, partial: FeaturePartial) -> FeatureObservation {
-    let observation = detector.observe_partial(partial.clone());
+/// bins over the column's keys (the detector resolves them once per
+/// feature, from the column), and the voted values are [`vote`] of the
+/// clone sets. Returns the observation.
+fn observe_checked(detector: &mut FeatureDetector, cols: &FlowColumns) -> FeatureObservation {
+    let observation = detector.observe_columns(cols);
+    let keys = column_keys(cols, detector.feature());
     let mut alarmed = 0;
-    for (clone, histogram) in observation.clones.iter().zip(partial.histograms()) {
+    for (clone, state) in observation.clones.iter().zip(detector.clones()) {
         let Some(id) = &clone.bin_identification else {
             assert!(!clone.alarm && clone.values.is_empty());
             continue;
@@ -28,7 +36,8 @@ fn observe_checked(detector: &mut FeatureDetector, partial: FeaturePartial) -> F
         alarmed += 1;
         let kl = clone.kl.expect("an alarm has a KL");
         assert_eq!(id.kl_trajectory[0].to_bits(), kl.to_bits());
-        assert_eq!(clone.values, histogram.resolve(partial.keys(), &id.bins));
+        let histogram = FeatureHistogram::new(state.feature(), state.hasher(), state.bins());
+        assert_eq!(clone.values, histogram.resolve(&keys, &id.bins));
     }
     assert_eq!(observation.alarmed_clones, alarmed);
     if observation.alarm {
@@ -55,8 +64,7 @@ fn check_small_scenario(seed: u64, votes: usize) -> BTreeSet<usize> {
     for interval in 0..scenario.interval_count() {
         let cols = FlowColumns::from_flows(&scenario.generate(interval).flows);
         for detector in &mut detectors {
-            let partial = detector.hasher_spec().partial_columns(&cols, 0..cols.len());
-            let observation = observe_checked(detector, partial);
+            let observation = observe_checked(detector, &cols);
             if observation.alarmed_clones > 0 {
                 alarmed.insert(observation.alarmed_clones);
             }
@@ -65,80 +73,96 @@ fn check_small_scenario(seed: u64, votes: usize) -> BTreeSet<usize> {
     alarmed
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+/// The `#packets` value a generated row carries: the edges of the
+/// detector's value table (it tallies values below 256), the extremes,
+/// and small and arbitrary values.
+fn packets(kind: u8, raw: u32) -> u32 {
+    match kind {
+        0 => 0,
+        1 => 255,
+        2 => 256,
+        3 => u32::MAX,
+        4 => raw % 300,
+        _ => raw,
+    }
+}
 
-    /// `FeatureHasher::partial_columns` — the one histogram builder —
-    /// over an arbitrary row range `split..` of arbitrary flows equals a
-    /// naive per-flow oracle over those rows (`BinHasher::bin_of` counts
-    /// plus a `BTreeMap` of bin → values) for every feature and every
-    /// clone: counts, total, and — through `FeatureHistogram::resolve`
-    /// over the kept keys — the values of an arbitrary subset of bins
-    /// per clone.
+proptest! {
+    /// `FeatureDetector::observe_columns` counts each interval into
+    /// every clone as a per-flow `BinHasher::bin_of` count would — for
+    /// every feature (`#packets` through its value table, around the
+    /// table's edge), for k ∈ {1, 7, 1 024, `MAX_BINS`}, over empty,
+    /// one-flow and larger intervals, into buffers recycled from the
+    /// previous intervals. After each interval a clone's reference
+    /// histogram is that interval's counts and total. The values of an
+    /// arbitrary subset of bins, `FeatureHistogram::resolve` over the
+    /// interval's keys, are those of a `BTreeMap` of bin → values.
     #[test]
-    fn partial_columns_matches_a_per_flow_oracle(
-        rows in proptest::collection::vec((0u32..40, 0u16..64, 1u32..8), 0..200),
+    fn observe_columns_counts_like_a_per_flow_oracle(
+        intervals in proptest::collection::vec(
+            (0u8..4, proptest::collection::vec((any::<u32>(), 0u16..64, 0u8..6, any::<u32>()), 0..150)),
+            1..5,
+        ),
         feature_idx in 0usize..9,
         seed in any::<u64>(),
-        bins in 1u32..64,
+        bins in proptest::sample::select(vec![1u32, 7, 1024, MAX_BINS]),
         clones in 1usize..4,
-        split in 0usize..201,
-        subsets in proptest::collection::vec(proptest::collection::vec(0u32..64, 0..8), 3),
+        subsets in proptest::collection::vec(proptest::collection::vec(0u32..1100, 0..8), 3),
     ) {
-        let flows: Vec<FlowRecord> = rows
-            .iter()
-            .map(|&(ip, port, packets)| {
-                let ip = ip.wrapping_mul(0x9E37_79B9);
-                FlowRecord::new(
-                    0,
-                    Ipv4Addr::from(ip),
-                    Ipv4Addr::from(ip.rotate_left(7)),
-                    port,
-                    port ^ 0x1f,
-                    Protocol::from_number(port as u8 % 3),
-                )
-                .with_volume(packets, packets * 40)
-            })
-            .collect();
         let feature = FlowFeature::EXTENDED[feature_idx];
-        let detector = FeatureDetector::new(feature, bins, clones, 1, 3.0, 2, seed);
-        let hasher = detector.hasher_spec();
-        let cols = FlowColumns::from_flows(&flows);
-        let split = split.min(flows.len());
-        let partial = hasher.partial_columns(&cols, split..flows.len());
-        let flows = &flows[split..];
-        prop_assert_eq!(partial.histograms().len(), clones);
-        prop_assert_eq!(partial.keys().len(), flows.len());
-        for ((histogram, clone), subset) in
-            partial.histograms().iter().zip(detector.clones()).zip(&subsets)
-        {
-            let mut counts = vec![0u64; bins as usize];
-            let mut values: BTreeMap<u32, BTreeSet<u64>> = BTreeMap::new();
-            for flow in flows {
-                let value = feature.value_of(flow).raw;
-                let bin = clone.hasher().bin_of(value, bins);
-                counts[bin as usize] += 1;
-                values.entry(bin).or_default().insert(value);
-            }
-            prop_assert_eq!(histogram.counts(), &counts[..]);
-            prop_assert_eq!(histogram.total(), flows.len() as u64);
-            // Bins drawn past `bins` hold nothing, like empty bins.
-            let want: BTreeSet<u64> = subset
+        let mut detector = FeatureDetector::new(feature, bins, clones, 1, 3.0, 2, seed);
+        for (shape, rows) in &intervals {
+            // Shapes 0 and 1 cut the interval to no flow and one flow.
+            let rows = &rows[..rows.len().min(match shape { 0 => 0, 1 => 1, _ => usize::MAX })];
+            let flows: Vec<FlowRecord> = rows
                 .iter()
-                .filter_map(|bin| values.get(bin))
-                .flatten()
-                .copied()
+                .map(|&(ip, port, kind, raw)| {
+                    FlowRecord::new(
+                        0,
+                        Ipv4Addr::from((ip % 40).wrapping_mul(0x9E37_79B9)),
+                        Ipv4Addr::from(ip.rotate_left(7) % 50),
+                        port,
+                        port ^ 0x1f,
+                        Protocol::from_number(port as u8 % 3),
+                    )
+                    .with_volume(packets(kind, raw), raw)
+                })
                 .collect();
-            prop_assert_eq!(
-                histogram.resolve(partial.keys(), subset),
-                want,
-                "{} bins {:?}",
-                feature,
-                subset
-            );
-            let all: Vec<u32> = (0..bins).collect();
-            let every: BTreeSet<u64> = values.values().flatten().copied().collect();
-            prop_assert_eq!(histogram.resolve(partial.keys(), &all), every);
+            let cols = FlowColumns::from_flows(&flows);
+            detector.observe_columns(&cols);
+            let keys = column_keys(&cols, feature);
+            for (clone, subset) in detector.clones().iter().zip(&subsets) {
+                let mut counts = vec![0u64; bins as usize];
+                let mut values: BTreeMap<u32, BTreeSet<u64>> = BTreeMap::new();
+                for flow in &flows {
+                    let value = feature.value_of(flow).raw;
+                    let bin = clone.hasher().bin_of(value, bins);
+                    counts[bin as usize] += 1;
+                    values.entry(bin).or_default().insert(value);
+                }
+                let histogram = clone.reference().expect("an interval was observed");
+                prop_assert!(histogram.counts() == &counts[..], "{} k = {}", feature, bins);
+                prop_assert_eq!(histogram.total(), flows.len() as u64);
+                // Bins drawn past `bins` hold nothing, like empty bins.
+                let want: BTreeSet<u64> = subset
+                    .iter()
+                    .filter_map(|bin| values.get(bin))
+                    .flatten()
+                    .copied()
+                    .collect();
+                prop_assert_eq!(
+                    histogram.resolve(&keys, subset),
+                    want,
+                    "{} bins {:?}",
+                    feature,
+                    subset
+                );
+                if bins <= 1024 {
+                    let all: Vec<u32> = (0..bins).collect();
+                    let every: BTreeSet<u64> = values.values().flatten().copied().collect();
+                    prop_assert_eq!(histogram.resolve(&keys, &all), every);
+                }
+            }
         }
     }
 }
@@ -211,12 +235,9 @@ fn shared_resolve_handles_duplicate_and_empty_keys() {
             let mut detector =
                 FeatureDetector::new(FlowFeature::DstPort, 256, clones, 1, 3.0, 6, 5);
             for interval in 0..10 {
-                let cols = background(interval);
-                let partial = detector.hasher_spec().partial_columns(&cols, 0..cols.len());
-                observe_checked(&mut detector, partial);
+                observe_checked(&mut detector, &background(interval));
             }
-            let partial = detector.hasher_spec().partial_columns(&last, 0..last.len());
-            let observation = observe_checked(&mut detector, partial);
+            let observation = observe_checked(&mut detector, &last);
             assert_eq!(
                 observation.alarmed_clones, clones,
                 "{name}, {clones} clones"
