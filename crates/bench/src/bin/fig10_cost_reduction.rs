@@ -8,7 +8,6 @@
 //! ```
 
 use anomex_bench::{arg_scale, bar, eval_config, supports_for};
-use anomex_mining::MinerKind;
 use anomex_traffic::{run_scenario, Scenario, FIFTEEN_MIN_MS, INTERVALS_PER_DAY};
 
 fn main() {
@@ -35,7 +34,7 @@ fn main() {
     );
 
     let supports = supports_for(fpi);
-    let costs = run.cost_sweep(&supports, MinerKind::FpGrowth);
+    let costs = run.cost_sweep(&supports);
     let max = costs.iter().map(|&(_, r)| r).fold(0.0f64, f64::max);
 
     println!("{:>10} {:>14}  profile", "support", "avg reduction");

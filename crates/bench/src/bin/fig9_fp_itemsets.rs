@@ -9,7 +9,6 @@
 //! ```
 
 use anomex_bench::{arg_scale, eval_config, supports_for};
-use anomex_mining::MinerKind;
 use anomex_traffic::{run_scenario, Scenario, FIFTEEN_MIN_MS, INTERVALS_PER_DAY};
 
 fn main() {
@@ -29,7 +28,7 @@ fn main() {
     // The paper's support range is defined against ~1M-flow intervals;
     // scale it with the workload.
     let supports = supports_for(fpi);
-    let sweep = run.fp_sweep(&supports, MinerKind::FpGrowth);
+    let sweep = run.fp_sweep(&supports);
 
     println!(
         "{:>10} {:>8} {:>10} {:>12} {:>10}",

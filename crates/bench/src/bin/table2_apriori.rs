@@ -9,10 +9,7 @@
 //! ```
 
 use anomex_bench::arg_scale;
-use anomex_core::{render_report_with_levels, Engine, ExtractionConfig};
-use anomex_detector::MetaData;
-use anomex_mining::MinerKind;
-use anomex_netflow::FlowFeature;
+use anomex_core::render_report_with_levels;
 use anomex_traffic::table2_workload;
 use std::time::Instant;
 
@@ -26,21 +23,10 @@ fn main() {
         w.min_support
     );
 
-    let mut metadata = MetaData::new();
-    for port in [u64::from(w.flood_port), 80, 9022, 25] {
-        metadata.insert(FlowFeature::DstPort, port);
-    }
-
-    // Apriori on purpose (the default miner is FP-growth): the paper's
+    // Apriori on purpose (the engine mines with FP-growth): the paper's
     // narrative is its per-round audit trail.
-    let config = ExtractionConfig {
-        min_support: w.min_support,
-        miner: MinerKind::Apriori,
-        ..ExtractionConfig::default()
-    };
-    let engine = Engine::new(config).expect("valid configuration");
     let t0 = Instant::now();
-    let extraction = engine.extract(&w.flows, &metadata);
+    let extraction = w.apriori_extraction();
     let elapsed = t0.elapsed();
 
     println!("{}", render_report_with_levels(&extraction));

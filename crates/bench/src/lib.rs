@@ -3,8 +3,8 @@
 //! One binary per table/figure of the paper (run with
 //! `cargo run --release -p anomex-bench --bin <name>`; the README's
 //! "Reproduce the paper" table is the index), plus one timing bin,
-//! `mining_lowsupport`, that prints each miner's run time as the
-//! support falls. [`models`] holds the analytic voting models behind
+//! `mining_lowsupport`, that prints Apriori's and FP-growth's run times
+//! as the support falls. [`models`] holds the analytic voting models behind
 //! Figs. 7 and 8.
 
 #![warn(missing_docs)]

@@ -11,7 +11,7 @@ use anomex_core::{
     MultiSourceExtractor, MultiStreamEvent, PrefilterMode, ReconfigRequest, TransactionMode,
 };
 use anomex_detector::{DetectorConfig, MetaData};
-use anomex_mining::{mine_top_k, MinerKind, RuleConfig, RARE_SUPPORT_GUARD};
+use anomex_mining::{mine_top_k, RuleConfig, RARE_SUPPORT_GUARD};
 use anomex_netflow::snapshot::{
     read_checkpoint, write_checkpoint, RestoreError, SnapshotReader, SnapshotWriter,
 };
@@ -42,15 +42,14 @@ USAGE:
       distinct file path (not -: generate does not write to stdout).
 
   anomex extract --in FILE [--in FILE ...] [--interval-min N] [--training N]
-                 [--support N] [--miner apriori|fpgrowth|eclat] [--threads N]
-                 [--prefixes] [--intersection]
+                 [--support N] [--threads N] [--prefixes] [--intersection]
                  [--rules] [--min-confidence C] [--min-lift L] [--rare]
                  [--force-rare]
       Run the full detection + extraction pipeline over a trace file and
-      print a Table II-style report per alarmed interval. --miner picks
-      the frequent item-set algorithm (default fpgrowth; apriori is the
-      paper's, eclat the vertical one) — the reports are byte-identical
-      for all three, only the run time differs. --threads N is accepted
+      print a Table II-style report per alarmed interval. Extraction
+      mines with FP-growth, which finds the item-sets and supports the
+      paper's Apriori finds; `anomex table2` runs Apriori for its
+      per-round audit trail. --threads N is accepted
       for compatibility and selects nothing: each interval runs on one
       engine thread, which extracts one interval while the next is read.
       extract is `anomex stream` without the stream-only options: each
@@ -73,8 +72,8 @@ USAGE:
       at weighted support floors and merged.
 
   anomex stream --in FILE|- [--in FILE ...] [--interval-min N] [--training N]
-                [--support N] [--miner apriori|fpgrowth|eclat] [--threads N]
-                [--max-lag N] [--prefixes] [--intersection] [--verbose]
+                [--support N] [--threads N] [--max-lag N] [--prefixes]
+                [--intersection] [--verbose]
                 [--rules] [--min-confidence C] [--min-lift L] [--rare]
                 [--force-rare] [--checkpoint-dir DIR] [--checkpoint-every N]
                 [--resume] [--stop-after N]
@@ -102,7 +101,7 @@ USAGE:
       restores from it — configuration included — skips the flows
       already consumed (give the same --in list), and continues the
       event stream bit-identically. With --resume, an --interval-min,
-      --training, --miner, --max-lag, --prefixes or --intersection that
+      --training, --max-lag, --prefixes or --intersection that
       differs from the checkpoint's is refused (omit it, or give the
       checkpoint's value), and --support and the rule options are not
       read: the checkpoint's own, which a reconfig file may have
@@ -115,8 +114,7 @@ USAGE:
       line.
 
   anomex analyze --in FILE --metadata \"dstPort=7000,#packets=12\" [--support N]
-                 [--miner apriori|fpgrowth|eclat] [--top] [--k N]
-                 [--prefixes] [--intersection]
+                 [--top] [--k N] [--prefixes] [--intersection]
                  [--rules] [--min-confidence C] [--min-lift L] [--rare]
                  [--force-rare]
       Offline extraction with explicit meta-data (the §II-B workflow),
@@ -127,8 +125,8 @@ USAGE:
       --top takes neither --support nor the rule options.
 
   anomex table2 [--scale X]
-      Reproduce the paper's Table II example (mined with apriori, whose
-      per-round audit trail the report includes).
+      Reproduce the paper's Table II example, mined with Apriori as the
+      paper did: the report includes its per-round audit trail.
 
   anomex help
 
@@ -428,17 +426,6 @@ fn load_flows(path: &str) -> Result<Vec<FlowRecord>, String> {
     Ok(flows)
 }
 
-/// Parse `--miner`; without it, the library's [`MinerKind::default`].
-fn parse_miner(args: &Args) -> Result<MinerKind, String> {
-    match args.get("miner") {
-        None => Ok(MinerKind::default()),
-        Some("apriori") => Ok(MinerKind::Apriori),
-        Some("fpgrowth" | "fp-growth") => Ok(MinerKind::FpGrowth),
-        Some("eclat") => Ok(MinerKind::Eclat),
-        Some(other) => Err(format!("unknown miner {other:?} (apriori|fpgrowth|eclat)")),
-    }
-}
-
 /// Parse `--threads N` (default 1), which selects nothing: every
 /// interval runs on one engine thread. `extract` and `stream` keep
 /// taking it, and echo it in their closing summary, so command lines
@@ -495,7 +482,7 @@ fn check_rare_guard(config: &ExtractionConfig, force_rare: bool) -> Result<(), S
 }
 
 /// Parse the shared pipeline options (`--interval-min`, `--training`,
-/// `--support`, `--miner`, `--prefixes`, `--intersection` and the rule
+/// `--support`, `--prefixes`, `--intersection` and the rule
 /// options) into a configuration — one definition for `extract`,
 /// `stream` and `analyze`, so the paths can never drift apart.
 fn parse_config(args: &Args) -> Result<ExtractionConfig, String> {
@@ -506,7 +493,6 @@ fn parse_config(args: &Args) -> Result<ExtractionConfig, String> {
         .get_or("training", 48usize)
         .map_err(|e| e.to_string())?;
     let support = args.get_or("support", 50u64).map_err(|e| e.to_string())?;
-    let miner = parse_miner(args)?;
     let rules = parse_rules(args)?;
     let interval_ms = interval_min.checked_mul(MINUTE_MS).ok_or_else(|| {
         format!(
@@ -521,7 +507,6 @@ fn parse_config(args: &Args) -> Result<ExtractionConfig, String> {
             ..DetectorConfig::default()
         },
         min_support: support,
-        miner,
         prefilter: if args.flag("intersection") {
             PrefilterMode::Intersection
         } else {
@@ -1038,8 +1023,8 @@ fn restore_from_checkpoint(
 }
 
 /// Refuse a `--resume` option that the checkpoint's settings, which the
-/// resume runs, would drop: a grid (`--interval-min`, `--max-lag`) or
-/// detector and miner setting that differs. `--support` and the rule
+/// resume runs, would drop: a grid (`--interval-min`, `--max-lag`),
+/// detector or transaction setting that differs. `--support` and the rule
 /// options are not checked: a `reconfig` file may have changed them.
 fn check_resume_options(
     args: &Args,
@@ -1047,13 +1032,12 @@ fn check_resume_options(
     max_lag: Option<u64>,
     engine: &MultiSourceExtractor,
 ) -> Result<(), String> {
-    let keys = "interval-min training miner max-lag prefixes intersection".split(' ');
+    let keys = "interval-min training max-lag prefixes intersection".split(' ');
     let settings = |c: &ExtractionConfig, lag: Option<u64>| {
         let on = |set: bool| if set { "on" } else { "off" }.to_string();
         [
             (c.interval_ms / MINUTE_MS).to_string(),
             c.detector.training_intervals.to_string(),
-            c.miner.to_string(),
             lag.unwrap_or(0).to_string(),
             on(c.transactions == TransactionMode::WithPrefixes),
             on(c.prefilter == PrefilterMode::Intersection),
@@ -1126,12 +1110,12 @@ fn replay_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
         (engine.map_err(String::from)?, 0)
     };
     // The run settings every summary line ends with, as the engine
-    // runs them (a resume runs the checkpoint's).
+    // runs them (a resume runs the checkpoint's). The miner is always
+    // FP-growth; it is still named, so the line reads as it always has.
     let settings = format!(
-        "s = {}, Δ = {} min, miner = {}, threads = {threads}",
+        "s = {}, Δ = {} min, miner = fp-growth, threads = {threads}",
         engine.config().min_support,
         engine.config().interval_ms / MINUTE_MS,
-        engine.config().miner
     );
 
     let clock_ms = match engine.assembler().sources().as_slice() {
@@ -1295,7 +1279,7 @@ fn analyze_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
         let indices = prefilter_indices_columns(&cols, &metadata, config.prefilter);
         let transactions = config.transactions.transactions_at_columns(&cols, &indices);
         let start = (indices.len() as u64 / 10).max(1);
-        let top = mine_top_k(&transactions, config.miner, k, start);
+        let top = mine_top_k(&transactions, k, start);
         let mut text = format!(
             "top {} item-sets of {} suspicious flows (effective support {}, {} rounds):\n",
             top.itemsets.len(),
@@ -1319,19 +1303,8 @@ fn table2_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
     let unit_flows =
         paper_counts::FLOODING + paper_counts::WEB + paper_counts::BACKSCATTER + paper_counts::SMTP;
     let w = table2_workload(2009, parse_scale(args, 1.0, unit_flows)?);
-    let mut metadata = MetaData::new();
-    for port in [u64::from(w.flood_port), 80, 9022, 25] {
-        metadata.insert(anomex_netflow::FlowFeature::DstPort, port);
-    }
     // Apriori on purpose: Table II narrates its level audit trail.
-    let config = ExtractionConfig {
-        min_support: w.min_support,
-        miner: MinerKind::Apriori,
-        ..ExtractionConfig::default()
-    };
-    let extraction = Engine::new(config)
-        .map_err(String::from)?
-        .extract(&w.flows, &metadata);
+    let extraction = w.apriori_extraction();
     writeln!(out, "{}", render_report_with_levels(&extraction)).map_err(write_error)
 }
 
@@ -1482,50 +1455,26 @@ mod tests {
         );
     }
 
+    /// Extraction mines with FP-growth, which keeps no level audit;
+    /// `table2`'s Apriori extraction finds the same item-sets, so the two
+    /// render the same report apart from the audit trail.
     #[test]
-    fn miner_parsing() {
-        assert_eq!(
-            parse_miner(&argv("x --miner eclat")).unwrap(),
-            MinerKind::Eclat
-        );
-        assert_eq!(
-            parse_miner(&argv("x --miner apriori")).unwrap(),
-            MinerKind::Apriori
-        );
-        assert_eq!(parse_miner(&argv("x")).unwrap(), MinerKind::FpGrowth);
-        assert!(parse_miner(&argv("x --miner zzz")).is_err());
-    }
-
-    /// One default, read everywhere: the library enum, the configuration
-    /// and the CLI all mine with FP-growth unless told otherwise — so no
-    /// default path records Apriori's level audit.
-    #[test]
-    fn default_miner_is_fpgrowth_everywhere() {
-        assert_eq!(MinerKind::default(), MinerKind::FpGrowth);
-        assert_eq!(ExtractionConfig::default().miner, MinerKind::FpGrowth);
-        let no_flag = argv("x");
-        assert_eq!(parse_miner(&no_flag).unwrap(), MinerKind::FpGrowth);
-        assert_eq!(parse_config(&no_flag).unwrap().miner, MinerKind::FpGrowth);
-
+    fn extraction_reports_what_table2_apriori_mines() {
         let w = table2_workload(2009, 0.01);
-        let mut md = MetaData::new();
-        md.insert(FlowFeature::DstPort, u64::from(w.flood_port));
-        let extract = |miner| {
-            let config = ExtractionConfig {
-                min_support: w.min_support,
-                miner,
-                ..ExtractionConfig::default()
-            };
-            Engine::new(config).unwrap().extract(&w.flows, &md)
+        let config = ExtractionConfig {
+            min_support: w.min_support,
+            ..ExtractionConfig::default()
         };
-        let ex = extract(MinerKind::default());
+        let ex = Engine::new(config)
+            .unwrap()
+            .extract(&w.flows, &w.metadata());
         assert!(!ex.itemsets.is_empty(), "the flood is extracted");
         assert!(
             ex.levels.is_empty(),
-            "default path ran Apriori: {:?}",
+            "extraction ran Apriori: {:?}",
             ex.levels
         );
-        let apriori = extract(MinerKind::Apriori);
+        let apriori = w.apriori_extraction();
         assert!(
             !apriori.levels.is_empty(),
             "Apriori still records its rounds"

@@ -1,8 +1,9 @@
 //! The CLI refuses, with a message, what it would otherwise accept and
 //! then drop: an option repeated where its `USAGE` block shows no
 //! `...`, an `analyze` option that its mode does not read, a `--resume`
-//! option that disagrees with the checkpoint, and a `generate` run
-//! whose intervals hold no flow (every consumer refuses an empty trace).
+//! option that disagrees with the checkpoint, a `--miner` (extraction
+//! always mines with FP-growth), and a `generate` run whose intervals
+//! hold no flow (every consumer refuses an empty trace).
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -111,10 +112,30 @@ fn analyze_top_refuses_support() {
     );
 }
 
+/// Extraction mines with FP-growth, so no command takes `--miner` any
+/// more: naming one, even FP-growth, is refused as any option outside a
+/// command's `USAGE` block is, not silently ignored.
+#[test]
+fn miner_is_refused_by_extract_stream_and_analyze() {
+    let t = trace();
+    for line in [
+        &["extract", "--in", t][..],
+        &["stream", "--in", t],
+        &["analyze", "--in", t, "--metadata", "dstPort=7000"],
+    ] {
+        let err = refused(&[line, &["--miner", "fpgrowth"]].concat());
+        assert!(
+            err.contains(&format!("{} does not take --miner", line[0])),
+            "{line:?}: {err}"
+        );
+    }
+}
+
 /// A checkpoint fixes the grid and the settings no `reconfig` file
 /// changes: resuming with a different value of any of them is refused,
-/// naming the option and the checkpoint's value. Equal values and a
-/// different `--support` still resume.
+/// naming the option and the checkpoint's value; `--miner` is refused
+/// there as everywhere. Equal values and a different `--support` still
+/// resume.
 #[test]
 fn resume_refuses_options_that_disagree_with_the_checkpoint() {
     let dir = fresh_dir("anomex-refused-resume-test").join("ckpt");
@@ -134,7 +155,6 @@ fn resume_refuses_options_that_disagree_with_the_checkpoint() {
     for (option, kept) in [
         (&["--interval-min", "5"][..], "1"),
         (&["--training", "30"], "10"),
-        (&["--miner", "apriori"], "fp-growth"),
         (&["--max-lag", "2"], "0"),
         (&["--prefixes"], "off"),
         (&["--intersection"], "off"),
@@ -149,15 +169,10 @@ fn resume_refuses_options_that_disagree_with_the_checkpoint() {
             "{option:?}: {err}"
         );
     }
+    let err = refused(&[&resume[..], &["--miner", "apriori"]].concat());
+    assert!(err.contains("stream does not take --miner"), "{err}");
     let same = ["--interval-min", "1", "--training", "10", "--max-lag", "0"];
-    let out = anomex(
-        &[
-            &resume[..],
-            &same,
-            &["--miner", "fpgrowth", "--support", "50"],
-        ]
-        .concat(),
-    );
+    let out = anomex(&[&resume[..], &same, &["--support", "50"]].concat());
     let stdout = String::from_utf8(out.stdout).expect("UTF-8 stdout");
     assert!(out.status.success(), "{stdout}");
     assert!(stdout.contains("Δ = 1 min, miner = fp-growth"), "{stdout}");

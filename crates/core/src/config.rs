@@ -14,7 +14,7 @@
 use std::fmt;
 
 use anomex_detector::DetectorConfig;
-use anomex_mining::{MinerKind, RuleConfig};
+use anomex_mining::RuleConfig;
 use anomex_netflow::snapshot::{RestoreError, SnapshotReader, SnapshotWriter};
 use anomex_netflow::MINUTE_MS;
 
@@ -60,10 +60,9 @@ pub struct ExtractionConfig {
     /// Pre-filter semantics (union per the paper; intersection as
     /// baseline).
     pub prefilter: PrefilterMode,
-    /// Absolute minimum support `s` for frequent item-set mining.
+    /// Absolute minimum support `s` for frequent item-set mining
+    /// (FP-growth, [`anomex_mining::mine`]).
     pub min_support: u64,
-    /// Which mining algorithm to run (identical outputs, different cost).
-    pub miner: MinerKind,
     /// Transaction shape: canonical width-7 or prefix-extended width-9
     /// (the §III-D multilevel mode).
     pub transactions: TransactionMode,
@@ -76,21 +75,23 @@ pub struct ExtractionConfig {
 
 impl Default for ExtractionConfig {
     /// The paper's evaluation configuration: Δ = 15 min, k = 1024,
-    /// n = l = 3, α = 3, union pre-filter, s = 10 000 — mined with the
-    /// default [`MinerKind`] (FP-growth; same item-sets as the paper's
-    /// Apriori).
+    /// n = l = 3, α = 3, union pre-filter, s = 10 000 — mined with
+    /// FP-growth (the same item-sets as the paper's Apriori).
     fn default() -> Self {
         ExtractionConfig {
             interval_ms: 15 * MINUTE_MS,
             detector: DetectorConfig::default(),
             prefilter: PrefilterMode::Union,
             min_support: 10_000,
-            miner: MinerKind::default(),
             transactions: TransactionMode::Canonical,
             rules: None,
         }
     }
 }
+
+/// The checkpoint's miner byte: FP-growth's tag from when the miner was
+/// a setting (0 Apriori, 1 FP-growth, 2 Eclat).
+const MINER_TAG_FP_GROWTH: u8 = 1;
 
 impl ExtractionConfig {
     /// Validate all parameter ranges.
@@ -114,7 +115,9 @@ impl ExtractionConfig {
     /// Serialize the full configuration into a checkpoint payload. The
     /// configuration travels with every engine snapshot so a restore is
     /// self-contained: structural detector state (hashers, bins, clone
-    /// counts) is rebuilt from this record rather than serialized.
+    /// counts) is rebuilt from this record rather than serialized. The
+    /// record keeps the byte of the miner older builds let one choose:
+    /// it is always written as FP-growth's tag, `1`.
     pub fn encode_snapshot(&self, w: &mut SnapshotWriter) {
         w.u64(self.interval_ms);
         self.detector.encode_snapshot(w);
@@ -123,11 +126,7 @@ impl ExtractionConfig {
             PrefilterMode::Intersection => 1,
         });
         w.u64(self.min_support);
-        w.u8(match self.miner {
-            MinerKind::Apriori => 0,
-            MinerKind::FpGrowth => 1,
-            MinerKind::Eclat => 2,
-        });
+        w.u8(MINER_TAG_FP_GROWTH);
         w.u8(match self.transactions {
             TransactionMode::Canonical => 0,
             TransactionMode::WithPrefixes => 1,
@@ -148,6 +147,10 @@ impl ExtractionConfig {
     /// constraint so a tampered checkpoint cannot smuggle in parameters
     /// a live constructor would reject.
     ///
+    /// A miner tag of 0, 1 or 2 (Apriori, FP-growth or Eclat, which older
+    /// builds wrote) is read and ignored: every miner returned FP-growth's
+    /// item-sets and supports, and FP-growth runs on.
+    ///
     /// # Errors
     ///
     /// Returns [`RestoreError::Corrupt`] on an unknown mode tag or a
@@ -166,12 +169,10 @@ impl ExtractionConfig {
             }
         };
         let min_support = r.u64()?;
-        let miner = match r.u8()? {
-            0 => MinerKind::Apriori,
-            1 => MinerKind::FpGrowth,
-            2 => MinerKind::Eclat,
+        match r.u8()? {
+            0..=2 => {}
             tag => return Err(RestoreError::Corrupt(format!("unknown miner tag {tag}"))),
-        };
+        }
         let transactions = match r.u8()? {
             0 => TransactionMode::Canonical,
             1 => TransactionMode::WithPrefixes,
@@ -195,7 +196,6 @@ impl ExtractionConfig {
             detector,
             prefilter,
             min_support,
-            miner,
             transactions,
             rules,
         };
@@ -216,7 +216,6 @@ mod tests {
         assert_eq!(c.interval_ms, 900_000);
         assert_eq!(c.min_support, 10_000);
         assert_eq!(c.prefilter, PrefilterMode::Union);
-        assert_eq!(c.miner, MinerKind::FpGrowth);
         assert!(c.validate().is_ok());
     }
 
@@ -245,7 +244,6 @@ mod tests {
             interval_ms: 60_000,
             prefilter: PrefilterMode::Intersection,
             min_support: 1234,
-            miner: MinerKind::Eclat,
             transactions: crate::pipeline::TransactionMode::WithPrefixes,
             rules: Some(RuleConfig {
                 min_confidence: 0.75,
@@ -263,7 +261,6 @@ mod tests {
         assert_eq!(back.interval_ms, config.interval_ms);
         assert_eq!(back.prefilter, config.prefilter);
         assert_eq!(back.min_support, config.min_support);
-        assert_eq!(back.miner, config.miner);
         assert_eq!(back.transactions, config.transactions);
         let rules = back.rules.unwrap();
         assert_eq!(rules.min_confidence.to_bits(), 0.75f64.to_bits());
@@ -286,5 +283,56 @@ mod tests {
         *evil.last_mut().unwrap() = 7;
         let mut r = SnapshotReader::new(&evil);
         assert!(ExtractionConfig::decode_snapshot(&mut r).is_err());
+    }
+
+    /// The config record with its miner byte set to `tag`, and where
+    /// that byte sits: after Δ, the detector record, the pre-filter tag
+    /// and `s`.
+    fn with_miner_tag(config: &ExtractionConfig, tag: u8) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        config.encode_snapshot(&mut w);
+        let mut bytes = w.into_bytes();
+        let mut head = SnapshotWriter::new();
+        head.u64(config.interval_ms);
+        config.detector.encode_snapshot(&mut head);
+        let at = head.into_bytes().len() + 1 + 8;
+        assert_eq!(
+            bytes[at], MINER_TAG_FP_GROWTH,
+            "the miner byte is FP-growth's"
+        );
+        bytes[at] = tag;
+        bytes
+    }
+
+    /// Older builds wrote 0 (Apriori) or 2 (Eclat) when asked to: those
+    /// records decode to the same configuration and re-encode with
+    /// FP-growth's tag, while any other tag is still corrupt.
+    #[test]
+    fn old_miner_tags_decode_and_reencode_as_fp_growth() {
+        let config = ExtractionConfig {
+            min_support: 77,
+            ..ExtractionConfig::default()
+        };
+        let mut w = SnapshotWriter::new();
+        config.encode_snapshot(&mut w);
+        let current = w.into_bytes();
+        for tag in 0..=2 {
+            let bytes = with_miner_tag(&config, tag);
+            let mut r = SnapshotReader::new(&bytes);
+            let back = ExtractionConfig::decode_snapshot(&mut r).unwrap();
+            r.finish().unwrap();
+            let mut w = SnapshotWriter::new();
+            back.encode_snapshot(&mut w);
+            assert_eq!(w.into_bytes(), current, "tag {tag} re-encodes as FP-growth");
+        }
+        for tag in [3, 255] {
+            let bytes = with_miner_tag(&config, tag);
+            match ExtractionConfig::decode_snapshot(&mut SnapshotReader::new(&bytes)) {
+                Err(RestoreError::Corrupt(message)) => {
+                    assert!(message.contains("unknown miner tag"), "{message}");
+                }
+                other => panic!("tag {tag}: {other:?}"),
+            }
+        }
     }
 }

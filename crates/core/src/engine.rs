@@ -2,7 +2,7 @@
 //!
 //! Construct it with [`Engine::new`] from
 //! one [`ExtractionConfig`] — the paper's Table III parameters plus the
-//! miner, pre-filter, transaction and rule-layer choices — and run it
+//! pre-filter, transaction and rule-layer choices — and run it
 //! either way:
 //!
 //! - **Online:** feed intervals through [`Engine::process`], which
@@ -97,7 +97,7 @@ impl<'a> From<&'a FlowColumns> for IntervalInput<'a> {
 /// no flows are dropped or reprocessed.
 #[derive(Debug, Clone, Default)]
 pub struct ReconfigRequest {
-    /// New absolute minimum support `s` for the miner.
+    /// New absolute minimum support `s` for mining.
     pub min_support: Option<u64>,
     /// New detector threshold multiplier α. Applies to already-fitted
     /// thresholds too (σ̂ estimates are kept; only the multiplier
@@ -165,8 +165,8 @@ impl Engine {
 
     /// Offline extraction (§II-B with meta-data from elsewhere):
     /// pre-filter `flows` with `metadata` and mine the survivors under
-    /// the engine's configuration — miner, support, pre-filter,
-    /// transaction shape and rule layer. It is the tail an alarmed
+    /// the engine's configuration — support, pre-filter, transaction
+    /// shape and rule layer. It is the tail an alarmed
     /// interval runs in [`process`](Self::process): given that
     /// interval's flows and voted meta-data it returns the same
     /// extraction, tagged interval 0. The detector bank is not touched.

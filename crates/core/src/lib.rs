@@ -13,9 +13,9 @@
 //!    suspicious feature values ([`anomex_detector`]);
 //! 2. the **union** of the meta-data pre-filters the interval's flows into
 //!    a suspicious subset ([`mod@prefilter`]);
-//! 3. **maximal frequent item-set mining** over the suspicious flows
-//!    yields a handful of item-sets that pinpoint the anomaly
-//!    ([`anomex_mining`]).
+//! 3. **maximal frequent item-set mining** (FP-growth,
+//!    [`anomex_mining::mine`]) over the suspicious flows yields a handful
+//!    of item-sets that pinpoint the anomaly.
 //!
 //! Entry points:
 //! - [`Engine`] — the one engine type, built from one
@@ -38,8 +38,8 @@
 //!   [`MultiSourceExtractor::restore`] resume the stream bit-identically
 //!   after a crash) and boundary-aligned live reconfiguration come with
 //!   it;
-//! - [`report`] — Table II-style rendering (the same report for every
-//!   miner; Apriori's level audit trail via [`render_level_stats`]);
+//! - [`report`] — Table II-style rendering (Apriori's level audit trail,
+//!   for Table II, via [`render_level_stats`]);
 //! - [`merge_source_rules`] — the association-rule layer merged across
 //!   sources: rules generated from the mined supports, filtered by
 //!   confidence/lift, and ranked by a meta-detection z-score pass (see

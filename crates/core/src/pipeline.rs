@@ -11,7 +11,7 @@
 //! both produce and the mining tail both share.
 
 use anomex_detector::{BankObservation, MetaData};
-use anomex_mining::{merge_rule_sets, ItemSet, LevelStats, RuleSet, TransactionSet};
+use anomex_mining::{merge_rule_sets, mine, ItemSet, LevelStats, RuleSet, TransactionSet};
 use anomex_netflow::{FlowColumns, FlowRecord};
 
 use crate::config::ExtractionConfig;
@@ -64,10 +64,13 @@ pub struct Extraction {
     pub suspicious_flows: usize,
     /// The extracted maximal frequent item-sets, canonically ordered.
     pub itemsets: Vec<ItemSet>,
-    /// Apriori per-level audit trail: filled only when the extraction
-    /// ran [`MinerKind::Apriori`](anomex_mining::MinerKind::Apriori)
-    /// (the Table II path), empty for the default FP-growth and for
-    /// Eclat. [`render_report`](crate::render_report) never prints it;
+    /// Apriori's per-level audit trail. The engine mines with FP-growth,
+    /// which keeps none, so every extraction it returns leaves this
+    /// empty; only an Apriori extraction built outside it fills it (the
+    /// Table II reproduction,
+    /// [`apriori`](anomex_mining::apriori::apriori) with
+    /// [`AprioriConfig::maximal`](anomex_mining::AprioriConfig::maximal)).
+    /// [`render_report`](crate::render_report) never prints it;
     /// [`render_level_stats`](crate::render_level_stats) does.
     pub levels: Vec<LevelStats>,
     /// Classification-cost reduction `R = F / I` for this interval.
@@ -80,10 +83,9 @@ pub struct Extraction {
 /// The shared mining tail of every extraction path: gather transactions
 /// for the pre-filtered `indices` from a [`FlowColumns`] store (one
 /// feature column at a time, zero-copy — straight from index slice to
-/// transactions), mine them under `config` — one
-/// [`MinerKind::mine`](anomex_mining::MinerKind::mine) pass serves the
-/// item-sets and, when the rule layer is on, the rules — and assemble
-/// the [`Extraction`].
+/// transactions), mine them under `config` — one FP-growth pass
+/// ([`mine`]) serves the item-sets and, when the rule layer is on, the
+/// rules — and assemble the [`Extraction`].
 pub(crate) fn mine_at_indices(
     interval: u64,
     cols: &FlowColumns,
@@ -92,10 +94,7 @@ pub(crate) fn mine_at_indices(
     config: &ExtractionConfig,
 ) -> Extraction {
     let transactions = config.transactions.transactions_at_columns(cols, indices);
-    let (itemsets, levels, rules) =
-        config
-            .miner
-            .mine(&transactions, config.min_support, config.rules.as_ref());
+    let (itemsets, rules) = mine(&transactions, config.min_support, config.rules.as_ref());
     Extraction {
         interval,
         metadata: metadata.clone(),
@@ -103,7 +102,7 @@ pub(crate) fn mine_at_indices(
         suspicious_flows: indices.len(),
         cost_reduction: cost_reduction(cols.len() as u64, itemsets.len()),
         itemsets,
-        levels,
+        levels: Vec::new(),
         rules,
     }
 }
@@ -186,7 +185,7 @@ mod tests {
     use super::*;
     use crate::Engine;
     use anomex_detector::DetectorConfig;
-    use anomex_mining::{MinerKind, RuleConfig};
+    use anomex_mining::RuleConfig;
     use anomex_netflow::{FlowFeature, Protocol};
     use std::net::Ipv4Addr;
 
@@ -200,16 +199,6 @@ mod tests {
             min_support,
             ..ExtractionConfig::default()
         }
-    }
-
-    /// A sequential engine for offline extraction at `min_support` with
-    /// `miner`.
-    fn offline(min_support: u64, miner: MinerKind) -> Engine {
-        Engine::new(ExtractionConfig {
-            miner,
-            ..test_config(min_support)
-        })
-        .unwrap()
     }
 
     #[test]
@@ -242,7 +231,7 @@ mod tests {
         }
         let mut md = MetaData::new();
         md.insert(FlowFeature::DstPort, 7000);
-        let ex = offline(400, MinerKind::Apriori).extract(&flows, &md);
+        let ex = Engine::new(test_config(400)).unwrap().extract(&flows, &md);
         assert_eq!(ex.total_flows, 1000);
         assert_eq!(ex.suspicious_flows, 500);
         assert!(!ex.itemsets.is_empty());
@@ -252,7 +241,7 @@ mod tests {
         assert!(rendered.contains("dstPort=7000"), "{rendered}");
         assert!(rendered.contains("dstIP=10.0.0.7"), "{rendered}");
         assert!(ex.cost_reduction >= 1000.0 / ex.itemsets.len() as f64 - 1e-9);
-        assert!(!ex.levels.is_empty(), "apriori records level stats");
+        assert!(ex.levels.is_empty(), "FP-growth keeps no level audit");
     }
 
     #[test]

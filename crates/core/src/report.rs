@@ -14,10 +14,11 @@ const RULE_REPORT_LIMIT: usize = 20;
 /// maximal item-set (largest support first), the rule section when the
 /// rule layer is on, and the classification-cost summary.
 ///
-/// The report is a function of the extraction's *answer* only, so it is
-/// byte-identical for every [`MinerKind`](anomex_mining::MinerKind): the
-/// Apriori level audit trail ([`Extraction::levels`]) is rendered
-/// separately by [`render_level_stats`].
+/// The report is a function of the extraction's *answer* only, so an
+/// Apriori extraction of the same item-sets renders byte for byte as the
+/// engine's FP-growth one: the Apriori level audit trail
+/// ([`Extraction::levels`]) is rendered separately by
+/// [`render_level_stats`].
 #[must_use]
 pub fn render_report(extraction: &Extraction) -> String {
     render(extraction, "")
@@ -27,7 +28,7 @@ pub fn render_report(extraction: &Extraction) -> String {
 /// ([`render_level_stats`]) between the item-set table and the cost line —
 /// the layout of the paper's Table II narrative, for `anomex table2` and
 /// the `table2_apriori` reproduction, which mine with
-/// [`MinerKind::Apriori`](anomex_mining::MinerKind::Apriori) on purpose.
+/// [`apriori`](anomex_mining::apriori::apriori) on purpose.
 #[must_use]
 pub fn render_report_with_levels(extraction: &Extraction) -> String {
     render(extraction, &render_level_stats(&extraction.levels))
@@ -36,7 +37,7 @@ pub fn render_report_with_levels(extraction: &Extraction) -> String {
 /// Render Apriori's per-level audit trail (§II-B: "in the first
 /// iteration, a total of 60 frequent 1-item-sets were found…"): one line
 /// per round with its candidates, frequent item-sets and the ones kept as
-/// maximal. Empty when there are no levels (every miner but Apriori).
+/// maximal. Empty when there are no levels (an FP-growth extraction).
 #[must_use]
 pub fn render_level_stats(levels: &[LevelStats]) -> String {
     let mut out = String::new();

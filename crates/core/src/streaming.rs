@@ -53,8 +53,7 @@
 //! registration order, and the pipeline thread feeds them, in order,
 //! through the same engine the batch path uses — so the event stream is
 //! **bit-identical** to batch extraction of the per-interval
-//! concatenation, for every miner, no matter how the sources' pushes
-//! interleave. The streaming and
+//! concatenation, no matter how the sources' pushes interleave. The streaming and
 //! multi-source determinism property suites assert both.
 
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};

@@ -6,10 +6,10 @@
 use std::net::Ipv4Addr;
 
 use anomex_core::{Engine, ExtractionConfig, IntervalOutcome, MultiSourceExtractor, StreamEvent};
-use anomex_detector::{DetectorConfig, MetaData};
-use anomex_mining::{MinerKind, RuleConfig};
+use anomex_detector::DetectorConfig;
+use anomex_mining::RuleConfig;
 use anomex_netflow::snapshot::{RestoreError, SnapshotWriter};
-use anomex_netflow::{FlowColumns, FlowFeature, FlowRecord, Protocol, SourceId, SourceSpec};
+use anomex_netflow::{FlowColumns, FlowRecord, Protocol, SourceId, SourceSpec};
 use anomex_traffic::Scenario;
 
 const SRC: SourceId = SourceId(0);
@@ -32,16 +32,6 @@ fn stream_config(interval_ms: u64) -> ExtractionConfig {
         interval_ms,
         ..test_config(800)
     }
-}
-
-/// A sequential engine for offline extraction at `min_support` with
-/// `miner`.
-fn offline(min_support: u64, miner: MinerKind) -> Engine {
-    Engine::new(ExtractionConfig {
-        miner,
-        ..test_config(min_support)
-    })
-    .unwrap()
 }
 
 /// One exporter with clock origin `origin_ms`: a fan-in of one.
@@ -67,45 +57,40 @@ fn flow_at(ms: u64) -> FlowRecord {
 /// The offline method is the online tail: on every alarmed interval
 /// of a scenario with a planted flood, a second engine under the same
 /// configuration, given the interval's flows and voted meta-data,
-/// extracts exactly what the online engine did — for Apriori and
-/// FP-growth, rules on and off.
+/// extracts exactly what the online engine did, rules on and off.
 #[test]
 fn offline_extract_is_the_online_tail() {
     let scenario = Scenario::small(11);
     let intervals: Vec<_> = (0..scenario.interval_count().min(24))
         .map(|i| scenario.generate(i).flows)
         .collect();
-    for miner in [MinerKind::Apriori, MinerKind::FpGrowth] {
-        for rules in [None, Some(RuleConfig::default())] {
-            let config = ExtractionConfig {
-                miner,
-                rules,
-                ..test_config(800)
+    for rules in [None, Some(RuleConfig::default())] {
+        let config = ExtractionConfig {
+            rules,
+            ..test_config(800)
+        };
+        let mut online = Engine::new(config.clone()).unwrap();
+        let offline = Engine::new(config).unwrap();
+        let mut alarmed = 0;
+        for flows in &intervals {
+            let outcome = online.process(flows);
+            let Some(live) = outcome.extraction else {
+                continue;
             };
-            let mut online = Engine::new(config.clone()).unwrap();
-            let offline = Engine::new(config).unwrap();
-            let mut alarmed = 0;
-            for flows in &intervals {
-                let outcome = online.process(flows);
-                let Some(live) = outcome.extraction else {
-                    continue;
-                };
-                alarmed += 1;
-                let mut ex = offline.extract(flows, &outcome.observation.metadata);
-                ex.interval = live.interval;
-                // `Debug` shows every field — item-sets with their
-                // supports, levels, rules — and every float as the
-                // shortest string that round-trips, so equal text is
-                // equal bits.
-                assert_eq!(
-                    format!("{ex:?}"),
-                    format!("{live:?}"),
-                    "{miner}, rules {}",
-                    rules.is_some()
-                );
-            }
-            assert!(alarmed > 0, "the planted flood alarms");
+            alarmed += 1;
+            let mut ex = offline.extract(flows, &outcome.observation.metadata);
+            ex.interval = live.interval;
+            // `Debug` shows every field — item-sets with their supports,
+            // levels, rules — and every float as the shortest string
+            // that round-trips, so equal text is equal bits.
+            assert_eq!(
+                format!("{ex:?}"),
+                format!("{live:?}"),
+                "rules {}",
+                rules.is_some()
+            );
         }
+        assert!(alarmed > 0, "the planted flood alarms");
     }
 }
 
@@ -201,20 +186,6 @@ fn payload_recorded_at_two_shards_restores_like_one() {
         assert_eq!(format!("{a:?}"), format!("{b:?}"), "interval {i}");
     }
     assert!(alarms > 0, "the planted flood alarms");
-}
-
-#[test]
-fn miners_give_identical_extractions() {
-    let w = anomex_traffic::table2_workload(5, 0.02);
-    let mut md = MetaData::new();
-    md.insert(FlowFeature::DstPort, 7000);
-    md.insert(FlowFeature::DstPort, 80);
-    let a = offline(w.min_support, MinerKind::Apriori).extract(&w.flows, &md);
-    let f = offline(w.min_support, MinerKind::FpGrowth).extract(&w.flows, &md);
-    let e = offline(w.min_support, MinerKind::Eclat).extract(&w.flows, &md);
-    assert_eq!(a.itemsets, f.itemsets);
-    assert_eq!(f.itemsets, e.itemsets);
-    assert_eq!(a.suspicious_flows, f.suspicious_flows);
 }
 
 #[test]

@@ -4,7 +4,8 @@
 //! of transaction ids containing it and computes supports by intersecting
 //! tid-lists during a depth-first search of the item-set lattice. The
 //! paper's related work (ref. 21, Li & Deng) applies an Eclat variant to flow
-//! mining; we include it as the third interchangeable miner.
+//! mining. No extraction runs it: only the benchmark replica's miner
+//! cross-check reaches it, through the crate's legacy module.
 
 use std::collections::HashMap;
 

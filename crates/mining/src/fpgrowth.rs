@@ -1,11 +1,11 @@
 //! FP-growth: frequent-pattern mining without candidate generation — the
-//! production miner.
+//! one miner extraction runs ([`crate::mine`]).
 //!
 //! The paper notes (§III-E) that "progressive implementations that use
 //! FP-trees … have been shown to outperform standard hash tree
 //! implementations" of Apriori. This module provides that faster miner with
-//! the exact same output contract as [`crate::apriori`], so the two are
-//! interchangeable in the pipeline and comparable in the benchmark.
+//! the exact same output contract as [`crate::apriori`], which stays the
+//! reference it is tested against and Table II's miner.
 //!
 //! The tree works on **dense ranks**, not items: after the first count,
 //! every frequent item gets its position in the descending-frequency order

@@ -1,11 +1,14 @@
 //! What only the frozen benchmark replica calls, in the call shapes it
 //! imports, re-exported hidden at the crate root: thin adapters over the
 //! main path, deleted with `tests/legacy.rs` in ROADMAP item 12(b).
-//! Still pinned in the main modules, for other users: [`MinerKind::Eclat`].
+//! [`MinerKind`] keeps Eclat, which nothing else runs, for the replica's
+//! cross-check of the miners.
 
 use crate::apriori::{apriori, AprioriConfig, AprioriOutput};
+use crate::eclat::eclat;
 use crate::itemset::ItemSet;
-use crate::miner::MinerKind;
+use crate::maximal::filter_maximal;
+use crate::miner::mine;
 use crate::rules::{RuleConfig, RuleSet};
 use crate::transaction::TransactionSet;
 
@@ -41,10 +44,33 @@ pub fn generate_rules(
     RuleSet::generate(frequent, transactions, min_support, config)
 }
 
+/// The miners the replica cross-checks against Apriori: FP-growth,
+/// which [`mine`] runs, and Eclat (vertical tid-list intersection).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MinerKind {
+    /// FP-growth: [`mine`] without rules.
+    FpGrowth,
+    /// Eclat, whose item-sets and supports are FP-growth's.
+    Eclat,
+}
+
 impl MinerKind {
+    /// The maximal frequent item-sets at `min_support`, canonically
+    /// ordered.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `min_support` is zero.
+    #[must_use]
+    pub fn mine_maximal(self, set: &TransactionSet, min_support: u64) -> Vec<ItemSet> {
+        match self {
+            MinerKind::FpGrowth => mine(set, min_support, None).0,
+            MinerKind::Eclat => filter_maximal(eclat(set, min_support)),
+        }
+    }
+
     /// [`mine_maximal`](Self::mine_maximal); the [`Exec`] argument
     /// selects nothing.
-    #[doc(hidden)]
     #[must_use]
     pub fn mine_maximal_exec(
         self,

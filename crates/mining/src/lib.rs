@@ -14,17 +14,16 @@
 //! - [`Item`], [`Transaction`], [`TransactionSet`] — the transaction model
 //!   with the no-duplicate-feature invariant;
 //! - [`fpgrowth`](fpgrowth::fpgrowth) — FP-growth over a dense-rank
-//!   FP-tree, the faster miner the paper cites (§III-E) and the default;
+//!   FP-tree, the faster miner the paper cites (§III-E) and the one every
+//!   extraction runs;
+//! - [`mine`] — an extraction's mining pass: FP-growth once, the maximal
+//!   item-sets, and the rules when asked for. It runs on the calling
+//!   thread;
 //! - [`apriori`](apriori::apriori) — the paper's modified Apriori with
-//!   per-level statistics ([`LevelStats`]) matching the §II-B audit trail,
-//!   kept as the reference;
-//! - [`eclat`](eclat::eclat) — vertical tid-list mining; all three share
-//!   one output contract;
+//!   per-level statistics ([`LevelStats`]) matching the §II-B audit trail:
+//!   Table II's miner, and the reference FP-growth is tested against
+//!   (both return the same item-sets and supports);
 //! - [`filter_maximal`] — maximal-item-set filtering;
-//! - [`MinerKind`] — runtime-selectable miner (default FP-growth);
-//!   [`MinerKind::mine`] is the one dispatch an extraction runs through
-//!   (maximal item-sets, Apriori's audit trail, optional rules). Every
-//!   pass runs on the calling thread;
 //! - [`mine_top_k`] — the paper's §V report-size-driven extension: the
 //!   k most frequent item-sets without choosing a support;
 //! - [`rules`] — the *second* step of association-rule mining: rules
@@ -41,7 +40,7 @@
 
 pub mod apriori;
 pub mod combinations;
-pub mod eclat;
+mod eclat;
 pub mod fpgrowth;
 pub mod item;
 pub mod itemset;
@@ -58,7 +57,7 @@ pub use itemset::{canonicalize, ItemSet};
 #[doc(hidden)]
 pub use legacy::*;
 pub use maximal::{filter_maximal, filter_maximal_general};
-pub use miner::MinerKind;
+pub use miner::mine;
 pub use rules::{merge_rule_sets, Rule, RuleConfig, RuleSet, ScoredRule, RARE_SUPPORT_GUARD};
 pub use topk::{mine_top_k, TopK};
 pub use transaction::{Transaction, TransactionError, TransactionSet, CANONICAL_WIDTH, MAX_WIDTH};

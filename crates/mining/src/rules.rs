@@ -325,7 +325,8 @@ impl RuleSet {
     ///
     /// ```
     /// use anomex_mining::rules::{RuleConfig, RuleSet};
-    /// use anomex_mining::{Item, MinerKind, Transaction, TransactionSet};
+    /// use anomex_mining::fpgrowth::fpgrowth;
+    /// use anomex_mining::{Item, Transaction, TransactionSet};
     /// use anomex_netflow::FlowFeature;
     ///
     /// let mut set = TransactionSet::new();
@@ -339,7 +340,7 @@ impl RuleSet {
     ///         .unwrap(),
     ///     );
     /// }
-    /// let frequent = MinerKind::Apriori.mine_all(&set, 1);
+    /// let frequent = fpgrowth(&set, 1);
     /// let config = RuleConfig { min_confidence: 0.5, min_lift: 0.0, rare: false };
     /// let ranked = RuleSet::generate(&frequent, set.len() as u64, 1, &config);
     /// let rule = ranked
@@ -583,7 +584,7 @@ pub fn merge_rule_sets(sets: &[RuleSet]) -> RuleSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::miner::MinerKind;
+    use crate::fpgrowth::fpgrowth;
     use crate::transaction::{Transaction, TransactionSet};
     use anomex_netflow::FlowFeature;
 
@@ -610,7 +611,7 @@ mod tests {
     }
 
     fn all_frequent(set: &TransactionSet, support: u64) -> Vec<ItemSet> {
-        MinerKind::Apriori.mine_all(set, support)
+        fpgrowth(set, support)
     }
 
     fn loose() -> RuleConfig {

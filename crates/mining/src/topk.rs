@@ -8,7 +8,7 @@
 //! the operator chooses a *report size* instead of a support value.
 
 use crate::itemset::ItemSet;
-use crate::miner::MinerKind;
+use crate::miner::mine;
 use crate::transaction::TransactionSet;
 
 /// Result of a top-k mining run.
@@ -34,14 +34,14 @@ pub struct TopK {
 ///
 /// Panics if `k` is zero or `start_support` is zero.
 #[must_use]
-pub fn mine_top_k(set: &TransactionSet, miner: MinerKind, k: usize, start_support: u64) -> TopK {
+pub fn mine_top_k(set: &TransactionSet, k: usize, start_support: u64) -> TopK {
     assert!(k >= 1, "k must be at least 1");
     assert!(start_support >= 1, "starting support must be at least 1");
     let mut support = start_support;
     let mut rounds = 0;
     loop {
         rounds += 1;
-        let mut itemsets = miner.mine_maximal(set, support);
+        let mut itemsets = mine(set, support, None).0;
         if itemsets.len() >= k || support == 1 {
             itemsets.sort_by(|a, b| b.support.cmp(&a.support).then_with(|| a.cmp(b)));
             itemsets.truncate(k);
@@ -85,7 +85,7 @@ mod tests {
 
     #[test]
     fn finds_the_top_sets_ranked_by_support() {
-        let top = mine_top_k(&sample(), MinerKind::FpGrowth, 2, 1000);
+        let top = mine_top_k(&sample(), 2, 1000);
         assert_eq!(top.itemsets.len(), 2);
         // {proto=6} (support 175) is NOT maximal once the pairs qualify, so
         // the top sets are the two heaviest (port, proto) pairs.
@@ -97,7 +97,7 @@ mod tests {
 
     #[test]
     fn halves_support_until_enough_itemsets() {
-        let top = mine_top_k(&sample(), MinerKind::Apriori, 3, 1000);
+        let top = mine_top_k(&sample(), 3, 1000);
         assert!(top.rounds > 1, "had to lower the support");
         assert_eq!(top.itemsets.len(), 3);
         // Ranked descending.
@@ -109,7 +109,7 @@ mod tests {
     #[test]
     fn support_floor_returns_what_exists() {
         // Ask for more item-sets than the data can produce.
-        let top = mine_top_k(&sample(), MinerKind::Eclat, 50, 8);
+        let top = mine_top_k(&sample(), 50, 8);
         assert_eq!(top.effective_support, 1);
         assert!(top.itemsets.len() < 50);
         assert!(!top.itemsets.is_empty());
@@ -117,24 +117,13 @@ mod tests {
 
     #[test]
     fn k_one_returns_single_heaviest() {
-        let top = mine_top_k(&sample(), MinerKind::FpGrowth, 1, 10);
+        let top = mine_top_k(&sample(), 1, 10);
         assert_eq!(top.itemsets.len(), 1);
     }
 
     #[test]
     #[should_panic(expected = "k must be at least 1")]
     fn zero_k_panics() {
-        let _ = mine_top_k(&sample(), MinerKind::Apriori, 0, 10);
-    }
-
-    #[test]
-    fn miners_agree_on_top_k() {
-        let set = sample();
-        let a = mine_top_k(&set, MinerKind::Apriori, 3, 64);
-        let f = mine_top_k(&set, MinerKind::FpGrowth, 3, 64);
-        let e = mine_top_k(&set, MinerKind::Eclat, 3, 64);
-        assert_eq!(a.itemsets, f.itemsets);
-        assert_eq!(f.itemsets, e.itemsets);
-        assert_eq!(a.effective_support, f.effective_support);
+        let _ = mine_top_k(&sample(), 0, 10);
     }
 }

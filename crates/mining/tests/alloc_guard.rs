@@ -11,7 +11,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use anomex_mining::{Item, MinerKind, Transaction, TransactionSet};
+use anomex_mining::apriori::apriori;
+use anomex_mining::{mine, AprioriConfig, Item, ItemSet, Transaction, TransactionSet};
 use anomex_netflow::FlowFeature;
 
 /// The system allocator plus an allocation counter.
@@ -77,12 +78,15 @@ fn transactions(n: u64) -> TransactionSet {
     TransactionSet::from_transactions(set)
 }
 
-/// Allocations made while `kind` mines the maximal item-sets of `n`
+/// A miner of maximal item-sets at a support.
+type Miner = fn(&TransactionSet, u64) -> Vec<ItemSet>;
+
+/// Allocations made while `miner` mines the maximal item-sets of `n`
 /// transactions at a support of `n / 4`.
-fn allocations_to_mine(kind: MinerKind, n: u64) -> u64 {
+fn allocations_to_mine(kind: &str, miner: Miner, n: u64) -> u64 {
     let set = transactions(n);
     let before = ALLOCS.load(Ordering::Relaxed);
-    let mined = kind.mine_maximal(&set, n / 4);
+    let mined = miner(&set, n / 4);
     let counted = ALLOCS.load(Ordering::Relaxed) - before;
     let pattern = [
         Item::new(FlowFeature::DstPort, 7000),
@@ -96,9 +100,15 @@ fn allocations_to_mine(kind: MinerKind, n: u64) -> u64 {
 
 #[test]
 fn mining_one_pattern_allocates_the_same_at_1k_and_64k_transactions() {
-    for kind in [MinerKind::Apriori, MinerKind::FpGrowth] {
-        let small = allocations_to_mine(kind, 1_000);
-        let large = allocations_to_mine(kind, 64_000);
+    let miners: [(&str, Miner); 2] = [
+        ("apriori", |set, s| {
+            apriori(set, &AprioriConfig::maximal(s)).itemsets
+        }),
+        ("fp-growth", |set, s| mine(set, s, None).0),
+    ];
+    for (kind, miner) in miners {
+        let small = allocations_to_mine(kind, miner, 1_000);
+        let large = allocations_to_mine(kind, miner, 64_000);
         assert_eq!(
             small, large,
             "{kind}: allocations at 1 k vs 64 k transactions"

@@ -1,13 +1,17 @@
 //! The legacy surface the frozen benchmark replica imports is its main
 //! path under another call shape: on one input, each legacy item gives
-//! exactly what the call it adapts gives.
+//! exactly what the call it adapts gives. Eclat, which only the
+//! replica's miner cross-check runs, returns FP-growth's item-sets and
+//! supports.
 
 use anomex_mining::apriori::apriori;
+use anomex_mining::fpgrowth::fpgrowth;
 use anomex_mining::{
-    apriori_exec, generate_rules, AprioriConfig, Exec, Item, MinerKind, RuleConfig, RuleSet,
+    apriori_exec, generate_rules, mine, AprioriConfig, Exec, Item, MinerKind, RuleConfig, RuleSet,
     Transaction, TransactionSet,
 };
 use anomex_netflow::FlowFeature;
+use proptest::prelude::*;
 
 /// A flood on one port over a little background: item-sets of every
 /// length up to three, and rules with confidence below and at 1.
@@ -40,19 +44,55 @@ fn apriori_exec_is_apriori() {
 #[test]
 fn mine_maximal_exec_is_mine_maximal() {
     let set = transactions();
-    for kind in MinerKind::ALL {
+    for kind in [MinerKind::FpGrowth, MinerKind::Eclat] {
         assert_eq!(
             kind.mine_maximal_exec(&set, 5, Exec::inline()),
             kind.mine_maximal(&set, 5),
-            "{kind}"
+            "{kind:?}"
         );
+    }
+    assert_eq!(
+        MinerKind::FpGrowth.mine_maximal(&set, 5),
+        mine(&set, 5, None).0
+    );
+}
+
+/// A random transaction: 1–7 items, at most one per feature, values from
+/// a small alphabet so that item-sets repeat.
+fn arb_transaction() -> impl Strategy<Value = Transaction> {
+    proptest::collection::btree_map(0usize..7, 0u64..4, 1..=7).prop_map(|m| {
+        let items: Vec<Item> = m
+            .into_iter()
+            .map(|(f, v)| Item::new(FlowFeature::from_index(f), v))
+            .collect();
+        Transaction::from_items(&items).expect("btree_map keys are distinct features")
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Eclat's maximal item-sets and supports are FP-growth's on random
+    /// sets of up to 59 transactions, at supports 1–7.
+    #[test]
+    fn eclat_is_fpgrowth(
+        transactions in proptest::collection::vec(arb_transaction(), 0..60),
+        min_support in 1u64..8,
+    ) {
+        let set = TransactionSet::from_transactions(transactions);
+        let eclat = MinerKind::Eclat.mine_maximal(&set, min_support);
+        let fp = MinerKind::FpGrowth.mine_maximal(&set, min_support);
+        prop_assert_eq!(&eclat, &fp);
+        for (e, f) in eclat.iter().zip(&fp) {
+            prop_assert_eq!(e.support, f.support, "{}", e);
+        }
     }
 }
 
 #[test]
 fn generate_rules_is_rule_set_generate() {
     let set = transactions();
-    let frequent = MinerKind::FpGrowth.mine_all(&set, 1);
+    let frequent = fpgrowth(&set, 1);
     let n = set.len() as u64;
     for rare in [false, true] {
         let config = RuleConfig {

@@ -1,11 +1,15 @@
-//! Property-based tests: the three miners are interchangeable, and the
-//! mining output satisfies the textbook invariants.
+//! Property-based tests: FP-growth, the miner every extraction runs,
+//! returns Apriori's item-sets and supports, and its output satisfies the
+//! textbook invariants.
 
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
+use anomex_mining::apriori::apriori;
+use anomex_mining::fpgrowth::fpgrowth;
 use anomex_mining::{
-    filter_maximal, filter_maximal_general, Item, MinerKind, Transaction, TransactionSet,
+    filter_maximal, filter_maximal_general, AprioriConfig, Item, ItemSet, Transaction,
+    TransactionSet,
 };
 use anomex_netflow::{FlowFeature, FlowRecord, Protocol};
 use proptest::prelude::*;
@@ -103,21 +107,16 @@ fn arb_edge_set(max: usize) -> impl Strategy<Value = TransactionSet> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Apriori, FP-growth, and Eclat produce identical item-sets *and*
-    /// identical supports on arbitrary inputs — edge shapes included, and
-    /// nothing at all once the support exceeds the set size.
+    /// FP-growth and Apriori produce identical item-sets *and* identical
+    /// supports on arbitrary inputs — edge shapes included, and nothing at
+    /// all once the support exceeds the set size.
     #[test]
     fn miners_agree(set in arb_edge_set(60), min_support in 1u64..8, above in any::<bool>()) {
         let min_support = if above { set.len() as u64 + min_support } else { min_support };
-        let a = MinerKind::Apriori.mine_all(&set, min_support);
-        let f = MinerKind::FpGrowth.mine_all(&set, min_support);
-        let e = MinerKind::Eclat.mine_all(&set, min_support);
+        let a = all_frequent_apriori(&set, min_support);
+        let f = fpgrowth(&set, min_support);
         prop_assert_eq!(&a, &f);
-        prop_assert_eq!(&f, &e);
         for (x, y) in a.iter().zip(&f) {
-            prop_assert_eq!(x.support, y.support);
-        }
-        for (x, y) in f.iter().zip(&e) {
             prop_assert_eq!(x.support, y.support);
         }
         if above {
@@ -129,7 +128,7 @@ proptest! {
     /// and every reported item-set meets the threshold.
     #[test]
     fn supports_are_exact(set in arb_edge_set(40), min_support in 1u64..6) {
-        for s in MinerKind::FpGrowth.mine_all(&set, min_support) {
+        for s in fpgrowth(&set, min_support) {
             prop_assert!(s.support >= min_support);
             prop_assert_eq!(s.support, set.support_of(s.items()));
         }
@@ -139,7 +138,7 @@ proptest! {
     /// itself in the output.
     #[test]
     fn downward_closure(set in arb_set(40), min_support in 1u64..6) {
-        let all = MinerKind::Eclat.mine_all(&set, min_support);
+        let all = fpgrowth(&set, min_support);
         for s in &all {
             if s.len() < 2 { continue; }
             for skip in 0..s.len() {
@@ -153,11 +152,11 @@ proptest! {
         }
     }
 
-    /// Completeness: the miners find *every* frequent item-set. Verified by
-    /// brute force over the item alphabet on small inputs.
+    /// Completeness: FP-growth finds *every* frequent item-set. Verified
+    /// by brute force over the item alphabet on small inputs.
     #[test]
     fn completeness_small(set in arb_set(12), min_support in 1u64..4) {
-        let mined = MinerKind::Apriori.mine_all(&set, min_support);
+        let mined = fpgrowth(&set, min_support);
         // Brute force: every subset of every transaction is a candidate.
         use std::collections::HashSet;
         let mut candidates: HashSet<Vec<Item>> = HashSet::new();
@@ -185,7 +184,7 @@ proptest! {
     /// one-level filter agrees with the general quadratic oracle.
     #[test]
     fn maximal_invariants(set in arb_set(40), min_support in 1u64..6) {
-        let all = MinerKind::FpGrowth.mine_all(&set, min_support);
+        let all = fpgrowth(&set, min_support);
         let maximal = filter_maximal(all.clone());
         for (i, a) in maximal.iter().enumerate() {
             for (j, b) in maximal.iter().enumerate() {
@@ -203,12 +202,21 @@ proptest! {
     #[test]
     fn support_monotonicity(set in arb_set(40), s_lo in 1u64..4) {
         let s_hi = s_lo + 2;
-        let lo = MinerKind::Eclat.mine_all(&set, s_lo);
-        let hi = MinerKind::Eclat.mine_all(&set, s_hi);
+        let lo = fpgrowth(&set, s_lo);
+        let hi = fpgrowth(&set, s_hi);
         for s in &hi {
             prop_assert!(lo.contains(s), "{} found at high support but not low", s);
         }
     }
+}
+
+/// A miner of all frequent item-sets at a support.
+type Miner = fn(&TransactionSet, u64) -> Vec<ItemSet>;
+
+/// Apriori's frequent item-sets at `min_support`: the reference FP-growth
+/// is held to.
+fn all_frequent_apriori(set: &TransactionSet, min_support: u64) -> Vec<ItemSet> {
+    apriori(set, &AprioriConfig::all_frequent(min_support)).itemsets
 }
 
 /// Every item-set of `set` with its support, by enumerating each
@@ -233,7 +241,7 @@ proptest! {
 
     /// The miners' first pass puts a counting filter of 4 096 hashed
     /// buckets in front of its exact count. On sets with more distinct
-    /// items than buckets, so buckets collide, all three miners still
+    /// items than buckets, so buckets collide, Apriori and FP-growth still
     /// report exactly the brute-force item-sets and supports — at support
     /// 1, 2, the largest item count and `u64::MAX`.
     #[test]
@@ -265,14 +273,15 @@ proptest! {
                 .filter(|&(_, &count)| count >= min_support)
                 .map(|(items, &count)| (items.clone(), count))
                 .collect();
-            for kind in MinerKind::ALL {
-                let mut got: Vec<(Vec<Item>, u64)> = kind
-                    .mine_all(&set, min_support)
+            let miners: [(&str, Miner); 2] =
+                [("apriori", all_frequent_apriori), ("fp-growth", fpgrowth)];
+            for (name, miner) in miners {
+                let mut got: Vec<(Vec<Item>, u64)> = miner(&set, min_support)
                     .into_iter()
                     .map(|s| (s.items().to_vec(), s.support))
                     .collect();
                 got.sort_unstable();
-                prop_assert!(got == want, "{} at support {}", kind, min_support);
+                prop_assert!(got == want, "{} at support {}", name, min_support);
             }
         }
     }

@@ -18,7 +18,7 @@ use anomex_core::{
     classify_itemset, cost_reduction, prefilter_indices_columns, AnomalyClass, Engine, Extraction,
     ExtractionConfig,
 };
-use anomex_mining::{ItemSet, MinerKind, TransactionSet};
+use anomex_mining::{mine, ItemSet, TransactionSet};
 use anomex_netflow::FlowColumns;
 
 use crate::{EventId, Scenario};
@@ -270,7 +270,7 @@ impl ScenarioRun {
     /// Fig. 9: re-mine every alarmed anomalous interval's suspicious
     /// transactions at each support and count FP item-sets.
     #[must_use]
-    pub fn fp_sweep(&self, supports: &[u64], miner: MinerKind) -> Vec<SupportSweepPoint> {
+    pub fn fp_sweep(&self, supports: &[u64]) -> Vec<SupportSweepPoint> {
         supports
             .iter()
             .map(|&s| {
@@ -278,7 +278,7 @@ impl ScenarioRun {
                 let mut zero_fp = 0usize;
                 let mut extracted = 0usize;
                 for r in self.alarmed_anomalous() {
-                    let itemsets = miner.mine_maximal(&r.suspicious, s);
+                    let itemsets = mine(&r.suspicious, s, None).0;
                     let judged = evaluate_itemsets(&itemsets, &r.suspicious, &r.suspicious_labels);
                     let fps = judged.iter().filter(|e| !e.is_tp).count();
                     if fps == 0 {
@@ -303,7 +303,7 @@ impl ScenarioRun {
 
     /// Fig. 10: average classification-cost reduction at each support.
     #[must_use]
-    pub fn cost_sweep(&self, supports: &[u64], miner: MinerKind) -> Vec<(u64, f64)> {
+    pub fn cost_sweep(&self, supports: &[u64]) -> Vec<(u64, f64)> {
         supports
             .iter()
             .map(|&s| {
@@ -311,7 +311,7 @@ impl ScenarioRun {
                     .alarmed_anomalous()
                     .iter()
                     .map(|r| {
-                        let itemsets = miner.mine_maximal(&r.suspicious, s);
+                        let itemsets = mine(&r.suspicious, s, None).0;
                         (r.total_flows as u64, itemsets.len())
                     })
                     .collect();
@@ -500,13 +500,13 @@ mod tests {
         }
 
         // Sweep machinery runs and behaves monotonically-ish.
-        let sweep = run.fp_sweep(&[300, 700, 1500], MinerKind::FpGrowth);
+        let sweep = run.fp_sweep(&[300, 700, 1500]);
         assert_eq!(sweep.len(), 3);
         assert!(
             sweep[0].avg_fp >= sweep[2].avg_fp,
             "FPs shrink with support"
         );
-        let costs = run.cost_sweep(&[300, 1500], MinerKind::FpGrowth);
+        let costs = run.cost_sweep(&[300, 1500]);
         assert!(
             costs[1].1 >= costs[0].1,
             "cost reduction grows with support"

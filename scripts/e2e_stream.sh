@@ -9,7 +9,6 @@
 # — each trace read whole and sliced on its own grid, the per-interval
 # concatenation run through one engine — is
 # tests/multi_source_determinism.rs (and the CLI's unit tests). Then
-# require `extract` to print the same reports for every --miner; finally
 # require a capture read from stdin to behave exactly like the same
 # capture read from its file, cut or whole.
 #
@@ -89,33 +88,7 @@ fi
 rule_sections=$(grep -c '^association rules' "$workdir/stream-rules.reports")
 echo "e2e-stream: OK — rule reports ($rule_sections section(s)) bit-identical from stream and extract over one two-source fan-in"
 
-# Third pass: miner independence at the binary. The report is a function
-# of the mined answer only, so `extract` must print the same reports for
-# every --miner (fpgrowth is the default; apriori's level audit trail is
-# not part of the report). The filter already drops the `processed` line
-# that names the miner.
-for rules in "" --rules; do
-    for miner in apriori fpgrowth eclat; do
-        # shellcheck disable=SC2086 # $rules is one flag or nothing
-        "$bin" extract --in "$workdir/link0.nfv5" --in "$workdir/link1.nfv5" \
-            --interval-min 1 --training 10 --support 800 \
-            --miner "$miner" $rules > "$workdir/miner-$miner.out"
-        filter "$workdir/miner-$miner.out" > "$workdir/miner-$miner.reports"
-    done
-    if ! grep -q '^Anomaly extraction report' "$workdir/miner-fpgrowth.reports"; then
-        echo "e2e-stream: no reports ${rules:-without rules} — the miner pass is vacuous" >&2
-        exit 1
-    fi
-    for miner in apriori eclat; do
-        if ! diff -u "$workdir/miner-fpgrowth.reports" "$workdir/miner-$miner.reports"; then
-            echo "e2e-stream: --miner $miner ${rules:+$rules }reports differ from the default fpgrowth ones" >&2
-            exit 1
-        fi
-    done
-done
-echo "e2e-stream: OK — extract reports bit-identical for apriori, fpgrowth and eclat, with and without --rules"
-
-# Fourth pass: one ingest path for files and pipes. A capture piped in
+# Third pass: one ingest path for files and pipes. A capture piped in
 # with `--in -` must stream to the same reports as the file itself and
 # make `extract` print the same output, summary included, and a capture
 # cut mid-datagram must make `extract` exit 1 with the same error through

@@ -11,7 +11,7 @@
 //! |-------|----------|
 //! | [`netflow`] | flow records, the seven traffic features, NetFlow v5 codec, traces & interval streaming |
 //! | [`detector`] | KL-distance histogram detectors, histogram cloning, iterative bin identification, l-of-n voting, ROC analysis |
-//! | [`mining`] | width-7 flow transactions, FP-growth (the default miner), the paper's modified Apriori (maximal item-sets, Table II audit trail), Eclat |
+//! | [`mining`] | width-7 flow transactions, FP-growth (the one miner extraction runs), the paper's modified Apriori (maximal item-sets, Table II audit trail, and the reference FP-growth is tested against), association rules |
 //! | [`traffic`] | synthetic backbone workloads with per-flow ground truth (the SWITCH-trace stand-in), and the evaluation harness that scores extractions against it |
 //! | [`core`] | the extraction pipeline: union pre-filter + maximal frequent item-set summaries, streaming multi-source engine, checkpoints, reports |
 //!
@@ -25,7 +25,7 @@
 //!
 //! // The paper's pipeline: 5 histogram detectors (k = 1024 bins,
 //! // n = l = 3 clones), union pre-filter, maximal frequent item-sets
-//! // (mined with FP-growth, the default miner).
+//! // (mined with FP-growth).
 //! let mut config = ExtractionConfig::default();
 //! config.interval_ms = scenario.interval_ms();
 //! config.detector.training_intervals = 10;
@@ -63,7 +63,7 @@ pub mod prelude {
         ReconfigRequest, StreamEvent,
     };
     pub use anomex_detector::{DetectorBank, DetectorConfig, MetaData, RocCurve};
-    pub use anomex_mining::{ItemSet, MinerKind, Transaction, TransactionSet};
+    pub use anomex_mining::{ItemSet, Transaction, TransactionSet};
     pub use anomex_netflow::{
         FlowFeature, FlowRecord, FlowTrace, IntervalAssembler, MergeAssembler, MergeConfig,
         Protocol, SourceId, SourceSpec, TcpFlags,

@@ -5,19 +5,21 @@
 //! in-progress window, drop counters, stream counters), so a process
 //! that dies after a checkpoint and restores from it must emit exactly
 //! the events the never-killed process would have emitted, for every
-//! miner and multi-source interleaving. Alongside the
+//! multi-source interleaving — and so must a checkpoint an older build
+//! wrote under another miner. Alongside the
 //! resume property, the suite pins the robustness half of the contract:
 //! hostile checkpoint files fail with a typed [`RestoreError`], never a
 //! panic, and live reconfiguration drops no flows.
 
 use anomex::netflow::snapshot::{
-    read_checkpoint, write_checkpoint, RestoreError, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+    read_checkpoint, write_checkpoint, RestoreError, SnapshotWriter, CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
 };
 use anomex::prelude::*;
 use proptest::prelude::*;
 use std::path::PathBuf;
 
-fn config_for(scenario: &Scenario, miner: MinerKind) -> ExtractionConfig {
+fn config_for(scenario: &Scenario) -> ExtractionConfig {
     ExtractionConfig {
         interval_ms: scenario.interval_ms(),
         detector: DetectorConfig {
@@ -25,7 +27,6 @@ fn config_for(scenario: &Scenario, miner: MinerKind) -> ExtractionConfig {
             ..DetectorConfig::default()
         },
         min_support: 800,
-        miner,
         ..ExtractionConfig::default()
     }
 }
@@ -82,15 +83,10 @@ proptest! {
     /// Kill-and-resume: stream a scenario, checkpoint at an arbitrary
     /// flow position (mid-window included), drop the engine (the
     /// simulated crash), restore, and continue. Events and summary must
-    /// be bit-identical to the uninterrupted run, for every miner.
+    /// be bit-identical to the uninterrupted run.
     #[test]
-    fn kill_and_resume_is_bit_identical(
-        seed in 0u64..1_000,
-        cut_pct in 20u64..80,
-        miner_idx in 0usize..3,
-    ) {
+    fn kill_and_resume_is_bit_identical(seed in 0u64..1_000, cut_pct in 20u64..80) {
         let scenario = Scenario::small(seed);
-        let miner = MinerKind::ALL[miner_idx];
         let intervals = scenario.interval_count().min(22);
         let flows: Vec<FlowRecord> = (0..intervals)
             .flat_map(|i| scenario.generate(i).flows)
@@ -98,9 +94,9 @@ proptest! {
         let cut = (flows.len() as u64 * cut_pct / 100) as usize;
 
         let src = SourceId(0);
-        let mut reference = one_lane(config_for(&scenario, miner));
+        let mut reference = one_lane(config_for(&scenario));
         let mut ref_events = Vec::new();
-        let mut interrupted = one_lane(config_for(&scenario, miner));
+        let mut interrupted = one_lane(config_for(&scenario));
         let mut resumed_events = Vec::new();
         for (i, flow) in flows.iter().enumerate() {
             ref_events.extend(reference.push(src, *flow));
@@ -126,7 +122,7 @@ proptest! {
             assert_events_identical(
                 &a.event,
                 &b.event,
-                &format!("seed={seed} miner={miner} cut={cut}"),
+                &format!("seed={seed} cut={cut}"),
             );
         }
     }
@@ -141,7 +137,7 @@ fn multi_source_resume_survives_skewed_lanes() {
     let scenario = Scenario::small(17);
     let intervals = scenario.interval_count().min(20);
     let specs = [SourceSpec::new(0u32, 0), SourceSpec::new(1u32, 0)];
-    let config = || config_for(&scenario, MinerKind::FpGrowth);
+    let config = || config_for(&scenario);
 
     // Split each interval between the sources, then interleave with
     // source 1 a whole interval ahead of source 0.
@@ -201,6 +197,78 @@ fn multi_source_resume_survives_skewed_lanes() {
     }
 }
 
+/// Older builds let the configuration pick the miner, and wrote its tag
+/// into the checkpoint's configuration record: 0 for Apriori, 2 for
+/// Eclat. Every miner returned the same item-sets, so nothing else in
+/// the checkpoint depended on it: such a checkpoint is today's with that
+/// one byte changed. Both tags still restore, and the resumed stream
+/// emits what the uninterrupted run emits (mined with FP-growth).
+#[test]
+fn checkpoints_written_under_apriori_or_eclat_resume_identically() {
+    let scenario = Scenario::small(23);
+    let config = config_for(&scenario);
+    let flows: Vec<FlowRecord> = (0..scenario.interval_count().min(22))
+        .flat_map(|i| scenario.generate(i).flows)
+        .collect();
+    let cut = flows.len() * 3 / 5;
+    let src = SourceId(0);
+
+    let mut reference = one_lane(config.clone());
+    let mut ref_events = Vec::new();
+    let mut interrupted = one_lane(config.clone());
+    let mut head_events = Vec::new();
+    for (i, flow) in flows.iter().enumerate() {
+        ref_events.extend(reference.push(src, *flow));
+        if i < cut {
+            head_events.extend(interrupted.push(src, *flow));
+        }
+    }
+    let (tail, payload) = interrupted.checkpoint();
+    head_events.extend(tail);
+    let (tail, ref_summary) = reference.finish();
+    ref_events.extend(tail);
+
+    // The configuration record sits in the payload once; its miner byte
+    // follows Δ, the detector record, the pre-filter tag and `s`.
+    let mut record = SnapshotWriter::new();
+    config.encode_snapshot(&mut record);
+    let record = record.into_bytes();
+    let at = (0..=payload.len() - record.len())
+        .filter(|&i| payload[i..].starts_with(&record))
+        .collect::<Vec<_>>();
+    let [at] = at[..] else {
+        panic!("the configuration record occurs {} times", at.len());
+    };
+    let mut head = SnapshotWriter::new();
+    head.u64(config.interval_ms);
+    config.detector.encode_snapshot(&mut head);
+    let miner_byte = at + head.into_bytes().len() + 1 + 8;
+    assert_eq!(payload[miner_byte], 1, "written as FP-growth's tag");
+
+    for tag in [0u8, 2] {
+        let mut old = payload.clone();
+        old[miner_byte] = tag;
+        let mut resumed = MultiSourceExtractor::restore(&old).unwrap();
+        let (_, rewritten) = resumed.checkpoint();
+        assert_eq!(rewritten, payload, "tag {tag} re-encodes as FP-growth");
+        let mut events = head_events.clone();
+        for flow in &flows[cut..] {
+            events.extend(resumed.push(src, *flow));
+        }
+        let (tail, summary) = resumed.finish();
+        events.extend(tail);
+        assert_eq!(summary, ref_summary, "tag {tag}");
+        assert_eq!(events.len(), ref_events.len(), "tag {tag}");
+        assert!(
+            events.iter().any(|e| e.event.outcome.extraction.is_some()),
+            "the planted flood is extracted"
+        );
+        for (a, b) in ref_events.iter().zip(&events) {
+            assert_events_identical(&a.event, &b.event, &format!("miner tag {tag}"));
+        }
+    }
+}
+
 /// A fresh payload restores; every corruption mode fails with the right
 /// typed [`RestoreError`] — and none of them panics.
 #[test]
@@ -210,7 +278,7 @@ fn checkpoint_files_reject_corruption_with_typed_errors() {
     let path = |name: &str| -> PathBuf { dir.join(name) };
 
     let scenario = Scenario::small(3);
-    let config = config_for(&scenario, MinerKind::Apriori);
+    let config = config_for(&scenario);
     let mut stream = one_lane(config);
     for i in 0..3 {
         for flow in scenario.generate(i).flows {
@@ -297,7 +365,7 @@ fn checkpoint_files_reject_corruption_with_typed_errors() {
 fn reconfiguration_is_audited_and_drops_nothing() {
     let scenario = Scenario::small(29);
     let intervals = scenario.interval_count().min(16);
-    let mut stream = one_lane(config_for(&scenario, MinerKind::Eclat));
+    let mut stream = one_lane(config_for(&scenario));
     let mut events = Vec::new();
     let mut pushed = 0u64;
     for i in 0..intervals {

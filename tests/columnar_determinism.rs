@@ -4,14 +4,14 @@
 //! the columnar engines (`Engine::extract` offline, `Engine::process`
 //! over `FlowColumns` online, and the streaming extractor that rides
 //! them) produce exactly what the record-based pipeline produces, for
-//! every miner, transaction mode and pre-filter mode, with and without
-//! the rule layer.
+//! every transaction mode and pre-filter mode, with and without the rule
+//! layer.
 
 use anomex::core::{
     cost_reduction, prefilter_indices_columns, prefilter_indices_columns_with, Engine, Extraction,
     ExtractionConfig, PrefilterScratch, TransactionMode,
 };
-use anomex::mining::RuleConfig;
+use anomex::mining::{mine, RuleConfig};
 use anomex::netflow::FlowColumns;
 use anomex::prelude::*;
 use anomex_core::IntervalOutcome;
@@ -109,19 +109,17 @@ proptest! {
     /// Offline: the columnar engine (`Engine::extract` converts to
     /// `FlowColumns` and walks columns end to end) extracts exactly what
     /// pre-filtering the records, building their transactions and mining
-    /// them does, for every miner and transaction mode, with and without
-    /// the rule layer (rules compared to the bit).
+    /// them does, for every transaction mode, with and without the rule
+    /// layer (rules compared to the bit).
     #[test]
     fn columnar_extraction_matches_record_pipeline(
         seed in 0u64..10_000,
         scale_pct in 1u64..=4,
         support_div in 1u64..=4,
-        miner_idx in 0usize..3,
         extended in proptest::sample::select(vec![false, true]),
         with_rules in proptest::sample::select(vec![false, true]),
     ) {
         let w = table2_workload(seed, scale_pct as f64 * 0.01);
-        let miner = MinerKind::ALL[miner_idx];
         let tx_mode = if extended {
             TransactionMode::WithPrefixes
         } else {
@@ -139,7 +137,7 @@ proptest! {
         };
         // Permissive filters so the rule populations compared are rich.
         let rules = with_rules.then_some(RuleConfig { min_confidence: 0.3, min_lift: 0.0, rare: false });
-        let (itemsets, levels, mined_rules) = miner.mine(&transactions, support, rules.as_ref());
+        let (itemsets, mined_rules) = mine(&transactions, support, rules.as_ref());
         let records = Extraction {
             interval: 0,
             metadata: md.clone(),
@@ -147,12 +145,11 @@ proptest! {
             suspicious_flows: suspicious.len(),
             cost_reduction: cost_reduction(w.flows.len() as u64, itemsets.len()),
             itemsets,
-            levels,
+            levels: Vec::new(),
             rules: mined_rules,
         };
         let config = ExtractionConfig {
             min_support: support,
-            miner,
             transactions: tx_mode,
             rules,
             ..ExtractionConfig::default()
@@ -161,7 +158,7 @@ proptest! {
         assert_extractions_identical(
             &records,
             &columnar,
-            &format!("seed={seed} miner={miner} extended={extended} rules={with_rules}"),
+            &format!("seed={seed} extended={extended} rules={with_rules}"),
         );
     }
 
@@ -284,12 +281,9 @@ proptest! {
     /// (`Engine::process`) and streaming flow-by-flow through a one-lane
     /// [`MultiSourceExtractor`] (which rides the same columnar engine)
     /// both produce the record-input pipeline's outcomes — alarms,
-    /// meta-data, KL bits, and extractions — for every miner.
+    /// meta-data, KL bits, and extractions.
     #[test]
-    fn columnar_online_and_streaming_match_record_pipeline(
-        seed in 0u64..1_000,
-        miner_idx in 0usize..3,
-    ) {
+    fn columnar_online_and_streaming_match_record_pipeline(seed in 0u64..1_000) {
         let scenario = Scenario::small(seed);
         let config = ExtractionConfig {
             interval_ms: scenario.interval_ms(),
@@ -298,7 +292,6 @@ proptest! {
                 ..DetectorConfig::default()
             },
             min_support: 800,
-            miner: MinerKind::ALL[miner_idx],
             ..ExtractionConfig::default()
         };
         let intervals = scenario.interval_count().min(22);
@@ -337,7 +330,6 @@ proptest! {
                 ..DetectorConfig::default()
             },
             min_support: 800,
-            miner: MinerKind::ALL[miner_idx],
             ..ExtractionConfig::default()
         })
         .unwrap();

@@ -3,7 +3,7 @@
 //! pipeline.
 
 use anomex::detector::EntropyDetector;
-use anomex::mining::mine_top_k;
+use anomex::mining::{mine, mine_top_k};
 use anomex::prelude::*;
 use anomex::traffic::table2_workload;
 
@@ -14,11 +14,11 @@ fn topk_matches_fixed_support_leaders() {
     let w = table2_workload(2009, 0.05);
     let transactions = TransactionSet::from_flows(&w.flows);
 
-    let fixed = MinerKind::FpGrowth.mine_maximal(&transactions, w.min_support);
+    let fixed = mine(&transactions, w.min_support, None).0;
     let mut fixed_ranked = fixed.clone();
     fixed_ranked.sort_by(|a, b| b.support.cmp(&a.support).then_with(|| a.cmp(b)));
 
-    let top = mine_top_k(&transactions, MinerKind::FpGrowth, 5, w.min_support);
+    let top = mine_top_k(&transactions, 5, w.min_support);
     assert_eq!(top.itemsets.len(), 5);
     // The k leaders at the *same* support agree (top-k only lowers s when
     // needed).
@@ -97,8 +97,8 @@ fn entropy_detector_drives_extraction() {
 fn extension_modes_are_mutually_consistent() {
     let w = table2_workload(3, 0.02);
     let tx = TransactionSet::from_flows(&w.flows);
-    let maximal = MinerKind::FpGrowth.mine_maximal(&tx, w.min_support);
-    let top = mine_top_k(&tx, MinerKind::FpGrowth, maximal.len(), w.min_support);
+    let maximal = mine(&tx, w.min_support, None).0;
+    let top = mine_top_k(&tx, maximal.len(), w.min_support);
     for m in &maximal {
         if let Some(in_top) = top.itemsets.iter().find(|t| t == &m) {
             assert_eq!(in_top.support, m.support);

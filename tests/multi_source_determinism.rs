@@ -1,6 +1,6 @@
 //! Multi-source determinism suite: the N-exporter merge engine must be
 //! **bit-identical** to batch extraction of the per-interval
-//! concatenation of all sources' flows — for every miner, source count,
+//! concatenation of all sources' flows — for every source count,
 //! clock skew, and cross-source interleaving, and even when a source
 //! goes silent mid-stream. The merge layer adds per-source assemblers
 //! and a watermark grid on top of the streaming stack, and none of it
@@ -13,7 +13,7 @@ use anomex::prelude::*;
 use anomex::traffic::{LinkConfig, MultiSourceScenario};
 use proptest::prelude::*;
 
-fn config_for(interval_ms: u64, miner: MinerKind) -> ExtractionConfig {
+fn config_for(interval_ms: u64) -> ExtractionConfig {
     ExtractionConfig {
         interval_ms,
         detector: DetectorConfig {
@@ -21,7 +21,6 @@ fn config_for(interval_ms: u64, miner: MinerKind) -> ExtractionConfig {
             ..DetectorConfig::default()
         },
         min_support: 800,
-        miner,
         ..ExtractionConfig::default()
     }
 }
@@ -81,13 +80,12 @@ proptest! {
     /// N-source merged extraction is bit-identical to batch
     /// extraction of the per-interval concatenation of all sources'
     /// flows — for arbitrary source counts, per-source clock skews,
-    /// cross-source delivery orders (whole-interval rotation), and
-    /// miners, including one source going silent mid-stream.
+    /// and cross-source delivery orders (whole-interval rotation),
+    /// including one source going silent mid-stream.
     #[test]
     fn multi_source_equals_batch_of_concatenated_flows(
         seed in 0u64..1_000,
         n_sources in 1usize..=3,
-        miner_idx in 0usize..3,
         skew_step in 0u64..2_000,
         silence_raw in 0u64..20,
     ) {
@@ -103,7 +101,6 @@ proptest! {
             })
             .collect();
         let scenario = MultiSourceScenario::small(seed, links);
-        let miner = MinerKind::ALL[miner_idx];
         let intervals = scenario.interval_count().min(22);
         // A source can only go silent when there is another one to keep
         // the stream (and the watermark) alive.
@@ -112,7 +109,7 @@ proptest! {
         // Batch reference: one engine over the per-interval
         // concatenation (source order), silent source contributing
         // nothing from its cutoff on.
-        let config = config_for(scenario.interval_ms(), miner);
+        let config = config_for(scenario.interval_ms());
         let mut batch = Engine::new(config.clone()).unwrap();
         let mut reference = Vec::new();
         for i in 0..intervals {
@@ -168,7 +165,7 @@ proptest! {
                 &event.event.outcome,
                 reference,
                 &format!(
-                    "seed={seed} miner={miner} sources={n_sources} \
+                    "seed={seed} sources={n_sources} \
                      skew={skew_step} silent={silent:?} interval={i}"
                 ),
             );
@@ -213,8 +210,7 @@ proptest! {
 
         let run = |order_seed: u64| -> Vec<(u64, usize, Vec<usize>, bool)> {
             let mut engine =
-                MultiSourceExtractor::new(config_for(interval_ms, MinerKind::Apriori), &specs, None)
-                    .unwrap();
+                MultiSourceExtractor::new(config_for(interval_ms), &specs, None).unwrap();
             let mut cursors = [0usize; 2];
             let mut state = order_seed;
             let mut events = Vec::new();

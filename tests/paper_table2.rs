@@ -4,9 +4,11 @@
 //!
 //! Workload: `table2_workload(2009, 0.05)` — the flood on port 7000 plus
 //! the artificially added popular ports 80, 9022 and 25 — with all four
-//! ports as meta-data. The pinned values were recorded before PR 14
-//! folded the online types into `Engine` and must stay identical (the
-//! item-sets across all three miners).
+//! ports as meta-data. Table II is mined with Apriori, whose per-level
+//! audit trail is pinned; the engine's FP-growth extraction must return
+//! exactly its item-sets and supports. The pinned values were recorded
+//! before PR 14 folded the online types into `Engine` and must stay
+//! identical.
 
 use anomex::mining::LevelStats;
 use anomex::prelude::*;
@@ -20,10 +22,6 @@ const MAXIMAL_ITEMSETS: usize = 16;
 #[test]
 fn table2_level_stats_and_itemsets_are_pinned() {
     let w = table2_workload(2009, 0.05);
-    let mut md = MetaData::new();
-    for port in [w.flood_port, 80, 9022, 25] {
-        md.insert(FlowFeature::DstPort, u64::from(port));
-    }
     let expected_levels: Vec<LevelStats> = LEVELS
         .iter()
         .enumerate()
@@ -35,38 +33,32 @@ fn table2_level_stats_and_itemsets_are_pinned() {
         })
         .collect();
 
-    let mut reference: Option<Vec<ItemSet>> = None;
-    for miner in MinerKind::ALL {
-        let config = ExtractionConfig {
-            min_support: w.min_support,
-            miner,
-            ..ExtractionConfig::default()
-        };
-        let ex = Engine::new(config).unwrap().extract(&w.flows, &md);
-        assert_eq!(ex.total_flows, TOTAL_FLOWS, "{miner}");
+    let apriori = w.apriori_extraction();
+    assert_eq!(apriori.levels, expected_levels);
+    let config = ExtractionConfig {
+        min_support: w.min_support,
+        ..ExtractionConfig::default()
+    };
+    let ex = Engine::new(config)
+        .unwrap()
+        .extract(&w.flows, &w.metadata());
+    for (miner, run) in [("apriori", &apriori), ("fp-growth", &ex)] {
+        assert_eq!(run.total_flows, TOTAL_FLOWS, "{miner}");
         assert_eq!(
-            ex.suspicious_flows, TOTAL_FLOWS,
+            run.suspicious_flows, TOTAL_FLOWS,
             "every port is meta-data ({miner})"
         );
-        assert_eq!(ex.itemsets.len(), MAXIMAL_ITEMSETS, "{miner}");
-        if miner == MinerKind::Apriori {
-            assert_eq!(ex.levels, expected_levels, "{miner}");
-        }
-        let reference = reference.get_or_insert_with(|| ex.itemsets.clone());
-        assert_eq!(&ex.itemsets, reference, "{miner}");
-        for (a, b) in ex.itemsets.iter().zip(reference.iter()) {
-            assert_eq!(a.support, b.support, "{a} ({miner})");
-        }
+        assert_eq!(run.itemsets.len(), MAXIMAL_ITEMSETS, "{miner}");
+    }
+    assert_eq!(ex.itemsets, apriori.itemsets);
+    for (a, b) in ex.itemsets.iter().zip(&apriori.itemsets) {
+        assert_eq!(a.support, b.support, "{a}");
     }
 
     // What the paper's operator reads off the table: the flood is three
     // item-sets (one per source) on the victim, and each HTTP proxy
     // surfaces as one item-set of its own.
-    let rendered: Vec<String> = reference
-        .expect("at least one run")
-        .iter()
-        .map(ToString::to_string)
-        .collect();
+    let rendered: Vec<String> = apriori.itemsets.iter().map(ToString::to_string).collect();
     let flood: Vec<&String> = rendered
         .iter()
         .filter(|s| s.contains(&format!("dstPort={}", w.flood_port)))

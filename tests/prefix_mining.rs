@@ -6,6 +6,8 @@
 use std::net::Ipv4Addr;
 
 use anomex::core::TransactionMode;
+use anomex::mining::apriori::apriori;
+use anomex::mining::AprioriConfig;
 use anomex::prelude::*;
 use anomex::traffic::inject::dscan;
 use rand::rngs::StdRng;
@@ -48,11 +50,10 @@ fn metadata() -> MetaData {
     md
 }
 
-/// Offline extraction at support 500 with `miner` over `transactions`.
-fn extract(flows: &[FlowRecord], transactions: TransactionMode, miner: MinerKind) -> Extraction {
+/// Offline extraction at support 500 over `transactions`.
+fn extract(flows: &[FlowRecord], transactions: TransactionMode) -> Extraction {
     let config = ExtractionConfig {
         min_support: 500,
-        miner,
         transactions,
         ..ExtractionConfig::default()
     };
@@ -62,7 +63,7 @@ fn extract(flows: &[FlowRecord], transactions: TransactionMode, miner: MinerKind
 #[test]
 fn canonical_mining_cannot_pin_the_subnet() {
     let flows = workload();
-    let ex = extract(&flows, TransactionMode::Canonical, MinerKind::FpGrowth);
+    let ex = extract(&flows, TransactionMode::Canonical);
     let joined = ex
         .itemsets
         .iter()
@@ -85,7 +86,7 @@ fn canonical_mining_cannot_pin_the_subnet() {
 #[test]
 fn prefix_mining_pins_the_scanned_range() {
     let flows = workload();
-    let ex = extract(&flows, TransactionMode::WithPrefixes, MinerKind::FpGrowth);
+    let ex = extract(&flows, TransactionMode::WithPrefixes);
     let joined = ex
         .itemsets
         .iter()
@@ -109,15 +110,26 @@ fn prefix_mining_pins_the_scanned_range() {
     );
 }
 
+/// The engine's FP-growth extraction in prefix mode is Apriori's over
+/// the same width-9 transactions: the same maximal item-sets, with the
+/// same supports.
 #[test]
 fn miners_agree_in_prefix_mode() {
     let flows = workload();
-    let prefix_request = |miner| extract(&flows, TransactionMode::WithPrefixes, miner);
-    let a = prefix_request(MinerKind::Apriori);
-    let f = prefix_request(MinerKind::FpGrowth);
-    let e = prefix_request(MinerKind::Eclat);
-    assert_eq!(a.itemsets, f.itemsets);
-    assert_eq!(f.itemsets, e.itemsets);
+    let f = extract(&flows, TransactionMode::WithPrefixes);
+    let md = metadata();
+    let suspicious: Vec<FlowRecord> = flows
+        .iter()
+        .filter(|x| md.matches_any(x))
+        .copied()
+        .collect();
+    let transactions = TransactionSet::from_flows_extended(&suspicious);
+    let a = apriori(&transactions, &AprioriConfig::maximal(500)).itemsets;
+    assert_eq!(f.suspicious_flows, suspicious.len());
+    assert_eq!(a, f.itemsets);
+    for (x, y) in a.iter().zip(&f.itemsets) {
+        assert_eq!(x.support, y.support, "{x}");
+    }
 }
 
 #[test]
@@ -220,7 +232,7 @@ fn prefix_mode_evaluation_judges_what_was_mined() {
             r.interval
         );
     }
-    let [sweep] = run.fp_sweep(&[700], config.miner).try_into().unwrap();
+    let [sweep] = run.fp_sweep(&[700]).try_into().unwrap();
     let fps: Vec<usize> = alarmed.iter().map(|r| r.fp_itemsets()).collect();
     assert_eq!(sweep.fp_per_interval, fps);
     assert_eq!(sweep.extracted_fraction.to_bits(), 1.0f64.to_bits());

@@ -2,6 +2,8 @@
 //! the detector, and the miner.
 
 use anomex::core::{prefilter_indices_columns, PrefilterMode};
+use anomex::mining::apriori::apriori;
+use anomex::mining::{mine, AprioriConfig};
 use anomex::netflow::FlowColumns;
 use anomex::prelude::*;
 use proptest::prelude::*;
@@ -55,11 +57,10 @@ fn suspicious(flows: &[FlowRecord], md: &MetaData) -> Vec<FlowRecord> {
         .collect()
 }
 
-/// Offline extraction at `min_support` with `miner`.
-fn extract(flows: &[FlowRecord], md: &MetaData, min_support: u64, miner: MinerKind) -> Extraction {
+/// Offline extraction at `min_support`.
+fn extract(flows: &[FlowRecord], md: &MetaData, min_support: u64) -> Extraction {
     let config = ExtractionConfig {
         min_support,
-        miner,
         ..ExtractionConfig::default()
     };
     Engine::new(config).unwrap().extract(flows, md)
@@ -77,7 +78,7 @@ proptest! {
         md in arb_metadata(),
         support in 5u64..40,
     ) {
-        let ex = extract(&flows, &md, support, MinerKind::default());
+        let ex = extract(&flows, &md, support);
         let suspicious = suspicious(&flows, &md);
         prop_assert_eq!(ex.suspicious_flows, suspicious.len());
         let tx = TransactionSet::from_flows(&suspicious);
@@ -87,19 +88,23 @@ proptest! {
         }
     }
 
-    /// Miners are interchangeable at the pipeline level (not just on raw
-    /// transaction sets).
+    /// The pipeline's FP-growth extraction is Apriori's at the pipeline
+    /// level (not just on raw transaction sets): the same maximal
+    /// item-sets, with the same supports, as Apriori mines from the
+    /// suspicious flows.
     #[test]
     fn pipeline_miners_agree(
         flows in proptest::collection::vec(arb_flow(), 50..300),
         md in arb_metadata(),
         support in 3u64..30,
     ) {
-        let a = extract(&flows, &md, support, MinerKind::Apriori);
-        let f = extract(&flows, &md, support, MinerKind::FpGrowth);
-        let e = extract(&flows, &md, support, MinerKind::Eclat);
-        prop_assert_eq!(&a.itemsets, &f.itemsets);
-        prop_assert_eq!(&f.itemsets, &e.itemsets);
+        let f = extract(&flows, &md, support);
+        let tx = TransactionSet::from_flows(&suspicious(&flows, &md));
+        let a = apriori(&tx, &AprioriConfig::maximal(support)).itemsets;
+        prop_assert_eq!(&a, &f.itemsets);
+        for (x, y) in a.iter().zip(&f.itemsets) {
+            prop_assert_eq!(x.support, y.support, "{}", x);
+        }
     }
 
     /// Suspicious flows always match the meta-data; rejected flows never
@@ -129,8 +134,8 @@ proptest! {
         s_lo in 3u64..15,
     ) {
         let s_hi = s_lo * 2;
-        let lo = extract(&flows, &md, s_lo, MinerKind::Eclat);
-        let hi = extract(&flows, &md, s_hi, MinerKind::Eclat);
+        let lo = extract(&flows, &md, s_lo);
+        let hi = extract(&flows, &md, s_hi);
         let tx = TransactionSet::from_flows(&suspicious(&flows, &md));
         for set in &hi.itemsets {
             prop_assert!(tx.support_of(set.items()) >= s_lo);
@@ -155,8 +160,8 @@ proptest! {
             collector.ingest(&d).unwrap();
         }
         let decoded = collector.into_flows();
-        let direct = MinerKind::FpGrowth.mine_maximal(&TransactionSet::from_flows(&flows), support);
-        let wired = MinerKind::FpGrowth.mine_maximal(&TransactionSet::from_flows(&decoded), support);
+        let direct = mine(&TransactionSet::from_flows(&flows), support, None).0;
+        let wired = mine(&TransactionSet::from_flows(&decoded), support, None).0;
         prop_assert_eq!(direct, wired);
     }
 }

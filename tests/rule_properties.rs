@@ -1,12 +1,12 @@
-//! Property suite for the association-rule layer: every rule a
-//! [`MinerKind::mine`] run with rules emits must satisfy the metric
+//! Property suite for the association-rule layer: every rule an
+//! extraction's mining pass ([`mine`] with rules) emits must satisfy the metric
 //! definitions *exactly* (recomputed from brute-force support counts
 //! over the transactions, compared by bit pattern), stay in its valid
 //! range, and honor the configured filters — the facade-level contract
 //! of the rule engine.
 
 use anomex::mining::rules::CONVICTION_SCORE_CAP;
-use anomex::mining::{Item, MinerKind, RuleConfig, RuleSet, Transaction, TransactionSet};
+use anomex::mining::{mine, Item, RuleConfig, RuleSet, Transaction, TransactionSet};
 use anomex_netflow::FlowFeature;
 use proptest::prelude::*;
 
@@ -27,8 +27,8 @@ fn arb_set(max: usize) -> impl Strategy<Value = TransactionSet> {
 }
 
 /// The ranked rules of one mining pass with the rule layer on.
-fn rules_of(miner: MinerKind, set: &TransactionSet, min_support: u64, rc: &RuleConfig) -> RuleSet {
-    let (_, _, rules) = miner.mine(set, min_support, Some(rc));
+fn rules_of(set: &TransactionSet, min_support: u64, rc: &RuleConfig) -> RuleSet {
+    let (_, rules) = mine(set, min_support, Some(rc));
     rules.expect("rules requested")
 }
 
@@ -47,10 +47,9 @@ proptest! {
     fn metrics_match_their_definitions_exactly(
         set in arb_set(100),
         min_support in 1u64..4,
-        miner_idx in 0usize..3,
     ) {
         let rc = RuleConfig { min_confidence: 0.2, min_lift: 0.0, rare: false };
-        let rules = rules_of(MinerKind::ALL[miner_idx], &set, min_support, &rc);
+        let rules = rules_of(&set, min_support, &rc);
         let n = set.len() as u64;
         prop_assert_eq!(rules.transactions, n);
         for scored in &rules.rules {
@@ -95,10 +94,9 @@ proptest! {
         min_support in 1u64..4,
         min_confidence in 0.0f64..1.0,
         min_lift in 0.0f64..2.0,
-        miner_idx in 0usize..3,
     ) {
         let rc = RuleConfig { min_confidence, min_lift, rare: false };
-        let rules = rules_of(MinerKind::ALL[miner_idx], &set, min_support, &rc);
+        let rules = rules_of(&set, min_support, &rc);
         let n = set.len() as u64;
         for scored in &rules.rules {
             let r = &scored.rule;
@@ -136,13 +134,11 @@ proptest! {
     fn rare_mode_is_a_superset_of_normal_mode(
         set in arb_set(100),
         min_support in 2u64..6,
-        miner_idx in 0usize..3,
     ) {
         let normal = RuleConfig { min_confidence: 0.2, min_lift: 0.0, rare: false };
         let rare = RuleConfig { rare: true, ..normal };
-        let miner = MinerKind::ALL[miner_idx];
-        let base = rules_of(miner, &set, min_support, &normal);
-        let widened = rules_of(miner, &set, min_support, &rare);
+        let base = rules_of(&set, min_support, &normal);
+        let widened = rules_of(&set, min_support, &rare);
         prop_assert!(widened.len() >= base.len());
         for scored in &base.rules {
             let found = widened

@@ -1,6 +1,6 @@
 //! Streaming determinism suite: the continuous streaming engine must be
-//! **bit-identical** to batch extraction over the same flows — for every
-//! miner and arbitrary scenario seeds. The streaming path adds two
+//! **bit-identical** to batch extraction over the same flows — for
+//! arbitrary scenario seeds. The streaming path adds two
 //! layers on top of the engine (the interval assembler and the
 //! double-buffered pipeline thread), and neither may perturb a single
 //! bit of output: the assembler emits exactly the windows batch slicing
@@ -13,7 +13,7 @@ use anomex::prelude::*;
 use anomex_core::IntervalOutcome;
 use proptest::prelude::*;
 
-fn config_for(scenario: &Scenario, miner: MinerKind) -> ExtractionConfig {
+fn config_for(scenario: &Scenario) -> ExtractionConfig {
     ExtractionConfig {
         interval_ms: scenario.interval_ms(),
         detector: DetectorConfig {
@@ -21,7 +21,6 @@ fn config_for(scenario: &Scenario, miner: MinerKind) -> ExtractionConfig {
             ..DetectorConfig::default()
         },
         min_support: 800,
-        miner,
         ..ExtractionConfig::default()
     }
 }
@@ -81,18 +80,14 @@ proptest! {
 
     /// Flow-by-flow streaming through a one-lane [`MultiSourceExtractor`] produces
     /// the same alarm stream, meta-data, bit-identical KL series, and
-    /// identical extractions as the batch pipeline — for every miner.
+    /// identical extractions as the batch pipeline.
     #[test]
-    fn streaming_equals_batch_for_every_miner(
-        seed in 0u64..1_000,
-        miner_idx in 0usize..3,
-    ) {
+    fn streaming_equals_batch(seed in 0u64..1_000) {
         let scenario = Scenario::small(seed);
-        let miner = MinerKind::ALL[miner_idx];
         let intervals = scenario.interval_count().min(22);
 
-        let mut batch = Engine::new(config_for(&scenario, miner)).unwrap();
-        let mut stream = one_lane(config_for(&scenario, miner));
+        let mut batch = Engine::new(config_for(&scenario)).unwrap();
+        let mut stream = one_lane(config_for(&scenario));
 
         let mut events = Vec::new();
         let mut batch_outcomes = Vec::new();
@@ -114,7 +109,7 @@ proptest! {
             assert_outcomes_identical(
                 &e.event.outcome,
                 reference,
-                &format!("seed={seed} miner={miner} interval={i}"),
+                &format!("seed={seed} interval={i}"),
             );
         }
     }
@@ -127,7 +122,7 @@ proptest! {
 #[test]
 fn abandoned_streams_and_extractors_shut_down_cleanly() {
     let scenario = Scenario::small(3);
-    let mut stream = one_lane(config_for(&scenario, MinerKind::Apriori));
+    let mut stream = one_lane(config_for(&scenario));
     // Enough flows to close a few intervals and keep work queued.
     for i in 0..3 {
         for flow in scenario.generate(i).flows {
