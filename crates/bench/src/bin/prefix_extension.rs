@@ -19,11 +19,10 @@ use anomex_core::{Engine, ExtractionConfig, TransactionMode};
 use anomex_detector::MetaData;
 use anomex_netflow::{FlowFeature, FlowRecord, Protocol};
 use anomex_traffic::inject::dscan;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use anomex_traffic::rng::Rng;
 
 fn workload() -> Vec<FlowRecord> {
-    let mut rng = StdRng::seed_from_u64(99);
+    let mut rng = Rng::seed_from_u64(99);
     let mut flows = dscan::generate(
         Ipv4Addr::new(10, 16, 0, 0),
         445,
@@ -37,13 +36,13 @@ fn workload() -> Vec<FlowRecord> {
         flows.push(
             FlowRecord::new(
                 u64::from(i) * 10,
-                Ipv4Addr::from(rng.random::<u32>() | 0x2000_0000),
-                Ipv4Addr::from(0x0a00_0000 | (rng.random::<u32>() & 0x00FF_FFFF)),
-                rng.random_range(1024..60_000),
-                [80u16, 443, 25, 53][rng.random_range(0..4usize)],
+                Ipv4Addr::from(rng.u32() | 0x2000_0000),
+                Ipv4Addr::from(0x0a00_0000 | (rng.u32() & 0x00FF_FFFF)),
+                rng.range(1024..60_000),
+                [80u16, 443, 25, 53][rng.range(0..4usize)],
                 Protocol::Tcp,
             )
-            .with_volume(rng.random_range(1..20), 500),
+            .with_volume(rng.range(1..20), 500),
         );
     }
     flows

@@ -10,10 +10,9 @@
 use std::net::Ipv4Addr;
 
 use anomex_netflow::{FlowRecord, Protocol, TcpFlags};
-use rand::rngs::StdRng;
-use rand::Rng;
 
 use crate::dist::{BoundedPareto, Zipf};
+use crate::rng::Rng;
 
 /// Well-known service ports and their relative popularity on a backbone
 /// link (HTTP dominates, then TLS, mail, DNS, and a long tail).
@@ -199,9 +198,9 @@ impl BackgroundModel {
     }
 
     /// Number of flows to generate in an interval (diurnal × jitter).
-    pub fn flow_count<R: Rng + ?Sized>(&self, interval: u64, rng: &mut R) -> u64 {
+    pub fn flow_count(&self, interval: u64, rng: &mut Rng) -> u64 {
         let base = self.config.flows_per_interval as f64 * self.diurnal_factor(interval);
-        let jitter = 1.0 + self.config.noise * (rng.random::<f64>() * 2.0 - 1.0);
+        let jitter = 1.0 + self.config.noise * (rng.f64() * 2.0 - 1.0);
         (base * jitter).max(0.0) as u64
     }
 
@@ -227,9 +226,9 @@ impl BackgroundModel {
     }
 
     /// Pick a service port using the weighted popularity table.
-    fn service_port<R: Rng + ?Sized>(&self, rng: &mut R) -> u16 {
+    fn service_port(&self, rng: &mut Rng) -> u16 {
         let total: f64 = SERVICES.iter().map(|&(_, w)| w).sum::<f64>() + TAIL_WEIGHT;
-        let mut u = rng.random::<f64>() * total;
+        let mut u = rng.f64() * total;
         for &(port, w) in &SERVICES {
             if u < w {
                 return port;
@@ -237,7 +236,7 @@ impl BackgroundModel {
             u -= w;
         }
         // Long tail: a random unprivileged port.
-        rng.random_range(1024..=u16::MAX)
+        rng.range_inclusive(1024..=u16::MAX)
     }
 
     /// Flow volume: heavy-tailed packets. A *fraction* of the small flows
@@ -246,18 +245,18 @@ impl BackgroundModel {
     /// (#packets, #bytes) pairs the paper observes as benign frequent
     /// item-sets — while the rest vary freely, keeping any single pair a
     /// sub-percent minority like in real traffic.
-    fn volume<R: Rng + ?Sized>(&self, mix: &IntervalMix, rng: &mut R) -> (u32, u32) {
+    fn volume(&self, mix: &IntervalMix, rng: &mut Rng) -> (u32, u32) {
         let packets = BoundedPareto::new(1.0, 20_000.0, mix.pareto_alpha).sample_int(rng);
-        let pkt_size = if packets <= 3 && rng.random::<f64>() < mix.control_frac {
+        let pkt_size = if packets <= 3 && rng.f64() < mix.control_frac {
             // Control mice: the classic quantized sizes.
             *[40u32, 44, 48, 52]
-                .get(rng.random_range(0..4usize))
+                .get(rng.range(0..4usize))
                 .expect("fixed table")
         } else if packets <= 3 {
             // Small data flows: diverse sizes.
-            rng.random_range(40..1460)
+            rng.range(40..1460)
         } else {
-            rng.random_range(64..1460)
+            rng.range(64..1460)
         };
         (packets, packets.saturating_mul(pkt_size))
     }
@@ -271,7 +270,7 @@ impl BackgroundModel {
         interval: u64,
         begin_ms: u64,
         interval_ms: u64,
-        rng: &mut StdRng,
+        rng: &mut Rng,
     ) -> Vec<FlowRecord> {
         let n = self.flow_count(interval, rng);
         let mix_start = self.mix_at(interval);
@@ -287,13 +286,13 @@ impl BackgroundModel {
     /// `(mix_seed, interval)` so neighbouring intervals agree on their
     /// shared boundary.
     fn mix_at(&self, interval: u64) -> IntervalMix {
-        use rand::SeedableRng;
+        // A truncated SplitMix64 finalizer, not `rng::mix`: the goldens pin its output.
         let mut z = self.config.mix_seed ^ interval.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z ^= z >> 31;
-        let mut rng = StdRng::seed_from_u64(z);
+        let mut rng = Rng::seed_from_u64(z);
         let d = self.config.mix_drift;
-        let mut wobble = || 1.0 + d * (rng.random::<f64>() * 2.0 - 1.0);
+        let mut wobble = || 1.0 + d * (rng.f64() * 2.0 - 1.0);
         IntervalMix {
             pareto_alpha: (1.15 * wobble()).clamp(1.01, 1.6),
             control_frac: (0.35 * wobble()).clamp(0.05, 0.8),
@@ -307,16 +306,16 @@ impl BackgroundModel {
         interval_ms: u64,
         mix_start: &IntervalMix,
         mix_end: &IntervalMix,
-        rng: &mut StdRng,
+        rng: &mut Rng,
     ) -> FlowRecord {
-        let start = begin_ms + rng.random_range(0..interval_ms);
+        let start = begin_ms + rng.range(0..interval_ms);
         // Continuous drift: the mix at this flow's position in the window.
         let t = (start - begin_ms) as f64 / interval_ms as f64;
         let mix = IntervalMix::lerp(mix_start, mix_end, t);
         let (packets, bytes) = self.volume(&mix, rng);
 
         // Heavy hitter?
-        let mut share_roll: f64 = rng.random();
+        let mut share_roll = rng.f64();
         for hh in &self.config.heavy_hitters {
             if share_roll < hh.share {
                 // The proxy/cache originates a flow to some external
@@ -326,12 +325,12 @@ impl BackgroundModel {
                     start,
                     hh.host,
                     dst,
-                    rng.random_range(1024..=u16::MAX),
+                    rng.range_inclusive(1024..=u16::MAX),
                     hh.port,
                     Protocol::Tcp,
                 )
                 .with_volume(packets, bytes)
-                .with_end(start + u64::from(rng.random_range(1..30_000u32)))
+                .with_end(start + u64::from(rng.range(1..30_000u32)))
                 .with_flags(TcpFlags(TcpFlags::SYN | TcpFlags::ACK | TcpFlags::FIN));
             }
             share_roll -= hh.share;
@@ -341,14 +340,14 @@ impl BackgroundModel {
         let local = self.local_addr(self.local_zipf.sample(rng));
         let external = self.external_addr(self.external_zipf.sample(rng));
         let service = self.service_port(rng);
-        let client_port = rng.random_range(1024..=u16::MAX);
+        let client_port = rng.range_inclusive(1024..=u16::MAX);
         let proto = match service {
             53 | 123 => Protocol::Udp,
-            _ if rng.random::<f64>() < 0.02 => Protocol::Icmp,
-            _ if rng.random::<f64>() < mix.udp_frac => Protocol::Udp,
+            _ if rng.f64() < 0.02 => Protocol::Icmp,
+            _ if rng.f64() < mix.udp_frac => Protocol::Udp,
             _ => Protocol::Tcp,
         };
-        let outbound = rng.random::<f64>() < 0.5;
+        let outbound = rng.f64() < 0.5;
         let (src, dst, sport, dport) = if outbound {
             (local, external, client_port, service)
         } else {
@@ -356,7 +355,7 @@ impl BackgroundModel {
         };
         let mut flow = FlowRecord::new(start, src, dst, sport, dport, proto)
             .with_volume(packets, bytes)
-            .with_end(start + u64::from(rng.random_range(1..60_000u32)));
+            .with_end(start + u64::from(rng.range(1..60_000u32)));
         if proto == Protocol::Tcp {
             flow = flow.with_flags(TcpFlags(TcpFlags::SYN | TcpFlags::ACK | TcpFlags::FIN));
         }
@@ -367,7 +366,6 @@ impl BackgroundModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     fn model() -> BackgroundModel {
         BackgroundModel::new(BackgroundConfig {
@@ -381,7 +379,7 @@ mod tests {
     #[test]
     fn generates_requested_volume() {
         let m = model();
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::seed_from_u64(1);
         let flows = m.generate(0, 0, 900_000, &mut rng);
         assert_eq!(flows.len(), 5000);
         assert!(flows.iter().all(|f| f.start_ms < 900_000));
@@ -390,15 +388,15 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let m = model();
-        let a = m.generate(3, 0, 900_000, &mut StdRng::seed_from_u64(7));
-        let b = m.generate(3, 0, 900_000, &mut StdRng::seed_from_u64(7));
+        let a = m.generate(3, 0, 900_000, &mut Rng::seed_from_u64(7));
+        let b = m.generate(3, 0, 900_000, &mut Rng::seed_from_u64(7));
         assert_eq!(a, b);
     }
 
     #[test]
     fn port_80_dominates() {
         let m = model();
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = Rng::seed_from_u64(2);
         let flows = m.generate(0, 0, 900_000, &mut rng);
         let web = flows.iter().filter(|f| f.dst_port == 80).count();
         let ssh = flows.iter().filter(|f| f.dst_port == 22).count();
@@ -411,7 +409,7 @@ mod tests {
     #[test]
     fn heavy_hitters_originate_their_share() {
         let m = model();
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = Rng::seed_from_u64(3);
         let flows = m.generate(0, 0, 900_000, &mut rng);
         let hh_host = Ipv4Addr::new(10, 1, 0, 10);
         let from_hh = flows.iter().filter(|f| f.src_ip == hh_host).count();
@@ -427,7 +425,7 @@ mod tests {
     #[test]
     fn flow_sizes_are_heavy_tailed() {
         let m = model();
-        let mut rng = StdRng::seed_from_u64(4);
+        let mut rng = Rng::seed_from_u64(4);
         // Pool several intervals: with Pareto(α≈1.15) the expected
         // >1000-packet count in a single 5000-flow interval is ~2, so a
         // one-interval assertion is at the mercy of the RNG stream.
@@ -478,7 +476,7 @@ mod tests {
     #[test]
     fn dns_flows_are_udp() {
         let m = model();
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut rng = Rng::seed_from_u64(5);
         let flows = m.generate(0, 0, 900_000, &mut rng);
         assert!(flows
             .iter()

@@ -7,7 +7,7 @@
 //! collisions on popular values, frequent-item false positives, deep
 //! histogram tails — the paper's SWITCH traces did.
 
-use rand::Rng;
+use crate::rng::Rng;
 
 /// A Zipf(α) sampler over ranks `0..n` using a precomputed CDF.
 ///
@@ -57,8 +57,8 @@ impl Zipf {
     }
 
     /// Draw a rank in `0..n`.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let u: f64 = rng.random();
+    pub fn sample(&self, rng: &mut Rng) -> usize {
+        let u = rng.f64();
         self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
     }
 }
@@ -90,15 +90,15 @@ impl BoundedPareto {
 
     /// Draw a sample in `[x_min, x_max]` (inverse-CDF of the truncated
     /// Pareto).
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let u: f64 = rng.random();
+    pub fn sample(&self, rng: &mut Rng) -> f64 {
+        let u = rng.f64();
         let lo = self.x_min.powf(-self.alpha);
         let hi = self.x_max.powf(-self.alpha);
         (lo - u * (lo - hi)).powf(-1.0 / self.alpha)
     }
 
     /// Draw an integer sample (round down, clamped to `x_min.ceil()`).
-    pub fn sample_int<R: Rng + ?Sized>(&self, rng: &mut R) -> u32 {
+    pub fn sample_int(&self, rng: &mut Rng) -> u32 {
         (self.sample(rng) as u32).max(self.x_min.ceil() as u32)
     }
 }
@@ -106,13 +106,11 @@ impl BoundedPareto {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn zipf_rank_zero_is_most_popular() {
         let z = Zipf::new(100, 1.0);
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::seed_from_u64(1);
         let mut counts = vec![0u32; 100];
         for _ in 0..20_000 {
             counts[z.sample(&mut rng)] += 1;
@@ -127,7 +125,7 @@ mod tests {
     #[test]
     fn zipf_alpha_zero_is_uniform() {
         let z = Zipf::new(10, 0.0);
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = Rng::seed_from_u64(2);
         let mut counts = vec![0u32; 10];
         for _ in 0..50_000 {
             counts[z.sample(&mut rng)] += 1;
@@ -141,7 +139,7 @@ mod tests {
     #[test]
     fn zipf_samples_stay_in_range() {
         let z = Zipf::new(7, 1.3);
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = Rng::seed_from_u64(3);
         for _ in 0..1000 {
             assert!(z.sample(&mut rng) < 7);
         }
@@ -150,7 +148,7 @@ mod tests {
     #[test]
     fn zipf_single_rank() {
         let z = Zipf::new(1, 1.0);
-        let mut rng = StdRng::seed_from_u64(4);
+        let mut rng = Rng::seed_from_u64(4);
         assert_eq!(z.sample(&mut rng), 0);
     }
 
@@ -163,7 +161,7 @@ mod tests {
     #[test]
     fn pareto_respects_bounds() {
         let p = BoundedPareto::new(1.0, 10_000.0, 1.2);
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut rng = Rng::seed_from_u64(5);
         for _ in 0..5000 {
             let x = p.sample(&mut rng);
             assert!((1.0..=10_000.0).contains(&x), "sample {x} out of bounds");
@@ -173,7 +171,7 @@ mod tests {
     #[test]
     fn pareto_is_heavy_tailed() {
         let p = BoundedPareto::new(1.0, 100_000.0, 1.1);
-        let mut rng = StdRng::seed_from_u64(6);
+        let mut rng = Rng::seed_from_u64(6);
         let samples: Vec<f64> = (0..20_000).map(|_| p.sample(&mut rng)).collect();
         let small = samples.iter().filter(|&&x| x < 2.0).count() as f64 / samples.len() as f64;
         let large = samples.iter().filter(|&&x| x > 100.0).count();
@@ -184,7 +182,7 @@ mod tests {
     #[test]
     fn pareto_int_samples_floor_at_xmin() {
         let p = BoundedPareto::new(1.0, 100.0, 2.0);
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = Rng::seed_from_u64(7);
         for _ in 0..1000 {
             assert!(p.sample_int(&mut rng) >= 1);
         }

@@ -9,10 +9,9 @@
 use std::net::Ipv4Addr;
 
 use anomex_netflow::{FlowRecord, Protocol, TcpFlags};
-use rand::rngs::StdRng;
-use rand::Rng;
 
 use super::{ephemeral_port, start_in};
+use crate::rng::Rng;
 
 /// Generate `n` backscatter flows converging on destination `port`.
 pub fn generate(
@@ -20,14 +19,14 @@ pub fn generate(
     n: u64,
     begin_ms: u64,
     interval_ms: u64,
-    rng: &mut StdRng,
+    rng: &mut Rng,
 ) -> Vec<FlowRecord> {
     (0..n)
         .map(|_| {
             // Every flow from a different (random remote) source.
-            let src = Ipv4Addr::from(rng.random::<u32>());
+            let src = Ipv4Addr::from(rng.u32());
             // Scattered across the local address space.
-            let dst = Ipv4Addr::from(0x0a00_0000 | (rng.random::<u32>() & 0x001F_FFFF));
+            let dst = Ipv4Addr::from(0x0a00_0000 | (rng.u32() & 0x001F_FFFF));
             let start = start_in(begin_ms, interval_ms, rng);
             FlowRecord::new(start, src, dst, ephemeral_port(rng), port, Protocol::Tcp)
                 .with_volume(1, 40)
@@ -39,11 +38,10 @@ pub fn generate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     #[test]
     fn fixed_dst_port_random_sources() {
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::seed_from_u64(1);
         let flows = generate(9022, 2000, 0, 60_000, &mut rng);
         assert!(flows.iter().all(|f| f.dst_port == 9022));
         let distinct_srcs: std::collections::BTreeSet<Ipv4Addr> =
@@ -58,7 +56,7 @@ mod tests {
 
     #[test]
     fn single_packet_syn_ack_replies() {
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = Rng::seed_from_u64(2);
         let flows = generate(9022, 100, 0, 60_000, &mut rng);
         assert!(flows
             .iter()

@@ -6,10 +6,9 @@
 use std::net::Ipv4Addr;
 
 use anomex_netflow::{FlowRecord, Protocol, TcpFlags};
-use rand::rngs::StdRng;
-use rand::Rng;
 
 use super::{ephemeral_port, start_in};
+use crate::rng::Rng;
 
 /// Generate `n` attack flows from `attackers` distinct bots toward
 /// `victim:port`.
@@ -20,7 +19,7 @@ pub fn generate(
     n: u64,
     begin_ms: u64,
     interval_ms: u64,
-    rng: &mut StdRng,
+    rng: &mut Rng,
 ) -> Vec<FlowRecord> {
     assert!(attackers > 0, "DDoS needs at least one attacker");
     // A stable bot army: derive attacker addresses from a base so the same
@@ -28,9 +27,9 @@ pub fn generate(
     let base: u32 = 0x2d00_0000 ^ (u32::from(port) << 8);
     (0..n)
         .map(|_| {
-            let bot = base.wrapping_add(rng.random_range(0..attackers).wrapping_mul(977));
+            let bot = base.wrapping_add(rng.range(0..attackers).wrapping_mul(977));
             let start = start_in(begin_ms, interval_ms, rng);
-            let packets = rng.random_range(1..=4);
+            let packets = rng.range_inclusive(1..=4);
             FlowRecord::new(
                 start,
                 Ipv4Addr::from(bot),
@@ -48,12 +47,11 @@ pub fn generate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     #[test]
     fn many_sources_one_victim() {
         let victim = Ipv4Addr::new(10, 0, 0, 80);
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::seed_from_u64(1);
         let flows = generate(victim, 80, 800, 4000, 0, 60_000, &mut rng);
         assert!(flows.iter().all(|f| f.dst_ip == victim && f.dst_port == 80));
         let sources: std::collections::BTreeSet<Ipv4Addr> =
@@ -68,8 +66,8 @@ mod tests {
     #[test]
     fn bot_army_is_stable_across_intervals() {
         let victim = Ipv4Addr::new(10, 0, 0, 80);
-        let mut rng1 = StdRng::seed_from_u64(1);
-        let mut rng2 = StdRng::seed_from_u64(99);
+        let mut rng1 = Rng::seed_from_u64(1);
+        let mut rng2 = Rng::seed_from_u64(99);
         let a: std::collections::BTreeSet<Ipv4Addr> =
             generate(victim, 80, 50, 2000, 0, 60_000, &mut rng1)
                 .iter()
@@ -86,7 +84,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one attacker")]
     fn zero_attackers_panics() {
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::seed_from_u64(1);
         let _ = generate(Ipv4Addr::new(10, 0, 0, 1), 80, 0, 10, 0, 60_000, &mut rng);
     }
 }

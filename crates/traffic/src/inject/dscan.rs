@@ -9,10 +9,9 @@
 use std::net::Ipv4Addr;
 
 use anomex_netflow::{FlowRecord, Protocol, TcpFlags};
-use rand::rngs::StdRng;
-use rand::Rng;
 
 use super::{ephemeral_port, start_in};
+use crate::rng::Rng;
 
 /// Generate `n` probes from `attackers` distinct bots into the /16 subnet
 /// of `subnet` on `port`.
@@ -23,7 +22,7 @@ pub fn generate(
     n: u64,
     begin_ms: u64,
     interval_ms: u64,
-    rng: &mut StdRng,
+    rng: &mut Rng,
 ) -> Vec<FlowRecord> {
     assert!(
         attackers > 0,
@@ -33,9 +32,9 @@ pub fn generate(
     let bot_base: u32 = 0x7300_0000 ^ (u32::from(port) << 10);
     (0..n)
         .map(|_| {
-            let bot = bot_base.wrapping_add(rng.random_range(0..attackers).wrapping_mul(1361));
+            let bot = bot_base.wrapping_add(rng.range(0..attackers).wrapping_mul(1361));
             // Each probe hits a random host inside the target subnet.
-            let dst = Ipv4Addr::from(net | (rng.random::<u32>() & 0xFFFF));
+            let dst = Ipv4Addr::from(net | (rng.u32() & 0xFFFF));
             let start = start_in(begin_ms, interval_ms, rng);
             FlowRecord::new(
                 start,
@@ -54,12 +53,11 @@ pub fn generate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     #[test]
     fn probes_stay_in_the_target_subnet() {
         let subnet = Ipv4Addr::new(10, 16, 0, 0);
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::seed_from_u64(1);
         let flows = generate(subnet, 445, 500, 2000, 0, 60_000, &mut rng);
         assert!(flows
             .iter()
@@ -69,7 +67,7 @@ mod tests {
 
     #[test]
     fn no_single_endpoint_dominates() {
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = Rng::seed_from_u64(2);
         let flows = generate(
             Ipv4Addr::new(10, 16, 0, 0),
             445,
@@ -96,7 +94,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one attacker")]
     fn zero_attackers_panics() {
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = Rng::seed_from_u64(3);
         let _ = generate(Ipv4Addr::new(10, 16, 0, 0), 445, 0, 10, 0, 60_000, &mut rng);
     }
 }

@@ -5,10 +5,9 @@
 use std::net::Ipv4Addr;
 
 use anomex_netflow::{FlowRecord, Protocol};
-use rand::rngs::StdRng;
-use rand::Rng;
 
 use super::start_in;
+use crate::rng::Rng;
 
 /// Generate `n` probe flows from the experiment `node` with fixed
 /// source/destination ports toward many remote hosts.
@@ -19,11 +18,11 @@ pub fn generate(
     n: u64,
     begin_ms: u64,
     interval_ms: u64,
-    rng: &mut StdRng,
+    rng: &mut Rng,
 ) -> Vec<FlowRecord> {
     (0..n)
         .map(|_| {
-            let dst = Ipv4Addr::from(rng.random::<u32>());
+            let dst = Ipv4Addr::from(rng.u32());
             let start = start_in(begin_ms, interval_ms, rng);
             // Measurement probes: fixed small UDP payload.
             FlowRecord::new(start, node, dst, src_port, dst_port, Protocol::Udp)
@@ -35,12 +34,11 @@ pub fn generate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     #[test]
     fn fixed_endpoint_ports_many_destinations() {
         let node = Ipv4Addr::new(10, 2, 3, 4);
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::seed_from_u64(1);
         let flows = generate(node, 33434, 33435, 800, 0, 60_000, &mut rng);
         assert!(flows
             .iter()
@@ -51,7 +49,7 @@ mod tests {
 
     #[test]
     fn probes_are_udp_with_fixed_size() {
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = Rng::seed_from_u64(2);
         let flows = generate(
             Ipv4Addr::new(10, 2, 3, 4),
             33434,

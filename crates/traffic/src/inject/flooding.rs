@@ -5,10 +5,9 @@
 use std::net::Ipv4Addr;
 
 use anomex_netflow::{FlowRecord, Protocol, TcpFlags};
-use rand::rngs::StdRng;
-use rand::Rng;
 
 use super::{ephemeral_port, start_in};
+use crate::rng::Rng;
 
 /// Generate `n` flood flows from the given sources toward `victim:port`.
 pub fn generate(
@@ -18,22 +17,22 @@ pub fn generate(
     n: u64,
     begin_ms: u64,
     interval_ms: u64,
-    rng: &mut StdRng,
+    rng: &mut Rng,
 ) -> Vec<FlowRecord> {
     assert!(!sources.is_empty(), "flooding needs at least one source");
     (0..n)
         .map(|_| {
-            let src = sources[rng.random_range(0..sources.len())];
+            let src = sources[rng.range(0..sources.len())];
             let start = start_in(begin_ms, interval_ms, rng);
             // Flood flows are short bursts of small packets. Packet counts
             // and sizes vary flow to flow (scripted floods retransmit and
             // fragment), so no single (#packets, #bytes) pair dominates —
             // what stays frequent is the (source, victim, port) triple.
-            let packets = rng.random_range(1..=8u32);
-            let bytes = packets * rng.random_range(40..=60u32);
+            let packets = rng.range_inclusive(1..=8u32);
+            let bytes = packets * rng.range_inclusive(40..=60u32);
             FlowRecord::new(start, src, victim, ephemeral_port(rng), port, Protocol::Tcp)
                 .with_volume(packets, bytes)
-                .with_end(start + u64::from(rng.random_range(0..200u32)))
+                .with_end(start + u64::from(rng.range(0..200u32)))
                 .with_flags(TcpFlags::syn_only())
         })
         .collect()
@@ -42,13 +41,12 @@ pub fn generate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     #[test]
     fn all_flows_hit_victim_and_port() {
         let sources = vec![Ipv4Addr::new(9, 1, 1, 1), Ipv4Addr::new(9, 1, 1, 2)];
         let victim = Ipv4Addr::new(10, 0, 0, 5);
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::seed_from_u64(1);
         let flows = generate(&sources, victim, 7000, 1000, 0, 60_000, &mut rng);
         assert_eq!(flows.len(), 1000);
         assert!(flows
@@ -60,7 +58,7 @@ mod tests {
     #[test]
     fn uses_few_sources_many_src_ports() {
         let sources = vec![Ipv4Addr::new(9, 1, 1, 1)];
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = Rng::seed_from_u64(2);
         let flows = generate(
             &sources,
             Ipv4Addr::new(10, 0, 0, 5),
@@ -78,7 +76,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one source")]
     fn empty_sources_panic() {
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = Rng::seed_from_u64(3);
         let _ = generate(
             &[],
             Ipv4Addr::new(10, 0, 0, 5),

@@ -16,10 +16,9 @@ pub mod spam;
 pub mod unknown;
 
 use anomex_netflow::FlowRecord;
-use rand::rngs::StdRng;
-use rand::Rng;
 
 use crate::anomaly::{EventParams, EventSpec};
+use crate::rng::Rng;
 
 /// Generate the flows an event injects into one interval.
 ///
@@ -33,16 +32,16 @@ pub fn inject(
     interval: u64,
     begin_ms: u64,
     interval_ms: u64,
-    rng: &mut StdRng,
+    rng: &mut Rng,
 ) -> Vec<FlowRecord> {
     if !spec.active_in(interval) {
         return Vec::new();
     }
     // Burst placement: a contiguous sub-span of the window.
-    let burst_frac = rng.random_range(0.35..=1.0);
+    let burst_frac = rng.f64_range(0.35..=1.0);
     let burst_ms = ((interval_ms as f64) * burst_frac) as u64;
     let burst_ms = burst_ms.max(1);
-    let offset = rng.random_range(0..=interval_ms - burst_ms);
+    let offset = rng.range_inclusive(0..=interval_ms - burst_ms);
     let begin_ms = begin_ms + offset;
     let interval_ms = burst_ms;
     let n = spec.flows_per_interval;
@@ -81,24 +80,23 @@ pub fn inject(
 }
 
 /// Uniform flow start time within the interval window.
-pub(crate) fn start_in<R: Rng + ?Sized>(begin_ms: u64, interval_ms: u64, rng: &mut R) -> u64 {
-    begin_ms + rng.random_range(0..interval_ms)
+pub(crate) fn start_in(begin_ms: u64, interval_ms: u64, rng: &mut Rng) -> u64 {
+    begin_ms + rng.range(0..interval_ms)
 }
 
 /// A random ephemeral source port (1024–65535).
-pub(crate) fn ephemeral_port<R: Rng + ?Sized>(rng: &mut R) -> u16 {
-    rng.random_range(1024..=u16::MAX)
+pub(crate) fn ephemeral_port(rng: &mut Rng) -> u16 {
+    rng.range_inclusive(1024..=u16::MAX)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::anomaly::EventId;
-    use rand::SeedableRng;
     use std::net::Ipv4Addr;
 
-    fn rng() -> StdRng {
-        StdRng::seed_from_u64(42)
+    fn rng() -> Rng {
+        Rng::seed_from_u64(42)
     }
 
     fn spec(params: EventParams) -> EventSpec {

@@ -6,10 +6,9 @@
 use std::net::Ipv4Addr;
 
 use anomex_netflow::{FlowRecord, Protocol, TcpFlags};
-use rand::rngs::StdRng;
-use rand::Rng;
 
 use super::{ephemeral_port, start_in};
+use crate::rng::Rng;
 
 /// Generate `n` scan probes from `scanner` across the local address space
 /// on `port`.
@@ -19,11 +18,11 @@ pub fn generate(
     n: u64,
     begin_ms: u64,
     interval_ms: u64,
-    rng: &mut StdRng,
+    rng: &mut Rng,
 ) -> Vec<FlowRecord> {
     // Sequential sweep with a random starting offset — the classic
     // horizontal-scan footprint.
-    let sweep_base: u32 = 0x0a00_0000 | (rng.random::<u32>() & 0x001F_0000);
+    let sweep_base: u32 = 0x0a00_0000 | (rng.u32() & 0x001F_0000);
     (0..n)
         .map(|i| {
             let dst = Ipv4Addr::from(sweep_base.wrapping_add(i as u32));
@@ -46,12 +45,11 @@ pub fn generate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     #[test]
     fn one_source_many_destinations_fixed_port() {
         let scanner = Ipv4Addr::new(66, 6, 6, 6);
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::seed_from_u64(1);
         let flows = generate(scanner, 445, 3000, 0, 60_000, &mut rng);
         assert!(flows
             .iter()
@@ -62,7 +60,7 @@ mod tests {
 
     #[test]
     fn fixed_flow_length_signature() {
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = Rng::seed_from_u64(2);
         let flows = generate(Ipv4Addr::new(6, 6, 6, 6), 22, 500, 0, 60_000, &mut rng);
         assert!(flows.iter().all(|f| f.packets == 1 && f.bytes == 40));
     }

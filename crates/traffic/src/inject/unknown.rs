@@ -5,10 +5,9 @@
 use std::net::Ipv4Addr;
 
 use anomex_netflow::{FlowRecord, Protocol};
-use rand::rngs::StdRng;
-use rand::Rng;
 
 use super::start_in;
+use crate::rng::Rng;
 
 /// Generate `n` flows of an odd bidirectional exchange between `a` and `b`.
 pub fn generate(
@@ -17,7 +16,7 @@ pub fn generate(
     n: u64,
     begin_ms: u64,
     interval_ms: u64,
-    rng: &mut StdRng,
+    rng: &mut Rng,
 ) -> Vec<FlowRecord> {
     (0..n)
         .map(|i| {
@@ -29,8 +28,8 @@ pub fn generate(
                 start,
                 src,
                 dst,
-                rng.random_range(20_000..60_000),
-                rng.random_range(20_000..60_000),
+                rng.range(20_000..60_000),
+                rng.range(20_000..60_000),
                 Protocol::Udp,
             )
             .with_volume(2, 2 * 128)
@@ -41,13 +40,12 @@ pub fn generate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     #[test]
     fn exchange_stays_between_the_two_hosts() {
         let a = Ipv4Addr::new(10, 9, 9, 9);
         let b = Ipv4Addr::new(185, 2, 2, 2);
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::seed_from_u64(1);
         let flows = generate(a, b, 600, 0, 60_000, &mut rng);
         assert!(flows
             .iter()
@@ -58,7 +56,7 @@ mod tests {
 
     #[test]
     fn ports_churn() {
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = Rng::seed_from_u64(2);
         let flows = generate(
             Ipv4Addr::new(1, 1, 1, 1),
             Ipv4Addr::new(2, 2, 2, 2),

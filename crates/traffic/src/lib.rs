@@ -21,6 +21,8 @@
 //!   several links with per-link rate, clock skew, and anomaly exposure
 //!   (the paper's multi-router collection setting);
 //! - [`labeled`] — per-flow ground-truth labels, exact by construction;
+//! - [`rng`] — the seeded generator every workload draws from; the
+//!   goldens pin its stream;
 //! - [`eval`] — the §III evaluation harness: [`run_scenario`] runs a
 //!   scenario through `anomex_core`'s engine and judges what it mined
 //!   against the labels (Figs. 6, 9, 10 and Table IV).
@@ -35,6 +37,7 @@ pub mod eval;
 pub mod inject;
 pub mod labeled;
 pub mod multi;
+pub mod rng;
 pub mod scenario;
 pub mod table2;
 

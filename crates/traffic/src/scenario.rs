@@ -15,13 +15,12 @@ use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
 use anomex_netflow::FlowRecord;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::anomaly::{EventId, EventParams, EventSpec};
 use crate::background::{BackgroundConfig, BackgroundModel};
 use crate::inject;
 use crate::labeled::LabeledInterval;
+use crate::rng::{mix, Rng};
 
 /// 15 minutes in milliseconds — the paper's Δ.
 pub const FIFTEEN_MIN_MS: u64 = 15 * 60 * 1000;
@@ -49,14 +48,6 @@ pub struct Scenario {
     config: ScenarioConfig,
     model: BackgroundModel,
     events: Vec<EventSpec>,
-}
-
-/// SplitMix64 step used to derive per-interval/per-event seeds.
-fn mix(a: u64, b: u64) -> u64 {
-    let mut z = a ^ b.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl Scenario {
@@ -346,7 +337,7 @@ impl Scenario {
         let begin_ms = interval * self.config.interval_ms;
         let end_ms = begin_ms + self.config.interval_ms;
 
-        let mut rng = StdRng::seed_from_u64(mix(self.config.seed, interval));
+        let mut rng = Rng::seed_from_u64(mix(self.config.seed, interval));
         let mut pairs: Vec<(FlowRecord, Option<EventId>)> = self
             .model
             .generate(interval, begin_ms, self.config.interval_ms, &mut rng)
@@ -356,7 +347,7 @@ impl Scenario {
 
         for event in &self.events {
             if event.active_in(interval) {
-                let mut ev_rng = StdRng::seed_from_u64(mix(
+                let mut ev_rng = Rng::seed_from_u64(mix(
                     self.config.seed,
                     mix(u64::from(event.id.0) + 1, interval),
                 ));

@@ -23,10 +23,9 @@ use anomex_detector::MetaData;
 use anomex_mining::apriori::apriori;
 use anomex_mining::AprioriConfig;
 use anomex_netflow::{FlowColumns, FlowFeature, FlowRecord, Protocol, TcpFlags};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use crate::inject::{backscatter, flooding};
+use crate::rng::Rng;
 
 /// Component volumes of the Table II input set at `scale = 1.0`.
 pub mod paper_counts {
@@ -111,7 +110,7 @@ impl Table2Workload {
 pub fn table2_workload(seed: u64, scale: f64) -> Table2Workload {
     assert!(scale > 0.0, "scale must be positive");
     let s = |n: u64| ((n as f64 * scale) as u64).max(1);
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let window_ms = 15 * 60 * 1000;
 
     let victim = Ipv4Addr::new(10, 3, 0, 7);
@@ -155,7 +154,7 @@ pub fn table2_workload(seed: u64, scale: f64) -> Table2Workload {
     // exceed the floored total.
     let diffuse_web = s(paper_counts::WEB).saturating_sub(proxy_volumes.iter().sum::<u64>());
     for _ in 0..diffuse_web {
-        let client = Ipv4Addr::from(0x0a00_0000 | (rng.random::<u32>() & 0x001F_FFFF));
+        let client = Ipv4Addr::from(0x0a00_0000 | (rng.u32() & 0x001F_FFFF));
         flows.push(web_flow(client, &mut rng, window_ms, false));
     }
 
@@ -192,51 +191,51 @@ pub fn table2_workload(seed: u64, scale: f64) -> Table2Workload {
 /// `bulk` flows (proxy/cache content) vary freely in size; client flows
 /// include the quantized mice (SYN-only, small control exchanges) whose
 /// (#packets, #bytes) pairs become the paper's benign frequent item-sets.
-fn web_flow(src: Ipv4Addr, rng: &mut StdRng, window_ms: u64, bulk: bool) -> FlowRecord {
-    let dst = Ipv4Addr::from(rng.random::<u32>() | 0x4000_0000);
-    let start = rng.random_range(0..window_ms);
+fn web_flow(src: Ipv4Addr, rng: &mut Rng, window_ms: u64, bulk: bool) -> FlowRecord {
+    let dst = Ipv4Addr::from(rng.u32() | 0x4000_0000);
+    let start = rng.range(0..window_ms);
     let packets: u32 = if bulk {
-        rng.random_range(4..60)
+        rng.range(4..60)
     } else {
-        match rng.random_range(0..10u32) {
-            0..=4 => rng.random_range(1..=3),
-            5..=8 => rng.random_range(4..30),
-            _ => rng.random_range(30..2000),
+        match rng.range(0..10u32) {
+            0..=4 => rng.range_inclusive(1..=3),
+            5..=8 => rng.range(4..30),
+            _ => rng.range(30..2000),
         }
     };
     let bytes = if packets <= 3 {
-        packets * [40u32, 48, 52][rng.random_range(0..3usize)]
+        packets * [40u32, 48, 52][rng.range(0..3usize)]
     } else {
-        packets * rng.random_range(200..1400u32)
+        packets * rng.range(200..1400u32)
     };
     FlowRecord::new(
         start,
         src,
         dst,
-        rng.random_range(1024..=u16::MAX),
+        rng.range_inclusive(1024..=u16::MAX),
         80,
         Protocol::Tcp,
     )
     .with_volume(packets, bytes)
-    .with_end(start + u64::from(rng.random_range(1..20_000u32)))
+    .with_end(start + u64::from(rng.range(1..20_000u32)))
     .with_flags(TcpFlags(TcpFlags::SYN | TcpFlags::ACK | TcpFlags::FIN))
 }
 
 /// One mail delivery toward `server` from a random sender.
-fn smtp_flow(server: Ipv4Addr, rng: &mut StdRng, window_ms: u64) -> FlowRecord {
-    let sender = Ipv4Addr::from(rng.random::<u32>() | 0x2000_0000);
-    let start = rng.random_range(0..window_ms);
-    let packets = rng.random_range(8..25u32);
+fn smtp_flow(server: Ipv4Addr, rng: &mut Rng, window_ms: u64) -> FlowRecord {
+    let sender = Ipv4Addr::from(rng.u32() | 0x2000_0000);
+    let start = rng.range(0..window_ms);
+    let packets = rng.range(8..25u32);
     FlowRecord::new(
         start,
         sender,
         server,
-        rng.random_range(1024..=u16::MAX),
+        rng.range_inclusive(1024..=u16::MAX),
         25,
         Protocol::Tcp,
     )
-    .with_volume(packets, packets * rng.random_range(300..900u32))
-    .with_end(start + u64::from(rng.random_range(500..8000u32)))
+    .with_volume(packets, packets * rng.range(300..900u32))
+    .with_end(start + u64::from(rng.range(500..8000u32)))
     .with_flags(TcpFlags(
         TcpFlags::SYN | TcpFlags::ACK | TcpFlags::PSH | TcpFlags::FIN,
     ))

@@ -16,12 +16,11 @@ use std::net::Ipv4Addr;
 
 use anomex::core::{render_report, PrefilterMode};
 use anomex::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use anomex::traffic::rng::Rng;
 
 /// Build the three-stage Sasser footprint plus web background.
 fn sasser_trace() -> Vec<FlowRecord> {
-    let mut rng = StdRng::seed_from_u64(4);
+    let mut rng = Rng::seed_from_u64(4);
     let infected = Ipv4Addr::new(10, 5, 5, 5);
     let mut flows = Vec::new();
 
@@ -32,7 +31,7 @@ fn sasser_trace() -> Vec<FlowRecord> {
                 u64::from(i) * 10,
                 infected,
                 Ipv4Addr::from(0x0a10_0000 + i),
-                rng.random_range(1024..=u16::MAX),
+                rng.range_inclusive(1024..=u16::MAX),
                 445,
                 Protocol::Tcp,
             )
@@ -47,7 +46,7 @@ fn sasser_trace() -> Vec<FlowRecord> {
                 40_000 + u64::from(i) * 20,
                 infected,
                 Ipv4Addr::from(0x0a10_0000 + i * 2),
-                rng.random_range(1024..=u16::MAX),
+                rng.range_inclusive(1024..=u16::MAX),
                 9996,
                 Protocol::Tcp,
             )
@@ -61,7 +60,7 @@ fn sasser_trace() -> Vec<FlowRecord> {
                 70_000 + u64::from(i) * 20,
                 Ipv4Addr::from(0x0a10_0000 + i * 2),
                 infected,
-                rng.random_range(1024..=u16::MAX),
+                rng.range_inclusive(1024..=u16::MAX),
                 5554,
                 Protocol::Tcp,
             )
@@ -75,11 +74,11 @@ fn sasser_trace() -> Vec<FlowRecord> {
                 u64::from(i) * 5,
                 Ipv4Addr::from(0x0a00_0000 + (i % 4096)),
                 Ipv4Addr::from(0x5000_0000 + i),
-                rng.random_range(1024..=u16::MAX),
+                rng.range_inclusive(1024..=u16::MAX),
                 80,
                 Protocol::Tcp,
             )
-            .with_volume(rng.random_range(2..40), rng.random_range(100..50_000)),
+            .with_volume(rng.range(2..40), rng.range(100..50_000)),
         );
     }
     flows.sort_by_key(|f| f.start_ms);

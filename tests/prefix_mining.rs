@@ -10,12 +10,11 @@ use anomex::mining::apriori::apriori;
 use anomex::mining::AprioriConfig;
 use anomex::prelude::*;
 use anomex::traffic::inject::dscan;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use anomex::traffic::rng::Rng;
 
 /// Distributed scan into 10.16.0.0/16 plus diffuse background.
 fn workload() -> Vec<FlowRecord> {
-    let mut rng = StdRng::seed_from_u64(99);
+    let mut rng = Rng::seed_from_u64(99);
     let mut flows = dscan::generate(
         Ipv4Addr::new(10, 16, 0, 0),
         445,
@@ -30,13 +29,13 @@ fn workload() -> Vec<FlowRecord> {
         flows.push(
             FlowRecord::new(
                 u64::from(i) * 10,
-                Ipv4Addr::from(rng.random::<u32>() | 0x2000_0000),
-                Ipv4Addr::from(0x0a00_0000 | (rng.random::<u32>() & 0x00FF_FFFF)),
-                rng.random_range(1024..60_000),
-                [80u16, 443, 25, 53][rng.random_range(0..4usize)],
+                Ipv4Addr::from(rng.u32() | 0x2000_0000),
+                Ipv4Addr::from(0x0a00_0000 | (rng.u32() & 0x00FF_FFFF)),
+                rng.range(1024..60_000),
+                [80u16, 443, 25, 53][rng.range(0..4usize)],
                 Protocol::Tcp,
             )
-            .with_volume(rng.random_range(1..20), 500),
+            .with_volume(rng.range(1..20), 500),
         );
     }
     flows
@@ -144,20 +143,20 @@ fn prefix_detector_feature_works_in_the_bank() {
     config.features.push(FlowFeature::DstNet16);
 
     let mut bank = DetectorBank::new(&config);
-    let mut rng = StdRng::seed_from_u64(5);
+    let mut rng = Rng::seed_from_u64(5);
     // Train on diffuse background.
-    let background = |rng: &mut StdRng| -> Vec<FlowRecord> {
+    let background = |rng: &mut Rng| -> Vec<FlowRecord> {
         (0..3000u32)
             .map(|i| {
                 FlowRecord::new(
                     u64::from(i),
-                    Ipv4Addr::from(rng.random::<u32>() | 0x2000_0000),
-                    Ipv4Addr::from(0x0a00_0000 | (rng.random::<u32>() & 0x00FF_FFFF)),
-                    rng.random_range(1024..60_000),
-                    [80u16, 443, 25][rng.random_range(0..3usize)],
+                    Ipv4Addr::from(rng.u32() | 0x2000_0000),
+                    Ipv4Addr::from(0x0a00_0000 | (rng.u32() & 0x00FF_FFFF)),
+                    rng.range(1024..60_000),
+                    [80u16, 443, 25][rng.range(0..3usize)],
                     Protocol::Tcp,
                 )
-                .with_volume(rng.random_range(1..20), 500)
+                .with_volume(rng.range(1..20), 500)
             })
             .collect()
     };
