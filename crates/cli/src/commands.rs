@@ -6,15 +6,12 @@ use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
 use anomex_core::{
-    latency_percentile, merge_source_rules, prefilter_indices_columns, render_report,
-    render_report_with_levels, render_rule_merge, Engine, Extraction, ExtractionConfig,
-    MultiSourceExtractor, MultiStreamEvent, PrefilterMode, ReconfigRequest, TransactionMode,
+    latency_percentile, prefilter_indices_columns, render_report, render_report_with_levels,
+    render_rule_merge, Engine, ExtractionConfig, MultiSourceExtractor, MultiStreamEvent,
+    PrefilterMode, ReconfigRequest, TransactionMode,
 };
 use anomex_detector::{DetectorConfig, MetaData};
 use anomex_mining::{mine_top_k, RuleConfig, RARE_SUPPORT_GUARD};
-use anomex_netflow::snapshot::{
-    read_checkpoint, write_checkpoint, RestoreError, SnapshotReader, SnapshotWriter,
-};
 use anomex_netflow::v5::{V5Exporter, V5_MAX_RECORDS};
 use anomex_netflow::v9::{Packet, TraceReader};
 use anomex_netflow::{
@@ -743,38 +740,16 @@ fn write_error(e: std::io::Error) -> String {
     format!("cannot write output: {e}")
 }
 
-/// Render one alarmed interval: the Table II-style report plus — when
-/// the rule layer is on and at least two sources fed the interval — the
-/// per-source rule merge section (each source's segment re-mined at its
-/// weighted support floor, merged and re-scored).
-fn render_multi_report(
-    extraction: &Extraction,
-    flows: &[FlowRecord],
-    source_flows: &[usize],
-    config: &ExtractionConfig,
-) -> String {
-    let mut out = render_report(extraction);
-    if source_flows.len() >= 2 {
-        if let Some(merged) = merge_source_rules(flows, source_flows, &extraction.metadata, config)
-        {
-            out.push_str(&render_rule_merge(&merged, source_flows.len()));
-        }
-    }
-    out
-}
-
 /// Prints each streamed interval as it arrives — the `--verbose` line,
-/// then the report on alarm — and drops it, keeping only the latency
-/// the trailer needs.
+/// then, on alarm, the Table II-style report and a fan-in's per-source
+/// rule merge — and drops it, keeping only the latency the trailer
+/// needs.
 struct StreamPrinter<'w, W: Write> {
     out: &'w mut W,
     verbose: bool,
     /// Added to grid time in the `--verbose` window: one exporter's own
     /// clock origin, or 0 for a fan-in (grid time).
     clock_ms: u64,
-    /// The configuration the printed intervals ran under; the
-    /// per-source rule merge re-mines with it.
-    config: ExtractionConfig,
     latencies: Vec<u64>,
 }
 
@@ -797,12 +772,22 @@ impl<W: Write> StreamPrinter<'_, W> {
                 );
             }
             if let Some(extraction) = &event.outcome.extraction {
-                text +=
-                    &render_multi_report(extraction, &e.flow_data, &e.source_flows, &self.config);
+                text += &render_report(extraction);
+                if let Some(merged) = &e.source_rules {
+                    text += &render_rule_merge(merged, e.source_flows.len());
+                }
                 text.push('\n');
             }
         }
         self.out.write_all(text.as_bytes()).map_err(write_error)
+    }
+
+    /// Replace the checkpoint file at `path` ([`MultiSourceExtractor::save`])
+    /// and print the events that drained.
+    fn save(&mut self, engine: &mut MultiSourceExtractor, path: &Path) -> Result<(), String> {
+        let (events, saved) = engine.save(path);
+        self.print(events)?;
+        saved.map_err(|e| format!("cannot write checkpoint {}: {e}", path.display()))
     }
 }
 
@@ -828,8 +813,8 @@ impl Durability {
 }
 
 /// Parse `--checkpoint-dir DIR [--checkpoint-every N] [--resume]
-/// [--stop-after N]`. The dependent options are rejected without the
-/// directory rather than silently ignored.
+/// [--stop-after N]`, rejecting the dependent options without the
+/// directory. The caller creates it once nothing can refuse the command.
 fn parse_durability(args: &Args) -> Result<Option<Durability>, String> {
     let Some(dir) = args.get("checkpoint-dir") else {
         for opt in ["checkpoint-every", "stop-after"] {
@@ -854,7 +839,6 @@ fn parse_durability(args: &Args) -> Result<Option<Durability>, String> {
     if stop_after == Some(0) {
         return Err("--stop-after must be at least 1".into());
     }
-    fs::create_dir_all(dir).map_err(|e| format!("cannot create --checkpoint-dir {dir}: {e}"))?;
     Ok(Some(Durability {
         dir: PathBuf::from(dir),
         every,
@@ -954,47 +938,16 @@ fn consume_reconfig_file(
     }
 }
 
-/// Take a checkpoint: drain the pipeline, snapshot the full online
-/// state, and atomically replace the checkpoint file with
-/// `{flows consumed, engine payload}`. Returns the drained events.
-fn take_checkpoint(
-    engine: &mut MultiSourceExtractor,
-    consumed: u64,
-    d: &Durability,
-) -> Result<Vec<MultiStreamEvent>, String> {
-    let (events, payload) = engine.checkpoint();
-    let mut w = SnapshotWriter::new();
-    w.u64(consumed);
-    w.bytes(&payload);
-    let path = d.checkpoint_path();
-    write_checkpoint(&path, &w.into_bytes())
-        .map_err(|e| format!("cannot write checkpoint {}: {e}", path.display()))?;
-    Ok(events)
-}
-
 /// Restore a `stream` session from a checkpoint file written over
-/// `sources` traces: returns the restored engine plus how many flows of
-/// the replay were already consumed, so the caller can skip them. A
-/// version-1 file (the single-source engine's) resumes as a one-lane
-/// grid; its flow count is the same replay position for one input. The
-/// restored configuration must pass the `--rare` guard.
+/// `sources` traces ([`MultiSourceExtractor::load`]): its lanes must be
+/// the `--in` traces, and its configuration must pass the `--rare` guard.
 fn restore_from_checkpoint(
     path: &Path,
     sources: usize,
     force_rare: bool,
-) -> Result<(MultiSourceExtractor, u64), String> {
-    let at = |e: RestoreError| format!("cannot resume from {}: {e}", path.display());
-    let (version, payload) = read_checkpoint(path).map_err(at)?;
-    let mut r = SnapshotReader::new(&payload);
-    let consumed = r.u64().map_err(at)?;
-    let engine_bytes = r.bytes().map_err(at)?;
-    r.finish().map_err(at)?;
-    let engine = if version == 1 {
-        MultiSourceExtractor::restore_v1(engine_bytes)
-    } else {
-        MultiSourceExtractor::restore(engine_bytes)
-    }
-    .map_err(at)?;
+) -> Result<MultiSourceExtractor, String> {
+    let engine = MultiSourceExtractor::load(path)
+        .map_err(|e| format!("cannot resume from {}: {e}", path.display()))?;
     let saved = engine.assembler().sources();
     if saved.len() != sources {
         return Err(format!(
@@ -1019,7 +972,7 @@ fn restore_from_checkpoint(
     }
     check_rare_guard(engine.config(), force_rare)
         .map_err(|e| format!("cannot resume from {}: {e}", path.display()))?;
-    Ok((engine, consumed))
+    Ok(engine)
 }
 
 /// Refuse a `--resume` option that the checkpoint's settings, which the
@@ -1084,21 +1037,21 @@ fn replay_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
         .filter(|d| d.resume)
         .map(Durability::checkpoint_path)
         .filter(|p| p.exists());
-    let (mut engine, mut consumed) = if let Some(path) = &resume_from {
+    let mut engine = if let Some(path) = &resume_from {
         let sources = replay.lanes.len();
         let resumed = restore_from_checkpoint(path, sources, force_rare)?;
-        check_resume_options(args, &config, max_lag, &resumed.0)
+        check_resume_options(args, &config, max_lag, &resumed)
             .map_err(|e| format!("cannot resume from {}: {e}", path.display()))?;
         // The checkpointed run's origins, not the ones this run's Δ
         // infers: they fix the replay order, and with it the flows the
         // skip below passes over.
-        for (lane, spec) in replay.lanes.iter_mut().zip(resumed.0.assembler().sources()) {
+        for (lane, spec) in replay.lanes.iter_mut().zip(resumed.assembler().sources()) {
             lane.origin = spec.origin_ms;
         }
         note(format_args!(
             "resumed from {} ({} flows already consumed)",
             path.display(),
-            resumed.1
+            resumed.total_flows()
         ));
         resumed
     } else {
@@ -1106,9 +1059,13 @@ fn replay_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
             .zip(&replay.lanes)
             .map(|(i, l)| SourceSpec::new(i, l.origin))
             .collect();
-        let engine = MultiSourceExtractor::new(config, &specs, max_lag);
-        (engine.map_err(String::from)?, 0)
+        MultiSourceExtractor::new(config, &specs, max_lag).map_err(String::from)?
     };
+    // Nothing can refuse the command now: the checkpoint dir may exist.
+    if let Some(d) = &durability {
+        fs::create_dir_all(&d.dir)
+            .map_err(|e| format!("cannot create --checkpoint-dir {}: {e}", d.dir.display()))?;
+    }
     // The run settings every summary line ends with, as the engine
     // runs them (a resume runs the checkpoint's). The miner is always
     // FP-growth; it is still named, so the line reads as it always has.
@@ -1126,12 +1083,11 @@ fn replay_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
         out,
         verbose,
         clock_ms,
-        config: engine.config().clone(),
         latencies: Vec::new(),
     };
-    // A resumed run skips what the checkpointed one fed: the first
-    // `consumed` flows, and the heartbeats among them.
-    replay.skip(consumed);
+    // A resumed run skips what the checkpointed one fed: its flows, and
+    // the heartbeats among them.
+    replay.skip(engine.total_flows());
     let first = engine.assembler().closed_intervals();
     let mut checkpointed = first;
     while let Some((source, arrival)) = replay.next() {
@@ -1139,7 +1095,6 @@ fn replay_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
             Arrival::Run(flows) => {
                 let (n, events) = engine.push_run(source, flows);
                 replay.consume(source, n);
-                consumed += n as u64;
                 events
             }
             Arrival::Heartbeat(ms) => engine.heartbeat(source, ms),
@@ -1150,7 +1105,7 @@ fn replay_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
         };
         let closed = engine.assembler().closed_intervals();
         if d.stop_after.is_some_and(|n| closed - first >= n) {
-            printer.print(take_checkpoint(&mut engine, consumed, d)?)?;
+            printer.save(&mut engine, &d.checkpoint_path())?;
             note(format_args!(
                 "stopped after {} interval(s); checkpoint at {}",
                 closed - first,
@@ -1165,8 +1120,7 @@ fn replay_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
             // the stream under the reconfigured engine. The intervals
             // drained around the boundary ran under the old config.
             printer.print(consume_reconfig_file(&d.dir, &mut engine, force_rare))?;
-            printer.config = engine.config().clone();
-            printer.print(take_checkpoint(&mut engine, consumed, d)?)?;
+            printer.save(&mut engine, &d.checkpoint_path())?;
         }
     }
     let (tail, summary) = engine.finish();
@@ -1380,6 +1334,7 @@ mod tests {
     /// `Engine` on the calling thread. Returns the reports (what
     /// [`reports`] keeps of `extract`'s output) and the interval count.
     fn batch_reference(line: &str) -> (String, usize) {
+        use anomex_core::source_rules;
         use anomex_netflow::FlowTrace;
         let args = argv(line);
         let config = parse_config(&args).unwrap();
@@ -1405,7 +1360,14 @@ mod tests {
                 *weight = flows.len();
             }
             if let Some(extraction) = engine.process(&merged).extraction {
-                text += &render_multi_report(&extraction, &merged, &source_flows, &config);
+                text += &render_report(&extraction);
+                if grids.len() >= 2 {
+                    let cols = FlowColumns::from_flows(&merged);
+                    let metadata = &extraction.metadata;
+                    if let Some(rules) = source_rules(&cols, &source_flows, metadata, &config) {
+                        text += &render_rule_merge(&rules, grids.len());
+                    }
+                }
                 text.push('\n');
             }
         }
@@ -1427,6 +1389,23 @@ mod tests {
                 words.join(" ") + "\n"
             })
             .collect()
+    }
+
+    /// Length of a checkpoint file's header: magic, version, payload
+    /// length and checksum.
+    const HEADER: usize = 28;
+
+    /// A checkpoint file of format `version` around `payload`, framed by
+    /// hand: what an older binary wrote, or a payload edited after
+    /// [`MultiSourceExtractor::save`].
+    fn checkpoint_file(version: u32, payload: &[u8]) -> Vec<u8> {
+        use anomex_netflow::snapshot::{fnv1a64, CHECKPOINT_MAGIC};
+        let mut file = CHECKPOINT_MAGIC.to_vec();
+        file.extend_from_slice(&version.to_le_bytes());
+        file.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        file.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+        file.extend_from_slice(payload);
+        file
     }
 
     /// The trailer line starting with `prefix`.
@@ -1572,21 +1551,15 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// The checkpoint file round-trips through the CLI framing (consumed
-    /// flow count + engine payload) and the restored engine continues
-    /// the stream; a truncated file or a different source count fails
-    /// with a diagnostic, not a panic.
+    /// A saved checkpoint file resumes through the CLI's checks, and the
+    /// restored engine continues the stream and its flow count; a
+    /// truncated file or a different source count fails with a
+    /// diagnostic, not a panic.
     #[test]
     fn checkpoint_file_round_trips_and_rejects_corruption() {
         use anomex_netflow::Protocol;
         let dir = scratch_dir("anomex-cli-checkpoint-test");
-        let d = Durability {
-            dir: dir.clone(),
-            every: 1,
-            resume: false,
-            stop_after: None,
-        };
-        let path = d.checkpoint_path();
+        let path = dir.join("stream.ckpt");
 
         let config = ExtractionConfig {
             interval_ms: 1_000,
@@ -1607,10 +1580,10 @@ mod tests {
         };
         let _ = engine.push(SourceId(0), flow(100));
         let _ = engine.push(SourceId(0), flow(1_200));
-        let _ = take_checkpoint(&mut engine, 2, &d).unwrap();
+        engine.save(&path).1.unwrap();
 
-        let (mut resumed, consumed) = restore_from_checkpoint(&path, 1, false).unwrap();
-        assert_eq!(consumed, 2);
+        let mut resumed = restore_from_checkpoint(&path, 1, false).unwrap();
+        assert_eq!(resumed.total_flows(), 2);
         let _ = resumed.push(SourceId(0), flow(2_500));
         let (_, summary) = resumed.finish();
         assert_eq!(summary.total_flows, 3, "resumed run continues the count");
@@ -1779,7 +1752,7 @@ mod tests {
     /// identical to an uninterrupted run.
     #[test]
     fn version_one_checkpoint_file_resumes_identically() {
-        use anomex_netflow::snapshot::{fnv1a64, CHECKPOINT_MAGIC};
+        use anomex_netflow::snapshot::SnapshotWriter;
         use anomex_netflow::IntervalAssembler;
         let dir = scratch_dir("anomex-cli-v1-resume-test");
         let scenario = Scenario::small(11);
@@ -1822,12 +1795,7 @@ mod tests {
         let mut framing = SnapshotWriter::new();
         framing.u64(consumed);
         framing.bytes(&w.into_bytes());
-        let payload = framing.into_bytes();
-        let mut file = CHECKPOINT_MAGIC.to_vec();
-        file.extend_from_slice(&1u32.to_le_bytes());
-        file.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        file.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-        file.extend_from_slice(&payload);
+        let file = checkpoint_file(1, &framing.into_bytes());
         std::fs::write(dir.join("stream.ckpt"), file).unwrap();
 
         let part2 = run(
@@ -2079,17 +2047,16 @@ mod tests {
                 .map(|(&id, lane)| SourceSpec::new(id, lane.origin))
                 .collect();
             let mut engine = MultiSourceExtractor::new(config.clone(), &specs, None).unwrap();
-            let (_, mut payload) = engine.checkpoint();
+            let path = dir.join("stream.ckpt");
+            engine.save(&path).1.unwrap();
             if duplicate {
-                let at = (payload.windows(4))
+                let mut file = std::fs::read(&path).unwrap();
+                let at = (file.windows(4))
                     .position(|w| w == MARK.to_le_bytes())
                     .unwrap();
-                payload[at..at + 4].copy_from_slice(&0u32.to_le_bytes());
+                file[at..at + 4].copy_from_slice(&0u32.to_le_bytes());
+                std::fs::write(&path, checkpoint_file(2, &file[HEADER..])).unwrap();
             }
-            let mut w = SnapshotWriter::new();
-            w.u64(0);
-            w.bytes(&payload);
-            write_checkpoint(&dir.join("stream.ckpt"), &w.into_bytes()).unwrap();
             let err = replay_to(&args, &mut Vec::new()).unwrap_err();
             assert!(err.starts_with("cannot resume from"), "{ids:?}: {err}");
         }
@@ -2400,7 +2367,7 @@ mod tests {
             run(replay_to, &format!("{stream}{force}"));
             assert!(!dir.join("reconfig").exists(), "the request was consumed");
             let path = dir.join("stream.ckpt");
-            let (engine, _) = restore_from_checkpoint(&path, 1, true).unwrap();
+            let engine = restore_from_checkpoint(&path, 1, true).unwrap();
             assert_eq!(engine.config().min_support, support, "{force:?}");
         }
         std::fs::remove_dir_all(&dir).ok();
@@ -2430,7 +2397,7 @@ mod tests {
                 line(&out, "reconfigurations:"),
                 "reconfigurations: 0 applied, 1 rejected"
             );
-            let (engine, _) = restore_from_checkpoint(&dir.join("stream.ckpt"), 1, false).unwrap();
+            let engine = restore_from_checkpoint(&dir.join("stream.ckpt"), 1, false).unwrap();
             assert_eq!(engine.config().min_support, 200, "{key}");
         }
         std::fs::remove_dir_all(&dir).ok();

@@ -5,7 +5,7 @@
 //! always mines with FP-growth), and a `generate` run whose intervals
 //! hold no flow (every consumer refuses an empty trace).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 use std::sync::OnceLock;
 
@@ -198,4 +198,31 @@ fn generate_refuses_intervals_without_flows_and_writes_nothing() {
         "{err}"
     );
     assert!(!out.exists(), "no file is written");
+}
+
+/// A refused `stream` leaves no `--checkpoint-dir` behind: the
+/// directory comes to exist only once nothing can refuse the command
+/// (inputs opened, options parsed, resume checks done).
+#[test]
+fn a_refused_stream_creates_no_checkpoint_dir() {
+    let dir = fresh_dir("anomex-refused-checkpoint-dir-test");
+    let ckpt = dir.join("ckpt");
+    let (ckpt, missing) = (ckpt.to_str().unwrap(), dir.join("missing.nfv5"));
+    let empty = dir.join("empty.nfv5");
+    std::fs::write(&empty, b"").unwrap();
+    let (missing, empty) = (missing.to_str().unwrap(), empty.to_str().unwrap());
+    let durable = ["--checkpoint-dir", ckpt];
+    for args in [
+        &["stream", "--in", missing][..],
+        &["stream", "--in", empty],
+        &["stream", "--in", trace(), "--max-lag", "lots"],
+        &["stream", "--in", trace(), "--in", missing],
+    ] {
+        refused(&[args, &durable].concat());
+        assert!(!Path::new(ckpt).exists(), "anomex {args:?} left {ckpt}");
+    }
+    let accepted = ["stream", "--in", trace(), "--interval-min", "1"];
+    let out = anomex(&[&accepted[..], &durable].concat());
+    assert!(out.status.success());
+    assert!(Path::new(ckpt).join("stream.ckpt").exists());
 }

@@ -51,7 +51,7 @@ use anomex_netflow::snapshot::{RestoreError, SnapshotReader, SnapshotWriter};
 use anomex_netflow::{FlowColumns, FlowRecord};
 
 use crate::config::{ConfigError, ExtractionConfig};
-use crate::pipeline::{extract_flows, mine_at_indices, Extraction, IntervalOutcome};
+use crate::pipeline::{mine_at_indices, Extraction, IntervalOutcome};
 use crate::prefilter::{prefilter_indices_columns_with, PrefilterScratch};
 
 /// One interval's flows, in whichever representation the caller already
@@ -185,7 +185,9 @@ impl Engine {
     /// ```
     #[must_use]
     pub fn extract(&self, flows: &[FlowRecord], metadata: &MetaData) -> Extraction {
-        extract_flows(flows, metadata, &self.config)
+        let cols = FlowColumns::from_flows(flows);
+        let indices = crate::prefilter_indices_columns(&cols, metadata, self.config.prefilter);
+        mine_at_indices(0, &cols, &indices, metadata, &self.config)
     }
 
     /// The pipeline configuration.

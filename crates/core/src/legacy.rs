@@ -1,16 +1,14 @@
 //! What only the frozen benchmark replica calls, in the call shapes it
 //! imports: `StreamingExtractor` (re-exported hidden at the crate root
-//! and in `streaming`), `Engine::sequential` and
-//! `MultiSourceExtractor::try_new`. Thin adapters over the main path,
-//! deleted with `tests/legacy.rs` in ROADMAP item 12(b). Still pinned
-//! in the main modules, for other users: `Engine::process` on records (a
-//! convenience for tests and bins; ROADMAP item 16), and
-//! `merge_source_rules` with `MultiStreamEvent::flow_data` (the CLI's
-//! fan-in rule merge; ROADMAP item 3).
+//! and in `streaming`), `Engine::sequential`,
+//! `MultiSourceExtractor::try_new` and the record `merge_source_rules`.
+//! Thin adapters over the main path, deleted with `tests/legacy.rs` in
+//! ROADMAP item 12(b). Still pinned in the main modules, for other
+//! users: `Engine::process` on records (ROADMAP item 16).
 
 use std::num::NonZeroUsize;
 
-use anomex_netflow::{FlowRecord, SourceId, SourceSpec};
+use anomex_netflow::{FlowColumns, FlowRecord, SourceId, SourceSpec};
 
 use crate::config::{ConfigError, ExtractionConfig};
 use crate::engine::Engine;
@@ -25,7 +23,8 @@ impl Engine {
 }
 
 impl MultiSourceExtractor {
-    /// [`MultiSourceExtractor::new`]; `_shards` selects nothing.
+    /// [`MultiSourceExtractor::new`] whose events fill
+    /// [`MultiStreamEvent::flow_data`]; `_shards` selects nothing.
     #[doc(hidden)]
     pub fn try_new(
         config: ExtractionConfig,
@@ -33,8 +32,22 @@ impl MultiSourceExtractor {
         sources: &[SourceSpec],
         max_lag_intervals: Option<u64>,
     ) -> Result<Self, ConfigError> {
-        Self::new(config, sources, max_lag_intervals)
+        let mut stream = Self::new(config, sources, max_lag_intervals)?;
+        stream.flow_data = true;
+        Ok(stream)
     }
+}
+
+/// [`source_rules`](crate::source_rules) on records, transposed first.
+#[must_use]
+pub fn merge_source_rules(
+    flows: &[FlowRecord],
+    source_flows: &[usize],
+    metadata: &anomex_detector::MetaData,
+    config: &ExtractionConfig,
+) -> Option<anomex_mining::RuleSet> {
+    let cols = FlowColumns::from_flows(flows);
+    crate::source_rules(&cols, source_flows, metadata, config)
 }
 
 /// A [`MultiSourceExtractor`] over one exporter (source `0`, no

@@ -34,16 +34,16 @@
 //!   per closed Δ-interval, with interval `t+1` assembling while
 //!   interval `t` extracts (double buffering) — bit-identical to
 //!   extracting the per-interval concatenation of all sources' flows.
-//!   Durable operation ([`MultiSourceExtractor::checkpoint`] /
-//!   [`MultiSourceExtractor::restore`] resume the stream bit-identically
+//!   Durable operation ([`MultiSourceExtractor::save`] /
+//!   [`MultiSourceExtractor::load`] resume the stream bit-identically
 //!   after a crash) and boundary-aligned live reconfiguration come with
 //!   it;
 //! - [`report`] — Table II-style rendering (Apriori's level audit trail,
 //!   for Table II, via [`render_level_stats`]);
-//! - [`merge_source_rules`] — the association-rule layer merged across
-//!   sources: rules generated from the mined supports, filtered by
-//!   confidence/lift, and ranked by a meta-detection z-score pass (see
-//!   [`anomex_mining::rules`]).
+//! - [`source_rules`] — the association-rule layer merged across
+//!   sources (a fan-in's [`MultiStreamEvent::source_rules`]): rules
+//!   filtered by confidence/lift and ranked by a meta-detection z-score
+//!   pass (see [`anomex_mining::rules`]).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -64,7 +64,7 @@ pub use cost::cost_reduction;
 pub use engine::{Engine, IntervalInput, ReconfigRequest};
 #[doc(hidden)]
 pub use legacy::*;
-pub use pipeline::{merge_source_rules, Extraction, IntervalOutcome, TransactionMode};
+pub use pipeline::{source_rules, Extraction, IntervalOutcome, TransactionMode};
 pub use prefilter::{
     prefilter_indices_columns, prefilter_indices_columns_with, PrefilterMode, PrefilterScratch,
 };

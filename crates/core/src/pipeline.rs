@@ -8,11 +8,12 @@
 //! when the meta-data comes from elsewhere (another detector type from
 //! Table I, or an administrator's manual hints). Both run under the
 //! engine's one [`ExtractionConfig`]. This module holds the value types
-//! both produce and the mining tail both share.
+//! both produce, the mining tail both share, and the per-source rule
+//! merge of a fan-in ([`source_rules`]).
 
 use anomex_detector::{BankObservation, MetaData};
 use anomex_mining::{merge_rule_sets, mine, ItemSet, LevelStats, RuleSet, TransactionSet};
-use anomex_netflow::{FlowColumns, FlowRecord};
+use anomex_netflow::FlowColumns;
 
 use crate::config::ExtractionConfig;
 use crate::cost::cost_reduction;
@@ -34,7 +35,8 @@ impl TransactionMode {
     /// Build the transaction set for the columnar rows selected by
     /// `indices` — the zero-copy path from a pre-filter index slice
     /// straight to mining input, gathering one feature column at a time.
-    /// Bit-identical to converting the rows to [`FlowRecord`]s first.
+    /// Bit-identical to converting the rows to
+    /// [`FlowRecord`](anomex_netflow::FlowRecord)s first.
     ///
     /// # Panics
     ///
@@ -107,65 +109,40 @@ pub(crate) fn mine_at_indices(
     }
 }
 
-/// The offline tail [`Engine::extract`](crate::Engine::extract) and
-/// [`merge_source_rules`] share: transpose `flows` once into a columnar
-/// store, pre-filter it with `metadata`, and mine the survivors under
-/// `config`. The extraction is tagged interval 0.
-pub(crate) fn extract_flows(
-    flows: &[FlowRecord],
-    metadata: &MetaData,
-    config: &ExtractionConfig,
-) -> Extraction {
-    let cols = FlowColumns::from_flows(flows);
-    let indices = prefilter_indices_columns(&cols, metadata, config.prefilter);
-    mine_at_indices(0, &cols, &indices, metadata, config)
-}
-
 /// Per-source rule extraction and merge — the weighted-support answer to
 /// multi-link operation: mine rules **per source segment** with the
 /// support floor scaled to the segment's share of the interval
 /// (`max(1, s·|segment|/|interval|)`, exact integer arithmetic), then
-/// merge and re-score the per-source populations at the rule layer
-/// ([`merge_rule_sets`]), so a rule that is anomalous on a low-rate link
-/// ranks against the union population instead of disappearing under an
-/// absolute floor sized for the aggregate.
-///
-/// `flows` is the merged interval with the sources' flows concatenated
-/// in registration order and `source_flows` their segment lengths (as
-/// both the batch fan-in and the streaming watermark merge produce);
-/// `metadata` is the consolidated meta-data that drove the interval's
-/// extraction. Returns `None` when the configuration has no rule layer
-/// or the segment lengths do not partition `flows`.
+/// merge and re-score the per-source populations ([`merge_rule_sets`]),
+/// so a rule anomalous on a low-rate link ranks against the union
+/// population instead of vanishing under a floor sized for the
+/// aggregate. `cols` holds the sources' rows concatenated in
+/// registration order, `source_flows` their counts, and `metadata` drove
+/// the interval's extraction; one pre-filter's rows split at the source
+/// boundaries. `None` when the rule layer is off or the counts do not
+/// partition `cols`.
 #[must_use]
-pub fn merge_source_rules(
-    flows: &[FlowRecord],
+pub fn source_rules(
+    cols: &FlowColumns,
     source_flows: &[usize],
     metadata: &MetaData,
     config: &ExtractionConfig,
 ) -> Option<RuleSet> {
-    if config.rules.is_none() || source_flows.iter().sum::<usize>() != flows.len() {
+    let rule_config = config.rules.as_ref()?;
+    if source_flows.iter().sum::<usize>() != cols.len() {
         return None;
     }
-    let total = flows.len() as u64;
-    let mut per_source = Vec::with_capacity(source_flows.len());
-    let mut start = 0;
-    for &len in source_flows {
-        let segment = &flows[start..start + len];
-        start += len;
-        if segment.is_empty() || total == 0 {
-            continue;
-        }
+    let mut rows = &prefilter_indices_columns(cols, metadata, config.prefilter)[..];
+    let (mut end, mut per_source) = (0, Vec::new());
+    for &len in source_flows.iter().filter(|&&len| len > 0) {
+        end += len;
+        let (segment, rest) = rows.split_at(rows.partition_point(|&row| row < end));
+        rows = rest;
         // u128: `min_support × len` overflows u64 for large supports.
-        let weighted = u128::from(config.min_support) * len as u128 / u128::from(total);
+        let weighted = u128::from(config.min_support) * len as u128 / cols.len() as u128;
         let support = u64::try_from(weighted).unwrap_or(u64::MAX).max(1);
-        let segment_config = ExtractionConfig {
-            min_support: support,
-            ..config.clone()
-        };
-        let extraction = extract_flows(segment, metadata, &segment_config);
-        if let Some(rules) = extraction.rules {
-            per_source.push(rules);
-        }
+        let transactions = config.transactions.transactions_at_columns(cols, segment);
+        per_source.extend(mine(&transactions, support, Some(rule_config)).1);
     }
     Some(merge_rule_sets(&per_source))
 }
@@ -186,7 +163,7 @@ mod tests {
     use crate::Engine;
     use anomex_detector::DetectorConfig;
     use anomex_mining::RuleConfig;
-    use anomex_netflow::{FlowFeature, Protocol};
+    use anomex_netflow::{FlowFeature, FlowRecord, Protocol};
     use std::net::Ipv4Addr;
 
     fn test_config(min_support: u64) -> ExtractionConfig {
@@ -268,7 +245,8 @@ mod tests {
             rules: Some(RuleConfig::default()),
             ..test_config(1)
         };
-        let merged = merge_source_rules(&flows, &[25, 15], &md, &config).expect("rule layer on");
+        let cols = FlowColumns::from_flows(&flows);
+        let merged = source_rules(&cols, &[25, 15], &md, &config).expect("rule layer on");
         assert!(merged.is_empty(), "{} rules at s = u64::MAX", merged.len());
     }
 }

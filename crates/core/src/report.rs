@@ -152,7 +152,7 @@ fn render_rule_section(out: &mut String, rules: &RuleSet) {
 }
 
 /// Render a merged multi-source rule population — the output of
-/// [`merge_source_rules`](crate::merge_source_rules): per-source rules
+/// [`source_rules`](crate::source_rules): per-source rules
 /// mined at weighted support floors, merged by rule key, metrics
 /// recomputed from the summed counts, and re-scored against the union
 /// population.

@@ -56,22 +56,24 @@
 //! concatenation, no matter how the sources' pushes interleave. The streaming and
 //! multi-source determinism property suites assert both.
 
+use std::path::Path;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use anomex_netflow::snapshot::{RestoreError, SnapshotReader, SnapshotWriter};
+use anomex_mining::RuleSet;
+use anomex_netflow::snapshot::{read_checkpoint, write_checkpoint, SnapshotReader, SnapshotWriter};
 use anomex_netflow::{
-    FlowRecord, IntervalAssembler, MergeAssembler, MergeConfig, MergedInterval, SourceId,
-    SourceSpec, SourceStats,
+    FlowRecord, IntervalAssembler, MergeAssembler, MergeConfig, MergedInterval, RestoreError,
+    SourceId, SourceSpec, SourceStats,
 };
 
 use crate::config::{ConfigError, ExtractionConfig};
 use crate::engine::{Engine, ReconfigRequest};
 #[doc(hidden)]
 pub use crate::legacy::*;
-use crate::pipeline::IntervalOutcome;
+use crate::pipeline::{source_rules, IntervalOutcome};
 
 /// One closed interval's worth of streaming output: what the pipeline
 /// saw, what it extracted, and how long extraction took.
@@ -89,8 +91,9 @@ pub struct StreamEvent {
     /// Cumulative drops across all sources (late, pre-origin and stale
     /// flows) at the moment this interval closed.
     pub dropped_flows: u64,
-    /// Wall-clock the pipeline spent on this interval (detection,
-    /// pre-filtering, mining), in microseconds.
+    /// Wall-clock [`Engine::process`] spent on this interval (detection,
+    /// pre-filtering, mining), in microseconds; the per-source rule merge
+    /// ([`MultiStreamEvent::source_rules`]) runs after it, uncounted.
     pub process_micros: u64,
     /// What the detector bank saw and, on alarm, what was extracted.
     pub outcome: IntervalOutcome,
@@ -132,6 +135,7 @@ enum Command {
     Work {
         interval: Box<MergedInterval>,
         dropped_flows: u64,
+        flow_data: bool,
     },
     /// Serialize the engine's state and reply with the payload.
     Snapshot(SyncSender<Vec<u8>>),
@@ -153,18 +157,18 @@ fn pipeline_loop(
             Command::Work {
                 interval,
                 dropped_flows,
+                flow_data,
             } => {
                 let started = Instant::now();
                 let outcome = engine.process(&interval.flows);
                 let process_micros = started.elapsed().as_micros() as u64;
-                // Records only where a per-source rule merge can be
-                // rendered: two or more sources and mined rules.
-                let has_rules = (outcome.extraction.as_ref()).is_some_and(|e| e.rules.is_some());
-                let flow_data = if has_rules && interval.source_flows.len() >= 2 {
-                    Arc::new(interval.flows.to_flows())
-                } else {
-                    Arc::default()
-                };
+                // A fan-in's rule merge, outside `process_micros`.
+                let (cols, counts) = (&interval.flows, &interval.source_flows);
+                let source_rules = (outcome.extraction.as_ref())
+                    .filter(|_| counts.len() >= 2)
+                    .and_then(|e| source_rules(cols, counts, &e.metadata, engine.config()));
+                let records =
+                    (flow_data && source_rules.is_some()).then(|| interval.flows.to_flows());
                 let event = MultiStreamEvent {
                     event: StreamEvent {
                         index: interval.index,
@@ -176,7 +180,8 @@ fn pipeline_loop(
                         outcome,
                     },
                     source_flows: interval.source_flows,
-                    flow_data,
+                    source_rules,
+                    flow_data: Arc::new(records.unwrap_or_default()),
                 };
                 if events_tx.send(event).is_err() {
                     break; // receiver gone: the stream was abandoned
@@ -379,14 +384,12 @@ pub struct MultiStreamEvent {
     /// How many flows each registered source contributed, in source
     /// registration order.
     pub source_flows: Vec<usize>,
-    /// The merged interval's flows as records (per-source segments
-    /// concatenated in registration order, as `source_flows` partitions
-    /// them), for the weighted per-source rule merge
-    /// ([`merge_source_rules`](crate::merge_source_rules)). Filled only
-    /// when that merge can be rendered — at least two sources and an
-    /// extraction with rules — and empty otherwise. It stays for the
-    /// frozen benchmark replica and the CLI's merge until ROADMAP items
-    /// 3 and 12(b).
+    /// The per-source rule merge ([`source_rules`], under the
+    /// configuration the interval ran under) of an extraction with rules
+    /// on a grid of two or more sources; `None` otherwise.
+    pub source_rules: Option<RuleSet>,
+    /// The interval's records where `source_rules` is present, filled
+    /// only by a legacy `try_new` stream; empty otherwise.
     pub flow_data: Arc<Vec<FlowRecord>>,
 }
 
@@ -446,6 +449,8 @@ pub struct MultiSourceExtractor {
     /// The configuration every interval submitted from now on runs under.
     config: ExtractionConfig,
     total_flows: u64,
+    /// Whether events fill [`MultiStreamEvent::flow_data`] (legacy).
+    pub(crate) flow_data: bool,
 }
 
 impl MultiSourceExtractor {
@@ -475,6 +480,7 @@ impl MultiSourceExtractor {
             pipe: PipelineHandle::spawn(engine, [0; 5])?,
             config,
             total_flows: 0,
+            flow_data: false,
         })
     }
 
@@ -498,9 +504,8 @@ impl MultiSourceExtractor {
     /// watermarks, and per-source drop counters), the stream counters,
     /// and the engine's configuration and detector bank — into a
     /// checkpoint payload. Returns events that became ready while the
-    /// pipeline drained, plus the payload; frame it with
-    /// [`anomex_netflow::snapshot::write_checkpoint`] to persist it
-    /// atomically.
+    /// pipeline drained, plus the payload; [`save`](Self::save) writes
+    /// it as a checkpoint file.
     ///
     /// The snapshot request rides the pipeline's FIFO work channel, so
     /// it lands between intervals: the payload reflects every interval
@@ -540,16 +545,9 @@ impl MultiSourceExtractor {
         Self::resume(assembler, total_flows, r)
     }
 
-    /// Rebuild a stream from a checkpoint format version 1 payload — the
-    /// single-source engine's layout, which held one interval assembler
-    /// where version 2 holds the merge grid — as a one-lane grid
-    /// (source `0`) that resumes exactly where the single-source stream
-    /// stood.
-    ///
-    /// # Errors
-    ///
-    /// As [`restore`](Self::restore).
-    pub fn restore_v1(payload: &[u8]) -> Result<Self, RestoreError> {
+    /// [`restore`](Self::restore) for a version 1 payload (the
+    /// single-source engine's one assembler), as a one-lane grid.
+    fn restore_v1(payload: &[u8]) -> Result<Self, RestoreError> {
         let mut r = SnapshotReader::new(payload);
         let lane = IntervalAssembler::decode_snapshot(&mut r)?;
         let total_flows = r.u64()?;
@@ -583,7 +581,57 @@ impl MultiSourceExtractor {
             pipe,
             config,
             total_flows,
+            flow_data: false,
         })
+    }
+
+    /// Write a [`checkpoint`](Self::checkpoint) atomically to the file at
+    /// `path` ([`write_checkpoint`]) as `{total_flows, payload}`. Returns
+    /// the events that drained, whether or not the write succeeded.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panic from the pipeline thread.
+    pub fn save(&mut self, path: &Path) -> (Vec<MultiStreamEvent>, Result<(), RestoreError>) {
+        let (events, payload) = self.checkpoint();
+        let mut w = SnapshotWriter::new();
+        w.u64(self.total_flows);
+        w.bytes(&payload);
+        (events, write_checkpoint(path, &w.into_bytes()))
+    }
+
+    /// Resume the stream a [`save`](Self::save)d file holds (a version 1
+    /// file, the single-source engine's, as a one-lane grid).
+    ///
+    /// # Errors
+    ///
+    /// Any [`RestoreError`] from an unreadable or corrupt file, or one
+    /// whose position is not its stream's flow count.
+    pub fn load(path: &Path) -> Result<Self, RestoreError> {
+        let (version, file) = read_checkpoint(path)?;
+        let mut r = SnapshotReader::new(&file);
+        let position = r.u64()?;
+        let payload = r.bytes()?;
+        r.finish()?;
+        let stream = if version == 1 {
+            Self::restore_v1(payload)?
+        } else {
+            Self::restore(payload)?
+        };
+        let fed = stream.total_flows;
+        if fed == position {
+            return Ok(stream);
+        }
+        Err(RestoreError::Corrupt(format!(
+            "file position {position} is not the {fed} flows fed"
+        )))
+    }
+
+    /// Flows fed so far across all sources, dropped ones included: a
+    /// checkpoint file's position.
+    #[must_use]
+    pub fn total_flows(&self) -> u64 {
+        self.total_flows
     }
 
     /// Apply a live parameter change at the next interval boundary (see
@@ -725,6 +773,7 @@ impl MultiSourceExtractor {
             self.pipe.send(Command::Work {
                 interval: Box::new(interval),
                 dropped_flows: self.assembler.dropped_flows(),
+                flow_data: self.flow_data,
             });
         }
         self.pipe.drain_ready(&mut events);

@@ -4,13 +4,17 @@
 //! uninterrupted run, and runs against per-flow pushes.
 
 use std::net::Ipv4Addr;
+use std::path::PathBuf;
 
-use anomex_core::{Engine, ExtractionConfig, IntervalOutcome, MultiSourceExtractor, StreamEvent};
+use anomex_core::{
+    render_report, render_rule_merge, source_rules, Engine, ExtractionConfig, IntervalOutcome,
+    MultiSourceExtractor, StreamEvent,
+};
 use anomex_detector::DetectorConfig;
 use anomex_mining::RuleConfig;
 use anomex_netflow::snapshot::{RestoreError, SnapshotWriter};
 use anomex_netflow::{FlowColumns, FlowRecord, Protocol, SourceId, SourceSpec};
-use anomex_traffic::Scenario;
+use anomex_traffic::{MultiSourceScenario, Scenario};
 
 const SRC: SourceId = SourceId(0);
 
@@ -337,15 +341,26 @@ fn checkpoint_and_restore_resume_the_stream_bit_identically() {
     }
 }
 
-/// `flow_data` carries records only where the per-source rule merge
-/// can be rendered: on a two-source grid, an event with an
-/// extraction and rules holds the sources' window records
-/// concatenated in registration order; every other event — no
-/// extraction, rules off, or a one-lane grid — holds none.
+/// A fresh scratch directory for one test.
+fn scratch_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("{name}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// The per-source rule merge rides on the event where it can be
+/// rendered: on a two-source grid, an event with an extraction and
+/// rules carries the merge of the sources' window rows concatenated in
+/// registration order; every other event — no extraction, rules off,
+/// or a one-lane grid — carries none. Halfway through, the fan-in is
+/// saved to a file and loaded again. Neither `new` nor `load` fills
+/// `flow_data`.
 #[test]
-fn flow_data_is_filled_only_for_a_renderable_rule_merge() {
+fn source_rules_ride_only_on_a_renderable_rule_merge() {
     let scenario = Scenario::small(11);
     let intervals = scenario.interval_count().min(23);
+    let path = scratch_dir("anomex-core-source-rules-test").join("stream.ckpt");
     // Flow j of each interval goes to source j % 2.
     let windows: Vec<[Vec<FlowRecord>; 2]> = (0..intervals)
         .map(|i| {
@@ -363,9 +378,15 @@ fn flow_data_is_filled_only_for_a_renderable_rule_merge() {
             ..stream_config(scenario.interval_ms())
         };
         let mut multi = MultiSourceExtractor::new(config.clone(), &two_specs(), None).unwrap();
-        let mut lane = one_lane(config, 0);
+        let mut lane = one_lane(config.clone(), 0);
         let (mut events, mut lane_events) = (Vec::new(), Vec::new());
-        for split in &windows {
+        for (i, split) in windows.iter().enumerate() {
+            if i == windows.len() / 2 {
+                let (tail, saved) = multi.save(&path);
+                events.extend(tail);
+                saved.unwrap();
+                multi = MultiSourceExtractor::load(&path).unwrap();
+            }
             for j in 0..split[0].len() + split[1].len() {
                 let flow = split[j % 2][j / 2];
                 events.extend(multi.push(SourceId((j % 2) as u32), flow));
@@ -377,20 +398,78 @@ fn flow_data_is_filled_only_for_a_renderable_rule_merge() {
         assert_eq!(events.len(), windows.len());
         let mut merges = 0;
         for (e, split) in events.iter().zip(&windows) {
-            let extracted = e.event.outcome.extraction.is_some();
-            if extracted && rules.is_some() {
-                merges += 1;
-                assert_eq!(*e.flow_data, split.concat(), "interval {}", e.event.index);
-            } else {
-                assert!(e.flow_data.is_empty(), "interval {}", e.event.index);
-            }
+            let index = e.event.index;
+            assert!(e.flow_data.is_empty(), "interval {index}");
+            let Some(extraction) = e.event.outcome.extraction.as_ref() else {
+                assert!(e.source_rules.is_none(), "interval {index}");
+                continue;
+            };
+            let cols = FlowColumns::from_flows(&split.concat());
+            let counts = [split[0].len(), split[1].len()];
+            let expected = source_rules(&cols, &counts, &extraction.metadata, &config);
+            assert_eq!(e.source_rules, expected, "interval {index}");
+            merges += usize::from(expected.is_some());
         }
         assert_eq!(merges > 0, rules.is_some(), "the planted flood extracts");
         assert!(lane_events
             .iter()
             .any(|e| e.event.outcome.extraction.is_some()));
-        assert!(lane_events.iter().all(|e| e.flow_data.is_empty()));
+        assert!(lane_events
+            .iter()
+            .all(|e| e.source_rules.is_none() && e.flow_data.is_empty()));
     }
+    std::fs::remove_dir_all(path.parent().unwrap()).ok();
+}
+
+/// Two runs of one three-source fan-in with rules, in one process (so
+/// every hash map is seeded apart), print the same reports and rule
+/// merges and save the same checkpoint file bytes.
+#[test]
+fn a_fan_in_twice_in_one_process_gives_the_same_bytes() {
+    let dir = scratch_dir("anomex-core-twin-run-test");
+    let twin = |name: &str| {
+        let scenario = MultiSourceScenario::uniform(3, 3);
+        let config = ExtractionConfig {
+            min_support: 200,
+            rules: Some(RuleConfig::default()),
+            ..stream_config(scenario.interval_ms())
+        };
+        let specs = scenario.source_specs();
+        let mut stream = MultiSourceExtractor::new(config, &specs, None).unwrap();
+        let (mut events, path) = (Vec::new(), dir.join(name));
+        let cut = scenario.interval_count() * 2 / 3;
+        for i in 0..scenario.interval_count() {
+            if i == cut {
+                let (tail, saved) = stream.save(&path);
+                events.extend(tail);
+                saved.unwrap();
+            }
+            for (s, spec) in specs.iter().enumerate() {
+                for flow in scenario.generate(s, i).flows {
+                    events.extend(stream.push(spec.id, flow));
+                }
+            }
+        }
+        events.extend(stream.finish().0);
+        let mut text = String::new();
+        for e in &events {
+            if let Some(extraction) = &e.event.outcome.extraction {
+                text += &render_report(extraction);
+            }
+            if let Some(rules) = &e.source_rules {
+                text += &render_rule_merge(rules, e.source_flows.len());
+            }
+        }
+        (text, std::fs::read(&path).unwrap())
+    };
+    let (first, second) = (twin("first.ckpt"), twin("second.ckpt"));
+    assert!(first.0.contains("Per-source rule merge — 3 source(s)"));
+    assert!(first.0 == second.0, "the reports differ between runs");
+    assert!(
+        first.1 == second.1,
+        "the checkpoint files differ between runs"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Runs are the per-flow pushes they stand for. Two sources on

@@ -11,7 +11,7 @@
 //! passes and support counting can enumerate transaction k-subsets
 //! allocation-free (≤ 126 subsets per transaction per level).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet}; // probed by key, never iterated
 use std::ops::Range;
 
 use crate::combinations::for_each_combination;
@@ -199,7 +199,7 @@ pub fn apriori(set: &TransactionSet, config: &AprioriConfig) -> AprioriOutput {
         }
 
         // Support counting: enumerate each transaction's k-subsets and
-        // look each one up in the candidate index.
+        // look each one up in the candidate index (by key: no hash order).
         let index: HashMap<CandKey, usize> = candidates
             .iter()
             .enumerate()
@@ -294,7 +294,7 @@ fn prefix_groups(frequent: &[(Vec<Item>, u64)]) -> Vec<Range<usize>> {
 fn join_group(
     frequent: &[(Vec<Item>, u64)],
     group: Range<usize>,
-    prev: &HashSet<CandKey>,
+    prev: &HashSet<CandKey>, // membership only: `out` follows `frequent`
     out: &mut Vec<Vec<Item>>,
 ) {
     let prefix_len = frequent[group.start].0.len() - 1;
@@ -318,7 +318,7 @@ fn join_group(
 
 /// Candidate generation: join L(k-1) with itself on the (k-2)-prefix,
 /// then prune candidates with an infrequent (k-1)-subset (downward
-/// closure).
+/// closure, looked up in the never-iterated set `prev`).
 fn generate_candidates(current: &[(Vec<Item>, u64)]) -> Vec<Vec<Item>> {
     let prev: HashSet<CandKey> = current.iter().map(|(items, _)| key_of(items)).collect();
     let mut out = Vec::new();
@@ -328,7 +328,7 @@ fn generate_candidates(current: &[(Vec<Item>, u64)]) -> Vec<Vec<Item>> {
     out
 }
 
-/// Downward-closure prune: every (k-1)-subset of `cand` must be frequent.
+/// Downward-closure prune: every (k-1)-subset of `cand` must be in `prev`.
 fn subsets_all_frequent(cand: &[Item], prev: &HashSet<CandKey>) -> bool {
     let mut sub = Vec::with_capacity(cand.len() - 1);
     for skip in 0..cand.len() {

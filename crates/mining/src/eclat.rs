@@ -7,14 +7,14 @@
 //! mining. No extraction runs it: only the benchmark replica's miner
 //! cross-check reaches it, through the crate's legacy module.
 
-use std::collections::HashMap;
+use std::collections::HashMap; // roots are sorted before the search
 
 use crate::item::Item;
 use crate::itemset::ItemSet;
 use crate::transaction::TransactionSet;
 
-/// Build the vertical representation: item → ascending list of the ids
-/// of the transactions containing it.
+/// Build the vertical representation: item → ascending tid list, in hash
+/// order ([`eclat`] sorts the roots by item before the search).
 fn tidlists(set: &TransactionSet) -> HashMap<Item, Vec<u32>> {
     let mut lists: HashMap<Item, Vec<u32>> = HashMap::new();
     for (tid, t) in set.transactions().iter().enumerate() {

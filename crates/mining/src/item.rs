@@ -9,7 +9,7 @@
 //! 32 bits wide, so the 56-bit value field is never exceeded for real flows;
 //! the constructor enforces the bound for synthetic items too.
 
-use std::collections::HashMap;
+use std::collections::HashMap; // `ItemMap`, whose readers sort its output
 use std::fmt;
 use std::hash::{BuildHasher, Hasher, RandomState};
 

@@ -7,7 +7,7 @@
 //! contained in a frequent set exactly one item longer, so the filter only
 //! needs to look one level up.
 
-use std::collections::HashSet;
+use std::collections::HashSet; // membership only, never iterated
 
 use crate::item::Item;
 use crate::itemset::ItemSet;
@@ -36,7 +36,7 @@ pub fn filter_maximal(sets: Vec<ItemSet>) -> Vec<ItemSet> {
     // (k+1)-sets still dominate their k-subsets.
     let coverage: Vec<HashSet<Vec<Item>>> = (0..max_len)
         .map(|k| {
-            let mut covered = HashSet::new();
+            let mut covered = HashSet::new(); // probed, never iterated
             for bigger in &by_len[k + 1] {
                 let items = bigger.items();
                 for skip in 0..items.len() {
@@ -50,7 +50,7 @@ pub fn filter_maximal(sets: Vec<ItemSet>) -> Vec<ItemSet> {
         })
         .collect();
     for (k, covered) in coverage.iter().enumerate() {
-        by_len[k].retain(|s| !covered.contains(s.items()));
+        by_len[k].retain(|s| !covered.contains(s.items())); // `out` is sorted below
     }
     for bucket in by_len {
         out.extend(bucket);

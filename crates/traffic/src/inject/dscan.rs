@@ -77,6 +77,7 @@ mod tests {
             60_000,
             &mut rng,
         );
+        // Only their maxima are read, which no iteration order changes.
         let mut src_counts = std::collections::HashMap::new();
         let mut dst_counts = std::collections::HashMap::new();
         for f in &flows {

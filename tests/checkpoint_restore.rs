@@ -12,7 +12,7 @@
 //! panic, and live reconfiguration drops no flows.
 
 use anomex::netflow::snapshot::{
-    read_checkpoint, write_checkpoint, RestoreError, SnapshotWriter, CHECKPOINT_MAGIC,
+    fnv1a64, read_checkpoint, write_checkpoint, RestoreError, SnapshotWriter, CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
 };
 use anomex::prelude::*;
@@ -269,62 +269,82 @@ fn checkpoints_written_under_apriori_or_eclat_resume_identically() {
     }
 }
 
-/// A fresh payload restores; every corruption mode fails with the right
-/// typed [`RestoreError`] — and none of them panics.
-#[test]
-fn checkpoint_files_reject_corruption_with_typed_errors() {
-    let dir = std::env::temp_dir().join(format!("anomex-restore-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = |name: &str| -> PathBuf { dir.join(name) };
+/// A checkpoint file of format `version` around `payload`, framed by
+/// hand (the file layer writes only the current version).
+fn framed(version: u32, payload: &[u8]) -> Vec<u8> {
+    let mut file = CHECKPOINT_MAGIC.to_vec();
+    file.extend_from_slice(&version.to_le_bytes());
+    file.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    file.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+    file.extend_from_slice(payload);
+    file
+}
 
+/// A checkpoint file's payload: the position, then the stream's payload.
+fn file_payload(position: u64, stream: &[u8]) -> Vec<u8> {
+    let mut w = SnapshotWriter::new();
+    w.u64(position);
+    w.bytes(stream);
+    w.into_bytes()
+}
+
+/// A one-lane stream fed the first three intervals of a small scenario.
+fn three_intervals() -> MultiSourceExtractor {
     let scenario = Scenario::small(3);
-    let config = config_for(&scenario);
-    let mut stream = one_lane(config);
+    let mut stream = one_lane(config_for(&scenario));
     for i in 0..3 {
         for flow in scenario.generate(i).flows {
             let _ = stream.push(SourceId(0), flow);
         }
     }
-    let (_, payload) = stream.checkpoint();
+    stream
+}
 
-    // Round trip through the atomic file layer.
+/// A fresh checkpoint file loads; every corruption mode fails with the
+/// right typed [`RestoreError`] — and none of them panics.
+#[test]
+fn checkpoint_files_reject_corruption_with_typed_errors() {
+    let dir = std::env::temp_dir().join(format!("anomex-restore-test-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| -> PathBuf { dir.join(name) };
+    let load = |name: &str| MultiSourceExtractor::load(&path(name));
+
+    // Round trip through the atomic file layer: the file is the
+    // stream's position and payload in the current frame.
+    let mut stream = three_intervals();
     let good = path("good.ckpt");
-    write_checkpoint(&good, &payload).unwrap();
+    stream.save(&good).1.unwrap();
     let (version, bytes) = read_checkpoint(&good).unwrap();
     assert_eq!(version, CHECKPOINT_VERSION);
-    assert_eq!(bytes, payload);
-    assert!(
-        MultiSourceExtractor::restore(&bytes).is_ok(),
-        "a one-lane checkpoint restores"
-    );
+    let (_, payload) = stream.checkpoint();
+    assert_eq!(bytes, file_payload(stream.total_flows(), &payload));
+    let loaded = load("good.ckpt").expect("a one-lane checkpoint loads");
+    assert_eq!(loaded.total_flows(), stream.total_flows());
 
     let raw = std::fs::read(&good).unwrap();
 
     // Truncated: file ends inside the declared payload.
-    let truncated = path("truncated.ckpt");
-    std::fs::write(&truncated, &raw[..raw.len() - 7]).unwrap();
+    std::fs::write(path("truncated.ckpt"), &raw[..raw.len() - 7]).unwrap();
     assert!(matches!(
-        read_checkpoint(&truncated),
+        load("truncated.ckpt"),
         Err(RestoreError::Truncated)
     ));
 
     // Bad magic: not a checkpoint at all.
     let mut evil = raw.clone();
     evil[..CHECKPOINT_MAGIC.len()].copy_from_slice(b"NOTACKPT");
-    let bad_magic = path("bad-magic.ckpt");
-    std::fs::write(&bad_magic, &evil).unwrap();
+    std::fs::write(path("bad-magic.ckpt"), &evil).unwrap();
     assert!(matches!(
-        read_checkpoint(&bad_magic),
+        load("bad-magic.ckpt"),
         Err(RestoreError::BadMagic)
     ));
 
     // Version bump: written by a future format.
     let mut evil = raw.clone();
     evil[CHECKPOINT_MAGIC.len()] = 0xfe; // version u32, little-endian
-    let bad_version = path("bad-version.ckpt");
-    std::fs::write(&bad_version, &evil).unwrap();
+    std::fs::write(path("bad-version.ckpt"), &evil).unwrap();
     assert!(matches!(
-        read_checkpoint(&bad_version),
+        load("bad-version.ckpt"),
         Err(RestoreError::UnsupportedVersion { found: 0xfe })
     ));
 
@@ -332,28 +352,52 @@ fn checkpoint_files_reject_corruption_with_typed_errors() {
     let mut evil = raw.clone();
     let last = evil.len() - 1;
     evil[last] ^= 0xff;
-    let flipped = path("flipped.ckpt");
-    std::fs::write(&flipped, &evil).unwrap();
+    std::fs::write(path("flipped.ckpt"), &evil).unwrap();
     assert!(matches!(
-        read_checkpoint(&flipped),
+        load("flipped.ckpt"),
         Err(RestoreError::ChecksumMismatch)
     ));
 
     // Missing file: an I/O error, not a panic (the CLI maps this to a
     // cold start when `--resume` finds no checkpoint).
     assert!(matches!(
-        read_checkpoint(&path("never-written.ckpt")),
+        load("never-written.ckpt"),
         Err(RestoreError::Io(_))
     ));
 
-    // A framed-but-gibberish payload must fail restore, not panic.
+    // A well-framed file whose stream payload is gibberish must fail,
+    // not panic, in either format version's layout.
     let garbage: Vec<u8> = (0..payload.len()).map(|i| (i * 31) as u8).collect();
-    let framed = path("garbage.ckpt");
-    write_checkpoint(&framed, &garbage).unwrap();
-    let (_, garbage) = read_checkpoint(&framed).unwrap();
-    assert!(MultiSourceExtractor::restore(&garbage).is_err());
-    assert!(MultiSourceExtractor::restore_v1(&garbage).is_err());
+    for version in [1, 2] {
+        let file = framed(version, &file_payload(stream.total_flows(), &garbage));
+        std::fs::write(path("garbage.ckpt"), file).unwrap();
+        assert!(load("garbage.ckpt").is_err(), "version {version}");
+    }
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A well-framed file whose position is not the flow count of the
+/// stream it holds would resume a replay at the wrong flow: it is a
+/// typed error.
+#[test]
+fn a_position_that_disagrees_with_the_stream_is_a_typed_error() {
+    let dir = std::env::temp_dir().join(format!("anomex-position-test-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("stream.ckpt");
+    let mut stream = three_intervals();
+    let (_, payload) = stream.checkpoint();
+    let flows = stream.total_flows();
+    for position in [flows, flows - 1, flows + 1, 0] {
+        write_checkpoint(&path, &file_payload(position, &payload)).unwrap();
+        let loaded = MultiSourceExtractor::load(&path);
+        if position == flows {
+            assert_eq!(loaded.unwrap().total_flows(), flows);
+        } else {
+            let err = loaded.unwrap_err();
+            assert!(matches!(err, RestoreError::Corrupt(_)), "{position}: {err}");
+        }
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
