@@ -27,10 +27,13 @@
 //! ```text
 //!  detect:      DetectorBank::observe_columns: per feature, each clone
 //!               counts the column into its recycled buffer and is
-//!               scored; alarmed clones resolve values from the column
-//!  pre-filter:  one column scan per meta-data feature
-//!  mine:        transactions built from the index slice; one counting
-//!               pass and the join / tree / lattice search
+//!               scored; alarmed clones resolve values from the column,
+//!               and a feature at quorum marks the rows whose value it
+//!               voted
+//!  pre-filter:  prefilter_indices_voted joins the marked rows (no
+//!               column scan)
+//!  mine:        the suspicious rows gathered one column at a time; one
+//!               per-column count and the FP-tree search
 //! ```
 //!
 //! The streaming front-end
@@ -40,10 +43,10 @@
 //!
 //! **Columnar storage.** The engine holds each interval as a
 //! [`FlowColumns`] struct-of-arrays store: every hot pass — histograms,
-//! pre-filter verdicts, transaction gathering — walks only the
-//! contiguous column(s) it reads. The streaming path assembles its
-//! windows as columns and hands them over as they are; a record slice
-//! is transposed into fresh columns on each call.
+//! resolve, transaction gathering — walks only the contiguous column(s)
+//! it reads. The streaming path assembles its windows as columns and
+//! hands them over as they are; a record slice is transposed into fresh
+//! columns on each call.
 
 use anomex_detector::{DetectorBank, MetaData};
 use anomex_mining::RuleConfig;
@@ -52,7 +55,7 @@ use anomex_netflow::{FlowColumns, FlowRecord};
 
 use crate::config::{ConfigError, ExtractionConfig};
 use crate::pipeline::{mine_at_indices, Extraction, IntervalOutcome};
-use crate::prefilter::{prefilter_indices_columns_with, PrefilterScratch};
+use crate::prefilter::prefilter_indices_voted;
 
 /// One interval's flows, in whichever representation the caller already
 /// holds. [`Engine::process`] accepts `impl Into<IntervalInput>`, so
@@ -141,9 +144,6 @@ impl ReconfigRequest {
 pub struct Engine {
     config: ExtractionConfig,
     bank: DetectorBank,
-    /// Recycled pre-filter hit buffer, so steady-state pre-filtering
-    /// does not re-allocate one byte per flow each alarmed interval.
-    prefilter_scratch: PrefilterScratch,
 }
 
 impl Engine {
@@ -156,11 +156,7 @@ impl Engine {
     pub fn new(config: ExtractionConfig) -> Result<Self, ConfigError> {
         config.validate()?;
         let bank = DetectorBank::new(&config.detector);
-        Ok(Engine {
-            config,
-            bank,
-            prefilter_scratch: PrefilterScratch::default(),
-        })
+        Ok(Engine { config, bank })
     }
 
     /// Offline extraction (§II-B with meta-data from elsewhere):
@@ -224,11 +220,10 @@ impl Engine {
     fn process_columns(&mut self, cols: &FlowColumns) -> IntervalOutcome {
         let observation = self.bank.observe_columns(cols);
         let extraction = if observation.alarm && !observation.metadata.is_empty() {
-            let indices = prefilter_indices_columns_with(
-                cols,
+            let indices = prefilter_indices_voted(
+                self.bank.voted_rows(),
                 &observation.metadata,
                 self.config.prefilter,
-                &mut self.prefilter_scratch,
             );
             Some(mine_at_indices(
                 observation.interval,

@@ -65,9 +65,7 @@ pub use engine::{Engine, IntervalInput, ReconfigRequest};
 #[doc(hidden)]
 pub use legacy::*;
 pub use pipeline::{source_rules, Extraction, IntervalOutcome, TransactionMode};
-pub use prefilter::{
-    prefilter_indices_columns, prefilter_indices_columns_with, PrefilterMode, PrefilterScratch,
-};
+pub use prefilter::{prefilter_indices_columns, prefilter_indices_voted, PrefilterMode};
 pub use report::{render_level_stats, render_report, render_report_with_levels, render_rule_merge};
 pub use streaming::{
     latency_percentile, MultiSourceExtractor, MultiStreamEvent, MultiStreamSummary, StreamEvent,

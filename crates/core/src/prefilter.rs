@@ -9,12 +9,20 @@
 //! the event. DoWitcher-style intersection filtering is provided as the
 //! comparison baseline.
 //!
-//! The engine pre-filters a columnar interval with
-//! [`prefilter_indices_columns_with`], which scans one [`FlowColumns`]
-//! column per meta-data feature through [`FlowColumns::for_each_raw`];
-//! [`PrefilterMode::matches`] is the per-flow definition it implements.
+//! Online, the pre-filter costs no scan of its own: a value is voted
+//! exactly when enough alarmed clones claim it, which the detector's
+//! resolve pass already counts per row, so it marks the rows whose value
+//! of each feature at quorum is voted ([`VotedRows`]), and
+//! [`Engine::process`](crate::Engine::process) joins those bitsets with
+//! [`prefilter_indices_voted`]. Meta-data from elsewhere has no bins
+//! behind it: [`Engine::extract`](crate::Engine::extract) and
+//! [`source_rules`](crate::source_rules) pre-filter with
+//! [`prefilter_indices_columns`], which scans one [`FlowColumns`] column
+//! per meta-data feature through [`FlowColumns::for_each_raw`].
+//! [`PrefilterMode::matches`] is the per-flow definition both implement;
+//! both take part only the features that carry values.
 
-use anomex_detector::MetaData;
+use anomex_detector::{MetaData, VotedRows};
 use anomex_netflow::{FlowColumns, FlowRecord};
 
 /// Which matching semantics the pre-filter applies.
@@ -44,28 +52,6 @@ impl PrefilterMode {
 /// [`PrefilterMode::matches`] keeps, evaluated one *column* at a time
 /// instead of one flow at a time: each meta-data feature scans only its
 /// own contiguous column, so the other columns never enter the cache.
-#[must_use]
-pub fn prefilter_indices_columns(
-    cols: &FlowColumns,
-    metadata: &MetaData,
-    mode: PrefilterMode,
-) -> Vec<usize> {
-    prefilter_indices_columns_with(cols, metadata, mode, &mut PrefilterScratch::default())
-}
-
-/// Reusable working memory for the columnar pre-filter — the per-row hit
-/// counters. The engine keeps one and threads it through every alarmed
-/// interval's [`prefilter_indices_columns_with`] call, so steady-state
-/// intervals stop re-allocating one byte per flow. Contents never leak
-/// between calls (the buffer is re-zeroed on entry), so recycling cannot
-/// change any output.
-#[derive(Debug, Default)]
-pub struct PrefilterScratch {
-    hits: Vec<u8>,
-}
-
-/// [`prefilter_indices_columns`] with caller-provided scratch — the
-/// allocation-recycling form the engine uses.
 ///
 /// Each participating feature is one
 /// [`for_each_raw`](FlowColumns::for_each_raw) scan of its column that
@@ -74,11 +60,10 @@ pub struct PrefilterScratch {
 /// branch-free as a fixed array; larger sets keep the ordinary
 /// `BTreeSet` lookup. Both count the same hits.
 #[must_use]
-pub fn prefilter_indices_columns_with(
+pub fn prefilter_indices_columns(
     cols: &FlowColumns,
     metadata: &MetaData,
     mode: PrefilterMode,
-    scratch: &mut PrefilterScratch,
 ) -> Vec<usize> {
     // Only features that actually carry values participate — exactly the
     // sets `matches_any`/`matches_all` consult.
@@ -102,9 +87,7 @@ pub fn prefilter_indices_columns_with(
     // hit and under Intersection with a hit in every feature (≤ 9
     // features, so a u8 cannot overflow).
     let rows = 0..cols.len();
-    let hits = &mut scratch.hits;
-    hits.clear();
-    hits.resize(rows.len(), 0);
+    let mut hits = vec![0u8; rows.len()];
     for &(feature, values) in &features {
         let mut row = 0;
         match SmallValueSet::new(values.iter().copied()) {
@@ -133,6 +116,60 @@ pub fn prefilter_indices_columns_with(
             .map(|(i, _)| i),
     );
     out
+}
+
+/// The rows [`prefilter_indices_columns`] keeps under `metadata`, read
+/// off `voted`, the rows the detector's resolve pass marked in the
+/// interval that voted the meta-data
+/// ([`DetectorBank::voted_rows`](anomex_detector::DetectorBank::voted_rows)):
+/// no column is scanned. Each feature carrying values contributes its
+/// bitset, the rows whose value of it was voted, and `mode` joins them
+/// word by word: union keeps a row set in any of them, intersection a
+/// row set in all of them.
+///
+/// # Panics
+///
+/// Panics if a feature carrying values in `metadata` has no bitset in
+/// `voted`, that is, if the meta-data was not voted in the interval
+/// `voted` was marked in.
+#[must_use]
+pub fn prefilter_indices_voted(
+    voted: &VotedRows,
+    metadata: &MetaData,
+    mode: PrefilterMode,
+) -> Vec<usize> {
+    let bitsets: Vec<&[u64]> = metadata
+        .features()
+        .map(|f| {
+            voted
+                .feature_rows(f)
+                .expect("a voted feature marked its rows")
+        })
+        .collect();
+    let Some((first, rest)) = bitsets.split_first() else {
+        // Empty meta-data matches nothing under either mode.
+        return Vec::new();
+    };
+    let word = |w: usize| {
+        let others = rest.iter().map(|bits| bits[w]);
+        match mode {
+            PrefilterMode::Union => others.fold(first[w], |word, bits| word | bits),
+            PrefilterMode::Intersection => others.fold(first[w], |word, bits| word & bits),
+        }
+    };
+    // Counted first, so the output is allocated once.
+    let kept = (0..first.len())
+        .map(|w| word(w).count_ones() as usize)
+        .sum();
+    let mut rows = Vec::with_capacity(kept);
+    for w in 0..first.len() {
+        let mut bits = word(w);
+        while bits != 0 {
+            rows.push(w * 64 + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
+    }
+    rows
 }
 
 /// A meta-data value set of at most [`SmallValueSet::MAX`] members,
@@ -259,22 +296,20 @@ mod tests {
     }
 
     /// The column scan keeps exactly the flows the per-flow definition
-    /// keeps, and one scratch recycled across intervals of different
-    /// sizes changes nothing.
+    /// keeps, at every interval size.
     #[test]
     fn columnar_prefilter_matches_the_per_flow_definition() {
         let md = sasser_metadata();
         let flows: Vec<FlowRecord> = (0..3000)
             .map(|i| flow(9990 + (i % 10) as u16, (i % 15) as u32 + 1))
             .collect();
-        let mut scratch = PrefilterScratch::default();
         for mode in [PrefilterMode::Union, PrefilterMode::Intersection] {
-            for len in [3000, 997, 0, 1, 3000] {
+            for len in [3000, 997, 0, 1] {
                 let cols = FlowColumns::from_flows(&flows[..len]);
                 let reference: Vec<usize> =
                     (0..len).filter(|&i| mode.matches(&md, &flows[i])).collect();
                 assert_eq!(
-                    prefilter_indices_columns_with(&cols, &md, mode, &mut scratch),
+                    prefilter_indices_columns(&cols, &md, mode),
                     reference,
                     "{mode:?}, {len} flows"
                 );

@@ -10,13 +10,14 @@ use anomex_netflow::snapshot::{RestoreError, SnapshotReader, SnapshotWriter};
 use anomex_netflow::{FlowColumns, FlowFeature, FlowRecord};
 
 use crate::detector::{FeatureDetector, FeatureObservation};
-use crate::kl::KlMemo;
+use crate::kl::ScoreTables;
 use crate::metadata::MetaData;
 
 /// Largest bin count `k` a [`DetectorConfig`] accepts (paper: 512–2048).
 pub const MAX_BINS: u32 = 1 << 16;
 
-/// Largest clone count `n` a [`DetectorConfig`] accepts (paper: n ≤ 25).
+/// Largest clone count `n` a [`DetectorConfig`] accepts (paper: n ≤ 25):
+/// resolve keeps one bit per alarmed clone in a `u64` mask.
 pub const MAX_CLONES: usize = 64;
 
 /// Configuration of a detector bank — the paper's Table III parameters.
@@ -165,14 +166,69 @@ impl BankObservation {
     }
 }
 
+/// The rows of the last observed interval whose value of a feature was
+/// voted, as the detector's resolve pass marks them: what the
+/// pre-filter keeps, read off that pass instead of a second scan of the
+/// alarmed columns. The pre-filter combines the bitsets of the features
+/// its meta-data names ([`DetectorBank::voted_rows`]).
+///
+/// Each feature at quorum marks its rows in a bitset of its own: bit `r`
+/// is set when row `r`'s value of that feature was voted. A bitset is
+/// zeroed and filled only on an interval where its feature reaches
+/// quorum; any other interval leaves no bitset without touching the
+/// buffer, which is kept for the next alarm.
+#[derive(Debug, Clone, Default)]
+pub struct VotedRows {
+    /// One bitset of `words` words per feature index.
+    bits: Vec<u64>,
+    words: usize,
+    /// The features whose bitset belongs to this interval.
+    marked: u16,
+}
+
+impl VotedRows {
+    /// `feature`'s bitset over the interval's rows, bit `r` of word
+    /// `r / 64` for row `r`; `None` unless the feature reached quorum.
+    #[must_use]
+    pub fn feature_rows(&self, feature: FlowFeature) -> Option<&[u64]> {
+        let f = feature.index();
+        (self.marked >> f & 1 == 1).then(|| &self.bits[f * self.words..(f + 1) * self.words])
+    }
+
+    /// Forget the last interval's rows, without touching the bitsets.
+    fn reset(&mut self) {
+        (self.words, self.marked) = (0, 0);
+    }
+
+    /// `feature`'s bitset over this interval's `rows` rows, zeroed on
+    /// the interval's first mark of that feature.
+    pub(crate) fn marks(&mut self, feature: FlowFeature, rows: usize) -> &mut [u64] {
+        let words = rows.div_ceil(64);
+        if self.marked == 0 {
+            self.bits.resize(FlowFeature::EXTENDED.len() * words, 0);
+            self.words = words;
+        }
+        let f = feature.index();
+        let bits = &mut self.bits[f * words..(f + 1) * words];
+        if self.marked >> f & 1 == 0 {
+            bits.fill(0);
+            self.marked |= 1 << f;
+        }
+        bits
+    }
+}
+
 /// `m` feature detectors operated in lockstep.
 #[derive(Debug)]
 pub struct DetectorBank {
     detectors: Vec<FeatureDetector>,
     interval: u64,
-    /// KL pair terms, reused by every clone of every feature: in one
-    /// interval they all score under the same normalizers.
-    kl: KlMemo,
+    /// Scoring's remembered terms, reused by every clone of every
+    /// feature: in one interval they all score KL under the same
+    /// normalizers.
+    tables: ScoreTables,
+    /// The rows the last interval's resolve passes marked as voted.
+    voted_rows: VotedRows,
 }
 
 impl DetectorBank {
@@ -205,7 +261,8 @@ impl DetectorBank {
         DetectorBank {
             detectors,
             interval: 0,
-            kl: KlMemo::new(),
+            tables: ScoreTables::new(),
+            voted_rows: VotedRows::default(),
         }
     }
 
@@ -218,15 +275,17 @@ impl DetectorBank {
     /// Observe one interval held as columns — the detect step: every
     /// detector counts its feature's column into its clones, scores and
     /// votes ([`FeatureDetector::observe_columns`]), and the alarmed
-    /// features' voted values are merged into the meta-data. Once past
-    /// the first interval and training, an unalarmed interval allocates
-    /// only what the returned observation owns.
+    /// features' voted values are merged into the meta-data. Each
+    /// feature at quorum also marks the rows whose value it voted, in
+    /// [`voted_rows`](Self::voted_rows). Once past the first interval and
+    /// training, an unalarmed interval allocates only what the returned
+    /// observation owns.
     pub fn observe_columns(&mut self, cols: &FlowColumns) -> BankObservation {
-        let features: Vec<FeatureObservation> = self
-            .detectors
-            .iter_mut()
-            .map(|d| d.observe_with(cols, &mut self.kl))
-            .collect();
+        self.voted_rows.reset();
+        let mut features = Vec::with_capacity(self.detectors.len());
+        for detector in &mut self.detectors {
+            features.push(detector.observe_with(cols, &mut self.tables, &mut self.voted_rows));
+        }
         let mut metadata = MetaData::new();
         for obs in &features {
             if obs.alarm {
@@ -242,6 +301,15 @@ impl DetectorBank {
         };
         self.interval += 1;
         observation
+    }
+
+    /// The rows of the last observed interval whose value of a feature
+    /// at quorum was voted: under the observation's meta-data, the rows
+    /// a pre-filter keeps are combined from these bitsets without another
+    /// scan of the columns.
+    #[must_use]
+    pub fn voted_rows(&self) -> &VotedRows {
+        &self.voted_rows
     }
 
     /// Whether all detectors finished training.

@@ -8,17 +8,27 @@
 //! count, and recompute the KL distance — until the "cleaned" histogram no
 //! longer generates an alert.
 //!
-//! A round costs O(log k), not a KL pass over the k bins:
+//! A round costs one pop from a ranking and one log₂, not a KL pass over
+//! the k bins:
 //!
 //! - **Removal order.** An untouched bin's deviation |wᵢ − rᵢ| never
-//!   changes, so the bins that differ from the reference are ranked once
-//!   (a max-heap on `(|wᵢ − rᵢ|, bin)`) and one is popped per round. Ties
-//!   pop the highest bin first, as a scan for the last maximum would.
+//!   changes. The pass that sets up the running sum also finds the most
+//!   deviating bin, which is all the first round needs; only a clone
+//!   that needs a second round ranks the remaining bins that differ from
+//!   the reference (a max-heap on `(|wᵢ − rᵢ|, bin)`) and pops one per
+//!   round. Ties go to the highest bin either way, as a scan for the
+//!   last maximum would. One round is the common case: on the
+//!   benchmark's `alarm` and `fanin` captures (seed 1) 57 % and 60 % of
+//!   the alarmed clones stop after it, while a few run past 180 rounds.
 //! - **KL per round.** With add-one smoothing, P = W + k and Q = R + k (W
 //!   and R the current and reference totals), the distance is
 //!   KL = S/P + log₂(Q/P) with S = Σ (wᵢ+1)·log₂((wᵢ+1)/(rᵢ+1)). Resetting
 //!   a bin to its reference count zeroes its term of S and moves W by
 //!   rᵢ − wᵢ, so a round updates two running values and takes one log₂.
+//!   A term of S depends on its count pair alone: for counts below 64
+//!   it is computed once into a table the detector bank keeps for its
+//!   lifetime, and S is summed in bin order, so the values are those of
+//!   the direct expression bit for bit.
 //! - **Exact decisions.** The running value differs from a direct
 //!   [`kl_distance`] only by rounding. A round whose value lies within
 //!   that rounding bound of the target is re-decided with [`kl_distance`]
@@ -27,7 +37,7 @@
 
 use std::collections::BinaryHeap;
 
-use crate::kl::kl_distance;
+use crate::kl::{kl_distance, PairTable};
 
 /// Result of the iterative bin-identification procedure.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,17 +84,20 @@ pub fn identify_anomalous_bins(
         reference,
         kl_distance(current, reference),
         target_kl,
+        &mut PairTable::new(),
     )
 }
 
 /// [`identify_anomalous_bins`] starting from `kl`, the caller's own
 /// `kl_distance(current, reference)` — an alarmed clone computed it a
 /// moment earlier for its alarm test — which becomes `kl_trajectory[0]`.
+/// Terms of S for small counts are remembered in `terms`.
 pub(crate) fn identify_from(
     current: &[u64],
     reference: &[u64],
     kl: f64,
     target_kl: f64,
+    terms: &mut PairTable,
 ) -> BinIdentification {
     let mut bins = Vec::new();
     let mut kl_trajectory = vec![kl];
@@ -93,8 +106,8 @@ pub(crate) fn identify_from(
     let mut running: Option<RunningKl<'_>> = None;
 
     while *kl_trajectory.last().expect("non-empty") > target_kl {
-        let running = running.get_or_insert_with(|| RunningKl::new(current, reference));
-        let Some((bin, mut kl, bound)) = running.remove_next() else {
+        let running = running.get_or_insert_with(|| RunningKl::new(current, reference, terms));
+        let Some((bin, mut kl, bound)) = running.remove_next(terms) else {
             // Fully aligned with the reference yet still above target:
             // the target is unreachable (e.g., negative). Report
             // non-convergence instead of looping.
@@ -117,15 +130,18 @@ pub(crate) fn identify_from(
     }
 }
 
-/// The cleaned histogram's KL distance as running values: the bins that
-/// still differ from the reference, ranked, and S, W and Q of the closed
-/// form in the module docs.
+/// The cleaned histogram's KL distance as running values: the most
+/// deviating bin (until the first round takes it), then the bins that
+/// still differ from the reference, ranked, and S, W and Q of the
+/// closed form in the module docs.
 struct RunningKl<'a> {
     current: &'a [u64],
     reference: &'a [u64],
-    /// `(|w − r|, bin)` of every bin not yet reset; ties pop the higher
-    /// bin.
-    ranking: BinaryHeap<(u64, u32)>,
+    /// The first round's bin: the last of the most deviating bins.
+    first: Option<u32>,
+    /// `(|w − r|, bin)` of every bin not yet reset, built on the second
+    /// round; ties pop the higher bin.
+    ranking: Option<BinaryHeap<(u64, u32)>>,
     /// S = Σ (wᵢ+1)·log₂((wᵢ+1)/(rᵢ+1)) over the bins not yet reset.
     sum: f64,
     /// Σ (|termᵢ| + wᵢ + 1) over the bins that differed at the start:
@@ -141,25 +157,30 @@ struct RunningKl<'a> {
 
 impl<'a> RunningKl<'a> {
     /// One pass over the bins.
-    fn new(current: &'a [u64], reference: &'a [u64]) -> Self {
+    fn new(current: &'a [u64], reference: &'a [u64], terms: &mut PairTable) -> Self {
         let (mut w_total, mut r_total) = (0u64, 0u64);
         let (mut sum, mut scale) = (0.0f64, 0.0f64);
-        let mut ranking = Vec::new();
+        let mut first: Option<(u64, u32)> = None;
         for (bin, (&w, &r)) in current.iter().zip(reference).enumerate() {
             w_total += w;
             r_total += r;
             if w != r {
-                let term = smoothed_term(w, r);
+                let term = terms.get(w, r, smoothed_term);
                 sum += term;
                 scale += term.abs() + (w as f64 + 1.0);
-                ranking.push((w.abs_diff(r), bin as u32));
+                let deviation = w.abs_diff(r);
+                match first {
+                    Some((best, _)) if deviation < best => {}
+                    _ => first = Some((deviation, bin as u32)),
+                }
             }
         }
         let k = current.len() as f64;
         RunningKl {
             current,
             reference,
-            ranking: BinaryHeap::from(ranking),
+            first: first.map(|(_, bin)| bin),
+            ranking: None,
             sum,
             scale,
             w_total,
@@ -169,14 +190,30 @@ impl<'a> RunningKl<'a> {
         }
     }
 
+    /// The next bin to reset: the first round's from the set-up pass,
+    /// later ones from the ranking, which the second round builds.
+    fn next_bin(&mut self) -> Option<u32> {
+        if self.removed == 0 {
+            return self.first;
+        }
+        let (current, reference, first) = (self.current, self.reference, self.first);
+        let ranking = self.ranking.get_or_insert_with(|| {
+            (current.iter().zip(reference).enumerate())
+                .filter(|&(bin, (&w, &r))| w != r && Some(bin as u32) != first)
+                .map(|(bin, (&w, &r))| (w.abs_diff(r), bin as u32))
+                .collect()
+        });
+        ranking.pop().map(|(_, bin)| bin)
+    }
+
     /// Reset the most-deviating remaining bin to its reference count:
     /// that bin, the KL distance after it, and the bound on how far that
     /// value and a direct [`kl_distance`] can lie apart. `None` when no
     /// bin differs any more.
-    fn remove_next(&mut self) -> Option<(u32, f64, f64)> {
-        let (_, bin) = self.ranking.pop()?;
+    fn remove_next(&mut self, terms: &mut PairTable) -> Option<(u32, f64, f64)> {
+        let bin = self.next_bin()?;
         let (w, r) = (self.current[bin as usize], self.reference[bin as usize]);
-        self.sum -= smoothed_term(w, r);
+        self.sum -= terms.get(w, r, smoothed_term);
         self.w_total = self.w_total - w + r;
         self.removed += 1;
 

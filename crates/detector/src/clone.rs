@@ -8,15 +8,13 @@
 //! bin identification and proposes the feature values observed in the
 //! anomalous bins.
 
-use std::collections::BTreeSet;
-
 use anomex_netflow::snapshot::{RestoreError, SnapshotReader, SnapshotWriter};
 use anomex_netflow::{FlowColumns, FlowFeature, FlowRecord};
 
 use crate::binid::{identify_from, BinIdentification};
 use crate::hash::BinHasher;
 use crate::histogram::{count_interval, resolve_clones, FeatureHistogram, Keys};
-use crate::kl::KlMemo;
+use crate::kl::ScoreTables;
 use crate::threshold::{FirstDiffThreshold, SIGMA_FLOOR};
 
 /// What one clone saw in one interval.
@@ -30,9 +28,9 @@ pub struct CloneObservation {
     pub first_diff: Option<f64>,
     /// Whether this clone raised an alarm (never during training).
     pub alarm: bool,
-    /// Feature values this clone proposes as anomalous (empty unless
-    /// `alarm`).
-    pub values: BTreeSet<u64>,
+    /// Feature values this clone proposes as anomalous, ascending and
+    /// each once (empty unless `alarm`).
+    pub values: Vec<u64>,
     /// The bin-identification audit trail, when an alarm fired.
     pub bin_identification: Option<BinIdentification>,
 }
@@ -141,10 +139,11 @@ impl HistogramClone {
         let cols = FlowColumns::from_flows(flows);
         let mut current = FeatureHistogram::new(self.feature, self.hasher, self.bins);
         count_interval(&cols, std::slice::from_mut(&mut current));
-        let mut observation = self.score(&mut current, &mut KlMemo::new());
+        let mut observation = self.score(&mut current, &mut ScoreTables::new());
         if let Some(id) = &observation.bin_identification {
             let keys = Keys::Column(&cols, self.feature);
-            let mut sets = resolve_clones(&keys, self.bins, &[(self.hasher, &id.bins)]);
+            let (mut sets, _) =
+                resolve_clones(&keys, self.bins, &[(self.hasher, &id.bins)], 1, None);
             observation.values = sets.pop().expect("one clone, one set");
         }
         observation
@@ -153,8 +152,8 @@ impl HistogramClone {
     /// Score the interval histogram `current` and advance the state
     /// machine, short of resolving values: an alarm carries its bin
     /// identification and empty `values`, which the caller resolves — in
-    /// one pass for all of a feature's alarmed clones. KL pair terms go
-    /// through `memo`.
+    /// one pass for all of a feature's alarmed clones. KL pair terms and
+    /// bin identification's terms are remembered in `tables`.
     ///
     /// `current` then becomes the reference histogram, and the outgoing
     /// reference is handed back in its place, as the buffer the next
@@ -167,7 +166,7 @@ impl HistogramClone {
     pub(crate) fn score(
         &mut self,
         current: &mut FeatureHistogram,
-        memo: &mut KlMemo,
+        tables: &mut ScoreTables,
     ) -> CloneObservation {
         assert!(
             current.feature() == self.feature
@@ -178,7 +177,7 @@ impl HistogramClone {
         let kl = self
             .prev_histogram
             .as_ref()
-            .map(|prev| memo.distance(current.counts(), prev.counts()));
+            .map(|prev| tables.kl.distance(current.counts(), prev.counts()));
         let first_diff = match (kl, self.prev_kl) {
             (Some(now), Some(before)) => Some(now - before),
             _ => None,
@@ -215,6 +214,7 @@ impl HistogramClone {
                             prev.counts(),
                             kl.expect("first_diff exists ⇒ KL exists"),
                             target_kl,
+                            &mut tables.smoothed,
                         ));
                     }
                 }
@@ -231,7 +231,7 @@ impl HistogramClone {
             kl,
             first_diff,
             alarm,
-            values: BTreeSet::new(),
+            values: Vec::new(),
             bin_identification,
         }
     }
@@ -555,16 +555,16 @@ mod tests {
             FeatureHistogram::build(FlowFeature::DstPort, BinHasher::new(7), 64, flows)
         };
         let (first, second) = (build(&background(0)), build(&flooded(1)));
-        let mut memo = KlMemo::new();
+        let mut tables = ScoreTables::new();
         let mut current = first.clone();
-        assert!(clone.score(&mut current, &mut memo).kl.is_none());
+        assert!(clone.score(&mut current, &mut tables).kl.is_none());
         assert_eq!(
             current.counts(),
             first.counts(),
             "the first interval keeps a copy"
         );
         current = second.clone();
-        let kl = clone.score(&mut current, &mut memo).kl;
+        let kl = clone.score(&mut current, &mut tables).kl;
         assert_eq!(current.counts(), first.counts(), "the outgoing reference");
         assert_eq!(
             kl.map(f64::to_bits),
@@ -579,7 +579,7 @@ mod tests {
         let mut clone = HistogramClone::new(FlowFeature::DstPort, BinHasher::new(7), 64, 3.0, 5);
         let mut h =
             FeatureHistogram::build(FlowFeature::DstPort, BinHasher::new(8), 64, &background(0));
-        let _ = clone.score(&mut h, &mut KlMemo::new());
+        let _ = clone.score(&mut h, &mut ScoreTables::new());
     }
 
     #[test]

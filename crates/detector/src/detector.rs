@@ -3,20 +3,20 @@
 //! [`FeatureDetector::observe_columns`] is the detect step for one
 //! feature: it counts the interval's column into every clone's count
 //! buffer (`count_interval`), scores each clone against its reference
-//! histogram, resolves the alarmed clones' bins from the same column, and
-//! votes. The record-slice entry point ([`FeatureDetector::observe`])
-//! transposes once and calls it.
+//! histogram, and resolves the alarmed clones' bins from the same column,
+//! in a pass that also counts each value's votes. The record-slice entry
+//! point ([`FeatureDetector::observe`]) transposes once and calls it.
 
 use std::collections::BTreeSet;
 
 use anomex_netflow::snapshot::{RestoreError, SnapshotReader, SnapshotWriter};
 use anomex_netflow::{FlowColumns, FlowFeature, FlowRecord};
 
+use crate::bank::{VotedRows, MAX_CLONES};
 use crate::clone::{CloneObservation, ClonePhase, HistogramClone};
 use crate::hash::{derive_hashers, BinHasher};
 use crate::histogram::{count_interval, resolve_clones, FeatureHistogram, Keys};
-use crate::kl::KlMemo;
-use crate::vote::tally;
+use crate::kl::ScoreTables;
 
 /// What one feature detector (all clones + voting) saw in one interval.
 #[derive(Debug, Clone)]
@@ -55,7 +55,8 @@ impl FeatureDetector {
     ///
     /// # Panics
     ///
-    /// Panics if `clones` is zero or `votes` is not in `1..=clones`.
+    /// Panics if `clones` is not in `1..=`[`MAX_CLONES`] or `votes` is
+    /// not in `1..=clones`.
     #[must_use]
     pub fn new(
         feature: FlowFeature,
@@ -67,6 +68,10 @@ impl FeatureDetector {
         seed: u64,
     ) -> Self {
         assert!(clones >= 1, "need at least one clone");
+        assert!(
+            clones <= MAX_CLONES,
+            "clones {clones} must be at most {MAX_CLONES}"
+        );
         assert!(
             (1..=clones).contains(&votes),
             "votes {votes} must be within 1..={clones}"
@@ -125,43 +130,47 @@ impl FeatureDetector {
     /// state machine: each clone counts the feature's column into its
     /// count buffer and is scored against its reference histogram; the
     /// alarmed clones' bins are resolved to values in one more pass over
-    /// the column, and the clones vote. A detector observed on its own
-    /// builds a fresh KL table per call; a [`DetectorBank`](crate::DetectorBank)
-    /// reuses one for all its detectors.
+    /// the column, which also reads the vote off the clones' claims. A
+    /// detector observed on its own builds fresh scoring tables per call;
+    /// a [`DetectorBank`](crate::DetectorBank) reuses one set for all its
+    /// detectors.
     pub fn observe_columns(&mut self, cols: &FlowColumns) -> FeatureObservation {
-        self.observe_with(cols, &mut KlMemo::new())
+        self.observe_with(cols, &mut ScoreTables::new(), &mut VotedRows::default())
     }
 
-    /// [`observe_columns`](Self::observe_columns), remembering KL pair
-    /// terms in the caller's `kl`.
+    /// [`observe_columns`](Self::observe_columns), remembering scoring
+    /// terms in `tables`. When the feature alarms, the resolve pass also
+    /// marks in `rows` the rows that carry a voted value.
     pub(crate) fn observe_with(
         &mut self,
         cols: &FlowColumns,
-        kl: &mut KlMemo,
+        tables: &mut ScoreTables,
+        rows: &mut VotedRows,
     ) -> FeatureObservation {
         count_interval(cols, &mut self.counts);
         let mut observations: Vec<CloneObservation> = (self.clones.iter_mut())
             .zip(&mut self.counts)
-            .map(|(clone, counts)| clone.score(counts, kl))
+            .map(|(clone, counts)| clone.score(counts, tables))
             .collect();
         let alarmed_clones = observations.iter().filter(|o| o.alarm).count();
+        let alarm = alarmed_clones >= self.votes;
+        let mut voted_values = BTreeSet::new();
         if alarmed_clones > 0 {
             // One pass over the column resolves every alarmed clone.
             let claims: Vec<(BinHasher, &[u32])> = (self.clones.iter().zip(&observations))
                 .filter_map(|(c, o)| Some((c.hasher(), &o.bin_identification.as_ref()?.bins[..])))
                 .collect();
             let keys = Keys::Column(cols, self.feature);
-            let sets = resolve_clones(&keys, self.clones[0].bins(), &claims);
+            let marks = alarm.then(|| rows.marks(self.feature, cols.len()));
+            let (sets, voted) =
+                resolve_clones(&keys, self.clones[0].bins(), &claims, self.votes, marks);
             for (observation, values) in observations.iter_mut().filter(|o| o.alarm).zip(sets) {
                 observation.values = values;
             }
+            if alarm {
+                voted_values = voted;
+            }
         }
-        let alarm = alarmed_clones >= self.votes;
-        let voted_values = if alarm {
-            tally(observations.iter().map(|o| &o.values), self.votes)
-        } else {
-            BTreeSet::new()
-        };
         FeatureObservation {
             feature: self.feature,
             clones: observations,
@@ -321,6 +330,12 @@ mod tests {
     #[should_panic(expected = "must be within")]
     fn invalid_quorum_panics() {
         let _ = FeatureDetector::new(FlowFeature::DstPort, 64, 3, 4, 3.0, 5, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "must be at most")]
+    fn more_clones_than_a_mask_word_panics() {
+        let _ = FeatureDetector::new(FlowFeature::DstPort, 64, MAX_CLONES + 1, 1, 3.0, 5, 1);
     }
 
     #[test]

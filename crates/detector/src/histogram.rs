@@ -104,16 +104,22 @@ impl FeatureHistogram {
     }
 
     /// The distinct feature values among `keys` that this histogram's
-    /// hash function places in any of `bins` — an alarmed clone's
-    /// candidate values once its anomalous bins are identified. `keys`
-    /// are the raw keys the histogram was counted from, in row order
-    /// ([`FlowColumns::for_each_raw`]); one `bin_of` pass over them
+    /// hash function places in any of `bins`, ascending — an alarmed
+    /// clone's candidate values once its anomalous bins are identified.
+    /// `keys` are the raw keys the histogram was counted from, in row
+    /// order ([`FlowColumns::for_each_raw`]); one `bin_of` pass over them
     /// against a bitmap of the requested bins keeps the matching keys,
     /// which are sorted and deduplicated once. Bins outside `0..bins()`
     /// hold no values.
     #[must_use]
-    pub fn resolve(&self, keys: &[u64], bins: &[u32]) -> BTreeSet<u64> {
-        let mut sets = resolve_clones(&Keys::Slice(keys), self.bins(), &[(self.hasher, bins)]);
+    pub fn resolve(&self, keys: &[u64], bins: &[u32]) -> Vec<u64> {
+        let (mut sets, _) = resolve_clones(
+            &Keys::Slice(keys),
+            self.bins(),
+            &[(self.hasher, bins)],
+            1,
+            None,
+        );
         sets.pop().expect("one clone, one set")
     }
 
@@ -266,69 +272,97 @@ const RECENT_SLOTS: usize = 64;
 
 /// [`FeatureHistogram::resolve`] for several clones of one feature at
 /// once — each alarmed clone's hash function with its anomalous bins, all
-/// over `k` bins — returning each clone's values, in clone order.
+/// over `k` bins — returning each clone's values (ascending), in clone
+/// order, and the values at least `votes` of the clones claim.
 ///
 /// One pass over `keys` bins each key with every clone, into a mask of
 /// the clones whose anomalous bins claim it, and keeps the claimed keys.
-/// A small direct-mapped table of recently claimed keys skips repeats —
-/// a flood's value recurs in thousands of flows — so the kept keys are
+/// A small direct-mapped table of recently claimed keys skips repeats — a
+/// flood's value recurs in thousands of flows — so the kept keys are
 /// nearly distinct when they are sorted and deduplicated; the table only
 /// saves work, as a repeat it misses is kept again and dropped by the
-/// deduplication. Each clone's
-/// set is then read off the masks in key order. Work is one `bin_of` per
-/// key and clone and one sort of a few claimed keys: no set insert per
-/// flow, and a feature's keys are read once however many clones alarmed.
+/// deduplication. A key is voted exactly when its mask has at least
+/// `votes` bits, and the table keeps that verdict beside the key, so
+/// given `marks`, a bitset over the rows, the same pass sets the bit of
+/// every row whose key is voted. The vote and each clone's set are read
+/// off the masks in key order. Work is one `bin_of` per key and clone and
+/// one sort of a few claimed keys: no set insert per flow, and a
+/// feature's keys are read once however many clones alarmed.
+///
+/// # Panics
+///
+/// Panics if more than 64 clones are given, or if `marks` has fewer bits
+/// than there are keys.
 pub(crate) fn resolve_clones(
     keys: &Keys<'_>,
     k: u32,
     clones: &[(BinHasher, &[u32])],
-) -> Vec<BTreeSet<u64>> {
-    let mut sets = Vec::with_capacity(clones.len());
+    votes: usize,
+    mut marks: Option<&mut [u64]>,
+) -> (Vec<Vec<u64>>, BTreeSet<u64>) {
     // One mask bit per clone.
-    for group in clones.chunks(u64::BITS as usize) {
-        let marked: Vec<Vec<bool>> = group
-            .iter()
-            .map(|&(_, bins)| {
-                let mut marked = vec![false; k as usize];
-                for &bin in bins {
-                    if let Some(mark) = marked.get_mut(bin as usize) {
-                        *mark = true;
+    assert!(
+        clones.len() <= u64::BITS as usize,
+        "at most 64 clones resolve at once"
+    );
+    let k = k as usize;
+    // Clone c's bin b is claimed when `marked[c * k + b]`.
+    let mut marked = vec![false; clones.len() * k];
+    for (claims, &(_, bins)) in marked.chunks_exact_mut(k.max(1)).zip(clones) {
+        for &bin in bins {
+            if let Some(mark) = claims.get_mut(bin as usize) {
+                *mark = true;
+            }
+        }
+    }
+    let mut claimed: Vec<(u64, u64)> = Vec::new();
+    // A claimed key and whether it is voted.
+    let mut recent: [Option<(u64, bool)>; RECENT_SLOTS] = [None; RECENT_SLOTS];
+    let mut row = 0;
+    keys.for_each(|key| {
+        // Fibonacci hashing: the product's top bits pick the slot.
+        let slot = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            >> (u64::BITS - RECENT_SLOTS.trailing_zeros())) as usize;
+        let voted = match recent[slot] {
+            Some((seen, voted)) if seen == key => voted,
+            _ => {
+                let mut mask = 0u64;
+                for (bit, &(hasher, _)) in clones.iter().enumerate() {
+                    if marked[bit * k + hasher.bin_of(key, k as u32) as usize] {
+                        mask |= 1 << bit;
                     }
                 }
-                marked
-            })
-            .collect();
-        let mut claimed: Vec<(u64, u64)> = Vec::new();
-        let mut recent = [None; RECENT_SLOTS];
-        keys.for_each(|key| {
-            // Fibonacci hashing: the product's top bits pick the slot.
-            let slot = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                >> (u64::BITS - RECENT_SLOTS.trailing_zeros())) as usize;
-            if recent[slot] == Some(key) {
-                return;
-            }
-            let mut mask = 0u64;
-            for (bit, (&(hasher, _), marked)) in group.iter().zip(&marked).enumerate() {
-                if marked[hasher.bin_of(key, k) as usize] {
-                    mask |= 1 << bit;
+                // A key no clone claims is not voted: the quorum is at
+                // least 1.
+                mask != 0 && {
+                    let voted = mask.count_ones() as usize >= votes;
+                    claimed.push((key, mask));
+                    recent[slot] = Some((key, voted));
+                    voted
                 }
             }
-            if mask != 0 {
-                claimed.push((key, mask));
-                recent[slot] = Some(key);
-            }
-        });
-        claimed.sort_unstable_by_key(|&(key, _)| key);
-        claimed.dedup_by_key(|&mut (key, _)| key);
-        sets.extend((0..group.len()).map(|bit| {
+        };
+        if let Some(marks) = &mut marks {
+            marks[row / 64] |= u64::from(voted) << (row % 64);
+        }
+        row += 1;
+    });
+    claimed.sort_unstable_by_key(|&(key, _)| key);
+    claimed.dedup_by_key(|&mut (key, _)| key);
+    let sets = (0..clones.len())
+        .map(|bit| {
             claimed
                 .iter()
                 .filter(|&&(_, mask)| mask >> bit & 1 == 1)
                 .map(|&(key, _)| key)
-                .collect::<BTreeSet<u64>>()
-        }));
-    }
-    sets
+                .collect()
+        })
+        .collect();
+    let voted = (claimed.iter())
+        .filter(|&&(_, mask)| mask.count_ones() as usize >= votes)
+        .map(|&(key, _)| key)
+        .collect();
+    (sets, voted)
 }
 
 #[cfg(test)]
@@ -374,7 +408,7 @@ mod tests {
         let nonzero: Vec<_> = h.counts().iter().filter(|&&c| c > 0).collect();
         assert_eq!(nonzero, vec![&100u64]);
         let bin = BinHasher::new(1).bin_of(7000, 64);
-        assert_eq!(h.resolve(&keys, &[bin]), BTreeSet::from([7000]));
+        assert_eq!(h.resolve(&keys, &[bin]), [7000]);
     }
 
     #[test]
@@ -382,7 +416,7 @@ mod tests {
         let flows = vec![flow_to_port(7000)];
         let (h, keys) = scan(FlowFeature::DstPort, BinHasher::new(9), 1024, &flows);
         let bin = BinHasher::new(9).bin_of(7000, 1024);
-        assert_eq!(h.resolve(&keys, &[bin]), BTreeSet::from([7000]));
+        assert_eq!(h.resolve(&keys, &[bin]), [7000]);
         // Other bins are empty, and bins past the end hold nothing.
         let other = (bin + 1) % 1024;
         assert!(h.resolve(&keys, &[other]).is_empty());
@@ -398,7 +432,7 @@ mod tests {
             .iter()
             .map(|&v| hasher.bin_of(v, 1024))
             .collect();
-        assert_eq!(h.resolve(&keys, &bins), BTreeSet::from([25, 80, 7000]));
+        assert_eq!(h.resolve(&keys, &bins), [25, 80, 7000]);
     }
 
     #[test]
@@ -407,33 +441,47 @@ mod tests {
         let flows = vec![flow_to_port(1), flow_to_port(2)];
         let (h, keys) = scan(FlowFeature::DstPort, BinHasher::new(1), 1, &flows);
         assert_eq!(h.counts(), &[2]);
-        assert_eq!(h.resolve(&keys, &[0]), BTreeSet::from([1, 2]));
+        assert_eq!(h.resolve(&keys, &[0]), [1, 2]);
     }
 
     #[test]
     fn resolve_clones_matches_a_per_clone_scan() {
-        // 70 clones (two mask groups), extreme keys, and repeats
-        // interleaved so the recent-key table both hits and evicts.
+        // 64 clones (every mask bit), extreme keys, and repeats
+        // interleaved so the recent-key table both hits and evicts; the
+        // vote at quorum 2 and its row marks against a direct count.
         let mut keys: Vec<u64> = vec![u64::MAX, 0, u64::MAX, 1 << 63];
         keys.extend((0..3000u64).map(|i| if i % 3 == 0 { 7000 } else { i % 97 * 1_000_003 }));
-        let hashers: Vec<BinHasher> = (0..70).map(BinHasher::new).collect();
-        let bins: Vec<Vec<u32>> = (0..70u32).map(|c| vec![c % 16, (c * 7) % 16, 99]).collect();
+        let hashers: Vec<BinHasher> = (0..64).map(BinHasher::new).collect();
+        let bins: Vec<Vec<u32>> = (0..64u32).map(|c| vec![c % 16, (c * 7) % 16, 99]).collect();
         let clones: Vec<(BinHasher, &[u32])> = hashers
             .iter()
             .zip(&bins)
             .map(|(&h, b)| (h, &b[..]))
             .collect();
-        let sets = resolve_clones(&Keys::Slice(&keys), 16, &clones);
-        assert_eq!(sets.len(), 70);
+        let mut marks = vec![0u64; keys.len().div_ceil(64)];
+        let (sets, voted) = resolve_clones(&Keys::Slice(&keys), 16, &clones, 9, Some(&mut marks));
+        assert_eq!(sets.len(), 64);
         for ((hasher, bins), set) in clones.iter().zip(&sets) {
             let want: BTreeSet<u64> = keys
                 .iter()
                 .copied()
                 .filter(|&key| bins.contains(&hasher.bin_of(key, 16)))
                 .collect();
-            assert_eq!(set, &want);
+            assert!(set.iter().eq(&want), "ascending, each once");
         }
         assert!(sets.iter().any(|set| set.contains(&u64::MAX)));
+        let claims = |key: u64| sets.iter().filter(|set| set.contains(&key)).count();
+        let want: BTreeSet<u64> = keys
+            .iter()
+            .copied()
+            .filter(|&key| claims(key) >= 9)
+            .collect();
+        assert!(!want.is_empty() && want.len() < sets.iter().map(Vec::len).sum());
+        assert_eq!(voted, want);
+        for (row, &key) in keys.iter().enumerate() {
+            let mark = marks[row / 64] >> (row % 64) & 1 == 1;
+            assert_eq!(mark, want.contains(&key), "key {key}");
+        }
     }
 
     #[test]

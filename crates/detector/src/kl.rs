@@ -37,11 +37,6 @@
 //! expression the per-bin loop would compute. [`kl_distance`] builds a
 //! fresh table per call.
 
-/// Counts below this, in both histograms, share one remembered term per
-/// `(current, reference)` pair; one bitmap word per current count.
-const MEMO_SIDE: usize = 64;
-const _: () = assert!(MEMO_SIDE <= u64::BITS as usize);
-
 /// KL distance in bits between two histograms of equal bin count, with
 /// add-one smoothing. `p` is the current interval, `q` the reference.
 ///
@@ -53,12 +48,60 @@ pub fn kl_distance(p: &[u64], q: &[u64]) -> f64 {
     KlMemo::new().distance(p, q)
 }
 
+/// Counts below this, in both histograms, share one remembered term per
+/// `(current, reference)` pair; one bitmap word per current count.
+const PAIR_SIDE: usize = 64;
+const _: () = assert!(PAIR_SIDE <= u64::BITS as usize);
+
+/// A remembered term per count pair `(current, reference)` for counts
+/// below 64, with an occupancy bitmap that gates every read. Its owner
+/// decides what a term is, and when the terms go stale.
+pub(crate) struct PairTable {
+    /// `terms[pc][qc]`, valid once bit `qc` of `seen[pc]` is set.
+    terms: Box<[[f64; PAIR_SIDE]; PAIR_SIDE]>,
+    seen: [u64; PAIR_SIDE],
+}
+
+impl PairTable {
+    pub(crate) fn new() -> Self {
+        PairTable {
+            terms: Box::new([[0.0; PAIR_SIDE]; PAIR_SIDE]),
+            seen: [0; PAIR_SIDE],
+        }
+    }
+
+    /// Forget every remembered term.
+    fn clear(&mut self) {
+        self.seen = [0; PAIR_SIDE];
+    }
+
+    /// `term(pc, qc)`, remembered when both counts are small: the same
+    /// expression on the same operands, so the same bits.
+    #[inline]
+    pub(crate) fn get(&mut self, pc: u64, qc: u64, term: impl FnOnce(u64, u64) -> f64) -> f64 {
+        if pc >= PAIR_SIDE as u64 || qc >= PAIR_SIDE as u64 {
+            return term(pc, qc);
+        }
+        let (row, bit) = (pc as usize, 1u64 << qc);
+        if self.seen[row] & bit == 0 {
+            self.seen[row] |= bit;
+            self.terms[row][qc as usize] = term(pc, qc);
+        }
+        self.terms[row][qc as usize]
+    }
+}
+
+impl std::fmt::Debug for PairTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PairTable").finish_non_exhaustive()
+    }
+}
+
 /// The pair-term table of [`kl_distance`], kept by its owner across
 /// calls so that a call need not zero it (see the module docs).
+#[derive(Debug)]
 pub(crate) struct KlMemo {
-    /// `terms[pc][qc]`, valid once bit `qc` of `seen[pc]` is set.
-    terms: Box<[[f64; MEMO_SIDE]; MEMO_SIDE]>,
-    seen: [u64; MEMO_SIDE],
+    table: PairTable,
     /// The bits of the normalizers Σp + k and Σq + k the valid terms
     /// were computed under.
     norms: (u64, u64),
@@ -67,8 +110,7 @@ pub(crate) struct KlMemo {
 impl KlMemo {
     pub(crate) fn new() -> Self {
         KlMemo {
-            terms: Box::new([[0.0; MEMO_SIDE]; MEMO_SIDE]),
-            seen: [0; MEMO_SIDE],
+            table: PairTable::new(),
             norms: (0, 0),
         }
     }
@@ -90,22 +132,12 @@ impl KlMemo {
         };
         let norms = (p_norm.to_bits(), q_norm.to_bits());
         if norms != self.norms {
-            self.seen = [0; MEMO_SIDE];
+            self.table.clear();
             self.norms = norms;
         }
-        let (terms, seen) = (&mut *self.terms, &mut self.seen);
         let mut d = 0.0;
         for (&pc, &qc) in p.iter().zip(q) {
-            d += if pc < MEMO_SIDE as u64 && qc < MEMO_SIDE as u64 {
-                let (row, bit) = (pc as usize, 1u64 << qc);
-                if seen[row] & bit == 0 {
-                    seen[row] |= bit;
-                    terms[row][qc as usize] = term(pc, qc);
-                }
-                terms[row][qc as usize]
-            } else {
-                term(pc, qc)
-            };
+            d += self.table.get(pc, qc, term);
         }
         // Clamp the tiny negative residue floating-point rounding can leave
         // when p == q.
@@ -113,9 +145,22 @@ impl KlMemo {
     }
 }
 
-impl std::fmt::Debug for KlMemo {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("KlMemo").finish_non_exhaustive()
+/// The tables a clone's scoring remembers terms in: the KL distance's,
+/// and bin identification's terms of its running sum, which depend on
+/// their count pair alone and so never go stale. The detector bank keeps
+/// one set for all its clones.
+#[derive(Debug)]
+pub(crate) struct ScoreTables {
+    pub(crate) kl: KlMemo,
+    pub(crate) smoothed: PairTable,
+}
+
+impl ScoreTables {
+    pub(crate) fn new() -> Self {
+        ScoreTables {
+            kl: KlMemo::new(),
+            smoothed: PairTable::new(),
+        }
     }
 }
 

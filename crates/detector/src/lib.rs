@@ -43,7 +43,7 @@ pub mod roc;
 pub mod threshold;
 pub mod vote;
 
-pub use bank::{BankObservation, DetectorBank, DetectorConfig, MAX_BINS, MAX_CLONES};
+pub use bank::{BankObservation, DetectorBank, DetectorConfig, VotedRows, MAX_BINS, MAX_CLONES};
 pub use binid::{identify_anomalous_bins, BinIdentification};
 pub use clone::{CloneObservation, ClonePhase, HistogramClone};
 pub use detector::{FeatureDetector, FeatureObservation};

@@ -26,17 +26,9 @@ pub fn vote(clone_sets: &[BTreeSet<u64>], votes: usize) -> BTreeSet<u64> {
         votes,
         clone_sets.len()
     );
-    tally(clone_sets, votes)
-}
-
-/// [`vote`] without the quorum checks: the sets' values concatenated and
-/// sorted, keeping each value whose run is at least `votes` long (a set
-/// holds a value at most once, so a run's length is its vote count).
-pub(crate) fn tally<'a>(
-    clone_sets: impl IntoIterator<Item = &'a BTreeSet<u64>>,
-    votes: usize,
-) -> BTreeSet<u64> {
-    let mut proposed: Vec<u64> = clone_sets.into_iter().flatten().copied().collect();
+    // The sets' values concatenated and sorted: a set holds a value at
+    // most once, so the length of a value's run is its vote count.
+    let mut proposed: Vec<u64> = clone_sets.iter().flatten().copied().collect();
     proposed.sort_unstable();
     proposed
         .chunk_by(|a, b| a == b)

@@ -44,7 +44,7 @@ fn observe_checked(detector: &mut FeatureDetector, cols: &FlowColumns) -> Featur
         let sets: Vec<BTreeSet<u64>> = observation
             .clones
             .iter()
-            .map(|c| c.values.clone())
+            .map(|c| c.values.iter().copied().collect())
             .collect();
         assert_eq!(observation.voted_values, vote(&sets, detector.votes()));
     }
@@ -152,7 +152,7 @@ proptest! {
                     .collect();
                 prop_assert_eq!(
                     histogram.resolve(&keys, subset),
-                    want,
+                    Vec::from_iter(want),
                     "{} bins {:?}",
                     feature,
                     subset
@@ -160,7 +160,7 @@ proptest! {
                 if bins <= 1024 {
                     let all: Vec<u32> = (0..bins).collect();
                     let every: BTreeSet<u64> = values.values().flatten().copied().collect();
-                    prop_assert_eq!(histogram.resolve(&keys, &all), every);
+                    prop_assert_eq!(histogram.resolve(&keys, &all), Vec::from_iter(every));
                 }
             }
         }
@@ -248,7 +248,8 @@ fn shared_resolve_handles_duplicate_and_empty_keys() {
                 BTreeSet::from([7000])
             };
             for clone in &observation.clones {
-                assert!(clone.values.is_subset(&want), "{name}: {:?}", clone.values);
+                let values: BTreeSet<u64> = clone.values.iter().copied().collect();
+                assert!(values.is_subset(&want), "{name}: {:?}", clone.values);
             }
         }
     }

@@ -15,7 +15,8 @@ use std::collections::{HashMap, HashSet}; // probed by key, never iterated
 use std::ops::Range;
 
 use crate::combinations::for_each_combination;
-use crate::item::{Item, ItemHashBuilder, ItemMap};
+use crate::count::count_single_items;
+use crate::item::Item;
 use crate::itemset::ItemSet;
 use crate::maximal::filter_maximal;
 use crate::transaction::{TransactionSet, MAX_WIDTH};
@@ -89,67 +90,6 @@ pub struct AprioriOutput {
     pub passes: usize,
 }
 
-/// Buckets of the counting filter in front of the exact count in
-/// [`count_single_items`].
-const FILTER_BUCKETS: usize = 1 << 12;
-
-/// Pass 1 of Apriori and FP-growth: the items occurring in at least
-/// `min_support` transactions, with their counts, in item order.
-///
-/// Two passes over the transactions:
-///
-/// 1. a counting filter: every item adds one to its bucket among
-///    [`FILTER_BUCKETS`], hashed with a randomly keyed
-///    [`ItemHasher`](crate::item::ItemHasher);
-/// 2. an exact count of only the items whose bucket sum reaches
-///    `min_support`.
-///
-/// A bucket's sum is never below the count of any item in it, so no
-/// frequent item is skipped; the filter only spares the exact count the
-/// many items that cannot be frequent. Crafted items can at worst fill
-/// buckets so that nothing is skipped: without the key they cannot be
-/// aimed at one bucket, and no count depends on the hash.
-#[must_use]
-pub(crate) fn count_single_items(set: &TransactionSet, min_support: u64) -> Vec<(Item, u64)> {
-    count_filtered(set, min_support, ItemHashBuilder::default())
-}
-
-/// [`count_single_items`] with the filter's hashing given.
-fn count_filtered(
-    set: &TransactionSet,
-    min_support: u64,
-    hashing: ItemHashBuilder,
-) -> Vec<(Item, u64)> {
-    let mut sums = vec![0u64; FILTER_BUCKETS];
-    for t in set.transactions() {
-        for &item in t.items() {
-            sums[hashing.bucket(item, FILTER_BUCKETS)] += 1;
-        }
-    }
-    let candidates: u64 = sums.iter().filter(|&&sum| sum >= min_support).sum();
-    if candidates == 0 {
-        return Vec::new();
-    }
-    // Room for the frequent items and the few others sharing their
-    // buckets up front, so the map does not rehash as the set's
-    // distinct items grow.
-    let capacity = usize::try_from(candidates).map_or(FILTER_BUCKETS, |c| c.min(FILTER_BUCKETS));
-    let mut total = ItemMap::with_capacity_and_hasher(capacity, hashing);
-    for t in set.transactions() {
-        for &item in t.items() {
-            if sums[hashing.bucket(item, FILTER_BUCKETS)] >= min_support {
-                *total.entry(item).or_insert(0u64) += 1;
-            }
-        }
-    }
-    let mut frequent: Vec<(Item, u64)> = total
-        .into_iter()
-        .filter(|&(_, c)| c >= min_support)
-        .collect();
-    frequent.sort_unstable();
-    frequent
-}
-
 /// Run Apriori over a transaction set.
 ///
 /// # Panics
@@ -206,7 +146,7 @@ pub fn apriori(set: &TransactionSet, config: &AprioriConfig) -> AprioriOutput {
             .map(|(i, items)| (key_of(items), i))
             .collect();
         let mut support = vec![0u64; candidates.len()];
-        for t in set.transactions() {
+        for t in set.iter() {
             if t.width() < k {
                 continue;
             }
@@ -467,51 +407,5 @@ mod tests {
     fn passes_bounded_by_transaction_width() {
         let out = apriori(&small_set(), &AprioriConfig::all_frequent(1));
         assert!(out.passes <= MAX_WIDTH);
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::ProptestConfig::with_cases(8))]
-
-        /// The counting filter never changes a count: on sets with more
-        /// distinct items than buckets, at support 1, 2, the largest
-        /// bucket sum (only the fullest bucket passes the filter) and
-        /// `u64::MAX`, the items returned and their counts are a brute-force
-        /// count's.
-        #[test]
-        fn counting_filter_is_exact(values in proptest::collection::vec(0u64..12_000, 8_000..8_500)) {
-            let set = TransactionSet::from_transactions(
-                values
-                    .iter()
-                    .map(|&v| {
-                        tx(&[
-                            (FlowFeature::SrcIp, v),
-                            (FlowFeature::DstPort, v % 7),
-                            (FlowFeature::Proto, 6 + (v % 2) * 11),
-                        ])
-                    })
-                    .collect(),
-            );
-            let mut exact: std::collections::BTreeMap<Item, u64> = Default::default();
-            for t in set.transactions() {
-                for &item in t.items() {
-                    *exact.entry(item).or_default() += 1;
-                }
-            }
-            assert!(exact.len() > FILTER_BUCKETS, "{} distinct items", exact.len());
-            let hashing = ItemHashBuilder::default();
-            let mut sums = vec![0u64; FILTER_BUCKETS];
-            for (&item, &count) in &exact {
-                sums[hashing.bucket(item, FILTER_BUCKETS)] += count;
-            }
-            let largest = *sums.iter().max().unwrap();
-            for support in [1, 2, largest, u64::MAX] {
-                let want: Vec<(Item, u64)> = exact
-                    .iter()
-                    .filter(|&(_, &count)| count >= support)
-                    .map(|(&item, &count)| (item, count))
-                    .collect();
-                assert_eq!(count_filtered(&set, support, hashing), want, "support {support}");
-            }
-        }
     }
 }

@@ -17,7 +17,7 @@ use crate::transaction::TransactionSet;
 /// order ([`eclat`] sorts the roots by item before the search).
 fn tidlists(set: &TransactionSet) -> HashMap<Item, Vec<u32>> {
     let mut lists: HashMap<Item, Vec<u32>> = HashMap::new();
-    for (tid, t) in set.transactions().iter().enumerate() {
+    for (tid, t) in set.iter().enumerate() {
         for &item in t.items() {
             lists.entry(item).or_default().push(tid as u32);
         }

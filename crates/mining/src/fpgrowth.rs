@@ -7,21 +7,36 @@
 //! the exact same output contract as [`crate::apriori`], which stays the
 //! reference it is tested against and Table II's miner.
 //!
-//! The tree works on **dense ranks**, not items: after the first count,
-//! every frequent item gets its position in the descending-frequency order
-//! (ties broken by item encoding), each transaction is re-encoded into one
-//! reused rank buffer, and the header table and node links are `Vec`s
-//! indexed by rank. Conditional trees keep the global ranks (every prefix
-//! of rank `r` only holds ranks below `r`), drop the ranks that are
-//! infrequent in their conditional base before inserting, and are rebuilt
-//! into one recycled arena per recursion depth. Ranks turn back into
-//! [`Item`]s only when an item-set is emitted. The arena is `Vec<Node>` +
-//! `u32` indices — no `Rc`/`RefCell`, no raw pointers.
+//! The tree works on **dense ranks**, not items: after the first count
+//! (one feature column at a time), every frequent item gets its position
+//! in the descending-frequency order (ties broken by item encoding), and
+//! the header table and node links are `Vec`s indexed by rank.
+//! Conditional trees keep the global ranks (every prefix of rank `r` only
+//! holds ranks below `r`), drop the ranks that are infrequent in their
+//! conditional base before inserting, and are rebuilt into one recycled
+//! arena per recursion depth. Ranks turn back into [`Item`]s only when an
+//! item-set is emitted. The arena is `Vec<Node>` + `u32` indices — no
+//! `Rc`/`RefCell`, no raw pointers.
+//!
+//! **Paths from columns.** With at most 64 frequent items, each row's
+//! ranks are a bitmask, built one column at a time by comparing the
+//! column with each of its few frequent values — no per-item lookup — and
+//! the set bits, lowest first, are the row's path. Rows with equal masks
+//! share their path, so identical masks are merged first and each path is
+//! inserted once with its count. More frequent items than that (the low
+//! supports of rare mode) take the general path: per row, each column's
+//! rank by binary search over that column's frequent values, sorted, then
+//! inserted. Either way the tree's counts, and so every item-set and
+//! support, are those of inserting the rows one by one.
 
-use crate::apriori::count_single_items;
-use crate::item::{Item, ItemMap};
+use crate::count::count_single_items;
+use crate::item::Item;
 use crate::itemset::ItemSet;
 use crate::transaction::{TransactionSet, MAX_WIDTH};
+
+/// Slots of the table that merges identical rank masks; it is emptied
+/// into the tree whenever half of them are taken.
+const MERGE_SLOTS: usize = 1 << 10;
 
 /// "No node": the end of a child, sibling or node-link chain.
 const NONE: u32 = u32::MAX;
@@ -216,13 +231,9 @@ pub fn fpgrowth(set: &TransactionSet, min_support: u64) -> Vec<ItemSet> {
     // by encoding for determinism.
     let mut frequent = count_single_items(set, min_support);
     frequent.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    let rank: ItemMap<u32> = frequent
-        .iter()
-        .enumerate()
-        .map(|(r, &(item, _))| (item, r as u32))
-        .collect();
+    let items: Vec<Item> = frequent.iter().map(|&(item, _)| item).collect();
 
-    // Pass 2: re-encode each transaction into ranks and build the tree.
+    // Pass 2: each row's ranks as a path into the tree.
     // A conditional tree per suffix length: at most MAX_WIDTH items.
     let mut trees: Vec<FpTree> = (0..=MAX_WIDTH).map(|_| FpTree::default()).collect();
     let global = &mut trees[0];
@@ -231,16 +242,12 @@ pub fn fpgrowth(set: &TransactionSet, min_support: u64) -> Vec<ItemSet> {
         *slot = count;
     }
     let mut path: Vec<u32> = Vec::with_capacity(MAX_WIDTH);
-    for t in set.transactions() {
-        path.clear();
-        path.extend(t.items().iter().filter_map(|item| rank.get(item).copied()));
-        if !path.is_empty() {
-            path.sort_unstable();
-            global.insert(&path, 1);
-        }
+    if items.len() <= u64::BITS as usize {
+        insert_masks(global, &rank_masks(set, &items), &mut path);
+    } else {
+        insert_rows(global, set, &items, &mut path);
     }
 
-    let items: Vec<Item> = frequent.iter().map(|&(item, _)| item).collect();
     let mut search = Search {
         items: &items,
         min_support,
@@ -252,6 +259,101 @@ pub fn fpgrowth(set: &TransactionSet, min_support: u64) -> Vec<ItemSet> {
     let mut out = search.out;
     out.sort_unstable();
     out
+}
+
+/// Each row's frequent items as a mask of their ranks (`items` holds at
+/// most 64): bit `r` is set when the row carries `items[r]`. One pass per
+/// frequent item over its feature's column, with no branch per row.
+fn rank_masks(set: &TransactionSet, items: &[Item]) -> Vec<u64> {
+    let mut masks = vec![0u64; set.len()];
+    for (feature, column) in set.columns() {
+        for (rank, item) in items.iter().enumerate() {
+            if item.feature() != feature {
+                continue;
+            }
+            let (value, bit) = (item.value(), 1u64 << rank);
+            for (mask, &v) in masks.iter_mut().zip(column) {
+                *mask |= bit & 0u64.wrapping_sub(u64::from(v == value));
+            }
+        }
+    }
+    masks
+}
+
+/// Insert every non-empty mask's path into `tree`, merging equal masks
+/// in a small open-addressing table first so that each distinct path is
+/// inserted once per filling of the table, with its count.
+fn insert_masks(tree: &mut FpTree, masks: &[u64], path: &mut Vec<u32>) {
+    let mut slots = vec![(0u64, 0u64); MERGE_SLOTS];
+    let mut taken = 0;
+    for &mask in masks.iter().filter(|&&mask| mask != 0) {
+        // Fibonacci hashing: the product's top bits pick the slot.
+        let mut slot = (mask.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            >> (u64::BITS - MERGE_SLOTS.trailing_zeros())) as usize;
+        loop {
+            let (held, count) = &mut slots[slot];
+            if *held == mask {
+                *count += 1;
+                break;
+            }
+            if *held == 0 {
+                (*held, *count) = (mask, 1);
+                taken += 1;
+                break;
+            }
+            slot = (slot + 1) % MERGE_SLOTS;
+        }
+        if taken * 2 >= MERGE_SLOTS {
+            empty_into(tree, &mut slots, path);
+            taken = 0;
+        }
+    }
+    empty_into(tree, &mut slots, path);
+}
+
+/// Insert each merged mask of `slots` with its count, and free the slot.
+fn empty_into(tree: &mut FpTree, slots: &mut [(u64, u64)], path: &mut Vec<u32>) {
+    for (mask, count) in slots.iter_mut().filter(|(mask, _)| *mask != 0) {
+        path.clear();
+        let mut bits = *mask;
+        while bits != 0 {
+            path.push(bits.trailing_zeros());
+            bits &= bits - 1;
+        }
+        tree.insert(path, *count);
+        (*mask, *count) = (0, 0);
+    }
+}
+
+/// The general path, for more than 64 frequent items: per row, each
+/// column's rank by binary search over that column's frequent values,
+/// sorted into the row's path and inserted.
+fn insert_rows(tree: &mut FpTree, set: &TransactionSet, items: &[Item], path: &mut Vec<u32>) {
+    // Each column with frequent values, and those values' ranks by value.
+    type Ranked<'a> = (&'a [u64], Vec<(u64, u32)>);
+    let ranked: Vec<Ranked<'_>> = set
+        .columns()
+        .filter_map(|(feature, column)| {
+            let mut ranks: Vec<(u64, u32)> = (items.iter().enumerate())
+                .filter(|(_, item)| item.feature() == feature)
+                .map(|(rank, item)| (item.value(), rank as u32))
+                .collect();
+            ranks.sort_unstable();
+            (!ranks.is_empty()).then_some((column, ranks))
+        })
+        .collect();
+    for row in 0..set.len() {
+        path.clear();
+        for (column, ranks) in &ranked {
+            if let Ok(at) = ranks.binary_search_by_key(&column[row], |&(value, _)| value) {
+                path.push(ranks[at].1);
+            }
+        }
+        if !path.is_empty() {
+            path.sort_unstable();
+            tree.insert(path, 1);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -12,7 +12,8 @@
 //! Provided here:
 //!
 //! - [`Item`], [`Transaction`], [`TransactionSet`] — the transaction model
-//!   with the no-duplicate-feature invariant;
+//!   with the no-duplicate-feature invariant; a set stores its rows as one
+//!   column per feature, and both miners count single items per column;
 //! - [`fpgrowth`](fpgrowth::fpgrowth) — FP-growth over a dense-rank
 //!   FP-tree, the faster miner the paper cites (§III-E) and the one every
 //!   extraction runs;
@@ -40,6 +41,7 @@
 
 pub mod apriori;
 pub mod combinations;
+mod count;
 mod eclat;
 pub mod fpgrowth;
 pub mod item;

@@ -5,7 +5,7 @@ use crate::fpgrowth::fpgrowth;
 use crate::itemset::ItemSet;
 use crate::maximal::filter_maximal;
 use crate::rules::{RuleConfig, RuleSet};
-use crate::transaction::{Transaction, TransactionSet};
+use crate::transaction::TransactionSet;
 
 /// One extraction's mining pass: the maximal frequent item-sets at
 /// `min_support` (canonically ordered) and — iff `rules` is given — the
@@ -34,10 +34,7 @@ pub fn mine(
     let floor = match rules {
         None => min_support,
         Some(rc) => {
-            let width = (set.transactions().iter())
-                .map(Transaction::width)
-                .max()
-                .unwrap_or(0);
+            let width = set.max_width();
             if width == 0 {
                 return (Vec::new(), Some(RuleSet::empty()));
             }
@@ -55,6 +52,7 @@ mod tests {
     use super::*;
     use crate::apriori::{apriori, AprioriConfig};
     use crate::item::Item;
+    use crate::transaction::Transaction;
     use anomex_netflow::FlowFeature;
 
     fn sample() -> TransactionSet {

@@ -4,6 +4,12 @@
 //! traffic feature (paper §II-B). By construction a transaction never
 //! carries two items of the same feature; [`Transaction::from_items`]
 //! enforces this for hand-built transactions too.
+//!
+//! So a set of transactions is a table with one column per feature, and
+//! [`TransactionSet`] stores it that way: one column of values per
+//! feature, with a marker for a row that carries no item of it. The
+//! miners count and rank per column ([`crate::fpgrowth`]); a
+//! [`Transaction`] is a row, built on demand ([`TransactionSet::iter`]).
 
 use std::fmt;
 
@@ -90,7 +96,7 @@ impl Transaction {
     ///
     /// # Errors
     ///
-    /// [`TransactionError::TooWide`] for more than seven items and
+    /// [`TransactionError::TooWide`] for more than [`MAX_WIDTH`] items and
     /// [`TransactionError::DuplicateFeature`] if two items share a feature.
     pub fn from_items(src: &[Item]) -> Result<Self, TransactionError> {
         if src.len() > MAX_WIDTH {
@@ -150,10 +156,29 @@ impl Transaction {
     }
 }
 
-/// The mining input: a bag of transactions.
+/// A row's value in a column of a feature it carries no item of. Never
+/// a value: item values fit in 56 bits.
+pub(crate) const ABSENT: u64 = u64::MAX;
+
+// One column per feature.
+const _: () = assert!(FlowFeature::EXTENDED.len() == MAX_WIDTH);
+
+/// The mining input: a bag of transactions, stored as one column per
+/// feature.
+///
+/// Column `f` holds, per row, the value of the row's item of the feature
+/// with index `f` ([`FlowFeature::index`]), or a marker when the row has
+/// none; a feature no row has an item of keeps no column. Rows come out as
+/// [`Transaction`]s through [`iter`](Self::iter) and
+/// [`transactions`](Self::transactions).
 #[derive(Debug, Clone, Default)]
 pub struct TransactionSet {
-    transactions: Vec<Transaction>,
+    columns: [Vec<u64>; MAX_WIDTH],
+    /// Bit `f` is set when column `f` is kept (one value per row).
+    kept: u16,
+    len: usize,
+    /// The widest row's width.
+    width: usize,
 }
 
 impl TransactionSet {
@@ -166,31 +191,37 @@ impl TransactionSet {
     /// Map a slice of flows to their canonical transactions.
     #[must_use]
     pub fn from_flows(flows: &[FlowRecord]) -> Self {
-        TransactionSet {
-            transactions: flows.iter().map(Transaction::from_flow).collect(),
-        }
+        Self::from_records(flows, &FlowFeature::ALL)
     }
 
     /// Map a slice of flows to width-9 extended transactions (with /16
     /// prefix dimensions).
     #[must_use]
     pub fn from_flows_extended(flows: &[FlowRecord]) -> Self {
-        TransactionSet {
-            transactions: flows.iter().map(Transaction::from_flow_extended).collect(),
+        Self::from_records(flows, &FlowFeature::EXTENDED)
+    }
+
+    /// The record constructors' body: one column per feature.
+    fn from_records(flows: &[FlowRecord], features: &[FlowFeature]) -> Self {
+        let mut set = TransactionSet {
+            len: flows.len(),
+            width: if flows.is_empty() { 0 } else { features.len() },
+            ..TransactionSet::default()
+        };
+        for &feature in features {
+            set.columns[feature.index()] = flows.iter().map(|f| feature.value_of(f).raw).collect();
+            set.kept |= 1 << feature.index();
         }
+        set
     }
 
     /// Build canonical transactions for the rows of a columnar store
     /// selected by `indices` — the zero-copy pre-filter path: the
     /// pre-filter yields index slices into the interval and transactions
-    /// are built straight from them, with no intermediate
-    /// `Vec<FlowRecord>`. Items are gathered
-    /// **column-wise**: slot `k` of every transaction is filled from
-    /// feature `k`'s single column before moving to the next feature, so
-    /// the pass reads one contiguous column at a time instead of striding
-    /// over whole records. Bit-identical to the record path: the features
-    /// are visited in [`FlowFeature::ALL`] order (already item-sorted)
-    /// and the raw keys are exactly [`FlowFeature::value_of`]'s.
+    /// are gathered straight from them, one pass per feature column over
+    /// the index list, with no intermediate `Vec<FlowRecord>`. The
+    /// values are exactly [`FlowFeature::value_of`]'s, so the rows are
+    /// those of the record path.
     ///
     /// # Panics
     ///
@@ -211,61 +242,132 @@ impl TransactionSet {
         Self::gather_columns(cols, indices, &FlowFeature::EXTENDED)
     }
 
-    /// The column-wise gather shared by the columnar constructors:
-    /// `features` must be in index order (as `ALL`/`EXTENDED` are), so
-    /// every transaction's item array comes out sorted without a sort.
+    /// The gather shared by the columnar constructors: one pass per
+    /// feature over `indices`.
     fn gather_columns(cols: &FlowColumns, indices: &[usize], features: &[FlowFeature]) -> Self {
-        let mut transactions = vec![
-            Transaction {
-                items: [Item::new(FlowFeature::SrcIp, 0); MAX_WIDTH],
-                len: features.len() as u8,
-            };
-            indices.len()
-        ];
-        for (k, &feat) in features.iter().enumerate() {
-            for (t, &i) in transactions.iter_mut().zip(indices) {
-                t.items[k] = Item::new(feat, cols.raw_at(feat, i));
-            }
+        let mut set = TransactionSet {
+            len: indices.len(),
+            width: if indices.is_empty() {
+                0
+            } else {
+                features.len()
+            },
+            ..TransactionSet::default()
+        };
+        for &feature in features {
+            let column = &mut set.columns[feature.index()];
+            column.reserve_exact(indices.len());
+            cols.for_each_raw_at(feature, indices, |value| column.push(value));
+            set.kept |= 1 << feature.index();
         }
-        TransactionSet { transactions }
+        set
     }
 
     /// Build from explicit transactions.
     #[must_use]
     pub fn from_transactions(transactions: Vec<Transaction>) -> Self {
-        TransactionSet { transactions }
+        let mut set = TransactionSet::new();
+        for t in transactions {
+            set.push(t);
+        }
+        set
     }
 
     /// Add one transaction.
     pub fn push(&mut self, t: Transaction) {
-        self.transactions.push(t);
+        let mut values = [ABSENT; MAX_WIDTH];
+        for item in t.items() {
+            values[item.feature().index()] = item.value();
+        }
+        for (index, (column, value)) in self.columns.iter_mut().zip(values).enumerate() {
+            if value != ABSENT && self.kept & 1 << index == 0 {
+                column.resize(self.len, ABSENT);
+                self.kept |= 1 << index;
+            }
+            if self.kept & 1 << index != 0 {
+                column.push(value);
+            }
+        }
+        self.len += 1;
+        self.width = self.width.max(t.width());
     }
 
-    /// The transactions.
+    /// Row `row` as a transaction.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row >= self.len()`.
     #[must_use]
-    pub fn transactions(&self) -> &[Transaction] {
-        &self.transactions
+    pub fn get(&self, row: usize) -> Transaction {
+        assert!(row < self.len, "row {row} of {} transactions", self.len);
+        let mut items = [Item::new(FlowFeature::SrcIp, 0); MAX_WIDTH];
+        let mut len = 0;
+        // Columns are in feature order and items order feature-major, so
+        // the items come out sorted.
+        for (feature, column) in self.columns() {
+            if column[row] != ABSENT {
+                items[len] = Item::new(feature, column[row]);
+                len += 1;
+            }
+        }
+        Transaction {
+            items,
+            len: len as u8,
+        }
+    }
+
+    /// The rows as transactions, in order.
+    pub fn iter(&self) -> impl Iterator<Item = Transaction> + '_ {
+        (0..self.len).map(|row| self.get(row))
+    }
+
+    /// Every row as a transaction, in order.
+    #[must_use]
+    pub fn transactions(&self) -> Vec<Transaction> {
+        self.iter().collect()
+    }
+
+    /// The features some row has an item of, each with its column: one
+    /// value per row, [`ABSENT`] where the row has none.
+    pub(crate) fn columns(&self) -> impl Iterator<Item = (FlowFeature, &[u64])> + '_ {
+        (self.columns.iter().enumerate())
+            .filter(|&(index, _)| self.kept & 1 << index != 0)
+            .map(|(index, column)| (FlowFeature::from_index(index), &column[..]))
     }
 
     /// Number of transactions.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.transactions.len()
+        self.len
     }
 
     /// Whether the set is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.transactions.is_empty()
+        self.len == 0
+    }
+
+    /// The widest transaction's width (0 for an empty set).
+    #[must_use]
+    pub fn max_width(&self) -> usize {
+        self.width
     }
 
     /// Count the transactions containing the (sorted) itemset — the
     /// reference support definition all miners must agree with.
     #[must_use]
     pub fn support_of(&self, itemset: &[Item]) -> u64 {
-        self.transactions
-            .iter()
-            .filter(|t| t.contains_all(itemset))
+        let wanted: Option<Vec<(&[u64], u64)>> = (itemset.iter())
+            .map(|item| {
+                let index = item.feature().index();
+                (self.kept & 1 << index != 0).then_some((&self.columns[index][..], item.value()))
+            })
+            .collect();
+        let Some(wanted) = wanted else {
+            return 0;
+        };
+        (0..self.len)
+            .filter(|&row| wanted.iter().all(|&(column, value)| column[row] == value))
             .count() as u64
     }
 }

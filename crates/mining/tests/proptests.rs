@@ -67,10 +67,11 @@ fn tied(set: &TransactionSet, rep: usize) -> TransactionSet {
 /// Prefixes (in item order) of the first transaction, one per input
 /// transaction: item order is frequency order, so the FP-tree is one path.
 fn single_path(set: &TransactionSet) -> TransactionSet {
-    let Some(full) = set.transactions().first() else {
+    let all = set.transactions();
+    let Some(full) = all.first() else {
         return TransactionSet::new();
     };
-    let prefixes = set.transactions().iter().map(|tx| {
+    let prefixes = all.iter().map(|tx| {
         let len = tx.width().min(full.width());
         Transaction::from_items(&full.items()[..len]).unwrap()
     });
@@ -239,9 +240,9 @@ fn brute_force_supports(set: &TransactionSet) -> BTreeMap<Vec<Item>, u64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(2))]
 
-    /// The miners' first pass puts a counting filter of 4 096 hashed
-    /// buckets in front of its exact count. On sets with more distinct
-    /// items than buckets, so buckets collide, Apriori and FP-growth still
+    /// The miners' first pass puts a counting filter of hashed buckets in
+    /// front of each column's exact count. On sets with thousands of
+    /// distinct items, so buckets collide, Apriori and FP-growth still
     /// report exactly the brute-force item-sets and supports — at support
     /// 1, 2, the largest item count and `u64::MAX`.
     #[test]

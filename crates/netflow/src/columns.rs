@@ -18,11 +18,12 @@
 //!   [`FlowColumns::to_flows`] reassemble records on demand (checkpoints
 //!   and the per-source rule merge still read rows as records);
 //! - [`FlowColumns::for_each_raw`] is the one hot-path accessor (the
-//!   detector's histogram build and the pre-filter both scan through
-//!   it): it matches the feature **once**, then runs a tight loop over
-//!   the single column, yielding exactly the `u64` keys
-//!   [`FlowFeature::value_of`] would produce — bit-identical by
-//!   construction.
+//!   detector's histogram build and resolve scan through it): it matches
+//!   the feature **once**, then runs a tight loop over the single
+//!   column, yielding exactly the `u64` keys [`FlowFeature::value_of`]
+//!   would produce — bit-identical by construction;
+//!   [`FlowColumns::for_each_raw_at`] is
+//!   its gather over a row selection (the mining transactions).
 
 use std::net::Ipv4Addr;
 use std::ops::Range;
@@ -238,6 +239,30 @@ impl FlowColumns {
         }
     }
 
+    /// [`for_each_raw`](Self::for_each_raw) over the rows `rows`, in
+    /// the order given: the gather of a row selection, one column at a
+    /// time, with the feature matched once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row is out of bounds.
+    pub fn for_each_raw_at<F: FnMut(u64)>(&self, feature: FlowFeature, rows: &[usize], mut f: F) {
+        fn gather<T: Copy>(column: &[T], rows: &[usize], mut f: impl FnMut(T)) {
+            rows.iter().for_each(|&i| f(column[i]));
+        }
+        match feature {
+            FlowFeature::SrcIp => gather(&self.src_ip, rows, |v| f(u64::from(v))),
+            FlowFeature::DstIp => gather(&self.dst_ip, rows, |v| f(u64::from(v))),
+            FlowFeature::SrcPort => gather(&self.src_port, rows, |v| f(u64::from(v))),
+            FlowFeature::DstPort => gather(&self.dst_port, rows, |v| f(u64::from(v))),
+            FlowFeature::Proto => gather(&self.proto, rows, |v| f(u64::from(v))),
+            FlowFeature::Packets => gather(&self.packets, rows, |v| f(u64::from(v))),
+            FlowFeature::Bytes => gather(&self.bytes, rows, |v| f(u64::from(v))),
+            FlowFeature::SrcNet16 => gather(&self.src_ip, rows, |v| f(u64::from(v >> 16))),
+            FlowFeature::DstNet16 => gather(&self.dst_ip, rows, |v| f(u64::from(v >> 16))),
+        }
+    }
+
     /// Heap bytes held by the column allocations.
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
@@ -323,6 +348,12 @@ mod tests {
             cols.for_each_raw(feature, 0..cols.len(), |v| scanned.push(v));
             let expected: Vec<u64> = flows.iter().map(|f| feature.value_of(f).raw).collect();
             assert_eq!(scanned, expected, "{feature} column scan");
+            // A gather reads the rows in the order given, repeats included.
+            let rows: Vec<usize> = (0..flows.len()).rev().step_by(3).chain([0, 0]).collect();
+            let mut gathered = Vec::new();
+            cols.for_each_raw_at(feature, &rows, |v| gathered.push(v));
+            let expected: Vec<u64> = rows.iter().map(|&i| expected[i]).collect();
+            assert_eq!(gathered, expected, "{feature} gather");
         }
     }
 
