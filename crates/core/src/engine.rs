@@ -27,9 +27,8 @@
 //! ```text
 //!  detect:      DetectorBank::observe_columns: per feature, each clone
 //!               counts the column into its recycled buffer and is
-//!               scored; alarmed clones resolve values from the column,
-//!               and a feature at quorum marks the rows whose value it
-//!               voted
+//!               scored; a feature at quorum resolves its vote from the
+//!               column and marks the rows whose value it voted
 //!  pre-filter:  prefilter_indices_voted joins the marked rows (no
 //!               column scan)
 //!  mine:        the suspicious rows gathered one column at a time; one

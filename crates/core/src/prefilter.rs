@@ -55,10 +55,10 @@ impl PrefilterMode {
 ///
 /// Each participating feature is one
 /// [`for_each_raw`](FlowColumns::for_each_raw) scan of its column that
-/// adds a 0/1 hit per row. Meta-data value sets of at most 16 members
+/// adds a 0/1 hit per row. Meta-data value lists of at most 16 members
 /// (the common case — voted value sets are small) are probed
-/// branch-free as a fixed array; larger sets keep the ordinary
-/// `BTreeSet` lookup. Both count the same hits.
+/// branch-free as a fixed array; longer ones by binary search on the
+/// sorted list. Both count the same hits.
 #[must_use]
 pub fn prefilter_indices_columns(
     cols: &FlowColumns,
@@ -66,7 +66,7 @@ pub fn prefilter_indices_columns(
     mode: PrefilterMode,
 ) -> Vec<usize> {
     // Only features that actually carry values participate — exactly the
-    // sets `matches_any`/`matches_all` consult.
+    // lists `matches_any`/`matches_all` consult.
     let features: Vec<_> = metadata
         .features()
         .map(|f| {
@@ -90,13 +90,13 @@ pub fn prefilter_indices_columns(
     let mut hits = vec![0u8; rows.len()];
     for &(feature, values) in &features {
         let mut row = 0;
-        match SmallValueSet::new(values.iter().copied()) {
+        match SmallValueSet::new(values) {
             Some(set) => cols.for_each_raw(feature, rows.clone(), |value| {
                 hits[row] += u8::from(set.contains(value));
                 row += 1;
             }),
             None => cols.for_each_raw(feature, rows.clone(), |value| {
-                hits[row] += u8::from(values.contains(&value));
+                hits[row] += u8::from(values.binary_search(&value).is_ok());
                 row += 1;
             }),
         }
@@ -185,17 +185,15 @@ impl SmallValueSet {
     /// Largest membership the fixed probe array covers.
     const MAX: usize = 16;
 
-    /// `None` when the set is empty or holds more than
-    /// [`MAX`](Self::MAX) values (callers keep the `BTreeSet`).
-    fn new(values: impl IntoIterator<Item = u64>) -> Option<Self> {
-        let mut padded = [0u64; Self::MAX];
-        let mut members = 0;
-        for v in values {
-            *padded.get_mut(members)? = v;
-            members += 1;
+    /// `None` when `values` is empty or holds more than
+    /// [`MAX`](Self::MAX) values (callers search the list itself).
+    fn new(values: &[u64]) -> Option<Self> {
+        if values.len() > Self::MAX {
+            return None;
         }
-        let first = *padded[..members].first()?;
-        padded[members..].fill(first);
+        let &first = values.first()?;
+        let mut padded = [first; Self::MAX];
+        padded[..values.len()].copy_from_slice(values);
         Some(SmallValueSet { padded })
     }
 
@@ -317,15 +315,14 @@ mod tests {
         }
     }
 
-    /// `SmallValueSet` refuses exactly the sets the pre-filter must keep
-    /// on the `BTreeSet` path — empty and more than 16 members — and an
-    /// accepted set holds its members and nothing else, padding
-    /// included.
+    /// `SmallValueSet` refuses exactly the lists the pre-filter must
+    /// search itself — empty and more than 16 members — and an accepted
+    /// set holds its members and nothing else, padding included.
     #[test]
     fn small_value_set_capacity_contract() {
         for n in 0..40u64 {
             let members: Vec<u64> = (0..n).map(|i| u64::MAX - 7 * i).collect();
-            match SmallValueSet::new(members.iter().copied()) {
+            match SmallValueSet::new(&members) {
                 Some(set) => {
                     assert!((1..=SmallValueSet::MAX as u64).contains(&n), "{n} members");
                     assert!(members.iter().all(|&v| set.contains(v)), "{n} members");

@@ -16,8 +16,9 @@ use crate::metadata::MetaData;
 /// Largest bin count `k` a [`DetectorConfig`] accepts (paper: 512–2048).
 pub const MAX_BINS: u32 = 1 << 16;
 
-/// Largest clone count `n` a [`DetectorConfig`] accepts (paper: n ≤ 25):
-/// resolve keeps one bit per alarmed clone in a `u64` mask.
+/// Largest clone count `n` a [`DetectorConfig`] accepts (paper: n ≤ 25).
+/// Resolve asks each alarmed clone about a key in turn, so `n` bounds
+/// its work per flow.
 pub const MAX_CLONES: usize = 64;
 
 /// Configuration of a detector bank — the paper's Table III parameters.
@@ -155,7 +156,8 @@ pub struct BankObservation {
     /// Whether any feature alarmed.
     pub alarm: bool,
     /// Union of the voted meta-data of all alarmed features (Fig. 3's
-    /// "⋃ Mᵢ").
+    /// "⋃ Mᵢ"): each alarmed feature's `voted_values`, copied as the one
+    /// sorted list they are.
     pub metadata: MetaData,
 }
 
@@ -275,7 +277,7 @@ impl DetectorBank {
     /// Observe one interval held as columns — the detect step: every
     /// detector counts its feature's column into its clones, scores and
     /// votes ([`FeatureDetector::observe_columns`]), and the alarmed
-    /// features' voted values are merged into the meta-data. Each
+    /// features' votes are copied into the meta-data. Each
     /// feature at quorum also marks the rows whose value it voted, in
     /// [`voted_rows`](Self::voted_rows). Once past the first interval and
     /// training, an unalarmed interval allocates only what the returned
@@ -288,9 +290,7 @@ impl DetectorBank {
         }
         let mut metadata = MetaData::new();
         for obs in &features {
-            if obs.alarm {
-                metadata.insert_all(obs.feature, obs.voted_values.iter().copied());
-            }
+            metadata.insert_all(obs.feature, obs.voted_values.iter().copied());
         }
         let alarm = features.iter().any(|o| o.alarm);
         let observation = BankObservation {

@@ -5,15 +5,17 @@
 //! (2) computes the KL distance to the previous interval's histogram,
 //! (3) thresholds the first difference of the KL series (after a training
 //! phase that fits the MAD-based σ̂), and (4) on alarm, runs the iterative
-//! bin identification and proposes the feature values observed in the
-//! anomalous bins.
+//! bin identification. The clone keeps no feature values: its feature's
+//! detector resolves the vote over all alarmed clones' bins at once, and
+//! [`FeatureHistogram::resolve`] maps one clone's bins to the values in
+//! them.
 
 use anomex_netflow::snapshot::{RestoreError, SnapshotReader, SnapshotWriter};
 use anomex_netflow::{FlowColumns, FlowFeature, FlowRecord};
 
 use crate::binid::{identify_from, BinIdentification};
 use crate::hash::BinHasher;
-use crate::histogram::{count_interval, resolve_clones, FeatureHistogram, Keys};
+use crate::histogram::{count_interval, FeatureHistogram};
 use crate::kl::ScoreTables;
 use crate::threshold::{FirstDiffThreshold, SIGMA_FLOOR};
 
@@ -28,10 +30,9 @@ pub struct CloneObservation {
     pub first_diff: Option<f64>,
     /// Whether this clone raised an alarm (never during training).
     pub alarm: bool,
-    /// Feature values this clone proposes as anomalous, ascending and
-    /// each once (empty unless `alarm`).
-    pub values: Vec<u64>,
-    /// The bin-identification audit trail, when an alarm fired.
+    /// The bin-identification audit trail, when an alarm fired. The
+    /// values this clone proposes are the interval's keys in these bins:
+    /// [`FeatureHistogram::resolve`] of its `bins`.
     pub bin_identification: Option<BinIdentification>,
 }
 
@@ -133,27 +134,18 @@ impl HistogramClone {
     }
 
     /// Observe one interval's flows and advance the state machine:
-    /// transpose them once, count the column, score the histogram and,
-    /// on alarm, resolve the anomalous bins from the column.
+    /// transpose them once, count the column and score the histogram.
     pub fn observe(&mut self, flows: &[FlowRecord]) -> CloneObservation {
         let cols = FlowColumns::from_flows(flows);
         let mut current = FeatureHistogram::new(self.feature, self.hasher, self.bins);
         count_interval(&cols, std::slice::from_mut(&mut current));
-        let mut observation = self.score(&mut current, &mut ScoreTables::new());
-        if let Some(id) = &observation.bin_identification {
-            let keys = Keys::Column(&cols, self.feature);
-            let (mut sets, _) =
-                resolve_clones(&keys, self.bins, &[(self.hasher, &id.bins)], 1, None);
-            observation.values = sets.pop().expect("one clone, one set");
-        }
-        observation
+        self.score(&mut current, &mut ScoreTables::new())
     }
 
     /// Score the interval histogram `current` and advance the state
-    /// machine, short of resolving values: an alarm carries its bin
-    /// identification and empty `values`, which the caller resolves — in
-    /// one pass for all of a feature's alarmed clones. KL pair terms and
-    /// bin identification's terms are remembered in `tables`.
+    /// machine: an alarm carries its bin identification, which the
+    /// feature's vote resolves to values. KL pair terms and bin
+    /// identification's terms are remembered in `tables`.
     ///
     /// `current` then becomes the reference histogram, and the outgoing
     /// reference is handed back in its place, as the buffer the next
@@ -231,7 +223,6 @@ impl HistogramClone {
             kl,
             first_diff,
             alarm,
-            values: Vec::new(),
             bin_identification,
         }
     }
@@ -430,16 +421,22 @@ mod tests {
     #[test]
     fn flood_triggers_alarm_with_correct_value() {
         let mut clone = trained_clone();
-        let obs = clone.observe(&flooded(12));
+        let flows = flooded(12);
+        let obs = clone.observe(&flows);
         assert!(obs.alarm, "flood must alarm");
-        assert!(
-            obs.values.contains(&7000),
-            "port 7000 must be proposed: {:?}",
-            obs.values
-        );
         let id = obs
             .bin_identification
             .expect("alarm carries the audit trail");
+        let keys: Vec<u64> = flows
+            .iter()
+            .map(|f| FlowFeature::DstPort.value_of(f).raw)
+            .collect();
+        let values = FeatureHistogram::new(FlowFeature::DstPort, clone.hasher(), 1024)
+            .resolve(&keys, &id.bins);
+        assert!(
+            values.contains(&7000),
+            "port 7000 must be proposed: {values:?}"
+        );
         assert!(id.converged);
         assert!(!id.bins.is_empty());
         // The flood is concentrated: the first removed bin is the port-7000
@@ -521,7 +518,10 @@ mod tests {
                     "cut {cut} interval {i}"
                 );
                 assert_eq!(a.alarm, b.alarm, "cut {cut} interval {i}");
-                assert_eq!(a.values, b.values, "cut {cut} interval {i}");
+                assert_eq!(
+                    a.bin_identification, b.bin_identification,
+                    "cut {cut} interval {i}"
+                );
             }
         }
     }

@@ -3,11 +3,11 @@
 //! [`FeatureDetector::observe_columns`] is the detect step for one
 //! feature: it counts the interval's column into every clone's count
 //! buffer (`count_interval`), scores each clone against its reference
-//! histogram, and resolves the alarmed clones' bins from the same column,
-//! in a pass that also counts each value's votes. The record-slice entry
-//! point ([`FeatureDetector::observe`]) transposes once and calls it.
-
-use std::collections::BTreeSet;
+//! histogram and, when at least `l` clones alarmed, resolves the vote
+//! from the same column: one pass keeps the values at least `l` of the
+//! alarmed clones claim, as one ascending list. A feature below quorum
+//! resolves nothing. The record-slice entry point
+//! ([`FeatureDetector::observe`]) transposes once and calls it.
 
 use anomex_netflow::snapshot::{RestoreError, SnapshotReader, SnapshotWriter};
 use anomex_netflow::{FlowColumns, FlowFeature, FlowRecord};
@@ -29,8 +29,9 @@ pub struct FeatureObservation {
     pub alarmed_clones: usize,
     /// Whether the feature-level alarm fired (≥ `l` clones alarmed).
     pub alarm: bool,
-    /// The voted (l-of-n) anomalous feature values; empty unless `alarm`.
-    pub voted_values: BTreeSet<u64>,
+    /// The voted (l-of-n) anomalous feature values, ascending and each
+    /// once; empty unless `alarm`.
+    pub voted_values: Vec<u64>,
 }
 
 /// A histogram-based detector for one traffic feature.
@@ -128,19 +129,18 @@ impl FeatureDetector {
 
     /// Observe one interval held as columns and advance every clone's
     /// state machine: each clone counts the feature's column into its
-    /// count buffer and is scored against its reference histogram; the
-    /// alarmed clones' bins are resolved to values in one more pass over
-    /// the column, which also reads the vote off the clones' claims. A
-    /// detector observed on its own builds fresh scoring tables per call;
-    /// a [`DetectorBank`](crate::DetectorBank) reuses one set for all its
-    /// detectors.
+    /// count buffer and is scored against its reference histogram; at
+    /// quorum, one more pass over the column resolves the vote from the
+    /// alarmed clones' bins. A detector observed on its own builds fresh
+    /// scoring tables per call; a [`DetectorBank`](crate::DetectorBank)
+    /// reuses one set for all its detectors.
     pub fn observe_columns(&mut self, cols: &FlowColumns) -> FeatureObservation {
         self.observe_with(cols, &mut ScoreTables::new(), &mut VotedRows::default())
     }
 
     /// [`observe_columns`](Self::observe_columns), remembering scoring
-    /// terms in `tables`. When the feature alarms, the resolve pass also
-    /// marks in `rows` the rows that carry a voted value.
+    /// terms in `tables`. At quorum, the resolve pass also marks in `rows`
+    /// the rows that carry a voted value.
     pub(crate) fn observe_with(
         &mut self,
         cols: &FlowColumns,
@@ -148,32 +148,32 @@ impl FeatureDetector {
         rows: &mut VotedRows,
     ) -> FeatureObservation {
         count_interval(cols, &mut self.counts);
-        let mut observations: Vec<CloneObservation> = (self.clones.iter_mut())
+        let clones: Vec<CloneObservation> = (self.clones.iter_mut())
             .zip(&mut self.counts)
             .map(|(clone, counts)| clone.score(counts, tables))
             .collect();
-        let alarmed_clones = observations.iter().filter(|o| o.alarm).count();
+        let alarmed_clones = clones.iter().filter(|o| o.alarm).count();
         let alarm = alarmed_clones >= self.votes;
-        let mut voted_values = BTreeSet::new();
-        if alarmed_clones > 0 {
-            // One pass over the column resolves every alarmed clone.
-            let claims: Vec<(BinHasher, &[u32])> = (self.clones.iter().zip(&observations))
+        let voted_values = if alarm {
+            // One pass over the column resolves the vote.
+            let claims: Vec<(BinHasher, &[u32])> = (self.clones.iter().zip(&clones))
                 .filter_map(|(c, o)| Some((c.hasher(), &o.bin_identification.as_ref()?.bins[..])))
                 .collect();
             let keys = Keys::Column(cols, self.feature);
-            let marks = alarm.then(|| rows.marks(self.feature, cols.len()));
-            let (sets, voted) =
-                resolve_clones(&keys, self.clones[0].bins(), &claims, self.votes, marks);
-            for (observation, values) in observations.iter_mut().filter(|o| o.alarm).zip(sets) {
-                observation.values = values;
-            }
-            if alarm {
-                voted_values = voted;
-            }
-        }
+            let marks = rows.marks(self.feature, cols.len());
+            resolve_clones(
+                &keys,
+                self.clones[0].bins(),
+                &claims,
+                self.votes,
+                Some(marks),
+            )
+        } else {
+            Vec::new()
+        };
         FeatureObservation {
             feature: self.feature,
-            clones: observations,
+            clones,
             alarmed_clones,
             alarm,
             voted_values,
@@ -303,7 +303,10 @@ mod tests {
             union_obs.voted_values.len(),
             inter_obs.voted_values.len()
         );
-        assert!(inter_obs.voted_values.is_subset(&union_obs.voted_values));
+        assert!(inter_obs
+            .voted_values
+            .iter()
+            .all(|v| union_obs.voted_values.binary_search(v).is_ok()));
     }
 
     #[test]
@@ -334,7 +337,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "must be at most")]
-    fn more_clones_than_a_mask_word_panics() {
+    fn more_than_max_clones_panics() {
         let _ = FeatureDetector::new(FlowFeature::DstPort, 64, MAX_CLONES + 1, 1, 3.0, 5, 1);
     }
 

@@ -9,10 +9,9 @@
 //! corresponding feature values" (§II-D) is needed only for the bins of a
 //! clone that alarmed — a few intervals in a hundred:
 //! [`FeatureHistogram::resolve`] rebuilds it then from the interval's
-//! keys. A detector resolves all alarmed clones of a feature in one pass
-//! over its column.
-
-use std::collections::BTreeSet;
+//! keys. A detector whose feature reaches quorum resolves only the vote:
+//! the values at least `l` of its alarmed clones claim, in one pass over
+//! its column.
 
 use anomex_netflow::snapshot::{RestoreError, SnapshotReader, SnapshotWriter};
 use anomex_netflow::{FlowColumns, FlowFeature, FlowRecord};
@@ -113,14 +112,13 @@ impl FeatureHistogram {
     /// hold no values.
     #[must_use]
     pub fn resolve(&self, keys: &[u64], bins: &[u32]) -> Vec<u64> {
-        let (mut sets, _) = resolve_clones(
+        resolve_clones(
             &Keys::Slice(keys),
             self.bins(),
             &[(self.hasher, bins)],
             1,
             None,
-        );
-        sets.pop().expect("one clone, one set")
+        )
     }
 
     /// Serialize the histogram's contents — per-bin counts, total, and an
@@ -270,41 +268,38 @@ impl Keys<'_> {
 /// Slots of [`resolve_clones`]' table of recently claimed keys.
 const RECENT_SLOTS: usize = 64;
 
-/// [`FeatureHistogram::resolve`] for several clones of one feature at
-/// once — each alarmed clone's hash function with its anomalous bins, all
-/// over `k` bins — returning each clone's values (ascending), in clone
-/// order, and the values at least `votes` of the clones claim.
+/// The l-of-n vote over several clones of one feature: each alarmed
+/// clone's hash function with its anomalous bins, all over `k` bins.
+/// Returns, ascending and each once, the keys that at least `votes` of
+/// the clones claim — a clone claims a key whose bin is among its
+/// anomalous bins. [`FeatureHistogram::resolve`] is the one-clone case.
 ///
-/// One pass over `keys` bins each key with every clone, into a mask of
-/// the clones whose anomalous bins claim it, and keeps the claimed keys.
-/// A small direct-mapped table of recently claimed keys skips repeats — a
-/// flood's value recurs in thousands of flows — so the kept keys are
-/// nearly distinct when they are sorted and deduplicated; the table only
-/// saves work, as a repeat it misses is kept again and dropped by the
-/// deduplication. A key is voted exactly when its mask has at least
-/// `votes` bits, and the table keeps that verdict beside the key, so
-/// given `marks`, a bitset over the rows, the same pass sets the bit of
-/// every row whose key is voted. The vote and each clone's set are read
-/// off the masks in key order. Work is one `bin_of` per key and clone and
-/// one sort of a few claimed keys: no set insert per flow, and a
-/// feature's keys are read once however many clones alarmed.
+/// One pass over `keys` asks the clones in order whether they claim a
+/// key and stops once the verdict is settled: at the `votes`-th claim,
+/// or at the first miss that leaves too few clones to reach `votes`
+/// (at the paper's unanimous quorum, the first miss). Only voted keys
+/// are kept. A small direct-mapped table of recently claimed keys and
+/// their verdicts skips repeats — a flood's value recurs in thousands
+/// of flows — so the kept keys are nearly distinct when they are sorted
+/// and deduplicated; the table only saves work, as a repeat it misses
+/// is asked again. Given `marks`, a bitset over the rows, the same pass
+/// sets the bit of every row whose key is voted. Work is at most one
+/// `bin_of` per key and clone and one sort of the voted keys: no set
+/// insert per flow, and a feature's keys are read once however many
+/// clones alarmed.
 ///
 /// # Panics
 ///
-/// Panics if more than 64 clones are given, or if `marks` has fewer bits
-/// than there are keys.
+/// Panics if `votes` is zero or `marks` has fewer bits than there are
+/// keys.
 pub(crate) fn resolve_clones(
     keys: &Keys<'_>,
     k: u32,
     clones: &[(BinHasher, &[u32])],
     votes: usize,
     mut marks: Option<&mut [u64]>,
-) -> (Vec<Vec<u64>>, BTreeSet<u64>) {
-    // One mask bit per clone.
-    assert!(
-        clones.len() <= u64::BITS as usize,
-        "at most 64 clones resolve at once"
-    );
+) -> Vec<u64> {
+    assert!(votes >= 1, "the quorum is at least 1");
     let k = k as usize;
     // Clone c's bin b is claimed when `marked[c * k + b]`.
     let mut marked = vec![false; clones.len() * k];
@@ -315,7 +310,7 @@ pub(crate) fn resolve_clones(
             }
         }
     }
-    let mut claimed: Vec<(u64, u64)> = Vec::new();
+    let mut voted_keys = Vec::new();
     // A claimed key and whether it is voted.
     let mut recent: [Option<(u64, bool)>; RECENT_SLOTS] = [None; RECENT_SLOTS];
     let mut row = 0;
@@ -326,20 +321,24 @@ pub(crate) fn resolve_clones(
         let voted = match recent[slot] {
             Some((seen, voted)) if seen == key => voted,
             _ => {
-                let mut mask = 0u64;
-                for (bit, &(hasher, _)) in clones.iter().enumerate() {
-                    if marked[bit * k + hasher.bin_of(key, k as u32) as usize] {
-                        mask |= 1 << bit;
+                let mut claims = 0;
+                for (c, &(hasher, _)) in clones.iter().enumerate() {
+                    if claims >= votes || claims + (clones.len() - c) < votes {
+                        break;
                     }
+                    claims += usize::from(marked[c * k + hasher.bin_of(key, k as u32) as usize]);
                 }
-                // A key no clone claims is not voted: the quorum is at
-                // least 1.
-                mask != 0 && {
-                    let voted = mask.count_ones() as usize >= votes;
-                    claimed.push((key, mask));
+                let voted = claims >= votes;
+                if voted {
+                    voted_keys.push(key);
+                }
+                // Only a claimed key is remembered: an unclaimed one is
+                // usually background, settled again by a `bin_of` or a
+                // few.
+                if claims > 0 {
                     recent[slot] = Some((key, voted));
-                    voted
                 }
+                voted
             }
         };
         if let Some(marks) = &mut marks {
@@ -347,28 +346,17 @@ pub(crate) fn resolve_clones(
         }
         row += 1;
     });
-    claimed.sort_unstable_by_key(|&(key, _)| key);
-    claimed.dedup_by_key(|&mut (key, _)| key);
-    let sets = (0..clones.len())
-        .map(|bit| {
-            claimed
-                .iter()
-                .filter(|&&(_, mask)| mask >> bit & 1 == 1)
-                .map(|&(key, _)| key)
-                .collect()
-        })
-        .collect();
-    let voted = (claimed.iter())
-        .filter(|&&(_, mask)| mask.count_ones() as usize >= votes)
-        .map(|&(key, _)| key)
-        .collect();
-    (sets, voted)
+    voted_keys.sort_unstable();
+    voted_keys.dedup();
+    voted_keys
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use anomex_netflow::Protocol;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
     use std::net::Ipv4Addr;
 
     fn flow_to_port(port: u16) -> FlowRecord {
@@ -444,43 +432,64 @@ mod tests {
         assert_eq!(h.resolve(&keys, &[0]), [1, 2]);
     }
 
-    #[test]
-    fn resolve_clones_matches_a_per_clone_scan() {
-        // 64 clones (every mask bit), extreme keys, and repeats
-        // interleaved so the recent-key table both hits and evicts; the
-        // vote at quorum 2 and its row marks against a direct count.
-        let mut keys: Vec<u64> = vec![u64::MAX, 0, u64::MAX, 1 << 63];
-        keys.extend((0..3000u64).map(|i| if i % 3 == 0 { 7000 } else { i % 97 * 1_000_003 }));
-        let hashers: Vec<BinHasher> = (0..64).map(BinHasher::new).collect();
-        let bins: Vec<Vec<u32>> = (0..64u32).map(|c| vec![c % 16, (c * 7) % 16, 99]).collect();
-        let clones: Vec<(BinHasher, &[u32])> = hashers
-            .iter()
-            .zip(&bins)
-            .map(|(&h, b)| (h, &b[..]))
-            .collect();
-        let mut marks = vec![0u64; keys.len().div_ceil(64)];
-        let (sets, voted) = resolve_clones(&Keys::Slice(&keys), 16, &clones, 9, Some(&mut marks));
-        assert_eq!(sets.len(), 64);
-        for ((hasher, bins), set) in clones.iter().zip(&sets) {
-            let want: BTreeSet<u64> = keys
-                .iter()
-                .copied()
-                .filter(|&key| bins.contains(&hasher.bin_of(key, 16)))
-                .collect();
-            assert!(set.iter().eq(&want), "ascending, each once");
+    /// Keys with repeats and extremes: a kind picks an extreme, one of
+    /// eight recurring keys (so the recent-key table hits and evicts),
+    /// or any key.
+    fn key((kind, draw): (u8, u64)) -> u64 {
+        match kind {
+            0 => [0, 1 << 63, u64::MAX - 1, u64::MAX][draw as usize % 4],
+            1 => draw % 8 * 0x9E37_79B9,
+            _ => draw,
         }
-        assert!(sets.iter().any(|set| set.contains(&u64::MAX)));
-        let claims = |key: u64| sets.iter().filter(|set| set.contains(&key)).count();
-        let want: BTreeSet<u64> = keys
-            .iter()
-            .copied()
-            .filter(|&key| claims(key) >= 9)
-            .collect();
-        assert!(!want.is_empty() && want.len() < sets.iter().map(Vec::len).sum());
-        assert_eq!(voted, want);
-        for (row, &key) in keys.iter().enumerate() {
-            let mark = marks[row / 64] >> (row % 64) & 1 == 1;
-            assert_eq!(mark, want.contains(&key), "key {key}");
+    }
+
+    proptest! {
+        /// The vote of n ∈ 1..=64 clones at every quorum l ∈ 1..=n, and
+        /// its row marks, equal a direct per-clone `bin_of` count with
+        /// threshold l. A clone may claim every bin, and some bins lie
+        /// past `k`.
+        #[test]
+        fn resolve_clones_is_a_per_clone_count(
+            n in 1usize..=64,
+            k in 1u32..=16,
+            keys in vec((0u8..4, any::<u64>()), 0..400),
+            clones in vec((any::<u64>(), 0u8..4, vec(0u32..20, 0..6)), 64),
+        ) {
+            let keys: Vec<u64> = keys.into_iter().map(key).collect();
+            let bins: Vec<(BinHasher, Vec<u32>)> = clones[..n]
+                .iter()
+                .map(|(seed, kind, bins)| {
+                    let all = *kind == 0;
+                    (BinHasher::new(*seed), if all { (0..k).collect() } else { bins.clone() })
+                })
+                .collect();
+            let clones: Vec<(BinHasher, &[u32])> =
+                bins.iter().map(|(h, b)| (*h, &b[..])).collect();
+            // Each row's claims, counted clone by clone.
+            let claims: Vec<usize> = keys
+                .iter()
+                .map(|&key| {
+                    (clones.iter())
+                        .filter(|(hasher, bins)| bins.contains(&hasher.bin_of(key, k)))
+                        .count()
+                })
+                .collect();
+            for votes in 1..=n {
+                let mut marks = vec![0u64; keys.len().div_ceil(64)];
+                let voted =
+                    resolve_clones(&Keys::Slice(&keys), k, &clones, votes, Some(&mut marks));
+                let mut want: Vec<u64> = (keys.iter().zip(&claims))
+                    .filter(|&(_, &c)| c >= votes)
+                    .map(|(&key, _)| key)
+                    .collect();
+                want.sort_unstable();
+                want.dedup();
+                prop_assert_eq!(&voted, &want, "{} clones, quorum {}", n, votes);
+                for (row, &c) in claims.iter().enumerate() {
+                    let mark = marks[row / 64] >> (row % 64) & 1 == 1;
+                    prop_assert_eq!(mark, c >= votes, "{} clones, quorum {}, row {}", n, votes, row);
+                }
+            }
         }
     }
 

@@ -11,8 +11,9 @@
 //! - [`hash`] / [`histogram`] — histogram *cloning*: per-clone seeded hash
 //!   binning into counts-only histograms. Flows enter histograms straight
 //!   from the interval's columns ([`DetectorBank::observe_columns`]), and
-//!   an alarmed clone resolves its anomalous bins to values from the same
-//!   column ([`FeatureHistogram::resolve`]);
+//!   a feature at quorum resolves its alarmed clones' anomalous bins to
+//!   the voted values from the same column ([`FeatureHistogram::resolve`]
+//!   is the one-clone case);
 //! - [`binid`] — the iterative anomalous-bin identification that simulates
 //!   flow removal until the alarm clears (Fig. 5);
 //! - [`mod@vote`] — l-of-n voting across clones;

@@ -3,21 +3,25 @@
 //!
 //! Table I of the paper lists the meta-data various detector families can
 //! provide; the histogram detectors here provide *feature values* (IP
-//! addresses, ports, packet counts…). [`MetaData`] aggregates them per
-//! feature and implements the two matching semantics the paper compares:
-//! **union** (a flow matching *any* value is suspicious — the paper's
-//! choice) and **intersection** (a flow must match *every* feature —
-//! DoWitcher's choice, shown to miss multi-stage anomalies).
+//! addresses, ports, packet counts…). [`MetaData`] holds them per
+//! feature as one ascending list without repeats — the form a detector's
+//! vote already has — and implements the two matching semantics the
+//! paper compares: **union** (a flow matching *any* value is suspicious
+//! — the paper's choice) and **intersection** (a flow must match *every*
+//! feature — DoWitcher's choice, shown to miss multi-stage anomalies).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
 use anomex_netflow::{FeatureValue, FlowFeature, FlowRecord};
 
-/// Suspicious feature values, grouped by feature.
+/// Suspicious feature values, grouped by feature: per feature that
+/// carries any, its values ascending and each once. A feature without
+/// values has no entry, so two meta-data sets are equal exactly when
+/// they hold the same values.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetaData {
-    values: BTreeMap<FlowFeature, BTreeSet<u64>>,
+    values: BTreeMap<FlowFeature, Vec<u64>>,
 }
 
 impl MetaData {
@@ -29,48 +33,47 @@ impl MetaData {
 
     /// Insert one suspicious value.
     pub fn insert(&mut self, feature: FlowFeature, value: u64) {
-        self.values.entry(feature).or_default().insert(value);
+        let values = self.values.entry(feature).or_default();
+        if let Err(at) = values.binary_search(&value) {
+            values.insert(at, value);
+        }
     }
 
     /// Insert many values for one feature.
     pub fn insert_all(&mut self, feature: FlowFeature, values: impl IntoIterator<Item = u64>) {
-        self.values.entry(feature).or_default().extend(values);
-    }
-
-    /// Merge another meta-data set into this one (set union per feature).
-    pub fn merge(&mut self, other: &MetaData) {
-        for (&feature, vals) in &other.values {
-            self.values
-                .entry(feature)
-                .or_default()
-                .extend(vals.iter().copied());
+        let mut values: Vec<u64> = values.into_iter().collect();
+        if let Some(held) = self.values.remove(&feature) {
+            values.extend(held);
+        }
+        values.sort_unstable();
+        values.dedup();
+        if !values.is_empty() {
+            self.values.insert(feature, values);
         }
     }
 
     /// Whether no values are present at all.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.values.values().all(BTreeSet::is_empty)
+        self.values.is_empty()
     }
 
-    /// Features that carry at least one value.
+    /// Features that carry at least one value, in feature order.
     pub fn features(&self) -> impl Iterator<Item = FlowFeature> + '_ {
-        self.values
-            .iter()
-            .filter(|(_, v)| !v.is_empty())
-            .map(|(&f, _)| f)
+        self.values.keys().copied()
     }
 
-    /// The suspicious values for one feature.
+    /// The suspicious values for one feature, ascending and each once;
+    /// `None` when it has none.
     #[must_use]
-    pub fn values_for(&self, feature: FlowFeature) -> Option<&BTreeSet<u64>> {
-        self.values.get(&feature).filter(|v| !v.is_empty())
+    pub fn values_for(&self, feature: FlowFeature) -> Option<&[u64]> {
+        self.values.get(&feature).map(Vec::as_slice)
     }
 
     /// Total number of (feature, value) pairs.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.values.values().map(BTreeSet::len).sum()
+        self.values.values().map(Vec::len).sum()
     }
 
     /// Iterate all (feature, value) pairs as [`FeatureValue`]s.
@@ -84,9 +87,7 @@ impl MetaData {
     /// suspicious value in *any* feature?
     #[must_use]
     pub fn matches_any(&self, flow: &FlowRecord) -> bool {
-        self.values
-            .iter()
-            .any(|(&feature, vals)| !vals.is_empty() && vals.contains(&feature.value_of(flow).raw))
+        (self.values.iter()).any(|(&feature, vals)| Self::holds(vals, feature, flow))
     }
 
     /// **Intersection semantics** (the DoWitcher baseline): does the flow
@@ -94,31 +95,22 @@ impl MetaData {
     /// Returns `false` when the meta-data is empty.
     #[must_use]
     pub fn matches_all(&self, flow: &FlowRecord) -> bool {
-        let mut any = false;
-        for (&feature, vals) in &self.values {
-            if vals.is_empty() {
-                continue;
-            }
-            any = true;
-            if !vals.contains(&feature.value_of(flow).raw) {
-                return false;
-            }
-        }
-        any
+        !self.is_empty()
+            && (self.values.iter()).all(|(&feature, vals)| Self::holds(vals, feature, flow))
+    }
+
+    /// Whether `flow`'s value of `feature` is among `vals`.
+    fn holds(vals: &[u64], feature: FlowFeature, flow: &FlowRecord) -> bool {
+        vals.binary_search(&feature.value_of(flow).raw).is_ok()
     }
 }
 
 impl fmt::Display for MetaData {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut first = true;
-        for (&feature, vals) in &self.values {
-            if vals.is_empty() {
-                continue;
-            }
-            if !first {
+        for (n, (&feature, vals)) in self.values.iter().enumerate() {
+            if n > 0 {
                 writeln!(f)?;
             }
-            first = false;
             write!(f, "{feature}: ")?;
             for (i, v) in vals.iter().enumerate() {
                 if i > 0 {
@@ -194,16 +186,20 @@ mod tests {
     }
 
     #[test]
-    fn merge_unions_per_feature() {
-        let mut a = MetaData::new();
-        a.insert(FlowFeature::DstPort, 80);
-        let mut b = MetaData::new();
-        b.insert(FlowFeature::DstPort, 443);
-        b.insert(FlowFeature::SrcIp, 1234);
-        a.merge(&b);
-        assert_eq!(a.len(), 3);
-        assert!(a.values_for(FlowFeature::DstPort).unwrap().contains(&80));
-        assert!(a.values_for(FlowFeature::DstPort).unwrap().contains(&443));
+    fn a_feature_without_values_leaves_no_entry() {
+        let mut md = MetaData::new();
+        md.insert_all(FlowFeature::DstPort, []);
+        assert!(md.is_empty());
+        assert_eq!(md, MetaData::new());
+        md.insert_all(FlowFeature::SrcIp, [9, 3, 9]);
+        md.insert_all(FlowFeature::SrcIp, Vec::new());
+        md.insert(FlowFeature::SrcIp, 5);
+        let mut want = MetaData::new();
+        want.insert_all(FlowFeature::SrcIp, vec![3, 5, 9]);
+        assert_eq!(md, want);
+        assert_eq!(md.values_for(FlowFeature::SrcIp), Some(&[3, 5, 9][..]));
+        assert_eq!(md.values_for(FlowFeature::DstPort), None);
+        assert_eq!(md.features().collect::<Vec<_>>(), [FlowFeature::SrcIp]);
     }
 
     #[test]

@@ -203,8 +203,16 @@ fn pick_target(current: &[u64], reference: &[u64], kind: u8, pick: usize, frac: 
     }
 }
 
+/// `cases`, scaled by `PROPTEST_CASES / 256` so a wide sweep widens the
+/// properties that set their own count as it widens the default ones
+/// (256 cases); at least one case.
+fn scaled(cases: u32) -> ProptestConfig {
+    let wide = u64::from(cases) * u64::from(ProptestConfig::default().cases) / 256;
+    ProptestConfig::with_cases(wide.clamp(1, u64::from(u32::MAX)) as u32)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(1024))]
+    #![proptest_config(scaled(1024))]
 
     /// Up to 64 bins of small counts, so many deviations tie; a quarter
     /// of the cases are identical histograms, a quarter add spikes, and a
@@ -240,7 +248,7 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(scaled(48))]
 
     /// The detector's own size: 1 024 bins of a few thousand flows, with
     /// floods on a few bins.

@@ -269,7 +269,10 @@ fn older_value_maps_restore_and_score_bit_identically() {
             );
             assert_eq!(a.alarm, i == 14, "cut {cut} interval {i}");
             assert_eq!(a.alarm, b.alarm, "cut {cut} interval {i}");
-            assert_eq!(a.values, b.values, "cut {cut} interval {i}");
+            assert_eq!(
+                a.bin_identification, b.bin_identification,
+                "cut {cut} interval {i}"
+            );
         }
 
         // A bin the clone does not have is still corrupt.

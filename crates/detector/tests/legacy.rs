@@ -32,11 +32,10 @@ fn digest(observation: &BankObservation) -> String {
                 (id.bins.clone(), bits, id.converged)
             });
             out += &format!(
-                " [{:?} {:?} {} {:?} {:?}]",
+                " [{:?} {:?} {} {:?}]",
                 clone.kl.map(f64::to_bits),
                 clone.first_diff.map(f64::to_bits),
                 clone.alarm,
-                clone.values,
                 trajectory
             );
         }

@@ -20,35 +20,39 @@ fn column_keys(cols: &FlowColumns, feature: FlowFeature) -> Vec<u64> {
 
 /// Observe `cols` with `detector` and check the scoring contracts of
 /// every clone that alarmed: its bin identification starts from its own
-/// KL bit for bit, its values are [`FeatureHistogram::resolve`] of its
-/// bins over the column's keys (the detector resolves them once per
-/// feature, from the column), and the voted values are [`vote`] of the
-/// clone sets. Returns the observation.
-fn observe_checked(detector: &mut FeatureDetector, cols: &FlowColumns) -> FeatureObservation {
+/// KL bit for bit, and the feature alarms exactly when at least `l`
+/// clones did. At quorum the voted values are [`vote`] of the alarmed
+/// clones' values, each [`FeatureHistogram::resolve`] of its bins over
+/// the column's keys (the detector resolves only the vote, once per
+/// feature, from the column); below it nothing is voted. Returns the
+/// observation and the alarmed clones' values.
+fn observe_checked(
+    detector: &mut FeatureDetector,
+    cols: &FlowColumns,
+) -> (FeatureObservation, Vec<Vec<u64>>) {
     let observation = detector.observe_columns(cols);
     let keys = column_keys(cols, detector.feature());
-    let mut alarmed = 0;
+    let mut values = Vec::new();
     for (clone, state) in observation.clones.iter().zip(detector.clones()) {
         let Some(id) = &clone.bin_identification else {
-            assert!(!clone.alarm && clone.values.is_empty());
+            assert!(!clone.alarm);
             continue;
         };
-        alarmed += 1;
         let kl = clone.kl.expect("an alarm has a KL");
         assert_eq!(id.kl_trajectory[0].to_bits(), kl.to_bits());
         let histogram = FeatureHistogram::new(state.feature(), state.hasher(), state.bins());
-        assert_eq!(clone.values, histogram.resolve(&keys, &id.bins));
+        values.push(histogram.resolve(&keys, &id.bins));
     }
-    assert_eq!(observation.alarmed_clones, alarmed);
-    if observation.alarm {
-        let sets: Vec<BTreeSet<u64>> = observation
-            .clones
-            .iter()
-            .map(|c| c.values.iter().copied().collect())
-            .collect();
-        assert_eq!(observation.voted_values, vote(&sets, detector.votes()));
-    }
-    observation
+    assert_eq!(observation.alarmed_clones, values.len());
+    assert_eq!(observation.alarm, values.len() >= detector.votes());
+    let voted = if observation.alarm {
+        let sets: Vec<BTreeSet<u64>> = values.iter().map(|v| v.iter().copied().collect()).collect();
+        Vec::from_iter(vote(&sets, detector.votes()))
+    } else {
+        Vec::new()
+    };
+    assert_eq!(observation.voted_values, voted);
+    (observation, values)
 }
 
 /// Run every detection feature's detector (three clones, quorum `votes`)
@@ -64,7 +68,7 @@ fn check_small_scenario(seed: u64, votes: usize) -> BTreeSet<usize> {
     for interval in 0..scenario.interval_count() {
         let cols = FlowColumns::from_flows(&scenario.generate(interval).flows);
         for detector in &mut detectors {
-            let observation = observe_checked(detector, &cols);
+            let (observation, _) = observe_checked(detector, &cols);
             if observation.alarmed_clones > 0 {
                 alarmed.insert(observation.alarmed_clones);
             }
@@ -171,9 +175,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
     /// On `Scenario::small` streams, every alarmed clone's
-    /// `kl_trajectory[0]` is bit-equal to its `kl`, and the values the
-    /// detector resolves once per feature are each clone's own
-    /// `FeatureHistogram::resolve`.
+    /// `kl_trajectory[0]` is bit-equal to its `kl`, and the vote the
+    /// detector resolves once per feature is the vote over each alarmed
+    /// clone's own `FeatureHistogram::resolve`.
     #[test]
     fn alarmed_clones_reuse_their_kl_and_share_one_resolve(
         seed in any::<u64>(),
@@ -196,8 +200,8 @@ fn shared_resolve_is_checked_for_one_to_all_alarmed_clones() {
 }
 
 /// A trained detector meeting an interval whose keys are all one value,
-/// or no keys at all: whatever clones alarm resolve exactly what
-/// `FeatureHistogram::resolve` does (one value, or nothing).
+/// or no keys at all: the detector votes what `FeatureHistogram::resolve`
+/// gives the clones that alarm (one value, or nothing).
 #[test]
 fn shared_resolve_handles_duplicate_and_empty_keys() {
     let background = |interval: u16| -> FlowColumns {
@@ -237,7 +241,7 @@ fn shared_resolve_handles_duplicate_and_empty_keys() {
             for interval in 0..10 {
                 observe_checked(&mut detector, &background(interval));
             }
-            let observation = observe_checked(&mut detector, &last);
+            let (observation, values) = observe_checked(&mut detector, &last);
             assert_eq!(
                 observation.alarmed_clones, clones,
                 "{name}, {clones} clones"
@@ -247,9 +251,9 @@ fn shared_resolve_handles_duplicate_and_empty_keys() {
             } else {
                 BTreeSet::from([7000])
             };
-            for clone in &observation.clones {
-                let values: BTreeSet<u64> = clone.values.iter().copied().collect();
-                assert!(values.is_subset(&want), "{name}: {:?}", clone.values);
+            for values in values.iter().chain([&observation.voted_values]) {
+                let set: BTreeSet<u64> = values.iter().copied().collect();
+                assert!(set.is_subset(&want), "{name}: {values:?}");
             }
         }
     }
