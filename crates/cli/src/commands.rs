@@ -1331,7 +1331,9 @@ mod tests {
     /// The batch reference `extract` must match: each `--in` capture
     /// read whole, sorted and sliced on its own grid (`FlowTrace`), and
     /// the per-interval concatenation in file order run through one
-    /// `Engine` on the calling thread. Returns the reports (what
+    /// `Engine` on the calling thread; a fan-in's rule merge mines the
+    /// rows a scan of the meta-data's columns keeps, not the engine's.
+    /// Returns the reports (what
     /// [`reports`] keeps of `extract`'s output) and the interval count.
     fn batch_reference(line: &str) -> (String, usize) {
         use anomex_core::source_rules;
@@ -1364,7 +1366,8 @@ mod tests {
                 if grids.len() >= 2 {
                     let cols = FlowColumns::from_flows(&merged);
                     let metadata = &extraction.metadata;
-                    if let Some(rules) = source_rules(&cols, &source_flows, metadata, &config) {
+                    let rows = prefilter_indices_columns(&cols, metadata, config.prefilter);
+                    if let Some(rules) = source_rules(&cols, &source_flows, &rows, &config) {
                         text += &render_rule_merge(&rules, grids.len());
                     }
                 }

@@ -218,25 +218,20 @@ impl Engine {
 
     fn process_columns(&mut self, cols: &FlowColumns) -> IntervalOutcome {
         let observation = self.bank.observe_columns(cols);
-        let extraction = if observation.alarm && !observation.metadata.is_empty() {
-            let indices = prefilter_indices_voted(
-                self.bank.voted_rows(),
-                &observation.metadata,
-                self.config.prefilter,
-            );
-            Some(mine_at_indices(
-                observation.interval,
-                cols,
-                &indices,
-                &observation.metadata,
-                &self.config,
-            ))
-        } else {
-            None
-        };
+        let metadata = &observation.metadata;
+        if !observation.alarm || metadata.is_empty() {
+            return IntervalOutcome {
+                observation,
+                extraction: None,
+                suspicious_rows: Vec::new(),
+            };
+        }
+        let rows = prefilter_indices_voted(self.bank.voted_rows(), metadata, self.config.prefilter);
+        let extraction = mine_at_indices(observation.interval, cols, &rows, metadata, &self.config);
         IntervalOutcome {
             observation,
-            extraction,
+            extraction: Some(extraction),
+            suspicious_rows: rows,
         }
     }
 

@@ -38,7 +38,8 @@ impl MultiSourceExtractor {
     }
 }
 
-/// [`source_rules`](crate::source_rules) on records, transposed first.
+/// [`source_rules`](crate::source_rules) on records, transposed and
+/// pre-filtered under `metadata` first.
 #[must_use]
 pub fn merge_source_rules(
     flows: &[FlowRecord],
@@ -47,7 +48,8 @@ pub fn merge_source_rules(
     config: &ExtractionConfig,
 ) -> Option<anomex_mining::RuleSet> {
     let cols = FlowColumns::from_flows(flows);
-    crate::source_rules(&cols, source_flows, metadata, config)
+    let rows = crate::prefilter_indices_columns(&cols, metadata, config.prefilter);
+    crate::source_rules(&cols, source_flows, &rows, config)
 }
 
 /// A [`MultiSourceExtractor`] over one exporter (source `0`, no

@@ -17,7 +17,6 @@ use anomex_netflow::FlowColumns;
 
 use crate::config::ExtractionConfig;
 use crate::cost::cost_reduction;
-use crate::prefilter::prefilter_indices_columns;
 
 /// How flows are mapped to mining transactions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -117,22 +116,26 @@ pub(crate) fn mine_at_indices(
 /// so a rule anomalous on a low-rate link ranks against the union
 /// population instead of vanishing under a floor sized for the
 /// aggregate. `cols` holds the sources' rows concatenated in
-/// registration order, `source_flows` their counts, and `metadata` drove
-/// the interval's extraction; one pre-filter's rows split at the source
-/// boundaries. `None` when the rule layer is off or the counts do not
-/// partition `cols`.
+/// registration order, `source_flows` their counts, and `rows` the
+/// interval's suspicious rows, ascending — online, the rows the
+/// extraction mined ([`IntervalOutcome::suspicious_rows`]) — which split
+/// at the source boundaries. `None` when the rule layer is off or the
+/// counts do not partition `cols`.
+///
+/// # Panics
+///
+/// Panics if a row is out of bounds for `cols`.
 #[must_use]
 pub fn source_rules(
     cols: &FlowColumns,
     source_flows: &[usize],
-    metadata: &MetaData,
+    mut rows: &[usize],
     config: &ExtractionConfig,
 ) -> Option<RuleSet> {
     let rule_config = config.rules.as_ref()?;
     if source_flows.iter().sum::<usize>() != cols.len() {
         return None;
     }
-    let mut rows = &prefilter_indices_columns(cols, metadata, config.prefilter)[..];
     let (mut end, mut per_source) = (0, Vec::new());
     for &len in source_flows.iter().filter(|&&len| len > 0) {
         end += len;
@@ -155,6 +158,10 @@ pub struct IntervalOutcome {
     /// The extraction, present iff the bank alarmed with non-empty
     /// meta-data.
     pub extraction: Option<Extraction>,
+    /// The suspicious rows the extraction mined, ascending: the
+    /// pre-filter's rows under the voted meta-data, read off the
+    /// detector's marks. Empty when nothing was extracted.
+    pub suspicious_rows: Vec<usize>,
 }
 
 #[cfg(test)]
@@ -246,7 +253,9 @@ mod tests {
             ..test_config(1)
         };
         let cols = FlowColumns::from_flows(&flows);
-        let merged = source_rules(&cols, &[25, 15], &md, &config).expect("rule layer on");
+        let rows = crate::prefilter_indices_columns(&cols, &md, config.prefilter);
+        assert_eq!(rows.len(), 40, "every flow is suspicious");
+        let merged = source_rules(&cols, &[25, 15], &rows, &config).expect("rule layer on");
         assert!(merged.is_empty(), "{} rules at s = u64::MAX", merged.len());
     }
 }

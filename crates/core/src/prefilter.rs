@@ -14,10 +14,13 @@
 //! resolve pass already counts per row, so it marks the rows whose value
 //! of each feature at quorum is voted ([`VotedRows`]), and
 //! [`Engine::process`](crate::Engine::process) joins those bitsets with
-//! [`prefilter_indices_voted`]. Meta-data from elsewhere has no bins
-//! behind it: [`Engine::extract`](crate::Engine::extract) and
-//! [`source_rules`](crate::source_rules) pre-filter with
-//! [`prefilter_indices_columns`], which scans one [`FlowColumns`] column
+//! [`prefilter_indices_voted`], once per interval: the outcome carries
+//! the rows ([`IntervalOutcome::suspicious_rows`](crate::IntervalOutcome::suspicious_rows))
+//! on to a fan-in's per-source rule merge
+//! ([`source_rules`](crate::source_rules)). Only meta-data from
+//! elsewhere, which has no bins behind it, is pre-filtered by a scan:
+//! [`Engine::extract`](crate::Engine::extract) calls
+//! [`prefilter_indices_columns`], which reads one [`FlowColumns`] column
 //! per meta-data feature through [`FlowColumns::for_each_raw`].
 //! [`PrefilterMode::matches`] is the per-flow definition both implement;
 //! both take part only the features that carry values.
@@ -55,10 +58,8 @@ impl PrefilterMode {
 ///
 /// Each participating feature is one
 /// [`for_each_raw`](FlowColumns::for_each_raw) scan of its column that
-/// adds a 0/1 hit per row. Meta-data value lists of at most 16 members
-/// (the common case — voted value sets are small) are probed
-/// branch-free as a fixed array; longer ones by binary search on the
-/// sorted list. Both count the same hits.
+/// adds a 0/1 hit per row, probing the feature's sorted value list by
+/// binary search.
 #[must_use]
 pub fn prefilter_indices_columns(
     cols: &FlowColumns,
@@ -90,16 +91,10 @@ pub fn prefilter_indices_columns(
     let mut hits = vec![0u8; rows.len()];
     for &(feature, values) in &features {
         let mut row = 0;
-        match SmallValueSet::new(values) {
-            Some(set) => cols.for_each_raw(feature, rows.clone(), |value| {
-                hits[row] += u8::from(set.contains(value));
-                row += 1;
-            }),
-            None => cols.for_each_raw(feature, rows.clone(), |value| {
-                hits[row] += u8::from(values.binary_search(&value).is_ok());
-                row += 1;
-            }),
-        }
+        cols.for_each_raw(feature, rows.clone(), |value| {
+            hits[row] += u8::from(values.binary_search(&value).is_ok());
+            row += 1;
+        });
     }
     let needed = match mode {
         PrefilterMode::Union => 1,
@@ -170,40 +165,6 @@ pub fn prefilter_indices_voted(
         }
     }
     rows
-}
-
-/// A meta-data value set of at most [`SmallValueSet::MAX`] members,
-/// stored as a fixed array padded by repeating the first member
-/// (duplicates cannot change membership), so a probe compares every
-/// slot without branching.
-#[derive(Debug)]
-struct SmallValueSet {
-    padded: [u64; SmallValueSet::MAX],
-}
-
-impl SmallValueSet {
-    /// Largest membership the fixed probe array covers.
-    const MAX: usize = 16;
-
-    /// `None` when `values` is empty or holds more than
-    /// [`MAX`](Self::MAX) values (callers search the list itself).
-    fn new(values: &[u64]) -> Option<Self> {
-        if values.len() > Self::MAX {
-            return None;
-        }
-        let &first = values.first()?;
-        let mut padded = [first; Self::MAX];
-        padded[..values.len()].copy_from_slice(values);
-        Some(SmallValueSet { padded })
-    }
-
-    fn contains(&self, value: u64) -> bool {
-        let mut hit = 0u8;
-        for &slot in &self.padded {
-            hit |= u8::from(slot == value);
-        }
-        hit != 0
-    }
 }
 
 #[cfg(test)]
@@ -311,24 +272,6 @@ mod tests {
                     reference,
                     "{mode:?}, {len} flows"
                 );
-            }
-        }
-    }
-
-    /// `SmallValueSet` refuses exactly the lists the pre-filter must
-    /// search itself — empty and more than 16 members — and an accepted
-    /// set holds its members and nothing else, padding included.
-    #[test]
-    fn small_value_set_capacity_contract() {
-        for n in 0..40u64 {
-            let members: Vec<u64> = (0..n).map(|i| u64::MAX - 7 * i).collect();
-            match SmallValueSet::new(&members) {
-                Some(set) => {
-                    assert!((1..=SmallValueSet::MAX as u64).contains(&n), "{n} members");
-                    assert!(members.iter().all(|&v| set.contains(v)), "{n} members");
-                    assert!(!set.contains(0) && !set.contains(u64::MAX - 1));
-                }
-                None => assert!(n == 0 || n > SmallValueSet::MAX as u64, "{n} members"),
             }
         }
     }

@@ -164,9 +164,9 @@ fn pipeline_loop(
                 let process_micros = started.elapsed().as_micros() as u64;
                 // A fan-in's rule merge, outside `process_micros`.
                 let (cols, counts) = (&interval.flows, &interval.source_flows);
-                let source_rules = (outcome.extraction.as_ref())
-                    .filter(|_| counts.len() >= 2)
-                    .and_then(|e| source_rules(cols, counts, &e.metadata, engine.config()));
+                let source_rules = (outcome.extraction.is_some() && counts.len() >= 2)
+                    .then(|| source_rules(cols, counts, &outcome.suspicious_rows, engine.config()))
+                    .flatten();
                 let records =
                     (flow_data && source_rules.is_some()).then(|| interval.flows.to_flows());
                 let event = MultiStreamEvent {

@@ -1,11 +1,12 @@
 //! Allocation pin for an extracted interval: one alarmed
 //! `Engine::process` — detect, resolve of the vote with its row marks,
 //! the pre-filter's rows, the gather and FP-growth — allocates no more
-//! than it did once each feature's vote became one sorted list, copied
-//! into the meta-data (`PARENT_ALLOCS`, counted on the same interval).
-//! Of those, detection makes about 240 (bin identification of the
-//! ~900-bin alarms of srcIP and srcPort grows its bin and KL lists) and
-//! FP-growth about 160.
+//! than it did once each feature's vote moved into the meta-data and
+//! bin identification sized its lists once (`PARENT_ALLOCS`, counted on
+//! the same interval). Of those 285, detection makes 106 (the ~900-bin
+//! alarms of srcIP and srcPort size their ranking and their bin and KL
+//! lists once per clone), the pre-filter 2, the gather 7, FP-growth
+//! 164, and the extraction's copy of the meta-data 6.
 //!
 //! A test binary of its own, with one test, because the counting
 //! allocator sees every thread of the process.
@@ -55,11 +56,12 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocations of the alarmed interval below, counted once the vote was
-/// one sorted list per feature.
+/// Allocations of the alarmed interval below, counted once the vote
+/// moved into the meta-data and bin identification sized its lists
+/// once.
 const PARENT_ALLOCS: [(PrefilterMode, u64); 2] = [
-    (PrefilterMode::Union, 422),
-    (PrefilterMode::Intersection, 422),
+    (PrefilterMode::Union, 285),
+    (PrefilterMode::Intersection, 285),
 ];
 
 /// 400 background flows of interval `interval`.

@@ -7,8 +7,9 @@ use std::net::Ipv4Addr;
 use std::num::NonZeroUsize;
 
 use anomex_core::{
-    merge_source_rules, source_rules, Engine, ExtractionConfig, MultiSourceExtractor,
-    MultiStreamEvent, PrefilterMode, StreamEvent, StreamingExtractor, TransactionMode,
+    merge_source_rules, prefilter_indices_columns, source_rules, Engine, ExtractionConfig,
+    MultiSourceExtractor, MultiStreamEvent, PrefilterMode, StreamEvent, StreamingExtractor,
+    TransactionMode,
 };
 use anomex_detector::{DetectorConfig, MetaData};
 use anomex_mining::{merge_rule_sets, RuleConfig, RuleSet, RARE_SUPPORT_GUARD};
@@ -306,7 +307,8 @@ fn source_rules_is_the_record_merge() {
         for counts in [&case.source_flows[..], &bad_counts, missing] {
             let reference = per_segment_merge(&case.flows, counts, metadata, config);
             let record = merge_source_rules(&case.flows, counts, metadata, config);
-            let columns = source_rules(&cols, counts, metadata, config);
+            let rows = prefilter_indices_columns(&cols, metadata, config.prefilter);
+            let columns = source_rules(&cols, counts, &rows, config);
             let context = format!("seed {seed}: counts {counts:?}, {config:?}");
             assert_eq!(
                 format!("{reference:?}"),

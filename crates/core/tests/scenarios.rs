@@ -7,8 +7,8 @@ use std::net::Ipv4Addr;
 use std::path::PathBuf;
 
 use anomex_core::{
-    render_report, render_rule_merge, source_rules, Engine, ExtractionConfig, IntervalOutcome,
-    MultiSourceExtractor, StreamEvent,
+    prefilter_indices_columns, render_report, render_rule_merge, source_rules, Engine,
+    ExtractionConfig, IntervalOutcome, MultiSourceExtractor, PrefilterMode, StreamEvent,
 };
 use anomex_detector::DetectorConfig;
 use anomex_mining::RuleConfig;
@@ -352,9 +352,11 @@ fn scratch_dir(name: &str) -> PathBuf {
 /// The per-source rule merge rides on the event where it can be
 /// rendered: on a two-source grid, an event with an extraction and
 /// rules carries the merge of the sources' window rows concatenated in
-/// registration order; every other event — no extraction, rules off,
-/// or a one-lane grid — carries none. Halfway through, the fan-in is
-/// saved to a file and loaded again. Neither `new` nor `load` fills
+/// registration order, pre-filtered by a scan of their columns under the
+/// extraction's meta-data (which the outcome's rows equal), in either
+/// pre-filter mode; every other event — no extraction, rules off, or a
+/// one-lane grid — carries none. Halfway through, the fan-in is saved
+/// to a file and loaded again. Neither `new` nor `load` fills
 /// `flow_data`.
 #[test]
 fn source_rules_ride_only_on_a_renderable_rule_merge() {
@@ -372,9 +374,14 @@ fn source_rules_ride_only_on_a_renderable_rule_merge() {
             split
         })
         .collect();
-    for rules in [Some(RuleConfig::default()), None] {
+    let modes = [PrefilterMode::Union, PrefilterMode::Intersection];
+    for (rules, prefilter) in [Some(RuleConfig::default()), None]
+        .into_iter()
+        .flat_map(|rules| modes.map(|mode| (rules, mode)))
+    {
         let config = ExtractionConfig {
             rules,
+            prefilter,
             ..stream_config(scenario.interval_ms())
         };
         let mut multi = MultiSourceExtractor::new(config.clone(), &two_specs(), None).unwrap();
@@ -400,14 +407,21 @@ fn source_rules_ride_only_on_a_renderable_rule_merge() {
         for (e, split) in events.iter().zip(&windows) {
             let index = e.event.index;
             assert!(e.flow_data.is_empty(), "interval {index}");
-            let Some(extraction) = e.event.outcome.extraction.as_ref() else {
+            let outcome = &e.event.outcome;
+            let Some(extraction) = outcome.extraction.as_ref() else {
                 assert!(e.source_rules.is_none(), "interval {index}");
+                assert!(outcome.suspicious_rows.is_empty(), "interval {index}");
                 continue;
             };
             let cols = FlowColumns::from_flows(&split.concat());
             let counts = [split[0].len(), split[1].len()];
-            let expected = source_rules(&cols, &counts, &extraction.metadata, &config);
-            assert_eq!(e.source_rules, expected, "interval {index}");
+            let rows = prefilter_indices_columns(&cols, &extraction.metadata, prefilter);
+            assert_eq!(
+                outcome.suspicious_rows, rows,
+                "{prefilter:?} interval {index}"
+            );
+            let expected = source_rules(&cols, &counts, &rows, &config);
+            assert_eq!(e.source_rules, expected, "{prefilter:?} interval {index}");
             merges += usize::from(expected.is_some());
         }
         assert_eq!(merges > 0, rules.is_some(), "the planted flood extracts");

@@ -156,16 +156,9 @@ pub struct BankObservation {
     /// Whether any feature alarmed.
     pub alarm: bool,
     /// Union of the voted meta-data of all alarmed features (Fig. 3's
-    /// "⋃ Mᵢ"): each alarmed feature's `voted_values`, copied as the one
-    /// sorted list they are.
+    /// "⋃ Mᵢ"): each alarmed feature's vote, the one sorted list
+    /// [`FeatureDetector::observe_columns`] returned for it.
     pub metadata: MetaData,
-}
-
-impl BankObservation {
-    /// The features that alarmed this interval.
-    pub fn alarmed_features(&self) -> impl Iterator<Item = FlowFeature> + '_ {
-        self.features.iter().filter(|o| o.alarm).map(|o| o.feature)
-    }
 }
 
 /// The rows of the last observed interval whose value of a feature was
@@ -277,7 +270,7 @@ impl DetectorBank {
     /// Observe one interval held as columns — the detect step: every
     /// detector counts its feature's column into its clones, scores and
     /// votes ([`FeatureDetector::observe_columns`]), and the alarmed
-    /// features' votes are copied into the meta-data. Each
+    /// features' votes move into the meta-data. Each
     /// feature at quorum also marks the rows whose value it voted, in
     /// [`voted_rows`](Self::voted_rows). Once past the first interval and
     /// training, an unalarmed interval allocates only what the returned
@@ -285,12 +278,11 @@ impl DetectorBank {
     pub fn observe_columns(&mut self, cols: &FlowColumns) -> BankObservation {
         self.voted_rows.reset();
         let mut features = Vec::with_capacity(self.detectors.len());
-        for detector in &mut self.detectors {
-            features.push(detector.observe_with(cols, &mut self.tables, &mut self.voted_rows));
-        }
         let mut metadata = MetaData::new();
-        for obs in &features {
-            metadata.insert_all(obs.feature, obs.voted_values.iter().copied());
+        for detector in &mut self.detectors {
+            let (obs, vote) = detector.observe_with(cols, &mut self.tables, &mut self.voted_rows);
+            metadata.insert_all(obs.feature, vote);
+            features.push(obs);
         }
         let alarm = features.iter().any(|o| o.alarm);
         let observation = BankObservation {
@@ -482,7 +474,10 @@ mod tests {
         assert!(bank.is_trained());
         let obs = bank.observe(&ddos(13));
         assert!(obs.alarm, "DDoS must raise an alarm");
-        let alarmed: Vec<FlowFeature> = obs.alarmed_features().collect();
+        let alarmed: Vec<FlowFeature> = (obs.features.iter())
+            .filter(|o| o.alarm)
+            .map(|o| o.feature)
+            .collect();
         assert!(
             alarmed.contains(&FlowFeature::DstIp) || alarmed.contains(&FlowFeature::DstPort),
             "a destination feature must alarm, got {alarmed:?}"

@@ -20,6 +20,9 @@
 //!   last maximum would. One round is the common case: on the
 //!   benchmark's `alarm` and `fanin` captures (seed 1) 57 % and 60 % of
 //!   the alarmed clones stop after it, while a few run past 180 rounds.
+//!   So the result's lists start small, and the second round sizes the
+//!   ranking and both lists once, from the count of differing bins the
+//!   set-up pass takes.
 //! - **KL per round.** With add-one smoothing, P = W + k and Q = R + k (W
 //!   and R the current and reference totals), the distance is
 //!   KL = S/P + log₂(Q/P) with S = Σ (wᵢ+1)·log₂((wᵢ+1)/(rᵢ+1)). Resetting
@@ -117,6 +120,11 @@ pub(crate) fn identify_from(
                 converged: false,
             };
         };
+        if bins.len() == 1 {
+            // A second round: at most every bin that differed is reset.
+            bins.reserve_exact(running.differing - 1);
+            kl_trajectory.reserve_exact(running.differing - 1);
+        }
         bins.push(bin);
         if (kl - target_kl).abs() <= bound {
             kl = kl_distance(&cleaned(current, reference, &bins), reference);
@@ -140,7 +148,7 @@ struct RunningKl<'a> {
     /// The first round's bin: the last of the most deviating bins.
     first: Option<u32>,
     /// `(|w − r|, bin)` of every bin not yet reset, built on the second
-    /// round; ties pop the higher bin.
+    /// round at its final size; ties pop the higher bin.
     ranking: Option<BinaryHeap<(u64, u32)>>,
     /// S = Σ (wᵢ+1)·log₂((wᵢ+1)/(rᵢ+1)) over the bins not yet reset.
     sum: f64,
@@ -153,6 +161,8 @@ struct RunningKl<'a> {
     q: f64,
     k: f64,
     removed: usize,
+    /// How many bins differed from the reference at the start.
+    differing: usize,
 }
 
 impl<'a> RunningKl<'a> {
@@ -161,10 +171,12 @@ impl<'a> RunningKl<'a> {
         let (mut w_total, mut r_total) = (0u64, 0u64);
         let (mut sum, mut scale) = (0.0f64, 0.0f64);
         let mut first: Option<(u64, u32)> = None;
+        let mut differing = 0;
         for (bin, (&w, &r)) in current.iter().zip(reference).enumerate() {
             w_total += w;
             r_total += r;
             if w != r {
+                differing += 1;
                 let term = terms.get(w, r, smoothed_term);
                 sum += term;
                 scale += term.abs() + (w as f64 + 1.0);
@@ -187,6 +199,7 @@ impl<'a> RunningKl<'a> {
             q: r_total as f64 + k,
             k,
             removed: 0,
+            differing,
         }
     }
 
@@ -197,11 +210,15 @@ impl<'a> RunningKl<'a> {
             return self.first;
         }
         let (current, reference, first) = (self.current, self.reference, self.first);
+        let others = self.differing - 1;
         let ranking = self.ranking.get_or_insert_with(|| {
-            (current.iter().zip(reference).enumerate())
-                .filter(|&(bin, (&w, &r))| w != r && Some(bin as u32) != first)
-                .map(|(bin, (&w, &r))| (w.abs_diff(r), bin as u32))
-                .collect()
+            let mut ranked = Vec::with_capacity(others);
+            ranked.extend(
+                (current.iter().zip(reference).enumerate())
+                    .filter(|&(bin, (&w, &r))| w != r && Some(bin as u32) != first)
+                    .map(|(bin, (&w, &r))| (w.abs_diff(r), bin as u32)),
+            );
+            BinaryHeap::from(ranked)
         });
         ranking.pop().map(|(_, bin)| bin)
     }

@@ -5,8 +5,9 @@
 //! buffer (`count_interval`), scores each clone against its reference
 //! histogram and, when at least `l` clones alarmed, resolves the vote
 //! from the same column: one pass keeps the values at least `l` of the
-//! alarmed clones claim, as one ascending list. A feature below quorum
-//! resolves nothing. The record-slice entry point
+//! alarmed clones claim, as one ascending list, returned beside the
+//! observation. A feature below quorum resolves nothing and votes an
+//! empty list. The record-slice entry point
 //! ([`FeatureDetector::observe`]) transposes once and calls it.
 
 use anomex_netflow::snapshot::{RestoreError, SnapshotReader, SnapshotWriter};
@@ -29,9 +30,6 @@ pub struct FeatureObservation {
     pub alarmed_clones: usize,
     /// Whether the feature-level alarm fired (≥ `l` clones alarmed).
     pub alarm: bool,
-    /// The voted (l-of-n) anomalous feature values, ascending and each
-    /// once; empty unless `alarm`.
-    pub voted_values: Vec<u64>,
 }
 
 /// A histogram-based detector for one traffic feature.
@@ -123,7 +121,7 @@ impl FeatureDetector {
 
     /// Observe one interval: transpose the flows once and run
     /// [`observe_columns`](Self::observe_columns).
-    pub fn observe(&mut self, flows: &[FlowRecord]) -> FeatureObservation {
+    pub fn observe(&mut self, flows: &[FlowRecord]) -> (FeatureObservation, Vec<u64>) {
         self.observe_columns(&FlowColumns::from_flows(flows))
     }
 
@@ -131,10 +129,13 @@ impl FeatureDetector {
     /// state machine: each clone counts the feature's column into its
     /// count buffer and is scored against its reference histogram; at
     /// quorum, one more pass over the column resolves the vote from the
-    /// alarmed clones' bins. A detector observed on its own builds fresh
-    /// scoring tables per call; a [`DetectorBank`](crate::DetectorBank)
-    /// reuses one set for all its detectors.
-    pub fn observe_columns(&mut self, cols: &FlowColumns) -> FeatureObservation {
+    /// alarmed clones' bins. Returns the observation and the vote: the
+    /// (l-of-n) anomalous feature values, ascending and each once, empty
+    /// unless the feature alarmed. A detector observed on its own builds
+    /// fresh scoring tables per call; a
+    /// [`DetectorBank`](crate::DetectorBank) reuses one set for all its
+    /// detectors.
+    pub fn observe_columns(&mut self, cols: &FlowColumns) -> (FeatureObservation, Vec<u64>) {
         self.observe_with(cols, &mut ScoreTables::new(), &mut VotedRows::default())
     }
 
@@ -146,7 +147,7 @@ impl FeatureDetector {
         cols: &FlowColumns,
         tables: &mut ScoreTables,
         rows: &mut VotedRows,
-    ) -> FeatureObservation {
+    ) -> (FeatureObservation, Vec<u64>) {
         count_interval(cols, &mut self.counts);
         let clones: Vec<CloneObservation> = (self.clones.iter_mut())
             .zip(&mut self.counts)
@@ -154,7 +155,7 @@ impl FeatureDetector {
             .collect();
         let alarmed_clones = clones.iter().filter(|o| o.alarm).count();
         let alarm = alarmed_clones >= self.votes;
-        let voted_values = if alarm {
+        let vote = if alarm {
             // One pass over the column resolves the vote.
             let claims: Vec<(BinHasher, &[u32])> = (self.clones.iter().zip(&clones))
                 .filter_map(|(c, o)| Some((c.hasher(), &o.bin_identification.as_ref()?.bins[..])))
@@ -171,13 +172,13 @@ impl FeatureDetector {
         } else {
             Vec::new()
         };
-        FeatureObservation {
+        let observation = FeatureObservation {
             feature: self.feature,
             clones,
             alarmed_clones,
             alarm,
-            voted_values,
-        }
+        };
+        (observation, vote)
     }
 
     /// Change the threshold multiplier α on every clone — live
@@ -277,36 +278,31 @@ mod tests {
     #[test]
     fn unanimous_vote_finds_the_flood_port() {
         let mut det = trained(3);
-        let obs = det.observe(&flood(14, 4000));
+        let (obs, vote) = det.observe(&flood(14, 4000));
         assert!(obs.alarm);
         assert_eq!(obs.alarmed_clones, 3);
-        assert!(obs.voted_values.contains(&7000));
+        assert!(vote.contains(&7000));
         // Unanimous voting keeps very few values besides the true one:
         // every kept value collided with the anomalous bin in ALL 3 clones.
-        assert!(
-            obs.voted_values.len() < 50,
-            "kept {}",
-            obs.voted_values.len()
-        );
+        assert!(vote.len() < 50, "kept {}", vote.len());
     }
 
     #[test]
     fn union_vote_keeps_more_values_than_intersection() {
         let mut det_union = trained(1);
         let mut det_inter = trained(3);
-        let union_obs = det_union.observe(&flood(14, 4000));
-        let inter_obs = det_inter.observe(&flood(14, 4000));
+        let (union_obs, union_vote) = det_union.observe(&flood(14, 4000));
+        let (inter_obs, inter_vote) = det_inter.observe(&flood(14, 4000));
         assert!(union_obs.alarm && inter_obs.alarm);
         assert!(
-            union_obs.voted_values.len() >= inter_obs.voted_values.len(),
+            union_vote.len() >= inter_vote.len(),
             "union {} < intersection {}",
-            union_obs.voted_values.len(),
-            inter_obs.voted_values.len()
+            union_vote.len(),
+            inter_vote.len()
         );
-        assert!(inter_obs
-            .voted_values
+        assert!(inter_vote
             .iter()
-            .all(|v| union_obs.voted_values.binary_search(v).is_ok()));
+            .all(|v| union_vote.binary_search(v).is_ok()));
     }
 
     #[test]
@@ -314,9 +310,9 @@ mod tests {
         // With votes = 3, nothing fires on steady traffic.
         let mut det = trained(3);
         for i in 14..20 {
-            let obs = det.observe(&background(i, i));
+            let (obs, vote) = det.observe(&background(i, i));
             assert!(!obs.alarm, "steady interval {i} alarmed");
-            assert!(obs.voted_values.is_empty());
+            assert!(vote.is_empty());
         }
     }
 

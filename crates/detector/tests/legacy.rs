@@ -23,8 +23,8 @@ fn digest(observation: &BankObservation) -> String {
     );
     for feature in &observation.features {
         out += &format!(
-            " | {} {} {} {:?}",
-            feature.feature, feature.alarm, feature.alarmed_clones, feature.voted_values
+            " | {} {} {}",
+            feature.feature, feature.alarm, feature.alarmed_clones
         );
         for clone in &feature.clones {
             let trajectory = clone.bin_identification.as_ref().map(|id| {

@@ -25,12 +25,12 @@ fn column_keys(cols: &FlowColumns, feature: FlowFeature) -> Vec<u64> {
 /// clones' values, each [`FeatureHistogram::resolve`] of its bins over
 /// the column's keys (the detector resolves only the vote, once per
 /// feature, from the column); below it nothing is voted. Returns the
-/// observation and the alarmed clones' values.
+/// observation, the vote and the alarmed clones' values.
 fn observe_checked(
     detector: &mut FeatureDetector,
     cols: &FlowColumns,
-) -> (FeatureObservation, Vec<Vec<u64>>) {
-    let observation = detector.observe_columns(cols);
+) -> (FeatureObservation, Vec<u64>, Vec<Vec<u64>>) {
+    let (observation, vote_list) = detector.observe_columns(cols);
     let keys = column_keys(cols, detector.feature());
     let mut values = Vec::new();
     for (clone, state) in observation.clones.iter().zip(detector.clones()) {
@@ -51,8 +51,8 @@ fn observe_checked(
     } else {
         Vec::new()
     };
-    assert_eq!(observation.voted_values, voted);
-    (observation, values)
+    assert_eq!(vote_list, voted);
+    (observation, vote_list, values)
 }
 
 /// Run every detection feature's detector (three clones, quorum `votes`)
@@ -68,7 +68,7 @@ fn check_small_scenario(seed: u64, votes: usize) -> BTreeSet<usize> {
     for interval in 0..scenario.interval_count() {
         let cols = FlowColumns::from_flows(&scenario.generate(interval).flows);
         for detector in &mut detectors {
-            let (observation, _) = observe_checked(detector, &cols);
+            let (observation, _, _) = observe_checked(detector, &cols);
             if observation.alarmed_clones > 0 {
                 alarmed.insert(observation.alarmed_clones);
             }
@@ -241,7 +241,7 @@ fn shared_resolve_handles_duplicate_and_empty_keys() {
             for interval in 0..10 {
                 observe_checked(&mut detector, &background(interval));
             }
-            let (observation, values) = observe_checked(&mut detector, &last);
+            let (observation, voted, values) = observe_checked(&mut detector, &last);
             assert_eq!(
                 observation.alarmed_clones, clones,
                 "{name}, {clones} clones"
@@ -251,7 +251,7 @@ fn shared_resolve_handles_duplicate_and_empty_keys() {
             } else {
                 BTreeSet::from([7000])
             };
-            for values in values.iter().chain([&observation.voted_values]) {
+            for values in values.iter().chain([&voted]) {
                 let set: BTreeSet<u64> = values.iter().copied().collect();
                 assert!(set.is_subset(&want), "{name}: {values:?}");
             }

@@ -16,7 +16,7 @@
 //! - [`FlowColumns::from_flows`] converts a record batch;
 //! - [`FlowColumns::get`] / [`FlowColumns::iter`] /
 //!   [`FlowColumns::to_flows`] reassemble records on demand (checkpoints
-//!   and the per-source rule merge still read rows as records);
+//!   still write rows as records);
 //! - [`FlowColumns::for_each_raw`] is the one hot-path accessor (the
 //!   detector's histogram build and resolve scan through it): it matches
 //!   the feature **once**, then runs a tight loop over the single
@@ -189,28 +189,6 @@ impl FlowColumns {
         self.iter().collect()
     }
 
-    /// `feature`'s uniform `u64` key at row `i` — exactly
-    /// `feature.value_of(&self.get(i)).raw`, without reassembling the
-    /// record.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.len()`.
-    #[must_use]
-    pub fn raw_at(&self, feature: FlowFeature, i: usize) -> u64 {
-        match feature {
-            FlowFeature::SrcIp => u64::from(self.src_ip[i]),
-            FlowFeature::DstIp => u64::from(self.dst_ip[i]),
-            FlowFeature::SrcPort => u64::from(self.src_port[i]),
-            FlowFeature::DstPort => u64::from(self.dst_port[i]),
-            FlowFeature::Proto => u64::from(self.proto[i]),
-            FlowFeature::Packets => u64::from(self.packets[i]),
-            FlowFeature::Bytes => u64::from(self.bytes[i]),
-            FlowFeature::SrcNet16 => u64::from(self.src_ip[i] >> 16),
-            FlowFeature::DstNet16 => u64::from(self.dst_ip[i] >> 16),
-        }
-    }
-
     /// The hot-path single-column scan: call `f` with `feature`'s uniform
     /// `u64` key for every row in `range`, in row order.
     ///
@@ -337,13 +315,6 @@ mod tests {
         let flows = sample_flows();
         let cols = FlowColumns::from_flows(&flows);
         for feature in FlowFeature::EXTENDED {
-            for (i, flow) in flows.iter().enumerate() {
-                assert_eq!(
-                    cols.raw_at(feature, i),
-                    feature.value_of(flow).raw,
-                    "{feature} row {i}"
-                );
-            }
             let mut scanned = Vec::new();
             cols.for_each_raw(feature, 0..cols.len(), |v| scanned.push(v));
             let expected: Vec<u64> = flows.iter().map(|f| feature.value_of(f).raw).collect();

@@ -15,8 +15,7 @@
 use std::collections::BTreeMap;
 
 use anomex_core::{
-    classify_itemset, cost_reduction, prefilter_indices_columns, AnomalyClass, Engine, Extraction,
-    ExtractionConfig,
+    classify_itemset, cost_reduction, AnomalyClass, Engine, Extraction, ExtractionConfig,
 };
 use anomex_mining::{mine, ItemSet, TransactionSet};
 use anomex_netflow::FlowColumns;
@@ -174,9 +173,10 @@ pub struct Table4Row {
 
 /// Run a scenario through the engine and record everything needed for
 /// the paper's evaluation figures. Each interval is transposed once and
-/// fed to [`Engine::process`]; on an extraction, the suspicious rows are
-/// selected and gathered by the calls the engine makes, so the judged
-/// transactions are exactly the mined ones.
+/// fed to [`Engine::process`]; on an extraction, the rows it mined
+/// ([`IntervalOutcome::suspicious_rows`](anomex_core::IntervalOutcome::suspicious_rows))
+/// are gathered by the call the engine makes, so the judged transactions
+/// are exactly the mined ones.
 ///
 /// # Panics
 ///
@@ -212,8 +212,8 @@ pub fn run_scenario(scenario: &Scenario, config: &ExtractionConfig) -> ScenarioR
 
         let (suspicious, suspicious_labels, evaluated) = match &outcome.extraction {
             Some(ex) => {
-                let idx = prefilter_indices_columns(&cols, &ex.metadata, config.prefilter);
-                let s = config.transactions.transactions_at_columns(&cols, &idx);
+                let idx = &outcome.suspicious_rows;
+                let s = config.transactions.transactions_at_columns(&cols, idx);
                 let l: Vec<Option<EventId>> = idx.iter().map(|&j| labeled.labels[j]).collect();
                 let ev = evaluate_itemsets(&ex.itemsets, &s, &l);
                 (s, l, ev)

@@ -55,9 +55,9 @@ fn assert_extractions_identical(a: &Extraction, b: &Extraction, context: &str) {
 fn assert_outcomes_identical(a: &IntervalOutcome, b: &IntervalOutcome, context: &str) {
     assert_eq!(a.observation.alarm, b.observation.alarm, "{context}");
     assert_eq!(a.observation.metadata, b.observation.metadata, "{context}");
+    assert_eq!(a.suspicious_rows, b.suspicious_rows, "{context}");
     for (x, y) in a.observation.features.iter().zip(&b.observation.features) {
         assert_eq!(x.alarm, y.alarm, "{context}");
-        assert_eq!(&x.voted_values, &y.voted_values, "{context}");
         for (cx, cy) in x.clones.iter().zip(&y.clones) {
             assert_eq!(
                 cx.kl.map(f64::to_bits),

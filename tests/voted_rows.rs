@@ -90,8 +90,9 @@ struct Seen {
 /// Run one case: a bank and an engine with `n` clones of `bins` bins and
 /// quorum `l` see twelve plain intervals (training takes the first ten)
 /// and eight more, every other one flooded; on every interval the marked
-/// rows must be the pre-filter's in both modes, and the engine's
-/// suspicious flows their count.
+/// rows must be the pre-filter's in both modes, the engine's suspicious
+/// rows the pre-filter's in its mode (none without an extraction), and
+/// its suspicious flows their count.
 fn check_case(seed: u64, bins: u32, n: usize, l: usize, mode: PrefilterMode) -> Seen {
     let detector = DetectorConfig {
         bins,
@@ -128,9 +129,15 @@ fn check_case(seed: u64, bins: u32, n: usize, l: usize, mode: PrefilterMode) -> 
         let outcome = engine.process(&cols);
         assert_eq!(outcome.observation.metadata, *md, "{case}");
         let extracted = observation.alarm && !md.is_empty();
+        let scanned = if extracted {
+            prefilter_indices_columns(&cols, md, mode)
+        } else {
+            Vec::new()
+        };
+        assert_eq!(outcome.suspicious_rows, scanned, "engine rows: {case}");
         assert_eq!(
             outcome.extraction.map(|e| e.suspicious_flows),
-            extracted.then(|| prefilter_indices_columns(&cols, md, mode).len()),
+            extracted.then_some(outcome.suspicious_rows.len()),
             "engine: {case}"
         );
         record(&mut seen, &observation, extracted);
@@ -141,7 +148,7 @@ fn check_case(seed: u64, bins: u32, n: usize, l: usize, mode: PrefilterMode) -> 
 fn record(seen: &mut Seen, observation: &BankObservation, extracted: bool) {
     seen.extracted += usize::from(extracted);
     for feature in observation.features.iter().filter(|f| f.alarm) {
-        let size = feature.voted_values.len();
+        let size = (observation.metadata.values_for(feature.feature)).map_or(0, <[u64]>::len);
         seen.largest_vote = seen.largest_vote.max(size);
         if size > 0 {
             seen.smallest_vote = Some(seen.smallest_vote.map_or(size, |s| s.min(size)));
