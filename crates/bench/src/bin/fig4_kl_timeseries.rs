@@ -11,7 +11,7 @@
 
 use anomex_bench::{arg_scale, bar};
 use anomex_detector::{BinHasher, FirstDiffThreshold, HistogramClone};
-use anomex_netflow::FlowFeature;
+use anomex_netflow::{FlowColumns, FlowFeature};
 use anomex_traffic::{Scenario, INTERVALS_PER_DAY};
 
 fn main() {
@@ -31,7 +31,7 @@ fn main() {
     let mut rows = Vec::new();
     for i in 0..two_days {
         let interval = scenario.generate(i);
-        let obs = clone.observe(&interval.flows);
+        let obs = clone.observe(&FlowColumns::from_flows(&interval.flows));
         rows.push((
             i,
             obs.kl.unwrap_or(0.0),

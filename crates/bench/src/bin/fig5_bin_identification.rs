@@ -15,7 +15,7 @@ use anomex_bench::{arg_scale, bar};
 use anomex_detector::{
     identify_anomalous_bins, kl_distance, BinHasher, FeatureHistogram, FirstDiffThreshold,
 };
-use anomex_netflow::FlowFeature;
+use anomex_netflow::{FlowColumns, FlowFeature};
 use anomex_traffic::Scenario;
 
 fn main() {
@@ -35,7 +35,7 @@ fn main() {
             FlowFeature::DstPort,
             hasher,
             1024,
-            &scenario.generate(i).flows,
+            &FlowColumns::from_flows(&scenario.generate(i).flows),
         )
     };
 

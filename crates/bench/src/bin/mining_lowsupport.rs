@@ -16,6 +16,7 @@ use std::time::{Duration, Instant};
 use anomex_mining::apriori::apriori;
 use anomex_mining::fpgrowth::fpgrowth;
 use anomex_mining::{AprioriConfig, TransactionSet};
+use anomex_netflow::FlowColumns;
 use anomex_traffic::table2_workload;
 
 /// Runs per cell; the cell reports the fastest.
@@ -36,7 +37,8 @@ fn min_ms<R>(mut mine: impl FnMut() -> R) -> f64 {
 
 fn main() {
     let w = table2_workload(2009, 0.1);
-    let tx = TransactionSet::from_flows(&w.flows);
+    let rows: Vec<usize> = (0..w.flows.len()).collect();
+    let tx = TransactionSet::from_columns_at(&FlowColumns::from_flows(&w.flows), &rows);
     println!(
         "== mining_lowsupport: {} transactions, min of {RUNS} runs ==",
         tx.len()

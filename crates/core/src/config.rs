@@ -11,44 +11,14 @@
 //! | threshold multiplier | — | `detector.alpha` | 3 |
 //! | minimum support | s | `min_support` | 10 000 (3 000–10 000) |
 
-use std::fmt;
-
 use anomex_detector::DetectorConfig;
 use anomex_mining::RuleConfig;
 use anomex_netflow::snapshot::{RestoreError, SnapshotReader, SnapshotWriter};
+pub use anomex_netflow::ConfigError;
 use anomex_netflow::MINUTE_MS;
 
 use crate::pipeline::TransactionMode;
 use crate::prefilter::PrefilterMode;
-
-/// An invalid [`ExtractionConfig`]: which constraint was violated, in
-/// human-readable form. Returned by [`ExtractionConfig::validate`] and
-/// [`Engine::new`](crate::Engine::new) so library users get a `Result`
-/// instead of a panic path.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConfigError(String);
-
-impl ConfigError {
-    /// Wrap a constraint-violation description.
-    #[must_use]
-    pub fn new(message: impl Into<String>) -> Self {
-        ConfigError(message.into())
-    }
-}
-
-impl fmt::Display for ConfigError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-impl std::error::Error for ConfigError {}
-
-impl From<ConfigError> for String {
-    fn from(e: ConfigError) -> Self {
-        e.0
-    }
-}
 
 /// Complete configuration of the anomaly-extraction pipeline.
 #[derive(Debug, Clone)]

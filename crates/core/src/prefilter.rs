@@ -21,12 +21,12 @@
 //! elsewhere, which has no bins behind it, is pre-filtered by a scan:
 //! [`Engine::extract`](crate::Engine::extract) calls
 //! [`prefilter_indices_columns`], which reads one [`FlowColumns`] column
-//! per meta-data feature through [`FlowColumns::for_each_raw`].
-//! [`PrefilterMode::matches`] is the per-flow definition both implement;
-//! both take part only the features that carry values.
+//! per meta-data feature through [`FlowColumns::for_each_raw`] into a
+//! bitset of the rows whose value is listed. Both join one bitset per
+//! feature that carries values, word by word, in one shared loop.
 
 use anomex_detector::{MetaData, VotedRows};
-use anomex_netflow::{FlowColumns, FlowRecord};
+use anomex_netflow::FlowColumns;
 
 /// Which matching semantics the pre-filter applies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -39,78 +39,37 @@ pub enum PrefilterMode {
     Intersection,
 }
 
-impl PrefilterMode {
-    /// Whether one flow passes the filter under this mode.
-    #[must_use]
-    pub fn matches(self, metadata: &MetaData, flow: &FlowRecord) -> bool {
-        match self {
-            PrefilterMode::Union => metadata.matches_any(flow),
-            PrefilterMode::Intersection => metadata.matches_all(flow),
-        }
-    }
-}
-
 /// Filter a columnar interval by meta-data, returning the ascending
-/// indices of the suspicious flows — the rows that
-/// [`PrefilterMode::matches`] keeps, evaluated one *column* at a time
-/// instead of one flow at a time: each meta-data feature scans only its
-/// own contiguous column, so the other columns never enter the cache.
-///
-/// Each participating feature is one
-/// [`for_each_raw`](FlowColumns::for_each_raw) scan of its column that
-/// adds a 0/1 hit per row, probing the feature's sorted value list by
-/// binary search.
+/// indices of the suspicious flows: under union the rows whose value of
+/// any meta-data feature is listed, under intersection the rows whose
+/// value of every meta-data feature is; empty meta-data keeps none. It
+/// reads one *column* at a time instead of one flow at a time: each
+/// feature carrying values is one
+/// [`for_each_raw`](FlowColumns::for_each_raw) scan of its own column
+/// that sets, in a bitset, the rows whose value its sorted list holds
+/// (by binary search), and `mode` joins the bitsets word by word.
 #[must_use]
 pub fn prefilter_indices_columns(
     cols: &FlowColumns,
     metadata: &MetaData,
     mode: PrefilterMode,
 ) -> Vec<usize> {
-    // Only features that actually carry values participate — exactly the
-    // lists `matches_any`/`matches_all` consult.
-    let features: Vec<_> = metadata
+    let bitsets: Vec<Vec<u64>> = metadata
         .features()
-        .map(|f| {
-            (
-                f,
-                metadata
-                    .values_for(f)
-                    .expect("listed features are non-empty"),
-            )
+        .map(|feature| {
+            let values = metadata
+                .values_for(feature)
+                .expect("listed features carry values");
+            let mut bits = vec![0u64; cols.len().div_ceil(64)];
+            let mut row = 0;
+            cols.for_each_raw(feature, 0..cols.len(), |value| {
+                bits[row / 64] |= u64::from(values.binary_search(&value).is_ok()) << (row % 64);
+                row += 1;
+            });
+            bits
         })
         .collect();
-    if features.is_empty() {
-        // Empty meta-data matches nothing under either mode.
-        return Vec::new();
-    }
-    // One pass per participating feature over that feature's column,
-    // counting per-row feature hits; a row passes under Union with ≥1
-    // hit and under Intersection with a hit in every feature (≤ 9
-    // features, so a u8 cannot overflow).
-    let rows = 0..cols.len();
-    let mut hits = vec![0u8; rows.len()];
-    for &(feature, values) in &features {
-        let mut row = 0;
-        cols.for_each_raw(feature, rows.clone(), |value| {
-            hits[row] += u8::from(values.binary_search(&value).is_ok());
-            row += 1;
-        });
-    }
-    let needed = match mode {
-        PrefilterMode::Union => 1,
-        PrefilterMode::Intersection => features.len() as u8,
-    };
-    // Exact-count pass first so the output vector is built with its
-    // final capacity reserved — no growth re-allocations on the fill.
-    let kept = hits.iter().filter(|&&h| h >= needed).count();
-    let mut out = Vec::with_capacity(kept);
-    out.extend(
-        hits.iter()
-            .enumerate()
-            .filter(|&(_, &h)| h >= needed)
-            .map(|(i, _)| i),
-    );
-    out
+    join(&bitsets.iter().map(Vec::as_slice).collect::<Vec<_>>(), mode)
 }
 
 /// The rows [`prefilter_indices_columns`] keeps under `metadata`, read
@@ -119,8 +78,7 @@ pub fn prefilter_indices_columns(
 /// ([`DetectorBank::voted_rows`](anomex_detector::DetectorBank::voted_rows)):
 /// no column is scanned. Each feature carrying values contributes its
 /// bitset, the rows whose value of it was voted, and `mode` joins them
-/// word by word: union keeps a row set in any of them, intersection a
-/// row set in all of them.
+/// as it joins the scanned ones.
 ///
 /// # Panics
 ///
@@ -141,8 +99,15 @@ pub fn prefilter_indices_voted(
                 .expect("a voted feature marked its rows")
         })
         .collect();
+    join(&bitsets, mode)
+}
+
+/// The rows set in one bitset per meta-data feature, joined word by word
+/// under `mode` — union keeps a row set in any of them, intersection a
+/// row set in all of them — ascending. Empty meta-data, with no bitset,
+/// keeps no row under either mode.
+fn join(bitsets: &[&[u64]], mode: PrefilterMode) -> Vec<usize> {
     let Some((first, rest)) = bitsets.split_first() else {
-        // Empty meta-data matches nothing under either mode.
         return Vec::new();
     };
     let word = |w: usize| {
@@ -170,7 +135,7 @@ pub fn prefilter_indices_voted(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anomex_netflow::{FlowFeature, Protocol};
+    use anomex_netflow::{FlowFeature, FlowRecord, Protocol};
     use std::net::Ipv4Addr;
 
     fn flow(dst_port: u16, packets: u32) -> FlowRecord {
@@ -255,7 +220,8 @@ mod tests {
     }
 
     /// The column scan keeps exactly the flows the per-flow definition
-    /// keeps, at every interval size.
+    /// keeps — a value listed in any meta-data feature (union) or in
+    /// every one (intersection) — at every interval size.
     #[test]
     fn columnar_prefilter_matches_the_per_flow_definition() {
         let md = sasser_metadata();
@@ -265,8 +231,17 @@ mod tests {
         for mode in [PrefilterMode::Union, PrefilterMode::Intersection] {
             for len in [3000, 997, 0, 1] {
                 let cols = FlowColumns::from_flows(&flows[..len]);
+                let hits = |flow: &FlowRecord| {
+                    (md.features())
+                        .filter(|&f| md.values_for(f).unwrap().contains(&f.value_of(flow).raw))
+                        .count()
+                };
+                let needed = match mode {
+                    PrefilterMode::Union => 1,
+                    PrefilterMode::Intersection => md.features().count(),
+                };
                 let reference: Vec<usize> =
-                    (0..len).filter(|&i| mode.matches(&md, &flows[i])).collect();
+                    (0..len).filter(|&i| hits(&flows[i]) >= needed).collect();
                 assert_eq!(
                     prefilter_indices_columns(&cols, &md, mode),
                     reference,

@@ -474,7 +474,7 @@ impl MultiSourceExtractor {
             max_lag_intervals,
         };
         let engine = Engine::new(config.clone())?;
-        let assembler = MergeAssembler::try_new(merge_config, sources).map_err(ConfigError::new)?;
+        let assembler = MergeAssembler::try_new(merge_config, sources)?;
         Ok(MultiSourceExtractor {
             assembler,
             pipe: PipelineHandle::spawn(engine, [0; 5])?,

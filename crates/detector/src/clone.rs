@@ -6,16 +6,14 @@
 //! (3) thresholds the first difference of the KL series (after a training
 //! phase that fits the MAD-based σ̂), and (4) on alarm, runs the iterative
 //! bin identification. The clone keeps no feature values: its feature's
-//! detector resolves the vote over all alarmed clones' bins at once, and
-//! [`FeatureHistogram::resolve`] maps one clone's bins to the values in
-//! them.
+//! detector resolves the vote over all alarmed clones' bins at once.
 
 use anomex_netflow::snapshot::{RestoreError, SnapshotReader, SnapshotWriter};
-use anomex_netflow::{FlowColumns, FlowFeature, FlowRecord};
+use anomex_netflow::{FlowColumns, FlowFeature};
 
 use crate::binid::{identify_from, BinIdentification};
 use crate::hash::BinHasher;
-use crate::histogram::{count_interval, FeatureHistogram};
+use crate::histogram::FeatureHistogram;
 use crate::kl::ScoreTables;
 use crate::threshold::{FirstDiffThreshold, SIGMA_FLOOR};
 
@@ -31,8 +29,7 @@ pub struct CloneObservation {
     /// Whether this clone raised an alarm (never during training).
     pub alarm: bool,
     /// The bin-identification audit trail, when an alarm fired. The
-    /// values this clone proposes are the interval's keys in these bins:
-    /// [`FeatureHistogram::resolve`] of its `bins`.
+    /// values this clone proposes are the interval's keys in these bins.
     pub bin_identification: Option<BinIdentification>,
 }
 
@@ -133,12 +130,10 @@ impl HistogramClone {
         self.prev_histogram.as_ref()
     }
 
-    /// Observe one interval's flows and advance the state machine:
-    /// transpose them once, count the column and score the histogram.
-    pub fn observe(&mut self, flows: &[FlowRecord]) -> CloneObservation {
-        let cols = FlowColumns::from_flows(flows);
-        let mut current = FeatureHistogram::new(self.feature, self.hasher, self.bins);
-        count_interval(&cols, std::slice::from_mut(&mut current));
+    /// Observe one interval's columns and advance the state machine:
+    /// count the feature's column and score the histogram.
+    pub fn observe(&mut self, cols: &FlowColumns) -> CloneObservation {
+        let mut current = FeatureHistogram::build(self.feature, self.hasher, self.bins, cols);
         self.score(&mut current, &mut ScoreTables::new())
     }
 
@@ -350,11 +345,15 @@ fn finite(value: f64, what: &str) -> Result<f64, RestoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anomex_netflow::Protocol;
+    use anomex_netflow::{FlowRecord, Protocol};
     use std::net::Ipv4Addr;
 
     /// Steady background: 200 flows to ports 1..=200 (one each).
-    fn background(interval: u64) -> Vec<FlowRecord> {
+    fn background(interval: u64) -> FlowColumns {
+        FlowColumns::from_flows(&background_flows(interval))
+    }
+
+    fn background_flows(interval: u64) -> Vec<FlowRecord> {
         (1..=200u16)
             .map(|p| {
                 FlowRecord::new(
@@ -370,8 +369,8 @@ mod tests {
     }
 
     /// Background plus a 2000-flow flood on port 7000.
-    fn flooded(interval: u64) -> Vec<FlowRecord> {
-        let mut flows = background(interval);
+    fn flooded(interval: u64) -> FlowColumns {
+        let mut flows = background_flows(interval);
         for i in 0..2000u64 {
             flows.push(FlowRecord::new(
                 interval * 60_000 + i,
@@ -382,7 +381,7 @@ mod tests {
                 Protocol::Tcp,
             ));
         }
-        flows
+        FlowColumns::from_flows(&flows)
     }
 
     fn trained_clone() -> HistogramClone {
@@ -427,12 +426,12 @@ mod tests {
         let id = obs
             .bin_identification
             .expect("alarm carries the audit trail");
-        let keys: Vec<u64> = flows
-            .iter()
-            .map(|f| FlowFeature::DstPort.value_of(f).raw)
-            .collect();
-        let values = FeatureHistogram::new(FlowFeature::DstPort, clone.hasher(), 1024)
-            .resolve(&keys, &id.bins);
+        let mut values = std::collections::BTreeSet::new();
+        flows.for_each_raw(FlowFeature::DstPort, 0..flows.len(), |key| {
+            if id.bins.contains(&clone.hasher().bin_of(key, 1024)) {
+                values.insert(key);
+            }
+        });
         assert!(
             values.contains(&7000),
             "port 7000 must be proposed: {values:?}"
@@ -472,7 +471,7 @@ mod tests {
     fn empty_intervals_are_tolerated() {
         let mut clone = HistogramClone::new(FlowFeature::DstPort, BinHasher::new(7), 64, 3.0, 3);
         for _ in 0..6 {
-            let obs = clone.observe(&[]);
+            let obs = clone.observe(&FlowColumns::new());
             assert!(!obs.alarm);
             if let Some(kl) = obs.kl {
                 assert!(kl.abs() < 1e-9, "empty vs empty is identical");
@@ -551,8 +550,8 @@ mod tests {
     #[test]
     fn scoring_hands_back_the_outgoing_reference() {
         let mut clone = HistogramClone::new(FlowFeature::DstPort, BinHasher::new(7), 64, 3.0, 5);
-        let build = |flows: &[FlowRecord]| {
-            FeatureHistogram::build(FlowFeature::DstPort, BinHasher::new(7), 64, flows)
+        let build = |cols: &FlowColumns| {
+            FeatureHistogram::build(FlowFeature::DstPort, BinHasher::new(7), 64, cols)
         };
         let (first, second) = (build(&background(0)), build(&flooded(1)));
         let mut tables = ScoreTables::new();

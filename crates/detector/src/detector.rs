@@ -7,16 +7,15 @@
 //! from the same column: one pass keeps the values at least `l` of the
 //! alarmed clones claim, as one ascending list, returned beside the
 //! observation. A feature below quorum resolves nothing and votes an
-//! empty list. The record-slice entry point
-//! ([`FeatureDetector::observe`]) transposes once and calls it.
+//! empty list.
 
 use anomex_netflow::snapshot::{RestoreError, SnapshotReader, SnapshotWriter};
-use anomex_netflow::{FlowColumns, FlowFeature, FlowRecord};
+use anomex_netflow::{FlowColumns, FlowFeature};
 
 use crate::bank::{VotedRows, MAX_CLONES};
 use crate::clone::{CloneObservation, ClonePhase, HistogramClone};
 use crate::hash::{derive_hashers, BinHasher};
-use crate::histogram::{count_interval, resolve_clones, FeatureHistogram, Keys};
+use crate::histogram::{count_interval, resolve_clones, FeatureHistogram};
 use crate::kl::ScoreTables;
 
 /// What one feature detector (all clones + voting) saw in one interval.
@@ -119,12 +118,6 @@ impl FeatureDetector {
         &self.clones
     }
 
-    /// Observe one interval: transpose the flows once and run
-    /// [`observe_columns`](Self::observe_columns).
-    pub fn observe(&mut self, flows: &[FlowRecord]) -> (FeatureObservation, Vec<u64>) {
-        self.observe_columns(&FlowColumns::from_flows(flows))
-    }
-
     /// Observe one interval held as columns and advance every clone's
     /// state machine: each clone counts the feature's column into its
     /// count buffer and is scored against its reference histogram; at
@@ -160,10 +153,10 @@ impl FeatureDetector {
             let claims: Vec<(BinHasher, &[u32])> = (self.clones.iter().zip(&clones))
                 .filter_map(|(c, o)| Some((c.hasher(), &o.bin_identification.as_ref()?.bins[..])))
                 .collect();
-            let keys = Keys::Column(cols, self.feature);
             let marks = rows.marks(self.feature, cols.len());
             resolve_clones(
-                &keys,
+                cols,
+                self.feature,
                 self.clones[0].bins(),
                 &claims,
                 self.votes,
@@ -233,10 +226,14 @@ impl FeatureDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anomex_netflow::Protocol;
+    use anomex_netflow::{FlowRecord, Protocol};
     use std::net::Ipv4Addr;
 
-    fn background(interval: u64, salt: u64) -> Vec<FlowRecord> {
+    fn background(interval: u64, salt: u64) -> FlowColumns {
+        FlowColumns::from_flows(&background_flows(interval, salt))
+    }
+
+    fn background_flows(interval: u64, salt: u64) -> Vec<FlowRecord> {
         (0..300u64)
             .map(|i| {
                 FlowRecord::new(
@@ -251,8 +248,8 @@ mod tests {
             .collect()
     }
 
-    fn flood(interval: u64, n: u64) -> Vec<FlowRecord> {
-        let mut flows = background(interval, interval);
+    fn flood(interval: u64, n: u64) -> FlowColumns {
+        let mut flows = background_flows(interval, interval);
         for i in 0..n {
             flows.push(FlowRecord::new(
                 interval * 60_000 + i,
@@ -263,13 +260,13 @@ mod tests {
                 Protocol::Tcp,
             ));
         }
-        flows
+        FlowColumns::from_flows(&flows)
     }
 
     fn trained(votes: usize) -> FeatureDetector {
         let mut det = FeatureDetector::new(FlowFeature::DstPort, 1024, 3, votes, 3.0, 12, 99);
         for i in 0..14 {
-            det.observe(&background(i, i));
+            det.observe_columns(&background(i, i));
         }
         assert!(det.is_trained());
         det
@@ -278,7 +275,7 @@ mod tests {
     #[test]
     fn unanimous_vote_finds_the_flood_port() {
         let mut det = trained(3);
-        let (obs, vote) = det.observe(&flood(14, 4000));
+        let (obs, vote) = det.observe_columns(&flood(14, 4000));
         assert!(obs.alarm);
         assert_eq!(obs.alarmed_clones, 3);
         assert!(vote.contains(&7000));
@@ -291,8 +288,8 @@ mod tests {
     fn union_vote_keeps_more_values_than_intersection() {
         let mut det_union = trained(1);
         let mut det_inter = trained(3);
-        let (union_obs, union_vote) = det_union.observe(&flood(14, 4000));
-        let (inter_obs, inter_vote) = det_inter.observe(&flood(14, 4000));
+        let (union_obs, union_vote) = det_union.observe_columns(&flood(14, 4000));
+        let (inter_obs, inter_vote) = det_inter.observe_columns(&flood(14, 4000));
         assert!(union_obs.alarm && inter_obs.alarm);
         assert!(
             union_vote.len() >= inter_vote.len(),
@@ -310,7 +307,7 @@ mod tests {
         // With votes = 3, nothing fires on steady traffic.
         let mut det = trained(3);
         for i in 14..20 {
-            let (obs, vote) = det.observe(&background(i, i));
+            let (obs, vote) = det.observe_columns(&background(i, i));
             assert!(!obs.alarm, "steady interval {i} alarmed");
             assert!(vote.is_empty());
         }
@@ -341,8 +338,8 @@ mod tests {
     fn memory_scales_with_clones() {
         let mut one = FeatureDetector::new(FlowFeature::DstPort, 1024, 1, 1, 3.0, 5, 1);
         let mut three = FeatureDetector::new(FlowFeature::DstPort, 1024, 3, 1, 3.0, 5, 1);
-        one.observe(&background(0, 0));
-        three.observe(&background(0, 0));
+        one.observe_columns(&background(0, 0));
+        three.observe_columns(&background(0, 0));
         assert!(three.memory_bytes() > 2 * one.memory_bytes());
     }
 }

@@ -6,15 +6,14 @@
 //! with a clone-specific hash function. `count_interval` fills every clone
 //! of a feature straight from the interval's [`FlowColumns`]. A bin
 //! aggregates many feature values, so the paper's "map of bins and
-//! corresponding feature values" (§II-D) is needed only for the bins of a
-//! clone that alarmed — a few intervals in a hundred:
-//! [`FeatureHistogram::resolve`] rebuilds it then from the interval's
-//! keys. A detector whose feature reaches quorum resolves only the vote:
-//! the values at least `l` of its alarmed clones claim, in one pass over
-//! its column.
+//! corresponding feature values" (§II-D) is needed only for the bins of
+//! the clones that alarmed — a few intervals in a hundred. A detector
+//! whose feature reaches quorum resolves only the vote then: the values
+//! at least `l` of its alarmed clones claim, in one pass over its
+//! column (`resolve_clones`).
 
 use anomex_netflow::snapshot::{RestoreError, SnapshotReader, SnapshotWriter};
-use anomex_netflow::{FlowColumns, FlowFeature, FlowRecord};
+use anomex_netflow::{FlowColumns, FlowFeature};
 
 use crate::hash::BinHasher;
 
@@ -50,19 +49,16 @@ impl FeatureHistogram {
         }
     }
 
-    /// Build a histogram over one interval's flows: transpose them once
-    /// and count the column with `count_interval`, the one builder.
+    /// Build a histogram over one interval's columns with
+    /// `count_interval`, the one builder.
     ///
     /// # Panics
     ///
     /// Panics if `bins` is zero.
     #[must_use]
-    pub fn build(feature: FlowFeature, hasher: BinHasher, bins: u32, flows: &[FlowRecord]) -> Self {
+    pub fn build(feature: FlowFeature, hasher: BinHasher, bins: u32, cols: &FlowColumns) -> Self {
         let mut histogram = Self::new(feature, hasher, bins);
-        count_interval(
-            &FlowColumns::from_flows(flows),
-            std::slice::from_mut(&mut histogram),
-        );
+        count_interval(cols, std::slice::from_mut(&mut histogram));
         histogram
     }
 
@@ -100,25 +96,6 @@ impl FeatureHistogram {
     #[must_use]
     pub fn total(&self) -> u64 {
         self.total
-    }
-
-    /// The distinct feature values among `keys` that this histogram's
-    /// hash function places in any of `bins`, ascending — an alarmed
-    /// clone's candidate values once its anomalous bins are identified.
-    /// `keys` are the raw keys the histogram was counted from, in row
-    /// order ([`FlowColumns::for_each_raw`]); one `bin_of` pass over them
-    /// against a bitmap of the requested bins keeps the matching keys,
-    /// which are sorted and deduplicated once. Bins outside `0..bins()`
-    /// hold no values.
-    #[must_use]
-    pub fn resolve(&self, keys: &[u64], bins: &[u32]) -> Vec<u64> {
-        resolve_clones(
-            &Keys::Slice(keys),
-            self.bins(),
-            &[(self.hasher, bins)],
-            1,
-            None,
-        )
     }
 
     /// Serialize the histogram's contents — per-bin counts, total, and an
@@ -248,33 +225,16 @@ pub(crate) fn count_interval(cols: &FlowColumns, histograms: &mut [FeatureHistog
     }
 }
 
-/// A feature's keys, in row order, as [`resolve_clones`] reads them.
-pub(crate) enum Keys<'a> {
-    /// Keys already collected.
-    Slice(&'a [u64]),
-    /// One feature's column.
-    Column(&'a FlowColumns, FlowFeature),
-}
-
-impl Keys<'_> {
-    fn for_each(&self, mut f: impl FnMut(u64)) {
-        match self {
-            Keys::Slice(keys) => keys.iter().for_each(|&key| f(key)),
-            Keys::Column(cols, feature) => cols.for_each_raw(*feature, 0..cols.len(), f),
-        }
-    }
-}
-
 /// Slots of [`resolve_clones`]' table of recently claimed keys.
 const RECENT_SLOTS: usize = 64;
 
 /// The l-of-n vote over several clones of one feature: each alarmed
 /// clone's hash function with its anomalous bins, all over `k` bins.
-/// Returns, ascending and each once, the keys that at least `votes` of
-/// the clones claim — a clone claims a key whose bin is among its
-/// anomalous bins. [`FeatureHistogram::resolve`] is the one-clone case.
+/// Returns, ascending and each once, the keys of `feature` in `cols`
+/// that at least `votes` of the clones claim — a clone claims a key
+/// whose bin is among its anomalous bins.
 ///
-/// One pass over `keys` asks the clones in order whether they claim a
+/// One pass over the column asks the clones in order whether they claim a
 /// key and stops once the verdict is settled: at the `votes`-th claim,
 /// or at the first miss that leaves too few clones to reach `votes`
 /// (at the paper's unanimous quorum, the first miss). Only voted keys
@@ -291,9 +251,10 @@ const RECENT_SLOTS: usize = 64;
 /// # Panics
 ///
 /// Panics if `votes` is zero or `marks` has fewer bits than there are
-/// keys.
+/// rows.
 pub(crate) fn resolve_clones(
-    keys: &Keys<'_>,
+    cols: &FlowColumns,
+    feature: FlowFeature,
     k: u32,
     clones: &[(BinHasher, &[u32])],
     votes: usize,
@@ -314,7 +275,7 @@ pub(crate) fn resolve_clones(
     // A claimed key and whether it is voted.
     let mut recent: [Option<(u64, bool)>; RECENT_SLOTS] = [None; RECENT_SLOTS];
     let mut row = 0;
-    keys.for_each(|key| {
+    cols.for_each_raw(feature, 0..cols.len(), |key| {
         // Fibonacci hashing: the product's top bits pick the slot.
         let slot = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15)
             >> (u64::BITS - RECENT_SLOTS.trailing_zeros())) as usize;
@@ -354,7 +315,7 @@ pub(crate) fn resolve_clones(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anomex_netflow::Protocol;
+    use anomex_netflow::{FlowRecord, Protocol};
     use proptest::collection::vec;
     use proptest::prelude::*;
     use std::net::Ipv4Addr;
@@ -370,21 +331,28 @@ mod tests {
         )
     }
 
-    /// [`FeatureHistogram::build`], with the raw keys `resolve` reads.
+    /// [`FeatureHistogram::build`] over `flows`, with their columns.
     fn scan(
         feature: FlowFeature,
         hasher: BinHasher,
         bins: u32,
         flows: &[FlowRecord],
-    ) -> (FeatureHistogram, Vec<u64>) {
-        let keys = flows.iter().map(|f| feature.value_of(f).raw).collect();
-        (FeatureHistogram::build(feature, hasher, bins, flows), keys)
+    ) -> (FeatureHistogram, FlowColumns) {
+        let cols = FlowColumns::from_flows(flows);
+        (FeatureHistogram::build(feature, hasher, bins, &cols), cols)
+    }
+
+    /// The values of `h`'s feature in `cols` that `h`'s hash function
+    /// places in any of `bins`: the vote of one clone.
+    fn resolve(h: &FeatureHistogram, cols: &FlowColumns, bins: &[u32]) -> Vec<u64> {
+        resolve_clones(cols, h.feature(), h.bins(), &[(h.hasher(), bins)], 1, None)
     }
 
     #[test]
     fn counts_are_conserved() {
         let flows: Vec<_> = (0..500u16).map(flow_to_port).collect();
-        let h = FeatureHistogram::build(FlowFeature::DstPort, BinHasher::new(1), 64, &flows);
+        let cols = FlowColumns::from_flows(&flows);
+        let h = FeatureHistogram::build(FlowFeature::DstPort, BinHasher::new(1), 64, &cols);
         assert_eq!(h.total(), 500);
         assert_eq!(h.counts().iter().sum::<u64>(), 500);
     }
@@ -392,53 +360,53 @@ mod tests {
     #[test]
     fn repeated_value_lands_in_same_bin() {
         let flows: Vec<_> = (0..100).map(|_| flow_to_port(7000)).collect();
-        let (h, keys) = scan(FlowFeature::DstPort, BinHasher::new(1), 64, &flows);
+        let (h, cols) = scan(FlowFeature::DstPort, BinHasher::new(1), 64, &flows);
         let nonzero: Vec<_> = h.counts().iter().filter(|&&c| c > 0).collect();
         assert_eq!(nonzero, vec![&100u64]);
         let bin = BinHasher::new(1).bin_of(7000, 64);
-        assert_eq!(h.resolve(&keys, &[bin]), [7000]);
+        assert_eq!(resolve(&h, &cols, &[bin]), [7000]);
     }
 
     #[test]
     fn reverse_map_finds_the_value() {
         let flows = vec![flow_to_port(7000)];
-        let (h, keys) = scan(FlowFeature::DstPort, BinHasher::new(9), 1024, &flows);
+        let (h, cols) = scan(FlowFeature::DstPort, BinHasher::new(9), 1024, &flows);
         let bin = BinHasher::new(9).bin_of(7000, 1024);
-        assert_eq!(h.resolve(&keys, &[bin]), [7000]);
+        assert_eq!(resolve(&h, &cols, &[bin]), [7000]);
         // Other bins are empty, and bins past the end hold nothing.
         let other = (bin + 1) % 1024;
-        assert!(h.resolve(&keys, &[other]).is_empty());
-        assert!(h.resolve(&keys, &[1024, u32::MAX]).is_empty());
+        assert!(resolve(&h, &cols, &[other]).is_empty());
+        assert!(resolve(&h, &cols, &[1024, u32::MAX]).is_empty());
     }
 
     #[test]
     fn values_in_bins_unions() {
         let flows = vec![flow_to_port(80), flow_to_port(7000), flow_to_port(25)];
         let hasher = BinHasher::new(3);
-        let (h, keys) = scan(FlowFeature::DstPort, hasher, 1024, &flows);
+        let (h, cols) = scan(FlowFeature::DstPort, hasher, 1024, &flows);
         let bins: Vec<u32> = [80u64, 7000, 25]
             .iter()
             .map(|&v| hasher.bin_of(v, 1024))
             .collect();
-        assert_eq!(h.resolve(&keys, &bins), [25, 80, 7000]);
+        assert_eq!(resolve(&h, &cols, &bins), [25, 80, 7000]);
     }
 
     #[test]
     fn collisions_share_a_bin() {
         // With 1 bin everything collides; the resolver keeps them apart.
         let flows = vec![flow_to_port(1), flow_to_port(2)];
-        let (h, keys) = scan(FlowFeature::DstPort, BinHasher::new(1), 1, &flows);
+        let (h, cols) = scan(FlowFeature::DstPort, BinHasher::new(1), 1, &flows);
         assert_eq!(h.counts(), &[2]);
-        assert_eq!(h.resolve(&keys, &[0]), [1, 2]);
+        assert_eq!(resolve(&h, &cols, &[0]), [1, 2]);
     }
 
-    /// Keys with repeats and extremes: a kind picks an extreme, one of
-    /// eight recurring keys (so the recent-key table hits and evicts),
-    /// or any key.
-    fn key((kind, draw): (u8, u64)) -> u64 {
+    /// Keys a column can hold (the widest hold 32 bits), with repeats and
+    /// extremes: a kind picks an extreme, one of eight recurring keys (so
+    /// the recent-key table hits and evicts), or any key.
+    fn key((kind, draw): (u8, u32)) -> u32 {
         match kind {
-            0 => [0, 1 << 63, u64::MAX - 1, u64::MAX][draw as usize % 4],
-            1 => draw % 8 * 0x9E37_79B9,
+            0 => [0, 1 << 31, u32::MAX - 1, u32::MAX][draw as usize % 4],
+            1 => (draw % 8).wrapping_mul(0x9E37_79B9),
             _ => draw,
         }
     }
@@ -452,10 +420,18 @@ mod tests {
         fn resolve_clones_is_a_per_clone_count(
             n in 1usize..=64,
             k in 1u32..=16,
-            keys in vec((0u8..4, any::<u64>()), 0..400),
+            keys in vec((0u8..4, any::<u32>()), 0..400),
             clones in vec((any::<u64>(), 0u8..4, vec(0u32..20, 0..6)), 64),
         ) {
-            let keys: Vec<u64> = keys.into_iter().map(key).collect();
+            let keys: Vec<u64> = keys.into_iter().map(|k| u64::from(key(k))).collect();
+            // The keys as the source addresses of an interval's rows.
+            let flows: Vec<FlowRecord> = (keys.iter())
+                .map(|&key| {
+                    let (src, dst) = (Ipv4Addr::from(key as u32), Ipv4Addr::new(10, 0, 0, 2));
+                    FlowRecord::new(0, src, dst, 4000, 80, Protocol::Tcp)
+                })
+                .collect();
+            let cols = FlowColumns::from_flows(&flows);
             let bins: Vec<(BinHasher, Vec<u32>)> = clones[..n]
                 .iter()
                 .map(|(seed, kind, bins)| {
@@ -476,8 +452,14 @@ mod tests {
                 .collect();
             for votes in 1..=n {
                 let mut marks = vec![0u64; keys.len().div_ceil(64)];
-                let voted =
-                    resolve_clones(&Keys::Slice(&keys), k, &clones, votes, Some(&mut marks));
+                let voted = resolve_clones(
+                    &cols,
+                    FlowFeature::SrcIp,
+                    k,
+                    &clones,
+                    votes,
+                    Some(&mut marks),
+                );
                 let mut want: Vec<u64> = (keys.iter().zip(&claims))
                     .filter(|&(_, &c)| c >= votes)
                     .map(|(&key, _)| key)
@@ -520,8 +502,9 @@ mod tests {
     #[test]
     fn memory_accounting_is_positive_and_scales() {
         let flows: Vec<_> = (0..10u16).map(flow_to_port).collect();
-        let small = FeatureHistogram::build(FlowFeature::DstPort, BinHasher::new(1), 64, &flows);
-        let big = FeatureHistogram::build(FlowFeature::DstPort, BinHasher::new(1), 1024, &flows);
+        let cols = FlowColumns::from_flows(&flows);
+        let small = FeatureHistogram::build(FlowFeature::DstPort, BinHasher::new(1), 64, &cols);
+        let big = FeatureHistogram::build(FlowFeature::DstPort, BinHasher::new(1), 1024, &cols);
         assert_eq!(small.memory_bytes(), 64 * 8);
         assert_eq!(big.memory_bytes(), 1024 * 8);
     }

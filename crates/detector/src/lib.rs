@@ -12,8 +12,7 @@
 //!   binning into counts-only histograms. Flows enter histograms straight
 //!   from the interval's columns ([`DetectorBank::observe_columns`]), and
 //!   a feature at quorum resolves its alarmed clones' anomalous bins to
-//!   the voted values from the same column ([`FeatureHistogram::resolve`]
-//!   is the one-clone case);
+//!   the voted values from the same column;
 //! - [`binid`] — the iterative anomalous-bin identification that simulates
 //!   flow removal until the alarm clears (Fig. 5);
 //! - [`mod@vote`] — l-of-n voting across clones;

@@ -5,15 +5,16 @@
 //! provide; the histogram detectors here provide *feature values* (IP
 //! addresses, ports, packet counts…). [`MetaData`] holds them per
 //! feature as one ascending list without repeats — the form a detector's
-//! vote already has — and implements the two matching semantics the
-//! paper compares: **union** (a flow matching *any* value is suspicious
-//! — the paper's choice) and **intersection** (a flow must match *every*
-//! feature — DoWitcher's choice, shown to miss multi-stage anomalies).
+//! vote already has. The pre-filter (`anomex_core::prefilter`) matches
+//! flows against it under the two semantics the paper compares: **union**
+//! (a flow matching *any* value is suspicious — the paper's choice) and
+//! **intersection** (a flow must match *every* feature — DoWitcher's
+//! choice, shown to miss multi-stage anomalies).
 
 use std::collections::BTreeMap;
 use std::fmt;
 
-use anomex_netflow::{FeatureValue, FlowFeature, FlowRecord};
+use anomex_netflow::{FeatureValue, FlowFeature};
 
 /// Suspicious feature values, grouped by feature: per feature that
 /// carries any, its values ascending and each once. A feature without
@@ -82,27 +83,6 @@ impl MetaData {
             .iter()
             .flat_map(|(&f, vals)| vals.iter().map(move |&v| FeatureValue::new(f, v)))
     }
-
-    /// **Union semantics** (the paper's choice): does the flow match *any*
-    /// suspicious value in *any* feature?
-    #[must_use]
-    pub fn matches_any(&self, flow: &FlowRecord) -> bool {
-        (self.values.iter()).any(|(&feature, vals)| Self::holds(vals, feature, flow))
-    }
-
-    /// **Intersection semantics** (the DoWitcher baseline): does the flow
-    /// match a suspicious value in *every* feature that has values?
-    /// Returns `false` when the meta-data is empty.
-    #[must_use]
-    pub fn matches_all(&self, flow: &FlowRecord) -> bool {
-        !self.is_empty()
-            && (self.values.iter()).all(|(&feature, vals)| Self::holds(vals, feature, flow))
-    }
-
-    /// Whether `flow`'s value of `feature` is among `vals`.
-    fn holds(vals: &[u64], feature: FlowFeature, flow: &FlowRecord) -> bool {
-        vals.binary_search(&feature.value_of(flow).raw).is_ok()
-    }
 }
 
 impl fmt::Display for MetaData {
@@ -130,60 +110,6 @@ impl fmt::Display for MetaData {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anomex_netflow::Protocol;
-    use std::net::Ipv4Addr;
-
-    fn flow(dst_port: u16, packets: u32) -> FlowRecord {
-        FlowRecord::new(
-            0,
-            Ipv4Addr::new(10, 0, 0, 1),
-            Ipv4Addr::new(10, 0, 0, 2),
-            4000,
-            dst_port,
-            Protocol::Tcp,
-        )
-        .with_volume(packets, packets * 40)
-    }
-
-    #[test]
-    fn union_matches_any_feature() {
-        let mut md = MetaData::new();
-        md.insert(FlowFeature::DstPort, 7000);
-        md.insert(FlowFeature::Packets, 3);
-        assert!(md.matches_any(&flow(7000, 1)), "port matches");
-        assert!(md.matches_any(&flow(80, 3)), "packet count matches");
-        assert!(!md.matches_any(&flow(80, 1)), "nothing matches");
-    }
-
-    #[test]
-    fn intersection_requires_every_feature() {
-        let mut md = MetaData::new();
-        md.insert(FlowFeature::DstPort, 7000);
-        md.insert(FlowFeature::Packets, 3);
-        assert!(md.matches_all(&flow(7000, 3)));
-        assert!(!md.matches_all(&flow(7000, 1)));
-        assert!(!md.matches_all(&flow(80, 3)));
-    }
-
-    #[test]
-    fn empty_metadata_matches_nothing() {
-        let md = MetaData::new();
-        assert!(!md.matches_any(&flow(80, 1)));
-        assert!(!md.matches_all(&flow(80, 1)));
-        assert!(md.is_empty());
-    }
-
-    #[test]
-    fn union_superset_of_intersection() {
-        let mut md = MetaData::new();
-        md.insert_all(FlowFeature::DstPort, [7000, 9996]);
-        md.insert(FlowFeature::Packets, 2);
-        for f in [flow(7000, 2), flow(9996, 1), flow(80, 2), flow(80, 9)] {
-            if md.matches_all(&f) {
-                assert!(md.matches_any(&f), "intersection ⊆ union violated for {f}");
-            }
-        }
-    }
 
     #[test]
     fn a_feature_without_values_leaves_no_entry() {

@@ -10,10 +10,14 @@ use std::net::Ipv4Addr;
 
 use anomex_detector::{BinHasher, FeatureHistogram, HistogramClone, SIGMA_FLOOR};
 use anomex_netflow::snapshot::{RestoreError, SnapshotReader, SnapshotWriter};
-use anomex_netflow::{FlowFeature, FlowRecord, Protocol};
+use anomex_netflow::{FlowColumns, FlowFeature, FlowRecord, Protocol};
 
 /// Steady background: 200 flows to ports 1..=200 (one each).
-fn background(interval: u64) -> Vec<FlowRecord> {
+fn background(interval: u64) -> FlowColumns {
+    FlowColumns::from_flows(&background_flows(interval))
+}
+
+fn background_flows(interval: u64) -> Vec<FlowRecord> {
     (1..=200u16)
         .map(|p| {
             FlowRecord::new(
@@ -29,8 +33,8 @@ fn background(interval: u64) -> Vec<FlowRecord> {
 }
 
 /// Background plus a 2000-flow flood on port 7000.
-fn flooded(interval: u64) -> Vec<FlowRecord> {
-    let mut flows = background(interval);
+fn flooded(interval: u64) -> FlowColumns {
+    let mut flows = background_flows(interval);
     for i in 0..2000u64 {
         flows.push(FlowRecord::new(
             interval * 60_000 + i,
@@ -41,7 +45,7 @@ fn flooded(interval: u64) -> Vec<FlowRecord> {
             Protocol::Tcp,
         ));
     }
-    flows
+    FlowColumns::from_flows(&flows)
 }
 
 fn new_clone() -> HistogramClone {
@@ -54,7 +58,7 @@ fn new_clone() -> HistogramClone {
 /// ascending bins, sorted values), and the previous KL.
 fn older_record(
     clone: &HistogramClone,
-    prev_flows: &[FlowRecord],
+    prev_flows: &FlowColumns,
     prev_kl: f64,
     values: &BTreeMap<u32, BTreeSet<u64>>,
 ) -> Vec<u8> {
@@ -248,8 +252,8 @@ fn older_value_maps_restore_and_score_bit_identically() {
         );
 
         let mut values: BTreeMap<u32, BTreeSet<u64>> = BTreeMap::new();
-        for flow in &prev_flows {
-            let v = FlowFeature::DstPort.value_of(flow).raw;
+        for flow in prev_flows.iter() {
+            let v = FlowFeature::DstPort.value_of(&flow).raw;
             values
                 .entry(live.hasher().bin_of(v, live.bins()))
                 .or_default()

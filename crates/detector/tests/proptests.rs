@@ -1,11 +1,11 @@
 //! Property-based tests for the detection substrate.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
 use anomex_detector::{
     identify_anomalous_bins, kl_distance, robust_sigma, vote, BinHasher, FeatureDetector,
-    FeatureHistogram, FeatureObservation, RocCurve, MAX_BINS, SIGMA_FLOOR,
+    FeatureObservation, RocCurve, MAX_BINS, SIGMA_FLOOR,
 };
 use anomex_netflow::{FlowColumns, FlowFeature, FlowRecord, Protocol};
 use anomex_traffic::Scenario;
@@ -22,14 +22,14 @@ fn column_keys(cols: &FlowColumns, feature: FlowFeature) -> Vec<u64> {
 /// every clone that alarmed: its bin identification starts from its own
 /// KL bit for bit, and the feature alarms exactly when at least `l`
 /// clones did. At quorum the voted values are [`vote`] of the alarmed
-/// clones' values, each [`FeatureHistogram::resolve`] of its bins over
-/// the column's keys (the detector resolves only the vote, once per
+/// clones' values, each the column's keys that the clone's hash function
+/// places in its bins (the detector resolves only the vote, once per
 /// feature, from the column); below it nothing is voted. Returns the
 /// observation, the vote and the alarmed clones' values.
 fn observe_checked(
     detector: &mut FeatureDetector,
     cols: &FlowColumns,
-) -> (FeatureObservation, Vec<u64>, Vec<Vec<u64>>) {
+) -> (FeatureObservation, Vec<u64>, Vec<BTreeSet<u64>>) {
     let (observation, vote_list) = detector.observe_columns(cols);
     let keys = column_keys(cols, detector.feature());
     let mut values = Vec::new();
@@ -40,14 +40,15 @@ fn observe_checked(
         };
         let kl = clone.kl.expect("an alarm has a KL");
         assert_eq!(id.kl_trajectory[0].to_bits(), kl.to_bits());
-        let histogram = FeatureHistogram::new(state.feature(), state.hasher(), state.bins());
-        values.push(histogram.resolve(&keys, &id.bins));
+        let hasher = state.hasher();
+        let claimed =
+            (keys.iter()).filter(|&&key| id.bins.contains(&hasher.bin_of(key, state.bins())));
+        values.push(claimed.copied().collect::<BTreeSet<u64>>());
     }
     assert_eq!(observation.alarmed_clones, values.len());
     assert_eq!(observation.alarm, values.len() >= detector.votes());
     let voted = if observation.alarm {
-        let sets: Vec<BTreeSet<u64>> = values.iter().map(|v| v.iter().copied().collect()).collect();
-        Vec::from_iter(vote(&sets, detector.votes()))
+        Vec::from_iter(vote(&values, detector.votes()))
     } else {
         Vec::new()
     };
@@ -98,9 +99,7 @@ proptest! {
     /// table's edge), for k ∈ {1, 7, 1 024, `MAX_BINS`}, over empty,
     /// one-flow and larger intervals, into buffers recycled from the
     /// previous intervals. After each interval a clone's reference
-    /// histogram is that interval's counts and total. The values of an
-    /// arbitrary subset of bins, `FeatureHistogram::resolve` over the
-    /// interval's keys, are those of a `BTreeMap` of bin → values.
+    /// histogram is that interval's counts and total.
     #[test]
     fn observe_columns_counts_like_a_per_flow_oracle(
         intervals in proptest::collection::vec(
@@ -111,7 +110,6 @@ proptest! {
         seed in any::<u64>(),
         bins in proptest::sample::select(vec![1u32, 7, 1024, MAX_BINS]),
         clones in 1usize..4,
-        subsets in proptest::collection::vec(proptest::collection::vec(0u32..1100, 0..8), 3),
     ) {
         let feature = FlowFeature::EXTENDED[feature_idx];
         let mut detector = FeatureDetector::new(feature, bins, clones, 1, 3.0, 2, seed);
@@ -134,38 +132,14 @@ proptest! {
                 .collect();
             let cols = FlowColumns::from_flows(&flows);
             detector.observe_columns(&cols);
-            let keys = column_keys(&cols, feature);
-            for (clone, subset) in detector.clones().iter().zip(&subsets) {
+            for clone in detector.clones() {
                 let mut counts = vec![0u64; bins as usize];
-                let mut values: BTreeMap<u32, BTreeSet<u64>> = BTreeMap::new();
                 for flow in &flows {
-                    let value = feature.value_of(flow).raw;
-                    let bin = clone.hasher().bin_of(value, bins);
-                    counts[bin as usize] += 1;
-                    values.entry(bin).or_default().insert(value);
+                    counts[clone.hasher().bin_of(feature.value_of(flow).raw, bins) as usize] += 1;
                 }
                 let histogram = clone.reference().expect("an interval was observed");
                 prop_assert!(histogram.counts() == &counts[..], "{} k = {}", feature, bins);
                 prop_assert_eq!(histogram.total(), flows.len() as u64);
-                // Bins drawn past `bins` hold nothing, like empty bins.
-                let want: BTreeSet<u64> = subset
-                    .iter()
-                    .filter_map(|bin| values.get(bin))
-                    .flatten()
-                    .copied()
-                    .collect();
-                prop_assert_eq!(
-                    histogram.resolve(&keys, subset),
-                    Vec::from_iter(want),
-                    "{} bins {:?}",
-                    feature,
-                    subset
-                );
-                if bins <= 1024 {
-                    let all: Vec<u32> = (0..bins).collect();
-                    let every: BTreeSet<u64> = values.values().flatten().copied().collect();
-                    prop_assert_eq!(histogram.resolve(&keys, &all), Vec::from_iter(every));
-                }
             }
         }
     }
@@ -177,7 +151,7 @@ proptest! {
     /// On `Scenario::small` streams, every alarmed clone's
     /// `kl_trajectory[0]` is bit-equal to its `kl`, and the vote the
     /// detector resolves once per feature is the vote over each alarmed
-    /// clone's own `FeatureHistogram::resolve`.
+    /// clone's own values.
     #[test]
     fn alarmed_clones_reuse_their_kl_and_share_one_resolve(
         seed in any::<u64>(),
@@ -200,8 +174,8 @@ fn shared_resolve_is_checked_for_one_to_all_alarmed_clones() {
 }
 
 /// A trained detector meeting an interval whose keys are all one value,
-/// or no keys at all: the detector votes what `FeatureHistogram::resolve`
-/// gives the clones that alarm (one value, or nothing).
+/// or no keys at all: the detector votes what the clones that alarm
+/// claim (one value, or nothing).
 #[test]
 fn shared_resolve_handles_duplicate_and_empty_keys() {
     let background = |interval: u16| -> FlowColumns {
@@ -251,9 +225,9 @@ fn shared_resolve_handles_duplicate_and_empty_keys() {
             } else {
                 BTreeSet::from([7000])
             };
+            let voted: BTreeSet<u64> = voted.into_iter().collect();
             for values in values.iter().chain([&voted]) {
-                let set: BTreeSet<u64> = values.iter().copied().collect();
-                assert!(set.is_subset(&want), "{name}: {values:?}");
+                assert!(values.is_subset(&want), "{name}: {values:?}");
             }
         }
     }

@@ -342,7 +342,7 @@ mod tests {
         for s in &out.itemsets {
             assert_eq!(
                 s.support,
-                set.support_of(s.items()),
+                set.iter().filter(|t| t.contains_all(s.items())).count() as u64,
                 "support mismatch for {s}"
             );
         }
@@ -395,7 +395,8 @@ mod tests {
             Protocol::Udp,
         )
         .with_volume(2, 80);
-        let set = TransactionSet::from_flows(&[flow; 5]);
+        let cols = anomex_netflow::FlowColumns::from_flows(&[flow; 5]);
+        let set = TransactionSet::from_columns_at(&cols, &[0, 1, 2, 3, 4]);
         let out = apriori(&set, &AprioriConfig::maximal(5));
         assert_eq!(out.itemsets.len(), 1);
         assert_eq!(out.itemsets[0].len(), 7);

@@ -640,9 +640,23 @@ mod tests {
                 u.sort_unstable();
                 u
             };
-            assert_eq!(r.support, set.support_of(&union), "{r}");
-            assert_eq!(r.antecedent_support, set.support_of(r.antecedent()));
-            assert_eq!(r.consequent_support, set.support_of(r.consequent()));
+            assert_eq!(
+                r.support,
+                set.iter().filter(|t| t.contains_all(&union)).count() as u64,
+                "{r}"
+            );
+            assert_eq!(
+                r.antecedent_support,
+                set.iter()
+                    .filter(|t| t.contains_all(r.antecedent()))
+                    .count() as u64
+            );
+            assert_eq!(
+                r.consequent_support,
+                set.iter()
+                    .filter(|t| t.contains_all(r.consequent()))
+                    .count() as u64
+            );
             let confidence = r.support as f64 / r.antecedent_support as f64;
             assert_eq!(r.confidence.to_bits(), confidence.to_bits());
             let lift = confidence / (r.consequent_support as f64 / 10.0);

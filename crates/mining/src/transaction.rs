@@ -13,7 +13,7 @@
 
 use std::fmt;
 
-use anomex_netflow::{FlowColumns, FlowFeature, FlowRecord};
+use anomex_netflow::{FlowColumns, FlowFeature};
 
 use crate::item::Item;
 
@@ -59,39 +59,6 @@ pub struct Transaction {
 }
 
 impl Transaction {
-    /// Build the canonical width-7 transaction of a flow record:
-    /// srcIP, dstIP, srcPort, dstPort, protocol, #packets, #bytes.
-    #[must_use]
-    pub fn from_flow(flow: &FlowRecord) -> Self {
-        let mut items = [Item::new(FlowFeature::SrcIp, 0); MAX_WIDTH];
-        for (slot, feat) in items.iter_mut().zip(FlowFeature::ALL) {
-            let v = feat.value_of(flow);
-            *slot = Item::new(feat, v.raw);
-        }
-        // FlowFeature::ALL is in index order and Item orders feature-major,
-        // so the array is already sorted.
-        Transaction {
-            items,
-            len: CANONICAL_WIDTH as u8,
-        }
-    }
-
-    /// Build the width-9 *extended* transaction including the source and
-    /// destination /16 prefixes — the paper's §III-D multilevel mining
-    /// dimension for anomalies spread across network ranges.
-    #[must_use]
-    pub fn from_flow_extended(flow: &FlowRecord) -> Self {
-        let mut items = [Item::new(FlowFeature::SrcIp, 0); MAX_WIDTH];
-        for (slot, feat) in items.iter_mut().zip(FlowFeature::EXTENDED) {
-            let v = feat.value_of(flow);
-            *slot = Item::new(feat, v.raw);
-        }
-        Transaction {
-            items,
-            len: MAX_WIDTH as u8,
-        }
-    }
-
     /// Build a transaction from explicit items (sorted internally).
     ///
     /// # Errors
@@ -188,40 +155,12 @@ impl TransactionSet {
         Self::default()
     }
 
-    /// Map a slice of flows to their canonical transactions.
-    #[must_use]
-    pub fn from_flows(flows: &[FlowRecord]) -> Self {
-        Self::from_records(flows, &FlowFeature::ALL)
-    }
-
-    /// Map a slice of flows to width-9 extended transactions (with /16
-    /// prefix dimensions).
-    #[must_use]
-    pub fn from_flows_extended(flows: &[FlowRecord]) -> Self {
-        Self::from_records(flows, &FlowFeature::EXTENDED)
-    }
-
-    /// The record constructors' body: one column per feature.
-    fn from_records(flows: &[FlowRecord], features: &[FlowFeature]) -> Self {
-        let mut set = TransactionSet {
-            len: flows.len(),
-            width: if flows.is_empty() { 0 } else { features.len() },
-            ..TransactionSet::default()
-        };
-        for &feature in features {
-            set.columns[feature.index()] = flows.iter().map(|f| feature.value_of(f).raw).collect();
-            set.kept |= 1 << feature.index();
-        }
-        set
-    }
-
     /// Build canonical transactions for the rows of a columnar store
     /// selected by `indices` — the zero-copy pre-filter path: the
     /// pre-filter yields index slices into the interval and transactions
     /// are gathered straight from them, one pass per feature column over
-    /// the index list, with no intermediate `Vec<FlowRecord>`. The
-    /// values are exactly [`FlowFeature::value_of`]'s, so the rows are
-    /// those of the record path.
+    /// the index list, with no intermediate record. The values are
+    /// exactly [`FlowFeature::value_of`]'s.
     ///
     /// # Panics
     ///
@@ -352,30 +291,12 @@ impl TransactionSet {
     pub fn max_width(&self) -> usize {
         self.width
     }
-
-    /// Count the transactions containing the (sorted) itemset — the
-    /// reference support definition all miners must agree with.
-    #[must_use]
-    pub fn support_of(&self, itemset: &[Item]) -> u64 {
-        let wanted: Option<Vec<(&[u64], u64)>> = (itemset.iter())
-            .map(|item| {
-                let index = item.feature().index();
-                (self.kept & 1 << index != 0).then_some((&self.columns[index][..], item.value()))
-            })
-            .collect();
-        let Some(wanted) = wanted else {
-            return 0;
-        };
-        (0..self.len)
-            .filter(|&row| wanted.iter().all(|&(column, value)| column[row] == value))
-            .count() as u64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anomex_netflow::Protocol;
+    use anomex_netflow::{FlowRecord, Protocol};
     use std::net::Ipv4Addr;
 
     fn flow() -> FlowRecord {
@@ -390,9 +311,21 @@ mod tests {
         .with_volume(5, 200)
     }
 
+    /// The one row gathered from `flow`'s columns: canonical, or with
+    /// the /16 prefixes.
+    fn row(flow: &FlowRecord, extended: bool) -> Transaction {
+        let cols = FlowColumns::from_flows(std::slice::from_ref(flow));
+        let set = if extended {
+            TransactionSet::from_columns_extended_at(&cols, &[0])
+        } else {
+            TransactionSet::from_columns_at(&cols, &[0])
+        };
+        set.get(0)
+    }
+
     #[test]
     fn flow_transaction_has_width_seven() {
-        let t = Transaction::from_flow(&flow());
+        let t = row(&flow(), false);
         assert_eq!(t.width(), CANONICAL_WIDTH);
         let feats: Vec<_> = t.items().iter().map(|i| i.feature()).collect();
         assert_eq!(feats, FlowFeature::ALL.to_vec());
@@ -401,7 +334,7 @@ mod tests {
     #[test]
     fn extended_transaction_adds_prefix_items() {
         let f = flow();
-        let t = Transaction::from_flow_extended(&f);
+        let t = row(&f, true);
         assert_eq!(t.width(), MAX_WIDTH);
         let feats: Vec<_> = t.items().iter().map(|i| i.feature()).collect();
         assert_eq!(feats, FlowFeature::EXTENDED.to_vec());
@@ -411,13 +344,13 @@ mod tests {
             u64::from(u32::from(f.src_ip) >> 16)
         )));
         // Extended ⊃ canonical.
-        let canonical = Transaction::from_flow(&f);
+        let canonical = row(&f, false);
         assert!(t.contains_all(canonical.items()));
     }
 
     #[test]
     fn flow_transaction_is_sorted() {
-        let t = Transaction::from_flow(&flow());
+        let t = row(&flow(), false);
         let mut sorted = t.items().to_vec();
         sorted.sort_unstable();
         assert_eq!(sorted.as_slice(), t.items());
@@ -426,7 +359,7 @@ mod tests {
     #[test]
     fn contains_finds_each_item() {
         let f = flow();
-        let t = Transaction::from_flow(&f);
+        let t = row(&f, false);
         assert!(t.contains(Item::new(FlowFeature::DstPort, 80)));
         assert!(t.contains(Item::new(FlowFeature::Packets, 5)));
         assert!(!t.contains(Item::new(FlowFeature::DstPort, 443)));
@@ -434,7 +367,7 @@ mod tests {
 
     #[test]
     fn contains_all_merge_logic() {
-        let t = Transaction::from_flow(&flow());
+        let t = row(&flow(), false);
         let sub = vec![
             Item::new(FlowFeature::DstPort, 80),
             Item::new(FlowFeature::Bytes, 200),
@@ -481,7 +414,7 @@ mod tests {
     }
 
     #[test]
-    fn columnar_gather_matches_record_construction() {
+    fn columnar_gather_holds_each_rows_feature_values() {
         let flows: Vec<FlowRecord> = (0..60u32)
             .map(|i| {
                 FlowRecord::new(
@@ -497,37 +430,25 @@ mod tests {
             .collect();
         let cols = FlowColumns::from_flows(&flows);
         let indices: Vec<usize> = (0..60).filter(|i| i % 4 != 1).collect();
-        let selected: Vec<FlowRecord> = indices.iter().map(|&i| flows[i]).collect();
+        let per_flow = |features: &[FlowFeature]| -> Vec<Transaction> {
+            (indices.iter())
+                .map(|&i| {
+                    let items: Vec<Item> = (features.iter())
+                        .map(|&f| Item::new(f, f.value_of(&flows[i]).raw))
+                        .collect();
+                    Transaction::from_items(&items).unwrap()
+                })
+                .collect()
+        };
         assert_eq!(
             TransactionSet::from_columns_at(&cols, &indices).transactions(),
-            TransactionSet::from_flows(&selected).transactions()
+            per_flow(&FlowFeature::ALL)
         );
         assert_eq!(
             TransactionSet::from_columns_extended_at(&cols, &indices).transactions(),
-            TransactionSet::from_flows_extended(&selected).transactions()
+            per_flow(&FlowFeature::EXTENDED)
         );
         assert!(TransactionSet::from_columns_at(&cols, &[]).is_empty());
-    }
-
-    #[test]
-    fn support_of_counts_matching_transactions() {
-        let mut set = TransactionSet::new();
-        for port in [80u64, 80, 443] {
-            let t = Transaction::from_items(&[
-                Item::new(FlowFeature::DstPort, port),
-                Item::new(FlowFeature::Proto, 6),
-            ])
-            .unwrap();
-            set.push(t);
-        }
-        assert_eq!(set.support_of(&[Item::new(FlowFeature::DstPort, 80)]), 2);
-        assert_eq!(set.support_of(&[Item::new(FlowFeature::Proto, 6)]), 3);
-        let both = vec![
-            Item::new(FlowFeature::DstPort, 80),
-            Item::new(FlowFeature::Proto, 6),
-        ];
-        // note: both must be in sorted order — DstPort(idx 3) < Proto(idx 4)
-        assert_eq!(set.support_of(&both), 2);
     }
 
     #[test]

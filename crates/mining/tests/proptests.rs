@@ -11,7 +11,7 @@ use anomex_mining::{
     filter_maximal, filter_maximal_general, AprioriConfig, Item, ItemSet, Transaction,
     TransactionSet,
 };
-use anomex_netflow::{FlowFeature, FlowRecord, Protocol};
+use anomex_netflow::{FlowColumns, FlowFeature, FlowRecord, Protocol};
 use proptest::prelude::*;
 
 /// A random transaction: 1–7 items, at most one per feature, values from a
@@ -84,6 +84,12 @@ fn duplicated(set: &TransactionSet, rep: usize) -> TransactionSet {
     TransactionSet::from_transactions(all.iter().cycle().take(all.len() * rep).copied().collect())
 }
 
+/// How many transactions of `set` contain every item of `items`,
+/// counted one transaction at a time.
+fn brute_support(set: &TransactionSet, items: &[Item]) -> u64 {
+    set.iter().filter(|t| t.contains_all(items)).count() as u64
+}
+
 /// Plain random sets plus the shapes a dense-rank FP-tree re-encoding can
 /// get wrong: frequency ties across features, single-path trees, every
 /// item infrequent, duplicate transactions and width-9 prefix
@@ -100,7 +106,10 @@ fn arb_edge_set(max: usize) -> impl Strategy<Value = TransactionSet> {
             1 => tied(&set, rep),
             2 => single_path(&set),
             3 => duplicated(&set, rep),
-            4 => TransactionSet::from_flows_extended(&flows),
+            4 => {
+                let rows: Vec<usize> = (0..flows.len()).collect();
+                TransactionSet::from_columns_extended_at(&FlowColumns::from_flows(&flows), &rows)
+            }
             _ => tied(&set, 1),
         })
 }
@@ -131,7 +140,7 @@ proptest! {
     fn supports_are_exact(set in arb_edge_set(40), min_support in 1u64..6) {
         for s in fpgrowth(&set, min_support) {
             prop_assert!(s.support >= min_support);
-            prop_assert_eq!(s.support, set.support_of(s.items()));
+            prop_assert_eq!(s.support, brute_support(&set, s.items()));
         }
     }
 
@@ -175,7 +184,7 @@ proptest! {
         }
         let expected: HashSet<Vec<Item>> = candidates
             .into_iter()
-            .filter(|c| set.support_of(c) >= min_support)
+            .filter(|c| brute_support(&set, c) >= min_support)
             .collect();
         let got: HashSet<Vec<Item>> = mined.iter().map(|s| s.items().to_vec()).collect();
         prop_assert_eq!(got, expected);

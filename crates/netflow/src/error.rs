@@ -2,6 +2,37 @@
 
 use std::{fmt, io};
 
+/// An invalid configuration: which constraint was violated, in
+/// human-readable form. The interval assemblers
+/// ([`IntervalAssembler::try_new`](crate::IntervalAssembler::try_new),
+/// [`MergeAssembler::try_new`](crate::MergeAssembler::try_new)) return
+/// it, and so does the pipeline (`anomex_core` re-exports it), so library
+/// users get a `Result` instead of a panic path.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ConfigError(String);
+
+impl ConfigError {
+    /// Wrap a constraint-violation description.
+    #[must_use]
+    pub fn new(message: impl Into<String>) -> Self {
+        ConfigError(message.into())
+    }
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
+impl From<ConfigError> for String {
+    fn from(e: ConfigError) -> Self {
+        e.0
+    }
+}
+
 /// Errors produced while decoding NetFlow wire data.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DecodeError {

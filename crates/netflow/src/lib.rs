@@ -52,7 +52,7 @@ pub mod v5;
 pub mod v9;
 
 pub use columns::FlowColumns;
-pub use error::{DecodeError, EncodeError, ReadError};
+pub use error::{ConfigError, DecodeError, EncodeError, ReadError};
 pub use feature::{FeatureValue, FlowFeature, ParseFeatureValueError};
 pub use flow::{FlowRecord, Protocol, TcpFlags};
 pub use merge::{MergeAssembler, MergeConfig, MergedInterval, SourceStats};
@@ -61,5 +61,5 @@ pub use snapshot::{
     CHECKPOINT_VERSION,
 };
 pub use source::{SourceId, SourceSpec};
-pub use stream::{ClosedInterval, IntervalAssembler, StreamConfigError};
+pub use stream::{ClosedInterval, IntervalAssembler};
 pub use trace::{FlowTrace, Interval, MINUTE_MS};

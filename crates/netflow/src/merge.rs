@@ -47,10 +47,11 @@
 use std::collections::BTreeMap;
 
 use crate::columns::FlowColumns;
+use crate::error::ConfigError;
 use crate::flow::FlowRecord;
 use crate::snapshot::{RestoreError, SnapshotReader, SnapshotWriter};
 use crate::source::{SourceId, SourceSpec};
-use crate::stream::{IntervalAssembler, StreamConfigError};
+use crate::stream::IntervalAssembler;
 
 /// Configuration of the multi-source merge grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -166,21 +167,18 @@ impl MergeAssembler {
     ///
     /// # Errors
     ///
-    /// Returns a [`StreamConfigError`] when Δ is zero, no sources are
+    /// Returns a [`ConfigError`] when Δ is zero, no sources are
     /// given, or two sources share an id.
-    pub fn try_new(config: MergeConfig, sources: &[SourceSpec]) -> Result<Self, StreamConfigError> {
+    pub fn try_new(config: MergeConfig, sources: &[SourceSpec]) -> Result<Self, ConfigError> {
         if sources.is_empty() {
-            return Err(StreamConfigError::new(
+            return Err(ConfigError::new(
                 "multi-source merge needs at least one source",
             ));
         }
         let mut lanes = Vec::with_capacity(sources.len());
         for spec in sources {
             if lanes.iter().any(|l: &SourceLane| l.spec.id == spec.id) {
-                return Err(StreamConfigError::new(format!(
-                    "duplicate source id {}",
-                    spec.id
-                )));
+                return Err(ConfigError::new(format!("duplicate source id {}", spec.id)));
             }
             lanes.push(SourceLane {
                 spec: *spec,

@@ -23,40 +23,10 @@
 //! column, and the run stops at the first flow that closes a window, so
 //! it is exactly [`push`](IntervalAssembler::push) on each of its flows.
 
-use std::fmt;
-
 use crate::columns::FlowColumns;
+use crate::error::ConfigError;
 use crate::flow::FlowRecord;
 use crate::snapshot::{RestoreError, SnapshotReader, SnapshotWriter};
-
-/// An invalid streaming configuration — the assembler's analogue of the
-/// pipeline's `ConfigError`: a human-readable description of the violated
-/// constraint, returned by [`IntervalAssembler::try_new`] so callers get
-/// a `Result` instead of a panic path.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StreamConfigError(String);
-
-impl StreamConfigError {
-    /// Wrap a constraint-violation description.
-    #[must_use]
-    pub fn new(message: impl Into<String>) -> Self {
-        StreamConfigError(message.into())
-    }
-}
-
-impl fmt::Display for StreamConfigError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-impl std::error::Error for StreamConfigError {}
-
-impl From<StreamConfigError> for String {
-    fn from(e: StreamConfigError) -> Self {
-        e.0
-    }
-}
 
 /// An interval that has been closed by the assembler, with owned flows.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -90,10 +60,10 @@ impl IntervalAssembler {
     ///
     /// # Errors
     ///
-    /// Returns a [`StreamConfigError`] if `interval_ms` is zero.
-    pub fn try_new(origin_ms: u64, interval_ms: u64) -> Result<Self, StreamConfigError> {
+    /// Returns a [`ConfigError`] if `interval_ms` is zero.
+    pub fn try_new(origin_ms: u64, interval_ms: u64) -> Result<Self, ConfigError> {
         if interval_ms == 0 {
-            return Err(StreamConfigError::new("interval length must be positive"));
+            return Err(ConfigError::new("interval length must be positive"));
         }
         Ok(IntervalAssembler {
             origin_ms,

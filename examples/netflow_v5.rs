@@ -6,7 +6,9 @@
 //! cargo run --release --example netflow_v5
 //! ```
 
+use anomex::core::prefilter_indices_columns;
 use anomex::netflow::v5::{decode_datagram, V5Collector, V5Exporter, V5_HEADER_LEN, V5_RECORD_LEN};
+use anomex::netflow::FlowColumns;
 use anomex::prelude::*;
 
 fn main() {
@@ -102,11 +104,8 @@ fn main() {
     // --- Straight into the pipeline ---
     let mut metadata = MetaData::new();
     metadata.insert(FlowFeature::DstPort, 80);
-    let suspicious: Vec<FlowRecord> = collector
-        .into_flows()
-        .into_iter()
-        .filter(|f| metadata.matches_any(f))
-        .collect();
+    let collected = FlowColumns::from_flows(&collector.into_flows());
+    let suspicious = prefilter_indices_columns(&collected, &metadata, PrefilterMode::Union);
     println!(
         "\npre-filtering the collected flows against {{dstPort=80}} keeps {} flows",
         suspicious.len()

@@ -3,15 +3,18 @@
 //! is consumed — the load-bearing constraint of the columnar refactor:
 //! the columnar engines (`Engine::extract` offline, `Engine::process`
 //! over `FlowColumns` online, and the streaming extractor that rides
-//! them) produce exactly what the record-based pipeline produces, for
-//! every transaction mode and pre-filter mode, with and without the rule
+//! them) produce exactly what the paper's method applied to the records
+//! (`tests/reference`) and the record-input engine produce, for every
+//! transaction mode and pre-filter mode, with and without the rule
 //! layer.
+
+mod reference;
 
 use anomex::core::{
     cost_reduction, prefilter_indices_columns, Engine, Extraction, ExtractionConfig,
     TransactionMode,
 };
-use anomex::mining::{mine, RuleConfig};
+use anomex::mining::{mine, Item, RuleConfig};
 use anomex::netflow::FlowColumns;
 use anomex::prelude::*;
 use anomex_core::IntervalOutcome;
@@ -28,9 +31,10 @@ fn table2_metadata() -> MetaData {
 /// The per-flow pre-filter reference: the indices of the flows `mode`
 /// keeps under `md`, one record at a time.
 fn reference_indices(flows: &[FlowRecord], md: &MetaData, mode: PrefilterMode) -> Vec<usize> {
-    (0..flows.len())
-        .filter(|&i| mode.matches(md, &flows[i]))
-        .collect()
+    let md = (md.features())
+        .map(|f| (f, md.values_for(f).unwrap().iter().copied().collect()))
+        .collect();
+    reference::prefilter(flows, &md, mode == PrefilterMode::Union)
 }
 
 /// Assert two extractions are the same to the bit.
@@ -108,9 +112,10 @@ proptest! {
 
     /// Offline: the columnar engine (`Engine::extract` converts to
     /// `FlowColumns` and walks columns end to end) extracts exactly what
-    /// pre-filtering the records, building their transactions and mining
-    /// them does, for every transaction mode, with and without the rule
-    /// layer (rules compared to the bit).
+    /// the paper's method does on the records — pre-filter, transactions,
+    /// Apriori's maximal item-sets — for every transaction mode, and with
+    /// the rule layer on, the rules mining those transactions yields
+    /// (compared to the bit).
     #[test]
     fn columnar_extraction_matches_record_pipeline(
         seed in 0u64..10_000,
@@ -131,13 +136,23 @@ proptest! {
             .into_iter()
             .map(|i| w.flows[i])
             .collect();
-        let transactions = match tx_mode {
-            TransactionMode::Canonical => TransactionSet::from_flows(&suspicious),
-            TransactionMode::WithPrefixes => TransactionSet::from_flows_extended(&suspicious),
-        };
+        let rows = reference::transactions(&suspicious, extended);
+        let paper = reference::maximal(&reference::frequent_itemsets(&rows, support));
+        let transactions = TransactionSet::from_transactions(
+            (rows.iter())
+                .map(|row| {
+                    let items: Vec<Item> = row.iter().map(|&(f, v)| Item::new(f, v)).collect();
+                    Transaction::from_items(&items).unwrap()
+                })
+                .collect(),
+        );
         // Permissive filters so the rule populations compared are rich.
         let rules = with_rules.then_some(RuleConfig { min_confidence: 0.3, min_lift: 0.0, rare: false });
         let (itemsets, mined_rules) = mine(&transactions, support, rules.as_ref());
+        let mined: reference::ItemSets = (itemsets.iter())
+            .map(|s| (s.items().iter().map(|i| (i.feature(), i.value())).collect(), s.support))
+            .collect();
+        prop_assert_eq!(&mined, &paper, "seed={} extended={}", seed, extended);
         let records = Extraction {
             interval: 0,
             metadata: md.clone(),

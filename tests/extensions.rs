@@ -4,15 +4,22 @@
 
 use anomex::detector::EntropyDetector;
 use anomex::mining::{mine, mine_top_k};
+use anomex::netflow::FlowColumns;
 use anomex::prelude::*;
 use anomex::traffic::table2_workload;
+
+/// Every flow's canonical transaction, gathered from the columns.
+fn all_rows(flows: &[FlowRecord]) -> TransactionSet {
+    let rows: Vec<usize> = (0..flows.len()).collect();
+    TransactionSet::from_columns_at(&FlowColumns::from_flows(flows), &rows)
+}
 
 /// Top-k mining over the Table II workload finds the same leading
 /// item-sets as fixed-support mining, without the operator choosing s.
 #[test]
 fn topk_matches_fixed_support_leaders() {
     let w = table2_workload(2009, 0.05);
-    let transactions = TransactionSet::from_flows(&w.flows);
+    let transactions = all_rows(&w.flows);
 
     let fixed = mine(&transactions, w.min_support, None).0;
     let mut fixed_ranked = fixed.clone();
@@ -96,7 +103,7 @@ fn entropy_detector_drives_extraction() {
 #[test]
 fn extension_modes_are_mutually_consistent() {
     let w = table2_workload(3, 0.02);
-    let tx = TransactionSet::from_flows(&w.flows);
+    let tx = all_rows(&w.flows);
     let maximal = mine(&tx, w.min_support, None).0;
     let top = mine_top_k(&tx, maximal.len(), w.min_support);
     for m in &maximal {

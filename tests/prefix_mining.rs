@@ -5,9 +5,10 @@
 
 use std::net::Ipv4Addr;
 
-use anomex::core::TransactionMode;
+use anomex::core::{prefilter_indices_columns, TransactionMode};
 use anomex::mining::apriori::apriori;
 use anomex::mining::AprioriConfig;
+use anomex::netflow::FlowColumns;
 use anomex::prelude::*;
 use anomex::traffic::inject::dscan;
 use anomex::traffic::rng::Rng;
@@ -110,21 +111,17 @@ fn prefix_mining_pins_the_scanned_range() {
 }
 
 /// The engine's FP-growth extraction in prefix mode is Apriori's over
-/// the same width-9 transactions: the same maximal item-sets, with the
-/// same supports.
+/// the same width-9 transactions, gathered from the pre-filtered rows'
+/// columns: the same maximal item-sets, with the same supports.
 #[test]
 fn miners_agree_in_prefix_mode() {
     let flows = workload();
     let f = extract(&flows, TransactionMode::WithPrefixes);
-    let md = metadata();
-    let suspicious: Vec<FlowRecord> = flows
-        .iter()
-        .filter(|x| md.matches_any(x))
-        .copied()
-        .collect();
-    let transactions = TransactionSet::from_flows_extended(&suspicious);
+    let cols = FlowColumns::from_flows(&flows);
+    let rows = prefilter_indices_columns(&cols, &metadata(), PrefilterMode::Union);
+    let transactions = TransactionSet::from_columns_extended_at(&cols, &rows);
     let a = apriori(&transactions, &AprioriConfig::maximal(500)).itemsets;
-    assert_eq!(f.suspicious_flows, suspicious.len());
+    assert_eq!(f.suspicious_flows, rows.len());
     assert_eq!(a, f.itemsets);
     for (x, y) in a.iter().zip(&f.itemsets) {
         assert_eq!(x.support, y.support, "{x}");

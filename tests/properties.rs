@@ -1,6 +1,8 @@
 //! Cross-crate property tests: invariants that span the flow substrate,
 //! the detector, and the miner.
 
+mod reference;
+
 use anomex::core::{prefilter_indices_columns, PrefilterMode};
 use anomex::mining::apriori::apriori;
 use anomex::mining::{mine, AprioriConfig};
@@ -48,13 +50,36 @@ fn arb_metadata() -> impl Strategy<Value = MetaData> {
         })
 }
 
-/// The flows the union pre-filter keeps, in order.
-fn suspicious(flows: &[FlowRecord], md: &MetaData) -> Vec<FlowRecord> {
-    flows
+/// The rows the union pre-filter keeps, by the paper's definition.
+fn suspicious_rows(flows: &[FlowRecord], md: &MetaData) -> Vec<usize> {
+    let md = (md.features())
+        .map(|f| (f, md.values_for(f).unwrap().iter().copied().collect()))
+        .collect();
+    reference::prefilter(flows, &md, true)
+}
+
+/// The paper's transactions of the flows the union pre-filter keeps.
+fn suspicious(flows: &[FlowRecord], md: &MetaData) -> Vec<Vec<reference::Item>> {
+    let kept: Vec<FlowRecord> = (suspicious_rows(flows, md).iter())
+        .map(|&i| flows[i])
+        .collect();
+    reference::transactions(&kept, false)
+}
+
+/// How many of `rows` contain every item of `set`.
+fn support(rows: &[Vec<reference::Item>], set: &ItemSet) -> u64 {
+    let items: Vec<reference::Item> = set
+        .items()
         .iter()
-        .filter(|f| PrefilterMode::Union.matches(md, f))
-        .copied()
-        .collect()
+        .map(|i| (i.feature(), i.value()))
+        .collect();
+    reference::support(rows, &items)
+}
+
+/// Every flow's canonical transaction, gathered from the columns.
+fn all_rows(flows: &[FlowRecord]) -> TransactionSet {
+    let rows: Vec<usize> = (0..flows.len()).collect();
+    TransactionSet::from_columns_at(&FlowColumns::from_flows(flows), &rows)
 }
 
 /// Offline extraction at `min_support`.
@@ -76,15 +101,14 @@ proptest! {
     fn extracted_itemsets_are_frequent(
         flows in proptest::collection::vec(arb_flow(), 50..400),
         md in arb_metadata(),
-        support in 5u64..40,
+        min_support in 5u64..40,
     ) {
-        let ex = extract(&flows, &md, support);
+        let ex = extract(&flows, &md, min_support);
         let suspicious = suspicious(&flows, &md);
         prop_assert_eq!(ex.suspicious_flows, suspicious.len());
-        let tx = TransactionSet::from_flows(&suspicious);
         for set in &ex.itemsets {
-            prop_assert!(set.support >= support);
-            prop_assert_eq!(set.support, tx.support_of(set.items()), "support of {}", set);
+            prop_assert!(set.support >= min_support);
+            prop_assert_eq!(set.support, support(&suspicious, set), "support of {}", set);
         }
     }
 
@@ -99,7 +123,8 @@ proptest! {
         support in 3u64..30,
     ) {
         let f = extract(&flows, &md, support);
-        let tx = TransactionSet::from_flows(&suspicious(&flows, &md));
+        let cols = FlowColumns::from_flows(&flows);
+        let tx = TransactionSet::from_columns_at(&cols, &suspicious_rows(&flows, &md));
         let a = apriori(&tx, &AprioriConfig::maximal(support)).itemsets;
         prop_assert_eq!(&a, &f.itemsets);
         for (x, y) in a.iter().zip(&f.itemsets) {
@@ -116,10 +141,7 @@ proptest! {
     ) {
         let cols = FlowColumns::from_flows(&flows);
         let idx = prefilter_indices_columns(&cols, &md, PrefilterMode::Union);
-        for (i, flow) in flows.iter().enumerate() {
-            let kept = idx.contains(&i);
-            prop_assert_eq!(kept, md.matches_any(flow));
-        }
+        prop_assert_eq!(idx, suspicious_rows(&flows, &md));
     }
 
     /// Raising the minimum support keeps extractions consistent: every
@@ -136,9 +158,9 @@ proptest! {
         let s_hi = s_lo * 2;
         let lo = extract(&flows, &md, s_lo);
         let hi = extract(&flows, &md, s_hi);
-        let tx = TransactionSet::from_flows(&suspicious(&flows, &md));
+        let tx = suspicious(&flows, &md);
         for set in &hi.itemsets {
-            prop_assert!(tx.support_of(set.items()) >= s_lo);
+            prop_assert!(support(&tx, set) >= s_lo);
             prop_assert!(
                 lo.itemsets.iter().any(|big| set.is_subset_of(big)),
                 "{} not covered by any low-support maximal set", set
@@ -160,8 +182,8 @@ proptest! {
             collector.ingest(&d).unwrap();
         }
         let decoded = collector.into_flows();
-        let direct = mine(&TransactionSet::from_flows(&flows), support, None).0;
-        let wired = mine(&TransactionSet::from_flows(&decoded), support, None).0;
+        let direct = mine(&all_rows(&flows), support, None).0;
+        let wired = mine(&all_rows(&decoded), support, None).0;
         prop_assert_eq!(direct, wired);
     }
 }

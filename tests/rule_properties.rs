@@ -5,6 +5,8 @@
 //! range, and honor the configured filters — the facade-level contract
 //! of the rule engine.
 
+mod reference;
+
 use anomex::mining::rules::CONVICTION_SCORE_CAP;
 use anomex::mining::{mine, Item, RuleConfig, RuleSet, Transaction, TransactionSet};
 use anomex_netflow::FlowFeature;
@@ -32,6 +34,11 @@ fn rules_of(set: &TransactionSet, min_support: u64, rc: &RuleConfig) -> RuleSet 
     rules.expect("rules requested")
 }
 
+/// The paper reference's items of `items`.
+fn paper_items(items: &[Item]) -> Vec<reference::Item> {
+    items.iter().map(|i| (i.feature(), i.value())).collect()
+}
+
 /// The rule key used for cross-run set comparisons.
 fn key(rule: &anomex::mining::Rule) -> (Vec<Item>, Vec<Item>) {
     (rule.antecedent().to_vec(), rule.consequent().to_vec())
@@ -52,6 +59,8 @@ proptest! {
         let rules = rules_of(&set, min_support, &rc);
         let n = set.len() as u64;
         prop_assert_eq!(rules.transactions, n);
+        let rows: Vec<Vec<reference::Item>> = set.iter().map(|t| paper_items(t.items())).collect();
+        let support = |items: &[Item]| reference::support(&rows, &paper_items(items));
         for scored in &rules.rules {
             let r = &scored.rule;
             let union: Vec<Item> = {
@@ -60,9 +69,9 @@ proptest! {
                 u.sort_unstable();
                 u
             };
-            prop_assert_eq!(r.support, set.support_of(&union), "supp(X∪Y) on {}", r);
-            prop_assert_eq!(r.antecedent_support, set.support_of(r.antecedent()));
-            prop_assert_eq!(r.consequent_support, set.support_of(r.consequent()));
+            prop_assert_eq!(r.support, support(&union), "supp(X∪Y) on {}", r);
+            prop_assert_eq!(r.antecedent_support, support(r.antecedent()));
+            prop_assert_eq!(r.consequent_support, support(r.consequent()));
 
             let confidence = r.support as f64 / r.antecedent_support as f64;
             let consequent_rel = r.consequent_support as f64 / n as f64;
