@@ -3,6 +3,7 @@
 use std::collections::VecDeque;
 use std::fs::{self, File};
 use std::io::{Read, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use anomex_core::{
@@ -523,6 +524,9 @@ fn parse_config(args: &Args) -> Result<ExtractionConfig, String> {
     Ok(config)
 }
 
+/// A merge key of the replay: grid-relative ms, heartbeat, lane.
+type Key = (u64, bool, usize);
+
 /// What the replay hands the engine next: a run of one lane's flows, or
 /// an exporter heartbeat (a v9/IPFIX export clock, absolute source-local
 /// ms).
@@ -592,18 +596,39 @@ impl Lane {
 
     /// The replay's merge key for a flow or heartbeat of this lane dated
     /// `ms`: grid-relative time, flows before heartbeats, then the lane.
-    fn key(&self, ms: u64, beat: bool, s: usize) -> (u64, bool, usize) {
+    fn key(&self, ms: u64, beat: bool, s: usize) -> Key {
         (ms.saturating_sub(self.origin), beat, s)
     }
 
     /// The merge key of this lane's next arrival, lane `s`; `None` when
     /// nothing is pending.
-    fn head(&self, s: usize) -> Option<(u64, bool, usize)> {
+    fn head(&self, s: usize) -> Option<Key> {
         let block = self.blocks.front()?;
         Some(match block.beats.get(self.beat) {
             Some(&(at, ms)) if at == self.flow => self.key(ms, true, s),
             _ => self.key(block.flows[self.flow].start_ms, false, s),
         })
+    }
+
+    /// No more than the merge key of this lane's next arrival that can
+    /// close a window, given its open window (`None`: any can): its next
+    /// flow outside the window, or its next heartbeat. With neither in
+    /// the front block it is the largest key left in that block, which
+    /// the per-flow merge takes before anything after the block.
+    fn barrier(&self, s: usize, window: Option<Range<u64>>) -> Option<Key> {
+        let Some(window) = window else {
+            return self.head(s);
+        };
+        let block = self.blocks.front()?;
+        let flows = self.flows();
+        let key = |flow: &FlowRecord| self.key(flow.start_ms, false, s);
+        match flows.iter().find(|flow| !window.contains(&flow.start_ms)) {
+            Some(flow) => Some(key(flow)),
+            None => match block.beats.get(self.beat) {
+                Some(&(_, ms)) => Some(self.key(ms, true, s)),
+                None => flows.iter().map(key).max(),
+            },
+        }
     }
 
     /// The flows up to the lane's next heartbeat or block end.
@@ -647,8 +672,14 @@ impl Lane {
 /// window for every interval up to it). An unsorted capture is
 /// replayed as it comes: the grid counts its late flows as drops.
 ///
-/// The merge hands out runs: the longest stretch of one lane's flows
-/// that the merge taken one flow at a time would take in a row.
+/// The merge hands out runs of one lane's flows. A run keeps going past
+/// other lanes' flows where the engine cannot tell the difference: while
+/// its flows lie inside their lane's open window, it ends only at
+/// another lane's next arrival that can close a window. In-window flows
+/// of different lanes commute (a merged interval concatenates each
+/// lane's window in source order), so at every arrival that closes a
+/// window each lane has consumed what the per-flow merge would have,
+/// and events, drops and checkpoints are that merge's.
 struct Replay {
     lanes: Vec<Lane>,
     /// Heartbeats taken from the lane heads, waiting for a later flow,
@@ -678,8 +709,15 @@ impl Replay {
 
     /// The next arrival, or `None` at the end: a heartbeat, taken as it
     /// is returned, or a run of never fewer than one flow, which stays
-    /// at its lane's head until [`consume`](Self::consume)d.
-    fn next(&mut self) -> Option<(SourceId, Arrival<'_>)> {
+    /// at its lane's head until [`consume`](Self::consume)d. `window`
+    /// gives each source's open window, source-local ms
+    /// ([`anomex_netflow::MergeAssembler::open_window`]);
+    /// `None` counts every arrival of that lane as one that can close a
+    /// window, which makes the runs the per-flow merge's own.
+    fn next(
+        &mut self,
+        window: impl Fn(SourceId) -> Option<Range<u64>>,
+    ) -> Option<(SourceId, Arrival<'_>)> {
         loop {
             let (at, beat, s) = (self.lanes.iter().enumerate())
                 .filter_map(|(s, lane)| lane.head(s))
@@ -696,18 +734,25 @@ impl Replay {
                 self.held.push_back((at, source, ms));
                 continue;
             }
-            // Lane `s` keeps the lead while its flows stay below every
-            // other lane's head and no held heartbeat falls due.
-            let other = (self.lanes.iter().enumerate())
-                .filter_map(|(t, lane)| lane.head(t).filter(|_| t != s))
+            // Lane `s` keeps the lead while its flows sort below every
+            // other lane's head, or lie inside its open window and sort
+            // below every other lane's next arrival that can close one;
+            // and no held heartbeat falls due.
+            let others = || (self.lanes.iter().enumerate()).filter(|&(t, _)| t != s);
+            let head = others().filter_map(|(t, lane)| lane.head(t)).min();
+            let barrier = (others())
+                .filter_map(|(t, lane)| lane.barrier(t, window(SourceId(t as u32))))
                 .min();
             let held = self.held.front().map(|&(held_at, ..)| held_at);
+            let open = window(source);
             let lane = &self.lanes[s];
             let flows = lane.flows();
             let run = (flows.iter())
                 .take_while(|flow| {
                     let key = lane.key(flow.start_ms, false, s);
-                    other.map_or(true, |other| key < other) && held.map_or(true, |h| key.0 <= h)
+                    let below = |bound: Option<Key>| bound.map_or(true, |b| key < b);
+                    let inside = open.as_ref().is_some_and(|w| w.contains(&flow.start_ms));
+                    (below(head) || inside && below(barrier)) && held.map_or(true, |h| key.0 <= h)
                 })
                 .count();
             return Some((source, Arrival::Run(&flows[..run])));
@@ -721,10 +766,13 @@ impl Replay {
 
     /// Pass over the first `flows` flows and the heartbeats among them —
     /// what a checkpointed run consumed — so the replay continues with
-    /// the arrival after its last flow.
+    /// the arrival after its last flow. It takes the per-flow merge's
+    /// runs: no window describes the skipped prefix yet, and a
+    /// checkpoint's flow count falls at a close, where both orders have
+    /// consumed the same flows.
     fn skip(&mut self, mut flows: u64) {
         while flows > 0 {
-            let Some((source, arrival)) = self.next() else {
+            let Some((source, arrival)) = self.next(|_| None) else {
                 return;
             };
             if let Arrival::Run(run) = arrival {
@@ -1090,7 +1138,7 @@ fn replay_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
     replay.skip(engine.total_flows());
     let first = engine.assembler().closed_intervals();
     let mut checkpointed = first;
-    while let Some((source, arrival)) = replay.next() {
+    while let Some((source, arrival)) = replay.next(|s| engine.assembler().open_window(s)) {
         let events = match arrival {
             Arrival::Run(flows) => {
                 let (n, events) = engine.push_run(source, flows);
@@ -1265,7 +1313,8 @@ fn table2_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anomex_netflow::FlowFeature;
+    use anomex_netflow::{FlowFeature, MergeAssembler, MergeConfig};
+    use anomex_traffic::rng::Rng;
 
     /// Parse a whitespace-separated command line.
     fn argv(line: &str) -> Args {
@@ -1880,15 +1929,16 @@ mod tests {
         }
     }
 
-    /// Everything `replay` hands out, one arrival per flow, consuming
-    /// `take(len)` flows of each run of `len`; with the run boundaries,
-    /// as flows replayed before each run.
+    /// Everything `replay` hands out under the per-flow rule (no open
+    /// windows, as [`Replay::skip`] takes it), one arrival per flow,
+    /// consuming `take(len)` flows of each run of `len`; with the run
+    /// boundaries, as flows replayed before each run.
     fn flatten(
         replay: &mut Replay,
         mut take: impl FnMut(usize) -> usize,
     ) -> (Order, Vec<(usize, usize)>) {
         let (mut out, mut runs, mut flows) = (Vec::new(), Vec::new(), 0);
-        while let Some((source, arrival)) = replay.next() {
+        while let Some((source, arrival)) = replay.next(|_| None) {
             match arrival {
                 Arrival::Heartbeat(ms) => out.push((source, Single::Beat(ms))),
                 Arrival::Run(run) => {
@@ -1904,54 +1954,26 @@ mod tests {
         (out, runs)
     }
 
-    /// The run replay hands out exactly the per-flow merge's order. Three
-    /// lanes on different origins, whose grid times tie across lanes (the
-    /// lowest source goes first), with a capture that steps back in time,
-    /// heartbeats first, last, several in a row and at a block boundary,
-    /// replay the same whether each run is taken whole or a few flows at
-    /// a time, over one, two or three lanes; and a resume's skip — one
-    /// ending in the middle of a run among them — leaves the same order
-    /// as dropping those flows (and the heartbeats before the last of
-    /// them) from the per-flow order.
-    #[test]
-    fn run_replay_is_the_per_flow_merge_order() {
+    /// One stretch of a test capture: flows starting at these ms, or a
+    /// v9 keepalive at this export second.
+    enum Item {
+        Flows(Vec<u64>),
+        Beat(u32),
+    }
+
+    /// `n` start times from `from`, `step` ms apart.
+    fn stride(from: u64, step: u64, n: u64) -> Vec<u64> {
+        (0..n).map(|i| from + step * i).collect()
+    }
+
+    /// Write lane `s` of `lanes` to `dir/lane{s}.nf` (v5 datagrams and
+    /// v9 keepalives); returns one `--in FILE` per lane and each lane's
+    /// arrivals, one per flow or heartbeat.
+    fn write_lanes(dir: &Path, lanes: &[Vec<Item>]) -> (Vec<String>, Vec<Vec<Single>>) {
         use anomex_netflow::v9::encode_v9_options_template;
         use anomex_netflow::Protocol;
         use std::net::Ipv4Addr;
 
-        let dir = scratch_dir("anomex-cli-run-replay-test");
-        enum Item {
-            Flows(Vec<u64>),
-            Beat(u32),
-        }
-        let stride = |from: u64, step: u64, n: u64| (0..n).map(|i| from + step * i).collect();
-        let lanes: [Vec<Item>; 3] = [
-            vec![
-                Item::Beat(0),
-                Item::Flows(stride(10, 15, 1_980)),
-                Item::Beat(20),
-                Item::Beat(25),
-                Item::Beat(31),
-                // 136 full datagrams: the next packet opens a new block.
-                Item::Flows(stride(30_010, 15, 2_100)),
-                Item::Beat(62),
-                Item::Flows(stride(61_510, 15, 120)),
-                Item::Flows(vec![5_000, 5_000, 4_000]),
-                Item::Flows(stride(63_010, 15, 200)),
-            ],
-            vec![
-                Item::Flows(stride(60_010, 45, 900)),
-                Item::Beat(100),
-                Item::Flows(stride(100_510, 45, 600)),
-                Item::Beat(200),
-                Item::Beat(300),
-            ],
-            vec![
-                Item::Flows(stride(120_000, 7, 1_500)),
-                Item::Flows((0..1_500).rev().map(|k| 130_500 + 7 * k).collect()),
-                Item::Beat(121),
-            ],
-        ];
         let mut paths = Vec::new();
         let mut singles = Vec::new();
         for (s, items) in lanes.iter().enumerate() {
@@ -1979,12 +2001,114 @@ mod tests {
             paths.push(format!("--in {}", path.display()));
             singles.push(lane);
         }
+        (paths, singles)
+    }
+
+    /// Four lanes on the origins 0, 1, 2 and 3 minutes (Δ = 1 min),
+    /// whose grid times tie across lanes: lane 0 steps back in time
+    /// (late flows) and has heartbeats first, several in a row, one
+    /// dated behind its flows, one first in its second block and one
+    /// last, just before lane 3 leaves window 1; lane 1
+    /// ends in heartbeats; lane 2 replays a stretch backwards and holds
+    /// the grid at window 0 until its keepalive at 130 s (grid time)
+    /// closes it; lane 3 starts late in its first window, steps back
+    /// before its origin, and is the first to reach window 2, which
+    /// force-closes window 0 under a lateness bound of 1.
+    fn test_lanes() -> Vec<Vec<Item>> {
+        vec![
+            vec![
+                Item::Beat(0),
+                Item::Flows(stride(10, 15, 1_980)),
+                Item::Beat(20),
+                Item::Beat(25),
+                Item::Beat(31),
+                // 136 full datagrams: the next packet opens a new block.
+                Item::Flows(stride(30_010, 15, 2_100)),
+                Item::Beat(62),
+                Item::Flows(stride(61_510, 15, 120)),
+                Item::Flows(vec![5_000, 5_000, 4_000]),
+                Item::Flows(stride(63_010, 15, 200)),
+                Item::Beat(119),
+            ],
+            vec![
+                Item::Flows(stride(60_010, 45, 900)),
+                Item::Beat(100),
+                Item::Flows(stride(100_510, 45, 1_800)),
+                Item::Beat(200),
+                Item::Beat(300),
+            ],
+            vec![
+                Item::Flows(stride(120_000, 7, 1_500)),
+                Item::Flows((0..1_500).rev().map(|k| 130_500 + 7 * k).collect()),
+                Item::Beat(121),
+                Item::Beat(250),
+            ],
+            vec![
+                Item::Flows(stride(239_000, 5, 400)),
+                Item::Flows(vec![150_000, 239_999]),
+                Item::Beat(241),
+                Item::Flows(stride(241_010, 100, 1_000)),
+            ],
+        ]
+    }
+
+    /// Two to four random lanes: origins 0 to 3 minutes, a first flow
+    /// anywhere in its window, then strides, idle gaps of up to three
+    /// windows (most ending in a keepalive), flows that step back (late
+    /// or pre-origin), and heartbeats a few seconds ahead of or behind
+    /// the flows; some lanes fill two blocks.
+    fn random_lanes(rng: &mut Rng) -> Vec<Vec<Item>> {
+        let lanes = rng.range(2..5usize);
+        (0..lanes)
+            .map(|_| {
+                let mut t = MINUTE_MS * rng.range(0..4u64) + rng.range(0..MINUTE_MS);
+                let mut items = vec![Item::Flows(vec![t])];
+                for _ in 0..rng.range(1..12u32) {
+                    match rng.range(0..10u32) {
+                        0 | 1 => {
+                            let back = rng.range(0..2 * MINUTE_MS);
+                            let n = rng.range(1..40u64);
+                            items.push(Item::Flows(stride(t.saturating_sub(back), 3, n)));
+                        }
+                        2 => {
+                            let secs = (t / 1000 + rng.range(0..8u64)).saturating_sub(4);
+                            items.push(Item::Beat(secs as u32));
+                        }
+                        // Idle, then a keepalive or not.
+                        3 | 4 => {
+                            t += rng.range(0..3 * MINUTE_MS);
+                            if rng.range(0..3u32) > 0 {
+                                items.push(Item::Beat((t / 1000) as u32));
+                            }
+                        }
+                        _ => {
+                            let (n, step) = (rng.range(1..1_500u64), rng.range(1..80u64));
+                            items.push(Item::Flows(stride(t, step, n)));
+                            t += n * step;
+                        }
+                    }
+                }
+                items
+            })
+            .collect()
+    }
+
+    /// The run replay under the per-flow rule hands out exactly the
+    /// per-flow merge's order, over one to four lanes of
+    /// [`test_lanes`], whether each run is taken whole or a few flows at
+    /// a time; and a resume's skip — one ending in the middle of a run
+    /// among them — leaves the same order as dropping those flows (and
+    /// the heartbeats before the last of them) from the per-flow order.
+    #[test]
+    fn run_replay_is_the_per_flow_merge_order() {
+        let dir = scratch_dir("anomex-cli-run-replay-test");
+        let (paths, singles) = write_lanes(&dir, &test_lanes());
         let interval_ms = MINUTE_MS;
-        for k in 1..=3 {
+        for k in 1..=4 {
             let args = argv(&format!("extract {}", paths[..k].join(" ")));
             let open = || Replay::open(&args, interval_ms).unwrap();
             let origins: Vec<u64> = open().lanes.iter().map(|lane| lane.origin).collect();
-            assert_eq!(origins, [0, 60_000, 120_000][..k]);
+            assert_eq!(origins, [0, 60_000, 120_000, 180_000][..k]);
             let lanes: Vec<(u64, Vec<Single>)> = origins.into_iter().zip(singles.clone()).collect();
             let expected = per_flow_merge(&lanes);
             let (whole, runs) = flatten(&mut open(), |len| len);
@@ -2024,6 +2148,247 @@ mod tests {
         let lane = Lane::open(&paths[0]["--in ".len()..], interval_ms).unwrap();
         assert_eq!(lane.blocks.len(), 2);
         assert_eq!(lane.blocks[1].beats[0], (0, 62_000), "first in its block");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// What one engine gives for a replay order: each event's index,
+    /// flows, drops and outcome; and at each arrival that closes a grid
+    /// interval, the flows fed, the events out by then and the
+    /// `checkpoint()` bytes. `runs` counts the runs handed out.
+    struct Trace {
+        events: Vec<String>,
+        closes: Vec<(u64, Vec<u8>)>,
+        printed: Vec<usize>,
+        runs: usize,
+        closed: u64,
+    }
+
+    impl Trace {
+        fn new(engine: &MultiSourceExtractor) -> Self {
+            Trace {
+                events: Vec::new(),
+                closes: Vec::new(),
+                printed: Vec::new(),
+                runs: 0,
+                closed: engine.assembler().closed_intervals(),
+            }
+        }
+
+        fn record(&mut self, events: Vec<MultiStreamEvent>) {
+            for e in events {
+                let e = &e.event;
+                let (index, flows, dropped) = (e.index, e.flows, e.dropped_flows);
+                let event = format!("{index} {flows} {dropped} {:?}", e.outcome);
+                self.events.push(event);
+            }
+        }
+
+        /// Record an arrival's events, and a checkpoint when it closed
+        /// a grid interval.
+        fn arrival(&mut self, engine: &mut MultiSourceExtractor, events: Vec<MultiStreamEvent>) {
+            self.record(events);
+            let closed = engine.assembler().closed_intervals();
+            if closed > self.closed {
+                self.closed = closed;
+                let (events, bytes) = engine.checkpoint();
+                self.record(events);
+                self.closes.push((engine.total_flows(), bytes));
+                self.printed.push(self.events.len());
+            }
+        }
+
+        fn finish(mut self, engine: MultiSourceExtractor) -> Self {
+            self.record(engine.finish().0);
+            self
+        }
+    }
+
+    /// Feed a fresh `engine` the per-flow merge's order, one flow at a
+    /// time.
+    fn per_flow_trace(order: &Order, mut engine: MultiSourceExtractor) -> Trace {
+        let mut trace = Trace::new(&engine);
+        for &(source, item) in order {
+            let events = match item {
+                Single::Flow(flow) => engine.push(source, flow),
+                Single::Beat(ms) => engine.heartbeat(source, ms),
+            };
+            trace.arrival(&mut engine, events);
+        }
+        trace.finish(engine)
+    }
+
+    /// Feed `engine` what `replay` hands out, as `replay_to` does: runs
+    /// cut at the engine's open windows.
+    fn replay_trace(replay: &mut Replay, mut engine: MultiSourceExtractor) -> Trace {
+        let mut trace = Trace::new(&engine);
+        while let Some((source, arrival)) = replay.next(|s| engine.assembler().open_window(s)) {
+            let events = match arrival {
+                Arrival::Run(flows) => {
+                    trace.runs += 1;
+                    let (n, events) = engine.push_run(source, flows);
+                    replay.consume(source, n);
+                    events
+                }
+                Arrival::Heartbeat(ms) => engine.heartbeat(source, ms),
+            };
+            trace.arrival(&mut engine, events);
+        }
+        trace.finish(engine)
+    }
+
+    /// `cases`, scaled by `PROPTEST_CASES / 256` like the proptest
+    /// suites, so a wide sweep widens this test too.
+    fn scaled(cases: u64) -> u64 {
+        let wide = std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|n| n.parse::<u64>().ok());
+        wide.map_or(cases, |wide| (cases * wide / 256).max(1))
+    }
+
+    /// The replay's runs pass other lanes' in-window flows, and the
+    /// engine cannot tell: fed by them, it gives the per-flow merge's
+    /// events (index, flows, drops, outcome) and, at every arrival that
+    /// closes a grid interval, its checkpoint bytes; and a fresh replay
+    /// `skip`ped by that checkpoint's flow count continues identically
+    /// from the restored checkpoint. Without and with a lateness bound,
+    /// on [`test_lanes`] and on random lanes.
+    #[test]
+    fn window_runs_close_every_interval_as_the_per_flow_merge_does() {
+        let dir = scratch_dir("anomex-cli-window-runs-test");
+        let (paths, singles) = write_lanes(&dir, &test_lanes());
+        let runs = check_window_runs(&paths, &singles, "test lanes");
+        let args = argv(&format!("extract {}", paths.join(" ")));
+        let per_flow = flatten(&mut Replay::open(&args, MINUTE_MS).unwrap(), |len| len).1;
+        assert!(
+            runs * 4 < per_flow.len(),
+            "{runs} runs, {} per flow",
+            per_flow.len()
+        );
+        let mut rng = Rng::seed_from_u64(50);
+        for case in 0..scaled(16) {
+            let dir = dir.join(case.to_string());
+            std::fs::create_dir_all(&dir).unwrap();
+            let (paths, singles) = write_lanes(&dir, &random_lanes(&mut rng));
+            check_window_runs(&paths, &singles, &format!("random case {case}"));
+            std::fs::remove_dir_all(&dir).ok();
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// [`window_runs_close_every_interval_as_the_per_flow_merge_does`] on
+    /// one set of lanes; returns the runs the replay handed out.
+    fn check_window_runs(paths: &[String], singles: &[Vec<Single>], context: &str) -> usize {
+        let args = argv(&format!("stream {}", paths.join(" ")));
+        let config = ExtractionConfig {
+            interval_ms: MINUTE_MS,
+            ..ExtractionConfig::default()
+        };
+        let open = || Replay::open(&args, config.interval_ms).unwrap();
+        let specs: Vec<_> = (0u32..)
+            .zip(&open().lanes)
+            .map(|(i, lane)| SourceSpec::new(i, lane.origin))
+            .collect();
+        let lanes: Vec<_> = (specs.iter().map(|spec| spec.origin_ms))
+            .zip(singles.iter().cloned())
+            .collect();
+        let order = per_flow_merge(&lanes);
+        let mut runs = 0;
+        for max_lag in [None, Some(1)] {
+            let context = format!("{context}, max-lag {max_lag:?}");
+            let engine = || MultiSourceExtractor::new(config.clone(), &specs, max_lag).unwrap();
+            let expected = per_flow_trace(&order, engine());
+            let got = replay_trace(&mut open(), engine());
+            assert_same_events(&got.events, &expected.events, &context);
+            assert_same_closes(&got.closes, &expected.closes, &context);
+            for (i, (flows, bytes)) in expected.closes.iter().enumerate() {
+                let mut replay = open();
+                replay.skip(*flows);
+                let restored = MultiSourceExtractor::restore(bytes).unwrap();
+                let rest = replay_trace(&mut replay, restored);
+                let context = format!("{context}, resumed at {flows} flows");
+                assert_same_events(
+                    &rest.events,
+                    &expected.events[expected.printed[i]..],
+                    &context,
+                );
+                assert_same_closes(&rest.closes, &expected.closes[i + 1..], &context);
+            }
+            runs = got.runs;
+        }
+        runs
+    }
+
+    /// The same events, naming the first that differs rather than
+    /// printing every outcome.
+    fn assert_same_events(got: &[String], expected: &[String], context: &str) {
+        if let Some(i) = (0..got.len().max(expected.len())).find(|&i| got.get(i) != expected.get(i))
+        {
+            let head = |e: Option<&String>| {
+                e.map(|e| e[..e.find(" Interval").unwrap_or(e.len())].to_owned())
+            };
+            panic!(
+                "{context}: event {i} differs: {:?} (index flows drops), expected {:?}",
+                head(got.get(i)),
+                head(expected.get(i))
+            );
+        }
+    }
+
+    /// The same checkpoints at the same flow counts, naming the first
+    /// that differs rather than printing the bytes.
+    fn assert_same_closes(got: &[(u64, Vec<u8>)], expected: &[(u64, Vec<u8>)], context: &str) {
+        let flows = |closes: &[(u64, Vec<u8>)]| closes.iter().map(|c| c.0).collect::<Vec<_>>();
+        assert_eq!(
+            flows(got),
+            flows(expected),
+            "{context}: flows fed at each close"
+        );
+        if let Some(i) = (0..got.len()).find(|&i| got[i].1 != expected[i].1) {
+            panic!("{context}: the checkpoint at {} flows differs", got[i].0);
+        }
+    }
+
+    /// On a three-link capture like the CI fan-in golden's, the replay
+    /// hands the engine runs that each span a stretch of every lane's
+    /// window, not the few flows between two other lanes' flows (139 444
+    /// runs for its 219 936 flows under the per-flow merge's runs).
+    #[test]
+    fn a_three_link_capture_replays_in_few_runs() {
+        let dir = scratch_dir("anomex-cli-few-runs-test");
+        let outs: Vec<_> = (0..3).map(|s| dir.join(format!("link{s}.nfv5"))).collect();
+        let out = |flag: &str| {
+            (outs.iter())
+                .map(|path| format!("{flag} {}", path.display()))
+                .collect::<Vec<_>>()
+                .join(" ")
+        };
+        run(
+            generate_to,
+            &format!(
+                "generate --sources 3 {} --seed 3 --intervals 25",
+                out("--out")
+            ),
+        );
+        let args = argv(&format!("extract {} --interval-min 1", out("--in")));
+        let mut replay = Replay::open(&args, MINUTE_MS).unwrap();
+        let specs: Vec<_> = (0u32..)
+            .zip(&replay.lanes)
+            .map(|(i, lane)| SourceSpec::new(i, lane.origin))
+            .collect();
+        let mut merge = MergeAssembler::try_new(MergeConfig::new(MINUTE_MS), &specs).unwrap();
+        let (mut runs, mut flows) = (0, 0);
+        while let Some((source, arrival)) = replay.next(|s| merge.open_window(s)) {
+            match arrival {
+                Arrival::Run(run) => {
+                    let n = merge.push_run(source, run).0;
+                    replay.consume(source, n);
+                    (runs, flows) = (runs + 1, flows + n);
+                }
+                Arrival::Heartbeat(ms) => drop(merge.heartbeat(source, ms)),
+            }
+        }
+        assert_eq!(flows, 219_936);
+        assert!(runs < 1_000, "{runs} runs");
         std::fs::remove_dir_all(&dir).ok();
     }
 

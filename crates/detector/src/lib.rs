@@ -15,7 +15,10 @@
 //!   the voted values from the same column;
 //! - [`binid`] — the iterative anomalous-bin identification that simulates
 //!   flow removal until the alarm clears (Fig. 5);
-//! - [`mod@vote`] — l-of-n voting across clones;
+//! - l-of-n voting across clones: a value is voted when at least `l` of
+//!   the `n` alarmed clones' anomalous bins hold it (`l = 1` is the
+//!   union of their views, `l = n` the intersection), resolved from the
+//!   column by [`FeatureDetector::observe_columns`];
 //! - [`detector`] / [`bank`] — per-feature detectors and the five-feature
 //!   detector bank producing consolidated [`MetaData`];
 //! - [`roc`] — ROC curve analysis for the threshold sweep (Fig. 6);
@@ -41,7 +44,6 @@ mod legacy;
 pub mod metadata;
 pub mod roc;
 pub mod threshold;
-pub mod vote;
 
 pub use bank::{BankObservation, DetectorBank, DetectorConfig, VotedRows, MAX_BINS, MAX_CLONES};
 pub use binid::{identify_anomalous_bins, BinIdentification};
@@ -56,4 +58,3 @@ pub use legacy::*;
 pub use metadata::MetaData;
 pub use roc::{RocCurve, RocPoint};
 pub use threshold::{median, robust_sigma, FirstDiffThreshold, MAD_TO_SIGMA, SIGMA_FLOOR};
-pub use vote::vote;

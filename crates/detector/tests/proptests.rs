@@ -4,12 +4,24 @@ use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
 use anomex_detector::{
-    identify_anomalous_bins, kl_distance, robust_sigma, vote, BinHasher, FeatureDetector,
+    identify_anomalous_bins, kl_distance, robust_sigma, BinHasher, FeatureDetector,
     FeatureObservation, RocCurve, MAX_BINS, SIGMA_FLOOR,
 };
 use anomex_netflow::{FlowColumns, FlowFeature, FlowRecord, Protocol};
 use anomex_traffic::Scenario;
 use proptest::prelude::*;
+
+/// The paper's l-of-n vote (§II-D), written plainly: the values at least
+/// `votes` of the clone sets hold. A set holds a value at most once, so
+/// in the sets' values sorted, a value's run length is its vote count.
+fn vote(clone_sets: &[BTreeSet<u64>], votes: usize) -> BTreeSet<u64> {
+    let mut proposed: Vec<u64> = clone_sets.iter().flatten().copied().collect();
+    proposed.sort_unstable();
+    (proposed.chunk_by(|a, b| a == b))
+        .filter(|run| run.len() >= votes)
+        .map(|run| run[0])
+        .collect()
+}
 
 /// The interval's keys of `feature`, in row order.
 fn column_keys(cols: &FlowColumns, feature: FlowFeature) -> Vec<u64> {

@@ -58,7 +58,7 @@ pub use item::Item;
 pub use itemset::{canonicalize, ItemSet};
 #[doc(hidden)]
 pub use legacy::*;
-pub use maximal::{filter_maximal, filter_maximal_general};
+pub use maximal::filter_maximal;
 pub use miner::mine;
 pub use rules::{merge_rule_sets, Rule, RuleConfig, RuleSet, ScoredRule, RARE_SUPPORT_GUARD};
 pub use topk::{mine_top_k, TopK};

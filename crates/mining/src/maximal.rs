@@ -16,7 +16,6 @@ use crate::itemset::ItemSet;
 ///
 /// **Precondition:** `sets` must be downward-closed (contain every frequent
 /// subset of every member), which is what all miners in this crate produce.
-/// For arbitrary collections use [`filter_maximal_general`].
 #[must_use]
 pub fn filter_maximal(sets: Vec<ItemSet>) -> Vec<ItemSet> {
     if sets.is_empty() {
@@ -54,25 +53,6 @@ pub fn filter_maximal(sets: Vec<ItemSet>) -> Vec<ItemSet> {
     }
     for bucket in by_len {
         out.extend(bucket);
-    }
-    out.sort_unstable();
-    out
-}
-
-/// Maximal filtering for arbitrary (not necessarily downward-closed)
-/// collections: quadratic pairwise subset checks. Used by tests as an
-/// oracle for [`filter_maximal`].
-#[must_use]
-pub fn filter_maximal_general(sets: &[ItemSet]) -> Vec<ItemSet> {
-    let mut out: Vec<ItemSet> = Vec::new();
-    for (i, s) in sets.iter().enumerate() {
-        let dominated = sets
-            .iter()
-            .enumerate()
-            .any(|(j, t)| j != i && s.len() < t.len() && s.is_subset_of(t));
-        if !dominated && !out.contains(s) {
-            out.push(s.clone());
-        }
     }
     out.sort_unstable();
     out
@@ -124,31 +104,12 @@ mod tests {
             set(&[y, z], 8),
             set(&[x, y, z], 7),
         ];
-        let out = filter_maximal(family.clone());
+        let out = filter_maximal(family);
         assert_eq!(out, vec![set(&[x, y, z], 7)]);
-        assert_eq!(out, filter_maximal_general(&family));
     }
 
     #[test]
     fn empty_input() {
         assert!(filter_maximal(Vec::new()).is_empty());
-        assert!(filter_maximal_general(&[]).is_empty());
-    }
-
-    #[test]
-    fn general_filter_handles_non_closed_input() {
-        // {a} ⊂ {a,b,c} with the middle level missing: the one-level-up
-        // fast path would *not* catch this, the general one must.
-        let a = set(&[(FlowFeature::DstPort, 80)], 10);
-        let abc = set(
-            &[
-                (FlowFeature::DstPort, 80),
-                (FlowFeature::Proto, 6),
-                (FlowFeature::Packets, 2),
-            ],
-            5,
-        );
-        let out = filter_maximal_general(&[a, abc.clone()]);
-        assert_eq!(out, vec![abc]);
     }
 }

@@ -7,12 +7,42 @@ use std::net::Ipv4Addr;
 
 use anomex_mining::apriori::apriori;
 use anomex_mining::fpgrowth::fpgrowth;
-use anomex_mining::{
-    filter_maximal, filter_maximal_general, AprioriConfig, Item, ItemSet, Transaction,
-    TransactionSet,
-};
+use anomex_mining::{filter_maximal, AprioriConfig, Item, ItemSet, Transaction, TransactionSet};
 use anomex_netflow::{FlowColumns, FlowFeature, FlowRecord, Protocol};
 use proptest::prelude::*;
+
+/// The maximal item-sets of any collection, downward-closed or not, by
+/// quadratic pairwise subset checks: the oracle for [`filter_maximal`],
+/// which looks only one level up.
+fn filter_maximal_general(sets: &[ItemSet]) -> Vec<ItemSet> {
+    let mut out: Vec<ItemSet> = Vec::new();
+    for (i, s) in sets.iter().enumerate() {
+        let dominated = (sets.iter().enumerate())
+            .any(|(j, t)| j != i && s.len() < t.len() && s.is_subset_of(t));
+        if !dominated && !out.contains(s) {
+            out.push(s.clone());
+        }
+    }
+    out.sort_unstable();
+    out
+}
+
+/// {a} ⊂ {a,b,c} with the middle level missing: looking one level up
+/// would keep {a}; the oracle must not.
+#[test]
+fn the_oracle_filters_a_collection_that_is_not_closed() {
+    let item = |f, v| Item::new(f, v);
+    let a = ItemSet::new(vec![item(FlowFeature::DstPort, 80)], 10);
+    let abc = ItemSet::new(
+        vec![
+            item(FlowFeature::DstPort, 80),
+            item(FlowFeature::Proto, 6),
+            item(FlowFeature::Packets, 2),
+        ],
+        5,
+    );
+    assert_eq!(filter_maximal_general(&[a, abc.clone()]), vec![abc]);
+}
 
 /// A random transaction: 1–7 items, at most one per feature, values from a
 /// small alphabet so that itemsets actually repeat.

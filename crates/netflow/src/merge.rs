@@ -45,6 +45,7 @@
 //! watermark without dropping anything.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use crate::columns::FlowColumns;
 use crate::error::ConfigError;
@@ -208,11 +209,15 @@ impl MergeAssembler {
         self.lanes.iter().map(|l| l.spec).collect()
     }
 
-    fn lane_mut(&mut self, source: SourceId) -> &mut SourceLane {
-        self.lanes
-            .iter_mut()
-            .find(|l| l.spec.id == source)
+    fn lane(&self, source: SourceId) -> usize {
+        (self.lanes.iter())
+            .position(|l| l.spec.id == source)
             .unwrap_or_else(|| panic!("unknown source {source}: not registered with this merge"))
+    }
+
+    fn lane_mut(&mut self, source: SourceId) -> &mut SourceLane {
+        let at = self.lane(source);
+        &mut self.lanes[at]
     }
 
     /// Feed one flow from `source`: a [`push_run`](Self::push_run) of
@@ -320,6 +325,18 @@ impl MergeAssembler {
         }
         let horizon = self.frontier();
         self.close_until(horizon)
+    }
+
+    /// `source`'s open window ([`IntervalAssembler::open_window`]),
+    /// source-local ms: its flows dated inside it close nothing, so they
+    /// cannot move the grid. `None` before its first flow or heartbeat.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `source` was not registered at construction.
+    #[must_use]
+    pub fn open_window(&self, source: SourceId) -> Option<Range<u64>> {
+        self.lanes[self.lane(source)].assembler.open_window()
     }
 
     /// How many grid intervals have closed since the stream began: the

@@ -23,6 +23,8 @@
 //! column, and the run stops at the first flow that closes a window, so
 //! it is exactly [`push`](IntervalAssembler::push) on each of its flows.
 
+use std::ops::Range;
+
 use crate::columns::FlowColumns;
 use crate::error::ConfigError;
 use crate::flow::FlowRecord;
@@ -141,13 +143,7 @@ impl IntervalAssembler {
     pub fn push_run(&mut self, flows: &[FlowRecord]) -> (usize, Vec<ClosedInterval>) {
         let mut at = 0;
         while at < flows.len() {
-            if self.started {
-                // Saturating: a window that starts past `u64::MAX` holds
-                // no flow, and one that ends past it leaves its last
-                // millisecond to `push`.
-                let begin = (self.current_index.saturating_mul(self.interval_ms))
-                    .saturating_add(self.origin_ms);
-                let open = begin..begin.saturating_add(self.interval_ms);
+            if let Some(open) = self.open_window() {
                 let inside = (flows[at..].iter())
                     .take_while(|flow| open.contains(&flow.start_ms))
                     .count();
@@ -164,6 +160,20 @@ impl IntervalAssembler {
             }
         }
         (flows.len(), Vec::new())
+    }
+
+    /// The open window, source-local ms: a flow dated inside it is
+    /// appended and closes nothing. `None` before the first flow or
+    /// heartbeat. Saturating: a window that starts past `u64::MAX` holds
+    /// no flow, and one that ends past it leaves its last millisecond
+    /// outside.
+    #[must_use]
+    pub fn open_window(&self) -> Option<Range<u64>> {
+        self.started.then(|| {
+            let begin = (self.current_index.saturating_mul(self.interval_ms))
+                .saturating_add(self.origin_ms);
+            begin..begin.saturating_add(self.interval_ms)
+        })
     }
 
     /// Advance the assembler's clock to `now_ms` without a flow: every

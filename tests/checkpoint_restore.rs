@@ -76,9 +76,16 @@ fn assert_events_identical(a: &StreamEvent, b: &StreamEvent, context: &str) {
     }
 }
 
+/// `cases`, scaled by `PROPTEST_CASES / 256` so a wide sweep widens this
+/// property as it widens the default ones (256 cases); at least one case.
+fn scaled(cases: u32) -> ProptestConfig {
+    let wide = u64::from(cases) * u64::from(ProptestConfig::default().cases) / 256;
+    ProptestConfig::with_cases(wide.clamp(1, u64::from(u32::MAX)) as u32)
+}
+
 proptest! {
     // Whole-scenario runs (training + detection), so few, heavy cases.
-    #![proptest_config(ProptestConfig::with_cases(4))]
+    #![proptest_config(scaled(4))]
 
     /// Kill-and-resume: stream a scenario, checkpoint at an arbitrary
     /// flow position (mid-window included), drop the engine (the
