@@ -56,7 +56,7 @@ impl std::fmt::Display for ArgsError {
 impl std::error::Error for ArgsError {}
 
 /// Boolean flags that take no value.
-const BOOL_FLAGS: [&str; 8] = [
+const BOOL_FLAGS: [&str; 9] = [
     "prefixes",
     "intersection",
     "verbose",
@@ -65,6 +65,7 @@ const BOOL_FLAGS: [&str; 8] = [
     "rare",
     "force-rare",
     "resume",
+    "timings",
 ];
 
 impl Args {

@@ -5,6 +5,7 @@ use std::fs::{self, File};
 use std::io::{Read, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 use anomex_core::{
     latency_percentile, prefilter_indices_columns, render_report, render_report_with_levels,
@@ -16,7 +17,8 @@ use anomex_mining::{mine_top_k, RuleConfig, RARE_SUPPORT_GUARD};
 use anomex_netflow::v5::{V5Exporter, V5_MAX_RECORDS};
 use anomex_netflow::v9::{Packet, TraceReader};
 use anomex_netflow::{
-    FeatureValue, FlowColumns, FlowRecord, ReadError, SourceId, SourceSpec, MINUTE_MS,
+    CaptureColumns, CaptureRun, FeatureValue, FlowColumns, FlowRecord, FlowRun, ReadError,
+    SourceId, SourceSpec, MINUTE_MS,
 };
 use anomex_traffic::table2::paper_counts;
 use anomex_traffic::{table2_workload, MultiSourceScenario, Scenario};
@@ -42,7 +44,7 @@ USAGE:
   anomex extract --in FILE [--in FILE ...] [--interval-min N] [--training N]
                  [--support N] [--threads N] [--prefixes] [--intersection]
                  [--rules] [--min-confidence C] [--min-lift L] [--rare]
-                 [--force-rare]
+                 [--force-rare] [--timings]
       Run the full detection + extraction pipeline over a trace file and
       print a Table II-style report per alarmed interval. Extraction
       mines with FP-growth, which finds the item-sets and supports the
@@ -67,14 +69,18 @@ USAGE:
       is rejected (the lowered floor can explode the mining pass on
       large intervals); pass --force-rare to run it anyway. With
       several --in files the rules are additionally re-mined per source
-      at weighted support floors and merged.
+      at weighted support floors and merged. --timings ends the output
+      with one `timings:` line of key=value pairs: reading the captures
+      (read_ms, read_flows, read_ns_per_flow), assembling the intervals
+      (assembly_ms, assembly_ns_per_flow, per flow fed) and the engine's
+      summed per-interval time (engine_ms).
 
   anomex stream --in FILE|- [--in FILE ...] [--interval-min N] [--training N]
                 [--support N] [--threads N] [--max-lag N] [--prefixes]
                 [--intersection] [--verbose]
                 [--rules] [--min-confidence C] [--min-lift L] [--rare]
                 [--force-rare] [--checkpoint-dir DIR] [--checkpoint-every N]
-                [--resume] [--stop-after N]
+                [--resume] [--stop-after N] [--timings]
       Replay a trace (or NetFlow v5 datagrams on stdin with --in -)
       through the continuous streaming engine: flows are assembled into
       Δ-minute intervals while the previous interval runs detection and
@@ -90,7 +96,8 @@ USAGE:
       --max-lag N bounds how many intervals the fastest source may run
       ahead (0 = unbounded). The reports are those `anomex extract`
       prints for the same --in list: the two commands run one replay
-      and differ only in their options and closing summary.
+      and differ only in their options and closing summary. --timings
+      adds extract's `timings:` line to that summary.
       Durable operation, for any number of --in files: --checkpoint-dir
       DIR atomically snapshots the full online state (detector
       baselines, the interval grid with every source's watermark and
@@ -405,9 +412,21 @@ impl<'p> Capture<'p> {
     /// The next packet, a datagram's records appended to `flows`; `None`
     /// at the end of the capture.
     fn read_into(&mut self, flows: &mut Vec<FlowRecord>) -> Result<Option<Packet>, String> {
+        let packet = self.reader.read_into(flows);
+        self.named(packet)
+    }
+
+    /// [`read_into`](Self::read_into) into the columns of a lane block.
+    fn read_columns(&mut self, block: &mut CaptureColumns) -> Result<Option<Packet>, String> {
+        let packet = self.reader.read_columns(block);
+        self.named(packet)
+    }
+
+    /// A read's packet, its error naming the capture.
+    fn named(&self, packet: Option<Result<Packet, ReadError>>) -> Result<Option<Packet>, String> {
         let path = self.path;
         let name = if path == "-" { "stdin" } else { path };
-        (self.reader.read_into(flows).transpose()).map_err(|e| match e {
+        packet.transpose().map_err(|e| match e {
             ReadError::Io(e) => format!("cannot read {name}: {e}"),
             ReadError::Decode(e) => format!("{path}: {e}"),
         })
@@ -531,25 +550,26 @@ type Key = (u64, bool, usize);
 /// an exporter heartbeat (a v9/IPFIX export clock, absolute source-local
 /// ms).
 enum Arrival<'a> {
-    Run(&'a [FlowRecord]),
+    Run(CaptureRun<'a>),
     Heartbeat(u64),
 }
 
-/// Flows per block of a [`Lane`] (160 KiB). A lane frees each block once
-/// replayed, so a capture's memory goes back while the intervals it
-/// feeds are built.
+/// Flows per block of a [`Lane`] (120 KiB at 30 bytes a flow). A lane
+/// frees each block once replayed, so a capture's memory goes back while
+/// the intervals it feeds are built.
 const BLOCK: usize = 4096;
 
 /// A stretch of one capture: its flows in file order, decoded straight
-/// into the block, and its heartbeats beside them, each with the number
-/// of the block's flows that came before it.
+/// into the block's wire-width columns, and its heartbeats beside them,
+/// each with the number of the block's flows that came before it.
 struct Block {
-    flows: Vec<FlowRecord>,
+    flows: CaptureColumns,
     beats: Vec<(usize, u64)>,
 }
 
 /// One `--in` capture, read whole, with its grid origin: the start of
-/// the window holding its first flow.
+/// the window holding its first flow. Every decision it takes reads the
+/// `first` column; a flow becomes a record only inside the assembler.
 struct Lane {
     /// Not yet replayed, in file order; none is empty.
     blocks: VecDeque<Block>,
@@ -564,7 +584,7 @@ impl Lane {
     fn open(path: &str, interval_ms: u64) -> Result<Self, String> {
         let mut capture = Capture::open(path)?;
         let fresh = || Block {
-            flows: Vec::with_capacity(BLOCK),
+            flows: CaptureColumns::with_capacity(BLOCK),
             beats: Vec::new(),
         };
         let (mut blocks, mut block) = (VecDeque::new(), fresh());
@@ -573,7 +593,7 @@ impl Lane {
             if block.flows.len() + V5_MAX_RECORDS > BLOCK {
                 blocks.push_back(std::mem::replace(&mut block, fresh()));
             }
-            match capture.read_into(&mut block.flows)? {
+            match capture.read_columns(&mut block.flows)? {
                 Some(Packet::Flows(_)) => {}
                 Some(Packet::Heartbeat(p)) => block.beats.push((block.flows.len(), p.export_ms)),
                 None => break,
@@ -582,9 +602,9 @@ impl Lane {
         if !(block.flows.is_empty() && block.beats.is_empty()) {
             blocks.push_back(block);
         }
-        let first = (blocks.iter().find_map(|b| b.flows.first()))
-            .ok_or_else(|| format!("{path}: trace is empty"))?
-            .start_ms;
+        let first = (blocks.iter().find_map(|b| b.flows.start_ms().first()))
+            .ok_or_else(|| format!("{path}: trace is empty"))?;
+        let first = u64::from(*first);
         let origin = first - first % interval_ms;
         Ok(Lane {
             blocks,
@@ -592,6 +612,11 @@ impl Lane {
             beat: 0,
             origin,
         })
+    }
+
+    /// The number of flows the lane holds.
+    fn flow_count(&self) -> usize {
+        self.blocks.iter().map(|b| b.flows.len()).sum()
     }
 
     /// The replay's merge key for a flow or heartbeat of this lane dated
@@ -606,7 +631,7 @@ impl Lane {
         let block = self.blocks.front()?;
         Some(match block.beats.get(self.beat) {
             Some(&(at, ms)) if at == self.flow => self.key(ms, true, s),
-            _ => self.key(block.flows[self.flow].start_ms, false, s),
+            _ => self.key(u64::from(block.flows.start_ms()[self.flow]), false, s),
         })
     }
 
@@ -620,22 +645,27 @@ impl Lane {
             return self.head(s);
         };
         let block = self.blocks.front()?;
-        let flows = self.flows();
-        let key = |flow: &FlowRecord| self.key(flow.start_ms, false, s);
-        match flows.iter().find(|flow| !window.contains(&flow.start_ms)) {
-            Some(flow) => Some(key(flow)),
+        let starts = self.flows().start_ms().iter().map(|&ms| u64::from(ms));
+        let key = |ms: u64| self.key(ms, false, s);
+        match starts.clone().find(|ms| !window.contains(ms)) {
+            Some(ms) => Some(key(ms)),
             None => match block.beats.get(self.beat) {
                 Some(&(_, ms)) => Some(self.key(ms, true, s)),
-                None => flows.iter().map(key).max(),
+                None => starts.map(key).max(),
             },
         }
     }
 
     /// The flows up to the lane's next heartbeat or block end.
-    fn flows(&self) -> &[FlowRecord] {
+    fn flows(&self) -> CaptureRun<'_> {
         let block = &self.blocks[0];
         let end = (block.beats.get(self.beat)).map_or(block.flows.len(), |&(at, _)| at);
-        &block.flows[self.flow..end]
+        block.flows.run(self.flow..end)
+    }
+
+    /// The first `n` of [`flows`](Self::flows).
+    fn first_flows(&self, n: usize) -> CaptureRun<'_> {
+        self.blocks[0].flows.run(self.flow..self.flow + n)
     }
 
     /// Take the heartbeat at the head.
@@ -747,15 +777,16 @@ impl Replay {
             let open = window(source);
             let lane = &self.lanes[s];
             let flows = lane.flows();
-            let run = (flows.iter())
-                .take_while(|flow| {
-                    let key = lane.key(flow.start_ms, false, s);
+            let run = (flows.start_ms().iter())
+                .take_while(|&&ms| {
+                    let ms = u64::from(ms);
+                    let key = lane.key(ms, false, s);
                     let below = |bound: Option<Key>| bound.map_or(true, |b| key < b);
-                    let inside = open.as_ref().is_some_and(|w| w.contains(&flow.start_ms));
+                    let inside = open.as_ref().is_some_and(|w| w.contains(&ms));
                     (below(head) || inside && below(barrier)) && held.map_or(true, |h| key.0 <= h)
                 })
                 .count();
-            return Some((source, Arrival::Run(&flows[..run])));
+            return Some((source, Arrival::Run(lane.first_flows(run))));
         }
     }
 
@@ -776,7 +807,7 @@ impl Replay {
                 return;
             };
             if let Arrival::Run(run) = arrival {
-                let n = (run.len() as u64).min(flows);
+                let n = (run.flow_count() as u64).min(flows);
                 self.consume(source, n as usize);
                 flows -= n;
             }
@@ -1076,7 +1107,10 @@ fn replay_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
         0 => None,
         n => Some(n),
     };
+    let reading = Instant::now();
     let mut replay = Replay::open(args, config.interval_ms)?;
+    let read = reading.elapsed();
+    let read_flows = replay.lanes.iter().map(Lane::flow_count).sum();
 
     // Resume restores the full online state — configuration included —
     // from the checkpoint; otherwise start cold from the CLI options.
@@ -1135,13 +1169,14 @@ fn replay_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
     };
     // A resumed run skips what the checkpointed one fed: its flows, and
     // the heartbeats among them.
-    replay.skip(engine.total_flows());
+    let skipped = engine.total_flows();
+    replay.skip(skipped);
     let first = engine.assembler().closed_intervals();
     let mut checkpointed = first;
     while let Some((source, arrival)) = replay.next(|s| engine.assembler().open_window(s)) {
         let events = match arrival {
             Arrival::Run(flows) => {
-                let (n, events) = engine.push_run(source, flows);
+                let (n, events) = engine.push_run(source, &flows);
                 replay.consume(source, n);
                 events
             }
@@ -1229,10 +1264,38 @@ fn replay_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
             summary.reconfigs_applied, summary.reconfigs_rejected
         );
     }
+    if args.flag("timings") {
+        let engine_micros = printer.latencies.iter().sum();
+        let fed = summary.total_flows - skipped;
+        trailer += &timings_line(read, read_flows, summary.assembly, fed, engine_micros);
+    }
     printer
         .out
         .write_all(trailer.as_bytes())
         .map_err(write_error)
+}
+
+/// The `--timings` trailer line: the captures' read time and flow count,
+/// the merge grid's assembly time over the `fed` flows fed to it, and the
+/// engine's summed per-interval time, as `key=value` pairs.
+fn timings_line(
+    read: Duration,
+    read_flows: usize,
+    assembly: Duration,
+    fed: u64,
+    engine_micros: u64,
+) -> String {
+    let ms = |d: Duration| d.as_secs_f64() * 1e3;
+    let per_flow = |d: Duration, flows: f64| d.as_secs_f64() * 1e9 / flows.max(1.0);
+    format!(
+        "timings: read_ms={:.3} read_flows={read_flows} read_ns_per_flow={:.1} \
+         assembly_ms={:.3} assembly_ns_per_flow={:.1} engine_ms={:.3}\n",
+        ms(read),
+        per_flow(read, read_flows as f64),
+        ms(assembly),
+        per_flow(assembly, fed as f64),
+        engine_micros as f64 / 1e3
+    )
 }
 
 /// Parse a comma-separated `feature=value` list into meta-data.
@@ -1465,6 +1528,60 @@ mod tests {
         text.lines()
             .find(|l| l.starts_with(prefix))
             .unwrap_or_else(|| panic!("no {prefix:?} line in {text}"))
+    }
+
+    /// `--timings` adds one `timings:` line of `key=value` pairs to the
+    /// trailer and changes nothing else: on a two-link fan-in, for
+    /// `extract` and `stream`, the line parses, reads every flow of both
+    /// captures, times each stage at a finite non-negative value, and
+    /// everything before it is the output without the option.
+    #[test]
+    fn timings_print_one_parseable_trailer_line() {
+        let dir = scratch_dir("anomex-cli-timings-test");
+        let scenario = MultiSourceScenario::uniform(4, 2);
+        let ins = write_traces(&dir, 2, 14, |s, i| scenario.generate(s, i).flows).join(" ");
+        let flows: usize = (0..2)
+            .map(|s| {
+                (0..14)
+                    .map(|i| scenario.generate(s, i).flows.len())
+                    .sum::<usize>()
+            })
+            .sum();
+        for command in ["extract", "stream --verbose"] {
+            let line = format!("{command} {ins} --interval-min 1 --training 10 --support 200");
+            let plain = mask_micros(&run(replay_to, &line));
+            let timed = run(replay_to, &format!("{line} --timings"));
+            let (rest, last) = timed.trim_end().rsplit_once('\n').unwrap();
+            assert_eq!(mask_micros(&format!("{rest}\n")), plain, "{command}");
+            let pairs: Vec<(&str, f64)> = (last.strip_prefix("timings: "))
+                .unwrap_or_else(|| panic!("{command}: last line {last:?}"))
+                .split(' ')
+                .map(|pair| {
+                    let (key, value) = pair.split_once('=').unwrap();
+                    (key, value.parse().unwrap())
+                })
+                .collect();
+            let keys: Vec<&str> = pairs.iter().map(|p| p.0).collect();
+            assert_eq!(
+                keys,
+                [
+                    "read_ms",
+                    "read_flows",
+                    "read_ns_per_flow",
+                    "assembly_ms",
+                    "assembly_ns_per_flow",
+                    "engine_ms"
+                ],
+                "{command}"
+            );
+            assert_eq!(pairs[1].1, flows as f64, "{command}: flows read");
+            assert!(
+                pairs.iter().all(|p| p.1.is_finite() && p.1 >= 0.0),
+                "{command}: {pairs:?}"
+            );
+            assert!(pairs[3].1 > 0.0 && pairs[5].1 > 0.0, "{command}: {pairs:?}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1942,10 +2059,11 @@ mod tests {
             match arrival {
                 Arrival::Heartbeat(ms) => out.push((source, Single::Beat(ms))),
                 Arrival::Run(run) => {
-                    assert!(!run.is_empty(), "a run holds a flow");
-                    let n = take(run.len());
-                    out.extend(run[..n].iter().map(|&flow| (source, Single::Flow(flow))));
-                    runs.push((flows, run.len()));
+                    let len = run.flow_count();
+                    assert!(len > 0, "a run holds a flow");
+                    let n = take(len);
+                    out.extend((0..n).map(|i| (source, Single::Flow(run.record_at(i)))));
+                    runs.push((flows, len));
                     flows += n;
                     replay.consume(source, n);
                 }
@@ -2225,7 +2343,7 @@ mod tests {
             let events = match arrival {
                 Arrival::Run(flows) => {
                     trace.runs += 1;
-                    let (n, events) = engine.push_run(source, flows);
+                    let (n, events) = engine.push_run(source, &flows);
                     replay.consume(source, n);
                     events
                 }
@@ -2380,7 +2498,7 @@ mod tests {
         while let Some((source, arrival)) = replay.next(|s| merge.open_window(s)) {
             match arrival {
                 Arrival::Run(run) => {
-                    let n = merge.push_run(source, run).0;
+                    let n = merge.push_run(source, &run).0;
                     replay.consume(source, n);
                     (runs, flows) = (runs + 1, flows + n);
                 }

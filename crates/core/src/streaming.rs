@@ -31,7 +31,8 @@
 //! One exporter is a fan-in of one: a one-lane grid closes exactly the
 //! windows a plain assembler would.
 //!
-//! Flows arrive in runs of one source's records
+//! Flows arrive in runs of one source's flows — records, or a row range
+//! of a wire-width capture block
 //! ([`MultiSourceExtractor::push_run`]); each run stops at the first flow
 //! that closes one of that source's windows, so events, drop counts and
 //! checkpoints are those of feeding the flows one at a time, while the
@@ -60,13 +61,13 @@ use std::path::Path;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use anomex_mining::RuleSet;
 use anomex_netflow::snapshot::{read_checkpoint, write_checkpoint, SnapshotReader, SnapshotWriter};
 use anomex_netflow::{
-    FlowRecord, IntervalAssembler, MergeAssembler, MergeConfig, MergedInterval, RestoreError,
-    SourceId, SourceSpec, SourceStats,
+    FlowRecord, FlowRun, IntervalAssembler, MergeAssembler, MergeConfig, MergedInterval,
+    RestoreError, SourceId, SourceSpec, SourceStats,
 };
 
 use crate::config::{ConfigError, ExtractionConfig};
@@ -402,7 +403,10 @@ impl MultiStreamEvent {
 }
 
 /// End-of-stream accounting returned by [`MultiSourceExtractor::finish`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Two summaries are equal when they count the same stream: `==`
+/// compares every field but the wall-clock [`assembly`](Self::assembly).
+#[derive(Debug, Clone)]
 pub struct MultiStreamSummary {
     /// Grid intervals closed (and processed).
     pub intervals: u64,
@@ -426,7 +430,48 @@ pub struct MultiStreamSummary {
     /// Reconfiguration requests rejected by validation — the engine kept
     /// its previous parameters.
     pub reconfigs_rejected: u64,
+    /// Wall-clock time this extractor spent in its own merge grid calls
+    /// — assembling windows from the runs and heartbeats it was fed, and
+    /// merging closed ones — since it was built or restored. The wait
+    /// for the pipeline thread is not counted.
+    pub assembly: Duration,
 }
+
+impl PartialEq for MultiStreamSummary {
+    fn eq(&self, other: &Self) -> bool {
+        let counts = |s: &Self| {
+            let MultiStreamSummary {
+                intervals,
+                alarms,
+                extractions,
+                total_flows,
+                dropped_flows,
+                trained,
+                sources,
+                reconfigs_applied,
+                reconfigs_rejected,
+                assembly: _,
+            } = s;
+            let numbers = [
+                *intervals,
+                *alarms,
+                *extractions,
+                *total_flows,
+                *dropped_flows,
+            ];
+            (
+                numbers,
+                *trained,
+                sources.clone(),
+                *reconfigs_applied,
+                *reconfigs_rejected,
+            )
+        };
+        counts(self) == counts(other)
+    }
+}
+
+impl Eq for MultiStreamSummary {}
 
 /// The streaming pipeline: N exporters (one or more) fanned in onto one
 /// interval grid, extracted by one engine.
@@ -449,6 +494,8 @@ pub struct MultiSourceExtractor {
     /// The configuration every interval submitted from now on runs under.
     config: ExtractionConfig,
     total_flows: u64,
+    /// Time spent in the merge grid's calls ([`MultiStreamSummary::assembly`]).
+    assembly: Duration,
     /// Whether events fill [`MultiStreamEvent::flow_data`] (legacy).
     pub(crate) flow_data: bool,
 }
@@ -480,6 +527,7 @@ impl MultiSourceExtractor {
             pipe: PipelineHandle::spawn(engine, [0; 5])?,
             config,
             total_flows: 0,
+            assembly: Duration::ZERO,
             flow_data: false,
         })
     }
@@ -581,6 +629,7 @@ impl MultiSourceExtractor {
             pipe,
             config,
             total_flows,
+            assembly: Duration::ZERO,
             flow_data: false,
         })
     }
@@ -683,7 +732,8 @@ impl MultiSourceExtractor {
         self.push_run(source, std::slice::from_ref(&flow)).1
     }
 
-    /// Feed a run of flows from `source`, up to and including the first
+    /// Feed a run of flows from `source` — records, or a row range of a
+    /// capture block ([`FlowRun`]) — up to and including the first
     /// flow that closes one of the source's windows
     /// ([`MergeAssembler::push_run`]): every event, drop count and
     /// checkpoint is the one [`push`](Self::push) on each of those flows
@@ -698,12 +748,12 @@ impl MultiSourceExtractor {
     /// Panics when `source` is unknown or already finished; re-raises a
     /// panic from the pipeline thread (the engine panicking on a
     /// poisoned interval).
-    pub fn push_run(
+    pub fn push_run<R: FlowRun + ?Sized>(
         &mut self,
         source: SourceId,
-        flows: &[FlowRecord],
+        run: &R,
     ) -> (usize, Vec<MultiStreamEvent>) {
-        let (consumed, merged) = self.assembler.push_run(source, flows);
+        let (consumed, merged) = self.assemble(|grid| grid.push_run(source, run));
         self.total_flows += consumed as u64;
         (consumed, self.submit_merged(merged))
     }
@@ -719,7 +769,7 @@ impl MultiSourceExtractor {
     /// Panics when `source` is unknown or already finished; re-raises a
     /// panic from the pipeline thread.
     pub fn heartbeat(&mut self, source: SourceId, now_ms: u64) -> Vec<MultiStreamEvent> {
-        let merged = self.assembler.heartbeat(source, now_ms);
+        let merged = self.assemble(|grid| grid.heartbeat(source, now_ms));
         self.submit_merged(merged)
     }
 
@@ -731,7 +781,7 @@ impl MultiSourceExtractor {
     /// Panics when `source` is unknown; re-raises a panic from the
     /// pipeline thread.
     pub fn finish_source(&mut self, source: SourceId) -> Vec<MultiStreamEvent> {
-        let merged = self.assembler.finish_source(source);
+        let merged = self.assemble(|grid| grid.finish_source(source));
         self.submit_merged(merged)
     }
 
@@ -744,7 +794,7 @@ impl MultiSourceExtractor {
     /// Re-raises a panic from the pipeline thread.
     #[must_use]
     pub fn finish(mut self) -> (Vec<MultiStreamEvent>, MultiStreamSummary) {
-        let merged = self.assembler.flush();
+        let merged = self.assemble(MergeAssembler::flush);
         let mut events = self.submit_merged(merged);
         let (tail, engine) = self.pipe.finish();
         events.extend(tail);
@@ -758,8 +808,18 @@ impl MultiSourceExtractor {
             sources: self.assembler.source_stats(),
             reconfigs_applied: self.pipe.reconfigs_applied,
             reconfigs_rejected: self.pipe.reconfigs_rejected,
+            assembly: self.assembly,
         };
         (events, summary)
+    }
+
+    /// Run one merge grid call, adding its time to
+    /// [`MultiStreamSummary::assembly`].
+    fn assemble<T>(&mut self, call: impl FnOnce(&mut MergeAssembler) -> T) -> T {
+        let started = Instant::now();
+        let out = call(&mut self.assembler);
+        self.assembly += started.elapsed();
+        out
     }
 
     /// Submit freshly merged intervals to the pipeline thread and return

@@ -13,7 +13,9 @@ use anomex_core::{
 use anomex_detector::DetectorConfig;
 use anomex_mining::RuleConfig;
 use anomex_netflow::snapshot::{RestoreError, SnapshotWriter};
-use anomex_netflow::{FlowColumns, FlowRecord, Protocol, SourceId, SourceSpec};
+use anomex_netflow::v5::V5Exporter;
+use anomex_netflow::v9::TraceReader;
+use anomex_netflow::{CaptureColumns, FlowColumns, FlowRecord, Protocol, SourceId, SourceSpec};
 use anomex_traffic::{MultiSourceScenario, Scenario};
 
 const SRC: SourceId = SourceId(0);
@@ -486,12 +488,26 @@ fn a_fan_in_twice_in_one_process_gives_the_same_bytes() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Runs are the per-flow pushes they stand for. Two sources on
-/// skewed origins, one with a pre-origin flow, a late flow and a gap
-/// of three windows, fed whole per-interval runs (each passed again
-/// from where the last call stopped), give the events of pushing
-/// every flow on its own: indices, flow counts, per-source weights,
-/// cumulative drops and outcomes — and the same summary.
+/// `flows` exported as v5 datagrams and read back into one wire-width
+/// capture block, as a replay lane holds them.
+fn capture_block(flows: &[FlowRecord]) -> CaptureColumns {
+    let bytes = V5Exporter::new().export(flows).concat();
+    let mut reader = TraceReader::new(&bytes[..]);
+    let mut block = CaptureColumns::new();
+    while let Some(packet) = reader.read_columns(&mut block) {
+        packet.unwrap();
+    }
+    block
+}
+
+/// Runs are the per-flow pushes they stand for, in either layout. Two
+/// sources on skewed origins, one with a pre-origin flow, a late flow
+/// and a gap of three windows, fed whole per-interval runs (each passed
+/// again from where the last call stopped) — as records, and as row
+/// ranges of each interval's capture exported and read back — give the
+/// events of pushing every flow on its own: indices, flow counts,
+/// per-source weights, cumulative drops and outcomes — and the same
+/// summary.
 #[test]
 fn push_run_gives_the_events_of_per_flow_pushes() {
     let scenario = Scenario::small(11);
@@ -516,9 +532,9 @@ fn push_run_gives_the_events_of_per_flow_pushes() {
         script.push((SourceId(1), other));
     }
     let config = stream_config(delta);
-    let mut by_flow = MultiSourceExtractor::new(config.clone(), &specs, None).unwrap();
-    let mut by_run = MultiSourceExtractor::new(config, &specs, None).unwrap();
-    let (mut flow_events, mut run_events) = (Vec::new(), Vec::new());
+    let engine = || MultiSourceExtractor::new(config.clone(), &specs, None).unwrap();
+    let (mut by_flow, mut by_run, mut by_rows) = (engine(), engine(), engine());
+    let (mut flow_events, mut run_events, mut row_events) = (Vec::new(), Vec::new(), Vec::new());
     for (source, flows) in &script {
         for &flow in flows {
             flow_events.extend(by_flow.push(*source, flow));
@@ -530,19 +546,34 @@ fn push_run_gives_the_events_of_per_flow_pushes() {
             run_events.extend(events);
             rest = &rest[n..];
         }
+        let block = capture_block(flows);
+        let rows: Vec<FlowRecord> = (0..block.len()).map(|i| block.get(i)).collect();
+        assert_eq!(&rows, flows, "every flow fits the wire");
+        let mut at = 0;
+        while at < block.len() {
+            let (n, events) = by_rows.push_run(*source, &block.run(at..block.len()));
+            assert!(n > 0, "a run consumes at least one flow");
+            row_events.extend(events);
+            at += n;
+        }
     }
     let (tail, flow_summary) = by_flow.finish();
     flow_events.extend(tail);
     let (tail, run_summary) = by_run.finish();
     run_events.extend(tail);
+    let (tail, row_summary) = by_rows.finish();
+    row_events.extend(tail);
     assert_eq!(run_summary, flow_summary);
+    assert_eq!(row_summary, flow_summary);
     assert_eq!(run_summary.dropped_flows, 2, "one pre-origin, one late");
     assert!(run_summary.extractions > 0, "the planted flood extracts");
-    assert_eq!(run_events.len(), flow_events.len());
-    for (a, b) in run_events.iter().zip(&flow_events) {
-        assert_eq!(a.source_flows, b.source_flows);
-        assert_eq!(a.event.dropped_flows, b.event.dropped_flows);
-        assert_same_event(&a.event, &b.event);
+    for got in [&run_events, &row_events] {
+        assert_eq!(got.len(), flow_events.len());
+        for (a, b) in got.iter().zip(&flow_events) {
+            assert_eq!(a.source_flows, b.source_flows);
+            assert_eq!(a.event.dropped_flows, b.event.dropped_flows);
+            assert_same_event(&a.event, &b.event);
+        }
     }
     let drops: Vec<u64> = run_events.iter().map(|e| e.event.dropped_flows).collect();
     assert!(drops.contains(&1) && drops.contains(&2), "{drops:?}");

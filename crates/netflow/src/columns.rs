@@ -257,6 +257,44 @@ impl FlowColumns {
     }
 }
 
+/// A run of flows an interval assembler takes at once, in either
+/// layout: a record slice or a [`CaptureRun`](crate::CaptureRun) of a
+/// capture block. It gives what the assembler's one run loop reads: a
+/// row's start time to find the in-window prefix, the rows of that
+/// prefix appended to the window's columns, and a row as a record for
+/// the one flow that closes a window.
+pub trait FlowRun {
+    /// Number of flows in the run.
+    fn flow_count(&self) -> usize;
+
+    /// Row `i`'s start time, ms.
+    fn start_ms_at(&self, i: usize) -> u64;
+
+    /// Row `i` as a [`FlowRecord`].
+    fn record_at(&self, i: usize) -> FlowRecord;
+
+    /// Append rows `rows` of the run to `out`, one column at a time.
+    fn append_rows(&self, rows: Range<usize>, out: &mut FlowColumns);
+}
+
+impl FlowRun for [FlowRecord] {
+    fn flow_count(&self) -> usize {
+        self.len()
+    }
+
+    fn start_ms_at(&self, i: usize) -> u64 {
+        self[i].start_ms
+    }
+
+    fn record_at(&self, i: usize) -> FlowRecord {
+        self[i]
+    }
+
+    fn append_rows(&self, rows: Range<usize>, out: &mut FlowColumns) {
+        out.extend_from_flows(&self[rows]);
+    }
+}
+
 impl From<&[FlowRecord]> for FlowColumns {
     fn from(flows: &[FlowRecord]) -> Self {
         FlowColumns::from_flows(flows)

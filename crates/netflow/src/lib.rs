@@ -28,6 +28,9 @@
 //! - [`FlowColumns`] — struct-of-arrays storage of a flow batch (one
 //!   contiguous column per feature) for cache-friendly single-column
 //!   scans;
+//! - [`CaptureColumns`] — a stretch of a capture held at wire width
+//!   (30 bytes a flow), which the assemblers take a row range of
+//!   ([`CaptureRun`]) through [`FlowRun`], as they take record slices;
 //! - [`snapshot`] — the versioned, checksummed checkpoint codec that
 //!   durable operation is built on: atomic checkpoint files, bit-exact
 //!   state round trips, and typed [`RestoreError`]s on hostile input.
@@ -38,6 +41,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod capture;
 pub mod columns;
 pub mod error;
 pub mod feature;
@@ -51,7 +55,8 @@ pub mod trace;
 pub mod v5;
 pub mod v9;
 
-pub use columns::FlowColumns;
+pub use capture::{CaptureColumns, CaptureRun};
+pub use columns::{FlowColumns, FlowRun};
 pub use error::{ConfigError, DecodeError, EncodeError, ReadError};
 pub use feature::{FeatureValue, FlowFeature, ParseFeatureValueError};
 pub use flow::{FlowRecord, Protocol, TcpFlags};

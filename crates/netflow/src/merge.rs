@@ -47,7 +47,7 @@
 use std::collections::BTreeMap;
 use std::ops::Range;
 
-use crate::columns::FlowColumns;
+use crate::columns::{FlowColumns, FlowRun};
 use crate::error::ConfigError;
 use crate::flow::FlowRecord;
 use crate::snapshot::{RestoreError, SnapshotReader, SnapshotWriter};
@@ -230,7 +230,8 @@ impl MergeAssembler {
         self.push_run(source, std::slice::from_ref(&flow)).1
     }
 
-    /// Feed a run of flows from `source`, through its lane's
+    /// Feed a run of flows from `source` — records, or a row range of a
+    /// capture block ([`FlowRun`]) — through its lane's
     /// [`IntervalAssembler::push_run`]: the run stops at the first flow
     /// that closes one of the source's windows, which is the only flow
     /// that can move the grid. Returns how many flows were consumed and
@@ -243,15 +244,15 @@ impl MergeAssembler {
     /// Panics when `source` was not registered at construction, or when
     /// `source` already declared end-of-stream via
     /// [`finish_source`](Self::finish_source).
-    pub fn push_run(
+    pub fn push_run<R: FlowRun + ?Sized>(
         &mut self,
         source: SourceId,
-        flows: &[FlowRecord],
+        run: &R,
     ) -> (usize, Vec<MergedInterval>) {
         let grid_next = self.grid_next;
         let lane = self.lane_mut(source);
         assert!(!lane.finished, "source {source} already finished");
-        let (consumed, closed) = lane.assembler.push_run(flows);
+        let (consumed, closed) = lane.assembler.push_run(run);
         lane.flows += consumed as u64;
         if closed.is_empty() {
             // The watermark and the lateness frontier only move when a

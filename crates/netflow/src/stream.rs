@@ -18,14 +18,16 @@
 //! Flows land straight in the open window's [`FlowColumns`], the layout
 //! the engine scans, so a closed interval needs no transpose. A new
 //! window reserves the rows of the one before it.
-//! [`push_run`](IntervalAssembler::push_run) takes a run of records at
-//! once: the part of it inside the open window becomes one `extend` per
-//! column, and the run stops at the first flow that closes a window, so
-//! it is exactly [`push`](IntervalAssembler::push) on each of its flows.
+//! [`push_run`](IntervalAssembler::push_run) takes a run of flows at
+//! once, as records or as a row range of a wire-width capture block
+//! ([`FlowRun`]): the part of it inside the open window becomes one
+//! `extend` per column, and the run stops at the first flow that closes
+//! a window, so it is exactly [`push`](IntervalAssembler::push) on each
+//! of its flows.
 
 use std::ops::Range;
 
-use crate::columns::FlowColumns;
+use crate::columns::{FlowColumns, FlowRun};
 use crate::error::ConfigError;
 use crate::flow::FlowRecord;
 use crate::snapshot::{RestoreError, SnapshotReader, SnapshotWriter};
@@ -138,28 +140,30 @@ impl IntervalAssembler {
     /// turn, up to and including the first flow that closes a window.
     /// Returns how many flows were consumed and the intervals that flow
     /// closed; a caller with flows left passes them again. Each piece of
-    /// the run that falls in the open window is appended with one
-    /// [`FlowColumns::extend_from_flows`], its bounds computed once.
-    pub fn push_run(&mut self, flows: &[FlowRecord]) -> (usize, Vec<ClosedInterval>) {
+    /// the run that falls in the open window, found on the run's start
+    /// times, is appended with one [`FlowRun::append_rows`]; only the
+    /// flow after it is taken as a record.
+    pub fn push_run<R: FlowRun + ?Sized>(&mut self, run: &R) -> (usize, Vec<ClosedInterval>) {
+        let len = run.flow_count();
         let mut at = 0;
-        while at < flows.len() {
+        while at < len {
             if let Some(open) = self.open_window() {
-                let inside = (flows[at..].iter())
-                    .take_while(|flow| open.contains(&flow.start_ms))
+                let inside = (at..len)
+                    .take_while(|&i| open.contains(&run.start_ms_at(i)))
                     .count();
-                self.current.extend_from_flows(&flows[at..at + inside]);
+                run.append_rows(at..at + inside, &mut self.current);
                 at += inside;
-                if at == flows.len() {
+                if at == len {
                     break;
                 }
             }
-            let closed = self.push(flows[at]);
+            let closed = self.push(run.record_at(at));
             at += 1;
             if !closed.is_empty() {
                 return (at, closed);
             }
         }
-        (flows.len(), Vec::new())
+        (len, Vec::new())
     }
 
     /// The open window, source-local ms: a flow dated inside it is

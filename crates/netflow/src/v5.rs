@@ -106,28 +106,21 @@ pub fn encode_datagram(
     buf.push(0); // engine_id
     put_u16(&mut buf, 0); // sampling: non-sampled
 
-    // -- records --
+    // -- records: the modelled fields at their offsets, the rest zero --
     for flow in flows {
-        put_u32(&mut buf, u32::from(flow.src_ip));
-        put_u32(&mut buf, u32::from(flow.dst_ip));
-        put_u32(&mut buf, 0); // nexthop
-        put_u16(&mut buf, 0); // input ifindex
-        put_u16(&mut buf, 0); // output ifindex
-        put_u32(&mut buf, flow.packets);
-        put_u32(&mut buf, flow.bytes);
-        put_u32(&mut buf, flow.start_ms as u32); // first (sysuptime ms)
-        put_u32(&mut buf, flow.end_ms as u32); // last
-        put_u16(&mut buf, flow.src_port);
-        put_u16(&mut buf, flow.dst_port);
-        buf.push(0); // pad1
-        buf.push(flow.tcp_flags.0);
-        buf.push(flow.proto.number());
-        buf.push(0); // tos
-        put_u16(&mut buf, 0); // src_as
-        put_u16(&mut buf, 0); // dst_as
-        buf.push(0); // src_mask
-        buf.push(0); // dst_mask
-        put_u16(&mut buf, 0); // pad2
+        let mut rec = [0u8; V5_RECORD_LEN];
+        let mut set = |at: usize, bytes: &[u8]| rec[at..at + bytes.len()].copy_from_slice(bytes);
+        set(field::SRC_IP, &u32::from(flow.src_ip).to_be_bytes());
+        set(field::DST_IP, &u32::from(flow.dst_ip).to_be_bytes());
+        set(field::PACKETS, &flow.packets.to_be_bytes());
+        set(field::BYTES, &flow.bytes.to_be_bytes());
+        set(field::FIRST, &(flow.start_ms as u32).to_be_bytes()); // sysuptime ms
+        set(field::LAST, &(flow.end_ms as u32).to_be_bytes());
+        set(field::SRC_PORT, &flow.src_port.to_be_bytes());
+        set(field::DST_PORT, &flow.dst_port.to_be_bytes());
+        set(field::TCP_FLAGS, &[flow.tcp_flags.0]);
+        set(field::PROTO, &[flow.proto.number()]);
+        buf.extend_from_slice(&rec);
     }
     Ok(buf)
 }
@@ -175,20 +168,61 @@ pub(crate) fn split_datagram(data: &[u8]) -> Result<(V5Header, &[u8]), DecodeErr
     Ok((header, &records[..need]))
 }
 
-/// Decode one 48-byte v5 flow record. Next-hop, interface indices, ToS,
-/// AS numbers, masks and padding are skipped.
+/// Byte offsets, within a 48-byte v5 flow record, of the fields a
+/// [`FlowRecord`] models: the one description of the record layout,
+/// which the encoder and both decode paths (records and capture columns)
+/// read. Next-hop, interface indices, ToS, AS numbers, masks and padding
+/// are the bytes it leaves out.
+pub(crate) mod field {
+    /// `srcaddr`, `u32`.
+    pub(crate) const SRC_IP: usize = 0;
+    /// `dstaddr`, `u32`.
+    pub(crate) const DST_IP: usize = 4;
+    /// `dPkts`, `u32`.
+    pub(crate) const PACKETS: usize = 16;
+    /// `dOctets`, `u32`.
+    pub(crate) const BYTES: usize = 20;
+    /// `first`, `u32` sysuptime ms: the flow's start.
+    pub(crate) const FIRST: usize = 24;
+    /// `last`, `u32` sysuptime ms: the flow's end.
+    pub(crate) const LAST: usize = 28;
+    /// `srcport`, `u16`.
+    pub(crate) const SRC_PORT: usize = 32;
+    /// `dstport`, `u16`.
+    pub(crate) const DST_PORT: usize = 34;
+    /// `tcp_flags`, `u8`.
+    pub(crate) const TCP_FLAGS: usize = 37;
+    /// `prot`, `u8`.
+    pub(crate) const PROTO: usize = 38;
+}
+
+/// Decode one 48-byte v5 flow record.
 pub(crate) fn decode_record(rec: &[u8]) -> FlowRecord {
     FlowRecord {
-        start_ms: u64::from(be_u32(rec, 24)), // first
-        end_ms: u64::from(be_u32(rec, 28)),   // last
-        src_ip: Ipv4Addr::from(be_u32(rec, 0)),
-        dst_ip: Ipv4Addr::from(be_u32(rec, 4)),
-        src_port: be_u16(rec, 32),
-        dst_port: be_u16(rec, 34),
-        proto: Protocol::from_number(rec[38]),
-        packets: be_u32(rec, 16),
-        bytes: be_u32(rec, 20),
-        tcp_flags: TcpFlags(rec[37]),
+        start_ms: u64::from(be_u32(rec, field::FIRST)),
+        end_ms: u64::from(be_u32(rec, field::LAST)),
+        src_ip: Ipv4Addr::from(be_u32(rec, field::SRC_IP)),
+        dst_ip: Ipv4Addr::from(be_u32(rec, field::DST_IP)),
+        src_port: be_u16(rec, field::SRC_PORT),
+        dst_port: be_u16(rec, field::DST_PORT),
+        proto: Protocol::from_number(rec[field::PROTO]),
+        packets: be_u32(rec, field::PACKETS),
+        bytes: be_u32(rec, field::BYTES),
+        tcp_flags: TcpFlags(rec[field::TCP_FLAGS]),
+    }
+}
+
+/// Where a datagram's records go once it is validated: decoded to
+/// [`FlowRecord`]s, or into the columns of a capture block. The capture
+/// reader's one framing loop is generic over it.
+pub(crate) trait RecordSink {
+    /// Append every 48-byte record of `records`, in order.
+    fn append_records(&mut self, records: &[u8]);
+}
+
+impl RecordSink for Vec<FlowRecord> {
+    fn append_records(&mut self, records: &[u8]) {
+        self.extend(records.chunks_exact(V5_RECORD_LEN).map(decode_record));
     }
 }
 
@@ -209,10 +243,10 @@ pub fn decode_datagram(data: &[u8]) -> Result<V5Datagram, DecodeError> {
 /// is unchanged on error; the errors are [`decode_datagram`]'s.
 pub(crate) fn decode_records_into(
     data: &[u8],
-    out: &mut Vec<FlowRecord>,
+    out: &mut impl RecordSink,
 ) -> Result<V5Header, DecodeError> {
     let (header, records) = split_datagram(data)?;
-    out.extend(records.chunks_exact(V5_RECORD_LEN).map(decode_record));
+    out.append_records(records);
     Ok(header)
 }
 

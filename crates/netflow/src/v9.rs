@@ -19,18 +19,20 @@
 //!
 //! [`TraceReader`] reads a capture interleaving v5 datagrams with
 //! v9/IPFIX punctuation from any [`Read`], packet by packet, dispatching
-//! on each packet's leading version word: as [`TraceItem`]s, or with
-//! [`TraceReader::read_into`] appending each datagram's records to a
-//! caller-owned `Vec` (no allocation per datagram).
+//! on each packet's leading version word: as [`TraceItem`]s, or
+//! appending each datagram's rows to a caller-owned store (no allocation
+//! per datagram) — records with [`TraceReader::read_into`], wire-width
+//! columns with [`TraceReader::read_columns`].
 //! [`decode_mixed_stream`] is the same reader over a byte slice.
 
 use std::io::{self, Read};
 
+use crate::capture::CaptureColumns;
 use crate::error::{DecodeError, ReadError};
 use crate::flow::FlowRecord;
 use crate::v5::{
-    be_u16, be_u32, decode_records_into, put_u16, put_u32, V5Datagram, V5Header, V5_HEADER_LEN,
-    V5_RECORD_LEN,
+    be_u16, be_u32, decode_records_into, put_u16, put_u32, RecordSink, V5Datagram, V5Header,
+    V5_HEADER_LEN, V5_RECORD_LEN,
 };
 
 /// The NetFlow v9 version word.
@@ -307,11 +309,12 @@ pub enum TraceItem {
     Heartbeat(Punctuation),
 }
 
-/// One packet read by [`TraceReader::read_into`], whose records are
-/// already in the caller's `Vec`.
+/// One packet read by [`TraceReader::read_into`] or
+/// [`TraceReader::read_columns`], whose rows are already in the caller's
+/// store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Packet {
-    /// A NetFlow v5 datagram: its `count` records were appended.
+    /// A NetFlow v5 datagram: its `count` rows were appended.
     Flows(V5Header),
     /// A template-only v9/IPFIX packet: an exporter heartbeat.
     Heartbeat(Punctuation),
@@ -359,16 +362,33 @@ impl<R: Read> TraceReader<R> {
     }
 
     /// Read the next packet, appending a v5 datagram's records to
-    /// `flows`: the one framing loop, which [`Iterator::next`] runs with
-    /// a fresh `Vec` per datagram. A caller that reuses `flows` (or
-    /// reserves it) decodes a capture with no allocation per datagram.
-    /// `flows` is appended to only when a datagram is yielded; `None`
-    /// at end of input, and after the first error.
+    /// `flows`; [`Iterator::next`] runs it with a fresh `Vec` per
+    /// datagram. A caller that reuses `flows` (or reserves it) decodes a
+    /// capture with no allocation per datagram. `flows` is appended to
+    /// only when a datagram is yielded; `None` at end of input, and
+    /// after the first error.
     pub fn read_into(&mut self, flows: &mut Vec<FlowRecord>) -> Option<Result<Packet, ReadError>> {
+        self.read_packet(flows)
+    }
+
+    /// [`read_into`](Self::read_into) at wire width: a v5 datagram's
+    /// rows are appended to the columns of `block`, each field decoded
+    /// straight from the datagram. The same packets, rows and errors, on
+    /// the same framing.
+    pub fn read_columns(
+        &mut self,
+        block: &mut CaptureColumns,
+    ) -> Option<Result<Packet, ReadError>> {
+        self.read_packet(block)
+    }
+
+    /// The one framing loop: the next packet, a datagram's rows appended
+    /// to `sink`.
+    fn read_packet(&mut self, sink: &mut impl RecordSink) -> Option<Result<Packet, ReadError>> {
         while !self.failed {
             let pending = &self.buf[self.start..self.end];
             if !pending.is_empty() {
-                match decode_packet(pending, flows) {
+                match decode_packet(pending, sink) {
                     Ok((packet, consumed)) => {
                         self.start += consumed;
                         return Some(Ok(packet));
@@ -438,10 +458,10 @@ fn is_truncation(e: &DecodeError) -> bool {
 }
 
 /// Decode the packet at the front of `data`, dispatching on its version
-/// word: 5 → flow datagram, whose records are appended to `flows`;
-/// 9/10 → punctuation. Returns the packet and its length in bytes, and
-/// leaves `flows` as it was on error.
-fn decode_packet(data: &[u8], flows: &mut Vec<FlowRecord>) -> Result<(Packet, usize), DecodeError> {
+/// word: 5 → flow datagram, whose rows are appended to `sink`; 9/10 →
+/// punctuation. Returns the packet and its length in bytes, and leaves
+/// `sink` as it was on error.
+fn decode_packet(data: &[u8], sink: &mut impl RecordSink) -> Result<(Packet, usize), DecodeError> {
     if data.len() < 2 {
         return Err(DecodeError::TruncatedHeader {
             version: None,
@@ -451,7 +471,7 @@ fn decode_packet(data: &[u8], flows: &mut Vec<FlowRecord>) -> Result<(Packet, us
     }
     match be_u16(data, 0) {
         5 => {
-            let header = decode_records_into(data, flows)?;
+            let header = decode_records_into(data, sink)?;
             let consumed = V5_HEADER_LEN + usize::from(header.count) * V5_RECORD_LEN;
             Ok((Packet::Flows(header), consumed))
         }

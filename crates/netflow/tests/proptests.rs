@@ -10,9 +10,9 @@ use anomex_netflow::v9::{
     Punctuation, TraceItem, TraceReader, IPFIX_VERSION, V9_VERSION,
 };
 use anomex_netflow::{
-    ClosedInterval, DecodeError, FlowFeature, FlowRecord, FlowTrace, IntervalAssembler,
-    MergeAssembler, MergeConfig, MergedInterval, Protocol, ReadError, SourceId, SourceSpec,
-    TcpFlags,
+    CaptureColumns, ClosedInterval, DecodeError, FlowFeature, FlowRecord, FlowTrace,
+    IntervalAssembler, MergeAssembler, MergeConfig, MergedInterval, Protocol, ReadError, SourceId,
+    SourceSpec, TcpFlags,
 };
 use proptest::prelude::*;
 
@@ -115,6 +115,42 @@ fn capture(packets: &[(u8, usize, u32)]) -> (Vec<u8>, Vec<TraceItem>) {
     (bytes, items)
 }
 
+/// Flow `j` of step `i`, starting at `start_ms`, with every other field
+/// set from `i` and `j`: neighbouring rows differ in every column, so a
+/// column copied one row off shows.
+fn varied_flow(start_ms: u64, i: usize, j: usize) -> FlowRecord {
+    let (i, j) = (i as u32, j as u32);
+    FlowRecord::new(
+        start_ms,
+        Ipv4Addr::from(i << 16 | j),
+        Ipv4Addr::from(!(j << 16 | i)),
+        i as u16,
+        j as u16,
+        Protocol::from_number((i + j) as u8),
+    )
+    .with_volume(j + 1, (i + 1) * (j + 1) * 40)
+    .with_end(start_ms + u64::from(j))
+    .with_flags(TcpFlags((i ^ j) as u8))
+}
+
+/// `flows` exported as v5 datagrams and read back: as records, and as
+/// one wire-width capture block whose rows widen to those records.
+fn read_back(flows: &[FlowRecord]) -> (Vec<FlowRecord>, CaptureColumns) {
+    let bytes = V5Exporter::new().export(flows).concat();
+    let (mut records, mut block) = (Vec::new(), CaptureColumns::new());
+    let mut reader = TraceReader::new(&bytes[..]);
+    while let Some(packet) = reader.read_into(&mut records) {
+        packet.unwrap();
+    }
+    let mut reader = TraceReader::new(&bytes[..]);
+    while let Some(packet) = reader.read_columns(&mut block) {
+        packet.unwrap();
+    }
+    let rows: Vec<FlowRecord> = (0..block.len()).map(|i| block.get(i)).collect();
+    assert_eq!(rows, records, "rows widen to the records");
+    (records, block)
+}
+
 /// A source that hands out `data` a few bytes per read — read `i` returns
 /// at most `sizes[i % sizes.len()]` — failing every other read with
 /// `Interrupted` when `interrupt` is set.
@@ -166,6 +202,33 @@ fn drain_into(mut reader: TraceReader<impl Read>) -> (Vec<TraceItem>, Option<Dec
     (items, error)
 }
 
+/// Everything a reader's columnar path yields: each datagram's rows
+/// appended to one wire-width block, widened back to records per
+/// packet, then its one error if any — in the iterator's terms, so the
+/// paths compare directly.
+fn drain_columns(mut reader: TraceReader<impl Read>) -> (Vec<TraceItem>, Option<DecodeError>) {
+    let (mut block, mut items, mut error) = (CaptureColumns::new(), Vec::new(), None);
+    loop {
+        let before = block.len();
+        let Some(packet) = reader.read_columns(&mut block) else {
+            break;
+        };
+        assert!(error.is_none(), "the reader yielded past its error");
+        match packet {
+            Ok(Packet::Flows(header)) => {
+                let flows = (before..block.len()).map(|i| block.get(i)).collect();
+                items.push(TraceItem::Flows(V5Datagram { header, flows }));
+                continue;
+            }
+            Ok(Packet::Heartbeat(punct)) => items.push(TraceItem::Heartbeat(punct)),
+            Err(ReadError::Decode(e)) => error = Some(e),
+            Err(ReadError::Io(e)) => panic!("a source that never fails failed: {e}"),
+        }
+        assert_eq!(block.len(), before, "only a datagram appends rows");
+    }
+    (items, error)
+}
+
 /// Everything a reader yields: its items, then its one error if any.
 fn drain(reader: TraceReader<impl Read>) -> (Vec<TraceItem>, Option<DecodeError>) {
     let (mut items, mut error) = (Vec::new(), None);
@@ -187,9 +250,10 @@ proptest! {
     /// cut at any offset or with one byte flipped, a source that returns
     /// 1..=k bytes per read (and is interrupted) yields exactly the items
     /// of one read of the whole capture, then the same first error —
-    /// which is `decode_mixed_stream`'s answer — and so does its append
-    /// path, `read_into`. An intact capture yields its packets, each as
-    /// decoded on its own.
+    /// which is `decode_mixed_stream`'s answer — and so do its append
+    /// paths: `read_into`, and `read_columns`, whose wire-width rows
+    /// widen to the record path's. An intact capture yields its packets,
+    /// each as decoded on its own.
     #[test]
     fn the_capture_reader_is_the_slice_decoder_at_any_read_size(
         packets in proptest::collection::vec((0u8..3, 0usize..=600, any::<u32>()), 0..24),
@@ -227,6 +291,16 @@ proptest! {
             reads: 0,
         };
         prop_assert_eq!(&drain_into(TraceReader::new(trickle)), &whole);
+        // The columnar path, through the same trickle: the same packets
+        // in the same order, rows that widen to the records, and the
+        // same first error after the same packets.
+        let trickle = Trickle {
+            data: &bytes,
+            sizes: sizes.iter().map(|s| 1 + s % k).collect(),
+            interrupt,
+            reads: 0,
+        };
+        prop_assert_eq!(&drain_columns(TraceReader::new(trickle)), &whole);
         match decode_mixed_stream(&bytes) {
             Ok(items) => prop_assert_eq!((items, None), whole),
             Err(e) => prop_assert_eq!(Some(e), whole.1),
@@ -297,21 +371,28 @@ proptest! {
         prop_assert_eq!(resumed.source_stats(), merged.source_stats());
     }
 
-    /// A run is a per-flow fold cut at its first closing flow. Over one
-    /// to three sources with their own origins, each fed runs of flows on
-    /// a clock that mostly runs forward, jumps several windows ahead, or
-    /// steps back into closed windows (late) or before the origin
-    /// (pre-origin), with heartbeats and `finish_source` in between and
-    /// a lateness bound of none or 0..3 intervals: every
-    /// `IntervalAssembler::push_run` consumes exactly the flows up to and
-    /// including the first one whose `push` closes a window, and returns
-    /// what that push returned; every `MergeAssembler::push_run` stops at
-    /// the same flow and returns the grid intervals that `push` on each
-    /// of those flows returns. After every call, the `SourceStats` and
-    /// both snapshots' bytes equal the per-flow fold's.
+    /// A run is a per-flow fold cut at its first closing flow, in either
+    /// layout. Over one to three sources with their own origins, each
+    /// fed runs of flows on a clock that mostly runs forward, jumps
+    /// several windows ahead, or steps back into closed windows (late)
+    /// or before the origin (pre-origin), with heartbeats and
+    /// `finish_source` in between and a lateness bound of none or 0..3
+    /// intervals. One source in four has its origin and clock past the
+    /// wire's 32 bits: its heartbeats open windows there, and every flow
+    /// it sends, which the wire cuts to the low 32 bits, is pre-origin
+    /// or late — unless a window test reads unwidened times. Each run
+    /// is exported as v5 datagrams and read back, as records and as a
+    /// wire-width capture block: every `IntervalAssembler::push_run`, on
+    /// the records or on a row range of the block, consumes exactly the
+    /// flows up to and including the first one whose `push` closes a
+    /// window, and returns what that push returned; every
+    /// `MergeAssembler::push_run` stops at the same flow and returns the
+    /// grid intervals that `push` on each of those flows returns. After
+    /// every call, the `SourceStats` and all snapshots' bytes equal the
+    /// per-flow fold's.
     #[test]
     fn push_run_is_push_on_each_flow_up_to_the_first_close(
-        origins in proptest::collection::vec(0u64..3_000, 1..=3),
+        origins in proptest::collection::vec((0u64..3_000, 0u8..4), 1..=3),
         interval_ms in 200u64..2_000,
         lag in 0u64..=3,
         bounded in any::<bool>(),
@@ -320,18 +401,24 @@ proptest! {
             0..40,
         ),
     ) {
-        let ip = Ipv4Addr::LOCALHOST;
+        const WRAP: u64 = 1 << 32;
+        let origins: Vec<u64> = (origins.iter())
+            .map(|&(origin, past_the_wire)| origin + WRAP * u64::from(past_the_wire == 0))
+            .collect();
         let specs: Vec<SourceSpec> = (0u32..).zip(&origins).map(|(i, &o)| SourceSpec::new(i, o)).collect();
         let config = MergeConfig {
             interval_ms,
             max_lag_intervals: bounded.then_some(lag),
         };
-        let mut by_run = MergeAssembler::try_new(config, &specs).unwrap();
-        let mut by_flow = MergeAssembler::try_new(config, &specs).unwrap();
-        let lane = |&o: &u64| IntervalAssembler::new(o, interval_ms);
-        let mut runs: Vec<IntervalAssembler> = origins.iter().map(lane).collect();
-        let mut flows: Vec<IntervalAssembler> = origins.iter().map(lane).collect();
-        let mut clocks = vec![0u64; origins.len()];
+        // Per layout — record runs, capture rows, and the per-flow fold
+        // both must equal — one grid and one plain assembler per source.
+        let grid = || MergeAssembler::try_new(config, &specs).unwrap();
+        let (mut by_run, mut by_rows, mut by_flow) = (grid(), grid(), grid());
+        let lanes = || -> Vec<IntervalAssembler> {
+            origins.iter().map(|&o| IntervalAssembler::new(o, interval_ms)).collect()
+        };
+        let (mut runs, mut rows, mut flows) = (lanes(), lanes(), lanes());
+        let mut clocks: Vec<u64> = origins.iter().map(|&o| o / WRAP * WRAP).collect();
         let mut finished = vec![false; origins.len()];
         for (i, (kind, source, deltas)) in steps.into_iter().enumerate() {
             let s = source % origins.len();
@@ -342,13 +429,21 @@ proptest! {
             match kind {
                 0 => {
                     let now = clocks[s] + deltas.first().map_or(0, |d| d.0);
-                    prop_assert_eq!(by_run.heartbeat(src, now), by_flow.heartbeat(src, now));
-                    prop_assert_eq!(runs[s].advance_to(now), flows[s].advance_to(now));
+                    let expected = by_flow.heartbeat(src, now);
+                    prop_assert_eq!(by_run.heartbeat(src, now), expected.clone());
+                    prop_assert_eq!(by_rows.heartbeat(src, now), expected);
+                    let expected = flows[s].advance_to(now);
+                    prop_assert_eq!(runs[s].advance_to(now), expected.clone());
+                    prop_assert_eq!(rows[s].advance_to(now), expected);
                 }
                 1 => {
                     finished[s] = true;
-                    prop_assert_eq!(by_run.finish_source(src), by_flow.finish_source(src));
-                    prop_assert_eq!(runs[s].flush(), flows[s].flush());
+                    let expected = by_flow.finish_source(src);
+                    prop_assert_eq!(by_run.finish_source(src), expected.clone());
+                    prop_assert_eq!(by_rows.finish_source(src), expected);
+                    let expected = flows[s].flush();
+                    prop_assert_eq!(runs[s].flush(), expected.clone());
+                    prop_assert_eq!(rows[s].flush(), expected);
                 }
                 _ => {
                     // Mostly small steps forward; jumps of several
@@ -360,45 +455,56 @@ proptest! {
                                 1 => clocks[s] + delta * 3,
                                 _ => clocks[s] + delta / 16,
                             };
-                            FlowRecord::new(clocks[s], ip, ip, i as u16, j as u16, Protocol::Udp)
+                            varied_flow(clocks[s], i, j)
                         })
                         .collect();
-                    let mut rest = &run[..];
-                    while !rest.is_empty() {
-                        let (n, closed) = runs[s].push_run(rest);
-                        let (mut m, mut expected) = (0, Vec::new());
+                    let (records, block) = read_back(&run);
+                    let mut at = 0;
+                    while at < records.len() {
+                        let rest = &records[at..];
+                        let (mut n, mut expected) = (0, Vec::new());
                         for &flow in rest {
-                            m += 1;
+                            n += 1;
                             expected = flows[s].push(flow);
                             if !expected.is_empty() {
                                 break;
                             }
                         }
-                        prop_assert_eq!((n, closed), (m, expected));
-                        prop_assert_eq!(
-                            snapshot(|w| runs[s].encode_snapshot(w)),
-                            snapshot(|w| flows[s].encode_snapshot(w))
-                        );
-                        let (k, merged) = by_run.push_run(src, rest);
+                        let capture = block.run(at..records.len());
+                        prop_assert_eq!(runs[s].push_run(rest), (n, expected.clone()));
+                        prop_assert_eq!(rows[s].push_run(&capture), (n, expected));
+                        let lane = snapshot(|w| flows[s].encode_snapshot(w));
+                        prop_assert_eq!(snapshot(|w| runs[s].encode_snapshot(w)), lane.clone());
+                        prop_assert_eq!(snapshot(|w| rows[s].encode_snapshot(w)), lane);
+
                         let expected: Vec<MergedInterval> =
                             rest[..n].iter().flat_map(|&flow| by_flow.push(src, flow)).collect();
-                        prop_assert_eq!((k, merged), (n, expected));
-                        prop_assert_eq!(by_run.source_stats(), by_flow.source_stats());
-                        prop_assert_eq!(
-                            snapshot(|w| by_run.encode_snapshot(w)),
-                            snapshot(|w| by_flow.encode_snapshot(w))
-                        );
-                        rest = &rest[n..];
+                        prop_assert_eq!(by_run.push_run(src, rest), (n, expected.clone()));
+                        prop_assert_eq!(by_rows.push_run(src, &capture), (n, expected));
+                        let stats = by_flow.source_stats();
+                        prop_assert_eq!(by_run.source_stats(), stats.clone());
+                        prop_assert_eq!(by_rows.source_stats(), stats);
+                        let grid = snapshot(|w| by_flow.encode_snapshot(w));
+                        prop_assert_eq!(snapshot(|w| by_run.encode_snapshot(w)), grid.clone());
+                        prop_assert_eq!(snapshot(|w| by_rows.encode_snapshot(w)), grid);
+                        at += n;
                     }
                 }
             }
         }
-        prop_assert_eq!(by_run.flush(), by_flow.flush());
+        let tail = by_flow.flush();
+        prop_assert_eq!(by_run.flush(), tail.clone());
+        prop_assert_eq!(by_rows.flush(), tail);
         prop_assert_eq!(by_run.source_stats(), by_flow.source_stats());
-        for (s, (run, flow)) in runs.iter_mut().zip(&mut flows).enumerate() {
-            prop_assert_eq!((run.late_flows(), run.pre_origin_flows()), (flow.late_flows(), flow.pre_origin_flows()));
+        prop_assert_eq!(by_rows.source_stats(), by_flow.source_stats());
+        let drops = |a: &IntervalAssembler| (a.late_flows(), a.pre_origin_flows());
+        for s in 0..origins.len() {
+            prop_assert_eq!(drops(&runs[s]), drops(&flows[s]));
+            prop_assert_eq!(drops(&rows[s]), drops(&flows[s]));
             if !finished[s] {
-                prop_assert_eq!(run.flush(), flow.flush());
+                let expected = flows[s].flush();
+                prop_assert_eq!(runs[s].flush(), expected.clone());
+                prop_assert_eq!(rows[s].flush(), expected);
             }
         }
     }

@@ -1,8 +1,9 @@
-//! Allocation guard for the capture reader's append path
-//! (`anomex_netflow::v9::TraceReader::read_into`): decoding a capture
-//! into one reserved `Vec` allocates no more for 10 000 datagrams than
-//! for 100 — the reader's refill buffer, and nothing per datagram or per
-//! heartbeat.
+//! Allocation guard for the capture reader's append paths
+//! (`anomex_netflow::v9::TraceReader::read_into` and `read_columns`):
+//! decoding a capture into one reserved `Vec`, or into one reserved
+//! wire-width `CaptureColumns` block, allocates no more for 10 000
+//! datagrams than for 100 — the reader's refill buffer, and nothing per
+//! datagram or per heartbeat.
 //!
 //! A test binary of its own, with one test, because the counting
 //! allocator is process-wide. It counts only the test's own thread, as
@@ -18,7 +19,7 @@ use anomex::netflow::v5::V5Exporter;
 use anomex::netflow::v9::{
     encode_ipfix_options_template, encode_v9_options_template, Packet, TraceReader,
 };
-use anomex::netflow::{FlowRecord, Protocol};
+use anomex::netflow::{CaptureColumns, FlowRecord, Protocol};
 
 /// The system allocator plus a count of allocations (fresh or grown)
 /// made by threads that set [`COUNTED`].
@@ -115,17 +116,54 @@ impl Read for Capture {
     }
 }
 
+/// A store a capture's rows are appended to, reserved up front.
+trait Rows: Sized {
+    fn reserved(rows: usize) -> Self;
+    fn read(&mut self, reader: &mut TraceReader<Capture>) -> Option<Packet>;
+    fn len(&self) -> usize;
+}
+
+impl Rows for Vec<FlowRecord> {
+    fn reserved(rows: usize) -> Self {
+        Vec::with_capacity(rows)
+    }
+
+    fn read(&mut self, reader: &mut TraceReader<Capture>) -> Option<Packet> {
+        let packet = reader.read_into(self)?;
+        Some(packet.expect("the capture decodes"))
+    }
+
+    fn len(&self) -> usize {
+        Vec::len(self)
+    }
+}
+
+impl Rows for CaptureColumns {
+    fn reserved(rows: usize) -> Self {
+        CaptureColumns::with_capacity(rows)
+    }
+
+    fn read(&mut self, reader: &mut TraceReader<Capture>) -> Option<Packet> {
+        let packet = reader.read_columns(self)?;
+        Some(packet.expect("the capture decodes"))
+    }
+
+    fn len(&self) -> usize {
+        CaptureColumns::len(self)
+    }
+}
+
 /// How many allocations reading a capture of `datagrams` datagrams (and
-/// twice as many heartbeats) makes, every record appended to one `Vec`
+/// twice as many heartbeats) makes, every row appended to one `R`
 /// reserved for them all beforehand.
-fn allocations_while_appending(datagrams: usize) -> usize {
+fn allocations_while_appending<R: Rows>(datagrams: usize) -> usize {
     let capture = Capture::new(datagrams);
-    let mut flows = Vec::with_capacity(datagrams * FLOWS);
+    let mut rows = R::reserved(datagrams * FLOWS);
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let mut reader = TraceReader::new(capture);
     let (mut headers, mut heartbeats) = (0, 0);
-    while let Some(packet) = reader.read_into(&mut flows) {
-        match packet.expect("the capture decodes") {
+    while let Some(packet) = rows.read(&mut reader) {
+        match packet {
             Packet::Flows(header) => {
                 assert_eq!(usize::from(header.count), FLOWS);
                 headers += 1;
@@ -135,14 +173,25 @@ fn allocations_while_appending(datagrams: usize) -> usize {
     }
     let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
     assert_eq!((headers, heartbeats), (datagrams, 2 * datagrams));
-    assert_eq!(flows.len(), datagrams * FLOWS);
+    assert_eq!(rows.len(), datagrams * FLOWS);
     allocations
 }
 
+/// Both append paths, one after the other: the count is process-wide,
+/// so the two cases share one test.
 #[test]
 fn appending_a_capture_allocates_the_same_at_100_and_10k_datagrams() {
     COUNTED.with(|counted| counted.set(true));
-    let small = allocations_while_appending(100);
-    let large = allocations_while_appending(10_000);
-    assert_eq!(small, large, "allocations at 100 vs 10 000 datagrams");
+    let small = allocations_while_appending::<Vec<FlowRecord>>(100);
+    let large = allocations_while_appending::<Vec<FlowRecord>>(10_000);
+    assert_eq!(
+        small, large,
+        "records: allocations at 100 vs 10 000 datagrams"
+    );
+    let small = allocations_while_appending::<CaptureColumns>(100);
+    let large = allocations_while_appending::<CaptureColumns>(10_000);
+    assert_eq!(
+        small, large,
+        "columns: allocations at 100 vs 10 000 datagrams"
+    );
 }

@@ -107,8 +107,16 @@ fn assert_outcomes_identical(a: &IntervalOutcome, b: &IntervalOutcome, context: 
     }
 }
 
+/// `cases`, scaled by `PROPTEST_CASES / 256` so a wide sweep widens this
+/// suite as it widens the default properties (256 cases); at least one
+/// case, and a default run keeps `cases`.
+fn scaled(cases: u32) -> ProptestConfig {
+    let wide = u64::from(cases) * u64::from(ProptestConfig::default().cases) / 256;
+    ProptestConfig::with_cases(wide.clamp(1, u64::from(u32::MAX)) as u32)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(scaled(12))]
 
     /// Offline: the columnar engine (`Engine::extract` converts to
     /// `FlowColumns` and walks columns end to end) extracts exactly what
@@ -230,7 +238,7 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(scaled(64))]
 
     /// The columnar pre-filter ≡ the per-flow reference on arbitrary
     /// flows, meta-data (value sets of up to and beyond the 16 members
@@ -283,7 +291,7 @@ fn sample_flow(dst_port: u16, packets: u32) -> FlowRecord {
 proptest! {
     // The online properties run whole scenarios (training + detection),
     // so fewer, heavier cases.
-    #![proptest_config(ProptestConfig::with_cases(3))]
+    #![proptest_config(scaled(3))]
 
     /// Online: feeding [`FlowColumns`] straight into the engine
     /// (`Engine::process`) and streaming flow-by-flow through a one-lane

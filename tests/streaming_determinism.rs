@@ -74,9 +74,17 @@ fn assert_outcomes_identical(a: &IntervalOutcome, b: &IntervalOutcome, context: 
     }
 }
 
+/// `cases`, scaled by `PROPTEST_CASES / 256` so a wide sweep widens this
+/// suite as it widens the default properties (256 cases); at least one
+/// case, and a default run keeps `cases`.
+fn scaled(cases: u32) -> ProptestConfig {
+    let wide = u64::from(cases) * u64::from(ProptestConfig::default().cases) / 256;
+    ProptestConfig::with_cases(wide.clamp(1, u64::from(u32::MAX)) as u32)
+}
+
 proptest! {
     // Full scenarios (training + detection) per case: few, heavy cases.
-    #![proptest_config(ProptestConfig::with_cases(3))]
+    #![proptest_config(scaled(3))]
 
     /// Flow-by-flow streaming through a one-lane [`MultiSourceExtractor`] produces
     /// the same alarm stream, meta-data, bit-identical KL series, and
