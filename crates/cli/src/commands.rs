@@ -4,7 +4,10 @@ use std::collections::VecDeque;
 use std::fs::{self, File};
 use std::io::{Read, Write};
 use std::ops::Range;
+use std::panic::resume_unwind;
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use anomex_core::{
@@ -53,10 +56,14 @@ USAGE:
       for compatibility and selects nothing: each interval runs on one
       engine thread, which extracts one interval while the next is read.
       extract is `anomex stream` without the stream-only options: each
-      capture is read whole and replayed in file order, and with several
+      capture is replayed in file order while one reader thread reads
+      them all, and with several
       --in files each is one exporter on a shared interval grid (its own
       clock starts at the window of its first flow) and an interval's
-      flows are concatenated in file order. Captures must be in
+      flows are concatenated in file order. A capture that cannot be
+      read to its end is an error (exit 1) once the replay reaches the
+      failing stretch: the intervals closed before it are printed, the
+      summary is not. Captures must be in
       flow-start order, as `anomex generate` writes them: a flow whose
       interval has already closed (as in a router export ordered by flow
       expiry) is dropped, and a `dropped flows:` line after the summary
@@ -71,9 +78,11 @@ USAGE:
       several --in files the rules are additionally re-mined per source
       at weighted support floors and merged. --timings ends the output
       with one `timings:` line of key=value pairs: reading the captures
-      (read_ms, read_flows, read_ns_per_flow), assembling the intervals
-      (assembly_ms, assembly_ns_per_flow, per flow fed) and the engine's
-      summed per-interval time (engine_ms).
+      (read_ms, read_flows, read_ns_per_flow: the reader thread, which
+      runs beside the engine), the time the replay waited for flows not
+      read yet (read_wait_ms), assembling the intervals (assembly_ms,
+      assembly_ns_per_flow, per flow fed) and the engine's summed
+      per-interval time (engine_ms).
 
   anomex stream --in FILE|- [--in FILE ...] [--interval-min N] [--training N]
                 [--support N] [--threads N] [--max-lag N] [--prefixes]
@@ -92,7 +101,8 @@ USAGE:
       one), replayed in collector arrival order with its v9/IPFIX
       heartbeats (each takes effect when a later flow arrives on any
       --in; those after the last flow are ignored); --in - may be given
-      once; as in extract, a flow out of start order is a late drop;
+      once, and is replayed as it arrives; as in extract, a flow out of
+      start order is a late drop and a read error ends the command;
       --max-lag N bounds how many intervals the fastest source may run
       ahead (0 = unbounded). The reports are those `anomex extract`
       prints for the same --in list: the two commands run one replay
@@ -416,10 +426,23 @@ impl<'p> Capture<'p> {
         self.named(packet)
     }
 
-    /// [`read_into`](Self::read_into) into the columns of a lane block.
-    fn read_columns(&mut self, block: &mut CaptureColumns) -> Result<Option<Packet>, String> {
-        let packet = self.reader.read_columns(block);
-        self.named(packet)
+    /// The next [`Block`] of the capture, its flows decoded straight into
+    /// the block's columns until it has no room for a full datagram;
+    /// `None` at the end of the capture.
+    fn read_block(&mut self) -> Result<Option<Block>, String> {
+        let mut block = Block {
+            flows: CaptureColumns::with_capacity(BLOCK),
+            beats: Vec::new(),
+        };
+        while block.flows.len() + V5_MAX_RECORDS <= BLOCK {
+            let packet = self.reader.read_columns(&mut block.flows);
+            match self.named(packet)? {
+                Some(Packet::Flows(_)) => {}
+                Some(Packet::Heartbeat(p)) => block.beats.push((block.flows.len(), p.export_ms)),
+                None => break,
+            }
+        }
+        Ok((!block.flows.is_empty() || !block.beats.is_empty()).then_some(block))
     }
 
     /// A read's packet, its error naming the capture.
@@ -567,56 +590,132 @@ struct Block {
     beats: Vec<(usize, u64)>,
 }
 
-/// One `--in` capture, read whole, with its grid origin: the start of
+/// A block of a lane's capture, or the read error that ends it: what the
+/// capture reader sends a [`Lane`].
+type Sent = Result<Block, String>;
+
+/// The capture reader, the one thread beside the replay. It opens every
+/// capture (`paths[s]` feeds `lanes[s]`) and reads them a [`Block`] at a
+/// time, each next from the lane whose last-read flow is earliest in grid
+/// time (a lane with no flow yet first, ties to the lowest source), and
+/// sends each block down its lane. A lane is hung up at the end of its
+/// capture, after the read error that ended it if any. The pick order only
+/// decides when a block is ready: every lane receives its own blocks in
+/// file order. Nothing bounds the read-ahead. The reader stops at the first
+/// send the replay no longer receives; otherwise it returns its time from
+/// spawn to its last block and the flows it read.
+fn read_captures(
+    paths: &[String],
+    interval_ms: u64,
+    lanes: Vec<Sender<Sent>>,
+) -> (Duration, usize) {
+    let started = Instant::now();
+    // Each open capture, its lane, and its grid origin and the grid time
+    // of its last-read flow once it has read one.
+    let mut open = Vec::new();
+    for (path, lane) in paths.iter().zip(lanes) {
+        match Capture::open(path) {
+            Ok(capture) => open.push((capture, lane, None::<(u64, u64)>)),
+            Err(e) => drop(lane.send(Err(e))),
+        }
+    }
+    let mut flows = 0;
+    while let Some(next) = (0..open.len()).min_by_key(|&i| (open[i].2.map(|(_, last)| last), i)) {
+        let (capture, lane, read) = &mut open[next];
+        match capture.read_block() {
+            Ok(Some(block)) => {
+                let starts = block.flows.start_ms();
+                if let (Some(&first), Some(&last)) = (starts.first(), starts.last()) {
+                    let first = u64::from(first);
+                    let origin = read.map_or(first - first % interval_ms, |(origin, _)| origin);
+                    *read = Some((origin, u64::from(last).saturating_sub(origin)));
+                }
+                flows += block.flows.len();
+                if lane.send(Ok(block)).is_err() {
+                    break;
+                }
+            }
+            end => {
+                if let Err(e) = end {
+                    drop(lane.send(Err(e)));
+                }
+                open.remove(next);
+            }
+        }
+    }
+    (started.elapsed(), flows)
+}
+
+/// One `--in` capture as the replay sees it: the blocks received from the
+/// capture reader and not yet replayed, and its grid origin, the start of
 /// the window holding its first flow. Every decision it takes reads the
 /// `first` column; a flow becomes a record only inside the assembler.
 struct Lane {
-    /// Not yet replayed, in file order; none is empty.
+    /// Received and not yet replayed, in file order; none is empty. It is
+    /// empty only once the capture has ended or failed.
     blocks: VecDeque<Block>,
+    /// The rest of the capture, from the reader.
+    rest: Receiver<Sent>,
+    /// The read error the lane stopped at, once every block before it
+    /// is replayed.
+    failed: Option<String>,
     /// How many flows, and heartbeats, of the front block are replayed.
     flow: usize,
     beat: usize,
     origin: u64,
+    /// The time spent waiting for a block the reader had not read yet.
+    waited: Duration,
 }
 
 impl Lane {
-    /// Read `path` whole; its first flow fixes the origin.
-    fn open(path: &str, interval_ms: u64) -> Result<Self, String> {
-        let mut capture = Capture::open(path)?;
-        let fresh = || Block {
-            flows: CaptureColumns::with_capacity(BLOCK),
-            beats: Vec::new(),
-        };
-        let (mut blocks, mut block) = (VecDeque::new(), fresh());
-        loop {
-            // A new block when this one has no room for a full datagram.
-            if block.flows.len() + V5_MAX_RECORDS > BLOCK {
-                blocks.push_back(std::mem::replace(&mut block, fresh()));
-            }
-            match capture.read_columns(&mut block.flows)? {
-                Some(Packet::Flows(_)) => {}
-                Some(Packet::Heartbeat(p)) => block.beats.push((block.flows.len(), p.export_ms)),
-                None => break,
-            }
-        }
-        if !(block.flows.is_empty() && block.beats.is_empty()) {
-            blocks.push_back(block);
-        }
-        let first = (blocks.iter().find_map(|b| b.flows.start_ms().first()))
-            .ok_or_else(|| format!("{path}: trace is empty"))?;
-        let first = u64::from(*first);
-        let origin = first - first % interval_ms;
-        Ok(Lane {
-            blocks,
+    /// The lane of capture `path` fed by `rest`: it waits only for the
+    /// blocks up to the first flow, which fixes the origin.
+    fn open(path: &str, rest: Receiver<Sent>, interval_ms: u64) -> Result<Self, String> {
+        let mut lane = Lane {
+            blocks: VecDeque::new(),
+            rest,
+            failed: None,
             flow: 0,
             beat: 0,
-            origin,
-        })
+            origin: 0,
+            waited: Duration::ZERO,
+        };
+        let first = loop {
+            if let Some(first) = lane.blocks.back().and_then(|b| b.flows.start_ms().first()) {
+                break u64::from(*first);
+            }
+            if !lane.receive() {
+                return Err(
+                    (lane.failed.take()).unwrap_or_else(|| format!("{path}: trace is empty"))
+                );
+            }
+        };
+        lane.origin = first - first % interval_ms;
+        Ok(lane)
     }
 
-    /// The number of flows the lane holds.
-    fn flow_count(&self) -> usize {
-        self.blocks.iter().map(|b| b.flows.len()).sum()
+    /// Receive the capture's next block, waiting if the reader has not
+    /// read it yet; `false` at the end of the capture or at its read
+    /// error, which the lane keeps.
+    fn receive(&mut self) -> bool {
+        let sent = match self.rest.try_recv() {
+            Err(TryRecvError::Empty) => {
+                let waiting = Instant::now();
+                let sent = self.rest.recv().ok();
+                self.waited += waiting.elapsed();
+                sent
+            }
+            sent => sent.ok(),
+        };
+        match sent {
+            Some(Ok(block)) => {
+                self.blocks.push_back(block);
+                return true;
+            }
+            Some(Err(e)) => self.failed = Some(e),
+            None => {}
+        }
+        false
     }
 
     /// The replay's merge key for a flow or heartbeat of this lane dated
@@ -682,12 +781,16 @@ impl Lane {
         self.settle();
     }
 
-    /// Free the front block once it is replayed.
+    /// Free the front block once it is replayed, and receive the next
+    /// one when it was the last received.
     fn settle(&mut self) {
         let block = &self.blocks[0];
         if self.flow == block.flows.len() && self.beat == block.beats.len() {
             self.blocks.pop_front();
             (self.flow, self.beat) = (0, 0);
+            if self.blocks.is_empty() {
+                self.receive();
+            }
         }
     }
 }
@@ -710,16 +813,26 @@ impl Lane {
 /// lane's window in source order), so at every arrival that closes a
 /// window each lane has consumed what the per-flow merge would have,
 /// and events, drops and checkpoints are that merge's.
+///
+/// The captures are read by [`read_captures`] while the replay runs, so
+/// the first interval does not wait for the last flow to be read. A lane
+/// that reaches its read error stops the replay there.
 struct Replay {
     lanes: Vec<Lane>,
     /// Heartbeats taken from the lane heads, waiting for a later flow,
     /// in merge order: grid time, source, export clock.
     held: VecDeque<(u64, SourceId, u64)>,
+    /// The capture reader. [`finish`](Self::finish) joins it after a
+    /// complete replay; a replay dropped early leaves it to end at its
+    /// next send, or with the process, never waiting on it (it may be
+    /// blocked on an open stdin).
+    reader: JoinHandle<(Duration, usize)>,
 }
 
 impl Replay {
-    /// Open every `--in` capture in command-line order (at least one):
-    /// source `i` is the `i`-th file. Stdin can feed one lane only.
+    /// Start the capture reader on every `--in` capture in command-line
+    /// order (at least one), source `i` the `i`-th file, and open their
+    /// lanes. Stdin can feed one lane only.
     fn open(args: &Args, interval_ms: u64) -> Result<Self, String> {
         let inputs = args.get_all("in");
         if inputs.is_empty() {
@@ -728,35 +841,49 @@ impl Replay {
         if inputs.iter().filter(|path| *path == "-").count() > 1 {
             return Err("--in - is given more than once, but there is only one stdin".into());
         }
-        let lanes = (inputs.iter())
-            .map(|path| Lane::open(path, interval_ms))
+        let (senders, receivers): (Vec<_>, Vec<_>) = inputs.iter().map(|_| channel()).unzip();
+        let paths = inputs.to_vec();
+        let reader = std::thread::Builder::new()
+            .name("anomex-capture-reader".into())
+            .spawn(move || read_captures(&paths, interval_ms, senders))
+            .map_err(|e| format!("cannot spawn the capture reader: {e}"))?;
+        let lanes = (inputs.iter().zip(receivers))
+            .map(|(path, rest)| Lane::open(path, rest, interval_ms))
             .collect::<Result<_, _>>()?;
         Ok(Replay {
             lanes,
             held: VecDeque::new(),
+            reader,
         })
     }
 
-    /// The next arrival, or `None` at the end: a heartbeat, taken as it
-    /// is returned, or a run of never fewer than one flow, which stays
-    /// at its lane's head until [`consume`](Self::consume)d. `window`
-    /// gives each source's open window, source-local ms
+    /// The next arrival, `None` at the end, or the read error a lane
+    /// reached: a heartbeat, taken as it is returned, or a run of never
+    /// fewer than one flow, which stays at its lane's head until
+    /// [`consume`](Self::consume)d. `window` gives each source's open
+    /// window, source-local ms
     /// ([`anomex_netflow::MergeAssembler::open_window`]);
     /// `None` counts every arrival of that lane as one that can close a
     /// window, which makes the runs the per-flow merge's own.
     fn next(
         &mut self,
         window: impl Fn(SourceId) -> Option<Range<u64>>,
-    ) -> Option<(SourceId, Arrival<'_>)> {
+    ) -> Result<Option<(SourceId, Arrival<'_>)>, String> {
         loop {
-            let (at, beat, s) = (self.lanes.iter().enumerate())
+            if let Some(e) = self.lanes.iter().find_map(|lane| lane.failed.as_ref()) {
+                return Err(e.clone());
+            }
+            let Some((at, beat, s)) = (self.lanes.iter().enumerate())
                 .filter_map(|(s, lane)| lane.head(s))
-                .min()?;
+                .min()
+            else {
+                return Ok(None);
+            };
             // The next flow waits for every held heartbeat dated before it.
             let due = self.held.front().is_some_and(|&(held_at, ..)| held_at < at);
             if due && !beat {
-                let (_, source, ms) = self.held.pop_front()?;
-                return Some((source, Arrival::Heartbeat(ms)));
+                let (_, source, ms) = self.held.pop_front().expect("a held heartbeat is due");
+                return Ok(Some((source, Arrival::Heartbeat(ms))));
             }
             let source = SourceId(s as u32);
             if beat {
@@ -786,7 +913,7 @@ impl Replay {
                     (below(head) || inside && below(barrier)) && held.map_or(true, |h| key.0 <= h)
                 })
                 .count();
-            return Some((source, Arrival::Run(lane.first_flows(run))));
+            return Ok(Some((source, Arrival::Run(lane.first_flows(run)))));
         }
     }
 
@@ -801,10 +928,10 @@ impl Replay {
     /// runs: no window describes the skipped prefix yet, and a
     /// checkpoint's flow count falls at a close, where both orders have
     /// consumed the same flows.
-    fn skip(&mut self, mut flows: u64) {
+    fn skip(&mut self, mut flows: u64) -> Result<(), String> {
         while flows > 0 {
-            let Some((source, arrival)) = self.next(|_| None) else {
-                return;
+            let Some((source, arrival)) = self.next(|_| None)? else {
+                break;
             };
             if let Arrival::Run(run) = arrival {
                 let n = (run.flow_count() as u64).min(flows);
@@ -812,6 +939,16 @@ impl Replay {
                 flows -= n;
             }
         }
+        Ok(())
+    }
+
+    /// After a complete replay, join the reader: its time from spawn to
+    /// its last block, the flows it read, and the time the replay waited
+    /// for blocks it had not read yet.
+    fn finish(self) -> (Duration, usize, Duration) {
+        let waited = self.lanes.iter().map(|lane| lane.waited).sum();
+        let (read, flows) = (self.reader.join()).unwrap_or_else(|panic| resume_unwind(panic));
+        (read, flows, waited)
     }
 }
 
@@ -1090,13 +1227,15 @@ fn check_resume_options(
 }
 
 /// The one body of `extract` and `stream`, for any number of `--in`
-/// captures: each is one exporter on a shared interval grid, read
-/// whole and replayed in collector arrival order (heartbeats included)
-/// into one [`MultiSourceExtractor`], whose pipeline thread
-/// extracts an interval while the next is read. Each interval is
-/// printed as the engine closes it, with optional checkpoints, resume,
-/// `--stop-after` and boundary reconfiguration (options only `stream`
-/// takes). The two commands differ only in the summary that ends it.
+/// captures: each is one exporter on a shared interval grid, read by
+/// the capture reader thread and replayed as it is read, in collector
+/// arrival order (heartbeats included), into one
+/// [`MultiSourceExtractor`], whose pipeline thread extracts an interval
+/// while the next is assembled. Each interval is printed as the engine
+/// closes it, with optional checkpoints, resume, `--stop-after` and
+/// boundary reconfiguration (options only `stream` takes); a read error
+/// ends the command where the replay reaches it. The two commands
+/// differ only in the summary that ends it.
 fn replay_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
     let config = parse_config(args)?;
     let threads = parse_threads(args)?;
@@ -1107,10 +1246,7 @@ fn replay_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
         0 => None,
         n => Some(n),
     };
-    let reading = Instant::now();
     let mut replay = Replay::open(args, config.interval_ms)?;
-    let read = reading.elapsed();
-    let read_flows = replay.lanes.iter().map(Lane::flow_count).sum();
 
     // Resume restores the full online state — configuration included —
     // from the checkpoint; otherwise start cold from the CLI options.
@@ -1170,10 +1306,12 @@ fn replay_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
     // A resumed run skips what the checkpointed one fed: its flows, and
     // the heartbeats among them.
     let skipped = engine.total_flows();
-    replay.skip(skipped);
+    replay.skip(skipped)?;
     let first = engine.assembler().closed_intervals();
     let mut checkpointed = first;
-    while let Some((source, arrival)) = replay.next(|s| engine.assembler().open_window(s)) {
+    // A read error ends the command here, before `finish` would flush the
+    // open windows: the output holds the intervals closed before it.
+    while let Some((source, arrival)) = replay.next(|s| engine.assembler().open_window(s))? {
         let events = match arrival {
             Arrival::Run(flows) => {
                 let (n, events) = engine.push_run(source, &flows);
@@ -1206,6 +1344,7 @@ fn replay_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
             printer.save(&mut engine, &d.checkpoint_path())?;
         }
     }
+    let read = replay.finish();
     let (tail, summary) = engine.finish();
     printer.print(tail)?;
 
@@ -1267,7 +1406,7 @@ fn replay_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
     if args.flag("timings") {
         let engine_micros = printer.latencies.iter().sum();
         let fed = summary.total_flows - skipped;
-        trailer += &timings_line(read, read_flows, summary.assembly, fed, engine_micros);
+        trailer += &timings_line(read, summary.assembly, fed, engine_micros);
     }
     printer
         .out
@@ -1275,12 +1414,12 @@ fn replay_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
         .map_err(write_error)
 }
 
-/// The `--timings` trailer line: the captures' read time and flow count,
-/// the merge grid's assembly time over the `fed` flows fed to it, and the
-/// engine's summed per-interval time, as `key=value` pairs.
+/// The `--timings` trailer line, as `key=value` pairs: the capture
+/// reader's time and flow count and the replay's wait for it
+/// ([`Replay::finish`]), the merge grid's assembly time over the `fed`
+/// flows fed to it, and the engine's summed per-interval time.
 fn timings_line(
-    read: Duration,
-    read_flows: usize,
+    (read, read_flows, read_wait): (Duration, usize, Duration),
     assembly: Duration,
     fed: u64,
     engine_micros: u64,
@@ -1289,9 +1428,10 @@ fn timings_line(
     let per_flow = |d: Duration, flows: f64| d.as_secs_f64() * 1e9 / flows.max(1.0);
     format!(
         "timings: read_ms={:.3} read_flows={read_flows} read_ns_per_flow={:.1} \
-         assembly_ms={:.3} assembly_ns_per_flow={:.1} engine_ms={:.3}\n",
+         read_wait_ms={:.3} assembly_ms={:.3} assembly_ns_per_flow={:.1} engine_ms={:.3}\n",
         ms(read),
         per_flow(read, read_flows as f64),
+        ms(read_wait),
         ms(assembly),
         per_flow(assembly, fed as f64),
         engine_micros as f64 / 1e3
@@ -1568,6 +1708,7 @@ mod tests {
                     "read_ms",
                     "read_flows",
                     "read_ns_per_flow",
+                    "read_wait_ms",
                     "assembly_ms",
                     "assembly_ns_per_flow",
                     "engine_ms"
@@ -1579,7 +1720,7 @@ mod tests {
                 pairs.iter().all(|p| p.1.is_finite() && p.1 >= 0.0),
                 "{command}: {pairs:?}"
             );
-            assert!(pairs[3].1 > 0.0 && pairs[5].1 > 0.0, "{command}: {pairs:?}");
+            assert!(pairs[4].1 > 0.0 && pairs[6].1 > 0.0, "{command}: {pairs:?}");
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -2055,7 +2196,7 @@ mod tests {
         mut take: impl FnMut(usize) -> usize,
     ) -> (Order, Vec<(usize, usize)>) {
         let (mut out, mut runs, mut flows) = (Vec::new(), Vec::new(), 0);
-        while let Some((source, arrival)) = replay.next(|_| None) {
+        while let Some((source, arrival)) = replay.next(|_| None).unwrap() {
             match arrival {
                 Arrival::Heartbeat(ms) => out.push((source, Single::Beat(ms))),
                 Arrival::Run(run) => {
@@ -2245,7 +2386,7 @@ mod tests {
                 .expect("a run of two flows or more");
             for skip in [0, 1, mid + 1, flows / 2, flows - 1, flows, flows + 5] {
                 let mut replay = open();
-                replay.skip(skip as u64);
+                replay.skip(skip as u64).unwrap();
                 let mut left = skip;
                 let rest: Vec<_> = (expected.iter())
                     .skip_while(|(_, a)| {
@@ -2263,7 +2404,10 @@ mod tests {
             }
             assert!(whole.len() > runs.len() * 2, "runs hold several flows");
         }
-        let lane = Lane::open(&paths[0]["--in ".len()..], interval_ms).unwrap();
+        let mut replay =
+            Replay::open(&argv(&format!("extract {}", paths[0])), interval_ms).unwrap();
+        let lane = &mut replay.lanes[0];
+        while lane.receive() {}
         assert_eq!(lane.blocks.len(), 2);
         assert_eq!(lane.blocks[1].beats[0], (0, 62_000), "first in its block");
         std::fs::remove_dir_all(&dir).ok();
@@ -2339,7 +2483,9 @@ mod tests {
     /// cut at the engine's open windows.
     fn replay_trace(replay: &mut Replay, mut engine: MultiSourceExtractor) -> Trace {
         let mut trace = Trace::new(&engine);
-        while let Some((source, arrival)) = replay.next(|s| engine.assembler().open_window(s)) {
+        while let Some((source, arrival)) =
+            replay.next(|s| engine.assembler().open_window(s)).unwrap()
+        {
             let events = match arrival {
                 Arrival::Run(flows) => {
                     trace.runs += 1;
@@ -2420,7 +2566,7 @@ mod tests {
             assert_same_closes(&got.closes, &expected.closes, &context);
             for (i, (flows, bytes)) in expected.closes.iter().enumerate() {
                 let mut replay = open();
-                replay.skip(*flows);
+                replay.skip(*flows).unwrap();
                 let restored = MultiSourceExtractor::restore(bytes).unwrap();
                 let rest = replay_trace(&mut replay, restored);
                 let context = format!("{context}, resumed at {flows} flows");
@@ -2495,7 +2641,7 @@ mod tests {
             .collect();
         let mut merge = MergeAssembler::try_new(MergeConfig::new(MINUTE_MS), &specs).unwrap();
         let (mut runs, mut flows) = (0, 0);
-        while let Some((source, arrival)) = replay.next(|s| merge.open_window(s)) {
+        while let Some((source, arrival)) = replay.next(|s| merge.open_window(s)).unwrap() {
             match arrival {
                 Arrival::Run(run) => {
                     let n = merge.push_run(source, &run).0;

@@ -104,6 +104,14 @@ fn packets(kind: u8, raw: u32) -> u32 {
     }
 }
 
+/// `cases`, scaled by `PROPTEST_CASES / 256` so a wide sweep widens the
+/// properties that set their own count as it widens the default ones
+/// (256 cases); at least one case.
+fn scaled(cases: u32) -> ProptestConfig {
+    let wide = u64::from(cases) * u64::from(ProptestConfig::default().cases) / 256;
+    ProptestConfig::with_cases(wide.clamp(1, u64::from(u32::MAX)) as u32)
+}
+
 proptest! {
     /// `FeatureDetector::observe_columns` counts each interval into
     /// every clone as a per-flow `BinHasher::bin_of` count would — for
@@ -158,7 +166,7 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(3))]
+    #![proptest_config(scaled(3))]
 
     /// On `Scenario::small` streams, every alarmed clone's
     /// `kl_trajectory[0]` is bit-equal to its `kl`, and the vote the

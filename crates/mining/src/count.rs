@@ -163,8 +163,16 @@ mod tests {
     use anomex_netflow::FlowFeature;
     use std::collections::BTreeMap;
 
+    /// `cases`, scaled by `PROPTEST_CASES / 256` so a wide sweep widens the
+    /// properties that set their own count as it widens the default ones
+    /// (256 cases); at least one case.
+    fn scaled(cases: u32) -> proptest::ProptestConfig {
+        let wide = u64::from(cases) * u64::from(proptest::ProptestConfig::default().cases) / 256;
+        proptest::ProptestConfig::with_cases(wide.clamp(1, u64::from(u32::MAX)) as u32)
+    }
+
     proptest::proptest! {
-        #![proptest_config(proptest::ProptestConfig::with_cases(8))]
+        #![proptest_config(scaled(8))]
 
         /// The counting filter never changes a count: on sets whose
         /// buckets hold several values, with rows missing a feature, at

@@ -144,8 +144,16 @@ fn arb_edge_set(max: usize) -> impl Strategy<Value = TransactionSet> {
         })
 }
 
+/// `cases`, scaled by `PROPTEST_CASES / 256` so a wide sweep widens the
+/// properties that set their own count as it widens the default ones
+/// (256 cases); at least one case.
+fn scaled(cases: u32) -> ProptestConfig {
+    let wide = u64::from(cases) * u64::from(ProptestConfig::default().cases) / 256;
+    ProptestConfig::with_cases(wide.clamp(1, u64::from(u32::MAX)) as u32)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(scaled(64))]
 
     /// FP-growth and Apriori produce identical item-sets *and* identical
     /// supports on arbitrary inputs — edge shapes included, and nothing at
@@ -277,7 +285,7 @@ fn brute_force_supports(set: &TransactionSet) -> BTreeMap<Vec<Item>, u64> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(2))]
+    #![proptest_config(scaled(2))]
 
     /// The miners' first pass puts a counting filter of hashed buckets in
     /// front of each column's exact count. On sets with thousands of

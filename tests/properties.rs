@@ -91,8 +91,16 @@ fn extract(flows: &[FlowRecord], md: &MetaData, min_support: u64) -> Extraction 
     Engine::new(config).unwrap().extract(flows, md)
 }
 
+/// `cases`, scaled by `PROPTEST_CASES / 256` so a wide sweep widens the
+/// properties that set their own count as it widens the default ones
+/// (256 cases); at least one case.
+fn scaled(cases: u32) -> ProptestConfig {
+    let wide = u64::from(cases) * u64::from(ProptestConfig::default().cases) / 256;
+    ProptestConfig::with_cases(wide.clamp(1, u64::from(u32::MAX)) as u32)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(scaled(48))]
 
     /// Every extracted item-set is genuinely frequent within the
     /// suspicious set, and every item of every item-set matches at least

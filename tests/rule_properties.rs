@@ -44,8 +44,16 @@ fn key(rule: &anomex::mining::Rule) -> (Vec<Item>, Vec<Item>) {
     (rule.antecedent().to_vec(), rule.consequent().to_vec())
 }
 
+/// `cases`, scaled by `PROPTEST_CASES / 256` so a wide sweep widens the
+/// properties that set their own count as it widens the default ones
+/// (256 cases); at least one case.
+fn scaled(cases: u32) -> ProptestConfig {
+    let wide = u64::from(cases) * u64::from(ProptestConfig::default().cases) / 256;
+    ProptestConfig::with_cases(wide.clamp(1, u64::from(u32::MAX)) as u32)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(scaled(32))]
 
     /// Every emitted rule's supports equal the brute-force counts over
     /// the transactions, and every metric equals its definition applied
