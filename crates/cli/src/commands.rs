@@ -79,10 +79,14 @@ USAGE:
       at weighted support floors and merged. --timings ends the output
       with one `timings:` line of key=value pairs: reading the captures
       (read_ms, read_flows, read_ns_per_flow: the reader thread, which
-      runs beside the engine), the time the replay waited for flows not
-      read yet (read_wait_ms), assembling the intervals (assembly_ms,
-      assembly_ns_per_flow, per flow fed) and the engine's summed
-      per-interval time (engine_ms).
+      runs beside the engine at most 32 blocks of 4 096 flows ahead of
+      the replay on each --in; read_ns_per_flow leaves out read_full_ms,
+      its time waiting for the replay to hand a block back), the time
+      the replay waited for flows not read yet (read_wait_ms),
+      assembling the intervals (assembly_ms, assembly_ns_per_flow, per
+      flow fed), the engine's summed per-interval time (engine_ms), and
+      the process's peak resident set (peak_rss_kib, where /proc can
+      tell).
 
   anomex stream --in FILE|- [--in FILE ...] [--interval-min N] [--training N]
                 [--support N] [--threads N] [--max-lag N] [--prefixes]
@@ -426,15 +430,18 @@ impl<'p> Capture<'p> {
         self.named(packet)
     }
 
-    /// The next [`Block`] of the capture, its flows decoded straight into
-    /// the block's columns until it has no room for a full datagram;
-    /// `None` at the end of the capture.
-    fn read_block(&mut self) -> Result<Option<Block>, String> {
-        let mut block = Block {
-            flows: CaptureColumns::with_capacity(BLOCK),
-            beats: Vec::new(),
-        };
+    /// Fill `block`, which is empty, with the capture's next stretch: its
+    /// flows decoded straight into the block's columns until it has no
+    /// room for a full datagram, or until it holds a flow and the next
+    /// packet waits on the source ([`TraceReader::waits`]), so a live
+    /// feed's flows are replayed as they arrive. A stretch of heartbeats
+    /// alone stays in one block. The block is left empty at the end of
+    /// the capture; on a read error it keeps what was read before it.
+    fn read_block(&mut self, block: &mut Block) -> Result<(), String> {
         while block.flows.len() + V5_MAX_RECORDS <= BLOCK {
+            if !block.flows.is_empty() && self.reader.waits() {
+                break;
+            }
             let packet = self.reader.read_columns(&mut block.flows);
             match self.named(packet)? {
                 Some(Packet::Flows(_)) => {}
@@ -442,7 +449,7 @@ impl<'p> Capture<'p> {
                 None => break,
             }
         }
-        Ok((!block.flows.is_empty() || !block.beats.is_empty()).then_some(block))
+        Ok(())
     }
 
     /// A read's packet, its error naming the capture.
@@ -578,72 +585,152 @@ enum Arrival<'a> {
 }
 
 /// Flows per block of a [`Lane`] (120 KiB at 30 bytes a flow). A lane
-/// frees each block once replayed, so a capture's memory goes back while
-/// the intervals it feeds are built.
+/// hands each block back to the capture reader once replayed, and the
+/// reader refills it.
 const BLOCK: usize = 4096;
+
+/// The most blocks of one lane in flight at once — read by the capture
+/// reader and not yet handed back by the replay: 131 072 flows, 3.75 MiB.
+/// It bounds how far the reader runs ahead of the replay, so a capture's
+/// memory is the ring's, whatever its length.
+const READ_AHEAD: usize = 32;
 
 /// A stretch of one capture: its flows in file order, decoded straight
 /// into the block's wire-width columns, and its heartbeats beside them,
-/// each with the number of the block's flows that came before it.
+/// each with the number of the block's flows that came before it; and
+/// the source it was read for, which it goes back to the reader with.
 struct Block {
+    source: usize,
     flows: CaptureColumns,
     beats: Vec<(usize, u64)>,
+}
+
+impl Block {
+    fn new() -> Self {
+        Block {
+            source: 0,
+            flows: CaptureColumns::with_capacity(BLOCK),
+            beats: Vec::new(),
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.flows.is_empty() && self.beats.is_empty()
+    }
+
+    fn clear(&mut self) {
+        self.flows.clear();
+        self.beats.clear();
+    }
 }
 
 /// A block of a lane's capture, or the read error that ends it: what the
 /// capture reader sends a [`Lane`].
 type Sent = Result<Block, String>;
 
+/// What `--timings` reports of the capture read: the reader's time from
+/// spawn to its last block, the flows it read, and its time waiting for
+/// the replay to hand a block back; and the replay's time waiting for a
+/// block not read yet.
+#[derive(Default)]
+struct ReadStats {
+    read: Duration,
+    flows: usize,
+    full: Duration,
+    wait: Duration,
+}
+
 /// The capture reader, the one thread beside the replay. It opens every
 /// capture (`paths[s]` feeds `lanes[s]`) and reads them a [`Block`] at a
-/// time, each next from the lane whose last-read flow is earliest in grid
-/// time (a lane with no flow yet first, ties to the lowest source), and
-/// sends each block down its lane. A lane is hung up at the end of its
-/// capture, after the read error that ended it if any. The pick order only
-/// decides when a block is ready: every lane receives its own blocks in
-/// file order. Nothing bounds the read-ahead. The reader stops at the first
-/// send the replay no longer receives; otherwise it returns its time from
-/// spawn to its last block and the flows it read.
+/// time, each sent down its lane. It keeps at most `budget` blocks of a
+/// lane in flight: a block the replay has replayed comes back on
+/// `returned`, and the reader clears and refills it, so a steady state
+/// allocates nothing. It reads next, among the lanes with a block to
+/// spare, the one whose last-read flow is earliest in grid time (a lane
+/// with no flow yet first, ties to the lowest source), and waits for a
+/// returned block only when no lane has one to spare. Sends never block,
+/// so a replay waiting for a lane's next block is always served: every
+/// block of that lane is back, and it has all its budget to spare. A lane
+/// is hung up at the end of its capture, after the blocks read before its
+/// read error and that error, if any. The pick order only decides when a
+/// block is ready: every lane receives its own blocks in file order. The
+/// reader stops at the first send the replay no longer receives, or when
+/// nothing can hand a block back.
 fn read_captures(
     paths: &[String],
     interval_ms: u64,
     lanes: Vec<Sender<Sent>>,
-) -> (Duration, usize) {
+    returned: Receiver<Block>,
+    budget: usize,
+) -> ReadStats {
     let started = Instant::now();
-    // Each open capture, its lane, and its grid origin and the grid time
-    // of its last-read flow once it has read one.
+    // Each open capture: its source, its lane, and its grid origin and
+    // the grid time of its last-read flow once it has read one.
     let mut open = Vec::new();
-    for (path, lane) in paths.iter().zip(lanes) {
+    for (source, (path, lane)) in paths.iter().zip(lanes).enumerate() {
         match Capture::open(path) {
-            Ok(capture) => open.push((capture, lane, None::<(u64, u64)>)),
+            Ok(capture) => open.push((source, capture, lane, None::<(u64, u64)>)),
             Err(e) => drop(lane.send(Err(e))),
         }
     }
-    let mut flows = 0;
-    while let Some(next) = (0..open.len()).min_by_key(|&i| (open[i].2.map(|(_, last)| last), i)) {
-        let (capture, lane, read) = &mut open[next];
-        match capture.read_block() {
-            Ok(Some(block)) => {
-                let starts = block.flows.start_ms();
-                if let (Some(&first), Some(&last)) = (starts.first(), starts.last()) {
-                    let first = u64::from(first);
-                    let origin = read.map_or(first - first % interval_ms, |(origin, _)| origin);
-                    *read = Some((origin, u64::from(last).saturating_sub(origin)));
+    // Each lane's blocks in flight, and the blocks handed back, cleared.
+    let mut in_flight = vec![0; paths.len()];
+    let mut free: Vec<Block> = Vec::new();
+    let mut stats = ReadStats::default();
+    'read: while !open.is_empty() {
+        // Take back every block the replay has handed back, and wait for
+        // one only when no lane has a block to spare.
+        loop {
+            let mut block = match returned.try_recv() {
+                Ok(block) => block,
+                Err(_) if open.iter().any(|&(s, ..)| in_flight[s] < budget) => break,
+                Err(_) => {
+                    let waiting = Instant::now();
+                    let Ok(block) = returned.recv() else {
+                        break 'read;
+                    };
+                    stats.full += waiting.elapsed();
+                    block
                 }
-                flows += block.flows.len();
-                if lane.send(Ok(block)).is_err() {
-                    break;
-                }
+            };
+            in_flight[block.source] -= 1;
+            block.clear();
+            free.push(block);
+        }
+        let next = (0..open.len())
+            .filter(|&i| in_flight[open[i].0] < budget)
+            .min_by_key(|&i| (open[i].3.map(|(_, last)| last), i))
+            .expect("a lane has a block to spare");
+        let (source, capture, lane, read) = &mut open[next];
+        let mut block = free.pop().unwrap_or_else(Block::new);
+        block.source = *source;
+        let filled = capture.read_block(&mut block);
+        // An empty block is the end of the capture.
+        let ended = block.is_empty() || filled.is_err();
+        if block.is_empty() {
+            free.push(block);
+        } else {
+            let starts = block.flows.start_ms();
+            if let (Some(&first), Some(&last)) = (starts.first(), starts.last()) {
+                let first = u64::from(first);
+                let origin = read.map_or(first - first % interval_ms, |(origin, _)| origin);
+                *read = Some((origin, u64::from(last).saturating_sub(origin)));
             }
-            end => {
-                if let Err(e) = end {
-                    drop(lane.send(Err(e)));
-                }
-                open.remove(next);
+            stats.flows += block.flows.len();
+            in_flight[*source] += 1;
+            if lane.send(Ok(block)).is_err() {
+                break 'read;
             }
         }
+        if ended {
+            if let Err(e) = filled {
+                drop(lane.send(Err(e)));
+            }
+            open.remove(next);
+        }
     }
-    (started.elapsed(), flows)
+    stats.read = started.elapsed();
+    stats
 }
 
 /// One `--in` capture as the replay sees it: the blocks received from the
@@ -656,6 +743,8 @@ struct Lane {
     blocks: VecDeque<Block>,
     /// The rest of the capture, from the reader.
     rest: Receiver<Sent>,
+    /// Where a replayed block goes back to the reader.
+    back: Sender<Block>,
     /// The read error the lane stopped at, once every block before it
     /// is replayed.
     failed: Option<String>,
@@ -668,12 +757,19 @@ struct Lane {
 }
 
 impl Lane {
-    /// The lane of capture `path` fed by `rest`: it waits only for the
-    /// blocks up to the first flow, which fixes the origin.
-    fn open(path: &str, rest: Receiver<Sent>, interval_ms: u64) -> Result<Self, String> {
+    /// The lane of capture `path` fed by `rest`, handing its replayed
+    /// blocks `back`: it waits only for the blocks up to the first flow,
+    /// which fixes the origin.
+    fn open(
+        path: &str,
+        rest: Receiver<Sent>,
+        back: Sender<Block>,
+        interval_ms: u64,
+    ) -> Result<Self, String> {
         let mut lane = Lane {
             blocks: VecDeque::new(),
             rest,
+            back,
             failed: None,
             flow: 0,
             beat: 0,
@@ -781,12 +877,14 @@ impl Lane {
         self.settle();
     }
 
-    /// Free the front block once it is replayed, and receive the next
-    /// one when it was the last received.
+    /// Hand the front block back to the reader once it is replayed, and
+    /// receive the next one when it was the last received.
     fn settle(&mut self) {
         let block = &self.blocks[0];
         if self.flow == block.flows.len() && self.beat == block.beats.len() {
-            self.blocks.pop_front();
+            let block = self.blocks.pop_front().expect("a front block");
+            // Once every capture is read, nothing takes a block back.
+            self.back.send(block).ok();
             (self.flow, self.beat) = (0, 0);
             if self.blocks.is_empty() {
                 self.receive();
@@ -815,8 +913,10 @@ impl Lane {
 /// and events, drops and checkpoints are that merge's.
 ///
 /// The captures are read by [`read_captures`] while the replay runs, so
-/// the first interval does not wait for the last flow to be read. A lane
-/// that reaches its read error stops the replay there.
+/// the first interval does not wait for the last flow to be read, and
+/// each lane hands its replayed blocks back to be refilled, so the reader
+/// runs at most a budget of blocks ahead of it. A lane that reaches its
+/// read error stops the replay there.
 struct Replay {
     lanes: Vec<Lane>,
     /// Heartbeats taken from the lane heads, waiting for a later flow,
@@ -824,16 +924,18 @@ struct Replay {
     held: VecDeque<(u64, SourceId, u64)>,
     /// The capture reader. [`finish`](Self::finish) joins it after a
     /// complete replay; a replay dropped early leaves it to end at its
-    /// next send, or with the process, never waiting on it (it may be
-    /// blocked on an open stdin).
-    reader: JoinHandle<(Duration, usize)>,
+    /// next send or once nothing can hand it a block back, or with the
+    /// process, never waiting on it (it may be blocked on an open stdin).
+    reader: JoinHandle<ReadStats>,
 }
 
 impl Replay {
     /// Start the capture reader on every `--in` capture in command-line
-    /// order (at least one), source `i` the `i`-th file, and open their
-    /// lanes. Stdin can feed one lane only.
-    fn open(args: &Args, interval_ms: u64) -> Result<Self, String> {
+    /// order (at least one), source `i` the `i`-th file, with `budget`
+    /// blocks in flight per lane ([`READ_AHEAD`] outside tests), and open
+    /// their lanes. Stdin can feed one lane only.
+    fn open(args: &Args, interval_ms: u64, budget: usize) -> Result<Self, String> {
+        assert!(budget > 0, "a lane needs a block in flight");
         let inputs = args.get_all("in");
         if inputs.is_empty() {
             args.require("in")?;
@@ -842,13 +944,14 @@ impl Replay {
             return Err("--in - is given more than once, but there is only one stdin".into());
         }
         let (senders, receivers): (Vec<_>, Vec<_>) = inputs.iter().map(|_| channel()).unzip();
+        let (back, returned) = channel();
         let paths = inputs.to_vec();
         let reader = std::thread::Builder::new()
             .name("anomex-capture-reader".into())
-            .spawn(move || read_captures(&paths, interval_ms, senders))
+            .spawn(move || read_captures(&paths, interval_ms, senders, returned, budget))
             .map_err(|e| format!("cannot spawn the capture reader: {e}"))?;
         let lanes = (inputs.iter().zip(receivers))
-            .map(|(path, rest)| Lane::open(path, rest, interval_ms))
+            .map(|(path, rest)| Lane::open(path, rest, back.clone(), interval_ms))
             .collect::<Result<_, _>>()?;
         Ok(Replay {
             lanes,
@@ -942,13 +1045,12 @@ impl Replay {
         Ok(())
     }
 
-    /// After a complete replay, join the reader: its time from spawn to
-    /// its last block, the flows it read, and the time the replay waited
-    /// for blocks it had not read yet.
-    fn finish(self) -> (Duration, usize, Duration) {
-        let waited = self.lanes.iter().map(|lane| lane.waited).sum();
-        let (read, flows) = (self.reader.join()).unwrap_or_else(|panic| resume_unwind(panic));
-        (read, flows, waited)
+    /// After a complete replay, join the reader: what it reports, and the
+    /// time the replay waited for blocks it had not read yet.
+    fn finish(self) -> ReadStats {
+        let wait = self.lanes.iter().map(|lane| lane.waited).sum();
+        let stats = (self.reader.join()).unwrap_or_else(|panic| resume_unwind(panic));
+        ReadStats { wait, ..stats }
     }
 }
 
@@ -1246,7 +1348,7 @@ fn replay_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
         0 => None,
         n => Some(n),
     };
-    let mut replay = Replay::open(args, config.interval_ms)?;
+    let mut replay = Replay::open(args, config.interval_ms, READ_AHEAD)?;
 
     // Resume restores the full online state — configuration included —
     // from the checkpoint; otherwise start cold from the CLI options.
@@ -1406,7 +1508,7 @@ fn replay_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
     if args.flag("timings") {
         let engine_micros = printer.latencies.iter().sum();
         let fed = summary.total_flows - skipped;
-        trailer += &timings_line(read, summary.assembly, fed, engine_micros);
+        trailer += &timings_line(&read, summary.assembly, fed, engine_micros);
     }
     printer
         .out
@@ -1415,27 +1517,36 @@ fn replay_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
 }
 
 /// The `--timings` trailer line, as `key=value` pairs: the capture
-/// reader's time and flow count and the replay's wait for it
-/// ([`Replay::finish`]), the merge grid's assembly time over the `fed`
-/// flows fed to it, and the engine's summed per-interval time.
-fn timings_line(
-    (read, read_flows, read_wait): (Duration, usize, Duration),
-    assembly: Duration,
-    fed: u64,
-    engine_micros: u64,
-) -> String {
+/// reader's time, flow count, time per flow without its wait for a block
+/// handed back, and that wait; the replay's wait for the reader
+/// ([`Replay::finish`]); the merge grid's assembly
+/// time over the `fed` flows fed to it; the engine's summed per-interval
+/// time; and the process's peak resident set so far, where
+/// [`peak_rss_kib`] can read it.
+fn timings_line(read: &ReadStats, assembly: Duration, fed: u64, engine_micros: u64) -> String {
     let ms = |d: Duration| d.as_secs_f64() * 1e3;
     let per_flow = |d: Duration, flows: f64| d.as_secs_f64() * 1e9 / flows.max(1.0);
+    let peak = peak_rss_kib().map_or(String::new(), |kib| format!(" peak_rss_kib={kib}"));
     format!(
-        "timings: read_ms={:.3} read_flows={read_flows} read_ns_per_flow={:.1} \
-         read_wait_ms={:.3} assembly_ms={:.3} assembly_ns_per_flow={:.1} engine_ms={:.3}\n",
-        ms(read),
-        per_flow(read, read_flows as f64),
-        ms(read_wait),
+        "timings: read_ms={:.3} read_flows={} read_ns_per_flow={:.1} read_full_ms={:.3} \
+         read_wait_ms={:.3} assembly_ms={:.3} assembly_ns_per_flow={:.1} engine_ms={:.3}{peak}\n",
+        ms(read.read),
+        read.flows,
+        per_flow(read.read.saturating_sub(read.full), read.flows as f64),
+        ms(read.full),
+        ms(read.wait),
         ms(assembly),
         per_flow(assembly, fed as f64),
         engine_micros as f64 / 1e3
     )
+}
+
+/// The process's peak resident set, KiB: `VmHWM` of `/proc/self/status`;
+/// `None` where that cannot be read (no `/proc`).
+fn peak_rss_kib() -> Option<u64> {
+    let status = fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    line.trim().strip_suffix("kB")?.trim().parse().ok()
 }
 
 /// Parse a comma-separated `feature=value` list into meta-data.
@@ -1518,6 +1629,7 @@ mod tests {
     use super::*;
     use anomex_netflow::{FlowFeature, MergeAssembler, MergeConfig};
     use anomex_traffic::rng::Rng;
+    use std::sync::mpsc::RecvTimeoutError;
 
     /// Parse a whitespace-separated command line.
     fn argv(line: &str) -> Args {
@@ -1702,25 +1814,30 @@ mod tests {
                 })
                 .collect();
             let keys: Vec<&str> = pairs.iter().map(|p| p.0).collect();
-            assert_eq!(
-                keys,
-                [
-                    "read_ms",
-                    "read_flows",
-                    "read_ns_per_flow",
-                    "read_wait_ms",
-                    "assembly_ms",
-                    "assembly_ns_per_flow",
-                    "engine_ms"
-                ],
-                "{command}"
-            );
+            let mut expected = vec![
+                "read_ms",
+                "read_flows",
+                "read_ns_per_flow",
+                "read_full_ms",
+                "read_wait_ms",
+                "assembly_ms",
+                "assembly_ns_per_flow",
+                "engine_ms",
+            ];
+            // Where /proc tells, the line ends with the peak, in whole KiB.
+            let peak = peak_rss_kib();
+            if peak.is_some() {
+                expected.push("peak_rss_kib");
+                let kib = pairs[8].1;
+                assert!(kib >= 1024.0 && kib.fract() == 0.0, "{command}: {kib} KiB");
+            }
+            assert_eq!(keys, expected, "{command}");
             assert_eq!(pairs[1].1, flows as f64, "{command}: flows read");
             assert!(
                 pairs.iter().all(|p| p.1.is_finite() && p.1 >= 0.0),
                 "{command}: {pairs:?}"
             );
-            assert!(pairs[4].1 > 0.0 && pairs[6].1 > 0.0, "{command}: {pairs:?}");
+            assert!(pairs[5].1 > 0.0 && pairs[7].1 > 0.0, "{command}: {pairs:?}");
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -2352,32 +2469,39 @@ mod tests {
             .collect()
     }
 
+    /// The read-ahead budgets the replay oracles run at: the smallest
+    /// rings, where the reader waits on the replay for nearly every
+    /// block, and the one the commands use.
+    const BUDGETS: [usize; 3] = [1, 2, READ_AHEAD];
+
     /// The run replay under the per-flow rule hands out exactly the
     /// per-flow merge's order, over one to four lanes of
     /// [`test_lanes`], whether each run is taken whole or a few flows at
     /// a time; and a resume's skip — one ending in the middle of a run
     /// among them — leaves the same order as dropping those flows (and
     /// the heartbeats before the last of them) from the per-flow order.
+    /// At every read-ahead budget.
     #[test]
     fn run_replay_is_the_per_flow_merge_order() {
         let dir = scratch_dir("anomex-cli-run-replay-test");
         let (paths, singles) = write_lanes(&dir, &test_lanes());
         let interval_ms = MINUTE_MS;
-        for k in 1..=4 {
+        for (k, budget) in (1..=4).flat_map(|k| BUDGETS.map(|budget| (k, budget))) {
             let args = argv(&format!("extract {}", paths[..k].join(" ")));
-            let open = || Replay::open(&args, interval_ms).unwrap();
+            let open = || Replay::open(&args, interval_ms, budget).unwrap();
             let origins: Vec<u64> = open().lanes.iter().map(|lane| lane.origin).collect();
             assert_eq!(origins, [0, 60_000, 120_000, 180_000][..k]);
             let lanes: Vec<(u64, Vec<Single>)> = origins.into_iter().zip(singles.clone()).collect();
             let expected = per_flow_merge(&lanes);
             let (whole, runs) = flatten(&mut open(), |len| len);
-            assert_eq!(whole, expected, "{k} lane(s), whole runs");
+            let context = format!("{k} lane(s), budget {budget}");
+            assert_eq!(whole, expected, "{context}, whole runs");
             let mut calls = 0;
             let bit_by_bit = flatten(&mut open(), |len| {
                 calls += 1;
                 len.min(1 + calls % 3)
             });
-            assert_eq!(bit_by_bit.0, expected, "{k} lane(s), runs taken in bits");
+            assert_eq!(bit_by_bit.0, expected, "{context}, runs taken in bits");
             let beats =
                 |lane: &[Single]| lane.iter().filter(|a| matches!(a, Single::Beat(_))).count();
             let flows = lanes.iter().map(|(_, l)| l.len() - beats(l)).sum::<usize>();
@@ -2399,13 +2523,13 @@ mod tests {
                 assert_eq!(
                     flatten(&mut replay, |len| len).0,
                     rest,
-                    "{k} lane(s), skip {skip}"
+                    "{context}, skip {skip}"
                 );
             }
             assert!(whole.len() > runs.len() * 2, "runs hold several flows");
         }
-        let mut replay =
-            Replay::open(&argv(&format!("extract {}", paths[0])), interval_ms).unwrap();
+        let args = argv(&format!("extract {}", paths[0]));
+        let mut replay = Replay::open(&args, interval_ms, READ_AHEAD).unwrap();
         let lane = &mut replay.lanes[0];
         while lane.receive() {}
         assert_eq!(lane.blocks.len(), 2);
@@ -2515,39 +2639,50 @@ mod tests {
     /// closes a grid interval, its checkpoint bytes; and a fresh replay
     /// `skip`ped by that checkpoint's flow count continues identically
     /// from the restored checkpoint. Without and with a lateness bound,
-    /// on [`test_lanes`] and on random lanes.
+    /// on [`test_lanes`] and on random lanes, at every read-ahead budget.
     #[test]
     fn window_runs_close_every_interval_as_the_per_flow_merge_does() {
         let dir = scratch_dir("anomex-cli-window-runs-test");
         let (paths, singles) = write_lanes(&dir, &test_lanes());
-        let runs = check_window_runs(&paths, &singles, "test lanes");
         let args = argv(&format!("extract {}", paths.join(" ")));
-        let per_flow = flatten(&mut Replay::open(&args, MINUTE_MS).unwrap(), |len| len).1;
-        assert!(
-            runs * 4 < per_flow.len(),
-            "{runs} runs, {} per flow",
-            per_flow.len()
-        );
+        let per_flow = flatten(&mut Replay::open(&args, MINUTE_MS, 1).unwrap(), |len| len).1;
+        for budget in BUDGETS {
+            let runs = check_window_runs(&paths, &singles, budget, "test lanes");
+            assert!(
+                runs * 4 < per_flow.len(),
+                "{runs} runs, {} per flow",
+                per_flow.len()
+            );
+        }
         let mut rng = Rng::seed_from_u64(50);
         for case in 0..scaled(16) {
             let dir = dir.join(case.to_string());
             std::fs::create_dir_all(&dir).unwrap();
             let (paths, singles) = write_lanes(&dir, &random_lanes(&mut rng));
-            check_window_runs(&paths, &singles, &format!("random case {case}"));
+            for budget in BUDGETS {
+                let context = format!("random case {case}");
+                check_window_runs(&paths, &singles, budget, &context);
+            }
             std::fs::remove_dir_all(&dir).ok();
         }
         std::fs::remove_dir_all(&dir).ok();
     }
 
     /// [`window_runs_close_every_interval_as_the_per_flow_merge_does`] on
-    /// one set of lanes; returns the runs the replay handed out.
-    fn check_window_runs(paths: &[String], singles: &[Vec<Single>], context: &str) -> usize {
+    /// one set of lanes, read `budget` blocks ahead per lane; returns the
+    /// runs the replay handed out.
+    fn check_window_runs(
+        paths: &[String],
+        singles: &[Vec<Single>],
+        budget: usize,
+        context: &str,
+    ) -> usize {
         let args = argv(&format!("stream {}", paths.join(" ")));
         let config = ExtractionConfig {
             interval_ms: MINUTE_MS,
             ..ExtractionConfig::default()
         };
-        let open = || Replay::open(&args, config.interval_ms).unwrap();
+        let open = || Replay::open(&args, config.interval_ms, budget).unwrap();
         let specs: Vec<_> = (0u32..)
             .zip(&open().lanes)
             .map(|(i, lane)| SourceSpec::new(i, lane.origin))
@@ -2558,7 +2693,7 @@ mod tests {
         let order = per_flow_merge(&lanes);
         let mut runs = 0;
         for max_lag in [None, Some(1)] {
-            let context = format!("{context}, max-lag {max_lag:?}");
+            let context = format!("{context}, budget {budget}, max-lag {max_lag:?}");
             let engine = || MultiSourceExtractor::new(config.clone(), &specs, max_lag).unwrap();
             let expected = per_flow_trace(&order, engine());
             let got = replay_trace(&mut open(), engine());
@@ -2580,6 +2715,75 @@ mod tests {
             runs = got.runs;
         }
         runs
+    }
+
+    /// Run `check` on a thread of its own, failing if it has not ended
+    /// within `limit`: a replay that deadlocks fails the test rather than
+    /// hanging it.
+    fn under_watchdog(limit: Duration, check: impl FnOnce() + Send + 'static) {
+        let (done, ended) = channel();
+        let worker = std::thread::spawn(move || {
+            check();
+            done.send(()).ok();
+        });
+        match ended.recv_timeout(limit) {
+            Ok(()) => worker.join().unwrap(),
+            Err(RecvTimeoutError::Disconnected) => resume_unwind(worker.join().unwrap_err()),
+            Err(RecvTimeoutError::Timeout) => panic!("still running after {limit:?}: stuck"),
+        }
+    }
+
+    /// Three lanes whose windows (Δ = 1 min) each hold three or four
+    /// blocks: lane 0 from its origin; lane 1 on a clock two hours and
+    /// 437 ms ahead, with a keepalive 2 min ahead of its flows half a
+    /// window in (an exporter's export clock runs ahead of its flows'
+    /// start times) and one in its third window; lane 2 from 50 s into
+    /// the grid until it falls silent a window and a half later. While
+    /// lane 1's early keepalive heads it, the other lanes run past every
+    /// flow of lane 1 the reader has read.
+    fn wide_lanes() -> Vec<Vec<Item>> {
+        vec![
+            vec![Item::Flows(stride(5, 4, 60_000))],
+            vec![
+                Item::Flows(stride(7_200_437, 5, 6_000)),
+                Item::Beat(7_350),
+                Item::Flows(stride(7_230_437, 5, 18_000)),
+                Item::Beat(7_330),
+                Item::Flows(stride(7_320_437, 5, 24_000)),
+            ],
+            vec![Item::Flows(stride(110_000, 4, 22_500))],
+        ]
+    }
+
+    /// A fan-in whose windows each hold more blocks of a lane than the
+    /// smallest rings, with skewed clocks and a lane that falls silent:
+    /// the replay consumes lanes 0 and 2 past everything read of lane 1,
+    /// which the reader would read next. A reader that blocked on a lane
+    /// whose ring is full would wait there for ever while the replay
+    /// waits for another lane's next block. At every budget the replay ends,
+    /// under a watchdog, in the per-flow merge's order, hands the engine
+    /// the same runs, and gives the per-flow merge's events and
+    /// checkpoints.
+    #[test]
+    fn a_fan_in_whose_windows_span_several_blocks_replays_at_any_budget() {
+        let dir = scratch_dir("anomex-cli-wide-windows-test");
+        let (paths, singles) = write_lanes(&dir, &wide_lanes());
+        under_watchdog(Duration::from_secs(300), move || {
+            let args = argv(&format!("extract {}", paths.join(" ")));
+            let open = |budget| Replay::open(&args, MINUTE_MS, budget).unwrap();
+            let origins: Vec<u64> = open(1).lanes.iter().map(|lane| lane.origin).collect();
+            assert_eq!(origins, [0, 7_200_000, 60_000]);
+            let lanes: Vec<_> = origins.into_iter().zip(singles.iter().cloned()).collect();
+            let expected = per_flow_merge(&lanes);
+            let mut runs = Vec::new();
+            for budget in BUDGETS {
+                let order = flatten(&mut open(budget), |len| len).0;
+                assert!(order == expected, "budget {budget}: not the per-flow order");
+                runs.push(check_window_runs(&paths, &singles, budget, "wide lanes"));
+            }
+            assert!(runs.iter().all(|&n| n == runs[0]), "{runs:?} runs");
+        });
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// The same events, naming the first that differs rather than
@@ -2634,7 +2838,7 @@ mod tests {
             ),
         );
         let args = argv(&format!("extract {} --interval-min 1", out("--in")));
-        let mut replay = Replay::open(&args, MINUTE_MS).unwrap();
+        let mut replay = Replay::open(&args, MINUTE_MS, READ_AHEAD).unwrap();
         let specs: Vec<_> = (0u32..)
             .zip(&replay.lanes)
             .map(|(i, lane)| SourceSpec::new(i, lane.origin))
@@ -2670,7 +2874,7 @@ mod tests {
             dir.display()
         ));
         let config = parse_config(&args).unwrap();
-        let lanes = Replay::open(&args, config.interval_ms).unwrap().lanes;
+        let lanes = (Replay::open(&args, config.interval_ms, READ_AHEAD).unwrap()).lanes;
         // A distinctive id, so the test can find it in the payload and
         // rewrite it to 0 — a duplicate `new` would have refused.
         const MARK: u32 = 0x5EC0_1D1D;

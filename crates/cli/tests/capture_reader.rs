@@ -2,11 +2,12 @@
 //! the engine runs. A capture that fails mid-read still ends the command
 //! with its read error and exit 1, after printing only intervals that
 //! closed before the failing block and no trailer; and `stream --in -`
-//! prints intervals while its input is still open.
+//! prints intervals while its input is still open, even before a block
+//! of flows has arrived.
 
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output, Stdio};
+use std::process::{Child, ChildStdin, Command, Output, Stdio};
 use std::sync::mpsc;
 use std::time::Duration;
 
@@ -189,6 +190,41 @@ fn a_capture_cut_mid_read_fails_alike_after_the_intervals_before_it() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `anomex stream --in -` with `options`, its stdin and stderr piped, and
+/// a thread that sends each stdout line as it is printed.
+fn stream_from_stdin(options: &[&str]) -> (Child, ChildStdin, mpsc::Receiver<String>) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_anomex"))
+        .args([&["stream", "--in", "-"][..], options].concat())
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("the binary runs");
+    let stdout = BufReader::new(child.stdout.take().unwrap());
+    let (lines, received) = mpsc::channel();
+    std::thread::spawn(move || {
+        for line in stdout.lines() {
+            if lines.send(line.expect("UTF-8 stdout")).is_err() {
+                break;
+            }
+        }
+    });
+    let stdin = child.stdin.take().unwrap();
+    (child, stdin, received)
+}
+
+/// The first line `child` prints within two minutes; the child is killed
+/// and the test fails if none arrives.
+fn first_line(child: &mut Child, received: &mpsc::Receiver<String>) -> String {
+    match received.recv_timeout(Duration::from_secs(120)) {
+        Ok(line) => line,
+        Err(e) => {
+            child.kill().ok();
+            panic!("no output while stdin is open: {e}");
+        }
+    }
+}
+
 /// `stream --in -` prints an interval while its input is still open:
 /// with the first half of a 25-interval capture written and the pipe
 /// left open, interval 0's `--verbose` line arrives; once the rest is
@@ -210,32 +246,10 @@ fn stream_from_stdin_prints_intervals_before_its_input_ends() {
     let starts = datagram_starts(&bytes);
     let half = starts[starts.len() / 2];
     let options = ["--interval-min", "1", "--training", "10", "--verbose"];
-    let mut child = Command::new(env!("CARGO_BIN_EXE_anomex"))
-        .args([&["stream", "--in", "-"][..], &options].concat())
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("the binary runs");
-    let stdout = BufReader::new(child.stdout.take().unwrap());
-    let (lines, received) = mpsc::channel();
-    let collector = std::thread::spawn(move || {
-        for line in stdout.lines() {
-            if lines.send(line.expect("UTF-8 stdout")).is_err() {
-                break;
-            }
-        }
-    });
-    let mut stdin = child.stdin.take().unwrap();
+    let (mut child, mut stdin, received) = stream_from_stdin(&options);
     stdin.write_all(&bytes[..half]).unwrap();
     stdin.flush().unwrap();
-    let line = match received.recv_timeout(Duration::from_secs(120)) {
-        Ok(line) => line,
-        Err(e) => {
-            child.kill().ok();
-            panic!("no output while stdin is open: {e}");
-        }
-    };
+    let line = first_line(&mut child, &received);
     assert!(
         line.starts_with("interval    0  [0 ms, 60000 ms)"),
         "{line}"
@@ -243,12 +257,52 @@ fn stream_from_stdin_prints_intervals_before_its_input_ends() {
     stdin.write_all(&bytes[half..]).unwrap();
     drop(stdin);
     assert!(child.wait().unwrap().success());
-    collector.join().unwrap();
     let piped: String = std::iter::once(line)
         .chain(received)
         .map(|l| l + "\n")
         .collect();
     let file = succeed(&[&["stream", "--in", path(&trace)][..], &options].concat());
     assert_eq!(mask_micros(&piped), mask_micros(&file));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A live feed slower than a block does not hold its intervals back: with
+/// the whole datagrams among the first 3 775 flows of a 40-interval
+/// two-weeks capture written — about 20 quarter-hour windows, less than
+/// one 4 096-flow block — and the pipe left open, interval 0's
+/// `--verbose` line arrives.
+#[test]
+fn a_live_feed_prints_intervals_before_a_block_fills() {
+    let dir = scratch_dir("anomex-live-feed-test");
+    let trace = dir.join("trace.nfv5");
+    succeed(&[
+        "generate",
+        "--scenario",
+        "two-weeks",
+        "--scale",
+        "0.01",
+        "--intervals",
+        "40",
+        "--out",
+        path(&trace),
+    ]);
+    let bytes = std::fs::read(&trace).unwrap();
+    let (mut fed, mut flows) = (0, 0);
+    for &start in &datagram_starts(&bytes) {
+        let count = usize::from(u16::from_be_bytes([bytes[start + 2], bytes[start + 3]]));
+        if flows + count > 3_775 {
+            break;
+        }
+        (fed, flows) = (start + V5_HEADER_LEN + count * V5_RECORD_LEN, flows + count);
+    }
+    assert!(flows > 3_000, "{flows} flows fed");
+    let (mut child, mut stdin, received) =
+        stream_from_stdin(&["--interval-min", "15", "--verbose"]);
+    stdin.write_all(&bytes[..fed]).unwrap();
+    stdin.flush().unwrap();
+    let line = first_line(&mut child, &received);
+    assert!(line.starts_with("interval    0  ["), "{line}");
+    drop(stdin);
+    assert!(child.wait().unwrap().success());
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -65,6 +65,21 @@ impl CaptureColumns {
         }
     }
 
+    /// Remove every row, keeping each column's allocation, so a reader
+    /// can refill the block without touching fresh memory.
+    pub fn clear(&mut self) {
+        self.start_ms.clear();
+        self.end_ms.clear();
+        self.src_ip.clear();
+        self.dst_ip.clear();
+        self.src_port.clear();
+        self.dst_port.clear();
+        self.proto.clear();
+        self.packets.clear();
+        self.bytes.clear();
+        self.tcp_flags.clear();
+    }
+
     /// Number of rows (flows).
     #[must_use]
     pub fn len(&self) -> usize {

@@ -344,6 +344,9 @@ pub struct TraceReader<R> {
     end: usize,
     /// The source reported end of input.
     eof: bool,
+    /// The last read of the source returned fewer bytes than it asked
+    /// for.
+    short: bool,
     /// An error was yielded.
     failed: bool,
 }
@@ -357,8 +360,23 @@ impl<R: Read> TraceReader<R> {
             start: 0,
             end: 0,
             eof: false,
+            short: false,
             failed: false,
         }
+    }
+
+    /// Whether the next packet waits on the source: its last read
+    /// returned fewer bytes than it asked for (a pipe with nothing more
+    /// queued), and the bytes buffered frame no whole packet. A file's
+    /// reads are full until its end, so a file waits only there. A caller
+    /// batching packets hands on what it has rather than block here.
+    #[must_use]
+    pub fn waits(&self) -> bool {
+        let pending = &self.buf[self.start..self.end];
+        self.short
+            && !self.failed
+            && (pending.is_empty()
+                || matches!(decode_packet(pending, &mut Discard), Err(e) if is_truncation(&e)))
     }
 
     /// Read the next packet, appending a v5 datagram's records to
@@ -428,6 +446,7 @@ impl<R: Read> TraceReader<R> {
                 read => break read?,
             }
         };
+        self.short = self.end + n < self.buf.len();
         self.end += n;
         self.eof = n == 0;
         Ok(())
@@ -445,6 +464,13 @@ impl<R: Read> Iterator for TraceReader<R> {
             Packet::Heartbeat(punct) => TraceItem::Heartbeat(punct),
         }))
     }
+}
+
+/// A sink that keeps no rows: it frames a packet without storing it.
+struct Discard;
+
+impl RecordSink for Discard {
+    fn append_records(&mut self, _: &[u8]) {}
 }
 
 /// Whether `e` could be cured by more bytes.
@@ -744,6 +770,49 @@ mod tests {
             matches!(reader.next(), Some(Err(ReadError::Io(e))) if e.to_string() == "disk on fire")
         );
         assert!(reader.next().is_none());
+    }
+
+    #[test]
+    fn a_reader_waits_after_a_short_read_that_framed_no_whole_packet() {
+        /// A pipe: each read hands over the next chunk, whatever it asks.
+        struct Pipe(std::collections::VecDeque<Vec<u8>>);
+        impl Read for Pipe {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                let chunk = self.0.pop_front().unwrap_or_default();
+                buf[..chunk.len()].copy_from_slice(&chunk);
+                Ok(chunk.len())
+            }
+        }
+        let flow = FlowRecord::new(
+            0,
+            Ipv4Addr::LOCALHOST,
+            Ipv4Addr::LOCALHOST,
+            1,
+            2,
+            Protocol::Udp,
+        );
+        let datagram = |seq| encode_datagram(&[flow], seq, 0).unwrap();
+        let (one, two, three) = (datagram(0), datagram(1), datagram(2));
+        let chunks = [
+            [&one[..], &two[..10]].concat(),
+            [&two[10..], &three[..]].concat(),
+        ];
+        let mut reader = TraceReader::new(Pipe(chunks.into()));
+        let mut flows = Vec::new();
+        assert!(!reader.waits(), "nothing read yet");
+        assert!(reader.read_into(&mut flows).is_some());
+        assert!(reader.waits(), "a short read left part of a datagram");
+        assert!(reader.read_into(&mut flows).is_some());
+        assert!(!reader.waits(), "a whole datagram is buffered");
+        assert!(reader.read_into(&mut flows).is_some());
+        assert!(reader.waits(), "nothing is buffered");
+        assert!(reader.read_into(&mut flows).is_none());
+        assert_eq!(flows.len(), 3);
+
+        let file = [one, two, three].concat();
+        let mut reader = TraceReader::new(&file[..]);
+        assert!(reader.read_into(&mut flows).is_some());
+        assert!(!reader.waits(), "a file's buffered datagrams are whole");
     }
 
     #[test]
