@@ -1,14 +1,9 @@
 //! The `anomex` subcommands.
 
-use std::collections::VecDeque;
 use std::fs::{self, File};
 use std::io::{Read, Write};
-use std::ops::Range;
-use std::panic::resume_unwind;
 use std::path::{Path, PathBuf};
-use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use anomex_core::{
     latency_percentile, prefilter_indices_columns, render_report, render_report_with_levels,
@@ -17,11 +12,11 @@ use anomex_core::{
 };
 use anomex_detector::{DetectorConfig, MetaData};
 use anomex_mining::{mine_top_k, RuleConfig, RARE_SUPPORT_GUARD};
-use anomex_netflow::v5::{V5Exporter, V5_MAX_RECORDS};
-use anomex_netflow::v9::{Packet, TraceReader};
+use anomex_netflow::v5::V5Exporter;
+use anomex_netflow::v9::TraceReader;
 use anomex_netflow::{
-    CaptureColumns, CaptureRun, FeatureValue, FlowColumns, FlowRecord, FlowRun, ReadError,
-    SourceId, SourceSpec, MINUTE_MS,
+    Arrival, FeatureValue, FlowColumns, FlowRecord, ReadError, ReadStats, Replay, ReplayError,
+    ReplayErrorKind, SourceId, MINUTE_MS,
 };
 use anomex_traffic::table2::paper_counts;
 use anomex_traffic::{table2_workload, MultiSourceScenario, Scenario};
@@ -400,66 +395,26 @@ fn export_trace(
     Ok((bytes, flow_count))
 }
 
-/// A capture file, or stdin when its path is `-`: NetFlow v5 flow
-/// datagrams optionally interleaved with v9/IPFIX template-only
-/// punctuation packets, framed one packet at a time by a
-/// [`TraceReader`] from a small refilled buffer — a file and a pipe take
-/// the same path.
-struct Capture<'p> {
-    reader: TraceReader<Box<dyn Read>>,
-    path: &'p str,
+/// A capture file, or stdin, which a replay reads alike.
+type Capture = Box<dyn Read + Send>;
+
+/// Open the capture at `path`, stdin when it is `-`.
+fn open_capture(path: &str) -> Result<Capture, String> {
+    if path == "-" {
+        return Ok(Box::new(std::io::stdin()));
+    }
+    let file = File::open(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    Ok(Box::new(file))
 }
 
-impl<'p> Capture<'p> {
-    fn open(path: &'p str) -> Result<Self, String> {
-        let source: Box<dyn Read> = if path == "-" {
-            Box::new(std::io::stdin().lock())
-        } else {
-            Box::new(File::open(path).map_err(|e| format!("cannot read {path}: {e}"))?)
-        };
-        Ok(Capture {
-            reader: TraceReader::new(source),
-            path,
-        })
-    }
-
-    /// The next packet, a datagram's records appended to `flows`; `None`
-    /// at the end of the capture.
-    fn read_into(&mut self, flows: &mut Vec<FlowRecord>) -> Result<Option<Packet>, String> {
-        let packet = self.reader.read_into(flows);
-        self.named(packet)
-    }
-
-    /// Fill `block`, which is empty, with the capture's next stretch: its
-    /// flows decoded straight into the block's columns until it has no
-    /// room for a full datagram, or until it holds a flow and the next
-    /// packet waits on the source ([`TraceReader::waits`]), so a live
-    /// feed's flows are replayed as they arrive. A stretch of heartbeats
-    /// alone stays in one block. The block is left empty at the end of
-    /// the capture; on a read error it keeps what was read before it.
-    fn read_block(&mut self, block: &mut Block) -> Result<(), String> {
-        while block.flows.len() + V5_MAX_RECORDS <= BLOCK {
-            if !block.flows.is_empty() && self.reader.waits() {
-                break;
-            }
-            let packet = self.reader.read_columns(&mut block.flows);
-            match self.named(packet)? {
-                Some(Packet::Flows(_)) => {}
-                Some(Packet::Heartbeat(p)) => block.beats.push((block.flows.len(), p.export_ms)),
-                None => break,
-            }
+/// The message a capture's failure ends the command with: the replay's
+/// own, except that a failing stdin is named `stdin`, not `-`.
+fn read_failed(e: ReplayError) -> String {
+    match e.kind {
+        ReplayErrorKind::Read(ReadError::Io(io)) if e.source == "-" => {
+            format!("cannot read stdin: {io}")
         }
-        Ok(())
-    }
-
-    /// A read's packet, its error naming the capture.
-    fn named(&self, packet: Option<Result<Packet, ReadError>>) -> Result<Option<Packet>, String> {
-        let path = self.path;
-        let name = if path == "-" { "stdin" } else { path };
-        packet.transpose().map_err(|e| match e {
-            ReadError::Io(e) => format!("cannot read {name}: {e}"),
-            ReadError::Decode(e) => format!("{path}: {e}"),
-        })
+        _ => e.to_string(),
     }
 }
 
@@ -467,9 +422,14 @@ impl<'p> Capture<'p> {
 /// (`analyze` extracts from one flow set and has no watermark to
 /// release).
 fn load_flows(path: &str) -> Result<Vec<FlowRecord>, String> {
-    let mut capture = Capture::open(path)?;
+    let mut capture = TraceReader::new(open_capture(path)?);
     let mut flows = Vec::new();
-    while capture.read_into(&mut flows)?.is_some() {}
+    while let Some(packet) = capture.read_into(&mut flows) {
+        packet.map_err(|e| {
+            let (source, kind) = (path.to_string(), ReplayErrorKind::Read(e));
+            read_failed(ReplayError { source, kind })
+        })?;
+    }
     Ok(flows)
 }
 
@@ -573,485 +533,19 @@ fn parse_config(args: &Args) -> Result<ExtractionConfig, String> {
     Ok(config)
 }
 
-/// A merge key of the replay: grid-relative ms, heartbeat, lane.
-type Key = (u64, bool, usize);
-
-/// What the replay hands the engine next: a run of one lane's flows, or
-/// an exporter heartbeat (a v9/IPFIX export clock, absolute source-local
-/// ms).
-enum Arrival<'a> {
-    Run(CaptureRun<'a>),
-    Heartbeat(u64),
-}
-
-/// Flows per block of a [`Lane`] (120 KiB at 30 bytes a flow). A lane
-/// hands each block back to the capture reader once replayed, and the
-/// reader refills it.
-const BLOCK: usize = 4096;
-
-/// The most blocks of one lane in flight at once — read by the capture
-/// reader and not yet handed back by the replay: 131 072 flows, 3.75 MiB.
-/// It bounds how far the reader runs ahead of the replay, so a capture's
-/// memory is the ring's, whatever its length.
-const READ_AHEAD: usize = 32;
-
-/// A stretch of one capture: its flows in file order, decoded straight
-/// into the block's wire-width columns, and its heartbeats beside them,
-/// each with the number of the block's flows that came before it; and
-/// the source it was read for, which it goes back to the reader with.
-struct Block {
-    source: usize,
-    flows: CaptureColumns,
-    beats: Vec<(usize, u64)>,
-}
-
-impl Block {
-    fn new() -> Self {
-        Block {
-            source: 0,
-            flows: CaptureColumns::with_capacity(BLOCK),
-            beats: Vec::new(),
-        }
+/// Open the `--in` captures in command-line order, each named by its
+/// path: at least one, and stdin feeds one lane only.
+fn open_captures(args: &Args) -> Result<Vec<(String, Capture)>, String> {
+    let inputs = args.get_all("in");
+    if inputs.is_empty() {
+        args.require("in")?;
     }
-
-    fn is_empty(&self) -> bool {
-        self.flows.is_empty() && self.beats.is_empty()
+    if inputs.iter().filter(|path| *path == "-").count() > 1 {
+        return Err("--in - is given more than once, but there is only one stdin".into());
     }
-
-    fn clear(&mut self) {
-        self.flows.clear();
-        self.beats.clear();
-    }
-}
-
-/// A block of a lane's capture, or the read error that ends it: what the
-/// capture reader sends a [`Lane`].
-type Sent = Result<Block, String>;
-
-/// What `--timings` reports of the capture read: the reader's time from
-/// spawn to its last block, the flows it read, and its time waiting for
-/// the replay to hand a block back; and the replay's time waiting for a
-/// block not read yet.
-#[derive(Default)]
-struct ReadStats {
-    read: Duration,
-    flows: usize,
-    full: Duration,
-    wait: Duration,
-}
-
-/// The capture reader, the one thread beside the replay. It opens every
-/// capture (`paths[s]` feeds `lanes[s]`) and reads them a [`Block`] at a
-/// time, each sent down its lane. It keeps at most `budget` blocks of a
-/// lane in flight: a block the replay has replayed comes back on
-/// `returned`, and the reader clears and refills it, so a steady state
-/// allocates nothing. It reads next, among the lanes with a block to
-/// spare, the one whose last-read flow is earliest in grid time (a lane
-/// with no flow yet first, ties to the lowest source), and waits for a
-/// returned block only when no lane has one to spare. Sends never block,
-/// so a replay waiting for a lane's next block is always served: every
-/// block of that lane is back, and it has all its budget to spare. A lane
-/// is hung up at the end of its capture, after the blocks read before its
-/// read error and that error, if any. The pick order only decides when a
-/// block is ready: every lane receives its own blocks in file order. The
-/// reader stops at the first send the replay no longer receives, or when
-/// nothing can hand a block back.
-fn read_captures(
-    paths: &[String],
-    interval_ms: u64,
-    lanes: Vec<Sender<Sent>>,
-    returned: Receiver<Block>,
-    budget: usize,
-) -> ReadStats {
-    let started = Instant::now();
-    // Each open capture: its source, its lane, and its grid origin and
-    // the grid time of its last-read flow once it has read one.
-    let mut open = Vec::new();
-    for (source, (path, lane)) in paths.iter().zip(lanes).enumerate() {
-        match Capture::open(path) {
-            Ok(capture) => open.push((source, capture, lane, None::<(u64, u64)>)),
-            Err(e) => drop(lane.send(Err(e))),
-        }
-    }
-    // Each lane's blocks in flight, and the blocks handed back, cleared.
-    let mut in_flight = vec![0; paths.len()];
-    let mut free: Vec<Block> = Vec::new();
-    let mut stats = ReadStats::default();
-    'read: while !open.is_empty() {
-        // Take back every block the replay has handed back, and wait for
-        // one only when no lane has a block to spare.
-        loop {
-            let mut block = match returned.try_recv() {
-                Ok(block) => block,
-                Err(_) if open.iter().any(|&(s, ..)| in_flight[s] < budget) => break,
-                Err(_) => {
-                    let waiting = Instant::now();
-                    let Ok(block) = returned.recv() else {
-                        break 'read;
-                    };
-                    stats.full += waiting.elapsed();
-                    block
-                }
-            };
-            in_flight[block.source] -= 1;
-            block.clear();
-            free.push(block);
-        }
-        let next = (0..open.len())
-            .filter(|&i| in_flight[open[i].0] < budget)
-            .min_by_key(|&i| (open[i].3.map(|(_, last)| last), i))
-            .expect("a lane has a block to spare");
-        let (source, capture, lane, read) = &mut open[next];
-        let mut block = free.pop().unwrap_or_else(Block::new);
-        block.source = *source;
-        let filled = capture.read_block(&mut block);
-        // An empty block is the end of the capture.
-        let ended = block.is_empty() || filled.is_err();
-        if block.is_empty() {
-            free.push(block);
-        } else {
-            let starts = block.flows.start_ms();
-            if let (Some(&first), Some(&last)) = (starts.first(), starts.last()) {
-                let first = u64::from(first);
-                let origin = read.map_or(first - first % interval_ms, |(origin, _)| origin);
-                *read = Some((origin, u64::from(last).saturating_sub(origin)));
-            }
-            stats.flows += block.flows.len();
-            in_flight[*source] += 1;
-            if lane.send(Ok(block)).is_err() {
-                break 'read;
-            }
-        }
-        if ended {
-            if let Err(e) = filled {
-                drop(lane.send(Err(e)));
-            }
-            open.remove(next);
-        }
-    }
-    stats.read = started.elapsed();
-    stats
-}
-
-/// One `--in` capture as the replay sees it: the blocks received from the
-/// capture reader and not yet replayed, and its grid origin, the start of
-/// the window holding its first flow. Every decision it takes reads the
-/// `first` column; a flow becomes a record only inside the assembler.
-struct Lane {
-    /// Received and not yet replayed, in file order; none is empty. It is
-    /// empty only once the capture has ended or failed.
-    blocks: VecDeque<Block>,
-    /// The rest of the capture, from the reader.
-    rest: Receiver<Sent>,
-    /// Where a replayed block goes back to the reader.
-    back: Sender<Block>,
-    /// The read error the lane stopped at, once every block before it
-    /// is replayed.
-    failed: Option<String>,
-    /// How many flows, and heartbeats, of the front block are replayed.
-    flow: usize,
-    beat: usize,
-    origin: u64,
-    /// The time spent waiting for a block the reader had not read yet.
-    waited: Duration,
-}
-
-impl Lane {
-    /// The lane of capture `path` fed by `rest`, handing its replayed
-    /// blocks `back`: it waits only for the blocks up to the first flow,
-    /// which fixes the origin.
-    fn open(
-        path: &str,
-        rest: Receiver<Sent>,
-        back: Sender<Block>,
-        interval_ms: u64,
-    ) -> Result<Self, String> {
-        let mut lane = Lane {
-            blocks: VecDeque::new(),
-            rest,
-            back,
-            failed: None,
-            flow: 0,
-            beat: 0,
-            origin: 0,
-            waited: Duration::ZERO,
-        };
-        let first = loop {
-            if let Some(first) = lane.blocks.back().and_then(|b| b.flows.start_ms().first()) {
-                break u64::from(*first);
-            }
-            if !lane.receive() {
-                return Err(
-                    (lane.failed.take()).unwrap_or_else(|| format!("{path}: trace is empty"))
-                );
-            }
-        };
-        lane.origin = first - first % interval_ms;
-        Ok(lane)
-    }
-
-    /// Receive the capture's next block, waiting if the reader has not
-    /// read it yet; `false` at the end of the capture or at its read
-    /// error, which the lane keeps.
-    fn receive(&mut self) -> bool {
-        let sent = match self.rest.try_recv() {
-            Err(TryRecvError::Empty) => {
-                let waiting = Instant::now();
-                let sent = self.rest.recv().ok();
-                self.waited += waiting.elapsed();
-                sent
-            }
-            sent => sent.ok(),
-        };
-        match sent {
-            Some(Ok(block)) => {
-                self.blocks.push_back(block);
-                return true;
-            }
-            Some(Err(e)) => self.failed = Some(e),
-            None => {}
-        }
-        false
-    }
-
-    /// The replay's merge key for a flow or heartbeat of this lane dated
-    /// `ms`: grid-relative time, flows before heartbeats, then the lane.
-    fn key(&self, ms: u64, beat: bool, s: usize) -> Key {
-        (ms.saturating_sub(self.origin), beat, s)
-    }
-
-    /// The merge key of this lane's next arrival, lane `s`; `None` when
-    /// nothing is pending.
-    fn head(&self, s: usize) -> Option<Key> {
-        let block = self.blocks.front()?;
-        Some(match block.beats.get(self.beat) {
-            Some(&(at, ms)) if at == self.flow => self.key(ms, true, s),
-            _ => self.key(u64::from(block.flows.start_ms()[self.flow]), false, s),
-        })
-    }
-
-    /// No more than the merge key of this lane's next arrival that can
-    /// close a window, given its open window (`None`: any can): its next
-    /// flow outside the window, or its next heartbeat. With neither in
-    /// the front block it is the largest key left in that block, which
-    /// the per-flow merge takes before anything after the block.
-    fn barrier(&self, s: usize, window: Option<Range<u64>>) -> Option<Key> {
-        let Some(window) = window else {
-            return self.head(s);
-        };
-        let block = self.blocks.front()?;
-        let starts = self.flows().start_ms().iter().map(|&ms| u64::from(ms));
-        let key = |ms: u64| self.key(ms, false, s);
-        match starts.clone().find(|ms| !window.contains(ms)) {
-            Some(ms) => Some(key(ms)),
-            None => match block.beats.get(self.beat) {
-                Some(&(_, ms)) => Some(self.key(ms, true, s)),
-                None => starts.map(key).max(),
-            },
-        }
-    }
-
-    /// The flows up to the lane's next heartbeat or block end.
-    fn flows(&self) -> CaptureRun<'_> {
-        let block = &self.blocks[0];
-        let end = (block.beats.get(self.beat)).map_or(block.flows.len(), |&(at, _)| at);
-        block.flows.run(self.flow..end)
-    }
-
-    /// The first `n` of [`flows`](Self::flows).
-    fn first_flows(&self, n: usize) -> CaptureRun<'_> {
-        self.blocks[0].flows.run(self.flow..self.flow + n)
-    }
-
-    /// Take the heartbeat at the head.
-    fn take_beat(&mut self) -> u64 {
-        let ms = self.blocks[0].beats[self.beat].1;
-        self.beat += 1;
-        self.settle();
-        ms
-    }
-
-    /// Mark the next `n` flows replayed.
-    fn consume(&mut self, n: usize) {
-        self.flow += n;
-        self.settle();
-    }
-
-    /// Hand the front block back to the reader once it is replayed, and
-    /// receive the next one when it was the last received.
-    fn settle(&mut self) {
-        let block = &self.blocks[0];
-        if self.flow == block.flows.len() && self.beat == block.beats.len() {
-            let block = self.blocks.pop_front().expect("a front block");
-            // Once every capture is read, nothing takes a block back.
-            self.back.send(block).ok();
-            (self.flow, self.beat) = (0, 0);
-            if self.blocks.is_empty() {
-                self.receive();
-            }
-        }
-    }
-}
-
-/// Collector arrival order over every lane: a k-way merge of the lane
-/// heads on grid-relative time, each lane in file order, flows before
-/// same-millisecond heartbeats, ties to the lowest source id. It is
-/// deterministic, so a resume can skip exactly what a checkpointed run
-/// consumed. A heartbeat is held until a later flow arrives on any
-/// lane; those still held at the end are dropped, so none opens a
-/// window past the last flow (one far in the future would open a
-/// window for every interval up to it). An unsorted capture is
-/// replayed as it comes: the grid counts its late flows as drops.
-///
-/// The merge hands out runs of one lane's flows. A run keeps going past
-/// other lanes' flows where the engine cannot tell the difference: while
-/// its flows lie inside their lane's open window, it ends only at
-/// another lane's next arrival that can close a window. In-window flows
-/// of different lanes commute (a merged interval concatenates each
-/// lane's window in source order), so at every arrival that closes a
-/// window each lane has consumed what the per-flow merge would have,
-/// and events, drops and checkpoints are that merge's.
-///
-/// The captures are read by [`read_captures`] while the replay runs, so
-/// the first interval does not wait for the last flow to be read, and
-/// each lane hands its replayed blocks back to be refilled, so the reader
-/// runs at most a budget of blocks ahead of it. A lane that reaches its
-/// read error stops the replay there.
-struct Replay {
-    lanes: Vec<Lane>,
-    /// Heartbeats taken from the lane heads, waiting for a later flow,
-    /// in merge order: grid time, source, export clock.
-    held: VecDeque<(u64, SourceId, u64)>,
-    /// The capture reader. [`finish`](Self::finish) joins it after a
-    /// complete replay; a replay dropped early leaves it to end at its
-    /// next send or once nothing can hand it a block back, or with the
-    /// process, never waiting on it (it may be blocked on an open stdin).
-    reader: JoinHandle<ReadStats>,
-}
-
-impl Replay {
-    /// Start the capture reader on every `--in` capture in command-line
-    /// order (at least one), source `i` the `i`-th file, with `budget`
-    /// blocks in flight per lane ([`READ_AHEAD`] outside tests), and open
-    /// their lanes. Stdin can feed one lane only.
-    fn open(args: &Args, interval_ms: u64, budget: usize) -> Result<Self, String> {
-        assert!(budget > 0, "a lane needs a block in flight");
-        let inputs = args.get_all("in");
-        if inputs.is_empty() {
-            args.require("in")?;
-        }
-        if inputs.iter().filter(|path| *path == "-").count() > 1 {
-            return Err("--in - is given more than once, but there is only one stdin".into());
-        }
-        let (senders, receivers): (Vec<_>, Vec<_>) = inputs.iter().map(|_| channel()).unzip();
-        let (back, returned) = channel();
-        let paths = inputs.to_vec();
-        let reader = std::thread::Builder::new()
-            .name("anomex-capture-reader".into())
-            .spawn(move || read_captures(&paths, interval_ms, senders, returned, budget))
-            .map_err(|e| format!("cannot spawn the capture reader: {e}"))?;
-        let lanes = (inputs.iter().zip(receivers))
-            .map(|(path, rest)| Lane::open(path, rest, back.clone(), interval_ms))
-            .collect::<Result<_, _>>()?;
-        Ok(Replay {
-            lanes,
-            held: VecDeque::new(),
-            reader,
-        })
-    }
-
-    /// The next arrival, `None` at the end, or the read error a lane
-    /// reached: a heartbeat, taken as it is returned, or a run of never
-    /// fewer than one flow, which stays at its lane's head until
-    /// [`consume`](Self::consume)d. `window` gives each source's open
-    /// window, source-local ms
-    /// ([`anomex_netflow::MergeAssembler::open_window`]);
-    /// `None` counts every arrival of that lane as one that can close a
-    /// window, which makes the runs the per-flow merge's own.
-    fn next(
-        &mut self,
-        window: impl Fn(SourceId) -> Option<Range<u64>>,
-    ) -> Result<Option<(SourceId, Arrival<'_>)>, String> {
-        loop {
-            if let Some(e) = self.lanes.iter().find_map(|lane| lane.failed.as_ref()) {
-                return Err(e.clone());
-            }
-            let Some((at, beat, s)) = (self.lanes.iter().enumerate())
-                .filter_map(|(s, lane)| lane.head(s))
-                .min()
-            else {
-                return Ok(None);
-            };
-            // The next flow waits for every held heartbeat dated before it.
-            let due = self.held.front().is_some_and(|&(held_at, ..)| held_at < at);
-            if due && !beat {
-                let (_, source, ms) = self.held.pop_front().expect("a held heartbeat is due");
-                return Ok(Some((source, Arrival::Heartbeat(ms))));
-            }
-            let source = SourceId(s as u32);
-            if beat {
-                let ms = self.lanes[s].take_beat();
-                self.held.push_back((at, source, ms));
-                continue;
-            }
-            // Lane `s` keeps the lead while its flows sort below every
-            // other lane's head, or lie inside its open window and sort
-            // below every other lane's next arrival that can close one;
-            // and no held heartbeat falls due.
-            let others = || (self.lanes.iter().enumerate()).filter(|&(t, _)| t != s);
-            let head = others().filter_map(|(t, lane)| lane.head(t)).min();
-            let barrier = (others())
-                .filter_map(|(t, lane)| lane.barrier(t, window(SourceId(t as u32))))
-                .min();
-            let held = self.held.front().map(|&(held_at, ..)| held_at);
-            let open = window(source);
-            let lane = &self.lanes[s];
-            let flows = lane.flows();
-            let run = (flows.start_ms().iter())
-                .take_while(|&&ms| {
-                    let ms = u64::from(ms);
-                    let key = lane.key(ms, false, s);
-                    let below = |bound: Option<Key>| bound.map_or(true, |b| key < b);
-                    let inside = open.as_ref().is_some_and(|w| w.contains(&ms));
-                    (below(head) || inside && below(barrier)) && held.map_or(true, |h| key.0 <= h)
-                })
-                .count();
-            return Ok(Some((source, Arrival::Run(lane.first_flows(run)))));
-        }
-    }
-
-    /// Mark the first `n` flows of `source`'s run replayed.
-    fn consume(&mut self, source: SourceId, n: usize) {
-        self.lanes[source.0 as usize].consume(n);
-    }
-
-    /// Pass over the first `flows` flows and the heartbeats among them —
-    /// what a checkpointed run consumed — so the replay continues with
-    /// the arrival after its last flow. It takes the per-flow merge's
-    /// runs: no window describes the skipped prefix yet, and a
-    /// checkpoint's flow count falls at a close, where both orders have
-    /// consumed the same flows.
-    fn skip(&mut self, mut flows: u64) -> Result<(), String> {
-        while flows > 0 {
-            let Some((source, arrival)) = self.next(|_| None)? else {
-                break;
-            };
-            if let Arrival::Run(run) = arrival {
-                let n = (run.flow_count() as u64).min(flows);
-                self.consume(source, n as usize);
-                flows -= n;
-            }
-        }
-        Ok(())
-    }
-
-    /// After a complete replay, join the reader: what it reports, and the
-    /// time the replay waited for blocks it had not read yet.
-    fn finish(self) -> ReadStats {
-        let wait = self.lanes.iter().map(|lane| lane.waited).sum();
-        let stats = (self.reader.join()).unwrap_or_else(|panic| resume_unwind(panic));
-        ReadStats { wait, ..stats }
-    }
+    (inputs.iter())
+        .map(|path| Ok((path.clone(), open_capture(path)?)))
+        .collect()
 }
 
 fn write_error(e: std::io::Error) -> String {
@@ -1328,16 +822,12 @@ fn check_resume_options(
     }
 }
 
-/// The one body of `extract` and `stream`, for any number of `--in`
-/// captures: each is one exporter on a shared interval grid, read by
-/// the capture reader thread and replayed as it is read, in collector
-/// arrival order (heartbeats included), into one
-/// [`MultiSourceExtractor`], whose pipeline thread extracts an interval
-/// while the next is assembled. Each interval is printed as the engine
-/// closes it, with optional checkpoints, resume, `--stop-after` and
-/// boundary reconfiguration (options only `stream` takes); a read error
-/// ends the command where the replay reaches it. The two commands
-/// differ only in the summary that ends it.
+/// The one body of `extract` and `stream`: the `--in` captures' [`Replay`]
+/// into one [`MultiSourceExtractor`], each interval printed as it
+/// closes, with optional checkpoints, resume, `--stop-after` and boundary
+/// reconfiguration (options only `stream` takes); a capture's failure
+/// ends the command where the replay reaches it. The two commands differ
+/// only in the summary that ends it.
 fn replay_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
     let config = parse_config(args)?;
     let threads = parse_threads(args)?;
@@ -1348,38 +838,33 @@ fn replay_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
         0 => None,
         n => Some(n),
     };
-    let mut replay = Replay::open(args, config.interval_ms, READ_AHEAD)?;
+    let captures = open_captures(args)?;
 
     // Resume restores the full online state — configuration included —
-    // from the checkpoint; otherwise start cold from the CLI options.
+    // from the checkpoint, and replays from its sources' origins, which
+    // fix the flows the skip below passes over; otherwise start cold.
     let resume_from = durability
         .as_ref()
         .filter(|d| d.resume)
         .map(Durability::checkpoint_path)
         .filter(|p| p.exists());
-    let mut engine = if let Some(path) = &resume_from {
-        let sources = replay.lanes.len();
-        let resumed = restore_from_checkpoint(path, sources, force_rare)?;
+    let (mut engine, mut replay) = if let Some(path) = &resume_from {
+        let resumed = restore_from_checkpoint(path, captures.len(), force_rare)?;
         check_resume_options(args, &config, max_lag, &resumed)
             .map_err(|e| format!("cannot resume from {}: {e}", path.display()))?;
-        // The checkpointed run's origins, not the ones this run's Δ
-        // infers: they fix the replay order, and with it the flows the
-        // skip below passes over.
-        for (lane, spec) in replay.lanes.iter_mut().zip(resumed.assembler().sources()) {
-            lane.origin = spec.origin_ms;
-        }
+        let (interval_ms, sources) = (resumed.config().interval_ms, resumed.assembler().sources());
+        let replay = Replay::open(captures, interval_ms, Some(&sources)).map_err(read_failed)?;
         note(format_args!(
             "resumed from {} ({} flows already consumed)",
             path.display(),
             resumed.total_flows()
         ));
-        resumed
+        (resumed, replay)
     } else {
-        let specs: Vec<_> = (0u32..)
-            .zip(&replay.lanes)
-            .map(|(i, l)| SourceSpec::new(i, l.origin))
-            .collect();
-        MultiSourceExtractor::new(config, &specs, max_lag).map_err(String::from)?
+        let replay = Replay::open(captures, config.interval_ms, None).map_err(read_failed)?;
+        let engine =
+            MultiSourceExtractor::new(config, &replay.sources(), max_lag).map_err(String::from)?;
+        (engine, replay)
     };
     // Nothing can refuse the command now: the checkpoint dir may exist.
     if let Some(d) = &durability {
@@ -1408,12 +893,12 @@ fn replay_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
     // A resumed run skips what the checkpointed one fed: its flows, and
     // the heartbeats among them.
     let skipped = engine.total_flows();
-    replay.skip(skipped)?;
+    replay.skip(skipped).map_err(read_failed)?;
     let first = engine.assembler().closed_intervals();
     let mut checkpointed = first;
     // A read error ends the command here, before `finish` would flush the
     // open windows: the output holds the intervals closed before it.
-    while let Some((source, arrival)) = replay.next(|s| engine.assembler().open_window(s))? {
+    while let Some((source, arrival)) = replay.next(engine.assembler()).map_err(read_failed)? {
         let events = match arrival {
             Arrival::Run(flows) => {
                 let (n, events) = engine.push_run(source, &flows);
@@ -1627,9 +1112,7 @@ fn table2_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anomex_netflow::{FlowFeature, MergeAssembler, MergeConfig};
-    use anomex_traffic::rng::Rng;
-    use std::sync::mpsc::RecvTimeoutError;
+    use anomex_netflow::{FlowFeature, SourceSpec};
 
     /// Parse a whitespace-separated command line.
     fn argv(line: &str) -> Args {
@@ -2256,610 +1739,6 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// One arrival of the per-flow replay: a flow or a heartbeat.
-    #[derive(Debug, Clone, Copy, PartialEq)]
-    enum Single {
-        Flow(FlowRecord),
-        Beat(u64),
-    }
-
-    /// A replay order: which source handed out what.
-    type Order = Vec<(SourceId, Single)>;
-
-    /// The replay order taken one flow at a time — the k-way merge the
-    /// run replay must reproduce: the lane heads' minimum on (grid time,
-    /// flows before heartbeats, source), a heartbeat held until a later
-    /// flow, those held at the end dropped.
-    fn per_flow_merge(lanes: &[(u64, Vec<Single>)]) -> Order {
-        let mut heads: Vec<VecDeque<Single>> = lanes
-            .iter()
-            .map(|(_, items)| items.iter().copied().collect())
-            .collect();
-        let mut held: VecDeque<(u64, SourceId, u64)> = VecDeque::new();
-        let mut out = Vec::new();
-        loop {
-            let key = |s: usize, item: &Single| {
-                let (ms, beat) = match item {
-                    Single::Flow(flow) => (flow.start_ms, false),
-                    Single::Beat(ms) => (*ms, true),
-                };
-                (ms.saturating_sub(lanes[s].0), beat, s)
-            };
-            let Some((at, beat, s)) = (heads.iter().enumerate())
-                .filter_map(|(s, lane)| lane.front().map(|item| key(s, item)))
-                .min()
-            else {
-                return out;
-            };
-            if !beat && held.front().is_some_and(|&(held_at, ..)| held_at < at) {
-                let (_, source, ms) = held.pop_front().unwrap();
-                out.push((source, Single::Beat(ms)));
-                continue;
-            }
-            let source = SourceId(s as u32);
-            match heads[s].pop_front().unwrap() {
-                Single::Beat(ms) => held.push_back((at, source, ms)),
-                flow => out.push((source, flow)),
-            }
-        }
-    }
-
-    /// Everything `replay` hands out under the per-flow rule (no open
-    /// windows, as [`Replay::skip`] takes it), one arrival per flow,
-    /// consuming `take(len)` flows of each run of `len`; with the run
-    /// boundaries, as flows replayed before each run.
-    fn flatten(
-        replay: &mut Replay,
-        mut take: impl FnMut(usize) -> usize,
-    ) -> (Order, Vec<(usize, usize)>) {
-        let (mut out, mut runs, mut flows) = (Vec::new(), Vec::new(), 0);
-        while let Some((source, arrival)) = replay.next(|_| None).unwrap() {
-            match arrival {
-                Arrival::Heartbeat(ms) => out.push((source, Single::Beat(ms))),
-                Arrival::Run(run) => {
-                    let len = run.flow_count();
-                    assert!(len > 0, "a run holds a flow");
-                    let n = take(len);
-                    out.extend((0..n).map(|i| (source, Single::Flow(run.record_at(i)))));
-                    runs.push((flows, len));
-                    flows += n;
-                    replay.consume(source, n);
-                }
-            }
-        }
-        (out, runs)
-    }
-
-    /// One stretch of a test capture: flows starting at these ms, or a
-    /// v9 keepalive at this export second.
-    enum Item {
-        Flows(Vec<u64>),
-        Beat(u32),
-    }
-
-    /// `n` start times from `from`, `step` ms apart.
-    fn stride(from: u64, step: u64, n: u64) -> Vec<u64> {
-        (0..n).map(|i| from + step * i).collect()
-    }
-
-    /// Write lane `s` of `lanes` to `dir/lane{s}.nf` (v5 datagrams and
-    /// v9 keepalives); returns one `--in FILE` per lane and each lane's
-    /// arrivals, one per flow or heartbeat.
-    fn write_lanes(dir: &Path, lanes: &[Vec<Item>]) -> (Vec<String>, Vec<Vec<Single>>) {
-        use anomex_netflow::v9::encode_v9_options_template;
-        use anomex_netflow::Protocol;
-        use std::net::Ipv4Addr;
-
-        let mut paths = Vec::new();
-        let mut singles = Vec::new();
-        for (s, items) in lanes.iter().enumerate() {
-            let (mut exporter, mut bytes, mut lane) = (V5Exporter::new(), Vec::new(), Vec::new());
-            for (i, item) in items.iter().enumerate() {
-                match item {
-                    Item::Flows(starts) => {
-                        let flows: Vec<FlowRecord> = (starts.iter().enumerate())
-                            .map(|(j, &ms)| {
-                                let ip = Ipv4Addr::new(10, s as u8, i as u8, j as u8);
-                                FlowRecord::new(ms, ip, ip, j as u16, 80, Protocol::Tcp)
-                            })
-                            .collect();
-                        bytes.extend(exporter.export(&flows).concat());
-                        lane.extend(flows.into_iter().map(Single::Flow));
-                    }
-                    Item::Beat(secs) => {
-                        bytes.extend(encode_v9_options_template(*secs, i as u32, 0));
-                        lane.push(Single::Beat(u64::from(*secs) * 1000));
-                    }
-                }
-            }
-            let path = dir.join(format!("lane{s}.nf"));
-            std::fs::write(&path, &bytes).unwrap();
-            paths.push(format!("--in {}", path.display()));
-            singles.push(lane);
-        }
-        (paths, singles)
-    }
-
-    /// Four lanes on the origins 0, 1, 2 and 3 minutes (Δ = 1 min),
-    /// whose grid times tie across lanes: lane 0 steps back in time
-    /// (late flows) and has heartbeats first, several in a row, one
-    /// dated behind its flows, one first in its second block and one
-    /// last, just before lane 3 leaves window 1; lane 1
-    /// ends in heartbeats; lane 2 replays a stretch backwards and holds
-    /// the grid at window 0 until its keepalive at 130 s (grid time)
-    /// closes it; lane 3 starts late in its first window, steps back
-    /// before its origin, and is the first to reach window 2, which
-    /// force-closes window 0 under a lateness bound of 1.
-    fn test_lanes() -> Vec<Vec<Item>> {
-        vec![
-            vec![
-                Item::Beat(0),
-                Item::Flows(stride(10, 15, 1_980)),
-                Item::Beat(20),
-                Item::Beat(25),
-                Item::Beat(31),
-                // 136 full datagrams: the next packet opens a new block.
-                Item::Flows(stride(30_010, 15, 2_100)),
-                Item::Beat(62),
-                Item::Flows(stride(61_510, 15, 120)),
-                Item::Flows(vec![5_000, 5_000, 4_000]),
-                Item::Flows(stride(63_010, 15, 200)),
-                Item::Beat(119),
-            ],
-            vec![
-                Item::Flows(stride(60_010, 45, 900)),
-                Item::Beat(100),
-                Item::Flows(stride(100_510, 45, 1_800)),
-                Item::Beat(200),
-                Item::Beat(300),
-            ],
-            vec![
-                Item::Flows(stride(120_000, 7, 1_500)),
-                Item::Flows((0..1_500).rev().map(|k| 130_500 + 7 * k).collect()),
-                Item::Beat(121),
-                Item::Beat(250),
-            ],
-            vec![
-                Item::Flows(stride(239_000, 5, 400)),
-                Item::Flows(vec![150_000, 239_999]),
-                Item::Beat(241),
-                Item::Flows(stride(241_010, 100, 1_000)),
-            ],
-        ]
-    }
-
-    /// Two to four random lanes: origins 0 to 3 minutes, a first flow
-    /// anywhere in its window, then strides, idle gaps of up to three
-    /// windows (most ending in a keepalive), flows that step back (late
-    /// or pre-origin), and heartbeats a few seconds ahead of or behind
-    /// the flows; some lanes fill two blocks.
-    fn random_lanes(rng: &mut Rng) -> Vec<Vec<Item>> {
-        let lanes = rng.range(2..5usize);
-        (0..lanes)
-            .map(|_| {
-                let mut t = MINUTE_MS * rng.range(0..4u64) + rng.range(0..MINUTE_MS);
-                let mut items = vec![Item::Flows(vec![t])];
-                for _ in 0..rng.range(1..12u32) {
-                    match rng.range(0..10u32) {
-                        0 | 1 => {
-                            let back = rng.range(0..2 * MINUTE_MS);
-                            let n = rng.range(1..40u64);
-                            items.push(Item::Flows(stride(t.saturating_sub(back), 3, n)));
-                        }
-                        2 => {
-                            let secs = (t / 1000 + rng.range(0..8u64)).saturating_sub(4);
-                            items.push(Item::Beat(secs as u32));
-                        }
-                        // Idle, then a keepalive or not.
-                        3 | 4 => {
-                            t += rng.range(0..3 * MINUTE_MS);
-                            if rng.range(0..3u32) > 0 {
-                                items.push(Item::Beat((t / 1000) as u32));
-                            }
-                        }
-                        _ => {
-                            let (n, step) = (rng.range(1..1_500u64), rng.range(1..80u64));
-                            items.push(Item::Flows(stride(t, step, n)));
-                            t += n * step;
-                        }
-                    }
-                }
-                items
-            })
-            .collect()
-    }
-
-    /// The read-ahead budgets the replay oracles run at: the smallest
-    /// rings, where the reader waits on the replay for nearly every
-    /// block, and the one the commands use.
-    const BUDGETS: [usize; 3] = [1, 2, READ_AHEAD];
-
-    /// The run replay under the per-flow rule hands out exactly the
-    /// per-flow merge's order, over one to four lanes of
-    /// [`test_lanes`], whether each run is taken whole or a few flows at
-    /// a time; and a resume's skip — one ending in the middle of a run
-    /// among them — leaves the same order as dropping those flows (and
-    /// the heartbeats before the last of them) from the per-flow order.
-    /// At every read-ahead budget.
-    #[test]
-    fn run_replay_is_the_per_flow_merge_order() {
-        let dir = scratch_dir("anomex-cli-run-replay-test");
-        let (paths, singles) = write_lanes(&dir, &test_lanes());
-        let interval_ms = MINUTE_MS;
-        for (k, budget) in (1..=4).flat_map(|k| BUDGETS.map(|budget| (k, budget))) {
-            let args = argv(&format!("extract {}", paths[..k].join(" ")));
-            let open = || Replay::open(&args, interval_ms, budget).unwrap();
-            let origins: Vec<u64> = open().lanes.iter().map(|lane| lane.origin).collect();
-            assert_eq!(origins, [0, 60_000, 120_000, 180_000][..k]);
-            let lanes: Vec<(u64, Vec<Single>)> = origins.into_iter().zip(singles.clone()).collect();
-            let expected = per_flow_merge(&lanes);
-            let (whole, runs) = flatten(&mut open(), |len| len);
-            let context = format!("{k} lane(s), budget {budget}");
-            assert_eq!(whole, expected, "{context}, whole runs");
-            let mut calls = 0;
-            let bit_by_bit = flatten(&mut open(), |len| {
-                calls += 1;
-                len.min(1 + calls % 3)
-            });
-            assert_eq!(bit_by_bit.0, expected, "{context}, runs taken in bits");
-            let beats =
-                |lane: &[Single]| lane.iter().filter(|a| matches!(a, Single::Beat(_))).count();
-            let flows = lanes.iter().map(|(_, l)| l.len() - beats(l)).sum::<usize>();
-            let (mid, _) = *(runs.iter())
-                .find(|&&(_, len)| len >= 2)
-                .expect("a run of two flows or more");
-            for skip in [0, 1, mid + 1, flows / 2, flows - 1, flows, flows + 5] {
-                let mut replay = open();
-                replay.skip(skip as u64).unwrap();
-                let mut left = skip;
-                let rest: Vec<_> = (expected.iter())
-                    .skip_while(|(_, a)| {
-                        let skipped = left > 0;
-                        left -= usize::from(skipped && matches!(a, Single::Flow(_)));
-                        skipped
-                    })
-                    .copied()
-                    .collect();
-                assert_eq!(
-                    flatten(&mut replay, |len| len).0,
-                    rest,
-                    "{context}, skip {skip}"
-                );
-            }
-            assert!(whole.len() > runs.len() * 2, "runs hold several flows");
-        }
-        let args = argv(&format!("extract {}", paths[0]));
-        let mut replay = Replay::open(&args, interval_ms, READ_AHEAD).unwrap();
-        let lane = &mut replay.lanes[0];
-        while lane.receive() {}
-        assert_eq!(lane.blocks.len(), 2);
-        assert_eq!(lane.blocks[1].beats[0], (0, 62_000), "first in its block");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// What one engine gives for a replay order: each event's index,
-    /// flows, drops and outcome; and at each arrival that closes a grid
-    /// interval, the flows fed, the events out by then and the
-    /// `checkpoint()` bytes. `runs` counts the runs handed out.
-    struct Trace {
-        events: Vec<String>,
-        closes: Vec<(u64, Vec<u8>)>,
-        printed: Vec<usize>,
-        runs: usize,
-        closed: u64,
-    }
-
-    impl Trace {
-        fn new(engine: &MultiSourceExtractor) -> Self {
-            Trace {
-                events: Vec::new(),
-                closes: Vec::new(),
-                printed: Vec::new(),
-                runs: 0,
-                closed: engine.assembler().closed_intervals(),
-            }
-        }
-
-        fn record(&mut self, events: Vec<MultiStreamEvent>) {
-            for e in events {
-                let e = &e.event;
-                let (index, flows, dropped) = (e.index, e.flows, e.dropped_flows);
-                let event = format!("{index} {flows} {dropped} {:?}", e.outcome);
-                self.events.push(event);
-            }
-        }
-
-        /// Record an arrival's events, and a checkpoint when it closed
-        /// a grid interval.
-        fn arrival(&mut self, engine: &mut MultiSourceExtractor, events: Vec<MultiStreamEvent>) {
-            self.record(events);
-            let closed = engine.assembler().closed_intervals();
-            if closed > self.closed {
-                self.closed = closed;
-                let (events, bytes) = engine.checkpoint();
-                self.record(events);
-                self.closes.push((engine.total_flows(), bytes));
-                self.printed.push(self.events.len());
-            }
-        }
-
-        fn finish(mut self, engine: MultiSourceExtractor) -> Self {
-            self.record(engine.finish().0);
-            self
-        }
-    }
-
-    /// Feed a fresh `engine` the per-flow merge's order, one flow at a
-    /// time.
-    fn per_flow_trace(order: &Order, mut engine: MultiSourceExtractor) -> Trace {
-        let mut trace = Trace::new(&engine);
-        for &(source, item) in order {
-            let events = match item {
-                Single::Flow(flow) => engine.push(source, flow),
-                Single::Beat(ms) => engine.heartbeat(source, ms),
-            };
-            trace.arrival(&mut engine, events);
-        }
-        trace.finish(engine)
-    }
-
-    /// Feed `engine` what `replay` hands out, as `replay_to` does: runs
-    /// cut at the engine's open windows.
-    fn replay_trace(replay: &mut Replay, mut engine: MultiSourceExtractor) -> Trace {
-        let mut trace = Trace::new(&engine);
-        while let Some((source, arrival)) =
-            replay.next(|s| engine.assembler().open_window(s)).unwrap()
-        {
-            let events = match arrival {
-                Arrival::Run(flows) => {
-                    trace.runs += 1;
-                    let (n, events) = engine.push_run(source, &flows);
-                    replay.consume(source, n);
-                    events
-                }
-                Arrival::Heartbeat(ms) => engine.heartbeat(source, ms),
-            };
-            trace.arrival(&mut engine, events);
-        }
-        trace.finish(engine)
-    }
-
-    /// `cases`, scaled by `PROPTEST_CASES / 256` like the proptest
-    /// suites, so a wide sweep widens this test too.
-    fn scaled(cases: u64) -> u64 {
-        let wide = std::env::var("PROPTEST_CASES")
-            .ok()
-            .and_then(|n| n.parse::<u64>().ok());
-        wide.map_or(cases, |wide| (cases * wide / 256).max(1))
-    }
-
-    /// The replay's runs pass other lanes' in-window flows, and the
-    /// engine cannot tell: fed by them, it gives the per-flow merge's
-    /// events (index, flows, drops, outcome) and, at every arrival that
-    /// closes a grid interval, its checkpoint bytes; and a fresh replay
-    /// `skip`ped by that checkpoint's flow count continues identically
-    /// from the restored checkpoint. Without and with a lateness bound,
-    /// on [`test_lanes`] and on random lanes, at every read-ahead budget.
-    #[test]
-    fn window_runs_close_every_interval_as_the_per_flow_merge_does() {
-        let dir = scratch_dir("anomex-cli-window-runs-test");
-        let (paths, singles) = write_lanes(&dir, &test_lanes());
-        let args = argv(&format!("extract {}", paths.join(" ")));
-        let per_flow = flatten(&mut Replay::open(&args, MINUTE_MS, 1).unwrap(), |len| len).1;
-        for budget in BUDGETS {
-            let runs = check_window_runs(&paths, &singles, budget, "test lanes");
-            assert!(
-                runs * 4 < per_flow.len(),
-                "{runs} runs, {} per flow",
-                per_flow.len()
-            );
-        }
-        let mut rng = Rng::seed_from_u64(50);
-        for case in 0..scaled(16) {
-            let dir = dir.join(case.to_string());
-            std::fs::create_dir_all(&dir).unwrap();
-            let (paths, singles) = write_lanes(&dir, &random_lanes(&mut rng));
-            for budget in BUDGETS {
-                let context = format!("random case {case}");
-                check_window_runs(&paths, &singles, budget, &context);
-            }
-            std::fs::remove_dir_all(&dir).ok();
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// [`window_runs_close_every_interval_as_the_per_flow_merge_does`] on
-    /// one set of lanes, read `budget` blocks ahead per lane; returns the
-    /// runs the replay handed out.
-    fn check_window_runs(
-        paths: &[String],
-        singles: &[Vec<Single>],
-        budget: usize,
-        context: &str,
-    ) -> usize {
-        let args = argv(&format!("stream {}", paths.join(" ")));
-        let config = ExtractionConfig {
-            interval_ms: MINUTE_MS,
-            ..ExtractionConfig::default()
-        };
-        let open = || Replay::open(&args, config.interval_ms, budget).unwrap();
-        let specs: Vec<_> = (0u32..)
-            .zip(&open().lanes)
-            .map(|(i, lane)| SourceSpec::new(i, lane.origin))
-            .collect();
-        let lanes: Vec<_> = (specs.iter().map(|spec| spec.origin_ms))
-            .zip(singles.iter().cloned())
-            .collect();
-        let order = per_flow_merge(&lanes);
-        let mut runs = 0;
-        for max_lag in [None, Some(1)] {
-            let context = format!("{context}, budget {budget}, max-lag {max_lag:?}");
-            let engine = || MultiSourceExtractor::new(config.clone(), &specs, max_lag).unwrap();
-            let expected = per_flow_trace(&order, engine());
-            let got = replay_trace(&mut open(), engine());
-            assert_same_events(&got.events, &expected.events, &context);
-            assert_same_closes(&got.closes, &expected.closes, &context);
-            for (i, (flows, bytes)) in expected.closes.iter().enumerate() {
-                let mut replay = open();
-                replay.skip(*flows).unwrap();
-                let restored = MultiSourceExtractor::restore(bytes).unwrap();
-                let rest = replay_trace(&mut replay, restored);
-                let context = format!("{context}, resumed at {flows} flows");
-                assert_same_events(
-                    &rest.events,
-                    &expected.events[expected.printed[i]..],
-                    &context,
-                );
-                assert_same_closes(&rest.closes, &expected.closes[i + 1..], &context);
-            }
-            runs = got.runs;
-        }
-        runs
-    }
-
-    /// Run `check` on a thread of its own, failing if it has not ended
-    /// within `limit`: a replay that deadlocks fails the test rather than
-    /// hanging it.
-    fn under_watchdog(limit: Duration, check: impl FnOnce() + Send + 'static) {
-        let (done, ended) = channel();
-        let worker = std::thread::spawn(move || {
-            check();
-            done.send(()).ok();
-        });
-        match ended.recv_timeout(limit) {
-            Ok(()) => worker.join().unwrap(),
-            Err(RecvTimeoutError::Disconnected) => resume_unwind(worker.join().unwrap_err()),
-            Err(RecvTimeoutError::Timeout) => panic!("still running after {limit:?}: stuck"),
-        }
-    }
-
-    /// Three lanes whose windows (Δ = 1 min) each hold three or four
-    /// blocks: lane 0 from its origin; lane 1 on a clock two hours and
-    /// 437 ms ahead, with a keepalive 2 min ahead of its flows half a
-    /// window in (an exporter's export clock runs ahead of its flows'
-    /// start times) and one in its third window; lane 2 from 50 s into
-    /// the grid until it falls silent a window and a half later. While
-    /// lane 1's early keepalive heads it, the other lanes run past every
-    /// flow of lane 1 the reader has read.
-    fn wide_lanes() -> Vec<Vec<Item>> {
-        vec![
-            vec![Item::Flows(stride(5, 4, 60_000))],
-            vec![
-                Item::Flows(stride(7_200_437, 5, 6_000)),
-                Item::Beat(7_350),
-                Item::Flows(stride(7_230_437, 5, 18_000)),
-                Item::Beat(7_330),
-                Item::Flows(stride(7_320_437, 5, 24_000)),
-            ],
-            vec![Item::Flows(stride(110_000, 4, 22_500))],
-        ]
-    }
-
-    /// A fan-in whose windows each hold more blocks of a lane than the
-    /// smallest rings, with skewed clocks and a lane that falls silent:
-    /// the replay consumes lanes 0 and 2 past everything read of lane 1,
-    /// which the reader would read next. A reader that blocked on a lane
-    /// whose ring is full would wait there for ever while the replay
-    /// waits for another lane's next block. At every budget the replay ends,
-    /// under a watchdog, in the per-flow merge's order, hands the engine
-    /// the same runs, and gives the per-flow merge's events and
-    /// checkpoints.
-    #[test]
-    fn a_fan_in_whose_windows_span_several_blocks_replays_at_any_budget() {
-        let dir = scratch_dir("anomex-cli-wide-windows-test");
-        let (paths, singles) = write_lanes(&dir, &wide_lanes());
-        under_watchdog(Duration::from_secs(300), move || {
-            let args = argv(&format!("extract {}", paths.join(" ")));
-            let open = |budget| Replay::open(&args, MINUTE_MS, budget).unwrap();
-            let origins: Vec<u64> = open(1).lanes.iter().map(|lane| lane.origin).collect();
-            assert_eq!(origins, [0, 7_200_000, 60_000]);
-            let lanes: Vec<_> = origins.into_iter().zip(singles.iter().cloned()).collect();
-            let expected = per_flow_merge(&lanes);
-            let mut runs = Vec::new();
-            for budget in BUDGETS {
-                let order = flatten(&mut open(budget), |len| len).0;
-                assert!(order == expected, "budget {budget}: not the per-flow order");
-                runs.push(check_window_runs(&paths, &singles, budget, "wide lanes"));
-            }
-            assert!(runs.iter().all(|&n| n == runs[0]), "{runs:?} runs");
-        });
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// The same events, naming the first that differs rather than
-    /// printing every outcome.
-    fn assert_same_events(got: &[String], expected: &[String], context: &str) {
-        if let Some(i) = (0..got.len().max(expected.len())).find(|&i| got.get(i) != expected.get(i))
-        {
-            let head = |e: Option<&String>| {
-                e.map(|e| e[..e.find(" Interval").unwrap_or(e.len())].to_owned())
-            };
-            panic!(
-                "{context}: event {i} differs: {:?} (index flows drops), expected {:?}",
-                head(got.get(i)),
-                head(expected.get(i))
-            );
-        }
-    }
-
-    /// The same checkpoints at the same flow counts, naming the first
-    /// that differs rather than printing the bytes.
-    fn assert_same_closes(got: &[(u64, Vec<u8>)], expected: &[(u64, Vec<u8>)], context: &str) {
-        let flows = |closes: &[(u64, Vec<u8>)]| closes.iter().map(|c| c.0).collect::<Vec<_>>();
-        assert_eq!(
-            flows(got),
-            flows(expected),
-            "{context}: flows fed at each close"
-        );
-        if let Some(i) = (0..got.len()).find(|&i| got[i].1 != expected[i].1) {
-            panic!("{context}: the checkpoint at {} flows differs", got[i].0);
-        }
-    }
-
-    /// On a three-link capture like the CI fan-in golden's, the replay
-    /// hands the engine runs that each span a stretch of every lane's
-    /// window, not the few flows between two other lanes' flows (139 444
-    /// runs for its 219 936 flows under the per-flow merge's runs).
-    #[test]
-    fn a_three_link_capture_replays_in_few_runs() {
-        let dir = scratch_dir("anomex-cli-few-runs-test");
-        let outs: Vec<_> = (0..3).map(|s| dir.join(format!("link{s}.nfv5"))).collect();
-        let out = |flag: &str| {
-            (outs.iter())
-                .map(|path| format!("{flag} {}", path.display()))
-                .collect::<Vec<_>>()
-                .join(" ")
-        };
-        run(
-            generate_to,
-            &format!(
-                "generate --sources 3 {} --seed 3 --intervals 25",
-                out("--out")
-            ),
-        );
-        let args = argv(&format!("extract {} --interval-min 1", out("--in")));
-        let mut replay = Replay::open(&args, MINUTE_MS, READ_AHEAD).unwrap();
-        let specs: Vec<_> = (0u32..)
-            .zip(&replay.lanes)
-            .map(|(i, lane)| SourceSpec::new(i, lane.origin))
-            .collect();
-        let mut merge = MergeAssembler::try_new(MergeConfig::new(MINUTE_MS), &specs).unwrap();
-        let (mut runs, mut flows) = (0, 0);
-        while let Some((source, arrival)) = replay.next(|s| merge.open_window(s)).unwrap() {
-            match arrival {
-                Arrival::Run(run) => {
-                    let n = merge.push_run(source, &run).0;
-                    replay.consume(source, n);
-                    (runs, flows) = (runs + 1, flows + n);
-                }
-                Arrival::Heartbeat(ms) => drop(merge.heartbeat(source, ms)),
-            }
-        }
-        assert_eq!(flows, 219_936);
-        assert!(runs < 1_000, "{runs} runs");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
     /// The replay feeds source `i` from the `i`-th `--in`, so a
     /// checkpoint whose lanes are not exactly sources `0..k` — ids the
     /// replay never feeds, or two lanes sharing an id — is an error, not
@@ -2874,13 +1753,14 @@ mod tests {
             dir.display()
         ));
         let config = parse_config(&args).unwrap();
-        let lanes = (Replay::open(&args, config.interval_ms, READ_AHEAD).unwrap()).lanes;
+        let captures = open_captures(&args).unwrap();
+        let sources = (Replay::open(captures, config.interval_ms, None).unwrap()).sources();
         // A distinctive id, so the test can find it in the payload and
         // rewrite it to 0 — a duplicate `new` would have refused.
         const MARK: u32 = 0x5EC0_1D1D;
         for (ids, duplicate) in [([0, 5], false), ([0, MARK], true)] {
-            let specs: Vec<_> = (ids.iter().zip(&lanes))
-                .map(|(&id, lane)| SourceSpec::new(id, lane.origin))
+            let specs: Vec<_> = (ids.iter().zip(&sources))
+                .map(|(&id, spec)| SourceSpec::new(id, spec.origin_ms))
                 .collect();
             let mut engine = MultiSourceExtractor::new(config.clone(), &specs, None).unwrap();
             let path = dir.join("stream.ckpt");

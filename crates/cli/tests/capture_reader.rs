@@ -306,3 +306,33 @@ fn a_live_feed_prints_intervals_before_a_block_fills() {
     assert!(child.wait().unwrap().success());
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A v9 packet is one UDP datagram, so its framing closes within 64 KiB:
+/// a header counting one record behind a megabyte of empty template
+/// flowsets, piped into `stream --in -`, fails at the packet bound with
+/// exit 1 and the decode error every stdin capture gets, named `-`.
+#[test]
+fn an_unframed_packet_on_stdin_fails_at_the_packet_bound() {
+    use anomex_netflow::v9::{encode_v9_options_template, V9_HEADER_LEN};
+    let mut bytes = encode_v9_options_template(7, 0, 0)[..V9_HEADER_LEN].to_vec();
+    bytes.extend([0, 0, 0, 4].repeat(1 << 18));
+    let mut child = Command::new(env!("CARGO_BIN_EXE_anomex"))
+        .args(["stream", "--in", "-", "--interval-min", "1"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("the binary runs");
+    let mut stdin = child.stdin.take().unwrap();
+    // The command stops reading at the bound, so the rest may not fit.
+    let writer = std::thread::spawn(move || drop(stdin.write_all(&bytes)));
+    let out = child.wait_with_output().unwrap();
+    writer.join().unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    assert!(out.stdout.is_empty());
+    assert_eq!(
+        String::from_utf8(out.stderr).unwrap(),
+        "error: -: no NetFlow packet framed within 65536 bytes; a v9/IPFIX export is one \
+         UDP datagram of at most 65535 bytes\n"
+    );
+}

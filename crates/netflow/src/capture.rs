@@ -5,15 +5,10 @@
 //! 1 bytes: 30 bytes a flow, where a [`FlowRecord`] takes 40.
 //! [`CaptureColumns`] keeps a stretch of a capture that way, decoded
 //! straight from the datagrams by
-//! [`TraceReader::read_columns`](crate::v9::TraceReader::read_columns),
-//! so a replay that holds a whole capture holds a quarter less.
-//!
-//! An interval assembler takes a [`CaptureRun`] — a row range of one
-//! block — through [`FlowRun`]: it finds the in-window prefix on the
-//! `first` column and appends it to the window's [`FlowColumns`] with
-//! one widening copy for the two time columns and a plain slice copy for
-//! the other eight. No record is built on the way, except for the one
-//! flow that closes a window.
+//! [`TraceReader::read_columns`](crate::v9::TraceReader::read_columns):
+//! a [`Replay`](crate::Replay)'s blocks. An interval assembler takes a
+//! [`CaptureRun`], a row range of one block, through [`FlowRun`], and
+//! builds a record only for a flow that closes a window.
 
 use std::net::Ipv4Addr;
 use std::ops::Range;

@@ -80,6 +80,13 @@ pub enum DecodeError {
         /// The offending flowset/set id.
         id: u16,
     },
+    /// No packet is framed within `have` bytes. An export is one UDP
+    /// datagram, at most 65 535 bytes, so a capture reader gives up there
+    /// rather than buffer a packet whose framing never closes.
+    PacketTooLong {
+        /// Bytes buffered without a packet boundary.
+        have: usize,
+    },
 }
 
 impl fmt::Display for DecodeError {
@@ -120,6 +127,11 @@ impl fmt::Display for DecodeError {
                 "NetFlow v{version} flowset {id} is not a template; only template-only \
                  punctuation packets are supported (flow records travel as v5)"
             ),
+            DecodeError::PacketTooLong { have } => write!(
+                f,
+                "no NetFlow packet framed within {have} bytes; a v9/IPFIX export is one \
+                 UDP datagram of at most 65535 bytes"
+            ),
         }
     }
 }
@@ -153,6 +165,42 @@ impl std::error::Error for ReadError {
         }
     }
 }
+
+/// Why a [`Replay`](crate::Replay) stopped.
+#[derive(Debug)]
+pub struct ReplayError {
+    /// The capture's name, as opened; the reader thread's for
+    /// [`ReplayErrorKind::Spawn`].
+    pub source: String,
+    /// What went wrong.
+    pub kind: ReplayErrorKind,
+}
+
+/// What stopped a [`Replay`](crate::Replay).
+#[derive(Debug)]
+pub enum ReplayErrorKind {
+    /// The capture could not be read ([`ReadError::Io`]) or does not
+    /// decode ([`ReadError::Decode`]).
+    Read(ReadError),
+    /// The capture holds no flow, so it has no clock origin.
+    Empty,
+    /// The capture reader thread could not be started.
+    Spawn(io::Error),
+}
+
+impl fmt::Display for ReplayError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let name = &self.source;
+        match &self.kind {
+            ReplayErrorKind::Read(ReadError::Io(e)) => write!(f, "cannot read {name}: {e}"),
+            ReplayErrorKind::Read(ReadError::Decode(e)) => write!(f, "{name}: {e}"),
+            ReplayErrorKind::Empty => write!(f, "{name}: trace is empty"),
+            ReplayErrorKind::Spawn(e) => write!(f, "cannot spawn the capture reader: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for ReplayError {}
 
 /// Errors produced while encoding NetFlow wire data.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -25,6 +25,8 @@
 //!   clock origins for multi-router ingestion;
 //! - [`MergeAssembler`] — N exporters fanned in onto one shared interval
 //!   grid with watermark close semantics and per-source drop accounting;
+//! - [`Replay`] — captures replayed onto that grid in collector arrival
+//!   order, in runs that end only where a window can close;
 //! - [`FlowColumns`] — struct-of-arrays storage of a flow batch (one
 //!   contiguous column per feature) for cache-friendly single-column
 //!   scans;
@@ -48,6 +50,7 @@ pub mod feature;
 pub mod flow;
 mod legacy;
 pub mod merge;
+pub mod replay;
 pub mod snapshot;
 pub mod source;
 pub mod stream;
@@ -57,10 +60,11 @@ pub mod v9;
 
 pub use capture::{CaptureColumns, CaptureRun};
 pub use columns::{FlowColumns, FlowRun};
-pub use error::{ConfigError, DecodeError, EncodeError, ReadError};
+pub use error::{ConfigError, DecodeError, EncodeError, ReadError, ReplayError, ReplayErrorKind};
 pub use feature::{FeatureValue, FlowFeature, ParseFeatureValueError};
 pub use flow::{FlowRecord, Protocol, TcpFlags};
 pub use merge::{MergeAssembler, MergeConfig, MergedInterval, SourceStats};
+pub use replay::{Arrival, ReadStats, Replay};
 pub use snapshot::{
     read_checkpoint, write_checkpoint, RestoreError, SnapshotReader, SnapshotWriter,
     CHECKPOINT_VERSION,

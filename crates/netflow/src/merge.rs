@@ -328,15 +328,10 @@ impl MergeAssembler {
         self.close_until(horizon)
     }
 
-    /// `source`'s open window ([`IntervalAssembler::open_window`]),
-    /// source-local ms: its flows dated inside it close nothing, so they
-    /// cannot move the grid. `None` before its first flow or heartbeat.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `source` was not registered at construction.
+    /// `source`'s open window ([`IntervalAssembler::open_window`]): its
+    /// flows dated inside it cannot move the grid.
     #[must_use]
-    pub fn open_window(&self, source: SourceId) -> Option<Range<u64>> {
+    pub(crate) fn open_window(&self, source: SourceId) -> Option<Range<u64>> {
         self.lanes[self.lane(source)].assembler.open_window()
     }
 

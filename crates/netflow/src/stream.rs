@@ -166,13 +166,10 @@ impl IntervalAssembler {
         (len, Vec::new())
     }
 
-    /// The open window, source-local ms: a flow dated inside it is
-    /// appended and closes nothing. `None` before the first flow or
-    /// heartbeat. Saturating: a window that starts past `u64::MAX` holds
-    /// no flow, and one that ends past it leaves its last millisecond
-    /// outside.
+    /// The open window, `None` before the first flow or heartbeat: a flow
+    /// dated inside it closes nothing. Saturating past `u64::MAX`.
     #[must_use]
-    pub fn open_window(&self) -> Option<Range<u64>> {
+    pub(crate) fn open_window(&self) -> Option<Range<u64>> {
         self.started.then(|| {
             let begin = (self.current_index.saturating_mul(self.interval_ms))
                 .saturating_add(self.origin_ms);

@@ -329,11 +329,10 @@ pub enum Packet {
 /// far: before end of input a truncation error means "read more"; at end
 /// of input it is the capture's error. So the items and the error are
 /// exactly those of one pass over the whole capture, whatever sizes the
-/// source's reads return. A packet longer than the buffer doubles it.
-/// Only a v9 packet can be (its header counts records, not bytes), or a
-/// malformed packet whose framing never closes — flowsets that never meet
-/// the v9 record count, an IPFIX length below its own header — which is
-/// buffered to end of input and fails there with that error.
+/// source's reads return. An export is one UDP datagram, so every packet
+/// fits the buffer; bytes that fill it without framing a packet (v9
+/// flowsets that never meet the header's record count, an IPFIX length
+/// below its own header) fail with [`DecodeError::PacketTooLong`].
 ///
 /// After the first error the iterator is finished.
 pub struct TraceReader<R> {
@@ -422,28 +421,30 @@ impl<R: Read> TraceReader<R> {
             }
             if let Err(e) = self.refill() {
                 self.failed = true;
-                return Some(Err(ReadError::Io(e)));
+                return Some(Err(e));
             }
         }
         None
     }
 
     /// Append what one read of the source returns. A full buffer first
-    /// moves its unframed bytes to the front, and doubles when one packet
-    /// fills it.
-    fn refill(&mut self) -> io::Result<()> {
+    /// moves its unframed bytes to the front; one unframed packet that
+    /// fills it is an error.
+    fn refill(&mut self) -> Result<(), ReadError> {
         if self.end == self.buf.len() {
+            if self.start == 0 {
+                return Err(ReadError::Decode(DecodeError::PacketTooLong {
+                    have: self.end,
+                }));
+            }
             self.buf.copy_within(self.start..self.end, 0);
             self.end -= self.start;
             self.start = 0;
-            if self.end == self.buf.len() {
-                self.buf.resize(2 * self.buf.len(), 0);
-            }
         }
         let n = loop {
             match self.source.read(&mut self.buf[self.end..]) {
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                read => break read?,
+                read => break read.map_err(ReadError::Io)?,
             }
         };
         self.short = self.end + n < self.buf.len();
@@ -739,22 +740,59 @@ mod tests {
         assert!(decode_mixed_stream(&[1, 2, 3, 4]).is_err());
     }
 
-    #[test]
-    fn a_packet_longer_than_the_buffer_is_framed_whole() {
-        // One v9 record behind 20 000 empty template flowsets: 80 kB, more
-        // than one refill buffer, then a v5 datagram.
+    /// A v9 header counting one record, `flowsets` empty template
+    /// flowsets of 4 bytes each that count none, and then the record.
+    fn v9_behind_empty_flowsets(flowsets: usize) -> Vec<u8> {
         let keepalive = encode_v9_options_template(7, 0, 0);
-        let mut file = keepalive[..V9_HEADER_LEN].to_vec();
-        for _ in 0..20_000 {
-            file.extend_from_slice(&[0, 0, 0, 4]);
+        let mut packet = keepalive[..V9_HEADER_LEN].to_vec();
+        for _ in 0..flowsets {
+            packet.extend_from_slice(&[0, 0, 0, 4]);
         }
-        file.extend_from_slice(&keepalive[V9_HEADER_LEN..]);
+        packet.extend_from_slice(&keepalive[V9_HEADER_LEN..]);
+        packet
+    }
+
+    #[test]
+    fn a_packet_of_an_exports_size_is_framed_whole() {
+        // 64 040 bytes, nearly one refill buffer, then a v5 datagram.
+        let mut file = v9_behind_empty_flowsets(16_000);
         file.extend_from_slice(&encode_datagram(&[], 0, 0).unwrap());
 
         let items = decode_mixed_stream(&file).unwrap();
         assert_eq!(items.len(), 2);
         assert!(matches!(&items[0], TraceItem::Heartbeat(p) if p.export_ms == 7_000));
         assert!(matches!(&items[1], TraceItem::Flows(d) if d.flows.is_empty()));
+    }
+
+    /// A v9 packet whose flowsets never meet its record count fails once
+    /// it fills the buffer, without growing it: after at most two buffers
+    /// pulled from the source, not at the end of a megabyte.
+    #[test]
+    fn a_packet_that_fills_the_buffer_unframed_is_an_error() {
+        /// A source that counts the bytes pulled from it.
+        struct Counted<'a>(&'a [u8], usize);
+        impl Read for Counted<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                let n = self.0.read(buf)?;
+                self.1 += n;
+                Ok(n)
+            }
+        }
+        let file = v9_behind_empty_flowsets(1 << 18);
+        let mut reader = TraceReader::new(Counted(&file, 0));
+        assert!(matches!(
+            reader.next(),
+            Some(Err(ReadError::Decode(DecodeError::PacketTooLong {
+                have: READ_CHUNK
+            })))
+        ));
+        assert!(reader.next().is_none(), "the capture ends at its error");
+        assert!(
+            reader.source.1 <= 2 * READ_CHUNK,
+            "{} bytes pulled",
+            reader.source.1
+        );
+        assert_eq!(reader.buf.len(), READ_CHUNK, "the buffer grew");
     }
 
     #[test]
