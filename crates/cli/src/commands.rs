@@ -15,7 +15,7 @@ use anomex_mining::{mine_top_k, RuleConfig, RARE_SUPPORT_GUARD};
 use anomex_netflow::v5::V5Exporter;
 use anomex_netflow::v9::TraceReader;
 use anomex_netflow::{
-    Arrival, FeatureValue, FlowColumns, FlowRecord, ReadError, ReadStats, Replay, ReplayError,
+    Arrival, FeatureValue, FlowColumns, FlowRecord, ReadStats, Replay, ReplayError,
     ReplayErrorKind, SourceId, MINUTE_MS,
 };
 use anomex_traffic::table2::paper_counts;
@@ -77,11 +77,12 @@ USAGE:
       runs beside the engine at most 32 blocks of 4 096 flows ahead of
       the replay on each --in; read_ns_per_flow leaves out read_full_ms,
       its time waiting for the replay to hand a block back), the time
-      the replay waited for flows not read yet (read_wait_ms),
-      assembling the intervals (assembly_ms, assembly_ns_per_flow, per
-      flow fed), the engine's summed per-interval time (engine_ms), and
-      the process's peak resident set (peak_rss_kib, where /proc can
-      tell).
+      the replay waited for flows not read yet (read_wait_ms), the most
+      blocks read ahead at once over every --in
+      (read_ahead_peak_blocks), assembling the intervals (assembly_ms,
+      assembly_ns_per_flow, per flow fed), the engine's summed
+      per-interval time (engine_ms), and the process's peak resident set
+      (peak_rss_kib, where /proc can tell).
 
   anomex stream --in FILE|- [--in FILE ...] [--interval-min N] [--training N]
                 [--support N] [--threads N] [--max-lag N] [--prefixes]
@@ -407,15 +408,9 @@ fn open_capture(path: &str) -> Result<Capture, String> {
     Ok(Box::new(file))
 }
 
-/// The message a capture's failure ends the command with: the replay's
-/// own, except that a failing stdin is named `stdin`, not `-`.
-fn read_failed(e: ReplayError) -> String {
-    match e.kind {
-        ReplayErrorKind::Read(ReadError::Io(io)) if e.source == "-" => {
-            format!("cannot read stdin: {io}")
-        }
-        _ => e.to_string(),
-    }
+/// The name a capture's errors give it: its path, or `stdin` for `-`.
+fn capture_name(path: &str) -> String {
+    if path == "-" { "stdin" } else { path }.to_string()
 }
 
 /// Load all flows from a capture, ignoring any v9/IPFIX punctuation
@@ -426,8 +421,8 @@ fn load_flows(path: &str) -> Result<Vec<FlowRecord>, String> {
     let mut flows = Vec::new();
     while let Some(packet) = capture.read_into(&mut flows) {
         packet.map_err(|e| {
-            let (source, kind) = (path.to_string(), ReplayErrorKind::Read(e));
-            read_failed(ReplayError { source, kind })
+            let (source, kind) = (capture_name(path), ReplayErrorKind::Read(e));
+            ReplayError { source, kind }.to_string()
         })?;
     }
     Ok(flows)
@@ -533,8 +528,8 @@ fn parse_config(args: &Args) -> Result<ExtractionConfig, String> {
     Ok(config)
 }
 
-/// Open the `--in` captures in command-line order, each named by its
-/// path: at least one, and stdin feeds one lane only.
+/// Open the `--in` captures in command-line order, each named by
+/// [`capture_name`]: at least one, and stdin feeds one lane only.
 fn open_captures(args: &Args) -> Result<Vec<(String, Capture)>, String> {
     let inputs = args.get_all("in");
     if inputs.is_empty() {
@@ -544,7 +539,7 @@ fn open_captures(args: &Args) -> Result<Vec<(String, Capture)>, String> {
         return Err("--in - is given more than once, but there is only one stdin".into());
     }
     (inputs.iter())
-        .map(|path| Ok((path.clone(), open_capture(path)?)))
+        .map(|path| Ok((capture_name(path), open_capture(path)?)))
         .collect()
 }
 
@@ -853,7 +848,8 @@ fn replay_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
         check_resume_options(args, &config, max_lag, &resumed)
             .map_err(|e| format!("cannot resume from {}: {e}", path.display()))?;
         let (interval_ms, sources) = (resumed.config().interval_ms, resumed.assembler().sources());
-        let replay = Replay::open(captures, interval_ms, Some(&sources)).map_err(read_failed)?;
+        let replay =
+            Replay::open(captures, interval_ms, Some(&sources)).map_err(|e| e.to_string())?;
         note(format_args!(
             "resumed from {} ({} flows already consumed)",
             path.display(),
@@ -861,7 +857,7 @@ fn replay_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
         ));
         (resumed, replay)
     } else {
-        let replay = Replay::open(captures, config.interval_ms, None).map_err(read_failed)?;
+        let replay = Replay::open(captures, config.interval_ms, None).map_err(|e| e.to_string())?;
         let engine =
             MultiSourceExtractor::new(config, &replay.sources(), max_lag).map_err(String::from)?;
         (engine, replay)
@@ -893,12 +889,14 @@ fn replay_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
     // A resumed run skips what the checkpointed one fed: its flows, and
     // the heartbeats among them.
     let skipped = engine.total_flows();
-    replay.skip(skipped).map_err(read_failed)?;
+    replay.skip(skipped).map_err(|e| e.to_string())?;
     let first = engine.assembler().closed_intervals();
     let mut checkpointed = first;
     // A read error ends the command here, before `finish` would flush the
     // open windows: the output holds the intervals closed before it.
-    while let Some((source, arrival)) = replay.next(engine.assembler()).map_err(read_failed)? {
+    while let Some((source, arrival)) =
+        replay.next(engine.assembler()).map_err(|e| e.to_string())?
+    {
         let events = match arrival {
             Arrival::Run(flows) => {
                 let (n, events) = engine.push_run(source, &flows);
@@ -1004,9 +1002,9 @@ fn replay_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
 /// The `--timings` trailer line, as `key=value` pairs: the capture
 /// reader's time, flow count, time per flow without its wait for a block
 /// handed back, and that wait; the replay's wait for the reader
-/// ([`Replay::finish`]); the merge grid's assembly
-/// time over the `fed` flows fed to it; the engine's summed per-interval
-/// time; and the process's peak resident set so far, where
+/// ([`Replay::finish`]); the most blocks read ahead at once; the merge
+/// grid's assembly time over the `fed` flows fed to it; the engine's
+/// summed per-interval time; and the process's peak resident set so far, where
 /// [`peak_rss_kib`] can read it.
 fn timings_line(read: &ReadStats, assembly: Duration, fed: u64, engine_micros: u64) -> String {
     let ms = |d: Duration| d.as_secs_f64() * 1e3;
@@ -1014,12 +1012,14 @@ fn timings_line(read: &ReadStats, assembly: Duration, fed: u64, engine_micros: u
     let peak = peak_rss_kib().map_or(String::new(), |kib| format!(" peak_rss_kib={kib}"));
     format!(
         "timings: read_ms={:.3} read_flows={} read_ns_per_flow={:.1} read_full_ms={:.3} \
-         read_wait_ms={:.3} assembly_ms={:.3} assembly_ns_per_flow={:.1} engine_ms={:.3}{peak}\n",
+         read_wait_ms={:.3} read_ahead_peak_blocks={} assembly_ms={:.3} \
+         assembly_ns_per_flow={:.1} engine_ms={:.3}{peak}\n",
         ms(read.read),
         read.flows,
         per_flow(read.read.saturating_sub(read.full), read.flows as f64),
         ms(read.full),
         ms(read.wait),
+        read.peak_blocks,
         ms(assembly),
         per_flow(assembly, fed as f64),
         engine_micros as f64 / 1e3
@@ -1303,6 +1303,7 @@ mod tests {
                 "read_ns_per_flow",
                 "read_full_ms",
                 "read_wait_ms",
+                "read_ahead_peak_blocks",
                 "assembly_ms",
                 "assembly_ns_per_flow",
                 "engine_ms",
@@ -1311,7 +1312,7 @@ mod tests {
             let peak = peak_rss_kib();
             if peak.is_some() {
                 expected.push("peak_rss_kib");
-                let kib = pairs[8].1;
+                let kib = pairs[9].1;
                 assert!(kib >= 1024.0 && kib.fract() == 0.0, "{command}: {kib} KiB");
             }
             assert_eq!(keys, expected, "{command}");
@@ -1320,7 +1321,9 @@ mod tests {
                 pairs.iter().all(|p| p.1.is_finite() && p.1 >= 0.0),
                 "{command}: {pairs:?}"
             );
-            assert!(pairs[5].1 > 0.0 && pairs[7].1 > 0.0, "{command}: {pairs:?}");
+            let peak_blocks = pairs[5].1;
+            assert!((1.0..=64.0).contains(&peak_blocks), "{command}: {pairs:?}");
+            assert!(pairs[6].1 > 0.0 && pairs[8].1 > 0.0, "{command}: {pairs:?}");
         }
         std::fs::remove_dir_all(&dir).ok();
     }

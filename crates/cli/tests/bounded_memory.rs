@@ -2,7 +2,8 @@
 //! so `extract`'s peak memory does not grow with the capture: on two
 //! two-weeks captures, one three times the other and each more than
 //! twice the ring (32 blocks of 4 096 flows), the peak resident sets
-//! `--timings` reports agree within 1 MiB. One-minute windows over the
+//! `--timings` reports agree within 1 MiB, and the reader never holds
+//! more than the ring (`read_ahead_peak_blocks`). One-minute windows over the
 //! 15-minute scenario make the engine slower than the reader, so the
 //! reader runs ahead until the ring is full.
 
@@ -79,6 +80,13 @@ fn peak_memory_does_not_grow_with_the_capture() {
     assert!(large_flows >= 3 * small_flows, "{large_flows} flows");
 
     let (small, large) = (timings(&small), timings(&large));
+    for run in [&small, &large] {
+        let peak = value(run, "read_ahead_peak_blocks").expect("read_ahead_peak_blocks");
+        assert!(
+            (1.0..=32.0).contains(&peak),
+            "{peak} blocks read ahead: {run:?}"
+        );
+    }
     // Without /proc there is no reading to compare.
     let (Some(small_kib), Some(large_kib)) =
         (value(&small, "peak_rss_kib"), value(&large, "peak_rss_kib"))

@@ -310,7 +310,8 @@ fn a_live_feed_prints_intervals_before_a_block_fills() {
 /// A v9 packet is one UDP datagram, so its framing closes within 64 KiB:
 /// a header counting one record behind a megabyte of empty template
 /// flowsets, piped into `stream --in -`, fails at the packet bound with
-/// exit 1 and the decode error every stdin capture gets, named `-`.
+/// exit 1 and the decode error every stdin capture gets, named `stdin`
+/// as its read errors are.
 #[test]
 fn an_unframed_packet_on_stdin_fails_at_the_packet_bound() {
     use anomex_netflow::v9::{encode_v9_options_template, V9_HEADER_LEN};
@@ -332,7 +333,7 @@ fn an_unframed_packet_on_stdin_fails_at_the_packet_bound() {
     assert!(out.stdout.is_empty());
     assert_eq!(
         String::from_utf8(out.stderr).unwrap(),
-        "error: -: no NetFlow packet framed within 65536 bytes; a v9/IPFIX export is one \
+        "error: stdin: no NetFlow packet framed within 65536 bytes; a v9/IPFIX export is one \
          UDP datagram of at most 65535 bytes\n"
     );
 }

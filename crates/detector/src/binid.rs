@@ -22,7 +22,8 @@
 //!   the alarmed clones stop after it, while a few run past 180 rounds.
 //!   So the result's lists start small, and the second round sizes the
 //!   ranking and both lists once, from the count of differing bins the
-//!   set-up pass takes.
+//!   set-up pass takes; a clone that stops well short of that room
+//!   gives it back, so it holds none for the many bins it never resets.
 //! - **KL per round.** With add-one smoothing, P = W + k and Q = R + k (W
 //!   and R the current and reference totals), the distance is
 //!   KL = S/P + log₂(Q/P) with S = Σ (wᵢ+1)·log₂((wᵢ+1)/(rᵢ+1)). Resetting
@@ -107,6 +108,7 @@ pub(crate) fn identify_from(
     // Built on the first round: a histogram already at or below the
     // target needs only the one KL pass above.
     let mut running: Option<RunningKl<'_>> = None;
+    let mut converged = true;
 
     while *kl_trajectory.last().expect("non-empty") > target_kl {
         let running = running.get_or_insert_with(|| RunningKl::new(current, reference, terms));
@@ -114,11 +116,8 @@ pub(crate) fn identify_from(
             // Fully aligned with the reference yet still above target:
             // the target is unreachable (e.g., negative). Report
             // non-convergence instead of looping.
-            return BinIdentification {
-                bins,
-                kl_trajectory,
-                converged: false,
-            };
+            converged = false;
+            break;
         };
         if bins.len() == 1 {
             // A second round: at most every bin that differed is reset.
@@ -131,10 +130,15 @@ pub(crate) fn identify_from(
         }
         kl_trajectory.push(kl);
     }
+    // Rounds that stopped well short of that room give it back.
+    if kl_trajectory.capacity() > 2 * kl_trajectory.len() {
+        bins.shrink_to_fit();
+        kl_trajectory.shrink_to_fit();
+    }
     BinIdentification {
         bins,
         kl_trajectory,
-        converged: true,
+        converged,
     }
 }
 
@@ -288,6 +292,32 @@ mod tests {
         let id = identify_anomalous_bins(&current, &reference, 0.0001);
         assert!(id.converged);
         assert_eq!(&id.bins[..2], &[2, 6]);
+    }
+
+    /// The result's lists hold room for the rounds taken, not for every
+    /// bin that differs: on 1 024 bins that all differ, thirteen of them
+    /// spiked, a run stopped after 2 to 13 rounds keeps each list's
+    /// capacity within twice its round count plus one.
+    #[test]
+    fn lists_hold_room_for_the_rounds_taken() {
+        let reference = vec![1000u64; 1024];
+        let mut current: Vec<u64> = (0..1024).map(|i| 1001 + i % 3).collect();
+        for spike in 0..13 {
+            current[spike * 75] += 9_000 - 600 * spike as u64;
+        }
+        let all = identify_anomalous_bins(&current, &reference, -1.0);
+        assert_eq!(all.bins.len(), 1024, "every bin differs");
+        for rounds in 2..=13 {
+            let (before, after) = (all.kl_trajectory[rounds - 1], all.kl_trajectory[rounds]);
+            let id = identify_anomalous_bins(&current, &reference, (before + after) / 2.0);
+            assert_eq!(id.bins.len(), rounds);
+            let room = 2 * (rounds + 1);
+            let held = (id.bins.capacity(), id.kl_trajectory.capacity());
+            assert!(
+                held.0 <= room && held.1 <= room,
+                "{rounds} rounds hold {held:?}"
+            );
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Captures held at wire width, one column per field.
 //!
-//! A NetFlow v5 record carries its start and end as 32-bit milliseconds
-//! of exporter uptime, and the other fields the engine keeps in 4, 2 or
-//! 1 bytes: 30 bytes a flow, where a [`FlowRecord`] takes 40.
+//! A NetFlow v5 record carries its start as 32-bit milliseconds of
+//! exporter uptime, and the seven fields the engine reads in 4, 2 or 1
+//! bytes: 25 bytes a flow, where a [`FlowRecord`] takes 40. Its end
+//! time and TCP flags, which no engine stage reads, are not kept.
 //! [`CaptureColumns`] keeps a stretch of a capture that way, decoded
 //! straight from the datagrams by
 //! [`TraceReader::read_columns`](crate::v9::TraceReader::read_columns):
@@ -14,18 +15,20 @@ use std::net::Ipv4Addr;
 use std::ops::Range;
 
 use crate::columns::{FlowColumns, FlowRun};
-use crate::flow::{FlowRecord, Protocol, TcpFlags};
+use crate::flow::{FlowRecord, Protocol};
 use crate::v5::{be_u16, be_u32, field, RecordSink, V5_RECORD_LEN};
 
-/// A block of a capture, one column per field at its wire width.
+/// A block of a capture, one column per field the engine reads, at its
+/// wire width.
 ///
-/// All ten columns always have the same length ([`len`](Self::len));
-/// row `i` widens to the [`FlowRecord`] [`get`](Self::get) returns,
-/// which is the record the v5 decoder gives for the same bytes.
+/// All eight columns always have the same length ([`len`](Self::len));
+/// row `i` widens to the [`FlowRecord`] [`get`](Self::get) returns: the
+/// record the v5 decoder gives for the same bytes, except that it ends
+/// when it starts and carries no TCP flags ([`FlowRecord::new`]'s
+/// defaults), as the block holds what the engine reads.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CaptureColumns {
     start_ms: Vec<u32>,
-    end_ms: Vec<u32>,
     src_ip: Vec<u32>,
     dst_ip: Vec<u32>,
     src_port: Vec<u16>,
@@ -33,7 +36,6 @@ pub struct CaptureColumns {
     proto: Vec<u8>,
     packets: Vec<u32>,
     bytes: Vec<u32>,
-    tcp_flags: Vec<u8>,
 }
 
 impl CaptureColumns {
@@ -48,7 +50,6 @@ impl CaptureColumns {
     pub fn with_capacity(rows: usize) -> Self {
         CaptureColumns {
             start_ms: Vec::with_capacity(rows),
-            end_ms: Vec::with_capacity(rows),
             src_ip: Vec::with_capacity(rows),
             dst_ip: Vec::with_capacity(rows),
             src_port: Vec::with_capacity(rows),
@@ -56,7 +57,6 @@ impl CaptureColumns {
             proto: Vec::with_capacity(rows),
             packets: Vec::with_capacity(rows),
             bytes: Vec::with_capacity(rows),
-            tcp_flags: Vec::with_capacity(rows),
         }
     }
 
@@ -64,7 +64,6 @@ impl CaptureColumns {
     /// can refill the block without touching fresh memory.
     pub fn clear(&mut self) {
         self.start_ms.clear();
-        self.end_ms.clear();
         self.src_ip.clear();
         self.dst_ip.clear();
         self.src_port.clear();
@@ -72,7 +71,6 @@ impl CaptureColumns {
         self.proto.clear();
         self.packets.clear();
         self.bytes.clear();
-        self.tcp_flags.clear();
     }
 
     /// Number of rows (flows).
@@ -100,18 +98,15 @@ impl CaptureColumns {
     /// Panics if `i >= self.len()`.
     #[must_use]
     pub fn get(&self, i: usize) -> FlowRecord {
-        FlowRecord {
-            start_ms: u64::from(self.start_ms[i]),
-            end_ms: u64::from(self.end_ms[i]),
-            src_ip: Ipv4Addr::from(self.src_ip[i]),
-            dst_ip: Ipv4Addr::from(self.dst_ip[i]),
-            src_port: self.src_port[i],
-            dst_port: self.dst_port[i],
-            proto: Protocol::from_number(self.proto[i]),
-            packets: self.packets[i],
-            bytes: self.bytes[i],
-            tcp_flags: TcpFlags(self.tcp_flags[i]),
-        }
+        FlowRecord::new(
+            u64::from(self.start_ms[i]),
+            Ipv4Addr::from(self.src_ip[i]),
+            Ipv4Addr::from(self.dst_ip[i]),
+            self.src_port[i],
+            self.dst_port[i],
+            Protocol::from_number(self.proto[i]),
+        )
+        .with_volume(self.packets[i], self.bytes[i])
     }
 
     /// The rows `rows`, as a run an assembler takes.
@@ -137,7 +132,6 @@ impl RecordSink for CaptureColumns {
         let recs = || records.chunks_exact(V5_RECORD_LEN);
         self.start_ms
             .extend(recs().map(|r| be_u32(r, field::FIRST)));
-        self.end_ms.extend(recs().map(|r| be_u32(r, field::LAST)));
         self.src_ip.extend(recs().map(|r| be_u32(r, field::SRC_IP)));
         self.dst_ip.extend(recs().map(|r| be_u32(r, field::DST_IP)));
         self.src_port
@@ -148,7 +142,6 @@ impl RecordSink for CaptureColumns {
         self.packets
             .extend(recs().map(|r| be_u32(r, field::PACKETS)));
         self.bytes.extend(recs().map(|r| be_u32(r, field::BYTES)));
-        self.tcp_flags.extend(recs().map(|r| r[field::TCP_FLAGS]));
     }
 }
 
@@ -187,8 +180,8 @@ impl FlowRun for CaptureRun<'_> {
         self.block.get(self.rows.start + i)
     }
 
-    /// One widening copy for the two time columns, a slice copy for the
-    /// other eight.
+    /// One widening copy for the start column, a slice copy for the other
+    /// seven.
     fn append_rows(&self, rows: Range<usize>, out: &mut FlowColumns) {
         assert!(
             rows.start <= rows.end && rows.end <= self.rows.len(),
@@ -197,24 +190,23 @@ impl FlowRun for CaptureRun<'_> {
         );
         let (b, at) = (self.block, self.rows.start);
         let rows = at + rows.start..at + rows.end;
-        let widen = |ms: &u32| u64::from(*ms);
         out.start_ms
-            .extend(b.start_ms[rows.clone()].iter().map(widen));
-        out.end_ms.extend(b.end_ms[rows.clone()].iter().map(widen));
+            .extend(b.start_ms[rows.clone()].iter().map(|&ms| u64::from(ms)));
         out.src_ip.extend_from_slice(&b.src_ip[rows.clone()]);
         out.dst_ip.extend_from_slice(&b.dst_ip[rows.clone()]);
         out.src_port.extend_from_slice(&b.src_port[rows.clone()]);
         out.dst_port.extend_from_slice(&b.dst_port[rows.clone()]);
         out.proto.extend_from_slice(&b.proto[rows.clone()]);
         out.packets.extend_from_slice(&b.packets[rows.clone()]);
-        out.bytes.extend_from_slice(&b.bytes[rows.clone()]);
-        out.tcp_flags.extend_from_slice(&b.tcp_flags[rows]);
+        out.bytes.extend_from_slice(&b.bytes[rows]);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flow::TcpFlags;
+    use crate::stream::tests::held;
     use crate::v5::{decode_datagram, V5Exporter};
     use crate::v9::{Packet, TraceReader};
 
@@ -260,7 +252,11 @@ mod tests {
         assert_eq!(records, flows, "every field fits the wire");
         assert_eq!(block.len(), flows.len());
         let rows: Vec<FlowRecord> = (0..block.len()).map(|i| block.get(i)).collect();
-        assert_eq!(rows, records);
+        assert_eq!(rows, records.iter().map(held).collect::<Vec<_>>());
+        assert!(
+            rows.iter().zip(&records).any(|(r, f)| r != f),
+            "ends and flags are dropped"
+        );
         let starts: Vec<u64> = block.start_ms().iter().map(|&ms| u64::from(ms)).collect();
         let expected: Vec<u64> = flows.iter().map(|f| f.start_ms).collect();
         assert_eq!(starts, expected);
@@ -271,11 +267,15 @@ mod tests {
         let flows = sample_flows();
         let (block, _) = read_back(&flows);
         let run = block.run(10..70);
-        assert_eq!((run.flow_count(), run.record_at(3)), (60, flows[13]));
+        assert_eq!((run.flow_count(), run.record_at(3)), (60, held(&flows[13])));
         assert_eq!(run.start_ms_at(5), flows[15].start_ms);
         let mut out = FlowColumns::from_flows(&flows[..2]);
         run.append_rows(7..31, &mut out);
-        assert_eq!(out.to_flows(), [&flows[..2], &flows[17..41]].concat());
+        let expected: Vec<FlowRecord> = [&flows[..2], &flows[17..41]].concat();
+        assert_eq!(
+            out.to_flows(),
+            expected.iter().map(held).collect::<Vec<_>>()
+        );
         run.append_rows(60..60, &mut out);
         assert_eq!(out.len(), 26);
     }

@@ -4,9 +4,11 @@
 //! transaction construction) each touch one or two fields of every flow
 //! in an interval. Stored as an array of [`FlowRecord`] structs, every
 //! such scan strides over all ten fields and wastes cache bandwidth on
-//! the eight it ignores. [`FlowColumns`] stores the same flows as ten
-//! contiguous columns so a per-feature scan reads exactly the bytes it
-//! needs, in order.
+//! the nine it ignores. [`FlowColumns`] stores what the engine reads of
+//! the same flows (the start time and the seven fields it histograms
+//! and mines: 29 bytes a flow) as eight contiguous columns, so a
+//! per-feature scan reads exactly the bytes it needs, in order. A
+//! record's end time and TCP flags are not kept.
 //!
 //! It is the one interval layout of the live path: the interval
 //! assemblers ([`crate::IntervalAssembler`], [`crate::MergeAssembler`])
@@ -16,7 +18,8 @@
 //! - [`FlowColumns::from_flows`] converts a record batch;
 //! - [`FlowColumns::get`] / [`FlowColumns::iter`] /
 //!   [`FlowColumns::to_flows`] reassemble records on demand (checkpoints
-//!   still write rows as records);
+//!   still write rows as records), each ending when it starts and with
+//!   no TCP flags;
 //! - [`FlowColumns::for_each_raw`] is the one hot-path accessor (the
 //!   detector's histogram build and resolve scan through it): it matches
 //!   the feature **once**, then runs a tight loop over the single
@@ -29,19 +32,21 @@ use std::net::Ipv4Addr;
 use std::ops::Range;
 
 use crate::feature::FlowFeature;
-use crate::flow::{FlowRecord, Protocol, TcpFlags};
+use crate::flow::{FlowRecord, Protocol};
 
-/// A batch of flows stored column-major: one contiguous `Vec` per field.
+/// A batch of flows stored column-major: one contiguous `Vec` per field
+/// the engine reads.
 ///
-/// All columns always have identical length ([`FlowColumns::len`]); row
-/// `i` across the ten columns is exactly the [`FlowRecord`] returned by
-/// [`FlowColumns::get`]. The protocol column stores the IANA protocol
+/// All eight columns always have identical length ([`FlowColumns::len`]);
+/// row `i` across them is the [`FlowRecord`] returned by
+/// [`FlowColumns::get`], with [`FlowRecord::new`]'s defaults for the two
+/// fields a column store does not hold: `end_ms` is `start_ms` and
+/// `tcp_flags` is empty. The protocol column stores the IANA protocol
 /// number ([`Protocol::number`]), which round-trips losslessly through
 /// [`Protocol::from_number`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FlowColumns {
     pub(crate) start_ms: Vec<u64>,
-    pub(crate) end_ms: Vec<u64>,
     pub(crate) src_ip: Vec<u32>,
     pub(crate) dst_ip: Vec<u32>,
     pub(crate) src_port: Vec<u16>,
@@ -49,7 +54,6 @@ pub struct FlowColumns {
     pub(crate) proto: Vec<u8>,
     pub(crate) packets: Vec<u32>,
     pub(crate) bytes: Vec<u32>,
-    pub(crate) tcp_flags: Vec<u8>,
 }
 
 impl FlowColumns {
@@ -65,7 +69,6 @@ impl FlowColumns {
     pub fn with_capacity(capacity: usize) -> Self {
         FlowColumns {
             start_ms: Vec::with_capacity(capacity),
-            end_ms: Vec::with_capacity(capacity),
             src_ip: Vec::with_capacity(capacity),
             dst_ip: Vec::with_capacity(capacity),
             src_port: Vec::with_capacity(capacity),
@@ -73,7 +76,6 @@ impl FlowColumns {
             proto: Vec::with_capacity(capacity),
             packets: Vec::with_capacity(capacity),
             bytes: Vec::with_capacity(capacity),
-            tcp_flags: Vec::with_capacity(capacity),
         }
     }
 
@@ -89,7 +91,6 @@ impl FlowColumns {
     /// batch's transpose; [`push`](Self::push) appends a single flow.
     pub fn extend_from_flows(&mut self, flows: &[FlowRecord]) {
         self.start_ms.extend(flows.iter().map(|f| f.start_ms));
-        self.end_ms.extend(flows.iter().map(|f| f.end_ms));
         self.src_ip
             .extend(flows.iter().map(|f| u32::from(f.src_ip)));
         self.dst_ip
@@ -99,13 +100,11 @@ impl FlowColumns {
         self.proto.extend(flows.iter().map(|f| f.proto.number()));
         self.packets.extend(flows.iter().map(|f| f.packets));
         self.bytes.extend(flows.iter().map(|f| f.bytes));
-        self.tcp_flags.extend(flows.iter().map(|f| f.tcp_flags.0));
     }
 
     /// Append one flow as a new row across every column.
     pub fn push(&mut self, flow: &FlowRecord) {
         self.start_ms.push(flow.start_ms);
-        self.end_ms.push(flow.end_ms);
         self.src_ip.push(u32::from(flow.src_ip));
         self.dst_ip.push(u32::from(flow.dst_ip));
         self.src_port.push(flow.src_port);
@@ -113,13 +112,11 @@ impl FlowColumns {
         self.proto.push(flow.proto.number());
         self.packets.push(flow.packets);
         self.bytes.push(flow.bytes);
-        self.tcp_flags.push(flow.tcp_flags.0);
     }
 
     /// Append every row of `other`, in order.
     pub fn extend_from(&mut self, other: &FlowColumns) {
         self.start_ms.extend_from_slice(&other.start_ms);
-        self.end_ms.extend_from_slice(&other.end_ms);
         self.src_ip.extend_from_slice(&other.src_ip);
         self.dst_ip.extend_from_slice(&other.dst_ip);
         self.src_port.extend_from_slice(&other.src_port);
@@ -127,7 +124,6 @@ impl FlowColumns {
         self.proto.extend_from_slice(&other.proto);
         self.packets.extend_from_slice(&other.packets);
         self.bytes.extend_from_slice(&other.bytes);
-        self.tcp_flags.extend_from_slice(&other.tcp_flags);
     }
 
     /// Number of rows (flows) stored.
@@ -145,7 +141,6 @@ impl FlowColumns {
     /// Drop all rows, keeping every column's allocation for reuse.
     pub fn clear(&mut self) {
         self.start_ms.clear();
-        self.end_ms.clear();
         self.src_ip.clear();
         self.dst_ip.clear();
         self.src_port.clear();
@@ -153,7 +148,6 @@ impl FlowColumns {
         self.proto.clear();
         self.packets.clear();
         self.bytes.clear();
-        self.tcp_flags.clear();
     }
 
     /// Reassemble row `i` as a [`FlowRecord`] — the compatibility shim
@@ -164,18 +158,15 @@ impl FlowColumns {
     /// Panics if `i >= self.len()`.
     #[must_use]
     pub fn get(&self, i: usize) -> FlowRecord {
-        FlowRecord {
-            start_ms: self.start_ms[i],
-            end_ms: self.end_ms[i],
-            src_ip: Ipv4Addr::from(self.src_ip[i]),
-            dst_ip: Ipv4Addr::from(self.dst_ip[i]),
-            src_port: self.src_port[i],
-            dst_port: self.dst_port[i],
-            proto: Protocol::from_number(self.proto[i]),
-            packets: self.packets[i],
-            bytes: self.bytes[i],
-            tcp_flags: TcpFlags(self.tcp_flags[i]),
-        }
+        FlowRecord::new(
+            self.start_ms[i],
+            Ipv4Addr::from(self.src_ip[i]),
+            Ipv4Addr::from(self.dst_ip[i]),
+            self.src_port[i],
+            self.dst_port[i],
+            Protocol::from_number(self.proto[i]),
+        )
+        .with_volume(self.packets[i], self.bytes[i])
     }
 
     /// Iterate the rows as reassembled [`FlowRecord`]s, in order.
@@ -245,7 +236,6 @@ impl FlowColumns {
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
         self.start_ms.capacity() * 8
-            + self.end_ms.capacity() * 8
             + self.src_ip.capacity() * 4
             + self.dst_ip.capacity() * 4
             + self.src_port.capacity() * 2
@@ -253,7 +243,6 @@ impl FlowColumns {
             + self.proto.capacity()
             + self.packets.capacity() * 4
             + self.bytes.capacity() * 4
-            + self.tcp_flags.capacity()
     }
 }
 
@@ -315,6 +304,8 @@ impl FromIterator<FlowRecord> for FlowColumns {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flow::TcpFlags;
+    use crate::stream::tests::held;
 
     fn sample_flows() -> Vec<FlowRecord> {
         (0..100u32)
@@ -335,17 +326,29 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_preserves_every_record() {
+    fn round_trip_keeps_every_field_the_columns_hold() {
         let flows = sample_flows();
+        let held: Vec<FlowRecord> = flows.iter().map(held).collect();
         let cols = FlowColumns::from_flows(&flows);
         assert_eq!(cols.len(), flows.len());
         assert!(!cols.is_empty());
-        for (i, flow) in flows.iter().enumerate() {
+        for (i, flow) in held.iter().enumerate() {
             assert_eq!(cols.get(i), *flow, "row {i}");
         }
-        assert_eq!(cols.to_flows(), flows);
+        assert_eq!(cols.to_flows(), held);
         let collected: Vec<FlowRecord> = cols.iter().collect();
-        assert_eq!(collected, flows);
+        assert_eq!(collected, held);
+        assert_eq!(
+            FlowColumns::from_flows(&held),
+            cols,
+            "ends and flags are dropped"
+        );
+    }
+
+    #[test]
+    fn a_row_takes_29_bytes() {
+        let cols = FlowColumns::with_capacity(1_000);
+        assert_eq!(cols.memory_bytes(), 29 * 1_000);
     }
 
     #[test]
@@ -391,7 +394,7 @@ mod tests {
         let b = FlowColumns::from_flows(&flows[40..]);
         cols.extend_from(&a);
         cols.extend_from(&b);
-        assert_eq!(cols.to_flows(), flows);
+        assert_eq!(cols, FlowColumns::from_flows(&flows));
     }
 
     #[test]

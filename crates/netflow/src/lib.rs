@@ -28,11 +28,13 @@
 //! - [`Replay`] — captures replayed onto that grid in collector arrival
 //!   order, in runs that end only where a window can close;
 //! - [`FlowColumns`] — struct-of-arrays storage of a flow batch (one
-//!   contiguous column per feature) for cache-friendly single-column
-//!   scans;
+//!   contiguous column per field the engine reads: the start time and
+//!   the seven features, 29 bytes a flow) for cache-friendly
+//!   single-column scans;
 //! - [`CaptureColumns`] — a stretch of a capture held at wire width
-//!   (30 bytes a flow), which the assemblers take a row range of
-//!   ([`CaptureRun`]) through [`FlowRun`], as they take record slices;
+//!   (the same eight columns, 25 bytes a flow), which the assemblers
+//!   take a row range of ([`CaptureRun`]) through [`FlowRun`], as they
+//!   take record slices;
 //! - [`snapshot`] — the versioned, checksummed checkpoint codec that
 //!   durable operation is built on: atomic checkpoint files, bit-exact
 //!   state round trips, and typed [`RestoreError`]s on hostile input.

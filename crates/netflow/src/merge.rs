@@ -795,12 +795,14 @@ mod tests {
 
     /// The checkpoint layout is pinned for the grid too: every lane's
     /// open window and pending windows are written row by row as
-    /// records. A two-lane payload built that way by hand restores into
-    /// columnar lanes, merges the record concatenations, and encodes
-    /// back to the same bytes.
+    /// records. A two-lane payload built that way by hand, its records
+    /// carrying end times and TCP flags as older builds wrote them,
+    /// restores into columnar lanes, merges the record concatenations,
+    /// and encodes back to the same layout, those two fields at their
+    /// defaults.
     #[test]
     fn snapshot_writes_lane_windows_as_records() {
-        use crate::stream::tests::record;
+        use crate::stream::tests::{held, record};
         let p1 = vec![record(1_100, 1), record(1_200, 2)];
         let p2 = vec![record(2_500, 3)];
         let a = vec![record(3_300, 4), record(3_100, 5)];
@@ -811,49 +813,55 @@ mod tests {
             (0u32, 0u64, 3u64, &a, vec![(1u64, &p1), (2, &p2)]),
             (1, 250, 2, &b, vec![(1, &q1)]),
         ];
-        let mut w = SnapshotWriter::new();
-        w.u64(1_000); // Δ
-        w.bool(true); // lateness bound…
-        w.u64(2); // …of two intervals
-        w.u64(1); // next grid index
-        w.usize(lanes.len());
-        for (id, origin, open_index, open, pending) in &lanes {
-            w.u32(*id);
-            w.u64(*origin);
-            // The lane's assembler: origin, Δ, open index, open window,
-            // late and pre-origin counts, started.
-            w.u64(*origin);
-            w.u64(1_000);
-            w.u64(*open_index);
-            w.flows(open);
-            w.u64(0);
-            w.u64(0);
-            w.bool(true);
-            w.usize(pending.len());
-            for (index, flows) in pending {
-                w.u64(*index);
-                w.flows(flows);
+        // The payload with each row written as `row` gives it.
+        let payload = |row: fn(&FlowRecord) -> FlowRecord| {
+            let rows = |flows: &[FlowRecord]| flows.iter().map(row).collect::<Vec<_>>();
+            let mut w = SnapshotWriter::new();
+            w.u64(1_000); // Δ
+            w.bool(true); // lateness bound…
+            w.u64(2); // …of two intervals
+            w.u64(1); // next grid index
+            w.usize(lanes.len());
+            for (id, origin, open_index, open, pending) in &lanes {
+                w.u32(*id);
+                w.u64(*origin);
+                // The lane's assembler: origin, Δ, open index, open window,
+                // late and pre-origin counts, started.
+                w.u64(*origin);
+                w.u64(1_000);
+                w.u64(*open_index);
+                w.flows(&rows(open));
+                w.u64(0);
+                w.u64(0);
+                w.bool(true);
+                w.usize(pending.len());
+                for (index, flows) in pending {
+                    w.u64(*index);
+                    w.flows(&rows(flows));
+                }
+                w.u64(*open_index); // closed below
+                w.bool(false); // finished
+                w.u64(9); // flows pushed
+                w.u64(0); // stale flows
             }
-            w.u64(*open_index); // closed below
-            w.bool(false); // finished
-            w.u64(9); // flows pushed
-            w.u64(0); // stale flows
-        }
-        let payload = w.into_bytes();
-        let mut r = SnapshotReader::new(&payload);
+            w.into_bytes()
+        };
+        let older = payload(|flow| *flow);
+        let mut r = SnapshotReader::new(&older);
         let mut restored = MergeAssembler::decode_snapshot(&mut r).unwrap();
         r.finish().unwrap();
         let mut again = SnapshotWriter::new();
         restored.encode_snapshot(&mut again);
-        assert_eq!(again.into_bytes(), payload);
+        assert_eq!(again.into_bytes(), payload(held));
 
         let merged: Vec<(u64, Vec<FlowRecord>, Vec<usize>)> = (restored.flush().into_iter())
             .map(|iv| (iv.index, iv.flows.to_flows(), iv.source_flows))
             .collect();
+        let held = |flows: Vec<FlowRecord>| flows.iter().map(held).collect::<Vec<_>>();
         let expected = vec![
-            (1, [&p1[..], &q1].concat(), vec![2, 1]),
-            (2, [&p2[..], &b].concat(), vec![1, 2]),
-            (3, a.clone(), vec![2, 0]),
+            (1, held([&p1[..], &q1].concat()), vec![2, 1]),
+            (2, held([&p2[..], &b].concat()), vec![1, 2]),
+            (3, held(a.clone()), vec![2, 0]),
         ];
         assert_eq!(merged, expected);
     }

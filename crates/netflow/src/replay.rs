@@ -7,7 +7,8 @@
 //! wait for a later flow (those left at the end are dropped). Runs of one
 //! capture's flows end only where the grid's open windows say a flow can
 //! close one, so the grid gives what the per-flow merge gives. One reader
-//! thread reads every capture a bounded ring of blocks ahead.
+//! thread reads the captures in step in grid time, each at most a
+//! bounded ring of blocks ahead.
 
 use std::collections::VecDeque;
 use std::io::Read;
@@ -24,11 +25,11 @@ use crate::source::{SourceId, SourceSpec};
 use crate::v5::V5_MAX_RECORDS;
 use crate::v9::{Packet, TraceReader};
 
-/// Flows per block (120 KiB at 30 bytes a flow).
+/// Flows per block (100 KiB at 25 bytes a flow).
 const BLOCK: usize = 4096;
 
 /// The most blocks of one capture read and not yet handed back by the
-/// replay (3.75 MiB): a capture's memory, whatever its length.
+/// replay (3.1 MiB): a capture's memory, whatever its length.
 const READ_AHEAD: usize = 32;
 
 /// A merge key: grid-relative ms, heartbeat, lane.
@@ -57,6 +58,9 @@ pub struct ReadStats {
     pub full: Duration,
     /// The replay's time waiting for a block not read yet.
     pub wait: Duration,
+    /// The most blocks read and not yet handed back, summed over the
+    /// captures.
+    pub peak_blocks: usize,
 }
 
 /// A stretch of one capture: its flows in wire-width columns, its
@@ -106,14 +110,16 @@ type Sent = Result<Block, ReadError>;
 /// The capture reader, the one thread beside the replay: `captures[s]`
 /// feeds `lanes[s]` a [`Block`] at a time, with at most `budget` blocks
 /// of a lane in flight. A replayed block comes back on `returned` to be
-/// cleared and refilled. It reads next, among the lanes with a block to
-/// spare, the one whose last-read flow is earliest in grid time (one with
-/// no flow first, ties to the lowest source), and waits for a returned
-/// block only when none has one to spare. Sends never block, so a replay
-/// waiting for a lane's next block is always served: every block of that
-/// lane is back. A lane is hung up at its capture's end, after its read
-/// error if any. The reader stops at the first send no lane receives, or
-/// when nothing can hand a block back.
+/// cleared and refilled. The lanes are read in step: it reads next the
+/// lane furthest behind, the one whose last-read flow is earliest in grid
+/// time (one with no flow first, ties to the lowest source), if it has a
+/// block to spare; else the furthest behind with no block in flight; and
+/// else it waits for a returned block. So a slow exporter's lane runs no
+/// further ahead of the grid than the fast ones. Sends never block, and a
+/// replay waits only for a lane whose blocks are all back, which the
+/// second rule serves. A lane is hung up at its capture's end, after its
+/// read error if any. The reader stops at the first send no lane
+/// receives, or when nothing can hand a block back.
 fn read_captures(
     captures: Vec<impl Read>,
     interval_ms: u64,
@@ -133,11 +139,18 @@ fn read_captures(
     let mut free: Vec<Block> = Vec::new();
     let mut stats = ReadStats::default();
     'read: while !open.is_empty() {
-        loop {
-            let mut block = match returned.try_recv() {
-                Ok(block) => block,
-                Err(_) if open.iter().any(|&(s, ..)| in_flight[s] < budget) => break,
-                Err(_) => {
+        let next = loop {
+            // The lane furthest behind if it has a block to spare, else the
+            // furthest behind with no block in flight.
+            let behind = |&i: &usize| (open[i].3.map(|(_, last)| last), i);
+            let held = |i: usize| in_flight[open[i].0];
+            let furthest = (0..open.len()).min_by_key(behind);
+            let next = (furthest.filter(|&i| held(i) < budget))
+                .or_else(|| (0..open.len()).filter(|&i| held(i) == 0).min_by_key(behind));
+            let mut block = match (returned.try_recv(), next) {
+                (Ok(block), _) => block,
+                (Err(_), Some(next)) => break next,
+                (Err(_), None) => {
                     let waiting = Instant::now();
                     let Ok(block) = returned.recv() else {
                         break 'read;
@@ -150,11 +163,7 @@ fn read_captures(
             block.flows.clear();
             block.beats.clear();
             free.push(block);
-        }
-        let next = (0..open.len())
-            .filter(|&i| in_flight[open[i].0] < budget)
-            .min_by_key(|&i| (open[i].3.map(|(_, last)| last), i))
-            .expect("a lane has a block to spare");
+        };
         let (source, capture, lane, read) = &mut open[next];
         let mut block = free.pop().unwrap_or_else(Block::new);
         block.source = *source;
@@ -171,6 +180,7 @@ fn read_captures(
             }
             stats.flows += block.flows.len();
             in_flight[*source] += 1;
+            stats.peak_blocks = stats.peak_blocks.max(in_flight.iter().sum());
             if lane.send(Ok(block)).is_err() {
                 break 'read;
             }
@@ -1022,6 +1032,50 @@ mod tests {
             }
             assert!(runs.iter().all(|&n| n == runs[0]), "{runs:?} runs");
         });
+    }
+
+    /// Receive every lane's blocks as the reader sends them, replaying
+    /// none, until it has sent nothing for 100 ms: the reader has read as
+    /// far ahead as its rule lets it.
+    fn let_the_reader_run_ahead(replay: &mut Replay) {
+        let mut quiet = Instant::now();
+        while quiet.elapsed() < Duration::from_millis(100) {
+            for lane in &mut replay.lanes {
+                while let Ok(sent) = lane.rest.try_recv() {
+                    lane.blocks.push_back(sent.unwrap());
+                    quiet = Instant::now();
+                }
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    /// Three exporters from one origin at flow rates 1 : ⅔ : ½ (a flow
+    /// every 2, 3 and 4 ms: 49, 33 and 25 blocks). At every budget the
+    /// replay is the per-flow merge's order. At the full budget, with the
+    /// reader let run ahead before anything is replayed, it keeps the
+    /// slow lanes in step with the fast one: none runs further ahead of
+    /// the grid than the fast lane's ring, a block each aside, so at
+    /// most ⌈32 · Σr / r_max⌉ + 3 = 73 blocks are in flight, where
+    /// reading each lane to its own budget holds 32 + 32 + 25 = 89.
+    #[test]
+    fn a_fan_in_of_unequal_exporters_is_read_in_step() {
+        let lanes: Vec<Vec<Item>> = [2, 3, 4]
+            .map(|step| vec![Item::Flows(stride(0, step, 392_000 / step))])
+            .into();
+        let (captures, singles) = encode(&lanes);
+        let expected = per_flow_merge(&singles.into_iter().map(|l| (0, l)).collect::<Vec<_>>());
+        for budget in BUDGETS {
+            let mut replay = replay_of(&captures, budget);
+            if budget == READ_AHEAD {
+                let_the_reader_run_ahead(&mut replay);
+            }
+            let order = flatten(&mut replay, |len| len).0;
+            assert!(order == expected, "budget {budget}: not the per-flow order");
+            let peak = replay.finish().peak_blocks;
+            let bound = if budget == READ_AHEAD { 73 } else { 3 * budget };
+            assert!(peak <= bound, "budget {budget}: {peak} blocks in flight");
+        }
     }
 
     /// The same intervals, naming the first that differs rather than

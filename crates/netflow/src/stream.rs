@@ -315,6 +315,17 @@ pub(crate) mod tests {
     use crate::flow::{Protocol, TcpFlags};
     use std::net::Ipv4Addr;
 
+    /// `flow` as a column store holds it: every field but the end time
+    /// and the TCP flags, which take [`FlowRecord::new`]'s defaults.
+    pub(crate) fn held(flow: &FlowRecord) -> FlowRecord {
+        let (end_ms, tcp_flags) = (flow.start_ms, TcpFlags::default());
+        FlowRecord {
+            end_ms,
+            tcp_flags,
+            ..*flow
+        }
+    }
+
     /// A flow starting at `ms` whose every other field is set from `i`,
     /// so a row that loses or swaps a field shows.
     pub(crate) fn record(ms: u64, i: u8) -> FlowRecord {
@@ -478,33 +489,43 @@ pub(crate) mod tests {
 
     /// The checkpoint layout is pinned: the open window is written row
     /// by row as records ([`SnapshotWriter::flows`]). A payload built
-    /// that way by hand restores into the columnar window, continues
-    /// as the record window would, and encodes back to the same bytes.
+    /// that way by hand, its records carrying end times and TCP flags as
+    /// older builds wrote them, restores into the columnar window,
+    /// continues as the record window would, and encodes back to the
+    /// same layout, those two fields at their defaults.
     #[test]
     fn snapshot_writes_the_open_window_as_records() {
         let open = vec![record(1_100, 1), record(1_900, 2), record(1_500, 3)];
-        let mut w = SnapshotWriter::new();
-        w.u64(0); // origin
-        w.u64(1_000); // Δ
-        w.u64(1); // open window index
-        w.flows(&open);
-        w.u64(2); // late flows
-        w.u64(1); // pre-origin flows
-        w.bool(true); // started
-        let payload = w.into_bytes();
-        let mut r = SnapshotReader::new(&payload);
+        let held_open: Vec<FlowRecord> = open.iter().map(held).collect();
+        let payload = |open: &[FlowRecord]| {
+            let mut w = SnapshotWriter::new();
+            w.u64(0); // origin
+            w.u64(1_000); // Δ
+            w.u64(1); // open window index
+            w.flows(open);
+            w.u64(2); // late flows
+            w.u64(1); // pre-origin flows
+            w.bool(true); // started
+            w.into_bytes()
+        };
+        let older = payload(&open);
+        let mut r = SnapshotReader::new(&older);
         let mut restored = IntervalAssembler::decode_snapshot(&mut r).unwrap();
         r.finish().unwrap();
         let mut again = SnapshotWriter::new();
         restored.encode_snapshot(&mut again);
-        assert_eq!(again.into_bytes(), payload);
+        assert_eq!(again.into_bytes(), payload(&held_open));
 
         let mut closed = restored.push(record(3_200, 4));
         closed.extend(restored.flush());
         let windows: Vec<(u64, Vec<FlowRecord>)> = (closed.iter())
             .map(|c| (c.index, c.flows.to_flows()))
             .collect();
-        let expected = vec![(1, open), (2, vec![]), (3, vec![record(3_200, 4)])];
+        let expected = vec![
+            (1, held_open),
+            (2, vec![]),
+            (3, vec![held(&record(3_200, 4))]),
+        ];
         assert_eq!(windows, expected);
         assert_eq!((restored.late_flows(), restored.pre_origin_flows()), (2, 1));
     }

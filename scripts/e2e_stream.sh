@@ -121,7 +121,7 @@ status=0
 "$bin" extract --in - "${single[@]}" < "$workdir/cut.nfv5" > /dev/null 2> "$workdir/cut-stdin.err" || status=$?
 [[ $status == 1 ]] || { echo "e2e-stream: a cut capture exited $status through stdin, not 1" >&2; exit 1; }
 sed "s|^error: $workdir/cut.nfv5: |error: |" "$workdir/cut-file.err" > "$workdir/cut-file.msg"
-sed 's|^error: -: |error: |' "$workdir/cut-stdin.err" > "$workdir/cut-stdin.msg"
+sed 's|^error: stdin: |error: |' "$workdir/cut-stdin.err" > "$workdir/cut-stdin.msg"
 if ! grep -q '^error: truncated NetFlow v5 records' "$workdir/cut-file.msg"; then
     echo "e2e-stream: a cut capture did not report truncated records:" >&2
     cat "$workdir/cut-file.err" >&2

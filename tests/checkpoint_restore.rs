@@ -13,7 +13,7 @@
 
 use anomex::netflow::snapshot::{
     fnv1a64, read_checkpoint, write_checkpoint, RestoreError, SnapshotWriter, CHECKPOINT_MAGIC,
-    CHECKPOINT_VERSION,
+    CHECKPOINT_VERSION, FLOW_WIRE_BYTES,
 };
 use anomex::prelude::*;
 use proptest::prelude::*;
@@ -135,19 +135,10 @@ proptest! {
     }
 }
 
-/// Multi-source kill-and-resume under skew: one exporter runs a full
-/// interval ahead of the other, the checkpoint lands mid-grid (lane
-/// watermarks apart, windows half-assembled), and the restored engine
-/// still emits exactly what the uninterrupted run emits.
-#[test]
-fn multi_source_resume_survives_skewed_lanes() {
-    let scenario = Scenario::small(17);
-    let intervals = scenario.interval_count().min(20);
-    let specs = [SourceSpec::new(0u32, 0), SourceSpec::new(1u32, 0)];
-    let config = || config_for(&scenario);
-
-    // Split each interval between the sources, then interleave with
-    // source 1 a whole interval ahead of source 0.
+/// The first `intervals` intervals of `scenario`, each split between two
+/// sources on one origin, interleaved with source 1 a whole interval
+/// ahead of source 0.
+fn skewed_pushes(scenario: &Scenario, intervals: u64) -> Vec<(SourceId, FlowRecord)> {
     let mut pushes: Vec<(SourceId, FlowRecord)> = Vec::new();
     let mut lagging: Vec<Vec<FlowRecord>> = Vec::new();
     for i in 0..intervals {
@@ -164,6 +155,19 @@ fn multi_source_resume_survives_skewed_lanes() {
         let behind = std::mem::take(last);
         pushes.extend(behind.into_iter().map(|f| (SourceId(0), f)));
     }
+    pushes
+}
+
+/// Multi-source kill-and-resume under skew: one exporter runs a full
+/// interval ahead of the other, the checkpoint lands mid-grid (lane
+/// watermarks apart, windows half-assembled), and the restored engine
+/// still emits exactly what the uninterrupted run emits.
+#[test]
+fn multi_source_resume_survives_skewed_lanes() {
+    let scenario = Scenario::small(17);
+    let specs = [SourceSpec::new(0u32, 0), SourceSpec::new(1u32, 0)];
+    let config = || config_for(&scenario);
+    let pushes = skewed_pushes(&scenario, scenario.interval_count().min(20));
     let cut = pushes.len() / 2;
 
     let mut reference = MultiSourceExtractor::new(config(), &specs, None).unwrap();
@@ -201,6 +205,118 @@ fn multi_source_resume_survives_skewed_lanes() {
             "per-source weights diverged"
         );
         assert_events_identical(&a.event, &b.event, "multi-source skew");
+    }
+}
+
+/// `flow` as a window holds it: every field but the end time and the
+/// TCP flags, which take `FlowRecord::new`'s defaults.
+fn held(flow: &FlowRecord) -> FlowRecord {
+    let (end_ms, tcp_flags) = (flow.start_ms, TcpFlags::default());
+    FlowRecord {
+        end_ms,
+        tcp_flags,
+        ..*flow
+    }
+}
+
+/// A record's checkpoint bytes.
+fn row_bytes(flow: &FlowRecord) -> Vec<u8> {
+    let mut w = SnapshotWriter::new();
+    w.flow(flow);
+    w.into_bytes()
+}
+
+/// Older builds kept each flow's end time and TCP flags in the grid's
+/// windows and wrote them into a checkpoint's rows; today's windows hold
+/// neither and write `FlowRecord::new`'s defaults in the same layout. A
+/// two-source grid checkpoint taken mid-grid is rewritten as an older
+/// build wrote it: every open or pending window's row with its flow's
+/// own duration and flags (here a function of the other fields, so a
+/// row's bytes tell which to put back). Framed as a version 2 file, it
+/// loads, re-encodes as today's payload (the two fields read and
+/// dropped), and the resumed stream emits what the uninterrupted run
+/// emits.
+#[test]
+fn grid_checkpoints_holding_durations_and_flags_resume_identically() {
+    let scenario = Scenario::small(29);
+    let specs = [SourceSpec::new(0u32, 0), SourceSpec::new(1u32, 0)];
+    let config = || config_for(&scenario);
+    let detailed = |(source, flow): (SourceId, FlowRecord)| {
+        let salt = u64::from(flow.src_port ^ flow.dst_port) + u64::from(flow.packets);
+        let flags = TcpFlags((salt % 63) as u8 + 1);
+        (
+            source,
+            flow.with_end(flow.start_ms + 1 + salt % 900)
+                .with_flags(flags),
+        )
+    };
+    let pushes = skewed_pushes(&scenario, 22);
+    let pushes: Vec<_> = pushes.into_iter().map(detailed).collect();
+    let cut = pushes.len() * 2 / 5;
+
+    let mut reference = MultiSourceExtractor::new(config(), &specs, None).unwrap();
+    let mut ref_events = Vec::new();
+    let mut interrupted = MultiSourceExtractor::new(config(), &specs, None).unwrap();
+    let mut resumed_events = Vec::new();
+    for (i, (source, flow)) in pushes.iter().enumerate() {
+        ref_events.extend(reference.push(*source, *flow));
+        if i < cut {
+            resumed_events.extend(interrupted.push(*source, *flow));
+        }
+    }
+    let (tail, payload) = interrupted.checkpoint();
+    resumed_events.extend(tail);
+    // The grid leads the payload; only its rows are rewritten.
+    let mut grid = SnapshotWriter::new();
+    interrupted.assembler().encode_snapshot(&mut grid);
+    let grid = grid.into_bytes();
+    assert!(payload.starts_with(&grid));
+    drop(interrupted);
+    let older_rows: std::collections::HashMap<Vec<u8>, Vec<u8>> = (pushes[..cut].iter())
+        .map(|(_, flow)| (row_bytes(&held(flow)), row_bytes(flow)))
+        .collect();
+    let width = FLOW_WIRE_BYTES;
+    let (mut older, mut at, mut rows) = (payload.clone(), 0, 0);
+    while at + width <= grid.len() {
+        match older_rows.get(&older[at..at + width]) {
+            Some(row) => {
+                older[at..at + width].copy_from_slice(row);
+                (at, rows) = (at + width, rows + 1);
+            }
+            None => at += 1,
+        }
+    }
+    assert!(rows > 1_000, "{rows} rows in the open and pending windows");
+
+    let dir = std::env::temp_dir().join(format!("anomex-older-rows-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("stream.ckpt");
+    let position = cut as u64;
+    std::fs::write(&path, framed(2, &file_payload(position, &older))).unwrap();
+    let mut resumed = MultiSourceExtractor::load(&path).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    let (tail, rewritten) = resumed.checkpoint();
+    assert!(tail.is_empty());
+    assert!(
+        rewritten == payload,
+        "the rows re-encode without the two fields"
+    );
+    for (source, flow) in &pushes[cut..] {
+        resumed_events.extend(resumed.push(*source, *flow));
+    }
+    let (tail, ref_summary) = reference.finish();
+    ref_events.extend(tail);
+    let (tail, resumed_summary) = resumed.finish();
+    resumed_events.extend(tail);
+
+    assert_eq!(resumed_summary, ref_summary);
+    assert_eq!(ref_events.len(), resumed_events.len());
+    assert!(ref_events
+        .iter()
+        .any(|e| e.event.outcome.extraction.is_some()));
+    for (a, b) in ref_events.iter().zip(&resumed_events) {
+        assert_eq!(a.source_flows, b.source_flows);
+        assert_events_identical(&a.event, &b.event, "rows with durations and flags");
     }
 }
 
