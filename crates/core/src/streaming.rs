@@ -37,8 +37,8 @@
 //! that closes one of that source's windows, so events, drop counts and
 //! checkpoints are those of feeding the flows one at a time, while the
 //! caller pays per run, not per flow. Windows are assembled as
-//! [`FlowColumns`](anomex_netflow::FlowColumns) (one `extend` per column
-//! per run) and the pipeline thread hands them to [`Engine::process`] as
+//! [`FlowColumns`](anomex_netflow::FlowColumns) (one row-range copy per
+//! run) and the pipeline thread hands them to [`Engine::process`] as
 //! they are: no interval is transposed or copied as records on the way.
 //!
 //! The detector bank lives inside the pipeline thread's
@@ -168,8 +168,8 @@ fn pipeline_loop(
                 let source_rules = (outcome.extraction.is_some() && counts.len() >= 2)
                     .then(|| source_rules(cols, counts, &outcome.suspicious_rows, engine.config()))
                     .flatten();
-                let records =
-                    (flow_data && source_rules.is_some()).then(|| interval.flows.to_flows());
+                let records = (flow_data && source_rules.is_some())
+                    .then(|| interval.flows.to_flows(interval.begin_ms));
                 let event = MultiStreamEvent {
                     event: StreamEvent {
                         index: interval.index,
@@ -389,8 +389,10 @@ pub struct MultiStreamEvent {
     /// configuration the interval ran under) of an extraction with rules
     /// on a grid of two or more sources; `None` otherwise.
     pub source_rules: Option<RuleSet>,
-    /// The interval's records where `source_rules` is present, filled
-    /// only by a legacy `try_new` stream; empty otherwise.
+    /// The interval's records where `source_rules` is present, each
+    /// starting at `begin_ms`
+    /// ([`FlowColumns::to_flows`](anomex_netflow::FlowColumns::to_flows)),
+    /// filled only by a legacy `try_new` stream; empty otherwise.
     pub flow_data: Arc<Vec<FlowRecord>>,
 }
 

@@ -16,7 +16,7 @@ use anomex_netflow::snapshot::{RestoreError, SnapshotWriter};
 use anomex_netflow::v5::V5Exporter;
 use anomex_netflow::v9::TraceReader;
 use anomex_netflow::{
-    CaptureColumns, FlowColumns, FlowRecord, Protocol, SourceId, SourceSpec, TcpFlags,
+    CaptureColumns, FlowColumns, FlowRecord, FlowRun, Protocol, SourceId, SourceSpec,
 };
 use anomex_traffic::{MultiSourceScenario, Scenario};
 
@@ -490,23 +490,12 @@ fn a_fan_in_twice_in_one_process_gives_the_same_bytes() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `flow` as a capture block holds it: every field but the end time and
-/// the TCP flags, which take `FlowRecord::new`'s defaults.
-fn held(flow: &FlowRecord) -> FlowRecord {
-    let (end_ms, tcp_flags) = (flow.start_ms, TcpFlags::default());
-    FlowRecord {
-        end_ms,
-        tcp_flags,
-        ..*flow
-    }
-}
-
 /// `flows` exported as v5 datagrams and read back into one wire-width
 /// capture block, as a replay lane holds them.
 fn capture_block(flows: &[FlowRecord]) -> CaptureColumns {
     let bytes = V5Exporter::new().export(flows).concat();
     let mut reader = TraceReader::new(&bytes[..]);
-    let mut block = CaptureColumns::new();
+    let mut block = CaptureColumns::default();
     while let Some(packet) = reader.read_columns(&mut block) {
         packet.unwrap();
     }
@@ -560,9 +549,17 @@ fn push_run_gives_the_events_of_per_flow_pushes() {
             rest = &rest[n..];
         }
         let block = capture_block(flows);
-        let rows: Vec<FlowRecord> = (0..block.len()).map(|i| block.get(i)).collect();
-        let held: Vec<FlowRecord> = flows.iter().map(held).collect();
-        assert_eq!(rows, held, "every field the block holds fits the wire");
+        let mut rows = FlowColumns::new();
+        block
+            .run(0..block.len())
+            .append_rows(0..block.len(), &mut rows);
+        let starts: Vec<u64> = flows.iter().map(|f| f.start_ms).collect();
+        let wire: Vec<u64> = block.start_ms().iter().map(|&ms| u64::from(ms)).collect();
+        assert_eq!(
+            (wire, rows),
+            (starts, FlowColumns::from_flows(flows)),
+            "every field the block holds fits the wire"
+        );
         let mut at = 0;
         while at < block.len() {
             let (n, events) = by_rows.push_run(*source, &block.run(at..block.len()));

@@ -81,9 +81,7 @@ impl DetectorBank {
             return self.observe_columns(cols);
         }
         let mut rows = FlowColumns::with_capacity(range.len());
-        for i in range {
-            rows.push(&cols.get(i));
-        }
+        rows.extend_from_rows(cols, range);
         self.observe_columns(&rows)
     }
 }

@@ -252,13 +252,12 @@ fn older_value_maps_restore_and_score_bit_identically() {
         );
 
         let mut values: BTreeMap<u32, BTreeSet<u64>> = BTreeMap::new();
-        for flow in prev_flows.iter() {
-            let v = FlowFeature::DstPort.value_of(&flow).raw;
+        prev_flows.for_each_raw(FlowFeature::DstPort, 0..prev_flows.len(), |v| {
             values
                 .entry(live.hasher().bin_of(v, live.bins()))
                 .or_default()
                 .insert(v);
-        }
+        });
         let mut restored = restore(&older_record(&live, &prev_flows, prev_kl, &values))
             .expect("a value map decodes");
         for i in cut..16 {

@@ -1,112 +1,69 @@
-//! Captures held at wire width, one column per field.
+//! Captures held at wire width: the start-time column beside the
+//! engine's seven.
 //!
 //! A NetFlow v5 record carries its start as 32-bit milliseconds of
 //! exporter uptime, and the seven fields the engine reads in 4, 2 or 1
-//! bytes: 25 bytes a flow, where a [`FlowRecord`] takes 40. Its end
-//! time and TCP flags, which no engine stage reads, are not kept.
-//! [`CaptureColumns`] keeps a stretch of a capture that way, decoded
-//! straight from the datagrams by
+//! bytes. [`CaptureColumns`] keeps a stretch of a capture as that `first`
+//! column beside a [`FlowColumns`] of the seven, 25 bytes a flow where a
+//! [`FlowRecord`](crate::FlowRecord) takes 40, decoded straight from the
+//! datagrams by
 //! [`TraceReader::read_columns`](crate::v9::TraceReader::read_columns):
-//! a [`Replay`](crate::Replay)'s blocks. An interval assembler takes a
-//! [`CaptureRun`], a row range of one block, through [`FlowRun`], and
-//! builds a record only for a flow that closes a window.
+//! a [`Replay`](crate::Replay)'s blocks. Its end time and TCP flags, which
+//! no engine stage reads, are not kept. An interval assembler takes a
+//! [`CaptureRun`], a row range of one block, through [`FlowRun`]: it
+//! reads the start times to place the rows, and copies them into its
+//! window as a row range of the block's [`FlowColumns`].
 
-use std::net::Ipv4Addr;
 use std::ops::Range;
 
 use crate::columns::{FlowColumns, FlowRun};
-use crate::flow::{FlowRecord, Protocol};
-use crate::v5::{be_u16, be_u32, field, RecordSink, V5_RECORD_LEN};
+use crate::v5::{be_u32, field, RecordSink, V5_RECORD_LEN};
 
-/// A block of a capture, one column per field the engine reads, at its
-/// wire width.
+/// A block of a capture: each flow's start time as the wire carries it,
+/// beside the [`FlowColumns`] the engine reads.
 ///
-/// All eight columns always have the same length ([`len`](Self::len));
-/// row `i` widens to the [`FlowRecord`] [`get`](Self::get) returns: the
-/// record the v5 decoder gives for the same bytes, except that it ends
-/// when it starts and carries no TCP flags ([`FlowRecord::new`]'s
-/// defaults), as the block holds what the engine reads.
+/// Both always have the same length ([`len`](Self::len)).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CaptureColumns {
-    start_ms: Vec<u32>,
-    src_ip: Vec<u32>,
-    dst_ip: Vec<u32>,
-    src_port: Vec<u16>,
-    dst_port: Vec<u16>,
-    proto: Vec<u8>,
-    packets: Vec<u32>,
-    bytes: Vec<u32>,
+    /// The wire's `first` column: each flow's start, ms.
+    pub(crate) first: Vec<u32>,
+    /// The seven fields the engine reads.
+    pub(crate) flows: FlowColumns,
 }
 
 impl CaptureColumns {
-    /// An empty block.
-    #[must_use]
-    pub fn new() -> Self {
-        CaptureColumns::default()
-    }
-
     /// An empty block with every column allocated for `rows` rows.
     #[must_use]
     pub fn with_capacity(rows: usize) -> Self {
         CaptureColumns {
-            start_ms: Vec::with_capacity(rows),
-            src_ip: Vec::with_capacity(rows),
-            dst_ip: Vec::with_capacity(rows),
-            src_port: Vec::with_capacity(rows),
-            dst_port: Vec::with_capacity(rows),
-            proto: Vec::with_capacity(rows),
-            packets: Vec::with_capacity(rows),
-            bytes: Vec::with_capacity(rows),
+            first: Vec::with_capacity(rows),
+            flows: FlowColumns::with_capacity(rows),
         }
     }
 
     /// Remove every row, keeping each column's allocation, so a reader
     /// can refill the block without touching fresh memory.
     pub fn clear(&mut self) {
-        self.start_ms.clear();
-        self.src_ip.clear();
-        self.dst_ip.clear();
-        self.src_port.clear();
-        self.dst_port.clear();
-        self.proto.clear();
-        self.packets.clear();
-        self.bytes.clear();
+        self.first.clear();
+        self.flows.clear();
     }
 
     /// Number of rows (flows).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.start_ms.len()
+        self.first.len()
     }
 
     /// Whether the block holds no rows.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.start_ms.is_empty()
+        self.first.is_empty()
     }
 
     /// The `first` column: each flow's start, ms, as the wire carries it.
     #[must_use]
     pub fn start_ms(&self) -> &[u32] {
-        &self.start_ms
-    }
-
-    /// Row `i` as a [`FlowRecord`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.len()`.
-    #[must_use]
-    pub fn get(&self, i: usize) -> FlowRecord {
-        FlowRecord::new(
-            u64::from(self.start_ms[i]),
-            Ipv4Addr::from(self.src_ip[i]),
-            Ipv4Addr::from(self.dst_ip[i]),
-            self.src_port[i],
-            self.dst_port[i],
-            Protocol::from_number(self.proto[i]),
-        )
-        .with_volume(self.packets[i], self.bytes[i])
+        &self.first
     }
 
     /// The rows `rows`, as a run an assembler takes.
@@ -126,22 +83,10 @@ impl CaptureColumns {
 }
 
 impl RecordSink for CaptureColumns {
-    /// One pass per column over the datagram's record bytes, which stay
-    /// in cache between passes; each `extend` sizes its column once.
     fn append_records(&mut self, records: &[u8]) {
-        let recs = || records.chunks_exact(V5_RECORD_LEN);
-        self.start_ms
-            .extend(recs().map(|r| be_u32(r, field::FIRST)));
-        self.src_ip.extend(recs().map(|r| be_u32(r, field::SRC_IP)));
-        self.dst_ip.extend(recs().map(|r| be_u32(r, field::DST_IP)));
-        self.src_port
-            .extend(recs().map(|r| be_u16(r, field::SRC_PORT)));
-        self.dst_port
-            .extend(recs().map(|r| be_u16(r, field::DST_PORT)));
-        self.proto.extend(recs().map(|r| r[field::PROTO]));
-        self.packets
-            .extend(recs().map(|r| be_u32(r, field::PACKETS)));
-        self.bytes.extend(recs().map(|r| be_u32(r, field::BYTES)));
+        let starts = records.chunks_exact(V5_RECORD_LEN);
+        self.first.extend(starts.map(|r| be_u32(r, field::FIRST)));
+        self.flows.append_records(records);
     }
 }
 
@@ -158,7 +103,7 @@ impl<'a> CaptureRun<'a> {
     /// The run's stretch of the `first` column.
     #[must_use]
     pub fn start_ms(&self) -> &'a [u32] {
-        &self.block.start_ms[self.rows.clone()]
+        &self.block.first[self.rows.clone()]
     }
 }
 
@@ -171,44 +116,25 @@ impl FlowRun for CaptureRun<'_> {
         u64::from(self.start_ms()[i])
     }
 
-    fn record_at(&self, i: usize) -> FlowRecord {
-        assert!(
-            i < self.rows.len(),
-            "row {i} of a run of {}",
-            self.rows.len()
-        );
-        self.block.get(self.rows.start + i)
-    }
-
-    /// One widening copy for the start column, a slice copy for the other
-    /// seven.
+    /// A row-range copy of the block's columns.
     fn append_rows(&self, rows: Range<usize>, out: &mut FlowColumns) {
         assert!(
             rows.start <= rows.end && rows.end <= self.rows.len(),
             "rows {rows:?} of a run of {}",
             self.rows.len()
         );
-        let (b, at) = (self.block, self.rows.start);
-        let rows = at + rows.start..at + rows.end;
-        out.start_ms
-            .extend(b.start_ms[rows.clone()].iter().map(|&ms| u64::from(ms)));
-        out.src_ip.extend_from_slice(&b.src_ip[rows.clone()]);
-        out.dst_ip.extend_from_slice(&b.dst_ip[rows.clone()]);
-        out.src_port.extend_from_slice(&b.src_port[rows.clone()]);
-        out.dst_port.extend_from_slice(&b.dst_port[rows.clone()]);
-        out.proto.extend_from_slice(&b.proto[rows.clone()]);
-        out.packets.extend_from_slice(&b.packets[rows.clone()]);
-        out.bytes.extend_from_slice(&b.bytes[rows]);
+        let at = self.rows.start;
+        out.extend_from_rows(&self.block.flows, at + rows.start..at + rows.end);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flow::TcpFlags;
-    use crate::stream::tests::held;
+    use crate::flow::{FlowRecord, Protocol, TcpFlags};
     use crate::v5::{decode_datagram, V5Exporter};
     use crate::v9::{Packet, TraceReader};
+    use std::net::Ipv4Addr;
 
     fn sample_flows() -> Vec<FlowRecord> {
         (0..100u32)
@@ -235,7 +161,7 @@ mod tests {
         let datagrams = V5Exporter::new().export(flows);
         let bytes = datagrams.concat();
         let mut reader = TraceReader::new(&bytes[..]);
-        let mut block = CaptureColumns::new();
+        let mut block = CaptureColumns::default();
         while let Some(packet) = reader.read_columns(&mut block) {
             assert!(matches!(packet, Ok(Packet::Flows(_))));
         }
@@ -246,17 +172,12 @@ mod tests {
     }
 
     #[test]
-    fn rows_widen_to_the_decoded_records() {
+    fn rows_hold_the_decoded_records_start_and_engine_fields() {
         let flows = sample_flows();
         let (block, records) = read_back(&flows);
         assert_eq!(records, flows, "every field fits the wire");
         assert_eq!(block.len(), flows.len());
-        let rows: Vec<FlowRecord> = (0..block.len()).map(|i| block.get(i)).collect();
-        assert_eq!(rows, records.iter().map(held).collect::<Vec<_>>());
-        assert!(
-            rows.iter().zip(&records).any(|(r, f)| r != f),
-            "ends and flags are dropped"
-        );
+        assert_eq!(block.flows, FlowColumns::from_flows(&records));
         let starts: Vec<u64> = block.start_ms().iter().map(|&ms| u64::from(ms)).collect();
         let expected: Vec<u64> = flows.iter().map(|f| f.start_ms).collect();
         assert_eq!(starts, expected);
@@ -267,15 +188,13 @@ mod tests {
         let flows = sample_flows();
         let (block, _) = read_back(&flows);
         let run = block.run(10..70);
-        assert_eq!((run.flow_count(), run.record_at(3)), (60, held(&flows[13])));
+        assert_eq!(run.flow_count(), 60);
         assert_eq!(run.start_ms_at(5), flows[15].start_ms);
+        assert_eq!(run.start_ms().len(), 60);
         let mut out = FlowColumns::from_flows(&flows[..2]);
         run.append_rows(7..31, &mut out);
         let expected: Vec<FlowRecord> = [&flows[..2], &flows[17..41]].concat();
-        assert_eq!(
-            out.to_flows(),
-            expected.iter().map(held).collect::<Vec<_>>()
-        );
+        assert_eq!(out, FlowColumns::from_flows(&expected));
         run.append_rows(60..60, &mut out);
         assert_eq!(out.len(), 26);
     }

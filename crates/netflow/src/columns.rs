@@ -5,21 +5,26 @@
 //! in an interval. Stored as an array of [`FlowRecord`] structs, every
 //! such scan strides over all ten fields and wastes cache bandwidth on
 //! the nine it ignores. [`FlowColumns`] stores what the engine reads of
-//! the same flows (the start time and the seven fields it histograms
-//! and mines: 29 bytes a flow) as eight contiguous columns, so a
-//! per-feature scan reads exactly the bytes it needs, in order. A
-//! record's end time and TCP flags are not kept.
+//! the same flows (the seven fields it histograms and mines: 21 bytes a
+//! flow) as seven contiguous columns, so a per-feature scan reads
+//! exactly the bytes it needs, in order. A flow's times and TCP flags
+//! are not kept: its start time only places it in its window.
 //!
-//! It is the one interval layout of the live path: the interval
-//! assemblers ([`crate::IntervalAssembler`], [`crate::MergeAssembler`])
-//! push each arriving flow into the open window's columns, and the
-//! engine scans the closed window as it is. Around that:
+//! It is the one columnar layout. The interval assemblers
+//! ([`crate::IntervalAssembler`], [`crate::MergeAssembler`]) append each
+//! arriving flow to the open window's columns, and the engine scans the
+//! closed window as it is; a capture block
+//! ([`CaptureColumns`](crate::CaptureColumns)) is the wire's start-time
+//! column beside one. Around that:
 //!
-//! - [`FlowColumns::from_flows`] converts a record batch;
-//! - [`FlowColumns::get`] / [`FlowColumns::iter`] /
-//!   [`FlowColumns::to_flows`] reassemble records on demand (checkpoints
-//!   still write rows as records), each ending when it starts and with
-//!   no TCP flags;
+//! - [`FlowColumns::from_flows`] / [`FlowColumns::push`] transpose
+//!   records, and [`FlowColumns::extend_from_rows`] copies a row range
+//!   of another store (a block's run into a window, a lane's window into
+//!   a merged interval);
+//! - [`FlowColumns::to_flows`] reassembles records for checkpoints,
+//!   every row starting when its window begins, ending when it starts,
+//!   and with no TCP flags, so it lands in the same window if pushed
+//!   again;
 //! - [`FlowColumns::for_each_raw`] is the one hot-path accessor (the
 //!   detector's histogram build and resolve scan through it): it matches
 //!   the feature **once**, then runs a tight loop over the single
@@ -33,27 +38,24 @@ use std::ops::Range;
 
 use crate::feature::FlowFeature;
 use crate::flow::{FlowRecord, Protocol};
+use crate::v5::{be_u16, be_u32, field, RecordSink, V5_RECORD_LEN};
 
 /// A batch of flows stored column-major: one contiguous `Vec` per field
 /// the engine reads.
 ///
-/// All eight columns always have identical length ([`FlowColumns::len`]);
-/// row `i` across them is the [`FlowRecord`] returned by
-/// [`FlowColumns::get`], with [`FlowRecord::new`]'s defaults for the two
-/// fields a column store does not hold: `end_ms` is `start_ms` and
-/// `tcp_flags` is empty. The protocol column stores the IANA protocol
-/// number ([`Protocol::number`]), which round-trips losslessly through
+/// All seven columns always have identical length ([`FlowColumns::len`]).
+/// The protocol column stores the IANA protocol number
+/// ([`Protocol::number`]), which round-trips losslessly through
 /// [`Protocol::from_number`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FlowColumns {
-    pub(crate) start_ms: Vec<u64>,
-    pub(crate) src_ip: Vec<u32>,
-    pub(crate) dst_ip: Vec<u32>,
-    pub(crate) src_port: Vec<u16>,
-    pub(crate) dst_port: Vec<u16>,
-    pub(crate) proto: Vec<u8>,
-    pub(crate) packets: Vec<u32>,
-    pub(crate) bytes: Vec<u32>,
+    src_ip: Vec<u32>,
+    dst_ip: Vec<u32>,
+    src_port: Vec<u16>,
+    dst_port: Vec<u16>,
+    proto: Vec<u8>,
+    packets: Vec<u32>,
+    bytes: Vec<u32>,
 }
 
 impl FlowColumns {
@@ -68,7 +70,6 @@ impl FlowColumns {
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
         FlowColumns {
-            start_ms: Vec::with_capacity(capacity),
             src_ip: Vec::with_capacity(capacity),
             dst_ip: Vec::with_capacity(capacity),
             src_port: Vec::with_capacity(capacity),
@@ -82,29 +83,13 @@ impl FlowColumns {
     /// Convert a record batch to columns.
     #[must_use]
     pub fn from_flows(flows: &[FlowRecord]) -> Self {
-        let mut cols = FlowColumns::new();
-        cols.extend_from_flows(flows);
+        let mut cols = FlowColumns::with_capacity(flows.len());
+        flows.iter().for_each(|flow| cols.push(flow));
         cols
-    }
-
-    /// Append `flows` as new rows, filling one column at a time — a
-    /// batch's transpose; [`push`](Self::push) appends a single flow.
-    pub fn extend_from_flows(&mut self, flows: &[FlowRecord]) {
-        self.start_ms.extend(flows.iter().map(|f| f.start_ms));
-        self.src_ip
-            .extend(flows.iter().map(|f| u32::from(f.src_ip)));
-        self.dst_ip
-            .extend(flows.iter().map(|f| u32::from(f.dst_ip)));
-        self.src_port.extend(flows.iter().map(|f| f.src_port));
-        self.dst_port.extend(flows.iter().map(|f| f.dst_port));
-        self.proto.extend(flows.iter().map(|f| f.proto.number()));
-        self.packets.extend(flows.iter().map(|f| f.packets));
-        self.bytes.extend(flows.iter().map(|f| f.bytes));
     }
 
     /// Append one flow as a new row across every column.
     pub fn push(&mut self, flow: &FlowRecord) {
-        self.start_ms.push(flow.start_ms);
         self.src_ip.push(u32::from(flow.src_ip));
         self.dst_ip.push(u32::from(flow.dst_ip));
         self.src_port.push(flow.src_port);
@@ -114,33 +99,38 @@ impl FlowColumns {
         self.bytes.push(flow.bytes);
     }
 
-    /// Append every row of `other`, in order.
-    pub fn extend_from(&mut self, other: &FlowColumns) {
-        self.start_ms.extend_from_slice(&other.start_ms);
-        self.src_ip.extend_from_slice(&other.src_ip);
-        self.dst_ip.extend_from_slice(&other.dst_ip);
-        self.src_port.extend_from_slice(&other.src_port);
-        self.dst_port.extend_from_slice(&other.dst_port);
-        self.proto.extend_from_slice(&other.proto);
-        self.packets.extend_from_slice(&other.packets);
-        self.bytes.extend_from_slice(&other.bytes);
+    /// Append rows `rows` of `other`, in order: one slice copy per
+    /// column.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` is out of bounds for `other`.
+    pub fn extend_from_rows(&mut self, other: &FlowColumns, rows: Range<usize>) {
+        self.src_ip.extend_from_slice(&other.src_ip[rows.clone()]);
+        self.dst_ip.extend_from_slice(&other.dst_ip[rows.clone()]);
+        self.src_port
+            .extend_from_slice(&other.src_port[rows.clone()]);
+        self.dst_port
+            .extend_from_slice(&other.dst_port[rows.clone()]);
+        self.proto.extend_from_slice(&other.proto[rows.clone()]);
+        self.packets.extend_from_slice(&other.packets[rows.clone()]);
+        self.bytes.extend_from_slice(&other.bytes[rows]);
     }
 
     /// Number of rows (flows) stored.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.start_ms.len()
+        self.src_ip.len()
     }
 
     /// Whether the store holds no rows.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.start_ms.is_empty()
+        self.src_ip.is_empty()
     }
 
     /// Drop all rows, keeping every column's allocation for reuse.
     pub fn clear(&mut self) {
-        self.start_ms.clear();
         self.src_ip.clear();
         self.dst_ip.clear();
         self.src_port.clear();
@@ -150,34 +140,24 @@ impl FlowColumns {
         self.bytes.clear();
     }
 
-    /// Reassemble row `i` as a [`FlowRecord`] — the compatibility shim
-    /// for record-oriented consumers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.len()`.
+    /// Reassemble every row as a [`FlowRecord`] that starts at
+    /// `start_ms` (its window's begin), ends when it starts and has no
+    /// TCP flags: [`FlowRecord::new`]'s defaults.
     #[must_use]
-    pub fn get(&self, i: usize) -> FlowRecord {
-        FlowRecord::new(
-            self.start_ms[i],
-            Ipv4Addr::from(self.src_ip[i]),
-            Ipv4Addr::from(self.dst_ip[i]),
-            self.src_port[i],
-            self.dst_port[i],
-            Protocol::from_number(self.proto[i]),
-        )
-        .with_volume(self.packets[i], self.bytes[i])
-    }
-
-    /// Iterate the rows as reassembled [`FlowRecord`]s, in order.
-    pub fn iter(&self) -> impl Iterator<Item = FlowRecord> + '_ {
-        (0..self.len()).map(move |i| self.get(i))
-    }
-
-    /// Reassemble every row into a fresh `Vec<FlowRecord>`.
-    #[must_use]
-    pub fn to_flows(&self) -> Vec<FlowRecord> {
-        self.iter().collect()
+    pub fn to_flows(&self, start_ms: u64) -> Vec<FlowRecord> {
+        (0..self.len())
+            .map(|i| {
+                FlowRecord::new(
+                    start_ms,
+                    Ipv4Addr::from(self.src_ip[i]),
+                    Ipv4Addr::from(self.dst_ip[i]),
+                    self.src_port[i],
+                    self.dst_port[i],
+                    Protocol::from_number(self.proto[i]),
+                )
+                .with_volume(self.packets[i], self.bytes[i])
+            })
+            .collect()
     }
 
     /// The hot-path single-column scan: call `f` with `feature`'s uniform
@@ -235,8 +215,7 @@ impl FlowColumns {
     /// Heap bytes held by the column allocations.
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
-        self.start_ms.capacity() * 8
-            + self.src_ip.capacity() * 4
+        self.src_ip.capacity() * 4
             + self.dst_ip.capacity() * 4
             + self.src_port.capacity() * 2
             + self.dst_port.capacity() * 2
@@ -246,21 +225,34 @@ impl FlowColumns {
     }
 }
 
-/// A run of flows an interval assembler takes at once, in either
-/// layout: a record slice or a [`CaptureRun`](crate::CaptureRun) of a
-/// capture block. It gives what the assembler's one run loop reads: a
-/// row's start time to find the in-window prefix, the rows of that
-/// prefix appended to the window's columns, and a row as a record for
-/// the one flow that closes a window.
+impl RecordSink for FlowColumns {
+    /// One pass per column over the datagram's record bytes, which stay
+    /// in cache between passes; each `extend` sizes its column once.
+    fn append_records(&mut self, records: &[u8]) {
+        let recs = || records.chunks_exact(V5_RECORD_LEN);
+        self.src_ip.extend(recs().map(|r| be_u32(r, field::SRC_IP)));
+        self.dst_ip.extend(recs().map(|r| be_u32(r, field::DST_IP)));
+        self.src_port
+            .extend(recs().map(|r| be_u16(r, field::SRC_PORT)));
+        self.dst_port
+            .extend(recs().map(|r| be_u16(r, field::DST_PORT)));
+        self.proto.extend(recs().map(|r| r[field::PROTO]));
+        self.packets
+            .extend(recs().map(|r| be_u32(r, field::PACKETS)));
+        self.bytes.extend(recs().map(|r| be_u32(r, field::BYTES)));
+    }
+}
+
+/// A run of flows an interval assembler takes at once: a record slice or
+/// a [`CaptureRun`](crate::CaptureRun) of a capture block. It gives what
+/// the assembler's one run loop reads: a row's start time, to place the
+/// row in its window, and rows appended to the window's columns.
 pub trait FlowRun {
     /// Number of flows in the run.
     fn flow_count(&self) -> usize;
 
     /// Row `i`'s start time, ms.
     fn start_ms_at(&self, i: usize) -> u64;
-
-    /// Row `i` as a [`FlowRecord`].
-    fn record_at(&self, i: usize) -> FlowRecord;
 
     /// Append rows `rows` of the run to `out`, one column at a time.
     fn append_rows(&self, rows: Range<usize>, out: &mut FlowColumns);
@@ -275,37 +267,16 @@ impl FlowRun for [FlowRecord] {
         self[i].start_ms
     }
 
-    fn record_at(&self, i: usize) -> FlowRecord {
-        self[i]
-    }
-
     fn append_rows(&self, rows: Range<usize>, out: &mut FlowColumns) {
-        out.extend_from_flows(&self[rows]);
-    }
-}
-
-impl From<&[FlowRecord]> for FlowColumns {
-    fn from(flows: &[FlowRecord]) -> Self {
-        FlowColumns::from_flows(flows)
-    }
-}
-
-impl FromIterator<FlowRecord> for FlowColumns {
-    fn from_iter<I: IntoIterator<Item = FlowRecord>>(iter: I) -> Self {
-        let iter = iter.into_iter();
-        let mut cols = FlowColumns::with_capacity(iter.size_hint().0);
-        for flow in iter {
-            cols.push(&flow);
-        }
-        cols
+        self[rows].iter().for_each(|flow| out.push(flow));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::capture::CaptureColumns;
     use crate::flow::TcpFlags;
-    use crate::stream::tests::held;
 
     fn sample_flows() -> Vec<FlowRecord> {
         (0..100u32)
@@ -328,27 +299,36 @@ mod tests {
     #[test]
     fn round_trip_keeps_every_field_the_columns_hold() {
         let flows = sample_flows();
-        let held: Vec<FlowRecord> = flows.iter().map(held).collect();
         let cols = FlowColumns::from_flows(&flows);
         assert_eq!(cols.len(), flows.len());
         assert!(!cols.is_empty());
-        for (i, flow) in held.iter().enumerate() {
-            assert_eq!(cols.get(i), *flow, "row {i}");
+        let widened = cols.to_flows(7);
+        for (row, flow) in widened.iter().zip(&flows) {
+            let expected = FlowRecord {
+                start_ms: 7,
+                end_ms: 7,
+                tcp_flags: TcpFlags::default(),
+                ..*flow
+            };
+            assert_eq!(*row, expected);
         }
-        assert_eq!(cols.to_flows(), held);
-        let collected: Vec<FlowRecord> = cols.iter().collect();
-        assert_eq!(collected, held);
+        assert_eq!(widened.len(), flows.len());
         assert_eq!(
-            FlowColumns::from_flows(&held),
+            FlowColumns::from_flows(&widened),
             cols,
-            "ends and flags are dropped"
+            "times and flags are dropped"
         );
     }
 
+    /// The two layouts: a window's row is the seven engine columns, 21
+    /// bytes; a capture block's adds the wire's `u32` start time, 25.
     #[test]
-    fn a_row_takes_29_bytes() {
+    fn a_row_takes_21_bytes_in_a_window_and_25_in_a_block() {
         let cols = FlowColumns::with_capacity(1_000);
-        assert_eq!(cols.memory_bytes(), 29 * 1_000);
+        assert_eq!(cols.memory_bytes(), 21 * 1_000);
+        let block = CaptureColumns::with_capacity(1_000);
+        let block_bytes = block.first.capacity() * 4 + block.flows.memory_bytes();
+        assert_eq!(block_bytes, 25 * 1_000);
     }
 
     #[test]
@@ -383,25 +363,20 @@ mod tests {
     }
 
     #[test]
-    fn clear_keeps_capacity_and_extend_concatenates() {
+    fn clear_keeps_capacity_and_row_ranges_concatenate() {
         let flows = sample_flows();
         let mut cols = FlowColumns::from_flows(&flows);
         let cap = cols.memory_bytes();
         cols.clear();
         assert!(cols.is_empty());
         assert_eq!(cols.memory_bytes(), cap, "clear keeps allocations");
-        let a = FlowColumns::from_flows(&flows[..40]);
-        let b = FlowColumns::from_flows(&flows[40..]);
-        cols.extend_from(&a);
-        cols.extend_from(&b);
-        assert_eq!(cols, FlowColumns::from_flows(&flows));
-    }
-
-    #[test]
-    fn from_iterator_matches_from_flows() {
-        let flows = sample_flows();
-        let a: FlowColumns = flows.iter().copied().collect();
-        assert_eq!(a, FlowColumns::from_flows(&flows));
-        assert_eq!(FlowColumns::from(&flows[..]), a);
+        let all = FlowColumns::from_flows(&flows);
+        cols.extend_from_rows(&all, 0..40);
+        cols.extend_from_rows(&all, 40..40);
+        cols.extend_from_rows(&all, 40..flows.len());
+        assert_eq!(cols, all);
+        let mut middle = FlowColumns::new();
+        middle.extend_from_rows(&all, 17..41);
+        assert_eq!(middle, FlowColumns::from_flows(&flows[17..41]));
     }
 }

@@ -7,7 +7,7 @@
 
 use crate::columns::FlowColumns;
 use crate::error::DecodeError;
-use crate::v5::{decode_record, split_datagram, V5Header, V5_HEADER_LEN, V5_RECORD_LEN};
+use crate::v5::{split_datagram, RecordSink, V5Header, V5_HEADER_LEN};
 
 /// Decode a concatenated stream of v5 datagrams straight into a
 /// [`FlowColumns`] store, returning the per-datagram headers.
@@ -29,9 +29,7 @@ pub fn decode_stream_into_columns(
     let mut headers = Vec::new();
     while !data.is_empty() {
         let (header, records) = split_datagram(data)?;
-        for rec in records.chunks_exact(V5_RECORD_LEN) {
-            out.push(&decode_record(rec));
-        }
+        out.append_records(records);
         data = &data[V5_HEADER_LEN + records.len()..];
         headers.push(header);
     }

@@ -28,13 +28,14 @@
 //! - [`Replay`] — captures replayed onto that grid in collector arrival
 //!   order, in runs that end only where a window can close;
 //! - [`FlowColumns`] — struct-of-arrays storage of a flow batch (one
-//!   contiguous column per field the engine reads: the start time and
-//!   the seven features, 29 bytes a flow) for cache-friendly
-//!   single-column scans;
-//! - [`CaptureColumns`] — a stretch of a capture held at wire width
-//!   (the same eight columns, 25 bytes a flow), which the assemblers
-//!   take a row range of ([`CaptureRun`]) through [`FlowRun`], as they
-//!   take record slices;
+//!   contiguous column per field the engine reads: the seven features,
+//!   21 bytes a flow, no times) for cache-friendly single-column scans:
+//!   an interval's window, whose rows widen back to records starting at
+//!   the window's begin;
+//! - [`CaptureColumns`] — a stretch of a capture held at wire width (the
+//!   `first` start-time column beside a [`FlowColumns`], 25 bytes a
+//!   flow), which the assemblers take a row range of ([`CaptureRun`])
+//!   through [`FlowRun`], as they take record slices;
 //! - [`snapshot`] — the versioned, checksummed checkpoint codec that
 //!   durable operation is built on: atomic checkpoint files, bit-exact
 //!   state round trips, and typed [`RestoreError`]s on hostile input.

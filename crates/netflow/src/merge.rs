@@ -19,12 +19,15 @@
 //!                  (flows concatenated in source registration order)
 //! ```
 //!
-//! Every window travels as [`FlowColumns`]: a merged interval takes the
-//! first source's segment as it is and appends the others column by
-//! column, so no interval is copied as records on its way to the engine.
-//! A source's flows arrive in runs ([`MergeAssembler::push_run`]) that
-//! stop where the source closes a window, the only arrivals that can
-//! move the grid; [`MergeAssembler::push`] is a run of one.
+//! Every window travels as [`FlowColumns`], the seven engine columns
+//! with no times: a merged interval takes the first source's segment as
+//! it is and appends the others as row-range copies, so no interval is
+//! copied as records on its way to the engine. A source's flows arrive
+//! in runs ([`MergeAssembler::push_run`]) that stop where the source
+//! closes a window, the only arrivals that can move the grid;
+//! [`MergeAssembler::push`] is a run of one. A checkpoint writes every
+//! lane's open and pending windows as records, each row starting at its
+//! window's begin on the lane's own clock.
 //!
 //! **Determinism.** A merged interval's flows are the concatenation, in
 //! source registration order, of each source's window-`i` flows in that
@@ -389,7 +392,7 @@ impl MergeAssembler {
             w.usize(lane.pending.len());
             for (&index, flows) in &lane.pending {
                 w.u64(index);
-                w.flows(&flows.to_flows());
+                w.flows(&flows.to_flows(lane.assembler.begin_ms(index)));
             }
             w.u64(lane.assembler.closed_below());
             w.bool(lane.finished);
@@ -431,7 +434,7 @@ impl MergeAssembler {
             let mut pending = BTreeMap::new();
             for _ in 0..pending_count {
                 let index = r.u64()?;
-                pending.insert(index, r.flows()?.into_iter().collect());
+                pending.insert(index, FlowColumns::from_flows(&r.flows()?));
             }
             let _closed_below = r.u64()?; // derived from the assembler
             lanes.push(SourceLane {
@@ -522,7 +525,7 @@ impl MergeAssembler {
                         if flows.is_empty() {
                             flows = segment;
                         } else {
-                            flows.extend_from(&segment);
+                            flows.extend_from_rows(&segment, 0..segment.len());
                         }
                     }
                     None => source_flows.push(0),
@@ -546,6 +549,7 @@ impl MergeAssembler {
 mod tests {
     use super::*;
     use crate::flow::Protocol;
+    use crate::stream::tests::record;
     use std::net::Ipv4Addr;
 
     fn flow_at(ms: u64) -> FlowRecord {
@@ -589,15 +593,16 @@ mod tests {
         let mut m = two_sources(None);
         // Source 1's window-0 flow arrives first; the merge must still
         // put source 0's segment first.
-        m.push(SourceId(1), flow_at(700));
-        m.push(SourceId(0), flow_at(300));
-        m.push(SourceId(0), flow_at(400));
+        let (a, b, c) = (record(700, 1), record(300, 2), record(400, 3));
+        m.push(SourceId(1), a);
+        m.push(SourceId(0), b);
+        m.push(SourceId(0), c);
         let mut closed = m.flush();
         assert_eq!(closed.len(), 1);
         let iv = closed.remove(0);
         assert_eq!(iv.source_flows, vec![2, 1]);
-        let starts: Vec<u64> = iv.flows.iter().map(|f| f.start_ms).collect();
-        assert_eq!(starts, vec![300, 400, 700], "src0 segment, then src1");
+        let expected = FlowColumns::from_flows(&[b, c, a]);
+        assert_eq!(iv.flows, expected, "src0 segment, then src1");
     }
 
     #[test]
@@ -796,13 +801,14 @@ mod tests {
     /// The checkpoint layout is pinned for the grid too: every lane's
     /// open window and pending windows are written row by row as
     /// records. A two-lane payload built that way by hand, its records
-    /// carrying end times and TCP flags as older builds wrote them,
-    /// restores into columnar lanes, merges the record concatenations,
-    /// and encodes back to the same layout, those two fields at their
-    /// defaults.
+    /// carrying their own times and TCP flags as older builds wrote
+    /// them, restores into columnar lanes, merges the record
+    /// concatenations, and encodes back to the same layout, every row
+    /// starting and ending at its window's begin on its lane's clock,
+    /// with no flags.
     #[test]
     fn snapshot_writes_lane_windows_as_records() {
-        use crate::stream::tests::{held, record};
+        use crate::stream::tests::held;
         let p1 = vec![record(1_100, 1), record(1_200, 2)];
         let p2 = vec![record(2_500, 3)];
         let a = vec![record(3_300, 4), record(3_100, 5)];
@@ -813,9 +819,12 @@ mod tests {
             (0u32, 0u64, 3u64, &a, vec![(1u64, &p1), (2, &p2)]),
             (1, 250, 2, &b, vec![(1, &q1)]),
         ];
-        // The payload with each row written as `row` gives it.
-        let payload = |row: fn(&FlowRecord) -> FlowRecord| {
-            let rows = |flows: &[FlowRecord]| flows.iter().map(row).collect::<Vec<_>>();
+        // The payload with each row written as `row` gives it, from the
+        // row and its window's begin.
+        let payload = |row: fn(&FlowRecord, u64) -> FlowRecord| {
+            let rows = |flows: &[FlowRecord], begin: u64| {
+                flows.iter().map(|f| row(f, begin)).collect::<Vec<_>>()
+            };
             let mut w = SnapshotWriter::new();
             w.u64(1_000); // Δ
             w.bool(true); // lateness bound…
@@ -830,14 +839,14 @@ mod tests {
                 w.u64(*origin);
                 w.u64(1_000);
                 w.u64(*open_index);
-                w.flows(&rows(open));
+                w.flows(&rows(open, origin + open_index * 1_000));
                 w.u64(0);
                 w.u64(0);
                 w.bool(true);
                 w.usize(pending.len());
                 for (index, flows) in pending {
                     w.u64(*index);
-                    w.flows(&rows(flows));
+                    w.flows(&rows(flows, origin + index * 1_000));
                 }
                 w.u64(*open_index); // closed below
                 w.bool(false); // finished
@@ -846,7 +855,7 @@ mod tests {
             }
             w.into_bytes()
         };
-        let older = payload(|flow| *flow);
+        let older = payload(|flow, _| *flow);
         let mut r = SnapshotReader::new(&older);
         let mut restored = MergeAssembler::decode_snapshot(&mut r).unwrap();
         r.finish().unwrap();
@@ -855,13 +864,13 @@ mod tests {
         assert_eq!(again.into_bytes(), payload(held));
 
         let merged: Vec<(u64, Vec<FlowRecord>, Vec<usize>)> = (restored.flush().into_iter())
-            .map(|iv| (iv.index, iv.flows.to_flows(), iv.source_flows))
+            .map(|iv| (iv.index, iv.flows.to_flows(iv.begin_ms), iv.source_flows))
             .collect();
-        let held = |flows: Vec<FlowRecord>| flows.iter().map(held).collect::<Vec<_>>();
+        let at = |flows: Vec<FlowRecord>, begin| flows.iter().map(|f| held(f, begin)).collect();
         let expected = vec![
-            (1, held([&p1[..], &q1].concat()), vec![2, 1]),
-            (2, held([&p2[..], &b].concat()), vec![1, 2]),
-            (3, held(a.clone()), vec![2, 0]),
+            (1, at([&p1[..], &q1].concat(), 1_000), vec![2, 1]),
+            (2, at([&p2[..], &b].concat(), 2_000), vec![1, 2]),
+            (3, at(a.clone(), 3_000), vec![2, 0]),
         ];
         assert_eq!(merged, expected);
     }

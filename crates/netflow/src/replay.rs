@@ -544,7 +544,7 @@ mod tests {
     use crate::trace::MINUTE_MS;
     use crate::v5::V5Exporter;
     use crate::v9::encode_v9_options_template;
-    use crate::FlowRun;
+    use crate::{FlowColumns, FlowRun};
     use proptest::prelude::{ProptestConfig, Strategy};
     use proptest::test_runner::TestRng;
     use std::io::Cursor;
@@ -599,6 +599,15 @@ mod tests {
         }
     }
 
+    /// Row `i` of `run` as the record it was exported from: its engine
+    /// columns widened at its own start time (the test flows have no
+    /// duration or TCP flags).
+    fn record_at(run: &CaptureRun, i: usize) -> FlowRecord {
+        let mut row = FlowColumns::new();
+        run.append_rows(i..i + 1, &mut row);
+        row.to_flows(run.start_ms_at(i))[0]
+    }
+
     /// Everything `replay` hands out under the per-flow rule (no open
     /// windows, as [`Replay::skip`] takes it), one arrival per flow,
     /// consuming `take(len)` flows of each run of `len`; with the run
@@ -615,7 +624,7 @@ mod tests {
                     let len = run.flow_count();
                     assert!(len > 0, "a run holds a flow");
                     let n = take(len);
-                    out.extend((0..n).map(|i| (source, Single::Flow(run.record_at(i)))));
+                    out.extend((0..n).map(|i| (source, Single::Flow(record_at(&run, i)))));
                     runs.push((flows, len));
                     flows += n;
                     replay.consume(source, n);

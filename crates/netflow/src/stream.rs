@@ -16,14 +16,15 @@
 //! ordinary export reordering (a trickle of late flows).
 //!
 //! Flows land straight in the open window's [`FlowColumns`], the layout
-//! the engine scans, so a closed interval needs no transpose. A new
-//! window reserves the rows of the one before it.
-//! [`push_run`](IntervalAssembler::push_run) takes a run of flows at
-//! once, as records or as a row range of a wire-width capture block
-//! ([`FlowRun`]): the part of it inside the open window becomes one
-//! `extend` per column, and the run stops at the first flow that closes
-//! a window, so it is exactly [`push`](IntervalAssembler::push) on each
-//! of its flows.
+//! the engine scans (the seven engine columns, 21 bytes a flow, no
+//! times), so a closed interval needs no transpose. A new window
+//! reserves the rows of the one before it.
+//! [`push_run`](IntervalAssembler::push_run) is the one way in: it takes
+//! a run of flows, as records or as a row range of a wire-width capture
+//! block ([`FlowRun`]); the part of it inside the open window becomes
+//! one row-range copy, a flow outside it is placed by its start time,
+//! and the run stops at the first flow that closes a window.
+//! [`push`](IntervalAssembler::push) is a run of one.
 
 use std::ops::Range;
 
@@ -101,48 +102,22 @@ impl IntervalAssembler {
             .map(|off| off / self.interval_ms)
     }
 
-    /// Feed one flow; returns every interval this flow's arrival closes
-    /// (possibly several, when the stream skips empty windows — empties are
-    /// emitted too, so the downstream KL time series stays aligned).
+    /// Feed one flow: a [`push_run`](Self::push_run) of one. Returns
+    /// every interval this flow's arrival closes (possibly several, when
+    /// the stream skips empty windows — empties are emitted too, so the
+    /// downstream KL time series stays aligned).
     pub fn push(&mut self, flow: FlowRecord) -> Vec<ClosedInterval> {
-        let Some(window) = self.window_of(flow.start_ms) else {
-            // Dated before the stream origin: dropped, but counted
-            // apart from ordinary late flows so the two failure modes
-            // stay distinguishable.
-            self.pre_origin_flows += 1;
-            return Vec::new();
-        };
-        if !self.started {
-            self.started = true;
-            self.current_index = window;
-            // Emit empty windows from the origin up to the first flow so
-            // interval indices always start at zero.
-            let mut closed = Vec::new();
-            for idx in 0..window {
-                closed.push(self.make_closed(idx, FlowColumns::new()));
-            }
-            self.current.push(&flow);
-            return closed;
-        }
-        if window < self.current_index {
-            self.late_flows += 1;
-            return Vec::new();
-        }
-        let mut closed = Vec::new();
-        while window > self.current_index {
-            closed.push(self.close_current());
-        }
-        self.current.push(&flow);
-        closed
+        self.push_run(std::slice::from_ref(&flow)).1
     }
 
-    /// Feed a run of flows: exactly [`push`](Self::push) on each flow in
-    /// turn, up to and including the first flow that closes a window.
-    /// Returns how many flows were consumed and the intervals that flow
-    /// closed; a caller with flows left passes them again. Each piece of
-    /// the run that falls in the open window, found on the run's start
-    /// times, is appended with one [`FlowRun::append_rows`]; only the
-    /// flow after it is taken as a record.
+    /// Feed a run of flows, up to and including the first flow that
+    /// closes a window. Returns how many flows were consumed and the
+    /// intervals that flow closed; a caller with flows left passes them
+    /// again. Each piece of the run that falls in the open window, found
+    /// on the run's start times, is appended with one
+    /// [`FlowRun::append_rows`]. A row outside it is placed by its start
+    /// time: dropped as pre-origin or late, or appended once the windows
+    /// before its own have closed.
     pub fn push_run<R: FlowRun + ?Sized>(&mut self, run: &R) -> (usize, Vec<ClosedInterval>) {
         let len = run.flow_count();
         let mut at = 0;
@@ -157,11 +132,27 @@ impl IntervalAssembler {
                     break;
                 }
             }
-            let closed = self.push(run.record_at(at));
-            at += 1;
-            if !closed.is_empty() {
-                return (at, closed);
+            let start_ms = run.start_ms_at(at);
+            match self.window_of(start_ms) {
+                // Dated before the stream origin: dropped, but counted
+                // apart from ordinary late flows so the two failure
+                // modes stay distinguishable.
+                None => self.pre_origin_flows += 1,
+                Some(window) if self.started && window < self.current_index => {
+                    self.late_flows += 1;
+                }
+                Some(_) => {
+                    // Close every window before the row's own; the first
+                    // row closes the empty ones from the origin, so
+                    // interval indices always start at zero.
+                    let closed = self.advance_to(start_ms);
+                    run.append_rows(at..at + 1, &mut self.current);
+                    if !closed.is_empty() {
+                        return (at + 1, closed);
+                    }
+                }
             }
+            at += 1;
         }
         (len, Vec::new())
     }
@@ -171,10 +162,15 @@ impl IntervalAssembler {
     #[must_use]
     pub(crate) fn open_window(&self) -> Option<Range<u64>> {
         self.started.then(|| {
-            let begin = (self.current_index.saturating_mul(self.interval_ms))
-                .saturating_add(self.origin_ms);
+            let begin = self.begin_ms(self.current_index);
             begin..begin.saturating_add(self.interval_ms)
         })
+    }
+
+    /// Where window `index` begins, ms: the start time its rows take
+    /// when widened to records. Saturating past `u64::MAX`.
+    pub(crate) fn begin_ms(&self, index: u64) -> u64 {
+        (index.saturating_mul(self.interval_ms)).saturating_add(self.origin_ms)
     }
 
     /// Advance the assembler's clock to `now_ms` without a flow: every
@@ -240,7 +236,8 @@ impl IntervalAssembler {
     }
 
     /// Serialize the assembler's complete mutable state — origin, window
-    /// index, the in-progress window's flows, drop counters, and the
+    /// index, the in-progress window's flows (as records starting at the
+    /// window's begin, [`FlowColumns::to_flows`]), drop counters, and the
     /// started flag — into a snapshot payload.
     /// [`decode_snapshot`](Self::decode_snapshot) rebuilds an assembler
     /// that continues the stream exactly where this one stood.
@@ -248,7 +245,7 @@ impl IntervalAssembler {
         w.u64(self.origin_ms);
         w.u64(self.interval_ms);
         w.u64(self.current_index);
-        w.flows(&self.current.to_flows());
+        w.flows(&self.current.to_flows(self.begin_ms(self.current_index)));
         w.u64(self.late_flows);
         w.u64(self.pre_origin_flows);
         w.bool(self.started);
@@ -269,7 +266,7 @@ impl IntervalAssembler {
             return Err(RestoreError::Corrupt("zero interval length".into()));
         }
         let current_index = r.u64()?;
-        let current = r.flows()?.into_iter().collect();
+        let current = FlowColumns::from_flows(&r.flows()?);
         let late_flows = r.u64()?;
         let pre_origin_flows = r.u64()?;
         let started = r.bool()?;
@@ -315,13 +312,14 @@ pub(crate) mod tests {
     use crate::flow::{Protocol, TcpFlags};
     use std::net::Ipv4Addr;
 
-    /// `flow` as a column store holds it: every field but the end time
-    /// and the TCP flags, which take [`FlowRecord::new`]'s defaults.
-    pub(crate) fn held(flow: &FlowRecord) -> FlowRecord {
-        let (end_ms, tcp_flags) = (flow.start_ms, TcpFlags::default());
+    /// `flow` as a window gives it back, widened at `start_ms` (its
+    /// window's begin): the seven engine fields, ending when it starts,
+    /// with no TCP flags ([`FlowRecord::new`]'s defaults).
+    pub(crate) fn held(flow: &FlowRecord, start_ms: u64) -> FlowRecord {
         FlowRecord {
-            end_ms,
-            tcp_flags,
+            start_ms,
+            end_ms: start_ms,
+            tcp_flags: TcpFlags::default(),
             ..*flow
         }
     }
@@ -489,14 +487,15 @@ pub(crate) mod tests {
 
     /// The checkpoint layout is pinned: the open window is written row
     /// by row as records ([`SnapshotWriter::flows`]). A payload built
-    /// that way by hand, its records carrying end times and TCP flags as
-    /// older builds wrote them, restores into the columnar window,
-    /// continues as the record window would, and encodes back to the
-    /// same layout, those two fields at their defaults.
+    /// that way by hand, its records carrying their own start and end
+    /// times and TCP flags as older builds wrote them, restores into the
+    /// columnar window, continues as the record window would, and
+    /// encodes back to the same layout, every row starting and ending at
+    /// the window's begin with no flags.
     #[test]
     fn snapshot_writes_the_open_window_as_records() {
         let open = vec![record(1_100, 1), record(1_900, 2), record(1_500, 3)];
-        let held_open: Vec<FlowRecord> = open.iter().map(held).collect();
+        let held_open: Vec<FlowRecord> = open.iter().map(|f| held(f, 1_000)).collect();
         let payload = |open: &[FlowRecord]| {
             let mut w = SnapshotWriter::new();
             w.u64(0); // origin
@@ -519,12 +518,12 @@ pub(crate) mod tests {
         let mut closed = restored.push(record(3_200, 4));
         closed.extend(restored.flush());
         let windows: Vec<(u64, Vec<FlowRecord>)> = (closed.iter())
-            .map(|c| (c.index, c.flows.to_flows()))
+            .map(|c| (c.index, c.flows.to_flows(c.begin_ms)))
             .collect();
         let expected = vec![
             (1, held_open),
             (2, vec![]),
-            (3, vec![held(&record(3_200, 4))]),
+            (3, vec![held(&record(3_200, 4), 3_000)]),
         ];
         assert_eq!(windows, expected);
         assert_eq!((restored.late_flows(), restored.pre_origin_flows()), (2, 1));

@@ -115,12 +115,13 @@ proptest! {
             let mut cols = FlowColumns::new();
             let headers = decode_stream_into_columns(&bytes, &mut cols).unwrap();
             prop_assert_eq!(headers.len(), flows.len().div_ceil(30));
-            // The store keeps every field but the end time and the TCP
-            // flags, which take `FlowRecord::new`'s defaults.
+            // The store keeps the seven engine fields of every flow: a row
+            // widened at time 0 is the flow at time 0 with no duration
+            // or TCP flags.
             let held: Vec<FlowRecord> = (flows.iter())
-                .map(|&f| FlowRecord { end_ms: f.start_ms, tcp_flags: TcpFlags::default(), ..f })
+                .map(|&f| FlowRecord { start_ms: 0, end_ms: 0, tcp_flags: TcpFlags::default(), ..f })
                 .collect();
-            prop_assert_eq!(cols.to_flows(), held);
+            prop_assert_eq!(cols.to_flows(0), held);
         }
     }
 }

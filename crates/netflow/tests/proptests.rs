@@ -2,6 +2,7 @@
 
 use std::io::{self, Read};
 use std::net::Ipv4Addr;
+use std::ops::Range;
 
 use anomex_netflow::snapshot::{SnapshotReader, SnapshotWriter};
 use anomex_netflow::v5::{decode_datagram, encode_datagram, V5Collector, V5Datagram, V5Exporter};
@@ -10,9 +11,9 @@ use anomex_netflow::v9::{
     Punctuation, TraceItem, TraceReader, IPFIX_VERSION, V9_VERSION,
 };
 use anomex_netflow::{
-    CaptureColumns, ClosedInterval, DecodeError, FlowFeature, FlowRecord, FlowTrace,
-    IntervalAssembler, MergeAssembler, MergeConfig, MergedInterval, Protocol, ReadError, SourceId,
-    SourceSpec, TcpFlags,
+    CaptureColumns, ClosedInterval, DecodeError, FlowColumns, FlowFeature, FlowRecord, FlowRun,
+    FlowTrace, IntervalAssembler, MergeAssembler, MergeConfig, MergedInterval, Protocol, ReadError,
+    SourceId, SourceSpec, TcpFlags,
 };
 use proptest::prelude::*;
 
@@ -144,12 +145,25 @@ fn held(flow: &FlowRecord) -> FlowRecord {
     }
 }
 
+/// Rows `rows` of `block` as records: each row's engine columns widened
+/// at its own start time, from the block's `first` column.
+fn widen(block: &CaptureColumns, rows: Range<usize>) -> Vec<FlowRecord> {
+    let run = block.run(rows);
+    (0..run.flow_count())
+        .map(|i| {
+            let mut row = FlowColumns::new();
+            run.append_rows(i..i + 1, &mut row);
+            row.to_flows(run.start_ms_at(i))[0]
+        })
+        .collect()
+}
+
 /// `flows` exported as v5 datagrams and read back: as records, and as
 /// one wire-width capture block whose rows widen to those records, but
 /// for the fields a block does not hold.
 fn read_back(flows: &[FlowRecord]) -> (Vec<FlowRecord>, CaptureColumns) {
     let bytes = V5Exporter::new().export(flows).concat();
-    let (mut records, mut block) = (Vec::new(), CaptureColumns::new());
+    let (mut records, mut block) = (Vec::new(), CaptureColumns::default());
     let mut reader = TraceReader::new(&bytes[..]);
     while let Some(packet) = reader.read_into(&mut records) {
         packet.unwrap();
@@ -158,7 +172,7 @@ fn read_back(flows: &[FlowRecord]) -> (Vec<FlowRecord>, CaptureColumns) {
     while let Some(packet) = reader.read_columns(&mut block) {
         packet.unwrap();
     }
-    let rows: Vec<FlowRecord> = (0..block.len()).map(|i| block.get(i)).collect();
+    let rows = widen(&block, 0..block.len());
     let held: Vec<FlowRecord> = records.iter().map(held).collect();
     assert_eq!(rows, held, "rows widen to the records");
     (records, block)
@@ -220,7 +234,7 @@ fn drain_into(mut reader: TraceReader<impl Read>) -> (Vec<TraceItem>, Option<Dec
 /// packet, then its one error if any — in the iterator's terms, so the
 /// paths compare directly.
 fn drain_columns(mut reader: TraceReader<impl Read>) -> (Vec<TraceItem>, Option<DecodeError>) {
-    let (mut block, mut items, mut error) = (CaptureColumns::new(), Vec::new(), None);
+    let (mut block, mut items, mut error) = (CaptureColumns::default(), Vec::new(), None);
     loop {
         let before = block.len();
         let Some(packet) = reader.read_columns(&mut block) else {
@@ -229,7 +243,7 @@ fn drain_columns(mut reader: TraceReader<impl Read>) -> (Vec<TraceItem>, Option<
         assert!(error.is_none(), "the reader yielded past its error");
         match packet {
             Ok(Packet::Flows(header)) => {
-                let flows = (before..block.len()).map(|i| block.get(i)).collect();
+                let flows = widen(&block, before..block.len());
                 items.push(TraceItem::Flows(V5Datagram { header, flows }));
                 continue;
             }

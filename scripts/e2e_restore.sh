@@ -6,7 +6,9 @@
 # resume from the checkpoint with `--resume`, and require the
 # concatenated interrupted output to be byte-identical to the
 # uninterrupted run — the kill-and-resume contract, at the binary level.
-# Then the same for a two-source fan-in.
+# Then the same for a two-source fan-in. Each cut is also run twice,
+# and the two checkpoint files must be byte-identical: a checkpoint
+# depends on the input and the options alone.
 #
 # Usage: scripts/e2e_restore.sh [path-to-anomex-binary]
 # Builds the release binary when no path is given.
@@ -43,6 +45,19 @@ if [[ ! -f "$workdir/ckpt/stream.ckpt" ]]; then
     exit 1
 fi
 
+# The same cut again must write the same checkpoint bytes.
+# Usage: same_checkpoint <what> <checkpoint dir> <twin's checkpoint dir>
+same_checkpoint() {
+    if ! cmp "$2/stream.ckpt" "$3/stream.ckpt"; then
+        echo "e2e-restore: two runs of the same $1 cut wrote different checkpoints" >&2
+        exit 1
+    fi
+}
+"$bin" stream --in "$workdir/link.nfv5" "${opts[@]}" \
+    --checkpoint-dir "$workdir/ckpt-twin" --checkpoint-every 1 --stop-after 12 \
+    > /dev/null
+same_checkpoint one-trace "$workdir/ckpt" "$workdir/ckpt-twin"
+
 # Interrupted run, part 2: resume from the checkpoint, finish the trace.
 "$bin" stream --in "$workdir/link.nfv5" "${opts[@]}" \
     --checkpoint-dir "$workdir/ckpt" --resume \
@@ -71,7 +86,7 @@ if ! diff -u "$workdir/full.reports" "$workdir/resumed.reports"; then
 fi
 
 reports=$(grep -c '^Anomaly extraction report' "$workdir/resumed.reports")
-echo "e2e-restore: OK — kill-and-resume byte-identical to the uninterrupted run ($reports extraction report(s))"
+echo "e2e-restore: OK — kill-and-resume byte-identical to the uninterrupted run ($reports extraction report(s)); twin cuts wrote identical checkpoints"
 
 # `--resume` with no checkpoint present is a cold start: the run must
 # complete and match the reference exactly.
@@ -94,6 +109,9 @@ fan=(--in "$workdir/fan0.nfv5" --in "$workdir/fan1.nfv5" "${opts[@]}" --rules)
 "$bin" stream "${fan[@]}" > "$workdir/fan-full.out"
 "$bin" stream "${fan[@]}" --checkpoint-dir "$workdir/fan-ckpt" --checkpoint-every 1 \
     --stop-after 12 > "$workdir/fan-part1.out"
+"$bin" stream "${fan[@]}" --checkpoint-dir "$workdir/fan-ckpt-twin" --checkpoint-every 1 \
+    --stop-after 12 > /dev/null
+same_checkpoint fan-in "$workdir/fan-ckpt" "$workdir/fan-ckpt-twin"
 "$bin" stream "${fan[@]}" --checkpoint-dir "$workdir/fan-ckpt" --resume \
     > "$workdir/fan-part2.out"
 filter "$workdir/fan-full.out" > "$workdir/fan-full.reports"
@@ -113,4 +131,4 @@ if ! diff -u <(grep '^fan-in:' "$workdir/fan-full.out") <(grep '^fan-in:' "$work
     exit 1
 fi
 reports=$(grep -c '^Anomaly extraction report' "$workdir/fan-resumed.reports")
-echo "e2e-restore: OK — two-source kill-and-resume byte-identical to the uninterrupted fan-in ($reports extraction report(s))"
+echo "e2e-restore: OK — two-source kill-and-resume byte-identical to the uninterrupted fan-in ($reports extraction report(s)); twin cuts wrote identical checkpoints"

@@ -17,6 +17,7 @@ use anomex::netflow::snapshot::{
 };
 use anomex::prelude::*;
 use proptest::prelude::*;
+use std::collections::HashMap;
 use std::path::PathBuf;
 
 fn config_for(scenario: &Scenario) -> ExtractionConfig {
@@ -208,13 +209,14 @@ fn multi_source_resume_survives_skewed_lanes() {
     }
 }
 
-/// `flow` as a window holds it: every field but the end time and the
-/// TCP flags, which take `FlowRecord::new`'s defaults.
-fn held(flow: &FlowRecord) -> FlowRecord {
-    let (end_ms, tcp_flags) = (flow.start_ms, TcpFlags::default());
+/// `flow` as a window gives it back in a checkpoint: the seven engine
+/// fields, starting and ending at its window's begin `begin_ms`, with no
+/// TCP flags (`FlowRecord::new`'s defaults).
+fn held(flow: &FlowRecord, begin_ms: u64) -> FlowRecord {
     FlowRecord {
-        end_ms,
-        tcp_flags,
+        start_ms: begin_ms,
+        end_ms: begin_ms,
+        tcp_flags: TcpFlags::default(),
         ..*flow
     }
 }
@@ -226,32 +228,42 @@ fn row_bytes(flow: &FlowRecord) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Older builds kept each flow's end time and TCP flags in the grid's
+/// Older builds kept each flow's times and TCP flags in the grid's
 /// windows and wrote them into a checkpoint's rows; today's windows hold
-/// neither and write `FlowRecord::new`'s defaults in the same layout. A
+/// only the seven engine columns and write each row starting and ending
+/// at its window's begin, with no flags, in the same layout. A
 /// two-source grid checkpoint taken mid-grid is rewritten as an older
 /// build wrote it: every open or pending window's row with its flow's
-/// own duration and flags (here a function of the other fields, so a
-/// row's bytes tell which to put back). Framed as a version 2 file, it
-/// loads, re-encodes as today's payload (the two fields read and
-/// dropped), and the resumed stream emits what the uninterrupted run
-/// emits.
+/// own in-window start time, duration and flags (the duration and flags
+/// a function of the other fields). Lane 1's origin lies past 2³² ms, so
+/// its rows, pushed as records, start at times no wire-width block can
+/// hold. Framed as a version 2 file, it loads, re-encodes as today's
+/// payload (the row times and flags read and dropped), and the resumed
+/// stream emits what the uninterrupted run emits.
 #[test]
 fn grid_checkpoints_holding_durations_and_flags_resume_identically() {
+    const FAR: u64 = (1 << 32) + 12_345;
     let scenario = Scenario::small(29);
-    let specs = [SourceSpec::new(0u32, 0), SourceSpec::new(1u32, 0)];
+    let specs = [SourceSpec::new(0u32, 0), SourceSpec::new(1u32, FAR)];
+    let origin = |source: SourceId| specs[source.0 as usize].origin_ms;
     let config = || config_for(&scenario);
+    let delta = config().interval_ms;
     let detailed = |(source, flow): (SourceId, FlowRecord)| {
+        let start = flow.start_ms + origin(source);
         let salt = u64::from(flow.src_port ^ flow.dst_port) + u64::from(flow.packets);
         let flags = TcpFlags((salt % 63) as u8 + 1);
+        let flow = FlowRecord {
+            start_ms: start,
+            ..flow
+        };
         (
             source,
-            flow.with_end(flow.start_ms + 1 + salt % 900)
-                .with_flags(flags),
+            flow.with_end(start + 1 + salt % 900).with_flags(flags),
         )
     };
     let pushes = skewed_pushes(&scenario, 22);
     let pushes: Vec<_> = pushes.into_iter().map(detailed).collect();
+    assert!(pushes.iter().any(|(_, f)| f.start_ms > 1 << 32));
     let cut = pushes.len() * 2 / 5;
 
     let mut reference = MultiSourceExtractor::new(config(), &specs, None).unwrap();
@@ -272,21 +284,28 @@ fn grid_checkpoints_holding_durations_and_flags_resume_identically() {
     let grid = grid.into_bytes();
     assert!(payload.starts_with(&grid));
     drop(interrupted);
-    let older_rows: std::collections::HashMap<Vec<u8>, Vec<u8>> = (pushes[..cut].iter())
-        .map(|(_, flow)| (row_bytes(&held(flow)), row_bytes(flow)))
-        .collect();
+    // Today's bytes of a row → the older bytes of every flow they stand
+    // for (flows alike in the seven fields share them).
+    let mut older_rows: HashMap<Vec<u8>, Vec<Vec<u8>>> = HashMap::new();
+    for (source, flow) in &pushes[..cut] {
+        let begin = origin(*source) + (flow.start_ms - origin(*source)) / delta * delta;
+        (older_rows.entry(row_bytes(&held(flow, begin))).or_default()).push(row_bytes(flow));
+    }
     let width = FLOW_WIRE_BYTES;
-    let (mut older, mut at, mut rows) = (payload.clone(), 0, 0);
+    let (mut older, mut at, mut rows, mut far_rows) = (payload.clone(), 0, 0, 0);
     while at + width <= grid.len() {
-        match older_rows.get(&older[at..at + width]) {
-            Some(row) => {
-                older[at..at + width].copy_from_slice(row);
+        match older_rows.get_mut(&older[at..at + width]) {
+            Some(alike) => {
+                let row = alike.pop().expect("no more rows than flows");
+                far_rows += usize::from(u64::from_le_bytes(row[..8].try_into().unwrap()) > FAR);
+                older[at..at + width].copy_from_slice(&row);
                 (at, rows) = (at + width, rows + 1);
             }
             None => at += 1,
         }
     }
     assert!(rows > 1_000, "{rows} rows in the open and pending windows");
+    assert!(far_rows > 100, "{far_rows} rows past 2^32 ms");
 
     let dir = std::env::temp_dir().join(format!("anomex-older-rows-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -299,7 +318,7 @@ fn grid_checkpoints_holding_durations_and_flags_resume_identically() {
     assert!(tail.is_empty());
     assert!(
         rewritten == payload,
-        "the rows re-encode without the two fields"
+        "the rows re-encode at their windows' begins"
     );
     for (source, flow) in &pushes[cut..] {
         resumed_events.extend(resumed.push(*source, *flow));
@@ -316,7 +335,7 @@ fn grid_checkpoints_holding_durations_and_flags_resume_identically() {
         .any(|e| e.event.outcome.extraction.is_some()));
     for (a, b) in ref_events.iter().zip(&resumed_events) {
         assert_eq!(a.source_flows, b.source_flows);
-        assert_events_identical(&a.event, &b.event, "rows with durations and flags");
+        assert_events_identical(&a.event, &b.event, "rows with times and flags");
     }
 }
 
