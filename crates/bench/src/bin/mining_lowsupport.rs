@@ -1,7 +1,6 @@
-//! Low-support mining: Apriori's and FP-growth's all-frequent run time
-//! as the support falls — the band rare-rule mining works in (§III-E;
-//! ROADMAP item 4), kept as the yardstick a rare-item miner is measured
-//! against.
+//! Low-support mining: FP-growth's all-frequent run time as the support
+//! falls — the band rare-rule mining works in (§III-E; ROADMAP item 4),
+//! kept as the yardstick a rare-item miner is measured against.
 //!
 //! Each cell is the minimum wall time over a fixed number of runs, on
 //! the Table II workload at scale 0.1.
@@ -13,9 +12,8 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use anomex_mining::apriori::apriori;
 use anomex_mining::fpgrowth::fpgrowth;
-use anomex_mining::{AprioriConfig, TransactionSet};
+use anomex_mining::TransactionSet;
 use anomex_netflow::FlowColumns;
 use anomex_traffic::table2_workload;
 
@@ -46,8 +44,6 @@ fn main() {
     println!("{:<10} {:>8} {:>10}", "miner", "support", "ms");
     for div in [4u64, 16, 64] {
         let s = (w.min_support / div).max(2);
-        let apriori_ms = min_ms(|| apriori(black_box(&tx), &AprioriConfig::all_frequent(s)));
-        println!("{:<10} {s:>8} {apriori_ms:>10.2}", "apriori");
         let fpgrowth_ms = min_ms(|| fpgrowth(black_box(&tx), s));
         println!("{:<10} {s:>8} {fpgrowth_ms:>10.2}", "fp-growth");
     }

@@ -23,8 +23,9 @@ fn main() {
         w.min_support
     );
 
-    // Apriori on purpose (the engine mines with FP-growth): the paper's
-    // narrative is its per-round audit trail.
+    // Apriori's rounds on purpose (the engine keeps none): the paper's
+    // narrative is its per-round audit trail, derived from FP-growth's
+    // frequent item-sets.
     let t0 = Instant::now();
     let extraction = w.apriori_extraction();
     let elapsed = t0.elapsed();

@@ -46,8 +46,8 @@ USAGE:
       Run the full detection + extraction pipeline over a trace file and
       print a Table II-style report per alarmed interval. Extraction
       mines with FP-growth, which finds the item-sets and supports the
-      paper's Apriori finds; `anomex table2` runs Apriori for its
-      per-round audit trail. --threads N is accepted
+      paper's Apriori finds; `anomex table2` prints Apriori's per-round
+      audit trail, derived from those item-sets. --threads N is accepted
       for compatibility and selects nothing: each interval runs on one
       engine thread, which extracts one interval while the next is read.
       extract is `anomex stream` without the stream-only options: each
@@ -140,8 +140,9 @@ USAGE:
       --top takes neither --support nor the rule options.
 
   anomex table2 [--scale X]
-      Reproduce the paper's Table II example, mined with Apriori as the
-      paper did: the report includes its per-round audit trail.
+      Reproduce the paper's Table II example: the report includes the
+      per-round audit trail of the paper's Apriori, whose rounds are
+      derived from FP-growth's frequent item-sets.
 
   anomex help
 
@@ -1104,7 +1105,7 @@ fn table2_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
     let unit_flows =
         paper_counts::FLOODING + paper_counts::WEB + paper_counts::BACKSCATTER + paper_counts::SMTP;
     let w = table2_workload(2009, parse_scale(args, 1.0, unit_flows)?);
-    // Apriori on purpose: Table II narrates its level audit trail.
+    // Apriori's rounds on purpose: Table II narrates its level audit trail.
     let extraction = w.apriori_extraction();
     writeln!(out, "{}", render_report_with_levels(&extraction)).map_err(write_error)
 }
@@ -1348,8 +1349,9 @@ mod tests {
     }
 
     /// Extraction mines with FP-growth, which keeps no level audit;
-    /// `table2`'s Apriori extraction finds the same item-sets, so the two
-    /// render the same report apart from the audit trail.
+    /// `table2`'s Apriori extraction derives its rounds from the same
+    /// item-sets, so the two render the same report apart from the audit
+    /// trail.
     #[test]
     fn extraction_reports_what_table2_apriori_mines() {
         let w = table2_workload(2009, 0.01);

@@ -70,7 +70,8 @@ pub struct Extraction {
     /// empty; only an Apriori extraction built outside it fills it (the
     /// Table II reproduction,
     /// [`apriori`](anomex_mining::apriori::apriori) with
-    /// [`AprioriConfig::maximal`](anomex_mining::AprioriConfig::maximal)).
+    /// [`AprioriConfig::maximal`](anomex_mining::AprioriConfig::maximal),
+    /// which derives the rounds from FP-growth's item-sets).
     /// [`render_report`](crate::render_report) never prints it;
     /// [`render_level_stats`](crate::render_level_stats) does.
     pub levels: Vec<LevelStats>,

@@ -28,7 +28,8 @@ pub fn render_report(extraction: &Extraction) -> String {
 /// ([`render_level_stats`]) between the item-set table and the cost line —
 /// the layout of the paper's Table II narrative, for `anomex table2` and
 /// the `table2_apriori` reproduction, which mine with
-/// [`apriori`](anomex_mining::apriori::apriori) on purpose.
+/// [`apriori`](anomex_mining::apriori::apriori) on purpose (its rounds
+/// derived from FP-growth's item-sets).
 #[must_use]
 pub fn render_report_with_levels(extraction: &Extraction) -> String {
     render(extraction, &render_level_stats(&extraction.levels))

@@ -316,12 +316,6 @@ impl DetectorBank {
         &self.detectors
     }
 
-    /// Number of intervals observed so far.
-    #[must_use]
-    pub fn intervals_observed(&self) -> u64 {
-        self.interval
-    }
-
     /// Change the threshold multiplier α on every clone of every
     /// detector — live reconfiguration at an interval boundary. Fitted
     /// σ̂s are untouched; only the multiplier moves.
@@ -501,10 +495,10 @@ mod tests {
     #[test]
     fn interval_counter_advances() {
         let mut bank = DetectorBank::new(&config());
-        assert_eq!(bank.intervals_observed(), 0);
+        assert_eq!(bank.interval, 0);
         bank.observe(&background(0));
         bank.observe(&background(1));
-        assert_eq!(bank.intervals_observed(), 2);
+        assert_eq!(bank.interval, 2);
     }
 
     #[test]
@@ -533,7 +527,7 @@ mod tests {
         let mut restored = DetectorBank::new(&decoded_config);
         restored.restore_snapshot(&mut r).unwrap();
         r.finish().unwrap();
-        assert_eq!(restored.intervals_observed(), live.intervals_observed());
+        assert_eq!(restored.interval, live.interval);
         assert_eq!(restored.is_trained(), live.is_trained());
         for i in 13..17 {
             let flows = if i == 14 { ddos(i) } else { background(i) };

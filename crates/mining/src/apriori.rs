@@ -1,40 +1,25 @@
-//! The modified Apriori algorithm (paper §II-B).
+//! The modified Apriori algorithm (paper §II-B), read off FP-growth's
+//! frequent item-sets.
 //!
-//! Standard Apriori (Agrawal & Srikant, VLDB'94) level-wise search with the
-//! paper's modification: the final output keeps only **maximal** frequent
-//! item-sets. Per-level statistics are recorded so the §II-B worked example
-//! (Table II: "60 frequent 1-item-sets found, 58 removed as subsets…") can
-//! be regenerated verbatim.
+//! Standard Apriori (Agrawal & Srikant, VLDB'94) searches level by level,
+//! with the paper's modification: the final output keeps only **maximal**
+//! frequent item-sets. Its per-level statistics are the §II-B audit trail
+//! (Table II: "60 frequent 1-item-sets found, 58 removed as subsets…").
 //!
-//! Because flow transactions have bounded width (7 canonical, 9 with the
-//! §III-D prefix dimensions), the algorithm makes at most width-many
-//! passes and support counting can enumerate transaction k-subsets
-//! allocation-free (≤ 126 subsets per transaction per level).
+//! Every Apriori round is a pure function of the frequent item-sets, so
+//! [`apriori`] mines them once with [`fpgrowth`] and derives the rounds
+//! from them, counting no support itself: level 1 holds the frequent
+//! items; level k's candidates are Apriori's join and prune of level
+//! k − 1's frequent sets, and its frequent sets are the frequent k-sets,
+//! each of which is a candidate by downward closure; the maximal counts
+//! come from [`filter_maximal`]. The item-sets and supports are
+//! FP-growth's, which are Apriori's.
 
-use std::collections::{HashMap, HashSet}; // probed by key, never iterated
-use std::ops::Range;
-
-use crate::combinations::for_each_combination;
-use crate::count::count_single_items;
+use crate::fpgrowth::fpgrowth;
 use crate::item::Item;
 use crate::itemset::ItemSet;
 use crate::maximal::filter_maximal;
 use crate::transaction::{TransactionSet, MAX_WIDTH};
-
-/// Padding value for fixed-size candidate keys. Never a valid item
-/// encoding (feature indices stop at 8, so valid encodings are < 9 << 56).
-const KEY_PAD: u64 = u64::MAX;
-
-/// Fixed-size key for a candidate item-set (allocation-free hashing).
-type CandKey = [u64; MAX_WIDTH];
-
-fn key_of(items: &[Item]) -> CandKey {
-    let mut key = [KEY_PAD; MAX_WIDTH];
-    for (slot, item) in key.iter_mut().zip(items) {
-        *slot = item.encoding();
-    }
-    key
-}
 
 /// Apriori configuration.
 #[derive(Debug, Clone, Copy)]
@@ -86,11 +71,18 @@ pub struct AprioriOutput {
     pub itemsets: Vec<ItemSet>,
     /// Per-level statistics (index 0 = 1-item-sets).
     pub levels: Vec<LevelStats>,
-    /// Number of dataset passes performed (≤ 7 for flow transactions).
+    /// The dataset passes level-wise Apriori makes: one per round that
+    /// counts, the first and every one with candidates (≤ 9 for flow
+    /// transactions).
     pub passes: usize,
 }
 
-/// Run Apriori over a transaction set.
+/// Apriori's item-sets and rounds over a transaction set.
+///
+/// The rounds stop after the first level without frequent sets, after
+/// the terminating round whose join yields no candidate (recorded, as the
+/// paper's audit trail records it), or at level [`MAX_WIDTH`], the widest
+/// transaction.
 ///
 /// # Panics
 ///
@@ -98,105 +90,50 @@ pub struct AprioriOutput {
 /// every subset of every transaction "frequent", which is never meaningful.
 #[must_use]
 pub fn apriori(set: &TransactionSet, config: &AprioriConfig) -> AprioriOutput {
-    assert!(
-        config.min_support >= 1,
-        "minimum support must be at least 1"
-    );
-    let min_support = config.min_support;
-
-    let mut all_frequent: Vec<ItemSet> = Vec::new();
-    let mut levels: Vec<LevelStats> = Vec::new();
-
-    // --- Pass 1: count single items. ---
-    let mut current: Vec<(Vec<Item>, u64)> = count_single_items(set, min_support)
-        .into_iter()
-        .map(|(item, c)| (vec![item], c))
-        .collect();
-    levels.push(LevelStats {
-        level: 1,
-        candidates: 0, // level 1 has no candidate-generation step
-        frequent: current.len() as u64,
-        maximal: 0,
-    });
-    let mut passes = 1;
-
-    // --- Passes k = 2..=7 ---
-    while !current.is_empty() && passes < MAX_WIDTH {
-        let k = passes + 1;
-        let candidates = generate_candidates(&current);
-        let n_candidates = candidates.len() as u64;
-        if candidates.is_empty() {
-            // Record the empty round (the paper's audit trail includes the
-            // terminating round), then stop without another dataset pass.
-            levels.push(LevelStats {
-                level: k,
-                candidates: 0,
-                frequent: 0,
-                maximal: 0,
-            });
-            all_frequent.extend(current.drain(..).map(|(items, c)| ItemSet::new(items, c)));
-            break;
-        }
-
-        // Support counting: enumerate each transaction's k-subsets and
-        // look each one up in the candidate index (by key: no hash order).
-        let index: HashMap<CandKey, usize> = candidates
-            .iter()
-            .enumerate()
-            .map(|(i, items)| (key_of(items), i))
-            .collect();
-        let mut support = vec![0u64; candidates.len()];
-        for t in set.iter() {
-            if t.width() < k {
-                continue;
-            }
-            for_each_combination(t.items(), k, |combo| {
-                if let Some(&i) = index.get(&key_of(combo)) {
-                    support[i] += 1;
-                }
-            });
-        }
-        passes += 1;
-
-        let mut next: Vec<(Vec<Item>, u64)> = candidates
-            .into_iter()
-            .enumerate()
-            .filter_map(|(i, items)| {
-                let c = support[i];
-                (c >= min_support).then_some((items, c))
-            })
-            .collect();
-        next.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-
-        levels.push(LevelStats {
-            level: k,
-            candidates: n_candidates,
-            frequent: next.len() as u64,
-            maximal: 0,
-        });
-
-        all_frequent.extend(current.drain(..).map(|(items, c)| ItemSet::new(items, c)));
-        current = next;
-    }
-    all_frequent.extend(current.into_iter().map(|(items, c)| ItemSet::new(items, c)));
-
-    let itemsets = if config.maximal_only {
-        filter_maximal(all_frequent)
-    } else {
-        let mut v = all_frequent;
-        v.sort_unstable();
-        v
+    let frequent = fpgrowth(set, config.min_support);
+    let level = |k: usize| {
+        let start = frequent.partition_point(|s| s.len() < k);
+        &frequent[start..start + frequent[start..].partition_point(|s| s.len() == k)]
     };
 
-    // Fill the per-level maximal counters from the final output.
-    for s in &itemsets {
-        if config.maximal_only {
-            if let Some(stats) = levels.get_mut(s.len() - 1) {
-                stats.maximal += 1;
-            }
+    let mut prev = level(1);
+    let mut levels = vec![LevelStats {
+        level: 1,
+        candidates: 0, // level 1 has no candidate-generation step
+        frequent: prev.len() as u64,
+        maximal: 0,
+    }];
+    for k in 2..=MAX_WIDTH {
+        if prev.is_empty() {
+            break;
         }
+        let candidates = candidates(prev);
+        let current = level(k);
+        levels.push(LevelStats {
+            level: k,
+            candidates,
+            frequent: current.len() as u64,
+            maximal: 0,
+        });
+        if candidates == 0 {
+            break; // the terminating round
+        }
+        prev = current;
     }
+    let passes = levels
+        .iter()
+        .filter(|l| l.level == 1 || l.candidates > 0)
+        .count();
 
+    let itemsets = if config.maximal_only {
+        let maximal = filter_maximal(frequent);
+        for s in &maximal {
+            levels[s.len() - 1].maximal += 1;
+        }
+        maximal
+    } else {
+        frequent
+    };
     AprioriOutput {
         itemsets,
         levels,
@@ -204,82 +141,40 @@ pub fn apriori(set: &TransactionSet, config: &AprioriConfig) -> AprioriOutput {
     }
 }
 
-/// Boundaries of the (k-2)-prefix groups of a sorted frequent level:
-/// each returned range is one maximal run sharing a join prefix. The
-/// join only ever pairs item-sets within one group.
-fn prefix_groups(frequent: &[(Vec<Item>, u64)]) -> Vec<Range<usize>> {
-    let mut groups = Vec::new();
-    let mut group_start = 0;
-    while group_start < frequent.len() {
-        let prefix_len = frequent[group_start].0.len() - 1;
-        let prefix = &frequent[group_start].0[..prefix_len];
-        let mut group_end = group_start + 1;
-        while group_end < frequent.len() && &frequent[group_end].0[..prefix_len] == prefix {
-            group_end += 1;
-        }
-        groups.push(group_start..group_end);
-        group_start = group_end;
-    }
-    groups
-}
-
-/// Join + prune one prefix group, appending surviving candidates in
-/// join order (i < j over the group).
-///
-/// Two extra domain rules cut the space:
-/// - the two joined tail items must belong to *different* features, since a
-///   transaction never carries two values of one feature;
-/// - the prefix-join only pairs lexicographically adjacent groups, keeping
-///   the join linear in practice.
-fn join_group(
-    frequent: &[(Vec<Item>, u64)],
-    group: Range<usize>,
-    prev: &HashSet<CandKey>, // membership only: `out` follows `frequent`
-    out: &mut Vec<Vec<Item>>,
-) {
-    let prefix_len = frequent[group.start].0.len() - 1;
-    for i in group.clone() {
-        for j in i + 1..group.end {
-            let a = &frequent[i].0;
-            let b = &frequent[j].0;
-            let (ta, tb) = (a[prefix_len], b[prefix_len]);
-            if ta.feature() == tb.feature() {
+/// How many candidate k-sets Apriori generates from the frequent
+/// (k − 1)-sets `prev`, sorted: two sets sharing their first k − 2 items
+/// join when their last items belong to *different* features (a
+/// transaction never carries two values of one feature), and the union
+/// is kept when every (k − 1)-subset of it is in `prev` (downward
+/// closure).
+fn candidates(prev: &[ItemSet]) -> u64 {
+    let shared = prev[0].len() - 1;
+    let mut candidate: Vec<Item> = Vec::with_capacity(shared + 2);
+    let mut subset: Vec<Item> = Vec::with_capacity(shared + 1);
+    let mut count = 0;
+    for (i, a) in prev.iter().enumerate() {
+        let (prefix, tail) = a.items().split_at(shared);
+        let group = prev[i + 1..]
+            .iter()
+            .take_while(|b| &b.items()[..shared] == prefix);
+        for b in group {
+            let last = b.items()[shared];
+            if last.feature() == tail[0].feature() {
                 continue; // can never co-occur in one transaction
             }
-            let mut cand = Vec::with_capacity(a.len() + 1);
-            cand.extend_from_slice(a);
-            cand.push(tb); // ta < tb by sort order, so cand stays sorted
-            if subsets_all_frequent(&cand, prev) {
-                out.push(cand);
-            }
+            candidate.clear();
+            candidate.extend_from_slice(a.items());
+            candidate.push(last); // after a's tail by sort order
+            let closed = (0..candidate.len()).all(|skip| {
+                subset.clear();
+                subset.extend_from_slice(&candidate[..skip]);
+                subset.extend_from_slice(&candidate[skip + 1..]);
+                prev.binary_search_by(|s| s.items().cmp(&subset)).is_ok()
+            });
+            count += u64::from(closed);
         }
     }
-}
-
-/// Candidate generation: join L(k-1) with itself on the (k-2)-prefix,
-/// then prune candidates with an infrequent (k-1)-subset (downward
-/// closure, looked up in the never-iterated set `prev`).
-fn generate_candidates(current: &[(Vec<Item>, u64)]) -> Vec<Vec<Item>> {
-    let prev: HashSet<CandKey> = current.iter().map(|(items, _)| key_of(items)).collect();
-    let mut out = Vec::new();
-    for group in prefix_groups(current) {
-        join_group(current, group, &prev, &mut out);
-    }
-    out
-}
-
-/// Downward-closure prune: every (k-1)-subset of `cand` must be in `prev`.
-fn subsets_all_frequent(cand: &[Item], prev: &HashSet<CandKey>) -> bool {
-    let mut sub = Vec::with_capacity(cand.len() - 1);
-    for skip in 0..cand.len() {
-        sub.clear();
-        sub.extend_from_slice(&cand[..skip]);
-        sub.extend_from_slice(&cand[skip + 1..]);
-        if !prev.contains(&key_of(&sub)) {
-            return false;
-        }
-    }
-    true
+    count
 }
 
 #[cfg(test)]

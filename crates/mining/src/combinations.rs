@@ -1,8 +1,9 @@
 //! Allocation-free k-combination enumeration over small slices.
 //!
-//! Apriori support counting enumerates every k-subset of each width-≤7
-//! transaction; this helper does so into a caller-provided scratch buffer,
-//! so the hot loop performs no heap allocation.
+//! Rule generation splits every frequent item-set (at most nine items)
+//! into each antecedent and its consequent; this helper enumerates the
+//! antecedents into a scratch buffer, so the loop performs no heap
+//! allocation.
 
 use crate::item::Item;
 use crate::transaction::MAX_WIDTH;
@@ -50,27 +51,16 @@ pub fn for_each_combination(items: &[Item], k: usize, mut f: impl FnMut(&[Item])
     }
 }
 
-/// Number of k-combinations of n elements (small n only; used by tests
-/// and level-statistics reporting).
-#[must_use]
-pub fn binomial(n: usize, k: usize) -> u64 {
-    if k > n {
-        return 0;
-    }
-    let k = k.min(n - k);
-    let mut num = 1u64;
-    let mut den = 1u64;
-    for i in 0..k {
-        num *= (n - i) as u64;
-        den *= (i + 1) as u64;
-    }
-    num / den
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use anomex_netflow::FlowFeature;
+
+    /// n choose k, exactly: each step of the multiplicative recurrence
+    /// divides without remainder.
+    fn choose(n: usize, k: usize) -> usize {
+        (0..k).fold(1, |c, i| c * (n - i) / (i + 1))
+    }
 
     fn items(n: usize) -> Vec<Item> {
         (0..n as u64)
@@ -80,7 +70,7 @@ mod tests {
 
     #[test]
     fn enumerates_all_combinations() {
-        for n in 0..=7usize {
+        for n in 0..=MAX_WIDTH {
             let src = items(n);
             for k in 0..=n {
                 let mut seen = Vec::new();
@@ -88,7 +78,7 @@ mod tests {
                 if k == 0 {
                     assert!(seen.is_empty(), "k = 0 yields nothing by convention");
                 } else {
-                    assert_eq!(seen.len() as u64, binomial(n, k), "n={n} k={k}");
+                    assert_eq!(seen.len(), choose(n, k), "n={n} k={k}");
                     // All distinct, all sorted, all subsets.
                     let mut dedup = seen.clone();
                     dedup.sort();
@@ -116,13 +106,5 @@ mod tests {
         let mut seen = Vec::new();
         for_each_combination(&src, 2, |c| seen.push((c[0].value(), c[1].value())));
         assert_eq!(seen, vec![(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]);
-    }
-
-    #[test]
-    fn binomial_table() {
-        assert_eq!(binomial(7, 0), 1);
-        assert_eq!(binomial(7, 3), 35);
-        assert_eq!(binomial(7, 7), 1);
-        assert_eq!(binomial(3, 5), 0);
     }
 }

@@ -1,4 +1,4 @@
-//! The first pass of Apriori and FP-growth: the items that occur in at
+//! FP-growth's first pass: the items that occur in at
 //! least `min_support` transactions, with their counts, counted one
 //! feature column at a time ([`TransactionSet`] stores its rows as
 //! columns). No item is hashed into a map.

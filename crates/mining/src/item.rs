@@ -21,7 +21,8 @@ const VALUE_MASK: u64 = (1 << VALUE_BITS) - 1;
 /// A single market-basket item: one feature carrying one value.
 ///
 /// `Item` is `Copy`, 8 bytes, and totally ordered (feature-major), which the
-/// mining algorithms rely on for candidate generation and tid-list keys.
+/// mining algorithms rely on for candidate generation and to break
+/// FP-growth's rank ties.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Item(u64);
 

@@ -1,13 +1,11 @@
 //! What only the frozen benchmark replica calls, in the call shapes it
 //! imports, re-exported hidden at the crate root: thin adapters over the
 //! main path, deleted with `tests/legacy.rs` in ROADMAP item 12(b).
-//! [`MinerKind`] keeps Eclat, which nothing else runs, for the replica's
-//! cross-check of the miners.
+//! [`MinerKind`] keeps its `Eclat` arm for the replica's cross-check of
+//! the miners; it mines with FP-growth too.
 
 use crate::apriori::{apriori, AprioriConfig, AprioriOutput};
-use crate::eclat::eclat;
 use crate::itemset::ItemSet;
-use crate::maximal::filter_maximal;
 use crate::miner::mine;
 use crate::rules::{RuleConfig, RuleSet};
 use crate::transaction::TransactionSet;
@@ -44,13 +42,14 @@ pub fn generate_rules(
     RuleSet::generate(frequent, transactions, min_support, config)
 }
 
-/// The miners the replica cross-checks against Apriori: FP-growth,
-/// which [`mine`] runs, and Eclat (vertical tid-list intersection).
+/// The miners the replica cross-checks against Apriori. Both arms are
+/// [`mine`] without rules: Eclat, which returned FP-growth's item-sets
+/// and supports, is gone, and its name stays for the replica.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MinerKind {
     /// FP-growth: [`mine`] without rules.
     FpGrowth,
-    /// Eclat, whose item-sets and supports are FP-growth's.
+    /// The same as [`MinerKind::FpGrowth`].
     Eclat,
 }
 
@@ -63,10 +62,7 @@ impl MinerKind {
     /// Panics if `min_support` is zero.
     #[must_use]
     pub fn mine_maximal(self, set: &TransactionSet, min_support: u64) -> Vec<ItemSet> {
-        match self {
-            MinerKind::FpGrowth => mine(set, min_support, None).0,
-            MinerKind::Eclat => filter_maximal(eclat(set, min_support)),
-        }
+        mine(set, min_support, None).0
     }
 
     /// [`mine_maximal`](Self::mine_maximal); the [`Exec`] argument

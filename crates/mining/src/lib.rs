@@ -13,7 +13,7 @@
 //!
 //! - [`Item`], [`Transaction`], [`TransactionSet`] — the transaction model
 //!   with the no-duplicate-feature invariant; a set stores its rows as one
-//!   column per feature, and both miners count single items per column;
+//!   column per feature, and FP-growth counts single items per column;
 //! - [`fpgrowth`](fpgrowth::fpgrowth) — FP-growth over a dense-rank
 //!   FP-tree, the faster miner the paper cites (§III-E) and the one every
 //!   extraction runs;
@@ -21,9 +21,9 @@
 //!   item-sets, and the rules when asked for. It runs on the calling
 //!   thread;
 //! - [`apriori`](apriori::apriori) — the paper's modified Apriori with
-//!   per-level statistics ([`LevelStats`]) matching the §II-B audit trail:
-//!   Table II's miner, and the reference FP-growth is tested against
-//!   (both return the same item-sets and supports);
+//!   per-level statistics ([`LevelStats`]) matching the §II-B audit trail
+//!   (Table II): its rounds are derived from FP-growth's frequent
+//!   item-sets, so it counts no support of its own;
 //! - [`filter_maximal`] — maximal-item-set filtering;
 //! - [`mine_top_k`] — the paper's §V report-size-driven extension: the
 //!   k most frequent item-sets without choosing a support;
@@ -42,7 +42,6 @@
 pub mod apriori;
 pub mod combinations;
 mod count;
-mod eclat;
 pub mod fpgrowth;
 pub mod item;
 pub mod itemset;

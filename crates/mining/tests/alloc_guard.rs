@@ -1,6 +1,8 @@
-//! Allocation guard for the miners' first pass: mining one frequent
+//! Allocation guard for FP-growth's first pass: mining one frequent
 //! pattern out of a background whose every other item is distinct
-//! allocates a fixed number of times, whatever the set's size. The
+//! allocates a fixed number of times, whatever the set's size — through
+//! [`mine`] and through `apriori`, which derives its rounds from the same
+//! run. The
 //! counting filter in front of the exact single-item count keeps the
 //! distinct background items out of the count's map, so nothing
 //! rehashes as they grow.

@@ -1,8 +1,7 @@
 //! The legacy surface the frozen benchmark replica imports is its main
 //! path under another call shape: on one input, each legacy item gives
-//! exactly what the call it adapts gives. Eclat, which only the
-//! replica's miner cross-check runs, returns FP-growth's item-sets and
-//! supports.
+//! exactly what the call it adapts gives. Both `MinerKind` arms, the
+//! replica's miner cross-check, are [`mine`] without rules.
 
 use anomex_mining::apriori::apriori;
 use anomex_mining::fpgrowth::fpgrowth;
@@ -11,7 +10,6 @@ use anomex_mining::{
     Transaction, TransactionSet,
 };
 use anomex_netflow::FlowFeature;
-use proptest::prelude::*;
 
 /// A flood on one port over a little background: item-sets of every
 /// length up to three, and rules with confidence below and at 1.
@@ -50,42 +48,11 @@ fn mine_maximal_exec_is_mine_maximal() {
             kind.mine_maximal(&set, 5),
             "{kind:?}"
         );
-    }
-    assert_eq!(
-        MinerKind::FpGrowth.mine_maximal(&set, 5),
-        mine(&set, 5, None).0
-    );
-}
-
-/// A random transaction: 1–7 items, at most one per feature, values from
-/// a small alphabet so that item-sets repeat.
-fn arb_transaction() -> impl Strategy<Value = Transaction> {
-    proptest::collection::btree_map(0usize..7, 0u64..4, 1..=7).prop_map(|m| {
-        let items: Vec<Item> = m
-            .into_iter()
-            .map(|(f, v)| Item::new(FlowFeature::from_index(f), v))
-            .collect();
-        Transaction::from_items(&items).expect("btree_map keys are distinct features")
-    })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Eclat's maximal item-sets and supports are FP-growth's on random
-    /// sets of up to 59 transactions, at supports 1–7.
-    #[test]
-    fn eclat_is_fpgrowth(
-        transactions in proptest::collection::vec(arb_transaction(), 0..60),
-        min_support in 1u64..8,
-    ) {
-        let set = TransactionSet::from_transactions(transactions);
-        let eclat = MinerKind::Eclat.mine_maximal(&set, min_support);
-        let fp = MinerKind::FpGrowth.mine_maximal(&set, min_support);
-        prop_assert_eq!(&eclat, &fp);
-        for (e, f) in eclat.iter().zip(&fp) {
-            prop_assert_eq!(e.support, f.support, "{}", e);
-        }
+        assert_eq!(
+            kind.mine_maximal(&set, 5),
+            mine(&set, 5, None).0,
+            "{kind:?}"
+        );
     }
 }
 

@@ -144,7 +144,8 @@ impl EventSpec {
     }
 
     /// The feature values an analyst would recognize as this event's root
-    /// cause — used to score extracted item-sets as true positives.
+    /// cause. The evaluator judges item-sets by flow labels, not by
+    /// these; the injector tests hold every injector's flows to them.
     #[must_use]
     pub fn signature_values(&self) -> Vec<FeatureValue> {
         let ip = |addr: Ipv4Addr| u64::from(u32::from(addr));

@@ -32,18 +32,6 @@ impl LabeledInterval {
         self.labels.iter().any(Option::is_some)
     }
 
-    /// Number of flows injected by a specific event.
-    #[must_use]
-    pub fn event_flow_count(&self, id: EventId) -> usize {
-        self.labels.iter().filter(|l| **l == Some(id)).count()
-    }
-
-    /// Total number of event (non-background) flows.
-    #[must_use]
-    pub fn anomalous_flow_count(&self) -> usize {
-        self.labels.iter().filter(|l| l.is_some()).count()
-    }
-
     /// Iterate (flow, label) pairs.
     pub fn iter(&self) -> impl Iterator<Item = (&FlowRecord, Option<EventId>)> + '_ {
         self.flows.iter().zip(self.labels.iter().copied())
@@ -84,13 +72,8 @@ mod tests {
     }
 
     #[test]
-    fn counts_and_presence() {
-        let iv = interval();
-        assert!(iv.is_anomalous());
-        assert_eq!(iv.anomalous_flow_count(), 3);
-        assert_eq!(iv.event_flow_count(EventId(1)), 2);
-        assert_eq!(iv.event_flow_count(EventId(2)), 1);
-        assert_eq!(iv.event_flow_count(EventId(9)), 0);
+    fn presence() {
+        assert!(interval().is_anomalous());
     }
 
     #[test]
@@ -103,7 +86,6 @@ mod tests {
             labels: vec![None; 3],
         };
         assert!(!iv.is_anomalous());
-        assert_eq!(iv.anomalous_flow_count(), 0);
     }
 
     #[test]

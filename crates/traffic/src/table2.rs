@@ -7,8 +7,9 @@
 //! false-positive item-sets. Apriori with s = 10 000 then produced 15
 //! maximal item-sets. This module rebuilds that input set, component by
 //! component, at any volume scale, and mines it as the paper did:
-//! [`Table2Workload::apriori_extraction`] runs Apriori, whose per-level
-//! audit trail is the example's narrative.
+//! [`Table2Workload::apriori_extraction`] returns Apriori's maximal
+//! item-sets and per-level audit trail, the example's narrative, with the
+//! rounds derived from FP-growth's frequent item-sets.
 //!
 //! (The paper quotes 350 872 total flows while its per-port numbers sum to
 //! 350 862; we reproduce the per-port numbers, which are the operative
@@ -75,10 +76,11 @@ impl Table2Workload {
     /// Table II as the paper mined it: the flows pre-filtered with
     /// [`metadata`](Self::metadata) (union, canonical width-7
     /// transactions, as the engine's default configuration does) and
-    /// mined by Apriori for the maximal item-sets at
+    /// mined by [`apriori`] for the maximal item-sets at
     /// [`min_support`](Self::min_support). Unlike an engine extraction,
     /// it carries Apriori's per-level audit trail in
-    /// [`Extraction::levels`]. Interval 0, no rules.
+    /// [`Extraction::levels`], derived from FP-growth's frequent
+    /// item-sets. Interval 0, no rules.
     #[must_use]
     pub fn apriori_extraction(&self) -> Extraction {
         let metadata = self.metadata();

@@ -11,7 +11,7 @@
 //! |-------|----------|
 //! | [`netflow`] | flow records, the seven traffic features, NetFlow v5 codec, traces & interval streaming |
 //! | [`detector`] | KL-distance histogram detectors, histogram cloning, iterative bin identification, l-of-n voting, ROC analysis |
-//! | [`mining`] | width-7 flow transactions, FP-growth (the one miner extraction runs), the paper's modified Apriori (maximal item-sets, Table II audit trail, and the reference FP-growth is tested against), association rules |
+//! | [`mining`] | width-7 flow transactions, FP-growth (the one miner extraction runs), the paper's modified Apriori (maximal item-sets and Table II's rounds, derived from FP-growth's frequent item-sets), association rules |
 //! | [`traffic`] | synthetic backbone workloads with per-flow ground truth (the SWITCH-trace stand-in), and the evaluation harness that scores extractions against it |
 //! | [`core`] | the extraction pipeline: union pre-filter + maximal frequent item-set summaries, streaming multi-source engine, checkpoints, reports |
 //!

@@ -4,9 +4,10 @@
 //!
 //! Workload: `table2_workload(2009, 0.05)` — the flood on port 7000 plus
 //! the artificially added popular ports 80, 9022 and 25 — with all four
-//! ports as meta-data. Table II is mined with Apriori, whose per-level
-//! audit trail is pinned; the engine's FP-growth extraction must return
-//! exactly its item-sets and supports. The pinned values were recorded
+//! ports as meta-data. Table II's rounds are Apriori's, derived from
+//! FP-growth's frequent item-sets (`Table2Workload::apriori_extraction`);
+//! its per-level audit trail is pinned, and the engine's FP-growth
+//! extraction must return exactly its item-sets and supports. The pinned values were recorded
 //! before PR 14 folded the online types into `Engine` and must stay
 //! identical.
 

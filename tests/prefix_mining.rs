@@ -3,12 +3,13 @@
 //! width-7 mining cannot pin the target network; prefix-extended width-9
 //! transactions surface it as `{dstNet16=…, dstPort=…}`.
 
+mod reference;
+
+use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
-use anomex::core::{prefilter_indices_columns, TransactionMode};
-use anomex::mining::apriori::apriori;
-use anomex::mining::AprioriConfig;
-use anomex::netflow::FlowColumns;
+use anomex::core::TransactionMode;
+use anomex::mining::Item;
 use anomex::prelude::*;
 use anomex::traffic::inject::dscan;
 use anomex::traffic::rng::Rng;
@@ -110,22 +111,24 @@ fn prefix_mining_pins_the_scanned_range() {
     );
 }
 
-/// The engine's FP-growth extraction in prefix mode is Apriori's over
-/// the same width-9 transactions, gathered from the pre-filtered rows'
-/// columns: the same maximal item-sets, with the same supports.
+/// The engine's FP-growth extraction in prefix mode is the reference's
+/// Apriori over the paper's width-9 transactions of the pre-filtered
+/// flows: the same maximal item-sets, with the same supports.
 #[test]
 fn miners_agree_in_prefix_mode() {
     let flows = workload();
     let f = extract(&flows, TransactionMode::WithPrefixes);
-    let cols = FlowColumns::from_flows(&flows);
-    let rows = prefilter_indices_columns(&cols, &metadata(), PrefilterMode::Union);
-    let transactions = TransactionSet::from_columns_extended_at(&cols, &rows);
-    let a = apriori(&transactions, &AprioriConfig::maximal(500)).itemsets;
+    let md = reference::MetaData::from([(FlowFeature::DstPort, BTreeSet::from([445]))]);
+    let rows = reference::prefilter(&flows, &md, true);
+    let suspicious: Vec<FlowRecord> = rows.iter().map(|&row| flows[row]).collect();
+    let transactions = reference::transactions(&suspicious, true);
+    let want = reference::maximal(&reference::frequent_itemsets(&transactions, 500));
     assert_eq!(f.suspicious_flows, rows.len());
-    assert_eq!(a, f.itemsets);
-    for (x, y) in a.iter().zip(&f.itemsets) {
-        assert_eq!(x.support, y.support, "{x}");
-    }
+    let item = |i: &Item| (i.feature(), i.value());
+    let mined: reference::ItemSets = (f.itemsets.iter())
+        .map(|s| (s.items().iter().map(item).collect(), s.support))
+        .collect();
+    assert_eq!(mined, want);
 }
 
 #[test]

@@ -4,8 +4,7 @@
 mod reference;
 
 use anomex::core::{prefilter_indices_columns, PrefilterMode};
-use anomex::mining::apriori::apriori;
-use anomex::mining::{mine, AprioriConfig};
+use anomex::mining::{mine, Item};
 use anomex::netflow::FlowColumns;
 use anomex::prelude::*;
 use proptest::prelude::*;
@@ -120,10 +119,10 @@ proptest! {
         }
     }
 
-    /// The pipeline's FP-growth extraction is Apriori's at the pipeline
-    /// level (not just on raw transaction sets): the same maximal
-    /// item-sets, with the same supports, as Apriori mines from the
-    /// suspicious flows.
+    /// The pipeline's FP-growth extraction is the reference's Apriori at
+    /// the pipeline level (not just on raw transaction sets): the same
+    /// maximal item-sets, with the same supports, as the reference mines
+    /// from the suspicious flows.
     #[test]
     fn pipeline_miners_agree(
         flows in proptest::collection::vec(arb_flow(), 50..300),
@@ -131,13 +130,12 @@ proptest! {
         support in 3u64..30,
     ) {
         let f = extract(&flows, &md, support);
-        let cols = FlowColumns::from_flows(&flows);
-        let tx = TransactionSet::from_columns_at(&cols, &suspicious_rows(&flows, &md));
-        let a = apriori(&tx, &AprioriConfig::maximal(support)).itemsets;
-        prop_assert_eq!(&a, &f.itemsets);
-        for (x, y) in a.iter().zip(&f.itemsets) {
-            prop_assert_eq!(x.support, y.support, "{}", x);
-        }
+        let frequent = reference::frequent_itemsets(&suspicious(&flows, &md), support);
+        let item = |i: &Item| (i.feature(), i.value());
+        let mined: reference::ItemSets = (f.itemsets.iter())
+            .map(|s| (s.items().iter().map(item).collect(), s.support))
+            .collect();
+        prop_assert_eq!(mined, reference::maximal(&frequent));
     }
 
     /// Suspicious flows always match the meta-data; rejected flows never

@@ -8,7 +8,8 @@
 //! identification recomputes the whole distance after each removed bin;
 //! the vote asks every alarmed clone about every value; the pre-filter
 //! reads one flow at a time; and Apriori counts each candidate with a
-//! scan of every transaction. From the library it takes only the flow
+//! scan of every transaction, recording its rounds as Table II lists
+//! them. From the library it takes only the flow
 //! record, [`FlowFeature::value_of`] and [`BinHasher::bin_of`] (the
 //! clones' hash functions, whose family the paper leaves open).
 
@@ -377,12 +378,42 @@ pub fn support(transactions: &[Vec<Item>], items: &[Item]) -> u64 {
         .count() as u64
 }
 
+/// The widest transaction: the canonical features and the prefixes.
+pub const WIDEST: usize = CANONICAL.len() + PREFIXES.len();
+
+/// One round of level-wise Apriori, as Table II lists it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Round {
+    /// The item-set size, k.
+    pub level: usize,
+    /// The candidate k-sets counted (none in the first round, which
+    /// counts the items).
+    pub candidates: u64,
+    /// The frequent k-sets.
+    pub frequent: u64,
+    /// The maximal k-sets, when only those are asked for.
+    pub maximal: u64,
+}
+
 /// Every item-set contained in at least `min_support` transactions, by
-/// level-wise Apriori: the frequent items, counted in one pass, then per
-/// level the candidates joined from two frequent sets that share all but
-/// their last item and whose every subset one item shorter is frequent,
-/// each counted with a scan of every transaction.
+/// level-wise Apriori ([`apriori`]).
 pub fn frequent_itemsets(transactions: &[Vec<Item>], min_support: u64) -> ItemSets {
+    apriori(transactions, min_support, false).0
+}
+
+/// Level-wise Apriori: the frequent item-sets (the maximal ones with
+/// `maximal_only`) and its rounds. The first round counts the items in
+/// one pass. Round k joins two frequent (k − 1)-sets that share all but
+/// their last item, when those two items are of different features (no
+/// transaction holds two values of one), keeps the candidates whose every
+/// subset one item shorter is frequent, and counts each with a scan of
+/// every transaction. The rounds end with the first that finds no
+/// frequent set, or at level [`WIDEST`].
+pub fn apriori(
+    transactions: &[Vec<Item>],
+    min_support: u64,
+    maximal_only: bool,
+) -> (ItemSets, Vec<Round>) {
     let mut counts = ItemSets::new();
     for &item in transactions.iter().flatten() {
         *counts.entry(vec![item]).or_default() += 1;
@@ -390,12 +421,18 @@ pub fn frequent_itemsets(transactions: &[Vec<Item>], min_support: u64) -> ItemSe
     counts.retain(|_, &mut s| s >= min_support);
     let mut frequent = counts.clone();
     let mut level: Vec<Vec<Item>> = counts.into_keys().collect();
-    while !level.is_empty() {
+    let mut rounds = vec![Round {
+        level: 1,
+        candidates: 0,
+        frequent: level.len() as u64,
+        maximal: 0,
+    }];
+    while !level.is_empty() && rounds.len() < WIDEST {
         let mut candidates = Vec::new();
         for (i, a) in level.iter().enumerate() {
             for b in &level[i + 1..] {
                 let shared = a.len() - 1;
-                if a[..shared] != b[..shared] {
+                if a[..shared] != b[..shared] || a[shared].0 == b[shared].0 {
                     continue;
                 }
                 let mut candidate = a.clone();
@@ -412,15 +449,27 @@ pub fn frequent_itemsets(transactions: &[Vec<Item>], min_support: u64) -> ItemSe
             }
         }
         level = Vec::new();
-        for candidate in candidates {
-            let s = support(transactions, &candidate);
+        for candidate in &candidates {
+            let s = support(transactions, candidate);
             if s >= min_support {
                 frequent.insert(candidate.clone(), s);
-                level.push(candidate);
+                level.push(candidate.clone());
             }
         }
+        rounds.push(Round {
+            level: rounds.len() + 1,
+            candidates: candidates.len() as u64,
+            frequent: level.len() as u64,
+            maximal: 0,
+        });
     }
-    frequent
+    if maximal_only {
+        frequent = maximal(&frequent);
+        for set in frequent.keys() {
+            rounds[set.len() - 1].maximal += 1;
+        }
+    }
+    (frequent, rounds)
 }
 
 /// The maximal item-sets (§II-B): the frequent sets no longer frequent
