@@ -16,7 +16,7 @@ use anomex_netflow::v5::V5Exporter;
 use anomex_netflow::v9::TraceReader;
 use anomex_netflow::{
     Arrival, FeatureValue, FlowColumns, FlowRecord, ReadStats, Replay, ReplayError,
-    ReplayErrorKind, SourceId, MINUTE_MS,
+    ReplayErrorKind, MINUTE_MS,
 };
 use anomex_traffic::table2::paper_counts;
 use anomex_traffic::{table2_workload, MultiSourceScenario, Scenario};
@@ -114,19 +114,19 @@ USAGE:
       in-progress window, drop and audit counters) to DIR/stream.ckpt
       every N closed intervals (--checkpoint-every, default 1); --resume
       restores from it — configuration included — skips the flows
-      already consumed (give the same --in list), and continues the
-      event stream bit-identically. With --resume, an --interval-min,
-      --training, --max-lag, --prefixes or --intersection that
-      differs from the checkpoint's is refused (omit it, or give the
-      checkpoint's value), and --support and the rule options are not
-      read: the checkpoint's own, which a reconfig file may have
-      changed, run on. --stop-after N exits cleanly after N intervals
-      with a final checkpoint (the kill-and-resume e2e cut point). A
-      `reconfig` file in DIR (`min-support=N`, `alpha=X`,
-      `rules=on|off`, one per line) is consumed at the next interval
-      boundary and applied atomically without dropping flows, or refused
-      whole; the verdict is counted in the `reconfigurations:` trailer
-      line.
+      already consumed (give the same --in list: one that holds fewer
+      flows is refused), and continues the event stream bit-identically.
+      With --resume, an --interval-min, --training, --max-lag,
+      --prefixes or --intersection that differs from the checkpoint's is
+      refused (omit it, or give the checkpoint's value), and --support
+      and the rule options are not read: the checkpoint's own, which a
+      reconfig file may have changed, run on. --stop-after N exits
+      cleanly after N intervals with a final checkpoint (the
+      kill-and-resume e2e cut point). A `reconfig` file in DIR
+      (`min-support=N`, `alpha=X`, `rules=on|off`, one per line) is
+      consumed at the next interval boundary and applied atomically
+      without dropping flows, or refused whole; the verdict is counted
+      in the `reconfigurations:` trailer line.
 
   anomex analyze --in FILE --metadata \"dstPort=7000,#packets=12\" [--support N]
                  [--top] [--k N] [--prefixes] [--intersection]
@@ -746,41 +746,31 @@ fn consume_reconfig_file(
     }
 }
 
-/// Restore a `stream` session from a checkpoint file written over
-/// `sources` traces ([`MultiSourceExtractor::load`]): its lanes must be
-/// the `--in` traces, and its configuration must pass the `--rare` guard.
-fn restore_from_checkpoint(
-    path: &Path,
-    sources: usize,
-    force_rare: bool,
-) -> Result<MultiSourceExtractor, String> {
-    let engine = MultiSourceExtractor::load(path)
-        .map_err(|e| format!("cannot resume from {}: {e}", path.display()))?;
-    let saved = engine.assembler().sources();
-    if saved.len() != sources {
-        return Err(format!(
-            "cannot resume from {}: it holds {} source(s) but {sources} --in trace(s) \
-             were given (resume with the --in list that wrote it)",
-            path.display(),
-            saved.len()
-        ));
-    }
-    // The replay feeds source `i` from the `i`-th --in trace, so the
-    // checkpoint must hold exactly the ids `0..sources`, in that order.
-    if let Some((i, spec)) = (0u32..)
-        .zip(&saved)
-        .find(|(i, spec)| spec.id != SourceId(*i))
-    {
-        return Err(format!(
-            "cannot resume from {}: lane {i} holds source {} where {} was expected",
-            path.display(),
-            spec.id,
-            SourceId(i)
-        ));
-    }
-    check_rare_guard(engine.config(), force_rare)
-        .map_err(|e| format!("cannot resume from {}: {e}", path.display()))?;
+/// Restore a `stream` session from a checkpoint file
+/// ([`MultiSourceExtractor::load`]) whose configuration passes the
+/// `--rare` guard.
+fn restore_from_checkpoint(path: &Path, force_rare: bool) -> Result<MultiSourceExtractor, String> {
+    let cannot = |e: &dyn std::fmt::Display| format!("cannot resume from {}: {e}", path.display());
+    let engine = MultiSourceExtractor::load(path).map_err(|e| cannot(&e))?;
+    check_rare_guard(engine.config(), force_rare).map_err(|e| cannot(&e))?;
     Ok(engine)
+}
+
+/// A refused [`Replay::resume`] from the checkpoint at `path`, in terms
+/// of the `--in` list; a capture's own failure as it is.
+fn resume_error(path: &Path, e: ReplayError) -> String {
+    let again = "(resume with the --in list that wrote it)";
+    let why = match e.kind {
+        ReplayErrorKind::Sources { lanes, captures } => {
+            format!("it holds {lanes} source(s) but {captures} --in trace(s) were given {again}")
+        }
+        ReplayErrorKind::Short { flows, consumed } => format!(
+            "the --in trace(s) hold {flows} flows, fewer than the {consumed} it consumed {again}"
+        ),
+        ReplayErrorKind::Lane { .. } => e.to_string(),
+        _ => return e.to_string(),
+    };
+    format!("cannot resume from {}: {why}", path.display())
 }
 
 /// Refuse a `--resume` option that the checkpoint's settings, which the
@@ -837,20 +827,19 @@ fn replay_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
     let captures = open_captures(args)?;
 
     // Resume restores the full online state — configuration included —
-    // from the checkpoint, and replays from its sources' origins, which
-    // fix the flows the skip below passes over; otherwise start cold.
+    // from the checkpoint, and continues the replay that fed its grid;
+    // otherwise start cold.
     let resume_from = durability
         .as_ref()
         .filter(|d| d.resume)
         .map(Durability::checkpoint_path)
         .filter(|p| p.exists());
     let (mut engine, mut replay) = if let Some(path) = &resume_from {
-        let resumed = restore_from_checkpoint(path, captures.len(), force_rare)?;
+        let resumed = restore_from_checkpoint(path, force_rare)?;
         check_resume_options(args, &config, max_lag, &resumed)
             .map_err(|e| format!("cannot resume from {}: {e}", path.display()))?;
-        let (interval_ms, sources) = (resumed.config().interval_ms, resumed.assembler().sources());
         let replay =
-            Replay::open(captures, interval_ms, Some(&sources)).map_err(|e| e.to_string())?;
+            Replay::resume(captures, resumed.assembler()).map_err(|e| resume_error(path, e))?;
         note(format_args!(
             "resumed from {} ({} flows already consumed)",
             path.display(),
@@ -858,7 +847,7 @@ fn replay_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
         ));
         (resumed, replay)
     } else {
-        let replay = Replay::open(captures, config.interval_ms, None).map_err(|e| e.to_string())?;
+        let replay = Replay::open(captures, config.interval_ms).map_err(|e| e.to_string())?;
         let engine =
             MultiSourceExtractor::new(config, &replay.sources(), max_lag).map_err(String::from)?;
         (engine, replay)
@@ -887,10 +876,7 @@ fn replay_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
         clock_ms,
         latencies: Vec::new(),
     };
-    // A resumed run skips what the checkpointed one fed: its flows, and
-    // the heartbeats among them.
     let skipped = engine.total_flows();
-    replay.skip(skipped).map_err(|e| e.to_string())?;
     let first = engine.assembler().closed_intervals();
     let mut checkpointed = first;
     // A read error ends the command here, before `finish` would flush the
@@ -1113,7 +1099,7 @@ fn table2_to(args: &Args, out: &mut impl Write) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anomex_netflow::{FlowFeature, SourceSpec};
+    use anomex_netflow::{FlowFeature, SourceId, SourceSpec};
 
     /// Parse a whitespace-separated command line.
     fn argv(line: &str) -> Args {
@@ -1468,8 +1454,7 @@ mod tests {
 
     /// A saved checkpoint file resumes through the CLI's checks, and the
     /// restored engine continues the stream and its flow count; a
-    /// truncated file or a different source count fails with a
-    /// diagnostic, not a panic.
+    /// truncated file fails with a diagnostic, not a panic.
     #[test]
     fn checkpoint_file_round_trips_and_rejects_corruption() {
         use anomex_netflow::Protocol;
@@ -1497,18 +1482,15 @@ mod tests {
         let _ = engine.push(SourceId(0), flow(1_200));
         engine.save(&path).1.unwrap();
 
-        let mut resumed = restore_from_checkpoint(&path, 1, false).unwrap();
+        let mut resumed = restore_from_checkpoint(&path, false).unwrap();
         assert_eq!(resumed.total_flows(), 2);
         let _ = resumed.push(SourceId(0), flow(2_500));
         let (_, summary) = resumed.finish();
         assert_eq!(summary.total_flows, 3, "resumed run continues the count");
 
-        let err = restore_from_checkpoint(&path, 2, false).unwrap_err();
-        assert!(err.contains("1 source(s) but 2 --in"), "{err}");
-
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
-        let err = restore_from_checkpoint(&path, 1, false).unwrap_err();
+        let err = restore_from_checkpoint(&path, false).unwrap_err();
         assert!(
             err.contains("cannot resume"),
             "diagnostic names the file: {err}"
@@ -1727,20 +1709,25 @@ mod tests {
     }
 
     /// Resuming a two-source checkpoint with one `--in` is an error, not
-    /// a grid whose second watermark never moves.
+    /// a grid whose second watermark never moves; and so is resuming a
+    /// one-source checkpoint with two.
     #[test]
     fn resume_with_a_different_source_count_is_an_error() {
         let dir = scratch_dir("anomex-cli-resume-count-test");
         let scenario = MultiSourceScenario::uniform(5, 2);
         let ins = write_traces(&dir, 2, 4, |s, i| scenario.generate(s, i).flows);
         let durable = format!("--interval-min 1 --checkpoint-dir {}", dir.display());
-        run(
-            replay_to,
-            &format!("stream {} {durable} --stop-after 1", ins.join(" ")),
-        );
-        let one = argv(&format!("stream {} {durable} --resume", ins[0]));
-        let err = replay_to(&one, &mut Vec::new()).unwrap_err();
-        assert!(err.contains("2 source(s) but 1 --in"), "{err}");
+        for (k, n) in [(2, 1), (1, 2)] {
+            let written = format!("stream {} {durable} --stop-after 1", ins[..k].join(" "));
+            run(replay_to, &written);
+            let args = argv(&format!("stream {} {durable} --resume", ins[..n].join(" ")));
+            let err = replay_to(&args, &mut Vec::new()).unwrap_err();
+            let expected = format!("it holds {k} source(s) but {n} --in trace(s) were given");
+            assert!(
+                err.starts_with("cannot resume from") && err.contains(&expected),
+                "{err}"
+            );
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1759,7 +1746,7 @@ mod tests {
         ));
         let config = parse_config(&args).unwrap();
         let captures = open_captures(&args).unwrap();
-        let sources = (Replay::open(captures, config.interval_ms, None).unwrap()).sources();
+        let sources = (Replay::open(captures, config.interval_ms).unwrap()).sources();
         // A distinctive id, so the test can find it in the payload and
         // rewrite it to 0 — a duplicate `new` would have refused.
         const MARK: u32 = 0x5EC0_1D1D;
@@ -2088,7 +2075,7 @@ mod tests {
             run(replay_to, &format!("{stream}{force}"));
             assert!(!dir.join("reconfig").exists(), "the request was consumed");
             let path = dir.join("stream.ckpt");
-            let engine = restore_from_checkpoint(&path, 1, true).unwrap();
+            let engine = restore_from_checkpoint(&path, true).unwrap();
             assert_eq!(engine.config().min_support, support, "{force:?}");
         }
         std::fs::remove_dir_all(&dir).ok();
@@ -2118,7 +2105,7 @@ mod tests {
                 line(&out, "reconfigurations:"),
                 "reconfigurations: 0 applied, 1 rejected"
             );
-            let engine = restore_from_checkpoint(&dir.join("stream.ckpt"), 1, false).unwrap();
+            let engine = restore_from_checkpoint(&dir.join("stream.ckpt"), false).unwrap();
             assert_eq!(engine.config().min_support, 200, "{key}");
         }
         std::fs::remove_dir_all(&dir).ok();

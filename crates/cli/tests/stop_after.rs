@@ -3,7 +3,8 @@
 //! exactly those. It used to count the events drained so far, which
 //! trail the closed intervals by however many the engine thread still
 //! held: the final checkpoint then printed more than N, and a cut near
-//! the end could miss the count and run to the end.
+//! the end could miss the count and run to the end. A resume over a
+//! capture shorter than the checkpoint's is refused.
 
 use std::path::Path;
 use std::process::Command;
@@ -93,4 +94,80 @@ fn stop_after_n_prints_n_intervals_and_resumes_to_the_full_run() {
         );
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A resume whose capture ends before the flows the checkpoint consumed
+/// is refused: it exits 1 with one `error:` line naming the checkpoint
+/// and both flow counts, prints nothing on stdout, and leaves the
+/// checkpoint as it was. Here the shorter capture is a byte prefix of the
+/// one the checkpoint was written from, its first 10 of 25 intervals, and
+/// the checkpoint was cut after 20.
+#[test]
+fn a_resume_over_a_shorter_capture_is_refused() {
+    let dir = std::env::temp_dir().join("anomex-short-resume-test");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let (full, short) = (dir.join("full.nfv5"), dir.join("short.nfv5"));
+    generate(&full, "25");
+    let wrote = generate(&short, "10");
+    let held = wrote
+        .split(", ")
+        .nth(1)
+        .and_then(|s| s.strip_suffix(" flows"));
+    let held = held.expect("generate prints its flow count");
+    let ck = dir.join("ck");
+    let stream = |trace| stream_args(trace, &ck);
+    anomex(&[&stream(&full)[..], &["--stop-after", "20"]].concat());
+    let checkpoint = ck.join("stream.ckpt");
+    let saved = std::fs::read(&checkpoint).unwrap();
+
+    let out = Command::new(env!("CARGO_BIN_EXE_anomex"))
+        .args([&stream(&short)[..], &["--resume"]].concat())
+        .output()
+        .expect("the binary runs");
+    let stderr = String::from_utf8(out.stderr).expect("UTF-8 stderr");
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert_eq!(String::from_utf8_lossy(&out.stdout), "", "no summary");
+    let [error] = stderr.lines().collect::<Vec<_>>()[..] else {
+        panic!("one line on stderr: {stderr}");
+    };
+    assert_eq!(
+        std::fs::read(&checkpoint).unwrap(),
+        saved,
+        "the checkpoint is kept"
+    );
+
+    // The checkpoint's count, as the resume over the full capture reports it.
+    let note = anomex(&[&stream(&full)[..], &["--resume"]].concat()).1;
+    let consumed = note
+        .split(" (")
+        .nth(1)
+        .and_then(|s| s.strip_suffix(" flows already consumed)\n"));
+    let consumed = consumed.expect("the resume names the flows consumed");
+    let expected = format!(
+        "error: cannot resume from {}: the --in trace(s) hold {held} flows, fewer than the \
+         {consumed} it consumed (resume with the --in list that wrote it)",
+        checkpoint.display()
+    );
+    assert_eq!(error, expected);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `generate` the first `intervals` intervals of seed 3 into `out`; its
+/// stdout.
+fn generate(out: &Path, intervals: &str) -> String {
+    let args = ["--seed", "3", "--intervals", intervals, "--out", path(out)];
+    anomex(&[&["generate"][..], &args].concat()).0
+}
+
+/// `stream` over `trace`, one-minute intervals, checkpointing into `ck`.
+fn stream_args<'a>(trace: &'a Path, ck: &'a Path) -> Vec<&'a str> {
+    let options = [
+        "--interval-min",
+        "1",
+        "--training",
+        "10",
+        "--checkpoint-dir",
+    ];
+    [&["stream", "--in", path(trace)][..], &options, &[path(ck)]].concat()
 }

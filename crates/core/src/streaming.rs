@@ -64,7 +64,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use anomex_mining::RuleSet;
-use anomex_netflow::snapshot::{read_checkpoint, write_checkpoint, SnapshotReader, SnapshotWriter};
+use anomex_netflow::snapshot::{
+    read_checkpoint, write_checkpoint, SnapshotReader, SnapshotWriter, CHECKPOINT_VERSION,
+};
 use anomex_netflow::{
     FlowRecord, FlowRun, IntervalAssembler, MergeAssembler, MergeConfig, MergedInterval,
     RestoreError, SourceId, SourceSpec, SourceStats,
@@ -122,13 +124,11 @@ pub fn latency_percentile(latencies: &mut [u64], p: f64) -> u64 {
     latencies[rank.clamp(1, latencies.len()) - 1]
 }
 
-/// What travels down the pipeline thread's command channel. Snapshot and
-/// reconfig requests share the channel with interval work, so they land
-/// **between intervals** by FIFO order: every interval submitted before
-/// the command is fully processed (and its event already sent) when the
-/// command executes — no interval is ever split across a parameter
-/// change or a checkpoint.
-#[derive(Debug)]
+/// What travels down the pipeline thread's command channel. A call
+/// shares the channel with interval work, so it lands **between
+/// intervals** by FIFO order: every interval submitted before it is
+/// fully processed (and its event already sent) when it runs — no
+/// interval is ever split across a parameter change or a checkpoint.
 enum Command {
     /// Extract one closed interval, which closed with the grid's drops
     /// at `dropped_flows`. The interval travels whole: its per-source
@@ -138,14 +138,9 @@ enum Command {
         dropped_flows: u64,
         flow_data: bool,
     },
-    /// Serialize the engine's state and reply with the payload.
-    Snapshot(SyncSender<Vec<u8>>),
-    /// Apply a parameter change at this interval boundary; reply with
-    /// the resulting configuration or the validation error.
-    Reconfig(
-        Box<ReconfigRequest>,
-        SyncSender<Result<ExtractionConfig, ConfigError>>,
-    ),
+    /// Run a request on the engine (a snapshot, a reconfiguration),
+    /// which sends its own reply.
+    Call(Box<dyn FnOnce(&mut Engine) + Send>),
 }
 
 fn pipeline_loop(
@@ -188,26 +183,14 @@ fn pipeline_loop(
                     break; // receiver gone: the stream was abandoned
                 }
             }
-            Command::Snapshot(reply) => {
-                if reply.send(engine.snapshot()).is_err() {
-                    break; // requester gone: the stream was abandoned
-                }
-            }
-            Command::Reconfig(request, reply) => {
-                let verdict = engine
-                    .reconfigure(&request)
-                    .map(|()| engine.config().clone());
-                if reply.send(verdict).is_err() {
-                    break; // requester gone: the stream was abandoned
-                }
-            }
+            Command::Call(call) => call(&mut engine),
         }
     }
     engine
 }
 
-/// The back half of the streaming engine: the pipeline thread, its
-/// work/event channels, and the running interval counters.
+/// The back half of the streaming engine: the pipeline thread and its
+/// work and event channels.
 #[derive(Debug)]
 struct PipelineHandle {
     /// `Some` until `finish`/drop closes the stream.
@@ -216,11 +199,6 @@ struct PipelineHandle {
     /// The pipeline thread; returns its engine so `finish` can read
     /// final detector state.
     worker: Option<JoinHandle<Engine>>,
-    intervals: u64,
-    alarms: u64,
-    extractions: u64,
-    reconfigs_applied: u64,
-    reconfigs_rejected: u64,
 }
 
 impl PipelineHandle {
@@ -233,64 +211,45 @@ impl PipelineHandle {
     /// `push`, so this only needs slack for bursts of empty intervals.
     const EVENT_BUFFER: usize = 64;
 
-    /// Spawn the pipeline thread around an already-validated engine,
-    /// starting the stream counters at `counters` (intervals, alarms,
-    /// extractions, reconfigs applied, reconfigs rejected — the order a
-    /// checkpoint stores them in; zeros for a fresh stream).
-    fn spawn(engine: Engine, counters: [u64; 5]) -> Result<Self, ConfigError> {
+    /// Spawn the pipeline thread around an already-validated engine.
+    fn spawn(engine: Engine) -> Result<Self, ConfigError> {
         let (work_tx, work_rx) = sync_channel::<Command>(Self::WORK_BUFFER);
         let (events_tx, events_rx) = sync_channel::<MultiStreamEvent>(Self::EVENT_BUFFER);
         let worker = std::thread::Builder::new()
             .name("anomex-stream-pipeline".into())
             .spawn(move || pipeline_loop(engine, &work_rx, &events_tx))
             .map_err(|e| ConfigError::new(format!("cannot spawn pipeline thread: {e}")))?;
-        let [intervals, alarms, extractions, reconfigs_applied, reconfigs_rejected] = counters;
         Ok(PipelineHandle {
             work_tx: Some(work_tx),
             events_rx,
             worker: Some(worker),
-            intervals,
-            alarms,
-            extractions,
-            reconfigs_applied,
-            reconfigs_rejected,
         })
     }
 
-    /// The stream counters, in [`spawn`](Self::spawn)'s order.
-    fn counters(&self) -> [u64; 5] {
-        [
-            self.intervals,
-            self.alarms,
-            self.extractions,
-            self.reconfigs_applied,
-            self.reconfigs_rejected,
-        ]
-    }
-
-    /// Send a command that replies (a snapshot or a reconfiguration) and
-    /// wait for the reply. The command rides the FIFO channel, so every
+    /// Run `call` on the engine: the events finished before it returns,
+    /// and what it returns. The call rides the FIFO channel, so every
     /// previously submitted interval is fully processed — and its event
-    /// already in the event channel — before it executes; the trailing
-    /// drain therefore leaves the counters exactly consistent with the
-    /// reply.
+    /// already in the event channel — before it runs; the trailing drain
+    /// therefore collects every event the result reflects.
     ///
     /// # Panics
     ///
     /// Re-raises a panic from the pipeline thread.
-    fn request<T>(
+    fn call<T: Send + 'static>(
         &mut self,
-        command: impl FnOnce(SyncSender<T>) -> Command,
-        into: &mut Vec<MultiStreamEvent>,
-    ) -> T {
-        self.drain_ready(into);
+        call: impl FnOnce(&mut Engine) -> T + Send + 'static,
+    ) -> (Vec<MultiStreamEvent>, T) {
+        let mut events = Vec::new();
+        self.drain_ready(&mut events);
         let (reply_tx, reply_rx) = sync_channel(1);
-        self.send(command(reply_tx));
+        self.send(Command::Call(Box::new(move |engine| {
+            reply_tx.send(call(engine)).ok();
+        })));
         let Ok(reply) = reply_rx.recv() else {
             self.join_and_propagate();
         };
-        self.drain_ready(into);
-        reply
+        self.drain_ready(&mut events);
+        (events, reply)
     }
 
     fn send(&mut self, command: Command) {
@@ -306,12 +265,9 @@ impl PipelineHandle {
     }
 
     /// Non-blockingly collect every event the pipeline thread has
-    /// finished, updating the stream counters.
+    /// finished.
     fn drain_ready(&mut self, into: &mut Vec<MultiStreamEvent>) {
-        while let Ok(event) = self.events_rx.try_recv() {
-            self.record(&event);
-            into.push(event);
-        }
+        into.extend(self.events_rx.try_iter());
     }
 
     /// Hang up the work channel, drain the pipeline thread to
@@ -323,11 +279,7 @@ impl PipelineHandle {
     /// Re-raises a panic from the pipeline thread.
     fn finish(&mut self) -> (Vec<MultiStreamEvent>, Engine) {
         drop(self.work_tx.take());
-        let mut events = Vec::new();
-        while let Ok(event) = self.events_rx.recv() {
-            self.record(&event);
-            events.push(event);
-        }
+        let events = self.events_rx.iter().collect();
         let engine = match self.worker.take().expect("finish called once").join() {
             Ok(engine) => engine,
             Err(payload) => std::panic::resume_unwind(payload),
@@ -335,27 +287,11 @@ impl PipelineHandle {
         (events, engine)
     }
 
-    fn record(&mut self, event: &MultiStreamEvent) {
-        self.intervals += 1;
-        if event.alarmed() {
-            self.alarms += 1;
-        }
-        if event.event.outcome.extraction.is_some() {
-            self.extractions += 1;
-        }
-    }
-
     /// Join a pipeline thread that died mid-stream and re-raise its
     /// panic on the caller.
     fn join_and_propagate(&mut self) -> ! {
-        drop(self.work_tx.take());
-        let panic = self
-            .worker
-            .take()
-            .expect("pipeline thread handle present")
-            .join()
-            .expect_err("a live pipeline thread cannot refuse work");
-        std::panic::resume_unwind(panic)
+        self.finish();
+        unreachable!("a live pipeline thread cannot refuse work")
     }
 }
 
@@ -475,6 +411,29 @@ impl PartialEq for MultiStreamSummary {
 
 impl Eq for MultiStreamSummary {}
 
+/// The stream's counters: the closed intervals among the events the
+/// extractor returned, and the reconfiguration verdicts. A checkpoint
+/// stores them in field order.
+#[derive(Debug, Clone, Copy, Default)]
+struct Tally {
+    intervals: u64,
+    alarms: u64,
+    extractions: u64,
+    reconfigs_applied: u64,
+    reconfigs_rejected: u64,
+}
+
+impl Tally {
+    /// Count `events`, one closed interval each.
+    fn events(&mut self, events: &[MultiStreamEvent]) {
+        for event in events {
+            self.intervals += 1;
+            self.alarms += u64::from(event.alarmed());
+            self.extractions += u64::from(event.event.outcome.extraction.is_some());
+        }
+    }
+}
+
 /// The streaming pipeline: N exporters (one or more) fanned in onto one
 /// interval grid, extracted by one engine.
 ///
@@ -495,7 +454,7 @@ pub struct MultiSourceExtractor {
     pipe: PipelineHandle,
     /// The configuration every interval submitted from now on runs under.
     config: ExtractionConfig,
-    total_flows: u64,
+    tally: Tally,
     /// Time spent in the merge grid's calls ([`MultiStreamSummary::assembly`]).
     assembly: Duration,
     /// Whether events fill [`MultiStreamEvent::flow_data`] (legacy).
@@ -526,9 +485,9 @@ impl MultiSourceExtractor {
         let assembler = MergeAssembler::try_new(merge_config, sources)?;
         Ok(MultiSourceExtractor {
             assembler,
-            pipe: PipelineHandle::spawn(engine, [0; 5])?,
+            pipe: PipelineHandle::spawn(engine)?,
             config,
-            total_flows: 0,
+            tally: Tally::default(),
             assembly: Duration::ZERO,
             flow_data: false,
         })
@@ -566,12 +525,19 @@ impl MultiSourceExtractor {
     ///
     /// Re-raises a panic from the pipeline thread.
     pub fn checkpoint(&mut self) -> (Vec<MultiStreamEvent>, Vec<u8>) {
-        let mut events = Vec::new();
-        let engine = self.pipe.request(Command::Snapshot, &mut events);
+        let (events, engine) = self.pipe.call(|engine| engine.snapshot());
+        self.tally.events(&events);
         let mut w = SnapshotWriter::new();
         self.assembler.encode_snapshot(&mut w);
-        w.u64(self.total_flows);
-        for counter in self.pipe.counters() {
+        w.u64(self.total_flows());
+        let t = self.tally;
+        for counter in [
+            t.intervals,
+            t.alarms,
+            t.extractions,
+            t.reconfigs_applied,
+            t.reconfigs_rejected,
+        ] {
             w.u64(counter);
         }
         w.bytes(&engine);
@@ -589,30 +555,34 @@ impl MultiSourceExtractor {
     /// Any [`RestoreError`] from a truncated, corrupt, or inconsistent
     /// payload.
     pub fn restore(payload: &[u8]) -> Result<Self, RestoreError> {
-        let mut r = SnapshotReader::new(payload);
-        let assembler = MergeAssembler::decode_snapshot(&mut r)?;
-        let total_flows = r.u64()?;
-        Self::resume(assembler, total_flows, r)
+        Self::restore_version(CHECKPOINT_VERSION, payload)
     }
 
-    /// [`restore`](Self::restore) for a version 1 payload (the
-    /// single-source engine's one assembler), as a one-lane grid.
-    fn restore_v1(payload: &[u8]) -> Result<Self, RestoreError> {
+    /// [`restore`](Self::restore) for a payload of checkpoint format
+    /// `version`: a version 1 payload holds the single-source engine's one
+    /// assembler, which resumes as a one-lane grid.
+    fn restore_version(version: u32, payload: &[u8]) -> Result<Self, RestoreError> {
         let mut r = SnapshotReader::new(payload);
-        let lane = IntervalAssembler::decode_snapshot(&mut r)?;
-        let total_flows = r.u64()?;
-        let assembler = MergeAssembler::from_single(lane, total_flows);
-        Self::resume(assembler, total_flows, r)
-    }
-
-    /// The rest of a payload after the grid and flow count, in both
-    /// versions: the stream counters, then the engine.
-    fn resume(
-        assembler: MergeAssembler,
-        total_flows: u64,
-        mut r: SnapshotReader<'_>,
-    ) -> Result<Self, RestoreError> {
-        let counters = [r.u64()?, r.u64()?, r.u64()?, r.u64()?, r.u64()?];
+        let (assembler, total_flows) = if version == 1 {
+            let lane = IntervalAssembler::decode_snapshot(&mut r)?;
+            let total_flows = r.u64()?;
+            (MergeAssembler::from_single(lane, total_flows), total_flows)
+        } else {
+            (MergeAssembler::decode_snapshot(&mut r)?, r.u64()?)
+        };
+        let fed: u64 = assembler.source_stats().iter().map(|s| s.flows).sum();
+        if total_flows != fed {
+            return Err(RestoreError::Corrupt(format!(
+                "{total_flows} flows fed, where the grid's sources were fed {fed}"
+            )));
+        }
+        let tally = Tally {
+            intervals: r.u64()?,
+            alarms: r.u64()?,
+            extractions: r.u64()?,
+            reconfigs_applied: r.u64()?,
+            reconfigs_rejected: r.u64()?,
+        };
         let engine_bytes = r.bytes()?;
         r.finish()?;
         let engine = Engine::restore(engine_bytes)?;
@@ -624,13 +594,13 @@ impl MultiSourceExtractor {
             )));
         }
         let config = engine.config().clone();
-        let pipe = PipelineHandle::spawn(engine, counters)
+        let pipe = PipelineHandle::spawn(engine)
             .map_err(|e| RestoreError::Corrupt(format!("cannot respawn pipeline: {e}")))?;
         Ok(MultiSourceExtractor {
             assembler,
             pipe,
             config,
-            total_flows,
+            tally,
             assembly: Duration::ZERO,
             flow_data: false,
         })
@@ -646,7 +616,7 @@ impl MultiSourceExtractor {
     pub fn save(&mut self, path: &Path) -> (Vec<MultiStreamEvent>, Result<(), RestoreError>) {
         let (events, payload) = self.checkpoint();
         let mut w = SnapshotWriter::new();
-        w.u64(self.total_flows);
+        w.u64(self.total_flows());
         w.bytes(&payload);
         (events, write_checkpoint(path, &w.into_bytes()))
     }
@@ -664,12 +634,8 @@ impl MultiSourceExtractor {
         let position = r.u64()?;
         let payload = r.bytes()?;
         r.finish()?;
-        let stream = if version == 1 {
-            Self::restore_v1(payload)?
-        } else {
-            Self::restore(payload)?
-        };
-        let fed = stream.total_flows;
+        let stream = Self::restore_version(version, payload)?;
+        let fed = stream.total_flows();
         if fed == position {
             return Ok(stream);
         }
@@ -682,7 +648,7 @@ impl MultiSourceExtractor {
     /// checkpoint file's position.
     #[must_use]
     pub fn total_flows(&self) -> u64 {
-        self.total_flows
+        self.assembler.source_stats().iter().map(|s| s.flows).sum()
     }
 
     /// Apply a live parameter change at the next interval boundary (see
@@ -700,20 +666,20 @@ impl MultiSourceExtractor {
         &mut self,
         request: ReconfigRequest,
     ) -> (Vec<MultiStreamEvent>, Result<(), ConfigError>) {
-        let mut events = Vec::new();
-        let command = |reply| Command::Reconfig(Box::new(request), reply);
-        let verdict = match self.pipe.request(command, &mut events) {
+        let (events, verdict) = self.pipe.call(move |engine| {
+            engine
+                .reconfigure(&request)
+                .map(|()| engine.config().clone())
+        });
+        self.tally.events(&events);
+        match &verdict {
             Ok(config) => {
-                self.config = config;
-                self.pipe.reconfigs_applied += 1;
-                Ok(())
+                self.config = config.clone();
+                self.tally.reconfigs_applied += 1;
             }
-            Err(e) => {
-                self.pipe.reconfigs_rejected += 1;
-                Err(e)
-            }
-        };
-        (events, verdict)
+            Err(_) => self.tally.reconfigs_rejected += 1,
+        }
+        (events, verdict.map(|_| ()))
     }
 
     /// Tally a reconfiguration refused before it reached
@@ -721,7 +687,7 @@ impl MultiSourceExtractor {
     /// parse, or a request the caller's own policy rejects — in the
     /// [`MultiStreamSummary`] audit counters, with the engine untouched.
     pub fn count_refused_reconfig(&mut self) {
-        self.pipe.reconfigs_rejected += 1;
+        self.tally.reconfigs_rejected += 1;
     }
 
     /// Feed one flow from `source`: a [`push_run`](Self::push_run) of
@@ -756,7 +722,6 @@ impl MultiSourceExtractor {
         run: &R,
     ) -> (usize, Vec<MultiStreamEvent>) {
         let (consumed, merged) = self.assemble(|grid| grid.push_run(source, run));
-        self.total_flows += consumed as u64;
         (consumed, self.submit_merged(merged))
     }
 
@@ -799,17 +764,19 @@ impl MultiSourceExtractor {
         let merged = self.assemble(MergeAssembler::flush);
         let mut events = self.submit_merged(merged);
         let (tail, engine) = self.pipe.finish();
+        self.tally.events(&tail);
         events.extend(tail);
+        let t = self.tally;
         let summary = MultiStreamSummary {
-            intervals: self.pipe.intervals,
-            alarms: self.pipe.alarms,
-            extractions: self.pipe.extractions,
-            total_flows: self.total_flows,
+            intervals: t.intervals,
+            alarms: t.alarms,
+            extractions: t.extractions,
+            total_flows: self.total_flows(),
             dropped_flows: self.assembler.dropped_flows(),
             trained: engine.is_trained(),
             sources: self.assembler.source_stats(),
-            reconfigs_applied: self.pipe.reconfigs_applied,
-            reconfigs_rejected: self.pipe.reconfigs_rejected,
+            reconfigs_applied: t.reconfigs_applied,
+            reconfigs_rejected: t.reconfigs_rejected,
             assembly: self.assembly,
         };
         (events, summary)
@@ -839,6 +806,7 @@ impl MultiSourceExtractor {
             });
         }
         self.pipe.drain_ready(&mut events);
+        self.tally.events(&events);
         events
     }
 }
@@ -948,7 +916,7 @@ mod tests {
         assert!(MultiSourceExtractor::restore(&payload).is_ok());
         assert!(MultiSourceExtractor::restore(&payload[..payload.len() / 2]).is_err());
         assert!(MultiSourceExtractor::restore(&[]).is_err());
-        assert!(MultiSourceExtractor::restore_v1(&[]).is_err());
+        assert!(MultiSourceExtractor::restore_version(1, &[]).is_err());
         let mut evil = payload.clone();
         evil[0] ^= 0xff; // grid interval garbled
         assert!(
@@ -957,8 +925,8 @@ mod tests {
             "must not panic either way"
         );
         assert!(
-            MultiSourceExtractor::restore_v1(&payload).is_err()
-                || MultiSourceExtractor::restore_v1(&payload).is_ok(),
+            MultiSourceExtractor::restore_version(1, &payload).is_err()
+                || MultiSourceExtractor::restore_version(1, &payload).is_ok(),
             "a foreign layout must not panic either"
         );
     }

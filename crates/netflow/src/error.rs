@@ -2,6 +2,8 @@
 
 use std::{fmt, io};
 
+use crate::source::SourceId;
+
 /// An invalid configuration: which constraint was violated, in
 /// human-readable form. The interval assemblers
 /// ([`IntervalAssembler::try_new`](crate::IntervalAssembler::try_new),
@@ -166,11 +168,12 @@ impl std::error::Error for ReadError {
     }
 }
 
-/// Why a [`Replay`](crate::Replay) stopped.
+/// Why a [`Replay`](crate::Replay) stopped, or would not resume.
 #[derive(Debug)]
 pub struct ReplayError {
     /// The capture's name, as opened; the reader thread's for
-    /// [`ReplayErrorKind::Spawn`].
+    /// [`ReplayErrorKind::Spawn`]; empty for a resume's refusals
+    /// (`Sources`, `Lane`, `Short`), which concern every capture.
     pub source: String,
     /// What went wrong.
     pub kind: ReplayErrorKind,
@@ -186,6 +189,29 @@ pub enum ReplayErrorKind {
     Empty,
     /// The capture reader thread could not be started.
     Spawn(io::Error),
+    /// A resumed grid ([`Replay::resume`](crate::Replay::resume)) with
+    /// another number of sources than captures.
+    Sources {
+        /// The grid's sources.
+        lanes: usize,
+        /// The captures.
+        captures: usize,
+    },
+    /// A resumed grid whose lane `lane`, which capture `lane` feeds, is
+    /// not source `lane`.
+    Lane {
+        /// The lane.
+        lane: u32,
+        /// Its source.
+        found: SourceId,
+    },
+    /// Captures that end before the flows a resumed grid was fed.
+    Short {
+        /// The flows the captures hold.
+        flows: u64,
+        /// The flows the grid was fed.
+        consumed: u64,
+    },
 }
 
 impl fmt::Display for ReplayError {
@@ -196,6 +222,23 @@ impl fmt::Display for ReplayError {
             ReplayErrorKind::Read(ReadError::Decode(e)) => write!(f, "{name}: {e}"),
             ReplayErrorKind::Empty => write!(f, "{name}: trace is empty"),
             ReplayErrorKind::Spawn(e) => write!(f, "cannot spawn the capture reader: {e}"),
+            ReplayErrorKind::Sources { lanes, captures } => {
+                write!(
+                    f,
+                    "the grid has {lanes} source(s) for {captures} capture(s)"
+                )
+            }
+            ReplayErrorKind::Lane { lane, found } => {
+                let expected = SourceId(*lane);
+                write!(
+                    f,
+                    "lane {lane} holds source {found} where {expected} was expected"
+                )
+            }
+            ReplayErrorKind::Short { flows, consumed } => write!(
+                f,
+                "the captures end after {flows} flows, before the {consumed} the grid was fed"
+            ),
         }
     }
 }

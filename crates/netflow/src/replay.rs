@@ -8,7 +8,8 @@
 //! capture's flows end only where the grid's open windows say a flow can
 //! close one, so the grid gives what the per-flow merge gives. One reader
 //! thread reads the captures in step in grid time, each at most a
-//! bounded ring of blocks ahead.
+//! bounded ring of blocks ahead. A replay [`resume`](Replay::resume)s a
+//! checkpointed grid: it passes over the flows the grid was fed.
 
 use std::collections::VecDeque;
 use std::io::Read;
@@ -365,9 +366,9 @@ pub struct Replay {
 impl Replay {
     /// Start the reader on `captures` (each a name for its errors and
     /// NetFlow v5 datagrams, v9/IPFIX punctuation among them or not) and
-    /// wait for each one's first flow. Capture `i`'s clock origin is
-    /// `resume[i]`'s (a checkpointed run's [`sources`](Self::sources)),
-    /// or else the start of the `interval_ms` window of its first flow.
+    /// wait for each one's first flow. Capture `i` feeds source `i`, whose
+    /// clock origin is the start of the `interval_ms` window of its first
+    /// flow.
     ///
     /// # Errors
     ///
@@ -376,23 +377,52 @@ impl Replay {
     ///
     /// # Panics
     ///
-    /// When `interval_ms` is zero or `resume` lacks a capture.
+    /// When `interval_ms` is zero.
     pub fn open<R: Read + Send + 'static>(
         captures: Vec<(String, R)>,
         interval_ms: u64,
-        resume: Option<&[SourceSpec]>,
     ) -> Result<Self, ReplayError> {
-        Self::with_budget(captures, interval_ms, resume, READ_AHEAD)
+        Self::start(captures, interval_ms, None, READ_AHEAD)
     }
 
-    /// [`open`](Self::open) with `budget` blocks in flight per capture.
-    pub(crate) fn with_budget<R: Read + Send + 'static>(
+    /// Continue the replay that fed `grid`, a checkpointed run's: capture
+    /// `i` feeds lane `i` from its origin, past the flows the grid was fed.
+    ///
+    /// # Errors
+    ///
+    /// [`ReplayErrorKind::Sources`] or [`ReplayErrorKind::Lane`], before a
+    /// capture is read, for lanes that are not sources `0..n` of the `n`
+    /// captures; [`ReplayErrorKind::Short`] for captures that end first;
+    /// and [`open`](Self::open)'s.
+    pub fn resume<R: Read + Send + 'static>(
+        captures: Vec<(String, R)>,
+        grid: &MergeAssembler,
+    ) -> Result<Self, ReplayError> {
+        Self::start(captures, grid.config().interval_ms, Some(grid), READ_AHEAD)
+    }
+
+    /// [`open`](Self::open), or [`resume`](Self::resume) `grid`, with
+    /// `budget` blocks in flight per capture.
+    fn start<R: Read + Send + 'static>(
         captures: Vec<(String, R)>,
         interval_ms: u64,
-        resume: Option<&[SourceSpec]>,
+        grid: Option<&MergeAssembler>,
         budget: usize,
     ) -> Result<Self, ReplayError> {
         assert!(interval_ms > 0 && budget > 0, "a zero interval or budget");
+        let sources = grid.map_or_else(Vec::new, MergeAssembler::sources);
+        let refuse = |kind| ReplayError {
+            source: String::new(),
+            kind,
+        };
+        if grid.is_some() && sources.len() != captures.len() {
+            let (lanes, captures) = (sources.len(), captures.len());
+            return Err(refuse(ReplayErrorKind::Sources { lanes, captures }));
+        }
+        if let Some((lane, spec)) = (0u32..).zip(&sources).find(|(i, s)| s.id != SourceId(*i)) {
+            let found = spec.id;
+            return Err(refuse(ReplayErrorKind::Lane { lane, found }));
+        }
         let (names, captures): (Vec<_>, Vec<_>) = captures.into_iter().unzip();
         let (senders, receivers): (Vec<_>, Vec<_>) = names.iter().map(|_| channel()).unzip();
         let (back, returned) = channel();
@@ -405,15 +435,22 @@ impl Replay {
             })?;
         let lanes = (names.into_iter().zip(receivers).enumerate())
             .map(|(s, (name, rest))| {
-                let origin = resume.map(|sources| sources[s].origin_ms);
+                let origin = sources.get(s).map(|spec| spec.origin_ms);
                 Lane::open(name, rest, back.clone(), interval_ms, origin)
             })
             .collect::<Result<_, _>>()?;
-        Ok(Replay {
+        let mut replay = Replay {
             lanes,
             held: VecDeque::new(),
             reader,
-        })
+        };
+        let consumed = grid.map_or(0, |grid| grid.source_stats().iter().map(|s| s.flows).sum());
+        let missing = replay.skip(consumed)?;
+        if missing > 0 {
+            let flows = consumed - missing;
+            return Err(refuse(ReplayErrorKind::Short { flows, consumed }));
+        }
+        Ok(replay)
     }
 
     /// The sources the replay feeds, source `i` at capture `i`'s origin.
@@ -504,14 +541,10 @@ impl Replay {
     }
 
     /// Pass over the first `flows` flows and the heartbeats among them,
-    /// what a checkpointed run consumed. It takes the per-flow merge's
-    /// runs: a checkpoint falls at a close, where both orders have
-    /// consumed the same flows.
-    ///
-    /// # Errors
-    ///
-    /// As [`next`](Self::next).
-    pub fn skip(&mut self, mut flows: u64) -> Result<(), ReplayError> {
+    /// what a checkpointed run consumed; returns how many of them the
+    /// captures lack. It takes the per-flow merge's runs: a checkpoint
+    /// falls at a close, where both orders have consumed the same flows.
+    fn skip(&mut self, mut flows: u64) -> Result<u64, ReplayError> {
         while flows > 0 {
             let Some((source, arrival)) = self.arrival(None)? else {
                 break;
@@ -522,7 +555,7 @@ impl Replay {
                 flows -= n;
             }
         }
-        Ok(())
+        Ok(flows)
     }
 
     /// Join the reader after a complete replay (`next` gave `Ok(None)`):
@@ -609,7 +642,7 @@ mod tests {
     }
 
     /// Everything `replay` hands out under the per-flow rule (no open
-    /// windows, as [`Replay::skip`] takes it), one arrival per flow,
+    /// windows, as a resume's skip takes it), one arrival per flow,
     /// consuming `take(len)` flows of each run of `len`; with the run
     /// boundaries, as flows replayed before each run.
     fn flatten(
@@ -677,12 +710,33 @@ mod tests {
         (captures, singles)
     }
 
+    /// Each capture of `captures` named by its lane.
+    fn named(captures: &[Vec<u8>]) -> Vec<(String, Cursor<Vec<u8>>)> {
+        (captures.iter().enumerate())
+            .map(|(s, bytes)| (format!("lane{s}"), Cursor::new(bytes.clone())))
+            .collect()
+    }
+
     /// A replay of `captures` on one-minute windows, `budget` blocks ahead.
     fn replay_of(captures: &[Vec<u8>], budget: usize) -> Replay {
-        let captures = (captures.iter().enumerate())
-            .map(|(s, bytes)| (format!("lane{s}"), Cursor::new(bytes.clone())))
-            .collect();
-        Replay::with_budget(captures, MINUTE_MS, None, budget).unwrap()
+        Replay::start(named(captures), MINUTE_MS, None, budget).unwrap()
+    }
+
+    /// The replay of `captures` resumed from `grid`, `budget` blocks ahead.
+    fn resumed(captures: &[Vec<u8>], grid: &MergeAssembler, budget: usize) -> Replay {
+        Replay::start(named(captures), MINUTE_MS, Some(grid), budget).unwrap()
+    }
+
+    /// A one-minute grid over `sources` fed `order`, one arrival at a time.
+    fn grid_fed(sources: &[SourceSpec], order: &[(SourceId, Single)]) -> MergeAssembler {
+        let mut grid = MergeAssembler::try_new(MergeConfig::new(MINUTE_MS), sources).unwrap();
+        for &(source, item) in order {
+            match item {
+                Single::Flow(flow) => drop(grid.push(source, flow)),
+                Single::Beat(ms) => drop(grid.heartbeat(source, ms)),
+            }
+        }
+        grid
     }
 
     /// Four lanes on the origins 0, 1, 2 and 3 minutes (Δ = 1 min),
@@ -781,16 +835,16 @@ mod tests {
     /// The run replay under the per-flow rule hands out exactly the
     /// per-flow merge's order, over one to four lanes of
     /// [`test_lanes`], whether each run is taken whole or a few flows at
-    /// a time; and a resume's skip — one ending in the middle of a run
-    /// among them — leaves the same order as dropping those flows (and
-    /// the heartbeats before the last of them) from the per-flow order.
-    /// At every read-ahead budget.
+    /// a time; and a replay resumed from a grid fed a prefix of that
+    /// order — one ending in the middle of a run among them — hands out
+    /// the rest of it. At every read-ahead budget.
     #[test]
     fn run_replay_is_the_per_flow_merge_order() {
         let (captures, singles) = encode(&test_lanes());
         for (k, budget) in (1..=4).flat_map(|k| BUDGETS.map(|budget| (k, budget))) {
             let open = || replay_of(&captures[..k], budget);
-            let origins: Vec<u64> = open().sources().iter().map(|s| s.origin_ms).collect();
+            let sources = open().sources();
+            let origins: Vec<u64> = sources.iter().map(|s| s.origin_ms).collect();
             assert_eq!(origins, [0, 60_000, 120_000, 180_000][..k]);
             let lanes: Vec<(u64, Vec<Single>)> = origins.into_iter().zip(singles.clone()).collect();
             let expected = per_flow_merge(&lanes);
@@ -803,29 +857,20 @@ mod tests {
                 len.min(1 + calls % 3)
             });
             assert_eq!(bit_by_bit.0, expected, "{context}, runs taken in bits");
-            let beats =
-                |lane: &[Single]| lane.iter().filter(|a| matches!(a, Single::Beat(_))).count();
-            let flows = lanes.iter().map(|(_, l)| l.len() - beats(l)).sum::<usize>();
+            // The per-flow order up to and including each flow.
+            let prefixes: Vec<usize> = (expected.iter().enumerate())
+                .filter(|(_, (_, a))| matches!(a, Single::Flow(_)))
+                .map(|(i, _)| i + 1)
+                .collect();
+            let flows = prefixes.len();
             let (mid, _) = *(runs.iter())
                 .find(|&&(_, len)| len >= 2)
                 .expect("a run of two flows or more");
-            for skip in [0, 1, mid + 1, flows / 2, flows - 1, flows, flows + 5] {
-                let mut replay = open();
-                replay.skip(skip as u64).unwrap();
-                let mut left = skip;
-                let rest: Vec<_> = (expected.iter())
-                    .skip_while(|(_, a)| {
-                        let skipped = left > 0;
-                        left -= usize::from(skipped && matches!(a, Single::Flow(_)));
-                        skipped
-                    })
-                    .copied()
-                    .collect();
-                assert_eq!(
-                    flatten(&mut replay, |len| len).0,
-                    rest,
-                    "{context}, skip {skip}"
-                );
+            for skip in [0, 1, mid + 1, flows / 2, flows - 1, flows] {
+                let cut = skip.checked_sub(1).map_or(0, |i| prefixes[i]);
+                let grid = grid_fed(&sources, &expected[..cut]);
+                let rest = flatten(&mut resumed(&captures[..k], &grid, budget), |len| len).0;
+                assert_eq!(rest, expected[cut..], "{context}, resumed after {skip}");
             }
             assert!(whole.len() > runs.len() * 2, "runs hold several flows");
         }
@@ -834,6 +879,62 @@ mod tests {
         while lane.receive() {}
         assert_eq!(lane.blocks.len(), 2);
         assert_eq!(lane.blocks[1].beats[0], (0, 62_000), "first in its block");
+    }
+
+    /// A resume refuses, with a typed error and before it reads a
+    /// capture, a grid with fewer or more lanes than captures and one
+    /// whose lanes are not sources `0..n` in order (the captures here are
+    /// empty, which a replay that read them would report instead); and,
+    /// at every read-ahead budget, captures that hold fewer flows than
+    /// the grid was fed.
+    #[test]
+    fn resume_refuses_a_grid_the_captures_do_not_fit() {
+        let (captures, singles) = encode(&test_lanes());
+        let sources = replay_of(&captures, 1).sources();
+        // The kind and the text of the error resuming `grid` over
+        // `captures` gives.
+        let refusal = |captures: &[Vec<u8>], grid: &MergeAssembler, budget: usize| {
+            let Err(e) = Replay::start(named(captures), MINUTE_MS, Some(grid), budget) else {
+                panic!("resumed");
+            };
+            assert_eq!(e.source, "");
+            (format!("{:?}", e.kind), e.to_string())
+        };
+        let empty = vec![Vec::new(); 3];
+        for lanes in [2, 4] {
+            let kind = ReplayErrorKind::Sources { lanes, captures: 3 };
+            let text = format!("the grid has {lanes} source(s) for 3 capture(s)");
+            let grid = grid_fed(&sources[..lanes], &[]);
+            assert_eq!(refusal(&empty, &grid, 1), (format!("{kind:?}"), text));
+        }
+        for (ids, lane, found) in [([0, 2, 1], 1, SourceId(2)), ([1, 2, 3], 0, SourceId(1))] {
+            let specs: Vec<_> = (ids.into_iter().zip(&sources))
+                .map(|(id, spec)| SourceSpec::new(id, spec.origin_ms))
+                .collect();
+            let kind = ReplayErrorKind::Lane { lane, found };
+            let text = format!("lane {lane} holds source {found} where src{lane} was expected");
+            let grid = grid_fed(&specs, &[]);
+            assert_eq!(refusal(&empty, &grid, 1), (format!("{kind:?}"), text));
+        }
+        // A grid fed every flow, and the last one twice more.
+        let origins = sources.iter().map(|spec| spec.origin_ms);
+        let mut order = per_flow_merge(&origins.zip(singles).collect::<Vec<_>>());
+        order.retain(|(_, a)| matches!(a, Single::Flow(_)));
+        let flows = order.len() as u64;
+        order.extend([order[order.len() - 1]; 2]);
+        let grid = grid_fed(&sources, &order);
+        let consumed = flows + 2;
+        let kind = ReplayErrorKind::Short { flows, consumed };
+        let text =
+            format!("the captures end after {flows} flows, before the {consumed} the grid was fed");
+        for budget in BUDGETS {
+            let expected = (format!("{kind:?}"), text.clone());
+            assert_eq!(
+                refusal(&captures, &grid, budget),
+                expected,
+                "budget {budget}"
+            );
+        }
     }
 
     /// What one grid gives for a replay order: the merged intervals; and
@@ -909,10 +1010,9 @@ mod tests {
     /// The replay's runs pass other lanes' in-window flows, and the grid
     /// cannot tell: fed by them, it gives the per-flow merge's intervals
     /// and, at every arrival that closes one, its snapshot bytes; and a
-    /// fresh replay `skip`ped by that snapshot's flow count continues
-    /// identically from the restored grid. Without and with a lateness
-    /// bound, on [`test_lanes`] and on random lanes, at every read-ahead
-    /// budget.
+    /// replay resumed from the grid that snapshot restores continues
+    /// identically. Without and with a lateness bound, on [`test_lanes`]
+    /// and on random lanes, at every read-ahead budget.
     #[test]
     fn window_runs_close_every_interval_as_the_per_flow_merge_does() {
         let (captures, singles) = encode(&test_lanes());
@@ -962,10 +1062,9 @@ mod tests {
             assert_same_intervals(&got.intervals, &expected.intervals, &context);
             assert_same_closes(&got.closes, &expected.closes, &context);
             for (i, (flows, bytes)) in expected.closes.iter().enumerate() {
-                let mut replay = open();
-                replay.skip(*flows).unwrap();
                 let restored =
                     MergeAssembler::decode_snapshot(&mut SnapshotReader::new(bytes)).unwrap();
+                let mut replay = resumed(captures, &restored, budget);
                 let rest = replay_trace(&mut replay, restored);
                 let context = format!("{context}, resumed at {flows} flows");
                 let printed = &expected.intervals[expected.printed[i]..];

@@ -16,9 +16,9 @@
 //! kill-and-resume determinism contract requires.
 
 use std::fmt;
-use std::fs;
-use std::io;
-use std::path::Path;
+use std::fs::{self, File};
+use std::io::{self, Write};
+use std::path::{Path, PathBuf};
 
 use crate::flow::{FlowRecord, Protocol, TcpFlags};
 
@@ -384,21 +384,30 @@ pub fn unframe_checkpoint(bytes: &[u8]) -> Result<(u32, &[u8]), RestoreError> {
     Ok((version, payload))
 }
 
-/// Atomically write a framed checkpoint to `path`: the bytes land in a
-/// sibling temp file first and are `rename`d into place, so a crash
-/// mid-write leaves either the previous checkpoint or none — never a
-/// half-written file at the final path.
+/// Atomically and durably write a framed checkpoint to `path`: the bytes
+/// land in a sibling temp file, reach the disk, and are `rename`d into
+/// place, and then the directory's entry reaches the disk too; so a crash
+/// or a power loss mid-write leaves either the previous checkpoint or
+/// the new one — never a half-written or empty file at the final path. A
+/// write that fails removes its temp file.
 ///
 /// # Errors
 ///
 /// [`RestoreError::Io`] on any filesystem failure.
 pub fn write_checkpoint(path: &Path, payload: &[u8]) -> Result<(), RestoreError> {
-    let framed = frame_checkpoint(payload);
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
-    let tmp = std::path::PathBuf::from(tmp);
-    fs::write(&tmp, &framed)?;
-    fs::rename(&tmp, path)?;
+    let tmp = PathBuf::from(tmp);
+    let written = File::create(&tmp).and_then(|mut file| {
+        file.write_all(&frame_checkpoint(payload))?;
+        file.sync_all()
+    });
+    if let Err(e) = written.and_then(|()| fs::rename(&tmp, path)) {
+        fs::remove_file(&tmp).ok();
+        return Err(e.into());
+    }
+    let dir = path.parent().filter(|dir| !dir.as_os_str().is_empty());
+    File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
     Ok(())
 }
 
@@ -582,6 +591,25 @@ mod tests {
         assert_eq!(read_checkpoint(&path).unwrap().1, b"second");
         // No temp file lingers.
         assert!(!dir.join("state.ckpt.tmp").exists());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A write that fails — here its temp file is a link into a missing
+    /// directory, so it cannot be created — is an I/O error that leaves
+    /// the previous checkpoint as it was and no temp file behind.
+    #[cfg(unix)]
+    #[test]
+    fn a_failed_write_keeps_the_previous_checkpoint() {
+        let dir = std::env::temp_dir().join(format!("anomex-snap-fail-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("state.ckpt");
+        write_checkpoint(&path, b"previous").unwrap();
+        let tmp = dir.join("state.ckpt.tmp");
+        std::os::unix::fs::symlink(dir.join("missing").join("state"), &tmp).unwrap();
+        let err = write_checkpoint(&path, b"next").unwrap_err();
+        assert!(matches!(err, RestoreError::Io(_)), "{err:?}");
+        assert_eq!(read_checkpoint(&path).unwrap().1, b"previous");
+        assert!(tmp.symlink_metadata().is_err(), "the temp file is removed");
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -71,12 +71,13 @@ fn a_replayed_three_link_capture_gives_the_batch_events() {
     let links = captures(&scenario, intervals);
 
     // The links' own clock origins, so each merged interval is the
-    // concatenation of the scenario's per-link intervals.
+    // concatenation of the scenario's per-link intervals: a replay resumed
+    // from a grid that was fed nothing starts at its lanes' origins.
     let specs = scenario.source_specs();
     let files = open_files(&dir, &links);
-    let mut replay = Replay::open(files, config.interval_ms, Some(&specs)).unwrap();
-    assert_eq!(replay.sources(), specs);
     let mut engine = MultiSourceExtractor::new(config.clone(), &specs, None).unwrap();
+    let mut replay = Replay::resume(files, engine.assembler()).unwrap();
+    assert_eq!(replay.sources(), specs);
     let (mut events, mut runs) = (Vec::new(), 0);
     while let Some((source, arrival)) = replay.next(engine.assembler()).unwrap() {
         events.extend(match arrival {
@@ -136,7 +137,7 @@ fn a_cut_or_empty_link_stops_the_replay_with_its_error() {
 
     let files = open_files(&dir, &links);
     let names: Vec<String> = files.iter().map(|(name, _)| name.clone()).collect();
-    let mut replay = Replay::open(files, scenario.interval_ms(), None).unwrap();
+    let mut replay = Replay::open(files, scenario.interval_ms()).unwrap();
     let mut grid =
         MergeAssembler::try_new(MergeConfig::new(scenario.interval_ms()), &replay.sources())
             .unwrap();
@@ -172,7 +173,7 @@ fn a_cut_or_empty_link_stops_the_replay_with_its_error() {
     std::fs::write(&empty, []).unwrap();
     let mut files = open_files(&dir, &links[..1]);
     files.push((empty.display().to_string(), File::open(&empty).unwrap()));
-    let Err(error) = Replay::open(files, scenario.interval_ms(), None) else {
+    let Err(error) = Replay::open(files, scenario.interval_ms()) else {
         panic!("a link without a flow opened");
     };
     assert!(matches!(error.kind, ReplayErrorKind::Empty), "{error:?}");
